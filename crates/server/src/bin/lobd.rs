@@ -9,10 +9,8 @@
 //! prints a final statistics snapshot. With `--dump-metrics`, the full
 //! Prometheus-flavoured metrics exposition (the same text the
 //! `metrics_text` wire op serves) is written to stdout at shutdown.
-//!
-//! The pre-reactor `--workers`/`--backlog` flags are still accepted as
-//! deprecated aliases for `--executors`/`--max-sessions`.
 
+use pglo_server::stats::metric;
 use pglo_server::{spawn, LobdService, ServerConfig};
 use std::process::ExitCode;
 
@@ -44,20 +42,6 @@ fn main() -> ExitCode {
                 Some(v) if v > 0 => config = config.pipeline_window(v),
                 _ => return usage("--pipeline-window needs a positive integer"),
             },
-            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => {
-                    eprintln!("lobd: --workers is deprecated; use --executors");
-                    config = config.executor_threads(v);
-                }
-                _ => return usage("--workers needs a positive integer"),
-            },
-            "--backlog" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => {
-                    eprintln!("lobd: --backlog is deprecated; use --max-sessions");
-                    config = config.max_sessions(v);
-                }
-                _ => return usage("--backlog needs a positive integer"),
-            },
             "--dump-metrics" => dump_metrics = true,
             "--help" | "-h" => return usage(""),
             _ if data_dir.is_none() && !arg.starts_with('-') => data_dir = Some(arg),
@@ -88,16 +72,20 @@ fn main() -> ExitCode {
     // The reactors and executors run until a client requests shutdown.
     let service = handle.join();
 
-    let stats = service.stats_snapshot();
+    let entries = service.metrics_entries();
+    let requests: u64 = entries
+        .iter()
+        .filter(|e| e.name.starts_with("server.op.") && e.name.ends_with(".count"))
+        .map(|e| e.value.as_u64())
+        .sum();
     eprintln!(
-        "lobd: shut down after {} requests ({} commits, {} aborts, pool hit rate {:.1}%)",
-        stats.total_requests(),
-        stats.commits,
-        stats.aborts,
-        stats.pool_hit_rate * 100.0,
+        "lobd: shut down after {requests} requests ({} commits, {} aborts, pool hit rate {:.1}%)",
+        metric(&entries, "txn.commits").map_or(0, |v| v.as_u64()),
+        metric(&entries, "txn.aborts").map_or(0, |v| v.as_u64()),
+        metric(&entries, "pool.hit_rate").map_or(0.0, |v| v.as_f64()) * 100.0,
     );
     if dump_metrics {
-        print!("{}", obs::render_text(&service.metrics_entries()));
+        print!("{}", obs::render_text(&entries));
     }
     ExitCode::SUCCESS
 }

@@ -1,19 +1,21 @@
 //! The typed lobd client. Generic over the transport — a [`TcpStream`] in
 //! production, the in-process loopback pipe in tests — so every typed
 //! method exercises the exact same codec either way.
+//!
+//! There is one request path: [`Pipeline`] encodes an operation's payload,
+//! sends it as one tagged frame and hands back a typed [`Ticket`];
+//! redeeming the ticket decodes the reply. Every sequential method on
+//! [`Client`] and [`LoHandle`] is that same enqueue + redeem with nothing
+//! else in flight, so each opcode's payload layout is written, and each
+//! reply shape decoded, in exactly one place.
 
-use crate::proto::{
-    self, ErrorCode, Opcode, Reader, WireSpec, MAGIC, MAX_IO, MIN_VERSION, VERSION,
-};
-use crate::stats::{decode_metrics, ServerStats};
+use crate::proto::{self, ErrorCode, Opcode, Reader, WireSpec, MAGIC, MAX_IO, VERSION};
+use crate::stats::decode_metrics;
 use obs::MetricEntry;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
 use std::net::{TcpStream, ToSocketAddrs};
-
-/// First protocol version with tagged (pipelined) framing.
-const TAGGED_VERSION: u8 = 4;
 
 /// Default window for [`Client::pipeline`]: requests in flight before
 /// enqueueing blocks on the oldest reply.
@@ -28,10 +30,8 @@ pub enum ClientError {
     Server(ErrorCode, String),
     /// The reply did not decode as expected.
     Protocol(String),
-    /// The handshake reply named a different protocol version than the
-    /// one offered. Carries `(server_version, offered_version)`;
-    /// [`Client::connect`] retries with the server's version when it is
-    /// one this client still speaks.
+    /// The server's hello named a different protocol version than this
+    /// client speaks. Carries `(server_version, client_version)`.
     Version(u8, u8),
 }
 
@@ -62,6 +62,21 @@ impl From<proto::DecodeError> for ClientError {
     }
 }
 
+impl From<proto::FrameError> for ClientError {
+    fn from(e: proto::FrameError) -> Self {
+        match e {
+            proto::FrameError::Eof => ClientError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            )),
+            proto::FrameError::Io(e) => ClientError::Io(e),
+            proto::FrameError::BadLength(n) => {
+                ClientError::Protocol(format!("server sent bad frame length {n}"))
+            }
+        }
+    }
+}
+
 impl ClientError {
     /// The server error code, if this is a server-reported failure.
     pub fn code(&self) -> Option<ErrorCode> {
@@ -70,24 +85,18 @@ impl ClientError {
             _ => None,
         }
     }
+
+    /// An error reply (nonzero `status`) as the error it reports.
+    fn from_reply(status: u8, msg: &[u8]) -> Self {
+        match ErrorCode::from_u8(status) {
+            Some(code) => ClientError::Server(code, String::from_utf8_lossy(msg).into_owned()),
+            None => ClientError::Protocol(format!("unknown status byte {status}")),
+        }
+    }
 }
 
 /// Client-side result type.
 pub type Result<T> = std::result::Result<T, ClientError>;
-
-fn map_frame_err<T>(res: std::result::Result<T, proto::FrameError>) -> Result<T> {
-    match res {
-        Ok(v) => Ok(v),
-        Err(proto::FrameError::Eof) => Err(ClientError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed the connection",
-        ))),
-        Err(proto::FrameError::Io(e)) => Err(ClientError::Io(e)),
-        Err(proto::FrameError::BadLength(n)) => {
-            Err(ClientError::Protocol(format!("server sent bad frame length {n}")))
-        }
-    }
-}
 
 /// Decoded `inv_stat` reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,85 +130,63 @@ pub struct Entry {
 
 /// A connected lobd client.
 ///
-/// Since proto v4 the core is *pipelined*: every request carries a
-/// client-chosen tag, sends and reply-reads are decoupled, and replies
-/// park in a completion buffer until their tag is redeemed. The typed
-/// one-op methods ([`Client::ping`], [`LoHandle::read`], ...) are
-/// window-of-1 wrappers over that core — send one tag, redeem it
-/// immediately — so their behavior is unchanged. [`Client::pipeline`]
-/// opens the window.
+/// Every request carries a client-chosen tag; sends and reply-reads are
+/// decoupled, and replies park in a completion buffer until their tag is
+/// redeemed. [`Client::pipeline`] opens that window to the caller; the
+/// typed one-op methods ([`Client::ping`], [`LoHandle::read`], ...) keep
+/// it at one — enqueue, redeem at once.
 pub struct Client<S: Read + Write> {
     stream: S,
-    /// Protocol version negotiated at handshake; picks the framing
-    /// (tagged v4 vs legacy) and the stats reply decoding (v3 metrics
-    /// frame vs the legacy v2 fixed layout).
-    proto: u8,
-    /// Next request tag (v4 sessions).
+    /// Next request tag.
     next_tag: u32,
     /// Tags sent whose replies have not yet been read off the wire, in
     /// send order (the server replies in send order).
     inflight: VecDeque<u32>,
     /// Replies read off the wire but not yet redeemed, by tag.
     completed: HashMap<u32, (u8, Vec<u8>)>,
+    /// Scratch: the payload being built, then the whole frame, so a
+    /// request costs no allocation and leaves in one `write_all`.
+    payload: Vec<u8>,
+    wbuf: Vec<u8>,
+    /// Bytes read off the wire past the last decoded reply.
+    rbuf: Vec<u8>,
 }
 
 impl Client<TcpStream> {
-    /// Connect over TCP and perform the handshake. If the server answers
-    /// with an older protocol version this client still speaks
-    /// ([`MIN_VERSION`]`..`[`VERSION`]), reconnect offering that version —
-    /// an old server refuses and closes after naming its version, so the
-    /// downgrade needs a fresh connection.
+    /// Connect over TCP and perform the handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
-        match Self::connect_version(&addr, VERSION) {
-            Err(ClientError::Version(server, _)) if (MIN_VERSION..VERSION).contains(&server) => {
-                Self::connect_version(&addr, server)
-            }
-            other => other,
-        }
-    }
-
-    fn connect_version(addr: impl ToSocketAddrs, version: u8) -> Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Self::handshake_with_version(stream, version)
+        Self::handshake(stream)
     }
 }
 
 impl<S: Read + Write> Client<S> {
-    /// Perform the `MAGIC ++ VERSION` handshake over an open transport,
-    /// offering the current protocol version.
-    pub fn handshake(stream: S) -> Result<Self> {
-        Self::handshake_with_version(stream, VERSION)
-    }
-
-    /// Handshake offering an explicit protocol version (compatibility
-    /// testing, or a deliberate downgrade to an old server). The server
-    /// must echo the offered version exactly; any other reply is a
-    /// [`ClientError::Version`] carrying what the server named.
-    pub fn handshake_with_version(mut stream: S, version: u8) -> Result<Self> {
-        stream.write_all(MAGIC)?;
-        stream.write_all(&[version])?;
-        stream.flush()?;
+    /// Perform the `MAGIC ++ VERSION` handshake over an open transport.
+    /// The server must answer with the same five bytes; a hello naming
+    /// another version is a [`ClientError::Version`].
+    pub fn handshake(mut stream: S) -> Result<Self> {
         let mut hello = [0u8; 5];
+        hello[..4].copy_from_slice(MAGIC);
+        hello[4] = VERSION;
+        stream.write_all(&hello)?;
+        stream.flush()?;
         stream.read_exact(&mut hello)?;
         if &hello[..4] != MAGIC {
             return Err(ClientError::Protocol("server did not answer with lobd magic".into()));
         }
-        if hello[4] != version {
-            return Err(ClientError::Version(hello[4], version));
+        if hello[4] != VERSION {
+            return Err(ClientError::Version(hello[4], VERSION));
         }
         Ok(Self {
             stream,
-            proto: version,
             next_tag: 1,
             inflight: VecDeque::new(),
             completed: HashMap::new(),
+            payload: Vec::new(),
+            wbuf: Vec::new(),
+            rbuf: Vec::new(),
         })
-    }
-
-    /// The protocol version negotiated at handshake.
-    pub fn proto_version(&self) -> u8 {
-        self.proto
     }
 
     /// Give back the transport (e.g. to drop it abruptly in tests).
@@ -209,17 +196,14 @@ impl<S: Read + Write> Client<S> {
 
     /// Send a raw `(opcode_byte, payload)` frame and return the raw
     /// `(status_byte, payload)` reply. Escape hatch for robustness tests.
-    /// A window-of-1 round trip: send one tag, redeem it immediately.
     pub fn call_raw(&mut self, opcode: u8, payload: &[u8]) -> Result<(u8, Vec<u8>)> {
-        let tag = self.send_raw(opcode, payload)?;
+        let tag = self.send(opcode, |p| p.extend_from_slice(payload))?;
         self.fetch_reply(tag)
     }
 
-    /// Send one request frame without awaiting its reply; returns the
-    /// tag the reply will carry. On a pre-v4 session (no tags on the
-    /// wire) the reply is read *now* — the effective window is 1 — and
-    /// parked under a synthetic tag, so redeeming works identically.
-    fn send_raw(&mut self, opcode: u8, payload: &[u8]) -> Result<u32> {
+    /// Send one request frame — payload written by `build` — without
+    /// awaiting its reply; returns the tag the reply will carry.
+    fn send(&mut self, opcode: u8, build: impl FnOnce(&mut Vec<u8>)) -> Result<u32> {
         let tag = self.next_tag;
         // Tag 0 is reserved for server-initiated frames (shutdown
         // notices, framing errors); skip it on wraparound.
@@ -227,31 +211,27 @@ impl<S: Read + Write> Client<S> {
             0 => 1,
             t => t,
         };
-        if self.proto >= TAGGED_VERSION {
-            proto::write_frame_v4(&mut self.stream, tag, opcode, payload)?;
-            self.inflight.push_back(tag);
-        } else {
-            proto::write_frame(&mut self.stream, opcode, payload)?;
-            let reply = map_frame_err(proto::read_frame(&mut self.stream))?;
-            self.completed.insert(tag, reply);
-        }
+        self.payload.clear();
+        build(&mut self.payload);
+        self.wbuf.clear();
+        proto::encode_frame_into(&mut self.wbuf, tag, opcode, &self.payload);
+        self.stream.write_all(&self.wbuf)?;
+        self.stream.flush()?;
+        self.inflight.push_back(tag);
         Ok(tag)
     }
 
     /// Read the next reply off the wire into the completion buffer.
     fn pump_one(&mut self) -> Result<()> {
-        let (tag, status, payload) = map_frame_err(proto::read_frame_v4(&mut self.stream))?;
+        let (tag, status, payload) = proto::read_frame(&mut self.stream, &mut self.rbuf)?;
         // Replies arrive in send order; server-initiated frames (tag 0,
         // e.g. a shutdown notice racing our sends) are not ours to match.
         if let Some(pos) = self.inflight.iter().position(|t| *t == tag) {
             self.inflight.remove(pos);
             self.completed.insert(tag, (status, payload));
         } else if tag == 0 {
-            let code = ErrorCode::from_u8(status);
-            return Err(ClientError::Server(
-                code.unwrap_or(ErrorCode::Internal),
-                String::from_utf8_lossy(&payload).into_owned(),
-            ));
+            let code = ErrorCode::from_u8(status).unwrap_or(ErrorCode::Internal);
+            return Err(ClientError::Server(code, String::from_utf8_lossy(&payload).into_owned()));
         } else {
             return Err(ClientError::Protocol(format!("reply for unknown tag {tag}")));
         }
@@ -265,17 +245,11 @@ impl<S: Read + Write> Client<S> {
             if let Some(reply) = self.completed.remove(&tag) {
                 return Ok(reply);
             }
-            if self.proto >= TAGGED_VERSION && self.inflight.contains(&tag) {
-                self.pump_one()?;
-                continue;
+            if !self.inflight.contains(&tag) {
+                return Err(ClientError::Protocol(format!("no reply pending for tag {tag}")));
             }
-            return Err(ClientError::Protocol(format!("no reply pending for tag {tag}")));
+            self.pump_one()?;
         }
-    }
-
-    /// Replies not yet read off the wire (0 outside an open pipeline).
-    fn wire_backlog(&self) -> usize {
-        self.inflight.len()
     }
 
     /// Open a pipeline with the default window
@@ -285,445 +259,206 @@ impl<S: Read + Write> Client<S> {
         self.pipeline_with_window(DEFAULT_PIPELINE_WINDOW)
     }
 
-    /// Open a pipeline with an explicit window (clamped to ≥ 1). On a
-    /// pre-v4 session the wire window degrades to 1 (each send awaits
-    /// its reply) but tickets still redeem normally.
+    /// Open a pipeline with an explicit window (clamped to ≥ 1).
     pub fn pipeline_with_window(&mut self, window: usize) -> Pipeline<'_, S> {
-        Pipeline { client: self, window: window.max(1), open: Vec::new() }
+        Pipeline { client: self, window: window.max(1) }
     }
 
-    fn call(&mut self, op: Opcode, payload: &[u8]) -> Result<Vec<u8>> {
-        let (status, reply) = self.call_raw(op as u8, payload)?;
-        if status == 0 {
-            return Ok(reply);
-        }
-        let code = ErrorCode::from_u8(status)
-            .ok_or_else(|| ClientError::Protocol(format!("unknown status byte {status}")))?;
-        Err(ClientError::Server(code, String::from_utf8_lossy(&reply).into_owned()))
-    }
-
-    fn call_unit(&mut self, op: Opcode, payload: &[u8]) -> Result<()> {
-        let reply = self.call(op, payload)?;
-        if reply.is_empty() {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol("unexpected reply payload".into()))
-        }
-    }
-
-    fn call_u64(&mut self, op: Opcode, payload: &[u8]) -> Result<u64> {
-        let reply = self.call(op, payload)?;
-        let mut r = Reader::new(&reply);
-        let v = r.u64()?;
-        r.finish()?;
-        Ok(v)
-    }
-
-    fn call_u32(&mut self, op: Opcode, payload: &[u8]) -> Result<u32> {
-        let reply = self.call(op, payload)?;
-        let mut r = Reader::new(&reply);
-        let v = r.u32()?;
-        r.finish()?;
-        Ok(v)
+    /// One operation, sequentially: enqueue it on a window of one and
+    /// redeem its ticket at once.
+    fn call<T>(
+        &mut self,
+        enqueue: impl FnOnce(&mut Pipeline<'_, S>) -> Result<Ticket<T>>,
+    ) -> Result<T> {
+        let mut pipe = self.pipeline_with_window(1);
+        let ticket = enqueue(&mut pipe)?;
+        pipe.redeem(ticket)
     }
 
     /// Liveness probe; the server echoes the payload.
     pub fn ping(&mut self, payload: &[u8]) -> Result<Vec<u8>> {
-        self.call(Opcode::Ping, payload)
+        self.call(|p| p.ping(payload))
     }
 
     /// Begin the session transaction.
     pub fn begin(&mut self) -> Result<()> {
-        self.call_unit(Opcode::Begin, &[])
+        self.call(|p| p.begin())
     }
 
     /// Commit the session transaction, returning its commit timestamp.
     pub fn commit(&mut self) -> Result<u64> {
-        self.call_u64(Opcode::Commit, &[])
+        self.call(|p| p.commit())
     }
 
     /// Abort the session transaction.
     pub fn abort(&mut self) -> Result<()> {
-        self.call_unit(Opcode::Abort, &[])
+        self.call(|p| p.abort())
     }
 
     /// The latest commit timestamp — the "as of now" time-travel axis.
     pub fn current_ts(&mut self) -> Result<u64> {
-        self.call_u64(Opcode::CurrentTs, &[])
+        self.call(|p| p.current_ts())
     }
 
-    /// A server statistics snapshot. Over proto v3 the reply is the
-    /// self-describing metrics frame, projected into this typed view; a
-    /// v2 session decodes the legacy fixed layout — same struct either
-    /// way, so call sites don't care which protocol was negotiated.
-    pub fn stats(&mut self) -> Result<ServerStats> {
-        let reply = self.call(Opcode::Stats, &[])?;
-        if self.proto >= 3 {
-            Ok(ServerStats::from_metrics(&decode_metrics(&reply)?))
-        } else {
-            Ok(ServerStats::decode(&reply)?)
-        }
-    }
-
-    /// The full self-describing metrics snapshot: every counter, gauge,
-    /// and histogram percentile the server reports (per-opcode p50/p95/p99,
+    /// The full self-describing metrics snapshot, name-sorted: every
+    /// counter, gauge, and histogram percentile the server reports
+    /// (per-opcode counts and p50/p95/p99, pool and transaction scalars,
     /// per-smgr-device read/write histograms, per-LO-implementation byte
-    /// counters, ...). On a v2 session this is the compatibility shim:
-    /// the legacy fixed-position reply re-projected into entries, so the
-    /// call works — with fewer entries — against an old server.
+    /// counters, ...). Look entries up by name.
     pub fn metrics(&mut self) -> Result<Vec<MetricEntry>> {
-        let reply = self.call(Opcode::Stats, &[])?;
-        if self.proto >= 3 {
-            Ok(decode_metrics(&reply)?)
-        } else {
-            Ok(ServerStats::decode(&reply)?.to_metrics())
-        }
+        self.call(|p| p.enqueue(Opcode::Stats, |b| Ok(decode_metrics(&b)?), |_| {}))
     }
 
-    /// The Prometheus-flavoured text exposition dump (proto v3+; a v2
-    /// server doesn't know the opcode and replies `UnknownOp`).
+    /// The Prometheus-flavoured text exposition dump.
     pub fn metrics_text(&mut self) -> Result<String> {
-        let reply = self.call(Opcode::MetricsText, &[])?;
-        let mut r = Reader::new(&reply);
-        let text = r.str()?;
-        r.finish()?;
-        Ok(text)
+        self.call(|p| p.enqueue(Opcode::MetricsText, dec_str, |_| {}))
     }
 
     /// Ask the server to shut down gracefully.
     pub fn shutdown(&mut self) -> Result<()> {
-        self.call_unit(Opcode::Shutdown, &[])
+        self.call(|p| p.enqueue(Opcode::Shutdown, dec_unit, |_| {}))
     }
 
     /// Create a large object, returning its id.
     pub fn lo_create(&mut self, spec: &WireSpec) -> Result<u64> {
-        let mut p = Vec::new();
-        spec.encode(&mut p);
-        self.call_u64(Opcode::LoCreate, &p)
+        self.call(|p| p.lo_create(spec))
     }
 
     /// Open a large object, returning an RAII handle that closes the
     /// descriptor when dropped. This is the supported way to do
-    /// positioned I/O; the raw-`u32` `lo_open`/`lo_read`/... family is
-    /// deprecated in its favour.
+    /// sequential positioned I/O; raw descriptors are [`Pipeline`]'s.
     pub fn lo(&mut self, id: u64, writable: bool, user: u32) -> Result<LoHandle<'_, S>> {
-        let fd = self.fd_open(id, writable, user)?;
+        let fd = self.call(|p| p.lo_open(id, writable, user))?;
         Ok(LoHandle { client: self, fd, closed: false })
     }
 
     /// Open a large object as of commit timestamp `ts` (read-only; works
     /// with no transaction open), returning an RAII handle.
     pub fn lo_as_of(&mut self, id: u64, ts: u64) -> Result<LoHandle<'_, S>> {
-        let fd = self.fd_open_as_of(id, ts)?;
+        let fd = self.call(|p| p.lo_open_as_of(id, ts))?;
         Ok(LoHandle { client: self, fd, closed: false })
-    }
-
-    fn fd_open(&mut self, id: u64, writable: bool, user: u32) -> Result<u32> {
-        let mut p = Vec::new();
-        proto::put_u64(&mut p, id);
-        p.push(u8::from(writable));
-        proto::put_u32(&mut p, user);
-        self.call_u32(Opcode::LoOpen, &p)
-    }
-
-    fn fd_open_as_of(&mut self, id: u64, ts: u64) -> Result<u32> {
-        let mut p = Vec::new();
-        proto::put_u64(&mut p, id);
-        proto::put_u64(&mut p, ts);
-        self.call_u32(Opcode::LoOpenAsOf, &p)
-    }
-
-    fn fd_read(&mut self, fd: u32, len: u32) -> Result<Vec<u8>> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        proto::put_u32(&mut p, len);
-        self.call(Opcode::LoRead, &p)
-    }
-
-    fn fd_write(&mut self, fd: u32, data: &[u8]) -> Result<()> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        proto::put_bytes(&mut p, data);
-        self.call_unit(Opcode::LoWrite, &p)
-    }
-
-    fn fd_write_all(&mut self, fd: u32, data: &[u8]) -> Result<()> {
-        for chunk in data.chunks(MAX_IO as usize) {
-            self.fd_write(fd, chunk)?;
-        }
-        Ok(())
-    }
-
-    fn fd_read_all(&mut self, fd: u32, len: u64) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(len.min(1 << 20) as usize);
-        let mut remaining = len;
-        while remaining > 0 {
-            let ask = remaining.min(MAX_IO as u64) as u32;
-            let got = self.fd_read(fd, ask)?;
-            if got.is_empty() {
-                break;
-            }
-            remaining -= got.len() as u64;
-            out.extend_from_slice(&got);
-        }
-        Ok(out)
-    }
-
-    fn fd_seek(&mut self, fd: u32, whence: u8, offset: i64) -> Result<u64> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        p.push(whence);
-        proto::put_i64(&mut p, offset);
-        self.call_u64(Opcode::LoSeek, &p)
-    }
-
-    fn fd_tell(&mut self, fd: u32) -> Result<u64> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        self.call_u64(Opcode::LoTell, &p)
-    }
-
-    fn fd_close(&mut self, fd: u32) -> Result<()> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        self.call_unit(Opcode::LoClose, &p)
-    }
-
-    fn fd_size(&mut self, fd: u32) -> Result<u64> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        self.call_u64(Opcode::LoSize, &p)
-    }
-
-    fn fd_read_at(&mut self, fd: u32, offset: u64, len: u32) -> Result<Vec<u8>> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        proto::put_u64(&mut p, offset);
-        proto::put_u32(&mut p, len);
-        self.call(Opcode::LoReadAt, &p)
-    }
-
-    fn fd_write_at(&mut self, fd: u32, offset: u64, data: &[u8]) -> Result<()> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        proto::put_u64(&mut p, offset);
-        proto::put_bytes(&mut p, data);
-        self.call_unit(Opcode::LoWriteAt, &p)
-    }
-
-    /// Open a large object; returns a raw session descriptor.
-    #[deprecated(note = "use `Client::lo` and the returned `LoHandle` instead of raw fds")]
-    pub fn lo_open(&mut self, id: u64, writable: bool, user: u32) -> Result<u32> {
-        self.fd_open(id, writable, user)
-    }
-
-    /// Open a large object as of commit timestamp `ts` (read-only; works
-    /// with no transaction open).
-    #[deprecated(note = "use `Client::lo_as_of` and the returned `LoHandle` instead of raw fds")]
-    pub fn lo_open_as_of(&mut self, id: u64, ts: u64) -> Result<u32> {
-        self.fd_open_as_of(id, ts)
-    }
-
-    /// Read up to `len` bytes at the seek pointer.
-    #[deprecated(note = "use `LoHandle::read` instead of raw fds")]
-    pub fn lo_read(&mut self, fd: u32, len: u32) -> Result<Vec<u8>> {
-        self.fd_read(fd, len)
-    }
-
-    /// Write `data` at the seek pointer. `data` must fit one op
-    /// ([`MAX_IO`]); see [`LoHandle::write_all`] for chunking.
-    #[deprecated(note = "use `LoHandle::write` instead of raw fds")]
-    pub fn lo_write(&mut self, fd: u32, data: &[u8]) -> Result<()> {
-        self.fd_write(fd, data)
-    }
-
-    /// Write arbitrarily much data at the seek pointer, chunking into
-    /// [`MAX_IO`]-sized ops.
-    #[deprecated(note = "use `LoHandle::write_all` instead of raw fds")]
-    pub fn lo_write_all(&mut self, fd: u32, data: &[u8]) -> Result<()> {
-        self.fd_write_all(fd, data)
-    }
-
-    /// Read exactly `len` bytes starting at the seek pointer, chunking
-    /// into [`MAX_IO`]-sized ops. Short data ends the read early.
-    #[deprecated(note = "use `LoHandle::read_all` instead of raw fds")]
-    pub fn lo_read_all(&mut self, fd: u32, len: u64) -> Result<Vec<u8>> {
-        self.fd_read_all(fd, len)
-    }
-
-    /// Move the seek pointer: `whence` is one of
-    /// [`SEEK_SET`](crate::proto::SEEK_SET),
-    /// [`SEEK_CUR`](crate::proto::SEEK_CUR),
-    /// [`SEEK_END`](crate::proto::SEEK_END). Returns the new position.
-    #[deprecated(note = "use `LoHandle::seek` instead of raw fds")]
-    pub fn lo_seek(&mut self, fd: u32, whence: u8, offset: i64) -> Result<u64> {
-        self.fd_seek(fd, whence, offset)
-    }
-
-    /// The seek pointer.
-    #[deprecated(note = "use `LoHandle::tell` instead of raw fds")]
-    pub fn lo_tell(&mut self, fd: u32) -> Result<u64> {
-        self.fd_tell(fd)
-    }
-
-    /// Close a descriptor.
-    #[deprecated(note = "use `LoHandle::close` (or drop the handle) instead of raw fds")]
-    pub fn lo_close(&mut self, fd: u32) -> Result<()> {
-        self.fd_close(fd)
     }
 
     /// Remove a large object.
     pub fn lo_unlink(&mut self, id: u64) -> Result<()> {
-        let mut p = Vec::new();
-        proto::put_u64(&mut p, id);
-        self.call_unit(Opcode::LoUnlink, &p)
-    }
-
-    /// Logical object size under the descriptor's visibility.
-    #[deprecated(note = "use `LoHandle::size` instead of raw fds")]
-    pub fn lo_size(&mut self, fd: u32) -> Result<u64> {
-        self.fd_size(fd)
-    }
-
-    /// Read at an explicit offset without moving the seek pointer.
-    #[deprecated(note = "use `LoHandle::read_at` instead of raw fds")]
-    pub fn lo_read_at(&mut self, fd: u32, offset: u64, len: u32) -> Result<Vec<u8>> {
-        self.fd_read_at(fd, offset, len)
-    }
-
-    /// Write at an explicit offset without moving the seek pointer.
-    #[deprecated(note = "use `LoHandle::write_at` instead of raw fds")]
-    pub fn lo_write_at(&mut self, fd: u32, offset: u64, data: &[u8]) -> Result<()> {
-        self.fd_write_at(fd, offset, data)
+        self.call(|p| p.lo_unlink(id))
     }
 
     /// Create a temporary large object (reclaimed at `gc_temps` or
     /// disconnect unless kept).
     pub fn lo_create_temp(&mut self, spec: &WireSpec) -> Result<u64> {
-        let mut p = Vec::new();
-        spec.encode(&mut p);
-        self.call_u64(Opcode::LoCreateTemp, &p)
+        self.call(|p| p.enqueue(Opcode::LoCreateTemp, dec_u64, |b| spec.encode(b)))
     }
 
     /// Promote a temporary to permanent; returns whether it was still
     /// temporary.
     pub fn lo_keep_temp(&mut self, id: u64) -> Result<bool> {
-        let mut p = Vec::new();
-        proto::put_u64(&mut p, id);
-        let reply = self.call(Opcode::LoKeepTemp, &p)?;
-        match reply.as_slice() {
-            [b] => Ok(*b != 0),
+        let dec = |b: Vec<u8>| match b.as_slice() {
+            [flag] => Ok(*flag != 0),
             _ => Err(ClientError::Protocol("bad keep_temp reply".into())),
-        }
+        };
+        self.call(|p| p.enqueue(Opcode::LoKeepTemp, dec, |b| proto::put_u64(b, id)))
     }
 
     /// Reclaim this session's unpromoted temporaries; returns the count.
     pub fn gc_temps(&mut self) -> Result<u32> {
-        self.call_u32(Opcode::GcTemps, &[])
+        self.call(|p| p.enqueue(Opcode::GcTemps, dec_u32, |_| {}))
     }
 
     /// Server-side `lo_import`: load a host file into a new large object.
     pub fn lo_import(&mut self, spec: &WireSpec, host_path: &str) -> Result<u64> {
-        let mut p = Vec::new();
-        spec.encode(&mut p);
-        proto::put_str(&mut p, host_path);
-        self.call_u64(Opcode::LoImport, &p)
+        self.call(|p| {
+            p.enqueue(Opcode::LoImport, dec_u64, |b| {
+                spec.encode(b);
+                proto::put_str(b, host_path);
+            })
+        })
     }
 
     /// Server-side `lo_export`: copy a large object into a host file.
     /// Returns bytes written.
     pub fn lo_export(&mut self, id: u64, host_path: &str) -> Result<u64> {
-        let mut p = Vec::new();
-        proto::put_u64(&mut p, id);
-        proto::put_str(&mut p, host_path);
-        self.call_u64(Opcode::LoExport, &p)
+        self.call(|p| {
+            p.enqueue(Opcode::LoExport, dec_u64, |b| {
+                proto::put_u64(b, id);
+                proto::put_str(b, host_path);
+            })
+        })
     }
 
     /// Create an Inversion file.
     pub fn inv_create(&mut self, path: &str) -> Result<u64> {
-        let mut p = Vec::new();
-        proto::put_str(&mut p, path);
-        self.call_u64(Opcode::InvCreate, &p)
+        self.call(|p| p.enqueue(Opcode::InvCreate, dec_u64, |b| proto::put_str(b, path)))
     }
 
     /// Create an Inversion directory.
     pub fn inv_mkdir(&mut self, path: &str) -> Result<u64> {
-        let mut p = Vec::new();
-        proto::put_str(&mut p, path);
-        self.call_u64(Opcode::InvMkdir, &p)
+        self.call(|p| p.enqueue(Opcode::InvMkdir, dec_u64, |b| proto::put_str(b, path)))
     }
 
     /// Read from an Inversion file.
     pub fn inv_read(&mut self, path: &str, offset: u64, len: u32) -> Result<Vec<u8>> {
-        let mut p = Vec::new();
-        proto::put_str(&mut p, path);
-        proto::put_u64(&mut p, offset);
-        proto::put_u32(&mut p, len);
-        self.call(Opcode::InvRead, &p)
+        self.call(|p| p.inv_read(path, offset, len))
     }
 
     /// Write to an Inversion file.
     pub fn inv_write(&mut self, path: &str, offset: u64, data: &[u8]) -> Result<()> {
-        let mut p = Vec::new();
-        proto::put_str(&mut p, path);
-        proto::put_u64(&mut p, offset);
-        proto::put_bytes(&mut p, data);
-        self.call_unit(Opcode::InvWrite, &p)
+        self.call(|p| p.inv_write(path, offset, data))
     }
 
     /// Stat an Inversion path.
     pub fn inv_stat(&mut self, path: &str) -> Result<Stat> {
-        let mut p = Vec::new();
-        proto::put_str(&mut p, path);
-        let reply = self.call(Opcode::InvStat, &p)?;
-        let mut r = Reader::new(&reply);
-        let st = Stat {
-            file_id: r.u64()?,
-            owner: r.u32()?,
-            mode: r.u32()?,
-            atime: r.u64()?,
-            mtime: r.u64()?,
-            size: r.u64()?,
-            is_dir: r.u8()? != 0,
+        let dec = |b: Vec<u8>| {
+            let mut r = Reader::new(&b);
+            let st = Stat {
+                file_id: r.u64()?,
+                owner: r.u32()?,
+                mode: r.u32()?,
+                atime: r.u64()?,
+                mtime: r.u64()?,
+                size: r.u64()?,
+                is_dir: r.u8()? != 0,
+            };
+            r.finish()?;
+            Ok(st)
         };
-        r.finish()?;
-        Ok(st)
+        self.call(|p| p.enqueue(Opcode::InvStat, dec, |b| proto::put_str(b, path)))
     }
 
     /// List an Inversion directory.
     pub fn inv_readdir(&mut self, path: &str) -> Result<Vec<Entry>> {
-        let mut p = Vec::new();
-        proto::put_str(&mut p, path);
-        let reply = self.call(Opcode::InvReaddir, &p)?;
-        let mut r = Reader::new(&reply);
-        let n = r.u32()? as usize;
-        let mut entries = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            entries.push(Entry { name: r.str()?, file_id: r.u64()?, is_dir: r.u8()? != 0 });
-        }
-        r.finish()?;
-        Ok(entries)
+        let dec = |b: Vec<u8>| {
+            let mut r = Reader::new(&b);
+            let n = r.u32()? as usize;
+            let mut entries = Vec::with_capacity(n.min(4096));
+            for _ in 0..n {
+                entries.push(Entry { name: r.str()?, file_id: r.u64()?, is_dir: r.u8()? != 0 });
+            }
+            r.finish()?;
+            Ok(entries)
+        };
+        self.call(|p| p.enqueue(Opcode::InvReaddir, dec, |b| proto::put_str(b, path)))
     }
 
     /// Rename an Inversion path.
     pub fn inv_rename(&mut self, from: &str, to: &str) -> Result<()> {
-        let mut p = Vec::new();
-        proto::put_str(&mut p, from);
-        proto::put_str(&mut p, to);
-        self.call_unit(Opcode::InvRename, &p)
+        self.call(|p| {
+            p.enqueue(Opcode::InvRename, dec_unit, |b| {
+                proto::put_str(b, from);
+                proto::put_str(b, to);
+            })
+        })
     }
 
     /// Unlink an Inversion file.
     pub fn inv_unlink(&mut self, path: &str) -> Result<()> {
-        let mut p = Vec::new();
-        proto::put_str(&mut p, path);
-        self.call_unit(Opcode::InvUnlink, &p)
+        self.call(|p| p.enqueue(Opcode::InvUnlink, dec_unit, |b| proto::put_str(b, path)))
     }
 }
 
 impl<S: Read + Write> std::fmt::Debug for Client<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Client").field("proto", &self.proto).finish_non_exhaustive()
+        f.debug_struct("Client").field("inflight", &self.inflight.len()).finish_non_exhaustive()
     }
 }
 
@@ -733,8 +468,8 @@ impl<S: Read + Write> std::fmt::Debug for Client<S> {
 /// mutably, so all I/O on the object flows through the handle. Dropping
 /// the handle closes the descriptor best-effort (errors — e.g. a dead
 /// connection — are swallowed); call [`LoHandle::close`] to observe the
-/// close result. The handle exists so descriptor leaks are impossible by
-/// construction: the raw-`u32` fd methods it replaces are deprecated.
+/// close result. The handle exists so sequential code cannot leak a
+/// descriptor; code that must hold raw descriptors uses a [`Pipeline`].
 pub struct LoHandle<'c, S: Read + Write> {
     client: &'c mut Client<S>,
     fd: u32,
@@ -750,28 +485,40 @@ impl<S: Read + Write> LoHandle<'_, S> {
     /// Read up to `len` bytes at the seek pointer.
     pub fn read(&mut self, len: u32) -> Result<Vec<u8>> {
         let fd = self.fd;
-        self.client.fd_read(fd, len)
+        self.client.call(|p| p.lo_read(fd, len))
     }
 
     /// Write `data` at the seek pointer. `data` must fit one op
     /// ([`MAX_IO`]); see [`LoHandle::write_all`] for chunking.
     pub fn write(&mut self, data: &[u8]) -> Result<()> {
         let fd = self.fd;
-        self.client.fd_write(fd, data)
+        self.client.call(|p| p.lo_write(fd, data))
     }
 
     /// Write arbitrarily much data at the seek pointer, chunking into
     /// [`MAX_IO`]-sized ops.
     pub fn write_all(&mut self, data: &[u8]) -> Result<()> {
-        let fd = self.fd;
-        self.client.fd_write_all(fd, data)
+        for chunk in data.chunks(MAX_IO as usize) {
+            self.write(chunk)?;
+        }
+        Ok(())
     }
 
     /// Read exactly `len` bytes starting at the seek pointer, chunking
     /// into [`MAX_IO`]-sized ops. Short data ends the read early.
     pub fn read_all(&mut self, len: u64) -> Result<Vec<u8>> {
-        let fd = self.fd;
-        self.client.fd_read_all(fd, len)
+        let mut out = Vec::with_capacity(len.min(1 << 20) as usize);
+        let mut remaining = len;
+        while remaining > 0 {
+            let ask = remaining.min(MAX_IO as u64) as u32;
+            let got = self.read(ask)?;
+            if got.is_empty() {
+                break;
+            }
+            remaining -= got.len() as u64;
+            out.extend_from_slice(&got);
+        }
+        Ok(out)
     }
 
     /// Move the seek pointer: `whence` is one of
@@ -780,31 +527,31 @@ impl<S: Read + Write> LoHandle<'_, S> {
     /// [`SEEK_END`](crate::proto::SEEK_END). Returns the new position.
     pub fn seek(&mut self, whence: u8, offset: i64) -> Result<u64> {
         let fd = self.fd;
-        self.client.fd_seek(fd, whence, offset)
+        self.client.call(|p| p.lo_seek(fd, whence, offset))
     }
 
     /// The seek pointer.
     pub fn tell(&mut self) -> Result<u64> {
         let fd = self.fd;
-        self.client.fd_tell(fd)
+        self.client.call(|p| p.enqueue(Opcode::LoTell, dec_u64, |b| proto::put_u32(b, fd)))
     }
 
     /// Logical object size under the descriptor's visibility.
     pub fn size(&mut self) -> Result<u64> {
         let fd = self.fd;
-        self.client.fd_size(fd)
+        self.client.call(|p| p.lo_size(fd))
     }
 
     /// Read at an explicit offset without moving the seek pointer.
     pub fn read_at(&mut self, offset: u64, len: u32) -> Result<Vec<u8>> {
         let fd = self.fd;
-        self.client.fd_read_at(fd, offset, len)
+        self.client.call(|p| p.lo_read_at(fd, offset, len))
     }
 
     /// Write at an explicit offset without moving the seek pointer.
     pub fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<()> {
         let fd = self.fd;
-        self.client.fd_write_at(fd, offset, data)
+        self.client.call(|p| p.lo_write_at(fd, offset, data))
     }
 
     /// Close the descriptor, reporting the server's answer (unlike the
@@ -812,7 +559,7 @@ impl<S: Read + Write> LoHandle<'_, S> {
     pub fn close(mut self) -> Result<()> {
         self.closed = true;
         let fd = self.fd;
-        self.client.fd_close(fd)
+        self.client.call(|p| p.lo_close(fd))
     }
 }
 
@@ -821,7 +568,7 @@ impl<S: Read + Write> Drop for LoHandle<'_, S> {
         if !self.closed {
             let fd = self.fd;
             // Best-effort close; use `close()` to observe failures.
-            if self.client.fd_close(fd).is_err() {
+            if self.client.call(|p| p.lo_close(fd)).is_err() {
                 obs::counter!("client.drop_close.errors").add(1);
             }
         }
@@ -834,7 +581,7 @@ impl<S: Read + Write> Drop for LoHandle<'_, S> {
 #[must_use = "redeem the ticket to observe the operation's result"]
 pub struct Ticket<T> {
     tag: u32,
-    decode: fn(&[u8]) -> Result<T>,
+    decode: fn(Vec<u8>) -> Result<T>,
     _t: PhantomData<fn() -> T>,
 }
 
@@ -844,11 +591,11 @@ impl<T> std::fmt::Debug for Ticket<T> {
     }
 }
 
-fn dec_echo(b: &[u8]) -> Result<Vec<u8>> {
-    Ok(b.to_vec())
+fn dec_bytes(b: Vec<u8>) -> Result<Vec<u8>> {
+    Ok(b)
 }
 
-fn dec_unit(b: &[u8]) -> Result<()> {
+fn dec_unit(b: Vec<u8>) -> Result<()> {
     if b.is_empty() {
         Ok(())
     } else {
@@ -856,16 +603,23 @@ fn dec_unit(b: &[u8]) -> Result<()> {
     }
 }
 
-fn dec_u32(b: &[u8]) -> Result<u32> {
-    let mut r = Reader::new(b);
+fn dec_u32(b: Vec<u8>) -> Result<u32> {
+    let mut r = Reader::new(&b);
     let v = r.u32()?;
     r.finish()?;
     Ok(v)
 }
 
-fn dec_u64(b: &[u8]) -> Result<u64> {
-    let mut r = Reader::new(b);
+fn dec_u64(b: Vec<u8>) -> Result<u64> {
+    let mut r = Reader::new(&b);
     let v = r.u64()?;
+    r.finish()?;
+    Ok(v)
+}
+
+fn dec_str(b: Vec<u8>) -> Result<String> {
+    let mut r = Reader::new(&b);
+    let v = r.str()?;
     r.finish()?;
     Ok(v)
 }
@@ -884,11 +638,14 @@ fn dec_u64(b: &[u8]) -> Result<u64> {
 /// guard drains every unredeemed reply best-effort (errors counted as
 /// `client.pipeline.drop_drain_errors`), leaving the client ready for
 /// sequential use again.
+///
+/// This is also the raw-descriptor API: pipelined I/O addresses objects
+/// by the `u32` fd that [`Pipeline::lo_open`] yields — the RAII
+/// [`LoHandle`] is the sequential API's affordance; a pipeline must be
+/// free to keep many ops on one fd in flight.
 pub struct Pipeline<'c, S: Read + Write> {
     client: &'c mut Client<S>,
     window: usize,
-    /// Tags with a live (undropped or unredeemed) ticket.
-    open: Vec<u32>,
 }
 
 impl<S: Read + Write> Pipeline<'_, S> {
@@ -897,164 +654,152 @@ impl<S: Read + Write> Pipeline<'_, S> {
         self.window
     }
 
+    /// Send `op` with the payload `build` writes; the ticket's reply
+    /// decodes with `decode`.
     fn enqueue<T>(
         &mut self,
         op: Opcode,
-        payload: &[u8],
-        decode: fn(&[u8]) -> Result<T>,
+        decode: fn(Vec<u8>) -> Result<T>,
+        build: impl FnOnce(&mut Vec<u8>),
     ) -> Result<Ticket<T>> {
-        while self.client.wire_backlog() >= self.window {
+        while self.client.inflight.len() >= self.window {
             self.client.pump_one()?;
         }
-        let tag = self.client.send_raw(op as u8, payload)?;
-        self.open.push(tag);
+        let tag = self.client.send(op as u8, build)?;
         Ok(Ticket { tag, decode, _t: PhantomData })
     }
 
     /// Redeem a ticket: block until its reply is in hand, then decode.
     pub fn redeem<T>(&mut self, ticket: Ticket<T>) -> Result<T> {
-        self.open.retain(|t| *t != ticket.tag);
         let (status, reply) = self.client.fetch_reply(ticket.tag)?;
         if status == 0 {
-            return (ticket.decode)(&reply);
+            (ticket.decode)(reply)
+        } else {
+            Err(ClientError::from_reply(status, &reply))
         }
-        let code = ErrorCode::from_u8(status)
-            .ok_or_else(|| ClientError::Protocol(format!("unknown status byte {status}")))?;
-        Err(ClientError::Server(code, String::from_utf8_lossy(&reply).into_owned()))
     }
 
     /// Enqueue a liveness probe; the server echoes the payload.
     pub fn ping(&mut self, payload: &[u8]) -> Result<Ticket<Vec<u8>>> {
-        self.enqueue(Opcode::Ping, payload, dec_echo)
+        self.enqueue(Opcode::Ping, dec_bytes, |b| b.extend_from_slice(payload))
     }
 
     /// Enqueue a `begin`.
     pub fn begin(&mut self) -> Result<Ticket<()>> {
-        self.enqueue(Opcode::Begin, &[], dec_unit)
+        self.enqueue(Opcode::Begin, dec_unit, |_| {})
     }
 
     /// Enqueue a `commit`; the ticket yields the commit timestamp.
     pub fn commit(&mut self) -> Result<Ticket<u64>> {
-        self.enqueue(Opcode::Commit, &[], dec_u64)
+        self.enqueue(Opcode::Commit, dec_u64, |_| {})
     }
 
     /// Enqueue an `abort`.
     pub fn abort(&mut self) -> Result<Ticket<()>> {
-        self.enqueue(Opcode::Abort, &[], dec_unit)
+        self.enqueue(Opcode::Abort, dec_unit, |_| {})
     }
 
     /// Enqueue a `current_ts` probe.
     pub fn current_ts(&mut self) -> Result<Ticket<u64>> {
-        self.enqueue(Opcode::CurrentTs, &[], dec_u64)
+        self.enqueue(Opcode::CurrentTs, dec_u64, |_| {})
     }
 
     /// Enqueue a large-object create; the ticket yields the new id.
     pub fn lo_create(&mut self, spec: &WireSpec) -> Result<Ticket<u64>> {
-        let mut p = Vec::new();
-        spec.encode(&mut p);
-        self.enqueue(Opcode::LoCreate, &p, dec_u64)
+        self.enqueue(Opcode::LoCreate, dec_u64, |b| spec.encode(b))
     }
 
     /// Enqueue a large-object unlink.
     pub fn lo_unlink(&mut self, id: u64) -> Result<Ticket<()>> {
-        let mut p = Vec::new();
-        proto::put_u64(&mut p, id);
-        self.enqueue(Opcode::LoUnlink, &p, dec_unit)
+        self.enqueue(Opcode::LoUnlink, dec_unit, |b| proto::put_u64(b, id))
     }
 
-    /// Enqueue an open; the ticket yields the raw descriptor. Pipelined
-    /// I/O addresses objects by raw fd — the RAII [`LoHandle`] is the
-    /// sequential API's affordance; a pipeline must be free to keep
-    /// many ops on one fd in flight.
+    /// Enqueue an open; the ticket yields the raw descriptor.
     pub fn lo_open(&mut self, id: u64, writable: bool, user: u32) -> Result<Ticket<u32>> {
-        let mut p = Vec::new();
-        proto::put_u64(&mut p, id);
-        p.push(u8::from(writable));
-        proto::put_u32(&mut p, user);
-        self.enqueue(Opcode::LoOpen, &p, dec_u32)
+        self.enqueue(Opcode::LoOpen, dec_u32, |b| {
+            proto::put_u64(b, id);
+            b.push(u8::from(writable));
+            proto::put_u32(b, user);
+        })
     }
 
     /// Enqueue a time-travel open (read-only, as of `ts`).
     pub fn lo_open_as_of(&mut self, id: u64, ts: u64) -> Result<Ticket<u32>> {
-        let mut p = Vec::new();
-        proto::put_u64(&mut p, id);
-        proto::put_u64(&mut p, ts);
-        self.enqueue(Opcode::LoOpenAsOf, &p, dec_u32)
+        self.enqueue(Opcode::LoOpenAsOf, dec_u32, |b| {
+            proto::put_u64(b, id);
+            proto::put_u64(b, ts);
+        })
     }
 
     /// Enqueue a read at the seek pointer.
     pub fn lo_read(&mut self, fd: u32, len: u32) -> Result<Ticket<Vec<u8>>> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        proto::put_u32(&mut p, len);
-        self.enqueue(Opcode::LoRead, &p, dec_echo)
+        self.enqueue(Opcode::LoRead, dec_bytes, |b| {
+            proto::put_u32(b, fd);
+            proto::put_u32(b, len);
+        })
     }
 
     /// Enqueue a write at the seek pointer (must fit one op, [`MAX_IO`]).
     pub fn lo_write(&mut self, fd: u32, data: &[u8]) -> Result<Ticket<()>> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        proto::put_bytes(&mut p, data);
-        self.enqueue(Opcode::LoWrite, &p, dec_unit)
+        self.enqueue(Opcode::LoWrite, dec_unit, |b| {
+            proto::put_u32(b, fd);
+            proto::put_bytes(b, data);
+        })
     }
 
     /// Enqueue a positioned read (seek pointer unchanged).
     pub fn lo_read_at(&mut self, fd: u32, offset: u64, len: u32) -> Result<Ticket<Vec<u8>>> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        proto::put_u64(&mut p, offset);
-        proto::put_u32(&mut p, len);
-        self.enqueue(Opcode::LoReadAt, &p, dec_echo)
+        self.enqueue(Opcode::LoReadAt, dec_bytes, |b| {
+            proto::put_u32(b, fd);
+            proto::put_u64(b, offset);
+            proto::put_u32(b, len);
+        })
     }
 
     /// Enqueue a positioned write (seek pointer unchanged).
     pub fn lo_write_at(&mut self, fd: u32, offset: u64, data: &[u8]) -> Result<Ticket<()>> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        proto::put_u64(&mut p, offset);
-        proto::put_bytes(&mut p, data);
-        self.enqueue(Opcode::LoWriteAt, &p, dec_unit)
+        self.enqueue(Opcode::LoWriteAt, dec_unit, |b| {
+            proto::put_u32(b, fd);
+            proto::put_u64(b, offset);
+            proto::put_bytes(b, data);
+        })
     }
 
     /// Enqueue a seek; the ticket yields the new position.
     pub fn lo_seek(&mut self, fd: u32, whence: u8, offset: i64) -> Result<Ticket<u64>> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        p.push(whence);
-        proto::put_i64(&mut p, offset);
-        self.enqueue(Opcode::LoSeek, &p, dec_u64)
+        self.enqueue(Opcode::LoSeek, dec_u64, |b| {
+            proto::put_u32(b, fd);
+            b.push(whence);
+            proto::put_i64(b, offset);
+        })
     }
 
     /// Enqueue a size query.
     pub fn lo_size(&mut self, fd: u32) -> Result<Ticket<u64>> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        self.enqueue(Opcode::LoSize, &p, dec_u64)
+        self.enqueue(Opcode::LoSize, dec_u64, |b| proto::put_u32(b, fd))
     }
 
     /// Enqueue a descriptor close.
     pub fn lo_close(&mut self, fd: u32) -> Result<Ticket<()>> {
-        let mut p = Vec::new();
-        proto::put_u32(&mut p, fd);
-        self.enqueue(Opcode::LoClose, &p, dec_unit)
+        self.enqueue(Opcode::LoClose, dec_unit, |b| proto::put_u32(b, fd))
     }
 
     /// Enqueue an Inversion read.
     pub fn inv_read(&mut self, path: &str, offset: u64, len: u32) -> Result<Ticket<Vec<u8>>> {
-        let mut p = Vec::new();
-        proto::put_str(&mut p, path);
-        proto::put_u64(&mut p, offset);
-        proto::put_u32(&mut p, len);
-        self.enqueue(Opcode::InvRead, &p, dec_echo)
+        self.enqueue(Opcode::InvRead, dec_bytes, |b| {
+            proto::put_str(b, path);
+            proto::put_u64(b, offset);
+            proto::put_u32(b, len);
+        })
     }
 
     /// Enqueue an Inversion write.
     pub fn inv_write(&mut self, path: &str, offset: u64, data: &[u8]) -> Result<Ticket<()>> {
-        let mut p = Vec::new();
-        proto::put_str(&mut p, path);
-        proto::put_u64(&mut p, offset);
-        proto::put_bytes(&mut p, data);
-        self.enqueue(Opcode::InvWrite, &p, dec_unit)
+        self.enqueue(Opcode::InvWrite, dec_unit, |b| {
+            proto::put_str(b, path);
+            proto::put_u64(b, offset);
+            proto::put_bytes(b, data);
+        })
     }
 }
 
@@ -1062,7 +807,7 @@ impl<S: Read + Write> std::fmt::Debug for Pipeline<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
             .field("window", &self.window)
-            .field("open", &self.open.len())
+            .field("inflight", &self.client.inflight.len())
             .finish_non_exhaustive()
     }
 }
@@ -1072,16 +817,12 @@ impl<S: Read + Write> Drop for Pipeline<'_, S> {
         // Drain abandoned replies so the wire is clean for sequential
         // use; a transport error here leaves the client broken anyway,
         // so count it and stop.
-        let mut failed = false;
-        for tag in std::mem::take(&mut self.open) {
-            if failed {
-                self.client.completed.remove(&tag);
-                continue;
-            }
-            if self.client.fetch_reply(tag).is_err() {
+        while !self.client.inflight.is_empty() {
+            if self.client.pump_one().is_err() {
                 obs::counter!("client.pipeline.drop_drain_errors").add(1);
-                failed = true;
+                break;
             }
         }
+        self.client.completed.clear();
     }
 }

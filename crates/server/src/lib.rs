@@ -8,8 +8,8 @@
 //!
 //! Layering, bottom up:
 //!
-//! * [`proto`] — pure codec: frames, opcodes, error codes, payload
-//!   encodings. No I/O policy.
+//! * [`proto`] — pure codec: the one frame encoder and decoder, opcodes,
+//!   error codes, payload encodings. No I/O policy.
 //! * [`session`] — per-connection state: the session transaction,
 //!   descriptor table ([`pglo_core::LoCursor`]s), temp-object registry.
 //! * [`service`] — dispatch: `(opcode, payload)` in, `(status, payload)`
@@ -17,8 +17,9 @@
 //! * [`server`] + [`reactor`] — the TCP front end: reactor threads over
 //!   a readiness loop (shims/epoll), incremental frame decode, an
 //!   executor pool as the blocking execution stage, graceful drain.
-//! * [`client`] — the typed client, generic over the transport, with a
-//!   pipelined core ([`Client::pipeline`] / [`Pipeline`] / [`Ticket`]).
+//! * [`client`] — the typed client, generic over the transport:
+//!   [`Pipeline`] enqueues requests and redeems [`Ticket`]s, and every
+//!   sequential method is a window of one over it.
 //! * [`loopback`] — the same protocol over an in-memory pipe.
 //!
 //! See DESIGN.md ("The lobd wire protocol", "Reactor model") for the
@@ -38,4 +39,3 @@ pub use proto::{ErrorCode, Opcode, WireSpec, MAX_FRAME, MAX_IO};
 pub use server::{spawn, ServerConfig, ServerHandle};
 pub use service::LobdService;
 pub use session::Session;
-pub use stats::ServerStats;

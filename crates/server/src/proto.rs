@@ -7,57 +7,43 @@
 //!
 //! # Framing
 //!
-//! v2/v3 (legacy, still negotiated for old clients):
-//!
-//! ```text
-//! request  = u32 len (LE) | u8 opcode | payload      (len = 1 + payload)
-//! reply    = u32 len (LE) | u8 status | payload      (status 0 = OK)
-//! ```
-//!
-//! v4 adds **pipelining**: every frame — request and reply alike —
-//! carries a client-chosen `u32` tag after the length, echoed verbatim
-//! in the matching reply so a client may keep a window of requests in
-//! flight and correlate completions:
+//! Every frame — request and reply alike — carries a client-chosen `u32`
+//! tag after the length, echoed verbatim in the matching reply so a
+//! client may keep a window of requests in flight and correlate
+//! completions:
 //!
 //! ```text
 //! request  = u32 len (LE) | u32 tag (LE) | u8 opcode | payload   (len = 5 + payload)
-//! reply    = u32 len (LE) | u32 tag (LE) | u8 status | payload
+//! reply    = u32 len (LE) | u32 tag (LE) | u8 status | payload   (status 0 = OK)
 //! ```
 //!
 //! Execution stays strictly in-order per session (so replies also
 //! arrive in send order); the tag is correlation, not reordering.
-//! Server-initiated frames (shutdown notices, unparseable-length
-//! errors) carry tag 0.
+//! Server-initiated frames (shutdown notices, handshake refusals,
+//! unparseable-length errors) carry tag 0.
+//!
+//! [`encode_frame_into`] is the only function that writes a frame header
+//! and [`decode_frame`] the only one that parses one; the reactor, the
+//! blocking loopback server and the client all go through them.
 //!
 //! A connection starts with a 5-byte handshake in each direction:
-//! `b"PGLO"` then the protocol version byte. The server rejects unknown
-//! versions with [`ErrorCode::BadVersion`] and closes; that refusal
-//! frame is always legacy-framed (untagged), since no v4 session was
-//! established.
+//! `b"PGLO"` then the protocol version byte. The server answers any
+//! other version with its own hello plus a tag-0
+//! [`ErrorCode::BadVersion`] frame and closes.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Protocol magic exchanged at connect time.
 pub const MAGIC: &[u8; 4] = b"PGLO";
 
-/// Current protocol version. Version 4 switched both directions to
-/// tagged frames (`u32 len | u32 tag | u8 code | payload`) to support
-/// pipelining; version 3 replaced the fixed-position stats reply with a
-/// self-describing metrics frame (see [`crate::stats::encode_metrics`])
-/// and added the `metrics_text` op — adding a metric no longer changes
-/// the frame layout, so it must never again require a version bump.
-/// Versions 2 and 3 are still served to old clients: the handshake
-/// *negotiates* within [`MIN_VERSION`]`..=`[`VERSION`] by echoing the
-/// client's version instead of rejecting it, and the session's framing
-/// follows the negotiated version.
+/// The protocol version: tagged frames (`u32 len | u32 tag | u8 code |
+/// payload`) and the self-describing metrics frame as the `stats` reply
+/// (see [`crate::stats::encode_metrics`]). Adding a metric extends that
+/// frame's entry list and never changes a layout, so it must never
+/// require a version bump.
 pub const VERSION: u8 = 4;
 
-/// Oldest protocol version the server still speaks. Version 1 clients
-/// (pre-sharded-pool stats layout) are refused with
-/// [`ErrorCode::BadVersion`].
-pub const MIN_VERSION: u8 = 2;
-
-/// Hard ceiling on a frame's declared length (opcode + payload). Anything
+/// Hard ceiling on a frame's declared length (tag + code + payload). Anything
 /// larger is treated as a malformed stream and the connection is dropped —
 /// a corrupt or hostile length prefix must not drive allocation.
 pub const MAX_FRAME: u32 = 8 * 1024 * 1024;
@@ -84,7 +70,7 @@ pub enum Opcode {
     CurrentTs = 0x06,
     /// Graceful shutdown request (also triggered by process signals).
     Shutdown = 0x07,
-    /// Full metrics dump, Prometheus-flavoured text → `str` (v3+).
+    /// Full metrics dump, Prometheus-flavoured text → `str`.
     MetricsText = 0x08,
 
     /// Create a large object from a [`WireSpec`] → `u64` id.
@@ -474,8 +460,8 @@ pub enum FrameError {
     Eof,
     /// I/O failure (including EOF mid-frame).
     Io(io::Error),
-    /// Declared length is zero or exceeds [`MAX_FRAME`] — stream is
-    /// untrustworthy from here on.
+    /// Declared length cannot hold tag + code or exceeds [`MAX_FRAME`] —
+    /// stream is untrustworthy from here on.
     BadLength(u32),
 }
 
@@ -489,178 +475,214 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// Read one `[u32 len][u8 tag][payload]` frame. Returns `(tag, payload)`.
-pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), FrameError> {
-    let mut len_buf = [0u8; 4];
-    // Distinguish clean EOF (no bytes of a next frame) from a torn frame.
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) => {
-                return Err(if got == 0 {
-                    FrameError::Eof
-                } else {
-                    FrameError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "torn frame header",
-                    ))
-                });
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len == 0 || len > MAX_FRAME {
-        return Err(FrameError::BadLength(len));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body).map_err(FrameError::Io)?;
-    let tag = body[0];
-    body.drain(..1);
-    Ok((tag, body))
-}
+/// Bytes of tag + code that every frame's length counts before its
+/// payload.
+const FRAME_HEADER: usize = 5;
 
-/// Write one frame.
-pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> io::Result<()> {
-    let len = 1 + payload.len();
-    debug_assert!(len <= MAX_FRAME as usize);
-    w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(&[tag])?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Read one v4 tagged frame `[u32 len][u32 tag][u8 code][payload]`.
-/// Returns `(tag, code, payload)`.
-pub fn read_frame_v4(r: &mut impl Read) -> Result<(u32, u8, Vec<u8>), FrameError> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) => {
-                return Err(if got == 0 {
-                    FrameError::Eof
-                } else {
-                    FrameError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "torn frame header",
-                    ))
-                });
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if !(5..=MAX_FRAME).contains(&len) {
-        return Err(FrameError::BadLength(len));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body).map_err(FrameError::Io)?;
-    let tag = u32::from_le_bytes([body[0], body[1], body[2], body[3]]);
-    let code = body[4];
-    body.drain(..5);
-    Ok((tag, code, body))
-}
-
-/// Write one v4 tagged frame.
-pub fn write_frame_v4(w: &mut impl Write, tag: u32, code: u8, payload: &[u8]) -> io::Result<()> {
-    let len = 5 + payload.len();
-    debug_assert!(len <= MAX_FRAME as usize);
-    w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(&tag.to_le_bytes())?;
-    w.write_all(&[code])?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Encode a frame (v4 tagged or legacy) into `out` without flushing —
-/// the reactor write path batches frames into a per-connection buffer.
-pub fn encode_frame_into(out: &mut Vec<u8>, tagged: bool, tag: u32, code: u8, payload: &[u8]) {
-    let len = if tagged { 5 } else { 1 } + payload.len();
+/// Append one frame to `out`. Callers write `out` to the transport in a
+/// single `write_all`, so a frame is one syscall (and one segment on a
+/// `TCP_NODELAY` socket) however long its payload.
+pub fn encode_frame_into(out: &mut Vec<u8>, tag: u32, code: u8, payload: &[u8]) {
+    let len = FRAME_HEADER + payload.len();
     debug_assert!(len <= MAX_FRAME as usize);
     out.extend_from_slice(&(len as u32).to_le_bytes());
-    if tagged {
-        out.extend_from_slice(&tag.to_le_bytes());
-    }
+    out.extend_from_slice(&tag.to_le_bytes());
     out.push(code);
     out.extend_from_slice(payload);
 }
 
-/// One decoded frame: `(consumed_bytes, tag, code, payload)`. Legacy
-/// frames report tag 0.
+/// One decoded frame: `(consumed_bytes, tag, code, payload)`.
 pub type DecodedFrame = (usize, u32, u8, Vec<u8>);
 
-/// Incremental (non-blocking) frame decode against a byte buffer.
+/// Incremental frame decode against a byte buffer.
 ///
 /// Returns `Ok(None)` when `buf` holds only a frame prefix (need more
 /// bytes), `Ok(Some(frame))` for one complete frame starting at
 /// `buf[0]` (the caller drains `frame.0` bytes), or
 /// [`FrameError::BadLength`] for a length prefix outside the trusted
-/// range — the stream is unrecoverable from there. Legacy (v2/v3)
-/// frames decode with `tagged = false`.
-pub fn decode_frame(buf: &[u8], tagged: bool) -> Result<Option<DecodedFrame>, FrameError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    let min = if tagged { 5 } else { 1 };
-    if len < min || len > MAX_FRAME {
+/// range — the stream is unrecoverable from there, and nothing was
+/// allocated for it.
+pub fn decode_frame(buf: &[u8]) -> Result<Option<DecodedFrame>, FrameError> {
+    let Some(prefix) = buf.first_chunk::<4>() else { return Ok(None) };
+    let len = u32::from_le_bytes(*prefix);
+    if (len as usize) < FRAME_HEADER || len > MAX_FRAME {
         return Err(FrameError::BadLength(len));
     }
     let total = 4 + len as usize;
     if buf.len() < total {
         return Ok(None);
     }
-    if tagged {
-        let tag = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-        Ok(Some((total, tag, buf[8], buf[9..total].to_vec())))
-    } else {
-        Ok(Some((total, 0, buf[4], buf[5..total].to_vec())))
+    let tag = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
+    Ok(Some((total, tag, buf[8], buf[9..total].to_vec())))
+}
+
+/// Smallest read a blocking transport is asked for: room for a 4 KiB
+/// I/O frame, so the common request or reply arrives in one `read`.
+const READ_CHUNK: usize = 8 * 1024;
+
+/// Blocking frame read for the two users that own a blocking transport
+/// (the client and the loopback server): fill `buf` from `r` until
+/// [`decode_frame`] yields a frame. `buf` carries bytes read past the
+/// frame's end over to the next call, so it must live as long as the
+/// connection. Returns `(tag, code, payload)`.
+pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<(u32, u8, Vec<u8>), FrameError> {
+    loop {
+        if let Some((consumed, tag, code, payload)) = decode_frame(buf)? {
+            buf.drain(..consumed);
+            return Ok((tag, code, payload));
+        }
+        // `decode_frame` vetted the length prefix if one is here, so the
+        // rest of that frame bounds the read (at most MAX_FRAME + 4).
+        let have = buf.len();
+        let frame_rest = buf
+            .first_chunk::<4>()
+            .map_or(0, |p| (4 + u32::from_le_bytes(*p) as usize).saturating_sub(have));
+        buf.resize(have + frame_rest.max(READ_CHUNK), 0);
+        let got = r.read(&mut buf[have..]);
+        buf.truncate(have + got.as_ref().map_or(0, |n| *n));
+        match got {
+            // Distinguish clean EOF (no bytes of a next frame) from a torn frame.
+            Ok(0) if have == 0 => return Err(FrameError::Eof),
+            Ok(0) => {
+                return Err(FrameError::Io(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "torn frame",
+                )))
+            }
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameError::Io(e)),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn frame_roundtrip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, Opcode::LoRead as u8, &[1, 2, 3]).unwrap();
-        let (tag, payload) = read_frame(&mut &buf[..]).unwrap();
-        assert_eq!(tag, Opcode::LoRead as u8);
-        assert_eq!(payload, vec![1, 2, 3]);
-        // And a clean EOF after it.
-        let mut cursor = &buf[buf.len()..];
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Eof)));
+    fn frame(tag: u32, code: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_frame_into(&mut out, tag, code, payload);
+        out
+    }
+
+    /// Decode everything `buf` holds: the frames, then how decoding ended
+    /// (`None` = wants more bytes, `Some(n)` = bad length `n`).
+    fn drain_frames(buf: &mut Vec<u8>, out: &mut Vec<(u32, u8, Vec<u8>)>) -> Option<u32> {
+        loop {
+            match decode_frame(buf) {
+                Ok(Some((consumed, tag, code, payload))) => {
+                    assert!(consumed <= buf.len(), "consumed {consumed} of {}", buf.len());
+                    assert!(payload.len() <= MAX_FRAME as usize);
+                    assert_eq!(consumed, 4 + FRAME_HEADER + payload.len());
+                    buf.drain(..consumed);
+                    out.push((tag, code, payload));
+                }
+                Ok(None) => return None,
+                Err(FrameError::BadLength(n)) => return Some(n),
+                Err(e) => panic!("decode_frame never does I/O: {e}"),
+            }
+        }
     }
 
     #[test]
-    fn oversized_length_rejected_without_allocation() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(u32::MAX).to_le_bytes());
-        buf.push(0x13);
-        assert!(matches!(read_frame(&mut &buf[..]), Err(FrameError::BadLength(_))));
-        let mut zero = Vec::new();
-        zero.extend_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(read_frame(&mut &zero[..]), Err(FrameError::BadLength(0))));
+    fn frame_roundtrip_at_the_size_limits() {
+        for len in [0, 1, MAX_IO as usize, MAX_FRAME as usize - FRAME_HEADER] {
+            let payload = vec![0xA5u8; len];
+            let wire = frame(0xDEAD_BEEF, Opcode::LoRead as u8, &payload);
+            let (consumed, tag, code, back) = decode_frame(&wire).unwrap().unwrap();
+            assert_eq!((consumed, tag, code), (wire.len(), 0xDEAD_BEEF, Opcode::LoRead as u8));
+            assert_eq!(back, payload, "payload of {len} bytes");
+        }
     }
 
     #[test]
-    fn torn_frame_is_io_not_eof() {
+    fn untrusted_lengths_are_rejected_without_allocation() {
+        // len 0..=4 cannot hold tag + code; above MAX_FRAME must not
+        // drive allocation. Both are rejected from the prefix alone.
+        for len in [0, 1, 4, MAX_FRAME + 1, u32::MAX] {
+            assert!(
+                matches!(decode_frame(&len.to_le_bytes()), Err(FrameError::BadLength(n)) if n == len)
+            );
+        }
+        assert!(decode_frame(&MAX_FRAME.to_le_bytes()).unwrap().is_none());
+    }
+
+    #[test]
+    fn blocking_reader_tells_eof_from_a_torn_frame() {
+        let mut wire = frame(7, 0x13, &[9; 16]);
+        wire.extend(frame(8, 0x14, b"xyz"));
         let mut buf = Vec::new();
-        write_frame(&mut buf, 1, &[9; 10]).unwrap();
-        buf.truncate(7);
-        assert!(matches!(read_frame(&mut &buf[..]), Err(FrameError::Io(_))));
-        // Torn inside the length prefix too.
-        let mut short = Vec::new();
-        write_frame(&mut short, 1, &[]).unwrap();
-        short.truncate(2);
-        assert!(matches!(read_frame(&mut &short[..]), Err(FrameError::Io(_))));
+        let mut r = &wire[..];
+        assert_eq!(read_frame(&mut r, &mut buf).unwrap(), (7, 0x13, vec![9; 16]));
+        // The second frame arrived in the first read and waits in `buf`.
+        assert!(r.is_empty() && !buf.is_empty());
+        assert_eq!(read_frame(&mut r, &mut buf).unwrap(), (8, 0x14, b"xyz".to_vec()));
+        assert!(matches!(read_frame(&mut r, &mut buf), Err(FrameError::Eof)));
+
+        // Torn inside the body, and inside the length prefix.
+        for cut in [2, 7] {
+            let mut buf = Vec::new();
+            assert!(matches!(read_frame(&mut &wire[..cut], &mut buf), Err(FrameError::Io(_))));
+        }
+        let mut buf = Vec::new();
+        let bad = u32::MAX.to_le_bytes();
+        assert!(matches!(read_frame(&mut &bad[..], &mut buf), Err(FrameError::BadLength(_))));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes never panic the decoder, never make it claim
+        /// more than it was given, never yield a payload above the bound.
+        /// The length prefix is drawn small half the time so the bytes
+        /// after it are reached.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            small in prop::bool::ANY,
+            len in 0u32..48,
+            bytes in prop::collection::vec(prop::num::u8::ANY, 0..96),
+        ) {
+            let mut buf = if small { len.to_le_bytes().to_vec() } else { Vec::new() };
+            buf.extend(bytes);
+            drain_frames(&mut buf, &mut Vec::new());
+        }
+
+        /// A stream fed one byte at a time decodes to the same frames,
+        /// and ends the same way, as the stream fed whole.
+        #[test]
+        fn byte_by_byte_matches_whole(
+            frames in prop::collection::vec(
+                (prop::num::u32::ANY, prop::num::u8::ANY,
+                 prop::collection::vec(prop::num::u8::ANY, 0..40)),
+                0..6,
+            ),
+            tail in prop::collection::vec(prop::num::u8::ANY, 0..12),
+        ) {
+            let mut wire = Vec::new();
+            for (tag, code, payload) in &frames {
+                encode_frame_into(&mut wire, *tag, *code, payload);
+            }
+            wire.extend(&tail);
+
+            let mut whole = Vec::new();
+            let whole_end = drain_frames(&mut wire.clone(), &mut whole);
+            prop_assert_eq!(&whole[..frames.len()], &frames[..]);
+
+            let mut dripped = Vec::new();
+            let mut dripped_end = None;
+            let mut buf = Vec::new();
+            for b in &wire {
+                buf.push(*b);
+                dripped_end = drain_frames(&mut buf, &mut dripped);
+                if dripped_end.is_some() {
+                    break;
+                }
+            }
+            prop_assert_eq!(dripped, whole);
+            prop_assert_eq!(dripped_end, whole_end);
+        }
     }
 
     #[test]
@@ -693,91 +715,6 @@ mod tests {
         let mut r = Reader::new(&out2);
         r.str().unwrap();
         assert!(r.finish().is_err());
-    }
-
-    #[test]
-    fn v4_frame_roundtrip_preserves_tag() {
-        let mut buf = Vec::new();
-        write_frame_v4(&mut buf, 0xDEAD_BEEF, Opcode::LoRead as u8, &[1, 2, 3]).unwrap();
-        let (tag, code, payload) = read_frame_v4(&mut &buf[..]).unwrap();
-        assert_eq!(tag, 0xDEAD_BEEF);
-        assert_eq!(code, Opcode::LoRead as u8);
-        assert_eq!(payload, vec![1, 2, 3]);
-        let mut cursor = &buf[buf.len()..];
-        assert!(matches!(read_frame_v4(&mut cursor), Err(FrameError::Eof)));
-    }
-
-    #[test]
-    fn v4_rejects_sub_header_lengths() {
-        // len 0..=4 cannot hold tag + code on a tagged stream.
-        for len in 0u32..=4 {
-            let mut buf = len.to_le_bytes().to_vec();
-            buf.extend_from_slice(&[0; 8]);
-            assert!(
-                matches!(read_frame_v4(&mut &buf[..]), Err(FrameError::BadLength(n)) if n == len)
-            );
-        }
-        let mut big = Vec::new();
-        big.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(read_frame_v4(&mut &big[..]), Err(FrameError::BadLength(_))));
-    }
-
-    #[test]
-    fn incremental_decode_handles_partial_and_batched_frames() {
-        let mut wire = Vec::new();
-        write_frame_v4(&mut wire, 7, 0x13, &[9; 16]).unwrap();
-        write_frame_v4(&mut wire, 8, 0x14, b"xyz").unwrap();
-
-        // Byte-at-a-time: no frame until the exact boundary.
-        let first_total = 4 + 5 + 16;
-        for cut in 0..first_total {
-            assert!(
-                decode_frame(&wire[..cut], true).unwrap().is_none(),
-                "cut at {cut} must be incomplete"
-            );
-        }
-        let (consumed, tag, code, payload) = decode_frame(&wire, true).unwrap().unwrap();
-        assert_eq!((consumed, tag, code), (first_total, 7, 0x13));
-        assert_eq!(payload, vec![9; 16]);
-
-        // The second frame decodes from the remainder.
-        let rest = &wire[consumed..];
-        let (consumed2, tag2, code2, payload2) = decode_frame(rest, true).unwrap().unwrap();
-        assert_eq!((consumed2, tag2, code2), (rest.len(), 8, 0x14));
-        assert_eq!(payload2, b"xyz".to_vec());
-    }
-
-    #[test]
-    fn incremental_decode_legacy_framing() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, 0x05, &[1, 2]).unwrap();
-        let (consumed, tag, code, payload) = decode_frame(&wire, false).unwrap().unwrap();
-        assert_eq!((consumed, tag, code), (wire.len(), 0, 0x05));
-        assert_eq!(payload, vec![1, 2]);
-        // Legacy zero-length frames are as bad as ever.
-        let zero = 0u32.to_le_bytes();
-        assert!(matches!(decode_frame(&zero, false), Err(FrameError::BadLength(0))));
-        // ...but a 4-byte length is fine untagged (code + 3 payload).
-        let mut small = Vec::new();
-        write_frame(&mut small, 0x01, &[1, 2, 3]).unwrap();
-        assert!(decode_frame(&small, false).unwrap().is_some());
-        // On a tagged stream the same prefix is rejected outright.
-        assert!(matches!(decode_frame(&small, true), Err(FrameError::BadLength(4))));
-    }
-
-    #[test]
-    fn encode_frame_into_matches_streaming_writers() {
-        let mut streamed = Vec::new();
-        write_frame_v4(&mut streamed, 42, 0x02, b"pq").unwrap();
-        let mut buffered = Vec::new();
-        encode_frame_into(&mut buffered, true, 42, 0x02, b"pq");
-        assert_eq!(streamed, buffered);
-
-        let mut streamed_legacy = Vec::new();
-        write_frame(&mut streamed_legacy, 0x02, b"pq").unwrap();
-        let mut buffered_legacy = Vec::new();
-        encode_frame_into(&mut buffered_legacy, false, 999, 0x02, b"pq");
-        assert_eq!(streamed_legacy, buffered_legacy);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   (`server.exec_queue`), and the per-reactor done queue
 //!   (`server.reactor_done`). Every push is followed by a waker poke.
 
-use crate::proto::{self, ErrorCode, FrameError, Opcode, MAGIC, MAX_FRAME, MIN_VERSION, VERSION};
-use crate::server::{soft_error, TAGGED_VERSION};
+use crate::proto::{self, ErrorCode, FrameError, Opcode, MAX_FRAME};
+use crate::server::{answer_hello, encode_bad_length, soft_error, Hello, SHUTTING_DOWN};
 use crate::service::LobdService;
 use crate::session::Session;
 use epoll::{Events, Interest, Poll, Token};
@@ -130,7 +130,6 @@ struct Conn {
     wpos: usize,
     /// Present except while a frame of this session is executing.
     session: Option<Session>,
-    proto: u8,
     /// A frame is at (or on its way to / back from) an executor.
     in_flight: bool,
     /// Decoded frames waiting their turn (FIFO — execution order is
@@ -158,7 +157,6 @@ impl Conn {
             wbuf: Vec::new(),
             wpos: 0,
             session: None,
-            proto: VERSION,
             in_flight: false,
             pending: VecDeque::new(),
             read_paused: false,
@@ -169,18 +167,18 @@ impl Conn {
         }
     }
 
-    fn tagged(&self) -> bool {
-        self.proto >= TAGGED_VERSION
-    }
-
     /// Frames decoded but not finished (executing + queued).
     fn outstanding(&self) -> usize {
         self.pending.len() + usize::from(self.in_flight)
     }
 
     fn queue_reply(&mut self, tag: u32, code: u8, payload: &[u8]) {
-        let tagged = self.tagged();
-        proto::encode_frame_into(&mut self.wbuf, tagged, tag, code, payload);
+        proto::encode_frame_into(&mut self.wbuf, tag, code, payload);
+    }
+
+    /// Queue the tag-0 notice an idle session gets when the server drains.
+    fn queue_shutting_down(&mut self) {
+        self.queue_reply(0, ErrorCode::ShuttingDown as u8, SHUTTING_DOWN.as_bytes());
     }
 
     /// Flush as much of `wbuf` as the socket will take. Returns false if
@@ -500,19 +498,26 @@ impl Reactor {
                 return Verdict::Keep;
             }
             if let ConnState::Handshaking = conn.state {
-                match self.try_handshake(conn) {
-                    HandshakeStep::NeedMore => return Verdict::Keep,
-                    HandshakeStep::Reject => return Verdict::Close,
-                    HandshakeStep::Refused => continue,
-                    HandshakeStep::Established => continue,
+                let Some(hello) = conn.rbuf.first_chunk::<5>() else { return Verdict::Keep };
+                let shutting_down = self.shared.service.shutting_down();
+                match answer_hello(hello, shutting_down, &mut conn.wbuf) {
+                    Hello::Reject => return Verdict::Close,
+                    Hello::Refuse => conn.close_after_flush = true,
+                    Hello::Serve => {
+                        conn.session = Some(self.shared.service.session_opened());
+                        conn.state = ConnState::Serving;
+                    }
                 }
+                conn.rbuf.drain(..5);
+                conn.flush();
+                continue;
             }
             if conn.outstanding() >= self.shared.pipeline_window {
                 conn.read_paused = true;
                 return Verdict::Keep;
             }
             conn.read_paused = false;
-            match proto::decode_frame(&conn.rbuf, conn.tagged()) {
+            match proto::decode_frame(&conn.rbuf) {
                 Ok(None) => return Verdict::Keep,
                 Ok(Some((consumed, tag, opcode, payload))) => {
                     conn.rbuf.drain(..consumed);
@@ -526,8 +531,7 @@ impl Reactor {
                     // The stream can no longer be trusted to frame
                     // correctly; reply best-effort and close once
                     // everything already decoded has drained.
-                    let msg = format!("bad frame length {n} (max {MAX_FRAME})");
-                    conn.queue_reply(0, ErrorCode::Malformed as u8, msg.as_bytes());
+                    encode_bad_length(&mut conn.wbuf, n);
                     conn.rbuf.clear();
                     conn.poisoned = true;
                     if conn.outstanding() == 0 {
@@ -627,50 +631,6 @@ impl Reactor {
         self.finish_conn_round(c.token, conn, verdict);
     }
 
-    // ---- handshake ----------------------------------------------------
-
-    fn try_handshake(&mut self, conn: &mut Conn) -> HandshakeStep {
-        if conn.rbuf.len() < 5 {
-            return HandshakeStep::NeedMore;
-        }
-        if &conn.rbuf[..4] != MAGIC {
-            // Not a lobd client; close without a byte, as ever.
-            return HandshakeStep::Reject;
-        }
-        let version = conn.rbuf[4];
-        conn.rbuf.drain(..5);
-        if !(MIN_VERSION..=VERSION).contains(&version) {
-            // Legacy-framed refusal: no tagged session was established.
-            conn.wbuf.extend_from_slice(MAGIC);
-            conn.wbuf.push(VERSION);
-            proto::encode_frame_into(
-                &mut conn.wbuf,
-                false,
-                0,
-                ErrorCode::BadVersion as u8,
-                format!("unsupported protocol version {version}").as_bytes(),
-            );
-            conn.close_after_flush = true;
-            conn.flush();
-            return HandshakeStep::Refused;
-        }
-        conn.wbuf.extend_from_slice(MAGIC);
-        conn.wbuf.push(version);
-        conn.proto = version;
-        if self.shared.service.shutting_down() {
-            conn.queue_reply(0, ErrorCode::ShuttingDown as u8, b"server is shutting down");
-            conn.close_after_flush = true;
-            conn.flush();
-            return HandshakeStep::Refused;
-        }
-        let mut session = self.shared.service.session_opened();
-        session.set_proto_version(version);
-        conn.session = Some(session);
-        conn.state = ConnState::Serving;
-        conn.flush();
-        HandshakeStep::Established
-    }
-
     // ---- shutdown -----------------------------------------------------
 
     /// Progress the shutdown drain: stop accepting, notify idle
@@ -698,13 +658,7 @@ impl Reactor {
                 let Some(mut conn) = self.conns.remove(&token) else { continue };
                 let verdict = if conn.outstanding() == 0 && !conn.close_after_flush {
                     match conn.state {
-                        ConnState::Serving => {
-                            conn.queue_reply(
-                                0,
-                                ErrorCode::ShuttingDown as u8,
-                                b"server is shutting down",
-                            );
-                        }
+                        ConnState::Serving => conn.queue_shutting_down(),
                         ConnState::Handshaking => {}
                     }
                     conn.close_after_flush = true;
@@ -734,7 +688,7 @@ impl Reactor {
                 // Session went idle after the notify pass (its last
                 // completion landed since): notify + close.
                 if let ConnState::Serving = conn.state {
-                    conn.queue_reply(0, ErrorCode::ShuttingDown as u8, b"server is shutting down");
+                    conn.queue_shutting_down();
                 }
                 conn.close_after_flush = true;
                 conn.flush();
@@ -770,14 +724,4 @@ fn fill_rbuf(conn: &mut Conn) -> bool {
             Err(_) => return false,
         }
     }
-}
-
-enum HandshakeStep {
-    NeedMore,
-    /// Bad magic: close silently.
-    Reject,
-    /// Version refused or shutting down: refusal queued, close after
-    /// flush.
-    Refused,
-    Established,
 }

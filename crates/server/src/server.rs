@@ -25,7 +25,7 @@
 //! period. Executors exit when the last reactor drops its job-queue
 //! sender.
 
-use crate::proto::{self, ErrorCode, FrameError, Opcode, MAGIC, MAX_FRAME, MIN_VERSION, VERSION};
+use crate::proto::{self, ErrorCode, FrameError, Opcode, MAGIC, VERSION};
 use crate::reactor::{self, Shared};
 use crate::service::LobdService;
 use parking_lot::{ranks, Mutex};
@@ -35,13 +35,6 @@ use std::sync::atomic::AtomicUsize;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// How many poll intervals a blocking transport tolerates mid-frame
-/// silence during shutdown before giving the connection up.
-const SHUTDOWN_GRACE_POLLS: u32 = 8;
-
-/// First protocol version with tagged (pipelined) framing.
-pub(crate) const TAGGED_VERSION: u8 = 4;
 
 /// Server tuning knobs, builder-style:
 ///
@@ -54,10 +47,6 @@ pub(crate) const TAGGED_VERSION: u8 = 4;
 ///     .max_sessions(16384)
 ///     .pipeline_window(32);
 /// ```
-///
-/// The pre-reactor `workers`/`backlog` fields survive as deprecated
-/// setters mapping onto the new shape (the same pattern as the PR-4
-/// raw-fd client deprecations).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     addr: String,
@@ -114,19 +103,6 @@ impl ServerConfig {
     pub fn pipeline_window(mut self, n: usize) -> Self {
         self.pipeline_window = n.max(1);
         self
-    }
-
-    /// Pre-reactor knob: the worker pool is now the executor stage.
-    #[deprecated(since = "0.1.0", note = "use `executor_threads`")]
-    pub fn workers(self, n: usize) -> Self {
-        self.executor_threads(n)
-    }
-
-    /// Pre-reactor knob: the bounded accept queue is gone; the bound on
-    /// admitted connections is `max_sessions`.
-    #[deprecated(since = "0.1.0", note = "use `max_sessions`")]
-    pub fn backlog(self, n: usize) -> Self {
-        self.max_sessions(n)
     }
 
     pub(crate) fn addr_str(&self) -> &str {
@@ -269,213 +245,167 @@ pub fn spawn(service: Arc<LobdService>, config: ServerConfig) -> io::Result<Serv
     Ok(ServerHandle { service, local_addr, wakers, threads })
 }
 
-/// Serve one connection over any blocking transport (the in-process
-/// loopback, tests). Speaks the same negotiated protocol as the reactor
-/// path — tagged v4 frames or legacy v2/v3 — one frame at a time.
-/// Transports that can time out (`WouldBlock`/`TimedOut` reads) give
-/// the loop its shutdown poll; fully blocking transports run until EOF.
+/// What the server does with a client's 5-byte hello.
+pub(crate) enum Hello {
+    /// Not a lobd client: close without a byte.
+    Reject,
+    /// Send the queued refusal, then close.
+    Refuse,
+    /// Send the queued hello and serve frames.
+    Serve,
+}
+
+/// Decide the handshake — the one place either transport does — and
+/// append whatever the server says in return to `out`. Anything that
+/// opens with [`MAGIC`] is answered `MAGIC ++ VERSION`, so a client can
+/// tell "wrong version" from "not a lobd server"; a hello at another
+/// version, or one arriving during shutdown, then gets a tag-0 error
+/// frame and a close.
+pub(crate) fn answer_hello(hello: &[u8; 5], shutting_down: bool, out: &mut Vec<u8>) -> Hello {
+    if &hello[..4] != MAGIC {
+        return Hello::Reject;
+    }
+    out.extend_from_slice(MAGIC);
+    out.push(VERSION);
+    let (code, msg) = if hello[4] != VERSION {
+        (ErrorCode::BadVersion, format!("unsupported protocol version {}", hello[4]))
+    } else if shutting_down {
+        (ErrorCode::ShuttingDown, SHUTTING_DOWN.to_string())
+    } else {
+        return Hello::Serve;
+    };
+    proto::encode_frame_into(out, 0, code as u8, msg.as_bytes());
+    Hello::Refuse
+}
+
+/// Message of every `ShuttingDown` notice.
+pub(crate) const SHUTTING_DOWN: &str = "server is shutting down";
+
+/// The best-effort tag-0 `Malformed` reply to a lying length prefix:
+/// after it the stream can no longer be trusted to frame correctly, so
+/// the caller closes.
+pub(crate) fn encode_bad_length(out: &mut Vec<u8>, len: u32) {
+    let msg = FrameError::BadLength(len).to_string();
+    proto::encode_frame_into(out, 0, ErrorCode::Malformed as u8, msg.as_bytes());
+}
+
+/// Hand the frames queued in `bytes` to the transport in one write.
+fn write_frames<S: Write>(stream: &mut S, bytes: &[u8]) -> io::Result<()> {
+    stream.write_all(bytes)?;
+    stream.flush()
+}
+
+/// Serve one connection over a blocking transport (the in-process
+/// loopback): the same handshake decision, frame codec and dispatch as
+/// the reactor path, one frame at a time until EOF.
 pub fn serve_stream<S: Read + Write>(service: &Arc<LobdService>, stream: &mut S) {
+    let mut hello = [0u8; 5];
+    if stream.read_exact(&mut hello).is_err() {
+        return;
+    }
+    let mut wbuf = Vec::new();
+    let verdict = answer_hello(&hello, service.shutting_down(), &mut wbuf);
+    if matches!(verdict, Hello::Reject) {
+        return;
+    }
+    if write_frames(stream, &wbuf).is_err() || !matches!(verdict, Hello::Serve) {
+        return;
+    }
     let mut session = service.session_opened();
-    if let Ok(version) = handshake(service, stream) {
-        session.set_proto_version(version);
-        let tagged = version >= TAGGED_VERSION;
-        loop {
-            match read_frame_poll(stream, service, tagged) {
-                Ok(Some((tag, opcode, payload))) => {
-                    let (status, reply) = service.handle_frame(&mut session, opcode, &payload);
-                    if write_reply(stream, tagged, tag, status, &reply).is_err() {
-                        break;
-                    }
-                    if Opcode::from_u8(opcode) == Some(Opcode::Shutdown) && status == 0 {
-                        break;
-                    }
-                }
-                // Idle at shutdown: tell the client and drain out.
-                Ok(None) => {
-                    soft_error(write_reply(
-                        stream,
-                        tagged,
-                        0,
-                        ErrorCode::ShuttingDown as u8,
-                        b"server is shutting down",
-                    ));
+    let mut rbuf = Vec::new();
+    loop {
+        wbuf.clear();
+        match proto::read_frame(stream, &mut rbuf) {
+            Ok((tag, opcode, payload)) => {
+                let (status, reply) = service.handle_frame(&mut session, opcode, &payload);
+                proto::encode_frame_into(&mut wbuf, tag, status, &reply);
+                if write_frames(stream, &wbuf).is_err() {
                     break;
                 }
-                // A lying length prefix means the stream can no longer be
-                // trusted to frame correctly; reply best-effort and close.
-                Err(FrameError::BadLength(n)) => {
-                    let msg = format!("bad frame length {n} (max {MAX_FRAME})");
-                    soft_error(write_reply(
-                        stream,
-                        tagged,
-                        0,
-                        ErrorCode::Malformed as u8,
-                        msg.as_bytes(),
-                    ));
+                if Opcode::from_u8(opcode) == Some(Opcode::Shutdown) && status == 0 {
                     break;
                 }
-                // Clean close or torn frame: nothing to say, just clean up.
-                Err(FrameError::Eof) | Err(FrameError::Io(_)) => break,
             }
+            Err(FrameError::BadLength(n)) => {
+                encode_bad_length(&mut wbuf, n);
+                soft_error(write_frames(stream, &wbuf));
+                break;
+            }
+            // Clean close or torn frame: nothing to say, just clean up.
+            Err(FrameError::Eof) | Err(FrameError::Io(_)) => break,
         }
     }
     service.session_closed(&mut session);
 }
 
-/// Write one reply frame in the session's negotiated framing.
-fn write_reply<S: Write>(
-    stream: &mut S,
-    tagged: bool,
-    tag: u32,
-    status: u8,
-    payload: &[u8],
-) -> io::Result<()> {
-    if tagged {
-        proto::write_frame_v4(stream, tag, status, payload)
-    } else {
-        proto::write_frame(stream, status, payload)
-    }
-}
-
-/// Exchange `MAGIC ++ version` in both directions, negotiating within
-/// the supported range: the server echoes the client's version when it
-/// can speak it ([`MIN_VERSION`]`..=`[`VERSION`]), so old v2/v3 clients
-/// keep working against a v4 server (with legacy framing). Returns the
-/// negotiated version.
-fn handshake<S: Read + Write>(service: &Arc<LobdService>, stream: &mut S) -> io::Result<u8> {
-    let mut hello = [0u8; 5];
-    read_full(stream, &mut hello, service, true)?;
-    if &hello[..4] != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
-    }
-    let client_version = hello[4];
-    if !(MIN_VERSION..=VERSION).contains(&client_version) {
-        // Answer with our magic so the client can tell "wrong version"
-        // from "not a lobd server", then refuse. The refusal frame is
-        // legacy-framed: no tagged session was established.
-        stream.write_all(MAGIC)?;
-        stream.write_all(&[VERSION])?;
-        soft_error(proto::write_frame(
-            stream,
-            ErrorCode::BadVersion as u8,
-            format!("unsupported protocol version {client_version}").as_bytes(),
-        ));
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad version"));
-    }
-    stream.write_all(MAGIC)?;
-    stream.write_all(&[client_version])?;
-    stream.flush()?;
-    Ok(client_version)
-}
-
-/// Like [`proto::read_frame`]/[`proto::read_frame_v4`] but tolerant of
-/// read timeouts: a timeout while *idle* (no frame bytes yet) checks the
-/// shutdown flag and keeps waiting; `Ok(None)` means shutdown was
-/// requested while idle. Timeouts *mid-frame* keep reading — the client
-/// is mid-send — up to a grace limit once shutdown begins. Returns
-/// `(tag, code, payload)`; legacy frames report tag 0.
-fn read_frame_poll<S: Read>(
-    stream: &mut S,
-    service: &LobdService,
-    tagged: bool,
-) -> Result<Option<(u32, u8, Vec<u8>)>, FrameError> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    let mut grace = 0u32;
-    while got < 4 {
-        match stream.read(&mut len_buf[got..]) {
-            Ok(0) => {
-                return Err(if got == 0 {
-                    FrameError::Eof
-                } else {
-                    FrameError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "torn frame header",
-                    ))
-                });
-            }
-            Ok(n) => got += n,
-            Err(e) if is_timeout(&e) => {
-                if got == 0 && service.shutting_down() {
-                    return Ok(None);
-                }
-                if got > 0 && service.shutting_down() {
-                    grace += 1;
-                    if grace > SHUTDOWN_GRACE_POLLS {
-                        return Err(FrameError::Io(e));
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf);
-    let min = if tagged { 5 } else { 1 };
-    if len < min || len > MAX_FRAME {
-        return Err(FrameError::BadLength(len));
-    }
-    let mut body = vec![0u8; len as usize];
-    let mut got = 0;
-    let mut grace = 0u32;
-    while got < body.len() {
-        match stream.read(&mut body[got..]) {
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "torn frame body",
-                )));
-            }
-            Ok(n) => got += n,
-            Err(e) if is_timeout(&e) => {
-                if service.shutting_down() {
-                    grace += 1;
-                    if grace > SHUTDOWN_GRACE_POLLS {
-                        return Err(FrameError::Io(e));
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    if tagged {
-        let tag = u32::from_le_bytes([body[0], body[1], body[2], body[3]]);
-        let code = body[4];
-        body.drain(..5);
-        Ok(Some((tag, code, body)))
-    } else {
-        let code = body[0];
-        body.drain(..1);
-        Ok(Some((0, code, body)))
-    }
-}
-
-/// `read_exact` that rides through timeouts. With `idle_abort`, a timeout
-/// before any byte arrives during shutdown aborts the read.
-fn read_full<S: Read>(
-    stream: &mut S,
-    buf: &mut [u8],
-    service: &LobdService,
-    idle_abort: bool,
-) -> io::Result<()> {
-    let mut got = 0;
-    while got < buf.len() {
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof")),
-            Ok(n) => got += n,
-            Err(e) if is_timeout(&e) => {
-                if idle_abort && got == 0 && service.shutting_down() {
-                    return Err(e);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
 pub(crate) fn is_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use std::collections::VecDeque;
+
+    /// A transport that replays scripted bytes to the reader and counts
+    /// the `write` calls it receives.
+    struct Scripted {
+        incoming: VecDeque<u8>,
+        writes: usize,
+    }
+
+    impl Scripted {
+        /// The peer's side of a conversation: its hello, then one frame
+        /// per payload with tags 1, 2, ... and the given code byte.
+        fn new(code: u8, payloads: &[&[u8]]) -> Self {
+            let mut bytes = MAGIC.to_vec();
+            bytes.push(VERSION);
+            for (i, payload) in payloads.iter().enumerate() {
+                proto::encode_frame_into(&mut bytes, i as u32 + 1, code, payload);
+            }
+            Scripted { incoming: bytes.into(), writes: 0 }
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.incoming.read(buf)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A frame leaves in one `write`, whatever its payload: the hello,
+    /// then one per request on the client and one per reply on the
+    /// blocking server.
+    #[test]
+    fn a_frame_is_one_write() {
+        let big = vec![7u8; 100_000];
+        let pings: [&[u8]; 3] = [b"", b"ping", &big];
+
+        // The server's side scripted: OK (status 0) echoes of the pings.
+        let mut client = Client::handshake(Scripted::new(0, &pings)).unwrap();
+        for payload in pings {
+            assert_eq!(client.ping(payload).unwrap(), payload);
+        }
+        assert_eq!(client.into_inner().writes, 1 + pings.len(), "hello + one write per request");
+
+        // The client's side scripted: the pings themselves, then EOF.
+        let dir = tempfile::tempdir().unwrap();
+        let service = LobdService::open(dir.path()).unwrap();
+        let mut transport = Scripted::new(Opcode::Ping as u8, &pings);
+        serve_stream(&service, &mut transport);
+        assert_eq!(transport.writes, 1 + pings.len(), "hello + one write per reply");
+        assert_eq!(service.session_count(), 0);
+    }
 }

@@ -12,8 +12,8 @@ use crate::proto::{
     self, ErrorCode, Opcode, Reader, WireSpec, MAX_IO, SEEK_CUR, SEEK_END, SEEK_SET,
 };
 use crate::session::Session;
-use crate::stats::{encode_metrics, OpStats, ServerStats};
-use obs::MetricEntry;
+use crate::stats::{encode_metrics, OpStats};
+use obs::{MetricEntry, MetricValue};
 use pglo_compress::CodecKind;
 use pglo_core::{LoCursor, LoError, LoId, LoKind, LoSpec, LoStore, OpenMode, UserId};
 use pglo_heap::StorageEnv;
@@ -211,13 +211,7 @@ impl LobdService {
             }
             Opcode::Stats => {
                 r.finish().map_err(malformed)?;
-                // v3 sessions get the self-describing metrics frame; v2
-                // sessions keep the legacy fixed-position layout.
-                if session.proto >= 3 {
-                    Ok(encode_metrics(&self.metrics_entries()))
-                } else {
-                    Ok(self.stats_snapshot().encode())
-                }
+                Ok(encode_metrics(&self.metrics_entries()))
             }
             Opcode::MetricsText => {
                 r.finish().map_err(malformed)?;
@@ -505,44 +499,38 @@ impl LobdService {
         }
     }
 
-    /// A full statistics snapshot (also used by `lobd` at exit).
+    /// Every metric this service can report: per-op counters and latency
+    /// percentiles, the pool / txn / session scalars, and the
+    /// process-global obs registry (smgr / pool / txn / LO-implementation
+    /// layer metrics). Name-sorted; this is the `stats` reply payload, the
+    /// `metrics_text` exposition source and what `lobd` prints at exit.
     ///
     /// Derived rates are computed from the counters captured here (the
     /// single `pool` read below), never from a second read of a live
-    /// source — `pool_hit_rate` always agrees with
-    /// `pool_hits / (pool_hits + pool_misses)` of the same reply.
-    pub fn stats_snapshot(&self) -> ServerStats {
+    /// source — `pool.hit_rate` always agrees with
+    /// `pool.hits / (pool.hits + pool.misses)` of the same reply.
+    pub fn metrics_entries(&self) -> Vec<MetricEntry> {
+        use MetricValue::{Counter, Float, Gauge};
         let pool = self.env.pool().stats();
         let (commits, aborts) = self.env.txns().counters();
-        ServerStats {
-            ops: self
-                .stats
-                .snapshot()
-                .into_iter()
-                .map(|(op, c, e, ns)| (op.name().to_string(), c, e, ns))
-                .collect(),
-            pool_hits: pool.hits,
-            pool_misses: pool.misses,
-            pool_hit_rate: pool.hit_rate(),
-            commits,
-            aborts,
-            active_txns: self.env.txns().active_count() as u64,
-            active_sessions: self.session_count(),
-            pool_shards: self.env.pool().shard_count() as u64,
-            prefetch_pages: pool.prefetch_pages,
-            prefetch_hits: pool.prefetch_hits,
-            bgwriter_pages: pool.bgwriter_pages,
-        }
-    }
-
-    /// Every metric this service can report: the typed snapshot projected
-    /// to entries, per-op latency percentiles, and the process-global obs
-    /// registry (smgr / pool / txn / LO-implementation layer metrics).
-    /// Name-sorted; this is the proto-v3 stats payload and the
-    /// `metrics_text` exposition source.
-    pub fn metrics_entries(&self) -> Vec<MetricEntry> {
-        let mut entries = self.stats_snapshot().to_metrics();
-        self.stats.latency_entries(&mut entries);
+        let mut entries = Vec::new();
+        self.stats.entries(&mut entries);
+        entries.extend(
+            [
+                ("pool.hits", Counter(pool.hits)),
+                ("pool.misses", Counter(pool.misses)),
+                ("pool.hit_rate", Float(pool.hit_rate())),
+                ("pool.shards", Gauge(self.env.pool().shard_count() as u64)),
+                ("pool.prefetch_pages", Counter(pool.prefetch_pages)),
+                ("pool.prefetch_hits", Counter(pool.prefetch_hits)),
+                ("pool.bgwriter_pages", Counter(pool.bgwriter_pages)),
+                ("txn.commits", Counter(commits)),
+                ("txn.aborts", Counter(aborts)),
+                ("txn.active", Gauge(self.env.txns().active_count() as u64)),
+                ("server.sessions.active", Gauge(self.session_count())),
+            ]
+            .map(|(name, value)| MetricEntry::new(name, value)),
+        );
         entries.extend(obs::snapshot_entries());
         entries.sort_by(|a, b| a.name.cmp(&b.name));
         entries

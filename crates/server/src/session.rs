@@ -24,38 +24,17 @@ pub struct Session {
     /// Temporaries created by this session, reclaimed at `gc_temps` or
     /// disconnect unless promoted with `lo_keep_temp`.
     pub(crate) temps: Vec<LoId>,
-    /// Protocol version negotiated at handshake. Version-dependent
-    /// encodings (the stats reply) key off this, per session — one server
-    /// serves v2 and v3 clients side by side.
-    pub(crate) proto: u8,
 }
 
 impl Session {
-    /// A fresh session speaking the current protocol version.
+    /// A fresh session.
     pub fn new(id: u64) -> Self {
-        Self {
-            id,
-            txn: None,
-            fds: HashMap::new(),
-            next_fd: 1,
-            temps: Vec::new(),
-            proto: crate::proto::VERSION,
-        }
+        Self { id, txn: None, fds: HashMap::new(), next_fd: 1, temps: Vec::new() }
     }
 
     /// This session's id.
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// The negotiated protocol version.
-    pub fn proto_version(&self) -> u8 {
-        self.proto
-    }
-
-    /// Record the version negotiated at handshake.
-    pub fn set_proto_version(&mut self, version: u8) {
-        self.proto = version;
     }
 
     /// Whether a transaction is open.

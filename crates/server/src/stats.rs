@@ -1,14 +1,9 @@
 //! Server observability: per-op counters + latency histograms, and the
-//! self-describing metrics frame that carries them on the wire.
+//! self-describing metrics frame that carries every metric on the wire.
 //!
-//! Protocol history: version 2 served the fixed-position
-//! [`ServerStats::encode`] layout, which broke wire compatibility once
-//! (PR 2) just by growing four trailing u64s. Version 3 replaces it with
-//! a frame of `name | kind | value` entries ([`encode_metrics`]): adding
-//! a metric extends the entry list and never changes the layout, so it
-//! must never again require a version bump. The typed [`ServerStats`]
-//! view survives via [`ServerStats::from_metrics`], so existing call
-//! sites and benches don't churn.
+//! The `stats` reply is a frame of `name | kind | value` entries
+//! ([`encode_metrics`]): adding a metric extends the entry list and never
+//! changes a layout, so it never needs a protocol version bump.
 
 use crate::proto::{self, Opcode, Reader};
 use obs::{MetricEntry, MetricValue};
@@ -17,8 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Lock-free per-opcode accounting. One slot per opcode in
 /// [`Opcode::ALL`] order. The latency histograms are deliberately
 /// service-local (not in the process-global `obs` registry): one process
-/// may host several services (the benches run a TCP service and a
-/// loopback service back to back) and their op latencies must not
+/// may host several services (the test binaries do, and so does
+/// lobench's entry-point ladder) and their op latencies must not
 /// cross-pollinate.
 pub struct OpStats {
     count: Vec<AtomicU64>,
@@ -61,43 +56,28 @@ impl OpStats {
         self.latency[i].record(elapsed_ns);
     }
 
-    /// Snapshot rows `(opcode, count, errors, total_ns)` for ops seen at
-    /// least once.
-    pub fn snapshot(&self) -> Vec<(Opcode, u64, u64, u64)> {
-        Opcode::ALL
-            .iter()
-            .enumerate()
-            .filter_map(|(i, op)| {
-                let c = self.count[i].load(Ordering::Relaxed);
-                (c > 0).then(|| {
-                    (
-                        *op,
-                        c,
-                        self.errors[i].load(Ordering::Relaxed),
-                        self.total_ns[i].load(Ordering::Relaxed),
-                    )
-                })
-            })
-            .collect()
-    }
-
-    /// Append `server.op.{name}.p50_ns/.p95_ns/.p99_ns` latency entries
-    /// for every op seen at least once. No-op in an obs-off build (the
-    /// ZST histograms recorded nothing worth reporting).
-    pub fn latency_entries(&self, out: &mut Vec<MetricEntry>) {
-        if !obs::active() {
-            return;
-        }
+    /// Append `server.op.{name}.count/.errors/.total_ns` for every op
+    /// seen at least once, plus its `.p50_ns/.p95_ns/.p99_ns` latency
+    /// percentiles — except in an obs-off build, whose ZST histograms
+    /// recorded nothing worth reporting.
+    pub fn entries(&self, out: &mut Vec<MetricEntry>) {
         for (i, op) in Opcode::ALL.iter().enumerate() {
-            if self.count[i].load(Ordering::Relaxed) == 0 {
+            let count = self.count[i].load(Ordering::Relaxed);
+            if count == 0 {
                 continue;
             }
-            let h = &self.latency[i];
-            for (q, suffix) in [(0.50, "p50_ns"), (0.95, "p95_ns"), (0.99, "p99_ns")] {
-                out.push(MetricEntry::new(
-                    format!("server.op.{}.{suffix}", op.name()),
-                    MetricValue::Counter(h.percentile(q)),
-                ));
+            let mut put = |suffix: &str, v: u64| {
+                let name = format!("server.op.{}.{suffix}", op.name());
+                out.push(MetricEntry::new(name, MetricValue::Counter(v)));
+            };
+            put("count", count);
+            put("errors", self.errors[i].load(Ordering::Relaxed));
+            put("total_ns", self.total_ns[i].load(Ordering::Relaxed));
+            if obs::active() {
+                let h = &self.latency[i];
+                for (q, suffix) in [(0.50, "p50_ns"), (0.95, "p95_ns"), (0.99, "p99_ns")] {
+                    put(suffix, h.percentile(q));
+                }
             }
         }
     }
@@ -105,7 +85,7 @@ impl OpStats {
 
 /// Encode a self-describing metrics frame: `u16` entry count, then per
 /// entry `str name | u8 kind | u64 value bits` (kind 0 = counter, 1 =
-/// gauge, 2 = float). This is the proto-v3 stats payload.
+/// gauge, 2 = float). This is the `stats` reply payload.
 pub fn encode_metrics(entries: &[MetricEntry]) -> Vec<u8> {
     let n = entries.len().min(u16::MAX as usize);
     let mut out = Vec::new();
@@ -119,7 +99,7 @@ pub fn encode_metrics(entries: &[MetricEntry]) -> Vec<u8> {
 }
 
 /// Decode a self-describing metrics frame. Entries with an unknown kind
-/// byte are skipped, not fatal: a newer server may grow kinds, and a v3
+/// byte are skipped, not fatal: a newer server may grow kinds, and the
 /// client must keep decoding the rest of the frame.
 pub fn decode_metrics(payload: &[u8]) -> Result<Vec<MetricEntry>, proto::DecodeError> {
     let mut r = Reader::new(payload);
@@ -137,235 +117,34 @@ pub fn decode_metrics(payload: &[u8]) -> Result<Vec<MetricEntry>, proto::DecodeE
     Ok(out)
 }
 
-/// The decoded reply of a `stats` request.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServerStats {
-    /// Per-op rows: `(name, count, errors, total_ns)`.
-    pub ops: Vec<(String, u64, u64, u64)>,
-    /// Buffer-pool hits.
-    pub pool_hits: u64,
-    /// Buffer-pool misses.
-    pub pool_misses: u64,
-    /// Buffer-pool hit rate in `[0, 1]`.
-    pub pool_hit_rate: f64,
-    /// Committed transactions since server start.
-    pub commits: u64,
-    /// Aborted transactions since server start.
-    pub aborts: u64,
-    /// Transactions currently in progress (any session).
-    pub active_txns: u64,
-    /// Connections currently being served.
-    pub active_sessions: u64,
-    /// Buffer-pool page-table shards.
-    pub pool_shards: u64,
-    /// Pages installed by sequential read-ahead.
-    pub prefetch_pages: u64,
-    /// Pins satisfied by a read-ahead page before eviction.
-    pub prefetch_hits: u64,
-    /// Dirty pages written back by the background writer.
-    pub bgwriter_pages: u64,
-}
-
-impl ServerStats {
-    /// Total request count across ops.
-    pub fn total_requests(&self) -> u64 {
-        self.ops.iter().map(|(_, c, _, _)| c).sum()
-    }
-
-    /// Count for one op name, 0 if never seen.
-    pub fn op_count(&self, name: &str) -> u64 {
-        self.ops.iter().find(|(n, _, _, _)| n == name).map_or(0, |(_, c, _, _)| *c)
-    }
-
-    /// Encode as the legacy fixed-position stats reply (proto v2).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        proto::put_u32(&mut out, self.ops.len() as u32);
-        for (name, count, errors, ns) in &self.ops {
-            proto::put_str(&mut out, name);
-            proto::put_u64(&mut out, *count);
-            proto::put_u64(&mut out, *errors);
-            proto::put_u64(&mut out, *ns);
-        }
-        proto::put_u64(&mut out, self.pool_hits);
-        proto::put_u64(&mut out, self.pool_misses);
-        proto::put_u64(&mut out, self.pool_hit_rate.to_bits());
-        proto::put_u64(&mut out, self.commits);
-        proto::put_u64(&mut out, self.aborts);
-        proto::put_u64(&mut out, self.active_txns);
-        proto::put_u64(&mut out, self.active_sessions);
-        proto::put_u64(&mut out, self.pool_shards);
-        proto::put_u64(&mut out, self.prefetch_pages);
-        proto::put_u64(&mut out, self.prefetch_hits);
-        proto::put_u64(&mut out, self.bgwriter_pages);
-        out
-    }
-
-    /// Decode the legacy fixed-position stats reply (proto v2).
-    pub fn decode(payload: &[u8]) -> Result<Self, proto::DecodeError> {
-        let mut r = Reader::new(payload);
-        let n = r.u32()? as usize;
-        if n > 4096 {
-            return Err(proto::DecodeError("absurd op row count"));
-        }
-        let mut ops = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.str()?;
-            let count = r.u64()?;
-            let errors = r.u64()?;
-            let ns = r.u64()?;
-            ops.push((name, count, errors, ns));
-        }
-        let stats = Self {
-            ops,
-            pool_hits: r.u64()?,
-            pool_misses: r.u64()?,
-            pool_hit_rate: f64::from_bits(r.u64()?),
-            commits: r.u64()?,
-            aborts: r.u64()?,
-            active_txns: r.u64()?,
-            active_sessions: r.u64()?,
-            pool_shards: r.u64()?,
-            prefetch_pages: r.u64()?,
-            prefetch_hits: r.u64()?,
-            bgwriter_pages: r.u64()?,
-        };
-        r.finish()?;
-        Ok(stats)
-    }
-
-    /// Project this typed view into metrics entries. The per-op rows
-    /// become `server.op.{name}.count/.errors/.total_ns`; the scalars get
-    /// `layer.metric` names. The inverse is [`from_metrics`](Self::from_metrics).
-    pub fn to_metrics(&self) -> Vec<MetricEntry> {
-        let mut out = Vec::with_capacity(self.ops.len() * 3 + 11);
-        for (name, count, errors, ns) in &self.ops {
-            out.push(MetricEntry::new(
-                format!("server.op.{name}.count"),
-                MetricValue::Counter(*count),
-            ));
-            out.push(MetricEntry::new(
-                format!("server.op.{name}.errors"),
-                MetricValue::Counter(*errors),
-            ));
-            out.push(MetricEntry::new(
-                format!("server.op.{name}.total_ns"),
-                MetricValue::Counter(*ns),
-            ));
-        }
-        out.push(MetricEntry::new("pool.hits", MetricValue::Counter(self.pool_hits)));
-        out.push(MetricEntry::new("pool.misses", MetricValue::Counter(self.pool_misses)));
-        out.push(MetricEntry::new("pool.hit_rate", MetricValue::Float(self.pool_hit_rate)));
-        out.push(MetricEntry::new("txn.commits", MetricValue::Counter(self.commits)));
-        out.push(MetricEntry::new("txn.aborts", MetricValue::Counter(self.aborts)));
-        out.push(MetricEntry::new("txn.active", MetricValue::Gauge(self.active_txns)));
-        out.push(MetricEntry::new(
-            "server.sessions.active",
-            MetricValue::Gauge(self.active_sessions),
-        ));
-        out.push(MetricEntry::new("pool.shards", MetricValue::Gauge(self.pool_shards)));
-        out.push(MetricEntry::new(
-            "pool.prefetch_pages",
-            MetricValue::Counter(self.prefetch_pages),
-        ));
-        out.push(MetricEntry::new("pool.prefetch_hits", MetricValue::Counter(self.prefetch_hits)));
-        out.push(MetricEntry::new(
-            "pool.bgwriter_pages",
-            MetricValue::Counter(self.bgwriter_pages),
-        ));
-        out
-    }
-
-    /// Rebuild the typed view from a metrics frame. Names this view
-    /// doesn't know are ignored — that is the forward-compatibility
-    /// contract: servers add metrics freely, old typed clients keep
-    /// working. Derived rates are recomputed from the captured counters
-    /// when the server didn't send one, never from live sources.
-    pub fn from_metrics(entries: &[MetricEntry]) -> Self {
-        let mut stats = Self::default();
-        // name -> (count, errors, total_ns), filled as entries arrive.
-        let mut ops: Vec<(String, u64, u64, u64)> = Vec::new();
-        fn op_row(ops: &mut Vec<(String, u64, u64, u64)>, op: &str) -> usize {
-            match ops.iter().position(|(n, ..)| n == op) {
-                Some(i) => i,
-                None => {
-                    ops.push((op.to_string(), 0, 0, 0));
-                    ops.len() - 1
-                }
-            }
-        }
-        let mut saw_hit_rate = false;
-        for e in entries {
-            if let Some(rest) = e.name.strip_prefix("server.op.") {
-                let Some((op, field)) = rest.rsplit_once('.') else { continue };
-                match field {
-                    "count" => {
-                        let i = op_row(&mut ops, op);
-                        ops[i].1 = e.value.as_u64();
-                    }
-                    "errors" => {
-                        let i = op_row(&mut ops, op);
-                        ops[i].2 = e.value.as_u64();
-                    }
-                    "total_ns" => {
-                        let i = op_row(&mut ops, op);
-                        ops[i].3 = e.value.as_u64();
-                    }
-                    // Percentile entries don't fit the legacy rows.
-                    _ => {}
-                }
-                continue;
-            }
-            let v = e.value.as_u64();
-            match e.name.as_str() {
-                "pool.hits" => stats.pool_hits = v,
-                "pool.misses" => stats.pool_misses = v,
-                "pool.hit_rate" => {
-                    stats.pool_hit_rate = e.value.as_f64();
-                    saw_hit_rate = true;
-                }
-                "txn.commits" => stats.commits = v,
-                "txn.aborts" => stats.aborts = v,
-                "txn.active" => stats.active_txns = v,
-                "server.sessions.active" => stats.active_sessions = v,
-                "pool.shards" => stats.pool_shards = v,
-                "pool.prefetch_pages" => stats.prefetch_pages = v,
-                "pool.prefetch_hits" => stats.prefetch_hits = v,
-                "pool.bgwriter_pages" => stats.bgwriter_pages = v,
-                _ => {}
-            }
-        }
-        if !saw_hit_rate {
-            let total = stats.pool_hits + stats.pool_misses;
-            stats.pool_hit_rate =
-                if total == 0 { 0.0 } else { stats.pool_hits as f64 / total as f64 };
-        }
-        // Ops that never ran are omitted on the wire; drop all-zero rows
-        // that only existed because a stray field mentioned them, and
-        // order known ops by their `Opcode::ALL` position for stability.
-        ops.retain(|(_, c, ..)| *c > 0);
-        ops.sort_by_key(|(n, ..)| {
-            Opcode::ALL.iter().position(|op| op.name() == n.as_str()).unwrap_or(Opcode::ALL.len())
-        });
-        stats.ops = ops;
-        stats
-    }
+/// The value of the entry called `name`, if the snapshot has one: a
+/// metrics snapshot has no typed view, callers look entries up by name.
+pub fn metric(entries: &[MetricEntry], name: &str) -> Option<MetricValue> {
+    entries.iter().find(|e| e.name == name).map(|e| e.value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn value(entries: &[MetricEntry], name: &str) -> Option<u64> {
+        metric(entries, name).map(|v| v.as_u64())
+    }
+
     #[test]
-    fn record_and_snapshot() {
+    fn record_and_entries() {
         let s = OpStats::new();
         s.record(Opcode::LoRead, true, 100);
         s.record(Opcode::LoRead, false, 50);
         s.record(Opcode::Begin, true, 10);
-        let snap = s.snapshot();
-        assert_eq!(snap.len(), 2);
-        let read = snap.iter().find(|(op, ..)| *op == Opcode::LoRead).unwrap();
-        assert_eq!((read.1, read.2, read.3), (2, 1, 150));
+        let mut entries = Vec::new();
+        s.entries(&mut entries);
+        assert_eq!(value(&entries, "server.op.lo_read.count"), Some(2));
+        assert_eq!(value(&entries, "server.op.lo_read.errors"), Some(1));
+        assert_eq!(value(&entries, "server.op.lo_read.total_ns"), Some(150));
+        assert_eq!(value(&entries, "server.op.begin.count"), Some(1));
+        // Unseen ops stay silent.
+        assert!(!entries.iter().any(|e| e.name.starts_with("server.op.ping.")));
     }
 
     #[cfg(feature = "obs")]
@@ -376,33 +155,10 @@ mod tests {
             s.record(Opcode::LoRead, true, ns);
         }
         let mut entries = Vec::new();
-        s.latency_entries(&mut entries);
-        let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
-        assert!(names.contains(&"server.op.lo_read.p50_ns"));
-        assert!(names.contains(&"server.op.lo_read.p95_ns"));
-        assert!(names.contains(&"server.op.lo_read.p99_ns"));
-        // Unseen ops stay silent.
-        assert!(!names.iter().any(|n| n.starts_with("server.op.ping.")));
-    }
-
-    #[test]
-    fn stats_reply_roundtrip() {
-        let stats = ServerStats {
-            ops: vec![("lo_read".into(), 5, 1, 12345), ("begin".into(), 2, 0, 99)],
-            pool_hits: 10,
-            pool_misses: 3,
-            pool_hit_rate: 10.0 / 13.0,
-            commits: 4,
-            aborts: 1,
-            active_txns: 2,
-            active_sessions: 3,
-            pool_shards: 8,
-            prefetch_pages: 7,
-            prefetch_hits: 6,
-            bgwriter_pages: 5,
-        };
-        let enc = stats.encode();
-        assert_eq!(ServerStats::decode(&enc).unwrap(), stats);
+        s.entries(&mut entries);
+        for q in ["p50_ns", "p95_ns", "p99_ns"] {
+            assert!(value(&entries, &format!("server.op.lo_read.{q}")).is_some(), "missing {q}");
+        }
     }
 
     #[test]
@@ -430,41 +186,5 @@ mod tests {
         proto::put_u64(&mut enc, 5);
         let decoded = decode_metrics(&enc).unwrap();
         assert_eq!(decoded, vec![MetricEntry::new("pool.hits", MetricValue::Counter(5))]);
-    }
-
-    #[test]
-    fn typed_view_roundtrips_through_metrics() {
-        let stats = ServerStats {
-            ops: vec![("begin".into(), 2, 0, 99), ("lo_read".into(), 5, 1, 12345)],
-            pool_hits: 10,
-            pool_misses: 3,
-            pool_hit_rate: 10.0 / 13.0,
-            commits: 4,
-            aborts: 1,
-            active_txns: 2,
-            active_sessions: 3,
-            pool_shards: 8,
-            prefetch_pages: 7,
-            prefetch_hits: 6,
-            bgwriter_pages: 5,
-        };
-        let back = ServerStats::from_metrics(&stats.to_metrics());
-        assert_eq!(back, stats);
-    }
-
-    #[test]
-    fn from_metrics_ignores_unknown_and_recomputes_rate_from_captured_counters() {
-        let entries = vec![
-            MetricEntry::new("pool.hits", MetricValue::Counter(9)),
-            MetricEntry::new("pool.misses", MetricValue::Counter(1)),
-            // No pool.hit_rate sent: the rate must come from the counters
-            // captured in this very frame, not any live source.
-            MetricEntry::new("smgr.disk.read.p99_ns", MetricValue::Counter(2047)),
-            MetricEntry::new("some.future.metric", MetricValue::Float(1.5)),
-        ];
-        let stats = ServerStats::from_metrics(&entries);
-        assert_eq!(stats.pool_hits, 9);
-        assert!((stats.pool_hit_rate - 0.9).abs() < 1e-9);
-        assert!(stats.ops.is_empty());
     }
 }

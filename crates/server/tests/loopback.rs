@@ -2,6 +2,7 @@
 //! Everything the TCP tests prove about the codec and dispatch must hold
 //! here too, since both transports share `serve_stream` and `Client`.
 
+use pglo_server::proto::{read_frame, FrameError};
 use pglo_server::{loopback, ErrorCode, LobdService, WireSpec};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,9 +34,10 @@ fn loopback_full_lifecycle() {
     assert_eq!(lo.read_at(0, 64).unwrap(), b"no socket involved");
     lo.close().unwrap();
 
-    let stats = c.stats().unwrap();
-    assert!(stats.total_requests() > 0);
-    assert_eq!(stats.active_sessions, 1);
+    let stats = c.metrics().unwrap();
+    let named = |name: &str| pglo_server::stats::metric(&stats, name).map(|v| v.as_u64());
+    assert!(named("server.op.lo_write.count") > Some(0));
+    assert_eq!(named("server.sessions.active"), Some(1));
 
     drop(lb.client);
     lb.server.join().unwrap();
@@ -129,6 +131,22 @@ fn loopback_sees_shutdown() {
     assert!(service.shutting_down());
 }
 
+/// A session opened after shutdown began is refused exactly as a TCP one
+/// is: the hello is answered, then a tag-0 `ShuttingDown` frame and a
+/// close — no session is opened and no request is served.
+#[test]
+fn loopback_opened_after_shutdown_is_refused() {
+    let (_dir, service) = service();
+    service.request_shutdown();
+    let lb = loopback::connect(&service).unwrap();
+    let mut end = lb.client.into_inner();
+    let (tag, status, _) = read_frame(&mut end, &mut Vec::new()).unwrap();
+    assert_eq!((tag, ErrorCode::from_u8(status)), (0, Some(ErrorCode::ShuttingDown)));
+    assert!(matches!(read_frame(&mut end, &mut Vec::new()), Err(FrameError::Eof)));
+    lb.server.join().unwrap();
+    assert_eq!(service.session_count(), 0);
+}
+
 /// A lobd restarted on the same data directory serves the objects earlier
 /// incarnations committed: visibility, size, and the time-travel axis all
 /// come back from the durable commit log.
@@ -168,7 +186,7 @@ fn restart_preserves_committed_objects() {
     lb.server.join().unwrap();
 }
 
-/// The v3 self-describing metrics frame carries the WAL instrumentation:
+/// The self-describing metrics frame carries the WAL instrumentation:
 /// the append byte counter, the fsync latency histogram, and the
 /// group-commit batch-size histogram — and the text exposition renders
 /// them. Durable sync is on so the fsync span actually fires.

@@ -1,9 +1,7 @@
-//! Protocol-v4 pipelining: tagged frames, the `Pipeline` guard and its
-//! `Ticket`s, window backpressure, out-of-order redemption, and the
-//! degradation path for pre-v4 sessions (wire window 1, same API).
+//! Pipelining: tagged frames, the `Pipeline` guard and its `Ticket`s,
+//! window backpressure, out-of-order redemption.
 
-use pglo_server::{spawn, Client, ClientError, LobdService, ServerConfig, ServerHandle, WireSpec};
-use std::net::TcpStream;
+use pglo_server::{spawn, Client, LobdService, ServerConfig, ServerHandle, WireSpec};
 
 fn start() -> (tempfile::TempDir, ServerHandle) {
     let dir = tempfile::tempdir().unwrap();
@@ -15,11 +13,6 @@ fn start() -> (tempfile::TempDir, ServerHandle) {
 fn stop(handle: ServerHandle) {
     handle.shutdown();
     handle.join();
-}
-
-fn connect_v(handle: &ServerHandle, version: u8) -> Result<Client<TcpStream>, ClientError> {
-    let stream = TcpStream::connect(handle.local_addr()).unwrap();
-    Client::handshake_with_version(stream, version)
 }
 
 #[test]
@@ -118,24 +111,6 @@ fn dropping_a_pipeline_leaves_the_session_clean() {
     assert_eq!(c.ping(b"clean").unwrap(), b"clean");
     c.begin().unwrap();
     c.commit().unwrap();
-    stop(handle);
-}
-
-#[test]
-fn v3_session_pipeline_degrades_to_window_one() {
-    let (_dir, handle) = start();
-    let mut c = connect_v(&handle, 3).unwrap();
-    assert_eq!(c.proto_version(), 3);
-    // Same Pipeline API on a legacy session: each send awaits its reply
-    // under the covers (wire window 1), tickets still redeem, in any
-    // order.
-    let mut pipe = c.pipeline_with_window(8);
-    let a = pipe.ping(b"legacy-a").unwrap();
-    let b = pipe.ping(b"legacy-b").unwrap();
-    assert_eq!(pipe.redeem(b).unwrap(), b"legacy-b");
-    assert_eq!(pipe.redeem(a).unwrap(), b"legacy-a");
-    drop(pipe);
-    assert_eq!(c.ping(b"still v3").unwrap(), b"still v3");
     stop(handle);
 }
 

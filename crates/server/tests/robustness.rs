@@ -55,6 +55,11 @@ fn raw_connect(handle: &ServerHandle) -> TcpStream {
     s
 }
 
+/// The next frame off a raw socket: `(tag, status, payload)`.
+fn raw_reply(s: &mut TcpStream) -> (u32, u8, Vec<u8>) {
+    pglo_server::proto::read_frame(s, &mut Vec::new()).unwrap()
+}
+
 #[test]
 fn unknown_opcode_is_an_error_reply_not_a_disconnect() {
     let (_dir, handle) = start();
@@ -108,9 +113,8 @@ fn oversized_length_prefix_closes_only_that_connection() {
     // with a malformed-frame error, and close.
     s.write_all(&u32::MAX.to_le_bytes()).unwrap();
     s.flush().unwrap();
-    // raw_connect negotiated v4, so the refusal arrives tagged (tag 0:
-    // server-initiated).
-    let (tag, status, _) = pglo_server::proto::read_frame_v4(&mut s).unwrap();
+    // The refusal carries tag 0: server-initiated.
+    let (tag, status, _) = raw_reply(&mut s);
     assert_eq!(tag, 0);
     assert_eq!(ErrorCode::from_u8(status), Some(ErrorCode::Malformed));
     // Connection is closed afterwards.
@@ -127,7 +131,7 @@ fn zero_length_frame_closes_only_that_connection() {
     let mut s = raw_connect(&handle);
     s.write_all(&0u32.to_le_bytes()).unwrap();
     s.flush().unwrap();
-    let (tag, status, _) = pglo_server::proto::read_frame_v4(&mut s).unwrap();
+    let (tag, status, _) = raw_reply(&mut s);
     assert_eq!(tag, 0);
     assert_eq!(ErrorCode::from_u8(status), Some(ErrorCode::Malformed));
     assert_still_serving(&handle);
@@ -163,26 +167,35 @@ fn bad_magic_is_rejected() {
     stop(handle);
 }
 
+/// There is one protocol version. Every other one — the retired 1, 2 and
+/// 3 as much as a future 5 — is told which version the server speaks and
+/// refused with a tag-0 `BadVersion` frame, and the server keeps serving.
 #[test]
-fn wrong_version_gets_bad_version_error() {
+fn every_other_version_is_refused_with_bad_version() {
     let (_dir, handle) = start();
-    let mut s = TcpStream::connect(handle.local_addr()).unwrap();
-    s.write_all(MAGIC).unwrap();
-    s.write_all(&[VERSION + 9]).unwrap();
-    s.flush().unwrap();
-    let mut hello = [0u8; 5];
-    s.read_exact(&mut hello).unwrap();
-    assert_eq!(&hello[..4], MAGIC, "server identifies itself before refusing");
-    let reply = pglo_server::proto::read_frame(&mut s).unwrap();
-    assert_eq!(ErrorCode::from_u8(reply.0), Some(ErrorCode::BadVersion));
-    assert_still_serving(&handle);
+    for version in [1, 2, 3, 5] {
+        let mut s = TcpStream::connect(handle.local_addr()).unwrap();
+        s.write_all(MAGIC).unwrap();
+        s.write_all(&[version]).unwrap();
+        s.flush().unwrap();
+        let mut hello = [0u8; 5];
+        s.read_exact(&mut hello).unwrap();
+        assert_eq!(&hello[..4], MAGIC, "server identifies itself before refusing v{version}");
+        assert_eq!(hello[4], VERSION, "refusal of v{version} names the version spoken");
+        let (tag, status, msg) = raw_reply(&mut s);
+        assert_eq!(tag, 0);
+        assert_eq!(ErrorCode::from_u8(status), Some(ErrorCode::BadVersion));
+        assert!(String::from_utf8_lossy(&msg).contains(&version.to_string()));
+        // And a close: nothing follows the refusal.
+        assert_eq!(s.read(&mut [0u8; 1]).unwrap_or(0), 0);
+        assert_still_serving(&handle);
+    }
     stop(handle);
 }
 
 // Deliberately leaves a raw descriptor open while the connection is torn
 // out from under it — `LoHandle`'s drop would close the fd first, which is
-// exactly what this test must not do.
-#[allow(deprecated)]
+// exactly what this test must not do, so it opens through a `Pipeline`.
 #[test]
 fn mid_write_disconnect_aborts_orphaned_txn() {
     let (_dir, handle) = start();
@@ -192,8 +205,13 @@ fn mid_write_disconnect_aborts_orphaned_txn() {
     let mut c = Client::connect(handle.local_addr()).unwrap();
     c.begin().unwrap();
     let id = c.lo_create(&WireSpec::fchunk()).unwrap();
-    let fd = c.lo_open(id, true, 0).unwrap();
-    c.lo_write(fd, b"never to be committed").unwrap();
+    {
+        let mut pipe = c.pipeline();
+        let fd = pipe.lo_open(id, true, 0).unwrap();
+        let fd = pipe.redeem(fd).unwrap();
+        let wrote = pipe.lo_write(fd, b"never to be committed").unwrap();
+        pipe.redeem(wrote).unwrap();
+    }
     assert_eq!(service.env().txns().active_count(), 1);
 
     // Vanish mid-transaction — and mid-frame, for good measure: write a
@@ -251,7 +269,7 @@ fn slow_loris_byte_at_a_time_still_gets_served() {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(MAGIC);
     bytes.push(VERSION);
-    // One v4 ping frame: len | tag | code | payload.
+    // One ping frame: len | tag | code | payload.
     let payload = b"drip";
     bytes.extend_from_slice(&(5 + payload.len() as u32).to_le_bytes());
     bytes.extend_from_slice(&0xD1D1u32.to_le_bytes());
@@ -272,7 +290,7 @@ fn slow_loris_byte_at_a_time_still_gets_served() {
     s.read_exact(&mut hello).unwrap();
     assert_eq!(&hello[..4], MAGIC);
     assert_eq!(hello[4], VERSION);
-    let (tag, status, echoed) = pglo_server::proto::read_frame_v4(&mut s).unwrap();
+    let (tag, status, echoed) = raw_reply(&mut s);
     assert_eq!(tag, 0xD1D1);
     assert_eq!(status, 0);
     assert_eq!(echoed, payload);

@@ -11,14 +11,23 @@
 //! sockets already spends half this container's 20k-fd ceiling, so the
 //! client halves must live in other fd tables. Each child reports
 //! `HELD <n>`, the test checks the server agrees it is carrying 10k+
-//! sessions, releases the children with `GO`, and expects `DONE`.
+//! sessions and still answers a ping promptly under that idle load,
+//! releases the children with `GO`, and expects `DONE`.
 
-use pglo_server::{spawn, LobdService, ServerConfig};
+use pglo_server::{spawn, Client, LobdService, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdout, Command, Stdio};
+use std::time::{Duration, Instant};
 
 const CHILDREN: usize = 4;
 const SESSIONS_PER_CHILD: usize = 2500;
+/// Pings timed while every session is held idle, and the ceiling on
+/// their 99th percentile: a reactor that degrades under idle-connection
+/// load (readiness-set scanning, accept starvation) blows it long before
+/// it breaks a functional check. Generous for a shared runner; healthy
+/// runs sit well under 10 ms.
+const IDLE_LOAD_PINGS: usize = 200;
+const PING_P99_CEILING: Duration = Duration::from_millis(100);
 
 fn read_line(out: &mut BufReader<ChildStdout>, what: &str) -> String {
     let mut line = String::new();
@@ -74,6 +83,20 @@ fn ten_thousand_concurrent_sessions_with_pipelined_round_trips() {
         "server sees {live} concurrent sessions, wanted {}",
         CHILDREN * SESSIONS_PER_CHILD
     );
+
+    // One more client, with all 10k idle: its pings must stay prompt.
+    let mut probe = Client::connect(handle.local_addr()).unwrap();
+    let mut pings: Vec<Duration> = (0..IDLE_LOAD_PINGS)
+        .map(|_| {
+            let start = Instant::now();
+            assert_eq!(probe.ping(b"idle-load probe").unwrap(), b"idle-load probe");
+            start.elapsed()
+        })
+        .collect();
+    drop(probe);
+    pings.sort();
+    let p99 = pings[IDLE_LOAD_PINGS * 99 / 100 - 1];
+    assert!(p99 <= PING_P99_CEILING, "ping p99 {p99:?} under {live} idle sessions");
 
     // Release: each child round-trips a pipelined window on every session.
     for (child, _) in children.iter_mut() {

@@ -23,6 +23,11 @@ fn stop(handle: ServerHandle) {
     handle.join();
 }
 
+/// The named entry of a `metrics()` reply.
+fn metric(entries: &[obs::MetricEntry], name: &str) -> obs::MetricValue {
+    pglo_server::stats::metric(entries, name).unwrap_or_else(|| panic!("stats reply has no {name}"))
+}
+
 /// Poll until `cond` holds or panic after two seconds.
 fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(2);
@@ -98,11 +103,10 @@ fn eight_concurrent_clients_isolated_writes() {
     }
     c.commit().unwrap();
 
-    let stats = c.stats().unwrap();
-    assert!(stats.total_requests() > 0, "stats must be non-zero after a workload");
-    assert!(stats.commits > N as u64);
-    assert!(stats.op_count("lo_write") > 0);
-    assert!(stats.pool_hits + stats.pool_misses > 0);
+    let stats = c.metrics().unwrap();
+    assert!(metric(&stats, "txn.commits").as_u64() > N as u64);
+    assert!(metric(&stats, "server.op.lo_write.count").as_u64() > 0);
+    assert!(metric(&stats, "pool.hits").as_u64() + metric(&stats, "pool.misses").as_u64() > 0);
     stop(handle);
 }
 
@@ -373,9 +377,8 @@ fn graceful_shutdown_via_client_frame() {
 }
 
 // Raw descriptor numbers are the point here: feeding the server an fd it
-// never issued must come back as a typed error, which only the deprecated
-// raw-fd API can express.
-#[allow(deprecated)]
+// never issued must come back as a typed error, which only `Pipeline`'s
+// raw-fd ops can express.
 #[test]
 fn protocol_errors_are_replies_not_disconnects() {
     let (_dir, handle) = start();
@@ -390,11 +393,13 @@ fn protocol_errors_are_replies_not_disconnects() {
     let err = c.begin().unwrap_err();
     assert_eq!(err.code(), Some(ErrorCode::TxnOpen));
 
-    let err = c.lo_read(999, 10).unwrap_err();
-    assert_eq!(err.code(), Some(ErrorCode::BadFd));
+    let mut pipe = c.pipeline();
+    let read = pipe.lo_read(999, 10).unwrap();
+    assert_eq!(pipe.redeem(read).unwrap_err().code(), Some(ErrorCode::BadFd));
 
-    let err = c.lo_open(0xDEAD_BEEF, false, 0).unwrap_err();
-    assert_eq!(err.code(), Some(ErrorCode::NotFound));
+    let open = pipe.lo_open(0xDEAD_BEEF, false, 0).unwrap();
+    assert_eq!(pipe.redeem(open).unwrap_err().code(), Some(ErrorCode::NotFound));
+    drop(pipe);
 
     // The connection survived all of it.
     assert_eq!(c.ping(b"still here").unwrap(), b"still here");
@@ -406,7 +411,6 @@ fn protocol_errors_are_replies_not_disconnects() {
 fn metrics_expose_opcode_percentiles_and_device_histograms() {
     let (_dir, handle) = start();
     let mut c = connect(&handle);
-    assert_eq!(c.proto_version(), pglo_server::proto::VERSION);
 
     // Drive enough I/O that the interesting metrics exist.
     c.begin().unwrap();
@@ -485,16 +489,14 @@ fn stats_reply_is_internally_consistent() {
     // The derived rate must be computed from the counters captured in the
     // same snapshot — i.e. the reply agrees with itself even while other
     // traffic mutates the live pool.
-    let stats = c.stats().unwrap();
-    let total = stats.pool_hits + stats.pool_misses;
+    let stats = c.metrics().unwrap();
+    let hits = metric(&stats, "pool.hits").as_u64();
+    let total = hits + metric(&stats, "pool.misses").as_u64();
     assert!(total > 0);
-    let expect = stats.pool_hits as f64 / total as f64;
+    let rate = metric(&stats, "pool.hit_rate").as_f64();
     assert!(
-        (stats.pool_hit_rate - expect).abs() < 1e-9,
-        "hit rate {} disagrees with captured counters {}/{}",
-        stats.pool_hit_rate,
-        stats.pool_hits,
-        total
+        (rate - hits as f64 / total as f64).abs() < 1e-9,
+        "hit rate {rate} disagrees with captured counters {hits}/{total}"
     );
     stop(handle);
 }
