@@ -41,10 +41,10 @@
 //! a shard-table lock.
 
 use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use parking_lot::{ranks, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{ranks, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use pglo_pages::{PageBuf, PAGE_SIZE};
 use pglo_smgr::{RelFileId, SmgrError, SmgrId, SmgrSwitch};
-use pglo_wal::{Lsn, Wal};
+use pglo_wal::{AppendedAt, Lsn, PreparedRecord, Wal};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -150,6 +150,27 @@ impl FrameData {
         self.rec_lsn = 0;
         self.log_pending = false;
     }
+
+    /// Consume the frame's `log_pending` flag: the full-page image record
+    /// of its current bytes, to be appended by the caller — `None` when
+    /// nothing is pending or the frame holds no page.
+    fn take_pending_image(&mut self) -> Option<(PageKey, PreparedRecord)> {
+        if !std::mem::take(&mut self.log_pending) {
+            return None;
+        }
+        let key = self.key?;
+        Some((key, PreparedRecord::page_image(key.smgr.0 as u32, key.rel, key.block, &self.page)))
+    }
+
+    /// Record that an image of this page sits in the log at `at`:
+    /// write-back must force the log past its end, and while the page
+    /// is dirty replay must be able to reach back to its start.
+    fn stamp_logged(&mut self, at: &AppendedAt) {
+        self.page_lsn = self.page_lsn.max(at.end);
+        if self.dirty && self.rec_lsn == 0 {
+            self.rec_lsn = at.start;
+        }
+    }
 }
 
 struct Frame {
@@ -168,41 +189,11 @@ struct Frame {
 }
 
 impl Frame {
-    fn pin_count(&self) -> u32 {
-        self.sync.pin_count()
-    }
-
-    fn is_valid(&self) -> bool {
-        self.sync.is_valid()
-    }
-
-    /// See [`FrameState::pin_unconditional`] — caller holds the owning
-    /// shard's table lock or an existing pin.
-    fn pin_unconditional(&self) {
-        self.sync.pin_unconditional();
-    }
-
-    fn unpin(&self) {
-        self.sync.unpin();
-    }
-
-    /// See [`FrameState::try_pin_valid`] — the lock-free pin.
-    fn try_pin_valid(&self) -> (bool, u32) {
-        self.sync.try_pin_valid()
-    }
-
-    fn set_valid(&self) {
-        self.sync.set_valid();
-    }
-
-    fn clear_valid(&self) {
-        self.sync.clear_valid();
-    }
-
-    /// See [`FrameState::try_retire`] — caller holds the owning shard's
-    /// table lock.
-    fn try_retire(&self) -> Option<bool> {
-        self.sync.try_retire()
+    fn latch(&self, wait: Wait) -> Option<RwLockWriteGuard<'_, FrameData>> {
+        match wait {
+            Wait::Block => Some(self.data.write()),
+            Wait::Skip => self.data.try_write(),
+        }
     }
 
     /// See [`FrameState::publish`] — only while `VALID` is clear, under
@@ -262,6 +253,18 @@ struct RaState {
 
 /// Consecutive sequentially-hinted blocks required before prefetch starts.
 const MIN_PREFETCH_RUN: u32 = 3;
+
+/// What contention and failure cost a write-back.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Wait {
+    /// Wait for the capture mutex and the frame latch and propagate
+    /// errors: evicting a dirty victim, `flush_all`, `flush_rel`.
+    Block,
+    /// Never park the flusher: skip a contended mutex or latch and any
+    /// pinned frame, and leave the frame dirty on any failure — the
+    /// background writer and the pre-eviction batch.
+    Skip,
+}
 
 /// Point-in-time buffer-pool statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -506,11 +509,6 @@ impl BufferPool {
         self.shards.len()
     }
 
-    /// The read-ahead window in blocks (0 = disabled).
-    pub fn readahead_window(&self) -> usize {
-        self.readahead_window
-    }
-
     /// One hash per pin: the low bits pick the shard, a remixed value
     /// seeds the in-shard slot probe.
     fn key_hash(key: &PageKey) -> u64 {
@@ -527,12 +525,8 @@ impl BufferPool {
         (hash.wrapping_mul(0x9E3779B97F4A7C15) >> 32) as usize & mask
     }
 
-    fn shard_at(&self, hash: u64) -> &Shard {
-        &self.shards[(hash % self.shards.len() as u64) as usize]
-    }
-
     fn shard_of(&self, key: &PageKey) -> &Shard {
-        self.shard_at(Self::key_hash(key))
+        &self.shards[(Self::key_hash(key) % self.shards.len() as u64) as usize]
     }
 
     // ---- the lock-free slot index ----------------------------------------
@@ -596,7 +590,7 @@ impl BufferPool {
                     return None;
                 }
                 let frame = &self.frames[idx];
-                let (pinned, cas_retries) = frame.try_pin_valid();
+                let (pinned, cas_retries) = frame.sync.try_pin_valid();
                 retries += cas_retries;
                 if pinned {
                     // The pin held `VALID` up, so the published key is
@@ -605,7 +599,7 @@ impl BufferPool {
                         return Some(Some(idx));
                     }
                     // Re-keyed between filter and pin.
-                    frame.unpin();
+                    frame.sync.unpin();
                     retries += 1;
                 } else {
                     // Mid-install, failed load, or being retired — the
@@ -633,7 +627,7 @@ impl BufferPool {
             .probe(Self::slot_start(Self::key_hash(key), shard.slots.mask()), |idx| {
                 (idx < self.frames.len()
                     && self.frames[idx].published_matches(key)
-                    && self.frames[idx].is_valid())
+                    && self.frames[idx].sync.is_valid())
                 .then_some(())
             })
             .is_some()
@@ -653,21 +647,41 @@ impl BufferPool {
         // locks: probe the shard's slot array, CAS the frame's pin word,
         // revalidate the published key. Everything else (miss, frame
         // mid-install, contention, probe overflow) goes through the
-        // shard-table mutex below.
-        if let Some(idx) = self.try_pin_fast(shard, &key) {
-            obs::counter!("pool.pin.fast").add(1);
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            let frame = &self.frames[idx];
-            frame.used.store(true, Ordering::Relaxed);
-            if frame.prefetched.swap(false, Ordering::Relaxed) {
-                self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
+        // shard-table mutex.
+        let idx = match self.try_pin_fast(shard, &key) {
+            Some(idx) => {
+                obs::counter!("pool.pin.fast").add(1);
+                self.note_hit(shard, idx, true);
+                idx
             }
-            if hint == AccessHint::Sequential {
-                self.run_readahead(key);
+            None => {
+                obs::counter!("pool.pin.slow").add(1);
+                self.pin_locked(shard, key)?
             }
-            return Ok(PinnedPage { pool: self, idx });
+        };
+        if hint == AccessHint::Sequential {
+            self.run_readahead(key);
         }
-        obs::counter!("pool.pin.slow").add(1);
+        Ok(PinnedPage { pool: self, idx })
+    }
+
+    /// What a hit owes once its pin has landed on the right page: the
+    /// reference bit and the prefetch-hit and hit counts (`count` is
+    /// false when this pin call already counted as a miss).
+    fn note_hit(&self, shard: &Shard, idx: usize, count: bool) {
+        let frame = &self.frames[idx];
+        frame.used.store(true, Ordering::Relaxed);
+        if frame.prefetched.swap(false, Ordering::Relaxed) {
+            self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        if count {
+            shard.hits.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Pin `key` through the shard-table mutex, loading the page on a
+    /// miss; returns the pinned frame.
+    fn pin_locked(&self, shard: &Shard, key: PageKey) -> Result<usize> {
         // Each pin call is accounted exactly once (one hit or one miss),
         // however many times the claim/validate loop goes around —
         // `hits + misses == pins` is a tested invariant.
@@ -679,29 +693,19 @@ impl BufferPool {
                 let table = shard.table.lock();
                 if let Some(&idx) = table.map.get(&key) {
                     let frame = &self.frames[idx];
-                    frame.pin_unconditional();
-                    frame.used.store(true, Ordering::Relaxed);
-                    let was_prefetched = frame.prefetched.swap(false, Ordering::Relaxed);
+                    frame.sync.pin_unconditional();
                     drop(table);
                     // A mapping can briefly point at a frame whose load is
                     // in flight or failed. `VALID` vouches for the common
                     // case on one atomic load; otherwise latch the frame
                     // (waiting out any in-flight load) and check its key,
                     // retrying rather than return another page's bytes.
-                    if !frame.is_valid() && frame.data.read().key != Some(key) {
-                        frame.unpin();
+                    if !frame.sync.is_valid() && frame.data.read().key != Some(key) {
+                        frame.sync.unpin();
                         continue;
                     }
-                    if !counted {
-                        shard.hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if was_prefetched {
-                        self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if hint == AccessHint::Sequential {
-                        self.run_readahead(key);
-                    }
-                    return Ok(PinnedPage { pool: self, idx });
+                    self.note_hit(shard, idx, !counted);
+                    return Ok(idx);
                 }
             }
             if !counted {
@@ -751,19 +755,28 @@ impl BufferPool {
                     self.slot_remove(shard, &mut table, &key, idx);
                 }
                 drop(table);
-                frame.unpin();
+                frame.sync.unpin();
                 return Err(e.into());
             }
-            data.key = Some(key);
-            data.dirty = false;
-            data.reset_wal_state();
-            frame.set_valid();
-            drop(data);
-            if hint == AccessHint::Sequential {
-                self.run_readahead(key);
-            }
-            return Ok(PinnedPage { pool: self, idx });
+            self.install(idx, &mut data, key, false);
+            return Ok(idx);
         }
+    }
+
+    /// Make latched frame `idx` hold `key`, whose image the caller just
+    /// put in `data.page`, and let `VALID` vouch for it: any pinner that
+    /// found the mapping is parked on the held write latch and wakes to
+    /// the right bytes. A device image starts clean; a `fresh` one
+    /// (`new_page`'s) exists nowhere else yet, so dirty and pending capture.
+    fn install(&self, idx: usize, data: &mut FrameData, key: PageKey, fresh: bool) {
+        data.key = Some(key);
+        data.dirty = fresh;
+        data.reset_wal_state();
+        if fresh {
+            data.log_pending = true;
+            self.note_pending(idx);
+        }
+        self.frames[idx].sync.set_valid();
     }
 
     // ---- read-latency observation ----------------------------------------
@@ -843,42 +856,32 @@ impl BufferPool {
         // Install directly into a frame (avoids an immediate re-read).
         let shard = self.shard_of(&key);
         loop {
-            if let Some((idx, mut data)) = self.claim_frame(shard, key)? {
-                data.page.copy_from_slice(&page[..]);
-                data.key = Some(key);
-                data.dirty = true;
-                data.reset_wal_state();
-                data.log_pending = true;
-                self.note_pending(idx);
-                self.frames[idx].set_valid();
-                drop(data);
-                return Ok((block, PinnedPage { pool: self, idx }));
-            }
-            // `key` is already mapped: a sequential read-ahead racing past
-            // the just-grown EOF can install the fresh block's device
-            // image before we get here. Re-own that frame and overwrite it
-            // with the authoritative init image instead of asserting.
-            let table = shard.table.lock();
-            let Some(&idx) = table.map.get(&key) else { continue };
-            let frame = &self.frames[idx];
-            frame.pin_unconditional();
-            frame.used.store(true, Ordering::Relaxed);
-            frame.prefetched.store(false, Ordering::Relaxed);
-            // The frame may be validly pinned by racing readers of this
-            // very key; the write latch below serializes them, and the
-            // overwrite installs the same key's authoritative image, so
-            // `VALID` need not drop — lock-free pins taken meanwhile
-            // simply wait on the latch and wake to the init bytes.
-            let mut data = frame.data.write();
-            drop(table);
+            let (idx, mut data) = match self.claim_frame(shard, key)? {
+                Some(claimed) => claimed,
+                None => {
+                    // `key` is already mapped: a sequential read-ahead
+                    // racing past the just-grown EOF can install the fresh
+                    // block's device image before we get here. Re-own that
+                    // frame and overwrite it with the authoritative image.
+                    let table = shard.table.lock();
+                    let Some(&idx) = table.map.get(&key) else { continue };
+                    let frame = &self.frames[idx];
+                    frame.sync.pin_unconditional();
+                    frame.used.store(true, Ordering::Relaxed);
+                    frame.prefetched.store(false, Ordering::Relaxed);
+                    // The frame may be validly pinned by racing readers of
+                    // this very key; the write latch serializes them, and
+                    // the overwrite installs the same key's image, so
+                    // `VALID` need not drop — lock-free pins taken meanwhile
+                    // simply wait on the latch and wake to the init bytes.
+                    let data = frame.data.write();
+                    drop(table);
+                    frame.publish_key(&key);
+                    (idx, data)
+                }
+            };
             data.page.copy_from_slice(&page[..]);
-            data.key = Some(key);
-            data.dirty = true;
-            data.log_pending = true;
-            self.note_pending(idx);
-            frame.publish_key(&key);
-            frame.set_valid();
-            drop(data);
+            self.install(idx, &mut data, key, true);
             return Ok((block, PinnedPage { pool: self, idx }));
         }
     }
@@ -914,28 +917,17 @@ impl BufferPool {
                 // again, pick another victim. After it succeeds no new
                 // pin can land: fast-path pins require `VALID`, slow-path
                 // pins require the table lock we hold.
-                if frame.try_retire().is_none() {
+                if frame.sync.try_retire().is_none() {
                     continue;
                 }
-                frame.pin_unconditional();
-                frame.used.store(true, Ordering::Relaxed);
-                frame.prefetched.store(false, Ordering::Relaxed);
+                frame.sync.pin_unconditional();
                 // Shard-table → frame order. The sweep saw the frame clean
                 // and unpinned under this table lock and the retire froze
                 // that — so the guard is immediate (at worst a flusher's
                 // try-lock is draining) and the frame is still clean
                 // under it.
                 let mut data = frame.data.write();
-                if let Some(old) = data.key.take() {
-                    table.map.remove(&old);
-                    self.slot_remove(shard, &mut table, &old, idx);
-                    shard.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                table.map.insert(key, idx);
-                self.slot_insert(shard, &mut table, &key, idx);
-                // Publish under the held write latch with `VALID` clear;
-                // the caller's `set_valid` makes it vouch for the frame.
-                frame.publish_key(&key);
+                self.rekey(shard, &mut table, idx, &mut data, key, false);
                 drop(table);
                 return Ok(Some((idx, data)));
             }
@@ -959,134 +951,133 @@ impl BufferPool {
             // Raised under the table lock (which serializes against any
             // retire), so every re-key path sees a stable nonzero pin
             // count for the duration of the write-back.
-            frame.pin_unconditional();
+            frame.sync.pin_unconditional();
             drop(table);
             // The pin keeps the victim from being re-keyed while the
             // write-back (plus any required image logging) runs outside
             // the shard lock; the frame stays `VALID` and mapped, so
             // readers of its page are never disturbed.
-            let written = self.write_back_frame(idx, None);
-            frame.unpin();
+            let written = self.write_back_frame(idx, None, Wait::Block);
+            frame.sync.unpin();
             written?;
             // Frame is clean now (a concurrent claimer may steal it — the
             // next sweep decides); go around again.
         }
     }
 
-    /// Write `data`'s page back to its device if dirty, clearing the flag.
-    /// WAL-before-data: the log is forced past the frame's last captured
-    /// image first, so the on-disk page never runs ahead of what replay
-    /// can reconstruct. Callers with a log attached must not pass a
-    /// `log_pending` frame here directly — route through
-    /// [`BufferPool::write_back_frame`], which logs the never-captured
-    /// delta first; otherwise a re-key after the write-back would erase
-    /// the only copy of a delta some later commit claims as durable.
-    fn write_back(&self, data: &mut FrameData) -> Result<()> {
-        if data.dirty {
-            if let Some(old) = data.key {
-                let _span = obs::span!("pool.writeback");
-                self.force_wal(data.page_lsn)?;
-                let smgr = self.switch.get(old.smgr)?;
-                smgr.write(old.rel, old.block, &data.page)?;
-                // The home write has landed but (for a log-resident
-                // manager) is only *staged* there: re-pin the frame's
-                // oldest image so a checkpoint cannot recycle it while
-                // the staged block still needs replay. Registered under
-                // the held frame latch, before `dirty`/`rec_lsn` clear,
-                // so the dirty horizon and the pin hand off without a
-                // window in between.
-                if let Some(wal) = self.wal.get() {
-                    wal.pin_record(old.smgr.0 as u32, old.rel, data.rec_lsn);
-                }
-                self.writebacks.fetch_add(1, Ordering::Relaxed);
-            }
-            data.dirty = false;
-            data.rec_lsn = 0;
+    /// Transfer retired frame `idx` to `key`: unmap the page it held (an
+    /// eviction), map and publish the new key. Caller holds the shard's
+    /// table lock and the frame's write latch with `VALID` clear;
+    /// [`BufferPool::install`] sets it once the image is in place.
+    fn rekey(
+        &self,
+        shard: &Shard,
+        table: &mut PageTable,
+        idx: usize,
+        data: &mut FrameData,
+        key: PageKey,
+        prefetched: bool,
+    ) {
+        if let Some(old) = data.key.take() {
+            table.map.remove(&old);
+            self.slot_remove(shard, table, &old, idx);
+            shard.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(())
+        table.map.insert(key, idx);
+        self.slot_insert(shard, table, &key, idx);
+        let frame = &self.frames[idx];
+        frame.used.store(true, Ordering::Relaxed);
+        frame.prefetched.store(prefetched, Ordering::Relaxed);
+        frame.publish_key(&key);
     }
 
-    /// Log a full-page image of a `log_pending` frame immediately,
-    /// stamping its LSNs, under the caller's held frame write latch.
-    /// Write-back paths call this before moving a never-captured delta
-    /// to its home location: by the time the home copy exists, the log
-    /// must be able to reconstruct it, or a crash after the owning
-    /// transaction commits would replay an older image over committed
-    /// bytes. On failure the flag stays set, so the frame remains
-    /// protected (and the write-back that needed the image fails too).
-    fn log_pending_image(&self, data: &mut FrameData) -> Result<()> {
-        if !data.log_pending {
-            return Ok(());
-        }
-        let Some(wal) = self.wal.get() else {
-            return Ok(());
-        };
-        let Some(key) = data.key else {
-            data.log_pending = false;
-            return Ok(());
-        };
-        let mut batch = [pglo_wal::PreparedRecord::page_image(
-            key.smgr.0 as u32,
-            key.rel,
-            key.block,
-            &data.page,
-        )];
-        let ats = wal.append_batch(&mut batch).map_err(BufferError::Wal)?;
-        let at = ats[0];
-        data.page_lsn = data.page_lsn.max(at.end);
-        if data.dirty && data.rec_lsn == 0 {
-            data.rec_lsn = at.start;
-        }
-        data.log_pending = false;
-        Ok(())
-    }
-
-    /// Write frame `idx` back, first logging any never-captured delta.
-    /// `expect` re-validates the frame's key under the latch (pass
-    /// `None` when the caller holds a pin, which already rules out a
-    /// re-key). When an image must be logged, the capture mutex is taken
-    /// *before* the frame latch (rank 38 before 40): an in-flight
+    /// Write frame `idx` home if it is dirty, returning whether it wrote
+    /// — the pool's one write-back. `expect` re-validates the frame's key
+    /// under the latch (pass `None` when the caller holds a pin, which
+    /// already rules out a re-key).
+    ///
+    /// A frame dirtied since its last capture (`log_pending`) must have
+    /// its image logged before the home write, and that takes the capture
+    /// mutex *before* the frame latch (rank 38 before 40): an in-flight
     /// capture may hold an older copy of this page that is not yet in
     /// the log — appending our fresher image first would let the
     /// capture's older image land at a higher LSN and win replay,
     /// tearing the page. Parking behind the capture serializes the two.
-    fn write_back_frame(&self, idx: usize, expect: Option<PageKey>) -> Result<()> {
+    fn write_back_frame(&self, idx: usize, expect: Option<PageKey>, wait: Wait) -> Result<bool> {
         let frame = &self.frames[idx];
+        let mut serial: Option<MutexGuard<'_, ()>> = None;
         loop {
-            let pend = {
-                let data = frame.data.read();
-                if expect.is_some() && data.key != expect {
-                    return Ok(());
-                }
-                if !data.dirty {
-                    return Ok(());
-                }
-                data.log_pending
+            let Some(mut data) = frame.latch(wait) else { return Ok(false) };
+            // Evicted or flushed by someone else meanwhile.
+            if !data.dirty || (expect.is_some() && data.key != expect) {
+                return Ok(false);
+            }
+            if !data.log_pending || serial.is_some() || self.wal.get().is_none() {
+                // LINT: allow(R7, the capture mutex and frame latch must span image logging and home write so the image is stable on its way to the device and no concurrent capture interleaves an older one)
+                return match (self.write_back(&mut data), wait) {
+                    (Ok(()), _) => Ok(true),
+                    (Err(e), Wait::Block) => Err(e),
+                    (Err(_), Wait::Skip) => Ok(false),
+                };
+            }
+            // Only proceed when serialized against captures: let go of
+            // the latch and come back holding the mutex. A capture may
+            // log the image meanwhile; `log_pending_image` no-ops then.
+            drop(data);
+            serial = match wait {
+                Wait::Block => Some(self.capture.lock()),
+                Wait::Skip => self.capture.try_lock(),
             };
-            if pend && self.wal.get().is_some() {
-                let _serial = self.capture.lock();
-                let mut data = frame.data.write();
-                if expect.is_some() && data.key != expect {
-                    return Ok(());
-                }
-                // A capture may have logged the image while we waited on
-                // its mutex; `log_pending_image` no-ops then.
-                self.log_pending_image(&mut data)?;
-                // LINT: allow(R7, the capture mutex and frame latch must span image logging and home write so no concurrent capture interleaves an older image)
-                return self.write_back(&mut data);
+            if serial.is_none() {
+                return Ok(false);
             }
-            let mut data = frame.data.write();
-            if expect.is_some() && data.key != expect {
-                return Ok(());
-            }
-            if data.dirty && data.log_pending && self.wal.get().is_some() {
-                // Re-dirtied between the read check and our latch: go
-                // around and take the capture-serialized path above.
-                drop(data);
-                continue;
-            }
-            return self.write_back(&mut data);
         }
+    }
+
+    /// The WAL-before-data sequence, under `write_back_frame`'s latch on
+    /// a dirty frame: log a never-captured delta, force the log past the
+    /// frame's last image so the on-disk page never runs ahead of what
+    /// replay can reconstruct, write the page home, clear `dirty`. A
+    /// failure at any step leaves the frame dirty.
+    fn write_back(&self, data: &mut FrameData) -> Result<()> {
+        self.log_pending_image(data)?;
+        if let Some(key) = data.key {
+            let _span = obs::span!("pool.writeback");
+            self.force_wal(data.page_lsn)?;
+            let smgr = self.switch.get(key.smgr)?;
+            smgr.write(key.rel, key.block, &data.page)?;
+            // The home write has landed but (for a log-resident
+            // manager) is only *staged* there: re-pin the frame's
+            // oldest image so a checkpoint cannot recycle it while
+            // the staged block still needs replay. Registered under
+            // the held frame latch, before `dirty`/`rec_lsn` clear,
+            // so the dirty horizon and the pin hand off without a
+            // window in between.
+            if let Some(wal) = self.wal.get() {
+                wal.pin_record(key.smgr.0 as u32, key.rel, data.rec_lsn);
+            }
+            self.writebacks.fetch_add(1, Ordering::Relaxed);
+        }
+        data.dirty = false;
+        data.rec_lsn = 0;
+        Ok(())
+    }
+
+    /// Log a full-page image of a `log_pending` frame immediately,
+    /// stamping its LSNs: by the time the home copy exists, the log must
+    /// be able to reconstruct it, or a crash after the owning transaction
+    /// commits would replay an older image over committed bytes — and a
+    /// re-key after the write-back would erase the only copy of the
+    /// delta. On failure the flag stays set, so the frame stays protected.
+    fn log_pending_image(&self, data: &mut FrameData) -> Result<()> {
+        let Some(wal) = self.wal.get() else { return Ok(()) };
+        let Some((_, image)) = data.take_pending_image() else { return Ok(()) };
+        let ats = wal.append_batch(&mut [image]).map_err(|e| {
+            data.log_pending = true;
+            BufferError::Wal(e)
+        })?;
+        data.stamp_logged(&ats[0]);
+        Ok(())
     }
 
     /// Force the attached redo log past `page_lsn` (no-op when 0 or when
@@ -1219,42 +1210,21 @@ impl BufferPool {
         // pin check and here, and overwriting bytes under such a pin
         // would hand it a foreign page. The CAS refuses while any pin is
         // held; installs are opportunistic, so just give up then.
-        let Some(was_valid) = frame.try_retire() else { return false };
+        let Some(was_valid) = frame.sync.try_retire() else { return false };
         // Only flushers can be holding the latch now (pins are excluded
         // by the retire + the held shard lock) — skip rather than wait,
         // restoring `VALID` if the retire took it (the frame and its
         // mapping are untouched).
-        let Some(mut data) = frame.data.try_write() else {
+        let Some(mut data) = frame.data.try_write().filter(|data| !data.dirty) else {
             if was_valid {
-                frame.set_valid();
+                frame.sync.set_valid();
             }
             return false;
         };
-        if data.dirty {
-            if was_valid {
-                frame.set_valid();
-            }
-            return false;
-        }
-        if let Some(old) = data.key.take() {
-            table.map.remove(&old);
-            self.slot_remove(shard, &mut table, &old, idx);
-            shard.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        table.map.insert(key, idx);
-        self.slot_insert(shard, &mut table, &key, idx);
-        frame.used.store(true, Ordering::Relaxed);
-        frame.prefetched.store(true, Ordering::Relaxed);
-        frame.publish_key(&key);
+        self.rekey(shard, &mut table, idx, &mut data, key, true);
         drop(table);
         data.page.copy_from_slice(&page[..]);
-        data.key = Some(key);
-        data.dirty = false;
-        data.reset_wal_state();
-        // The install cannot fail past this point; any pinner that found
-        // the new mapping is blocked on our write latch and wakes to the
-        // right bytes, so `VALID` may vouch for the frame again.
-        frame.set_valid();
+        self.install(idx, &mut data, key, false);
         true
     }
 
@@ -1270,7 +1240,7 @@ impl BufferPool {
             let idx = table.hand;
             table.hand = if table.hand + 1 >= shard.hi { shard.lo } else { table.hand + 1 };
             let frame = &self.frames[idx];
-            if frame.pin_count() != 0 {
+            if frame.sync.pin_count() != 0 {
                 continue;
             }
             if frame.used.swap(false, Ordering::Relaxed) {
@@ -1289,100 +1259,49 @@ impl BufferPool {
 
     // ---- eviction and write-back -----------------------------------------
 
-    /// The background-writer model: write every dirty, unpinned page in
+    /// The one dirty walk: write back every dirty page `pred` selects, in
     /// `(device, relation, block)` order — elevator scheduling, so dirty
-    /// pages accumulate and then leave in long sequential runs, as in every
-    /// contemporary system. Pinned or lock-contended frames are skipped,
-    /// and a page whose device refuses the write (e.g. a burned WORM
-    /// block) stays dirty for its evictor to deal with; both flush later.
-    /// Returns pages written.
-    pub fn flush_dirty_batch(&self) -> usize {
-        self.flush_dirty(false)
-    }
-
+    /// pages accumulate and then leave in long sequential runs, as in
+    /// every contemporary system. Returns pages written; only
+    /// [`Wait::Block`] can fail.
+    ///
     /// `cold_only` is the periodic background-writer mode: a dirty frame
     /// with its reference bit set is *cooled* (bit cleared) instead of
     /// written, so it is flushed only if still untouched a sweep later.
     /// Pages being re-dirtied in place (a heap's insertion tail) thus keep
     /// their bit set and are never repeatedly written back — the classic
     /// write-amplification trap for an eager background writer.
-    fn flush_dirty(&self, cold_only: bool) -> usize {
-        let mut targets: Vec<(PageKey, usize)> = Vec::new();
+    fn flush(&self, wait: Wait, cold_only: bool, pred: impl Fn(&PageKey) -> bool) -> Result<usize> {
+        let mut dirty: Vec<(PageKey, usize)> = Vec::new();
         for (idx, frame) in self.frames.iter().enumerate() {
-            if frame.pin_count() != 0 {
+            if wait == Wait::Skip && frame.sync.pin_count() != 0 {
                 continue;
             }
-            if let Some(data) = frame.data.try_read() {
-                if let Some(k) = data.key {
-                    if data.dirty {
-                        if cold_only && frame.used.swap(false, Ordering::Relaxed) {
-                            continue;
-                        }
-                        targets.push((k, idx));
-                    }
-                }
+            let data = match wait {
+                Wait::Block => Some(frame.data.read()),
+                Wait::Skip => frame.data.try_read(),
+            };
+            let Some(data) = data else { continue };
+            let Some(key) = data.key else { continue };
+            let selected = data.dirty && pred(&key);
+            if selected && !(cold_only && frame.used.swap(false, Ordering::Relaxed)) {
+                dirty.push((key, idx));
             }
         }
-        targets.sort_unstable_by_key(|(k, _)| (k.smgr, k.rel, k.block));
-        let mut flushed = 0;
-        for (key, idx) in targets {
-            let frame = &self.frames[idx];
-            // A frame dirtied since its last capture (`log_pending`)
-            // must have its image logged before the home write, and
-            // that requires the capture mutex *before* the frame latch
-            // (rank 38 before 40) so an in-flight capture cannot land
-            // an older image at a higher LSN. Everything stays
-            // try-style: a contended mutex or latch skips the frame,
-            // never blocks the flusher.
-            let need_log = {
-                let Some(data) = frame.data.try_read() else { continue };
-                if data.key != Some(key) || !data.dirty {
-                    continue;
-                }
-                data.log_pending && self.wal.get().is_some()
-            };
-            let serial = if need_log {
-                match self.capture.try_lock() {
-                    Some(guard) => Some(guard),
-                    None => continue,
-                }
-            } else {
-                None
-            };
-            let Some(mut data) = frame.data.try_write() else { continue };
-            if data.key != Some(key) || !data.dirty {
-                continue;
-            }
-            if data.log_pending && self.wal.get().is_some() {
-                if serial.is_none() {
-                    // Re-flagged between the peek and our latch; only
-                    // proceed when serialized against captures.
-                    continue;
-                }
-                if self.log_pending_image(&mut data).is_err() {
-                    continue;
-                }
-            }
-            let Ok(smgr) = self.switch.get(key.smgr) else { continue };
-            // WAL-before-data; a log failure leaves the frame dirty
-            // for a later (error-surfacing) flusher.
-            if self.force_wal(data.page_lsn).is_err() {
-                continue;
-            }
-            // LINT: allow(R7, bgwriter write-back keeps the frame lock so the page image is stable while it goes to the device)
-            if smgr.write(key.rel, key.block, &data.page).is_ok() {
-                if let Some(wal) = self.wal.get() {
-                    // Same hand-off as `write_back`: pin before the
-                    // dirty horizon lets go of the record.
-                    wal.pin_record(key.smgr.0 as u32, key.rel, data.rec_lsn);
-                }
-                data.dirty = false;
-                data.rec_lsn = 0;
-                self.writebacks.fetch_add(1, Ordering::Relaxed);
-                flushed += 1;
-            }
+        dirty.sort_unstable_by_key(|(k, _)| (k.smgr, k.rel, k.block));
+        let mut written = 0;
+        for (key, idx) in dirty {
+            written += usize::from(self.write_back_frame(idx, Some(key), wait)?);
         }
-        flushed
+        Ok(written)
+    }
+
+    /// The background-writer model: write every dirty, unpinned page in
+    /// elevator order, skipping contended frames; a page whose device
+    /// refuses the write (e.g. a burned WORM block) stays dirty for its
+    /// evictor to deal with. Returns pages written.
+    pub fn flush_dirty_batch(&self) -> usize {
+        self.flush(Wait::Skip, false, |_| true).unwrap_or(0)
     }
 
     // ---- redo-log interplay ----------------------------------------------
@@ -1458,7 +1377,7 @@ impl BufferPool {
         }
         // Phase 1: encode and checksum every pending page outside the
         // append lock, frame latches taken one at a time.
-        let mut batch: Vec<pglo_wal::PreparedRecord> = Vec::new();
+        let mut batch: Vec<PreparedRecord> = Vec::new();
         let mut sources: Vec<(usize, PageKey)> = Vec::new();
         for &idx in &indices {
             let frame = &self.frames[idx];
@@ -1467,22 +1386,10 @@ impl BufferPool {
             // before our latch below, we capture the newer bytes and the
             // next capture skips a clean frame — never a lost image.
             frame.pending.release();
-            let mut data = frame.data.write();
-            if !data.log_pending {
-                continue;
+            if let Some((key, image)) = frame.data.write().take_pending_image() {
+                batch.push(image);
+                sources.push((idx, key));
             }
-            let Some(key) = data.key else {
-                data.log_pending = false;
-                continue;
-            };
-            batch.push(pglo_wal::PreparedRecord::page_image(
-                key.smgr.0 as u32,
-                key.rel,
-                key.block,
-                &data.page,
-            ));
-            sources.push((idx, key));
-            data.log_pending = false;
         }
         obs::histogram!("pool.capture.batch").record(batch.len() as u64);
         if batch.is_empty() {
@@ -1508,12 +1415,8 @@ impl BufferPool {
         // `rec_lsn` in the window.
         for ((idx, key), at) in sources.iter().zip(&ats) {
             let mut data = self.frames[*idx].data.write();
-            if data.key != Some(*key) {
-                continue;
-            }
-            data.page_lsn = data.page_lsn.max(at.end);
-            if data.dirty && data.rec_lsn == 0 {
-                data.rec_lsn = at.start;
+            if data.key == Some(*key) {
+                data.stamp_logged(at);
             }
         }
         self.capture_floor.store(u64::MAX, Ordering::Release);
@@ -1545,37 +1448,14 @@ impl BufferPool {
 
     /// Write back every dirty page of `rel` (leaving them resident).
     pub fn flush_rel(&self, smgr: SmgrId, rel: RelFileId) -> Result<()> {
-        self.flush_where(|k| k.smgr == smgr && k.rel == rel)
+        self.flush(Wait::Block, false, |k| k.smgr == smgr && k.rel == rel).map(drop)
     }
 
     /// Write back every dirty page in the pool. Synchronous — the
     /// durability-critical forcing path (commit) stays a forced flush even
     /// when a background writer is draining the pool between commits.
     pub fn flush_all(&self) -> Result<()> {
-        self.flush_where(|_| true)
-    }
-
-    fn flush_where(&self, pred: impl Fn(&PageKey) -> bool) -> Result<()> {
-        // Elevator order: sort dirty pages by (device, relation, block) so
-        // the write-back stream is as sequential as the data allows — the
-        // disk-arm scheduling every 1992 OS (and POSTGRES) relied on.
-        let mut dirty: Vec<(PageKey, usize)> = Vec::new();
-        for (idx, frame) in self.frames.iter().enumerate() {
-            let data = frame.data.read();
-            if let Some(key) = data.key {
-                if data.dirty && pred(&key) {
-                    dirty.push((key, idx));
-                }
-            }
-        }
-        dirty.sort_by_key(|(k, _)| (k.smgr, k.rel, k.block));
-        for (key, idx) in dirty {
-            // `write_back_frame` re-checks the key and dirty flag under
-            // the latch (the frame may have been evicted or flushed
-            // concurrently) and logs a still-pending image first.
-            self.write_back_frame(idx, Some(key))?;
-        }
-        Ok(())
+        self.flush(Wait::Block, false, |_| true).map(drop)
     }
 
     /// Drop all of `rel`'s pages from the pool *without* writing them back
@@ -1593,7 +1473,7 @@ impl BufferPool {
                     // pre-discard pin would) or fails and finds the
                     // mapping gone. The frame itself may stay pinned;
                     // it only becomes a victim once those pins drop.
-                    self.frames[idx].clear_valid();
+                    self.frames[idx].sync.clear_valid();
                     self.slot_remove(shard, &mut table, &key, idx);
                     let mut data = self.frames[idx].data.write();
                     data.key = None;
@@ -1628,7 +1508,7 @@ impl BufferPool {
                 if pool.capture_pending().is_err() {
                     obs::counter!("pool.bgwriter.capture_errors").add(1);
                 }
-                let flushed = pool.flush_dirty(true);
+                let flushed = pool.flush(Wait::Skip, true, |_| true).unwrap_or(0);
                 pool.bgwriter_pages.fetch_add(flushed as u64, Ordering::Relaxed);
                 pool.bgwriter_cycles.fetch_add(1, Ordering::Relaxed);
                 // Sleep in short slices so shutdown stays responsive
@@ -1683,7 +1563,7 @@ impl BufferPool {
     /// Number of frames currently holding at least one pin. Diagnostic:
     /// stress tests assert this returns to zero once every handle drops.
     pub fn pinned_frames(&self) -> usize {
-        self.frames.iter().filter(|f| f.pin_count() != 0).count()
+        self.frames.iter().filter(|f| f.sync.pin_count() != 0).count()
     }
 
     /// Zero the statistics counters.
@@ -1761,7 +1641,7 @@ impl PinnedPage<'_> {
 
 impl Drop for PinnedPage<'_> {
     fn drop(&mut self) {
-        self.pool.frames[self.idx].unpin();
+        self.pool.frames[self.idx].sync.unpin();
     }
 }
 
@@ -2385,70 +2265,179 @@ mod tests {
         assert!(end2 > end, "second capture must append past the first");
     }
 
+    /// A device that notes, at each home write, how far the redo log was
+    /// durable at that moment.
+    struct LogWatchSmgr {
+        inner: MemSmgr,
+        wal: Arc<Wal>,
+        /// `(block, flushed LSN when the write arrived)`.
+        writes: Mutex<Vec<(u32, Lsn)>>,
+    }
+
+    impl pglo_smgr::StorageManager for LogWatchSmgr {
+        fn name(&self) -> &str {
+            "log_watch"
+        }
+        fn create(&self, rel: RelFileId) -> pglo_smgr::Result<()> {
+            self.inner.create(rel)
+        }
+        fn exists(&self, rel: RelFileId) -> bool {
+            self.inner.exists(rel)
+        }
+        fn unlink(&self, rel: RelFileId) -> pglo_smgr::Result<()> {
+            self.inner.unlink(rel)
+        }
+        fn nblocks(&self, rel: RelFileId) -> pglo_smgr::Result<u32> {
+            self.inner.nblocks(rel)
+        }
+        fn extend(&self, rel: RelFileId, page: &PageBuf) -> pglo_smgr::Result<u32> {
+            self.inner.extend(rel, page)
+        }
+        fn allocate(&self, rel: RelFileId) -> pglo_smgr::Result<u32> {
+            self.inner.allocate(rel)
+        }
+        fn read(&self, rel: RelFileId, block: u32, out: &mut PageBuf) -> pglo_smgr::Result<()> {
+            self.inner.read(rel, block, out)
+        }
+        fn write(&self, rel: RelFileId, block: u32, page: &PageBuf) -> pglo_smgr::Result<()> {
+            self.writes.lock().push((block, self.wal.flushed_lsn()));
+            self.inner.write(rel, block, page)
+        }
+        fn sync(&self, rel: RelFileId) -> pglo_smgr::Result<()> {
+            self.inner.sync(rel)
+        }
+        fn io_stats(&self) -> pglo_sim::stats::IoSnapshot {
+            self.inner.io_stats()
+        }
+        fn reset_io_stats(&self) {
+            self.inner.reset_io_stats()
+        }
+    }
+
     /// A dirty frame whose delta was never captured must not go home
-    /// silently: eviction and explicit flushes both log the image first,
-    /// so replay can always reconstruct what the home location holds.
+    /// silently: eviction, the forced flush and the skipping flush all log
+    /// the image first and have it durable by the time the device sees the
+    /// page, so replay can always reconstruct what the home location holds.
     #[test]
     fn write_back_logs_pending_image_first() {
-        let (switch, id, pool) = setup(2);
-        let smgr = switch.get(id).unwrap();
-        smgr.create(1).unwrap();
         let dir = tempfile::tempdir().unwrap();
         let wal =
             Arc::new(pglo_wal::Wal::open(dir.path(), pglo_wal::WalOptions::default()).unwrap());
+        let watch = Arc::new(LogWatchSmgr {
+            inner: MemSmgr::new(SimContext::default_1992()),
+            wal: Arc::clone(&wal),
+            writes: Mutex::new(Vec::new()),
+        });
+        let switch = Arc::new(SmgrSwitch::new());
+        let id = switch.register(Arc::clone(&watch) as _);
+        let pool = BufferPool::new(Arc::clone(&switch), 2);
         assert!(pool.set_wal(Arc::clone(&wal)));
+        let smgr = switch.get(id).unwrap();
+        smgr.create(1).unwrap();
         for _ in 0..4 {
             let (_, p) = pool.new_page(id, 1, |_| {}).unwrap();
             drop(p);
         }
         pool.capture_pending().unwrap();
         pool.flush_all().unwrap();
-        let logged_before = wal.end_lsn();
-        // Dirty block 0 — log_pending now set, no capture runs — then
-        // force its eviction with two simultaneous pins.
-        {
-            let p = pool.pin(PageKey::new(id, 1, 0)).unwrap();
-            p.write()[7] = 99;
+        // Each path dirties one block — `log_pending` set, no capture
+        // runs — and then drives it home in its own wait mode.
+        type Path<'a> = (&'a str, u32, usize, &'a dyn Fn(&BufferPool));
+        let paths: [Path<'_>; 3] = [
+            // Blocking, through `claim_frame`: two simultaneous pins in a
+            // two-frame pool force the dirty frame out.
+            ("eviction", 0, 7, &|pool| {
+                let _keep1 = pool.pin(PageKey::new(id, 1, 1)).unwrap();
+                let _keep2 = pool.pin(PageKey::new(id, 1, 2)).unwrap();
+            }),
+            ("flush_all", 3, 9, &|pool| pool.flush_all().unwrap()),
+            ("flush_dirty_batch", 1, 11, &|pool| assert_eq!(pool.flush_dirty_batch(), 1)),
+        ];
+        for (path, block, at, drive) in paths {
+            {
+                let p = pool.pin(PageKey::new(id, 1, block)).unwrap();
+                p.write()[at] = 99;
+            }
+            let mark = wal.end_lsn();
+            watch.writes.lock().clear();
+            drive(&pool);
+            // Nothing else appends, so the log now ends with the image.
+            let image_end = wal.end_lsn();
+            assert!(image_end > mark, "{path} of a never-captured frame must log its image");
+            let durable_at_write =
+                watch.writes.lock().iter().find(|(b, _)| *b == block).map(|w| w.1);
+            assert!(
+                durable_at_write.is_some_and(|durable| durable >= image_end),
+                "{path}: image must be durable before the home write, saw {durable_at_write:?} \
+                 for an image ending at {image_end}"
+            );
+            let mut out = pglo_pages::alloc_page();
+            smgr.read(1, block, &mut out).unwrap();
+            assert_eq!(out[at], 99, "{path} must still write the page home");
         }
-        let keep1 = pool.pin(PageKey::new(id, 1, 1)).unwrap();
-        let keep2 = pool.pin(PageKey::new(id, 1, 2)).unwrap();
-        let mut out = pglo_pages::alloc_page();
-        smgr.read(1, 0, &mut out).unwrap();
-        assert_eq!(out[7], 99, "eviction must still write the page home");
-        drop(keep1);
-        drop(keep2);
-        assert!(
-            wal.end_lsn() > logged_before,
-            "eviction of a never-captured frame must log its image"
-        );
-        // Same contract on the explicit flush path.
-        {
-            let p = pool.pin(PageKey::new(id, 1, 3)).unwrap();
-            p.write()[9] = 7;
-        }
-        let flush_mark = wal.end_lsn();
-        pool.flush_all().unwrap();
-        assert!(wal.end_lsn() > flush_mark, "flush must log pending images");
-        // Both images are in the log with the bytes that went home.
-        drop(pool);
-        drop(wal);
+        // Every image is in the log with the bytes that went home.
+        drop((pool, smgr, switch, watch, wal));
         let wal =
             Arc::new(pglo_wal::Wal::open(dir.path(), pglo_wal::WalOptions::default()).unwrap());
-        let mut evicted = None;
-        let mut flushed = None;
+        let mut logged: Vec<Option<Box<PageBuf>>> = vec![None; 4];
         wal.replay(|_, rec| {
             if let pglo_wal::WalRecord::PageImage { rel: 1, block, image, .. } = rec {
-                match block {
-                    0 => evicted = Some(image[7]),
-                    3 => flushed = Some(image[9]),
-                    _ => {}
-                }
+                logged[block as usize] = Some(image);
             }
             Ok(())
         })
         .unwrap();
-        assert_eq!(evicted, Some(99), "evicted delta must be replayable");
-        assert_eq!(flushed, Some(7), "flushed delta must be replayable");
+        for (path, block, at, _) in paths {
+            let image = logged[block as usize].as_ref();
+            assert_eq!(image.map(|i| i[at]), Some(99), "{path} delta must be replayable");
+        }
+    }
+
+    /// Skip mode never parks the flusher: a frame someone holds latched is
+    /// passed over and stays dirty, the rest of the batch goes home.
+    #[test]
+    fn skip_mode_never_blocks_on_a_held_latch() {
+        let (switch, id, pool) = setup(8);
+        let smgr = switch.get(id).unwrap();
+        smgr.create(1).unwrap();
+        for i in 0..4u8 {
+            let (_, p) = pool.new_page(id, 1, |pg| pg[0] = i + 1).unwrap();
+            drop(p);
+        }
+        let pool = Arc::new(pool);
+        let flush_elsewhere = || {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let pool = Arc::clone(&pool);
+            let flusher = std::thread::spawn(move || tx.send(pool.flush_dirty_batch()));
+            let written = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("skip mode must return while the latch is still held");
+            flusher.join().unwrap().unwrap();
+            written
+        };
+        let home = |block: u32| {
+            let mut out = pglo_pages::alloc_page();
+            smgr.read(1, block, &mut out).unwrap();
+            out[0]
+        };
+        // A pinned page under its writer's guard: the walk passes it over.
+        let held = pool.pin(PageKey::new(id, 1, 0)).unwrap();
+        let guard = held.write();
+        assert_eq!(flush_elsewhere(), 3, "the three free frames go home");
+        drop(guard);
+        drop(held);
+        assert_eq!((home(0), home(1), home(2), home(3)), (0, 2, 3, 4));
+        // An unpinned frame under a reader's latch: the walk lists it (a
+        // shared latch lets the peek through) and the write-back's
+        // try-latch gives up on it.
+        let key = PageKey::new(id, 1, 0);
+        let idx = pool.shard_of(&key).table.lock().map[&key];
+        let reader = pool.frames[idx].data.read();
+        assert_eq!(flush_elsewhere(), 0, "the one dirty frame is latched");
+        assert!(reader.dirty, "a skipped frame stays dirty");
+        drop(reader);
+        assert_eq!(pool.flush_dirty_batch(), 1);
+        assert_eq!(home(0), 1);
     }
 
     /// The latency gate keeps the window shut when the configured

@@ -184,6 +184,36 @@ mod tests {
         txn.commit();
     }
 
+    /// Every cursor operation opens a handle and closes it; the close
+    /// must free the backend, which holds an `Arc` of the environment (and
+    /// for f-chunk an 8 KB chunk cache). A leaked backend shows as one
+    /// more strong reference per operation.
+    #[test]
+    fn cursor_ops_release_their_backend() {
+        let (_d, env, store) = setup();
+        let txn = env.begin();
+        for spec in [LoSpec::fchunk(), LoSpec::vsegment(pglo_compress::CodecKind::None)] {
+            let id = store.create(&txn, &spec).unwrap();
+            let mut cur = LoCursor::new(id, OpenMode::ReadWrite, UserId::DBA);
+            // Sized up front, so the loop's writes land in place.
+            cur.write_at(&store, Some(&txn), 0, &[0xEE; 64_000]).unwrap();
+            let held = Arc::strong_count(&env);
+            let mut buf = [0u8; 64];
+            for i in 0..1000u64 {
+                // (Every tenth: v-segment keeps each overwrite as a segment.)
+                let fill = if i % 10 == 0 { i as u8 } else { 0xEE };
+                if i % 10 == 0 {
+                    cur.write_at(&store, Some(&txn), i * 64, &[fill; 64]).unwrap();
+                }
+                assert_eq!(cur.read_at(&store, Some(&txn), i * 64, &mut buf).unwrap(), 64);
+                assert_eq!(buf, [fill; 64]);
+            }
+            assert_eq!(cur.seek(&store, Some(&txn), SeekFrom::End(0)).unwrap(), 64_000);
+            assert_eq!(Arc::strong_count(&env), held, "{:?}: handles must not leak", spec.kind);
+        }
+        txn.commit();
+    }
+
     #[test]
     fn cursor_requires_txn_unless_time_travel() {
         let (_d, env, store) = setup();

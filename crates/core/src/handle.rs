@@ -131,14 +131,12 @@ impl<'a> LoHandle<'a> {
         self.backend.flush()
     }
 
-    /// Flush and consume the handle. Equivalent to `flush` + drop, but
-    /// surfaces errors.
+    /// Flush and consume the handle, surfacing the flush's error. The
+    /// handle then drops as any other: `Drop` flushes the now-clean
+    /// backend again, which writes nothing, and the backend (its chunk
+    /// cache, its hold on the storage environment) is freed.
     pub fn close(mut self) -> Result<()> {
-        let r = self.backend.flush();
-        // Avoid the best-effort flush in Drop repeating the work.
-        self.pos = 0;
-        std::mem::forget(self);
-        r
+        self.backend.flush()
     }
 
     /// Read the entire object from the start (convenience).

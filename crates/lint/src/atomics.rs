@@ -22,9 +22,9 @@
 //! Orderings *stronger* than required never fail R11 (the model checker
 //! shim treats `SeqCst` as `AcqRel`, so "too strong" is a perf nit, not
 //! a bug) — but every `Ordering::Relaxed` token in library code is also
-//! counted against the exact per-file budget in
-//! `crates/lint/relaxed_allows.txt` (shrink-only, like R3): adding a
-//! relaxed access anywhere means raising a committed count in review.
+//! counted against its file's exact `R11` row in
+//! `crates/lint/budget.txt` (shrink-only, like R3): adding a relaxed
+//! access anywhere means raising a committed count in review.
 //!
 //! Receiver resolution is lexical: `<ident>.<op>(..)` attributes the
 //! operation to `<ident>` (walking back over one `[..]`/`(..)` group, so
@@ -535,44 +535,6 @@ pub fn check_atomics_protocol(rows: &[AtomicRow], files: &[AtomicFile<'_>]) -> V
     findings
 }
 
-/// R11 relaxed-budget verdict for one file (same exact-count semantics
-/// as R3): more relaxed sites than budgeted is a violation, fewer means
-/// the committed count must be tightened.
-pub fn check_relaxed_budget(path: &str, sites: &[u32], allowed: usize) -> Vec<Finding> {
-    if sites.len() == allowed {
-        return Vec::new();
-    }
-    if sites.len() < allowed {
-        return vec![finding(
-            path,
-            0,
-            "R11",
-            format!(
-                "{} Ordering::Relaxed site(s) but relaxed_allows.txt grants {allowed}: \
-                 tighten crates/lint/relaxed_allows.txt (the count only goes down)",
-                sites.len()
-            ),
-        )];
-    }
-    sites
-        .iter()
-        .skip(allowed)
-        .map(|&line| {
-            finding(
-                path,
-                line,
-                "R11",
-                format!(
-                    "Ordering::Relaxed outside the budget ({} sites, relaxed_allows.txt \
-                     grants {allowed}): use a stronger ordering, or raise the committed \
-                     count in the same commit with a reason in review",
-                    sites.len()
-                ),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,15 +670,9 @@ wal.flushed    watermark      load=Acquire store=Release rmw=- — durable LSN
     }
 
     #[test]
-    fn relaxed_budget_is_exact() {
+    fn relaxed_sites_are_counted_per_argument() {
         let src = "fn f(&self) { self.hits.fetch_add(1, Ordering::Relaxed); }";
-        let sites = relaxed_sites(&tokenize(src));
-        assert_eq!(sites.len(), 1);
-        assert!(check_relaxed_budget("x.rs", &sites, 1).is_empty());
-        assert_eq!(check_relaxed_budget("x.rs", &sites, 0).len(), 1);
-        let slack = check_relaxed_budget("x.rs", &sites, 2);
-        assert_eq!(slack.len(), 1);
-        assert!(slack[0].message.contains("tighten"));
+        assert_eq!(relaxed_sites(&tokenize(src)).len(), 1);
     }
 
     #[test]

@@ -321,8 +321,8 @@ impl FlowCtx<'_> {
                 s[0].line(),
                 "R9",
                 "`let _ =` discards a result on an I/O/txn/wire path: propagate with `?`, \
-                 handle it, or count it via an obs counter (swallow_allowlist.txt holds \
-                 the exact-count budget)"
+                 handle it, or count it via an obs counter (the file's R9 row in \
+                 budget.txt is the exact-count budget)"
                     .to_string(),
             ));
         }
@@ -686,8 +686,8 @@ impl FlowCtx<'_> {
                 s[n - 2].line(),
                 "R9",
                 "`.ok()` discards an error on an I/O/txn/wire path: propagate with `?`, \
-                 handle it, or count it via an obs counter (swallow_allowlist.txt holds \
-                 the exact-count budget)"
+                 handle it, or count it via an obs counter (the file's R9 row in \
+                 budget.txt is the exact-count budget)"
                     .to_string(),
             ));
             return;

@@ -15,9 +15,9 @@
 //!   point where ranks are enforced.
 //! - R2 library code constructs locks with `with_rank`, never bare
 //!   `Mutex::new`/`RwLock::new`/`::default`.
-//! - R3 no `.unwrap()`/`.expect()` in non-test library code beyond
-//!   `crates/lint/allowlist.txt`; recorded counts must match exactly,
-//!   so the total can only go down.
+//! - R3 no `.unwrap()`/`.expect()` in non-test library code beyond the
+//!   file's `R3` row in `crates/lint/budget.txt`; recorded counts must
+//!   match exactly, so the total can only go down.
 //! - R4 every `unsafe` token is preceded by a `// SAFETY:` comment
 //!   within three lines (the workspace currently has zero `unsafe`;
 //!   this locks that in).
@@ -33,23 +33,23 @@
 //!   ```` ```atomics-protocol ```` table in DESIGN.md (two-way, like
 //!   R5), every load/store/RMW/compare-exchange uses an ordering at
 //!   least as strong as the table requires, and every
-//!   `Ordering::Relaxed` site is exact-counted in
-//!   `crates/lint/relaxed_allows.txt` (shrink-only, like R3).
+//!   `Ordering::Relaxed` site is exact-counted in the file's `R11` row
+//!   of `budget.txt` (shrink-only, like R3).
 //!
 //! AST/dataflow rules ([`flow`], [`proto_sync`], [`panic_reach`]):
 //! - R7 guard-across-I/O: a lock guard or pinned page must not be live
 //!   across a blocking I/O call — direct device/socket calls (tier A)
 //!   or same-crate wrappers that bottom out in one (tier B). A
 //!   `drop(guard)` or scope end clears liveness; deliberate sites carry
-//!   `// LINT: allow(R7, reason)`, counted exactly in
-//!   `crates/lint/allows.txt` so the total only shrinks.
+//!   `// LINT: allow(R7, reason)`, counted exactly in the file's `R7`
+//!   row of `budget.txt` so the total only shrinks.
 //! - R8 pin-leak: `mem::forget`/`ManuallyDrop` on guard types is
 //!   forbidden workspace-wide (tests included), and `buffer` must keep
 //!   an `impl Drop for PinnedPage`.
 //! - R9 error-swallow: `let _ =`, `.ok()`-in-statement-position, and
 //!   discarded `#[must_use]` results on I/O/txn/wire crates must either
-//!   propagate or record an `obs` counter; budget in
-//!   `crates/lint/swallow_allowlist.txt` (currently empty).
+//!   propagate or record an `obs` counter; `R9` rows in `budget.txt`
+//!   (currently none).
 //! - R10 protocol exhaustiveness: the `Opcode` enum in
 //!   `crates/server/src/proto.rs`, the `service.rs` dispatch, the typed
 //!   client, and the ```` ```wire-ops ```` table in DESIGN.md must
@@ -66,8 +66,7 @@
 //!   (except `executor_loop`) may carry `blocks` — the poll call and
 //!   `try_`-locks are exempt by construction, executor jobs are the
 //!   sanctioned escape hatch. Deliberate sites carry
-//!   `// LINT: allow(R12, reason)`, exact-counted in
-//!   `crates/lint/allows.txt`.
+//!   `// LINT: allow(R12, reason)`, exact-counted in `budget.txt`.
 //! - R13 durability ordering ([`effects`]): in the durability crates,
 //!   a statement carrying `wal_appends` or `flushes_wal` must not
 //!   follow one carrying `writes_data_pages` in the same sequence
@@ -83,7 +82,7 @@
 //! applies to all non-shim code and R4/R8 apply everywhere, shims and
 //! tests included.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -95,8 +94,8 @@ pub mod panic_reach;
 pub mod proto_sync;
 
 pub use atomics::{
-    atomic_field_decls, atomic_op_sites, check_atomics_protocol, check_relaxed_budget,
-    parse_atomics_protocol, relaxed_sites, AtomicFile, ATOMIC_PROTOCOL_CRATES,
+    atomic_field_decls, atomic_op_sites, check_atomics_protocol, parse_atomics_protocol,
+    relaxed_sites, AtomicFile, ATOMIC_PROTOCOL_CRATES,
 };
 pub use effects::{
     effect_string, infer_effects, parse_committed_effects, parse_design_effects, EffectFile,
@@ -617,62 +616,89 @@ pub fn unwrap_sites(tokens: &[Token]) -> Vec<u32> {
     out
 }
 
-/// Parse `allowlist.txt`: `<count> <path>` lines, `#` comments.
-pub fn parse_allowlist(text: &str) -> Result<BTreeMap<String, usize>, String> {
-    let mut map = BTreeMap::new();
+// ---------------------------------------------------------------------------
+// The budget: one exact-count ratchet for every per-file allowance
+// ---------------------------------------------------------------------------
+
+/// Rules whose tolerated sites are budgeted per file in
+/// `crates/lint/budget.txt`: unwrap/expect sites (R3), swallowed errors
+/// (R9), `Ordering::Relaxed` arguments (R11), and findings excused by a
+/// reasoned `// LINT: allow(..)` (R7, R12, R13).
+pub const BUDGET_RULES: [&str; 6] = ["R3", "R7", "R9", "R11", "R12", "R13"];
+
+/// A budgeted rule's sites, or its committed allowances, per
+/// `(rule, workspace-relative path)`.
+pub type PerFile<T> = BTreeMap<(&'static str, String), T>;
+
+/// Parse `budget.txt`: `<count> <rule> <path>` rows, `#` comments.
+pub fn parse_budget(text: &str) -> Result<PerFile<usize>, String> {
+    let mut rows = BTreeMap::new();
     for (n, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let mut fields = line.split_whitespace();
-        let (Some(count), Some(path)) = (fields.next(), fields.next()) else {
-            return Err(format!("allowlist line {}: expected `<count> <path>`", n + 1));
+        let (Some(count), Some(rule), Some(path)) = (fields.next(), fields.next(), fields.next())
+        else {
+            return Err(format!("budget.txt line {}: expected `<count> <rule> <path>`", n + 1));
         };
         let count: usize =
-            count.parse().map_err(|_| format!("allowlist line {}: bad count {count:?}", n + 1))?;
-        if map.insert(path.to_string(), count).is_some() {
-            return Err(format!("allowlist line {}: duplicate entry for {path}", n + 1));
+            count.parse().map_err(|_| format!("budget.txt line {}: bad count {count:?}", n + 1))?;
+        let Some(rule) = BUDGET_RULES.iter().find(|r| **r == rule) else {
+            return Err(format!("budget.txt line {}: {rule} is not a budgeted rule", n + 1));
+        };
+        if rows.insert((*rule, path.to_string()), count).is_some() {
+            return Err(format!("budget.txt line {}: duplicate row for {rule} {path}", n + 1));
         }
     }
-    Ok(map)
+    Ok(rows)
 }
 
-/// R3 verdict for one file: actual sites vs. the allowlisted count.
-/// More than allowed is a violation; *fewer* is also an error — the
-/// ratchet must be tightened so the count can only go down.
-pub fn check_unwrap_ratchet(path: &str, sites: &[u32], allowed: usize) -> Vec<Finding> {
-    if sites.len() == allowed {
-        return Vec::new();
-    }
-    if sites.len() < allowed {
-        return vec![finding(
-            path,
-            0,
-            "R3",
-            format!(
-                "{} unwrap()/expect() sites but allowlist grants {allowed}: \
-                 tighten crates/lint/allowlist.txt (the count only goes down)",
-                sites.len()
-            ),
-        )];
-    }
-    sites
-        .iter()
-        .skip(allowed)
-        .map(|&line| {
-            finding(
+/// The one ratchet, exact in both directions so a budget only goes
+/// down: `sites` holds, per rule and checked file, a finding for each
+/// site the rule counts there. More sites than the row grants fail at
+/// the excess sites; fewer ask for the row to be tightened; a row
+/// naming none of the checked `files` is stale.
+pub fn check_budget(
+    budget: &PerFile<usize>,
+    sites: PerFile<Vec<Finding>>,
+    files: &BTreeSet<String>,
+) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for ((rule, path), &granted) in budget {
+        let found = sites.get(&(*rule, path.clone())).map_or(0, Vec::len);
+        if !files.contains(path) {
+            out.push(finding(
+                "crates/lint/budget.txt",
+                0,
+                rule,
+                format!("row `{granted} {rule} {path}` names no checked library file"),
+            ));
+        } else if found < granted {
+            out.push(finding(
                 path,
-                line,
-                "R3",
+                0,
+                rule,
                 format!(
-                    "unwrap()/expect() in non-test library code ({} sites, allowlist \
-                     grants {allowed}): propagate the error instead",
-                    sites.len()
+                    "{found} {rule} site(s) but budget.txt grants {granted}: tighten the row \
+                     to `{found} {rule} {path}` (the count only goes down)"
                 ),
-            )
-        })
-        .collect()
+            ));
+        }
+    }
+    for ((rule, path), mut found) in sites {
+        let granted = budget.get(&(rule, path)).copied().unwrap_or(0);
+        let total = found.len();
+        found.sort_by_key(|f| f.line);
+        out.extend(found.into_iter().skip(granted).map(|mut f| {
+            f.message.push_str(&format!(
+                " [{total} {rule} site(s) in this file, crates/lint/budget.txt grants {granted}]"
+            ));
+            f
+        }));
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -962,15 +988,35 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_ratchet_flags_excess_and_slack() {
-        let over = check_unwrap_ratchet("x.rs", &[3, 9], 1);
-        assert_eq!(over.len(), 1, "{over:?}");
-        assert_eq!(over[0].line, 9, "sites beyond the allowance are reported");
-        let slack = check_unwrap_ratchet("x.rs", &[3], 2);
-        assert_eq!(slack.len(), 1);
-        assert!(slack[0].message.contains("tighten"), "{slack:?}");
-        assert!(check_unwrap_ratchet("x.rs", &[3], 1).is_empty());
-        assert!(check_unwrap_ratchet("x.rs", &[], 0).is_empty());
+    fn budget_is_exact_in_both_directions_for_every_rule() {
+        let files: BTreeSet<String> = ["x.rs", "y.rs"].map(String::from).into();
+        for rule in BUDGET_RULES {
+            let at = |lines: &[u32]| -> PerFile<Vec<Finding>> {
+                let found = lines.iter().map(|&l| finding("x.rs", l, rule, "site".into()));
+                BTreeMap::from([((rule, "x.rs".to_string()), found.collect())])
+            };
+            let grants =
+                |n: usize, path: &str| parse_budget(&format!("{n} {rule} {path}\n")).unwrap();
+            // Exact: nothing to say, with or without a row.
+            assert!(check_budget(&grants(2, "x.rs"), at(&[9, 3]), &files).is_empty());
+            assert!(check_budget(&grants(0, "x.rs"), at(&[]), &files).is_empty());
+            // Over: the sites beyond the allowance, in line order.
+            let over = check_budget(&grants(1, "x.rs"), at(&[9, 3]), &files);
+            assert_eq!(over.len(), 1, "{over:?}");
+            assert_eq!((over[0].line, over[0].rule), (9, rule));
+            assert!(over[0].message.contains("grants 1"), "{over:?}");
+            assert_eq!(check_budget(&BTreeMap::new(), at(&[3]), &files).len(), 1);
+            // Under: tighten, including a row whose file has no sites left.
+            for sites in [at(&[3]), BTreeMap::new()] {
+                let slack = check_budget(&grants(2, "x.rs"), sites, &files);
+                assert_eq!(slack.len(), 1, "{slack:?}");
+                assert!(slack[0].message.contains("tighten"), "{slack:?}");
+            }
+            // A row naming no checked file is stale.
+            let stale = check_budget(&grants(1, "gone.rs"), BTreeMap::new(), &files);
+            assert_eq!(stale.len(), 1, "{stale:?}");
+            assert!(stale[0].message.contains("names no checked library file"), "{stale:?}");
+        }
     }
 
     #[test]
@@ -1015,11 +1061,14 @@ mod tests {
     }
 
     #[test]
-    fn allowlist_parses_and_rejects_duplicates() {
-        let map = parse_allowlist("# comment\n2 crates/a/src/lib.rs\n0 src/lib.rs\n").unwrap();
-        assert_eq!(map.get("crates/a/src/lib.rs"), Some(&2));
-        assert!(parse_allowlist("1 a.rs\n2 a.rs\n").is_err());
-        assert!(parse_allowlist("x a.rs\n").is_err());
+    fn budget_parses_and_rejects_bad_rows() {
+        let rows = parse_budget("# comment\n2 R3 crates/a/src/lib.rs\n0 R11 src/lib.rs\n").unwrap();
+        assert_eq!(rows.get(&("R3", "crates/a/src/lib.rs".to_string())), Some(&2));
+        assert!(parse_budget("1 R3 a.rs\n2 R3 a.rs\n").is_err(), "duplicate row");
+        assert!(parse_budget("1 R3 a.rs\n1 R9 a.rs\n").is_ok(), "one row per rule and file");
+        assert!(parse_budget("x R3 a.rs\n").is_err(), "bad count");
+        assert!(parse_budget("1 R1 a.rs\n").is_err(), "R1 has no budget");
+        assert!(parse_budget("1 a.rs\n").is_err(), "missing rule");
     }
 
     #[test]

@@ -37,23 +37,23 @@
 //!   findings on drift) and the durability sources sync two-way against
 //!   DESIGN.md's ```effects``` table.
 //!
-//! Ratchet files (exact counts, both directions, so budgets only go
-//! down): `allowlist.txt` (R3), `swallow_allowlist.txt` (R9),
-//! `allows.txt` (counted `// LINT: allow(R7|R12|R13, reason)` sites),
-//! `relaxed_allows.txt` (R11 `Ordering::Relaxed` sites per file).
+//! One ratchet file, `crates/lint/budget.txt` (exact counts, both
+//! directions, so budgets only go down): per rule and file, the
+//! tolerated unwrap/expect sites (R3), swallowed errors (R9),
+//! `Ordering::Relaxed` arguments (R11) and findings excused by a
+//! `// LINT: allow(R7|R12|R13, reason)`.
 
 use pglo_lint::ast::{build_trees, parse_items, Items, Tree};
 use pglo_lint::{
-    atomic_field_decls, atomic_op_sites, check_atomics_protocol, check_guard_flow,
+    atomic_field_decls, atomic_op_sites, check_atomics_protocol, check_budget, check_guard_flow,
     check_manually_drop_types, check_metric_names, check_proto_sync, check_rank_table,
-    check_relaxed_budget, check_std_sync, check_unranked_locks, check_unsafe, check_unwrap_ratchet,
-    collect_allows, infer_effects, metric_name_sites, panic_report, parse_allowlist,
-    parse_atomics_protocol, parse_code_ranks, parse_committed, parse_committed_effects,
-    parse_design_effects, parse_design_ranks, relaxed_sites, test_mask, tokenize, unwrap_sites,
-    Allow, AtomicFile, EffectFile, Finding, ReachFile, TokKind, Token, WorkspaceIndex,
-    ATOMIC_PROTOCOL_CRATES,
+    check_std_sync, check_unranked_locks, check_unsafe, collect_allows, infer_effects,
+    metric_name_sites, panic_report, parse_atomics_protocol, parse_budget, parse_code_ranks,
+    parse_committed, parse_committed_effects, parse_design_effects, parse_design_ranks,
+    relaxed_sites, test_mask, tokenize, unwrap_sites, Allow, AtomicFile, EffectFile, Finding,
+    PerFile, ReachFile, TokKind, Token, WorkspaceIndex, ATOMIC_PROTOCOL_CRATES,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -142,14 +142,14 @@ struct Rec {
 fn run(root: &Path, opts: &Opts) -> Result<(usize, usize), String> {
     let mut findings: Vec<Finding> = Vec::new();
 
-    // --- ratchet files ----------------------------------------------------
-    let allowlist = read_ratchet(root, "crates/lint/allowlist.txt")?;
-    let swallow = read_ratchet(root, "crates/lint/swallow_allowlist.txt")?;
-    let rule_allows = read_rule_allows(root, "crates/lint/allows.txt")?;
-    let mut allowlisted_seen: Vec<String> = Vec::new();
-    let mut swallow_seen: Vec<String> = Vec::new();
-    // (rule, path) -> number of findings excused by a LINT: allow there.
-    let mut allow_counts: BTreeMap<(String, String), usize> = BTreeMap::new();
+    // --- the budget -------------------------------------------------------
+    let budget = parse_budget(&read_rel(root, "crates/lint/budget.txt")?)?;
+    // Per budgeted rule and file, a finding for every site the rule
+    // counts there: unwrap sites, swallowed errors, relaxed orderings,
+    // and findings a LINT: allow excused. `check_budget` settles them
+    // against the committed rows once every pass has run.
+    let mut budgeted: PerFile<Vec<Finding>> = BTreeMap::new();
+    let mut lib_files: BTreeSet<String> = BTreeSet::new();
     // Every allow directive seen in a checked file, with whether any
     // finding used it (stale allows are themselves findings; R12/R13
     // consume theirs after the effects pass below).
@@ -216,13 +216,18 @@ fn run(root: &Path, opts: &Opts) -> Result<(usize, usize), String> {
         if rec.scope != Scope::Lib {
             continue;
         }
+        lib_files.insert(rel.to_string());
         findings.extend(check_unranked_locks(rel, &rec.tokens));
-        let sites = unwrap_sites(&rec.tokens);
-        let allowed = allowlist.get(rel).copied().unwrap_or(0);
-        if allowed > 0 {
-            allowlisted_seen.push(rel.to_string());
+        for line in unwrap_sites(&rec.tokens) {
+            budgeted.entry(("R3", rel.to_string())).or_default().push(Finding {
+                path: PathBuf::from(rel),
+                line,
+                rule: "R3",
+                message: "unwrap()/expect() in non-test library code: propagate the error \
+                          instead"
+                    .to_string(),
+            });
         }
-        findings.extend(check_unwrap_ratchet(rel, &sites, allowed));
         // R6: format per site, uniqueness across the workspace.
         let metric_sites = metric_name_sites(&rec.tokens);
         findings.extend(check_metric_names(rel, &metric_sites));
@@ -252,7 +257,7 @@ fn run(root: &Path, opts: &Opts) -> Result<(usize, usize), String> {
             continue;
         }
         let r9 = R9_CRATES.contains(&rec.crate_name.as_str());
-        let mut flow = check_guard_flow(rel, &rec.crate_name, items, &index, r9);
+        let flow = check_guard_flow(rel, &rec.crate_name, items, &index, r9);
 
         // Apply `// LINT: allow(R7, reason)` directives: same line or the
         // line below (comment-above style). An allow with no reason is
@@ -269,7 +274,7 @@ fn run(root: &Path, opts: &Opts) -> Result<(usize, usize), String> {
                     rule: "R7",
                     message: format!(
                         "LINT: allow({}) is not a recognized escape hatch: only R7, R12, \
-                         and R13 take per-site allows (R9 uses swallow_allowlist.txt)",
+                         and R13 take per-site allows (R9 is budgeted per file in budget.txt)",
                         a.rule
                     ),
                 });
@@ -288,84 +293,28 @@ fn run(root: &Path, opts: &Opts) -> Result<(usize, usize), String> {
                 used[k] = true;
             }
         }
-        flow.retain(|f| {
-            if f.rule != "R7" {
-                return true;
+        // An R7 finding under a reasoned allow, and every R9 finding,
+        // goes to the budget; the rest stand.
+        for f in flow {
+            let excused = f.rule == "R7"
+                && allows.iter().enumerate().any(|(k, a)| {
+                    let hit = a.rule == "R7"
+                        && !a.reason.is_empty()
+                        && (a.line == f.line || a.line + 1 == f.line);
+                    used[k] |= hit;
+                    hit
+                });
+            if excused || f.rule == "R9" {
+                budgeted.entry((f.rule, rel.to_string())).or_default().push(f);
+            } else {
+                findings.push(f);
             }
-            let hit = allows.iter().enumerate().find(|(_, a)| {
-                a.rule == "R7" && !a.reason.is_empty() && (a.line == f.line || a.line + 1 == f.line)
-            });
-            match hit {
-                Some((k, _)) => {
-                    used[k] = true;
-                    *allow_counts.entry(("R7".to_string(), rel.to_string())).or_insert(0) += 1;
-                    false
-                }
-                None => true,
-            }
-        });
+        }
         for (k, a) in allows.into_iter().enumerate() {
             all_allows.push((rel.to_string(), a, used[k]));
         }
-
-        // R9 exact-count ratchet (same semantics as R3).
-        let mut r9_findings: Vec<Finding> = Vec::new();
-        flow.retain(|f| {
-            if f.rule == "R9" {
-                r9_findings.push(Finding {
-                    path: f.path.clone(),
-                    line: f.line,
-                    rule: f.rule,
-                    message: f.message.clone(),
-                });
-                false
-            } else {
-                true
-            }
-        });
-        r9_findings.sort_by_key(|f| f.line);
-        let allowed = swallow.get(rel).copied().unwrap_or(0);
-        if allowed > 0 {
-            swallow_seen.push(rel.to_string());
-        }
-        match r9_findings.len().cmp(&allowed) {
-            std::cmp::Ordering::Equal => {}
-            std::cmp::Ordering::Less => findings.push(Finding {
-                path: PathBuf::from(rel),
-                line: 0,
-                rule: "R9",
-                message: format!(
-                    "{} error-swallow sites but swallow_allowlist.txt grants {allowed}: \
-                     tighten it (the count only goes down)",
-                    r9_findings.len()
-                ),
-            }),
-            std::cmp::Ordering::Greater => {
-                findings.extend(r9_findings.into_iter().skip(allowed));
-            }
-        }
-        findings.extend(flow);
     }
 
-    // Stale ratchet entries would let counts silently grow back.
-    for (path, count) in &allowlist {
-        if *count > 0 && !allowlisted_seen.iter().any(|s| s == path) {
-            findings.push(ratchet_finding(
-                "crates/lint/allowlist.txt",
-                "R3",
-                format!("allowlist entry for {path} matches no checked library file"),
-            ));
-        }
-    }
-    for (path, count) in &swallow {
-        if *count > 0 && !swallow_seen.iter().any(|s| s == path) {
-            findings.push(ratchet_finding(
-                "crates/lint/swallow_allowlist.txt",
-                "R9",
-                format!("swallow_allowlist entry for {path} matches no checked library file"),
-            ));
-        }
-    }
     // R8 structural: the pool's RAII pin type must actually implement
     // Drop — without it every pin is a leak and R8's forget ban is moot.
     let pinned_has_drop = recs.iter().filter(|r| r.crate_name == "buffer").any(|r| {
@@ -414,24 +363,19 @@ fn run(root: &Path, opts: &Opts) -> Result<(usize, usize), String> {
             findings.extend(check_atomics_protocol(&rows, &atomic_files));
         }
     }
-    let relaxed_allows = read_ratchet(root, "crates/lint/relaxed_allows.txt")?;
-    let mut relaxed_seen: Vec<&str> = Vec::new();
     for rec in &recs {
         if rec.scope != Scope::Lib || rec.crate_name == "lint" {
             continue;
         }
-        relaxed_seen.push(rec.rel.as_str());
-        let sites = relaxed_sites(&rec.tokens);
-        let allowed = relaxed_allows.get(rec.rel.as_str()).copied().unwrap_or(0);
-        findings.extend(check_relaxed_budget(&rec.rel, &sites, allowed));
-    }
-    for path in relaxed_allows.keys() {
-        if !relaxed_seen.contains(&path.as_str()) {
-            findings.push(ratchet_finding(
-                "crates/lint/relaxed_allows.txt",
-                "R11",
-                format!("relaxed_allows.txt entry for {path} names no library file"),
-            ));
+        for line in relaxed_sites(&rec.tokens) {
+            budgeted.entry(("R11", rec.rel.clone())).or_default().push(Finding {
+                path: PathBuf::from(&rec.rel),
+                line,
+                rule: "R11",
+                message: "Ordering::Relaxed outside the budget: use a stronger ordering, or \
+                          raise the committed count in the same commit with a reason in review"
+                    .to_string(),
+            });
         }
     }
 
@@ -531,9 +475,9 @@ fn run(root: &Path, opts: &Opts) -> Result<(usize, usize), String> {
                 && (a.line == f.line || a.line + 1 == f.line)
         });
         match hit {
-            Some((_, a, used)) => {
+            Some((_, _, used)) => {
                 *used = true;
-                *allow_counts.entry((a.rule.clone(), rel)).or_insert(0) += 1;
+                budgeted.entry((f.rule, rel)).or_default().push(f);
             }
             None => findings.push(f),
         }
@@ -613,29 +557,7 @@ fn run(root: &Path, opts: &Opts) -> Result<(usize, usize), String> {
             });
         }
     }
-    // allows.txt must record the excused count per (rule, file), exactly.
-    for ((rule, path), counted) in &allow_counts {
-        let recorded = rule_allows.get(&(rule.clone(), path.clone())).copied().unwrap_or(0);
-        if recorded != *counted {
-            findings.push(ratchet_finding(
-                "crates/lint/allows.txt",
-                allow_rule(rule),
-                format!(
-                    "{path} has {counted} allowed {rule} site(s) but allows.txt records \
-                     {recorded}: update the line to `{counted} {rule} {path}`"
-                ),
-            ));
-        }
-    }
-    for ((rule, path), count) in &rule_allows {
-        if *count > 0 && !allow_counts.contains_key(&(rule.clone(), path.clone())) {
-            findings.push(ratchet_finding(
-                "crates/lint/allows.txt",
-                allow_rule(rule),
-                format!("allows.txt entry `{count} {rule} {path}` matches no allowed site"),
-            ));
-        }
-    }
+    findings.extend(check_budget(&budget, budgeted, &lib_files));
 
     // --- output ------------------------------------------------------------
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
@@ -653,49 +575,6 @@ fn run(root: &Path, opts: &Opts) -> Result<(usize, usize), String> {
 fn read_rel(root: &Path, rel: &str) -> Result<String, String> {
     let p = root.join(rel);
     std::fs::read_to_string(&p).map_err(|e| format!("read {}: {e}", p.display()))
-}
-
-/// `<count> <path>` ratchet file (R3 allowlist, R9 swallow allowlist).
-/// A missing swallow file is an empty budget, not an error — but the
-/// R3 allowlist must exist (it predates this driver).
-fn read_ratchet(root: &Path, rel: &str) -> Result<BTreeMap<String, usize>, String> {
-    match std::fs::read_to_string(root.join(rel)) {
-        Ok(text) => parse_allowlist(&text).map_err(|e| format!("{rel}: {e}")),
-        Err(e)
-            if rel.ends_with("swallow_allowlist.txt")
-                && e.kind() == std::io::ErrorKind::NotFound =>
-        {
-            Ok(BTreeMap::new())
-        }
-        Err(e) => Err(format!("read {rel}: {e}")),
-    }
-}
-
-/// `<count> <rule> <path>` — the counted `LINT: allow` ratchet.
-fn read_rule_allows(root: &Path, rel: &str) -> Result<BTreeMap<(String, String), usize>, String> {
-    let text = match std::fs::read_to_string(root.join(rel)) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
-        Err(e) => return Err(format!("read {rel}: {e}")),
-    };
-    let mut map = BTreeMap::new();
-    for (n, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut fields = line.split_whitespace();
-        let (Some(count), Some(rule), Some(path)) = (fields.next(), fields.next(), fields.next())
-        else {
-            return Err(format!("{rel} line {}: expected `<count> <rule> <path>`", n + 1));
-        };
-        let count: usize =
-            count.parse().map_err(|_| format!("{rel} line {}: bad count {count:?}", n + 1))?;
-        if map.insert((rule.to_string(), path.to_string()), count).is_some() {
-            return Err(format!("{rel} line {}: duplicate entry for {rule} {path}", n + 1));
-        }
-    }
-    Ok(map)
 }
 
 fn ratchet_finding(path: &str, rule: &'static str, message: String) -> Finding {

@@ -44,6 +44,42 @@ fn loopback_full_lifecycle() {
     assert_eq!(service.session_count(), 0);
 }
 
+/// A stopped lobd gives everything back: once the last session has
+/// closed and the service is dropped, nothing still holds the storage
+/// environment (every wire op opens and closes a large-object handle,
+/// each of which holds one), so its pool, log and background threads
+/// are gone and the directory can be opened again in the same process.
+#[test]
+fn dropped_service_releases_its_environment() {
+    let dir = tempfile::tempdir().unwrap();
+    let service = LobdService::open(dir.path()).unwrap();
+    let env = Arc::downgrade(service.env());
+    let mut lb = loopback::connect(&service).unwrap();
+    let c = &mut lb.client;
+    c.begin().unwrap();
+    let id = c.lo_create(&WireSpec::fchunk()).unwrap();
+    let mut lo = c.lo(id, true, 0).unwrap();
+    lo.write(b"outlives the service").unwrap();
+    assert_eq!(lo.read_at(9, 3).unwrap(), b"the");
+    lo.close().unwrap();
+    c.commit().unwrap();
+    drop(lb.client);
+    lb.server.join().unwrap();
+    drop(service);
+    assert!(env.upgrade().is_none(), "a closed handle or session still holds the environment");
+
+    let service = LobdService::open(dir.path()).unwrap();
+    let mut lb = loopback::connect(&service).unwrap();
+    let c = &mut lb.client;
+    c.begin().unwrap();
+    let mut lo = c.lo(id, false, 0).unwrap();
+    assert_eq!(lo.read_at(0, 64).unwrap(), b"outlives the service");
+    lo.close().unwrap();
+    c.commit().unwrap();
+    drop(lb.client);
+    lb.server.join().unwrap();
+}
+
 #[test]
 fn loopback_errors_match_tcp_semantics() {
     let (_dir, service) = service();
