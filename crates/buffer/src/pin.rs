@@ -1,0 +1,246 @@
+//! Pinning: the zero-lock hit path, the locked lookup and miss load, `new_page`.
+
+use super::*;
+
+impl BufferPool {
+    /// The zero-lock hit path: probe the shard's slot array for a frame
+    /// whose published key matches, pin it with one
+    /// CAS-increment-if-valid, then re-check the published key now that
+    /// the pin has frozen it. Returns the pinned frame index, or `None`
+    /// for anything that needs the authoritative locked path (absent
+    /// key, probe bound hit, frame mid-install or just retired, CAS
+    /// contention, revalidation failure).
+    fn try_pin_fast(&self, shard: &Shard, key: &PageKey) -> Option<usize> {
+        let mut retries = 0u32;
+        let found = shard
+            .slots
+            .probe(Self::slot_start(Self::key_hash(key), shard.slots.mask()), |idx| {
+                // Advisory pre-filter on the published key; the read may
+                // be stale or torn, which either sends us onward down the
+                // probe chain (missed match → locked path finds it) or
+                // into a pin attempt the post-pin re-check rejects.
+                if idx >= self.frames.len() || !self.frames[idx].published_matches(key) {
+                    return None;
+                }
+                let frame = &self.frames[idx];
+                let (pinned, cas_retries) = frame.sync.try_pin_valid();
+                retries += cas_retries;
+                if pinned {
+                    // The pin held `VALID` up, so the published key is
+                    // frozen: this re-read decides for real.
+                    if frame.published_matches(key) {
+                        return Some(Some(idx));
+                    }
+                    // Re-keyed between filter and pin.
+                    frame.sync.unpin();
+                    retries += 1;
+                } else {
+                    // Mid-install, failed load, or being retired — the
+                    // locked path sorts it out.
+                    retries += 1;
+                }
+                // A probed match ends the walk either way.
+                Some(None)
+            })
+            .flatten();
+        if retries > 0 {
+            obs::counter!("pool.pin.retries").add(retries as u64);
+        }
+        found
+    }
+
+    /// Lock-free residency probe (no pin taken): whether some valid
+    /// frame currently publishes `key`. Purely advisory — read-ahead
+    /// uses it to skip resident blocks without touching the shard lock;
+    /// a stale answer costs one redundant device read or one locked
+    /// confirmation, never correctness.
+    pub(super) fn resident_fast(&self, shard: &Shard, key: &PageKey) -> bool {
+        shard
+            .slots
+            .probe(Self::slot_start(Self::key_hash(key), shard.slots.mask()), |idx| {
+                (idx < self.frames.len()
+                    && self.frames[idx].published_matches(key)
+                    && self.frames[idx].sync.is_valid())
+                .then_some(())
+            })
+            .is_some()
+    }
+
+    /// Pin `key`'s page into the pool, loading it from its storage manager
+    /// on a miss. The page stays resident until the returned handle drops.
+    pub fn pin(&self, key: PageKey) -> Result<PinnedPage<'_>> {
+        self.pin_with_hint(key, AccessHint::Random)
+    }
+
+    /// [`Self::pin`] with an access-pattern hint. A [`AccessHint::Sequential`]
+    /// pin that continues an ascending run triggers window read-ahead.
+    pub fn pin_with_hint(&self, key: PageKey, hint: AccessHint) -> Result<PinnedPage<'_>> {
+        let shard = self.shard_of(&key);
+        // The common case — a resident, installed page — takes zero
+        // locks: probe the shard's slot array, CAS the frame's pin word,
+        // revalidate the published key. Everything else (miss, frame
+        // mid-install, contention, probe overflow) goes through the
+        // shard-table mutex.
+        let idx = match self.try_pin_fast(shard, &key) {
+            Some(idx) => {
+                obs::counter!("pool.pin.fast").add(1);
+                self.note_hit(shard, idx, true);
+                idx
+            }
+            None => {
+                obs::counter!("pool.pin.slow").add(1);
+                self.pin_locked(shard, key)?
+            }
+        };
+        if hint == AccessHint::Sequential {
+            self.run_readahead(key);
+        }
+        Ok(PinnedPage { pool: self, idx })
+    }
+
+    /// What a hit owes once its pin has landed on the right page: the
+    /// reference bit and the prefetch-hit and hit counts (`count` is
+    /// false when this pin call already counted as a miss).
+    fn note_hit(&self, shard: &Shard, idx: usize, count: bool) {
+        let frame = &self.frames[idx];
+        frame.used.store(true, Ordering::Relaxed);
+        if frame.prefetched.swap(false, Ordering::Relaxed) {
+            self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        if count {
+            shard.hits.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Pin `key` through the shard-table mutex, loading the page on a
+    /// miss; returns the pinned frame.
+    fn pin_locked(&self, shard: &Shard, key: PageKey) -> Result<usize> {
+        // Each pin call is accounted exactly once (one hit or one miss),
+        // however many times the claim/validate loop goes around —
+        // `hits + misses == pins` is a tested invariant.
+        let mut counted = false;
+        loop {
+            // Locked lookup: resident but not fast-pinnable (load in
+            // flight, revalidation failure, slot probe gave up).
+            {
+                let table = shard.table.lock();
+                if let Some(&idx) = table.map.get(&key) {
+                    let frame = &self.frames[idx];
+                    frame.sync.pin_unconditional();
+                    drop(table);
+                    // A mapping can briefly point at a frame whose load is
+                    // in flight or failed. `VALID` vouches for the common
+                    // case on one atomic load; otherwise latch the frame
+                    // (waiting out any in-flight load) and check its key,
+                    // retrying rather than return another page's bytes.
+                    if !frame.sync.is_valid() && frame.data.read().key != Some(key) {
+                        frame.sync.unpin();
+                        continue;
+                    }
+                    self.note_hit(shard, idx, !counted);
+                    return Ok(idx);
+                }
+            }
+            if !counted {
+                shard.misses.fetch_add(1, Ordering::Relaxed);
+                counted = true;
+            }
+            // Miss: claim a clean victim, transfer the mapping, then load
+            // *outside* the shard lock (the frame's write lock blocks
+            // concurrent readers of the new key until the load is done,
+            // and other shard traffic proceeds meanwhile).
+            let Some((idx, mut data)) = self.claim_frame(shard, key)? else {
+                // Another thread mapped `key` while we were claiming.
+                continue;
+            };
+            let frame = &self.frames[idx];
+            let load_span = obs::span!("pool.miss.load");
+            let loaded = self.switch.get(key.smgr).and_then(|smgr| {
+                let wall = std::time::Instant::now();
+                let sim0 = smgr.clock_ns();
+                // LINT: allow(R7, the frame write lock must block readers of the new key until the page load lands; only shard traffic proceeds during the I/O)
+                let read = smgr.read(key.rel, key.block, &mut data.page);
+                if read.is_ok() {
+                    let ns =
+                        wall.elapsed().as_nanos() as u64 + smgr.clock_ns().saturating_sub(sim0);
+                    self.observe_read_latency(ns);
+                }
+                read
+            });
+            drop(load_span);
+            if let Err(e) = loaded {
+                // Undo without inverting the shard-table → frame lock
+                // order: drop the frame guard first, then re-validate
+                // under the shard lock before removing the mapping — a
+                // racing `new_page` of this very block may have
+                // legitimately re-owned both frame and mapping meanwhile
+                // (its write guard makes the `try_read` fail, or its key
+                // store makes the emptiness check fail; either way we
+                // leave its mapping alone). The frame stays pinned until
+                // the undo is finished, so it cannot be re-claimed.
+                data.key = None;
+                drop(data);
+                let mut table = shard.table.lock();
+                if table.map.get(&key) == Some(&idx)
+                    && frame.data.try_read().is_some_and(|d| d.key.is_none())
+                {
+                    table.map.remove(&key);
+                    self.slot_remove(shard, &mut table, &key, idx);
+                }
+                drop(table);
+                frame.sync.unpin();
+                return Err(e.into());
+            }
+            self.install(idx, &mut data, key, false);
+            return Ok(idx);
+        }
+    }
+
+    /// Allocate a brand-new block at the end of `rel`, initialized by
+    /// `init`, returning its block number and a pinned handle. Allocation
+    /// is delayed: the storage manager only grows the relation; the page
+    /// image is written once, when the (dirty) frame is later flushed.
+    pub fn new_page(
+        &self,
+        smgr: SmgrId,
+        rel: RelFileId,
+        init: impl FnOnce(&mut PageBuf),
+    ) -> Result<(u32, PinnedPage<'_>)> {
+        let mgr = self.switch.get(smgr)?;
+        let mut page = pglo_pages::alloc_page();
+        init(&mut page);
+        let block = mgr.allocate(rel)?;
+        let key = PageKey::new(smgr, rel, block);
+        // Install directly into a frame (avoids an immediate re-read).
+        let shard = self.shard_of(&key);
+        loop {
+            let (idx, mut data) = match self.claim_frame(shard, key)? {
+                Some(claimed) => claimed,
+                None => {
+                    // `key` is already mapped: a sequential read-ahead
+                    // racing past the just-grown EOF can install the fresh
+                    // block's device image before we get here. Re-own that
+                    // frame and overwrite it with the authoritative image.
+                    let table = shard.table.lock();
+                    let Some(&idx) = table.map.get(&key) else { continue };
+                    let frame = &self.frames[idx];
+                    frame.sync.pin_unconditional();
+                    frame.used.store(true, Ordering::Relaxed);
+                    frame.prefetched.store(false, Ordering::Relaxed);
+                    // The frame may be validly pinned by racing readers of
+                    // this very key; the write latch serializes them, and
+                    // the overwrite installs the same key's image, so
+                    // `VALID` need not drop — lock-free pins taken meanwhile
+                    // simply wait on the latch and wake to the init bytes.
+                    let data = frame.data.write();
+                    drop(table);
+                    frame.publish_key(&key);
+                    (idx, data)
+                }
+            };
+            data.page.copy_from_slice(&page[..]);
+            self.install(idx, &mut data, key, true);
+            return Ok((block, PinnedPage { pool: self, idx }));
+        }
+    }
+}
