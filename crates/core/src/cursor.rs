@@ -200,9 +200,11 @@ mod tests {
             let held = Arc::strong_count(&env);
             let mut buf = [0u8; 64];
             for i in 0..1000u64 {
-                // (Every tenth: v-segment keeps each overwrite as a segment.)
-                let fill = if i % 10 == 0 { i as u8 } else { 0xEE };
+                // Every tenth op writes: v-segment keeps each overwrite as
+                // a segment, so a thousand of them would dominate the test.
+                let mut fill = 0xEE;
                 if i % 10 == 0 {
+                    fill = i as u8;
                     cur.write_at(&store, Some(&txn), i * 64, &[fill; 64]).unwrap();
                 }
                 assert_eq!(cur.read_at(&store, Some(&txn), i * 64, &mut buf).unwrap(), 64);

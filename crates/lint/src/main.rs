@@ -218,15 +218,17 @@ fn run(root: &Path, opts: &Opts) -> Result<(usize, usize), String> {
         }
         lib_files.insert(rel.to_string());
         findings.extend(check_unranked_locks(rel, &rec.tokens));
-        for line in unwrap_sites(&rec.tokens) {
-            budgeted.entry(("R3", rel.to_string())).or_default().push(Finding {
-                path: PathBuf::from(rel),
-                line,
-                rule: "R3",
-                message: "unwrap()/expect() in non-test library code: propagate the error \
-                          instead"
-                    .to_string(),
-            });
+        let unwraps = unwrap_sites(&rec.tokens);
+        if !unwraps.is_empty() {
+            budgeted.insert(
+                ("R3", rel.to_string()),
+                sites_as_findings(
+                    rel,
+                    "R3",
+                    &unwraps,
+                    "unwrap()/expect() in non-test library code: propagate the error instead",
+                ),
+            );
         }
         // R6: format per site, uniqueness across the workspace.
         let metric_sites = metric_name_sites(&rec.tokens);
@@ -367,15 +369,18 @@ fn run(root: &Path, opts: &Opts) -> Result<(usize, usize), String> {
         if rec.scope != Scope::Lib || rec.crate_name == "lint" {
             continue;
         }
-        for line in relaxed_sites(&rec.tokens) {
-            budgeted.entry(("R11", rec.rel.clone())).or_default().push(Finding {
-                path: PathBuf::from(&rec.rel),
-                line,
-                rule: "R11",
-                message: "Ordering::Relaxed outside the budget: use a stronger ordering, or \
-                          raise the committed count in the same commit with a reason in review"
-                    .to_string(),
-            });
+        let relaxed = relaxed_sites(&rec.tokens);
+        if !relaxed.is_empty() {
+            budgeted.insert(
+                ("R11", rec.rel.clone()),
+                sites_as_findings(
+                    &rec.rel,
+                    "R11",
+                    &relaxed,
+                    "Ordering::Relaxed outside the budget: use a stronger ordering, or raise \
+                     the committed count in the same commit with a reason in review",
+                ),
+            );
         }
     }
 
@@ -575,6 +580,19 @@ fn run(root: &Path, opts: &Opts) -> Result<(usize, usize), String> {
 fn read_rel(root: &Path, rel: &str) -> Result<String, String> {
     let p = root.join(rel);
     std::fs::read_to_string(&p).map_err(|e| format!("read {}: {e}", p.display()))
+}
+
+/// One finding per budgeted site of `rule` in `path`, for `check_budget`.
+fn sites_as_findings(path: &str, rule: &'static str, lines: &[u32], message: &str) -> Vec<Finding> {
+    lines
+        .iter()
+        .map(|&line| Finding {
+            path: PathBuf::from(path),
+            line,
+            rule,
+            message: message.to_string(),
+        })
+        .collect()
 }
 
 fn ratchet_finding(path: &str, rule: &'static str, message: String) -> Finding {
