@@ -1,4 +1,4 @@
-//! A lightweight Rust AST for the analyzer rules (R7–R10, panic-reach):
+//! A lightweight Rust AST for the analyzer rules (R7–R13, panic-reach):
 //! balanced token trees, then an item parser recognizing functions (with
 //! parameter lists, return types, and bodies), impl/trait/mod nesting,
 //! enums with discriminants, and consts. Deliberately approximate — it
@@ -6,7 +6,7 @@
 //! structure — but it must never mis-bracket, so trees are built from the
 //! real tokenizer (strings/comments can't confuse it).
 
-use crate::{test_mask, tokenize, TokKind, Token};
+use crate::source::{TokKind, Token};
 
 /// A token tree: a plain token or a balanced delimiter group.
 #[derive(Debug, Clone)]
@@ -71,9 +71,9 @@ fn close_of(open: char) -> char {
     }
 }
 
-/// Build balanced trees from tokens. Comments must already be filtered
-/// out by the caller. A stray close delimiter is kept as a plain token
-/// (never fails), so rules keep working on odd macro bodies.
+/// Build balanced trees from tokens. A stray close delimiter is kept as
+/// a plain token (never fails), so rules keep working on odd macro
+/// bodies.
 pub fn build_trees(tokens: &[Token]) -> Vec<Tree> {
     // Stack of (delim, line, children); bottom entry is the output.
     let mut stack: Vec<(char, u32, Vec<Tree>)> = vec![(' ', 0, Vec::new())];
@@ -106,20 +106,6 @@ pub fn build_trees(tokens: &[Token]) -> Vec<Tree> {
         }
     }
     stack.pop().map(|(_, _, t)| t).unwrap_or_default()
-}
-
-/// Convenience: tokenize `src`, drop comments and `#[cfg(test)]`/`#[test]`
-/// regions, and build trees — the standard front half of every rule.
-pub fn parse_trees(src: &str) -> Vec<Tree> {
-    let tokens = tokenize(src);
-    let mask = test_mask(&tokens);
-    let kept: Vec<Token> = tokens
-        .into_iter()
-        .zip(mask)
-        .filter(|(t, masked)| !masked && t.kind != TokKind::Comment)
-        .map(|(t, _)| t)
-        .collect();
-    build_trees(&kept)
 }
 
 /// One parsed function.
@@ -381,33 +367,28 @@ fn parse_fn(
     )
 }
 
-/// `(has_self, non-self arity)` from a parameter list's trees.
+/// `(has_self, non-self arity)` from a parameter list's trees. `self`
+/// only counts before the first `,`.
 fn param_shape(params: &[Tree]) -> (bool, usize) {
-    let has_self = params.iter().take(4).any(|t| t.is_ident("self"));
-    if params.is_empty() {
-        return (false, 0);
-    }
-    // `self` only counts when it appears before the first `,` and is not
-    // a `name: self::..` type path (which can't happen in params anyway).
     let first_comma = params.iter().position(|t| t.is_punct(','));
     let head = &params[..first_comma.unwrap_or(params.len())];
-    let has_self = has_self && head.iter().any(|t| t.is_ident("self"));
-    let commas = params.iter().filter(|t| t.is_punct(',')).count();
-    // Trailing comma tolerance.
-    let trailing = params.last().is_some_and(|t| t.is_punct(','));
-    let groups = commas + 1 - usize::from(trailing);
-    let arity = groups - usize::from(has_self);
-    (has_self, arity)
+    let has_self = head.iter().any(|t| t.is_ident("self"));
+    (has_self, comma_groups(params) - usize::from(has_self))
 }
 
-/// Count the arguments of a call group: top-level comma groups.
-pub fn call_arity(args: &Group) -> usize {
-    if args.trees.is_empty() {
+/// Top-level comma-separated groups in a list, trailing comma tolerated.
+fn comma_groups(trees: &[Tree]) -> usize {
+    if trees.is_empty() {
         return 0;
     }
-    let commas = args.trees.iter().filter(|t| t.is_punct(',')).count();
-    let trailing = args.trees.last().is_some_and(|t| t.is_punct(','));
+    let commas = trees.iter().filter(|t| t.is_punct(',')).count();
+    let trailing = trees.last().is_some_and(|t| t.is_punct(','));
     commas + 1 - usize::from(trailing)
+}
+
+/// Count the arguments of a call group.
+pub fn call_arity(args: &Group) -> usize {
+    comma_groups(&args.trees)
 }
 
 fn parse_impl_header(
@@ -554,10 +535,16 @@ fn radix_prefix(s: &str, radix: u32) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::{tokenize, SourceFile};
+
+    /// Items of `src` as a library file's: test regions dropped.
+    fn items_of(src: &str) -> Items {
+        SourceFile::new("x.rs", "x", src).items
+    }
 
     #[test]
     fn trees_balance_and_tolerate_strays() {
-        let trees = parse_trees("fn f(a: u32) { g(a, [1, 2]); }");
+        let trees = build_trees(&tokenize("fn f(a: u32) { g(a, [1, 2]); }"));
         assert_eq!(trees.len(), 4); // `fn` `f` `(..)` `{..}`
         let trees = build_trees(&tokenize(") } fn f() {}"));
         assert!(!trees.is_empty());
@@ -565,11 +552,11 @@ mod tests {
 
     #[test]
     fn fn_shapes_parse() {
-        let items = parse_items(&parse_trees(
+        let items = items_of(
             "impl Pool { pub fn pin(&self, key: PageKey) -> Result<PinnedPage<'_>> { body() } }\n\
              fn free(a: u32, b: u32) {}\n\
              trait T { fn decl(&self, x: u8); }",
-        ));
+        );
         assert_eq!(items.fns.len(), 3);
         let pin = &items.fns[0];
         assert_eq!(pin.name, "pin");
@@ -587,9 +574,7 @@ mod tests {
 
     #[test]
     fn enum_discriminants_parse() {
-        let items = parse_items(&parse_trees(
-            "pub enum Opcode { Ping = 0x01, Begin = 0x02, Odd(u8), Plain }",
-        ));
+        let items = items_of("pub enum Opcode { Ping = 0x01, Begin = 0x02, Odd(u8), Plain }");
         let e = &items.enums[0];
         assert_eq!(e.name, "Opcode");
         assert_eq!(e.variants.len(), 4);
@@ -600,10 +585,10 @@ mod tests {
 
     #[test]
     fn impl_for_and_consts_parse() {
-        let items = parse_items(&parse_trees(
+        let items = items_of(
             "impl Drop for PinnedPage<'_> { fn drop(&mut self) {} }\n\
              impl Opcode { pub const ALL: [Opcode; 2] = [Opcode::A, Opcode::B]; }",
-        ));
+        );
         assert_eq!(items.trait_impls.len(), 1);
         assert_eq!(items.trait_impls[0].trait_name, "Drop");
         assert_eq!(items.trait_impls[0].type_name, "PinnedPage");
@@ -615,9 +600,7 @@ mod tests {
 
     #[test]
     fn test_regions_are_dropped() {
-        let items = parse_items(&parse_trees(
-            "fn lib() {}\n#[cfg(test)]\nmod tests { fn t() { x.unwrap(); } }",
-        ));
+        let items = items_of("fn lib() {}\n#[cfg(test)]\nmod tests { fn t() { x.unwrap(); } }");
         assert_eq!(items.fns.len(), 1);
         assert_eq!(items.fns[0].name, "lib");
     }

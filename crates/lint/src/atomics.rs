@@ -33,8 +33,10 @@
 //! e.g. `flag.load(..)` on a cloned `Arc<AtomicBool>`) is not checked —
 //! keep protocol accesses on named fields.
 
-use crate::{finding, test_mask, Finding, TokKind, Token};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::source::{SourceFile, TokKind, Token};
+use crate::tables::{fenced_rows, DESIGN};
+use crate::{finding, Finding};
+use std::collections::BTreeMap;
 
 /// Crates whose atomics must be covered by the DESIGN.md table.
 pub const ATOMIC_PROTOCOL_CRATES: [&str; 3] = ["buffer", "wal", "txn"];
@@ -146,86 +148,57 @@ pub fn ordering_satisfies(actual: &str, required: &str) -> bool {
 
 /// Parse the ```` ```atomics-protocol ```` fenced block out of DESIGN.md.
 pub fn parse_atomics_protocol(md: &str) -> Result<Vec<AtomicRow>, String> {
-    let mut rows = Vec::new();
-    let mut in_block = false;
-    let mut seen_block = false;
-    for (n, line) in md.lines().enumerate() {
-        let trimmed = line.trim();
-        if !in_block {
-            if trimmed == "```atomics-protocol" {
-                in_block = true;
-                seen_block = true;
-            }
-            continue;
-        }
-        if trimmed == "```" {
-            in_block = false;
-            continue;
-        }
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let err = |msg: String| format!("DESIGN.md line {}: {msg}", n + 1);
-        // Cut the trailing `— note` (em dash) before splitting fields.
-        let spec = trimmed.split('—').next().unwrap_or(trimmed).trim();
-        let mut fields = spec.split_whitespace();
-        let (Some(key), Some(role)) = (fields.next(), fields.next()) else {
-            return Err(err(
-                "expected `<crate>.<field> <role> load=.. store=.. rmw=.. — note`".to_string()
-            ));
-        };
-        let Some((krate, field)) = key.split_once('.') else {
-            return Err(err(format!("key {key:?} must be `<crate>.<field>`")));
-        };
-        if !ATOMIC_PROTOCOL_CRATES.contains(&krate) {
-            return Err(err(format!(
-                "crate {krate:?} is not covered by R11 (known: {ATOMIC_PROTOCOL_CRATES:?})"
-            )));
-        }
-        if field.is_empty() {
-            return Err(err(format!("key {key:?} has an empty field name")));
-        }
-        let mut row = AtomicRow {
-            key: key.to_string(),
-            role: role.to_string(),
-            load: None,
-            store: None,
-            rmw: None,
-        };
-        let mut seen_cols = BTreeSet::new();
-        for col in fields {
-            let Some((name, val)) = col.split_once('=') else {
-                return Err(err(format!("expected `load=..`/`store=..`/`rmw=..`, got {col:?}")));
-            };
-            if !seen_cols.insert(name.to_string()) {
-                return Err(err(format!("duplicate column {name:?}")));
-            }
-            let parsed = match val {
-                "-" => None,
-                ord if strength(ord).is_some() => Some(ord.to_string()),
-                other => return Err(err(format!("bad ordering {other:?} in {col:?}"))),
-            };
-            match name {
-                "load" => row.load = parsed,
-                "store" => row.store = parsed,
-                "rmw" => row.rmw = parsed,
-                other => return Err(err(format!("unknown column {other:?}"))),
-            }
-        }
-        for col in ["load", "store", "rmw"] {
-            if !seen_cols.contains(col) {
-                return Err(err(format!("row {key:?} is missing the `{col}=` column")));
-            }
-        }
-        rows.push(row);
+    fenced_rows(md, "atomics-protocol")?.into_iter().map(parse_row).collect()
+}
+
+fn parse_row((n, line): (u32, &str)) -> Result<AtomicRow, String> {
+    let err = |msg: String| format!("{DESIGN} line {n}: {msg}");
+    // Cut the trailing `— note` (em dash) before splitting fields.
+    let spec = line.split('—').next().unwrap_or(line);
+    let mut fields = spec.split_whitespace();
+    let (Some(key), Some(role)) = (fields.next(), fields.next()) else {
+        return Err(err(
+            "expected `<crate>.<field> <role> load=.. store=.. rmw=.. — note`".to_string()
+        ));
+    };
+    let Some((krate, field)) = key.split_once('.') else {
+        return Err(err(format!("key {key:?} must be `<crate>.<field>`")));
+    };
+    if !ATOMIC_PROTOCOL_CRATES.contains(&krate) {
+        return Err(err(format!(
+            "crate {krate:?} is not covered by R11 (known: {ATOMIC_PROTOCOL_CRATES:?})"
+        )));
     }
-    if !seen_block {
-        return Err("DESIGN.md has no ```atomics-protocol fenced block".to_string());
+    if field.is_empty() {
+        return Err(err(format!("key {key:?} has an empty field name")));
     }
-    if in_block {
-        return Err("DESIGN.md atomics-protocol block is unterminated".to_string());
+    let mut cols: BTreeMap<&str, Option<String>> = BTreeMap::new();
+    for col in fields {
+        let Some((name, val)) = col.split_once('=') else {
+            return Err(err(format!("expected `load=..`/`store=..`/`rmw=..`, got {col:?}")));
+        };
+        let parsed = match val {
+            "-" => None,
+            ord if strength(ord).is_some() => Some(ord.to_string()),
+            other => return Err(err(format!("bad ordering {other:?} in {col:?}"))),
+        };
+        if !["load", "store", "rmw"].contains(&name) {
+            return Err(err(format!("unknown column {name:?}")));
+        }
+        if cols.insert(name, parsed).is_some() {
+            return Err(err(format!("duplicate column {name:?}")));
+        }
     }
-    Ok(rows)
+    let mut take = |col: &str| {
+        cols.remove(col).ok_or_else(|| err(format!("row {key:?} is missing the `{col}=` column")))
+    };
+    Ok(AtomicRow {
+        key: key.to_string(),
+        role: role.to_string(),
+        load: take("load")?,
+        store: take("store")?,
+        rmw: take("rmw")?,
+    })
 }
 
 /// Atomic-typed field declarations in non-test regions: `name:` followed
@@ -234,20 +207,18 @@ pub fn parse_atomics_protocol(md: &str) -> Result<Vec<AtomicRow>, String> {
 /// `Arc<AtomicBool>` alike. Struct-literal initializers
 /// (`used: AtomicU8::new(0)`) don't match: there the atomic type name
 /// is a path prefix (followed by `::`), never the final type segment.
-pub fn atomic_field_decls(tokens: &[Token]) -> Vec<AtomicDecl> {
-    let mask = test_mask(tokens);
-    let sig: Vec<(usize, &Token)> =
-        tokens.iter().enumerate().filter(|(_, t)| t.kind != TokKind::Comment).collect();
+pub fn atomic_field_decls(file: &SourceFile) -> Vec<AtomicDecl> {
+    let sig = &file.lib_tokens;
     let mut out = Vec::new();
     let mut i = 0usize;
     while i + 2 < sig.len() {
-        let (i0, name) = sig[i];
+        let name = &sig[i];
         // `name :` not followed by another `:` (which would be a path).
         let is_decl = name.kind == TokKind::Ident
-            && sig[i + 1].1.is_punct(':')
-            && !sig[i + 2].1.is_punct(':')
-            && !sig.get(i.wrapping_sub(1)).is_some_and(|(_, t)| t.is_punct(':'));
-        if !is_decl || mask[i0] {
+            && sig[i + 1].is_punct(':')
+            && !sig[i + 2].is_punct(':')
+            && !sig.get(i.wrapping_sub(1)).is_some_and(|t| t.is_punct(':'));
+        if !is_decl {
             i += 1;
             continue;
         }
@@ -256,7 +227,7 @@ pub fn atomic_field_decls(tokens: &[Token]) -> Vec<AtomicDecl> {
         let mut depth = 0i32;
         let mut found = false;
         while j < sig.len() {
-            let t = sig[j].1;
+            let t = &sig[j];
             if t.is_punct('<') || t.is_punct('(') || t.is_punct('[') {
                 depth += 1;
             } else if t.is_punct('>') || t.is_punct(')') || t.is_punct(']') {
@@ -271,7 +242,7 @@ pub fn atomic_field_decls(tokens: &[Token]) -> Vec<AtomicDecl> {
                 break;
             } else if t.kind == TokKind::Ident
                 && ATOMIC_TYPES.contains(&t.text.as_str())
-                && !sig.get(j + 1).is_some_and(|(_, n)| n.is_punct(':'))
+                && !sig.get(j + 1).is_some_and(|n| n.is_punct(':'))
             {
                 // Followed by `::` means `AtomicU64::new(..)` — a value
                 // expression, not a type position.
@@ -292,32 +263,26 @@ pub fn atomic_field_decls(tokens: &[Token]) -> Vec<AtomicDecl> {
 
 /// Atomic operation sites in non-test regions, with receivers resolved
 /// lexically (see module docs).
-pub fn atomic_op_sites(tokens: &[Token]) -> Vec<AtomicOp> {
-    let mask = test_mask(tokens);
-    let sig: Vec<(usize, &Token)> =
-        tokens.iter().enumerate().filter(|(_, t)| t.kind != TokKind::Comment).collect();
+pub fn atomic_op_sites(file: &SourceFile) -> Vec<AtomicOp> {
+    let sig = &file.lib_tokens;
     let mut out = Vec::new();
-    for i in 0..sig.len() {
-        let (i0, m) = sig[i];
-        if m.kind != TokKind::Ident || mask[i0] {
-            continue;
-        }
-        let Some((_, kinds)) = OPS.iter().find(|(name, _)| m.is_ident(name)) else { continue };
+    for (i, m) in sig.iter().enumerate() {
         // `<recv> . method (` shape.
-        if !(i >= 2
-            && sig[i - 1].1.is_punct('.')
-            && sig.get(i + 1).is_some_and(|t| t.1.is_punct('(')))
+        if !(OPS.iter().any(|(name, _)| m.is_ident(name))
+            && i >= 2
+            && sig[i - 1].is_punct('.')
+            && sig.get(i + 1).is_some_and(|t| t.is_punct('(')))
         {
             continue;
         }
-        let Some(field) = receiver_ident(&sig, i - 2) else { continue };
+        let Some(field) = receiver_ident(sig, i - 2) else { continue };
         // Collect `Ordering::X` (or a bare ordering ident) inside the
         // call's parentheses.
         let mut depth = 0i32;
         let mut j = i + 1;
         let mut orderings = Vec::new();
         while j < sig.len() {
-            let t = sig[j].1;
+            let t = &sig[j];
             if t.is_punct('(') {
                 depth += 1;
             } else if t.is_punct(')') {
@@ -338,7 +303,6 @@ pub fn atomic_op_sites(tokens: &[Token]) -> Vec<AtomicOp> {
         if orderings.is_empty() {
             continue;
         }
-        let _ = kinds;
         out.push(AtomicOp { field, method: m.text.clone(), line: m.line, orderings });
     }
     out
@@ -348,8 +312,8 @@ pub fn atomic_op_sites(tokens: &[Token]) -> Vec<AtomicOp> {
 /// itself; a closing `]`/`)` walks back over one balanced group to the
 /// ident before it (`self.slots[i]` → `slots`, `link_of(cursor).next` is
 /// handled by the ident case since `next` precedes the `.`).
-fn receiver_ident(sig: &[(usize, &Token)], at: usize) -> Option<String> {
-    let t = sig.get(at)?.1;
+fn receiver_ident(sig: &[Token], at: usize) -> Option<String> {
+    let t = sig.get(at)?;
     if t.kind == TokKind::Ident {
         return Some(t.text.clone());
     }
@@ -364,7 +328,7 @@ fn receiver_ident(sig: &[(usize, &Token)], at: usize) -> Option<String> {
     let mut depth = 0i32;
     let mut k = at;
     loop {
-        let t = sig.get(k)?.1;
+        let t = sig.get(k)?;
         if t.is_punct(close) {
             depth += 1;
         } else if t.is_punct(open) {
@@ -375,21 +339,17 @@ fn receiver_ident(sig: &[(usize, &Token)], at: usize) -> Option<String> {
         }
         k = k.checked_sub(1)?;
     }
-    let prev = sig.get(k.checked_sub(1)?)?.1;
-    if prev.kind == TokKind::Ident {
-        Some(prev.text.clone())
-    } else {
-        None
-    }
+    let prev = sig.get(k.checked_sub(1)?)?;
+    (prev.kind == TokKind::Ident).then(|| prev.text.clone())
 }
 
 /// Count of `Ordering::Relaxed` (or imported bare `Relaxed` ordering
 /// argument) tokens in non-test regions — the R11 relaxed budget.
-pub fn relaxed_sites(tokens: &[Token]) -> Vec<u32> {
+pub fn relaxed_sites(file: &SourceFile) -> Vec<u32> {
     // Count via op sites so `Relaxed` in doc text or unrelated idents
     // can't trip the budget: every relaxed *ordering argument* is what
     // the budget meters.
-    atomic_op_sites(tokens)
+    atomic_op_sites(file)
         .iter()
         .flat_map(|op| op.orderings.iter().map(move |o| (o, op.line)))
         .filter(|(o, _)| o.as_str() == "Relaxed")
@@ -397,140 +357,100 @@ pub fn relaxed_sites(tokens: &[Token]) -> Vec<u32> {
         .collect()
 }
 
-/// Everything R11 needs from one library file.
-pub struct AtomicFile<'a> {
-    pub rel: &'a str,
-    pub krate: &'a str,
-    pub decls: Vec<AtomicDecl>,
-    pub ops: Vec<AtomicOp>,
-}
-
-/// R11: check every op against the table and sync the table against the
-/// declared fields, two-way.
-pub fn check_atomics_protocol(rows: &[AtomicRow], files: &[AtomicFile<'_>]) -> Vec<Finding> {
+/// R11: check every op in the protocol crates' library `files` against
+/// the table and sync the table against the declared fields, two-way.
+pub fn check_atomics_protocol(rows: &[AtomicRow], files: &[&SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
+    let mut report =
+        |path: &str, line: u32, msg: String| findings.push(finding(path, line, "R11", msg));
     let mut by_key: BTreeMap<&str, &AtomicRow> = BTreeMap::new();
     for row in rows {
         if by_key.insert(row.key.as_str(), row).is_some() {
-            findings.push(finding(
-                "DESIGN.md",
-                0,
-                "R11",
-                format!("atomics-protocol table lists {:?} twice", row.key),
-            ));
+            report(DESIGN, 0, format!("atomics-protocol table lists {:?} twice", row.key));
         }
     }
     // Declared fields per key, for the two-way sync.
-    let mut declared: BTreeMap<String, (String, u32)> = BTreeMap::new();
+    let mut declared: BTreeMap<String, (&str, u32)> = BTreeMap::new();
     for f in files {
-        for d in &f.decls {
+        let decls = atomic_field_decls(f);
+        for d in &decls {
             let key = format!("{}.{}", f.krate, d.field);
             if let Some((prev_rel, prev_line)) = declared.get(&key) {
                 // Two structs in one crate sharing a field name must share
                 // one protocol row; flag it so the ambiguity is explicit.
-                findings.push(finding(
-                    f.rel,
-                    d.line,
-                    "R11",
-                    format!(
-                        "atomic field {key:?} also declared at {prev_rel}:{prev_line}: \
-                         R11 keys fields by `<crate>.<name>`, so rename one or keep \
-                         their protocols identical"
-                    ),
-                ));
+                let msg = format!(
+                    "atomic field {key:?} also declared at {prev_rel}:{prev_line}: R11 keys \
+                     fields by `<crate>.<name>`, so rename one or keep their protocols identical"
+                );
+                report(&f.rel, d.line, msg);
             } else {
-                declared.insert(key.clone(), (f.rel.to_string(), d.line));
+                declared.insert(key.clone(), (&f.rel, d.line));
             }
             if !by_key.contains_key(key.as_str()) {
-                findings.push(finding(
-                    f.rel,
-                    d.line,
-                    "R11",
-                    format!(
-                        "atomic field {key:?} is not in the DESIGN.md atomics-protocol \
-                         table: add a row naming its role and required orderings"
-                    ),
-                ));
+                let msg = format!(
+                    "atomic field {key:?} is not in the DESIGN.md atomics-protocol table: add \
+                     a row naming its role and required orderings"
+                );
+                report(&f.rel, d.line, msg);
             }
         }
-    }
-    for row in rows {
-        if !declared.contains_key(&row.key) {
-            findings.push(finding(
-                "DESIGN.md",
-                0,
-                "R11",
-                format!(
-                    "atomics-protocol row {:?} names no atomic field in the code: \
-                     delete the row or fix the name",
-                    row.key
-                ),
-            ));
-        }
-    }
-    // Ordering checks.
-    for f in files {
-        let fields: BTreeSet<&str> = f.decls.iter().map(|d| d.field.as_str()).collect();
-        for op in &f.ops {
-            if !fields.contains(op.field.as_str()) {
-                continue; // local atomic or alias: not a protocol field
-            }
+        // Ordering checks. An op on a local atomic or alias is not a
+        // protocol access; a field missing from the table is already
+        // reported above.
+        for op in atomic_op_sites(f) {
             let key = format!("{}.{}", f.krate, op.field);
-            let Some(row) = by_key.get(key.as_str()) else {
-                continue; // already reported as missing from the table
+            let (Some(row), true) =
+                (by_key.get(key.as_str()), decls.iter().any(|d| d.field == op.field))
+            else {
+                continue;
             };
-            let kinds: &[OpKind] = match OPS.iter().find(|(name, _)| *name == op.method) {
-                Some((_, kinds)) => kinds,
-                None => continue,
+            let Some((_, kinds)) = OPS.iter().find(|(name, _)| *name == op.method) else {
+                continue;
             };
+            let site = format!("{key}.{}", op.method);
             if op.orderings.len() != kinds.len() {
-                findings.push(finding(
-                    f.rel,
-                    op.line,
-                    "R11",
-                    format!(
-                        "{key}.{}: expected {} ordering argument(s), found {} — \
-                         R11 cannot verify this site",
-                        op.method,
-                        kinds.len(),
-                        op.orderings.len()
-                    ),
-                ));
+                let msg = format!(
+                    "{site}: expected {} ordering argument(s), found {} — R11 cannot verify \
+                     this site",
+                    kinds.len(),
+                    op.orderings.len()
+                );
+                report(&f.rel, op.line, msg);
                 continue;
             }
-            for (ord, kind) in op.orderings.iter().zip(kinds) {
+            for (ord, kind) in op.orderings.iter().zip(*kinds) {
+                let column = kind.column();
                 match row.requirement(*kind) {
-                    None => findings.push(finding(
-                        f.rel,
+                    None => report(
+                        &f.rel,
                         op.line,
-                        "R11",
                         format!(
-                            "{key}.{}: the atomics-protocol table says this field has \
-                             no `{}` operations (column is `-`): update the protocol \
-                             row or remove the access",
-                            op.method,
-                            kind.column(),
+                            "{site}: the atomics-protocol table says this field has no \
+                             `{column}` operations (column is `-`): update the protocol row or \
+                             remove the access"
                         ),
-                    )),
-                    Some(required) => {
-                        if !ordering_satisfies(ord, required) {
-                            findings.push(finding(
-                                f.rel,
-                                op.line,
-                                "R11",
-                                format!(
-                                    "{key}.{}: Ordering::{ord} is weaker than the \
-                                     protocol's required `{}={required}` — strengthen \
-                                     the access or revise the table with a proof",
-                                    op.method,
-                                    kind.column(),
-                                ),
-                            ));
-                        }
-                    }
+                    ),
+                    Some(required) if !ordering_satisfies(ord, required) => report(
+                        &f.rel,
+                        op.line,
+                        format!(
+                            "{site}: Ordering::{ord} is weaker than the protocol's required \
+                             `{column}={required}` — strengthen the access or revise the table \
+                             with a proof"
+                        ),
+                    ),
+                    Some(_) => {}
                 }
             }
         }
+    }
+    for row in rows.iter().filter(|row| !declared.contains_key(&row.key)) {
+        let msg = format!(
+            "atomics-protocol row {:?} names no atomic field in the code: delete the row or \
+             fix the name",
+            row.key
+        );
+        report(DESIGN, 0, msg);
     }
     findings
 }
@@ -538,7 +458,10 @@ pub fn check_atomics_protocol(rows: &[AtomicRow], files: &[AtomicFile<'_>]) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenize;
+
+    fn file(rel: &str, krate: &str, src: &str) -> SourceFile {
+        SourceFile::new(rel, krate, src)
+    }
 
     const TABLE: &str = "\
 intro text
@@ -592,7 +515,7 @@ wal.flushed    watermark      load=Acquire store=Release rmw=- — durable LSN
     fn decls_found_including_wrapped() {
         let src = "struct S { a: AtomicU64, b: Vec<AtomicUsize>, c: Arc<AtomicBool>, d: u64 }\n\
                    #[cfg(test)] mod t { struct T { e: AtomicU64 } }";
-        let decls = atomic_field_decls(&tokenize(src));
+        let decls = atomic_field_decls(&file("x.rs", "x", src));
         let names: Vec<&str> = decls.iter().map(|d| d.field.as_str()).collect();
         assert_eq!(names, vec!["a", "b", "c"], "test-gated and plain fields excluded");
     }
@@ -603,7 +526,7 @@ wal.flushed    watermark      load=Acquire store=Release rmw=- — durable LSN
             let x = AtomicU64::new(0);\n\
             S { a: AtomicU64::new(0), b: Vec::new(), c: Arc::new(AtomicBool::new(false)) }\n\
         }";
-        assert!(atomic_field_decls(&tokenize(src)).is_empty());
+        assert!(atomic_field_decls(&file("x.rs", "x", src)).is_empty());
     }
 
     #[test]
@@ -614,7 +537,7 @@ wal.flushed    watermark      load=Acquire store=Release rmw=- — durable LSN
             self.head.compare_exchange_weak(a, b, Ordering::AcqRel, Ordering::Acquire);\n\
             rows.swap(0, 1);\n\
         }";
-        let ops = atomic_op_sites(&tokenize(src));
+        let ops = atomic_op_sites(&file("x.rs", "x", src));
         assert_eq!(ops.len(), 3, "{ops:?} — Vec::swap has no ordering args");
         assert_eq!((ops[0].field.as_str(), ops[0].orderings.len()), ("state", 1));
         assert_eq!(ops[1].field.as_str(), "slots");
@@ -631,14 +554,8 @@ wal.flushed    watermark      load=Acquire store=Release rmw=- — durable LSN
                      fn bad(&self) { self.state.load(Ordering::Relaxed); }\n\
                      fn worse(&self) { self.state.store(0, Ordering::Release); }\n\
                    }";
-        let toks = tokenize(src);
-        let files = [AtomicFile {
-            rel: "crates/buffer/src/protocol.rs",
-            krate: "buffer",
-            decls: atomic_field_decls(&toks),
-            ops: atomic_op_sites(&toks),
-        }];
-        let findings = check_atomics_protocol(&rows, &files);
+        let file = file("crates/buffer/src/protocol.rs", "buffer", src);
+        let findings = check_atomics_protocol(&rows, &[&file]);
         let msgs: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
         // weaker-than-required load; store on a `store=-` field; the
         // wal.flushed row matches no declared field.
@@ -655,14 +572,8 @@ wal.flushed    watermark      load=Acquire store=Release rmw=- — durable LSN
     fn undeclared_field_is_reported() {
         let rows = parse_atomics_protocol(TABLE).unwrap();
         let src = "struct W { flushed: AtomicU64, waiters: AtomicU64 }";
-        let toks = tokenize(src);
-        let files = [AtomicFile {
-            rel: "crates/wal/src/group.rs",
-            krate: "wal",
-            decls: atomic_field_decls(&toks),
-            ops: vec![],
-        }];
-        let findings = check_atomics_protocol(&rows, &files);
+        let file = file("crates/wal/src/group.rs", "wal", src);
+        let findings = check_atomics_protocol(&rows, &[&file]);
         assert!(
             findings.iter().any(|f| f.message.contains("\"wal.waiters\" is not in")),
             "{findings:?}"
@@ -672,13 +583,13 @@ wal.flushed    watermark      load=Acquire store=Release rmw=- — durable LSN
     #[test]
     fn relaxed_sites_are_counted_per_argument() {
         let src = "fn f(&self) { self.hits.fetch_add(1, Ordering::Relaxed); }";
-        assert_eq!(relaxed_sites(&tokenize(src)).len(), 1);
+        assert_eq!(relaxed_sites(&file("x.rs", "x", src)).len(), 1);
     }
 
     #[test]
     fn relaxed_in_comments_or_tests_not_counted() {
         let src = "// Ordering::Relaxed in prose\n\
                    #[cfg(test)] mod t { fn f() { x.load(Ordering::Relaxed); } }";
-        assert!(relaxed_sites(&tokenize(src)).is_empty());
+        assert!(relaxed_sites(&file("x.rs", "x", src)).is_empty());
     }
 }

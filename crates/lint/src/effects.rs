@@ -15,8 +15,9 @@
 //!   `wal::flush_to/1`).
 //!
 //! Direct seeds come from syntactic sites (method/path calls) plus the
-//! designation table; the rest is a fixpoint over the same
-//! over-approximate `(name, arity)` call graph `panic_reach` walks.
+//! designation table; the rest is a fixpoint over the shared
+//! over-approximate `(name, arity)` call graph ([`crate::graph`]) that
+//! `panic_reach` also walks.
 //! Over-approximation is the right direction for both rules: it can
 //! claim an effect a function doesn't have (quieted with a reasoned
 //! `// LINT: allow(R12|R13, ...)`), never hide one it does.
@@ -49,10 +50,11 @@
 //!   rename durable). Unsatisfied renames bubble out of nested blocks
 //!   to the enclosing sequence.
 
-use crate::ast::{call_arity, FnItem, Items, Tree};
-use crate::Finding;
+use crate::ast::Tree;
+use crate::graph::{scan, split_stmts, CallGraph, CallSite, FnNode, Scan, GENERIC_NAMES};
+use crate::tables::{fenced_rows, Committed, DESIGN};
+use crate::{finding, Finding};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
 
 /// Effect bitmask.
 pub type Effect = u8;
@@ -142,45 +144,6 @@ const METHOD_SEEDS: [(&str, usize, Effect); 14] = [
 const BLOCKING_PATH_TYPES: [&str; 5] =
     ["File", "OpenOptions", "TcpStream", "TcpListener", "UnixStream"];
 
-/// Method names too generic to resolve through the call graph — the
-/// usual suspects plus iterator/Option/Result plumbing.
-const SKIP_NAMES: [&str; 34] = [
-    "len",
-    "is_empty",
-    "clear",
-    "get",
-    "insert",
-    "remove",
-    "push",
-    "pop",
-    "contains",
-    "contains_key",
-    "iter",
-    "next",
-    "clone",
-    "new",
-    "fmt",
-    "drop",
-    "take",
-    "into",
-    "from",
-    "map",
-    "and_then",
-    "or_else",
-    "unwrap_or",
-    "unwrap_or_else",
-    "unwrap_or_default",
-    "ok",
-    "err",
-    "as_ref",
-    "as_mut",
-    "to_string",
-    "to_vec",
-    "collect",
-    "extend_from_slice",
-    "eq",
-];
-
 /// `(name, arity)` method edges never resolved: the `std::io` trait
 /// shapes, where `(name, arity)` matching links every buffered reader
 /// to every storage engine.
@@ -195,172 +158,121 @@ const SKIP_METHOD_EDGES: [(&str, usize); 8] = [
     ("send", 1),
 ];
 
-/// One file's contribution: `(workspace-relative path, crate, items)`.
-pub type EffectFile<'a> = (&'a str, &'a str, &'a Items);
+/// The committed inferred table.
+pub const EFFECTS: Committed = Committed {
+    path: "crates/lint/effects.txt",
+    rule: "EF",
+    flag: "--write-effects",
+    header: "# Inferred effect table: every workspace fn with a non-empty effect set\n\
+             # (blocks / fsyncs / flushes_wal / wal_appends / writes_data_pages),\n\
+             # computed as a fixpoint over the (name, arity) call graph.\n\
+             # Regenerate with: cargo run -p pglo-lint --offline -- --write-effects\n\
+             # CI enforces this file matches the computed set exactly.\n",
+    grown: "effect set changed: review the new effect, then regenerate with --write-effects",
+};
 
-#[derive(Debug, Clone)]
-enum CallKind {
-    Method { name: String, arity: usize },
-    Path { qual: String, name: String, arity: usize },
-    Bare { name: String, arity: usize },
+/// The `(label, effect)` a call site seeds by itself, if any.
+fn seed_of(call: &CallSite) -> Option<(String, Effect)> {
+    let name = call.name();
+    if call.method {
+        let (_, _, e) = METHOD_SEEDS.iter().find(|(n, a, _)| *n == name && *a == call.arity)?;
+        return Some((format!(".{name}()"), *e));
+    }
+    let qual = call.qual()?;
+    if call.segments.iter().any(|s| s == "fs") {
+        Some((format!("fs::{name}"), EFFECT_BLOCKS))
+    } else if BLOCKING_PATH_TYPES.contains(&qual)
+        || (qual == "thread" && matches!(name, "sleep" | "park"))
+    {
+        Some((format!("{qual}::{name}"), EFFECT_BLOCKS))
+    } else {
+        None
+    }
 }
 
-#[derive(Debug, Clone)]
-struct CallSite {
-    kind: CallKind,
-    line: u32,
+/// Whether the engine follows a call site into the graph: path calls
+/// always; method and bare calls unless the name is generic; methods
+/// also not through `try_*` (a failed attempt returns, it never parks)
+/// or the `std::io` trait shapes.
+fn is_edge(call: &CallSite) -> bool {
+    let name = call.name();
+    let skipped_method = call.method
+        && (name.starts_with("try_") || SKIP_METHOD_EDGES.contains(&(name, call.arity)));
+    call.qual().is_some() || !(GENERIC_NAMES.contains(&name) || skipped_method)
 }
 
-struct FnNode<'a> {
-    path: &'a str,
-    crate_name: &'a str,
-    item: &'a FnItem,
-    /// `(line, label, effect)` — syntactic seeds in this body.
-    seeds: Vec<(u32, String, Effect)>,
-    /// Designated effects attached to this definition.
-    designated: Effect,
-    calls: Vec<CallSite>,
-}
-
-/// The inferred workspace: nodes, resolution maps, per-fn effects.
+/// The inferred workspace: per call-graph node, its seeds and effects.
 pub struct EffectsIndex<'a> {
-    nodes: Vec<FnNode<'a>>,
+    graph: &'a CallGraph<'a>,
+    /// `(line, label, effect)` — syntactic seeds in each body.
+    seeds: Vec<Vec<(u32, String, Effect)>>,
+    /// Designated effects attached to each definition.
+    designated: Vec<Effect>,
     effects: Vec<Effect>,
-    methods: BTreeMap<(String, usize), Vec<usize>>,
-    by_qual: BTreeMap<(String, String), Vec<usize>>,
-    free: BTreeMap<(String, usize), Vec<usize>>,
 }
 
-/// Build the call graph, seed it, and run the effect fixpoint.
-pub fn infer_effects<'a>(files: &[EffectFile<'a>]) -> EffectsIndex<'a> {
-    let mut nodes: Vec<FnNode<'a>> = Vec::new();
-    for (path, crate_name, items) in files {
-        for f in &items.fns {
-            let mut seeds = Vec::new();
-            let mut calls = Vec::new();
-            if let Some(body) = &f.body {
-                scan_effects(&body.trees, &mut seeds, &mut calls);
-            }
-            let designated = DESIGNATED
-                .iter()
-                .filter(|(c, n, a, _)| *c == *crate_name && *n == f.name && *a == f.arity)
-                .fold(0, |acc, (_, _, _, e)| acc | e);
-            nodes.push(FnNode { path, crate_name, item: f, seeds, designated, calls });
-        }
-    }
+/// Seed the call graph and run the effect fixpoint.
+pub fn infer_effects<'a>(graph: &'a CallGraph<'a>) -> EffectsIndex<'a> {
+    let seeds_in = |n: &FnNode<'_>| {
+        let seeded = |c: &CallSite| seed_of(c).map(|(label, e)| (c.line, label, e));
+        n.scan.calls.iter().filter_map(seeded).collect::<Vec<_>>()
+    };
+    let designated_of = |n: &FnNode<'_>| {
+        DESIGNATED
+            .iter()
+            .filter(|(c, f, a, _)| *c == n.file.krate && *f == n.item.name && *a == n.item.arity)
+            .fold(0, |acc, (_, _, _, e)| acc | e)
+    };
+    let seeds: Vec<Vec<_>> = graph.nodes.iter().map(seeds_in).collect();
+    let designated: Vec<Effect> = graph.nodes.iter().map(designated_of).collect();
+    let effects = designated.clone();
+    let mut idx = EffectsIndex { graph, seeds, designated, effects };
 
-    let mut methods: BTreeMap<(String, usize), Vec<usize>> = BTreeMap::new();
-    let mut by_qual: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
-    let mut free: BTreeMap<(String, usize), Vec<usize>> = BTreeMap::new();
-    for (id, n) in nodes.iter().enumerate() {
-        if n.item.has_self {
-            methods.entry((n.item.name.clone(), n.item.arity)).or_default().push(id);
-        }
-        if let Some(q) = &n.item.qual {
-            by_qual.entry((q.clone(), n.item.name.clone())).or_default().push(id);
-        } else {
-            free.entry((n.item.name.clone(), n.item.arity)).or_default().push(id);
-        }
-    }
-
-    let mut idx = EffectsIndex { nodes, effects: Vec::new(), methods, by_qual, free };
-    idx.effects = idx
-        .nodes
-        .iter()
-        .map(|n| n.seeds.iter().fold(n.designated, |acc, (_, _, e)| acc | e))
-        .collect();
-
-    // Fixpoint: union callee effects into callers until stable. The
-    // lattice is 5 bits, so this terminates in a handful of passes.
+    // Fixpoint: union seed and callee effects into callers until
+    // stable. The lattice is 5 bits, so this terminates in a handful of
+    // passes.
     loop {
         let mut changed = false;
-        for id in 0..idx.nodes.len() {
-            let mut e = idx.effects[id];
-            for call in &idx.nodes[id].calls {
-                for target in idx.resolve(&call.kind) {
-                    e |= idx.effects[target];
-                }
-            }
-            if e != idx.effects[id] {
-                idx.effects[id] = e;
-                changed = true;
-            }
+        for (id, n) in graph.nodes.iter().enumerate() {
+            let e = idx.effects[id] | idx.scan_effect(&n.scan);
+            changed |= e != idx.effects[id];
+            idx.effects[id] = e;
         }
         if !changed {
-            break;
+            return idx;
         }
     }
-    idx
 }
 
 impl<'a> EffectsIndex<'a> {
-    /// Resolve one call site to candidate workspace definitions,
-    /// applying the skip lists.
-    fn resolve(&self, kind: &CallKind) -> Vec<usize> {
-        match kind {
-            CallKind::Method { name, arity } => {
-                if SKIP_NAMES.contains(&name.as_str())
-                    || SKIP_METHOD_EDGES.contains(&(name.as_str(), *arity))
-                {
-                    return Vec::new();
-                }
-                self.methods.get(&(name.clone(), *arity)).cloned().unwrap_or_default()
-            }
-            CallKind::Path { qual, name, arity } => {
-                let ids =
-                    self.by_qual.get(&(qual.clone(), name.clone())).cloned().unwrap_or_default();
-                let exact: Vec<usize> =
-                    ids.iter().copied().filter(|&i| self.nodes[i].item.arity == *arity).collect();
-                if !exact.is_empty() {
-                    return exact;
-                }
-                if !ids.is_empty() {
-                    return ids;
-                }
-                // Module-qualified free fn (`proto::decode_frame`):
-                // the qual is a module, not an impl type.
-                if qual.chars().next().is_some_and(|c| c.is_lowercase()) {
-                    return self.free.get(&(name.clone(), *arity)).cloned().unwrap_or_default();
-                }
-                Vec::new()
-            }
-            CallKind::Bare { name, arity } => {
-                if SKIP_NAMES.contains(&name.as_str()) {
-                    return Vec::new();
-                }
-                self.free.get(&(name.clone(), *arity)).cloned().unwrap_or_default()
-            }
+    /// The workspace definitions a call site's effects flow in from.
+    fn targets(&self, call: &CallSite) -> Vec<usize> {
+        if is_edge(call) {
+            self.graph.resolve(call, true)
+        } else {
+            Vec::new()
         }
     }
 
-    /// Union of a call site's resolved effects (plus its own seed
-    /// value, if the site is itself a seed).
-    fn call_effect(&self, kind: &CallKind) -> Effect {
-        self.resolve(kind).into_iter().fold(0, |acc, t| acc | self.effects[t])
+    /// Union of the effects of every call site in `found`: its own
+    /// seed, and whatever its targets carry.
+    fn scan_effect(&self, found: &Scan) -> Effect {
+        found.calls.iter().fold(0, |acc, c| {
+            let seed = seed_of(c).map_or(0, |(_, e)| e);
+            self.targets(c).into_iter().fold(acc | seed, |acc, t| acc | self.effects[t])
+        })
     }
 
     /// The full inferred table: one line per fn with a non-empty effect
     /// set, sorted by (path, line). This is `crates/lint/effects.txt`.
     pub fn table(&self) -> Vec<String> {
-        let mut lines: Vec<(String, u32, String)> = Vec::new();
-        for (id, n) in self.nodes.iter().enumerate() {
-            if self.effects[id] == 0 {
-                continue;
+        let mut lines: Vec<(&str, u32, String)> = Vec::new();
+        for (n, &e) in self.graph.nodes.iter().zip(&self.effects) {
+            if e != 0 {
+                let (rel, at, arity) = (n.file.rel.as_str(), n.item.line, n.item.arity);
+                let row = format!("{rel}:{at} {}/{arity} = {}", n.qualified(), effect_string(e));
+                lines.push((rel, at, row));
             }
-            let qual = n.item.qual.as_deref().map(|q| format!("{q}::")).unwrap_or_default();
-            lines.push((
-                n.path.to_string(),
-                n.item.line,
-                format!(
-                    "{}:{} {}::{qual}{}/{} = {}",
-                    n.path,
-                    n.item.line,
-                    n.crate_name,
-                    n.item.name,
-                    n.item.arity,
-                    effect_string(self.effects[id])
-                ),
-            ));
         }
         lines.sort();
         lines.into_iter().map(|(_, _, l)| l).collect()
@@ -372,58 +284,50 @@ impl<'a> EffectsIndex<'a> {
     /// definitions. Sorted by key.
     pub fn design_rows(&self) -> Vec<(String, Effect)> {
         let mut rows: BTreeMap<String, Effect> = BTreeMap::new();
-        for (id, n) in self.nodes.iter().enumerate() {
-            let direct_fsync = n.seeds.iter().any(|(_, _, e)| e & EFFECT_FSYNC != 0);
-            if n.designated == 0 && !direct_fsync {
-                continue;
+        for (id, n) in self.graph.nodes.iter().enumerate() {
+            let direct_fsync = self.seeds[id].iter().any(|(_, _, e)| e & EFFECT_FSYNC != 0);
+            if self.designated[id] != 0 || direct_fsync {
+                let key = format!("{} {}/{}", n.file.krate, n.item.name, n.item.arity);
+                *rows.entry(key).or_insert(0) |= self.effects[id];
             }
-            let key = format!("{} {}/{}", n.crate_name, n.item.name, n.item.arity);
-            *rows.entry(key).or_insert(0) |= self.effects[id];
         }
         rows.into_iter().collect()
-    }
-
-    /// Union of inferred effects over every definition matching a
-    /// DESIGN.md row key, or `None` if nothing matches.
-    fn row_effect(&self, crate_name: &str, fn_name: &str, arity: usize) -> Option<Effect> {
-        let mut found = false;
-        let mut e = 0;
-        for (id, n) in self.nodes.iter().enumerate() {
-            if n.crate_name == crate_name && n.item.name == fn_name && n.item.arity == arity {
-                found = true;
-                e |= self.effects[id];
-            }
-        }
-        found.then_some(e)
     }
 
     /// Two-way sync against the parsed DESIGN.md rows.
     pub fn check_design_table(&self, rows: &[EffectRow]) -> Vec<Finding> {
         let mut findings = Vec::new();
+        let mut report = |message: String| findings.push(finding(DESIGN, 0, "R13", message));
         let mut covered: BTreeSet<String> = BTreeSet::new();
         for row in rows {
             let key = format!("{} {}/{}", row.crate_name, row.fn_name, row.arity);
-            covered.insert(key.clone());
-            match self.row_effect(&row.crate_name, &row.fn_name, row.arity) {
-                None => findings.push(design_finding(format!(
+            // Union over every definition matching the row key.
+            let defs = self.graph.nodes.iter().zip(&self.effects).filter(|(n, _)| {
+                n.file.krate == row.crate_name
+                    && n.item.name == row.fn_name
+                    && n.item.arity == row.arity
+            });
+            match defs.map(|(_, e)| *e).reduce(|a, b| a | b) {
+                None => report(format!(
                     "effects row `{key}` matches no workspace fn: delete the stale row"
-                ))),
-                Some(e) if e != row.effect => findings.push(design_finding(format!(
+                )),
+                Some(e) if e != row.effect => report(format!(
                     "effects row `{key}` says `{}` but inference says `{}`: update the table \
                      (or fix the code drift it caught)",
                     effect_string(row.effect),
                     effect_string(e)
-                ))),
+                )),
                 Some(_) => {}
             }
+            covered.insert(key);
         }
         for (key, e) in self.design_rows() {
             if !covered.contains(&key) {
-                findings.push(design_finding(format!(
+                report(format!(
                     "durability source `{key}` (inferred `{}`) is missing from DESIGN.md's \
                      ```effects``` table",
                     effect_string(e)
-                )));
+                ));
             }
         }
         findings
@@ -432,55 +336,41 @@ impl<'a> EffectsIndex<'a> {
     /// R12: reactor-thread code must not block.
     pub fn check_r12(&self) -> Vec<Finding> {
         let mut findings = Vec::new();
-        let mut seen: BTreeSet<(String, u32)> = BTreeSet::new();
-        for n in &self.nodes {
-            if !n.path.ends_with(REACTOR_FILE) || n.item.name == "executor_loop" {
+        let mut seen: BTreeSet<u32> = BTreeSet::new();
+        let in_reactor = |n: &FnNode<'_>| n.file.rel == REACTOR_FILE;
+        for (id, n) in self.graph.nodes.iter().enumerate() {
+            if !in_reactor(n) || n.item.name == "executor_loop" {
                 continue;
             }
+            let (rel, name) = (n.file.rel.as_str(), &n.item.name);
             // Direct blocking seeds in the reactor file itself.
-            for (line, label, e) in &n.seeds {
-                if e & EFFECT_BLOCKS != 0 && seen.insert((n.path.to_string(), *line)) {
-                    findings.push(Finding {
-                        path: PathBuf::from(n.path),
-                        line: *line,
-                        rule: "R12",
-                        message: format!(
-                            "blocking `{label}` on the reactor thread (in `{}`): use a try_ \
-                             variant, restructure, or ship the work to an executor job",
-                            n.item.name
-                        ),
-                    });
+            for (line, label, e) in &self.seeds[id] {
+                if e & EFFECT_BLOCKS != 0 && seen.insert(*line) {
+                    let msg = format!(
+                        "blocking `{label}` on the reactor thread (in `{name}`): use a try_ \
+                         variant, restructure, or ship the work to an executor job"
+                    );
+                    findings.push(finding(rel, *line, "R12", msg));
                 }
             }
             // Call edges leaving the reactor file into blocking code.
-            for call in &n.calls {
-                let mut blockers: Vec<usize> = self
-                    .resolve(&call.kind)
-                    .into_iter()
-                    .filter(|&t| {
-                        self.effects[t] & EFFECT_BLOCKS != 0
-                            && !self.nodes[t].path.ends_with(REACTOR_FILE)
-                    })
-                    .collect();
-                blockers.sort();
-                let Some(&target) = blockers.first() else { continue };
-                if !seen.insert((n.path.to_string(), call.line)) {
+            for call in &n.scan.calls {
+                let blocker = self.targets(call).into_iter().find(|&t| {
+                    self.effects[t] & EFFECT_BLOCKS != 0 && !in_reactor(&self.graph.nodes[t])
+                });
+                let Some(target) = blocker else { continue };
+                if !seen.insert(call.line) {
                     continue;
                 }
-                let t = &self.nodes[target];
-                findings.push(Finding {
-                    path: PathBuf::from(n.path),
-                    line: call.line,
-                    rule: "R12",
-                    message: format!(
-                        "`{}` calls `{}::{}` which may block ({}): reactor threads must not \
-                         block — ship the work to an executor job",
-                        n.item.name,
-                        t.crate_name,
-                        t.item.name,
-                        self.blocking_trace(target)
-                    ),
-                });
+                let t = &self.graph.nodes[target];
+                let msg = format!(
+                    "`{name}` calls `{}::{}` which may block ({}): reactor threads must not \
+                     block — ship the work to an executor job",
+                    t.file.krate,
+                    t.item.name,
+                    self.blocking_trace(target)
+                );
+                findings.push(finding(rel, call.line, "R12", msg));
             }
         }
         findings
@@ -489,24 +379,24 @@ impl<'a> EffectsIndex<'a> {
     /// A short example chain from `start` to a direct blocking seed,
     /// for R12 messages.
     fn blocking_trace(&self, start: usize) -> String {
-        let mut chain: Vec<String> = Vec::new();
+        let blocks = |t: usize| self.effects[t] & EFFECT_BLOCKS != 0;
+        let mut chain: Vec<&str> = Vec::new();
         let mut visited: BTreeSet<usize> = BTreeSet::new();
         let mut cur = start;
         for _ in 0..6 {
             if !visited.insert(cur) {
                 break;
             }
-            let n = &self.nodes[cur];
-            chain.push(n.item.name.clone());
-            if let Some((line, label, _)) = n.seeds.iter().find(|(_, _, e)| e & EFFECT_BLOCKS != 0)
+            let n = &self.graph.nodes[cur];
+            chain.push(&n.item.name);
+            if let Some((line, label, _)) =
+                self.seeds[cur].iter().find(|(_, _, e)| e & EFFECT_BLOCKS != 0)
             {
-                return format!("{} -> `{label}` at {}:{line}", chain.join(" -> "), n.path);
+                return format!("{} -> `{label}` at {}:{line}", chain.join(" -> "), n.file.rel);
             }
             // Greedy: follow any edge that still blocks.
-            let next = n.calls.iter().find_map(|c| {
-                self.resolve(&c.kind)
-                    .into_iter()
-                    .find(|&t| self.effects[t] & EFFECT_BLOCKS != 0 && !visited.contains(&t))
+            let next = n.scan.calls.iter().find_map(|c| {
+                self.targets(c).into_iter().find(|&t| blocks(t) && !visited.contains(&t))
             });
             match next {
                 Some(t) => cur = t,
@@ -520,25 +410,21 @@ impl<'a> EffectsIndex<'a> {
     /// durability crates.
     pub fn check_r13(&self) -> Vec<Finding> {
         let mut findings = Vec::new();
-        for n in &self.nodes {
-            if !R13_CRATES.contains(&n.crate_name) {
+        for n in &self.graph.nodes {
+            if !R13_CRATES.contains(&n.file.krate.as_str()) {
                 continue;
             }
             let Some(body) = &n.item.body else { continue };
             let mut pending = Vec::new();
             self.scan_seq(n, &body.trees, &mut findings, &mut pending);
             for line in pending {
-                findings.push(Finding {
-                    path: PathBuf::from(n.path),
-                    line,
-                    rule: "R13",
-                    message: format!(
-                        "`fs::rename` in `{}` is not followed by a directory fsync in this \
-                         function: rename durability needs the parent dir synced \
-                         (sync the open dir handle after the rename)",
-                        n.item.name
-                    ),
-                });
+                let msg = format!(
+                    "`fs::rename` in `{}` is not followed by a directory fsync in this \
+                     function: rename durability needs the parent dir synced (sync the open \
+                     dir handle after the rename)",
+                    n.item.name
+                );
+                findings.push(finding(&n.file.rel, line, "R13", msg));
             }
         }
         findings
@@ -560,76 +446,52 @@ impl<'a> EffectsIndex<'a> {
         }
         let mut stmts: Vec<Stmt> = Vec::new();
         for stmt in split_stmts(trees) {
-            let mut effect = 0;
-            let mut renames = Vec::new();
-            // Nested blocks are their own sequences; their unsatisfied
-            // renames attach to this statement.
-            self.stmt_effect(n, stmt, &mut effect, &mut renames, findings);
-            let line = stmt.first().map(Tree::line).unwrap_or(0);
-            stmts.push(Stmt { effect, line, renames });
+            let mut s =
+                Stmt { effect: 0, line: stmt.first().map_or(0, Tree::line), renames: vec![] };
+            self.stmt_effect(n, stmt, &mut s.effect, &mut s.renames, findings);
+            stmts.push(s);
         }
-        // (a) WAL-before-data: an appending statement after a pure
-        //     page-write statement.
-        // (c) flush-fronts-write: a pure WAL-flush statement after a
-        //     page-write statement.
-        let first_pure_write = stmts
-            .iter()
-            .position(|s| s.effect & EFFECT_DATA_WRITE != 0 && s.effect & EFFECT_WAL_APPEND == 0);
-        if let Some(i) = first_pure_write {
-            for s in &stmts[i + 1..] {
-                if s.effect & EFFECT_WAL_APPEND != 0 && s.effect & EFFECT_DATA_WRITE == 0 {
-                    findings.push(Finding {
-                        path: PathBuf::from(n.path),
-                        line: s.line,
-                        rule: "R13",
-                        message: format!(
-                            "WAL append in `{}` follows a data-page write at line {}: the \
-                             append (and its flush) must be ordered before the write \
-                             (WAL-before-data)",
-                            n.item.name, stmts[i].line
-                        ),
-                    });
-                    break;
-                }
-            }
-        }
-        let first_unflushed_write = stmts
-            .iter()
-            .position(|s| s.effect & EFFECT_DATA_WRITE != 0 && s.effect & EFFECT_WAL_FLUSH == 0);
-        if let Some(i) = first_unflushed_write {
-            for s in &stmts[i + 1..] {
-                if s.effect & EFFECT_WAL_FLUSH != 0 && s.effect & EFFECT_DATA_WRITE == 0 {
-                    findings.push(Finding {
-                        path: PathBuf::from(n.path),
-                        line: s.line,
-                        rule: "R13",
-                        message: format!(
-                            "WAL flush in `{}` follows a data-page write at line {}: flush \
-                             the WAL before writing the page it covers (WAL-before-data)",
-                            n.item.name, stmts[i].line
-                        ),
-                    });
-                    break;
-                }
-            }
-        }
-        // (b) rename durability: each rename needs a later fsync in
-        //     this sequence; otherwise it bubbles to the caller scope.
-        for (k, s) in stmts.iter().enumerate() {
-            if s.renames.is_empty() {
+        // WAL-before-data: a statement that appends to the WAL without
+        // itself writing pages must not follow a page-writing statement
+        // that does not append; likewise a pure WAL flush must front
+        // the write it covers. The first offender per sequence reports.
+        for (wal, what, order) in [
+            (
+                EFFECT_WAL_APPEND,
+                "append",
+                "the append (and its flush) must be ordered before the write",
+            ),
+            (EFFECT_WAL_FLUSH, "flush", "flush the WAL before writing the page it covers"),
+        ] {
+            let pure =
+                |s: &Stmt, has: Effect, lacks: Effect| s.effect & has != 0 && s.effect & lacks == 0;
+            let Some(i) = stmts.iter().position(|s| pure(s, EFFECT_DATA_WRITE, wal)) else {
                 continue;
+            };
+            if let Some(s) = stmts[i + 1..].iter().find(|s| pure(s, wal, EFFECT_DATA_WRITE)) {
+                let msg = format!(
+                    "WAL {what} in `{}` follows a data-page write at line {}: {order} \
+                     (WAL-before-data)",
+                    n.item.name, stmts[i].line
+                );
+                findings.push(finding(&n.file.rel, s.line, "R13", msg));
             }
-            let satisfied = stmts[k..].iter().skip(1).any(|t| t.effect & EFFECT_FSYNC != 0)
-                // A statement that renames *and* fsyncs (a helper doing
-                // both) settles its own renames.
-                || s.effect & EFFECT_FSYNC != 0;
-            if !satisfied {
+        }
+        // Rename durability: each rename needs a later fsync in this
+        // sequence; otherwise it bubbles to the caller scope.
+        for (k, s) in stmts.iter().enumerate() {
+            // A statement that renames *and* fsyncs (a helper doing
+            // both) settles its own renames.
+            let fsyncs = |t: &Stmt| t.effect & EFFECT_FSYNC != 0;
+            if !fsyncs(s) && !stmts[k + 1..].iter().any(fsyncs) {
                 pending.extend(&s.renames);
             }
         }
     }
 
-    /// Effect + rename sites of one statement, recursing into groups.
+    /// Effect + rename sites of one statement. Nested `{}` blocks are
+    /// their own sequences: their unsatisfied renames attach to this
+    /// statement, and their effects still count toward it.
     fn stmt_effect(
         &self,
         n: &FnNode<'a>,
@@ -638,42 +500,16 @@ impl<'a> EffectsIndex<'a> {
         renames: &mut Vec<u32>,
         findings: &mut Vec<Finding>,
     ) {
-        let mut seeds = Vec::new();
-        let mut calls = Vec::new();
-        scan_shallow(trees, &mut seeds, &mut calls);
-        for (line, label, e) in &seeds {
-            *effect |= e;
-            if label == "fs::rename" {
-                renames.push(*line);
-            }
+        let mut found = Scan::default();
+        scan(trees, false, &mut found);
+        let is_rename = |c: &&CallSite| seed_of(c).is_some_and(|(label, _)| label == "fs::rename");
+        renames.extend(found.calls.iter().filter(is_rename).map(|c| c.line));
+        for g in trees.iter().filter_map(|t| t.group_with('{')) {
+            self.scan_seq(n, &g.trees, findings, renames);
+            scan(&g.trees, true, &mut found);
         }
-        for call in &calls {
-            *effect |= self.call_effect(&call.kind);
-        }
-        for t in trees {
-            if let Some(g) = t.group_with('{') {
-                let mut pending = Vec::new();
-                self.scan_seq(n, &g.trees, findings, &mut pending);
-                renames.extend(pending);
-                // The block's effects still count toward this statement.
-                let mut sub_seeds = Vec::new();
-                let mut sub_calls = Vec::new();
-                scan_effects(&g.trees, &mut sub_seeds, &mut sub_calls);
-                for (_, _, e) in &sub_seeds {
-                    *effect |= e;
-                }
-                for call in &sub_calls {
-                    *effect |= self.call_effect(&call.kind);
-                }
-            }
-            // Paren/bracket groups were already covered by the shallow
-            // scan's recursion.
-        }
+        *effect |= self.scan_effect(&found);
     }
-}
-
-fn design_finding(message: String) -> Finding {
-    Finding { path: PathBuf::from("DESIGN.md"), line: 0, rule: "R13", message }
 }
 
 /// One parsed row of DESIGN.md's ```effects``` table.
@@ -686,218 +522,54 @@ pub struct EffectRow {
 }
 
 /// Parse the fenced ```effects block from DESIGN.md. Row grammar:
-/// `<crate> <fn>/<arity> <effects>` with `#` comments and blank lines
-/// skipped; effects are comma-joined canonical names or `-`.
+/// `<crate> <fn>/<arity> <effects>`; effects are comma-joined canonical
+/// names or `-`.
 pub fn parse_design_effects(md: &str) -> Result<Vec<EffectRow>, String> {
-    let mut rows = Vec::new();
-    let mut in_block = false;
-    let mut found = false;
-    for (n, line) in md.lines().enumerate() {
-        let trimmed = line.trim();
-        if !in_block {
-            if trimmed.starts_with("```effects") {
-                in_block = true;
-                found = true;
-            }
-            continue;
-        }
-        if trimmed.starts_with("```") {
-            in_block = false;
-            continue;
-        }
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let err = |what: &str| format!("DESIGN.md effects table line {}: {what}", n + 1);
-        let mut fields = trimmed.split_whitespace();
-        let (Some(krate), Some(func), Some(eff)) = (fields.next(), fields.next(), fields.next())
-        else {
+    let parse = |(n, row): (u32, &str)| {
+        let err = |what: &str| format!("{DESIGN} effects table line {n}: {what}");
+        let fields: Vec<&str> = row.split_whitespace().collect();
+        let [krate, func, eff] = fields[..] else {
             return Err(err("expected `<crate> <fn>/<arity> <effects>`"));
         };
-        if fields.next().is_some() {
-            return Err(err("trailing fields after `<crate> <fn>/<arity> <effects>`"));
-        }
         let Some((fn_name, arity)) = func.rsplit_once('/') else {
             return Err(err("fn field must be `<name>/<arity>`"));
         };
-        let arity: usize = arity.parse().map_err(|_| err(&format!("bad arity {arity:?}")))?;
-        let effect = parse_effect_string(eff).map_err(|e| err(&e))?;
-        rows.push(EffectRow {
+        Ok(EffectRow {
             crate_name: krate.to_string(),
             fn_name: fn_name.to_string(),
-            arity,
-            effect,
-        });
-    }
-    if !found {
-        return Err("DESIGN.md has no ```effects fenced block".to_string());
-    }
-    if in_block {
-        return Err("DESIGN.md ```effects block is not closed".to_string());
-    }
-    Ok(rows)
-}
-
-/// Parse a committed effects.txt (report lines; `#` and blanks skip).
-pub fn parse_committed_effects(text: &str) -> BTreeSet<String> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect()
-}
-
-/// Scan a body for seeds and calls, recursing into all groups.
-fn scan_effects(trees: &[Tree], seeds: &mut Vec<(u32, String, Effect)>, calls: &mut Vec<CallSite>) {
-    scan_inner(trees, seeds, calls, true);
-}
-
-/// Like `scan_effects`, but does not descend into `{}` blocks — the
-/// statement-level scan handles those as their own sequences.
-fn scan_shallow(trees: &[Tree], seeds: &mut Vec<(u32, String, Effect)>, calls: &mut Vec<CallSite>) {
-    scan_inner(trees, seeds, calls, false);
-}
-
-fn scan_inner(
-    trees: &[Tree],
-    seeds: &mut Vec<(u32, String, Effect)>,
-    calls: &mut Vec<CallSite>,
-    deep: bool,
-) {
-    let mut i = 0usize;
-    while i < trees.len() {
-        let t = &trees[i];
-        // Method call: `.name(args)`.
-        if t.is_punct('.') {
-            if let (Some(m), Some(g)) = (
-                trees.get(i + 1).and_then(|x| x.ident()),
-                trees.get(i + 2).and_then(|x| x.group_with('(')),
-            ) {
-                let line = trees[i + 1].line();
-                let arity = call_arity(g);
-                if !m.starts_with("try_") {
-                    for (name, a, e) in METHOD_SEEDS {
-                        if name == m && a == arity {
-                            seeds.push((line, format!(".{m}()"), e));
-                        }
-                    }
-                    calls.push(CallSite {
-                        kind: CallKind::Method { name: m.to_string(), arity },
-                        line,
-                    });
-                }
-                scan_inner(&g.trees, seeds, calls, deep);
-                i += 3;
-                continue;
-            }
-        }
-        // Path / bare call.
-        if t.ident().is_some() && !(i > 0 && trees[i - 1].is_punct('.')) {
-            let (segments, after) = path_segments(trees, i);
-            if let Some(g) = trees.get(after).and_then(|x| x.group_with('(')) {
-                let line = trees[after].line();
-                let arity = call_arity(g);
-                let name = segments.last().cloned().unwrap_or_default();
-                if segments.len() >= 2 {
-                    let qual = segments[segments.len() - 2].clone();
-                    let segs: Vec<&str> = segments.iter().map(String::as_str).collect();
-                    if segs.contains(&"fs") {
-                        let label = if name == "rename" {
-                            "fs::rename".to_string()
-                        } else {
-                            format!("fs::{name}")
-                        };
-                        seeds.push((line, label, EFFECT_BLOCKS));
-                    } else if BLOCKING_PATH_TYPES.contains(&qual.as_str()) {
-                        seeds.push((line, format!("{qual}::{name}"), EFFECT_BLOCKS));
-                    } else if qual == "thread" && (name == "sleep" || name == "park") {
-                        seeds.push((line, format!("thread::{name}"), EFFECT_BLOCKS));
-                    }
-                    calls.push(CallSite { kind: CallKind::Path { qual, name, arity }, line });
-                } else {
-                    calls.push(CallSite { kind: CallKind::Bare { name, arity }, line });
-                }
-                scan_inner(&g.trees, seeds, calls, deep);
-                i = after + 1;
-                continue;
-            }
-            i = after;
-            continue;
-        }
-        if let Some(g) = t.group() {
-            if deep || g.delim != '{' {
-                scan_inner(&g.trees, seeds, calls, deep);
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Collect `a :: b :: c` starting at an ident; returns segments and the
-/// index just past them.
-fn path_segments(trees: &[Tree], i: usize) -> (Vec<String>, usize) {
-    let mut segs = Vec::new();
-    let mut j = i;
-    while let Some(id) = trees.get(j).and_then(|t| t.ident()) {
-        segs.push(id.to_string());
-        if trees.get(j + 1).is_some_and(|t| t.is_punct(':'))
-            && trees.get(j + 2).is_some_and(|t| t.is_punct(':'))
-            && trees.get(j + 3).and_then(|t| t.ident()).is_some()
-        {
-            j += 3;
-        } else {
-            j += 1;
-            break;
-        }
-    }
-    (segs, j)
-}
-
-/// Split a tree slice into statements at top-level `;` and `{}` blocks
-/// (an `else` keeps its `if` in one statement).
-fn split_stmts(trees: &[Tree]) -> Vec<&[Tree]> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    for i in 0..trees.len() {
-        if trees[i].is_punct(';') {
-            if start < i {
-                out.push(&trees[start..i]);
-            }
-            start = i + 1;
-        } else if trees[i].group_with('{').is_some()
-            && !trees.get(i + 1).is_some_and(|t| t.is_ident("else"))
-        {
-            out.push(&trees[start..=i]);
-            start = i + 1;
-        }
-    }
-    if start < trees.len() {
-        out.push(&trees[start..]);
-    }
-    out
+            arity: arity.parse().map_err(|_| err(&format!("bad arity {arity:?}")))?,
+            effect: parse_effect_string(eff).map_err(|e| err(&e))?,
+        })
+    };
+    fenced_rows(md, "effects")?.into_iter().map(parse).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{parse_items, parse_trees};
+    use crate::source::SourceFile;
 
-    fn index_of<'a>(files: &[EffectFile<'a>]) -> EffectsIndex<'a> {
-        infer_effects(files)
+    /// Fixture sources posing as workspace files, `(path, crate, text)`.
+    fn files(srcs: &[(&str, &str, &str)]) -> Vec<SourceFile> {
+        srcs.iter().map(|(rel, krate, text)| SourceFile::new(rel, krate, *text)).collect()
     }
 
     #[test]
     fn seeds_and_fixpoint_propagate() {
-        let wal = parse_items(&parse_trees(
-            "impl Wal { pub fn append(&self, r: &R) -> u64 { self.file.sync_data(); 0 } }",
-        ));
-        let buf =
-            parse_items(&parse_trees("impl Pool { pub fn log(&self, w: &Wal) { w.append(&r); } }"));
-        let files: Vec<EffectFile> = vec![
-            ("crates/wal/src/lib.rs", "wal", &wal),
-            ("crates/buffer/src/lib.rs", "buffer", &buf),
-        ];
-        let idx = index_of(&files);
+        let files = files(&[
+            (
+                "crates/wal/src/lib.rs",
+                "wal",
+                "impl Wal { pub fn append(&self, r: &R) -> u64 { self.file.sync_data(); 0 } }",
+            ),
+            (
+                "crates/buffer/src/lib.rs",
+                "buffer",
+                "impl Pool { pub fn log(&self, w: &Wal) { w.append(&r); } }",
+            ),
+        ]);
+        let graph = CallGraph::build(&files);
+        let idx = infer_effects(&graph);
         let table = idx.table();
         assert!(
             table.iter().any(|l| l.contains("buffer::Pool::log/1")
@@ -910,17 +582,21 @@ mod tests {
 
     #[test]
     fn r12_flags_two_hop_reachable_block() {
-        let reactor =
-            parse_items(&parse_trees("impl R { fn reactor_loop(&self) { self.helper(1); } }"));
-        let helpers = parse_items(&parse_trees(
-            "impl H { fn helper(&self, x: u32) { self.deep(); } \
-             fn deep(&self) { self.m.lock(); } }",
-        ));
-        let files: Vec<EffectFile> = vec![
-            ("crates/server/src/reactor.rs", "server", &reactor),
-            ("crates/server/src/other.rs", "server", &helpers),
-        ];
-        let idx = index_of(&files);
+        let files = files(&[
+            (
+                "crates/server/src/reactor.rs",
+                "server",
+                "impl R { fn reactor_loop(&self) { self.helper(1); } }",
+            ),
+            (
+                "crates/server/src/other.rs",
+                "server",
+                "impl H { fn helper(&self, x: u32) { self.deep(); } \
+                 fn deep(&self) { self.m.lock(); } }",
+            ),
+        ]);
+        let graph = CallGraph::build(&files);
+        let idx = infer_effects(&graph);
         let r12 = idx.check_r12();
         assert_eq!(r12.len(), 1, "{r12:?}");
         assert!(r12[0].message.contains("helper"), "{}", r12[0].message);
@@ -928,33 +604,40 @@ mod tests {
 
     #[test]
     fn r12_executor_and_try_paths_pass() {
-        let reactor = parse_items(&parse_trees(
+        let files = files(&[(
+            "crates/server/src/reactor.rs",
+            "server",
             "impl R { fn submit(&self) { let j = Job { x: 1 }; self.jobs.send(j); } \
              fn drain(&self) { if let Some(mut g) = self.q.try_lock() { g.pop(); } } } \
              pub fn executor_loop(s: &S) { s.rx.lock(); }",
-        ));
-        let files: Vec<EffectFile> = vec![("crates/server/src/reactor.rs", "server", &reactor)];
-        let idx = index_of(&files);
+        )]);
+        let graph = CallGraph::build(&files);
+        let idx = infer_effects(&graph);
         assert!(idx.check_r12().is_empty(), "{:?}", idx.check_r12());
     }
 
     #[test]
     fn r13_write_then_append_flagged() {
-        let smgr = parse_items(&parse_trees(
-            "impl Disk { pub fn write(&self, r: R, b: u32, p: &P) -> X { self.f.write_all_at(p, o) } }",
-        ));
-        let wal =
-            parse_items(&parse_trees("impl Wal { pub fn append(&self, r: &R) -> u64 { 0 } }"));
-        let buf = parse_items(&parse_trees(
-            "impl Pool { fn bad(&self) { self.smgr.write(r, b, &p); self.wal.append(&rec); } \
-             fn good(&self) { self.wal.append(&rec); self.smgr.write(r, b, &p); } }",
-        ));
-        let files: Vec<EffectFile> = vec![
-            ("crates/smgr/src/disk.rs", "smgr", &smgr),
-            ("crates/wal/src/lib.rs", "wal", &wal),
-            ("crates/buffer/src/lib.rs", "buffer", &buf),
-        ];
-        let idx = index_of(&files);
+        let files = files(&[
+            (
+                "crates/smgr/src/disk.rs",
+                "smgr",
+                "impl Disk { pub fn write(&self, r: R, b: u32, p: &P) -> X { self.f.write_all_at(p, o) } }",
+            ),
+            (
+                "crates/wal/src/lib.rs",
+                "wal",
+                "impl Wal { pub fn append(&self, r: &R) -> u64 { 0 } }",
+            ),
+            (
+                "crates/buffer/src/lib.rs",
+                "buffer",
+                "impl Pool { fn bad(&self) { self.smgr.write(r, b, &p); self.wal.append(&rec); } \
+                 fn good(&self) { self.wal.append(&rec); self.smgr.write(r, b, &p); } }",
+            ),
+        ]);
+        let graph = CallGraph::build(&files);
+        let idx = infer_effects(&graph);
         let r13 = idx.check_r13();
         assert_eq!(r13.len(), 1, "{r13:?}");
         assert!(r13[0].message.contains("bad"), "{}", r13[0].message);
@@ -962,14 +645,16 @@ mod tests {
 
     #[test]
     fn r13_rename_needs_dir_fsync() {
-        let heap = parse_items(&parse_trees(
+        let files = files(&[(
+            "crates/heap/src/catalog.rs",
+            "heap",
             "fn atomic_write(p: &Path, t: &str) { std::fs::write(&tmp, t); \
              std::fs::rename(&tmp, p); } \
              fn atomic_write_ok(p: &Path, t: &str) { std::fs::rename(&tmp, p); \
              dir.sync_all(); }",
-        ));
-        let files: Vec<EffectFile> = vec![("crates/heap/src/catalog.rs", "heap", &heap)];
-        let idx = index_of(&files);
+        )]);
+        let graph = CallGraph::build(&files);
+        let idx = infer_effects(&graph);
         let r13 = idx.check_r13();
         assert_eq!(r13.len(), 1, "{r13:?}");
         assert!(r13[0].message.contains("atomic_write"), "{}", r13[0].message);
@@ -978,22 +663,26 @@ mod tests {
 
     #[test]
     fn r13_rename_fsync_across_nesting() {
-        let wal = parse_items(&parse_trees(
+        let files = files(&[(
+            "crates/wal/src/lib.rs",
+            "wal",
             "impl Wal { fn recycle(&self) { for p in old { std::fs::rename(p, q); } \
              if moved { self.dirf.sync_all(); } } }",
-        ));
-        let files: Vec<EffectFile> = vec![("crates/wal/src/lib.rs", "wal", &wal)];
-        let idx = index_of(&files);
+        )]);
+        let graph = CallGraph::build(&files);
+        let idx = infer_effects(&graph);
         assert!(idx.check_r13().is_empty(), "{:?}", idx.check_r13());
     }
 
     #[test]
     fn design_table_roundtrip() {
-        let wal = parse_items(&parse_trees(
+        let files = files(&[(
+            "crates/wal/src/lib.rs",
+            "wal",
             "impl Wal { pub fn append(&self, r: &R) -> u64 { self.f.sync_data(); 0 } }",
-        ));
-        let files: Vec<EffectFile> = vec![("crates/wal/src/lib.rs", "wal", &wal)];
-        let idx = index_of(&files);
+        )]);
+        let graph = CallGraph::build(&files);
+        let idx = infer_effects(&graph);
         let rows = idx.design_rows();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].0, "wal append/1");

@@ -13,43 +13,20 @@
 //! through one).
 //!
 //! R7 sinks come in two tiers: Tier A is a fixed table of device-I/O
-//! method shapes (`smgr` trait ops, host-file ops, `std::fs`/`std::net`
-//! path calls); Tier B is any *same-crate* function whose body directly
-//! contains a Tier A sink (one hop, no fixpoint — `write_back` in
-//! `buffer`). Cross-crate calls are never Tier B: a public API like
-//! `pool.new_page` encapsulates its own locking discipline, and the
-//! rank table already orders caller locks above pool internals.
+//! call shapes (`smgr` trait ops, host-file ops, `std::fs`/`std::net`
+//! path calls); Tier B is any *same-crate* function whose call-graph
+//! node directly holds a Tier A call site (one hop, no fixpoint —
+//! `write_back` in `buffer`). Cross-crate calls are never Tier B: a
+//! public API like `pool.new_page` encapsulates its own locking
+//! discipline, and the rank table already orders caller locks above
+//! pool internals — which is also why Tier B is not the effect engine's
+//! transitive `blocks` set.
 
-use crate::ast::{call_arity, FnItem, Group, Items, Tree};
+use crate::ast::{call_arity, Group, Tree};
+use crate::graph::{call_at, scan, split_stmts, CallGraph, CallSite, Scan, GENERIC_NAMES};
+use crate::source::SourceFile;
 use crate::{finding, Finding};
 use std::collections::BTreeSet;
-
-/// Method names shared with std collections/traits. A same-crate fn
-/// with one of these names never becomes a Tier-B wrapper: resolution
-/// is (name, arity) only, so `DiskManager::len` (which stats the file)
-/// would otherwise poison every `BTreeMap::len()` call in the crate.
-/// The cost is accepted: holding a lock across a smgr `len()` is
-/// metadata-only I/O, far less harmful than the false-positive flood.
-const UBIQUITOUS_NAMES: [&str; 18] = [
-    "len",
-    "is_empty",
-    "clear",
-    "get",
-    "insert",
-    "remove",
-    "push",
-    "pop",
-    "contains",
-    "contains_key",
-    "iter",
-    "next",
-    "clone",
-    "new",
-    "default",
-    "fmt",
-    "eq",
-    "hash",
-];
 
 /// Zero-arg methods whose result is a lock guard.
 const LOCK_METHODS: [&str; 7] =
@@ -72,9 +49,10 @@ pub const GUARD_TYPES: [&str; 9] = [
     "PageWriteGuard",
 ];
 
-/// Tier A sink methods: `(name, exact call arity)`. The arity keeps
-/// common names honest — `smgr.read(rel, block, buf)` is device I/O,
-/// `rwlock.read()` is a guard acquisition, `file.read(buf)` is neither.
+/// Tier A sink methods (and bare calls): `(name, exact call arity)`. The
+/// arity keeps common names honest — `smgr.read(rel, block, buf)` is
+/// device I/O, `rwlock.read()` is a guard acquisition, `file.read(buf)`
+/// is neither.
 const SINK_METHODS: [(&str, usize); 20] = [
     // smgr trait device ops
     ("read", 3),
@@ -106,16 +84,12 @@ const SINK_METHODS: [(&str, usize); 20] = [
 const SINK_PATH_TYPES: [&str; 5] =
     ["File", "TcpStream", "TcpListener", "UnixStream", "UnixListener"];
 
-/// Whether a path call (its `::`-separated segments) is a Tier A sink.
-fn is_sink_path(segments: &[&str]) -> bool {
-    if segments.len() < 2 {
-        return false;
+/// Whether a call site is a Tier A sink.
+fn is_sink(call: &CallSite) -> bool {
+    match call.qual() {
+        Some(qual) => call.segments.iter().any(|s| s == "fs") || SINK_PATH_TYPES.contains(&qual),
+        None => SINK_METHODS.contains(&(call.name(), call.arity)),
     }
-    if segments.contains(&"fs") {
-        return true;
-    }
-    let qual = segments[segments.len() - 2];
-    SINK_PATH_TYPES.contains(&qual)
 }
 
 /// Workspace-level facts the per-function walk needs: Tier B wrappers,
@@ -131,82 +105,23 @@ pub struct WorkspaceIndex {
 }
 
 impl WorkspaceIndex {
-    /// Build from every library-scope file: `(crate name, parsed items)`.
-    pub fn build(files: &[(String, &Items)]) -> Self {
+    /// Read the facts off the call graph's nodes (fns with bodies).
+    pub fn build(graph: &CallGraph<'_>) -> Self {
         let mut idx = WorkspaceIndex::default();
-        for (crate_name, items) in files {
-            for f in &items.fns {
-                let Some(body) = &f.body else { continue };
-                if contains_direct_sink(&body.trees) && !UBIQUITOUS_NAMES.contains(&f.name.as_str())
-                {
-                    idx.io_wrappers.insert((crate_name.clone(), f.name.clone(), f.arity));
-                }
-                if names_guard_type(&f.ret) {
-                    idx.guard_fns.insert((crate_name.clone(), f.name.clone(), f.arity));
-                }
-                if f.attrs.iter().any(|a| a == "must_use") {
-                    idx.must_use_fns.insert((f.name.clone(), f.arity));
-                }
+        for n in graph.nodes.iter().filter(|n| n.item.body.is_some()) {
+            let (krate, f) = (n.file.krate.clone(), n.item);
+            if n.scan.calls.iter().any(is_sink) && !GENERIC_NAMES.contains(&f.name.as_str()) {
+                idx.io_wrappers.insert((krate.clone(), f.name.clone(), f.arity));
+            }
+            if names_guard_type(&f.ret) {
+                idx.guard_fns.insert((krate, f.name.clone(), f.arity));
+            }
+            if f.attrs.iter().any(|a| a == "must_use") {
+                idx.must_use_fns.insert((f.name.clone(), f.arity));
             }
         }
         idx
     }
-}
-
-/// Does this tree sequence (recursively) contain a Tier A sink call?
-fn contains_direct_sink(trees: &[Tree]) -> bool {
-    let mut i = 0usize;
-    while i < trees.len() {
-        if trees[i].is_punct('.') {
-            if let (Some(m), Some(g)) = (
-                trees.get(i + 1).and_then(|t| t.ident()),
-                trees.get(i + 2).and_then(|t| t.group_with('(')),
-            ) {
-                if SINK_METHODS.contains(&(m, call_arity(g))) {
-                    return true;
-                }
-            }
-        } else if trees[i].ident().is_some() && !prev_is_dot(trees, i) {
-            let (segments, after) = path_segments(trees, i);
-            if segments.len() > 1 && trees.get(after).is_some_and(|t| t.group_with('(').is_some()) {
-                let segs: Vec<&str> = segments.iter().map(String::as_str).collect();
-                if is_sink_path(&segs) {
-                    return true;
-                }
-            }
-        }
-        if let Some(g) = trees[i].group() {
-            if contains_direct_sink(&g.trees) {
-                return true;
-            }
-        }
-        i += 1;
-    }
-    false
-}
-
-fn prev_is_dot(trees: &[Tree], i: usize) -> bool {
-    i > 0 && trees[i - 1].is_punct('.')
-}
-
-/// Collect `a :: b :: c` starting at `trees[i]` (an ident); returns the
-/// segments and the index just past the last one.
-fn path_segments(trees: &[Tree], i: usize) -> (Vec<String>, usize) {
-    let mut segs = Vec::new();
-    let mut j = i;
-    while let Some(id) = trees.get(j).and_then(|t| t.ident()) {
-        segs.push(id.to_string());
-        if trees.get(j + 1).is_some_and(|t| t.is_punct(':'))
-            && trees.get(j + 2).is_some_and(|t| t.is_punct(':'))
-            && trees.get(j + 3).and_then(|t| t.ident()).is_some()
-        {
-            j += 3;
-        } else {
-            j += 1;
-            break;
-        }
-    }
-    (segs, j)
 }
 
 #[derive(Debug, Clone)]
@@ -218,16 +133,12 @@ struct GuardBinding {
 }
 
 /// Run R7 + R8 (+ R9 when `r9` is set) over every function in a file.
-pub fn check_guard_flow(
-    path: &str,
-    crate_name: &str,
-    items: &Items,
-    idx: &WorkspaceIndex,
-    r9: bool,
-) -> Vec<Finding> {
+pub fn check_guard_flow(file: &SourceFile, idx: &WorkspaceIndex, r9: bool) -> Vec<Finding> {
+    let (path, crate_name) = (file.rel.as_str(), file.krate.as_str());
     let mut ctx = FlowCtx { path, crate_name, idx, r9, findings: Vec::new(), scopes: Vec::new() };
-    for f in &items.fns {
-        ctx.check_fn(f);
+    for body in file.items.fns.iter().filter_map(|f| f.body.as_ref()) {
+        ctx.scopes.clear();
+        ctx.walk_block(&body.trees, Vec::new());
     }
     ctx.findings
 }
@@ -242,12 +153,6 @@ struct FlowCtx<'a> {
 }
 
 impl FlowCtx<'_> {
-    fn check_fn(&mut self, f: &FnItem) {
-        let Some(body) = &f.body else { return };
-        self.scopes.clear();
-        self.walk_block(&body.trees, Vec::new());
-    }
-
     fn walk_block(&mut self, trees: &[Tree], preloaded: Vec<GuardBinding>) {
         self.scopes.push(preloaded);
         for s in split_stmts(trees) {
@@ -256,28 +161,11 @@ impl FlowCtx<'_> {
         self.scopes.pop();
     }
 
-    fn live_guards(&self) -> Vec<(String, u32, &'static str)> {
-        self.scopes
-            .iter()
-            .flatten()
-            .filter(|g| !g.dead)
-            .map(|g| (g.name.clone(), g.line, g.kind))
-            .collect()
-    }
-
     fn kill(&mut self, name: &str) {
         for scope in self.scopes.iter_mut().rev() {
             if let Some(g) = scope.iter_mut().rev().find(|g| g.name == name && !g.dead) {
                 g.dead = true;
                 return;
-            }
-        }
-    }
-
-    fn bind(&mut self, names: &[(String, u32)], kind: &'static str) {
-        if let Some(scope) = self.scopes.last_mut() {
-            for (name, line) in names {
-                scope.push(GuardBinding { name: name.clone(), line: *line, kind, dead: false });
             }
         }
     }
@@ -329,9 +217,8 @@ impl FlowCtx<'_> {
         self.expr_seq(init);
         let kind = guard_origin(init, self.crate_name, self.idx)
             .or_else(|| names_guard_type(ty).then_some("guard (typed)"));
-        if let Some(kind) = kind {
-            let names = pattern_names(pat);
-            self.bind(&names, kind);
+        if let (Some(kind), Some(scope)) = (kind, self.scopes.last_mut()) {
+            bind_pattern(pat, kind, scope);
         }
     }
 
@@ -349,56 +236,11 @@ impl FlowCtx<'_> {
                 i = self.if_let(trees, i);
                 continue;
             }
-            // `drop(g)` kills a binding.
-            if t.is_ident("drop") && !prev_is_dot(trees, i) {
-                if let Some(g) = trees.get(i + 1).and_then(|x| x.group_with('(')) {
-                    if let Some(name) = single_ident(&g.trees) {
-                        self.kill(&name);
-                        i += 2;
-                        continue;
-                    }
-                }
-            }
-            // Method call: `.name(args)`.
-            if t.is_punct('.') {
-                if let (Some(m), Some(g)) = (
-                    trees.get(i + 1).and_then(|x| x.ident()),
-                    trees.get(i + 2).and_then(|x| x.group_with('(')),
-                ) {
-                    let line = trees[i + 1].line();
-                    self.check_sink(m, call_arity(g), line);
-                    self.expr_seq(&g.trees);
-                    i += 3;
-                    continue;
-                }
-            }
-            // Path or bare call: `a::b::c(args)` / `f(args)`.
-            if t.ident().is_some() && !prev_is_dot(trees, i) {
-                let (segments, after) = path_segments(trees, i);
-                if let Some(g) = trees.get(after).and_then(|x| x.group_with('(')) {
-                    let name = segments.last().cloned().unwrap_or_default();
-                    let line = trees[after].line();
-                    let segs: Vec<&str> = segments.iter().map(String::as_str).collect();
-                    let prev_seg = segments.len().checked_sub(2).map(|k| segments[k].as_str());
-                    if name == "drop" {
-                        // `mem::drop(g)` / `std::mem::drop(g)`.
-                        if let Some(n) = single_ident(&g.trees) {
-                            self.kill(&n);
-                        }
-                    } else if name == "forget"
-                        || (name == "new" && prev_seg == Some("ManuallyDrop"))
-                        || (name == "leak" && prev_seg == Some("Box"))
-                    {
-                        self.check_forget(&name, g, line);
-                    } else if is_sink_path(&segs) {
-                        self.report_sink(&name, line, "device/fs/net call");
-                    } else if segments.len() == 1 {
-                        self.check_sink(&name, call_arity(g), line);
-                    }
-                    self.expr_seq(&g.trees);
-                    i = after + 1;
-                    continue;
-                }
+            if let Some((call, args, next)) = call_at(trees, i) {
+                self.call(&call, args);
+                self.expr_seq(&args.trees);
+                i = next;
+                continue;
             }
             match t {
                 Tree::Group(g) if g.delim == '{' => self.walk_block(&g.trees, Vec::new()),
@@ -406,6 +248,29 @@ impl FlowCtx<'_> {
                 _ => {}
             }
             i += 1;
+        }
+    }
+
+    /// One call site, with the current guards live: `drop(g)` /
+    /// `mem::drop(g)` kills a binding, the forget family is R8, a Tier A
+    /// sink or a same-crate Tier B wrapper (never a path call) is R7.
+    fn call(&mut self, call: &CallSite, args: &Group) {
+        let (name, qual) = (call.name(), call.qual());
+        let wrapper = || (self.crate_name.to_string(), name.to_string(), call.arity);
+        if !call.method && name == "drop" {
+            if let Some(n) = single_ident(&args.trees) {
+                self.kill(&n);
+            }
+        } else if !call.method
+            && (name == "forget"
+                || (name == "new" && qual == Some("ManuallyDrop"))
+                || (name == "leak" && qual == Some("Box")))
+        {
+            self.check_forget(name, args, call.line);
+        } else if is_sink(call) {
+            self.report_sink(name, call.line, "device/fs/net call");
+        } else if qual.is_none() && self.idx.io_wrappers.contains(&wrapper()) {
+            self.report_sink(name, call.line, "same-crate I/O wrapper");
         }
     }
 
@@ -422,13 +287,10 @@ impl FlowCtx<'_> {
         }
         let init = &trees[eq + 1..b];
         self.expr_seq(init);
-        let preloaded = match guard_origin(init, self.crate_name, self.idx) {
-            Some(kind) => pattern_names(pat)
-                .into_iter()
-                .map(|(name, line)| GuardBinding { name, line, kind, dead: false })
-                .collect(),
-            None => Vec::new(),
-        };
+        let mut preloaded = Vec::new();
+        if let Some(kind) = guard_origin(init, self.crate_name, self.idx) {
+            bind_pattern(pat, kind, &mut preloaded);
+        }
         if let Some(body) = trees.get(b).and_then(|t| t.group_with('{')) {
             self.walk_block(&body.trees, preloaded);
             b + 1
@@ -437,28 +299,14 @@ impl FlowCtx<'_> {
         }
     }
 
-    fn check_sink(&mut self, name: &str, arity: usize, line: u32) {
-        if SINK_METHODS.contains(&(name, arity)) {
-            self.report_sink(name, line, "device/fs/net call");
-        } else if self.idx.io_wrappers.contains(&(
-            self.crate_name.to_string(),
-            name.to_string(),
-            arity,
-        )) {
-            self.report_sink(name, line, "same-crate I/O wrapper");
-        }
-    }
-
     fn report_sink(&mut self, name: &str, line: u32, what: &str) {
-        let live = self.live_guards();
-        if live.is_empty() {
+        let live = self.scopes.iter().flatten().filter(|g| !g.dead);
+        let list: Vec<String> =
+            live.map(|g| format!("`{}` ({}, bound line {})", g.name, g.kind, g.line)).collect();
+        if list.is_empty() {
             return;
         }
-        let list = live
-            .iter()
-            .map(|(n, l, k)| format!("`{n}` ({k}, bound line {l})"))
-            .collect::<Vec<_>>()
-            .join(", ");
+        let list = list.join(", ");
         self.findings.push(finding(
             self.path,
             line,
@@ -475,7 +323,11 @@ impl FlowCtx<'_> {
     /// live guard binding or to a direct guard acquisition (the caller
     /// has already matched the path shape).
     fn check_forget(&mut self, callee: &str, args: &Group, line: u32) {
-        if args_is_guardish(self, args) {
+        let guardish = match single_ident(&args.trees) {
+            Some(name) => self.scopes.iter().flatten().any(|g| g.name == name && !g.dead),
+            None => guard_origin(&args.trees, self.crate_name, self.idx).is_some(),
+        };
+        if guardish {
             self.findings.push(finding(
                 self.path,
                 line,
@@ -488,38 +340,6 @@ impl FlowCtx<'_> {
             ));
         }
     }
-}
-
-fn args_is_guardish(ctx: &FlowCtx<'_>, args: &Group) -> bool {
-    if let Some(name) = single_ident(&args.trees) {
-        return ctx.scopes.iter().flatten().any(|g| g.name == name && !g.dead);
-    }
-    guard_origin(&args.trees, ctx.crate_name, ctx.idx).is_some()
-}
-
-/// Split a block's trees into statements: a statement ends at a
-/// top-level `;` (exclusive) or a top-level `{..}` group not followed by
-/// `else` (inclusive — covers `if`/`match`/`loop` bodies).
-fn split_stmts(trees: &[Tree]) -> Vec<&[Tree]> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    for i in 0..trees.len() {
-        if trees[i].is_punct(';') {
-            if start < i {
-                out.push(&trees[start..i]);
-            }
-            start = i + 1;
-        } else if trees[i].group_with('{').is_some()
-            && !trees.get(i + 1).is_some_and(|t| t.is_ident("else"))
-        {
-            out.push(&trees[start..=i]);
-            start = i + 1;
-        }
-    }
-    if start < trees.len() {
-        out.push(&trees[start..]);
-    }
-    out
 }
 
 /// First top-level simple `=` (not `==`, `=>`, `<=`, `>=`, `!=`, `+=`...).
@@ -553,32 +373,20 @@ fn split_pattern(trees: &[Tree]) -> (&[Tree], &[Tree]) {
     (trees, &[])
 }
 
-/// Lower-case binding names in a pattern: skips constructors
-/// (uppercase), keywords, and `_`.
-fn pattern_names(pat: &[Tree]) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    collect_pattern_names(pat, &mut out);
-    out
-}
-
-fn collect_pattern_names(pat: &[Tree], out: &mut Vec<(String, u32)>) {
+/// Bind a `kind` guard for every lower-case binding name in a pattern:
+/// skips constructors (uppercase), keywords, `_`, and path segments
+/// (`module::Variant`).
+fn bind_pattern(pat: &[Tree], kind: &'static str, out: &mut Vec<GuardBinding>) {
     for (i, t) in pat.iter().enumerate() {
-        match t {
-            Tree::Tok(_) => {
-                let Some(id) = t.ident() else { continue };
-                if matches!(id, "mut" | "ref" | "box" | "_") {
-                    continue;
-                }
-                if id.chars().next().is_some_and(|c| c.is_uppercase()) {
-                    continue;
-                }
-                // Skip path segments (`module::Variant`).
-                if pat.get(i + 1).is_some_and(|n| n.is_punct(':')) {
-                    continue;
-                }
-                out.push((id.to_string(), t.line()));
-            }
-            Tree::Group(g) => collect_pattern_names(&g.trees, out),
+        if let Tree::Group(g) = t {
+            bind_pattern(&g.trees, kind, out);
+        }
+        let Some(id) = t.ident() else { continue };
+        if !matches!(id, "mut" | "ref" | "box" | "_")
+            && !id.starts_with(char::is_uppercase)
+            && !pat.get(i + 1).is_some_and(|n| n.is_punct(':'))
+        {
+            out.push(GuardBinding { name: id.to_string(), line: t.line(), kind, dead: false });
         }
     }
 }
@@ -591,23 +399,11 @@ fn single_ident(trees: &[Tree]) -> Option<String> {
 }
 
 fn contains_call(trees: &[Tree]) -> bool {
-    for (i, t) in trees.iter().enumerate() {
-        if t.group_with('(').is_some() && i > 0 && trees[i - 1].ident().is_some() {
-            return true;
-        }
-        if let Some(g) = t.group() {
-            if contains_call(&g.trees) {
-                return true;
-            }
-        }
-    }
-    false
+    let mut found = Scan::default();
+    scan(trees, true, &mut found);
+    !found.calls.is_empty()
 }
 
-/// Classify an initializer expression as a guard acquisition. Trailing
-/// `?` is ignored; the *last* postfix call decides (so
-/// `inner.lock().field.len()` is not a guard, the temporary died
-/// mid-statement).
 /// True if any ident in `trees` (recursing into groups — guard types
 /// hide inside `Result<Option<(usize, RwLockWriteGuard<..>)>>` tuples)
 /// names a guard type.
@@ -618,6 +414,10 @@ fn names_guard_type(trees: &[Tree]) -> bool {
     })
 }
 
+/// Classify an initializer expression as a guard acquisition. Trailing
+/// `?` is ignored; the *last* postfix call decides (so
+/// `inner.lock().field.len()` is not a guard, the temporary died
+/// mid-statement).
 fn guard_origin(init: &[Tree], crate_name: &str, idx: &WorkspaceIndex) -> Option<&'static str> {
     let mut end = init.len();
     while end > 0 && init[end - 1].is_punct('?') {
@@ -717,9 +517,9 @@ impl FlowCtx<'_> {
 
 /// `ManuallyDrop<GuardType>` anywhere in a file (type position) is an R8
 /// violation: a guard wrapped in ManuallyDrop never reaches Drop.
-pub fn check_manually_drop_types(path: &str, trees: &[Tree]) -> Vec<Finding> {
+pub fn check_manually_drop_types(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
-    scan_manually_drop(path, trees, &mut out);
+    scan_manually_drop(&file.rel, &file.full_trees, &mut out);
     out
 }
 
@@ -746,51 +546,14 @@ fn scan_manually_drop(path: &str, trees: &[Tree], out: &mut Vec<Finding>) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// LINT: allow(...) directives
-// ---------------------------------------------------------------------------
-
-/// One `// LINT: allow(RULE, reason)` directive in a source file. It
-/// excuses findings of `rule` on the same line or the line below (so it
-/// can ride at end-of-line or as a comment above the call).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allow {
-    pub rule: String,
-    pub reason: String,
-    pub line: u32,
-}
-
-/// Collect allow directives from raw source text (comments included —
-/// the directive *is* a comment).
-pub fn collect_allows(src: &str) -> Vec<Allow> {
-    let mut out = Vec::new();
-    for (n, line) in src.lines().enumerate() {
-        let mut rest = line;
-        while let Some(at) = rest.find("LINT: allow(") {
-            let tail = &rest[at + "LINT: allow(".len()..];
-            let Some(close) = tail.find(')') else { break };
-            let inner = &tail[..close];
-            let (rule, reason) = match inner.split_once(',') {
-                Some((r, why)) => (r.trim().to_string(), why.trim().to_string()),
-                None => (inner.trim().to_string(), String::new()),
-            };
-            out.push(Allow { rule, reason, line: n as u32 + 1 });
-            rest = &tail[close..];
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{parse_items, parse_trees};
 
     fn check(src: &str, r9: bool) -> Vec<Finding> {
-        let items = parse_items(&parse_trees(src));
-        let files = vec![("x".to_string(), &items)];
-        let idx = WorkspaceIndex::build(&files);
-        check_guard_flow("x.rs", "x", &items, &idx, r9)
+        let file = SourceFile::new("x.rs", "x", src);
+        let idx = WorkspaceIndex::build(&CallGraph::build([&file]));
+        check_guard_flow(&file, &idx, r9)
     }
 
     #[test]
@@ -871,16 +634,14 @@ mod tests {
 
     #[test]
     fn r8_manually_drop_type() {
-        let f = check_manually_drop_types(
-            "x.rs",
-            &parse_trees("struct S { g: ManuallyDrop<MutexGuard<'static, u32>> }"),
-        );
+        let file = |src| SourceFile::new("x.rs", "x", src);
+        let f = check_manually_drop_types(&file(
+            "struct S { g: ManuallyDrop<MutexGuard<'static, u32>> }",
+        ));
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(check_manually_drop_types(
-            "x.rs",
-            &parse_trees("struct S { v: ManuallyDrop<Vec<u8>> }")
-        )
-        .is_empty());
+        assert!(
+            check_manually_drop_types(&file("struct S { v: ManuallyDrop<Vec<u8>> }")).is_empty()
+        );
     }
 
     #[test]
@@ -908,18 +669,5 @@ mod tests {
             true,
         );
         assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn allows_parse() {
-        let a = collect_allows(
-            "x();\n// LINT: allow(R7, persist lock orders snapshot writes)\ny();\nz(); // LINT: allow(R7)\n",
-        );
-        assert_eq!(a.len(), 2);
-        assert_eq!(a[0].rule, "R7");
-        assert_eq!(a[0].line, 2);
-        assert!(a[0].reason.contains("persist"));
-        assert_eq!(a[1].line, 4);
-        assert!(a[1].reason.is_empty());
     }
 }

@@ -1,249 +1,96 @@
-//! Panic-reachability report: a call-graph walk from every `pub`
-//! function of the root crates (`server`, `core`, `inversion`,
-//! `buffer`) to transitive `unwrap` / `expect` / `panic!` /
+//! Panic-reachability report: a walk over the shared call graph from
+//! every `pub` function of the root crates (`server`, `core`,
+//! `inversion`, `buffer`) to transitive `unwrap` / `expect` / `panic!` /
 //! `unreachable!` sites. The result is committed as
 //! `crates/lint/panic_reach.txt` and ratcheted only-shrinks: a new
 //! reachable panic site fails lint, and so does a stale entry after a
 //! fix (regenerate with `--write-panic-reach`).
-//!
-//! Name resolution is by (name, arity) with `Qual::fn` path matching —
-//! an over-approximation (two crates' `fn flush(&self)` merge), which
-//! is the right direction for an inventory: it can only overcount
-//! reachability, never hide a site.
 
-use crate::ast::{call_arity, Items, Tree};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use crate::graph::{CallGraph, CallSite};
+use crate::tables::Committed;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Crates whose `pub` fns seed the walk.
 pub const ROOT_CRATES: [&str; 4] = ["server", "core", "inversion", "buffer"];
 
-/// One file's contribution: `(workspace-relative path, crate name, items)`.
-pub type ReachFile<'a> = (&'a str, &'a str, &'a Items);
+/// The committed report.
+pub const PANIC_REACH: Committed = Committed {
+    path: "crates/lint/panic_reach.txt",
+    rule: "PR",
+    flag: "--write-panic-reach",
+    header: "# Panic-reachability report: every unwrap/expect/panic!/unreachable! site\n\
+             # transitively reachable from a pub fn of server/core/inversion/buffer.\n\
+             # Regenerate with: cargo run -p pglo-lint --offline -- --write-panic-reach\n\
+             # CI enforces this file matches the computed set exactly (only-shrinks).\n",
+    grown: "new panic-reachable site: remove the panic path, or regenerate the report and \
+            justify the growth in review",
+};
 
-#[derive(Debug)]
-struct FnNode {
-    path: String,
-    crate_name: String,
-    qual: Option<String>,
-    name: String,
-    arity: usize,
-    has_self: bool,
-    is_root: bool,
-    sites: Vec<(u32, &'static str)>,
-    calls: Vec<Call>,
-}
-
-#[derive(Debug)]
-enum Call {
-    Method { name: String, arity: usize },
-    Path { qual: String, name: String, arity: usize },
-    Bare { name: String, arity: usize },
+/// `.unwrap(..)` / `.expect(..)`: a panic site, not an edge.
+pub fn is_panic_call(call: &CallSite) -> bool {
+    call.method && matches!(call.name(), "unwrap" | "expect")
 }
 
 /// Compute the sorted report lines.
-pub fn panic_report(files: &[ReachFile<'_>]) -> Vec<String> {
-    let mut nodes: Vec<FnNode> = Vec::new();
-    for (path, crate_name, items) in files {
-        for f in &items.fns {
-            let mut sites = Vec::new();
-            let mut calls = Vec::new();
-            if let Some(body) = &f.body {
-                scan_body(&body.trees, &mut sites, &mut calls);
-            }
-            nodes.push(FnNode {
-                path: (*path).to_string(),
-                crate_name: (*crate_name).to_string(),
-                qual: f.qual.clone(),
-                name: f.name.clone(),
-                arity: f.arity,
-                has_self: f.has_self,
-                is_root: f.is_pub && ROOT_CRATES.contains(crate_name),
-                sites,
-                calls,
-            });
-        }
-    }
-
-    // Resolution maps.
-    let mut methods: BTreeMap<(String, usize), Vec<usize>> = BTreeMap::new();
-    let mut by_qual_name: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
-    let mut free: BTreeMap<(String, usize), Vec<usize>> = BTreeMap::new();
-    for (id, n) in nodes.iter().enumerate() {
-        if n.has_self {
-            methods.entry((n.name.clone(), n.arity)).or_default().push(id);
-        }
-        if let Some(q) = &n.qual {
-            by_qual_name.entry((q.clone(), n.name.clone())).or_default().push(id);
-        } else {
-            free.entry((n.name.clone(), n.arity)).or_default().push(id);
-        }
-    }
-
-    // BFS over the call graph from the roots.
-    let mut reachable: BTreeSet<usize> = BTreeSet::new();
-    let mut queue: VecDeque<usize> =
-        nodes.iter().enumerate().filter(|(_, n)| n.is_root).map(|(i, _)| i).collect();
-    for &r in &queue {
-        reachable.insert(r);
-    }
+pub fn panic_report(graph: &CallGraph<'_>) -> Vec<String> {
+    let roots = graph.nodes.iter().enumerate().filter_map(|(id, n)| {
+        (n.item.is_pub && ROOT_CRATES.contains(&n.file.krate.as_str())).then_some(id)
+    });
+    let mut queue: VecDeque<usize> = roots.collect();
+    let mut reachable: BTreeSet<usize> = queue.iter().copied().collect();
     while let Some(id) = queue.pop_front() {
-        // Index-based iteration: edges need the maps, not the node.
-        let targets: Vec<usize> = nodes[id]
-            .calls
-            .iter()
-            .flat_map(|c| match c {
-                Call::Method { name, arity } => {
-                    methods.get(&(name.clone(), *arity)).cloned().unwrap_or_default()
+        for call in graph.nodes[id].scan.calls.iter().filter(|c| !is_panic_call(c)) {
+            for target in graph.resolve(call, false) {
+                if reachable.insert(target) {
+                    queue.push_back(target);
                 }
-                Call::Path { qual, name, arity } => {
-                    let ids = by_qual_name
-                        .get(&(qual.clone(), name.clone()))
-                        .cloned()
-                        .unwrap_or_default();
-                    // Prefer arity matches when any exist; otherwise keep
-                    // the whole qual+name set (defaults/generics shift arity).
-                    let exact: Vec<usize> =
-                        ids.iter().copied().filter(|&i| nodes[i].arity == *arity).collect();
-                    if exact.is_empty() {
-                        ids
-                    } else {
-                        exact
-                    }
-                }
-                Call::Bare { name, arity } => {
-                    free.get(&(name.clone(), *arity)).cloned().unwrap_or_default()
-                }
-            })
-            .collect();
-        for t in targets {
-            if reachable.insert(t) {
-                queue.push_back(t);
             }
         }
     }
 
     let mut lines: BTreeSet<String> = BTreeSet::new();
     for id in reachable {
-        let n = &nodes[id];
-        for (line, kind) in &n.sites {
-            let qual = n.qual.as_deref().map(|q| format!("{q}::")).unwrap_or_default();
-            lines.insert(format!(
-                "{}:{} {kind} reachable in {}::{qual}{}",
-                n.path, line, n.crate_name, n.name
-            ));
+        let n = &graph.nodes[id];
+        let calls = n.scan.calls.iter().filter(|c| is_panic_call(c));
+        let macros = n.scan.macros.iter().filter(|(m, _)| m == "panic" || m == "unreachable");
+        let sites = calls
+            .map(|c| (c.line, c.name().to_string()))
+            .chain(macros.map(|(m, line)| (*line, format!("{m}!"))));
+        for (line, kind) in sites {
+            lines.insert(format!("{}:{line} {kind} reachable in {}", n.file.rel, n.qualified()));
         }
     }
     lines.into_iter().collect()
 }
 
-fn scan_body(trees: &[Tree], sites: &mut Vec<(u32, &'static str)>, calls: &mut Vec<Call>) {
-    let mut i = 0usize;
-    while i < trees.len() {
-        let t = &trees[i];
-        // Panic sites: `.unwrap(` / `.expect(` and the panic macros.
-        if t.is_punct('.') {
-            if let (Some(m), Some(g)) = (
-                trees.get(i + 1).and_then(|x| x.ident()),
-                trees.get(i + 2).and_then(|x| x.group_with('(')),
-            ) {
-                match m {
-                    "unwrap" => sites.push((trees[i + 1].line(), "unwrap")),
-                    "expect" => sites.push((trees[i + 1].line(), "expect")),
-                    _ => calls.push(Call::Method { name: m.to_string(), arity: call_arity(g) }),
-                }
-                scan_body(&g.trees, sites, calls);
-                i += 3;
-                continue;
-            }
-        }
-        if let Some(id) = t.ident() {
-            if matches!(id, "panic" | "unreachable")
-                && trees.get(i + 1).is_some_and(|x| x.is_punct('!'))
-            {
-                sites.push((t.line(), if id == "panic" { "panic!" } else { "unreachable!" }));
-                i += 2;
-                continue;
-            }
-            if i == 0 || !trees[i - 1].is_punct('.') {
-                // Path / bare call.
-                let mut segs: Vec<String> = vec![id.to_string()];
-                let mut j = i;
-                while trees.get(j + 1).is_some_and(|x| x.is_punct(':'))
-                    && trees.get(j + 2).is_some_and(|x| x.is_punct(':'))
-                    && trees.get(j + 3).and_then(|x| x.ident()).is_some()
-                {
-                    j += 3;
-                    if let Some(s) = trees[j].ident() {
-                        segs.push(s.to_string());
-                    }
-                }
-                if let Some(g) = trees.get(j + 1).and_then(|x| x.group_with('(')) {
-                    let arity = call_arity(g);
-                    if segs.len() >= 2 {
-                        calls.push(Call::Path {
-                            qual: segs[segs.len() - 2].clone(),
-                            name: segs[segs.len() - 1].clone(),
-                            arity,
-                        });
-                    } else {
-                        calls.push(Call::Bare { name: segs[0].clone(), arity });
-                    }
-                    scan_body(&g.trees, sites, calls);
-                    i = j + 2;
-                    continue;
-                }
-                i = j + 1;
-                continue;
-            }
-        }
-        if let Some(g) = t.group() {
-            scan_body(&g.trees, sites, calls);
-        }
-        i += 1;
-    }
-}
-
-/// Parse a committed panic_reach.txt: report lines, `#` comments and
-/// blanks skipped.
-pub fn parse_committed(text: &str) -> BTreeSet<String> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{parse_items, parse_trees};
+    use crate::source::SourceFile;
+
+    fn report(files: &[&SourceFile]) -> Vec<String> {
+        panic_report(&CallGraph::build(files.iter().copied()))
+    }
 
     #[test]
     fn reachable_sites_only() {
         let server =
-            parse_items(&parse_trees("impl Api { pub fn open(&self) { helper(self.x) } }"));
-        let util = parse_items(&parse_trees(
+            SourceFile::new("s.rs", "server", "impl Api { pub fn open(&self) { helper(self.x) } }");
+        let util = SourceFile::new(
+            "u.rs",
+            "heap",
             "fn helper(x: u32) { x.unwrap(); }\nfn dead() { panic!(\"never\"); }",
-        ));
-        let files: Vec<ReachFile> = vec![("s.rs", "server", &server), ("u.rs", "heap", &util)];
-        let report = panic_report(&files);
+        );
+        let report = report(&[&server, &util]);
         assert_eq!(report.len(), 1, "{report:?}");
         assert!(report[0].contains("u.rs:1 unwrap reachable in heap::helper"), "{report:?}");
     }
 
     #[test]
     fn non_root_pub_is_not_a_seed() {
-        let heap = parse_items(&parse_trees("pub fn lonely() { x.expect(\"boom\"); }"));
-        let files: Vec<ReachFile> = vec![("h.rs", "heap", &heap)];
-        assert!(panic_report(&files).is_empty());
-        let buf = parse_items(&parse_trees("pub fn entry() { x.expect(\"boom\"); }"));
-        let files: Vec<ReachFile> = vec![("b.rs", "buffer", &buf)];
-        assert_eq!(panic_report(&files).len(), 1);
-    }
-
-    #[test]
-    fn committed_parse_skips_comments() {
-        let set = parse_committed("# header\n\na.rs:1 unwrap reachable in x::f\n");
-        assert_eq!(set.len(), 1);
+        let heap = SourceFile::new("h.rs", "heap", "pub fn lonely() { x.expect(\"boom\"); }");
+        assert!(report(&[&heap]).is_empty());
+        let buf = SourceFile::new("b.rs", "buffer", "pub fn entry() { x.expect(\"boom\"); }");
+        assert_eq!(report(&[&buf]).len(), 1);
     }
 }

@@ -6,44 +6,42 @@
 //! removed) anywhere but everywhere fails the build; a wildcard arm in
 //! dispatch is itself a violation because it would hide the drift.
 
-use crate::ast::{parse_int, parse_items, parse_trees, Tree};
-use crate::{finding, Finding, TokKind};
+use crate::ast::{parse_int, Tree};
+use crate::source::{SourceFile, TokKind, Token};
+use crate::tables::{fenced_rows, DESIGN};
+use crate::{finding, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One source file input: `(display path, source text)`.
-pub type Src<'a> = (&'a str, &'a str);
-
-/// Run the four-way check. Inputs are `(path, text)` pairs so fixture
-/// tests can feed synthetic sources.
-pub fn check_proto_sync(proto: Src, service: Src, client: Src, design: Src) -> Vec<Finding> {
+/// Run the four-way check over the three server files and DESIGN.md's
+/// text.
+pub fn check_proto_sync(
+    proto: &SourceFile,
+    service: &SourceFile,
+    client: &SourceFile,
+    design: &str,
+) -> Vec<Finding> {
     let mut out = Vec::new();
+    let mut report = |path: &str, line: u32, msg: String| out.push(finding(path, line, "R10", msg));
 
     // --- proto.rs: enum + ALL + name() -----------------------------------
-    let trees = parse_trees(proto.1);
-    let items = parse_items(&trees);
+    let items = &proto.items;
     let Some(op_enum) = items.enums.iter().find(|e| e.name == "Opcode") else {
-        out.push(finding(proto.0, 0, "R10", "no `enum Opcode` found".to_string()));
+        report(&proto.rel, 0, "no `enum Opcode` found".to_string());
         return out;
     };
     let mut variants: BTreeMap<String, (u64, u32)> = BTreeMap::new();
     let mut discs: BTreeMap<u64, String> = BTreeMap::new();
     for (vname, disc, vline) in &op_enum.variants {
         let Some(d) = disc else {
-            out.push(finding(
-                proto.0,
-                *vline,
-                "R10",
-                format!("Opcode::{vname} has no explicit discriminant: wire opcodes must pin their byte"),
-            ));
+            let msg = format!(
+                "Opcode::{vname} has no explicit discriminant: wire opcodes must pin their byte"
+            );
+            report(&proto.rel, *vline, msg);
             continue;
         };
         if let Some(prev) = discs.insert(*d, vname.clone()) {
-            out.push(finding(
-                proto.0,
-                *vline,
-                "R10",
-                format!("Opcode::{vname} reuses discriminant {d:#04x} of Opcode::{prev}"),
-            ));
+            let msg = format!("Opcode::{vname} reuses discriminant {d:#04x} of Opcode::{prev}");
+            report(&proto.rel, *vline, msg);
         }
         variants.insert(vname.clone(), (*d, *vline));
     }
@@ -51,26 +49,16 @@ pub fn check_proto_sync(proto: Src, service: Src, client: Src, design: Src) -> V
 
     // ALL: `Opcode::X` refs inside the const's value.
     if let Some(all) = items.consts.iter().find(|c| c.name == "ALL") {
-        let refs = opcode_refs_deep(&all.value);
+        let refs = opcode_refs(&all.value);
         let aset: BTreeSet<&String> = refs.keys().collect();
         for v in vset.difference(&aset) {
-            out.push(finding(
-                proto.0,
-                all.line,
-                "R10",
-                format!("Opcode::{v} missing from Opcode::ALL"),
-            ));
+            report(&proto.rel, all.line, format!("Opcode::{v} missing from Opcode::ALL"));
         }
         for v in aset.difference(&vset) {
-            out.push(finding(
-                proto.0,
-                all.line,
-                "R10",
-                format!("Opcode::ALL lists unknown variant {v}"),
-            ));
+            report(&proto.rel, all.line, format!("Opcode::ALL lists unknown variant {v}"));
         }
     } else {
-        out.push(finding(proto.0, 0, "R10", "no `const ALL` in proto.rs".to_string()));
+        report(&proto.rel, 0, "no `const ALL` in proto.rs".to_string());
     }
 
     // name(): match arms `Opcode::X => "snake"`.
@@ -78,201 +66,149 @@ pub fn check_proto_sync(proto: Src, service: Src, client: Src, design: Src) -> V
     if let Some(name_fn) =
         items.fns.iter().find(|f| f.name == "name" && f.qual.as_deref() == Some("Opcode"))
     {
+        let (at, mut arms) = (name_fn.line, Vec::new());
         if let Some(body) = &name_fn.body {
-            collect_name_arms(&body.trees, &mut names);
+            opcode_arms(&body.trees, &mut arms);
+        }
+        for (variant, _, value) in arms {
+            if let Some(Tree::Tok(Token { kind: TokKind::Str, text, .. })) = value {
+                names.insert(variant.to_string(), text.clone());
+            }
         }
         let nset: BTreeSet<&String> = names.keys().collect();
         for v in vset.difference(&nset) {
-            out.push(finding(
-                proto.0,
-                name_fn.line,
-                "R10",
-                format!("Opcode::{v} has no arm in Opcode::name()"),
-            ));
+            report(&proto.rel, at, format!("Opcode::{v} has no arm in Opcode::name()"));
         }
         for v in nset.difference(&vset) {
-            out.push(finding(
-                proto.0,
-                name_fn.line,
-                "R10",
-                format!("Opcode::name() names unknown variant {v}"),
-            ));
+            report(&proto.rel, at, format!("Opcode::name() names unknown variant {v}"));
         }
         let mut seen: BTreeMap<&String, &String> = BTreeMap::new();
         for (v, s) in &names {
             if let Some(prev) = seen.insert(s, v) {
-                out.push(finding(
-                    proto.0,
-                    name_fn.line,
-                    "R10",
-                    format!("Opcode::name() maps both {prev} and {v} to {s:?}"),
-                ));
+                report(&proto.rel, at, format!("Opcode::name() maps both {prev} and {v} to {s:?}"));
             }
         }
     } else {
-        out.push(finding(proto.0, 0, "R10", "no `Opcode::name()` in proto.rs".to_string()));
+        report(&proto.rel, 0, "no `Opcode::name()` in proto.rs".to_string());
     }
 
     // --- service.rs: dispatch match --------------------------------------
-    let service_items = parse_items(&parse_trees(service.1));
-    if let Some(dispatch) = service_items.fns.iter().find(|f| f.name == "dispatch") {
+    if let Some(dispatch) = service.items.fns.iter().find(|f| f.name == "dispatch") {
         let mut arms: BTreeMap<String, u32> = BTreeMap::new();
         let mut wildcard: Option<u32> = None;
         if let Some(body) = &dispatch.body {
             collect_dispatch_arms(&body.trees, &mut arms, &mut wildcard);
         }
         if let Some(line) = wildcard {
-            out.push(finding(
-                service.0,
-                line,
-                "R10",
-                "wildcard `_ =>` arm in dispatch: every opcode must have an explicit arm \
-                 so adding one is a visible decision, not silent fallthrough"
-                    .to_string(),
-            ));
+            let msg = "wildcard `_ =>` arm in dispatch: every opcode must have an explicit arm \
+                       so adding one is a visible decision, not silent fallthrough";
+            report(&service.rel, line, msg.to_string());
         }
         let aset: BTreeSet<&String> = arms.keys().collect();
         for v in vset.difference(&aset) {
-            out.push(finding(
-                service.0,
-                dispatch.line,
-                "R10",
-                format!("Opcode::{v} has no dispatch arm in service.rs"),
-            ));
+            let msg = format!("Opcode::{v} has no dispatch arm in service.rs");
+            report(&service.rel, dispatch.line, msg);
         }
         for v in aset.difference(&vset) {
-            out.push(finding(
-                service.0,
-                arms[*v],
-                "R10",
-                format!("dispatch arm for unknown Opcode::{v}"),
-            ));
+            report(&service.rel, arms[*v], format!("dispatch arm for unknown Opcode::{v}"));
         }
     } else {
-        out.push(finding(service.0, 0, "R10", "no `fn dispatch` in service.rs".to_string()));
+        report(&service.rel, 0, "no `fn dispatch` in service.rs".to_string());
     }
 
     // --- client.rs: typed client must exercise every opcode ---------------
-    let client_trees = parse_trees(client.1);
-    let client_refs = opcode_refs_deep(&client_trees);
+    let client_refs = opcode_refs(&client.trees);
     let cset: BTreeSet<&String> = client_refs.keys().collect();
     for v in vset.difference(&cset) {
-        out.push(finding(
-            client.0,
-            0,
-            "R10",
-            format!("typed client never references Opcode::{v}: every wire op needs a typed API"),
-        ));
+        let msg =
+            format!("typed client never references Opcode::{v}: every wire op needs a typed API");
+        report(&client.rel, 0, msg);
     }
 
     // --- DESIGN.md: wire-ops table ----------------------------------------
-    match parse_wire_ops(design.1) {
-        Err(e) => out.push(finding(design.0, 0, "R10", e)),
-        Ok(rows) => {
-            let mut row_by_name: BTreeMap<&String, (u64, u32)> = BTreeMap::new();
-            for (disc, name, line) in &rows {
-                if row_by_name.insert(name, (*disc, *line)).is_some() {
-                    out.push(finding(
-                        design.0,
-                        *line,
-                        "R10",
-                        format!("duplicate wire-ops row for {name}"),
-                    ));
-                }
-            }
-            // Compare (discriminant, snake name) pairs against enum+name().
-            for (v, (d, vline)) in &variants {
-                let Some(snake) = names.get(v) else { continue };
-                match row_by_name.get(snake) {
-                    None => out.push(finding(
-                        design.0,
-                        0,
-                        "R10",
-                        format!(
-                            "opcode {snake} ({d:#04x}, Opcode::{v} at {}:{vline}) missing from \
-                             the DESIGN.md wire-ops table",
-                            proto.0
-                        ),
-                    )),
-                    Some((row_d, row_line)) if row_d != d => out.push(finding(
-                        design.0,
-                        *row_line,
-                        "R10",
-                        format!(
-                            "wire-ops row {snake} says {row_d:#04x} but Opcode::{v} is {d:#04x}"
-                        ),
-                    )),
-                    Some(_) => {}
-                }
-            }
-            let snake_set: BTreeSet<&String> = names.values().collect();
-            for (_, name, line) in &rows {
-                if !snake_set.contains(name) {
-                    out.push(finding(
-                        design.0,
-                        *line,
-                        "R10",
-                        format!("wire-ops row {name} matches no Opcode::name()"),
-                    ));
-                }
-            }
+    let rows = match parse_wire_ops(design) {
+        Ok(rows) => rows,
+        Err(e) => {
+            report(DESIGN, 0, e);
+            return out;
+        }
+    };
+    let mut row_by_name: BTreeMap<&String, (u64, u32)> = BTreeMap::new();
+    for (disc, name, line) in &rows {
+        if row_by_name.insert(name, (*disc, *line)).is_some() {
+            report(DESIGN, *line, format!("duplicate wire-ops row for {name}"));
         }
     }
-
-    out
-}
-
-/// `Opcode::X` references (X uppercase-initial) in a tree slice, mapped
-/// to the first line seen. Non-recursive over groups.
-/// `Opcode::X` references anywhere in `trees`, recursing into groups.
-fn opcode_refs_deep(trees: &[Tree]) -> BTreeMap<String, u32> {
-    let mut out = BTreeMap::new();
-    scan_opcode_refs(trees, true, &mut out);
-    out
-}
-
-fn scan_opcode_refs(trees: &[Tree], deep: bool, out: &mut BTreeMap<String, u32>) {
-    for (i, t) in trees.iter().enumerate() {
-        if t.is_ident("Opcode")
-            && trees.get(i + 1).is_some_and(|x| x.is_punct(':'))
-            && trees.get(i + 2).is_some_and(|x| x.is_punct(':'))
-        {
-            if let Some(name) = trees.get(i + 3).and_then(|x| x.ident()) {
-                if name.chars().next().is_some_and(|c| c.is_uppercase()) && name != "ALL" {
-                    out.entry(name.to_string()).or_insert(trees[i + 3].line());
-                }
+    // Compare (discriminant, snake name) pairs against enum+name().
+    for (v, (d, vline)) in &variants {
+        let Some(snake) = names.get(v) else { continue };
+        match row_by_name.get(snake) {
+            None => {
+                let msg = format!(
+                    "opcode {snake} ({d:#04x}, Opcode::{v} at {}:{vline}) missing from the \
+                     DESIGN.md wire-ops table",
+                    proto.rel
+                );
+                report(DESIGN, 0, msg);
             }
+            Some((row_d, row_line)) if row_d != d => {
+                let msg =
+                    format!("wire-ops row {snake} says {row_d:#04x} but Opcode::{v} is {d:#04x}");
+                report(DESIGN, *row_line, msg);
+            }
+            Some(_) => {}
         }
-        if deep {
+    }
+    let snake_set: BTreeSet<&String> = names.values().collect();
+    for (_, name, line) in rows.iter().filter(|(_, name, _)| !snake_set.contains(name)) {
+        report(DESIGN, *line, format!("wire-ops row {name} matches no Opcode::name()"));
+    }
+    out
+}
+
+/// The variant `X` of an `Opcode::X` path starting at `trees[i]`.
+fn opcode_at(trees: &[Tree], i: usize) -> Option<&str> {
+    let path = trees[i].is_ident("Opcode")
+        && trees.get(i + 1).is_some_and(|x| x.is_punct(':'))
+        && trees.get(i + 2).is_some_and(|x| x.is_punct(':'));
+    let variant = trees.get(i + 3).filter(|_| path)?.ident()?;
+    variant.starts_with(char::is_uppercase).then_some(variant)
+}
+
+/// `Opcode::X` references (`ALL` itself excepted) anywhere in `trees`,
+/// recursing into groups, mapped to the first line seen.
+fn opcode_refs(trees: &[Tree]) -> BTreeMap<String, u32> {
+    fn walk(trees: &[Tree], out: &mut BTreeMap<String, u32>) {
+        for (i, t) in trees.iter().enumerate() {
+            if let Some(name) = opcode_at(trees, i).filter(|name| *name != "ALL") {
+                out.entry(name.to_string()).or_insert(trees[i + 3].line());
+            }
             if let Some(g) = t.group() {
-                scan_opcode_refs(&g.trees, deep, out);
+                walk(&g.trees, out);
             }
         }
     }
+    let mut out = BTreeMap::new();
+    walk(trees, &mut out);
+    out
 }
 
-/// Arms of `Opcode::name()`: `Opcode::X => "snake"`.
-fn collect_name_arms(trees: &[Tree], out: &mut BTreeMap<String, String>) {
-    for (i, t) in trees.iter().enumerate() {
-        if let Some(g) = t.group() {
-            collect_name_arms(&g.trees, out);
-            continue;
-        }
-        if t.is_ident("Opcode")
-            && trees.get(i + 1).is_some_and(|x| x.is_punct(':'))
-            && trees.get(i + 2).is_some_and(|x| x.is_punct(':'))
-        {
-            let Some(variant) = trees.get(i + 3).and_then(|x| x.ident()) else { continue };
-            if trees.get(i + 4).is_some_and(|x| x.is_punct('='))
-                && trees.get(i + 5).is_some_and(|x| x.is_punct('>'))
-            {
-                if let Some(Tree::Tok(tok)) = trees.get(i + 6) {
-                    if tok.kind == TokKind::Str {
-                        out.insert(variant.to_string(), tok.text.clone());
-                    }
-                }
-            }
-        }
+/// Match arms `Opcode::X => value` directly in `trees` (one group
+/// level): `(variant, line, first tree of the value)`.
+fn arms_in(trees: &[Tree]) -> impl Iterator<Item = (&str, u32, Option<&Tree>)> {
+    (0..trees.len()).filter_map(move |i| {
+        let variant = opcode_at(trees, i)?;
+        let arrow = trees.get(i + 4).is_some_and(|x| x.is_punct('='))
+            && trees.get(i + 5).is_some_and(|x| x.is_punct('>'));
+        arrow.then(|| (variant, trees[i + 3].line(), trees.get(i + 6)))
+    })
+}
+
+/// Every `Opcode::X => value` arm in `trees`, recursing into groups.
+fn opcode_arms<'t>(trees: &'t [Tree], out: &mut Vec<(&'t str, u32, Option<&'t Tree>)>) {
+    out.extend(arms_in(trees));
+    for g in trees.iter().filter_map(Tree::group) {
+        opcode_arms(&g.trees, out);
     }
 }
 
@@ -283,76 +219,35 @@ fn collect_dispatch_arms(
     out: &mut BTreeMap<String, u32>,
     wildcard: &mut Option<u32>,
 ) {
-    let mut local_has_arms = false;
-    let mut local_wildcard: Option<u32> = None;
-    for (i, t) in trees.iter().enumerate() {
-        if let Some(g) = t.group() {
-            collect_dispatch_arms(&g.trees, out, wildcard);
-            continue;
-        }
-        if t.is_ident("_")
+    for g in trees.iter().filter_map(Tree::group) {
+        collect_dispatch_arms(&g.trees, out, wildcard);
+    }
+    let local: Vec<_> = arms_in(trees).map(|(v, line, _)| (v.to_string(), line)).collect();
+    let local_wildcard = (0..trees.len()).rev().find(|&i| {
+        trees[i].is_ident("_")
             && trees.get(i + 1).is_some_and(|x| x.is_punct('='))
             && trees.get(i + 2).is_some_and(|x| x.is_punct('>'))
-        {
-            local_wildcard = Some(t.line());
-        }
-        if t.is_ident("Opcode")
-            && trees.get(i + 1).is_some_and(|x| x.is_punct(':'))
-            && trees.get(i + 2).is_some_and(|x| x.is_punct(':'))
-        {
-            let Some(variant) = trees.get(i + 3).and_then(|x| x.ident()) else { continue };
-            if trees.get(i + 4).is_some_and(|x| x.is_punct('='))
-                && trees.get(i + 5).is_some_and(|x| x.is_punct('>'))
-                && variant.chars().next().is_some_and(|c| c.is_uppercase())
-            {
-                out.insert(variant.to_string(), trees[i + 3].line());
-                local_has_arms = true;
-            }
-        }
+    });
+    if let (false, Some(i), None) = (local.is_empty(), local_wildcard, &wildcard) {
+        *wildcard = Some(trees[i].line());
     }
-    if local_has_arms && local_wildcard.is_some() && wildcard.is_none() {
-        *wildcard = local_wildcard;
-    }
+    out.extend(local);
 }
 
 /// Rows of the ```` ```wire-ops ```` fenced block: `0xNN name — note`.
 /// Returns `(discriminant, snake name, line)` per row.
 pub fn parse_wire_ops(md: &str) -> Result<Vec<(u64, String, u32)>, String> {
-    let mut rows = Vec::new();
-    let mut in_block = false;
-    let mut seen = false;
-    for (n, line) in md.lines().enumerate() {
-        let trimmed = line.trim();
-        if !in_block {
-            if trimmed == "```wire-ops" {
-                in_block = true;
-                seen = true;
-            }
-            continue;
-        }
-        if trimmed == "```" {
-            in_block = false;
-            continue;
-        }
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let mut fields = trimmed.split_whitespace();
+    let parse = |(n, row): (u32, &str)| {
+        let mut fields = row.split_whitespace();
         let (Some(disc), Some(name)) = (fields.next(), fields.next()) else {
-            return Err(format!("wire-ops line {}: expected `0xNN name — note`", n + 1));
+            return Err(format!("wire-ops line {n}: expected `0xNN name — note`"));
         };
         let Some(disc) = parse_int(disc) else {
-            return Err(format!("wire-ops line {}: bad opcode byte {disc:?}", n + 1));
+            return Err(format!("wire-ops line {n}: bad opcode byte {disc:?}"));
         };
-        rows.push((disc, name.to_string(), n as u32 + 1));
-    }
-    if !seen {
-        return Err("DESIGN.md has no ```wire-ops fenced block".to_string());
-    }
-    if in_block {
-        return Err("DESIGN.md wire-ops block is unterminated".to_string());
-    }
-    Ok(rows)
+        Ok((disc, name.to_string(), n))
+    };
+    fenced_rows(md, "wire-ops")?.into_iter().map(parse).collect()
 }
 
 #[cfg(test)]
@@ -385,11 +280,12 @@ mod tests {
         "x\n```wire-ops\n0x01 ping — liveness probe\n0x02 read — read bytes\n```\n";
 
     fn run(proto: &str, service: &str, client: &str, design: &str) -> Vec<Finding> {
+        let file = |rel, src| SourceFile::new(rel, "server", src);
         check_proto_sync(
-            ("proto.rs", proto),
-            ("service.rs", service),
-            ("client.rs", client),
-            ("DESIGN.md", design),
+            &file("proto.rs", proto),
+            &file("service.rs", service),
+            &file("client.rs", client),
+            design,
         )
     }
 

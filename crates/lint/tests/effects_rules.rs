@@ -4,9 +4,9 @@
 //! unmodified workspace is clean modulo its reasoned allows), and the
 //! `--json` golden/stability test backing the CI artifact.
 
-use pglo_lint::ast::{parse_items, parse_trees, Items};
 use pglo_lint::{
-    check_guard_flow, collect_allows, infer_effects, EffectFile, Finding, WorkspaceIndex,
+    check_guard_flow, infer_effects, load_workspace, Allows, CallGraph, Finding, SourceFile,
+    WorkspaceIndex,
 };
 use std::path::{Path, PathBuf};
 
@@ -24,13 +24,9 @@ const R13_NEG: &str = include_str!("fixtures/r13_neg.rs");
 
 #[test]
 fn r12_fixture_two_hop_block_fires() {
-    let reactor = parse_items(&parse_trees(R12_POS));
-    let helpers = parse_items(&parse_trees(R12_HELPERS));
-    let files: Vec<EffectFile> = vec![
-        ("crates/server/src/reactor.rs", "server", &reactor),
-        ("crates/server/src/helpers.rs", "server", &helpers),
-    ];
-    let r12 = infer_effects(&files).check_r12();
+    let reactor = SourceFile::new("crates/server/src/reactor.rs", "server", R12_POS);
+    let helpers = SourceFile::new("crates/server/src/helpers.rs", "server", R12_HELPERS);
+    let r12 = infer_effects(&CallGraph::build([&reactor, &helpers])).check_r12();
     assert_eq!(r12.len(), 1, "{r12:?}");
     assert_eq!(r12[0].rule, "R12");
     assert!(r12[0].message.contains("dispatch"), "{}", r12[0].message);
@@ -43,26 +39,24 @@ fn r12_fixture_two_hop_block_fires() {
 
 #[test]
 fn r12_fixture_executor_and_try_paths_quiet() {
-    let reactor = parse_items(&parse_trees(R12_NEG));
-    let files: Vec<EffectFile> = vec![("crates/server/src/reactor.rs", "server", &reactor)];
-    let r12 = infer_effects(&files).check_r12();
+    let reactor = SourceFile::new("crates/server/src/reactor.rs", "server", R12_NEG);
+    let r12 = infer_effects(&CallGraph::build([&reactor])).check_r12();
     assert!(r12.is_empty(), "{r12:?}");
 }
 
-fn r13_fixture_files<'a>(wal: &'a Items, smgr: &'a Items, buf: &'a Items) -> Vec<EffectFile<'a>> {
-    vec![
-        ("crates/wal/src/lib.rs", "wal", wal),
-        ("crates/smgr/src/disk.rs", "smgr", smgr),
-        ("crates/buffer/src/lib.rs", "buffer", buf),
+/// The R13 definitions fixtures plus `buf` posing as the buffer pool.
+fn r13_fixture_files(buf: &str) -> [SourceFile; 3] {
+    [
+        SourceFile::new("crates/wal/src/lib.rs", "wal", R13_DEFS_WAL),
+        SourceFile::new("crates/smgr/src/disk.rs", "smgr", R13_DEFS_SMGR),
+        SourceFile::new("crates/buffer/src/lib.rs", "buffer", buf),
     ]
 }
 
 #[test]
 fn r13_fixture_write_before_append_and_bare_rename_fire() {
-    let wal = parse_items(&parse_trees(R13_DEFS_WAL));
-    let smgr = parse_items(&parse_trees(R13_DEFS_SMGR));
-    let buf = parse_items(&parse_trees(R13_POS));
-    let r13 = infer_effects(&r13_fixture_files(&wal, &smgr, &buf)).check_r13();
+    let files = r13_fixture_files(R13_POS);
+    let r13 = infer_effects(&CallGraph::build(&files)).check_r13();
     assert_eq!(r13.len(), 2, "{r13:?}");
     assert!(
         r13.iter()
@@ -77,10 +71,8 @@ fn r13_fixture_write_before_append_and_bare_rename_fire() {
 
 #[test]
 fn r13_fixture_correct_order_quiet() {
-    let wal = parse_items(&parse_trees(R13_DEFS_WAL));
-    let smgr = parse_items(&parse_trees(R13_DEFS_SMGR));
-    let buf = parse_items(&parse_trees(R13_NEG));
-    let r13 = infer_effects(&r13_fixture_files(&wal, &smgr, &buf)).check_r13();
+    let files = r13_fixture_files(R13_NEG);
+    let r13 = infer_effects(&CallGraph::build(&files)).check_r13();
     assert!(r13.is_empty(), "{r13:?}");
 }
 
@@ -92,84 +84,23 @@ fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap()
 }
 
-/// Load every library file the driver feeds the effect pass — all
-/// `crates/*/src/**` except the lint crate and out-of-line test
-/// modules — with `overrides` substituting mutated sources by
-/// workspace-relative path. Returns `(rel, src, items)`.
-fn load_workspace(root: &Path, overrides: &[(&str, &str)]) -> Vec<(String, String, Items)> {
-    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                walk(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                out.push(path);
-            }
-        }
-    }
-    let mut files = Vec::new();
-    for entry in std::fs::read_dir(root.join("crates")).unwrap() {
-        let crate_dir = entry.unwrap().path();
-        let src_dir = crate_dir.join("src");
-        if !src_dir.is_dir() {
-            continue;
-        }
-        let mut paths = Vec::new();
-        walk(&src_dir, &mut paths);
-        paths.sort();
-        files.extend(paths);
-    }
-    let mut out = Vec::new();
-    for file in files {
-        let rel = file.strip_prefix(root).unwrap().to_string_lossy().replace('\\', "/");
-        let crate_name = rel.strip_prefix("crates/").unwrap().split('/').next().unwrap();
-        let in_src = rel.splitn(3, '/').nth(2).unwrap_or("");
-        if crate_name == "lint"
-            || crate_name == "bench"
-            || in_src == "src/tests.rs"
-            || in_src.starts_with("src/tests/")
-        {
-            continue;
-        }
-        let src = match overrides.iter().find(|(p, _)| *p == rel) {
-            Some((_, s)) => s.to_string(),
-            None => std::fs::read_to_string(&file).unwrap(),
-        };
-        let items = parse_items(&parse_trees(&src));
-        out.push((rel, src, items));
-    }
-    out
+/// The files the driver feeds the flow and effect passes — the engine
+/// crates' library code — with `overrides` substituting mutated sources
+/// by workspace-relative path.
+fn load_engine(root: &Path, overrides: &[(&str, &str)]) -> Vec<SourceFile> {
+    let files = load_workspace(root, overrides).unwrap();
+    files.into_iter().filter(SourceFile::is_engine).collect()
 }
 
-/// Drop findings excused by a reasoned `// LINT: allow(<rule>, ...)`
-/// on the finding line or the line above — the driver's matching.
-fn apply_allows(findings: Vec<Finding>, files: &[(String, String, Items)]) -> Vec<Finding> {
-    findings
-        .into_iter()
-        .filter(|f| {
-            let rel = f.path.to_string_lossy().replace('\\', "/");
-            let Some((_, src, _)) = files.iter().find(|(p, _, _)| *p == rel) else {
-                return true;
-            };
-            !collect_allows(src).iter().any(|a| {
-                a.rule == f.rule
-                    && !a.reason.is_empty()
-                    && (a.line == f.line || a.line + 1 == f.line)
-            })
-        })
-        .collect()
-}
-
-fn effect_findings(files: &[(String, String, Items)], rule: &str) -> Vec<Finding> {
-    let input: Vec<EffectFile> =
-        files.iter().map(|(p, _, i)| (p.as_str(), crate_of(p), i)).collect();
-    let idx = infer_effects(&input);
-    let found = if rule == "R12" { idx.check_r12() } else { idx.check_r13() };
-    apply_allows(found, files)
-}
-
-fn crate_of(rel: &str) -> &str {
-    rel.strip_prefix("crates/").unwrap().split('/').next().unwrap()
+/// R12 or R13 findings over `files`, minus those a reasoned
+/// `// LINT: allow(<rule>, ...)` excuses — the driver's matching.
+fn effect_findings(files: &[SourceFile], rule: &str) -> Vec<Finding> {
+    let graph = CallGraph::build(files);
+    let idx = infer_effects(&graph);
+    let mut found = if rule == "R12" { idx.check_r12() } else { idx.check_r13() };
+    let mut allows = Allows::of(files);
+    found.retain(|f| !allows.excuses(f));
+    found
 }
 
 #[test]
@@ -178,7 +109,7 @@ fn r12_live_injection_weakened_drain_lock_fires() {
     let rel = "crates/server/src/reactor.rs";
     let orig = std::fs::read_to_string(root.join(rel)).unwrap();
 
-    let baseline = effect_findings(&load_workspace(&root, &[]), "R12");
+    let baseline = effect_findings(&load_engine(&root, &[]), "R12");
     assert!(baseline.is_empty(), "unmodified workspace must be R12-clean: {baseline:?}");
 
     // Weaken one real call site: drain the done queue with a blocking
@@ -186,7 +117,7 @@ fn r12_live_injection_weakened_drain_lock_fires() {
     let site = "self.shared.done[self.idx].try_lock()";
     assert!(orig.contains(site), "injection site moved; update this test");
     let weakened = orig.replace(site, "self.shared.done[self.idx].lock()");
-    let mutated = effect_findings(&load_workspace(&root, &[(rel, &weakened)]), "R12");
+    let mutated = effect_findings(&load_engine(&root, &[(rel, &weakened)]), "R12");
     assert!(
         mutated.iter().any(|f| f.rule == "R12"
             && f.path.to_string_lossy().ends_with("reactor.rs")
@@ -201,7 +132,7 @@ fn r13_live_injection_dropped_dir_fsync_fires() {
     let rel = "crates/wal/src/lib.rs";
     let orig = std::fs::read_to_string(root.join(rel)).unwrap();
 
-    let baseline = effect_findings(&load_workspace(&root, &[]), "R13");
+    let baseline = effect_findings(&load_engine(&root, &[]), "R13");
     assert!(baseline.is_empty(), "unmodified workspace must be R13-clean: {baseline:?}");
 
     // Weaken one real call site: WAL segment recycling renames without
@@ -209,7 +140,7 @@ fn r13_live_injection_dropped_dir_fsync_fires() {
     let site = "self.sync_dir()?;";
     assert!(orig.contains(site), "injection site moved; update this test");
     let weakened = orig.replace(site, "");
-    let mutated = effect_findings(&load_workspace(&root, &[(rel, &weakened)]), "R13");
+    let mutated = effect_findings(&load_engine(&root, &[(rel, &weakened)]), "R13");
     assert!(
         mutated.iter().any(|f| f.rule == "R13"
             && f.path.to_string_lossy().ends_with("wal/src/lib.rs")
@@ -224,17 +155,12 @@ fn r9_live_injection_dropped_waker_poke_fires() {
     let rel = "crates/server/src/reactor.rs";
     let orig = std::fs::read_to_string(root.join(rel)).unwrap();
 
-    let files = load_workspace(&root, &[]);
-    let index_input: Vec<(String, &Items)> =
-        files.iter().map(|(p, _, i)| (crate_of(p).to_string(), i)).collect();
-    let index = WorkspaceIndex::build(&index_input);
-    let r9 = |items: &Items, idx: &WorkspaceIndex| -> Vec<Finding> {
-        check_guard_flow(rel, "server", items, idx, true)
-            .into_iter()
-            .filter(|f| f.rule == "R9")
-            .collect()
+    let files = load_engine(&root, &[]);
+    let index = WorkspaceIndex::build(&CallGraph::build(&files));
+    let r9 = |file: &SourceFile, idx: &WorkspaceIndex| -> Vec<Finding> {
+        check_guard_flow(file, idx, true).into_iter().filter(|f| f.rule == "R9").collect()
     };
-    let reactor = &files.iter().find(|(p, _, _)| p == rel).unwrap().2;
+    let reactor = files.iter().find(|f| f.rel == rel).unwrap();
     let baseline = r9(reactor, &index);
     assert!(baseline.is_empty(), "unmodified reactor must be R9-clean: {baseline:?}");
 
@@ -243,8 +169,7 @@ fn r9_live_injection_dropped_waker_poke_fires() {
     let site = "soft_error(shared.wakers[reactor].wake());";
     assert!(orig.contains(site), "injection site moved; update this test");
     let weakened = orig.replace(site, "let _ = shared.wakers[reactor].wake();");
-    let mutated_items = parse_items(&parse_trees(&weakened));
-    let mutated = r9(&mutated_items, &index);
+    let mutated = r9(&SourceFile::new(rel, "server", weakened), &index);
     assert!(
         mutated.iter().any(|f| f.message.contains("let _")),
         "dropped waker poke must fire R9: {mutated:?}"

@@ -4,10 +4,9 @@
 //! under `tests/fixtures/` — the workspace walker skips that directory,
 //! because they violate the rules on purpose.
 
-use pglo_lint::ast::{parse_items, parse_trees, Items};
 use pglo_lint::{
     check_guard_flow, check_manually_drop_types, check_proto_sync, collect_allows, panic_report,
-    parse_committed, parse_wire_ops, Finding, ReachFile, WorkspaceIndex,
+    parse_committed, parse_wire_ops, Allows, CallGraph, Finding, SourceFile, WorkspaceIndex,
 };
 
 const R7_POS: &str = include_str!("fixtures/r7_pos.rs");
@@ -26,20 +25,14 @@ const REACH_HELPER: &str = include_str!("fixtures/reach/helper.rs");
 const REACH_GOLDEN: &str = include_str!("fixtures/reach/expected.txt");
 
 /// Run the guard-flow rules on one fixture as crate `x`, with allow
-/// directives applied the way the driver applies them.
+/// directives applied by the driver's own matcher.
 fn flow(src: &str, r9: bool) -> Vec<Finding> {
-    let items = parse_items(&parse_trees(src));
-    let files = vec![("x".to_string(), &items)];
-    let idx = WorkspaceIndex::build(&files);
-    let mut findings = check_guard_flow("fix.rs", "x", &items, &idx, r9);
-    let allows = collect_allows(src);
-    findings.retain(|f| {
-        f.rule != "R7"
-            || !allows.iter().any(|a| {
-                a.rule == "R7" && !a.reason.is_empty() && (a.line == f.line || a.line + 1 == f.line)
-            })
-    });
-    findings.extend(check_manually_drop_types("fix.rs", &parse_trees(src)));
+    let file = SourceFile::new("fix.rs", "x", src);
+    let idx = WorkspaceIndex::build(&CallGraph::build([&file]));
+    let mut findings = check_guard_flow(&file, &idx, r9);
+    let mut allows = Allows::of([&file]);
+    findings.retain(|f| !allows.excuses(f));
+    findings.extend(check_manually_drop_types(&file));
     findings
 }
 
@@ -98,12 +91,16 @@ fn r9_negative_is_quiet() {
     assert!(f.is_empty(), "{f:?}");
 }
 
+fn server_file(rel: &str, src: &str) -> SourceFile {
+    SourceFile::new(rel, "server", src)
+}
+
 fn sync(proto: &str) -> Vec<Finding> {
     check_proto_sync(
-        ("proto.rs", proto),
-        ("service.rs", SERVICE_OK),
-        ("client.rs", CLIENT_OK),
-        ("DESIGN.md", DESIGN_OK),
+        &server_file("proto.rs", proto),
+        &server_file("service.rs", SERVICE_OK),
+        &server_file("client.rs", CLIENT_OK),
+        DESIGN_OK,
     )
 }
 
@@ -135,10 +132,10 @@ fn r10_opcode_only_in_proto_fails_three_ways() {
 fn r10_removed_dispatch_arm_fails() {
     let service = SERVICE_OK.replace("Opcode::Shutdown => self.shutdown(),", "");
     let f = check_proto_sync(
-        ("proto.rs", PROTO_OK),
-        ("service.rs", &service),
-        ("client.rs", CLIENT_OK),
-        ("DESIGN.md", DESIGN_OK),
+        &server_file("proto.rs", PROTO_OK),
+        &server_file("service.rs", &service),
+        &server_file("client.rs", CLIENT_OK),
+        DESIGN_OK,
     );
     assert!(
         f.iter().any(|x| x.path.ends_with("service.rs") && x.message.contains("Shutdown")),
@@ -148,13 +145,9 @@ fn r10_removed_dispatch_arm_fails() {
 
 #[test]
 fn panic_reach_matches_golden() {
-    let root: Items = parse_items(&parse_trees(REACH_ROOT));
-    let helper: Items = parse_items(&parse_trees(REACH_HELPER));
-    let files: Vec<ReachFile> = vec![
-        ("fixtures/reach/root.rs", "server", &root),
-        ("fixtures/reach/helper.rs", "heap", &helper),
-    ];
-    let computed: Vec<String> = panic_report(&files);
+    let root = SourceFile::new("fixtures/reach/root.rs", "server", REACH_ROOT);
+    let helper = SourceFile::new("fixtures/reach/helper.rs", "heap", REACH_HELPER);
+    let computed: Vec<String> = panic_report(&CallGraph::build([&root, &helper]));
     let golden: Vec<String> = parse_committed(REACH_GOLDEN).into_iter().collect();
     assert_eq!(computed, golden);
 }
