@@ -189,7 +189,7 @@ impl FlowCtx<'_> {
     /// bindings from the pattern if the init (or the type annotation)
     /// produces a guard.
     fn let_stmt(&mut self, s: &[Tree]) {
-        let Some(eq) = find_assign_eq(s) else {
+        let Some(eq) = find_let_eq(s) else {
             // `let g;` — deferred init, not a guard source we model.
             return;
         };
@@ -277,7 +277,7 @@ impl FlowCtx<'_> {
     /// Handle `if let PAT = INIT { BODY } [else ..]` starting at
     /// `trees[i]`; returns the index to resume at.
     fn if_let(&mut self, trees: &[Tree], i: usize) -> usize {
-        let Some(rel_eq) = find_assign_eq(&trees[i + 2..]) else { return i + 2 };
+        let Some(rel_eq) = find_let_eq(&trees[i + 2..]) else { return i + 2 };
         let eq = i + 2 + rel_eq;
         let (pat, _ty) = split_pattern(&trees[i + 2..eq]);
         // Init runs up to the body block.
@@ -354,6 +354,29 @@ fn find_assign_eq(trees: &[Tree]) -> Option<usize> {
                 .iter()
                 .any(|p| trees[i - 1].is_punct(p.chars().next().unwrap_or(' ')));
         if !next_bad && !prev_bad {
+            return Some(i);
+        }
+    }
+    None
+}
+
+/// The `=` of `let PAT [: TY] = INIT`: the first `=` outside the
+/// annotation's angle brackets that does not start `==` or `=>`. The
+/// tokenizer keeps no adjacency, so the `>` closing
+/// `Option<RwLockWriteGuard<'_, T>>` followed by `=` would otherwise
+/// read as `>=` and hide the binding from R7/R8/R9.
+fn find_let_eq(trees: &[Tree]) -> Option<usize> {
+    let mut depth = 0usize;
+    for (i, t) in trees.iter().enumerate() {
+        if t.is_punct('<') {
+            depth += 1;
+        } else if t.is_punct('>') && !(i > 0 && trees[i - 1].is_punct('-')) {
+            // `->` in an `impl Fn() -> T` annotation closes nothing.
+            depth = depth.saturating_sub(1);
+        } else if t.is_punct('=')
+            && depth == 0
+            && !trees.get(i + 1).is_some_and(|n| n.is_punct('=') || n.is_punct('>'))
+        {
             return Some(i);
         }
     }

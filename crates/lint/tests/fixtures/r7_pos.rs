@@ -1,6 +1,7 @@
-// R7 positive fixture: a lock guard stays live across device I/O, and a
+// R7 positive fixture: a lock guard stays live across device I/O, a
 // frame guard obtained from a guard-returning fn stays live across a
-// same-crate I/O wrapper.
+// same-crate I/O wrapper, and a guard bound by a `let` whose annotation
+// ends in `>` (so the source reads `> =`) is still a binding.
 pub struct Pool;
 
 impl Pool {
@@ -22,5 +23,10 @@ impl Pool {
         if let Some(data) = self.claim() {
             self.spill(smgr);
         }
+    }
+
+    fn typed(&self) {
+        let latch: Option<RwLockWriteGuard<'_, Frame>> = self.frame.try_write();
+        self.smgr.sync(rel);
     }
 }

@@ -1,4 +1,4 @@
-// R9 positive fixture: all three swallow shapes.
+// R9 positive fixture: all three swallow shapes, and a typed `let _`.
 pub struct Conn;
 
 impl Conn {
@@ -6,6 +6,7 @@ impl Conn {
         let _ = self.flush();
         self.stream.set_nodelay(true).ok();
         self.check();
+        let _: io::Result<()> = self.flush();
     }
 
     #[must_use]
