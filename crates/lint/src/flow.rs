@@ -129,7 +129,9 @@ struct GuardBinding {
     name: String,
     line: u32,
     kind: &'static str,
-    dead: bool,
+    /// Depth of the block whose `drop(..)` released it, while that
+    /// block is still being walked.
+    dropped_at: Option<usize>,
 }
 
 /// Run R7 + R8 (+ R9 when `r9` is set) over every function in a file.
@@ -158,15 +160,22 @@ impl FlowCtx<'_> {
         for s in split_stmts(trees) {
             self.stmt(s);
         }
+        // A drop made inside this block ends with it: the path that
+        // skipped the block (an untaken `if` or `match` arm) still holds
+        // the guard. A block ending in `return`/`break` never rejoins,
+        // but erring towards "still live" can only over-report.
+        let depth = self.scopes.len();
         self.scopes.pop();
+        for g in self.scopes.iter_mut().flatten().filter(|g| g.dropped_at == Some(depth)) {
+            g.dropped_at = None;
+        }
     }
 
     fn kill(&mut self, name: &str) {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(g) = scope.iter_mut().rev().find(|g| g.name == name && !g.dead) {
-                g.dead = true;
-                return;
-            }
+        let depth = self.scopes.len();
+        let live = self.scopes.iter_mut().rev().flat_map(|scope| scope.iter_mut().rev());
+        if let Some(g) = live.into_iter().find(|g| g.name == name && g.dropped_at.is_none()) {
+            g.dropped_at = Some(depth);
         }
     }
 
@@ -300,7 +309,7 @@ impl FlowCtx<'_> {
     }
 
     fn report_sink(&mut self, name: &str, line: u32, what: &str) {
-        let live = self.scopes.iter().flatten().filter(|g| !g.dead);
+        let live = self.scopes.iter().flatten().filter(|g| g.dropped_at.is_none());
         let list: Vec<String> =
             live.map(|g| format!("`{}` ({}, bound line {})", g.name, g.kind, g.line)).collect();
         if list.is_empty() {
@@ -324,7 +333,9 @@ impl FlowCtx<'_> {
     /// has already matched the path shape).
     fn check_forget(&mut self, callee: &str, args: &Group, line: u32) {
         let guardish = match single_ident(&args.trees) {
-            Some(name) => self.scopes.iter().flatten().any(|g| g.name == name && !g.dead),
+            Some(name) => {
+                self.scopes.iter().flatten().any(|g| g.name == name && g.dropped_at.is_none())
+            }
             None => guard_origin(&args.trees, self.crate_name, self.idx).is_some(),
         };
         if guardish {
@@ -409,7 +420,7 @@ fn bind_pattern(pat: &[Tree], kind: &'static str, out: &mut Vec<GuardBinding>) {
             && !id.starts_with(char::is_uppercase)
             && !pat.get(i + 1).is_some_and(|n| n.is_punct(':'))
         {
-            out.push(GuardBinding { name: id.to_string(), line: t.line(), kind, dead: false });
+            out.push(GuardBinding { name: id.to_string(), line: t.line(), kind, dropped_at: None });
         }
     }
 }

@@ -19,6 +19,15 @@ impl Pool {
         self.smgr.write(key.rel, key.block, buf);
     }
 
+    fn warm(&self, wanted: bool) {
+        if wanted {
+            let g = self.state.lock();
+            let key = g.key;
+            drop(g);
+            self.smgr.read(key.rel, key.block, buf);
+        }
+    }
+
     fn flush(&self) {
         let data = self.frame.write();
         // LINT: allow(R7, the frame lock keeps the page image stable while it goes to the device)

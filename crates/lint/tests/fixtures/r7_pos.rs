@@ -1,7 +1,8 @@
 // R7 positive fixture: a lock guard stays live across device I/O, a
 // frame guard obtained from a guard-returning fn stays live across a
 // same-crate I/O wrapper, and a guard bound by a `let` whose annotation
-// ends in `>` (so the source reads `> =`) is still a binding.
+// ends in `>` (so the source reads `> =`) is still a binding. A `drop`
+// on one branch only leaves the guard live on the other.
 pub struct Pool;
 
 impl Pool {
@@ -28,5 +29,13 @@ impl Pool {
     fn typed(&self) {
         let latch: Option<RwLockWriteGuard<'_, Frame>> = self.frame.try_write();
         self.smgr.sync(rel);
+    }
+
+    fn maybe_release(&self, early: bool) {
+        let held = self.state.lock();
+        if early {
+            drop(held);
+        }
+        self.smgr.read(rel, block, buf);
     }
 }

@@ -40,7 +40,7 @@ fn flow(src: &str, r9: bool) -> Vec<Finding> {
 fn r7_positive_fires_on_both_tiers() {
     let f = flow(R7_POS, false);
     let r7: Vec<_> = f.iter().filter(|x| x.rule == "R7").collect();
-    assert_eq!(r7.len(), 3, "{f:?}");
+    assert_eq!(r7.len(), 4, "{f:?}");
     // Tier A: direct device read under a lock guard.
     assert!(r7.iter().any(|x| x.message.contains("`g`") && x.message.contains("read")), "{r7:?}");
     // Tier B: same-crate wrapper around std::fs, under a frame guard.
@@ -53,6 +53,9 @@ fn r7_positive_fires_on_both_tiers() {
         r7.iter().any(|x| x.message.contains("`latch`") && x.message.contains("sync")),
         "{r7:?}"
     );
+    // A `drop` inside one `if` arm does not release the guard on the
+    // path that skipped the arm.
+    assert!(r7.iter().any(|x| x.message.contains("`held`")), "{r7:?}");
 }
 
 #[test]
