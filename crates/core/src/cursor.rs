@@ -1,7 +1,7 @@
 //! A positioned large-object cursor that owns no transaction borrow —
 //! handle sharing across a server boundary.
 //!
-//! [`LoHandle`] borrows its transaction (`&'a Txn`), which is exactly right
+//! [`LoHandle`](crate::LoHandle) borrows its transaction (`&'a Txn`), which is exactly right
 //! in-process but impossible to hold across wire requests: a server session
 //! owns its transaction and must keep per-descriptor state (object, mode,
 //! seek pointer) between frames. [`LoCursor`] is that state. It re-resolves
@@ -135,7 +135,7 @@ impl LoCursor {
     }
 
     /// Move the seek pointer; seeking past the end is allowed (sparse
-    /// semantics, matching [`LoHandle::seek`]).
+    /// semantics, matching [`LoHandle::seek`](crate::LoHandle::seek)).
     pub fn seek(&mut self, store: &LoStore, txn: Option<&Txn>, from: SeekFrom) -> Result<u64> {
         let new = match from {
             SeekFrom::Start(o) => o as i128,

@@ -43,10 +43,10 @@ pub trait LoBackend: Send {
 /// An open large object descriptor.
 ///
 /// Size metadata is persisted through the (non-transactional) catalog at
-/// flush time. If a transaction extends an object, flushes, and then
-/// aborts, the recorded size keeps the larger value; the unreachable tail
-/// reads back as zeros (sparse semantics), never as another transaction's
-/// data.
+/// flush time, stamped with the writer's XID. An open trusts the cached
+/// size only if its snapshot sees that writer; otherwise (the writer
+/// aborted, is still running, or committed later) `LoStore` recounts it
+/// from visible chunks, so an aborted extend leaves the size unchanged.
 pub struct LoHandle<'a> {
     id: LoId,
     backend: Box<dyn LoBackend + 'a>,

@@ -14,7 +14,7 @@
 //!   descriptor table ([`pglo_core::LoCursor`]s), temp-object registry.
 //! * [`service`] — dispatch: `(opcode, payload)` in, `(status, payload)`
 //!   out, against the shared stack. Panic-proof.
-//! * [`server`] + [`reactor`] — the TCP front end: reactor threads over
+//! * [`server`] + `reactor` (private) — the TCP front end: reactor threads over
 //!   a readiness loop (shims/epoll), incremental frame decode, an
 //!   executor pool as the blocking execution stage, graceful drain.
 //! * [`client`] — the typed client, generic over the transport:

@@ -588,7 +588,7 @@ fn lospec_from_wire(w: &WireSpec) -> Result<LoSpec, (ErrorCode, String)> {
     Ok(spec)
 }
 
-/// Wire kind byte for a [`LoKind`] (inverse of [`lospec_from_wire`]).
+/// Wire kind byte for a [`LoKind`] (inverse of the private `lospec_from_wire`).
 pub fn kind_to_wire(kind: LoKind) -> u8 {
     match kind {
         LoKind::UFile => 0,

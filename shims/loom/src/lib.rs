@@ -1,4 +1,4 @@
-//! In-repo shim of the [`loom`] model-checker facade (offline build).
+//! In-repo shim of the `loom` model-checker facade (offline build).
 //!
 //! Production crates import their concurrency primitives from this crate
 //! instead of `std::sync` / `parking_lot`:
@@ -14,7 +14,7 @@
 //! `parking_lot` lockcheck shim uses. Nothing changes for release binaries.
 //!
 //! Under the **`model` feature** (or `--cfg pglo_model`) the same names route
-//! through a cooperative scheduler ([`rt`]) that runs each closure passed to
+//! through a cooperative scheduler (`rt`) that runs each closure passed to
 //! [`check`] many times, exploring thread interleavings with a
 //! bounded-preemption DFS. Every atomic access is a scheduling point, and
 //! loads may observe *any* store the C11 memory model permits for the chosen
