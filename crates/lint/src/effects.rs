@@ -171,22 +171,32 @@ pub const EFFECTS: Committed = Committed {
     grown: "effect set changed: review the new effect, then regenerate with --write-effects",
 };
 
-/// The `(label, effect)` a call site seeds by itself, if any.
-fn seed_of(call: &CallSite) -> Option<(String, Effect)> {
+/// Whether a path call goes through `fs::` (`std::fs::rename`, ...).
+fn is_fs_call(call: &CallSite) -> bool {
+    call.qual().is_some() && call.segments.iter().any(|s| s == "fs")
+}
+
+/// The effect a call site seeds by itself, if any.
+fn seed_of(call: &CallSite) -> Option<Effect> {
     let name = call.name();
     if call.method {
-        let (_, _, e) = METHOD_SEEDS.iter().find(|(n, a, _)| *n == name && *a == call.arity)?;
-        return Some((format!(".{name}()"), *e));
+        let seed = METHOD_SEEDS.iter().find(|(n, a, _)| *n == name && *a == call.arity)?;
+        return Some(seed.2);
     }
     let qual = call.qual()?;
-    if call.segments.iter().any(|s| s == "fs") {
-        Some((format!("fs::{name}"), EFFECT_BLOCKS))
-    } else if BLOCKING_PATH_TYPES.contains(&qual)
-        || (qual == "thread" && matches!(name, "sleep" | "park"))
-    {
-        Some((format!("{qual}::{name}"), EFFECT_BLOCKS))
-    } else {
-        None
+    let blocks = is_fs_call(call)
+        || BLOCKING_PATH_TYPES.contains(&qual)
+        || (qual == "thread" && matches!(name, "sleep" | "park"));
+    blocks.then_some(EFFECT_BLOCKS)
+}
+
+/// How findings name a seeding call site: `.lock()`, `fs::rename`,
+/// `File::open`.
+fn seed_label(call: &CallSite) -> String {
+    match call.qual() {
+        None => format!(".{}()", call.name()),
+        Some(_) if is_fs_call(call) => format!("fs::{}", call.name()),
+        Some(qual) => format!("{qual}::{}", call.name()),
     }
 }
 
@@ -214,7 +224,7 @@ pub struct EffectsIndex<'a> {
 /// Seed the call graph and run the effect fixpoint.
 pub fn infer_effects<'a>(graph: &'a CallGraph<'a>) -> EffectsIndex<'a> {
     let seeds_in = |n: &FnNode<'_>| {
-        let seeded = |c: &CallSite| seed_of(c).map(|(label, e)| (c.line, label, e));
+        let seeded = |c: &CallSite| seed_of(c).map(|e| (c.line, seed_label(c), e));
         n.scan.calls.iter().filter_map(seeded).collect::<Vec<_>>()
     };
     let designated_of = |n: &FnNode<'_>| {
@@ -258,7 +268,7 @@ impl<'a> EffectsIndex<'a> {
     /// seed, and whatever its targets carry.
     fn scan_effect(&self, found: &Scan) -> Effect {
         found.calls.iter().fold(0, |acc, c| {
-            let seed = seed_of(c).map_or(0, |(_, e)| e);
+            let seed = seed_of(c).unwrap_or(0);
             self.targets(c).into_iter().fold(acc | seed, |acc, t| acc | self.effects[t])
         })
     }
@@ -502,7 +512,7 @@ impl<'a> EffectsIndex<'a> {
     ) {
         let mut found = Scan::default();
         scan(trees, false, &mut found);
-        let is_rename = |c: &&CallSite| seed_of(c).is_some_and(|(label, _)| label == "fs::rename");
+        let is_rename = |c: &&CallSite| is_fs_call(c) && c.name() == "rename";
         renames.extend(found.calls.iter().filter(is_rename).map(|c| c.line));
         for g in trees.iter().filter_map(|t| t.group_with('{')) {
             self.scan_seq(n, &g.trees, findings, renames);

@@ -105,14 +105,13 @@ pub mod rules;
 pub mod source;
 pub mod tables;
 
-pub use atomics::{check_atomics_protocol, parse_atomics_protocol, relaxed_sites};
 pub use driver::{check_workspace, Report, Write};
-pub use effects::{infer_effects, parse_design_effects, EffectsIndex};
+pub use effects::infer_effects;
 pub use flow::{check_guard_flow, check_manually_drop_types, WorkspaceIndex};
 pub use graph::CallGraph;
 pub use panic_reach::panic_report;
 pub use proto_sync::{check_proto_sync, parse_wire_ops};
-pub use source::{load_workspace, Scope, SourceFile};
+pub use source::{load_workspace, SourceFile};
 pub use tables::{collect_allows, parse_committed, Allows};
 
 /// One rule violation at a source location.
