@@ -27,13 +27,14 @@
 //! every `x.read(buf)` to every workspace `fn read` drowns the graph.
 //!
 //! **R12 (reactor-no-block):** every function defined in
-//! `crates/server/src/reactor.rs` except `executor_loop` runs on a
-//! reactor thread. A direct blocking seed there, or a call edge into a
-//! function whose inferred effects include `blocks`, is a finding —
-//! anchored at the reactor-file line so the allow (or the fix) lives
-//! where the decision is made. The sanctioned escape hatches: the
-//! `poll` call itself (never seeded), `try_`-prefixed lock attempts
-//! (never seeded), and shipping the work to an executor job.
+//! `crates/server/src/reactor.rs` runs on lobd's acceptor thread, the
+//! one thread that must stay prompt whatever the workers execute. A
+//! direct blocking seed there, or a call edge into a function whose
+//! inferred effects include `blocks`, is a finding — anchored at the
+//! reactor-file line so the allow (or the fix) lives where the decision
+//! is made. The sanctioned escape hatches: the `poll` call itself (never
+//! seeded), `try_`-prefixed lock attempts (never seeded), and dealing
+//! the connection to a worker, which may block all it likes.
 //!
 //! **R13 (durability ordering):** scoped to the durability crates.
 //! Within each statement sequence (straight-line flows; nested blocks
@@ -100,8 +101,7 @@ pub fn parse_effect_string(s: &str) -> Result<Effect, String> {
     Ok(e)
 }
 
-/// The reactor-thread file: every fn defined here except
-/// `executor_loop` is an R12 root.
+/// The acceptor-thread file: every fn defined here is an R12 root.
 pub const REACTOR_FILE: &str = "crates/server/src/reactor.rs";
 
 /// Crates R13's ordering scan runs in — the ones on the durability
@@ -121,7 +121,7 @@ const DESIGNATED: [(&str, &str, usize, Effect); 4] = [
 
 /// Blocking / fsync method-call seeds, `(name, arity) -> effect`.
 /// `try_*` never seeds. Socket `read`/`write`/`accept` are deliberately
-/// absent: on the reactor they are non-blocking readiness-driven ops,
+/// absent: in lobd they are non-blocking readiness-driven ops,
 /// and elsewhere the enclosing fs/File seeds already mark the path.
 const METHOD_SEEDS: [(&str, usize, Effect); 14] = [
     ("lock", 0, EFFECT_BLOCKS),
@@ -343,13 +343,13 @@ impl<'a> EffectsIndex<'a> {
         findings
     }
 
-    /// R12: reactor-thread code must not block.
+    /// R12: acceptor-thread code must not block.
     pub fn check_r12(&self) -> Vec<Finding> {
         let mut findings = Vec::new();
         let mut seen: BTreeSet<u32> = BTreeSet::new();
         let in_reactor = |n: &FnNode<'_>| n.file.rel == REACTOR_FILE;
         for (id, n) in self.graph.nodes.iter().enumerate() {
-            if !in_reactor(n) || n.item.name == "executor_loop" {
+            if !in_reactor(n) {
                 continue;
             }
             let (rel, name) = (n.file.rel.as_str(), &n.item.name);
@@ -357,8 +357,8 @@ impl<'a> EffectsIndex<'a> {
             for (line, label, e) in &self.seeds[id] {
                 if e & EFFECT_BLOCKS != 0 && seen.insert(*line) {
                     let msg = format!(
-                        "blocking `{label}` on the reactor thread (in `{name}`): use a try_ \
-                         variant, restructure, or ship the work to an executor job"
+                        "blocking `{label}` on the acceptor thread (in `{name}`): use a try_ \
+                         variant, restructure, or leave the work to the worker"
                     );
                     findings.push(finding(rel, *line, "R12", msg));
                 }
@@ -374,8 +374,8 @@ impl<'a> EffectsIndex<'a> {
                 }
                 let t = &self.graph.nodes[target];
                 let msg = format!(
-                    "`{name}` calls `{}::{}` which may block ({}): reactor threads must not \
-                     block — ship the work to an executor job",
+                    "`{name}` calls `{}::{}` which may block ({}): the acceptor thread must \
+                     not block — leave the work to the worker",
                     t.file.krate,
                     t.item.name,
                     self.blocking_trace(target)
@@ -613,14 +613,15 @@ mod tests {
     }
 
     #[test]
-    fn r12_executor_and_try_paths_pass() {
-        let files = files(&[(
-            "crates/server/src/reactor.rs",
-            "server",
-            "impl R { fn submit(&self) { let j = Job { x: 1 }; self.jobs.send(j); } \
-             fn drain(&self) { if let Some(mut g) = self.q.try_lock() { g.pop(); } } } \
-             pub fn executor_loop(s: &S) { s.rx.lock(); }",
-        )]);
+    fn r12_worker_and_try_paths_pass() {
+        let files = files(&[
+            (
+                "crates/server/src/reactor.rs",
+                "server",
+                "impl R { fn deal(&self, c: C) { if let Some(mut g) = self.q.try_lock() { g.push(c); } } }",
+            ),
+            ("crates/server/src/worker.rs", "server", "pub fn worker_loop(s: &S) { s.rx.lock(); }"),
+        ]);
         let graph = CallGraph::build(&files);
         let idx = infer_effects(&graph);
         assert!(idx.check_r12().is_empty(), "{:?}", idx.check_r12());

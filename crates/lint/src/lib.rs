@@ -71,9 +71,9 @@
 //!   (`blocks`, `fsyncs`, `flushes_wal`, `wal_appends`,
 //!   `writes_data_pages`) is inferred as a fixpoint over the workspace
 //!   call graph; nothing defined in `crates/server/src/reactor.rs`
-//!   (except `executor_loop`) may carry `blocks` — the poll call and
-//!   `try_`-locks are exempt by construction, executor jobs are the
-//!   sanctioned escape hatch. Deliberate sites carry
+//!   (lobd's acceptor thread) may carry `blocks` — the poll call and
+//!   `try_`-locks are exempt by construction, and whatever may block
+//!   belongs to the workers the acceptor deals to. Deliberate sites carry
 //!   `// LINT: allow(R12, reason)`, exact-counted in `budget.txt`.
 //! - R13 durability ordering: in the durability crates,
 //!   a statement carrying `wal_appends` or `flushes_wal` must not

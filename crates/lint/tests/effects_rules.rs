@@ -38,7 +38,7 @@ fn r12_fixture_two_hop_block_fires() {
 }
 
 #[test]
-fn r12_fixture_executor_and_try_paths_quiet() {
+fn r12_fixture_deal_and_try_paths_quiet() {
     let reactor = SourceFile::new("crates/server/src/reactor.rs", "server", R12_NEG);
     let r12 = infer_effects(&CallGraph::build([&reactor])).check_r12();
     assert!(r12.is_empty(), "{r12:?}");
@@ -104,7 +104,7 @@ fn effect_findings(files: &[SourceFile], rule: &str) -> Vec<Finding> {
 }
 
 #[test]
-fn r12_live_injection_weakened_drain_lock_fires() {
+fn r12_live_injection_weakened_inbox_lock_fires() {
     let root = workspace_root();
     let rel = "crates/server/src/reactor.rs";
     let orig = std::fs::read_to_string(root.join(rel)).unwrap();
@@ -112,17 +112,17 @@ fn r12_live_injection_weakened_drain_lock_fires() {
     let baseline = effect_findings(&load_engine(&root, &[]), "R12");
     assert!(baseline.is_empty(), "unmodified workspace must be R12-clean: {baseline:?}");
 
-    // Weaken one real call site: drain the done queue with a blocking
-    // lock instead of try_lock.
-    let site = "self.shared.done[self.idx].try_lock()";
+    // Weaken one real call site: the acceptor parks on a worker's inbox
+    // lock instead of trying the next one.
+    let site = "self.shared.inboxes[target].try_lock()";
     assert!(orig.contains(site), "injection site moved; update this test");
-    let weakened = orig.replace(site, "self.shared.done[self.idx].lock()");
+    let weakened = orig.replace(site, "Some(self.shared.inboxes[target].lock())");
     let mutated = effect_findings(&load_engine(&root, &[(rel, &weakened)]), "R12");
     assert!(
         mutated.iter().any(|f| f.rule == "R12"
             && f.path.to_string_lossy().ends_with("reactor.rs")
-            && f.message.contains("drain_completions")),
-        "weakened drain must fire R12: {mutated:?}"
+            && f.message.contains("deal")),
+        "weakened deal must fire R12: {mutated:?}"
     );
 }
 
@@ -164,11 +164,11 @@ fn r9_live_injection_dropped_waker_poke_fires() {
     let baseline = r9(reactor, &index);
     assert!(baseline.is_empty(), "unmodified reactor must be R9-clean: {baseline:?}");
 
-    // Silently dropping a done-queue waker poke is a lost-wakeup bug;
-    // R9 must refuse the `let _ =` shape.
-    let site = "soft_error(shared.wakers[reactor].wake());";
+    // Silently dropping the poke that follows a deal is a lost-wakeup
+    // bug; R9 must refuse the `let _ =` shape.
+    let site = "return soft_error(self.shared.wakers[target].wake());";
     assert!(orig.contains(site), "injection site moved; update this test");
-    let weakened = orig.replace(site, "let _ = shared.wakers[reactor].wake();");
+    let weakened = orig.replace(site, "let _ = self.shared.wakers[target].wake();\n return;");
     let mutated = r9(&SourceFile::new(rel, "server", weakened), &index);
     assert!(
         mutated.iter().any(|f| f.message.contains("let _")),

@@ -1,39 +1,27 @@
 //! R12 negative fixture, played as `crates/server/src/reactor.rs`:
-//! every sanctioned escape hatch in one file. Shipping work to an
-//! executor job, draining queues with `try_lock`, and blocking inside
-//! `executor_loop` (which runs on executor threads) must all stay
-//! quiet.
+//! every sanctioned escape hatch in one file. Dealing a connection to a
+//! worker through a `try_lock`ed inbox, poking its waker and polling
+//! must all stay quiet.
 
-impl Reactor {
-    fn submit(&mut self, token: usize) {
-        let job = Job { token };
-        if self.jobs.send(job).is_err() {
-            self.gone = true;
+impl Acceptor {
+    fn deal(&mut self, stream: TcpStream) {
+        let target = self.rr % self.inboxes.len();
+        let placed = match self.inboxes[target].try_lock() {
+            Some(mut inbox) => {
+                inbox.push(stream);
+                true
+            }
+            None => false,
+        };
+        if placed {
+            soft_error(self.wakers[target].wake());
         }
     }
 
-    fn drain(&mut self) {
-        let done = match self.done.try_lock() {
-            Some(mut d) => std::mem::take(&mut *d),
-            None => return,
-        };
-        for c in done {
-            self.apply(c);
+    fn acceptor_loop(&mut self, events: &mut Events) {
+        while !self.done {
+            self.poll.poll(events, None);
+            self.count += 1;
         }
-    }
-
-    fn apply(&mut self, c: Completion) {
-        self.count += 1;
-    }
-}
-
-pub fn executor_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
-    loop {
-        let job = {
-            let rx = rx.lock();
-            rx.recv()
-        };
-        let Ok(job) = job else { return };
-        shared.handle(job);
     }
 }

@@ -1,8 +1,8 @@
 //! The lobd daemon entry point.
 //!
 //! ```text
-//! lobd <data-dir> [--addr HOST:PORT] [--reactors N] [--executors N]
-//!      [--max-sessions N] [--pipeline-window N] [--dump-metrics]
+//! lobd <data-dir> [--addr HOST:PORT] [--executors N] [--max-sessions N]
+//!      [--pipeline-window N] [--dump-metrics]
 //! ```
 //!
 //! Serves until a client sends the `shutdown` op, then drains sessions and
@@ -25,10 +25,6 @@ fn main() -> ExitCode {
             "--addr" => match args.next() {
                 Some(v) => config = config.addr(v),
                 None => return usage("--addr needs a value"),
-            },
-            "--reactors" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => config = config.reactors(v),
-                _ => return usage("--reactors needs a positive integer"),
             },
             "--executors" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) if v > 0 => config = config.executor_threads(v),
@@ -69,7 +65,7 @@ fn main() -> ExitCode {
     };
     eprintln!("lobd: serving {data_dir} on {}", handle.local_addr());
 
-    // The reactors and executors run until a client requests shutdown.
+    // The acceptor and workers run until a client requests shutdown.
     let service = handle.join();
 
     let entries = service.metrics_entries();
@@ -95,8 +91,8 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("lobd: {err}");
     }
     eprintln!(
-        "usage: lobd <data-dir> [--addr HOST:PORT] [--reactors N] [--executors N] \
-         [--max-sessions N] [--pipeline-window N] [--dump-metrics]"
+        "usage: lobd <data-dir> [--addr HOST:PORT] [--executors N] [--max-sessions N] \
+         [--pipeline-window N] [--dump-metrics]"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -14,9 +14,10 @@
 //!   descriptor table ([`pglo_core::LoCursor`]s), temp-object registry.
 //! * [`service`] — dispatch: `(opcode, payload)` in, `(status, payload)`
 //!   out, against the shared stack. Panic-proof.
-//! * [`server`] + `reactor` (private) — the TCP front end: reactor threads over
-//!   a readiness loop (shims/epoll), incremental frame decode, an
-//!   executor pool as the blocking execution stage, graceful drain.
+//! * [`server`] + `worker` + `reactor` (private) — the TCP front end:
+//!   worker threads that each own their connections' sockets over a
+//!   readiness loop (shims/epoll) and run every frame to completion, an
+//!   acceptor thread dealing them connections, graceful drain.
 //! * [`client`] — the typed client, generic over the transport:
 //!   [`Pipeline`] enqueues requests and redeems [`Ticket`]s, and every
 //!   sequential method is a window of one over it.
@@ -33,6 +34,7 @@ pub mod server;
 pub mod service;
 pub mod session;
 pub mod stats;
+mod worker;
 
 pub use client::{Client, ClientError, Entry, LoHandle, Pipeline, Stat, Ticket};
 pub use proto::{ErrorCode, Opcode, WireSpec, MAX_FRAME, MAX_IO};

@@ -22,9 +22,10 @@
 //! Server-initiated frames (shutdown notices, handshake refusals,
 //! unparseable-length errors) carry tag 0.
 //!
-//! [`encode_frame_into`] is the only function that writes a frame header
-//! and [`decode_frame`] the only one that parses one; the reactor, the
-//! blocking loopback server and the client all go through them.
+//! [`begin_frame`]/[`end_frame`] are the only functions that write a
+//! frame header ([`encode_frame_into`] is the pair around a ready-made
+//! payload) and [`decode_frame`] the only one that parses one; the server's
+//! frame loop and the client both go through them.
 //!
 //! A connection starts with a 5-byte handshake in each direction:
 //! `b"PGLO"` then the protocol version byte. The server answers any
@@ -479,20 +480,38 @@ impl std::fmt::Display for FrameError {
 /// payload.
 const FRAME_HEADER: usize = 5;
 
+/// Open a frame in `out`: the header with its length and code left
+/// blank, after which the caller appends the payload in place and seals
+/// it with [`end_frame`] (passing back the offset returned here).
+pub fn begin_frame(out: &mut Vec<u8>, tag: u32) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.push(0);
+    at
+}
+
+/// Seal the frame opened at `at`: everything appended since is its
+/// payload.
+pub fn end_frame(out: &mut [u8], at: usize, code: u8) {
+    let len = out.len() - at - 4;
+    debug_assert!((FRAME_HEADER..=MAX_FRAME as usize).contains(&len));
+    out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[at + 8] = code;
+}
+
 /// Append one frame to `out`. Callers write `out` to the transport in a
 /// single `write_all`, so a frame is one syscall (and one segment on a
 /// `TCP_NODELAY` socket) however long its payload.
 pub fn encode_frame_into(out: &mut Vec<u8>, tag: u32, code: u8, payload: &[u8]) {
-    let len = FRAME_HEADER + payload.len();
-    debug_assert!(len <= MAX_FRAME as usize);
-    out.extend_from_slice(&(len as u32).to_le_bytes());
-    out.extend_from_slice(&tag.to_le_bytes());
-    out.push(code);
+    let at = begin_frame(out, tag);
     out.extend_from_slice(payload);
+    end_frame(out, at, code);
 }
 
-/// One decoded frame: `(consumed_bytes, tag, code, payload)`.
-pub type DecodedFrame = (usize, u32, u8, Vec<u8>);
+/// One decoded frame: `(consumed_bytes, tag, code, payload)`, the payload
+/// borrowed from the buffer it was decoded in.
+pub type DecodedFrame<'a> = (usize, u32, u8, &'a [u8]);
 
 /// Incremental frame decode against a byte buffer.
 ///
@@ -502,7 +521,7 @@ pub type DecodedFrame = (usize, u32, u8, Vec<u8>);
 /// [`FrameError::BadLength`] for a length prefix outside the trusted
 /// range — the stream is unrecoverable from there, and nothing was
 /// allocated for it.
-pub fn decode_frame(buf: &[u8]) -> Result<Option<DecodedFrame>, FrameError> {
+pub fn decode_frame(buf: &[u8]) -> Result<Option<DecodedFrame<'_>>, FrameError> {
     let Some(prefix) = buf.first_chunk::<4>() else { return Ok(None) };
     let len = u32::from_le_bytes(*prefix);
     if (len as usize) < FRAME_HEADER || len > MAX_FRAME {
@@ -513,21 +532,21 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<DecodedFrame>, FrameError> {
         return Ok(None);
     }
     let tag = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    Ok(Some((total, tag, buf[8], buf[9..total].to_vec())))
+    Ok(Some((total, tag, buf[8], &buf[9..total])))
 }
 
 /// Smallest read a blocking transport is asked for: room for a 4 KiB
 /// I/O frame, so the common request or reply arrives in one `read`.
 const READ_CHUNK: usize = 8 * 1024;
 
-/// Blocking frame read for the two users that own a blocking transport
-/// (the client and the loopback server): fill `buf` from `r` until
+/// Blocking frame read for the client: fill `buf` from `r` until
 /// [`decode_frame`] yields a frame. `buf` carries bytes read past the
 /// frame's end over to the next call, so it must live as long as the
 /// connection. Returns `(tag, code, payload)`.
 pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<(u32, u8, Vec<u8>), FrameError> {
     loop {
         if let Some((consumed, tag, code, payload)) = decode_frame(buf)? {
+            let payload = payload.to_vec();
             buf.drain(..consumed);
             return Ok((tag, code, payload));
         }
@@ -576,8 +595,8 @@ mod tests {
                     assert!(consumed <= buf.len(), "consumed {consumed} of {}", buf.len());
                     assert!(payload.len() <= MAX_FRAME as usize);
                     assert_eq!(consumed, 4 + FRAME_HEADER + payload.len());
+                    out.push((tag, code, payload.to_vec()));
                     buf.drain(..consumed);
-                    out.push((tag, code, payload));
                 }
                 Ok(None) => return None,
                 Err(FrameError::BadLength(n)) => return Some(n),

@@ -1,38 +1,36 @@
-//! lobd's TCP front end: reactor threads over a readiness loop, an
-//! executor pool behind them, graceful shutdown.
+//! lobd's TCP front end: an acceptor, socket-owning workers, graceful
+//! shutdown.
 //!
-//! Threading model (see DESIGN.md "Reactor model"): `reactors` threads
-//! each own a `Poll` (shims/epoll) and a set of non-blocking
-//! connections. Reactor 0 also owns the non-blocking listener and deals
-//! accepted sockets round-robin to all reactors through per-reactor
-//! inboxes. Reactors do the byte work — incremental frame decode into
-//! per-connection buffers, reply flushing — and hand complete frames to
-//! a fixed pool of `executor_threads` blocking workers (the old worker
-//! pool, surviving as the execution stage). Completions come back to
-//! the owning reactor through a per-reactor done-queue plus a wakeup
-//! pipe ([`epoll::Waker`]), which also replaced the self-connection
-//! shutdown hack.
+//! Threading model (see DESIGN.md "Reactor model"): `executor_threads`
+//! workers each own a `Poll` (shims/epoll), a waker, an inbox and a
+//! private set of non-blocking connections. A connection and its session
+//! belong to one worker for life: the thread that reads a frame executes
+//! it and writes the reply (`worker::Conn::round`), so frames of a
+//! session run in arrival order and replies leave in send order by
+//! construction, and every whole frame a read delivers runs back to back
+//! with the replies leaving in one write. One acceptor thread
+//! (`reactor.rs`) owns the listener and deals admitted sockets
+//! round-robin into the workers' inboxes.
 //!
-//! Per session at most one frame executes at a time and queued frames
-//! run in arrival order, so protocol pipelining (proto v4 tags) never
-//! reorders execution — replies leave in send order and txn semantics
-//! are untouched.
+//! The price: a frame that blocks (a pool miss, a commit fsync, a 4 MiB
+//! import) delays the other sessions of its worker — one in
+//! `executor_threads` of them — until it ends. No lobd op waits on
+//! another session, so sharing a thread cannot deadlock.
 //!
-//! Shutdown: [`ServerHandle::shutdown`] (or a client `shutdown`
-//! request) sets the service flag and wakes every reactor. Reactors
-//! stop accepting, notify idle sessions with `ShuttingDown`, let
-//! in-flight frames finish, and force-close stragglers after a grace
-//! period. Executors exit when the last reactor drops its job-queue
-//! sender.
+//! Shutdown: [`ServerHandle::shutdown`] (or a client `shutdown` request)
+//! sets the service flag and wakes every thread. The acceptor drops the
+//! listener; workers notify idle sessions with `ShuttingDown`, run the
+//! frames already received, and force-close stragglers after a grace
+//! period.
 
-use crate::proto::{self, ErrorCode, FrameError, Opcode, MAGIC, VERSION};
-use crate::reactor::{self, Shared};
+use crate::proto::{self, ErrorCode, FrameError, MAGIC, VERSION};
+use crate::reactor;
 use crate::service::LobdService;
+use crate::worker::{self, Conn, Round};
 use parking_lot::{ranks, Mutex};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::AtomicUsize;
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -42,7 +40,6 @@ use std::thread::JoinHandle;
 /// # use pglo_server::ServerConfig;
 /// let config = ServerConfig::default()
 ///     .addr("127.0.0.1:5433")
-///     .reactors(2)
 ///     .executor_threads(16)
 ///     .max_sessions(16384)
 ///     .pipeline_window(32);
@@ -50,7 +47,6 @@ use std::thread::JoinHandle;
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     addr: String,
-    reactors: usize,
     executor_threads: usize,
     max_sessions: usize,
     pipeline_window: usize,
@@ -60,7 +56,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
-            reactors: 2,
             executor_threads: 16,
             max_sessions: 16384,
             pipeline_window: 32,
@@ -75,15 +70,9 @@ impl ServerConfig {
         self
     }
 
-    /// Reactor (event-loop) threads. Each owns a share of the
-    /// connections; reactor 0 also owns the listener.
-    pub fn reactors(mut self, n: usize) -> Self {
-        self.reactors = n.max(1);
-        self
-    }
-
-    /// Executor threads — the cap on concurrently *executing* frames
-    /// (connections themselves are only bounded by `max_sessions`).
+    /// Worker threads. Each owns a share of the connections and executes
+    /// their frames, so this is also the cap on concurrently *executing*
+    /// frames (connections themselves are only bounded by `max_sessions`).
     pub fn executor_threads(mut self, n: usize) -> Self {
         self.executor_threads = n.max(1);
         self
@@ -96,33 +85,36 @@ impl ServerConfig {
         self
     }
 
-    /// Per-session cap on decoded-but-unfinished frames (one executing
-    /// plus the rest queued). A client pipelining past it is not
-    /// errored; the reactor simply stops draining that socket until
-    /// completions catch up.
+    /// The fairness bound on pipelining: at most this many frames of one
+    /// session run per readiness round before its worker serves the next
+    /// ready session. A client pipelining past it is not errored; the
+    /// rest of its frames run in the following rounds.
     pub fn pipeline_window(mut self, n: usize) -> Self {
         self.pipeline_window = n.max(1);
         self
     }
+}
 
-    pub(crate) fn addr_str(&self) -> &str {
-        &self.addr
-    }
+/// State shared by the acceptor and every worker.
+pub(crate) struct Shared {
+    pub service: Arc<LobdService>,
+    /// One waker per worker, index-aligned with `inboxes`, then the
+    /// acceptor's.
+    pub wakers: Vec<epoll::Waker>,
+    /// Freshly accepted sockets awaiting adoption, per worker.
+    pub inboxes: Vec<Mutex<Vec<TcpStream>>>,
+    /// Admitted (accepted, not yet closed) connections across workers.
+    pub conns: AtomicUsize,
+    pub max_sessions: usize,
+    pub pipeline_window: usize,
+}
 
-    pub(crate) fn reactor_count(&self) -> usize {
-        self.reactors
-    }
-
-    pub(crate) fn executor_count(&self) -> usize {
-        self.executor_threads
-    }
-
-    pub(crate) fn max_session_count(&self) -> usize {
-        self.max_sessions
-    }
-
-    pub(crate) fn window(&self) -> usize {
-        self.pipeline_window
+impl Shared {
+    /// Poke every thread's poll.
+    pub fn wake_all(&self) {
+        for w in &self.wakers {
+            soft_error(w.wake());
+        }
     }
 }
 
@@ -130,9 +122,8 @@ impl ServerConfig {
 /// [`ServerHandle::shutdown`] (or send a `shutdown` frame) first, then
 /// [`ServerHandle::join`].
 pub struct ServerHandle {
-    service: Arc<LobdService>,
+    shared: Arc<Shared>,
     local_addr: SocketAddr,
-    wakers: Vec<epoll::Waker>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -144,26 +135,24 @@ impl ServerHandle {
 
     /// The shared service.
     pub fn service(&self) -> &Arc<LobdService> {
-        &self.service
+        &self.shared.service
     }
 
     /// Request a graceful shutdown: sets the service flag and wakes
-    /// every reactor so drain starts immediately, not at the next
-    /// poll timeout. In-flight requests complete.
+    /// every thread so drain starts immediately, not at the next poll
+    /// timeout. Frames already received complete.
     pub fn shutdown(&self) {
-        self.service.request_shutdown();
-        for w in &self.wakers {
-            soft_error(w.wake());
-        }
+        self.shared.service.request_shutdown();
+        self.shared.wake_all();
     }
 
-    /// Block until every reactor and executor has exited. Returns the
-    /// shared service so callers can read final statistics.
+    /// Block until the acceptor and every worker have exited. Returns
+    /// the shared service so callers can read final statistics.
     pub fn join(mut self) -> Arc<LobdService> {
         for h in self.threads.drain(..) {
             reap(h);
         }
-        Arc::clone(&self.service)
+        Arc::clone(&self.shared.service)
     }
 }
 
@@ -175,10 +164,10 @@ fn reap(h: JoinHandle<()>) {
     }
 }
 
-/// Count a failed best-effort network nicety (a courtesy reply to a
-/// dying connection, a socket-option tweak, a waker poke) instead of
-/// discarding it. These failures are expected under client disconnects,
-/// but a rising rate flags network trouble.
+/// Count a failed best-effort network nicety (a socket-option tweak, a
+/// waker poke, a deregistration) instead of discarding it. These
+/// failures are expected under client disconnects, but a rising rate
+/// flags network trouble.
 pub(crate) fn soft_error<T, E>(res: std::result::Result<T, E>) {
     if res.is_err() {
         obs::counter!("server.net.soft_errors").add(1);
@@ -187,62 +176,53 @@ pub(crate) fn soft_error<T, E>(res: std::result::Result<T, E>) {
 
 /// Bind and start serving. Returns once the listener is live.
 pub fn spawn(service: Arc<LobdService>, config: ServerConfig) -> io::Result<ServerHandle> {
-    let listener = TcpListener::bind(config.addr_str())?;
+    let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
-    let n_reactors = config.reactor_count();
-    let mut polls = Vec::with_capacity(n_reactors);
-    let mut wakers = Vec::with_capacity(n_reactors);
-    for _ in 0..n_reactors {
+    // A poll and its waker per worker, then the acceptor's.
+    let poll_and_waker = || -> io::Result<(epoll::Poll, epoll::Waker)> {
         let mut poll = epoll::Poll::new()?;
-        let waker = epoll::Waker::new(&mut poll, epoll::Token(reactor::TOKEN_WAKER))?;
+        let waker = epoll::Waker::new(&mut poll, epoll::Token(worker::TOKEN_WAKER))?;
+        Ok((poll, waker))
+    };
+    let workers = config.executor_threads;
+    let mut polls = Vec::with_capacity(workers);
+    let mut wakers = Vec::with_capacity(workers + 1);
+    for _ in 0..workers {
+        let (poll, waker) = poll_and_waker()?;
         polls.push(poll);
         wakers.push(waker);
     }
-
+    let (acceptor_poll, acceptor_waker) = poll_and_waker()?;
+    wakers.push(acceptor_waker);
     let shared = Arc::new(Shared {
-        service: Arc::clone(&service),
-        wakers: wakers.clone(),
-        inboxes: (0..n_reactors)
-            .map(|_| Mutex::with_rank(Vec::new(), ranks::SERVER_REACTOR_INBOX))
-            .collect(),
-        done: (0..n_reactors)
-            .map(|_| Mutex::with_rank(Vec::new(), ranks::SERVER_REACTOR_DONE))
+        service,
+        wakers,
+        inboxes: (0..workers)
+            .map(|_| Mutex::with_rank(Vec::new(), ranks::SERVER_WORKER_INBOX))
             .collect(),
         conns: AtomicUsize::new(0),
-        max_sessions: config.max_session_count(),
-        pipeline_window: config.window(),
+        max_sessions: config.max_sessions,
+        pipeline_window: config.pipeline_window,
     });
 
-    let (job_tx, job_rx) = mpsc::channel::<reactor::Job>();
-    let job_rx = Arc::new(Mutex::with_rank(job_rx, ranks::SERVER_EXEC_QUEUE));
-
-    let mut threads = Vec::with_capacity(n_reactors + config.executor_count());
-    for i in 0..config.executor_count() {
-        let rx = Arc::clone(&job_rx);
-        let shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("lobd-exec-{i}"))
-                .spawn(move || reactor::executor_loop(&shared, &rx))?,
-        );
-    }
+    let mut threads = Vec::with_capacity(workers + 1);
     for (idx, poll) in polls.into_iter().enumerate() {
         let shared = Arc::clone(&shared);
-        let jobs = job_tx.clone();
-        let listener = if idx == 0 { Some(listener.try_clone()?) } else { None };
         threads.push(
             std::thread::Builder::new()
-                .name(format!("lobd-reactor-{idx}"))
-                .spawn(move || reactor::reactor_loop(idx, poll, listener, shared, jobs))?,
+                .name(format!("lobd-worker-{idx}"))
+                .spawn(move || worker::worker_loop(idx, poll, shared))?,
         );
     }
-    // The reactors hold the only senders now; executors exit when the
-    // last reactor drops its clone.
-    drop(job_tx);
-
-    Ok(ServerHandle { service, local_addr, wakers, threads })
+    let for_acceptor = Arc::clone(&shared);
+    threads.push(
+        std::thread::Builder::new()
+            .name("lobd-acceptor".into())
+            .spawn(move || reactor::acceptor_loop(acceptor_poll, listener, for_acceptor))?,
+    );
+    Ok(ServerHandle { shared, local_addr, threads })
 }
 
 /// What the server does with a client's 5-byte hello.
@@ -289,53 +269,13 @@ pub(crate) fn encode_bad_length(out: &mut Vec<u8>, len: u32) {
     proto::encode_frame_into(out, 0, ErrorCode::Malformed as u8, msg.as_bytes());
 }
 
-/// Hand the frames queued in `bytes` to the transport in one write.
-fn write_frames<S: Write>(stream: &mut S, bytes: &[u8]) -> io::Result<()> {
-    stream.write_all(bytes)?;
-    stream.flush()
-}
-
 /// Serve one connection over a blocking transport (the in-process
-/// loopback): the same handshake decision, frame codec and dispatch as
-/// the reactor path, one frame at a time until EOF.
+/// loopback): the workers' frame loop, fed by blocking reads until EOF.
 pub fn serve_stream<S: Read + Write>(service: &Arc<LobdService>, stream: &mut S) {
-    let mut hello = [0u8; 5];
-    if stream.read_exact(&mut hello).is_err() {
-        return;
-    }
-    let mut wbuf = Vec::new();
-    let verdict = answer_hello(&hello, service.shutting_down(), &mut wbuf);
-    if matches!(verdict, Hello::Reject) {
-        return;
-    }
-    if write_frames(stream, &wbuf).is_err() || !matches!(verdict, Hello::Serve) {
-        return;
-    }
-    let mut session = service.session_opened();
-    let mut rbuf = Vec::new();
-    loop {
-        wbuf.clear();
-        match proto::read_frame(stream, &mut rbuf) {
-            Ok((tag, opcode, payload)) => {
-                let (status, reply) = service.handle_frame(&mut session, opcode, &payload);
-                proto::encode_frame_into(&mut wbuf, tag, status, &reply);
-                if write_frames(stream, &wbuf).is_err() {
-                    break;
-                }
-                if Opcode::from_u8(opcode) == Some(Opcode::Shutdown) && status == 0 {
-                    break;
-                }
-            }
-            Err(FrameError::BadLength(n)) => {
-                encode_bad_length(&mut wbuf, n);
-                soft_error(write_frames(stream, &wbuf));
-                break;
-            }
-            // Clean close or torn frame: nothing to say, just clean up.
-            Err(FrameError::Eof) | Err(FrameError::Io(_)) => break,
-        }
-    }
-    service.session_closed(&mut session);
+    let mut conn = Conn::new(stream);
+    let mut scratch = vec![0; worker::READ_CHUNK];
+    while !matches!(conn.round(service, &mut scratch, usize::MAX, true), Round::Close) {}
+    conn.finish(service);
 }
 
 pub(crate) fn is_timeout(e: &io::Error) -> bool {
@@ -346,31 +286,50 @@ pub(crate) fn is_timeout(e: &io::Error) -> bool {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::proto::Opcode;
     use std::collections::VecDeque;
 
-    /// A transport that replays scripted bytes to the reader and counts
-    /// the `write` calls it receives.
+    /// A transport that replays the peer's scripted sends, one per `read`
+    /// (or as much of one as the buffer holds), and counts the calls it
+    /// receives.
     struct Scripted {
-        incoming: VecDeque<u8>,
+        incoming: VecDeque<Vec<u8>>,
+        reads: usize,
         writes: usize,
     }
 
     impl Scripted {
         /// The peer's side of a conversation: its hello, then one frame
-        /// per payload with tags 1, 2, ... and the given code byte.
-        fn new(code: u8, payloads: &[&[u8]]) -> Self {
-            let mut bytes = MAGIC.to_vec();
-            bytes.push(VERSION);
-            for (i, payload) in payloads.iter().enumerate() {
-                proto::encode_frame_into(&mut bytes, i as u32 + 1, code, payload);
+        /// per payload with tags 1, 2, ... and the given code byte —
+        /// each sent on its own, or (`burst`) all frames in one send.
+        fn new(code: u8, payloads: &[&[u8]], burst: bool) -> Self {
+            let mut hello = MAGIC.to_vec();
+            hello.push(VERSION);
+            let frames = payloads.iter().enumerate().map(|(i, payload)| {
+                let mut frame = Vec::new();
+                proto::encode_frame_into(&mut frame, i as u32 + 1, code, payload);
+                frame
+            });
+            let mut incoming = VecDeque::from([hello]);
+            if burst {
+                incoming.push_back(frames.flatten().collect());
+            } else {
+                incoming.extend(frames);
             }
-            Scripted { incoming: bytes.into(), writes: 0 }
+            Scripted { incoming, reads: 0, writes: 0 }
         }
     }
 
     impl Read for Scripted {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.incoming.read(buf)
+            self.reads += 1;
+            let Some(mut send) = self.incoming.pop_front() else { return Ok(0) };
+            let n = send.len().min(buf.len());
+            buf[..n].copy_from_slice(&send[..n]);
+            if n < send.len() {
+                self.incoming.push_front(send.split_off(n));
+            }
+            Ok(n)
         }
     }
 
@@ -385,16 +344,17 @@ mod tests {
         }
     }
 
-    /// A frame leaves in one `write`, whatever its payload: the hello,
-    /// then one per request on the client and one per reply on the
-    /// blocking server.
+    /// A frame leaves in one `write`, whatever its payload, and a request
+    /// that fits the read chunk arrives in one `read`: the hello, then one
+    /// of each per request on the server — the syscalls of a request are
+    /// `read`, `write`, nothing else.
     #[test]
     fn a_frame_is_one_write() {
         let big = vec![7u8; 100_000];
         let pings: [&[u8]; 3] = [b"", b"ping", &big];
 
         // The server's side scripted: OK (status 0) echoes of the pings.
-        let mut client = Client::handshake(Scripted::new(0, &pings)).unwrap();
+        let mut client = Client::handshake(Scripted::new(0, &pings, false)).unwrap();
         for payload in pings {
             assert_eq!(client.ping(payload).unwrap(), payload);
         }
@@ -403,9 +363,23 @@ mod tests {
         // The client's side scripted: the pings themselves, then EOF.
         let dir = tempfile::tempdir().unwrap();
         let service = LobdService::open(dir.path()).unwrap();
-        let mut transport = Scripted::new(Opcode::Ping as u8, &pings);
+        let mut transport = Scripted::new(Opcode::Ping as u8, &pings, false);
         serve_stream(&service, &mut transport);
         assert_eq!(transport.writes, 1 + pings.len(), "hello + one write per reply");
+        assert_eq!(transport.reads, 1 + pings.len() + 1, "hello + one read per request + EOF");
         assert_eq!(service.session_count(), 0);
+    }
+
+    /// Pipelining is batching: frames that arrive together run back to
+    /// back and their replies leave together.
+    #[test]
+    fn a_burst_of_frames_is_one_write() {
+        let dir = tempfile::tempdir().unwrap();
+        let service = LobdService::open(dir.path()).unwrap();
+        let pings: Vec<Vec<u8>> = (0..64u8).map(|k| vec![k; 100]).collect();
+        let pings: Vec<&[u8]> = pings.iter().map(Vec::as_slice).collect();
+        let mut transport = Scripted::new(Opcode::Ping as u8, &pings, true);
+        serve_stream(&service, &mut transport);
+        assert_eq!((transport.reads, transport.writes), (3, 2), "hello, the burst (and EOF)");
     }
 }

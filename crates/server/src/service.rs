@@ -25,8 +25,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A reply: `Ok(payload)` or an error code with a human-readable message.
-pub type Reply = Result<Vec<u8>, (ErrorCode, String)>;
+/// How a handler ends: its reply payload appended to the frame under
+/// construction, or an error code with a human-readable message.
+type Outcome = Result<(), (ErrorCode, String)>;
 
 /// Pending-page backlog at which the request loop drains redo capture.
 /// Low enough that no commit ever waits behind more than roughly this
@@ -136,11 +137,30 @@ impl LobdService {
     /// panics — handler panics are caught and mapped to
     /// [`ErrorCode::Internal`].
     pub fn handle_frame(&self, session: &mut Session, tag: u8, payload: &[u8]) -> (u8, Vec<u8>) {
+        let mut reply = Vec::new();
+        let status = self.handle_frame_into(session, tag, payload, &mut reply);
+        (status, reply)
+    }
+
+    /// [`Self::handle_frame`] with the reply payload appended to `out` —
+    /// a connection's write buffer, behind the frame header it reserved —
+    /// so a read reply is built where it is sent from. Returns the status
+    /// byte; on an error, whatever the handler had appended is replaced
+    /// by the message.
+    pub(crate) fn handle_frame_into(
+        &self,
+        session: &mut Session,
+        tag: u8,
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) -> u8 {
         let Some(op) = Opcode::from_u8(tag) else {
-            return err_reply(ErrorCode::UnknownOp, format!("unknown opcode {tag:#04x}"));
+            out.extend_from_slice(format!("unknown opcode {tag:#04x}").as_bytes());
+            return ErrorCode::UnknownOp as u8;
         };
+        let mark = out.len();
         let start = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(session, op, payload)))
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(session, op, payload, out)))
             .unwrap_or_else(|p| {
                 let msg = p
                     .downcast_ref::<&str>()
@@ -164,15 +184,28 @@ impl LobdService {
             obs::counter!("server.capture_errors").add(1);
         }
         match outcome {
-            Ok(payload) => (0, payload),
-            Err((code, msg)) => err_reply(code, msg),
+            Ok(()) => 0,
+            Err((code, msg)) => {
+                out.truncate(mark);
+                out.extend_from_slice(msg.as_bytes());
+                code as u8
+            }
         }
     }
 
-    fn dispatch(&self, session: &mut Session, op: Opcode, payload: &[u8]) -> Reply {
+    fn dispatch(
+        &self,
+        session: &mut Session,
+        op: Opcode,
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Outcome {
         let mut r = Reader::new(payload);
         match op {
-            Opcode::Ping => Ok(payload.to_vec()),
+            Opcode::Ping => {
+                out.extend_from_slice(payload);
+                Ok(())
+            }
 
             Opcode::Begin => {
                 r.finish().map_err(malformed)?;
@@ -180,7 +213,7 @@ impl LobdService {
                     return Err((ErrorCode::TxnOpen, "transaction already open".into()));
                 }
                 session.txn = Some(self.env.begin());
-                Ok(Vec::new())
+                Ok(())
             }
             Opcode::Commit => {
                 r.finish().map_err(malformed)?;
@@ -193,37 +226,35 @@ impl LobdService {
                 let ts = txn
                     .try_commit()
                     .map_err(|e| (ErrorCode::Internal, format!("commit durability: {e}")))?;
-                let mut out = Vec::new();
-                proto::put_u64(&mut out, ts);
-                Ok(out)
+                proto::put_u64(out, ts);
+                Ok(())
             }
             Opcode::Abort => {
                 r.finish().map_err(malformed)?;
                 let txn = session.txn.take().ok_or_else(no_txn)?;
                 txn.abort();
-                Ok(Vec::new())
+                Ok(())
             }
             Opcode::CurrentTs => {
                 r.finish().map_err(malformed)?;
-                let mut out = Vec::new();
-                proto::put_u64(&mut out, self.env.txns().current_timestamp());
-                Ok(out)
+                proto::put_u64(out, self.env.txns().current_timestamp());
+                Ok(())
             }
             Opcode::Stats => {
                 r.finish().map_err(malformed)?;
-                Ok(encode_metrics(&self.metrics_entries()))
+                out.extend_from_slice(&encode_metrics(&self.metrics_entries()));
+                Ok(())
             }
             Opcode::MetricsText => {
                 r.finish().map_err(malformed)?;
                 let text = obs::render_text(&self.metrics_entries());
-                let mut out = Vec::new();
-                proto::put_str(&mut out, &text);
-                Ok(out)
+                proto::put_str(out, &text);
+                Ok(())
             }
             Opcode::Shutdown => {
                 r.finish().map_err(malformed)?;
                 self.request_shutdown();
-                Ok(Vec::new())
+                Ok(())
             }
 
             Opcode::LoCreate => {
@@ -232,9 +263,8 @@ impl LobdService {
                 let spec = lospec_from_wire(&spec)?;
                 let txn = session.txn.as_ref().ok_or_else(no_txn)?;
                 let id = self.store.create(txn, &spec).map_err(lo_err)?;
-                let mut out = Vec::new();
-                proto::put_u64(&mut out, id.0);
-                Ok(out)
+                proto::put_u64(out, id.0);
+                Ok(())
             }
             Opcode::LoOpen => {
                 let id = LoId(r.u64().map_err(malformed)?);
@@ -249,9 +279,8 @@ impl LobdService {
                 // Open-check now so a bad id fails at open, not first read.
                 self.store.open_as(txn, id, mode, user).map_err(lo_err)?.close().map_err(lo_err)?;
                 let fd = session.install(LoCursor::new(id, mode, user));
-                let mut out = Vec::new();
-                proto::put_u32(&mut out, fd);
-                Ok(out)
+                proto::put_u32(out, fd);
+                Ok(())
             }
             Opcode::LoOpenAsOf => {
                 let id = LoId(r.u64().map_err(malformed)?);
@@ -260,9 +289,8 @@ impl LobdService {
                 // Time travel needs no transaction; validate eagerly.
                 self.store.open_as_of(id, ts).map_err(lo_err)?.close().map_err(lo_err)?;
                 let fd = session.install(LoCursor::as_of(id, ts));
-                let mut out = Vec::new();
-                proto::put_u32(&mut out, fd);
-                Ok(out)
+                proto::put_u32(out, fd);
+                Ok(())
             }
             Opcode::LoRead => {
                 let fd = r.u32().map_err(malformed)?;
@@ -271,10 +299,7 @@ impl LobdService {
                 check_io_len(len)?;
                 let Session { txn, fds, .. } = session;
                 let cur = fds.get_mut(&fd).ok_or_else(|| bad_fd(fd))?;
-                let mut buf = vec![0u8; len as usize];
-                let n = cur.read(&self.store, txn.as_ref(), &mut buf).map_err(lo_err)?;
-                buf.truncate(n);
-                Ok(buf)
+                read_into(out, len, |buf| cur.read(&self.store, txn.as_ref(), buf).map_err(lo_err))
             }
             Opcode::LoWrite => {
                 let fd = r.u32().map_err(malformed)?;
@@ -284,7 +309,7 @@ impl LobdService {
                 let Session { txn, fds, .. } = session;
                 let cur = fds.get_mut(&fd).ok_or_else(|| bad_fd(fd))?;
                 cur.write(&self.store, txn.as_ref(), data).map_err(lo_err)?;
-                Ok(Vec::new())
+                Ok(())
             }
             Opcode::LoSeek => {
                 let fd = r.u32().map_err(malformed)?;
@@ -303,29 +328,27 @@ impl LobdService {
                 let Session { txn, fds, .. } = session;
                 let cur = fds.get_mut(&fd).ok_or_else(|| bad_fd(fd))?;
                 let pos = cur.seek(&self.store, txn.as_ref(), from).map_err(lo_err)?;
-                let mut out = Vec::new();
-                proto::put_u64(&mut out, pos);
-                Ok(out)
+                proto::put_u64(out, pos);
+                Ok(())
             }
             Opcode::LoTell => {
                 let fd = r.u32().map_err(malformed)?;
                 r.finish().map_err(malformed)?;
                 let cur = session.fds.get(&fd).ok_or_else(|| bad_fd(fd))?;
-                let mut out = Vec::new();
-                proto::put_u64(&mut out, cur.tell());
-                Ok(out)
+                proto::put_u64(out, cur.tell());
+                Ok(())
             }
             Opcode::LoClose => {
                 let fd = r.u32().map_err(malformed)?;
                 r.finish().map_err(malformed)?;
                 session.fds.remove(&fd).ok_or_else(|| bad_fd(fd))?;
-                Ok(Vec::new())
+                Ok(())
             }
             Opcode::LoUnlink => {
                 let id = LoId(r.u64().map_err(malformed)?);
                 r.finish().map_err(malformed)?;
                 self.store.unlink(id).map_err(lo_err)?;
-                Ok(Vec::new())
+                Ok(())
             }
             Opcode::LoSize => {
                 let fd = r.u32().map_err(malformed)?;
@@ -333,9 +356,8 @@ impl LobdService {
                 let Session { txn, fds, .. } = session;
                 let cur = fds.get(&fd).ok_or_else(|| bad_fd(fd))?;
                 let size = cur.size(&self.store, txn.as_ref()).map_err(lo_err)?;
-                let mut out = Vec::new();
-                proto::put_u64(&mut out, size);
-                Ok(out)
+                proto::put_u64(out, size);
+                Ok(())
             }
             Opcode::LoReadAt => {
                 let fd = r.u32().map_err(malformed)?;
@@ -345,10 +367,9 @@ impl LobdService {
                 check_io_len(len)?;
                 let Session { txn, fds, .. } = session;
                 let cur = fds.get(&fd).ok_or_else(|| bad_fd(fd))?;
-                let mut buf = vec![0u8; len as usize];
-                let n = cur.read_at(&self.store, txn.as_ref(), offset, &mut buf).map_err(lo_err)?;
-                buf.truncate(n);
-                Ok(buf)
+                read_into(out, len, |buf| {
+                    cur.read_at(&self.store, txn.as_ref(), offset, buf).map_err(lo_err)
+                })
             }
             Opcode::LoWriteAt => {
                 let fd = r.u32().map_err(malformed)?;
@@ -359,7 +380,7 @@ impl LobdService {
                 let Session { txn, fds, .. } = session;
                 let cur = fds.get(&fd).ok_or_else(|| bad_fd(fd))?;
                 cur.write_at(&self.store, txn.as_ref(), offset, data).map_err(lo_err)?;
-                Ok(Vec::new())
+                Ok(())
             }
             Opcode::LoCreateTemp => {
                 let spec = WireSpec::decode(&mut r).map_err(malformed)?;
@@ -368,23 +389,22 @@ impl LobdService {
                 let txn = session.txn.as_ref().ok_or_else(no_txn)?;
                 let id = self.store.create_temp(txn, &spec).map_err(lo_err)?;
                 session.temps.push(id);
-                let mut out = Vec::new();
-                proto::put_u64(&mut out, id.0);
-                Ok(out)
+                proto::put_u64(out, id.0);
+                Ok(())
             }
             Opcode::LoKeepTemp => {
                 let id = LoId(r.u64().map_err(malformed)?);
                 r.finish().map_err(malformed)?;
                 let was_temp = self.store.keep_temp(id);
                 session.temps.retain(|t| *t != id);
-                Ok(vec![u8::from(was_temp)])
+                out.push(u8::from(was_temp));
+                Ok(())
             }
             Opcode::GcTemps => {
                 r.finish().map_err(malformed)?;
                 let reclaimed = session.gc_temps(&self.store) as u32;
-                let mut out = Vec::new();
-                proto::put_u32(&mut out, reclaimed);
-                Ok(out)
+                proto::put_u32(out, reclaimed);
+                Ok(())
             }
             Opcode::LoImport => {
                 let spec = WireSpec::decode(&mut r).map_err(malformed)?;
@@ -393,9 +413,8 @@ impl LobdService {
                 let spec = lospec_from_wire(&spec)?;
                 let txn = session.txn.as_ref().ok_or_else(no_txn)?;
                 let id = self.store.import_file(txn, &spec, &path).map_err(lo_err)?;
-                let mut out = Vec::new();
-                proto::put_u64(&mut out, id.0);
-                Ok(out)
+                proto::put_u64(out, id.0);
+                Ok(())
             }
             Opcode::LoExport => {
                 let id = LoId(r.u64().map_err(malformed)?);
@@ -403,9 +422,8 @@ impl LobdService {
                 r.finish().map_err(malformed)?;
                 let txn = session.txn.as_ref().ok_or_else(no_txn)?;
                 let n = self.store.export_file(txn, id, &path).map_err(lo_err)?;
-                let mut out = Vec::new();
-                proto::put_u64(&mut out, n);
-                Ok(out)
+                proto::put_u64(out, n);
+                Ok(())
             }
 
             Opcode::InvCreate => {
@@ -413,18 +431,16 @@ impl LobdService {
                 r.finish().map_err(malformed)?;
                 let txn = session.txn.as_ref().ok_or_else(no_txn)?;
                 let id = self.fs.create(txn, &path).map_err(inv_err)?;
-                let mut out = Vec::new();
-                proto::put_u64(&mut out, id);
-                Ok(out)
+                proto::put_u64(out, id);
+                Ok(())
             }
             Opcode::InvMkdir => {
                 let path = r.str().map_err(malformed)?;
                 r.finish().map_err(malformed)?;
                 let txn = session.txn.as_ref().ok_or_else(no_txn)?;
                 let id = self.fs.mkdir(txn, &path).map_err(inv_err)?;
-                let mut out = Vec::new();
-                proto::put_u64(&mut out, id);
-                Ok(out)
+                proto::put_u64(out, id);
+                Ok(())
             }
             Opcode::InvRead => {
                 let path = r.str().map_err(malformed)?;
@@ -434,11 +450,8 @@ impl LobdService {
                 check_io_len(len)?;
                 let txn = session.txn.as_ref().ok_or_else(no_txn)?;
                 let mut f = self.fs.open_file(txn, &path, OpenMode::ReadOnly).map_err(inv_err)?;
-                let mut buf = vec![0u8; len as usize];
-                let n = f.read_at(offset, &mut buf).map_err(inv_err)?;
-                f.close().map_err(inv_err)?;
-                buf.truncate(n);
-                Ok(buf)
+                read_into(out, len, |buf| f.read_at(offset, buf).map_err(inv_err))?;
+                f.close().map_err(inv_err)
             }
             Opcode::InvWrite => {
                 let path = r.str().map_err(malformed)?;
@@ -450,36 +463,34 @@ impl LobdService {
                 let mut f = self.fs.open_file(txn, &path, OpenMode::ReadWrite).map_err(inv_err)?;
                 f.write_at(offset, data).map_err(inv_err)?;
                 f.close().map_err(inv_err)?;
-                Ok(Vec::new())
+                Ok(())
             }
             Opcode::InvStat => {
                 let path = r.str().map_err(malformed)?;
                 r.finish().map_err(malformed)?;
                 let txn = session.txn.as_ref().ok_or_else(no_txn)?;
                 let st = self.fs.stat(txn, &path).map_err(inv_err)?;
-                let mut out = Vec::new();
-                proto::put_u64(&mut out, st.file_id);
-                proto::put_u32(&mut out, st.owner.0);
-                proto::put_u32(&mut out, st.mode);
-                proto::put_u64(&mut out, st.atime);
-                proto::put_u64(&mut out, st.mtime);
-                proto::put_u64(&mut out, st.size);
+                proto::put_u64(out, st.file_id);
+                proto::put_u32(out, st.owner.0);
+                proto::put_u32(out, st.mode);
+                proto::put_u64(out, st.atime);
+                proto::put_u64(out, st.mtime);
+                proto::put_u64(out, st.size);
                 out.push(u8::from(st.is_dir));
-                Ok(out)
+                Ok(())
             }
             Opcode::InvReaddir => {
                 let path = r.str().map_err(malformed)?;
                 r.finish().map_err(malformed)?;
                 let txn = session.txn.as_ref().ok_or_else(no_txn)?;
                 let entries = self.fs.readdir(txn, &path).map_err(inv_err)?;
-                let mut out = Vec::new();
-                proto::put_u32(&mut out, entries.len() as u32);
+                proto::put_u32(out, entries.len() as u32);
                 for e in entries {
-                    proto::put_str(&mut out, &e.name);
-                    proto::put_u64(&mut out, e.file_id);
+                    proto::put_str(out, &e.name);
+                    proto::put_u64(out, e.file_id);
                     out.push(u8::from(e.is_dir));
                 }
-                Ok(out)
+                Ok(())
             }
             Opcode::InvRename => {
                 let from = r.str().map_err(malformed)?;
@@ -487,14 +498,14 @@ impl LobdService {
                 r.finish().map_err(malformed)?;
                 let txn = session.txn.as_ref().ok_or_else(no_txn)?;
                 self.fs.rename(txn, &from, &to).map_err(inv_err)?;
-                Ok(Vec::new())
+                Ok(())
             }
             Opcode::InvUnlink => {
                 let path = r.str().map_err(malformed)?;
                 r.finish().map_err(malformed)?;
                 let txn = session.txn.as_ref().ok_or_else(no_txn)?;
                 self.fs.unlink(txn, &path).map_err(inv_err)?;
-                Ok(Vec::new())
+                Ok(())
             }
         }
     }
@@ -537,10 +548,6 @@ impl LobdService {
     }
 }
 
-fn err_reply(code: ErrorCode, msg: String) -> (u8, Vec<u8>) {
-    (code as u8, msg.into_bytes())
-}
-
 fn malformed(e: proto::DecodeError) -> (ErrorCode, String) {
     (ErrorCode::Malformed, e.to_string())
 }
@@ -551,6 +558,21 @@ fn no_txn() -> (ErrorCode, String) {
 
 fn bad_fd(fd: u32) -> (ErrorCode, String) {
     (ErrorCode::BadFd, format!("descriptor {fd} is not open in this session"))
+}
+
+/// Serve a read of up to `len` bytes straight into the reply under
+/// construction: `read` fills the slice it is handed and returns how
+/// much of it is data.
+fn read_into(
+    out: &mut Vec<u8>,
+    len: u32,
+    read: impl FnOnce(&mut [u8]) -> Result<usize, (ErrorCode, String)>,
+) -> Outcome {
+    let start = out.len();
+    out.resize(start + len as usize, 0);
+    let n = read(&mut out[start..])?;
+    out.truncate(start + n);
+    Ok(())
 }
 
 fn check_io_len(len: u32) -> Result<(), (ErrorCode, String)> {

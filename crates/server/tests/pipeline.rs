@@ -1,7 +1,9 @@
 //! Pipelining: tagged frames, the `Pipeline` guard and its `Ticket`s,
 //! window backpressure, out-of-order redemption.
 
+use pglo_server::proto::{self, Opcode};
 use pglo_server::{spawn, Client, LobdService, ServerConfig, ServerHandle, WireSpec};
+use std::io::Write;
 
 fn start() -> (tempfile::TempDir, ServerHandle) {
     let dir = tempfile::tempdir().unwrap();
@@ -78,6 +80,61 @@ fn pipelined_object_io_round_trips() {
         pipe.redeem(t).unwrap();
     }
     c.commit().unwrap();
+    stop(handle);
+}
+
+/// Pipelining is batching on the server: the frames one read delivers run
+/// back to back and their replies leave together. 64 reads through a
+/// window of 8 come back in order and byte-exact, and 64 sent in one
+/// write take the worker fewer rounds (a round ends in one `write`) than
+/// there are frames.
+#[test]
+fn pipelined_reads_arrive_in_order_and_in_batches() {
+    let (_dir, handle) = start();
+    let mut c = Client::connect(handle.local_addr()).unwrap();
+    let data: Vec<u8> = (0..64 * 512).map(|i| (i / 512 + i % 7) as u8).collect();
+    c.begin().unwrap();
+    let id = c.lo_create(&WireSpec::fchunk()).unwrap();
+    let mut lo = c.lo(id, true, 0).unwrap();
+    lo.write_all(&data).unwrap();
+    let fd = lo.fd();
+    std::mem::forget(lo);
+
+    let mut pipe = c.pipeline_with_window(8);
+    let reads: Vec<_> = (0..64u64).map(|k| pipe.lo_read_at(fd, k * 512, 512).unwrap()).collect();
+    for (k, t) in reads.into_iter().enumerate() {
+        assert_eq!(pipe.redeem(t).unwrap(), data[k * 512..][..512], "read {k}");
+    }
+    drop(pipe);
+
+    // The same 64 reads in one write, on the raw socket under the client.
+    let batch = |entries: &[obs::MetricEntry], field: &str| {
+        let name = format!("server.worker.batch.{field}");
+        entries.iter().find(|e| e.name == name).map_or(0, |e| e.value.as_u64())
+    };
+    let before = c.metrics().unwrap();
+    let mut s = c.into_inner();
+    let mut burst = Vec::new();
+    for k in 0..64u32 {
+        let mut p = Vec::new();
+        proto::put_u32(&mut p, fd);
+        proto::put_u64(&mut p, u64::from(k) * 512);
+        proto::put_u32(&mut p, 512);
+        proto::encode_frame_into(&mut burst, 1000 + k, Opcode::LoReadAt as u8, &p);
+    }
+    s.write_all(&burst).unwrap();
+    let mut rbuf = Vec::new();
+    for k in 0..64usize {
+        let (tag, status, bytes) = proto::read_frame(&mut s, &mut rbuf).unwrap();
+        assert_eq!((tag, status), (1000 + k as u32, 0));
+        assert_eq!(bytes, data[k * 512..][..512], "burst read {k}");
+    }
+    if cfg!(feature = "obs") {
+        let after = Client::connect(handle.local_addr()).unwrap().metrics().unwrap();
+        let rounds = batch(&after, "count") - batch(&before, "count");
+        let frames = batch(&after, "sum_ns") - batch(&before, "sum_ns");
+        assert!(frames >= 64 && rounds < frames, "{frames} frames took {rounds} rounds");
+    }
     stop(handle);
 }
 

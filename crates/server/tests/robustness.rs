@@ -3,7 +3,7 @@
 //! test: nothing a client sends can kill the daemon, and a connection that
 //! dies mid-transaction leaves that transaction aborted.
 
-use pglo_server::proto::{MAGIC, VERSION};
+use pglo_server::proto::{self, MAGIC, VERSION};
 use pglo_server::{
     spawn, Client, ErrorCode, LobdService, Opcode, ServerConfig, ServerHandle, WireSpec,
 };
@@ -257,7 +257,7 @@ fn overlimit_io_request_is_rejected() {
     stop(handle);
 }
 
-/// A slow-loris client dribbles its bytes one at a time. The reactor's
+/// A slow-loris client dribbles its bytes one at a time. The worker's
 /// incremental decode must ride through every partial state — torn
 /// handshake, torn length prefix, torn body — and still serve the frame,
 /// without stalling anyone else.
@@ -300,8 +300,8 @@ fn slow_loris_byte_at_a_time_still_gets_served() {
 }
 
 /// A client vanishes with a pipeline window full of unredeemed writes.
-/// The in-flight frame finishes server-side, queued frames are dropped
-/// with the connection, and the orphaned transaction aborts.
+/// Whatever the server received of them runs, nothing commits, and the
+/// orphaned transaction aborts with the connection.
 #[test]
 fn mid_pipeline_disconnect_aborts_orphaned_txn() {
     let (_dir, handle) = start();
@@ -336,6 +336,148 @@ fn mid_pipeline_disconnect_aborts_orphaned_txn() {
     c2.commit().unwrap();
 
     assert_still_serving(&handle);
+    stop(handle);
+}
+
+/// One request frame for a raw socket.
+fn frame(tag: u32, op: Opcode, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    proto::encode_frame_into(&mut out, tag, op as u8, payload);
+    out
+}
+
+/// `lo_open` / `lo_read_at` / `lo_write_at` payloads.
+fn open_payload(id: u64, writable: bool) -> Vec<u8> {
+    let mut p = Vec::new();
+    proto::put_u64(&mut p, id);
+    p.push(u8::from(writable));
+    proto::put_u32(&mut p, 0);
+    p
+}
+
+fn read_at_payload(fd: u32, offset: u64, len: u32) -> Vec<u8> {
+    let mut p = Vec::new();
+    proto::put_u32(&mut p, fd);
+    proto::put_u64(&mut p, offset);
+    proto::put_u32(&mut p, len);
+    p
+}
+
+fn write_at_payload(fd: u32, offset: u64, data: &[u8]) -> Vec<u8> {
+    let mut p = Vec::new();
+    proto::put_u32(&mut p, fd);
+    proto::put_u64(&mut p, offset);
+    proto::put_bytes(&mut p, data);
+    p
+}
+
+/// A committed f-chunk object holding `data`.
+fn committed_object(handle: &ServerHandle, data: &[u8]) -> u64 {
+    let mut c = Client::connect(handle.local_addr()).unwrap();
+    c.begin().unwrap();
+    let id = c.lo_create(&WireSpec::fchunk()).unwrap();
+    let mut lo = c.lo(id, true, 0).unwrap();
+    lo.write_all(data).unwrap();
+    lo.close().unwrap();
+    c.commit().unwrap();
+    id
+}
+
+/// A peer that pipelines reads and never reads the replies is a hostile
+/// peer or a broken one. The server stops executing that session's frames
+/// once a frame's worth of replies waits unread, instead of executing
+/// them all and buffering every reply (7 KB of requests for 256 MiB), and
+/// picks up where it stopped when the peer reads after all.
+#[test]
+fn unread_replies_pause_the_session_instead_of_growing_the_server() {
+    const REQUESTS: u32 = 256;
+    let (_dir, handle) = start();
+    let data: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+    let id = committed_object(&handle, &data);
+
+    let mut s = raw_connect(&handle);
+    s.write_all(&frame(1, Opcode::Begin, b"")).unwrap();
+    s.write_all(&frame(2, Opcode::LoOpen, &open_payload(id, false))).unwrap();
+    let mut rbuf = Vec::new();
+    assert_eq!(proto::read_frame(&mut s, &mut rbuf).unwrap(), (1, 0, Vec::new()));
+    let (_, status, fd) = proto::read_frame(&mut s, &mut rbuf).unwrap();
+    assert_eq!(status, 0);
+    let fd = u32::from_le_bytes(fd.try_into().unwrap());
+
+    let ask = read_at_payload(fd, 0, pglo_server::MAX_IO);
+    let burst: Vec<u8> =
+        (0..REQUESTS).flat_map(|k| frame(100 + k, Opcode::LoReadAt, &ask)).collect();
+    s.write_all(&burst).unwrap();
+
+    // Let the server run as far as it is going to: until it has executed
+    // nothing more for a while. What it has executed by then is what it
+    // (and the kernel's socket buffers) hold unread.
+    let executed = || {
+        let entries = handle.service().metrics_entries();
+        entries
+            .iter()
+            .find(|e| e.name == "server.op.lo_read_at.count")
+            .map_or(0, |e| e.value.as_u64())
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let (mut last, mut still) = (executed(), 0);
+    while still < 15 {
+        assert!(Instant::now() < deadline, "server still executing: {last} reads");
+        std::thread::sleep(Duration::from_millis(20));
+        let now = executed();
+        still = if now == last { still + 1 } else { 0 };
+        last = now;
+    }
+    let held = last as usize * data.len();
+    let limit = 4 * pglo_server::MAX_FRAME as usize;
+    assert!(last > 0 && held < limit, "{last} of {REQUESTS} reads ran: {} MiB unread", held >> 20);
+
+    // The peer reads after all: every reply, in order, byte-exact.
+    for k in 0..REQUESTS {
+        let (tag, status, bytes) = proto::read_frame(&mut s, &mut rbuf).unwrap();
+        assert_eq!((tag, status), (100 + k, 0));
+        assert!(bytes == data, "reply {k} differs");
+    }
+    s.write_all(&frame(7, Opcode::Ping, b"still here")).unwrap();
+    assert_eq!(proto::read_frame(&mut s, &mut rbuf).unwrap(), (7, 0, b"still here".to_vec()));
+    assert_still_serving(&handle);
+    stop(handle);
+}
+
+/// Both transports run every frame they received whole before the peer's
+/// close, then tear down: a client that sends a transaction through to
+/// its `commit` in one write and closes without reading a reply has
+/// committed.
+#[test]
+fn frames_sent_before_the_close_all_execute() {
+    let (_dir, handle) = start();
+    let id = committed_object(&handle, b"before");
+
+    let mut s = raw_connect(&handle);
+    let mut burst = frame(1, Opcode::Begin, b"");
+    burst.extend(frame(2, Opcode::LoOpen, &open_payload(id, true)));
+    // A session's first descriptor is 1.
+    burst.extend(frame(3, Opcode::LoWriteAt, &write_at_payload(1, 0, b"sent, then gone")));
+    let mut fd = Vec::new();
+    proto::put_u32(&mut fd, 1);
+    burst.extend(frame(4, Opcode::LoClose, &fd));
+    burst.extend(frame(5, Opcode::Commit, b""));
+    s.write_all(&burst).unwrap();
+    drop(s);
+
+    let mut c = Client::connect(handle.local_addr()).unwrap();
+    wait_for(
+        || {
+            c.begin().unwrap();
+            let mut lo = c.lo(id, false, 0).unwrap();
+            let bytes = lo.read_at(0, 64).unwrap();
+            lo.close().unwrap();
+            c.commit().unwrap();
+            bytes == b"sent, then gone"
+        },
+        "the commit sent right before the close",
+    );
+    assert_eq!(handle.service().env().txns().active_count(), 0);
     stop(handle);
 }
 

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 const CHILDREN: usize = 4;
 const SESSIONS_PER_CHILD: usize = 2500;
 /// Pings timed while every session is held idle, and the ceiling on
-/// their 99th percentile: a reactor that degrades under idle-connection
+/// their 99th percentile: a worker that degrades under idle-connection
 /// load (readiness-set scanning, accept starvation) blows it long before
 /// it breaks a functional check. Generous for a shared runner; healthy
 /// runs sit well under 10 ms.
@@ -43,11 +43,8 @@ fn ten_thousand_concurrent_sessions_with_pipelined_round_trips() {
 
     let dir = tempfile::tempdir().unwrap();
     let service = LobdService::open(dir.path()).unwrap();
-    let config = ServerConfig::default()
-        .reactors(4)
-        .executor_threads(8)
-        .max_sessions(12_000)
-        .pipeline_window(16);
+    let config =
+        ServerConfig::default().executor_threads(8).max_sessions(12_000).pipeline_window(16);
     let handle = spawn(service, config).unwrap();
     let addr = handle.local_addr().to_string();
 

@@ -11,7 +11,7 @@
 //!
 //! Registration is by raw fd + caller-chosen `Token`; readiness comes
 //! back as an `Events` set. Both backends are level-triggered so a
-//! consumer that drains partially keeps getting notified — reactor
+//! consumer that drains partially keeps getting notified — server
 //! code must not depend on edge semantics.
 //!
 //! A `Waker` wraps the write end of a non-blocking pipe registered with
@@ -167,11 +167,19 @@ impl Event {
 pub struct Events {
     list: Vec<Event>,
     capacity: usize,
+    /// The kernel's side of the buffer (epoll backend), kept between
+    /// polls so a poll allocates nothing.
+    raw: Vec<sys::epoll_event>,
 }
 
 impl Events {
     pub fn with_capacity(capacity: usize) -> Events {
-        Events { list: Vec::with_capacity(capacity), capacity: capacity.max(1) }
+        let capacity = capacity.max(1);
+        Events {
+            list: Vec::with_capacity(capacity),
+            capacity,
+            raw: vec![sys::epoll_event { events: 0, data: 0 }; capacity],
+        }
     }
 
     pub fn iter(&self) -> std::slice::Iter<'_, Event> {
@@ -341,8 +349,8 @@ impl Poll {
         let tmo = timeout_ms(timeout);
         match &mut self.backend {
             Backend::Epoll(epfd) => {
-                let cap = events.capacity;
-                let mut raw = vec![sys::epoll_event { events: 0, data: 0 }; cap];
+                let raw = &mut events.raw;
+                let cap = raw.len();
                 let n = loop {
                     // SAFETY: raw points at `cap` epoll_event slots that
                     // outlive the call; the kernel writes at most `cap`.
@@ -413,9 +421,12 @@ impl Poll {
                 }
             }
         }
-        // Drain any waker pipes that fired so level-triggered polling
+        // Drain the waker pipes that fired so level-triggered polling
         // does not spin; the event itself is still delivered above.
-        for (fd, _) in &self.waker_reads {
+        for (fd, token) in &self.waker_reads {
+            if !events.list.iter().any(|ev| ev.token == *token) {
+                continue;
+            }
             let mut buf = [0u8; 64];
             loop {
                 // SAFETY: buf is a live 64-byte stack buffer; read

@@ -12,19 +12,10 @@
 
 use crate::LockRank;
 
-/// Reactor inbox (`crates/server`): freshly accepted connections parked
-/// by the accepting reactor for the owning reactor to adopt. Pushed and
-/// drained holding nothing else.
-pub const SERVER_REACTOR_INBOX: LockRank = LockRank::new(8, "server.reactor_inbox");
-
-/// Reactor completion queue (`crates/server`): executors deposit
-/// finished `(session, reply)` pairs here for the owning reactor.
-/// Pushed after the executor has released the job-queue lock.
-pub const SERVER_REACTOR_DONE: LockRank = LockRank::new(9, "server.reactor_done");
-
-/// lobd executor job queue (`crates/server`): executor threads block
-/// here holding nothing (formerly `server.conn_queue`).
-pub const SERVER_EXEC_QUEUE: LockRank = LockRank::new(10, "server.exec_queue");
+/// Worker inbox (`crates/server`): freshly accepted connections parked
+/// by the acceptor for the owning worker to adopt. Pushed and taken
+/// holding nothing else.
+pub const SERVER_WORKER_INBOX: LockRank = LockRank::new(8, "server.worker_inbox");
 
 /// Background-writer handle slot in `StorageEnv` (`crates/heap`); held
 /// across thread join at shutdown, so everything the bgwriter itself
