@@ -303,7 +303,8 @@ struct Worker {
     next_token: usize,
     /// Connections whose last round ended at the window.
     ready: Vec<usize>,
-    /// Where every connection's `read` lands.
+    /// Where every connection's `read` lands; allocated with the first
+    /// connection, so a worker that never gets one costs no memory.
     scratch: Vec<u8>,
     /// Set once this worker has seen the shutdown flag.
     draining_since: Option<Instant>,
@@ -318,10 +319,10 @@ pub(crate) fn worker_loop(idx: usize, poll: Poll, shared: Arc<Shared>) {
         conns: HashMap::new(),
         next_token: TOKEN_BASE,
         ready: Vec::new(),
-        scratch: vec![0; READ_CHUNK],
+        scratch: Vec::new(),
         draining_since: None,
     };
-    let mut events = Events::with_capacity(1024);
+    let mut events = Events::with_capacity(256);
     loop {
         let timeout = if !w.ready.is_empty() {
             Duration::ZERO
@@ -354,6 +355,9 @@ impl Worker {
             Some(mut inbox) => std::mem::take(&mut *inbox),
             None => return,
         };
+        if !newcomers.is_empty() && self.scratch.is_empty() {
+            self.scratch = vec![0; READ_CHUNK];
+        }
         for stream in newcomers {
             let token = self.next_token;
             self.next_token += 1;
