@@ -28,10 +28,11 @@ pub use scan::{BTreeScan, ScanStart};
 
 use node::{NodeEntry, NodeView, META_SPECIAL, NODE_SPECIAL};
 use parking_lot::Mutex;
-use pglo_buffer::PageKey;
-use pglo_heap::{HeapError, StorageEnv};
+use pglo_buffer::{AccessHint, PageKey};
+use pglo_heap::{Heap, HeapError, StorageEnv};
 use pglo_pages::{Page, Tid, PAGE_SIZE};
 use pglo_smgr::{RelFileId, SmgrId};
+use pglo_txn::Visibility;
 use std::sync::Arc;
 
 /// Crate-wide result type (storage errors surface as heap errors).
@@ -140,35 +141,29 @@ impl BTree {
     }
 
     /// Descend to the leaf that should contain `(key, tid)`, returning the
-    /// path of `(block, child index)` decisions with the leaf block last.
-    pub(crate) fn descend_path(&self, key: &[u8], tid: Tid) -> Result<Vec<(u32, usize)>> {
+    /// path of `(block, child index)` decisions with the leaf block last,
+    /// and the leaf block.
+    pub(crate) fn descend_path(&self, key: &[u8], tid: Tid) -> Result<(Vec<(u32, usize)>, u32)> {
         let (root, height) = self.read_meta()?;
         let mut path = Vec::with_capacity(height as usize);
         let mut block = root;
         loop {
             self.env.sim().charge_cpu(DESCENT_CPU_INSTR);
             let pinned = self.env.pool().pin(self.key(block))?;
-            let (level, child) = pinned.with_read(|buf| {
+            let child = pinned.with_read(|buf| {
                 let page = Page::new(&buf[..]);
                 let view = NodeView::new(&page);
-                if view.level() == 0 {
-                    (0, None)
-                } else {
+                (!view.is_leaf()).then(|| {
                     let idx = view.child_index_for(key, tid);
-                    (view.level(), Some((idx, view.entry(idx).child)))
-                }
+                    (idx, view.entry_ref(idx).1)
+                })
             });
-            match child {
-                None => {
-                    path.push((block, 0));
-                    return Ok(path);
-                }
-                Some((idx, child_block)) => {
-                    debug_assert!(level > 0);
-                    path.push((block, idx));
-                    block = child_block;
-                }
-            }
+            let Some((idx, child_block)) = child else {
+                path.push((block, 0));
+                return Ok((path, block));
+            };
+            path.push((block, idx));
+            block = child_block;
         }
     }
 
@@ -178,8 +173,7 @@ impl BTree {
     pub fn insert(&self, key: &[u8], tid: Tid) -> Result<()> {
         assert!(key.len() <= MAX_KEY_LEN, "index key exceeds MAX_KEY_LEN");
         let _guard = self.lock.lock();
-        let path = self.descend_path(key, tid)?;
-        let (leaf_block, _) = *path.last().expect("descend returns at least the leaf");
+        let (path, leaf_block) = self.descend_path(key, tid)?;
         let entry = NodeEntry { key: key.to_vec(), tid, child: 0 };
         self.insert_into_node(&path, path.len() - 1, leaf_block, entry)
     }
@@ -223,11 +217,20 @@ impl BTree {
             (view.level(), view.right(), view.all_entries())
         });
         let is_leaf = level == 0;
-        // Insert the new entry into the in-memory list, then split by count.
+        // Insert the new entry into the in-memory list, then split where the
+        // bytes halve: keys vary in length, and half the entries by count can
+        // be more than a page. (Equal-length keys split as by count.)
         let pos =
             entries.binary_search_by(|e| e.cmp_key(&entry.key, entry.tid)).unwrap_or_else(|p| p);
         entries.insert(pos, entry);
-        let mid = entries.len() / 2;
+        let size = |e: &NodeEntry| e.key.len() + 16;
+        let total: usize = entries.iter().map(size).sum();
+        let mut left = 0;
+        let left_half = entries.iter().take_while(|e| {
+            left += size(e);
+            left * 2 <= total
+        });
+        let mid = left_half.count();
         let right_entries = entries.split_off(mid);
         let left_entries = entries;
         let sep = right_entries[0].clone();
@@ -268,11 +271,11 @@ impl BTree {
         if level_idx == 0 {
             // Splitting the root: make a new root above it.
             let (_, height) = self.read_meta()?;
-            let first = NodeEntry {
-                key: left_first_key(self, block)?,
-                tid: left_first_tid(self, block)?,
-                child: block,
-            };
+            let first = self.env.pool().pin(self.key(block))?.with_read(|buf| {
+                let page = Page::new(&buf[..]);
+                let ((key, tid), _) = NodeView::new(&page).entry_ref(0);
+                NodeEntry { key: key.to_vec(), tid, child: block }
+            });
             let (root_block, root_pinned) =
                 self.env.pool().new_page(self.smgr, self.rel, |buf| {
                     let mut page = Page::new(&mut buf[..]);
@@ -300,9 +303,7 @@ impl BTree {
             TryRight(u32),
         }
         let _guard = self.lock.lock();
-        let path = self.descend_path(key, tid)?;
-        let (leaf_block, _) = *path.last().expect("leaf");
-        let mut block = leaf_block;
+        let (_, mut block) = self.descend_path(key, tid)?;
         loop {
             if block == 0 {
                 return Ok(false);
@@ -314,14 +315,9 @@ impl BTree {
                     let view = NodeView::new(&page);
                     let idx = view.insertion_index(key, tid);
                     if idx < view.count() {
-                        let e = view.entry(idx);
-                        if e.key == key && e.tid == tid {
-                            (Some(idx), 0)
-                        } else {
-                            // First entry beyond the target: nothing further
-                            // right can match either.
-                            (None, 0)
-                        }
+                        // A first entry beyond the target means nothing
+                        // further right can match either.
+                        ((view.entry_ref(idx).0 == (key, tid)).then_some(idx), 0)
                     } else {
                         // Target sorts past everything here; the right
                         // sibling could still hold it (empty leaf case).
@@ -346,40 +342,56 @@ impl BTree {
     }
 
     /// All TIDs stored under exactly `key`, in TID order.
+    ///
+    /// A point lookup: the relation latch is held from the descent to the
+    /// end of the run, each leaf is pinned once and searched in place, and
+    /// nothing but the result is copied out. The run follows `right()`
+    /// because duplicates span leaves and lazily emptied leaves sit between
+    /// them.
     pub fn lookup(&self, key: &[u8]) -> Result<Vec<Tid>> {
+        let first = Tid::new(0, 0);
+        let _guard = self.lock.lock();
+        let (_, mut block) = self.descend_path(key, first)?;
         let mut out = Vec::new();
-        let mut scan = self.scan(ScanStart::AtOrAfter(key.to_vec()))?;
-        while let Some((k, tid)) = scan.next_entry()? {
-            if k != key {
-                break;
-            }
-            out.push(tid);
+        while block != 0 {
+            let pinned = self.env.pool().pin(self.key(block))?;
+            block = pinned.with_read(|buf| {
+                let page = Page::new(&buf[..]);
+                let view = NodeView::new(&page);
+                for idx in view.insertion_index(key, first)..view.count() {
+                    let ((k, tid), _) = view.entry_ref(idx);
+                    if k != key {
+                        return 0;
+                    }
+                    out.push(tid);
+                }
+                view.right()
+            });
         }
         Ok(out)
+    }
+
+    /// The versions stored under `key` that `vis` can see, as `(tid,
+    /// payload)` in index order, each fetched from `heap` only when the
+    /// caller asks for it. Every "look the key up, take the visible
+    /// version" walk goes through here, so the order versions are tried
+    /// in is decided in this one place.
+    pub fn visible<'a>(
+        &self,
+        heap: &'a Heap,
+        key: &[u8],
+        vis: &'a Visibility,
+        hint: AccessHint,
+    ) -> Result<impl Iterator<Item = Result<(Tid, Vec<u8>)>> + 'a> {
+        Ok(self.lookup(key)?.into_iter().filter_map(move |tid| {
+            heap.fetch_hinted(tid, vis, hint).map(|p| p.map(|p| (tid, p))).transpose()
+        }))
     }
 
     /// An ordered scan beginning at `start`.
     pub fn scan(&self, start: ScanStart) -> Result<BTreeScan<'_>> {
         BTreeScan::position(self, start)
     }
-}
-
-fn left_first_key(tree: &BTree, block: u32) -> Result<Vec<u8>> {
-    let pinned = tree.env.pool().pin(tree.key(block))?;
-    Ok(pinned.with_read(|buf| {
-        let page = Page::new(&buf[..]);
-        let view = NodeView::new(&page);
-        view.entry(0).key
-    }))
-}
-
-fn left_first_tid(tree: &BTree, block: u32) -> Result<Tid> {
-    let pinned = tree.env.pool().pin(tree.key(block))?;
-    Ok(pinned.with_read(|buf| {
-        let page = Page::new(&buf[..]);
-        let view = NodeView::new(&page);
-        view.entry(0).tid
-    }))
 }
 
 /// Big-endian key encoders: byte order equals numeric order, so these keys

@@ -34,6 +34,16 @@ pub fn meta_set<B: AsRef<[u8]> + AsMut<[u8]>>(page: &mut Page<B>, root: u32, hei
     sp[4..8].copy_from_slice(&height.to_le_bytes());
 }
 
+/// Borrow `((key, tid), child)` out of a stored entry: the pair entries
+/// sort by, and the child block (0 in leaves).
+fn split_entry(data: &[u8], is_leaf: bool) -> ((&[u8], Tid), u32) {
+    let (klen, rest) = data.split_at(2);
+    let (key, rest) = rest.split_at(u16::from_le_bytes([klen[0], klen[1]]) as usize);
+    let tid = Tid::from_bytes(rest).expect("entry tid");
+    let child = if is_leaf { 0 } else { u32::from_le_bytes([rest[6], rest[7], rest[8], rest[9]]) };
+    ((key, tid), child)
+}
+
 /// A decoded node entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeEntry {
@@ -58,17 +68,10 @@ impl NodeEntry {
         out
     }
 
-    /// Decode a stored entry.
+    /// Decode a stored entry into an owned one (splits rewrite whole nodes).
     pub fn decode(data: &[u8], is_leaf: bool) -> NodeEntry {
-        let klen = u16::from_le_bytes(data[0..2].try_into().expect("klen")) as usize;
-        let key = data[2..2 + klen].to_vec();
-        let tid = Tid::from_bytes(&data[2 + klen..2 + klen + 6]).expect("entry tid");
-        let child = if is_leaf {
-            0
-        } else {
-            u32::from_le_bytes(data[2 + klen + 6..2 + klen + 10].try_into().expect("child"))
-        };
-        NodeEntry { key, tid, child }
+        let ((key, tid), child) = split_entry(data, is_leaf);
+        NodeEntry { key: key.to_vec(), tid, child }
     }
 
     /// Compare this entry's `(key, tid)` against a probe.
@@ -113,15 +116,18 @@ impl<'a, B: AsRef<[u8]>> NodeView<'a, B> {
         self.page.item_count()
     }
 
-    /// Decode entry `idx`. Panics on out-of-range (internal invariant).
-    pub fn entry(&self, idx: usize) -> NodeEntry {
+    /// Entry `idx` as `((key, tid), child)`, the key borrowed from the
+    /// page: searches compare in place and copy nothing. Panics on
+    /// out-of-range (internal invariant).
+    pub fn entry_ref(&self, idx: usize) -> ((&'a [u8], Tid), u32) {
         let item = self.page.item(idx as u16).expect("node entries are dense Normal items");
-        NodeEntry::decode(item, self.is_leaf())
+        split_entry(item, self.is_leaf())
     }
 
-    /// All entries in order.
+    /// All entries in order, owned.
     pub fn all_entries(&self) -> Vec<NodeEntry> {
-        (0..self.count()).map(|i| self.entry(i)).collect()
+        let leaf = self.is_leaf();
+        self.page.items().map(|(_, _, item)| NodeEntry::decode(item, leaf)).collect()
     }
 
     /// First index whose entry sorts at or after `(key, tid)`.
@@ -130,7 +136,7 @@ impl<'a, B: AsRef<[u8]>> NodeView<'a, B> {
         let mut hi = self.count();
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if self.entry(mid).cmp_key(key, tid) == Ordering::Less {
+            if self.entry_ref(mid).0 < (key, tid) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -143,7 +149,7 @@ impl<'a, B: AsRef<[u8]>> NodeView<'a, B> {
     /// separator at or before the probe, clamped to the first child.
     pub fn child_index_for(&self, key: &[u8], tid: Tid) -> usize {
         let idx = self.insertion_index(key, tid);
-        if idx < self.count() && self.entry(idx).cmp_key(key, tid) == Ordering::Equal {
+        if idx < self.count() && self.entry_ref(idx).0 == (key, tid) {
             idx
         } else {
             idx.saturating_sub(1)

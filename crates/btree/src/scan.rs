@@ -55,7 +55,7 @@ impl<'a> BTreeScan<'a> {
                         if view.is_leaf() {
                             None
                         } else {
-                            Some(view.entry(0).child)
+                            Some(view.entry_ref(0).1)
                         }
                     });
                     match next {
@@ -106,12 +106,7 @@ impl<'a> BTreeScan<'a> {
     /// Leaf block + index of the first entry `>= (key, Tid::MIN)`.
     fn find_leaf_position(&self, key: &[u8]) -> Result<(u32, usize)> {
         let probe_tid = Tid::new(0, 0);
-        let path = {
-            // Reuse the tree's descend via a tiny local copy to keep the
-            // descent logic in one place.
-            self.tree.descend_for_scan(key, probe_tid)?
-        };
-        let (leaf, _) = *path.last().expect("descend reaches a leaf");
+        let (_, leaf) = self.tree.descend_path(key, probe_tid)?;
         let pinned = self.tree.env().pool().pin(self.tree.key(leaf))?;
         let idx = pinned.with_read(|buf| {
             let page = Page::new(&buf[..]);
@@ -129,8 +124,8 @@ impl<'a> BTreeScan<'a> {
             let view = NodeView::new(&page);
             let entries: Vec<(Vec<u8>, Tid)> = (from..view.count())
                 .map(|i| {
-                    let e = view.entry(i);
-                    (e.key, e.tid)
+                    let ((key, tid), _) = view.entry_ref(i);
+                    (key.to_vec(), tid)
                 })
                 .collect();
             (entries, view.right())
@@ -166,13 +161,5 @@ impl<'a> BTreeScan<'a> {
             }
         }
         Ok(out)
-    }
-}
-
-impl BTree {
-    /// Descend exactly as [`BTree::descend`] but callable from the scan
-    /// module.
-    pub(crate) fn descend_for_scan(&self, key: &[u8], tid: Tid) -> Result<Vec<(u32, usize)>> {
-        self.descend_path(key, tid)
     }
 }

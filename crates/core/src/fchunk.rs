@@ -114,40 +114,31 @@ impl<'a> FChunkBackend<'a> {
     /// a run; hinting it unconditionally would make every random read pay
     /// the pool's window-tracking cost for nothing.
     fn fetch_chunk(&self, seq: u64, hint: AccessHint) -> Result<Option<Vec<u8>>> {
-        let tids = self.index.lookup(&u64_key(seq))?;
-        for tid in tids {
-            if let Some(payload) = self.heap.fetch_hinted(tid, &self.vis, hint)? {
-                let (stored_seq, flag, bytes) = decode_chunk(&payload)?;
-                if stored_seq != seq {
-                    return Err(LoError::Meta(format!(
-                        "{}: index entry for chunk {seq} points at chunk {stored_seq}",
-                        self.id
-                    )));
-                }
-                let plain = if flag == FLAG_COMPRESSED {
-                    let codec = self.codec.codec();
-                    let plain = decompress_vec(codec, bytes)?;
-                    // Just-in-time decompression price (§3): instructions
-                    // per uncompressed byte produced.
-                    self.env.sim().charge_cpu_per_byte(plain.len(), codec.instr_per_byte());
-                    plain
-                } else {
-                    bytes.to_vec()
-                };
-                return Ok(Some(plain));
-            }
+        let mut versions = self.index.visible(&self.heap, &u64_key(seq), &self.vis, hint)?;
+        let Some((_, payload)) = versions.next().transpose()? else { return Ok(None) };
+        let (stored_seq, flag, bytes) = decode_chunk(&payload)?;
+        if stored_seq != seq {
+            return Err(LoError::Meta(format!(
+                "{}: index entry for chunk {seq} points at chunk {stored_seq}",
+                self.id
+            )));
         }
-        Ok(None)
+        if flag != FLAG_COMPRESSED {
+            return Ok(Some(bytes.to_vec()));
+        }
+        let codec = self.codec.codec();
+        let plain = decompress_vec(codec, bytes)?;
+        // Just-in-time decompression price (§3): instructions per
+        // uncompressed byte produced.
+        self.env.sim().charge_cpu_per_byte(plain.len(), codec.instr_per_byte());
+        Ok(Some(plain))
     }
 
     /// The visible version's TID for chunk `seq`, if any.
     fn visible_tid(&self, seq: u64) -> Result<Option<Tid>> {
-        for tid in self.index.lookup(&u64_key(seq))? {
-            if self.heap.fetch(tid, &self.vis)?.is_some() {
-                return Ok(Some(tid));
-            }
-        }
-        Ok(None)
+        let key = u64_key(seq);
+        let mut versions = self.index.visible(&self.heap, &key, &self.vis, AccessHint::Random)?;
+        Ok(versions.next().transpose()?.map(|(tid, _)| tid))
     }
 
     fn write_back(&mut self) -> Result<()> {

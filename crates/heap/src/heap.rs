@@ -167,15 +167,18 @@ impl Heap {
                 return Ok(Tid::new(block, slot));
             }
         }
-        // No room: extend the relation.
-        let (block, pinned) = self.env.pool().new_page(self.smgr, self.rel, |buf| {
-            Page::new(&mut buf[..]).init(0).expect("init fresh heap page");
-        })?;
-        let slot = pinned
-            .with_write(|buf| Page::new(&mut buf[..]).add_item(&img))
-            .expect("fresh page must fit a max-size tuple");
-        self.insert_hint.store(block, Ordering::Relaxed);
-        Ok(Tid::new(block, slot))
+        // No room: extend the relation. The fresh block is visible to
+        // other inserters as their "last block" the moment it exists, so
+        // one of them may fill it first; then extend again.
+        loop {
+            let (block, pinned) = self.env.pool().new_page(self.smgr, self.rel, |buf| {
+                Page::new(&mut buf[..]).init(0).expect("init fresh heap page");
+            })?;
+            if let Some(slot) = pinned.with_write(|buf| Page::new(&mut buf[..]).add_item(&img)) {
+                self.insert_hint.store(block, Ordering::Relaxed);
+                return Ok(Tid::new(block, slot));
+            }
+        }
     }
 
     /// Fetch the payload at `tid` if visible under `vis`.
@@ -445,6 +448,42 @@ mod tests {
         let vis2 = Visibility::for_txn(&t2);
         assert_eq!(heap.fetch(tid, &vis2).unwrap().unwrap(), b"row-1");
         t2.commit();
+    }
+
+    /// Four sessions insert near-page-size tuples into one heap at once.
+    /// A fresh page is everyone's "last block" the moment it exists, so an
+    /// inserter can find its own fresh page already filled; it must extend
+    /// again, and every tuple must be there exactly once afterwards.
+    #[test]
+    fn concurrent_inserts_into_one_heap_all_land_once() {
+        const THREADS: u32 = 4;
+        const EACH: u32 = 3_000;
+        let (_d, env) = env();
+        let heap = Heap::create(&env, "T", env.disk_id(), Default::default()).unwrap();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for thread in 0..THREADS {
+                let (env, heap, start) = (&env, &heap, &start);
+                s.spawn(move || {
+                    let mut payload = vec![thread as u8; 5_000];
+                    let txn = env.begin();
+                    start.wait();
+                    for i in 0..EACH {
+                        payload[..4].copy_from_slice(&(thread * EACH + i).to_le_bytes());
+                        heap.insert(&txn, &payload).unwrap();
+                    }
+                    txn.commit();
+                });
+            }
+        });
+        let reader = env.begin();
+        let mut seen: Vec<u32> = collect(&heap, Visibility::for_txn(&reader))
+            .iter()
+            .map(|p| u32::from_le_bytes(p[..4].try_into().unwrap()))
+            .collect();
+        reader.commit();
+        seen.sort_unstable();
+        assert!(seen == (0..THREADS * EACH).collect::<Vec<u32>>(), "every tuple exactly once");
     }
 
     #[test]

@@ -222,30 +222,25 @@ impl InversionFs {
         parent: u64,
         name: &str,
     ) -> Result<Option<(Tid, DirRow)>> {
-        for tid in self.dir_idx.lookup(&u64_bytes_key(parent, name.as_bytes()))? {
-            if let Some(payload) = self.dir_heap.fetch(tid, vis)? {
-                return Ok(Some((tid, DirRow::decode(&payload)?)));
-            }
-        }
-        Ok(None)
+        let key = u64_bytes_key(parent, name.as_bytes());
+        let mut rows = self.dir_idx.visible(&self.dir_heap, &key, vis, AccessHint::Random)?;
+        let Some((tid, payload)) = rows.next().transpose()? else { return Ok(None) };
+        Ok(Some((tid, DirRow::decode(&payload)?)))
     }
 
     fn stat_lookup(&self, vis: &Visibility, file_id: u64) -> Result<Option<(Tid, FileStat)>> {
-        for tid in self.stat_idx.lookup(&u64_key(file_id))? {
-            if let Some(payload) = self.stat_heap.fetch(tid, vis)? {
-                return Ok(Some((tid, decode_stat(&payload)?)));
-            }
-        }
-        Ok(None)
+        let key = u64_key(file_id);
+        let mut rows = self.stat_idx.visible(&self.stat_heap, &key, vis, AccessHint::Random)?;
+        let Some((tid, payload)) = rows.next().transpose()? else { return Ok(None) };
+        Ok(Some((tid, decode_stat(&payload)?)))
     }
 
     fn storage_lookup(&self, vis: &Visibility, file_id: u64) -> Result<Option<(Tid, LoId)>> {
-        for tid in self.storage_idx.lookup(&u64_key(file_id))? {
-            if let Some(payload) = self.storage_heap.fetch(tid, vis)? {
-                let row = decode_row(&payload)?;
-                if let [Datum::Int8(_), Datum::Int8(lo)] = row.as_slice() {
-                    return Ok(Some((tid, LoId(*lo as u64))));
-                }
+        let key = u64_key(file_id);
+        for row in self.storage_idx.visible(&self.storage_heap, &key, vis, AccessHint::Random)? {
+            let (tid, payload) = row?;
+            if let [Datum::Int8(_), Datum::Int8(lo)] = decode_row(&payload)?.as_slice() {
+                return Ok(Some((tid, LoId(*lo as u64))));
             }
         }
         Ok(None)

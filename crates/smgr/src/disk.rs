@@ -13,7 +13,55 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+
+/// An open relation file and its length in blocks.
+///
+/// The length is read from the file once, when the entry is made (a
+/// created file is empty), and after that only [`RelFile::grow`] moves it:
+/// nothing else in the workspace changes a relation file's length (there
+/// is no `set_len`) and lobd is the only process on its data directory.
+/// So `nblocks` and every range check are an atomic load, not an `fstat`,
+/// and the entry — length included — goes when `unlink` drops it.
+struct RelFile {
+    file: File,
+    /// Blocks handed out to extenders; at or ahead of `nblocks`.
+    reserved: AtomicU32,
+    /// Blocks the file is known to hold.
+    nblocks: AtomicU32,
+}
+
+impl RelFile {
+    fn new(file: File, nblocks: u32) -> Arc<Self> {
+        Arc::new(Self { file, reserved: AtomicU32::new(nblocks), nblocks: AtomicU32::new(nblocks) })
+    }
+
+    /// Add one block, writing `bytes` at offset `at` inside it. Extension
+    /// takes no lock: the block is reserved first, so concurrent extenders
+    /// get distinct blocks; the file grows by a positioned write into the
+    /// reserved block, which (unlike `set_len`) can never cut off a later
+    /// reservation; and the block is published only once the file holds
+    /// it, so no reader is sent past the end. A block reserved before a
+    /// slower neighbour's reads as zeros until its owner writes it, and
+    /// stays that way if the owner's write failed: an empty page to every
+    /// reader and a full one to every inserter.
+    fn grow(&self, bytes: &[u8], at: usize) -> Result<u32> {
+        let block = self.reserved.fetch_add(1, Ordering::SeqCst);
+        self.file.write_all_at(bytes, block as u64 * PAGE_SIZE as u64 + at as u64)?;
+        self.nblocks.fetch_max(block + 1, Ordering::SeqCst);
+        Ok(block)
+    }
+
+    /// `OutOfRange` unless the file holds `block`.
+    fn check(&self, rel: RelFileId, block: u32) -> Result<()> {
+        let nblocks = self.nblocks.load(Ordering::SeqCst);
+        if block >= nblocks {
+            return Err(SmgrError::OutOfRange { rel, block, nblocks });
+        }
+        Ok(())
+    }
+}
 
 /// Storage manager for local magnetic disk.
 pub struct DiskSmgr {
@@ -22,7 +70,7 @@ pub struct DiskSmgr {
     profile: DeviceProfile,
     stats: IoStats,
     seq: SeqTracker,
-    files: Mutex<HashMap<RelFileId, Arc<File>>>,
+    files: Mutex<HashMap<RelFileId, Arc<RelFile>>>,
     /// When set, [`StorageManager::sync`] issues a real host `sync_all` so
     /// benchmarks can measure honest durability cost. Off by default: the
     /// simulated clock already charges every write, and host-level fsync
@@ -72,7 +120,7 @@ impl DiskSmgr {
         self.base.join(format!("rel_{rel}.pg"))
     }
 
-    fn open_file(&self, rel: RelFileId) -> Result<Arc<File>> {
+    fn open_file(&self, rel: RelFileId) -> Result<Arc<RelFile>> {
         {
             let files = self.files.lock();
             if let Some(f) = files.get(&rel) {
@@ -86,9 +134,10 @@ impl DiskSmgr {
         if !path.exists() {
             return Err(SmgrError::NotFound(rel));
         }
-        let f = Arc::new(OpenOptions::new().read(true).write(true).open(path)?);
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        let nblocks = (file.metadata()?.len() / PAGE_SIZE as u64) as u32;
         let mut files = self.files.lock();
-        Ok(Arc::clone(files.entry(rel).or_insert(f)))
+        Ok(Arc::clone(files.entry(rel).or_insert_with(|| RelFile::new(file, nblocks))))
     }
 
     fn charge(&self, rel: RelFileId, block: u32, bytes: usize, write: bool) {
@@ -110,9 +159,9 @@ impl DiskSmgr {
         if !self.durable_sync {
             return Ok(());
         }
-        let files: Vec<Arc<File>> = self.files.lock().values().map(Arc::clone).collect();
+        let files: Vec<Arc<RelFile>> = self.files.lock().values().map(Arc::clone).collect();
         for f in files {
-            f.sync_all()?;
+            f.file.sync_all()?;
         }
         Ok(())
     }
@@ -139,7 +188,7 @@ impl StorageManager for DiskSmgr {
             return Err(SmgrError::AlreadyExists(rel));
         }
         let f = OpenOptions::new().read(true).write(true).create_new(true).open(path)?;
-        self.files.lock().insert(rel, Arc::new(f));
+        self.files.lock().insert(rel, RelFile::new(f, 0));
         Ok(())
     }
 
@@ -159,38 +208,27 @@ impl StorageManager for DiskSmgr {
     }
 
     fn nblocks(&self, rel: RelFileId) -> Result<u32> {
-        let f = self.open_file(rel)?;
-        let len = f.metadata()?.len();
-        Ok((len / PAGE_SIZE as u64) as u32)
+        Ok(self.open_file(rel)?.nblocks.load(Ordering::SeqCst))
     }
 
     fn extend(&self, rel: RelFileId, page: &PageBuf) -> Result<u32> {
         let _span = obs::span!("smgr.disk.extend");
-        let f = self.open_file(rel)?;
-        let block = (f.metadata()?.len() / PAGE_SIZE as u64) as u32;
-        f.write_all_at(page, block as u64 * PAGE_SIZE as u64)?;
+        let block = self.open_file(rel)?.grow(page, 0)?;
         self.charge(rel, block, PAGE_SIZE, true);
         Ok(block)
     }
 
     fn allocate(&self, rel: RelFileId) -> Result<u32> {
         let _span = obs::span!("smgr.disk.allocate");
-        let f = self.open_file(rel)?;
-        let len = f.metadata()?.len();
-        let block = (len / PAGE_SIZE as u64) as u32;
-        f.set_len(len + PAGE_SIZE as u64)?;
-        // Metadata-only: no simulated transfer.
-        Ok(block)
+        // Metadata-only (the block's last byte): no simulated transfer.
+        self.open_file(rel)?.grow(&[0], PAGE_SIZE - 1)
     }
 
     fn read(&self, rel: RelFileId, block: u32, out: &mut PageBuf) -> Result<()> {
         let _span = obs::span!("smgr.disk.read");
         let f = self.open_file(rel)?;
-        let nblocks = (f.metadata()?.len() / PAGE_SIZE as u64) as u32;
-        if block >= nblocks {
-            return Err(SmgrError::OutOfRange { rel, block, nblocks });
-        }
-        f.read_exact_at(out, block as u64 * PAGE_SIZE as u64)?;
+        f.check(rel, block)?;
+        f.file.read_exact_at(out, block as u64 * PAGE_SIZE as u64)?;
         self.charge(rel, block, PAGE_SIZE, false);
         Ok(())
     }
@@ -198,11 +236,8 @@ impl StorageManager for DiskSmgr {
     fn write(&self, rel: RelFileId, block: u32, page: &PageBuf) -> Result<()> {
         let _span = obs::span!("smgr.disk.write");
         let f = self.open_file(rel)?;
-        let nblocks = (f.metadata()?.len() / PAGE_SIZE as u64) as u32;
-        if block >= nblocks {
-            return Err(SmgrError::OutOfRange { rel, block, nblocks });
-        }
-        f.write_all_at(page, block as u64 * PAGE_SIZE as u64)?;
+        f.check(rel, block)?;
+        f.file.write_all_at(page, block as u64 * PAGE_SIZE as u64)?;
         self.charge(rel, block, PAGE_SIZE, true);
         Ok(())
     }
@@ -213,7 +248,7 @@ impl StorageManager for DiskSmgr {
             return Ok(0);
         }
         let f = self.open_file(rel)?;
-        let nblocks = (f.metadata()?.len() / PAGE_SIZE as u64) as u32;
+        let nblocks = f.nblocks.load(Ordering::SeqCst);
         if start >= nblocks {
             return Ok(0);
         }
@@ -221,7 +256,7 @@ impl StorageManager for DiskSmgr {
         // One contiguous transfer for the whole run: a single host syscall
         // and, on the simulated device, one positioning charge at most.
         let flat = out[..n].as_flattened_mut();
-        f.read_exact_at(flat, start as u64 * PAGE_SIZE as u64)?;
+        f.file.read_exact_at(flat, start as u64 * PAGE_SIZE as u64)?;
         let sequential = self.seq.touch_run(rel, start, n as u32);
         self.sim.charge_io(&self.profile, n * PAGE_SIZE, sequential);
         self.stats.record_read(n * PAGE_SIZE, sequential);
@@ -235,7 +270,7 @@ impl StorageManager for DiskSmgr {
         // performed only when the manager opted into `durable_sync`.
         let f = self.open_file(rel)?;
         if self.durable_sync {
-            f.sync_all()?;
+            f.file.sync_all()?;
         }
         Ok(())
     }
@@ -320,6 +355,75 @@ mod tests {
         smgr.unlink(5).unwrap();
         assert!(!path.exists());
         assert!(matches!(smgr.unlink(5), Err(SmgrError::NotFound(5))));
+    }
+
+    #[test]
+    fn length_comes_from_the_file_once_then_from_memory() {
+        let (dir, smgr, sim) = setup();
+        smgr.create(3).unwrap();
+        assert_eq!(smgr.nblocks(3).unwrap(), 0);
+        assert_eq!(smgr.extend(3, &alloc_page()).unwrap(), 0);
+        assert_eq!(smgr.allocate(3).unwrap(), 1);
+        assert_eq!(smgr.extend(3, &alloc_page()).unwrap(), 2);
+        assert_eq!(smgr.nblocks(3).unwrap(), 3);
+        assert_eq!(std::fs::metadata(smgr.rel_path(3)).unwrap().len(), 3 * PAGE_SIZE as u64);
+        let mut out = alloc_page();
+        smgr.read(3, 1, &mut out).unwrap();
+        assert_eq!(out, alloc_page(), "an allocated block reads as zeros");
+        assert!(matches!(
+            smgr.read(3, 3, &mut out),
+            Err(SmgrError::OutOfRange { block: 3, nblocks: 3, .. })
+        ));
+        assert!(matches!(smgr.write(3, 3, &out), Err(SmgrError::OutOfRange { .. })));
+        // A second manager on the directory (the crash-recovery path) has
+        // only the file to go by.
+        let reopened = DiskSmgr::new(dir.path(), sim).unwrap();
+        assert_eq!(reopened.nblocks(3).unwrap(), 3);
+        assert_eq!(reopened.allocate(3).unwrap(), 3);
+        reopened.write(3, 3, &out).unwrap();
+        assert!(matches!(reopened.read(3, 4, &mut out), Err(SmgrError::OutOfRange { .. })));
+    }
+
+    #[test]
+    fn unlink_forgets_the_length() {
+        let (_dir, smgr, _sim) = setup();
+        smgr.create(5).unwrap();
+        smgr.extend(5, &alloc_page()).unwrap();
+        smgr.allocate(5).unwrap();
+        smgr.unlink(5).unwrap();
+        assert!(matches!(smgr.nblocks(5), Err(SmgrError::NotFound(5))));
+        smgr.create(5).unwrap();
+        assert_eq!(smgr.nblocks(5).unwrap(), 0);
+        assert_eq!(smgr.allocate(5).unwrap(), 0);
+        assert_eq!(smgr.nblocks(5).unwrap(), 1);
+    }
+
+    /// Four threads extend one relation at once: every block number is
+    /// handed out once and the length is their count. (With the block
+    /// computed from an unsynchronised length read, 80 000 calls returned
+    /// some 49 000 distinct blocks.)
+    #[test]
+    fn concurrent_allocate_hands_out_distinct_blocks() {
+        const THREADS: usize = 4;
+        const EACH: usize = 20_000;
+        let (_dir, smgr, _sim) = setup();
+        smgr.create(1).unwrap();
+        let start = std::sync::Barrier::new(THREADS);
+        let mut blocks: Vec<u32> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..EACH).map(|_| smgr.allocate(1).unwrap()).collect::<Vec<u32>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().unwrap()).collect()
+        });
+        blocks.sort_unstable();
+        let want: Vec<u32> = (0..(THREADS * EACH) as u32).collect();
+        assert!(blocks == want, "every block exactly once");
+        assert_eq!(smgr.nblocks(1).unwrap() as usize, THREADS * EACH);
     }
 
     #[test]
