@@ -9,8 +9,8 @@
 //! Figure 2 (disk elapsed times), Figure 3 (WORM elapsed times), plus the
 //! ablations DESIGN.md calls out. Elapsed times are **simulated seconds**
 //! from the deterministic 1992 device model (see `pglo-sim`), so the tables
-//! are host-independent; the Criterion benches report wall-clock numbers
-//! alongside.
+//! are host-independent; wall-clock questions go to `lobench` (the package
+//! under `src/bin/lobench/`, judged by `BENCHMARK.json`).
 
 pub mod ablation;
 pub mod config;

@@ -150,16 +150,4 @@ impl<'a> BTreeScan<'a> {
             self.load_leaf(leaf, 0)?;
         }
     }
-
-    /// Collect up to `limit` entries (testing convenience).
-    pub fn take_entries(&mut self, limit: usize) -> Result<Vec<(Vec<u8>, Tid)>> {
-        let mut out = Vec::new();
-        while out.len() < limit {
-            match self.next_entry()? {
-                Some(e) => out.push(e),
-                None => break,
-            }
-        }
-        Ok(out)
-    }
 }

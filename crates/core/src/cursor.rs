@@ -54,11 +54,6 @@ impl LoCursor {
         self.pos
     }
 
-    /// Whether this is a time-travel cursor (and at which timestamp).
-    pub fn as_of_ts(&self) -> Option<u64> {
-        self.as_of
-    }
-
     /// Run `f` against a freshly opened handle. Time-travel cursors need no
     /// transaction; snapshot cursors require one.
     pub fn with_handle<R>(

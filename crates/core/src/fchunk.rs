@@ -307,18 +307,16 @@ impl LoBackend for FChunkBackend<'_> {
     fn flush(&mut self) -> Result<()> {
         self.write_back()?;
         if self.persist_size && self.size_dirty {
-            let class = lo_class_name(self.id);
             // Stamp who cached this size: the catalog is not MVCC, so a
             // later snapshot open must be able to tell whether the cached
             // size came from a transaction it can actually see (it
-            // recomputes from visible chunks if not). The xid goes in
-            // first — a reader racing between the two writes then sees a
-            // not-yet-visible xid with the old size and recomputes, rather
-            // than trusting an uncommitted size under a committed xid.
-            if let Some(txn) = self.txn {
-                self.env.catalog().set_prop(&class, "size_xid", &txn.xid().0.to_string())?;
-            }
-            self.env.catalog().set_prop(&class, "size", &self.size.to_string())?;
+            // recomputes from visible chunks if not). Size and xid land
+            // in one catalog snapshot.
+            let xid = self.txn.map(|txn| txn.xid().0.to_string());
+            let size = self.size.to_string();
+            let mut props = vec![("size", size.as_str())];
+            props.extend(xid.as_deref().map(|xid| ("size_xid", xid)));
+            self.env.catalog().set_props(&lo_class_name(self.id), &props)?;
             self.size_dirty = false;
         }
         Ok(())

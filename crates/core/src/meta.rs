@@ -7,6 +7,7 @@
 use crate::{LoError, LoId, Result, UserId};
 use pglo_compress::CodecKind;
 use pglo_smgr::SmgrId;
+use pglo_txn::Xid;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -62,6 +63,14 @@ pub struct LoMeta {
     pub owner: UserId,
     /// Last flushed logical size in bytes.
     pub size: u64,
+    /// The transaction that flushed `size`; invalid until a first flush.
+    pub size_xid: Xid,
+    /// v-segment only: last flushed byte-store length.
+    pub store_size: u64,
+    /// v-segment only: next segment sequence number.
+    pub vseg_seq: u64,
+    /// v-segment only: longest segment written so far (0: unknown).
+    pub max_seg_len: u64,
     /// f-chunk: chunk heap OID. v-segment: byte-store chunk heap OID.
     pub data_rel: u64,
     /// f-chunk: seqno B-tree OID. v-segment: byte-store seqno B-tree OID.
@@ -84,7 +93,9 @@ pub fn lo_class_name(id: LoId) -> String {
 }
 
 impl LoMeta {
-    /// Serialize to catalog properties.
+    /// Serialize to catalog properties. `size_xid` and the v-segment
+    /// counters are written by the backends' `flush`, never at create:
+    /// absent, they read back as zero.
     pub fn to_props(&self) -> HashMap<String, String> {
         let mut p = HashMap::new();
         p.insert("kind".into(), self.kind.as_str().into());
@@ -116,6 +127,7 @@ impl LoMeta {
                 .parse()
                 .map_err(|_| LoError::Meta(format!("{id}: bad numeric property {key}")))
         }
+        let opt = |key, default| props.get(key).and_then(|s| s.parse().ok()).unwrap_or(default);
         let kind = LoKind::parse(get(props, "kind", id)?)
             .ok_or_else(|| LoError::Meta(format!("{id}: bad kind")))?;
         let codec = CodecKind::parse(get(props, "codec", id)?)
@@ -127,15 +139,16 @@ impl LoMeta {
             smgr: SmgrId(num(props, "smgr", id)? as u16),
             owner: UserId(num(props, "owner", id)? as u32),
             size: num(props, "size", id)?,
+            size_xid: Xid(opt("size_xid", 0) as u32),
+            store_size: opt("store_size", 0),
+            vseg_seq: opt("vseg_seq", 0),
+            max_seg_len: opt("max_seg_len", 0),
             data_rel: num(props, "data_rel", id)?,
             idx_rel: num(props, "idx_rel", id)?,
             seg_rel: num(props, "seg_rel", id)?,
             seg_idx_rel: num(props, "seg_idx_rel", id)?,
             path: props.get("path").map(PathBuf::from),
-            chunk_size: props
-                .get("chunk_size")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(crate::CHUNK_SIZE),
+            chunk_size: opt("chunk_size", crate::CHUNK_SIZE as u64) as usize,
         })
     }
 }
@@ -153,6 +166,10 @@ mod tests {
             smgr: SmgrId(2),
             owner: UserId(7),
             size: 51_200_000,
+            size_xid: Xid::INVALID,
+            store_size: 0,
+            vseg_seq: 0,
+            max_seg_len: 0,
             data_rel: 100,
             idx_rel: 101,
             seg_rel: 102,
@@ -167,6 +184,35 @@ mod tests {
         assert_eq!(back.size, 51_200_000);
         assert_eq!(back.seg_idx_rel, 103);
         assert_eq!(back.path, None);
+        // The create-time layout carries none of the flush-time keys.
+        assert!(!props.contains_key("size_xid"));
+        assert_eq!(back.size_xid, Xid::INVALID);
+        assert_eq!((back.store_size, back.vseg_seq, back.max_seg_len), (0, 0, 0));
+    }
+
+    #[test]
+    fn flush_time_props_are_typed() {
+        let mut props = HashMap::new();
+        for (k, v) in [
+            ("kind", "vsegment"),
+            ("codec", "none"),
+            ("smgr", "0"),
+            ("owner", "0"),
+            ("size", "4096"),
+            ("data_rel", "1"),
+            ("idx_rel", "2"),
+            ("seg_rel", "3"),
+            ("seg_idx_rel", "4"),
+            ("size_xid", "17"),
+            ("store_size", "3000"),
+            ("vseg_seq", "5"),
+            ("max_seg_len", "2048"),
+        ] {
+            props.insert(k.to_string(), v.to_string());
+        }
+        let meta = LoMeta::from_props(LoId(3), &props).unwrap();
+        assert_eq!(meta.size_xid, Xid(17));
+        assert_eq!((meta.store_size, meta.vseg_seq, meta.max_seg_len), (3000, 5, 2048));
     }
 
     #[test]
@@ -178,6 +224,10 @@ mod tests {
             smgr: SmgrId(0),
             owner: UserId::DBA,
             size: 0,
+            size_xid: Xid::INVALID,
+            store_size: 0,
+            vseg_seq: 0,
+            max_seg_len: 0,
             data_rel: 0,
             idx_rel: 0,
             seg_rel: 0,

@@ -173,6 +173,10 @@ impl LoStore {
             smgr,
             owner: spec.owner,
             size: 0,
+            size_xid: Xid::INVALID,
+            store_size: 0,
+            vseg_seq: 0,
+            max_seg_len: 0,
             data_rel: 0,
             idx_rel: 0,
             seg_rel: 0,
@@ -225,11 +229,6 @@ impl LoStore {
         LoMeta::from_props(id, &class.props)
     }
 
-    fn numeric_prop(&self, id: LoId, key: &str) -> Result<u64> {
-        let class = self.env.catalog().get(&lo_class_name(id)).ok_or(LoError::NotFound(id))?;
-        Ok(class.props.get(key).and_then(|s| s.parse().ok()).unwrap_or(0))
-    }
-
     /// Open as the database superuser.
     pub fn open<'a>(&self, txn: &'a Txn, id: LoId, mode: OpenMode) -> Result<LoHandle<'a>> {
         self.open_as(txn, id, mode, UserId::DBA)
@@ -273,26 +272,23 @@ impl LoStore {
         }
     }
 
-    /// Whether the catalog's cached logical size can be trusted under
-    /// `vis`. The catalog is not MVCC: `flush` writes the size (stamped
-    /// with the writer's XID) whether or not that transaction goes on to
-    /// commit, so a snapshot reader must only believe a size cached by a
-    /// transaction it can see — its own, or one committed within its
-    /// snapshot. Everything else (aborted, still in progress, committed
-    /// after the snapshot, or any time-travel open) forces a recount from
-    /// visible chunks.
-    fn size_is_visible(&self, id: LoId, vis: &Visibility) -> Result<bool> {
+    /// Whether the catalog's cached logical size, flushed by `xid`, can be
+    /// trusted under `vis`. The catalog is not MVCC: `flush` writes the
+    /// size (stamped with the writer's XID) whether or not that
+    /// transaction goes on to commit, so a snapshot reader must only
+    /// believe a size cached by a transaction it can see — its own, or
+    /// one committed within its snapshot. Everything else (aborted, still
+    /// in progress, committed after the snapshot, or any time-travel
+    /// open) forces a recount from visible chunks.
+    fn size_is_visible(&self, xid: Xid, vis: &Visibility) -> bool {
         match vis {
-            Visibility::Raw => Ok(true),
-            Visibility::AsOf(_) => Ok(false),
-            Visibility::Snapshot { snapshot, own } => {
-                let xid = Xid(self.numeric_prop(id, "size_xid")? as u32);
-                // No stamp: the size is the zero written at create time.
-                if xid == Xid::INVALID || xid == *own {
-                    return Ok(true);
-                }
-                Ok(self.env.txns().status(xid) == TxnStatus::Committed
-                    && !snapshot.considers_running(xid))
+            Visibility::Raw => true,
+            Visibility::AsOf(_) => false,
+            // No stamp: the size is the zero written at create time.
+            Visibility::Snapshot { own, .. } if xid == Xid::INVALID || xid == *own => true,
+            Visibility::Snapshot { snapshot, .. } => {
+                self.env.txns().status(xid) == TxnStatus::Committed
+                    && !snapshot.considers_running(xid)
             }
         }
     }
@@ -306,10 +302,7 @@ impl LoStore {
     ) -> Result<LoHandle<'a>> {
         let id = meta.id;
         let time_travel = matches!(vis, Visibility::AsOf(_));
-        let size_trusted = match meta.kind {
-            LoKind::UFile | LoKind::PFile => true,
-            LoKind::FChunk | LoKind::VSegment => self.size_is_visible(id, &vis)?,
-        };
+        let size_trusted = self.size_is_visible(meta.size_xid, &vis);
         match meta.kind {
             LoKind::UFile => {
                 let path = meta.path.as_ref().ok_or(LoError::NotFound(id))?;
@@ -345,7 +338,6 @@ impl LoStore {
             LoKind::VSegment => {
                 let store_heap = Heap::open_oid(&self.env, meta.data_rel, meta.smgr);
                 let store_index = BTree::open_oid(&self.env, meta.idx_rel, meta.smgr);
-                let store_size = self.numeric_prop(id, "store_size")?;
                 let mut store = FChunkBackend::new(
                     Arc::clone(&self.env),
                     id,
@@ -354,7 +346,7 @@ impl LoStore {
                     CodecKind::None,
                     vis.clone(),
                     txn,
-                    store_size,
+                    meta.store_size,
                     false,
                     meta.chunk_size,
                 );
@@ -364,26 +356,14 @@ impl LoStore {
                 }
                 let seg_heap = Heap::open_oid(&self.env, meta.seg_rel, meta.smgr);
                 let seg_index = BTree::open_oid(&self.env, meta.seg_idx_rel, meta.smgr);
-                let next_seq = self.numeric_prop(id, "vseg_seq")?;
-                // A stale/missing bound degrades to the global cap, never
-                // to missed segments.
-                let max_seg_len = match self.numeric_prop(id, "max_seg_len")? {
-                    0 => crate::MAX_SEGMENT as u64,
-                    n => n,
-                };
                 let mut backend = VSegBackend::new(
                     Arc::clone(&self.env),
-                    id,
                     seg_heap,
                     seg_index,
                     store,
-                    meta.codec,
+                    &meta,
                     vis,
                     txn,
-                    meta.size,
-                    store_size,
-                    next_seq,
-                    max_seg_len,
                     !time_travel,
                 );
                 if !size_trusted {

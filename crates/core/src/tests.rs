@@ -448,6 +448,72 @@ fn size_survives_reopen_of_environment() {
     // just verify metadata durability.
 }
 
+/// The catalog keys of a v-segment object are the ones every earlier
+/// build wrote — ten at create, five more from the first flush on — and
+/// the object opens and reads back from either layout.
+#[test]
+fn vsegment_opens_from_create_time_and_flushed_catalog_layouts() {
+    let keys = |env: &StorageEnv, id: LoId| {
+        let class = env.catalog().get(&crate::meta::lo_class_name(id)).unwrap();
+        let mut keys: Vec<String> = class.props.into_keys().collect();
+        keys.sort();
+        keys
+    };
+    let created = [
+        "chunk_size",
+        "codec",
+        "data_rel",
+        "idx_rel",
+        "kind",
+        "owner",
+        "seg_idx_rel",
+        "seg_rel",
+        "size",
+        "smgr",
+    ];
+    let flushed = [
+        "chunk_size",
+        "codec",
+        "data_rel",
+        "idx_rel",
+        "kind",
+        "max_seg_len",
+        "owner",
+        "seg_idx_rel",
+        "seg_rel",
+        "size",
+        "size_xid",
+        "smgr",
+        "store_size",
+        "vseg_seq",
+    ];
+    let payload: Vec<u8> = (0..30_000u32).map(|i| (i / 64 % 251) as u8).collect();
+    let dir = tempfile::tempdir().unwrap();
+    let id;
+    {
+        let env = StorageEnv::open(dir.path()).unwrap();
+        let store = LoStore::new(Arc::clone(&env));
+        let txn = env.begin();
+        id = store.create(&txn, &LoSpec::vsegment(CodecKind::Rle)).unwrap();
+        assert_eq!(keys(&env, id), created);
+        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+        assert_eq!(h.size().unwrap(), 0);
+        h.write(&payload).unwrap();
+        h.close().unwrap();
+        assert_eq!(keys(&env, id), flushed);
+        txn.commit();
+        env.pool().flush_all().unwrap();
+    }
+    let env = StorageEnv::open(dir.path()).unwrap();
+    let store = LoStore::new(Arc::clone(&env));
+    let meta = store.meta(id).unwrap();
+    assert_eq!(meta.size, payload.len() as u64);
+    assert!(meta.vseg_seq > 0 && meta.store_size > 0 && meta.max_seg_len > 0);
+    let txn = env.begin();
+    let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+    assert_eq!(h.read_to_vec().unwrap(), payload);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -138,11 +138,12 @@ impl ClassMeta {
 
 /// The catalog. Thread-safe; optionally persisted to `<dir>/catalog.json`.
 ///
-/// Mutators never write the file while holding the data lock: they
-/// bump `CatalogData::version`, render the JSON snapshot in memory,
-/// release the data lock, and then write under the `persist` lock
-/// (rank `heap.catalog_persist`), which serializes writers and drops
-/// snapshots that lost the race to a newer version.
+/// Every mutator goes through the private `mutate`, which never writes
+/// the file while holding the data lock: it bumps
+/// `CatalogData::version`, renders the JSON snapshot in memory, releases
+/// the data lock, and then writes under the `persist` lock (rank
+/// `heap.catalog_persist`), which serializes writers and drops snapshots
+/// that lost the race to a newer version.
 pub struct Catalog {
     data: Mutex<CatalogData>,
     /// Version of the last snapshot written to disk.
@@ -186,42 +187,36 @@ impl Catalog {
         })
     }
 
-    /// Bump the version and render the JSON text while the data lock is
-    /// held; the file write itself happens in [`Self::write_snapshot`]
-    /// after the caller drops the lock. Returns `None` for in-memory
-    /// catalogs.
-    fn snapshot(&self, data: &mut CatalogData) -> Option<(u64, String)> {
-        self.path.as_ref()?;
+    /// The one mutation path: run `edit` under the data lock and, when it
+    /// succeeds and the catalog has a file, bump the version and render
+    /// the JSON under that lock, release it, then install the snapshot
+    /// under the persist lock unless a newer one already won. A failed
+    /// edit must leave `data` as it found it; nothing is written for it.
+    fn mutate<T>(&self, edit: impl FnOnce(&mut CatalogData) -> Result<T>) -> Result<T> {
+        let mut data = self.data.lock();
+        let out = edit(&mut data)?;
+        let Some(path) = self.path.as_ref() else { return Ok(out) };
         data.version += 1;
-        Some((data.version, json::to_string_pretty(&data.to_json())))
-    }
-
-    /// Write a rendered snapshot to disk unless a newer one already won.
-    fn write_snapshot(&self, snap: Option<(u64, String)>) -> Result<()> {
-        let (Some((version, text)), Some(path)) = (snap, self.path.as_ref()) else {
-            return Ok(());
-        };
+        let version = data.version;
+        let text = json::to_string_pretty(&data.to_json());
+        drop(data);
         let mut last_written = self.persist.lock();
-        if version <= *last_written {
-            // A later mutator already persisted a newer snapshot.
-            return Ok(());
+        if version > *last_written {
+            // LINT: allow(R7, the persist lock exists to serialize snapshot writes; it is a file-I/O leaf rank never held with the data lock)
+            atomic_write(path, &text)?;
+            *last_written = version;
         }
-        // LINT: allow(R7, the persist lock exists to serialize snapshot writes; it is a file-I/O leaf rank never held with the data lock)
-        atomic_write(path, &text)?;
-        *last_written = version;
-        Ok(())
+        Ok(out)
     }
 
     /// Allocate a fresh OID (also used for relations that have no name,
     /// like per-large-object chunk classes).
     pub fn alloc_oid(&self) -> Result<u64> {
-        let mut data = self.data.lock();
-        let oid = data.next_oid;
-        data.next_oid += 1;
-        let snap = self.snapshot(&mut data);
-        drop(data);
-        self.write_snapshot(snap)?;
-        Ok(oid)
+        self.mutate(|data| {
+            let oid = data.next_oid;
+            data.next_oid += 1;
+            Ok(oid)
+        })
     }
 
     /// Register a class. Errors if the name is taken.
@@ -232,41 +227,26 @@ impl Catalog {
         smgr: SmgrId,
         props: HashMap<String, String>,
     ) -> Result<ClassMeta> {
-        let mut data = self.data.lock();
-        if data.classes.contains_key(name) {
-            return Err(HeapError::Catalog(format!("class \"{name}\" already exists")));
-        }
-        let oid = data.next_oid;
-        data.next_oid += 1;
-        let meta = ClassMeta { oid, name: name.to_string(), kind, smgr: smgr.0, props };
-        data.classes.insert(name.to_string(), meta.clone());
-        let snap = self.snapshot(&mut data);
-        drop(data);
-        self.write_snapshot(snap)?;
-        Ok(meta)
+        self.mutate(|data| {
+            if data.classes.contains_key(name) {
+                return Err(HeapError::Catalog(format!("class \"{name}\" already exists")));
+            }
+            let meta =
+                ClassMeta { oid: data.next_oid, name: name.to_string(), kind, smgr: smgr.0, props };
+            data.next_oid += 1;
+            data.classes.insert(name.to_string(), meta.clone());
+            Ok(meta)
+        })
     }
 
     /// Remove a class by name, returning its metadata.
     pub fn drop_class(&self, name: &str) -> Result<ClassMeta> {
-        let mut data = self.data.lock();
-        let meta = data
-            .classes
-            .remove(name)
-            .ok_or_else(|| HeapError::Catalog(format!("class \"{name}\" does not exist")))?;
-        let snap = self.snapshot(&mut data);
-        drop(data);
-        self.write_snapshot(snap)?;
-        Ok(meta)
+        self.mutate(|data| data.classes.remove(name).ok_or_else(|| no_such_class(name)))
     }
 
     /// Look up by name.
     pub fn get(&self, name: &str) -> Option<ClassMeta> {
         self.data.lock().classes.get(name).cloned()
-    }
-
-    /// Look up by OID.
-    pub fn get_by_oid(&self, oid: u64) -> Option<ClassMeta> {
-        self.data.lock().classes.values().find(|c| c.oid == oid).cloned()
     }
 
     /// All class names, sorted.
@@ -276,48 +256,28 @@ impl Catalog {
         names
     }
 
-    /// Replace a class's property bag (e.g. the query layer updating a
-    /// schema, the LO layer updating object size).
-    pub fn update_props(&self, name: &str, props: HashMap<String, String>) -> Result<()> {
-        let mut data = self.data.lock();
-        let meta = data
-            .classes
-            .get_mut(name)
-            .ok_or_else(|| HeapError::Catalog(format!("class \"{name}\" does not exist")))?;
-        meta.props = props;
-        let snap = self.snapshot(&mut data);
-        drop(data);
-        self.write_snapshot(snap)?;
-        Ok(())
-    }
-
     /// Remove one property from a class. Returns whether it existed.
     pub fn remove_prop(&self, name: &str, key: &str) -> Result<bool> {
-        let mut data = self.data.lock();
-        let meta = data
-            .classes
-            .get_mut(name)
-            .ok_or_else(|| HeapError::Catalog(format!("class \"{name}\" does not exist")))?;
-        let existed = meta.props.remove(key).is_some();
-        let snap = self.snapshot(&mut data);
-        drop(data);
-        self.write_snapshot(snap)?;
-        Ok(existed)
+        self.mutate(|data| Ok(class_mut(data, name)?.props.remove(key).is_some()))
     }
 
-    /// Set one property on a class.
-    pub fn set_prop(&self, name: &str, key: &str, value: &str) -> Result<()> {
-        let mut data = self.data.lock();
-        let meta = data
-            .classes
-            .get_mut(name)
-            .ok_or_else(|| HeapError::Catalog(format!("class \"{name}\" does not exist")))?;
-        meta.props.insert(key.to_string(), value.to_string());
-        let snap = self.snapshot(&mut data);
-        drop(data);
-        self.write_snapshot(snap)?;
-        Ok(())
+    /// Set properties on a class. The whole batch lands in one snapshot,
+    /// so a reader (and a crash) sees all of it or none of it.
+    pub fn set_props(&self, name: &str, props: &[(&str, &str)]) -> Result<()> {
+        self.mutate(|data| {
+            let meta = class_mut(data, name)?;
+            meta.props.extend(props.iter().map(|(k, v)| (k.to_string(), v.to_string())));
+            Ok(())
+        })
     }
+}
+
+fn no_such_class(name: &str) -> HeapError {
+    HeapError::Catalog(format!("class \"{name}\" does not exist"))
+}
+
+fn class_mut<'a>(data: &'a mut CatalogData, name: &str) -> Result<&'a mut ClassMeta> {
+    data.classes.get_mut(name).ok_or_else(|| no_such_class(name))
 }
 
 /// Write `text` to `path` via a sibling temp file + rename, then fsync
@@ -345,7 +305,6 @@ mod tests {
         let meta = cat.create_class("EMP", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
         assert!(meta.oid >= FIRST_OID);
         assert_eq!(cat.get("EMP").unwrap().oid, meta.oid);
-        assert_eq!(cat.get_by_oid(meta.oid).unwrap().name, "EMP");
         assert!(cat.create_class("EMP", ClassKind::Heap, SmgrId(0), HashMap::new()).is_err());
         cat.drop_class("EMP").unwrap();
         assert!(cat.get("EMP").is_none());
@@ -383,15 +342,53 @@ mod tests {
     fn props_update() {
         let cat = Catalog::in_memory();
         cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
-        cat.set_prop("T", "rows", "42").unwrap();
+        cat.set_props("T", &[("rows", "42")]).unwrap();
         assert_eq!(cat.get("T").unwrap().props.get("rows").unwrap(), "42");
-        let mut props = HashMap::new();
-        props.insert("k".into(), "v".into());
-        cat.update_props("T", props).unwrap();
-        let meta = cat.get("T").unwrap();
-        assert!(!meta.props.contains_key("rows"));
-        assert_eq!(meta.props.get("k").unwrap(), "v");
-        assert!(cat.set_prop("missing", "a", "b").is_err());
+        assert!(cat.remove_prop("T", "rows").unwrap());
+        assert!(!cat.remove_prop("T", "rows").unwrap());
+        assert!(!cat.get("T").unwrap().props.contains_key("rows"));
+        assert!(cat.set_props("missing", &[("a", "b")]).is_err());
+    }
+
+    #[test]
+    fn set_props_batch_survives_reopen() {
+        let dir = tempfile::tempdir().unwrap();
+        {
+            let cat = Catalog::open(dir.path()).unwrap();
+            cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
+            cat.set_props("T", &[("size_xid", "7"), ("size", "4096")]).unwrap();
+        }
+        let props = Catalog::open(dir.path()).unwrap().get("T").unwrap().props;
+        assert_eq!(props.get("size_xid").unwrap(), "7");
+        assert_eq!(props.get("size").unwrap(), "4096");
+    }
+
+    /// Two writers each stamp `size` and the xid vouching for it in one
+    /// batch (writer `w` always writes the pair `(w, w)`); a reader's
+    /// `get` between their writes must never see one writer's size with
+    /// the other's xid.
+    #[test]
+    fn set_props_batch_is_atomic_to_readers() {
+        let dir = tempfile::tempdir().unwrap();
+        let cat = Catalog::open(dir.path()).unwrap();
+        cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
+        cat.set_props("T", &[("size_xid", "1"), ("size", "1")]).unwrap();
+        let done = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for w in ["1", "2"] {
+                let (cat, done) = (&cat, &done);
+                s.spawn(move || {
+                    for _ in 0..200 {
+                        cat.set_props("T", &[("size_xid", w), ("size", w)]).unwrap();
+                    }
+                    done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                });
+            }
+            while done.load(std::sync::atomic::Ordering::SeqCst) < 2 {
+                let props = cat.get("T").unwrap().props;
+                assert_eq!(props.get("size"), props.get("size_xid"));
+            }
+        });
     }
 
     #[test]

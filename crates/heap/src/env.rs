@@ -4,8 +4,7 @@
 
 use crate::{Catalog, Result};
 use pglo_buffer::{
-    BgWriter, BufferPool, PoolOptions, DEFAULT_POOL_FRAMES, DEFAULT_POOL_SHARDS,
-    DEFAULT_READAHEAD_GATE_NS, DEFAULT_READAHEAD_WINDOW,
+    BgWriter, BufferPool, PoolOptions, DEFAULT_POOL_FRAMES, DEFAULT_READAHEAD_WINDOW,
 };
 use pglo_sim::SimContext;
 use pglo_smgr::{
@@ -15,7 +14,7 @@ use pglo_txn::{CommitTs, DurabilityHook, Txn, TxnManager, Xid};
 use pglo_wal::{Wal, WalOptions, WalRecord};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,16 +22,8 @@ use std::time::Duration;
 pub struct EnvOptions {
     /// Buffer pool size in 8 KB frames.
     pub pool_frames: usize,
-    /// Buffer-pool page-table shards (clamped by the pool so tiny pools
-    /// collapse to one shard).
-    pub pool_shards: usize,
     /// Sequential read-ahead window in blocks; 0 disables read-ahead.
     pub readahead_window: usize,
-    /// Read-ahead latency gate in nanoseconds: the window only opens
-    /// while the pool's observed per-read latency EWMA is at or above
-    /// this; 0 disables the gate. See
-    /// [`pglo_buffer::PoolOptions::readahead_gate_ns`].
-    pub readahead_gate_ns: u64,
     /// Background-writer wakeup interval; `None` (the default — benchmarks
     /// reproducing the paper's figures need a deterministic simulated
     /// clock) leaves write-back to evictions and explicit flushes. The
@@ -56,9 +47,7 @@ impl Default for EnvOptions {
     fn default() -> Self {
         Self {
             pool_frames: DEFAULT_POOL_FRAMES,
-            pool_shards: DEFAULT_POOL_SHARDS,
             readahead_window: DEFAULT_READAHEAD_WINDOW,
-            readahead_gate_ns: DEFAULT_READAHEAD_GATE_NS,
             bgwriter_interval: None,
             durable_sync: false,
             worm_cache_blocks: pglo_smgr::worm::DEFAULT_WORM_CACHE_BLOCKS,
@@ -178,7 +167,12 @@ fn checkpoint_once(
 pub struct Checkpointer {
     stop: Arc<AtomicBool>,
     join: Option<std::thread::JoinHandle<()>>,
-    errors: Arc<AtomicU64>,
+}
+
+/// Count one failed checkpoint pass (or a checkpointer thread that died)
+/// where a `stats` reply shows it.
+fn note_checkpoint_error() {
+    obs::counter!("heap.checkpoint.errors").inc();
 }
 
 impl Checkpointer {
@@ -191,9 +185,7 @@ impl Checkpointer {
         interval: Duration,
     ) -> std::io::Result<Self> {
         let stop = Arc::new(AtomicBool::new(false));
-        let errors = Arc::new(AtomicU64::new(0));
         let flag = Arc::clone(&stop);
-        let errs = Arc::clone(&errors);
         let join = std::thread::Builder::new().name("checkpointer".into()).spawn(move || {
             loop {
                 // Sleep in short slices so shutdown stays responsive.
@@ -207,19 +199,14 @@ impl Checkpointer {
                 // horizon advance — durability is unaffected — so count it
                 // and retry next cycle rather than killing the thread.
                 if checkpoint_once(&pool, &wal, &disk, worm_id, &worm).is_err() {
-                    errs.fetch_add(1, Ordering::Relaxed);
+                    note_checkpoint_error();
                 }
                 if flag.load(Ordering::Acquire) {
                     return;
                 }
             }
         })?;
-        Ok(Self { stop, join: Some(join), errors })
-    }
-
-    /// Cumulative failed checkpoint passes.
-    pub fn error_count(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
+        Ok(Self { stop, join: Some(join) })
     }
 
     /// Stop and join the checkpointer (idempotent); the loop takes one
@@ -228,7 +215,7 @@ impl Checkpointer {
         self.stop.store(true, Ordering::Release);
         if let Some(join) = self.join.take() {
             if join.join().is_err() {
-                self.errors.fetch_add(1, Ordering::Relaxed);
+                note_checkpoint_error();
             }
         }
     }
@@ -266,9 +253,8 @@ impl StorageEnv {
             Arc::clone(&switch),
             PoolOptions {
                 frames: opts.pool_frames,
-                shards: opts.pool_shards,
                 readahead_window: opts.readahead_window,
-                readahead_gate_ns: opts.readahead_gate_ns,
+                ..PoolOptions::default()
             },
         ));
         // Open the redo log and replay it before any subsystem that reads
@@ -391,21 +377,11 @@ impl StorageEnv {
         }))
     }
 
-    /// Whether a background writer is running.
-    pub fn bgwriter_running(&self) -> bool {
-        self.bgwriter.lock().is_some()
-    }
-
     /// Stop the background writer (final drain included); idempotent.
     pub fn stop_bgwriter(&self) {
         if let Some(mut bg) = self.bgwriter.lock().take() {
             bg.stop();
         }
-    }
-
-    /// Whether a checkpointer is running.
-    pub fn checkpointer_running(&self) -> bool {
-        self.checkpointer.lock().is_some()
     }
 
     /// Stop the checkpointer (final checkpoint included); idempotent.
@@ -544,6 +520,29 @@ mod tests {
         let custom = Arc::new(MemSmgr::new(env.sim().clone()));
         let id = env.switch().register(custom);
         assert_eq!(id.0, 3);
+    }
+
+    /// With an hour between passes, the only checkpoint the thread takes
+    /// is the final one `stop` asks for; by then the log directory is gone
+    /// and segment recycling cannot list it.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn failing_checkpoint_is_counted() {
+        let dir = tempfile::tempdir().unwrap();
+        let opts =
+            EnvOptions { bgwriter_interval: Some(Duration::from_secs(3600)), ..Default::default() };
+        let env = StorageEnv::open_with(dir.path(), opts).unwrap();
+        env.begin().commit();
+        let errors = || {
+            obs::snapshot_entries()
+                .into_iter()
+                .find(|e| e.name == "heap.checkpoint.errors")
+                .map(|e| e.value)
+        };
+        assert_eq!(errors(), None, "no pass has failed yet");
+        std::fs::remove_dir_all(dir.path().join("wal")).unwrap();
+        env.stop_checkpointer();
+        assert_eq!(errors(), Some(obs::MetricValue::Counter(1)));
     }
 
     #[test]

@@ -258,7 +258,7 @@ impl<'a> EffectsIndex<'a> {
     /// The workspace definitions a call site's effects flow in from.
     fn targets(&self, call: &CallSite) -> Vec<usize> {
         if is_edge(call) {
-            self.graph.resolve(call, true)
+            self.graph.resolve(call)
         } else {
             Vec::new()
         }

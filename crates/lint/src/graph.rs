@@ -240,11 +240,10 @@ impl<'a> CallGraph<'a> {
         graph
     }
 
-    /// The definitions a call site may reach. With `modules`, a path
-    /// whose lowercase qual names no impl type is also tried as a
-    /// module-qualified free fn (`proto::decode_frame`); the effect
-    /// engine asks for that, panic-reach's committed report does not.
-    pub fn resolve(&self, call: &CallSite, modules: bool) -> Vec<usize> {
+    /// The definitions a call site may reach. A path whose lowercase
+    /// qual names no impl type is tried as a module-qualified free fn
+    /// (`proto::decode_frame`).
+    pub fn resolve(&self, call: &CallSite) -> Vec<usize> {
         let key = (call.name(), call.arity);
         let found = if call.method {
             self.methods.get(&key)
@@ -257,7 +256,7 @@ impl<'a> CallGraph<'a> {
             if !exact.is_empty() {
                 return exact;
             }
-            if !ids.is_empty() || !modules || !qual.starts_with(char::is_lowercase) {
+            if !ids.is_empty() || !qual.starts_with(char::is_lowercase) {
                 return ids.to_vec();
             }
             self.free.get(&key)

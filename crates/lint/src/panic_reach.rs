@@ -40,7 +40,7 @@ pub fn panic_report(graph: &CallGraph<'_>) -> Vec<String> {
     let mut reachable: BTreeSet<usize> = queue.iter().copied().collect();
     while let Some(id) = queue.pop_front() {
         for call in graph.nodes[id].scan.calls.iter().filter(|c| !is_panic_call(c)) {
-            for target in graph.resolve(call, false) {
+            for target in graph.resolve(call) {
                 if reachable.insert(target) {
                     queue.push_back(target);
                 }
@@ -84,6 +84,26 @@ mod tests {
         let report = report(&[&server, &util]);
         assert_eq!(report.len(), 1, "{report:?}");
         assert!(report[0].contains("u.rs:1 unwrap reachable in heap::helper"), "{report:?}");
+    }
+
+    #[test]
+    fn module_qualified_free_fn_is_an_edge() {
+        let server = SourceFile::new(
+            "s.rs",
+            "server",
+            "pub fn serve(buf: &[u8]) { proto::decode_frame(buf); }",
+        );
+        let proto = SourceFile::new(
+            "p.rs",
+            "server",
+            "fn decode_frame(buf: &[u8]) { buf.first().unwrap(); }",
+        );
+        let report = report(&[&server, &proto]);
+        assert_eq!(report.len(), 1, "{report:?}");
+        assert!(
+            report[0].contains("p.rs:1 unwrap reachable in server::decode_frame"),
+            "{report:?}"
+        );
     }
 
     #[test]

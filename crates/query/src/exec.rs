@@ -347,7 +347,7 @@ impl Executor<'_> {
                 entries += 1;
             }
         }
-        self.db.env().catalog().set_prop(class, &prop, &def.to_prop())?;
+        self.db.env().catalog().set_props(class, &[(&prop, &def.to_prop())])?;
         Ok(QueryResult::command(entries))
     }
 

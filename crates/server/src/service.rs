@@ -15,7 +15,7 @@ use crate::session::Session;
 use crate::stats::{encode_metrics, OpStats};
 use obs::{MetricEntry, MetricValue};
 use pglo_compress::CodecKind;
-use pglo_core::{LoCursor, LoError, LoId, LoKind, LoSpec, LoStore, OpenMode, UserId};
+use pglo_core::{LoCursor, LoError, LoId, LoSpec, LoStore, OpenMode, UserId};
 use pglo_heap::StorageEnv;
 use pglo_inversion::{InvError, InversionFs};
 use std::io::SeekFrom;
@@ -608,16 +608,6 @@ fn lospec_from_wire(w: &WireSpec) -> Result<LoSpec, (ErrorCode, String)> {
         spec.chunk_size = w.chunk_size as usize;
     }
     Ok(spec)
-}
-
-/// Wire kind byte for a [`LoKind`] (inverse of the private `lospec_from_wire`).
-pub fn kind_to_wire(kind: LoKind) -> u8 {
-    match kind {
-        LoKind::UFile => 0,
-        LoKind::PFile => 1,
-        LoKind::FChunk => 2,
-        LoKind::VSegment => 3,
-    }
 }
 
 fn lo_err(e: LoError) -> (ErrorCode, String) {

@@ -42,11 +42,6 @@ impl Session {
         self.txn.is_some()
     }
 
-    /// Number of open descriptors.
-    pub fn open_fds(&self) -> usize {
-        self.fds.len()
-    }
-
     /// Register a cursor, returning its descriptor.
     pub(crate) fn install(&mut self, cursor: LoCursor) -> u32 {
         let fd = self.next_fd;

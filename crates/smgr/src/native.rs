@@ -52,10 +52,6 @@ pub struct NativeFile {
     profile: DeviceProfile,
     stats: IoStats,
     state: Mutex<ChargeState>,
-    /// FFS cluster read-ahead: blocks pulled into the OS cache beyond a
-    /// sequential demand read. 0 (the historical default, and what every
-    /// figure-reproduction benchmark uses) disables clustering.
-    readahead_blocks: usize,
 }
 
 impl NativeFile {
@@ -100,15 +96,7 @@ impl NativeFile {
                 },
                 ranks::SMGR_NATIVE,
             ),
-            readahead_blocks: 0,
         })
-    }
-
-    /// Enable FFS-style cluster read-ahead: when a demand read continues
-    /// the previous one, the next `blocks` file blocks are also transferred
-    /// (sequentially priced) into the OS cache.
-    pub fn set_readahead_blocks(&mut self, blocks: usize) {
-        self.readahead_blocks = blocks;
     }
 
     /// Charge a device transfer for one block.
@@ -138,17 +126,7 @@ impl NativeFile {
         }
         let first = offset / NATIVE_BLOCK as u64;
         let last = (offset + len as u64 - 1) / NATIVE_BLOCK as u64;
-        // Fetched before taking the state lock: the read-ahead planner
-        // below needs the file length, and `metadata()` is host I/O that
-        // must not run under `smgr.native.state`.
-        let file_len = if !write && self.readahead_blocks > 0 {
-            self.file.metadata().ok().map(|m| m.len())
-        } else {
-            None
-        };
         let mut state = self.state.lock();
-        let was_sequential =
-            !write && state.last_read.is_some_and(|prev| first == prev || first == prev + 1);
         for block in first..=last {
             if let Some(&dirty) = state.cache.peek(&block) {
                 // Cache hit: reads are free; writes just dirty the block.
@@ -167,24 +145,6 @@ impl NativeFile {
             if let Some((evicted, true)) = state.cache.insert(block, write) {
                 // A dirty block fell out of the cache: the syncer writes it.
                 self.charge_block(&mut state, evicted, true);
-            }
-        }
-        if was_sequential {
-            // Cluster read-ahead: stream the next blocks into the cache
-            // while the arm is already positioned. Bounded by file length.
-            if let Some(len) = file_len {
-                let file_blocks = len.div_ceil(NATIVE_BLOCK as u64);
-                let from = last + 1;
-                let to = (last + 1 + self.readahead_blocks as u64).min(file_blocks);
-                for block in from..to {
-                    if state.cache.peek(&block).is_some() {
-                        continue;
-                    }
-                    self.charge_block(&mut state, block, false);
-                    if let Some((evicted, true)) = state.cache.insert(block, false) {
-                        self.charge_block(&mut state, evicted, true);
-                    }
-                }
             }
         }
     }

@@ -207,11 +207,6 @@ impl WalRecord {
         }
     }
 
-    /// Total encoded size (header + payload).
-    pub fn encoded_len(&self) -> u64 {
-        (HEADER_BYTES + self.payload_len()) as u64
-    }
-
     /// Encode into a [`PreparedRecord`] with the LSN left as a hole.
     /// The CRC covers header bytes 8..16 (length, kind, padding) plus
     /// the payload — deliberately *not* the LSN, which the reader

@@ -256,12 +256,8 @@ fn worm_burned_heap_survives_crash_and_redo() {
 #[test]
 fn evicted_uncaptured_delta_survives_crash() {
     let tmp = tempfile::tempdir().unwrap();
-    let opts = || EnvOptions {
-        pool_frames: 64,
-        pool_shards: 4,
-        wal_segment_bytes: 64 * 1024,
-        ..Default::default()
-    };
+    let opts =
+        || EnvOptions { pool_frames: 64, wal_segment_bytes: 64 * 1024, ..Default::default() };
     let v1: Vec<u8> = vec![0xAA; 200_000];
     let v2: Vec<u8> = (0..200_000u32).map(|i| (i.wrapping_mul(17) % 249) as u8).collect();
     let id = {
