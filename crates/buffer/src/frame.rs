@@ -1,5 +1,5 @@
-//! Frames, shards and the page table: the slot mirror, the clock sweep,
-//! and the one re-key and one install by which a frame changes its page.
+//! Frames and the page table: the slot mirror, the clock sweep, and the
+//! one re-key and one install by which a frame changes its page.
 
 use super::*;
 
@@ -91,80 +91,45 @@ impl Frame {
     }
 }
 
-/// One lock shard: a page table over a contiguous frame range with its own
-/// clock hand and counters.
-pub(super) struct Shard {
-    pub(super) table: Mutex<PageTable>,
-    /// Lock-free mirror of `PageTable::map` for the pin fast path; see
-    /// [`protocol::SlotArray`]. Mutated only while holding `table` (the
-    /// `HashMap` stays authoritative); read without any lock.
-    pub(super) slots: SlotArray,
-    /// First frame owned by this shard.
-    pub(super) lo: usize,
-    /// One past the last frame owned by this shard.
-    pub(super) hi: usize,
-    pub(super) hits: AtomicU64,
-    pub(super) misses: AtomicU64,
-    pub(super) evictions: AtomicU64,
-}
-
+/// What the table mutex guards: the page table over the whole frame
+/// array and its clock hand.
 pub(super) struct PageTable {
     pub(super) map: HashMap<PageKey, usize>,
     pub(super) hand: usize,
-    /// Live tombstones in the shard's slot array; when they exceed ⅛ of
-    /// the array the next removal rebuilds it (under the table lock).
+    /// Live tombstones in the slot array; when they exceed ⅛ of the
+    /// array the next removal rebuilds it (under the table lock).
     pub(super) tombs: usize,
 }
 
 impl BufferPool {
-    /// One hash per pin: the low bits pick the shard, a remixed value
-    /// seeds the in-shard slot probe.
-    pub(super) fn key_hash(key: &PageKey) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        h.finish()
+    /// Where `key`'s probe chain starts in the slot array.
+    pub(super) fn slot_start(&self, key: &PageKey) -> usize {
+        let hasher = BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default();
+        hasher.hash_one(key) as usize & self.slots.mask()
     }
 
-    /// In-shard probe start. Shard selection consumes the hash's low bits
-    /// (`hash % nshards`), so every key in a shard agrees on them; masking
-    /// the raw hash would start all probes on every-nth slot and clump the
-    /// chains. A Fibonacci remix spreads the start across the whole array.
-    pub(super) fn slot_start(hash: u64, mask: usize) -> usize {
-        (hash.wrapping_mul(0x9E3779B97F4A7C15) >> 32) as usize & mask
-    }
-
-    pub(super) fn shard_of(&self, key: &PageKey) -> &Shard {
-        &self.shards[(Self::key_hash(key) % self.shards.len() as u64) as usize]
-    }
-
-    // Writers keep `Shard::slots` in sync with the authoritative
+    // Writers keep `slots` in sync with the authoritative
     // `PageTable::map` inside the same table-lock critical sections that
     // mutate the map. Readers probe it without any lock; every slot value
     // is a hint validated against the frame itself, so stale reads are
     // harmless (see `try_pin_fast`).
 
-    /// Mirror a `map.insert(key, idx)`; caller holds the shard's table lock.
-    fn slot_insert(&self, shard: &Shard, table: &mut PageTable, key: &PageKey, idx: usize) {
-        if shard.slots.insert(Self::slot_start(Self::key_hash(key), shard.slots.mask()), idx) {
+    /// Mirror a `map.insert(key, idx)`; caller holds the table lock.
+    fn slot_insert(&self, table: &mut PageTable, key: &PageKey, idx: usize) {
+        if self.slots.insert(self.slot_start(key), idx) {
             table.tombs -= 1;
         }
     }
 
     /// Mirror a `map.remove(key)` that unmapped frame `idx`; caller holds
-    /// the shard's table lock. Rebuilds the array once tombstones pile up
-    /// past ⅛ of it, keeping probe chains (and the fast path's bounded
-    /// probe) short.
-    pub(super) fn slot_remove(
-        &self,
-        shard: &Shard,
-        table: &mut PageTable,
-        key: &PageKey,
-        idx: usize,
-    ) {
-        if shard.slots.remove(Self::slot_start(Self::key_hash(key), shard.slots.mask()), idx) {
+    /// the table lock. Rebuilds the array once tombstones pile up past ⅛
+    /// of it, keeping probe chains (and the fast path's bounded probe)
+    /// short.
+    pub(super) fn slot_remove(&self, table: &mut PageTable, key: &PageKey, idx: usize) {
+        if self.slots.remove(self.slot_start(key), idx) {
             table.tombs += 1;
-            if table.tombs * 8 > shard.slots.len() {
-                self.slot_rebuild(shard, table);
+            if table.tombs * 8 > self.slots.len() {
+                self.slot_rebuild(table);
             }
         } else {
             debug_assert!(false, "slot entry missing for a mapped key");
@@ -174,30 +139,24 @@ impl BufferPool {
     /// Re-derive the slot array from the map, dropping all tombstones
     /// (see [`SlotArray::clear`] for why concurrent lock-free readers are
     /// safe against a mid-rebuild view).
-    fn slot_rebuild(&self, shard: &Shard, table: &mut PageTable) {
-        shard.slots.clear();
+    fn slot_rebuild(&self, table: &mut PageTable) {
+        self.slots.clear();
         table.tombs = 0;
         for (key, &idx) in &table.map {
-            shard.slots.insert(Self::slot_start(Self::key_hash(key), shard.slots.mask()), idx);
+            self.slots.insert(self.slot_start(key), idx);
         }
     }
 
-    /// One clock sweep over the shard's frames (two passes of the hand),
+    /// One clock sweep over the frame array (two passes of the hand),
     /// returning an unpinned, unreferenced victim, or `None`. With
     /// `take_dirty` false only clean, uncontended frames are accepted,
     /// letting dirty pages accumulate for batched elevator write-back;
     /// the caller decides when to flush and when to accept a dirty frame.
-    /// Caller holds the shard's table lock.
-    pub(super) fn sweep(
-        &self,
-        shard: &Shard,
-        table: &mut PageTable,
-        take_dirty: bool,
-    ) -> Option<usize> {
-        let len = shard.hi - shard.lo;
-        for _ in 0..2 * len {
+    /// Caller holds the table lock.
+    pub(super) fn sweep(&self, table: &mut PageTable, take_dirty: bool) -> Option<usize> {
+        for _ in 0..2 * self.frames.len() {
             let idx = table.hand;
-            table.hand = if table.hand + 1 >= shard.hi { shard.lo } else { table.hand + 1 };
+            table.hand = (table.hand + 1) % self.frames.len();
             let frame = &self.frames[idx];
             if frame.sync.pin_count() != 0 {
                 continue;
@@ -216,30 +175,29 @@ impl BufferPool {
         None
     }
 
-    /// Claim a clean, unpinned victim frame in `shard` and transfer the
-    /// page-table mapping to `key`, returning the frame index and its held
-    /// write guard, with the pin already taken. Returns `Ok(None)` if
-    /// another thread mapped `key` meanwhile (the caller re-pins through
-    /// the lookup path).
+    /// Claim a clean, unpinned victim frame and transfer the page-table
+    /// mapping to `key`, returning the frame index and its held write
+    /// guard, with the pin already taken. Returns `Ok(None)` if another
+    /// thread mapped `key` meanwhile (the caller re-pins through the
+    /// lookup path).
     ///
     /// The mapping is only ever transferred to an *already-clean* frame:
-    /// dirty victims are written back — with the shard lock released
+    /// dirty victims are written back — with the table lock released
     /// around the device write — before their old mapping is touched, so
     /// a write-back failure (e.g. a burned WORM block) propagates without
     /// leaking a pinned frame, losing the dirty page, or leaving a
     /// mapping that points at another page's bytes.
     pub(super) fn claim_frame(
         &self,
-        shard: &Shard,
         key: PageKey,
     ) -> Result<Option<(usize, RwLockWriteGuard<'_, FrameData>)>> {
         let mut tried_batch = false;
         loop {
-            let mut table = shard.table.lock();
+            let mut table = self.table.lock();
             if table.map.contains_key(&key) {
                 return Ok(None);
             }
-            if let Some(idx) = self.sweep(shard, &mut table, false) {
+            if let Some(idx) = self.sweep(&mut table, false) {
                 let frame = &self.frames[idx];
                 // Retire-for-re-key: clear `VALID` while the pin count is
                 // provably zero, in one CAS. A lock-free pinner that got
@@ -251,18 +209,18 @@ impl BufferPool {
                     continue;
                 }
                 frame.sync.pin_unconditional();
-                // Shard-table → frame order. The sweep saw the frame clean
+                // Page-table → frame order. The sweep saw the frame clean
                 // and unpinned under this table lock and the retire froze
                 // that — so the guard is immediate (at worst a flusher's
                 // try-lock is draining) and the frame is still clean
                 // under it.
                 let mut data = frame.data.write();
-                self.rekey(shard, &mut table, idx, &mut data, key, false);
+                self.rekey(&mut table, idx, &mut data, key, false);
                 drop(table);
                 return Ok(Some((idx, data)));
             }
             // No clean victim. One pool-wide batched flush in elevator
-            // order, with the shard lock released so lookups proceed
+            // order, with the table lock released so lookups proceed
             // meanwhile, then retry the sweep.
             if !tried_batch {
                 drop(table);
@@ -274,7 +232,7 @@ impl BufferPool {
             // write failures): write one dirty victim back individually,
             // keeping its mapping until it is clean, so a device refusal
             // surfaces here losslessly instead of corrupting state.
-            let Some(idx) = self.sweep(shard, &mut table, true) else {
+            let Some(idx) = self.sweep(&mut table, true) else {
                 return Err(BufferError::PoolExhausted);
             };
             let frame = &self.frames[idx];
@@ -285,7 +243,7 @@ impl BufferPool {
             drop(table);
             // The pin keeps the victim from being re-keyed while the
             // write-back (plus any required image logging) runs outside
-            // the shard lock; the frame stays `VALID` and mapped, so
+            // the table lock; the frame stays `VALID` and mapped, so
             // readers of its page are never disturbed.
             let written = self.write_back_frame(idx, None, Wait::Block);
             frame.sync.unpin();
@@ -296,12 +254,11 @@ impl BufferPool {
     }
 
     /// Transfer retired frame `idx` to `key`: unmap the page it held (an
-    /// eviction), map and publish the new key. Caller holds the shard's
-    /// table lock and the frame's write latch with `VALID` clear;
+    /// eviction), map and publish the new key. Caller holds the table
+    /// lock and the frame's write latch with `VALID` clear;
     /// [`BufferPool::install`] sets it once the image is in place.
     pub(super) fn rekey(
         &self,
-        shard: &Shard,
         table: &mut PageTable,
         idx: usize,
         data: &mut FrameData,
@@ -310,11 +267,11 @@ impl BufferPool {
     ) {
         if let Some(old) = data.key.take() {
             table.map.remove(&old);
-            self.slot_remove(shard, table, &old, idx);
-            shard.evictions.fetch_add(1, Ordering::Relaxed);
+            self.slot_remove(table, &old, idx);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         table.map.insert(key, idx);
-        self.slot_insert(shard, table, &key, idx);
+        self.slot_insert(table, &key, idx);
         let frame = &self.frames[idx];
         frame.used.store(true, Ordering::Relaxed);
         frame.prefetched.store(prefetched, Ordering::Relaxed);

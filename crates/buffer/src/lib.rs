@@ -7,10 +7,9 @@
 //! for cache management" — overhead this module reproduces (page lookup,
 //! pin accounting, write-back of dirty pages) and then works to hide:
 //!
-//! * the page table is **sharded** by [`PageKey`] hash, so concurrent
-//!   sessions contend on `1/N`th of a lock instead of one global mutex;
-//!   each shard owns a contiguous frame range with its own clock hand and
-//!   hit/miss/eviction counters;
+//! * there is **one page table** over the whole frame array, with one
+//!   clock hand — the paper's single shared buffer (§9), so a pool of `N`
+//!   frames caches any `N` pages and pins any `N - 1` at once;
 //! * sequential scans announce themselves with [`AccessHint::Sequential`],
 //!   driving a **read-ahead window** that pulls the next run of blocks in
 //!   one multi-block device transfer ([`pglo_smgr::StorageManager::read_many`]);
@@ -18,27 +17,25 @@
 //!   ([`BufferPool::spawn_bgwriter`]) in batched elevator order, so the
 //!   commit path no longer eats the write-back latency ([`BufferPool::flush_all`]
 //!   still forces synchronously for the durability-critical callers);
-//! * a **hit takes zero locks**: each shard publishes its mappings through
-//!   an atomic slot array mirrored off the page table, a pin is a single
+//! * a **hit takes zero locks**: the page table is an atomic slot array
+//!   read without the table mutex, a pin is a single
 //!   CAS on the frame's combined pin-count/valid word, and the pinner
 //!   revalidates the frame's published key after the pin lands — only
 //!   misses, evictions, and revalidation failures fall back to the
-//!   shard-table mutex (see DESIGN.md, "the lock-free hit path").
+//!   table mutex (see DESIGN.md, "the lock-free hit path").
 //!
-//! Lock ordering is strictly shard-table → frame: no path acquires a
-//! shard-table lock while holding a frame guard. A frame with nonzero
+//! Lock ordering is strictly page-table → frame: no path acquires the
+//! table lock while holding a frame guard. A frame with nonzero
 //! pin count is never evicted — retiring a frame for a new key is one
 //! CAS that clears `VALID` only while the pin count is zero, and every
 //! pin either sees `VALID` (and so blocks the retire) or goes through
-//! the shard lock the retirer holds. A page-table mapping is only ever
+//! the table lock the retirer holds. A page-table mapping is only ever
 //! transferred to an *already-clean* frame — dirty victims are written
-//! back (with the shard lock released around the device write) before
+//! back (with the table lock released around the device write) before
 //! their mapping moves — so an eviction-time write failure loses nothing
-//! and a mapping never points at another page's bytes. A frame only ever
-//! holds keys that hash to its own shard, so no path needs two shard
-//! locks at once. The background writer takes frame locks only
-//! (`try_read`/`try_write`, skipping pinned or contended frames), never
-//! a shard-table lock.
+//! and a mapping never points at another page's bytes. The background
+//! writer takes frame locks only (`try_read`/`try_write`, skipping
+//! pinned or contended frames), never the table lock.
 
 use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use parking_lot::{ranks, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -46,7 +43,7 @@ use pglo_pages::{PageBuf, PAGE_SIZE};
 use pglo_smgr::{RelFileId, SmgrError, SmgrId, SmgrSwitch};
 use pglo_wal::{AppendedAt, Lsn, PreparedRecord, Wal};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -57,7 +54,7 @@ pub mod protocol;
 mod readahead;
 mod writeback;
 
-use frame::{Frame, FrameData, PageTable, Shard};
+use frame::{Frame, FrameData, PageTable};
 use protocol::{FrameState, PendingLink, PendingQueue, SlotArray};
 use readahead::RaState;
 pub use writeback::BgWriter;
@@ -168,27 +165,11 @@ impl PoolStats {
     }
 }
 
-/// Per-shard counter snapshot (`stats` aggregates these).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Frames owned by the shard.
-    pub frames: usize,
-    /// The hits.
-    pub hits: u64,
-    /// The misses.
-    pub misses: u64,
-    /// The evictions.
-    pub evictions: u64,
-}
-
 /// Construction options for [`BufferPool`].
 #[derive(Debug, Clone, Copy)]
 pub struct PoolOptions {
     /// Pool size in 8 KB frames.
     pub frames: usize,
-    /// Requested page-table shard count; clamped so every shard keeps at
-    /// least [`MIN_SHARD_FRAMES`] frames (tiny pools collapse to 1 shard).
-    pub shards: usize,
     /// Sequential read-ahead window in blocks; 0 disables read-ahead.
     pub readahead_window: usize,
     /// Latency gate for read-ahead: the prefetch window only opens while
@@ -206,7 +187,6 @@ impl Default for PoolOptions {
     fn default() -> Self {
         Self {
             frames: DEFAULT_POOL_FRAMES,
-            shards: DEFAULT_POOL_SHARDS,
             readahead_window: DEFAULT_READAHEAD_WINDOW,
             readahead_gate_ns: DEFAULT_READAHEAD_GATE_NS,
         }
@@ -239,7 +219,16 @@ pub struct BufferPool {
     /// coalescing re-dirtied hot pages in between.
     pending_count: AtomicUsize,
     frames: Vec<Frame>,
-    shards: Vec<Shard>,
+    /// The page table, its clock hand and counters under one mutex; rank
+    /// `buffer.page_table` (30), taken before any frame latch.
+    table: Mutex<PageTable>,
+    /// Lock-free mirror of `PageTable::map` for the pin fast path; see
+    /// [`protocol::SlotArray`]. Mutated only while holding `table` (the
+    /// `HashMap` stays authoritative); read without any lock.
+    slots: SlotArray,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
     readahead_window: usize,
     /// See [`PoolOptions::readahead_gate_ns`].
     readahead_gate_ns: u64,
@@ -264,13 +253,6 @@ pub struct BufferPool {
 /// large scans actually touch the device).
 pub const DEFAULT_POOL_FRAMES: usize = 256;
 
-/// Default page-table shard count.
-pub const DEFAULT_POOL_SHARDS: usize = 8;
-
-/// Smallest frame range a shard is allowed to own; the requested shard
-/// count is clamped so clock sweeps always have room to work.
-pub const MIN_SHARD_FRAMES: usize = 8;
-
 /// Default sequential read-ahead window (16 blocks = 128 KB).
 pub const DEFAULT_READAHEAD_WINDOW: usize = 16;
 
@@ -282,17 +264,15 @@ pub const DEFAULT_READAHEAD_WINDOW: usize = 16;
 pub const DEFAULT_READAHEAD_GATE_NS: u64 = 20_000;
 
 impl BufferPool {
-    /// A pool of `capacity` frames over `switch` with default sharding and
-    /// read-ahead.
+    /// A pool of `capacity` frames over `switch` with default read-ahead.
     pub fn new(switch: Arc<SmgrSwitch>, capacity: usize) -> Self {
         Self::with_options(switch, PoolOptions { frames: capacity, ..PoolOptions::default() })
     }
 
-    /// A pool with explicit shard count and read-ahead window.
+    /// A pool with an explicit read-ahead window and latency gate.
     pub fn with_options(switch: Arc<SmgrSwitch>, opts: PoolOptions) -> Self {
         let capacity = opts.frames;
         assert!(capacity > 0, "buffer pool needs at least one frame");
-        let nshards = opts.shards.clamp(1, (capacity / MIN_SHARD_FRAMES).max(1));
         let frames: Vec<Frame> = (0..capacity)
             .map(|_| Frame {
                 data: RwLock::with_rank(
@@ -312,30 +292,6 @@ impl BufferPool {
                 prefetched: AtomicBool::new(false),
             })
             .collect();
-        // Contiguous frame ranges, remainder spread over the first shards.
-        let per = capacity / nshards;
-        let extra = capacity % nshards;
-        let mut lo = 0;
-        let shards = (0..nshards)
-            .map(|s| {
-                let len = per + usize::from(s < extra);
-                let slot_len = (2 * len).next_power_of_two().max(8);
-                let shard = Shard {
-                    table: Mutex::with_rank(
-                        PageTable { map: HashMap::new(), hand: lo, tombs: 0 },
-                        ranks::POOL_SHARD,
-                    ),
-                    slots: SlotArray::new(slot_len),
-                    lo,
-                    hi: lo + len,
-                    hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
-                    evictions: AtomicU64::new(0),
-                };
-                lo += len;
-                shard
-            })
-            .collect();
         // With the gate disabled the window is permanently eligible;
         // report it engaged so the gauge reflects what pins will do.
         let engaged = opts.readahead_gate_ns == 0;
@@ -348,7 +304,14 @@ impl BufferPool {
             pending: PendingQueue::new(),
             pending_count: AtomicUsize::new(0),
             frames,
-            shards,
+            table: Mutex::with_rank(
+                PageTable { map: HashMap::new(), hand: 0, tombs: 0 },
+                ranks::POOL_TABLE,
+            ),
+            slots: SlotArray::new((2 * capacity).next_power_of_two().max(8)),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
             readahead_window: opts.readahead_window,
             readahead_gate_ns: opts.readahead_gate_ns,
             read_lat_ewma: AtomicU64::new(0),
@@ -372,40 +335,18 @@ impl BufferPool {
         self.frames.len()
     }
 
-    /// Number of page-table shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Pool statistics, aggregated over shards.
+    /// Pool statistics.
     pub fn stats(&self) -> PoolStats {
-        let mut s = PoolStats {
+        PoolStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
             writebacks: self.writebacks.load(Ordering::Relaxed),
             prefetch_pages: self.prefetch_pages.load(Ordering::Relaxed),
             prefetch_hits: self.prefetch_hits.load(Ordering::Relaxed),
             bgwriter_pages: self.bgwriter_pages.load(Ordering::Relaxed),
             bgwriter_cycles: self.bgwriter_cycles.load(Ordering::Relaxed),
-            ..PoolStats::default()
-        };
-        for shard in &self.shards {
-            s.hits += shard.hits.load(Ordering::Relaxed);
-            s.misses += shard.misses.load(Ordering::Relaxed);
-            s.evictions += shard.evictions.load(Ordering::Relaxed);
         }
-        s
-    }
-
-    /// Per-shard counters, in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|sh| ShardStats {
-                frames: sh.hi - sh.lo,
-                hits: sh.hits.load(Ordering::Relaxed),
-                misses: sh.misses.load(Ordering::Relaxed),
-                evictions: sh.evictions.load(Ordering::Relaxed),
-            })
-            .collect()
     }
 
     /// Number of frames currently holding at least one pin. Diagnostic:
@@ -416,11 +357,9 @@ impl BufferPool {
 
     /// Zero the statistics counters.
     pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            shard.hits.store(0, Ordering::Relaxed);
-            shard.misses.store(0, Ordering::Relaxed);
-            shard.evictions.store(0, Ordering::Relaxed);
-        }
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
+        self.evictions.store(0, Ordering::Relaxed);
         self.writebacks.store(0, Ordering::Relaxed);
         self.prefetch_pages.store(0, Ordering::Relaxed);
         self.prefetch_hits.store(0, Ordering::Relaxed);

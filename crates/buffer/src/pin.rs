@@ -3,18 +3,18 @@
 use super::*;
 
 impl BufferPool {
-    /// The zero-lock hit path: probe the shard's slot array for a frame
+    /// The zero-lock hit path: probe the slot array for a frame
     /// whose published key matches, pin it with one
     /// CAS-increment-if-valid, then re-check the published key now that
     /// the pin has frozen it. Returns the pinned frame index, or `None`
     /// for anything that needs the authoritative locked path (absent
     /// key, probe bound hit, frame mid-install or just retired, CAS
     /// contention, revalidation failure).
-    fn try_pin_fast(&self, shard: &Shard, key: &PageKey) -> Option<usize> {
+    fn try_pin_fast(&self, key: &PageKey) -> Option<usize> {
         let mut retries = 0u32;
-        let found = shard
+        let found = self
             .slots
-            .probe(Self::slot_start(Self::key_hash(key), shard.slots.mask()), |idx| {
+            .probe(self.slot_start(key), |idx| {
                 // Advisory pre-filter on the published key; the read may
                 // be stale or torn, which either sends us onward down the
                 // probe chain (missed match → locked path finds it) or
@@ -51,13 +51,12 @@ impl BufferPool {
 
     /// Lock-free residency probe (no pin taken): whether some valid
     /// frame currently publishes `key`. Purely advisory — read-ahead
-    /// uses it to skip resident blocks without touching the shard lock;
+    /// uses it to skip resident blocks without touching the table lock;
     /// a stale answer costs one redundant device read or one locked
     /// confirmation, never correctness.
-    pub(super) fn resident_fast(&self, shard: &Shard, key: &PageKey) -> bool {
-        shard
-            .slots
-            .probe(Self::slot_start(Self::key_hash(key), shard.slots.mask()), |idx| {
+    pub(super) fn resident_fast(&self, key: &PageKey) -> bool {
+        self.slots
+            .probe(self.slot_start(key), |idx| {
                 (idx < self.frames.len()
                     && self.frames[idx].published_matches(key)
                     && self.frames[idx].sync.is_valid())
@@ -75,21 +74,20 @@ impl BufferPool {
     /// [`Self::pin`] with an access-pattern hint. A [`AccessHint::Sequential`]
     /// pin that continues an ascending run triggers window read-ahead.
     pub fn pin_with_hint(&self, key: PageKey, hint: AccessHint) -> Result<PinnedPage<'_>> {
-        let shard = self.shard_of(&key);
         // The common case — a resident, installed page — takes zero
-        // locks: probe the shard's slot array, CAS the frame's pin word,
+        // locks: probe the slot array, CAS the frame's pin word,
         // revalidate the published key. Everything else (miss, frame
         // mid-install, contention, probe overflow) goes through the
-        // shard-table mutex.
-        let idx = match self.try_pin_fast(shard, &key) {
+        // table mutex.
+        let idx = match self.try_pin_fast(&key) {
             Some(idx) => {
                 obs::counter!("pool.pin.fast").add(1);
-                self.note_hit(shard, idx, true);
+                self.note_hit(idx, true);
                 idx
             }
             None => {
                 obs::counter!("pool.pin.slow").add(1);
-                self.pin_locked(shard, key)?
+                self.pin_locked(key)?
             }
         };
         if hint == AccessHint::Sequential {
@@ -101,20 +99,20 @@ impl BufferPool {
     /// What a hit owes once its pin has landed on the right page: the
     /// reference bit and the prefetch-hit and hit counts (`count` is
     /// false when this pin call already counted as a miss).
-    fn note_hit(&self, shard: &Shard, idx: usize, count: bool) {
+    fn note_hit(&self, idx: usize, count: bool) {
         let frame = &self.frames[idx];
         frame.used.store(true, Ordering::Relaxed);
         if frame.prefetched.swap(false, Ordering::Relaxed) {
             self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
         }
         if count {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Pin `key` through the shard-table mutex, loading the page on a
-    /// miss; returns the pinned frame.
-    fn pin_locked(&self, shard: &Shard, key: PageKey) -> Result<usize> {
+    /// Pin `key` through the table mutex, loading the page on a miss;
+    /// returns the pinned frame.
+    fn pin_locked(&self, key: PageKey) -> Result<usize> {
         // Each pin call is accounted exactly once (one hit or one miss),
         // however many times the claim/validate loop goes around —
         // `hits + misses == pins` is a tested invariant.
@@ -123,7 +121,7 @@ impl BufferPool {
             // Locked lookup: resident but not fast-pinnable (load in
             // flight, revalidation failure, slot probe gave up).
             {
-                let table = shard.table.lock();
+                let table = self.table.lock();
                 if let Some(&idx) = table.map.get(&key) {
                     let frame = &self.frames[idx];
                     frame.sync.pin_unconditional();
@@ -137,19 +135,19 @@ impl BufferPool {
                         frame.sync.unpin();
                         continue;
                     }
-                    self.note_hit(shard, idx, !counted);
+                    self.note_hit(idx, !counted);
                     return Ok(idx);
                 }
             }
             if !counted {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.fetch_add(1, Ordering::Relaxed);
                 counted = true;
             }
             // Miss: claim a clean victim, transfer the mapping, then load
-            // *outside* the shard lock (the frame's write lock blocks
+            // *outside* the table lock (the frame's write lock blocks
             // concurrent readers of the new key until the load is done,
-            // and other shard traffic proceeds meanwhile).
-            let Some((idx, mut data)) = self.claim_frame(shard, key)? else {
+            // and other lookups proceed meanwhile).
+            let Some((idx, mut data)) = self.claim_frame(key)? else {
                 // Another thread mapped `key` while we were claiming.
                 continue;
             };
@@ -158,7 +156,7 @@ impl BufferPool {
             let loaded = self.switch.get(key.smgr).and_then(|smgr| {
                 let wall = std::time::Instant::now();
                 let sim0 = smgr.clock_ns();
-                // LINT: allow(R7, the frame write lock must block readers of the new key until the page load lands; only shard traffic proceeds during the I/O)
+                // LINT: allow(R7, the frame write lock must block readers of the new key until the page load lands; only other pages' traffic proceeds during the I/O)
                 let read = smgr.read(key.rel, key.block, &mut data.page);
                 if read.is_ok() {
                     let ns =
@@ -169,9 +167,9 @@ impl BufferPool {
             });
             drop(load_span);
             if let Err(e) = loaded {
-                // Undo without inverting the shard-table → frame lock
+                // Undo without inverting the page-table → frame lock
                 // order: drop the frame guard first, then re-validate
-                // under the shard lock before removing the mapping — a
+                // under the table lock before removing the mapping — a
                 // racing `new_page` of this very block may have
                 // legitimately re-owned both frame and mapping meanwhile
                 // (its write guard makes the `try_read` fail, or its key
@@ -180,12 +178,12 @@ impl BufferPool {
                 // the undo is finished, so it cannot be re-claimed.
                 data.key = None;
                 drop(data);
-                let mut table = shard.table.lock();
+                let mut table = self.table.lock();
                 if table.map.get(&key) == Some(&idx)
                     && frame.data.try_read().is_some_and(|d| d.key.is_none())
                 {
                     table.map.remove(&key);
-                    self.slot_remove(shard, &mut table, &key, idx);
+                    self.slot_remove(&mut table, &key, idx);
                 }
                 drop(table);
                 frame.sync.unpin();
@@ -212,16 +210,15 @@ impl BufferPool {
         let block = mgr.allocate(rel)?;
         let key = PageKey::new(smgr, rel, block);
         // Install directly into a frame (avoids an immediate re-read).
-        let shard = self.shard_of(&key);
         loop {
-            let (idx, mut data) = match self.claim_frame(shard, key)? {
+            let (idx, mut data) = match self.claim_frame(key)? {
                 Some(claimed) => claimed,
                 None => {
                     // `key` is already mapped: a sequential read-ahead
                     // racing past the just-grown EOF can install the fresh
                     // block's device image before we get here. Re-own that
                     // frame and overwrite it with the authoritative image.
-                    let table = shard.table.lock();
+                    let table = self.table.lock();
                     let Some(&idx) = table.map.get(&key) else { continue };
                     let frame = &self.frames[idx];
                     frame.sync.pin_unconditional();

@@ -7,7 +7,7 @@
 //! - [`FrameState`] — the pin-count + `VALID` state word and the published
 //!   key pair (`pub_rel`/`pub_sb`) behind the zero-lock hit path's
 //!   pin/revalidate dance and the retire-for-re-key CAS.
-//! - [`SlotArray`] — the lock-free slot-index mirror of a shard's page
+//! - [`SlotArray`] — the lock-free slot-index mirror of the page
 //!   table: linear probing over `frame index + 1` hints with tombstones.
 //! - [`PendingQueue`]/[`PendingLink`] — the Treiber-style pending-capture
 //!   chain commits steal wholesale before logging page images.
@@ -78,8 +78,8 @@ impl FrameState {
     }
 
     /// Raise the pin count without requiring `VALID`. Only callers holding
-    /// the owning shard's table lock (or an existing pin, for the
-    /// write-back re-pin) may use this: the shard lock is what keeps a
+    /// the page-table lock (or an existing pin, for the
+    /// write-back re-pin) may use this: the table lock is what keeps a
     /// concurrent retire-for-re-key from racing the unconditional
     /// increment, since retires happen under that lock too.
     pub fn pin_unconditional(&self) {
@@ -135,7 +135,7 @@ impl FrameState {
     /// lock-free pinner got there first and the caller must pick another
     /// victim. On success returns whether `VALID` was set beforehand, so a
     /// caller that bails out afterwards knows whether to restore it.
-    /// Caller must hold the owning shard's table lock: that is what keeps
+    /// Caller must hold the page-table lock: that is what keeps
     /// slow-path unconditional pins (which don't check `VALID`) from
     /// racing this, while fast-path pins are excluded by the CAS itself.
     pub fn try_retire(&self) -> Option<bool> {
@@ -188,11 +188,11 @@ pub const SLOT_TOMB: usize = usize::MAX;
 /// latency under pathological clustering without affecting correctness.
 pub const SLOT_PROBE_LIMIT: usize = 32;
 
-/// Lock-free mirror of a shard's page table for the pin fast path: an
+/// Lock-free mirror of the page table for the pin fast path: an
 /// open-addressed, linearly probed array of `frame index + 1` values
 /// ([`SLOT_EMPTY`]/[`SLOT_TOMB`] sentinels), power-of-two sized at ≥ 2× the
-/// shard's frames so load factor stays ≤ ½. Mutated only while holding the
-/// shard's table lock (the `HashMap` stays authoritative); read without any
+/// pool's frames so load factor stays ≤ ½. Mutated only while holding the
+/// table lock (the `HashMap` stays authoritative); read without any
 /// lock. Slot values are pure *hints*: every lookup is validated against
 /// the frame's own [`FrameState`], so a racing reader that sees a stale,
 /// torn, or rebuilt-in-progress slot at worst falls back to the locked
@@ -222,7 +222,7 @@ impl SlotArray {
         self.slots.is_empty()
     }
 
-    /// Mirror a `map.insert(key, idx)`; caller holds the shard's table
+    /// Mirror a `map.insert(key, idx)`; caller holds the table
     /// lock. Returns whether a tombstone was reused (the caller owns the
     /// tombstone count).
     pub fn insert(&self, start: usize, idx: usize) -> bool {
@@ -238,7 +238,7 @@ impl SlotArray {
     }
 
     /// Mirror a `map.remove(key)` that unmapped frame `idx`; caller holds
-    /// the shard's table lock. Returns whether the entry was found and
+    /// the table lock. Returns whether the entry was found and
     /// tombed (a miss means the mirror diverged from the map — the
     /// caller asserts on it).
     pub fn remove(&self, start: usize, idx: usize) -> bool {

@@ -143,8 +143,7 @@ impl BufferPool {
         let mut runs: Vec<(u32, usize)> = Vec::new();
         for block in start..end {
             let key = PageKey::new(smgr, rel, block);
-            let shard = self.shard_of(&key);
-            if self.resident_fast(shard, &key) || shard.table.lock().map.contains_key(&key) {
+            if self.resident_fast(&key) || self.table.lock().map.contains_key(&key) {
                 continue;
             }
             match runs.last_mut() {
@@ -179,14 +178,13 @@ impl BufferPool {
     /// Install a prefetched page image if its key is still absent and a
     /// clean unpinned victim exists. Returns whether it went in.
     fn install_prefetched(&self, key: PageKey, page: &PageBuf) -> bool {
-        let shard = self.shard_of(&key);
-        let mut table = shard.table.lock();
+        let mut table = self.table.lock();
         if table.map.contains_key(&key) {
             // Mapped meanwhile (possibly dirty) — never clobber it with a
             // stale device image.
             return false;
         }
-        let Some(idx) = self.sweep(shard, &mut table, false) else { return false };
+        let Some(idx) = self.sweep(&mut table, false) else { return false };
         let frame = &self.frames[idx];
         // Retire the victim exactly like `claim_frame`: a lock-free
         // pinner may have pinned the frame's old key between the sweep's
@@ -195,7 +193,7 @@ impl BufferPool {
         // held; installs are opportunistic, so just give up then.
         let Some(was_valid) = frame.sync.try_retire() else { return false };
         // Only flushers can be holding the latch now (pins are excluded
-        // by the retire + the held shard lock) — skip rather than wait,
+        // by the retire + the held table lock) — skip rather than wait,
         // restoring `VALID` if the retire took it (the frame and its
         // mapping are untouched).
         let Some(mut data) = frame.data.try_write().filter(|data| !data.dirty) else {
@@ -204,7 +202,7 @@ impl BufferPool {
             }
             return false;
         };
-        self.rekey(shard, &mut table, idx, &mut data, key, true);
+        self.rekey(&mut table, idx, &mut data, key, true);
         drop(table);
         data.page.copy_from_slice(&page[..]);
         self.install(idx, &mut data, key, false);

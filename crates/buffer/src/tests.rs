@@ -168,48 +168,44 @@ fn concurrent_pins_consistent() {
     }
 }
 
+/// A pool of N frames is one N-page cache: a working set that fits
+/// stays resident under rescans.
 #[test]
-fn shard_count_clamped_for_tiny_pools() {
-    let (_sw, _id, pool) = setup(2);
-    assert_eq!(pool.shard_count(), 1, "2-frame pool collapses to one shard");
-    let (_sw, _id, pool) = setup(256);
-    assert_eq!(pool.shard_count(), DEFAULT_POOL_SHARDS);
-    let (_sw, _id, pool) = setup_opts(PoolOptions {
-        frames: 64,
-        shards: 64,
-        readahead_window: 0,
-        readahead_gate_ns: 0,
-    });
-    assert_eq!(pool.shard_count(), 64 / MIN_SHARD_FRAMES);
-}
-
-#[test]
-fn shard_stats_sum_to_pool_stats() {
-    let (switch, id, pool) = setup_opts(PoolOptions {
-        frames: 64,
-        shards: 4,
-        readahead_window: 0,
-        readahead_gate_ns: 0,
-    });
-    let smgr = switch.get(id).unwrap();
-    smgr.create(1).unwrap();
-    for _ in 0..32 {
+fn full_pool_rescans_hit_every_page() {
+    let (switch, id, pool) = setup(64);
+    switch.get(id).unwrap().create(1).unwrap();
+    for _ in 0..64 {
         let (_, p) = pool.new_page(id, 1, |_| {}).unwrap();
         drop(p);
     }
-    for b in 0..32 {
-        drop(pool.pin(PageKey::new(id, 1, b)).unwrap());
+    pool.flush_all().unwrap();
+    pool.reset_stats();
+    for _ in 0..2 {
+        for b in 0..64 {
+            drop(pool.pin(PageKey::new(id, 1, b)).unwrap());
+        }
     }
-    let shards = pool.shard_stats();
-    assert_eq!(shards.len(), 4);
-    assert_eq!(shards.iter().map(|s| s.frames).sum::<usize>(), 64);
-    let agg = pool.stats();
-    assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), agg.hits);
-    assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), agg.misses);
-    assert_eq!(shards.iter().map(|s| s.evictions).sum::<u64>(), agg.evictions);
-    assert_eq!(agg.hits, 32, "all 32 re-pins must hit");
-    // Keys spread across shards (hash distribution sanity).
-    assert!(shards.iter().filter(|s| s.hits > 0).count() >= 2);
+    let stats = pool.stats();
+    assert_eq!((stats.hits, stats.misses, stats.evictions), (128, 0, 0), "{stats:?}");
+}
+
+/// Any `frames - 1` distinct pages can be pinned at once: exhaustion
+/// means every frame is pinned, not that a key's corner of the pool is.
+#[test]
+fn all_but_one_frame_pin_at_once() {
+    let (switch, id, pool) = setup(64);
+    switch.get(id).unwrap().create(1).unwrap();
+    for _ in 0..63 {
+        let (_, p) = pool.new_page(id, 1, |_| {}).unwrap();
+        drop(p);
+    }
+    pool.flush_all().unwrap();
+    pool.discard_rel(id, 1);
+    let pins: Vec<_> = (0..63)
+        .map(|b| pool.pin(PageKey::new(id, 1, b)).unwrap_or_else(|e| panic!("pin {b}: {e}")))
+        .collect();
+    assert_eq!(pool.pinned_frames(), 63);
+    drop(pins);
 }
 
 #[test]
@@ -219,7 +215,6 @@ fn sequential_hint_prefetches_window() {
     // on the scan's first misses and read-ahead must proceed.
     let (switch, id, pool) = setup_opts(PoolOptions {
         frames: 128,
-        shards: 4,
         readahead_window: 16,
         readahead_gate_ns: DEFAULT_READAHEAD_GATE_NS,
     });
@@ -257,12 +252,8 @@ fn sequential_hint_prefetches_window() {
 
 #[test]
 fn random_hint_never_prefetches() {
-    let (switch, id, pool) = setup_opts(PoolOptions {
-        frames: 64,
-        shards: 2,
-        readahead_window: 16,
-        readahead_gate_ns: 0,
-    });
+    let (switch, id, pool) =
+        setup_opts(PoolOptions { frames: 64, readahead_window: 16, readahead_gate_ns: 0 });
     let smgr = switch.get(id).unwrap();
     smgr.create(1).unwrap();
     for _ in 0..32 {
@@ -284,12 +275,8 @@ fn random_hint_never_prefetches() {
 fn prefetched_pages_never_clobber_dirty_data() {
     // A page dirtied between read-ahead planning and install must not
     // be overwritten by the stale device image: install-if-absent.
-    let (switch, id, pool) = setup_opts(PoolOptions {
-        frames: 64,
-        shards: 1,
-        readahead_window: 8,
-        readahead_gate_ns: 0,
-    });
+    let (switch, id, pool) =
+        setup_opts(PoolOptions { frames: 64, readahead_window: 8, readahead_gate_ns: 0 });
     let smgr = switch.get(id).unwrap();
     smgr.create(1).unwrap();
     for _ in 0..16 {
@@ -372,7 +359,7 @@ fn failed_writeback_keeps_pool_consistent() {
     let id = switch.register(Arc::clone(&worm) as _);
     let pool = BufferPool::with_options(
         Arc::clone(&switch),
-        PoolOptions { frames: 2, shards: 1, readahead_window: 0, readahead_gate_ns: 0 },
+        PoolOptions { frames: 2, readahead_window: 0, readahead_gate_ns: 0 },
     );
     switch.get(id).unwrap().create(1).unwrap();
     let (b0, p) = pool.new_page(id, 1, |pg| pg[0] = 1).unwrap();
@@ -417,12 +404,8 @@ fn sequential_scan_races_append() {
     // block before new_page claims it. new_page must re-own that frame
     // (the old code debug_assert-ed), and readers must always see the
     // init image, never the stale device image.
-    let (switch, id, pool) = setup_opts(PoolOptions {
-        frames: 128,
-        shards: 4,
-        readahead_window: 16,
-        readahead_gate_ns: 0,
-    });
+    let (switch, id, pool) =
+        setup_opts(PoolOptions { frames: 128, readahead_window: 16, readahead_gate_ns: 0 });
     switch.get(id).unwrap().create(1).unwrap();
     for i in 0..8u32 {
         let (_, p) = pool.new_page(id, 1, |pg| pg[..4].copy_from_slice(&i.to_le_bytes())).unwrap();
@@ -476,16 +459,12 @@ fn sequential_scan_races_append() {
 }
 
 #[test]
-fn concurrent_shard_stress_stats_add_up() {
-    // The satellite stress test: many threads pinning/unpinning across
-    // shards under eviction pressure. Asserts termination (no
-    // deadlock), hits + misses == pins, and that pinned pages survive.
-    let (switch, id, pool) = setup_opts(PoolOptions {
-        frames: 64,
-        shards: 4,
-        readahead_window: 0,
-        readahead_gate_ns: 0,
-    });
+fn concurrent_stress_stats_add_up() {
+    // Many threads pinning/unpinning under eviction pressure. Asserts
+    // termination (no deadlock), hits + misses == pins, and that pinned
+    // pages survive.
+    let (switch, id, pool) =
+        setup_opts(PoolOptions { frames: 64, readahead_window: 0, readahead_gate_ns: 0 });
     let smgr = switch.get(id).unwrap();
     smgr.create(1).unwrap();
     const BLOCKS: u32 = 256; // 4x the pool: constant eviction pressure
@@ -530,15 +509,12 @@ fn concurrent_shard_stress_stats_add_up() {
     }
     drop(sentinels);
     let stats = pool.stats();
-    let shards = pool.shard_stats();
     assert_eq!(
         stats.hits + stats.misses,
         THREADS * PINS_PER_THREAD + 4, // + the 4 sentinel pins
         "every pin is exactly one hit or one miss: {stats:?}"
     );
-    assert_eq!(shards.iter().map(|s| s.hits + s.misses).sum::<u64>(), stats.hits + stats.misses);
     assert!(stats.evictions > 0, "walk over 4x the pool must evict");
-    assert!(shards.iter().filter(|s| s.misses > 0).count() >= 2, "load must spread over shards");
 }
 
 #[test]
@@ -737,7 +713,7 @@ fn skip_mode_never_blocks_on_a_held_latch() {
     // shared latch lets the peek through) and the write-back's
     // try-latch gives up on it.
     let key = PageKey::new(id, 1, 0);
-    let idx = pool.shard_of(&key).table.lock().map[&key];
+    let idx = pool.table.lock().map[&key];
     let reader = pool.frames[idx].data.read();
     assert_eq!(flush_elsewhere(), 0, "the one dirty frame is latched");
     assert!(reader.dirty, "a skipped frame stays dirty");
@@ -755,7 +731,6 @@ fn readahead_gate_follows_observed_latency() {
     let scan = |gate_ns: u64| {
         let (switch, id, pool) = setup_opts(PoolOptions {
             frames: 128,
-            shards: 4,
             readahead_window: 16,
             readahead_gate_ns: gate_ns,
         });
@@ -785,12 +760,12 @@ fn readahead_gate_follows_observed_latency() {
     assert!(ewma >= 1_000, "EWMA must reflect the simulated device: {ewma}");
 }
 
-/// Heavy re-key churn through a tiny shard exercises slot-array
+/// Heavy re-key churn through a tiny pool exercises slot-array
 /// tombstoning and rebuild; pins must stay correct throughout.
 #[test]
 fn slot_index_survives_rekey_churn() {
     let (switch, id, pool) =
-        setup_opts(PoolOptions { frames: 8, shards: 1, readahead_window: 0, readahead_gate_ns: 0 });
+        setup_opts(PoolOptions { frames: 8, readahead_window: 0, readahead_gate_ns: 0 });
     let smgr = switch.get(id).unwrap();
     smgr.create(1).unwrap();
     const BLOCKS: u32 = 64;
@@ -813,12 +788,7 @@ fn slot_index_survives_rekey_churn() {
     // And re-pins of now-resident pages still hit.
     pool.reset_stats();
     let resident: Vec<u32> = (0..BLOCKS)
-        .filter(|&b| {
-            let key = PageKey::new(id, 1, b);
-            let shard = pool.shard_of(&key);
-            let table = shard.table.lock();
-            table.map.contains_key(&key)
-        })
+        .filter(|&b| pool.table.lock().map.contains_key(&PageKey::new(id, 1, b)))
         .collect();
     for &b in &resident {
         drop(pool.pin(PageKey::new(id, 1, b)).unwrap());

@@ -531,7 +531,6 @@ impl LobdService {
                 ("pool.hits", Counter(pool.hits)),
                 ("pool.misses", Counter(pool.misses)),
                 ("pool.hit_rate", Float(pool.hit_rate())),
-                ("pool.shards", Gauge(self.env.pool().shard_count() as u64)),
                 ("pool.prefetch_pages", Counter(pool.prefetch_pages)),
                 ("pool.prefetch_hits", Counter(pool.prefetch_hits)),
                 ("pool.bgwriter_pages", Counter(pool.bgwriter_pages)),

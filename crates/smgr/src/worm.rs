@@ -214,9 +214,12 @@ impl WormSmgr {
     }
 
     /// Burn every staged block of every relation (end-of-load step in the
-    /// benchmarks).
+    /// benchmarks), in relation-id order: a burn leaves its blocks in the
+    /// cache, so the order decides which relations start warm once the
+    /// cache is full — it must not follow the map's per-process hashing.
     pub fn sync_all(&self) -> Result<()> {
-        let rels: Vec<RelFileId> = self.inner.lock().rels.keys().copied().collect();
+        let mut rels: Vec<RelFileId> = self.inner.lock().rels.keys().copied().collect();
+        rels.sort_unstable();
         for rel in rels {
             self.sync(rel)?;
         }

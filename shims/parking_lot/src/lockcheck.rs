@@ -10,10 +10,10 @@
 //! held lock has rank `>= r` is a violation: the panic names the lock
 //! being acquired, the conflicting held lock, and both acquisition sites.
 //! Equal ranks are a violation too — that is how "at most one buffer-pool
-//! shard lock at a time" is encoded (all shard tables share one rank).
+//! frame latch at a time" is encoded (all frame latches share one rank).
 //!
 //! Release is not required to be LIFO: guards carry a removal token, so
-//! patterns like the buffer pool's claim path (take shard table, take
+//! patterns like the buffer pool's claim path (take page table, take
 //! frame, drop table first, keep the frame guard) are tracked correctly.
 //!
 //! Independently of the rank policy, every first-seen blocking acquisition

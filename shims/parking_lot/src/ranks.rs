@@ -2,8 +2,8 @@
 //!
 //! Lower rank = acquired earlier (outermost). One thread may hold locks
 //! only in strictly increasing rank order, and never two locks of the
-//! same rank (that is how "at most one buffer-pool shard lock at a time"
-//! is enforced: every shard table shares [`POOL_SHARD`]).
+//! same rank (that is how "at most one buffer-pool frame latch at a time"
+//! is enforced: every frame latch shares [`POOL_FRAME`]).
 //!
 //! This module is parsed by `pglo-lint`, which cross-checks every
 //! `LockRank::new(<rank>, "<name>")` constant here against the
@@ -48,24 +48,22 @@ pub const CATALOG_PERSIST: LockRank = LockRank::new(25, "heap.catalog_persist");
 pub const TEMP_REGISTRY: LockRank = LockRank::new(26, "core.temp_registry");
 
 /// Buffer-pool read-ahead window state (`crates/buffer`); taken before
-/// any shard table in the prefetch planner, and only once the observed
+/// the page table in the prefetch planner, and only once the observed
 /// read-latency EWMA has engaged the gate.
 pub const POOL_READAHEAD: LockRank = LockRank::new(28, "buffer.readahead");
 
-/// A buffer-pool shard page table (`crates/buffer`). All shards share
-/// this rank: DESIGN.md rule "at most one shard lock held at a time"
-/// falls out of the same-rank check. Guards misses, evictions, and
-/// re-keying only — pool hits ride the lock-free fast path and never
-/// take it.
-pub const POOL_SHARD: LockRank = LockRank::new(30, "buffer.shard_table");
+/// The buffer pool's page table (`crates/buffer`). Guards misses,
+/// evictions, and re-keying only — pool hits ride the lock-free fast
+/// path and never take it.
+pub const POOL_TABLE: LockRank = LockRank::new(30, "buffer.page_table");
 
 /// Serializes page-image capture batches (`crates/buffer`): one capture
 /// at a time encodes pending frames, batch-appends to the WAL, and
 /// stamps LSNs back. Taken before the frame latches the capture visits.
 pub const POOL_CAPTURE: LockRank = LockRank::new(38, "buffer.capture");
 
-/// A buffer-pool frame latch (`crates/buffer`). Taken after the owning
-/// shard table (rule 1); flushers reach frames only via `try_*` (rule 2).
+/// A buffer-pool frame latch (`crates/buffer`). Taken after the page
+/// table (rule 1); flushers reach frames only via `try_*` (rule 2).
 pub const POOL_FRAME: LockRank = LockRank::new(40, "buffer.frame");
 
 /// WAL group-commit flush slot (`crates/wal`): committers park here and

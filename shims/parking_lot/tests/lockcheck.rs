@@ -78,13 +78,13 @@ fn violation_cites_first_observed_legal_order() {
 
 #[test]
 fn same_rank_second_lock_is_caught() {
-    // Models "at most one buffer-pool shard lock at a time": every shard
-    // table shares one rank, so holding two is a violation.
-    let shard_a = Mutex::with_rank((), PEER_A);
-    let shard_b = Mutex::with_rank((), PEER_B);
+    // Models "at most one buffer-pool frame latch at a time": every
+    // frame latch shares one rank, so holding two is a violation.
+    let frame_a = Mutex::with_rank((), PEER_A);
+    let frame_b = Mutex::with_rank((), PEER_B);
     let msg = panic_message(|| {
-        let _a = shard_a.lock();
-        let _b = shard_b.lock();
+        let _a = frame_a.lock();
+        let _b = frame_b.lock();
     });
     assert!(msg.contains("second lock of the same rank"), "{msg}");
     assert!(msg.contains("\"test.peer\" (rank 300)"), "{msg}");
@@ -126,7 +126,7 @@ fn try_held_locks_still_check_later_blocking_acquisitions() {
 
 #[test]
 fn out_of_order_release_is_tracked() {
-    // The buffer pool's claim path: take shard table, take frame, release
+    // The buffer pool's claim path: take page table, take frame, release
     // the table first, keep the frame guard. Tokens, not LIFO.
     let table = Mutex::with_rank((), OUTER);
     let frame = RwLock::with_rank((), INNER);

@@ -75,7 +75,6 @@ fn optimistic_pins_survive_eviction_discard_and_capture() {
         Arc::clone(&switch),
         PoolOptions {
             frames: FRAMES,
-            shards: 4,
             readahead_window: 4,
             // NVRAM sim latency sits above the default gate, so the
             // window engages and install_prefetched races the pinners.
