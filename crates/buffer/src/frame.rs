@@ -1,5 +1,6 @@
-//! Frames and the page table: the slot mirror, the clock sweep, and the
-//! one re-key and one install by which a frame changes its page.
+//! Frames and the page table: lookup, map and unmap over the slot array,
+//! the clock sweep, and the one re-key and one install by which a frame
+//! changes its page.
 
 use super::*;
 
@@ -74,8 +75,8 @@ impl Frame {
         }
     }
 
-    /// See [`FrameState::publish`] — only while `VALID` is clear, under
-    /// the frame's write latch.
+    /// See [`FrameState::publish`] — only in [`BufferPool::rekey`]: under
+    /// the table lock and the frame's write latch, while `VALID` is clear.
     pub(super) fn publish_key(&self, key: &PageKey) {
         self.sync.publish(key.rel, Self::pack_sb(key));
     }
@@ -85,19 +86,25 @@ impl Frame {
     }
 
     /// See [`FrameState::matches`] — advisory before a pin, authoritative
-    /// after one.
+    /// after one or under the table lock.
     pub(super) fn published_matches(&self, key: &PageKey) -> bool {
         self.sync.matches(key.rel, Self::pack_sb(key))
     }
+
+    /// The key last published for this frame; for a mapped frame under
+    /// the table lock, the key it is mapped under.
+    pub(super) fn published_key(&self) -> PageKey {
+        let (rel, sb) = self.sync.published();
+        PageKey::new(SmgrId((sb >> 32) as u16), rel, sb as u32)
+    }
 }
 
-/// What the table mutex guards: the page table over the whole frame
-/// array and its clock hand.
+/// What the table mutex guards besides the slot array's contents: the
+/// clock hand and the tombstone count.
 pub(super) struct PageTable {
-    pub(super) map: HashMap<PageKey, usize>,
     pub(super) hand: usize,
     /// Live tombstones in the slot array; when they exceed ⅛ of the
-    /// array the next removal rebuilds it (under the table lock).
+    /// array the next unmap rebuilds it.
     pub(super) tombs: usize,
 }
 
@@ -108,43 +115,30 @@ impl BufferPool {
         hasher.hash_one(key) as usize & self.slots.mask()
     }
 
-    // Writers keep `slots` in sync with the authoritative
-    // `PageTable::map` inside the same table-lock critical sections that
-    // mutate the map. Readers probe it without any lock; every slot value
-    // is a hint validated against the frame itself, so stale reads are
-    // harmless (see `try_pin_fast`).
-
-    /// Mirror a `map.insert(key, idx)`; caller holds the table lock.
-    fn slot_insert(&self, table: &mut PageTable, key: &PageKey, idx: usize) {
-        if self.slots.insert(self.slot_start(key), idx) {
-            table.tombs -= 1;
-        }
+    /// The frame `key` is mapped to, if any. The slot array holds frame
+    /// indices and each mapped frame publishes the key it is mapped
+    /// under: [`Self::rekey`] is the only writer of both and does it in
+    /// one critical section of the table lock, which `_table` witnesses —
+    /// so under it the comparison is exact. (An unmapped frame keeps its
+    /// last published key, but no slot leads to it.)
+    pub(super) fn lookup(&self, _table: &PageTable, key: &PageKey) -> Option<usize> {
+        self.slots.find(self.slot_start(key), |idx| self.frames[idx].published_matches(key))
     }
 
-    /// Mirror a `map.remove(key)` that unmapped frame `idx`; caller holds
-    /// the table lock. Rebuilds the array once tombstones pile up past ⅛
-    /// of it, keeping probe chains (and the fast path's bounded probe)
-    /// short.
-    pub(super) fn slot_remove(&self, table: &mut PageTable, key: &PageKey, idx: usize) {
-        if self.slots.remove(self.slot_start(key), idx) {
-            table.tombs += 1;
-            if table.tombs * 8 > self.slots.len() {
-                self.slot_rebuild(table);
-            }
-        } else {
-            debug_assert!(false, "slot entry missing for a mapped key");
+    /// Unmap frame `idx` from `key`, returning whether it was mapped
+    /// there; caller holds the table lock. Rebuilds the array once
+    /// tombstones pile up past ⅛ of it, keeping probe chains (and the
+    /// fast path's bounded probe) short.
+    pub(super) fn unmap(&self, table: &mut PageTable, key: &PageKey, idx: usize) -> bool {
+        if !self.slots.remove(self.slot_start(key), idx) {
+            return false;
         }
-    }
-
-    /// Re-derive the slot array from the map, dropping all tombstones
-    /// (see [`SlotArray::clear`] for why concurrent lock-free readers are
-    /// safe against a mid-rebuild view).
-    fn slot_rebuild(&self, table: &mut PageTable) {
-        self.slots.clear();
-        table.tombs = 0;
-        for (key, &idx) in &table.map {
-            self.slots.insert(self.slot_start(key), idx);
+        table.tombs += 1;
+        if table.tombs * 8 > self.slots.len() {
+            self.slots.rebuild(|idx| self.slot_start(&self.frames[idx].published_key()));
+            table.tombs = 0;
         }
+        true
     }
 
     /// One clock sweep over the frame array (two passes of the hand),
@@ -194,7 +188,7 @@ impl BufferPool {
         let mut tried_batch = false;
         loop {
             let mut table = self.table.lock();
-            if table.map.contains_key(&key) {
+            if self.lookup(&table, &key).is_some() {
                 return Ok(None);
             }
             if let Some(idx) = self.sweep(&mut table, false) {
@@ -266,12 +260,13 @@ impl BufferPool {
         prefetched: bool,
     ) {
         if let Some(old) = data.key.take() {
-            table.map.remove(&old);
-            self.slot_remove(table, &old, idx);
+            let was_mapped = self.unmap(table, &old, idx);
+            debug_assert!(was_mapped, "frame {idx} held a key the page table did not map");
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        table.map.insert(key, idx);
-        self.slot_insert(table, &key, idx);
+        if self.slots.insert(self.slot_start(&key), idx) {
+            table.tombs -= 1;
+        }
         let frame = &self.frames[idx];
         frame.used.store(true, Ordering::Relaxed);
         frame.prefetched.store(prefetched, Ordering::Relaxed);

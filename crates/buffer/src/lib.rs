@@ -219,12 +219,12 @@ pub struct BufferPool {
     /// coalescing re-dirtied hot pages in between.
     pending_count: AtomicUsize,
     frames: Vec<Frame>,
-    /// The page table, its clock hand and counters under one mutex; rank
+    /// The page-table lock, with the clock hand it also guards; rank
     /// `buffer.page_table` (30), taken before any frame latch.
     table: Mutex<PageTable>,
-    /// Lock-free mirror of `PageTable::map` for the pin fast path; see
-    /// [`protocol::SlotArray`]. Mutated only while holding `table` (the
-    /// `HashMap` stays authoritative); read without any lock.
+    /// The page table; see [`protocol::SlotArray`]. Mutated only while
+    /// holding `table`, under which a lookup is exact; the pin fast path
+    /// reads it without any lock.
     slots: SlotArray,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -304,10 +304,7 @@ impl BufferPool {
             pending: PendingQueue::new(),
             pending_count: AtomicUsize::new(0),
             frames,
-            table: Mutex::with_rank(
-                PageTable { map: HashMap::new(), hand: 0, tombs: 0 },
-                ranks::POOL_TABLE,
-            ),
+            table: Mutex::with_rank(PageTable { hand: 0, tombs: 0 }, ranks::POOL_TABLE),
             slots: SlotArray::new((2 * capacity).next_power_of_two().max(8)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),

@@ -122,7 +122,7 @@ impl BufferPool {
             // flight, revalidation failure, slot probe gave up).
             {
                 let table = self.table.lock();
-                if let Some(&idx) = table.map.get(&key) {
+                if let Some(idx) = self.lookup(&table, &key) {
                     let frame = &self.frames[idx];
                     frame.sync.pin_unconditional();
                     drop(table);
@@ -174,16 +174,15 @@ impl BufferPool {
                 // legitimately re-owned both frame and mapping meanwhile
                 // (its write guard makes the `try_read` fail, or its key
                 // store makes the emptiness check fail; either way we
-                // leave its mapping alone). The frame stays pinned until
-                // the undo is finished, so it cannot be re-claimed.
+                // leave its mapping alone; and a `discard_rel` that got
+                // there first leaves `unmap` nothing to do). The frame
+                // stays pinned until the undo is finished, so it cannot
+                // be re-claimed.
                 data.key = None;
                 drop(data);
                 let mut table = self.table.lock();
-                if table.map.get(&key) == Some(&idx)
-                    && frame.data.try_read().is_some_and(|d| d.key.is_none())
-                {
-                    table.map.remove(&key);
-                    self.slot_remove(&mut table, &key, idx);
+                if frame.data.try_read().is_some_and(|d| d.key.is_none()) {
+                    self.unmap(&mut table, &key, idx);
                 }
                 drop(table);
                 frame.sync.unpin();
@@ -219,7 +218,7 @@ impl BufferPool {
                     // block's device image before we get here. Re-own that
                     // frame and overwrite it with the authoritative image.
                     let table = self.table.lock();
-                    let Some(&idx) = table.map.get(&key) else { continue };
+                    let Some(idx) = self.lookup(&table, &key) else { continue };
                     let frame = &self.frames[idx];
                     frame.sync.pin_unconditional();
                     frame.used.store(true, Ordering::Relaxed);
@@ -231,7 +230,6 @@ impl BufferPool {
                     // simply wait on the latch and wake to the init bytes.
                     let data = frame.data.write();
                     drop(table);
-                    frame.publish_key(&key);
                     (idx, data)
                 }
             };

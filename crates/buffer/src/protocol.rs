@@ -7,8 +7,9 @@
 //! - [`FrameState`] — the pin-count + `VALID` state word and the published
 //!   key pair (`pub_rel`/`pub_sb`) behind the zero-lock hit path's
 //!   pin/revalidate dance and the retire-for-re-key CAS.
-//! - [`SlotArray`] — the lock-free slot-index mirror of the page
-//!   table: linear probing over `frame index + 1` hints with tombstones.
+//! - [`SlotArray`] — the page table: linear probing over `frame index + 1`
+//!   values with tombstones, written under the table lock and read
+//!   without it as hints.
 //! - [`PendingQueue`]/[`PendingLink`] — the Treiber-style pending-capture
 //!   chain commits steal wholesale before logging page images.
 //!
@@ -169,12 +170,18 @@ impl FrameState {
         self.pub_sb.store(sb, Ordering::Relaxed);
     }
 
-    /// Whether the published pair equals `(rel, sb)`. Only meaningful
-    /// while the caller holds a pin taken by [`FrameState::try_pin_valid`]
-    /// (frozen fields); before that it is a cheap advisory filter whose
-    /// stale reads are caught by the post-pin re-check.
+    /// The published `(rel, sb)` pair. Only meaningful while the caller
+    /// holds a pin taken by [`FrameState::try_pin_valid`] (frozen fields)
+    /// or the page-table lock (every publish happens under it); otherwise
+    /// a cheap advisory read whose staleness the post-pin re-check catches.
+    pub fn published(&self) -> (u64, u64) {
+        (self.pub_rel.load(Ordering::Relaxed), self.pub_sb.load(Ordering::Relaxed))
+    }
+
+    /// Whether the published pair equals `(rel, sb)`; see
+    /// [`FrameState::published`] for when the answer can be trusted.
     pub fn matches(&self, rel: u64, sb: u64) -> bool {
-        self.pub_sb.load(Ordering::Relaxed) == sb && self.pub_rel.load(Ordering::Relaxed) == rel
+        self.published() == (rel, sb)
     }
 }
 
@@ -188,15 +195,17 @@ pub const SLOT_TOMB: usize = usize::MAX;
 /// latency under pathological clustering without affecting correctness.
 pub const SLOT_PROBE_LIMIT: usize = 32;
 
-/// Lock-free mirror of the page table for the pin fast path: an
-/// open-addressed, linearly probed array of `frame index + 1` values
-/// ([`SLOT_EMPTY`]/[`SLOT_TOMB`] sentinels), power-of-two sized at ≥ 2× the
-/// pool's frames so load factor stays ≤ ½. Mutated only while holding the
-/// table lock (the `HashMap` stays authoritative); read without any
-/// lock. Slot values are pure *hints*: every lookup is validated against
-/// the frame's own [`FrameState`], so a racing reader that sees a stale,
-/// torn, or rebuilt-in-progress slot at worst falls back to the locked
-/// path, never returns wrong bytes.
+/// The page table: an open-addressed, linearly probed array of
+/// `frame index + 1` values ([`SLOT_EMPTY`]/[`SLOT_TOMB`] sentinels),
+/// power-of-two sized at ≥ 2× the pool's frames so load factor stays ≤ ½.
+/// A slot holds no key: the key a frame is mapped under is the one the
+/// frame publishes ([`FrameState::publish`]), and a lookup compares the
+/// two. Mutated only while holding the table lock, under which
+/// [`SlotArray::find`] is exact; read without any lock by
+/// [`SlotArray::probe`], where slot values are pure *hints*: every
+/// lookup is validated against the frame's own [`FrameState`], so a
+/// racing reader that sees a stale, torn, or rebuilt-in-progress slot at
+/// worst falls back to the locked path, never returns wrong bytes.
 pub struct SlotArray {
     slots: Vec<AtomicUsize>,
     /// `slots.len() - 1` (power-of-two mask).
@@ -222,7 +231,7 @@ impl SlotArray {
         self.slots.is_empty()
     }
 
-    /// Mirror a `map.insert(key, idx)`; caller holds the table
+    /// Map frame `idx` on the chain from `start`; caller holds the table
     /// lock. Returns whether a tombstone was reused (the caller owns the
     /// tombstone count).
     pub fn insert(&self, start: usize, idx: usize) -> bool {
@@ -237,10 +246,9 @@ impl SlotArray {
         }
     }
 
-    /// Mirror a `map.remove(key)` that unmapped frame `idx`; caller holds
-    /// the table lock. Returns whether the entry was found and
-    /// tombed (a miss means the mirror diverged from the map — the
-    /// caller asserts on it).
+    /// Unmap frame `idx` from the chain from `start`, leaving a
+    /// tombstone; caller holds the table lock. Returns whether the frame
+    /// was on the chain.
     pub fn remove(&self, start: usize, idx: usize) -> bool {
         let mut i = start & self.mask;
         let mut steps = 0;
@@ -258,24 +266,37 @@ impl SlotArray {
         }
     }
 
-    /// Reset every slot to [`SLOT_EMPTY`] (the rebuild path; caller holds
-    /// the table lock and reinserts every live key afterwards). Concurrent
-    /// lock-free readers may observe the array mid-rebuild; they fall back
-    /// to the locked path on a transient `SLOT_EMPTY` and revalidate
-    /// everything else against the frames, so no fence is needed beyond
-    /// the stores themselves.
-    pub fn clear(&self) {
-        for i in 0..self.slots.len() {
-            self.slots[i].store(SLOT_EMPTY, Ordering::Relaxed);
+    /// Drop every tombstone: empty the array and map each frame it held
+    /// again, on the chain from `start_of(frame)`. Caller holds the table
+    /// lock. Concurrent lock-free readers may observe the array
+    /// mid-rebuild; they fall back to the locked path on a transient
+    /// `SLOT_EMPTY` and revalidate everything else against the frames, so
+    /// no fence is needed beyond the stores themselves.
+    pub fn rebuild(&self, start_of: impl Fn(usize) -> usize) {
+        let mut live = Vec::new();
+        for slot in &self.slots {
+            let v = slot.load(Ordering::Relaxed);
+            slot.store(SLOT_EMPTY, Ordering::Relaxed);
+            if v != SLOT_EMPTY && v != SLOT_TOMB {
+                live.push(v - 1);
+            }
+        }
+        for idx in live {
+            self.insert(start_of(idx), idx);
         }
     }
 
-    /// Bounded lock-free probe from `start`: occupied slots are offered to
-    /// `f` as frame indices until it returns `Some`, the chain ends at an
-    /// empty slot, or [`SLOT_PROBE_LIMIT`] is hit.
-    pub fn probe<R>(&self, start: usize, mut f: impl FnMut(usize) -> Option<R>) -> Option<R> {
+    /// Walk the chain from `start`, offering occupied slots to `f` as
+    /// frame indices until it returns `Some`, the chain ends at an empty
+    /// slot, or `limit` slots were visited.
+    fn walk<R>(
+        &self,
+        start: usize,
+        limit: usize,
+        mut f: impl FnMut(usize) -> Option<R>,
+    ) -> Option<R> {
         let mut i = start & self.mask;
-        for _ in 0..SLOT_PROBE_LIMIT.min(self.mask + 1) {
+        for _ in 0..limit {
             let v = self.slots[i].load(Ordering::Relaxed);
             if v == SLOT_EMPTY {
                 return None;
@@ -288,6 +309,18 @@ impl SlotArray {
             i = (i + 1) & self.mask;
         }
         None
+    }
+
+    /// Bounded lock-free probe from `start`: at most
+    /// [`SLOT_PROBE_LIMIT`] slots of the chain are offered to `f`.
+    pub fn probe<R>(&self, start: usize, f: impl FnMut(usize) -> Option<R>) -> Option<R> {
+        self.walk(start, SLOT_PROBE_LIMIT.min(self.slots.len()), f)
+    }
+
+    /// The exact lookup, for callers holding the table lock: the first
+    /// frame on the whole chain from `start` that `is_match` accepts.
+    pub fn find(&self, start: usize, mut is_match: impl FnMut(usize) -> bool) -> Option<usize> {
+        self.walk(start, self.slots.len(), |idx| is_match(idx).then_some(idx))
     }
 }
 

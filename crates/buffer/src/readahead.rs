@@ -139,11 +139,11 @@ impl BufferPool {
         // Group the non-resident blocks into contiguous runs. Residency
         // is probed lock-free first (install is if-absent anyway, so a
         // stale answer wastes at most one device read); only a probe
-        // miss confirms against the authoritative map under the lock.
+        // miss confirms with the exact lookup under the lock.
         let mut runs: Vec<(u32, usize)> = Vec::new();
         for block in start..end {
             let key = PageKey::new(smgr, rel, block);
-            if self.resident_fast(&key) || self.table.lock().map.contains_key(&key) {
+            if self.resident_fast(&key) || self.lookup(&self.table.lock(), &key).is_some() {
                 continue;
             }
             match runs.last_mut() {
@@ -179,7 +179,7 @@ impl BufferPool {
     /// clean unpinned victim exists. Returns whether it went in.
     fn install_prefetched(&self, key: PageKey, page: &PageBuf) -> bool {
         let mut table = self.table.lock();
-        if table.map.contains_key(&key) {
+        if self.lookup(&table, &key).is_some() {
             // Mapped meanwhile (possibly dirty) — never clobber it with a
             // stale device image.
             return false;

@@ -713,7 +713,7 @@ fn skip_mode_never_blocks_on_a_held_latch() {
     // shared latch lets the peek through) and the write-back's
     // try-latch gives up on it.
     let key = PageKey::new(id, 1, 0);
-    let idx = pool.table.lock().map[&key];
+    let idx = pool.lookup(&pool.table.lock(), &key).unwrap();
     let reader = pool.frames[idx].data.read();
     assert_eq!(flush_elsewhere(), 0, "the one dirty frame is latched");
     assert!(reader.dirty, "a skipped frame stays dirty");
@@ -788,7 +788,7 @@ fn slot_index_survives_rekey_churn() {
     // And re-pins of now-resident pages still hit.
     pool.reset_stats();
     let resident: Vec<u32> = (0..BLOCKS)
-        .filter(|&b| pool.table.lock().map.contains_key(&PageKey::new(id, 1, b)))
+        .filter(|&b| pool.lookup(&pool.table.lock(), &PageKey::new(id, 1, b)).is_some())
         .collect();
     for &b in &resident {
         drop(pool.pin(PageKey::new(id, 1, b)).unwrap());

@@ -154,24 +154,24 @@ impl BufferPool {
     /// (used by unlink). Pinned pages of other relations are untouched.
     pub fn discard_rel(&self, smgr: SmgrId, rel: RelFileId) {
         let mut table = self.table.lock();
-        let keys: Vec<PageKey> =
-            table.map.keys().filter(|k| k.smgr == smgr && k.rel == rel).copied().collect();
-        for key in keys {
-            if let Some(idx) = table.map.remove(&key) {
-                // Withdraw `VALID` before touching the frame so a
-                // concurrent lock-free pin either landed first (and
-                // keeps reading the relation's last bytes, as any
-                // pre-discard pin would) or fails and finds the
-                // mapping gone. The frame itself may stay pinned;
-                // it only becomes a victim once those pins drop.
-                self.frames[idx].sync.clear_valid();
-                self.slot_remove(&mut table, &key, idx);
-                let mut data = self.frames[idx].data.write();
-                data.key = None;
-                data.dirty = false;
-                data.reset_wal_state();
-                self.frames[idx].prefetched.store(false, Ordering::Relaxed);
+        for (idx, frame) in self.frames.iter().enumerate() {
+            // A frame no longer mapped still names its last key; `unmap`
+            // refuses those.
+            let key = frame.published_key();
+            if key.smgr != smgr || key.rel != rel || !self.unmap(&mut table, &key, idx) {
+                continue;
             }
+            // Withdraw `VALID` before touching the frame so a concurrent
+            // lock-free pin either landed first (and keeps reading the
+            // relation's last bytes, as any pre-discard pin would) or
+            // fails and finds the mapping gone. The frame itself may
+            // stay pinned; it only becomes a victim once those pins drop.
+            frame.sync.clear_valid();
+            let mut data = frame.data.write();
+            data.key = None;
+            data.dirty = false;
+            data.reset_wal_state();
+            frame.prefetched.store(false, Ordering::Relaxed);
         }
         drop(table);
         self.readahead.lock().remove(&(smgr, rel));

@@ -1,11 +1,12 @@
-//! Model-based property test for the lock-free slot-index mirror
+//! Model-based property test for the page table
 //! ([`pglo_buffer::protocol::SlotArray`]): under random insert / tomb /
-//! rebuild sequences the array stays in sync with a `HashMap` oracle —
-//! a probe never validates a wrong frame, a remove always finds its
-//! entry, and after a tombstone rebuild every live key is reachable
-//! again within the [`SLOT_PROBE_LIMIT`] probe cap.
+//! rebuild sequences the array agrees with a `HashMap` oracle — the
+//! locked lookup (`find`) is exact, a bounded probe never validates a
+//! wrong frame, a remove always finds its entry, and after a tombstone
+//! rebuild every live key is reachable again within the
+//! [`SLOT_PROBE_LIMIT`] probe cap.
 //!
-//! The sizing mirrors a real shard: `FRAMES` frames and a slot array of
+//! The sizing mirrors a real pool: `FRAMES` frames and a slot array of
 //! `2 * FRAMES` entries, so live load factor never exceeds ½. That bound
 //! is what makes post-rebuild completeness provable: linear-probe
 //! insertion places a key at most `live - 1 < SLOT_PROBE_LIMIT` slots
@@ -36,7 +37,8 @@ enum SlotOp {
     Insert(u64),
     /// Unmap the i-th live key (mod live count).
     Remove(u16),
-    /// The shard's tombstone rebuild: clear and reinsert every live key.
+    /// The pool's tombstone rebuild: empty the array and remap every
+    /// frame it held from the key the frame itself names.
     Rebuild,
 }
 
@@ -107,18 +109,15 @@ proptest! {
                     let key = keys[*pick as usize % keys.len()];
                     let idx = oracle.remove(&key).unwrap();
                     frames[idx] = None;
-                    // The mirror is maintained under the table lock, so a
-                    // mapped entry must always be found and tombed.
+                    // The table is maintained under its lock, so a mapped
+                    // entry must always be found and tombed.
                     prop_assert!(
                         slots.remove(start_of(key), idx),
                         "remove({key:#x} -> {idx}) missed its slot entry"
                     );
                 }
                 SlotOp::Rebuild => {
-                    slots.clear();
-                    for (&key, &idx) in &oracle {
-                        slots.insert(start_of(key), idx);
-                    }
+                    slots.rebuild(|idx| start_of(frames[idx].expect("only mapped frames remap")));
                     // Post-rebuild: no tombstones, load ≤ ½ — every live
                     // key must be reachable inside the probe cap.
                     for (&key, &idx) in &oracle {
@@ -130,9 +129,17 @@ proptest! {
                     }
                 }
             }
-            // Soundness after every op: a probe never validates a frame the
-            // oracle disagrees with, and a miss is only ever a fallback
-            // (never a wrong hit). Sample the live keys and one dead key.
+            // After every op the locked lookup is exact for every live
+            // key, tombstones or not — the array is the only table.
+            for (&key, &idx) in &oracle {
+                let found = slots.find(start_of(key), |i| frames[i] == Some(key));
+                prop_assert_eq!(found, Some(idx), "find lost live key {:#x}", key);
+            }
+            prop_assert_eq!(slots.find(start_of(2), |i| frames[i] == Some(2)), None);
+            // And the bounded probe is sound: it never validates a frame
+            // the oracle disagrees with, and a miss is only ever a
+            // fallback (never a wrong hit). Sample the live keys and one
+            // dead key.
             for (&key, &idx) in oracle.iter().take(4) {
                 if let Some(hit) = lookup(&slots, &frames, key)? {
                     prop_assert_eq!(hit, idx);
@@ -141,14 +148,14 @@ proptest! {
             prop_assert_eq!(lookup(&slots, &frames, 2)?, None, "key 2 is never inserted");
         }
 
-        // Drain everything through remove; the mirror must empty cleanly.
+        // Drain everything through remove; the table must empty cleanly.
         let keys: Vec<u64> = oracle.keys().copied().collect();
         for key in keys {
             let idx = oracle.remove(&key).unwrap();
             frames[idx] = None;
             prop_assert!(slots.remove(start_of(key), idx));
         }
-        slots.clear();
+        slots.rebuild(|idx| unreachable!("frame {idx} outlived its remove"));
         for probe_start in 0..SLOTS {
             prop_assert_eq!(slots.probe(probe_start, Some), None::<usize>);
         }
