@@ -18,9 +18,9 @@
 
 use crate::handle::LoBackend;
 use crate::meta::lo_class_name;
-use crate::{LoError, LoId, Result};
+use crate::{stored_form, LoError, LoId, Result};
 use pglo_btree::{keys::u64_key, BTree};
-use pglo_compress::{compress_vec, decompress_vec, CodecKind};
+use pglo_compress::CodecKind;
 use pglo_heap::{AccessHint, Heap, StorageEnv};
 use pglo_pages::Tid;
 use pglo_txn::{Txn, Visibility};
@@ -28,8 +28,6 @@ use std::sync::Arc;
 
 /// Chunk tuple prefix: `[seqno u32][flag u8]`.
 const CHUNK_HDR: usize = 5;
-const FLAG_RAW: u8 = 0;
-const FLAG_COMPRESSED: u8 = 1;
 
 fn encode_chunk(seq: u64, flag: u8, bytes: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(CHUNK_HDR + bytes.len());
@@ -123,15 +121,7 @@ impl<'a> FChunkBackend<'a> {
                 self.id
             )));
         }
-        if flag != FLAG_COMPRESSED {
-            return Ok(Some(bytes.to_vec()));
-        }
-        let codec = self.codec.codec();
-        let plain = decompress_vec(codec, bytes)?;
-        // Just-in-time decompression price (§3): instructions per
-        // uncompressed byte produced.
-        self.env.sim().charge_cpu_per_byte(plain.len(), codec.instr_per_byte());
-        Ok(Some(plain))
+        stored_form::decode(&self.env, self.codec, flag, bytes.into()).map(Some)
     }
 
     /// The visible version's TID for chunk `seq`, if any.
@@ -148,21 +138,7 @@ impl<'a> FChunkBackend<'a> {
         }
         let txn = self.txn.ok_or(LoError::ReadOnly)?;
         let seq = cache.seq;
-        let plain = &cache.data;
-        let (flag, stored): (u8, Vec<u8>) = match self.codec {
-            CodecKind::None => (FLAG_RAW, plain.clone()),
-            kind => {
-                let codec = kind.codec();
-                // Input conversion price: instructions per byte compressed.
-                self.env.sim().charge_cpu_per_byte(plain.len(), codec.instr_per_byte());
-                let compressed = compress_vec(codec, plain);
-                if compressed.len() < plain.len() {
-                    (FLAG_COMPRESSED, compressed)
-                } else {
-                    (FLAG_RAW, plain.clone())
-                }
-            }
-        };
+        let (flag, stored) = stored_form::encode(&self.env, self.codec, &cache.data);
         let payload = encode_chunk(seq, flag, &stored);
         let new_tid = match self.visible_tid(seq)? {
             Some(old) => self.heap.update(txn, old, &payload)?,

@@ -34,6 +34,7 @@ pub mod handle;
 pub mod meta;
 pub mod pfile;
 pub mod store;
+mod stored_form;
 pub mod temp;
 pub mod ufile;
 pub mod vsegment;

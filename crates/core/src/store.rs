@@ -501,14 +501,18 @@ impl LoStore {
     /// must be garbage-collected in the same way as temporary classes after
     /// the query has completed" (§5). Returns objects reclaimed.
     pub fn gc_temps(&self) -> Result<usize> {
-        let ids = self.temps.drain();
-        let n = ids.len();
-        for id in ids {
+        let mut ids = self.temps.drain().into_iter();
+        let mut n = 0;
+        while let Some(id) = ids.next() {
             // A temp may already have been unlinked explicitly.
             match self.unlink(id) {
-                Ok(()) | Err(LoError::NotFound(_)) => {}
-                Err(LoError::Heap(pglo_heap::HeapError::Catalog(_))) => {}
-                Err(e) => return Err(e),
+                Ok(()) | Err(LoError::NotFound(_)) => n += 1,
+                Err(e) => {
+                    // The caller hears about this one; the rest of the
+                    // batch stays tracked for the next sweep.
+                    ids.for_each(|id| self.temps.register(id));
+                    return Err(e);
+                }
             }
         }
         Ok(n)

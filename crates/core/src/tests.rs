@@ -362,6 +362,34 @@ fn temporaries_garbage_collected() {
     txn.commit();
 }
 
+/// A temp somebody already dropped is not an error; a temp whose unlink
+/// fails is, and the sweep it interrupts loses track of nothing else.
+#[test]
+fn gc_temps_reports_a_failed_unlink_and_keeps_the_rest() {
+    let (dir, env, store) = setup();
+    let txn = env.begin();
+    let dropped = store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
+    env.catalog().drop_class(&crate::meta::lo_class_name(dropped)).unwrap();
+    assert_eq!(store.gc_temps().unwrap(), 1, "class already gone: nothing left to do");
+
+    store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
+    let fine = store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
+    txn.commit();
+    // Nothing can be written where `catalog.json` stages its next
+    // version: the first temp's unlink fails installing the catalog.
+    let staging = dir.path().join("catalog.json.tmp");
+    std::fs::create_dir(&staging).unwrap();
+    let err = store.gc_temps().unwrap_err();
+    assert!(
+        matches!(err, LoError::Heap(pglo_heap::HeapError::Catalog(_))),
+        "a failed catalog install must surface: {err}"
+    );
+    std::fs::remove_dir(&staging).unwrap();
+    assert_eq!(store.temp_count(), 1, "the temp behind the failure is still tracked");
+    assert_eq!(store.gc_temps().unwrap(), 1);
+    assert!(matches!(store.meta(fine), Err(LoError::NotFound(_))));
+}
+
 #[test]
 fn temp_scope_gc_on_drop() {
     let (_d, env, store) = setup();
