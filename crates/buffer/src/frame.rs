@@ -100,19 +100,16 @@ impl Frame {
 }
 
 /// What the table mutex guards besides the slot array's contents: the
-/// clock hand and the tombstone count.
+/// clock hand.
 pub(super) struct PageTable {
     pub(super) hand: usize,
-    /// Live tombstones in the slot array; when they exceed ⅛ of the
-    /// array the next unmap rebuilds it.
-    pub(super) tombs: usize,
 }
 
 impl BufferPool {
     /// Where `key`'s probe chain starts in the slot array.
     pub(super) fn slot_start(&self, key: &PageKey) -> usize {
         let hasher = BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default();
-        hasher.hash_one(key) as usize & self.slots.mask()
+        hasher.hash_one(key) as usize
     }
 
     /// The frame `key` is mapped to, if any. The slot array holds frame
@@ -122,23 +119,16 @@ impl BufferPool {
     /// so under it the comparison is exact. (An unmapped frame keeps its
     /// last published key, but no slot leads to it.)
     pub(super) fn lookup(&self, _table: &PageTable, key: &PageKey) -> Option<usize> {
-        self.slots.find(self.slot_start(key), |idx| self.frames[idx].published_matches(key))
+        self.slots.probe(self.slot_start(key), self.slots.len(), |idx| {
+            self.frames[idx].published_matches(key).then_some(idx)
+        })
     }
 
     /// Unmap frame `idx` from `key`, returning whether it was mapped
-    /// there; caller holds the table lock. Rebuilds the array once
-    /// tombstones pile up past ⅛ of it, keeping probe chains (and the
-    /// fast path's bounded probe) short.
-    pub(super) fn unmap(&self, table: &mut PageTable, key: &PageKey, idx: usize) -> bool {
-        if !self.slots.remove(self.slot_start(key), idx) {
-            return false;
-        }
-        table.tombs += 1;
-        if table.tombs * 8 > self.slots.len() {
-            self.slots.rebuild(|idx| self.slot_start(&self.frames[idx].published_key()));
-            table.tombs = 0;
-        }
-        true
+    /// there; `_table` witnesses the table lock, held to write.
+    pub(super) fn unmap(&self, _table: &mut PageTable, key: &PageKey, idx: usize) -> bool {
+        let start_of = |idx: usize| self.slot_start(&self.frames[idx].published_key());
+        self.slots.remove(self.slot_start(key), idx, start_of)
     }
 
     /// One clock sweep over the frame array (two passes of the hand),
@@ -264,13 +254,11 @@ impl BufferPool {
             debug_assert!(was_mapped, "frame {idx} held a key the page table did not map");
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        if self.slots.insert(self.slot_start(&key), idx) {
-            table.tombs -= 1;
-        }
         let frame = &self.frames[idx];
+        frame.publish_key(&key);
+        self.slots.insert(self.slot_start(&key), idx);
         frame.used.store(true, Ordering::Relaxed);
         frame.prefetched.store(prefetched, Ordering::Relaxed);
-        frame.publish_key(&key);
     }
 
     /// Make latched frame `idx` hold `key`, whose image the caller just

@@ -55,7 +55,7 @@ mod readahead;
 mod writeback;
 
 use frame::{Frame, FrameData, PageTable};
-use protocol::{FrameState, PendingLink, PendingQueue, SlotArray};
+use protocol::{FrameState, PendingLink, PendingQueue, SlotArray, SLOT_PROBE_LIMIT};
 use readahead::RaState;
 pub use writeback::BgWriter;
 use writeback::Wait;
@@ -304,7 +304,7 @@ impl BufferPool {
             pending: PendingQueue::new(),
             pending_count: AtomicUsize::new(0),
             frames,
-            table: Mutex::with_rank(PageTable { hand: 0, tombs: 0 }, ranks::POOL_TABLE),
+            table: Mutex::with_rank(PageTable { hand: 0 }, ranks::POOL_TABLE),
             slots: SlotArray::new((2 * capacity).next_power_of_two().max(8)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),

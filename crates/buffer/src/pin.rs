@@ -14,7 +14,7 @@ impl BufferPool {
         let mut retries = 0u32;
         let found = self
             .slots
-            .probe(self.slot_start(key), |idx| {
+            .probe(self.slot_start(key), SLOT_PROBE_LIMIT, |idx| {
                 // Advisory pre-filter on the published key; the read may
                 // be stale or torn, which either sends us onward down the
                 // probe chain (missed match → locked path finds it) or
@@ -56,7 +56,7 @@ impl BufferPool {
     /// confirmation, never correctness.
     pub(super) fn resident_fast(&self, key: &PageKey) -> bool {
         self.slots
-            .probe(self.slot_start(key), |idx| {
+            .probe(self.slot_start(key), SLOT_PROBE_LIMIT, |idx| {
                 (idx < self.frames.len()
                     && self.frames[idx].published_matches(key)
                     && self.frames[idx].sync.is_valid())

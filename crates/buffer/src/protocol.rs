@@ -8,8 +8,7 @@
 //!   key pair (`pub_rel`/`pub_sb`) behind the zero-lock hit path's
 //!   pin/revalidate dance and the retire-for-re-key CAS.
 //! - [`SlotArray`] — the page table: linear probing over `frame index + 1`
-//!   values with tombstones, written under the table lock and read
-//!   without it as hints.
+//!   values, written under the table lock and read without it as hints.
 //! - [`PendingQueue`]/[`PendingLink`] — the Treiber-style pending-capture
 //!   chain commits steal wholesale before logging page images.
 //!
@@ -185,27 +184,23 @@ impl FrameState {
     }
 }
 
-/// Slot-array sentinel: never occupied.
+/// Slot-array sentinel: unoccupied. Ends every probe chain.
 pub const SLOT_EMPTY: usize = 0;
-/// Slot-array sentinel: occupied once, key since removed. Probes must
-/// continue past it; inserts may reuse it.
-pub const SLOT_TOMB: usize = usize::MAX;
 /// Probe-length bound for lock-free slot lookups; past this the pinner
 /// gives up and takes the authoritative locked path. Bounds fast-path
 /// latency under pathological clustering without affecting correctness.
 pub const SLOT_PROBE_LIMIT: usize = 32;
 
 /// The page table: an open-addressed, linearly probed array of
-/// `frame index + 1` values ([`SLOT_EMPTY`]/[`SLOT_TOMB`] sentinels),
-/// power-of-two sized at ≥ 2× the pool's frames so load factor stays ≤ ½.
-/// A slot holds no key: the key a frame is mapped under is the one the
-/// frame publishes ([`FrameState::publish`]), and a lookup compares the
-/// two. Mutated only while holding the table lock, under which
-/// [`SlotArray::find`] is exact; read without any lock by
-/// [`SlotArray::probe`], where slot values are pure *hints*: every
-/// lookup is validated against the frame's own [`FrameState`], so a
-/// racing reader that sees a stale, torn, or rebuilt-in-progress slot at
-/// worst falls back to the locked path, never returns wrong bytes.
+/// `frame index + 1` values ([`SLOT_EMPTY`] = none), power-of-two sized at
+/// ≥ 2× the pool's frames so load factor stays ≤ ½. A slot holds no key:
+/// the key a frame is mapped under is the one the frame publishes
+/// ([`FrameState::publish`]), and a lookup compares the two. Mutated only
+/// while holding the table lock, under which a [`SlotArray::probe`] is
+/// exact; without it slot values are pure *hints*: every lookup is
+/// validated against the frame's own [`FrameState`], so a racing reader
+/// that sees a stale or torn slot, or a chain mid-[`SlotArray::remove`],
+/// at worst falls back to the locked path, never returns wrong bytes.
 pub struct SlotArray {
     slots: Vec<AtomicUsize>,
     /// `slots.len() - 1` (power-of-two mask).
@@ -219,10 +214,6 @@ impl SlotArray {
         SlotArray { slots: (0..len).map(|_| AtomicUsize::new(SLOT_EMPTY)).collect(), mask: len - 1 }
     }
 
-    pub fn mask(&self) -> usize {
-        self.mask
-    }
-
     pub fn len(&self) -> usize {
         self.slots.len()
     }
@@ -231,96 +222,78 @@ impl SlotArray {
         self.slots.is_empty()
     }
 
-    /// Map frame `idx` on the chain from `start`; caller holds the table
-    /// lock. Returns whether a tombstone was reused (the caller owns the
-    /// tombstone count).
-    pub fn insert(&self, start: usize, idx: usize) -> bool {
+    /// Map frame `idx` at the end of the chain from `start`; caller holds
+    /// the table lock.
+    pub fn insert(&self, start: usize, idx: usize) {
         let mut i = start & self.mask;
-        loop {
-            let v = self.slots[i].load(Ordering::Relaxed);
-            if v == SLOT_EMPTY || v == SLOT_TOMB {
-                self.slots[i].store(idx + 1, Ordering::Relaxed);
-                return v == SLOT_TOMB;
-            }
+        while self.slots[i].load(Ordering::Relaxed) != SLOT_EMPTY {
             i = (i + 1) & self.mask;
         }
+        self.slots[i].store(idx + 1, Ordering::Relaxed);
     }
 
-    /// Unmap frame `idx` from the chain from `start`, leaving a
-    /// tombstone; caller holds the table lock. Returns whether the frame
-    /// was on the chain.
-    pub fn remove(&self, start: usize, idx: usize) -> bool {
-        let mut i = start & self.mask;
-        let mut steps = 0;
+    /// Unmap frame `idx` from the chain from `start`, returning whether it
+    /// was on it; caller holds the table lock. No tombstone is left: the
+    /// entries after the hole move back into it, each unless that would
+    /// put it before its own chain's start, `start_of(frame)` (deletion
+    /// with linear probing, Knuth 6.4 algorithm R), so chains stay as
+    /// short as insertion made them and an empty slot still ends one.
+    pub fn remove(&self, start: usize, idx: usize, start_of: impl Fn(usize) -> usize) -> bool {
+        let mut hole = start & self.mask;
         loop {
-            let v = self.slots[i].load(Ordering::Relaxed);
+            let v = self.slots[hole].load(Ordering::Relaxed);
             if v == idx + 1 {
-                self.slots[i].store(SLOT_TOMB, Ordering::Relaxed);
-                return true;
+                break;
             }
-            if v == SLOT_EMPTY || steps > self.mask {
+            if v == SLOT_EMPTY {
                 return false;
             }
-            steps += 1;
-            i = (i + 1) & self.mask;
+            hole = (hole + 1) & self.mask;
         }
-    }
-
-    /// Drop every tombstone: empty the array and map each frame it held
-    /// again, on the chain from `start_of(frame)`. Caller holds the table
-    /// lock. Concurrent lock-free readers may observe the array
-    /// mid-rebuild; they fall back to the locked path on a transient
-    /// `SLOT_EMPTY` and revalidate everything else against the frames, so
-    /// no fence is needed beyond the stores themselves.
-    pub fn rebuild(&self, start_of: impl Fn(usize) -> usize) {
-        let mut live = Vec::new();
-        for slot in &self.slots {
-            let v = slot.load(Ordering::Relaxed);
-            slot.store(SLOT_EMPTY, Ordering::Relaxed);
-            if v != SLOT_EMPTY && v != SLOT_TOMB {
-                live.push(v - 1);
+        let mut j = hole;
+        loop {
+            j = (j + 1) & self.mask;
+            let v = self.slots[j].load(Ordering::Relaxed);
+            if v == SLOT_EMPTY {
+                break;
+            }
+            // The entry stays if its chain starts cyclically within
+            // (hole, j]: moved to the hole, a probe for it would stop
+            // short.
+            let home = start_of(v - 1) & self.mask;
+            let stays = if hole <= j { hole < home && home <= j } else { hole < home || home <= j };
+            if !stays {
+                self.slots[hole].store(v, Ordering::Relaxed);
+                hole = j;
             }
         }
-        for idx in live {
-            self.insert(start_of(idx), idx);
-        }
+        self.slots[hole].store(SLOT_EMPTY, Ordering::Relaxed);
+        true
     }
 
-    /// Walk the chain from `start`, offering occupied slots to `f` as
-    /// frame indices until it returns `Some`, the chain ends at an empty
-    /// slot, or `limit` slots were visited.
-    fn walk<R>(
+    /// Walk the chain from `start`, offering its slots to `f` as frame
+    /// indices until it returns `Some`, the chain ends at an empty slot,
+    /// or `limit` slots were visited. Under the table lock, with
+    /// `limit = len()`, the walk is exact; lock-free callers pass
+    /// [`SLOT_PROBE_LIMIT`] and treat what they are offered as hints.
+    pub fn probe<R>(
         &self,
         start: usize,
         limit: usize,
         mut f: impl FnMut(usize) -> Option<R>,
     ) -> Option<R> {
         let mut i = start & self.mask;
-        for _ in 0..limit {
+        for _ in 0..limit.min(self.slots.len()) {
             let v = self.slots[i].load(Ordering::Relaxed);
             if v == SLOT_EMPTY {
                 return None;
             }
-            if v != SLOT_TOMB {
-                if let Some(r) = f(v - 1) {
-                    return Some(r);
-                }
+            if let Some(r) = f(v - 1) {
+                return Some(r);
             }
             i = (i + 1) & self.mask;
         }
         None
-    }
-
-    /// Bounded lock-free probe from `start`: at most
-    /// [`SLOT_PROBE_LIMIT`] slots of the chain are offered to `f`.
-    pub fn probe<R>(&self, start: usize, f: impl FnMut(usize) -> Option<R>) -> Option<R> {
-        self.walk(start, SLOT_PROBE_LIMIT.min(self.slots.len()), f)
-    }
-
-    /// The exact lookup, for callers holding the table lock: the first
-    /// frame on the whole chain from `start` that `is_match` accepts.
-    pub fn find(&self, start: usize, mut is_match: impl FnMut(usize) -> bool) -> Option<usize> {
-        self.walk(start, self.slots.len(), |idx| is_match(idx).then_some(idx))
     }
 }
 

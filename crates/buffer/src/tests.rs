@@ -760,8 +760,9 @@ fn readahead_gate_follows_observed_latency() {
     assert!(ewma >= 1_000, "EWMA must reflect the simulated device: {ewma}");
 }
 
-/// Heavy re-key churn through a tiny pool exercises slot-array
-/// tombstoning and rebuild; pins must stay correct throughout.
+/// Heavy re-key churn through a tiny pool exercises slot-array removal
+/// (entries shifting back over the hole); pins must stay correct
+/// throughout.
 #[test]
 fn slot_index_survives_rekey_churn() {
     let (switch, id, pool) =
@@ -775,8 +776,7 @@ fn slot_index_survives_rekey_churn() {
     }
     pool.flush_all().unwrap();
     // Several full rotations over 8× the pool: every pin evicts, so
-    // every pin removes and inserts a slot entry, driving tombstones
-    // past the rebuild threshold many times over.
+    // every pin removes one slot entry and inserts another.
     for round in 0..8u32 {
         for b in 0..BLOCKS {
             let b = (b + round * 17) % BLOCKS;
