@@ -7,6 +7,12 @@
 //! bodies growing up from the end of the page (or from the start of the
 //! optional *special space* reserved at the end, used by the B-tree for
 //! its node metadata).
+//!
+//! [`checksum`] is the workspace's one checksum (CRC-32): the log and
+//! the WORM platter call it for their records, and a page header has a
+//! field for it ([`Page::set_checksum`]).
+
+#![deny(unsafe_code)]
 
 pub mod checksum;
 pub mod page;

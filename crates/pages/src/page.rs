@@ -192,7 +192,13 @@ impl<B: AsRef<[u8]>> Page<B> {
     /// treated as "checksum never set" and pass.
     pub fn verify_checksum(&self) -> bool {
         let stored = self.get_u32(OFF_CHECKSUM);
-        stored == 0 || stored == page_checksum(self.b(), OFF_CHECKSUM)
+        stored == 0 || stored == self.checksum_to_store()
+    }
+
+    /// The page's checksum as the header field holds it: 0 there means
+    /// "never set", so a page whose checksum computes to 0 stores 1.
+    fn checksum_to_store(&self) -> u32 {
+        page_checksum(self.b(), OFF_CHECKSUM).max(1)
     }
 
     /// Largest item that fits on a fresh page with `special` bytes of
@@ -367,8 +373,7 @@ impl<B: AsRef<[u8]> + AsMut<[u8]>> Page<B> {
 
     /// Compute and store the checksum. Call before writing the page out.
     pub fn set_checksum(&mut self) {
-        self.set_u32(OFF_CHECKSUM, 0);
-        let sum = page_checksum(self.b(), OFF_CHECKSUM);
+        let sum = self.checksum_to_store();
         self.set_u32(OFF_CHECKSUM, sum);
     }
 
@@ -519,6 +524,29 @@ mod tests {
         let mut p = Page::new(buf.as_mut_slice());
         p.add_item(b"payload").unwrap();
         p.set_checksum();
+        assert!(Page::new(&buf[..]).verify_checksum());
+        buf[5000] ^= 0xFF;
+        assert!(!Page::new(&buf[..]).verify_checksum());
+    }
+
+    #[test]
+    fn checksum_that_computes_to_zero_is_stored_as_one() {
+        // Force the value: run the CRC register backwards from "ends at
+        // 0" over four bytes and put what that asks for in the special
+        // space at the end of the page.
+        let mut buf = fresh(8);
+        let n = buf.len();
+        let before = !page_checksum(&buf[..n - 4], OFF_CHECKSUM);
+        let mut want = !0u32;
+        for _ in 0..32 {
+            want =
+                if want >> 31 != 0 { (want ^ crate::checksum::POLY) << 1 | 1 } else { want << 1 };
+        }
+        buf[n - 4..].copy_from_slice(&(before ^ want).to_le_bytes());
+        assert_eq!(page_checksum(&buf[..], OFF_CHECKSUM), 0);
+
+        Page::new(buf.as_mut_slice()).set_checksum();
+        assert_eq!(Page::new(&buf[..]).get_u32(OFF_CHECKSUM), 1, "0 would read as never set");
         assert!(Page::new(&buf[..]).verify_checksum());
         buf[5000] ^= 0xFF;
         assert!(!Page::new(&buf[..]).verify_checksum());

@@ -20,6 +20,8 @@
 //! for heaps, B-trees, all four large-object implementations, and therefore
 //! Inversion files — the property §10 highlights.
 
+#![deny(unsafe_code)]
+
 pub mod disk;
 pub mod lru;
 pub mod mem;

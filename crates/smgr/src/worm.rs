@@ -26,6 +26,7 @@
 use crate::lru::LruCache;
 use crate::{RelFileId, Result, SeqTracker, SmgrError, StorageManager};
 use parking_lot::{ranks, Mutex};
+use pglo_pages::checksum::crc32;
 use pglo_pages::{PageBuf, PAGE_SIZE};
 use pglo_sim::{DeviceProfile, IoStats, SimContext};
 use std::collections::HashMap;
@@ -48,31 +49,6 @@ const PLATTER_MAGIC: u32 = 0x5441_4c50;
 /// truncates at the first record whose trailer does not validate, and
 /// WAL replay re-stages whatever the truncation dropped.
 const PLATTER_REC: usize = PAGE_SIZE + 8;
-
-/// CRC32 (IEEE 802.3), byte-at-a-time: platter burns are jukebox-speed,
-/// not commit-path, so the simple table is plenty.
-fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut t = [0u32; 256];
-        let mut i = 0usize;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
-                k += 1;
-            }
-            t[i] = c;
-            i += 1;
-        }
-        t
-    };
-    let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-    }
-    c ^ 0xffff_ffff
-}
 
 /// Where burned blocks persist (one `<rel>.platter` file per relation).
 struct Platter {
@@ -162,7 +138,7 @@ impl WormSmgr {
                 let crc = u32::from_le_bytes(w);
                 w.copy_from_slice(&bytes[off + PAGE_SIZE + 4..off + PLATTER_REC]);
                 let magic = u32::from_le_bytes(w);
-                if magic != PLATTER_MAGIC || crc32(page) != crc {
+                if magic != PLATTER_MAGIC || crc32(0, page) != crc {
                     break;
                 }
                 let mut p = pglo_pages::alloc_page();
@@ -442,7 +418,7 @@ impl StorageManager for WormSmgr {
                     // `Burned` states remain in the suffix.
                     let BlockState::Burned(page) = state else { continue };
                     buf.extend_from_slice(&page[..]);
-                    buf.extend_from_slice(&crc32(&page[..]).to_le_bytes());
+                    buf.extend_from_slice(&crc32(0, &page[..]).to_le_bytes());
                     buf.extend_from_slice(&PLATTER_MAGIC.to_le_bytes());
                 }
                 if !buf.is_empty() {
@@ -600,6 +576,28 @@ mod tests {
         }
         // Recovered blocks are burned: still write-once.
         assert!(matches!(smgr.write(7, 0, &page_with(0)), Err(SmgrError::WormOverwrite { .. })));
+    }
+
+    /// Format pin: this trailer was computed by the byte-at-a-time CRC
+    /// this file carried before the checksum moved to
+    /// `pglo_pages::checksum`; a platter burned then must still load.
+    #[test]
+    fn golden_platter_record_trailer() {
+        let dir = tempfile::tempdir().unwrap();
+        let smgr = WormSmgr::new(SimContext::default_1992());
+        smgr.attach_platter(dir.path(), false).unwrap();
+        smgr.create(5).unwrap();
+        let mut page = alloc_page();
+        for (i, b) in page.iter_mut().enumerate() {
+            *b = (i * 31 % 251) as u8;
+        }
+        smgr.extend(5, &page).unwrap();
+        smgr.sync(5).unwrap();
+        let bytes = fs::read(platter_path(dir.path(), 5)).unwrap();
+        assert_eq!(bytes.len(), PLATTER_REC);
+        assert_eq!(bytes[..PAGE_SIZE], page[..]);
+        assert_eq!(bytes[PAGE_SIZE..PAGE_SIZE + 4], 0xb80e_9a62_u32.to_le_bytes());
+        assert_eq!(bytes[PAGE_SIZE + 4..], PLATTER_MAGIC.to_le_bytes());
     }
 
     #[test]

@@ -45,7 +45,10 @@
 //! both WAL ranks sit between the frame latch and the smgr ranks (50+),
 //! which WAL never takes.
 
+#![deny(unsafe_code)]
+
 use parking_lot::{ranks, Mutex};
+use pglo_pages::checksum::crc32;
 use pglo_pages::{PageBuf, PAGE_SIZE};
 
 pub mod group;
@@ -85,66 +88,6 @@ pub const KIND_COMMIT: u8 = 2;
 pub const KIND_WORM_BURN: u8 = 3;
 /// Checkpoint record tag.
 pub const KIND_CHECKPOINT: u8 = 4;
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, table-driven, compile-time table — no dependencies)
-// ---------------------------------------------------------------------------
-
-/// Slice-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
-/// table; `CRC_TABLES[k][b]` advances the register over `b` followed by
-/// `k` zero bytes. Eight lookups then consume eight input bytes per
-/// iteration — page images dominate the log, so checksum throughput is
-/// on the commit path.
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1usize;
-    while k < 8 {
-        let mut i = 0usize;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-/// Incremental CRC32: feed `bytes` into running state `crc` (start with 0).
-fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = crc ^ 0xffff_ffff;
-    let mut chunks = bytes.chunks_exact(8);
-    for ch in &mut chunks {
-        let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
-        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
-        c = t[7][(lo & 0xff) as usize]
-            ^ t[6][(lo >> 8 & 0xff) as usize]
-            ^ t[5][(lo >> 16 & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][(hi >> 8 & 0xff) as usize]
-            ^ t[1][(hi >> 16 & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-    }
-    c ^ 0xffff_ffff
-}
 
 // ---------------------------------------------------------------------------
 // Record encoding
@@ -215,14 +158,7 @@ impl WalRecord {
     /// the appender's critical section: the LSN is patched in under the
     /// append lock without touching the CRC.
     pub fn prepare(&self) -> PreparedRecord {
-        let plen = self.payload_len();
-        let mut buf = Vec::with_capacity(HEADER_BYTES + plen);
-        buf.extend_from_slice(&MAGIC.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes()); // crc placeholder
-        buf.extend_from_slice(&(plen as u32).to_le_bytes());
-        buf.push(self.kind());
-        buf.extend_from_slice(&[0u8; 3]);
-        buf.extend_from_slice(&0u64.to_le_bytes()); // lsn hole
+        let mut buf = header(self.kind(), self.payload_len());
         match self {
             WalRecord::PageImage { smgr, rel, block, image } => {
                 buf.extend_from_slice(&smgr.to_le_bytes());
@@ -258,6 +194,20 @@ impl WalRecord {
     }
 }
 
+/// The 24-byte header of a record of `kind`, in a buffer sized for its
+/// `plen` payload bytes; CRC and LSN are holes for [`PreparedRecord::seal`]
+/// and the appender.
+fn header(kind: u8, plen: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_BYTES + plen);
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&0u32.to_le_bytes()); // crc placeholder
+    buf.extend_from_slice(&(plen as u32).to_le_bytes());
+    buf.push(kind);
+    buf.extend_from_slice(&[0u8; 3]);
+    buf.extend_from_slice(&0u64.to_le_bytes()); // lsn hole
+    buf
+}
+
 /// A record fully encoded and checksummed *before* the append lock:
 /// only the 8-byte LSN hole is patched at append time. Build one with
 /// [`WalRecord::prepare`], or [`PreparedRecord::page_image`] to encode
@@ -269,7 +219,7 @@ pub struct PreparedRecord {
 
 impl PreparedRecord {
     fn seal(mut buf: Vec<u8>, pin: Option<(u32, u64)>) -> Self {
-        let crc = crc32_update(crc32_update(0, &buf[8..16]), &buf[HEADER_BYTES..]);
+        let crc = crc32(crc32(0, &buf[8..16]), &buf[HEADER_BYTES..]);
         buf[4..8].copy_from_slice(&crc.to_le_bytes());
         PreparedRecord { bytes: buf, pin }
     }
@@ -278,14 +228,7 @@ impl PreparedRecord {
     /// one memcpy lands in the record buffer, so callers holding a
     /// frame latch need no throwaway page clone.
     pub fn page_image(smgr: u32, rel: u64, block: u32, image: &PageBuf) -> Self {
-        let plen = 16 + PAGE_SIZE;
-        let mut buf = Vec::with_capacity(HEADER_BYTES + plen);
-        buf.extend_from_slice(&MAGIC.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes()); // crc placeholder
-        buf.extend_from_slice(&(plen as u32).to_le_bytes());
-        buf.push(KIND_PAGE_IMAGE);
-        buf.extend_from_slice(&[0u8; 3]);
-        buf.extend_from_slice(&0u64.to_le_bytes()); // lsn hole
+        let mut buf = header(KIND_PAGE_IMAGE, 16 + PAGE_SIZE);
         buf.extend_from_slice(&smgr.to_le_bytes());
         buf.extend_from_slice(&block.to_le_bytes());
         buf.extend_from_slice(&rel.to_le_bytes());
@@ -455,8 +398,8 @@ fn scan(dir: &Path, segment_bytes: u64, collect: bool) -> io::Result<ScanState> 
             let torn = magic != MAGIC
                 || lsn != pos
                 || off + HEADER_BYTES + plen > usable
-                || crc32_update(
-                    crc32_update(0, &bytes[off + 8..off + 16]),
+                || crc32(
+                    crc32(0, &bytes[off + 8..off + 16]),
                     &bytes[off + HEADER_BYTES..off + HEADER_BYTES + plen],
                 ) != crc;
             if torn {
@@ -775,11 +718,14 @@ impl Wal {
     pub fn flush_to(&self, lsn: Lsn) -> io::Result<()> {
         let led = self.group.flush_to(lsn, || -> io::Result<u64> {
             // Leader: snapshot the appender, then sync without holding it.
+            // The tail segment is cloned (a `dup`) only when it will be
+            // synced.
             let (file, end) = {
                 let a = self.append.lock();
-                (a.file.try_clone()?, a.end)
+                let file = if self.opts.durable_sync { Some(a.file.try_clone()?) } else { None };
+                (file, a.end)
             };
-            if self.opts.durable_sync {
+            if let Some(file) = file {
                 let _span = obs::span!("wal.fsync");
                 file.sync_data()?;
             }
@@ -934,21 +880,39 @@ mod tests {
 
     #[test]
     fn crc32_matches_reference_vectors() {
-        // IEEE 802.3 check value for "123456789", plus lengths around the
-        // slice-by-8 boundary so both the 8-byte loop and the byte-wise
-        // remainder are exercised.
-        assert_eq!(crc32_update(0, b"123456789"), 0xcbf4_3926);
-        let bytewise = |bytes: &[u8]| {
-            let mut c = 0xffff_ffffu32;
-            for &b in bytes {
-                c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-            }
-            c ^ 0xffff_ffff
-        };
+        // IEEE 802.3 check value for "123456789". The routine itself
+        // (table loop against the fold, every length and alignment) is
+        // tested where it lives, in `pglo_pages::checksum`; what the log
+        // adds is chaining — `seal` and `scan` feed header bytes 8..16
+        // and the payload as two segments.
+        assert_eq!(crc32(0, b"123456789"), 0xcbf4_3926);
         let data: Vec<u8> = (0..1024u32).map(|i| (i * 31 % 251) as u8).collect();
-        for len in [0, 1, 7, 8, 9, 15, 16, 63, 64, 1024] {
-            assert_eq!(crc32_update(0, &data[..len]), bytewise(&data[..len]), "len {len}");
+        for len in [0, 1, 7, 8, 9, 15, 16, 63, 64, 72, 1024] {
+            let (head, payload) = data[..len].split_at(len.min(8));
+            assert_eq!(crc32(crc32(0, head), payload), crc32(0, &data[..len]), "len {len}");
         }
+    }
+
+    /// Format pin: the CRC bytes of these records were computed by the
+    /// slice-by-8 loop this crate carried before the checksum moved to
+    /// `pglo_pages::checksum`. A slip in polynomial, seed, chaining or
+    /// the bytes covered changes them — and would orphan every log
+    /// already on disk.
+    #[test]
+    fn golden_record_crc_bytes() {
+        let mut image = pglo_pages::alloc_page();
+        for (i, b) in image.iter_mut().enumerate() {
+            *b = (i * 31 % 251) as u8;
+        }
+        let rec = PreparedRecord::page_image(3, 0x1122_3344_5566_7788, 9, &image);
+        assert_eq!(rec.bytes.len() as u64, PAGE_IMAGE_TOTAL);
+        assert_eq!(rec.bytes[..4], MAGIC.to_le_bytes());
+        assert_eq!(rec.bytes[4..8], 0x7fac_865b_u32.to_le_bytes());
+        let same = WalRecord::PageImage { smgr: 3, rel: 0x1122_3344_5566_7788, block: 9, image };
+        assert_eq!(same.prepare().bytes, rec.bytes);
+        // A 16-byte payload never reaches the fold: the table loop's pin.
+        let commit = WalRecord::Commit { xid: 7, ts: 0x0102_0304_0506_0708 }.prepare();
+        assert_eq!(commit.bytes[4..8], 0x2b73_09a8_u32.to_le_bytes());
     }
 
     #[test]
