@@ -231,12 +231,42 @@ pub fn run_fig3(cfg: &BenchConfig) -> Result<FigTable, LoError> {
 mod tests {
     use super::*;
 
-    /// The Figure 2 shape claims from §9.2, verified at reduced scale
-    /// (2000 frames; the full 12 500-frame geometry sharpens every margin).
+    /// The Figure 2 table of `repro_full_figures.txt` — `repro fig2 --full`
+    /// as CI diffs it — read back into a [`FigTable`].
+    fn committed_full_fig2() -> FigTable {
+        let fields = |line: &'static str| line.split("  ").map(str::trim).filter(|f| !f.is_empty());
+        let mut lines = include_str!("../repro_full_figures.txt")
+            .lines()
+            .skip_while(|line| !line.starts_with("Disk Performance on the Benchmark (Figure 2)"));
+        let title = lines.next().expect("Figure 2 is in repro_full_figures.txt").to_string();
+        let mut columns: Vec<FigColumn> = fields(lines.next().expect("header"))
+            .skip(1)
+            .map(|name| FigColumn { name: name.into(), note: String::new(), values: Vec::new() })
+            .collect();
+        let mut row_labels = Vec::new();
+        for line in lines.skip(1).take_while(|line| !line.starts_with("  [")) {
+            let mut cells = fields(line);
+            row_labels.push(cells.next().expect("row label").to_string());
+            for (column, cell) in columns.iter_mut().zip(cells) {
+                column.values.push(cell.parse().expect("a cell is simulated seconds"));
+            }
+        }
+        FigTable { title, row_labels, columns }
+    }
+
+    /// The Figure 2 shape claims from §9.2, each asserted in the form that
+    /// holds at both scales: on a live 2,000-frame run and on the committed
+    /// full-geometry table EXPERIMENTS.md quotes (12,500 frames; CI diffs
+    /// that file against `repro fig1|fig2|fig3 --full`).
     #[test]
     fn fig2_shape_holds() {
         let cfg = BenchConfig { frames: 2000, ..BenchConfig::default() };
-        let table = run_fig2(&cfg).unwrap();
+        for table in [run_fig2(&cfg).unwrap(), committed_full_fig2()] {
+            assert_fig2_claims(&table);
+        }
+    }
+
+    fn assert_fig2_claims(table: &FigTable) {
         let cell = |row: &str, col: &str| table.cell(row, col).unwrap();
 
         // "For sequential accesses, f-chunk is within seven percent of the
@@ -244,24 +274,25 @@ mod tests {
         let native = cell("sequential read", "user file");
         let fchunk = cell("sequential read", "f-chunk 0%");
         assert!(
-            fchunk <= native * 1.10,
-            "sequential f-chunk ({fchunk:.2}s) must be within ~7% of native ({native:.2}s)"
+            fchunk <= native * 1.07,
+            "sequential f-chunk ({fchunk:.2}s) must be within 7% of native ({native:.2}s)"
         );
 
         // "Random throughput in f-chunk is half to three-quarters that of
-        // the native systems": f-chunk takes 1.3x-3x the elapsed time
-        // (wider at this scale because the OS cache covers more of the
-        // smaller object than the v4-sized DBMS pool does).
+        // the native systems": f-chunk takes 4/3 to 2 times the elapsed
+        // time.
         let native_r = cell("random read", "user file");
         let fchunk_r = cell("random read", "f-chunk 0%");
-        assert!(fchunk_r > native_r * 1.2, "random f-chunk must be slower than native");
-        assert!(fchunk_r < native_r * 3.5, "but within a small factor");
+        assert!(
+            fchunk_r > native_r * 4.0 / 3.0 && fchunk_r < native_r * 2.0,
+            "random f-chunk ({fchunk_r:.2}s) must run at half to three-quarters of native \
+             throughput ({native_r:.2}s)"
+        );
 
         // "The f-chunk implementation with 30% compression is about 13%
         // slower than without compression" (sequential).
-        let seq0 = cell("sequential read", "f-chunk 0%");
         let seq30 = cell("sequential read", "f-chunk 30%");
-        let overhead = seq30 / seq0 - 1.0;
+        let overhead = seq30 / fchunk - 1.0;
         assert!(
             (0.05..0.25).contains(&overhead),
             "compression overhead should be ~13%, got {:.0}%",
@@ -279,19 +310,30 @@ mod tests {
             "v-segment random ({vseg_r:.2}s) pays the extra hop over f-chunk ({fchunk_r:.2}s)"
         );
 
-        // §9.2's 50%-compression effect: two chunks per page. The f-chunk
-        // 50% column must beat uncompressed f-chunk on random reads and at
-        // least rival the native file system (the paper reports an outright
-        // win for Inversion).
-        let fchunk50_r = cell("random read", "f-chunk 50%");
-        assert!(
-            fchunk50_r < fchunk_r,
-            "50% compression must reduce random read time ({fchunk50_r:.2} vs {fchunk_r:.2})"
-        );
+        // §9.2's 50%-compression effect: two chunks per page, so fewer
+        // pages to move wherever one page read serves more than one chunk
+        // read — sequential scans and reads with locality. It must win
+        // those rows and rival the native file system sequentially. A
+        // uniformly random read touches one page per chunk either way: that
+        // row ties uncompressed f-chunk, give or take the decompression.
         let fchunk50_seq = cell("sequential read", "f-chunk 50%");
         assert!(
-            fchunk50_seq <= native * 1.05,
-            "halved transfers should rival native sequentially ({fchunk50_seq:.2} vs {native:.2})"
+            fchunk50_seq < fchunk && fchunk50_seq <= native * 1.05,
+            "halved transfers must win sequentially and rival native \
+             ({fchunk50_seq:.2} vs {fchunk:.2} and {native:.2})"
+        );
+        let fchunk_loc = cell("read, 80/20", "f-chunk 0%");
+        let fchunk50_loc = cell("read, 80/20", "f-chunk 50%");
+        assert!(
+            fchunk50_loc < fchunk_loc,
+            "50% compression must reduce read time under locality \
+             ({fchunk50_loc:.2} vs {fchunk_loc:.2})"
+        );
+        let fchunk50_r = cell("random read", "f-chunk 50%");
+        assert!(
+            fchunk50_r <= fchunk_r * 1.05,
+            "and cost no more than its decompression on uniform random reads \
+             ({fchunk50_r:.2} vs {fchunk_r:.2})"
         );
     }
 

@@ -372,10 +372,15 @@ impl BTree {
     }
 
     /// The versions stored under `key` that `vis` can see, as `(tid,
-    /// payload)` in index order, each fetched from `heap` only when the
-    /// caller asks for it. Every "look the key up, take the visible
-    /// version" walk goes through here, so the order versions are tried
-    /// in is decided in this one place.
+    /// payload)`, each fetched from `heap` only when the caller asks for
+    /// it. Every "look the key up, take the visible version" walk goes
+    /// through here, so the order versions are tried in is decided in this
+    /// one place: **descending TID**. The heap appends, so that is newest
+    /// first — a current snapshot finds the live version on its first
+    /// fetch, an as-of snapshot pays one fetch per version newer than it —
+    /// except where an insert reused space vacuum freed. A snapshot sees at
+    /// most one version of a row, so the order decides only what a walk
+    /// costs, never what it finds.
     pub fn visible<'a>(
         &self,
         heap: &'a Heap,
@@ -383,7 +388,7 @@ impl BTree {
         vis: &'a Visibility,
         hint: AccessHint,
     ) -> Result<impl Iterator<Item = Result<(Tid, Vec<u8>)>> + 'a> {
-        Ok(self.lookup(key)?.into_iter().filter_map(move |tid| {
+        Ok(self.lookup(key)?.into_iter().rev().filter_map(move |tid| {
             heap.fetch_hinted(tid, vis, hint).map(|p| p.map(|p| (tid, p))).transpose()
         }))
     }

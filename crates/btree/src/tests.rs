@@ -2,8 +2,9 @@
 
 use crate::keys::{u64_key, u64_pair_key, u64_prefix};
 use crate::{BTree, ScanStart};
-use pglo_heap::StorageEnv;
+use pglo_heap::{AccessHint, Heap, StorageEnv};
 use pglo_pages::Tid;
+use pglo_txn::Visibility;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -91,6 +92,62 @@ fn duplicates_all_returned_in_tid_order() {
     tree.insert(&u64_key(6), Tid::new(999, 0)).unwrap();
     tree.insert(&u64_key(8), Tid::new(998, 0)).unwrap();
     assert_eq!(tree.lookup(&key).unwrap(), tids);
+}
+
+/// `visible` tries a key's versions highest TID first — newest first on an
+/// appending heap — skips the ones the snapshot cannot see, and follows
+/// the run of duplicates across leaves.
+#[test]
+fn visible_walks_newest_first_and_skips_the_invisible() {
+    let (_d, env) = env();
+    let heap = Heap::create_anonymous(&env, env.disk_id()).unwrap();
+    let tree = BTree::create_anonymous(&env, env.disk_id()).unwrap();
+    let key = u64_key(7);
+    // More versions of one row than a leaf holds entries.
+    let (mut tids, mut stamps) = (Vec::new(), Vec::new());
+    for gen in 0..700u32 {
+        let txn = env.begin();
+        let tid = match tids.last() {
+            Some(&old) => heap.update(&txn, old, &gen.to_le_bytes()),
+            None => heap.insert(&txn, &gen.to_le_bytes()),
+        };
+        tids.push(tid.unwrap());
+        tree.insert(&key, tids[gen as usize]).unwrap();
+        stamps.push(txn.commit());
+    }
+    // Neighbouring keys' rows must not leak into the walk.
+    let txn = env.begin();
+    for neighbour in [6, 8] {
+        let tid = heap.insert(&txn, b"neighbour").unwrap();
+        tree.insert(&u64_key(neighbour), tid).unwrap();
+    }
+    txn.commit();
+    assert!(tids.windows(2).all(|w| w[0] < w[1]), "an appending heap hands out rising TIDs");
+    assert!(tree.nblocks().unwrap() >= 4, "the run of duplicates must span two leaves");
+
+    let walk = |vis: &Visibility| -> Vec<(Tid, Vec<u8>)> {
+        tree.visible(&heap, &key, vis, AccessHint::Random).unwrap().map(|v| v.unwrap()).collect()
+    };
+    let newest_first: Vec<Tid> = tids.iter().rev().copied().collect();
+    let all = walk(&Visibility::Raw);
+    assert_eq!(all.iter().map(|(tid, _)| *tid).collect::<Vec<_>>(), newest_first);
+    assert_eq!(all[0].1, 699u32.to_le_bytes());
+    // One visible version per snapshot: the walk passes every newer one.
+    for gen in [0usize, 1, 350, 698, 699] {
+        let seen = walk(&Visibility::AsOf(stamps[gen]));
+        assert_eq!(seen, vec![(tids[gen], (gen as u32).to_le_bytes().to_vec())], "as of {gen}");
+    }
+    // An uncommitted version is the writer's and nobody else's.
+    let reader = env.begin();
+    let writer = env.begin();
+    let pending = heap.update(&writer, tids[699], b"pending").unwrap();
+    tree.insert(&key, pending).unwrap();
+    assert_eq!(walk(&Visibility::for_txn(&writer)), vec![(pending, b"pending".to_vec())]);
+    let committed = vec![(tids[699], 699u32.to_le_bytes().to_vec())];
+    assert_eq!(walk(&Visibility::for_txn(&reader)), committed);
+    writer.abort();
+    assert_eq!(walk(&Visibility::for_txn(&reader)), committed);
+    reader.commit();
 }
 
 #[test]

@@ -542,43 +542,154 @@ fn vsegment_opens_from_create_time_and_flushed_catalog_layouts() {
     assert_eq!(h.read_to_vec().unwrap(), payload);
 }
 
+/// One generation of a model run: `(offset, bytes)` writes made, in order,
+/// by one transaction.
+type Writes = Vec<(u64, Vec<u8>)>;
+
+fn apply(model: &mut Vec<u8>, writes: &Writes) {
+    for (offset, data) in writes {
+        let end = *offset as usize + data.len();
+        if model.len() < end {
+            model.resize(end, 0);
+        }
+        model[*offset as usize..end].copy_from_slice(data);
+    }
+}
+
+/// Commit each of `committed` in a transaction of its own, then hold the
+/// store to a byte-vector model: the current contents; every generation
+/// as of its commit timestamp (the version walk must pass all the newer
+/// ones); and `pending`, written and never committed — its writer reads
+/// its own bytes, a snapshot taken before it reads the last committed
+/// ones while it is in progress and after it aborts.
+fn check_generations_against_model(spec: &LoSpec, committed: &[Writes], pending: &Writes) {
+    let (_d, env, store) = setup();
+    let write = |txn: &pglo_txn::Txn, id: LoId, writes: &Writes| {
+        let mut h = store.open(txn, id, OpenMode::ReadWrite).unwrap();
+        for (offset, data) in writes {
+            h.write_at(*offset, data).unwrap();
+        }
+        h.close().unwrap();
+    };
+    let read = |txn: &pglo_txn::Txn, id: LoId| {
+        let mut h = store.open(txn, id, OpenMode::ReadOnly).unwrap();
+        let all = h.read_to_vec().unwrap();
+        assert_eq!(h.size().unwrap(), all.len() as u64);
+        h.close().unwrap();
+        all
+    };
+    let txn = env.begin();
+    let id = store.create(&txn, spec).unwrap();
+    txn.commit();
+    let mut model = Vec::new();
+    let mut history = Vec::new();
+    for writes in committed {
+        let txn = env.begin();
+        write(&txn, id, writes);
+        apply(&mut model, writes);
+        assert!(read(&txn, id) == model, "a writer reads its own generation {}", history.len());
+        history.push((txn.commit(), model.clone()));
+    }
+    for (gen, (ts, expect)) in history.iter().enumerate() {
+        let mut h = store.open_as_of(id, *ts).unwrap();
+        assert_eq!(h.size().unwrap(), expect.len() as u64, "size as of generation {gen}");
+        assert!(h.read_to_vec().unwrap() == *expect, "bytes as of generation {gen}");
+    }
+    let reader = env.begin();
+    let writer = env.begin();
+    write(&writer, id, pending);
+    let mut uncommitted = model.clone();
+    apply(&mut uncommitted, pending);
+    assert!(read(&writer, id) == uncommitted, "the writer reads its own uncommitted bytes");
+    assert!(read(&reader, id) == model, "an older snapshot reads past a write in progress");
+    writer.abort();
+    assert!(read(&reader, id) == model, "and past an aborted one");
+    reader.commit();
+    let fresh = env.begin();
+    assert!(read(&fresh, id) == model, "as does a snapshot taken after the abort");
+    fresh.commit();
+}
+
+/// Sixteen committed rewrites of the same frames — one inside a chunk, one
+/// across a chunk boundary — leave sixteen versions of those chunks, all
+/// reachable. Constant fill compresses far below half a page, so under
+/// LZ77 many versions of a chunk share a heap page.
+#[test]
+fn sixteen_generations_stay_reachable_as_of_their_commits() {
+    let specs = [
+        LoSpec::fchunk(),
+        LoSpec::fchunk().with_codec(CodecKind::Lz77),
+        LoSpec::vsegment(CodecKind::Rle),
+    ];
+    for spec in specs {
+        let base: Writes = vec![(0, (0..30_000u32).map(|i| (i % 251) as u8).collect())];
+        let rewrites =
+            (1..=16u8).map(|gen| vec![(8_192, vec![gen; 4_096]), (14_000, vec![gen; 4_096])]);
+        let committed: Vec<Writes> = std::iter::once(base).chain(rewrites).collect();
+        check_generations_against_model(&spec, &committed, &vec![(8_192, vec![0xEE; 4_096])]);
+    }
+}
+
+/// The gain of trying the newest version first, as a count: a current
+/// read of a chunk pins the same pages whether the chunk has been rewritten
+/// once or sixty-four times (a walk from the oldest pins one more per
+/// version).
+#[test]
+fn chunk_read_pins_do_not_grow_with_the_chunks_versions() {
+    let pins_for = |rewrites: u8| {
+        let (_d, env, store) = setup();
+        let txn = env.begin();
+        let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
+        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+        h.write(&vec![0u8; 3 * CHUNK_SIZE]).unwrap();
+        h.close().unwrap();
+        txn.commit();
+        for gen in 1..=rewrites {
+            let txn = env.begin();
+            let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+            h.write_at(CHUNK_SIZE as u64, &vec![gen; CHUNK_SIZE]).unwrap();
+            h.close().unwrap();
+            txn.commit();
+        }
+        let txn = env.begin();
+        let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+        let mut buf = vec![0u8; CHUNK_SIZE];
+        let before = env.pool().stats();
+        assert_eq!(h.read_at(CHUNK_SIZE as u64, &mut buf).unwrap(), CHUNK_SIZE);
+        let after = env.pool().stats();
+        assert!(buf.iter().all(|&b| b == rewrites), "the read returns the last rewrite");
+        h.close().unwrap();
+        txn.commit();
+        (after.hits + after.misses) - (before.hits + before.misses)
+    };
+    let pins = [1, 8, 64].map(pins_for);
+    assert!(pins.iter().all(|&n| n == pins[0]), "pins after 1, 8 and 64 rewrites: {pins:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random write/read sequences agree with an in-memory byte-vector
-    /// model, for both chunked implementations and both codecs.
+    /// Random write/read sequences, committed `per_txn` writes to a
+    /// transaction, agree with an in-memory byte-vector model — now and as
+    /// of every commit — for both chunked implementations and all codecs.
     #[test]
     fn matches_byte_vector_model(
         ops in prop::collection::vec(
             (0u64..60_000, 1usize..9000, prop::num::u8::ANY), 1..25),
+        per_txn in 1usize..25,
         use_vseg in prop::bool::ANY,
         codec_choice in 0u8..3,
     ) {
-        let (_d, env, store) = setup();
         let codec = match codec_choice {
             0 => CodecKind::None,
             1 => CodecKind::Rle,
             _ => CodecKind::Lz77,
         };
         let spec = if use_vseg { LoSpec::vsegment(codec) } else { LoSpec::fchunk().with_codec(codec) };
-        let txn = env.begin();
-        let id = store.create(&txn, &spec).unwrap();
-        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
-        let mut model: Vec<u8> = Vec::new();
-        for (offset, len, fill) in ops {
-            let data = vec![fill; len];
-            h.write_at(offset, &data).unwrap();
-            let end = offset as usize + len;
-            if model.len() < end {
-                model.resize(end, 0);
-            }
-            model[offset as usize..end].copy_from_slice(&data);
-        }
-        prop_assert_eq!(h.size().unwrap(), model.len() as u64);
-        let got = h.read_to_vec().unwrap();
-        prop_assert_eq!(got, model);
-        h.close().unwrap();
-        txn.commit();
+        let writes: Writes = ops.into_iter().map(|(offset, len, fill)| (offset, vec![fill; len])).collect();
+        let mut generations: Vec<Writes> = writes.chunks(per_txn).map(<[_]>::to_vec).collect();
+        let pending = generations.pop().expect("at least one write");
+        check_generations_against_model(&spec, &generations, &pending);
     }
 }
 

@@ -12,6 +12,7 @@
 
 use crate::heap::Heap;
 use crate::{HeapError, Result};
+use pglo_pages::Tid;
 use pglo_txn::{Txn, TxnStatus, Visibility};
 
 /// Archive record prefix: `[tmin_ts u64][tmax_ts u64]` before the payload.
@@ -53,13 +54,16 @@ fn decode_archived(data: &[u8]) -> Result<ArchivedVersion> {
 /// inserts are reclaimed without archiving (they were never visible).
 ///
 /// Returns `(archived, reclaimed)` counts. The archive writes happen under
-/// `txn`; committing it makes the migration durable.
-pub fn archive_vacuum(
+/// `txn`; committing it makes the migration durable. `unindex` is
+/// [`Heap::vacuum`]'s: it takes the reclaimed versions out of `live`'s
+/// indexes.
+pub fn archive_vacuum<E: From<HeapError>>(
     live: &Heap,
     archive: &Heap,
     txn: &Txn,
     horizon: u64,
-) -> Result<(usize, usize)> {
+    unindex: impl FnMut(Tid, &[u8]) -> std::result::Result<(), E>,
+) -> std::result::Result<(usize, usize), E> {
     let tm = live.env().txns();
     let mut archived = 0;
     // Pass 1: copy dead versions to the archive.
@@ -84,7 +88,7 @@ pub fn archive_vacuum(
         archived += 1;
     }
     // Pass 2: reclaim them from the live heap.
-    let reclaimed = live.vacuum(horizon)?;
+    let reclaimed = live.vacuum(horizon, unindex)?;
     Ok((archived, reclaimed))
 }
 
@@ -123,7 +127,7 @@ pub fn scan_as_of_with_archive(live: &Heap, archive: &Heap, ts: u64) -> Result<V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StorageEnv;
+    use crate::{no_index, StorageEnv};
     use std::sync::Arc;
 
     fn env() -> (tempfile::TempDir, Arc<StorageEnv>) {
@@ -152,7 +156,7 @@ mod tests {
 
         // Archive everything dead as of ts3 (v1 and v2).
         let at = env.begin();
-        let (archived, reclaimed) = archive_vacuum(&live, &archive, &at, ts3).unwrap();
+        let (archived, reclaimed) = archive_vacuum(&live, &archive, &at, ts3, no_index).unwrap();
         at.commit();
         assert_eq!(archived, 2);
         assert_eq!(reclaimed, 2);
@@ -182,7 +186,7 @@ mod tests {
         live.insert(&t2, b"real").unwrap();
         let ts2 = t2.commit();
         let at = env.begin();
-        let (archived, reclaimed) = archive_vacuum(&live, &archive, &at, ts2).unwrap();
+        let (archived, reclaimed) = archive_vacuum(&live, &archive, &at, ts2, no_index).unwrap();
         at.commit();
         assert_eq!(archived, 0, "aborted versions were never visible");
         assert_eq!(reclaimed, 1);
@@ -205,7 +209,7 @@ mod tests {
         let ts3 = t3.commit();
         // Horizon before v2's death: only v1 migrates.
         let at = env.begin();
-        let (archived, _) = archive_vacuum(&live, &archive, &at, ts3 - 1).unwrap();
+        let (archived, _) = archive_vacuum(&live, &archive, &at, ts3 - 1, no_index).unwrap();
         at.commit();
         assert_eq!(archived, 1);
         let contents = archive_contents(&archive).unwrap();
@@ -227,7 +231,8 @@ mod tests {
         live.delete(&deleter, pending).unwrap();
         let at = env.begin();
         let horizon = env.txns().current_timestamp();
-        let (archived, reclaimed) = archive_vacuum(&live, &archive, &at, horizon).unwrap();
+        let (archived, reclaimed) =
+            archive_vacuum(&live, &archive, &at, horizon, no_index).unwrap();
         at.commit();
         assert_eq!((archived, reclaimed), (0, 0));
         deleter.abort();

@@ -304,35 +304,54 @@ impl Heap {
     /// Reclaim versions that are dead to everyone *and* whose deletion
     /// committed at or before `horizon` (destroying time travel before it).
     /// Also reclaims aborted inserts. Returns tuples reclaimed.
-    pub fn vacuum(&self, horizon: u64) -> Result<usize> {
+    ///
+    /// `unindex` is handed each doomed `(tid, payload)` before its slot is
+    /// freed, with no page latch held, and must delete the tuple's entry
+    /// from every index on the class ([`no_index`] for a class with none):
+    /// the next insert may take the slot, and an entry left behind would
+    /// answer for the dead key with the new tuple. Entries go first so that
+    /// a failure between the two steps leaves a dead tuple nothing points
+    /// at, never an entry pointing at a free slot.
+    pub fn vacuum<E: From<HeapError>>(
+        &self,
+        horizon: u64,
+        mut unindex: impl FnMut(Tid, &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<usize, E> {
         let mut reclaimed = 0;
         let nblocks = self.nblocks()?;
         let tm = self.env.txns();
         for block in 0..nblocks {
-            let pinned = self.env.pool().pin(self.key(block))?;
-            pinned.with_write(|buf| {
-                let mut page = Page::new(&mut buf[..]);
-                let mut dead = Vec::new();
-                for (slot, _flag, item) in page.items() {
+            let pinned = self.env.pool().pin(self.key(block)).map_err(HeapError::from)?;
+            // Dead tuples are immutable (only vacuum touches them again),
+            // so the latch can drop between finding them and freeing them.
+            let dead: Vec<(u16, Vec<u8>)> = pinned.with_read(|buf| {
+                let page = Page::new(&buf[..]);
+                let doomed = page.items().filter(|(_, _, item)| {
                     if item.len() < TUPLE_HEADER_SIZE {
-                        continue;
+                        return false;
                     }
                     let hdr = TupleHeader::decode(item);
                     let aborted_insert = tm.status(hdr.xmin) == TxnStatus::Aborted;
                     let deleted_before_horizon = hdr.xmax.is_valid()
                         && matches!(tm.commit_ts(hdr.xmax), Some(ts) if ts <= horizon);
-                    if aborted_insert || deleted_before_horizon {
-                        dead.push(slot);
-                    }
-                }
-                for slot in &dead {
-                    page.delete_item(*slot);
-                    reclaimed += 1;
-                }
-                if !dead.is_empty() {
-                    page.compact();
-                }
+                    aborted_insert || deleted_before_horizon
+                });
+                doomed.map(|(slot, _, item)| (slot, tuple_payload(item).to_vec())).collect()
             });
+            if dead.is_empty() {
+                continue;
+            }
+            for (slot, payload) in &dead {
+                unindex(Tid::new(block, *slot), payload)?;
+            }
+            pinned.with_write(|buf| {
+                let mut page = Page::new(&mut buf[..]);
+                for (slot, _) in &dead {
+                    page.delete_item(*slot);
+                }
+                page.compact();
+            });
+            reclaimed += dead.len();
         }
         Ok(reclaimed)
     }
@@ -345,6 +364,11 @@ impl Heap {
         self.env.switch().get(self.smgr)?.unlink(self.rel)?;
         Ok(())
     }
+}
+
+/// The [`Heap::vacuum`] callback of a class that has no index.
+pub fn no_index(_: Tid, _: &[u8]) -> Result<()> {
+    Ok(())
 }
 
 /// Streaming scan over a heap's visible tuples.
@@ -602,7 +626,7 @@ mod tests {
         // Before vacuum both versions exist physically.
         let raw: Vec<_> = heap.scan(Visibility::Raw).map(|r| r.unwrap()).collect();
         assert_eq!(raw.len(), 2);
-        let reclaimed = heap.vacuum(ts2).unwrap();
+        let reclaimed = heap.vacuum(ts2, no_index).unwrap();
         assert_eq!(reclaimed, 1);
         let raw: Vec<_> = heap.scan(Visibility::Raw).map(|r| r.unwrap()).collect();
         assert_eq!(raw.len(), 1);
@@ -623,10 +647,10 @@ mod tests {
         heap.update(&t2, tid, b"v2").unwrap();
         let ts2 = t2.commit();
         // Horizon before the delete: nothing reclaimed, time travel intact.
-        assert_eq!(heap.vacuum(ts2 - 1).unwrap(), 0);
+        assert_eq!(heap.vacuum(ts2 - 1, no_index).unwrap(), 0);
         assert_eq!(heap.fetch(tid, &Visibility::AsOf(ts1)).unwrap().unwrap(), b"v1");
         // Horizon at the delete: v1 goes away.
-        assert_eq!(heap.vacuum(ts2).unwrap(), 1);
+        assert_eq!(heap.vacuum(ts2, no_index).unwrap(), 1);
         assert!(heap.fetch(tid, &Visibility::AsOf(ts1)).unwrap().is_none());
     }
 
@@ -655,7 +679,7 @@ mod tests {
         let t2 = env.begin();
         heap.delete(&t2, tid).unwrap();
         let ts = t2.commit();
-        heap.vacuum(ts).unwrap();
+        heap.vacuum(ts, no_index).unwrap();
         // New insert fits in the reclaimed page instead of extending.
         let t3 = env.begin();
         let tid3 = heap.insert(&t3, &big).unwrap();

@@ -20,7 +20,7 @@ pub mod tuple;
 pub use archive::{archive_vacuum, scan_as_of_with_archive, ArchivedVersion};
 pub use catalog::{Catalog, ClassKind, ClassMeta};
 pub use env::{EnvOptions, StorageEnv};
-pub use heap::{Heap, HeapScan};
+pub use heap::{no_index, Heap, HeapScan};
 pub use pglo_buffer::AccessHint;
 pub use tuple::{TupleHeader, TUPLE_HEADER_SIZE};
 

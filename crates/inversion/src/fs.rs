@@ -563,10 +563,25 @@ impl InversionFs {
                 Err(e) => return Err(e.into()),
             }
         }
-        // Reclaim the dead metadata rows themselves.
-        self.storage_heap.vacuum(horizon)?;
-        self.dir_heap.vacuum(horizon)?;
-        self.stat_heap.vacuum(horizon)?;
+        // Reclaim the dead metadata rows themselves, each out of its index
+        // first: a freed slot is reused, and an entry left behind would
+        // resolve the dead name to whatever file lands there next.
+        self.storage_heap.vacuum(horizon, |tid, row| -> Result<()> {
+            let [Datum::Int8(file_id), Datum::Int8(_)] = decode_row(row)?[..] else {
+                return Err(InvError::BadPath("malformed STORAGE row".into()));
+            };
+            self.storage_idx.delete(&u64_key(file_id as u64), tid)?;
+            Ok(())
+        })?;
+        self.dir_heap.vacuum(horizon, |tid, row| -> Result<()> {
+            let row = DirRow::decode(row)?;
+            self.dir_idx.delete(&u64_bytes_key(row.parent, row.name.as_bytes()), tid)?;
+            Ok(())
+        })?;
+        self.stat_heap.vacuum(horizon, |tid, row| -> Result<()> {
+            self.stat_idx.delete(&u64_key(decode_stat(row)?.file_id), tid)?;
+            Ok(())
+        })?;
         Ok(purged)
     }
 

@@ -322,6 +322,64 @@ fn purge_reclaims_unlinked_file_storage() {
     t4.commit();
 }
 
+/// Purge frees the dead rows' slots and the next create takes them: the
+/// dead name's index entries must be gone by then, or `/old` resolves to
+/// whatever file landed on its slot.
+#[test]
+fn purged_name_stays_dead_when_its_slot_is_reused() {
+    let (_d, env, fs) = setup();
+    let t1 = env.begin();
+    fs.create(&t1, "/old").unwrap();
+    t1.commit();
+    let t2 = env.begin();
+    fs.unlink(&t2, "/old").unwrap();
+    let ts_unlink = t2.commit();
+    assert_eq!(fs.purge(ts_unlink).unwrap(), 1);
+    let t3 = env.begin();
+    let new_id = fs.create(&t3, "/new").unwrap();
+    t3.commit();
+
+    let t = env.begin();
+    assert_eq!(fs.resolve(&t, "/new").unwrap(), (new_id, false));
+    assert!(matches!(fs.resolve(&t, "/old"), Err(InvError::NotFound(_))));
+    assert!(matches!(fs.stat(&t, "/old"), Err(InvError::NotFound(_))));
+    assert!(matches!(fs.readdir(&t, "/old"), Err(InvError::NotFound(_))));
+    assert!(matches!(fs.open_file(&t, "/old", OpenMode::ReadOnly), Err(InvError::NotFound(_))));
+    let names: Vec<String> = fs.readdir(&t, "/").unwrap().into_iter().map(|e| e.name).collect();
+    assert_eq!(names, ["new"]);
+    // The name is free again, and a file created under it is its own.
+    let again = fs.create(&t, "/old").unwrap();
+    assert_ne!(again, new_id);
+    assert_eq!(fs.resolve(&t, "/old").unwrap(), (again, false));
+    t.commit();
+}
+
+/// A `stat` fetches the live FILESTAT row first: it pins the same pages
+/// after one `chmod` as after sixty-four (a walk from the oldest pins one
+/// more per dead row).
+#[test]
+fn stat_pins_do_not_grow_with_the_rows_versions() {
+    let pins_for = |chmods: u32| {
+        let (_d, env, fs) = setup();
+        let t = env.begin();
+        fs.create(&t, "/f").unwrap();
+        t.commit();
+        for mode in 1..=chmods {
+            let t = env.begin();
+            fs.chmod(&t, "/f", mode).unwrap();
+            t.commit();
+        }
+        let t = env.begin();
+        let before = env.pool().stats();
+        assert_eq!(fs.stat(&t, "/f").unwrap().mode, chmods);
+        let after = env.pool().stats();
+        t.commit();
+        (after.hits + after.misses) - (before.hits + before.misses)
+    };
+    let pins = [1, 8, 64].map(pins_for);
+    assert!(pins.iter().all(|&n| n == pins[0]), "pins after 1, 8 and 64 chmods: {pins:?}");
+}
+
 #[test]
 fn rename_into_own_subtree_refused() {
     let (_d, env, fs) = setup();

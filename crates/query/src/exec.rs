@@ -283,6 +283,26 @@ impl Executor<'_> {
         Ok(BTree::open_oid(self.db.env(), def.btree_oid, meta.smgr_id()))
     }
 
+    /// The open index and key of a row version under each of `indexes`
+    /// that holds it (an expression with no key, a NULL, is not indexed).
+    fn index_entries(
+        &mut self,
+        class: &str,
+        schema: &Schema,
+        values: &[Datum],
+        indexes: &[IndexDef],
+    ) -> Result<Vec<(BTree, Vec<u8>)>> {
+        let mut entries = Vec::with_capacity(indexes.len());
+        for def in indexes {
+            let binding = RowBinding::single(class, schema, values);
+            let v = self.eval(&def.expr, Some(&binding))?;
+            if let Some(key) = datum_key(&v) {
+                entries.push((self.open_index(class, def)?, key));
+            }
+        }
+        Ok(entries)
+    }
+
     /// Insert index entries for a freshly written row version.
     fn index_row(
         &mut self,
@@ -292,12 +312,8 @@ impl Executor<'_> {
         tid: Tid,
         indexes: &[IndexDef],
     ) -> Result<()> {
-        for def in indexes {
-            let binding = RowBinding::single(class, schema, values);
-            let v = self.eval(&def.expr, Some(&binding))?;
-            if let Some(key) = datum_key(&v) {
-                self.open_index(class, def)?.insert(&key, tid)?;
-            }
+        for (tree, key) in self.index_entries(class, schema, values, indexes)? {
+            tree.insert(&key, tid)?;
         }
         Ok(())
     }
@@ -366,8 +382,19 @@ impl Executor<'_> {
 
     fn vacuum(&mut self, class: &str) -> Result<QueryResult> {
         let heap = self.open_heap(class)?;
+        let schema = self.class_schema(class)?;
+        let indexes = self.class_indexes(class)?;
         let horizon = self.db.env().txns().current_timestamp();
-        let reclaimed = heap.vacuum(horizon)?;
+        // A reclaimed version leaves the indexes `index_row` put it in: the
+        // slot is reused, and an entry left behind would give an index
+        // retrieve the slot's next row a second time.
+        let reclaimed = heap.vacuum(horizon, |tid, payload| -> Result<()> {
+            let values = decode_row(payload)?;
+            for (tree, key) in self.index_entries(class, &schema, &values, &indexes)? {
+                tree.delete(&key, tid)?;
+            }
+            Ok(())
+        })?;
         Ok(QueryResult::command(reclaimed))
     }
 

@@ -214,6 +214,23 @@ fn vacuum_reclaims_replaced_rows() {
     assert_eq!(r.rows, vec![vec![Datum::Int4(6)]]);
 }
 
+/// Vacuum frees a row's slot and the next append takes it: the dead row's
+/// index entry must be gone by then, or the index lists the slot twice and
+/// an index retrieve returns the new row twice.
+#[test]
+fn vacuum_unindexes_what_it_reclaims() {
+    let (_d, db) = db();
+    db.run("create T (v = int4)").unwrap();
+    db.run("define index t_v on T (T.v)").unwrap();
+    db.run("append T (v = 1)").unwrap();
+    db.run("delete T where T.v = 1").unwrap();
+    assert_eq!(db.run("vacuum T").unwrap().affected, 1);
+    db.run("append T (v = 1)").unwrap();
+    let r = db.run("retrieve (T.v) where T.v = 1").unwrap();
+    assert_eq!(r.used_index.as_deref(), Some("t_v"));
+    assert_eq!(r.rows, vec![vec![Datum::Int4(1)]]);
+}
+
 #[test]
 fn destroy_removes_class() {
     let (_d, db) = db();

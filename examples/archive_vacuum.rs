@@ -10,7 +10,7 @@
 //! cargo run --example archive_vacuum
 //! ```
 
-use pglo::heap::{archive_vacuum, scan_as_of_with_archive, Heap};
+use pglo::heap::{archive_vacuum, no_index, scan_as_of_with_archive, Heap};
 use pglo::prelude::*;
 use pglo::smgr::StorageManager;
 
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== migrate dead versions to the WORM archive ==");
     let at = env.begin();
-    let (archived, reclaimed) = archive_vacuum(&live, &archive, &at, ts3)?;
+    let (archived, reclaimed) = archive_vacuum(&live, &archive, &at, ts3, no_index)?;
     at.commit();
     env.pool().flush_all()?;
     env.worm_smgr().sync_all()?;
