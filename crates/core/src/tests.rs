@@ -564,11 +564,15 @@ fn apply(model: &mut Vec<u8>, writes: &Writes) {
 /// ones while it is in progress and after it aborts.
 fn check_generations_against_model(spec: &LoSpec, committed: &[Writes], pending: &Writes) {
     let (_d, env, store) = setup();
-    let write = |txn: &pglo_txn::Txn, id: LoId, writes: &Writes| {
+    // The writing handle is read before it closes: read-your-writes
+    // through f-chunk's dirty chunk and v-segment's pending segments.
+    let write = |txn: &pglo_txn::Txn, id: LoId, writes: &Writes, expect: &[u8]| {
         let mut h = store.open(txn, id, OpenMode::ReadWrite).unwrap();
         for (offset, data) in writes {
             h.write_at(*offset, data).unwrap();
         }
+        assert_eq!(h.size().unwrap(), expect.len() as u64, "size through the writing handle");
+        assert!(h.read_to_vec().unwrap() == expect, "bytes through the writing handle");
         h.close().unwrap();
     };
     let read = |txn: &pglo_txn::Txn, id: LoId| {
@@ -585,8 +589,8 @@ fn check_generations_against_model(spec: &LoSpec, committed: &[Writes], pending:
     let mut history = Vec::new();
     for writes in committed {
         let txn = env.begin();
-        write(&txn, id, writes);
         apply(&mut model, writes);
+        write(&txn, id, writes, &model);
         assert!(read(&txn, id) == model, "a writer reads its own generation {}", history.len());
         history.push((txn.commit(), model.clone()));
     }
@@ -597,9 +601,9 @@ fn check_generations_against_model(spec: &LoSpec, committed: &[Writes], pending:
     }
     let reader = env.begin();
     let writer = env.begin();
-    write(&writer, id, pending);
     let mut uncommitted = model.clone();
     apply(&mut uncommitted, pending);
+    write(&writer, id, pending, &uncommitted);
     assert!(read(&writer, id) == uncommitted, "the writer reads its own uncommitted bytes");
     assert!(read(&reader, id) == model, "an older snapshot reads past a write in progress");
     writer.abort();

@@ -83,6 +83,9 @@ pub struct StorageEnv {
     /// structure-modifying work through the *same* lock, so the latch
     /// lives here rather than in the access-method object.
     rel_latches: parking_lot::Mutex<HashMap<(SmgrId, u64), RelLatch>>,
+    /// Held by [`crate::Heap::vacuum`] for a whole pass; see
+    /// [`Self::vacuum_latch`].
+    vacuum_latch: parking_lot::Mutex<()>,
     /// Background-writer thread, when enabled; stopped (with a final
     /// drain) when the environment drops.
     bgwriter: parking_lot::Mutex<Option<BgWriter>>,
@@ -369,6 +372,7 @@ impl StorageEnv {
                 HashMap::new(),
                 parking_lot::ranks::ENV_REL_LATCHES,
             ),
+            vacuum_latch: parking_lot::Mutex::with_rank((), parking_lot::ranks::ENV_VACUUM),
             bgwriter: parking_lot::Mutex::with_rank(bgwriter, parking_lot::ranks::ENV_BGWRITER),
             checkpointer: parking_lot::Mutex::with_rank(
                 checkpointer,
@@ -409,6 +413,15 @@ impl StorageEnv {
         Arc::clone(self.rel_latches.lock().entry((smgr, oid)).or_insert_with(|| {
             Arc::new(parking_lot::Mutex::with_rank((), parking_lot::ranks::REL_LATCH))
         }))
+    }
+
+    /// The latch that admits one vacuum pass at a time. A pass remembers
+    /// its doomed slots between unindexing and freeing them; a second pass
+    /// over the same heap would remember the same slots, and after the
+    /// first freed them and an insert took one, unindex and free the live
+    /// tuple there. Vacuum is maintenance, so one latch serves every heap.
+    pub fn vacuum_latch(&self) -> &parking_lot::Mutex<()> {
+        &self.vacuum_latch
     }
 
     /// Begin a transaction.

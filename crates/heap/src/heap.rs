@@ -312,18 +312,23 @@ impl Heap {
     /// answer for the dead key with the new tuple. Entries go first so that
     /// a failure between the two steps leaves a dead tuple nothing points
     /// at, never an entry pointing at a free slot.
+    ///
+    /// The pass holds [`StorageEnv::vacuum_latch`]: only vacuum frees a
+    /// slot, so with one pass at a time a remembered dead slot cannot be
+    /// freed and refilled by an insert before this pass frees it.
     pub fn vacuum<E: From<HeapError>>(
         &self,
         horizon: u64,
         mut unindex: impl FnMut(Tid, &[u8]) -> std::result::Result<(), E>,
     ) -> std::result::Result<usize, E> {
+        let _one_pass = self.env.vacuum_latch().lock();
         let mut reclaimed = 0;
         let nblocks = self.nblocks()?;
         let tm = self.env.txns();
         for block in 0..nblocks {
             let pinned = self.env.pool().pin(self.key(block)).map_err(HeapError::from)?;
-            // Dead tuples are immutable (only vacuum touches them again),
-            // so the latch can drop between finding them and freeing them.
+            // Dead tuples are immutable (only this pass touches them again),
+            // so the page latch can drop between finding and freeing them.
             let dead: Vec<(u16, Vec<u8>)> = pinned.with_read(|buf| {
                 let page = Page::new(&buf[..]);
                 let doomed = page.items().filter(|(_, _, item)| {
@@ -686,6 +691,58 @@ mod tests {
         t3.commit();
         assert_eq!(heap.nblocks().unwrap(), 1, "page space must be reused");
         assert_eq!(tid3.block, 0);
+    }
+
+    /// Two passes over one heap must not both remember a dead slot: the
+    /// first frees it, an insert takes it, and the second would unindex
+    /// and free the live tuple. The second pass is started while the first
+    /// is between unindexing and freeing, and has to wait there.
+    #[test]
+    fn concurrent_vacuums_spare_a_reused_slot() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let (_d, env) = env();
+        let heap = Heap::create(&env, "T", env.disk_id(), Default::default()).unwrap();
+        let t = env.begin();
+        let dead = heap.insert(&t, b"old").unwrap();
+        t.commit();
+        let t = env.begin();
+        heap.delete(&t, dead).unwrap();
+        let ts = t.commit();
+
+        let (go_tx, go) = channel::<()>();
+        let (second_saw_tx, second_saw) = channel();
+        let (release_tx, release) = channel::<()>();
+        let heap = &heap;
+        std::thread::scope(|s| {
+            let second = s.spawn(move || {
+                go.recv().unwrap();
+                heap.vacuum(ts, |tid, _| -> Result<()> {
+                    second_saw_tx.send(tid).unwrap();
+                    let _ = release.recv();
+                    Ok(())
+                })
+            });
+            let first = heap.vacuum(ts, |tid, _| -> Result<()> {
+                assert_eq!(tid, dead);
+                go_tx.send(()).unwrap();
+                assert!(
+                    second_saw.recv_timeout(Duration::from_millis(200)).is_err(),
+                    "a second pass remembered the slot the first is about to free"
+                );
+                Ok(())
+            });
+            assert_eq!(first.unwrap(), 1);
+            let t = env.begin();
+            let live = heap.insert(&t, b"new").unwrap();
+            t.commit();
+            assert_eq!(live, dead, "the insert reuses the freed slot");
+            drop(release_tx);
+            assert_eq!(second.join().unwrap().unwrap(), 0);
+            let t = env.begin();
+            assert_eq!(heap.fetch(live, &Visibility::for_txn(&t)).unwrap().unwrap(), b"new");
+            t.commit();
+        });
     }
 
     #[test]

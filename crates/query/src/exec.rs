@@ -283,26 +283,6 @@ impl Executor<'_> {
         Ok(BTree::open_oid(self.db.env(), def.btree_oid, meta.smgr_id()))
     }
 
-    /// The open index and key of a row version under each of `indexes`
-    /// that holds it (an expression with no key, a NULL, is not indexed).
-    fn index_entries(
-        &mut self,
-        class: &str,
-        schema: &Schema,
-        values: &[Datum],
-        indexes: &[IndexDef],
-    ) -> Result<Vec<(BTree, Vec<u8>)>> {
-        let mut entries = Vec::with_capacity(indexes.len());
-        for def in indexes {
-            let binding = RowBinding::single(class, schema, values);
-            let v = self.eval(&def.expr, Some(&binding))?;
-            if let Some(key) = datum_key(&v) {
-                entries.push((self.open_index(class, def)?, key));
-            }
-        }
-        Ok(entries)
-    }
-
     /// Insert index entries for a freshly written row version.
     fn index_row(
         &mut self,
@@ -312,8 +292,12 @@ impl Executor<'_> {
         tid: Tid,
         indexes: &[IndexDef],
     ) -> Result<()> {
-        for (tree, key) in self.index_entries(class, schema, values, indexes)? {
-            tree.insert(&key, tid)?;
+        for def in indexes {
+            let binding = RowBinding::single(class, schema, values);
+            let v = self.eval(&def.expr, Some(&binding))?;
+            if let Some(key) = datum_key(&v) {
+                self.open_index(class, def)?.insert(&key, tid)?;
+            }
         }
         Ok(())
     }
@@ -387,11 +371,31 @@ impl Executor<'_> {
         let horizon = self.db.env().txns().current_timestamp();
         // A reclaimed version leaves the indexes `index_row` put it in: the
         // slot is reused, and an entry left behind would give an index
-        // retrieve the slot's next row a second time.
+        // retrieve the slot's next row a second time. The key is recomputed
+        // from the row; an expression over a large object may no longer
+        // evaluate, or not to what it did when the row was indexed (the
+        // object was unlinked or rewritten), and then the entry is found by
+        // its TID instead.
         let reclaimed = heap.vacuum(horizon, |tid, payload| -> Result<()> {
             let values = decode_row(payload)?;
-            for (tree, key) in self.index_entries(class, &schema, &values, &indexes)? {
-                tree.delete(&key, tid)?;
+            for def in &indexes {
+                let tree = self.open_index(class, def)?;
+                let binding = RowBinding::single(class, &schema, &values);
+                let found = match self.eval(&def.expr, Some(&binding)).map(|v| datum_key(&v)) {
+                    Ok(None) => true, // a NULL is not indexed
+                    Ok(Some(key)) => tree.delete(&key, tid)?,
+                    Err(_) => false,
+                };
+                if !found {
+                    let mut scan = tree.scan(pglo_btree::ScanStart::First)?;
+                    while let Some((key, at)) = scan.next_entry()? {
+                        if at == tid {
+                            drop(scan);
+                            tree.delete(&key, tid)?;
+                            break;
+                        }
+                    }
+                }
             }
             Ok(())
         })?;

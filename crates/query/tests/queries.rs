@@ -231,6 +231,25 @@ fn vacuum_unindexes_what_it_reclaims() {
     assert_eq!(r.rows, vec![vec![Datum::Int4(1)]]);
 }
 
+/// A functional index over a large object cannot always recompute a dead
+/// row's key — here the picture is unlinked before the vacuum. The vacuum
+/// still succeeds and still takes the entry out, finding it by TID.
+#[test]
+fn vacuum_unindexes_a_row_whose_large_object_is_gone() {
+    let (_d, db) = db_with_emp();
+    db.run("define index emp_pic_width on EMP (image_width(EMP.picture))").unwrap();
+    let r = db.run(r#"retrieve (EMP.picture) where EMP.name = "Mike""#).unwrap();
+    let picture = r.rows[0][0].as_large().expect("a large object name").id;
+    db.run(r#"delete EMP where EMP.name = "Mike""#).unwrap();
+    db.store().unlink(picture).unwrap();
+    assert_eq!(db.run("vacuum EMP").unwrap().affected, 1);
+    // The next row takes Mike's slot, with the same key.
+    db.run(r#"append EMP (name = "Moe", salary = 200, picture = "128x96:2"::image)"#).unwrap();
+    let r = db.run("retrieve (EMP.name) where image_width(EMP.picture) = 128").unwrap();
+    assert_eq!(r.used_index.as_deref(), Some("emp_pic_width"));
+    assert_eq!(r.rows, vec![vec![Datum::Text("Moe".into())]]);
+}
+
 #[test]
 fn destroy_removes_class() {
     let (_d, db) = db();

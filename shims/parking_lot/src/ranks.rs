@@ -17,6 +17,12 @@ use crate::LockRank;
 /// holding nothing else.
 pub const SERVER_WORKER_INBOX: LockRank = LockRank::new(8, "server.worker_inbox");
 
+/// The vacuum latch in `StorageEnv` (`crates/heap`): one `Heap::vacuum`
+/// pass at a time. Held across the whole pass — opening and deleting from
+/// indexes (the latch map, relation latches), pins and the caller's key
+/// evaluation — so it is the outermost lock of the storage layers.
+pub const ENV_VACUUM: LockRank = LockRank::new(11, "heap.env.vacuum");
+
 /// Background-writer handle slot in `StorageEnv` (`crates/heap`); held
 /// across thread join at shutdown, so everything the bgwriter itself
 /// takes (frames, smgr) must rank higher.
