@@ -9,10 +9,6 @@ use pglo_pages::{Page, Tid};
 pub enum ScanStart {
     /// First entry at or after `(key, Tid::MIN)`.
     AtOrAfter(Vec<u8>),
-    /// The last entry strictly *before* `(key, Tid::MIN)`, then forward.
-    /// The v-segment reader uses this to find the segment covering a byte
-    /// offset: the covering segment may start before the offset.
-    LastBefore(Vec<u8>),
     /// The first entry of the tree.
     First,
 }
@@ -68,36 +64,6 @@ impl<'a> BTreeScan<'a> {
             ScanStart::AtOrAfter(key) => {
                 let (leaf, idx) = scan.find_leaf_position(&key)?;
                 scan.load_leaf(leaf, idx)?;
-            }
-            ScanStart::LastBefore(key) => {
-                let (leaf, idx) = scan.find_leaf_position(&key)?;
-                if idx > 0 {
-                    scan.load_leaf(leaf, idx - 1)?;
-                } else {
-                    // Step into the left sibling's last entry.
-                    let pinned = scan.tree.env().pool().pin(scan.tree.key(leaf))?;
-                    let left = pinned.with_read(|buf| {
-                        let page = Page::new(&buf[..]);
-                        NodeView::new(&page).left()
-                    });
-                    drop(pinned);
-                    if left == 0 {
-                        scan.load_leaf(leaf, 0)?; // no predecessor: start at key
-                    } else {
-                        let pinned = scan.tree.env().pool().pin(scan.tree.key(left))?;
-                        let count = pinned.with_read(|buf| {
-                            let page = Page::new(&buf[..]);
-                            NodeView::new(&page).count()
-                        });
-                        drop(pinned);
-                        if count == 0 {
-                            // Empty sibling (lazy deletion): fall back.
-                            scan.load_leaf(leaf, 0)?;
-                        } else {
-                            scan.load_leaf(left, count - 1)?;
-                        }
-                    }
-                }
             }
         }
         Ok(scan)

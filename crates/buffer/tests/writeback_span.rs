@@ -2,7 +2,6 @@
 //! write-back — the background writer's included. Alone in this binary:
 //! the obs registry is process-global, and the equality below only holds
 //! while no other pool writes back in the same process.
-#![cfg(feature = "obs")]
 
 use pglo_buffer::BufferPool;
 use pglo_sim::SimContext;

@@ -538,7 +538,6 @@ mod tests {
     /// With an hour between passes, the only checkpoint the thread takes
     /// is the final one `stop` asks for; by then the log directory is gone
     /// and segment recycling cannot list it.
-    #[cfg(feature = "obs")]
     #[test]
     fn failing_checkpoint_is_counted() {
         let dir = tempfile::tempdir().unwrap();

@@ -12,20 +12,27 @@
 //! value 0 and bucket `i` holds values of bit length `i`, i.e. the range
 //! `[2^(i-1), 2^i - 1]`. Percentiles report the upper bound of the bucket
 //! containing the requested rank, so they are exact to within 2x — plenty
-//! for p50/p95/p99 latency plots, and recording is a single atomic add.
+//! for p50/p95/p99 latency plots, and recording is two relaxed atomic adds
+//! (bucket + sum).
 //!
-//! With the `obs` feature off every metric type here is a ZST and every
-//! macro compiles to nothing (the same pattern the lockcheck shim proves
-//! out), so figure benches can pin a zero-overhead build. The snapshot
-//! types ([`MetricEntry`], [`MetricValue`], [`render_text`]) are always
-//! compiled: the server's metrics wire frame works in both builds (it is
-//! simply shorter when instrumentation is off).
+//! Instrumentation is always compiled in; there is no switch to turn it
+//! off. Everything is lock-free: metrics are plain atomics, and the
+//! process-global registry is a fixed array of `OnceLock` slots indexed
+//! by a fetch-add cursor — registration never blocks readers, readers
+//! never block writers. A reader that observes the cursor past a slot
+//! whose `OnceLock` is not yet set simply skips it (the metric appears
+//! in the next snapshot).
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::time::Instant;
 
-/// Whether instrumentation is compiled into this build.
+/// Whether instrumentation is compiled into this build: always `true`.
+/// Kept for callers that record it beside their measurements.
 pub const fn active() -> bool {
-    cfg!(feature = "obs")
+    true
 }
 
 /// Number of histogram buckets (power-of-two ns, bucket 0 = zero).
@@ -145,33 +152,313 @@ pub fn render_text(entries: &[MetricEntry]) -> String {
     out
 }
 
-#[cfg(feature = "obs")]
-mod imp;
-#[cfg(feature = "obs")]
-pub use imp::{
-    dump_recent_spans, install_panic_hook, recent_spans, register, snapshot_entries, Counter,
-    Gauge, Histogram, MetricRef, SpanGuard,
-};
+/// Monotonic event counter.
+pub struct Counter {
+    v: AtomicU64,
+}
 
-#[cfg(not(feature = "obs"))]
-mod noop;
-#[cfg(not(feature = "obs"))]
-pub use noop::{
-    dump_recent_spans, install_panic_hook, recent_spans, register, snapshot_entries, Counter,
-    Gauge, Histogram, MetricRef, SpanGuard,
-};
+impl Counter {
+    pub const fn new() -> Self {
+        Self { v: AtomicU64::new(0) }
+    }
+
+    #[inline]
+    pub fn inc(&self) {
+        self.v.fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.v.fetch_add(n, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.v.load(Ordering::Relaxed)
+    }
+}
+
+impl Default for Counter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Instantaneous level (sessions open, frames pinned, ...).
+pub struct Gauge {
+    v: AtomicU64,
+}
+
+impl Gauge {
+    pub const fn new() -> Self {
+        Self { v: AtomicU64::new(0) }
+    }
+
+    #[inline]
+    pub fn set(&self, n: u64) {
+        self.v.store(n, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.v.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Saturating decrement (a release racing a snapshot must not wrap).
+    #[inline]
+    pub fn sub(&self, n: u64) {
+        let mut cur = self.v.load(Ordering::Relaxed);
+        loop {
+            let next = cur.saturating_sub(n);
+            match self.v.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return,
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.v.load(Ordering::Relaxed)
+    }
+}
+
+impl Default for Gauge {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Fixed-bucket power-of-two-ns latency histogram; see the bucket layout
+/// notes in the crate docs. Recording is one atomic add per bucket plus
+/// one for the running sum.
+pub struct Histogram {
+    buckets: [AtomicU64; NUM_BUCKETS],
+    sum: AtomicU64,
+}
+
+impl Histogram {
+    pub const fn new() -> Self {
+        Self { buckets: [const { AtomicU64::new(0) }; NUM_BUCKETS], sum: AtomicU64::new(0) }
+    }
+
+    #[inline]
+    pub fn record(&self, v: u64) {
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// Total recorded events (sums the buckets; racing recorders make
+    /// this approximate, never torn).
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Sum of all recorded values.
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
+    /// Upper bound of the bucket holding the `q`-quantile (0 < q <= 1),
+    /// or 0 when empty. Exact to within the 2x bucket width.
+    pub fn percentile(&self, q: f64) -> u64 {
+        let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let target = ((q * total as f64).ceil() as u64).clamp(1, total);
+        let mut seen = 0u64;
+        for (i, c) in counts.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                return bucket_upper_bound(i);
+            }
+        }
+        bucket_upper_bound(NUM_BUCKETS - 1)
+    }
+
+    /// Flatten into the five scalar snapshot entries.
+    fn entries(&self, name: &str, out: &mut Vec<MetricEntry>) {
+        out.push(MetricEntry::new(format!("{name}.count"), MetricValue::Counter(self.count())));
+        out.push(MetricEntry::new(format!("{name}.sum_ns"), MetricValue::Counter(self.sum())));
+        for (q, suffix) in [(0.50, "p50_ns"), (0.95, "p95_ns"), (0.99, "p99_ns")] {
+            out.push(MetricEntry::new(
+                format!("{name}.{suffix}"),
+                MetricValue::Counter(self.percentile(q)),
+            ));
+        }
+    }
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// What a registry slot points at.
+#[derive(Clone, Copy)]
+pub enum MetricRef {
+    Counter(&'static Counter),
+    Gauge(&'static Gauge),
+    Histogram(&'static Histogram),
+}
+
+#[derive(Clone, Copy)]
+struct Entry {
+    name: &'static str,
+    metric: MetricRef,
+}
+
+/// Registry capacity. Registration past this is counted (and surfaced in
+/// snapshots as `obs.registry.overflow`) rather than silently dropped.
+const MAX_METRICS: usize = 512;
+
+static SLOTS: [OnceLock<Entry>; MAX_METRICS] = [const { OnceLock::new() }; MAX_METRICS];
+static CURSOR: AtomicUsize = AtomicUsize::new(0);
+static OVERFLOW: AtomicU64 = AtomicU64::new(0);
+
+/// Register a metric in the process-global registry. Called once per
+/// macro site (the macros guard with an `AtomicBool`); callers managing
+/// their own statics may also call it directly.
+pub fn register(name: &'static str, metric: MetricRef) {
+    let idx = CURSOR.fetch_add(1, Ordering::AcqRel);
+    if idx < MAX_METRICS {
+        let _ = SLOTS[idx].set(Entry { name, metric });
+    } else {
+        OVERFLOW.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Snapshot every registered metric, name-sorted. Histograms flatten to
+/// `.count`/`.sum_ns`/`.p50_ns`/`.p95_ns`/`.p99_ns` scalar entries.
+pub fn snapshot_entries() -> Vec<MetricEntry> {
+    let n = CURSOR.load(Ordering::Acquire).min(MAX_METRICS);
+    let mut out = Vec::with_capacity(n);
+    for slot in SLOTS.iter().take(n) {
+        // A slot whose cursor ticket was taken but whose set() has not
+        // landed yet is skipped; it shows up in the next snapshot.
+        let Some(e) = slot.get() else { continue };
+        match e.metric {
+            MetricRef::Counter(c) => {
+                out.push(MetricEntry::new(e.name, MetricValue::Counter(c.get())))
+            }
+            MetricRef::Gauge(g) => out.push(MetricEntry::new(e.name, MetricValue::Gauge(g.get()))),
+            MetricRef::Histogram(h) => h.entries(e.name, &mut out),
+        }
+    }
+    let overflow = OVERFLOW.load(Ordering::Relaxed);
+    if overflow > 0 {
+        out.push(MetricEntry::new("obs.registry.overflow", MetricValue::Counter(overflow)));
+    }
+    out.sort_by(|a, b| a.name.cmp(&b.name));
+    out
+}
+
+/// Capacity of the per-thread recent-span ring.
+const SPAN_RING: usize = 64;
+
+struct SpanRing {
+    spans: Vec<(&'static str, u64)>,
+    /// Overwrite position once full (oldest entry).
+    next: usize,
+}
+
+impl SpanRing {
+    const fn new() -> Self {
+        Self { spans: Vec::new(), next: 0 }
+    }
+
+    fn push(&mut self, name: &'static str, ns: u64) {
+        if self.spans.len() < SPAN_RING {
+            self.spans.push((name, ns));
+        } else {
+            self.spans[self.next] = (name, ns);
+            self.next = (self.next + 1) % SPAN_RING;
+        }
+    }
+
+    fn oldest_first(&self) -> Vec<(&'static str, u64)> {
+        let mut out = Vec::with_capacity(self.spans.len());
+        out.extend_from_slice(&self.spans[self.next..]);
+        out.extend_from_slice(&self.spans[..self.next]);
+        out
+    }
+}
+
+thread_local! {
+    static RING: RefCell<SpanRing> = const { RefCell::new(SpanRing::new()) };
+}
+
+/// The current thread's recent spans, oldest first: `(name, elapsed_ns)`.
+pub fn recent_spans() -> Vec<(&'static str, u64)> {
+    RING.with(|r| r.borrow().oldest_first())
+}
+
+/// Text dump of the current thread's recent spans, oldest first.
+pub fn dump_recent_spans() -> String {
+    let mut out = String::new();
+    for (name, ns) in recent_spans() {
+        let _ = writeln!(out, "{name} {ns}ns");
+    }
+    out
+}
+
+/// Install a panic hook (once per process) that dumps the panicking
+/// thread's recent spans to stderr before the previous hook runs.
+pub fn install_panic_hook() {
+    static INSTALLED: AtomicBool = AtomicBool::new(false);
+    if INSTALLED.swap(true, Ordering::SeqCst) {
+        return;
+    }
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let dump = dump_recent_spans();
+        if !dump.is_empty() {
+            eprintln!("--- obs: recent spans on panicking thread (oldest first) ---");
+            eprint!("{dump}");
+            eprintln!("------------------------------------------------------------");
+        }
+        prev(info);
+    }));
+}
+
+/// RAII span timer: created by `obs::span!`, records elapsed ns into its
+/// histogram and the per-thread ring when dropped.
+pub struct SpanGuard {
+    name: &'static str,
+    hist: &'static Histogram,
+    start: Instant,
+}
+
+impl SpanGuard {
+    #[inline]
+    pub fn start(name: &'static str, hist: &'static Histogram) -> Self {
+        Self { name, hist, start: Instant::now() }
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.hist.record(ns);
+        // try_with: guards may drop during thread teardown.
+        let _ = RING.try_with(|r| r.borrow_mut().push(self.name, ns));
+    }
+}
 
 /// A process-global named counter; returns `&'static Counter`.
 ///
 /// The backing static registers itself in the global registry on first
-/// use. With the `obs` feature off this is a ZST no-op.
+/// use.
 #[macro_export]
 macro_rules! counter {
     ($name:literal) => {{
         static __OBS_METRIC: $crate::Counter = $crate::Counter::new();
         static __OBS_ONCE: ::std::sync::atomic::AtomicBool =
             ::std::sync::atomic::AtomicBool::new(false);
-        if $crate::active() && !__OBS_ONCE.swap(true, ::std::sync::atomic::Ordering::Relaxed) {
+        if !__OBS_ONCE.swap(true, ::std::sync::atomic::Ordering::Relaxed) {
             $crate::register($name, $crate::MetricRef::Counter(&__OBS_METRIC));
         }
         &__OBS_METRIC
@@ -185,7 +472,7 @@ macro_rules! gauge {
         static __OBS_METRIC: $crate::Gauge = $crate::Gauge::new();
         static __OBS_ONCE: ::std::sync::atomic::AtomicBool =
             ::std::sync::atomic::AtomicBool::new(false);
-        if $crate::active() && !__OBS_ONCE.swap(true, ::std::sync::atomic::Ordering::Relaxed) {
+        if !__OBS_ONCE.swap(true, ::std::sync::atomic::Ordering::Relaxed) {
             $crate::register($name, $crate::MetricRef::Gauge(&__OBS_METRIC));
         }
         &__OBS_METRIC
@@ -199,7 +486,7 @@ macro_rules! histogram {
         static __OBS_METRIC: $crate::Histogram = $crate::Histogram::new();
         static __OBS_ONCE: ::std::sync::atomic::AtomicBool =
             ::std::sync::atomic::AtomicBool::new(false);
-        if $crate::active() && !__OBS_ONCE.swap(true, ::std::sync::atomic::Ordering::Relaxed) {
+        if !__OBS_ONCE.swap(true, ::std::sync::atomic::Ordering::Relaxed) {
             $crate::register($name, $crate::MetricRef::Histogram(&__OBS_METRIC));
         }
         &__OBS_METRIC
@@ -219,6 +506,8 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::thread;
 
     #[test]
     fn value_kind_bits_roundtrip() {
@@ -262,133 +551,95 @@ mod tests {
         assert_eq!(lines, vec!["a.first 1", "pool.hit_rate 0.500000", "pool.hits 10"]);
     }
 
-    #[cfg(feature = "obs")]
-    mod on {
-        use super::super::*;
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::thread;
-
-        #[test]
-        fn histogram_hammer_conserves_count_and_sum() {
-            // Satellite test: 8 threads hammering one histogram; the
-            // total count and sum must be conserved.
-            let h = crate::histogram!("obs.test.hammer");
-            let expect_sum = AtomicU64::new(0);
-            thread::scope(|s| {
-                for t in 0..8u64 {
-                    let expect_sum = &expect_sum;
-                    s.spawn(move || {
-                        let mut local = 0u64;
-                        for i in 0..10_000u64 {
-                            let v = t * 31 + i % 977;
-                            h.record(v);
-                            local += v;
-                        }
-                        expect_sum.fetch_add(local, Ordering::Relaxed);
-                    });
-                }
-            });
-            assert_eq!(h.count(), 80_000);
-            assert_eq!(h.sum(), expect_sum.load(Ordering::Relaxed));
-            // Percentiles are monotone in q.
-            let (p50, p95, p99) = (h.percentile(0.50), h.percentile(0.95), h.percentile(0.99));
-            assert!(p50 <= p95 && p95 <= p99);
-            assert!(p99 >= 976, "p99 bucket bound {p99} below max recorded value");
-        }
-
-        #[test]
-        fn registry_snapshot_sees_macro_metrics() {
-            // One macro site = one static; R6 uniqueness exists so two
-            // sites can never silently split one name's counts.
-            let c = crate::counter!("obs.test.reg_counter");
-            c.add(3);
-            c.inc();
-            crate::gauge!("obs.test.reg_gauge").set(17);
-            let entries = snapshot_entries();
-            let find = |n: &str| {
-                entries
-                    .iter()
-                    .find(|e| e.name == n)
-                    .unwrap_or_else(|| panic!("metric {n} missing from snapshot"))
-                    .value
-            };
-            assert_eq!(find("obs.test.reg_counter"), MetricValue::Counter(4));
-            assert_eq!(find("obs.test.reg_gauge"), MetricValue::Gauge(17));
-            // Snapshots are name-sorted for stable exposition.
-            let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
-            let mut sorted = names.clone();
-            sorted.sort_unstable();
-            assert_eq!(names, sorted);
-        }
-
-        #[test]
-        fn histogram_flattens_to_percentile_entries() {
-            let h = crate::histogram!("obs.test.flat");
-            for v in [1u64, 2, 4, 8, 1000] {
-                h.record(v);
+    #[test]
+    fn histogram_hammer_conserves_count_and_sum() {
+        // Satellite test: 8 threads hammering one histogram; the
+        // total count and sum must be conserved.
+        let h = crate::histogram!("obs.test.hammer");
+        let expect_sum = AtomicU64::new(0);
+        thread::scope(|s| {
+            for t in 0..8u64 {
+                let expect_sum = &expect_sum;
+                s.spawn(move || {
+                    let mut local = 0u64;
+                    for i in 0..10_000u64 {
+                        let v = t * 31 + i % 977;
+                        h.record(v);
+                        local += v;
+                    }
+                    expect_sum.fetch_add(local, Ordering::Relaxed);
+                });
             }
-            let entries = snapshot_entries();
-            for suffix in ["count", "sum_ns", "p50_ns", "p95_ns", "p99_ns"] {
-                assert!(
-                    entries.iter().any(|e| e.name == format!("obs.test.flat.{suffix}")),
-                    "missing obs.test.flat.{suffix}"
-                );
-            }
-            let count = entries
-                .iter()
-                .find(|e| e.name == "obs.test.flat.count")
-                .expect("count entry")
-                .value;
-            assert_eq!(count, MetricValue::Counter(5));
-        }
-
-        #[test]
-        fn span_guard_records_into_ring_and_histogram() {
-            {
-                let _span = crate::span!("obs.test.span");
-                std::hint::black_box(1 + 1);
-            }
-            let spans = recent_spans();
-            assert!(
-                spans.iter().any(|(name, _)| *name == "obs.test.span"),
-                "span missing from recent ring: {spans:?}"
-            );
-            let entries = snapshot_entries();
-            let count = entries
-                .iter()
-                .find(|e| e.name == "obs.test.span.count")
-                .expect("span histogram registered")
-                .value;
-            assert!(count.as_u64() >= 1);
-            assert!(!dump_recent_spans().is_empty());
-        }
+        });
+        assert_eq!(h.count(), 80_000);
+        assert_eq!(h.sum(), expect_sum.load(Ordering::Relaxed));
+        // Percentiles are monotone in q.
+        let (p50, p95, p99) = (h.percentile(0.50), h.percentile(0.95), h.percentile(0.99));
+        assert!(p50 <= p95 && p95 <= p99);
+        assert!(p99 >= 976, "p99 bucket bound {p99} below max recorded value");
     }
 
-    #[cfg(not(feature = "obs"))]
-    mod off {
-        use super::super::*;
+    #[test]
+    fn registry_snapshot_sees_macro_metrics() {
+        // One macro site = one static; R6 uniqueness exists so two
+        // sites can never silently split one name's counts.
+        let c = crate::counter!("obs.test.reg_counter");
+        c.add(3);
+        c.inc();
+        crate::gauge!("obs.test.reg_gauge").set(17);
+        let entries = snapshot_entries();
+        let find = |n: &str| {
+            entries
+                .iter()
+                .find(|e| e.name == n)
+                .unwrap_or_else(|| panic!("metric {n} missing from snapshot"))
+                .value
+        };
+        assert_eq!(find("obs.test.reg_counter"), MetricValue::Counter(4));
+        assert_eq!(find("obs.test.reg_gauge"), MetricValue::Gauge(17));
+        // Snapshots are name-sorted for stable exposition.
+        let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        assert_eq!(names, sorted);
+    }
 
-        #[test]
-        fn zst_types_and_silent_macros() {
-            // Satellite test: the obs-off build compiles and the metric
-            // types are zero-sized.
-            assert_eq!(std::mem::size_of::<Counter>(), 0);
-            assert_eq!(std::mem::size_of::<Gauge>(), 0);
-            assert_eq!(std::mem::size_of::<Histogram>(), 0);
-            assert_eq!(std::mem::size_of::<SpanGuard>(), 0);
-            assert!(!active());
-            // Macros stay usable; they just do nothing.
-            let c = crate::counter!("obs.test.off_counter");
-            c.add(5);
-            crate::gauge!("obs.test.off_gauge").set(5);
-            crate::histogram!("obs.test.off_hist").record(5);
-            {
-                let _span = crate::span!("obs.test.off_span");
-            }
-            assert_eq!(c.get(), 0);
-            assert!(snapshot_entries().is_empty());
-            assert!(recent_spans().is_empty());
-            assert!(dump_recent_spans().is_empty());
+    #[test]
+    fn histogram_flattens_to_percentile_entries() {
+        let h = crate::histogram!("obs.test.flat");
+        for v in [1u64, 2, 4, 8, 1000] {
+            h.record(v);
         }
+        let entries = snapshot_entries();
+        for suffix in ["count", "sum_ns", "p50_ns", "p95_ns", "p99_ns"] {
+            assert!(
+                entries.iter().any(|e| e.name == format!("obs.test.flat.{suffix}")),
+                "missing obs.test.flat.{suffix}"
+            );
+        }
+        let count =
+            entries.iter().find(|e| e.name == "obs.test.flat.count").expect("count entry").value;
+        assert_eq!(count, MetricValue::Counter(5));
+    }
+
+    #[test]
+    fn span_guard_records_into_ring_and_histogram() {
+        {
+            let _span = crate::span!("obs.test.span");
+            std::hint::black_box(1 + 1);
+        }
+        let spans = recent_spans();
+        assert!(
+            spans.iter().any(|(name, _)| *name == "obs.test.span"),
+            "span missing from recent ring: {spans:?}"
+        );
+        let entries = snapshot_entries();
+        let count = entries
+            .iter()
+            .find(|e| e.name == "obs.test.span.count")
+            .expect("span histogram registered")
+            .value;
+        assert!(count.as_u64() >= 1);
+        assert!(!dump_recent_spans().is_empty());
     }
 }

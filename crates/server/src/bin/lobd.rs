@@ -7,8 +7,8 @@
 //!
 //! Serves until a client sends the `shutdown` op, then drains sessions and
 //! prints a final statistics snapshot. With `--dump-metrics`, the full
-//! Prometheus-flavoured metrics exposition (the same text the
-//! `metrics_text` wire op serves) is written to stdout at shutdown.
+//! Prometheus-flavoured metrics exposition (`obs::render_text` of the
+//! entries the `stats` wire op serves) is written to stdout at shutdown.
 
 use pglo_server::stats::metric;
 use pglo_server::{spawn, LobdService, ServerConfig};

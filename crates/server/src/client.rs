@@ -309,11 +309,6 @@ impl<S: Read + Write> Client<S> {
         self.call(|p| p.enqueue(Opcode::Stats, |b| Ok(decode_metrics(&b)?), |_| {}))
     }
 
-    /// The Prometheus-flavoured text exposition dump.
-    pub fn metrics_text(&mut self) -> Result<String> {
-        self.call(|p| p.enqueue(Opcode::MetricsText, dec_str, |_| {}))
-    }
-
     /// Ask the server to shut down gracefully.
     pub fn shutdown(&mut self) -> Result<()> {
         self.call(|p| p.enqueue(Opcode::Shutdown, dec_unit, |_| {}))
@@ -613,13 +608,6 @@ fn dec_u32(b: Vec<u8>) -> Result<u32> {
 fn dec_u64(b: Vec<u8>) -> Result<u64> {
     let mut r = Reader::new(&b);
     let v = r.u64()?;
-    r.finish()?;
-    Ok(v)
-}
-
-fn dec_str(b: Vec<u8>) -> Result<String> {
-    let mut r = Reader::new(&b);
-    let v = r.str()?;
     r.finish()?;
     Ok(v)
 }

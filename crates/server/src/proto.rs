@@ -71,8 +71,6 @@ pub enum Opcode {
     CurrentTs = 0x06,
     /// Graceful shutdown request (also triggered by process signals).
     Shutdown = 0x07,
-    /// Full metrics dump, Prometheus-flavoured text → `str`.
-    MetricsText = 0x08,
 
     /// Create a large object from a [`WireSpec`] → `u64` id.
     LoCreate = 0x10,
@@ -129,7 +127,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// All opcodes, for stats table sizing/iteration.
-    pub const ALL: [Opcode; 33] = [
+    pub const ALL: [Opcode; 32] = [
         Opcode::Ping,
         Opcode::Begin,
         Opcode::Commit,
@@ -137,7 +135,6 @@ impl Opcode {
         Opcode::Stats,
         Opcode::CurrentTs,
         Opcode::Shutdown,
-        Opcode::MetricsText,
         Opcode::LoCreate,
         Opcode::LoOpen,
         Opcode::LoOpenAsOf,
@@ -180,7 +177,6 @@ impl Opcode {
             Opcode::Stats => "stats",
             Opcode::CurrentTs => "current_ts",
             Opcode::Shutdown => "shutdown",
-            Opcode::MetricsText => "metrics_text",
             Opcode::LoCreate => "lo_create",
             Opcode::LoOpen => "lo_open",
             Opcode::LoOpenAsOf => "lo_open_as_of",

@@ -245,12 +245,6 @@ impl LobdService {
                 out.extend_from_slice(&encode_metrics(&self.metrics_entries()));
                 Ok(())
             }
-            Opcode::MetricsText => {
-                r.finish().map_err(malformed)?;
-                let text = obs::render_text(&self.metrics_entries());
-                proto::put_str(out, &text);
-                Ok(())
-            }
             Opcode::Shutdown => {
                 r.finish().map_err(malformed)?;
                 self.request_shutdown();
@@ -513,8 +507,8 @@ impl LobdService {
     /// Every metric this service can report: per-op counters and latency
     /// percentiles, the pool / txn / session scalars, and the
     /// process-global obs registry (smgr / pool / txn / LO-implementation
-    /// layer metrics). Name-sorted; this is the `stats` reply payload, the
-    /// `metrics_text` exposition source and what `lobd` prints at exit.
+    /// layer metrics). Name-sorted; this is the `stats` reply payload and
+    /// what `lobd` prints at exit.
     ///
     /// Derived rates are computed from the counters captured here (the
     /// single `pool` read below), never from a second read of a live

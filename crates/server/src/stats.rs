@@ -9,16 +9,15 @@ use crate::proto::{self, Opcode, Reader};
 use obs::{MetricEntry, MetricValue};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lock-free per-opcode accounting. One slot per opcode in
-/// [`Opcode::ALL`] order. The latency histograms are deliberately
+/// Lock-free per-opcode accounting: one latency histogram (which also
+/// holds the call count and the summed nanoseconds) and one error counter
+/// per opcode, in [`Opcode::ALL`] order. The histograms are deliberately
 /// service-local (not in the process-global `obs` registry): one process
 /// may host several services (the test binaries do, and so does
 /// lobench's entry-point ladder) and their op latencies must not
 /// cross-pollinate.
 pub struct OpStats {
-    count: Vec<AtomicU64>,
     errors: Vec<AtomicU64>,
-    total_ns: Vec<AtomicU64>,
     latency: Vec<obs::Histogram>,
 }
 
@@ -33,9 +32,7 @@ impl OpStats {
     pub fn new() -> Self {
         let n = Opcode::ALL.len();
         Self {
-            count: (0..n).map(|_| AtomicU64::new(0)).collect(),
             errors: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            total_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
             latency: (0..n).map(|_| obs::Histogram::new()).collect(),
         }
     }
@@ -48,21 +45,19 @@ impl OpStats {
     /// unrecordable, not fatal (and R10 keeps `ALL` exhaustive anyway).
     pub fn record(&self, op: Opcode, ok: bool, elapsed_ns: u64) {
         let Some(i) = Self::slot(op) else { return };
-        self.count[i].fetch_add(1, Ordering::Relaxed);
         if !ok {
             self.errors[i].fetch_add(1, Ordering::Relaxed);
         }
-        self.total_ns[i].fetch_add(elapsed_ns, Ordering::Relaxed);
         self.latency[i].record(elapsed_ns);
     }
 
     /// Append `server.op.{name}.count/.errors/.total_ns` for every op
     /// seen at least once, plus its `.p50_ns/.p95_ns/.p99_ns` latency
-    /// percentiles — except in an obs-off build, whose ZST histograms
-    /// recorded nothing worth reporting.
+    /// percentiles.
     pub fn entries(&self, out: &mut Vec<MetricEntry>) {
         for (i, op) in Opcode::ALL.iter().enumerate() {
-            let count = self.count[i].load(Ordering::Relaxed);
+            let h = &self.latency[i];
+            let count = h.count();
             if count == 0 {
                 continue;
             }
@@ -72,12 +67,9 @@ impl OpStats {
             };
             put("count", count);
             put("errors", self.errors[i].load(Ordering::Relaxed));
-            put("total_ns", self.total_ns[i].load(Ordering::Relaxed));
-            if obs::active() {
-                let h = &self.latency[i];
-                for (q, suffix) in [(0.50, "p50_ns"), (0.95, "p95_ns"), (0.99, "p99_ns")] {
-                    put(suffix, h.percentile(q));
-                }
+            put("total_ns", h.sum());
+            for (q, suffix) in [(0.50, "p50_ns"), (0.95, "p95_ns"), (0.99, "p99_ns")] {
+                put(suffix, h.percentile(q));
             }
         }
     }
@@ -139,15 +131,23 @@ mod tests {
         s.record(Opcode::Begin, true, 10);
         let mut entries = Vec::new();
         s.entries(&mut entries);
+        // `.count` and `.total_ns` come from the latency histogram, so a
+        // failed call is counted and timed like a successful one.
         assert_eq!(value(&entries, "server.op.lo_read.count"), Some(2));
         assert_eq!(value(&entries, "server.op.lo_read.errors"), Some(1));
         assert_eq!(value(&entries, "server.op.lo_read.total_ns"), Some(150));
         assert_eq!(value(&entries, "server.op.begin.count"), Some(1));
+        // An op whose every call failed still reports: `.count` is calls.
+        s.record(Opcode::Ping, false, 7);
+        let mut entries = Vec::new();
+        s.entries(&mut entries);
+        assert_eq!(value(&entries, "server.op.ping.count"), Some(1));
+        assert_eq!(value(&entries, "server.op.ping.errors"), Some(1));
+        assert_eq!(value(&entries, "server.op.ping.total_ns"), Some(7));
         // Unseen ops stay silent.
-        assert!(!entries.iter().any(|e| e.name.starts_with("server.op.ping.")));
+        assert!(!entries.iter().any(|e| e.name.starts_with("server.op.stats.")));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn latency_entries_cover_seen_ops() {
         let s = OpStats::new();

@@ -226,7 +226,6 @@ fn restart_preserves_committed_objects() {
 /// the append byte counter, the fsync latency histogram, and the
 /// group-commit batch-size histogram — and the text exposition renders
 /// them. Durable sync is on so the fsync span actually fires.
-#[cfg(feature = "obs")]
 #[test]
 fn metrics_frame_exposes_wal_instrumentation() {
     let dir = tempfile::tempdir().unwrap();

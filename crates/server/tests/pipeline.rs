@@ -129,12 +129,10 @@ fn pipelined_reads_arrive_in_order_and_in_batches() {
         assert_eq!((tag, status), (1000 + k as u32, 0));
         assert_eq!(bytes, data[k * 512..][..512], "burst read {k}");
     }
-    if cfg!(feature = "obs") {
-        let after = Client::connect(handle.local_addr()).unwrap().metrics().unwrap();
-        let rounds = batch(&after, "count") - batch(&before, "count");
-        let frames = batch(&after, "sum_ns") - batch(&before, "sum_ns");
-        assert!(frames >= 64 && rounds < frames, "{frames} frames took {rounds} rounds");
-    }
+    let after = Client::connect(handle.local_addr()).unwrap().metrics().unwrap();
+    let rounds = batch(&after, "count") - batch(&before, "count");
+    let frames = batch(&after, "sum_ns") - batch(&before, "sum_ns");
+    assert!(frames >= 64 && rounds < frames, "{frames} frames took {rounds} rounds");
     stop(handle);
 }
 

@@ -73,6 +73,23 @@ fn unknown_opcode_is_an_error_reply_not_a_disconnect() {
 }
 
 #[test]
+fn retired_metrics_text_opcode_is_unknown() {
+    // 0x08 is no opcode: a text exposition is `obs::render_text` of
+    // `Client::metrics`, rendered by the caller.
+    let (_dir, handle) = start();
+    let mut c = Client::connect(handle.local_addr()).unwrap();
+    assert_eq!(Opcode::from_u8(0x08), None);
+    let (status, msg) = c.call_raw(0x08, &[]).unwrap();
+    assert_eq!(ErrorCode::from_u8(status), Some(ErrorCode::UnknownOp));
+    assert!(!msg.is_empty());
+    // The session keeps serving, the metrics op included.
+    assert_eq!(c.ping(b"ok").unwrap(), b"ok");
+    let entries = c.metrics().unwrap();
+    assert!(entries.iter().any(|e| e.name == "server.op.ping.count"));
+    stop(handle);
+}
+
+#[test]
 fn malformed_payload_is_an_error_reply_not_a_disconnect() {
     let (_dir, handle) = start();
     let mut c = Client::connect(handle.local_addr()).unwrap();

@@ -425,14 +425,11 @@ fn metrics_expose_opcode_percentiles_and_device_histograms() {
     let entries = c.metrics().unwrap();
     let has = |name: &str| entries.iter().any(|e| e.name == name);
 
-    // Per-op counters are always in the frame; the latency percentiles
-    // ride on the obs histograms and vanish in a zero-overhead build.
+    // Every op issued so far reports its count and latency percentiles.
     for op in ["lo_write", "lo_read", "commit"] {
         assert!(has(&format!("server.op.{op}.count")));
-        if obs::active() {
-            for q in ["p50_ns", "p95_ns", "p99_ns"] {
-                assert!(has(&format!("server.op.{op}.{q}")), "missing server.op.{op}.{q}");
-            }
+        for q in ["p50_ns", "p95_ns", "p99_ns"] {
+            assert!(has(&format!("server.op.{op}.{q}")), "missing server.op.{op}.{q}");
         }
     }
 
@@ -443,31 +440,28 @@ fn metrics_expose_opcode_percentiles_and_device_histograms() {
     }
 
     // Instrumentation below the server: per-device smgr histograms, LO
-    // byte counters, pool and txn spans. Only present when the `obs`
-    // feature is on (the default); a zero-overhead build strips them.
-    if obs::active() {
-        for name in [
-            "smgr.disk.write.count",
-            "smgr.disk.write.p99_ns",
-            "smgr.disk.allocate.p50_ns",
-            "lo.fchunk.write.bytes",
-            "lo.fchunk.read.bytes",
-            "lo.fchunk.chunk_walk.p95_ns",
-            "txn.commit.p50_ns",
-        ] {
-            assert!(has(name), "missing {name}");
-        }
-        let wrote = entries
-            .iter()
-            .find(|e| e.name == "lo.fchunk.write.bytes")
-            .map(|e| e.value.as_u64())
-            .unwrap();
-        assert!(wrote >= 200_000, "byte counter undercounts: {wrote}");
+    // byte counters, pool and txn spans.
+    for name in [
+        "smgr.disk.write.count",
+        "smgr.disk.write.p99_ns",
+        "smgr.disk.allocate.p50_ns",
+        "lo.fchunk.write.bytes",
+        "lo.fchunk.read.bytes",
+        "lo.fchunk.chunk_walk.p95_ns",
+        "txn.commit.p50_ns",
+    ] {
+        assert!(has(name), "missing {name}");
     }
+    let wrote = entries
+        .iter()
+        .find(|e| e.name == "lo.fchunk.write.bytes")
+        .map(|e| e.value.as_u64())
+        .unwrap();
+    assert!(wrote >= 200_000, "byte counter undercounts: {wrote}");
 
-    // The text exposition carries the same snapshot, one `name value`
+    // The text exposition renders the same snapshot, one `name value`
     // line each.
-    let text = c.metrics_text().unwrap();
+    let text = obs::render_text(&entries);
     assert!(text.lines().any(|l| l.starts_with("server.op.lo_write.count ")));
     stop(handle);
 }

@@ -43,16 +43,6 @@ impl DeviceProfile {
         Self { name: "nvram", seek_ns: 0, per_byte_ns: 10 }
     }
 
-    /// A modern host serving from a hot page cache: no simulated cost at
-    /// all, so the only latency a caller observes is real wall-clock time.
-    /// Benchmarks use this to measure the pool against the machine it
-    /// actually runs on (the regime where read-ahead buys nothing and its
-    /// bookkeeping is pure overhead), as opposed to the 1992 profiles
-    /// above where the simulated clock dominates.
-    pub fn fast_host() -> Self {
-        Self { name: "fast-host", seek_ns: 0, per_byte_ns: 0 }
-    }
-
     /// A 1992 long-haul link (T1, ~1.5 Mbit/s ⇒ ~5333 ns/byte) with 100 ms
     /// round-trip setup — the client-server environment §3 worries about
     /// ("this saves network bandwidth, and will be crucial to good
