@@ -33,6 +33,7 @@ use pglo_heap::{Heap, HeapError, StorageEnv};
 use pglo_pages::{Page, Tid, PAGE_SIZE};
 use pglo_smgr::{RelFileId, SmgrId};
 use pglo_txn::Visibility;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Crate-wide result type (storage errors surface as heap errors).
@@ -341,46 +342,54 @@ impl BTree {
         }
     }
 
-    /// All TIDs stored under exactly `key`, in TID order.
-    ///
-    /// A point lookup: the relation latch is held from the descent to the
-    /// end of the run, each leaf is pinned once and searched in place, and
-    /// nothing but the result is copied out. The run follows `right()`
-    /// because duplicates span leaves and lazily emptied leaves sit between
-    /// them.
+    /// All TIDs stored under exactly `key`, in TID order: a point lookup,
+    /// `walk_leaves` over one key, copying out nothing but the
+    /// result.
     pub fn lookup(&self, key: &[u8]) -> Result<Vec<Tid>> {
-        let first = Tid::new(0, 0);
-        let _guard = self.lock.lock();
-        let (_, mut block) = self.descend_path(key, first)?;
         let mut out = Vec::new();
+        self.walk_leaves(key, key, |view, run| {
+            out.extend(run.map(|idx| view.entry_ref(idx).0 .1));
+        })?;
+        Ok(out)
+    }
+
+    /// `f(leaf, run)` for each leaf holding entries with `lo <= key <=
+    /// hi`, `run` their indices, in key order. The relation latch is held
+    /// from the descent to the end of the range, each leaf is pinned once
+    /// and searched in place, and the walk follows `right()` while the
+    /// range may go on: duplicates span leaves, and lazily emptied leaves
+    /// sit between them.
+    fn walk_leaves(
+        &self,
+        lo: &[u8],
+        hi: &[u8],
+        mut f: impl FnMut(&NodeView<'_, &[u8]>, Range<usize>),
+    ) -> Result<()> {
+        let (first, last) = (Tid::new(0, 0), Tid::new(u32::MAX, u16::MAX));
+        let _guard = self.lock.lock();
+        let (_, mut block) = self.descend_path(lo, first)?;
         while block != 0 {
             let pinned = self.env.pool().pin(self.key(block))?;
             block = pinned.with_read(|buf| {
                 let page = Page::new(&buf[..]);
                 let view = NodeView::new(&page);
-                for idx in view.insertion_index(key, first)..view.count() {
-                    let ((k, tid), _) = view.entry_ref(idx);
-                    if k != key {
-                        return 0;
-                    }
-                    out.push(tid);
+                let from = view.insertion_index(lo, first);
+                let to = view.insertion_index(hi, last).max(from);
+                f(&view, from..to);
+                if to < view.count() {
+                    0
+                } else {
+                    view.right()
                 }
-                view.right()
             });
         }
-        Ok(out)
+        Ok(())
     }
 
     /// The versions stored under `key` that `vis` can see, as `(tid,
     /// payload)`, each fetched from `heap` only when the caller asks for
-    /// it. Every "look the key up, take the visible version" walk goes
-    /// through here, so the order versions are tried in is decided in this
-    /// one place: **descending TID**. The heap appends, so that is newest
-    /// first — a current snapshot finds the live version on its first
-    /// fetch, an as-of snapshot pays one fetch per version newer than it —
-    /// except where an insert reused space vacuum freed. A snapshot sees at
-    /// most one version of a row, so the order decides only what a walk
-    /// costs, never what it finds.
+    /// it, newest first: `newest_first` decides the order every version
+    /// walk, this one and [`Self::visible_range`], tries a key's TIDs in.
     pub fn visible<'a>(
         &self,
         heap: &'a Heap,
@@ -388,15 +397,100 @@ impl BTree {
         vis: &'a Visibility,
         hint: AccessHint,
     ) -> Result<impl Iterator<Item = Result<(Tid, Vec<u8>)>> + 'a> {
-        Ok(self.lookup(key)?.into_iter().rev().filter_map(move |tid| {
+        Ok(newest_first(self.lookup(key)?.into_iter()).filter_map(move |tid| {
             heap.fetch_hinted(tid, vis, hint).map(|p| p.map(|p| (tid, p))).transpose()
         }))
+    }
+
+    /// For each key in `lo..=hi`, in key order, the first version `vis`
+    /// can see, its TIDs tried newest first: `f(key, tid, payload)`
+    /// with the payload borrowed from the pinned heap page. A key with no
+    /// visible version is skipped. Where a key names one row (f-chunk's
+    /// sequence numbers) that is the row's version the snapshot sees; a
+    /// key shared by several rows yields only the newest one visible, and
+    /// [`Self::visible`] yields them all.
+    ///
+    /// One descent and one leaf walk collect every `(key, tid)` in the
+    /// range under the relation latch, as [`Self::lookup`] does for one
+    /// key; the latch is released before the first heap fetch. The first
+    /// key is fetched with `hint`, every later one with
+    /// [`AccessHint::Sequential`]: the walk ascends.
+    ///
+    /// `f` runs under the heap page's read latch (see [`Heap::fetch_with`]).
+    pub fn visible_range<E, F>(
+        &self,
+        heap: &Heap,
+        lo: &[u8],
+        hi: &[u8],
+        vis: &Visibility,
+        mut hint: AccessHint,
+        mut f: F,
+    ) -> std::result::Result<(), E>
+    where
+        E: From<HeapError>,
+        F: FnMut(&[u8], Tid, &[u8]) -> std::result::Result<(), E>,
+    {
+        let range = self.collect_range(lo, hi)?;
+        let mut key_start = 0;
+        for run in range.entries.chunk_by(|a, b| a.1 == b.1) {
+            let key = &range.keys[key_start..run[0].1];
+            key_start = run[0].1;
+            for tid in newest_first(run.iter().map(|&(tid, _)| tid)) {
+                if let Some(done) = heap.fetch_with(tid, vis, hint, |_, p| f(key, tid, p))? {
+                    done?;
+                    break;
+                }
+            }
+            hint = AccessHint::Sequential;
+        }
+        Ok(())
+    }
+
+    /// Every `(key, tid)` with `lo <= key <= hi`, in order, copied out by
+    /// one [`Self::walk_leaves`]. Space is reserved once per leaf, so the
+    /// allocations do not grow with the number of entries.
+    fn collect_range(&self, lo: &[u8], hi: &[u8]) -> Result<RangeEntries> {
+        let mut range = RangeEntries { keys: Vec::new(), entries: Vec::new() };
+        // Where the last distinct key starts in `range.keys`.
+        let mut key_start = 0;
+        self.walk_leaves(lo, hi, |view, run| {
+            range.keys.reserve(run.clone().map(|idx| view.entry_ref(idx).0 .0.len()).sum());
+            range.entries.reserve(run.len());
+            for idx in run {
+                let ((key, tid), _) = view.entry_ref(idx);
+                if range.entries.is_empty() || range.keys[key_start..] != *key {
+                    key_start = range.keys.len();
+                    range.keys.extend_from_slice(key);
+                }
+                range.entries.push((tid, range.keys.len()));
+            }
+        })?;
+        Ok(range)
     }
 
     /// An ordered scan beginning at `start`.
     pub fn scan(&self, start: ScanStart) -> Result<BTreeScan<'_>> {
         BTreeScan::position(self, start)
     }
+}
+
+/// The order a key's versions are tried in, decided here for every walk:
+/// **descending TID**. The heap appends, so that is newest first — a
+/// current snapshot finds the live version on its first fetch, an as-of
+/// snapshot pays one fetch per version newer than it — except where an
+/// insert reused space vacuum freed. A snapshot sees at most one version
+/// of a row, so the order decides only what a walk costs, never what it
+/// finds.
+fn newest_first<I: DoubleEndedIterator<Item = Tid>>(tids: I) -> std::iter::Rev<I> {
+    tids.rev()
+}
+
+/// The entries of a range, keys stored once per distinct key: entry `i`
+/// is `(tid, end of its key in keys)`, and its key starts where the
+/// previous distinct key ends.
+struct RangeEntries {
+    keys: Vec<u8>,
+    entries: Vec<(Tid, usize)>,
 }
 
 /// Big-endian key encoders: byte order equals numeric order, so these keys

@@ -1,8 +1,8 @@
 //! B-tree behaviour and property tests.
 
-use crate::keys::{u64_key, u64_pair_key, u64_prefix};
+use crate::keys::{u64_bytes_key, u64_key, u64_pair_key, u64_prefix};
 use crate::{BTree, ScanStart};
-use pglo_heap::{AccessHint, Heap, StorageEnv};
+use pglo_heap::{AccessHint, Heap, HeapError, StorageEnv};
 use pglo_pages::Tid;
 use pglo_txn::Visibility;
 use proptest::prelude::*;
@@ -148,6 +148,72 @@ fn visible_walks_newest_first_and_skips_the_invisible() {
     writer.abort();
     assert_eq!(walk(&Visibility::for_txn(&reader)), committed);
     reader.commit();
+}
+
+/// `visible_range` is `visible` key by key: over every range of keys that
+/// are prefixes of one another and long enough that their versions span
+/// leaves, it yields each key with a visible version once, in key order,
+/// with the version `visible` finds first.
+#[test]
+fn visible_range_is_visible_key_by_key() {
+    let (_d, env) = env();
+    let heap = Heap::create_anonymous(&env, env.disk_id()).unwrap();
+    let tree = BTree::create_anonymous(&env, env.disk_id()).unwrap();
+    let name = "n".repeat(1000);
+    let mut keys: Vec<Vec<u8>> = (0..4)
+        .flat_map(|p| {
+            [0, 1, 2, 500, 501, 1000].map(|len| u64_bytes_key(p, &name.as_bytes()[..len]))
+        })
+        .collect();
+    keys.sort();
+    // Generation 0 writes every key, generation `g` rewrites every
+    // (g+1)-th, so keys carry one to four versions.
+    let (mut live, mut stamps) = (vec![None; keys.len()], Vec::new());
+    for gen in 0..4u8 {
+        let txn = env.begin();
+        for (k, key) in keys.iter().enumerate().filter(|(k, _)| k % (gen as usize + 1) == 0) {
+            let payload = [gen, k as u8];
+            let tid = match live[k] {
+                Some(old) => heap.update(&txn, old, &payload),
+                None => heap.insert(&txn, &payload),
+            };
+            live[k] = Some(tid.unwrap());
+            tree.insert(key, live[k].unwrap()).unwrap();
+        }
+        stamps.push(txn.commit());
+    }
+    assert!(tree.nblocks().unwrap() > 3, "the versions must span leaves");
+    let snapshots = [Visibility::Raw, Visibility::AsOf(stamps[0] - 1)]
+        .into_iter()
+        .chain(stamps.iter().map(|&ts| Visibility::AsOf(ts)));
+    for vis in snapshots {
+        for lo in 0..keys.len() {
+            for hi in lo..keys.len() {
+                let mut got = Vec::new();
+                tree.visible_range(
+                    &heap,
+                    &keys[lo],
+                    &keys[hi],
+                    &vis,
+                    AccessHint::Random,
+                    |k, t, p| {
+                        got.push((k.to_vec(), t, p.to_vec()));
+                        Ok::<_, HeapError>(())
+                    },
+                )
+                .unwrap();
+                let want: Vec<_> = keys[lo..=hi]
+                    .iter()
+                    .filter_map(|k| {
+                        let mut versions =
+                            tree.visible(&heap, k, &vis, AccessHint::Random).unwrap();
+                        versions.next().map(|v| v.map(|(t, p)| (k.clone(), t, p)).unwrap())
+                    })
+                    .collect();
+                assert_eq!(got, want, "keys {lo}..={hi} under {vis:?}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -19,11 +19,13 @@
 use crate::handle::LoBackend;
 use crate::meta::lo_class_name;
 use crate::{stored_form, LoError, LoId, Result};
-use pglo_btree::{keys::u64_key, BTree};
+use pglo_btree::keys::{u64_key, u64_prefix};
+use pglo_btree::BTree;
 use pglo_compress::CodecKind;
 use pglo_heap::{AccessHint, Heap, StorageEnv};
 use pglo_pages::Tid;
 use pglo_txn::{Txn, Visibility};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Chunk tuple prefix: `[seqno u32][flag u8]`.
@@ -38,11 +40,19 @@ fn encode_chunk(seq: u64, flag: u8, bytes: &[u8]) -> Vec<u8> {
 }
 
 fn decode_chunk(payload: &[u8]) -> Result<(u64, u8, &[u8])> {
-    if payload.len() < CHUNK_HDR {
+    let Some((seq, [flag, bytes @ ..])) = payload.split_first_chunk::<4>() else {
         return Err(LoError::Meta("chunk tuple shorter than its header".into()));
+    };
+    Ok((u32::from_le_bytes(*seq) as u64, *flag, bytes))
+}
+
+/// Make the emptied `buf` hold `plain`: copied into its capacity when
+/// borrowed from a page, moved in when decompressed.
+fn keep_plain(buf: &mut Vec<u8>, plain: Cow<'_, [u8]>) {
+    match plain {
+        Cow::Borrowed(plain) => buf.extend_from_slice(plain),
+        Cow::Owned(plain) => *buf = plain,
     }
-    let seq = u32::from_le_bytes(payload[0..4].try_into().expect("seq")) as u64;
-    Ok((seq, payload[4], &payload[CHUNK_HDR..]))
 }
 
 struct ChunkCache {
@@ -51,6 +61,30 @@ struct ChunkCache {
     /// for the object's tail chunk.
     data: Vec<u8>,
     dirty: bool,
+}
+
+/// The bytes of a read, laid over the chunks they come from.
+struct ReadSpan<'b> {
+    buf: &'b mut [u8],
+    /// Object offset of `buf[0]`.
+    offset: u64,
+    chunk: u64,
+}
+
+impl ReadSpan<'_> {
+    /// Copy chunk `seq`'s plain bytes into the part of `buf` it covers,
+    /// zeros past their end: a missing or short chunk (sparse object)
+    /// reads as zeros.
+    fn put(&mut self, seq: u64, plain: &[u8]) {
+        let end = self.offset + self.buf.len() as u64;
+        let lo = (seq * self.chunk).clamp(self.offset, end);
+        let hi = ((seq + 1) * self.chunk).clamp(self.offset, end);
+        let plain = plain.get((lo - seq * self.chunk) as usize..).unwrap_or_default();
+        let part = &mut self.buf[(lo - self.offset) as usize..(hi - self.offset) as usize];
+        let (bytes, zeros) = part.split_at_mut(plain.len().min(part.len()));
+        bytes.copy_from_slice(&plain[..bytes.len()]);
+        zeros.fill(0);
+    }
 }
 
 /// The f-chunk backend. One per open handle.
@@ -103,25 +137,68 @@ impl<'a> FChunkBackend<'a> {
         }
     }
 
-    /// The single visible version of chunk `seq`, as plain bytes.
+    /// Hand each visible chunk in `lo..=hi` to `f` as `(seq, flag, stored
+    /// bytes)`, the bytes borrowed from the chunk's pinned heap page: one
+    /// index descent and one leaf walk, however many chunks.
     ///
     /// Chunks are inserted in sequence order, roughly one per heap page,
-    /// so an ascending chunk walk is an ascending block walk — `hint`
-    /// forwards that knowledge to the buffer pool's read-ahead. Callers
-    /// pass [`AccessHint::Sequential`] only when `seq` actually continues
-    /// a run; hinting it unconditionally would make every random read pay
-    /// the pool's window-tracking cost for nothing.
-    fn fetch_chunk(&self, seq: u64, hint: AccessHint) -> Result<Option<Vec<u8>>> {
-        let mut versions = self.index.visible(&self.heap, &u64_key(seq), &self.vis, hint)?;
-        let Some((_, payload)) = versions.next().transpose()? else { return Ok(None) };
-        let (stored_seq, flag, bytes) = decode_chunk(&payload)?;
-        if stored_seq != seq {
-            return Err(LoError::Meta(format!(
-                "{}: index entry for chunk {seq} points at chunk {stored_seq}",
-                self.id
-            )));
-        }
-        stored_form::decode(&self.env, self.codec, flag, bytes.into()).map(Some)
+    /// so an ascending chunk walk is an ascending block walk: every chunk
+    /// after the first is fetched with [`AccessHint::Sequential`], and
+    /// `hint` says whether the first continues a run. Callers pass
+    /// [`AccessHint::Sequential`] only when it does; hinting every seek
+    /// would make every random read pay the pool's window-tracking cost
+    /// for nothing.
+    fn walk_chunks(
+        &self,
+        lo: u64,
+        hi: u64,
+        hint: AccessHint,
+        mut f: impl FnMut(u64, u8, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let (lo_key, hi_key) = (u64_key(lo), u64_key(hi));
+        self.index.visible_range(
+            &self.heap,
+            &lo_key,
+            &hi_key,
+            &self.vis,
+            hint,
+            |key, _, payload| {
+                let seq = u64_prefix(key);
+                let (stored_seq, flag, bytes) = decode_chunk(payload)?;
+                if stored_seq != seq {
+                    return Err(LoError::Meta(format!(
+                        "{}: index entry for chunk {seq} points at chunk {stored_seq}",
+                        self.id
+                    )));
+                }
+                f(seq, flag, bytes)
+            },
+        )
+    }
+
+    /// Copy the visible chunks `lo..=hi` into `span` from one
+    /// [`Self::walk_chunks`], zero-filling the ones that are missing or
+    /// short; chunk `hi`'s plain bytes also go to `keep`, if given.
+    fn read_chunks(
+        &self,
+        span: &mut ReadSpan<'_>,
+        (lo, hi): (u64, u64),
+        hint: AccessHint,
+        mut keep: Option<&mut Vec<u8>>,
+    ) -> Result<()> {
+        let mut next = lo;
+        self.walk_chunks(lo, hi, hint, |seq, flag, bytes| {
+            (next..seq).for_each(|missing| span.put(missing, &[]));
+            let plain = stored_form::decode(&self.env, self.codec, flag, bytes.into())?;
+            span.put(seq, &plain);
+            if let Some(keep) = keep.as_deref_mut().filter(|_| seq == hi) {
+                keep_plain(keep, plain);
+            }
+            next = seq + 1;
+            Ok(())
+        })?;
+        (next..=hi).for_each(|missing| span.put(missing, &[]));
+        Ok(())
     }
 
     /// The visible version's TID for chunk `seq`, if any.
@@ -151,47 +228,66 @@ impl<'a> FChunkBackend<'a> {
         Ok(())
     }
 
+    /// Whether a fetch of chunk `seq` continues the run the cached chunk
+    /// ended. The one-chunk handle cache doubles as the run detector: a
+    /// fetch that continues past the cached chunk is part of a sequential
+    /// walk, anything else is a seek.
+    fn run_hint(&self, seq: u64) -> AccessHint {
+        match &self.cache {
+            Some(c) if seq == c.seq + 1 => AccessHint::Sequential,
+            _ => AccessHint::Random,
+        }
+    }
+
+    /// Write the cached chunk back and hand over its buffer, emptied, for
+    /// the chunk about to replace it. Write-back happens here, before any
+    /// walk, never under the index latch.
+    fn evict_cache(&mut self) -> Result<Vec<u8>> {
+        self.write_back()?;
+        let mut data = self.cache.take().map(|c| c.data).unwrap_or_default();
+        data.clear();
+        Ok(data)
+    }
+
     /// Make `seq` the cached chunk, fetching it unless `skip_fetch` (a full
     /// overwrite is about to replace every byte anyway).
     fn load_chunk(&mut self, seq: u64, skip_fetch: bool) -> Result<()> {
         if self.cache.as_ref().is_some_and(|c| c.seq == seq) {
             return Ok(());
         }
-        // The one-chunk handle cache doubles as the run detector: a fetch
-        // that continues past the cached chunk is part of a sequential
-        // walk, anything else is a seek.
-        let hint = match &self.cache {
-            Some(c) if seq == c.seq + 1 => AccessHint::Sequential,
-            _ => AccessHint::Random,
-        };
-        self.write_back()?;
-        let data =
-            if skip_fetch { Vec::new() } else { self.fetch_chunk(seq, hint)?.unwrap_or_default() };
+        let hint = self.run_hint(seq);
+        let mut data = self.evict_cache()?;
+        if !skip_fetch {
+            self.walk_chunks(seq, seq, hint, |_, flag, bytes| {
+                let plain = stored_form::decode(&self.env, self.codec, flag, bytes.into())?;
+                keep_plain(&mut data, plain);
+                Ok(())
+            })?;
+        }
         self.cache = Some(ChunkCache { seq, data, dirty: false });
         Ok(())
     }
 
     /// Recompute the logical size from visible chunks — used for
-    /// time-travel opens, where the catalog's current size is wrong.
+    /// time-travel opens, where the catalog's current size is wrong. One
+    /// walk over the whole index keeps the highest visible chunk. A raw
+    /// chunk's plain length is its stored length; only a compressed one is
+    /// copied out, to be decoded if it is the last.
     pub(crate) fn compute_size(&self) -> Result<u64> {
-        let mut scan = self.index.scan(pglo_btree::ScanStart::First)?;
-        let mut max_seq: Option<u64> = None;
-        while let Some((key, _tid)) = scan.next_entry()? {
-            let seq = pglo_btree::keys::u64_prefix(&key);
-            if max_seq.is_some_and(|m| seq <= m) {
-                continue; // duplicates (old versions) of an already-counted chunk
+        let (mut tail, mut compressed) = (None, Vec::new());
+        self.walk_chunks(0, u64::MAX, AccessHint::Random, |seq, flag, bytes| {
+            compressed.clear();
+            if flag == stored_form::FLAG_COMPRESSED {
+                compressed.extend_from_slice(bytes);
             }
-            if self.visible_tid(seq)?.is_some() {
-                max_seq = Some(seq);
-            }
+            tail = Some((seq, flag, bytes.len()));
+            Ok(())
+        })?;
+        let Some((seq, flag, mut len)) = tail else { return Ok(0) };
+        if flag == stored_form::FLAG_COMPRESSED {
+            len = stored_form::decode(&self.env, self.codec, flag, compressed.into())?.len();
         }
-        match max_seq {
-            None => Ok(0),
-            Some(seq) => {
-                let tail = self.fetch_chunk(seq, AccessHint::Random)?.unwrap_or_default();
-                Ok(seq * self.chunk_size as u64 + tail.len() as u64)
-            }
-        }
+        Ok(seq * self.chunk_size as u64 + len as u64)
     }
 
     /// Set the initial size (store uses this after `compute_size`).
@@ -212,34 +308,40 @@ impl<'a> FChunkBackend<'a> {
 
 impl LoBackend for FChunkBackend<'_> {
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        if offset >= self.size {
+        if offset >= self.size || buf.is_empty() {
             return Ok(0);
         }
         let want = (buf.len() as u64).min(self.size - offset) as usize;
         obs::counter!("lo.fchunk.read.bytes").add(want as u64);
-        let mut chunks_walked = 0u64;
-        let mut done = 0usize;
-        while done < want {
-            let pos = offset + done as u64;
-            let seq = pos / self.chunk_size as u64;
-            let within = (pos % self.chunk_size as u64) as usize;
-            let span = (self.chunk_size - within).min(want - done);
-            chunks_walked += 1;
-            self.load_chunk(seq, false)?;
-            let data = &self.cache.as_ref().expect("chunk just loaded").data;
-            // The chunk may be missing or short (sparse object): copy what
-            // exists, zero-fill the rest.
-            let copy = if within < data.len() {
-                let copy = (data.len() - within).min(span);
-                buf[done..done + copy].copy_from_slice(&data[within..within + copy]);
-                copy
-            } else {
-                0
-            };
-            buf[done + copy..done + span].fill(0);
-            done += span;
+        let chunk = self.chunk_size as u64;
+        let (first, last) = (offset / chunk, (offset + want as u64 - 1) / chunk);
+        obs::histogram!("lo.fchunk.chunk_walk").record(last - first + 1);
+        let span = &mut ReadSpan { buf: &mut buf[..want], offset, chunk };
+        // The cached chunk — dirty or not, so a handle reads its own
+        // writes — is served from the cache, the chunks before and after it
+        // from one walk each. The chunk the read ends in becomes the cached
+        // one, in the old one's buffer: the next sequential read starts
+        // with a cache hit.
+        let cached = self.cache.as_ref().filter(|c| (first..=last).contains(&c.seq));
+        let (before, after, hint) = match cached {
+            Some(c) => {
+                span.put(c.seq, &c.data);
+                (
+                    (c.seq > first).then(|| (first, c.seq - 1)),
+                    (c.seq < last).then(|| (c.seq + 1, last)),
+                    AccessHint::Sequential,
+                )
+            }
+            None => (None, Some((first, last)), self.run_hint(first)),
+        };
+        if let Some(before) = before {
+            self.read_chunks(span, before, AccessHint::Random, None)?;
         }
-        obs::histogram!("lo.fchunk.chunk_walk").record(chunks_walked);
+        if let Some(after) = after {
+            let mut keep = self.evict_cache()?;
+            self.read_chunks(span, after, hint, Some(&mut keep))?;
+            self.cache = Some(ChunkCache { seq: last, data: keep, dirty: false });
+        }
         Ok(want)
     }
 

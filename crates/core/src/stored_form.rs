@@ -9,7 +9,7 @@ use pglo_heap::StorageEnv;
 use std::borrow::Cow;
 
 const FLAG_RAW: u8 = 0;
-const FLAG_COMPRESSED: u8 = 1;
+pub(crate) const FLAG_COMPRESSED: u8 = 1;
 
 /// The flag and bytes to store for `plain`. Input conversion is priced per
 /// byte compressed, whether or not the result is kept.
@@ -25,19 +25,20 @@ pub(crate) fn encode(env: &StorageEnv, kind: CodecKind, plain: &[u8]) -> (u8, Ve
     (FLAG_RAW, plain.to_vec())
 }
 
-/// The plain bytes behind `stored`. Decompression is priced per
+/// The plain bytes behind `stored`: `stored` itself when it was kept as
+/// written (borrowed in, borrowed out), else its decompression, priced per
 /// uncompressed byte produced.
-pub(crate) fn decode(
+pub(crate) fn decode<'a>(
     env: &StorageEnv,
     kind: CodecKind,
     flag: u8,
-    stored: Cow<'_, [u8]>,
-) -> Result<Vec<u8>> {
+    stored: Cow<'a, [u8]>,
+) -> Result<Cow<'a, [u8]>> {
     if flag != FLAG_COMPRESSED {
-        return Ok(stored.into_owned());
+        return Ok(stored);
     }
     let codec = kind.codec();
     let plain = decompress_vec(codec, &stored)?;
     env.sim().charge_cpu_per_byte(plain.len(), codec.instr_per_byte());
-    Ok(plain)
+    Ok(Cow::Owned(plain))
 }

@@ -1,6 +1,7 @@
 //! Behaviour tests across all four large-object implementations.
 
 use crate::{LoError, LoId, LoSpec, LoStore, OpenMode, UserId, CHUNK_SIZE};
+use pglo_btree::BTree;
 use pglo_compress::synth::FrameGenerator;
 use pglo_compress::CodecKind;
 use pglo_heap::StorageEnv;
@@ -556,16 +557,46 @@ fn apply(model: &mut Vec<u8>, writes: &Writes) {
     }
 }
 
+/// `(offset, len)` reads, each held to the same span of the model.
+type Reads = [(u64, usize)];
+
+/// Read each of `reads` through `h`, running `before` ahead of each, and
+/// compare it with `expect`, the model of the whole object.
+fn check_reads(
+    h: &mut crate::LoHandle<'_>,
+    reads: &Reads,
+    expect: &[u8],
+    mut before: impl FnMut(&mut crate::LoHandle<'_>),
+    what: &str,
+) {
+    for &(offset, len) in reads {
+        before(h);
+        let mut buf = vec![0xA5; len];
+        let n = h.read_at(offset, &mut buf).unwrap();
+        let from = (offset as usize).min(expect.len());
+        let want = &expect[from..(from + len).min(expect.len())];
+        assert!(n == want.len() && buf[..n] == *want, "{what}: {len} bytes at {offset}");
+    }
+}
+
 /// Commit each of `committed` in a transaction of its own, then hold the
 /// store to a byte-vector model: the current contents; every generation
 /// as of its commit timestamp (the version walk must pass all the newer
 /// ones); and `pending`, written and never committed — its writer reads
 /// its own bytes, a snapshot taken before it reads the last committed
-/// ones while it is in progress and after it aborts.
-fn check_generations_against_model(spec: &LoSpec, committed: &[Writes], pending: &Writes) {
+/// ones while it is in progress and after it aborts. Each of these reads
+/// the whole object and then each of `reads`.
+fn check_generations_against_model(
+    spec: &LoSpec,
+    committed: &[Writes],
+    pending: &Writes,
+    reads: &Reads,
+) {
     let (_d, env, store) = setup();
     // The writing handle is read before it closes: read-your-writes
     // through f-chunk's dirty chunk and v-segment's pending segments.
+    // Before each ranged read the last write is made again, so its last
+    // chunk is cached and dirty while the read runs.
     let write = |txn: &pglo_txn::Txn, id: LoId, writes: &Writes, expect: &[u8]| {
         let mut h = store.open(txn, id, OpenMode::ReadWrite).unwrap();
         for (offset, data) in writes {
@@ -573,12 +604,16 @@ fn check_generations_against_model(spec: &LoSpec, committed: &[Writes], pending:
         }
         assert_eq!(h.size().unwrap(), expect.len() as u64, "size through the writing handle");
         assert!(h.read_to_vec().unwrap() == expect, "bytes through the writing handle");
+        let (offset, data) = writes.last().expect("a generation writes");
+        let rewrite = |h: &mut crate::LoHandle<'_>| h.write_at(*offset, data).unwrap();
+        check_reads(&mut h, reads, expect, rewrite, "through the writing handle");
         h.close().unwrap();
     };
     let read = |txn: &pglo_txn::Txn, id: LoId| {
         let mut h = store.open(txn, id, OpenMode::ReadOnly).unwrap();
         let all = h.read_to_vec().unwrap();
         assert_eq!(h.size().unwrap(), all.len() as u64);
+        check_reads(&mut h, reads, &all, |_| {}, "through a reading handle");
         h.close().unwrap();
         all
     };
@@ -598,6 +633,7 @@ fn check_generations_against_model(spec: &LoSpec, committed: &[Writes], pending:
         let mut h = store.open_as_of(id, *ts).unwrap();
         assert_eq!(h.size().unwrap(), expect.len() as u64, "size as of generation {gen}");
         assert!(h.read_to_vec().unwrap() == *expect, "bytes as of generation {gen}");
+        check_reads(&mut h, reads, expect, |_| {}, &format!("as of generation {gen}"));
     }
     let reader = env.begin();
     let writer = env.begin();
@@ -630,7 +666,20 @@ fn sixteen_generations_stay_reachable_as_of_their_commits() {
         let rewrites =
             (1..=16u8).map(|gen| vec![(8_192, vec![gen; 4_096]), (14_000, vec![gen; 4_096])]);
         let committed: Vec<Writes> = std::iter::once(base).chain(rewrites).collect();
-        check_generations_against_model(&spec, &committed, &vec![(8_192, vec![0xEE; 4_096])]);
+        let pending = vec![(8_192, vec![0xEE; 4_096])];
+        // Empty reads, each followed by a read of chunk 0, must leave the
+        // handle's cached chunk as it was.
+        let reads = [
+            (0, 30_000),
+            (7_000, 9_000),
+            (15_999, 2),
+            (12_000, 4 * CHUNK_SIZE),
+            (0, 0),
+            (0, CHUNK_SIZE),
+            (CHUNK_SIZE as u64, 0),
+            (0, CHUNK_SIZE),
+        ];
+        check_generations_against_model(&spec, &committed, &pending, &reads);
     }
 }
 
@@ -670,16 +719,64 @@ fn chunk_read_pins_do_not_grow_with_the_chunks_versions() {
     assert!(pins.iter().all(|&n| n == pins[0]), "pins after 1, 8 and 64 rewrites: {pins:?}");
 }
 
+/// The gain of the range walk, as a count: a fresh-snapshot read of `k`
+/// whole chunks descends the index once, so each chunk past the first pins
+/// one heap page more, and an index page more only where the run crosses
+/// into the next leaf (a descent per chunk pinned the meta page and every
+/// level again for each).
+#[test]
+fn multi_chunk_read_descends_the_index_once() {
+    // Pins of a fresh-snapshot read of chunks `first..first + k`, and the
+    // index's size in blocks.
+    let read_pins = |chunk_size: usize, chunks: usize, reads: &[(usize, usize)]| {
+        let (_d, env, store) = setup();
+        let txn = env.begin();
+        let id = store.create(&txn, &LoSpec::fchunk().with_chunk_size(chunk_size)).unwrap();
+        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+        let data: Vec<u8> = (0..chunks * chunk_size).map(|i| (i % 251) as u8).collect();
+        h.write(&data).unwrap();
+        h.close().unwrap();
+        txn.commit();
+        let pins = reads.iter().map(|&(first, k)| {
+            let txn = env.begin();
+            let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+            let mut buf = vec![0u8; k * chunk_size];
+            let before = env.pool().stats();
+            assert_eq!(h.read_at((first * chunk_size) as u64, &mut buf).unwrap(), buf.len());
+            let after = env.pool().stats();
+            assert!(buf == data[first * chunk_size..(first + k) * chunk_size]);
+            h.close().unwrap();
+            txn.commit();
+            (after.hits + after.misses) - (before.hits + before.misses)
+        });
+        let pins: Vec<u64> = pins.collect();
+        let index = BTree::open_oid(&env, store.meta(id).unwrap().idx_rel, env.disk_id());
+        (pins, index.nblocks().unwrap() as u64)
+    };
+    // Ten 8000-byte chunks: the index is one leaf, its root.
+    let (pins, blocks) = read_pins(CHUNK_SIZE, 10, &[(0, 1), (0, 2), (1, 8)]);
+    assert_eq!(blocks, 2, "meta page and root leaf");
+    assert_eq!([pins[1] - pins[0], pins[2] - pins[0]], [1, 7], "pins of 1, 2, 8 chunks: {pins:?}");
+    // A thousand 64-byte chunks: a root over several leaves, every one of
+    // which a read of the whole object crosses into.
+    let (pins, blocks) = read_pins(64, 1000, &[(0, 1), (0, 1000)]);
+    let leaves = blocks - 2;
+    assert!(leaves > 2, "the index must have several leaves, has {leaves}");
+    assert_eq!(pins[1] - pins[0], 999 + (leaves - 1), "pins of 1 and 1000 chunks: {pins:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random write/read sequences, committed `per_txn` writes to a
     /// transaction, agree with an in-memory byte-vector model — now and as
-    /// of every commit — for both chunked implementations and all codecs.
+    /// of every commit, whole and in `reads` spanning zero to ten chunks —
+    /// for both chunked implementations and all codecs.
     #[test]
     fn matches_byte_vector_model(
         ops in prop::collection::vec(
             (0u64..60_000, 1usize..9000, prop::num::u8::ANY), 1..25),
+        reads in prop::collection::vec((0u64..70_000, 0usize..10 * CHUNK_SIZE + 1), 1..6),
         per_txn in 1usize..25,
         use_vseg in prop::bool::ANY,
         codec_choice in 0u8..3,
@@ -693,7 +790,7 @@ proptest! {
         let writes: Writes = ops.into_iter().map(|(offset, len, fill)| (offset, vec![fill; len])).collect();
         let mut generations: Vec<Writes> = writes.chunks(per_txn).map(<[_]>::to_vec).collect();
         let pending = generations.pop().expect("at least one write");
-        check_generations_against_model(&spec, &generations, &pending);
+        check_generations_against_model(&spec, &generations, &pending, &reads);
     }
 }
 

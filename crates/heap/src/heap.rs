@@ -183,7 +183,7 @@ impl Heap {
 
     /// Fetch the payload at `tid` if visible under `vis`.
     pub fn fetch(&self, tid: Tid, vis: &Visibility) -> Result<Option<Vec<u8>>> {
-        Ok(self.fetch_with_header(tid, vis)?.map(|(_, p)| p))
+        self.fetch_hinted(tid, vis, AccessHint::Random)
     }
 
     /// [`Self::fetch`] with an access-pattern hint: callers walking tuples
@@ -196,7 +196,7 @@ impl Heap {
         vis: &Visibility,
         hint: AccessHint,
     ) -> Result<Option<Vec<u8>>> {
-        Ok(self.fetch_with_header_hinted(tid, vis, hint)?.map(|(_, p)| p))
+        self.fetch_with(tid, vis, hint, |_, payload| payload.to_vec())
     }
 
     /// Fetch `(header, payload)` at `tid` if visible.
@@ -215,6 +215,24 @@ impl Heap {
         vis: &Visibility,
         hint: AccessHint,
     ) -> Result<Option<(TupleHeader, Vec<u8>)>> {
+        self.fetch_with(tid, vis, hint, |hdr, payload| (hdr, payload.to_vec()))
+    }
+
+    /// The one fetch that checks visibility: if the tuple at `tid` is
+    /// visible under `vis`, hand its header and its payload — borrowed from
+    /// the pinned page, not copied — to `f` and return what `f` returns;
+    /// `None` (and `f` never runs) if it is not. The owned fetches above
+    /// are this with a `to_vec`.
+    ///
+    /// `f` runs under the page's read latch, so it must not pin another
+    /// page or take a lock.
+    pub fn fetch_with<R>(
+        &self,
+        tid: Tid,
+        vis: &Visibility,
+        hint: AccessHint,
+        f: impl FnOnce(TupleHeader, &[u8]) -> R,
+    ) -> Result<Option<R>> {
         self.env.sim().charge_cpu(FETCH_CPU_INSTR);
         let nblocks = self.nblocks()?;
         if tid.block >= nblocks {
@@ -228,11 +246,8 @@ impl Heap {
                 return None;
             }
             let hdr = TupleHeader::decode(item);
-            if tuple_visible(hdr.xmin, hdr.xmax, vis, self.env.txns()) {
-                Some((hdr, tuple_payload(item).to_vec()))
-            } else {
-                None
-            }
+            tuple_visible(hdr.xmin, hdr.xmax, vis, self.env.txns())
+                .then(|| f(hdr, tuple_payload(item)))
         }))
     }
 

@@ -381,7 +381,17 @@ fn comma_groups(trees: &[Tree]) -> usize {
     if trees.is_empty() {
         return 0;
     }
-    let commas = trees.iter().filter(|t| t.is_punct(',')).count();
+    // A closure argument's parameter list `|a, b|` is not two arguments.
+    let mut in_params = false;
+    let mut commas = 0;
+    for (i, t) in trees.iter().enumerate() {
+        if t.is_punct('|') {
+            let starts_arg = i == 0 || trees[i - 1].is_punct(',') || trees[i - 1].is_ident("move");
+            in_params = if in_params { false } else { starts_arg };
+        } else if t.is_punct(',') && !in_params {
+            commas += 1;
+        }
+    }
     let trailing = trees.last().is_some_and(|t| t.is_punct(','));
     commas + 1 - usize::from(trailing)
 }
@@ -570,6 +580,17 @@ mod tests {
         let decl = &items.fns[2];
         assert_eq!(decl.qual.as_deref(), Some("T"));
         assert!(decl.body.is_none());
+    }
+
+    #[test]
+    fn closure_parameters_are_not_arguments() {
+        let arity = |src: &str| {
+            let trees = build_trees(&tokenize(src));
+            call_arity(trees[1].group().expect("call group"))
+        };
+        assert_eq!(arity("f(a, |x, y| x + y)"), 2);
+        assert_eq!(arity("f(a, move |x, y| g(x, y), b)"), 3);
+        assert_eq!(arity("f(|| 1, a | b, c)"), 3);
     }
 
     #[test]
