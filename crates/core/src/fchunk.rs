@@ -87,15 +87,14 @@ impl ReadSpan<'_> {
     }
 }
 
-/// The f-chunk backend. One per open handle.
-pub struct FChunkBackend<'a> {
+/// The f-chunk backend. One per open handle or cursor.
+pub struct FChunkBackend {
     env: Arc<StorageEnv>,
     id: LoId,
     heap: Heap,
     index: BTree,
     codec: CodecKind,
     vis: Visibility,
-    txn: Option<&'a Txn>,
     size: u64,
     cache: Option<ChunkCache>,
     /// Persist size changes to the catalog on flush (false for internal and
@@ -106,7 +105,7 @@ pub struct FChunkBackend<'a> {
     chunk_size: usize,
 }
 
-impl<'a> FChunkBackend<'a> {
+impl FChunkBackend {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         env: Arc<StorageEnv>,
@@ -115,7 +114,6 @@ impl<'a> FChunkBackend<'a> {
         index: BTree,
         codec: CodecKind,
         vis: Visibility,
-        txn: Option<&'a Txn>,
         size: u64,
         persist_size: bool,
         chunk_size: usize,
@@ -128,7 +126,6 @@ impl<'a> FChunkBackend<'a> {
             index,
             codec,
             vis,
-            txn,
             size,
             cache: None,
             persist_size,
@@ -208,12 +205,12 @@ impl<'a> FChunkBackend<'a> {
         Ok(versions.next().transpose()?.map(|(tid, _)| tid))
     }
 
-    fn write_back(&mut self) -> Result<()> {
+    fn write_back(&mut self, txn: Option<&Txn>) -> Result<()> {
         let Some(cache) = &self.cache else { return Ok(()) };
         if !cache.dirty {
             return Ok(());
         }
-        let txn = self.txn.ok_or(LoError::ReadOnly)?;
+        let txn = txn.ok_or(LoError::ReadOnly)?;
         let seq = cache.seq;
         let (flag, stored) = stored_form::encode(&self.env, self.codec, &cache.data);
         let payload = encode_chunk(seq, flag, &stored);
@@ -239,24 +236,25 @@ impl<'a> FChunkBackend<'a> {
         }
     }
 
-    /// Write the cached chunk back and hand over its buffer, emptied, for
-    /// the chunk about to replace it. Write-back happens here, before any
-    /// walk, never under the index latch.
-    fn evict_cache(&mut self) -> Result<Vec<u8>> {
-        self.write_back()?;
+    /// Hand over the cached chunk's buffer, emptied, for the chunk about
+    /// to replace it. The cached chunk must be clean.
+    fn take_buffer(&mut self) -> Vec<u8> {
         let mut data = self.cache.take().map(|c| c.data).unwrap_or_default();
         data.clear();
-        Ok(data)
+        data
     }
 
     /// Make `seq` the cached chunk, fetching it unless `skip_fetch` (a full
-    /// overwrite is about to replace every byte anyway).
-    fn load_chunk(&mut self, seq: u64, skip_fetch: bool) -> Result<()> {
+    /// overwrite is about to replace every byte anyway). The chunk it
+    /// replaces is written back as `txn` first, before any walk, never
+    /// under the index latch.
+    fn load_chunk(&mut self, txn: &Txn, seq: u64, skip_fetch: bool) -> Result<()> {
         if self.cache.as_ref().is_some_and(|c| c.seq == seq) {
             return Ok(());
         }
         let hint = self.run_hint(seq);
-        let mut data = self.evict_cache()?;
+        self.write_back(Some(txn))?;
+        let mut data = self.take_buffer();
         if !skip_fetch {
             self.walk_chunks(seq, seq, hint, |_, flag, bytes| {
                 let plain = stored_form::decode(&self.env, self.codec, flag, bytes.into())?;
@@ -306,7 +304,7 @@ impl<'a> FChunkBackend<'a> {
     }
 }
 
-impl LoBackend for FChunkBackend<'_> {
+impl LoBackend for FChunkBackend {
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize> {
         if offset >= self.size || buf.is_empty() {
             return Ok(0);
@@ -321,7 +319,8 @@ impl LoBackend for FChunkBackend<'_> {
         // writes — is served from the cache, the chunks before and after it
         // from one walk each. The chunk the read ends in becomes the cached
         // one, in the old one's buffer: the next sequential read starts
-        // with a cache hit.
+        // with a cache hit. A dirty cached chunk stays: only the write
+        // path, which has the transaction, writes it back.
         let cached = self.cache.as_ref().filter(|c| (first..=last).contains(&c.seq));
         let (before, after, hint) = match cached {
             Some(c) => {
@@ -337,18 +336,21 @@ impl LoBackend for FChunkBackend<'_> {
         if let Some(before) = before {
             self.read_chunks(span, before, AccessHint::Random, None)?;
         }
-        if let Some(after) = after {
-            let mut keep = self.evict_cache()?;
-            self.read_chunks(span, after, hint, Some(&mut keep))?;
-            self.cache = Some(ChunkCache { seq: last, data: keep, dirty: false });
+        match after {
+            Some(after) if self.cache.as_ref().is_some_and(|c| c.dirty) => {
+                self.read_chunks(span, after, hint, None)?;
+            }
+            Some(after) => {
+                let mut keep = self.take_buffer();
+                self.read_chunks(span, after, hint, Some(&mut keep))?;
+                self.cache = Some(ChunkCache { seq: last, data: keep, dirty: false });
+            }
+            None => {}
         }
         Ok(want)
     }
 
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<()> {
-        if self.txn.is_none() {
-            return Err(LoError::ReadOnly);
-        }
+    fn write_at(&mut self, txn: &Txn, offset: u64, data: &[u8]) -> Result<()> {
         obs::counter!("lo.fchunk.write.bytes").add(data.len() as u64);
         let mut done = 0usize;
         while done < data.len() {
@@ -361,7 +363,7 @@ impl LoBackend for FChunkBackend<'_> {
             // current end of object.
             let chunk_start = seq * self.chunk_size as u64;
             let skip_fetch = within == 0 && (span == self.chunk_size || chunk_start >= self.size);
-            self.load_chunk(seq, skip_fetch)?;
+            self.load_chunk(txn, seq, skip_fetch)?;
             let cache = self.cache.as_mut().expect("chunk just loaded");
             if cache.data.len() < within + span {
                 cache.data.resize(within + span, 0);
@@ -382,15 +384,15 @@ impl LoBackend for FChunkBackend<'_> {
         Ok(self.size)
     }
 
-    fn flush(&mut self) -> Result<()> {
-        self.write_back()?;
+    fn flush(&mut self, txn: Option<&Txn>) -> Result<()> {
+        self.write_back(txn)?;
         if self.persist_size && self.size_dirty {
             // Stamp who cached this size: the catalog is not MVCC, so a
             // later snapshot open must be able to tell whether the cached
             // size came from a transaction it can actually see (it
             // recomputes from visible chunks if not). Size and xid land
             // in one catalog snapshot.
-            let xid = self.txn.map(|txn| txn.xid().0.to_string());
+            let xid = txn.map(|txn| txn.xid().0.to_string());
             let size = self.size.to_string();
             let mut props = vec![("size", size.as_str())];
             props.extend(xid.as_deref().map(|xid| ("size_xid", xid)));
@@ -398,5 +400,11 @@ impl LoBackend for FChunkBackend<'_> {
             self.size_dirty = false;
         }
         Ok(())
+    }
+
+    fn forget_bytes(&mut self) {
+        if self.cache.as_ref().is_some_and(|c| !c.dirty) {
+            self.cache = None;
+        }
     }
 }

@@ -11,6 +11,7 @@
 //! objects.
 
 use crate::{LoError, LoId, Result};
+use pglo_txn::Txn;
 use std::io::SeekFrom;
 
 /// How a handle was opened.
@@ -25,19 +26,39 @@ pub enum OpenMode {
 
 /// The operations each of the four implementations provides. Offsets are
 /// absolute; [`LoHandle`] layers the seek pointer on top.
+///
+/// A backend borrows no transaction: the write path is handed the one it
+/// writes as on every call, which must be the one the backend was opened
+/// under.
 pub trait LoBackend: Send {
     /// Read up to `buf.len()` bytes at `offset`; short reads only at end of
     /// object.
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize>;
 
-    /// Write all of `data` at `offset`, extending the object if needed.
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<()>;
+    /// Write all of `data` at `offset` as `txn`, extending the object if
+    /// needed.
+    fn write_at(&mut self, txn: &Txn, offset: u64, data: &[u8]) -> Result<()>;
 
     /// Current logical size in bytes.
     fn size(&mut self) -> Result<u64>;
 
-    /// Push buffered chunks to the storage layer and persist metadata.
-    fn flush(&mut self) -> Result<()>;
+    /// Push buffered chunks to the storage layer as `txn` and persist
+    /// metadata. With no transaction only a backend holding no writes
+    /// flushes.
+    fn flush(&mut self, txn: Option<&Txn>) -> Result<()>;
+
+    /// Forget the object bytes a read left cached, keeping what the open
+    /// resolved (metadata, size, relations, visibility). Buffered writes
+    /// stay until a flush.
+    fn forget_bytes(&mut self) {}
+}
+
+/// Flush `backend` best-effort, for a caller about to drop it that has no
+/// one to report the error to: it is counted, not returned.
+pub(crate) fn flush_before_drop(backend: &mut dyn LoBackend, txn: Option<&Txn>) {
+    if backend.flush(txn).is_err() {
+        obs::counter!("lo.drop_flush.errors").add(1);
+    }
 }
 
 /// An open large object descriptor.
@@ -49,14 +70,29 @@ pub trait LoBackend: Send {
 /// from visible chunks, so an aborted extend leaves the size unchanged.
 pub struct LoHandle<'a> {
     id: LoId,
-    backend: Box<dyn LoBackend + 'a>,
+    backend: Box<dyn LoBackend>,
+    /// The transaction the handle was opened under; `None` for time travel.
+    txn: Option<&'a Txn>,
     pos: u64,
     mode: OpenMode,
 }
 
 impl<'a> LoHandle<'a> {
-    pub(crate) fn new(id: LoId, backend: Box<dyn LoBackend + 'a>, mode: OpenMode) -> Self {
-        Self { id, backend, pos: 0, mode }
+    pub(crate) fn new(
+        id: LoId,
+        backend: Box<dyn LoBackend>,
+        mode: OpenMode,
+        txn: Option<&'a Txn>,
+    ) -> Self {
+        Self { id, backend, txn, pos: 0, mode }
+    }
+
+    /// The transaction writes go out as, if this handle may write.
+    fn writer(&self) -> Result<&'a Txn> {
+        match (self.mode, self.txn) {
+            (OpenMode::ReadWrite, Some(txn)) => Ok(txn),
+            _ => Err(LoError::ReadOnly),
+        }
     }
 
     /// The object this handle addresses.
@@ -84,20 +120,14 @@ impl<'a> LoHandle<'a> {
 
     /// Write all of `data` at the seek pointer, advancing it.
     pub fn write(&mut self, data: &[u8]) -> Result<()> {
-        if self.mode == OpenMode::ReadOnly {
-            return Err(LoError::ReadOnly);
-        }
-        self.backend.write_at(self.pos, data)?;
+        self.backend.write_at(self.writer()?, self.pos, data)?;
         self.pos += data.len() as u64;
         Ok(())
     }
 
     /// Write at an explicit offset without moving the seek pointer.
     pub fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<()> {
-        if self.mode == OpenMode::ReadOnly {
-            return Err(LoError::ReadOnly);
-        }
-        self.backend.write_at(offset, data)
+        self.backend.write_at(self.writer()?, offset, data)
     }
 
     /// Move the seek pointer. Seeking past the end is allowed (a later
@@ -128,7 +158,7 @@ impl<'a> LoHandle<'a> {
 
     /// Flush buffered data and persist metadata.
     pub fn flush(&mut self) -> Result<()> {
-        self.backend.flush()
+        self.backend.flush(self.txn)
     }
 
     /// Flush and consume the handle, surfacing the flush's error. The
@@ -136,7 +166,7 @@ impl<'a> LoHandle<'a> {
     /// backend again, which writes nothing, and the backend (its chunk
     /// cache, its hold on the storage environment) is freed.
     pub fn close(mut self) -> Result<()> {
-        self.backend.flush()
+        self.backend.flush(self.txn)
     }
 
     /// Read the entire object from the start (convenience).
@@ -159,9 +189,7 @@ impl<'a> LoHandle<'a> {
 impl Drop for LoHandle<'_> {
     fn drop(&mut self) {
         // Best-effort flush; use `close()` to observe failures.
-        if self.backend.flush().is_err() {
-            obs::counter!("lo.drop_flush.errors").add(1);
-        }
+        flush_before_drop(self.backend.as_mut(), self.txn);
     }
 }
 

@@ -13,6 +13,7 @@
 use crate::handle::LoBackend;
 use crate::Result;
 use pglo_smgr::NativeFile;
+use pglo_txn::Txn;
 
 /// Backend over a DBMS-owned host file. Ownership was verified at open
 /// time by [`crate::LoStore`].
@@ -34,7 +35,7 @@ impl LoBackend for PFileBackend {
         Ok(n)
     }
 
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<()> {
+    fn write_at(&mut self, _txn: &Txn, offset: u64, data: &[u8]) -> Result<()> {
         self.file.write_at(offset, data)?;
         obs::counter!("lo.pfile.write.bytes").add(data.len() as u64);
         Ok(())
@@ -44,7 +45,7 @@ impl LoBackend for PFileBackend {
         Ok(self.file.len()?)
     }
 
-    fn flush(&mut self) -> Result<()> {
+    fn flush(&mut self, _txn: Option<&Txn>) -> Result<()> {
         // Run the simulated OS syncer: dirty cached blocks reach the device.
         self.file.sync();
         Ok(())

@@ -1,7 +1,7 @@
 //! The large-object manager: create, open, time-travel open, unlink.
 
 use crate::fchunk::FChunkBackend;
-use crate::handle::{LoHandle, OpenMode};
+use crate::handle::{LoBackend, LoHandle, OpenMode};
 use crate::meta::{lo_class_name, LoKind, LoMeta};
 use crate::pfile::PFileBackend;
 use crate::temp::TempRegistry;
@@ -129,6 +129,14 @@ impl LoStorage {
     }
 }
 
+/// What an open sees.
+pub(crate) enum View<'t> {
+    /// A running transaction's snapshot, its own writes included.
+    Txn(&'t Txn),
+    /// The database exactly as of a commit timestamp (time travel).
+    AsOf(u64),
+}
+
 /// The large-object manager.
 pub struct LoStore {
     env: Arc<StorageEnv>,
@@ -244,6 +252,28 @@ impl LoStore {
         mode: OpenMode,
         user: UserId,
     ) -> Result<LoHandle<'a>> {
+        let backend = self.open_backend(id, View::Txn(txn), mode, user)?;
+        Ok(LoHandle::new(id, backend, mode, Some(txn)))
+    }
+
+    /// Time-travel open: the object exactly as of commit timestamp `ts`.
+    /// Always read-only. Only f-chunk and v-segment support history — the
+    /// file implementations have none (§6.1).
+    pub fn open_as_of(&self, id: LoId, ts: u64) -> Result<LoHandle<'static>> {
+        let backend = self.open_backend(id, View::AsOf(ts), OpenMode::ReadOnly, UserId::DBA)?;
+        Ok(LoHandle::new(id, backend, OpenMode::ReadOnly, None))
+    }
+
+    /// The one open: resolve `id` from the catalog, check that `user` may
+    /// open it in `mode` (a time-travel open reads only), and build its
+    /// backend for `view`.
+    pub(crate) fn open_backend(
+        &self,
+        id: LoId,
+        view: View<'_>,
+        mode: OpenMode,
+        user: UserId,
+    ) -> Result<Box<dyn LoBackend>> {
         let meta = self.meta(id)?;
         if mode == OpenMode::ReadWrite {
             let allowed = match meta.kind {
@@ -255,21 +285,16 @@ impl LoStore {
                 return Err(LoError::Permission { lo: id, user });
             }
         }
-        let vis = Visibility::for_txn(txn);
-        self.open_with(meta, vis, Some(txn), mode)
-    }
-
-    /// Time-travel open: the object exactly as of commit timestamp `ts`.
-    /// Always read-only. Only f-chunk and v-segment support history — the
-    /// file implementations have none (§6.1).
-    pub fn open_as_of(&self, id: LoId, ts: u64) -> Result<LoHandle<'static>> {
-        let meta = self.meta(id)?;
-        match meta.kind {
-            LoKind::UFile | LoKind::PFile => Err(LoError::Unsupported(
-                "time travel requires the f-chunk or v-segment implementation",
-            )),
-            _ => self.open_with(meta, Visibility::AsOf(ts), None, OpenMode::ReadOnly),
-        }
+        let vis = match view {
+            View::Txn(txn) => Visibility::for_txn(txn),
+            View::AsOf(_) if matches!(meta.kind, LoKind::UFile | LoKind::PFile) => {
+                return Err(LoError::Unsupported(
+                    "time travel requires the f-chunk or v-segment implementation",
+                ))
+            }
+            View::AsOf(ts) => Visibility::AsOf(ts),
+        };
+        self.open_with(meta, vis)
     }
 
     /// Whether the catalog's cached logical size, flushed by `xid`, can be
@@ -293,13 +318,7 @@ impl LoStore {
         }
     }
 
-    fn open_with<'a>(
-        &self,
-        meta: LoMeta,
-        vis: Visibility,
-        txn: Option<&'a Txn>,
-        mode: OpenMode,
-    ) -> Result<LoHandle<'a>> {
+    fn open_with(&self, meta: LoMeta, vis: Visibility) -> Result<Box<dyn LoBackend>> {
         let id = meta.id;
         let time_travel = matches!(vis, Visibility::AsOf(_));
         let size_trusted = self.size_is_visible(meta.size_xid, &vis);
@@ -307,12 +326,12 @@ impl LoStore {
             LoKind::UFile => {
                 let path = meta.path.as_ref().ok_or(LoError::NotFound(id))?;
                 let file = NativeFile::open(path, self.env.sim().clone(), false)?;
-                Ok(LoHandle::new(id, Box::new(UFileBackend::new(file)), mode))
+                Ok(Box::new(UFileBackend::new(file)))
             }
             LoKind::PFile => {
                 let path = meta.path.as_ref().ok_or(LoError::NotFound(id))?;
                 let file = NativeFile::open(path, self.env.sim().clone(), false)?;
-                Ok(LoHandle::new(id, Box::new(PFileBackend::new(file)), mode))
+                Ok(Box::new(PFileBackend::new(file)))
             }
             LoKind::FChunk => {
                 let heap = Heap::open_oid(&self.env, meta.data_rel, meta.smgr);
@@ -324,7 +343,6 @@ impl LoStore {
                     index,
                     meta.codec,
                     vis,
-                    txn,
                     meta.size,
                     !time_travel,
                     meta.chunk_size,
@@ -333,7 +351,7 @@ impl LoStore {
                     let size = backend.compute_size()?;
                     backend.set_size(size);
                 }
-                Ok(LoHandle::new(id, Box::new(backend), mode))
+                Ok(Box::new(backend))
             }
             LoKind::VSegment => {
                 let store_heap = Heap::open_oid(&self.env, meta.data_rel, meta.smgr);
@@ -345,7 +363,6 @@ impl LoStore {
                     store_index,
                     CodecKind::None,
                     vis.clone(),
-                    txn,
                     meta.store_size,
                     false,
                     meta.chunk_size,
@@ -363,14 +380,13 @@ impl LoStore {
                     store,
                     &meta,
                     vis,
-                    txn,
                     !time_travel,
                 );
                 if !size_trusted {
                     let size = backend.compute_size()?;
                     backend.set_size(size);
                 }
-                Ok(LoHandle::new(id, Box::new(backend), mode))
+                Ok(Box::new(backend))
             }
         }
     }

@@ -13,6 +13,7 @@
 use crate::handle::LoBackend;
 use crate::Result;
 use pglo_smgr::NativeFile;
+use pglo_txn::Txn;
 
 /// Backend over a user-owned host file.
 pub struct UFileBackend {
@@ -33,7 +34,7 @@ impl LoBackend for UFileBackend {
         Ok(n)
     }
 
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<()> {
+    fn write_at(&mut self, _txn: &Txn, offset: u64, data: &[u8]) -> Result<()> {
         self.file.write_at(offset, data)?;
         obs::counter!("lo.ufile.write.bytes").add(data.len() as u64);
         Ok(())
@@ -43,7 +44,7 @@ impl LoBackend for UFileBackend {
         Ok(self.file.len()?)
     }
 
-    fn flush(&mut self) -> Result<()> {
+    fn flush(&mut self, _txn: Option<&Txn>) -> Result<()> {
         // Run the simulated OS syncer: dirty cached blocks reach the device.
         self.file.sync();
         Ok(())

@@ -2,10 +2,11 @@
 //! copies each chunk straight from its heap page, so what it allocates
 //! does not grow with the chunks it covers. A read that looked each chunk
 //! up on its own allocated a TID vector, an owned payload and a plain copy
-//! per chunk, and that must not come back quietly. The counting allocator
-//! is why this is a test binary of its own.
+//! per chunk, and that must not come back quietly. Nor must a cursor that
+//! re-opens its object from the catalog on every operation. The counting
+//! allocator is why this is a test binary of its own.
 
-use pglo_core::{LoSpec, LoStore, OpenMode, CHUNK_SIZE};
+use pglo_core::{LoCursor, LoId, LoSpec, LoStore, OpenMode, UserId, CHUNK_SIZE};
 use pglo_heap::StorageEnv;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -55,8 +56,8 @@ fn allocs_of(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
-#[test]
-fn a_read_allocates_the_same_over_2_chunks_as_over_16() {
+/// A committed f-chunk object of 20 chunks, and its bytes.
+fn twenty_chunks() -> (tempfile::TempDir, Arc<StorageEnv>, LoStore, LoId, Vec<u8>) {
     let dir = tempfile::tempdir().unwrap();
     let env = StorageEnv::open(dir.path()).unwrap();
     let store = LoStore::new(Arc::clone(&env));
@@ -67,6 +68,12 @@ fn a_read_allocates_the_same_over_2_chunks_as_over_16() {
     h.write(&data).unwrap();
     h.close().unwrap();
     txn.commit();
+    (dir, env, store, id, data)
+}
+
+#[test]
+fn a_read_allocates_the_same_over_2_chunks_as_over_16() {
+    let (_dir, env, store, id, data) = twenty_chunks();
     let read_allocs = |chunks: usize| {
         let txn = env.begin();
         let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
@@ -84,4 +91,30 @@ fn a_read_allocates_the_same_over_2_chunks_as_over_16() {
     let (two, sixteen) = (read_allocs(2), read_allocs(16));
     assert_eq!(two, sixteen, "a read of 2 chunks made {two} allocations, of 16 chunks {sixteen}");
     assert!(two <= 3, "a read allocates its descent path and the range it walks, not {two} times");
+}
+
+/// A descriptor opens its object once per transaction: a second 4 KiB
+/// read through a cursor allocates what the same read on an open handle
+/// does, plus the chunk buffer a cursor operation does not keep.
+#[test]
+fn a_cursor_read_costs_a_handle_read_and_one_chunk_buffer() {
+    let (_dir, env, store, id, data) = twenty_chunks();
+    let txn = env.begin();
+    let (last, at) = ((19 * CHUNK_SIZE) as u64, 5 * CHUNK_SIZE + 100);
+    let mut buf = vec![0u8; 4096];
+    let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+    h.read_at(last, &mut buf).unwrap();
+    let handle = allocs_of(|| assert_eq!(h.read_at(at as u64, &mut buf).unwrap(), buf.len()));
+    h.close().unwrap();
+    let cur = LoCursor::new(id, OpenMode::ReadOnly, UserId::DBA);
+    cur.read_at(&store, Some(&txn), last, &mut buf).unwrap();
+    let cursor = allocs_of(|| {
+        assert_eq!(cur.read_at(&store, Some(&txn), at as u64, &mut buf).unwrap(), buf.len())
+    });
+    assert!(buf == data[at..at + buf.len()]);
+    txn.commit();
+    assert!(
+        cursor <= handle + 1,
+        "a cursor read made {cursor} allocations, a handle read {handle}"
+    );
 }

@@ -11,6 +11,7 @@ use parking_lot::{ranks, Mutex};
 use pglo_smgr::SmgrId;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What kind of physical structure a class is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,9 +49,6 @@ impl ClassMeta {
 struct CatalogData {
     next_oid: u64,
     classes: HashMap<String, ClassMeta>,
-    /// In-memory mutation counter (not persisted): orders snapshot
-    /// writes that happen after the data lock is released.
-    version: u64,
 }
 
 // JSON mapping, kept byte-compatible with the serde_json derive layout the
@@ -80,7 +78,7 @@ impl CatalogData {
             Some(_) => return Err("classes is not an object".into()),
             None => HashMap::new(),
         };
-        Ok(Self { next_oid, classes, version: 0 })
+        Ok(Self { next_oid, classes })
     }
 }
 
@@ -138,14 +136,16 @@ impl ClassMeta {
 
 /// The catalog. Thread-safe; optionally persisted to `<dir>/catalog.json`.
 ///
-/// Every mutator goes through the private `mutate`, which never writes
-/// the file while holding the data lock: it bumps
-/// `CatalogData::version`, renders the JSON snapshot in memory, releases
-/// the data lock, and then writes under the `persist` lock (rank
+/// Every mutator goes through the private `mutate`, which bumps the
+/// version ([`Catalog::version`]) and never writes the file while holding
+/// the data lock: it renders the JSON snapshot in memory, releases the
+/// data lock, and then writes under the `persist` lock (rank
 /// `heap.catalog_persist`), which serializes writers and drops snapshots
 /// that lost the race to a newer version.
 pub struct Catalog {
     data: Mutex<CatalogData>,
+    /// Mutation counter (not persisted), bumped under the data lock.
+    version: AtomicU64,
     /// Version of the last snapshot written to disk.
     persist: Mutex<u64>,
     path: Option<PathBuf>,
@@ -159,9 +159,10 @@ impl Catalog {
     pub fn in_memory() -> Self {
         Self {
             data: Mutex::with_rank(
-                CatalogData { next_oid: FIRST_OID, classes: HashMap::new(), version: 0 },
+                CatalogData { next_oid: FIRST_OID, classes: HashMap::new() },
                 ranks::CATALOG,
             ),
+            version: AtomicU64::new(0),
             persist: Mutex::with_rank(0, ranks::CATALOG_PERSIST),
             path: None,
         }
@@ -178,26 +179,27 @@ impl Catalog {
             CatalogData::from_json(&value)
                 .map_err(|e| HeapError::Catalog(format!("parse {}: {e}", path.display())))?
         } else {
-            CatalogData { next_oid: FIRST_OID, classes: HashMap::new(), version: 0 }
+            CatalogData { next_oid: FIRST_OID, classes: HashMap::new() }
         };
         Ok(Self {
             data: Mutex::with_rank(data, ranks::CATALOG),
+            version: AtomicU64::new(0),
             persist: Mutex::with_rank(0, ranks::CATALOG_PERSIST),
             path: Some(path),
         })
     }
 
     /// The one mutation path: run `edit` under the data lock and, when it
-    /// succeeds and the catalog has a file, bump the version and render
+    /// succeeds, bump the version; when the catalog has a file, render
     /// the JSON under that lock, release it, then install the snapshot
     /// under the persist lock unless a newer one already won. A failed
-    /// edit must leave `data` as it found it; nothing is written for it.
+    /// edit must leave `data` as it found it; nothing is bumped or
+    /// written for it.
     fn mutate<T>(&self, edit: impl FnOnce(&mut CatalogData) -> Result<T>) -> Result<T> {
         let mut data = self.data.lock();
         let out = edit(&mut data)?;
+        let version = self.version.fetch_add(1, Ordering::SeqCst) + 1;
         let Some(path) = self.path.as_ref() else { return Ok(out) };
-        data.version += 1;
-        let version = data.version;
         let text = json::to_string_pretty(&data.to_json());
         drop(data);
         let mut last_written = self.persist.lock();
@@ -242,6 +244,13 @@ impl Catalog {
     /// Remove a class by name, returning its metadata.
     pub fn drop_class(&self, name: &str) -> Result<ClassMeta> {
         self.mutate(|data| data.classes.remove(name).ok_or_else(|| no_such_class(name)))
+    }
+
+    /// How many mutations this catalog has seen since it was opened. Any
+    /// change of it may have changed any class: a reader that keeps what
+    /// it resolved from the catalog keeps it only while this stands still.
+    pub fn version(&self) -> u64 {
+        self.version.load(Ordering::SeqCst)
     }
 
     /// Look up by name.
@@ -338,16 +347,35 @@ mod tests {
         assert!(next > meta.oid);
     }
 
+    /// Whether `cat`'s version moved since `last`, which it then becomes.
+    fn advanced(cat: &Catalog, last: &mut u64) -> bool {
+        let now = cat.version();
+        std::mem::replace(last, now) < now
+    }
+
+    /// Also: every mutating call advances the version, in memory and
+    /// persisted alike, and a failed one does not.
     #[test]
     fn props_update() {
-        let cat = Catalog::in_memory();
-        cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
-        cat.set_props("T", &[("rows", "42")]).unwrap();
-        assert_eq!(cat.get("T").unwrap().props.get("rows").unwrap(), "42");
-        assert!(cat.remove_prop("T", "rows").unwrap());
-        assert!(!cat.remove_prop("T", "rows").unwrap());
-        assert!(!cat.get("T").unwrap().props.contains_key("rows"));
-        assert!(cat.set_props("missing", &[("a", "b")]).is_err());
+        let dir = tempfile::tempdir().unwrap();
+        for cat in [Catalog::in_memory(), Catalog::open(dir.path()).unwrap()] {
+            let v = &mut cat.version();
+            cat.alloc_oid().unwrap();
+            assert!(advanced(&cat, v), "alloc_oid");
+            cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
+            assert!(advanced(&cat, v), "create_class");
+            cat.set_props("T", &[("rows", "42")]).unwrap();
+            assert!(advanced(&cat, v), "set_props");
+            assert_eq!(cat.get("T").unwrap().props.get("rows").unwrap(), "42");
+            assert!(cat.remove_prop("T", "rows").unwrap());
+            assert!(advanced(&cat, v), "remove_prop");
+            assert!(cat.set_props("missing", &[("a", "b")]).is_err());
+            assert!(!advanced(&cat, v), "a failed set_props");
+            assert!(!cat.remove_prop("T", "rows").unwrap());
+            assert!(!cat.get("T").unwrap().props.contains_key("rows"));
+            cat.drop_class("T").unwrap();
+            assert!(advanced(&cat, v), "drop_class");
+        }
     }
 
     #[test]

@@ -270,9 +270,10 @@ impl LobdService {
                 let user = UserId(r.u32().map_err(malformed)?);
                 r.finish().map_err(malformed)?;
                 let txn = session.txn.as_ref().ok_or_else(no_txn)?;
-                // Open-check now so a bad id fails at open, not first read.
-                self.store.open_as(txn, id, mode, user).map_err(lo_err)?.close().map_err(lo_err)?;
-                let fd = session.install(LoCursor::new(id, mode, user));
+                // Open now, so a bad id fails at open, not first read; the
+                // descriptor keeps this open for the transaction's frames.
+                let cur = LoCursor::open(&self.store, txn, id, mode, user).map_err(lo_err)?;
+                let fd = session.install(cur);
                 proto::put_u32(out, fd);
                 Ok(())
             }
@@ -281,8 +282,8 @@ impl LobdService {
                 let ts = r.u64().map_err(malformed)?;
                 r.finish().map_err(malformed)?;
                 // Time travel needs no transaction; validate eagerly.
-                self.store.open_as_of(id, ts).map_err(lo_err)?.close().map_err(lo_err)?;
-                let fd = session.install(LoCursor::as_of(id, ts));
+                let cur = LoCursor::open_as_of(&self.store, id, ts).map_err(lo_err)?;
+                let fd = session.install(cur);
                 proto::put_u32(out, fd);
                 Ok(())
             }

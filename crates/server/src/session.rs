@@ -4,7 +4,12 @@
 //! A session owns at most one transaction at a time (`begin` .. `commit` /
 //! `abort`). Descriptors are [`LoCursor`]s — positioned, transaction-free —
 //! so they survive across frames and re-bind to whatever transaction the
-//! session currently holds. When the connection dies with a transaction
+//! session currently holds. A descriptor holds its object's open for one
+//! transaction: `lo_open` opens it, and later frames reuse that open while
+//! the transaction's XID and the catalog version it was opened at both
+//! still match, re-opening otherwise. Every frame flushes its writes and
+//! keeps no object bytes, so nothing is pending or stale between frames.
+//! When the connection dies with a transaction
 //! still open, dropping the session drops the [`Txn`], whose RAII drop
 //! aborts it: an orphaned transaction can never commit.
 
