@@ -12,7 +12,6 @@
 use crate::datum::{Datum, LoRef, Rect};
 use crate::exec::ExecCtx;
 use crate::funcs::FunctionRegistry;
-use crate::types::{LargeTypeDef, TypeRegistry};
 use crate::{AdtError, Result};
 use pglo_core::OpenMode;
 use std::sync::Arc;
@@ -56,12 +55,6 @@ pub mod image {
     pub fn pixel(x: u32, y: u32, seed: u32) -> u8 {
         ((x / 16).wrapping_add(y).wrapping_add(seed) % 251) as u8
     }
-}
-
-/// Register the `image` large ADT with its input/output conversion
-/// routines. `def` carries the `storage =` / `compression =` clauses.
-pub fn register_image_type(types: &TypeRegistry, def: LargeTypeDef) -> Result<()> {
-    types.create_large_type("image", image_input_fn(), image_output_fn(), def)
 }
 
 /// The `image` input conversion routine (`image_in` in query-language DDL):
@@ -333,6 +326,7 @@ pub fn register_builtins(funcs: &FunctionRegistry) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::{LargeTypeDef, TypeRegistry};
     use pglo_compress::CodecKind;
     use pglo_core::{LoKind, LoStore};
     use pglo_heap::StorageEnv;
@@ -344,11 +338,8 @@ mod tests {
         let env = StorageEnv::open(dir.path()).unwrap();
         let store = LoStore::new(std::sync::Arc::clone(&env));
         let types = TypeRegistry::new();
-        register_image_type(
-            &types,
-            LargeTypeDef { storage: LoKind::FChunk, codec: CodecKind::Rle, smgr: None },
-        )
-        .unwrap();
+        let def = LargeTypeDef { storage: LoKind::FChunk, codec: CodecKind::Rle, smgr: None };
+        types.create_large_type("image", image_input_fn(), image_output_fn(), def).unwrap();
         let funcs = FunctionRegistry::new();
         register_builtins(&funcs).unwrap();
         (dir, env, store, types, funcs)

@@ -113,12 +113,8 @@ impl FunctionRegistry {
         self.invoke(ctx, &fn_name, &[left, right])
     }
 
-    /// Whether an operator symbol is registered.
-    pub fn has_operator(&self, symbol: &str) -> bool {
-        self.operators.read().contains_key(symbol)
-    }
-
     /// All registered `(name, arity, signature)`, sorted.
+    // LINT: allow(R14, the REPL's \funcs listing in examples/postquel_repl.rs)
     pub fn list(&self) -> Vec<(String, usize, String)> {
         let mut v: Vec<(String, usize, String)> = self
             .funcs
@@ -160,8 +156,6 @@ mod tests {
         ));
         reg.register("overlaps", 2, "", dummy()).unwrap();
         reg.register_operator("&&", "overlaps").unwrap();
-        assert!(reg.has_operator("&&"));
-        assert!(!reg.has_operator("||"));
         assert!(matches!(reg.register_operator("&&", "overlaps"), Err(AdtError::Duplicate(_))));
     }
 }

@@ -108,11 +108,13 @@ impl TypeRegistry {
     }
 
     /// Whether `name` names a large ADT.
+    // LINT: allow(R14, the REPL's \types listing in examples/postquel_repl.rs)
     pub fn is_large(&self, name: &str) -> bool {
         self.types.read().get(name).is_some_and(|t| t.large.is_some())
     }
 
     /// All registered type names, sorted.
+    // LINT: allow(R14, the REPL's \types listing in examples/postquel_repl.rs)
     pub fn names(&self) -> Vec<String> {
         let mut v: Vec<String> = self.types.read().keys().cloned().collect();
         v.sort();

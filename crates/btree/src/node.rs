@@ -101,11 +101,6 @@ impl<'a, B: AsRef<[u8]>> NodeView<'a, B> {
         self.level() == 0
     }
 
-    /// Left sibling block (0 = none).
-    pub fn left(&self) -> u32 {
-        u32::from_le_bytes(self.page.special()[4..8].try_into().expect("left"))
-    }
-
     /// Right sibling block (0 = none).
     pub fn right(&self) -> u32 {
         u32::from_le_bytes(self.page.special()[8..12].try_into().expect("right"))
@@ -222,15 +217,20 @@ mod tests {
             let view = NodeView::new(&ro);
             assert_eq!(view.level(), 2);
             assert!(!view.is_leaf());
-            assert_eq!(view.left(), 5);
+            assert_eq!(left_of(&ro), 5);
             assert_eq!(view.right(), 9);
         }
         let mut page = Page::new(&mut buf[..]);
         NodeView::<&mut [u8]>::set_right(&mut page, 42);
         NodeView::<&mut [u8]>::set_left(&mut page, 41);
         let ro = Page::new(&buf[..]);
-        let view = NodeView::new(&ro);
-        assert_eq!((view.left(), view.right()), (41, 42));
+        assert_eq!((left_of(&ro), NodeView::new(&ro).right()), (41, 42));
+    }
+
+    /// The left-sibling link: special bytes 4..8 (nothing reads it but
+    /// this test).
+    fn left_of(page: &Page<&[u8]>) -> u32 {
+        u32::from_le_bytes(page.special()[4..8].try_into().unwrap())
     }
 
     #[test]

@@ -72,6 +72,7 @@ impl BufferPool {
 
     /// Current EWMA of observed per-read device latency in nanoseconds
     /// (0 = no reads sampled yet).
+    // LINT: allow(R14, the read-ahead gate's input, which its latency test asserts)
     pub fn read_latency_ewma_ns(&self) -> u64 {
         self.read_lat_ewma.load(Ordering::Relaxed)
     }

@@ -53,16 +53,6 @@ impl FrameGenerator {
         Self { frame_len, run_fraction, seed }
     }
 
-    /// The frame length.
-    pub fn frame_len(&self) -> usize {
-        self.frame_len
-    }
-
-    /// The calibrated run fraction.
-    pub fn run_fraction(&self) -> f64 {
-        self.run_fraction
-    }
-
     /// Generate frame `i`.
     ///
     /// Run cells are placed by error diffusion rather than per-cell coin

@@ -84,16 +84,6 @@ impl LoCursor {
         Ok(cur)
     }
 
-    /// The object this cursor addresses.
-    pub fn id(&self) -> LoId {
-        self.id
-    }
-
-    /// The open mode.
-    pub fn mode(&self) -> OpenMode {
-        self.mode
-    }
-
     /// The seek pointer.
     pub fn tell(&self) -> u64 {
         self.pos

@@ -297,11 +297,6 @@ impl FChunkBackend {
     pub fn data_bytes(&self) -> Result<u64> {
         Ok(self.heap.size_bytes()?)
     }
-
-    /// Index size for Figure 1.
-    pub fn index_bytes(&self) -> Result<u64> {
-        Ok(self.index.size_bytes()?)
-    }
 }
 
 impl LoBackend for FChunkBackend {

@@ -10,7 +10,7 @@
 //! written against `std::io` files runs unmodified against database large
 //! objects.
 
-use crate::{LoError, LoId, Result};
+use crate::{LoError, Result};
 use pglo_txn::Txn;
 use std::io::SeekFrom;
 
@@ -69,7 +69,6 @@ pub(crate) fn flush_before_drop(backend: &mut dyn LoBackend, txn: Option<&Txn>) 
 /// aborted, is still running, or committed later) `LoStore` recounts it
 /// from visible chunks, so an aborted extend leaves the size unchanged.
 pub struct LoHandle<'a> {
-    id: LoId,
     backend: Box<dyn LoBackend>,
     /// The transaction the handle was opened under; `None` for time travel.
     txn: Option<&'a Txn>,
@@ -78,13 +77,8 @@ pub struct LoHandle<'a> {
 }
 
 impl<'a> LoHandle<'a> {
-    pub(crate) fn new(
-        id: LoId,
-        backend: Box<dyn LoBackend>,
-        mode: OpenMode,
-        txn: Option<&'a Txn>,
-    ) -> Self {
-        Self { id, backend, txn, pos: 0, mode }
+    pub(crate) fn new(backend: Box<dyn LoBackend>, mode: OpenMode, txn: Option<&'a Txn>) -> Self {
+        Self { backend, txn, pos: 0, mode }
     }
 
     /// The transaction writes go out as, if this handle may write.
@@ -93,16 +87,6 @@ impl<'a> LoHandle<'a> {
             (OpenMode::ReadWrite, Some(txn)) => Ok(txn),
             _ => Err(LoError::ReadOnly),
         }
-    }
-
-    /// The object this handle addresses.
-    pub fn id(&self) -> LoId {
-        self.id
-    }
-
-    /// The open mode.
-    pub fn mode(&self) -> OpenMode {
-        self.mode
     }
 
     /// Read up to `buf.len()` bytes at the seek pointer, advancing it.

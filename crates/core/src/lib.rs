@@ -60,13 +60,6 @@ impl std::fmt::Display for LoId {
     }
 }
 
-impl LoId {
-    /// Parse the textual form produced by `Display` (`lo:<n>`).
-    pub fn parse(s: &str) -> Option<LoId> {
-        s.strip_prefix("lo:")?.parse().ok().map(LoId)
-    }
-}
-
 /// A user identity for p-file ownership checks (§6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UserId(pub u32);

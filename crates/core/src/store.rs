@@ -98,6 +98,7 @@ impl LoSpec {
     }
 
     /// Builder: set the owner.
+    // LINT: allow(R14, sets the owner the p-file permission check reads; the permission tests use it)
     pub fn owned_by(mut self, owner: UserId) -> Self {
         self.owner = owner;
         self
@@ -123,7 +124,8 @@ pub struct LoStorage {
 }
 
 impl LoStorage {
-    /// The open mode.
+    /// Bytes of data, map and index together.
+    // LINT: allow(R14, the Figure 1 storage total the examples print)
     pub fn total(&self) -> u64 {
         self.data_bytes + self.map_bytes + self.index_bytes
     }
@@ -253,7 +255,7 @@ impl LoStore {
         user: UserId,
     ) -> Result<LoHandle<'a>> {
         let backend = self.open_backend(id, View::Txn(txn), mode, user)?;
-        Ok(LoHandle::new(id, backend, mode, Some(txn)))
+        Ok(LoHandle::new(backend, mode, Some(txn)))
     }
 
     /// Time-travel open: the object exactly as of commit timestamp `ts`.
@@ -261,7 +263,7 @@ impl LoStore {
     /// file implementations have none (§6.1).
     pub fn open_as_of(&self, id: LoId, ts: u64) -> Result<LoHandle<'static>> {
         let backend = self.open_backend(id, View::AsOf(ts), OpenMode::ReadOnly, UserId::DBA)?;
-        Ok(LoHandle::new(id, backend, OpenMode::ReadOnly, None))
+        Ok(LoHandle::new(backend, OpenMode::ReadOnly, None))
     }
 
     /// The one open: resolve `id` from the catalog, check that `user` may
@@ -535,6 +537,7 @@ impl LoStore {
     }
 
     /// Number of live temporaries (testing/diagnostics).
+    // LINT: allow(R14, temporary-object GC is asserted through it)
     pub fn temp_count(&self) -> usize {
         self.temps.len()
     }

@@ -424,12 +424,8 @@ fn std_io_traits_work() {
 }
 
 #[test]
-fn lo_id_textual_name_roundtrip() {
-    let id = LoId(12345);
-    assert_eq!(id.to_string(), "lo:12345");
-    assert_eq!(LoId::parse("lo:12345"), Some(id));
-    assert_eq!(LoId::parse("12345"), None);
-    assert_eq!(LoId::parse("lo:abc"), None);
+fn lo_id_textual_name() {
+    assert_eq!(LoId(12345).to_string(), "lo:12345");
 }
 
 #[test]

@@ -252,16 +252,6 @@ impl VSegBackend {
     pub fn data_bytes(&self) -> Result<u64> {
         self.store.data_bytes()
     }
-
-    /// Segment-index heap size for Figure 1 ("v-segment 2-level map").
-    pub fn map_bytes(&self) -> Result<u64> {
-        Ok(self.seg_heap.size_bytes()?)
-    }
-
-    /// Segment B-tree size for Figure 1 ("v-segment B-tree index").
-    pub fn index_bytes(&self) -> Result<u64> {
-        Ok(self.seg_index.size_bytes()?)
-    }
 }
 
 impl LoBackend for VSegBackend {

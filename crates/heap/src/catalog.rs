@@ -134,7 +134,7 @@ impl ClassMeta {
     }
 }
 
-/// The catalog. Thread-safe; optionally persisted to `<dir>/catalog.json`.
+/// The catalog. Thread-safe; persisted to `<dir>/catalog.json`.
 ///
 /// Every mutator goes through the private `mutate`, which bumps the
 /// version ([`Catalog::version`]) and never writes the file while holding
@@ -148,26 +148,13 @@ pub struct Catalog {
     version: AtomicU64,
     /// Version of the last snapshot written to disk.
     persist: Mutex<u64>,
-    path: Option<PathBuf>,
+    path: PathBuf,
 }
 
 /// First OID handed out (lower values reserved for future bootstrap use).
 const FIRST_OID: u64 = 1000;
 
 impl Catalog {
-    /// An in-memory catalog (tests, benchmarks on the memory manager).
-    pub fn in_memory() -> Self {
-        Self {
-            data: Mutex::with_rank(
-                CatalogData { next_oid: FIRST_OID, classes: HashMap::new() },
-                ranks::CATALOG,
-            ),
-            version: AtomicU64::new(0),
-            persist: Mutex::with_rank(0, ranks::CATALOG_PERSIST),
-            path: None,
-        }
-    }
-
     /// Load (or initialize) a catalog persisted under `dir`.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         let path = dir.as_ref().join("catalog.json");
@@ -185,13 +172,13 @@ impl Catalog {
             data: Mutex::with_rank(data, ranks::CATALOG),
             version: AtomicU64::new(0),
             persist: Mutex::with_rank(0, ranks::CATALOG_PERSIST),
-            path: Some(path),
+            path,
         })
     }
 
     /// The one mutation path: run `edit` under the data lock and, when it
-    /// succeeds, bump the version; when the catalog has a file, render
-    /// the JSON under that lock, release it, then install the snapshot
+    /// succeeds, bump the version; render the JSON under that lock,
+    /// release it, then install the snapshot
     /// under the persist lock unless a newer one already won. A failed
     /// edit must leave `data` as it found it; nothing is bumped or
     /// written for it.
@@ -199,13 +186,12 @@ impl Catalog {
         let mut data = self.data.lock();
         let out = edit(&mut data)?;
         let version = self.version.fetch_add(1, Ordering::SeqCst) + 1;
-        let Some(path) = self.path.as_ref() else { return Ok(out) };
         let text = json::to_string_pretty(&data.to_json());
         drop(data);
         let mut last_written = self.persist.lock();
         if version > *last_written {
             // LINT: allow(R7, the persist lock exists to serialize snapshot writes; it is a file-I/O leaf rank never held with the data lock)
-            atomic_write(path, &text)?;
+            atomic_write(&self.path, &text)?;
             *last_written = version;
         }
         Ok(out)
@@ -259,6 +245,7 @@ impl Catalog {
     }
 
     /// All class names, sorted.
+    // LINT: allow(R14, the REPL's \d listing in examples/postquel_repl.rs)
     pub fn class_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.data.lock().classes.keys().cloned().collect();
         names.sort();
@@ -308,9 +295,15 @@ fn atomic_write(path: &Path, text: &str) -> Result<()> {
 mod tests {
     use super::*;
 
+    fn temp_catalog() -> (tempfile::TempDir, Catalog) {
+        let dir = tempfile::tempdir().unwrap();
+        let cat = Catalog::open(dir.path()).unwrap();
+        (dir, cat)
+    }
+
     #[test]
     fn create_get_drop() {
-        let cat = Catalog::in_memory();
+        let (_dir, cat) = temp_catalog();
         let meta = cat.create_class("EMP", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
         assert!(meta.oid >= FIRST_OID);
         assert_eq!(cat.get("EMP").unwrap().oid, meta.oid);
@@ -322,7 +315,7 @@ mod tests {
 
     #[test]
     fn oids_unique() {
-        let cat = Catalog::in_memory();
+        let (_dir, cat) = temp_catalog();
         let a = cat.alloc_oid().unwrap();
         let b = cat.alloc_oid().unwrap();
         let c = cat.create_class("X", ClassKind::BTree, SmgrId(1), HashMap::new()).unwrap().oid;
@@ -353,29 +346,28 @@ mod tests {
         std::mem::replace(last, now) < now
     }
 
-    /// Also: every mutating call advances the version, in memory and
-    /// persisted alike, and a failed one does not.
+    /// Also: every mutating call advances the version, and a failed one
+    /// does not.
     #[test]
     fn props_update() {
         let dir = tempfile::tempdir().unwrap();
-        for cat in [Catalog::in_memory(), Catalog::open(dir.path()).unwrap()] {
-            let v = &mut cat.version();
-            cat.alloc_oid().unwrap();
-            assert!(advanced(&cat, v), "alloc_oid");
-            cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
-            assert!(advanced(&cat, v), "create_class");
-            cat.set_props("T", &[("rows", "42")]).unwrap();
-            assert!(advanced(&cat, v), "set_props");
-            assert_eq!(cat.get("T").unwrap().props.get("rows").unwrap(), "42");
-            assert!(cat.remove_prop("T", "rows").unwrap());
-            assert!(advanced(&cat, v), "remove_prop");
-            assert!(cat.set_props("missing", &[("a", "b")]).is_err());
-            assert!(!advanced(&cat, v), "a failed set_props");
-            assert!(!cat.remove_prop("T", "rows").unwrap());
-            assert!(!cat.get("T").unwrap().props.contains_key("rows"));
-            cat.drop_class("T").unwrap();
-            assert!(advanced(&cat, v), "drop_class");
-        }
+        let cat = Catalog::open(dir.path()).unwrap();
+        let v = &mut cat.version();
+        cat.alloc_oid().unwrap();
+        assert!(advanced(&cat, v), "alloc_oid");
+        cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
+        assert!(advanced(&cat, v), "create_class");
+        cat.set_props("T", &[("rows", "42")]).unwrap();
+        assert!(advanced(&cat, v), "set_props");
+        assert_eq!(cat.get("T").unwrap().props.get("rows").unwrap(), "42");
+        assert!(cat.remove_prop("T", "rows").unwrap());
+        assert!(advanced(&cat, v), "remove_prop");
+        assert!(cat.set_props("missing", &[("a", "b")]).is_err());
+        assert!(!advanced(&cat, v), "a failed set_props");
+        assert!(!cat.remove_prop("T", "rows").unwrap());
+        assert!(!cat.get("T").unwrap().props.contains_key("rows"));
+        cat.drop_class("T").unwrap();
+        assert!(advanced(&cat, v), "drop_class");
     }
 
     #[test]
@@ -421,7 +413,7 @@ mod tests {
 
     #[test]
     fn class_names_sorted() {
-        let cat = Catalog::in_memory();
+        let (_dir, cat) = temp_catalog();
         for n in ["zeta", "alpha", "mid"] {
             cat.create_class(n, ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
         }

@@ -72,7 +72,6 @@ pub struct StorageEnv {
     catalog: Catalog,
     base_dir: PathBuf,
     disk: SmgrId,
-    mem: SmgrId,
     worm: SmgrId,
     disk_smgr: Arc<DiskSmgr>,
     mem_smgr: Arc<MemSmgr>,
@@ -232,6 +231,7 @@ impl Drop for Checkpointer {
 
 impl StorageEnv {
     /// Open (or create) a database rooted at `dir` with default options.
+    // LINT: allow(R14, the default-options entry point every example and test opens a store with)
     pub fn open(dir: impl AsRef<Path>) -> Result<Arc<Self>> {
         Self::open_with(dir, EnvOptions::default())
     }
@@ -250,7 +250,7 @@ impl StorageEnv {
         let mem_smgr = Arc::new(MemSmgr::new(sim.clone()));
         let worm_smgr = Arc::new(WormSmgr::with_cache_blocks(sim.clone(), opts.worm_cache_blocks));
         let disk = switch.register(Arc::clone(&disk_smgr) as Arc<dyn StorageManager>);
-        let mem = switch.register(Arc::clone(&mem_smgr) as Arc<dyn StorageManager>);
+        switch.register(Arc::clone(&mem_smgr) as Arc<dyn StorageManager>);
         let worm = switch.register(Arc::clone(&worm_smgr) as Arc<dyn StorageManager>);
         let pool = Arc::new(BufferPool::with_options(
             Arc::clone(&switch),
@@ -363,7 +363,6 @@ impl StorageEnv {
             catalog,
             base_dir,
             disk,
-            mem,
             worm,
             disk_smgr,
             mem_smgr,
@@ -459,11 +458,6 @@ impl StorageEnv {
         &self.catalog
     }
 
-    /// The database root directory.
-    pub fn base_dir(&self) -> &Path {
-        &self.base_dir
-    }
-
     /// Directory where DBMS-owned p-files live (§6.2's `newfilename()`
     /// allocates here).
     pub fn pfile_dir(&self) -> PathBuf {
@@ -475,22 +469,13 @@ impl StorageEnv {
         self.disk
     }
 
-    /// Slot of the main-memory (NVRAM) manager.
-    pub fn mem_id(&self) -> SmgrId {
-        self.mem
-    }
-
     /// Slot of the WORM-jukebox manager.
     pub fn worm_id(&self) -> SmgrId {
         self.worm
     }
 
-    /// Typed handle to the disk manager (benchmarks read its I/O stats).
-    pub fn disk_smgr(&self) -> &Arc<DiskSmgr> {
-        &self.disk_smgr
-    }
-
     /// Typed handle to the memory manager.
+    // LINT: allow(R14, tests read the main-memory manager's byte count through it)
     pub fn mem_smgr(&self) -> &Arc<MemSmgr> {
         &self.mem_smgr
     }
@@ -512,7 +497,8 @@ mod tests {
         let env = StorageEnv::open(dir.path()).unwrap();
         assert_eq!(env.switch().len(), 3);
         assert_eq!(env.switch().get(env.disk_id()).unwrap().name(), "magnetic_disk");
-        assert_eq!(env.switch().get(env.mem_id()).unwrap().name(), "main_memory");
+        // Slot order: disk, main memory, WORM.
+        assert_eq!(env.switch().get(SmgrId(1)).unwrap().name(), "main_memory");
         assert_eq!(env.switch().get(env.worm_id()).unwrap().name(), "worm_jukebox");
     }
 

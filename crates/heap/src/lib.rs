@@ -17,7 +17,7 @@ pub mod heap;
 pub mod json;
 pub mod tuple;
 
-pub use archive::{archive_vacuum, scan_as_of_with_archive, ArchivedVersion};
+pub use archive::{archive_vacuum, scan_as_of_with_archive};
 pub use catalog::{Catalog, ClassKind, ClassMeta};
 pub use env::{EnvOptions, StorageEnv};
 pub use heap::{no_index, Heap, HeapScan};

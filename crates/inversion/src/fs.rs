@@ -376,6 +376,7 @@ impl InversionFs {
 
     /// Time-travel open: the file's contents exactly as of `ts`. The path
     /// is resolved against the directory tree as of `ts` too.
+    // LINT: allow(R14, Inversion time travel; examples/inversion_shell.rs reads files as of a timestamp)
     pub fn open_file_as_of(&self, path: &str, ts: u64) -> Result<LoHandle<'static>> {
         let vis = Visibility::AsOf(ts);
         let (file_id, is_dir) = self.resolve_vis(&vis, path)?;
@@ -446,12 +447,14 @@ impl InversionFs {
     }
 
     /// Change permission bits.
+    // LINT: allow(R14, Inversion's file-system API; the Inversion tests drive it)
     pub fn chmod(&self, txn: &Txn, path: &str, mode: u32) -> Result<()> {
         let (file_id, _) = self.resolve(txn, path)?;
         self.stat_update(txn, file_id, |s| s.mode = mode)
     }
 
     /// Change the owner.
+    // LINT: allow(R14, Inversion's file-system API; the Inversion tests drive it)
     pub fn chown(&self, txn: &Txn, path: &str, owner: UserId) -> Result<()> {
         let (file_id, _) = self.resolve(txn, path)?;
         self.stat_update(txn, file_id, |s| s.owner = owner)
@@ -481,6 +484,7 @@ impl InversionFs {
     }
 
     /// Remove an empty directory.
+    // LINT: allow(R14, Inversion's file-system API; the Inversion tests drive it)
     pub fn rmdir(&self, txn: &Txn, path: &str) -> Result<()> {
         let vis = Visibility::for_txn(txn);
         let (parent_parts, name) = split_parent(path)?;
@@ -533,6 +537,7 @@ impl InversionFs {
     /// before `horizon` is given up (mirroring `Heap::vacuum`).
     ///
     /// Returns the number of file objects reclaimed.
+    // LINT: allow(R14, the horizon-bounded drop of unlinked files' storage; the Inversion tests drive it)
     pub fn purge(&self, horizon: u64) -> Result<usize> {
         let tm = self.env.txns();
         // Find STORAGE rows whose deletion committed at or before horizon:
@@ -649,11 +654,6 @@ impl<'a> InvFile<'a> {
     /// Read the whole file from the start.
     pub fn read_to_vec(&mut self) -> Result<Vec<u8>> {
         Ok(self.h().read_to_vec()?)
-    }
-
-    /// The file's Inversion id.
-    pub fn file_id(&self) -> u64 {
-        self.file_id
     }
 
     /// Flush contents and update FILESTAT (size, mtime) if written.

@@ -1,4 +1,4 @@
-//! A lightweight Rust AST for the analyzer rules (R7–R13, panic-reach):
+//! A lightweight Rust AST for the analyzer rules (R7–R14):
 //! balanced token trees, then an item parser recognizing functions (with
 //! parameter lists, return types, and bodies), impl/trait/mod nesting,
 //! enums with discriminants, and consts. Deliberately approximate — it

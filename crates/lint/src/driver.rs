@@ -1,21 +1,21 @@
 //! The driver: load the workspace once, build the shared views, run
-//! every rule, settle the ratchets. `main.rs` and the self-tests both
+//! every rule, settle the budget. `main.rs` and the self-tests both
 //! call [`check_workspace`].
 
 use crate::atomics::{
     check_atomics_protocol, parse_atomics_protocol, relaxed_sites, ATOMIC_PROTOCOL_CRATES,
 };
-use crate::effects::{infer_effects, parse_design_effects, EFFECTS};
+use crate::dead::{check_dead_api, is_user};
+use crate::effects::{infer_effects, parse_design_effects};
 use crate::flow::{check_guard_flow, check_manually_drop_types, WorkspaceIndex};
 use crate::graph::CallGraph;
-use crate::panic_reach::{panic_report, PANIC_REACH};
 use crate::proto_sync::check_proto_sync;
 use crate::rules::{
     check_metric_names, check_rank_table, check_std_sync, check_unranked_locks, check_unsafe,
-    metric_name_sites, parse_code_ranks, parse_design_ranks, unwrap_sites,
+    metric_name_sites, panic_sites, parse_code_ranks, parse_design_ranks,
 };
 use crate::source::{load_workspace, read, Scope, SourceFile};
-use crate::tables::{check_budget, check_committed, parse_budget, Allows, PerFile, DESIGN};
+use crate::tables::{check_budget, parse_budget, Allows, PerFile, DESIGN};
 use crate::{finding, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -26,15 +26,6 @@ use std::path::Path;
 const R9_CRATES: [&str; 8] =
     ["buffer", "core", "heap", "inversion", "server", "smgr", "txn", "wal"];
 
-/// Which committed tables to regenerate before checking them.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Write {
-    /// `--write-panic-reach`: rewrite `crates/lint/panic_reach.txt`.
-    pub panic_reach: bool,
-    /// `--write-effects`: rewrite `crates/lint/effects.txt`.
-    pub effects: bool,
-}
-
 /// What a run found.
 #[derive(Debug)]
 pub struct Report {
@@ -44,9 +35,11 @@ pub struct Report {
     pub files: usize,
 }
 
-/// Check the checkout at `root` against every rule.
-pub fn check_workspace(root: &Path, write: Write) -> Result<Report, String> {
-    let files = load_workspace(root, &[])?;
+/// Check the checkout at `root` against every rule, with `overrides`
+/// substituting source text by workspace-relative path (see
+/// [`load_workspace`]).
+pub fn check_workspace(root: &Path, overrides: &[(&str, &str)]) -> Result<Report, String> {
+    let files = load_workspace(root, overrides)?;
     let file = |rel: &str| {
         files.iter().find(|f| f.rel == rel).ok_or_else(|| format!("{rel} is not in the workspace"))
     };
@@ -86,8 +79,9 @@ pub fn check_workspace(root: &Path, write: Write) -> Result<Report, String> {
         count(
             f,
             "R3",
-            unwrap_sites(f),
-            "unwrap()/expect() in non-test library code: propagate the error instead",
+            panic_sites(f),
+            "panic site (unwrap/expect or a panicking macro) in non-test library code: \
+             propagate the error instead",
         );
         if f.krate != "lint" {
             count(
@@ -113,15 +107,16 @@ pub fn check_workspace(root: &Path, write: Write) -> Result<Report, String> {
         }
     }
 
-    // --- R7/R8/R9 dataflow, R12/R13 effects ------------------------------
-    // An R7/R12/R13 finding under a reasoned allow, and every R9
+    // --- R7/R8/R9 dataflow, R12/R13 effects, R14 dead API -----------------
+    // An R7/R12/R13/R14 finding under a reasoned allow, and every R9
     // finding, goes to the budget; the rest stand.
     let index = WorkspaceIndex::build(&graph);
     let mut allows = Allows::of(engine.iter().copied());
     let flow = engine
         .iter()
         .flat_map(|f| check_guard_flow(f, &index, R9_CRATES.contains(&f.krate.as_str())));
-    for f in flow.chain(effects.check_r12()).chain(effects.check_r13()) {
+    let dead = check_dead_api(&graph, files.iter().filter(|f| is_user(f)));
+    for f in flow.chain(effects.check_r12()).chain(effects.check_r13()).chain(dead) {
         if f.rule == "R9" || allows.excuses(&f) {
             let rel = f.path.to_string_lossy().into_owned();
             budgeted.entry((f.rule, rel)).or_default().push(f);
@@ -174,9 +169,7 @@ pub fn check_workspace(root: &Path, write: Write) -> Result<Report, String> {
         Ok(rows) => findings.extend(effects.check_design_table(&rows)),
     }
 
-    // --- the ratchets ------------------------------------------------------
-    findings.extend(check_committed(root, &PANIC_REACH, &panic_report(&graph), write.panic_reach)?);
-    findings.extend(check_committed(root, &EFFECTS, &effects.table(), write.effects)?);
+    // --- the ratchet -------------------------------------------------------
     let lib_files: BTreeSet<String> = lib.iter().map(|f| f.rel.clone()).collect();
     findings.extend(check_budget(&budget, budgeted, &lib_files));
 

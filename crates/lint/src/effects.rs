@@ -16,8 +16,7 @@
 //!
 //! Direct seeds come from syntactic sites (method/path calls) plus the
 //! designation table; the rest is a fixpoint over the shared
-//! over-approximate `(name, arity)` call graph ([`crate::graph`]) that
-//! `panic_reach` also walks.
+//! over-approximate `(name, arity)` call graph ([`crate::graph`]).
 //! Over-approximation is the right direction for both rules: it can
 //! claim an effect a function doesn't have (quieted with a reasoned
 //! `// LINT: allow(R12|R13, ...)`), never hide one it does.
@@ -53,7 +52,7 @@
 
 use crate::ast::Tree;
 use crate::graph::{scan, split_stmts, CallGraph, CallSite, FnNode, Scan, GENERIC_NAMES};
-use crate::tables::{fenced_rows, Committed, DESIGN};
+use crate::tables::{fenced_rows, DESIGN};
 use crate::{finding, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -158,19 +157,6 @@ const SKIP_METHOD_EDGES: [(&str, usize); 8] = [
     ("send", 1),
 ];
 
-/// The committed inferred table.
-pub const EFFECTS: Committed = Committed {
-    path: "crates/lint/effects.txt",
-    rule: "EF",
-    flag: "--write-effects",
-    header: "# Inferred effect table: every workspace fn with a non-empty effect set\n\
-             # (blocks / fsyncs / flushes_wal / wal_appends / writes_data_pages),\n\
-             # computed as a fixpoint over the (name, arity) call graph.\n\
-             # Regenerate with: cargo run -p pglo-lint --offline -- --write-effects\n\
-             # CI enforces this file matches the computed set exactly.\n",
-    grown: "effect set changed: review the new effect, then regenerate with --write-effects",
-};
-
 /// Whether a path call goes through `fs::` (`std::fs::rename`, ...).
 fn is_fs_call(call: &CallSite) -> bool {
     call.qual().is_some() && call.segments.iter().any(|s| s == "fs")
@@ -271,21 +257,6 @@ impl<'a> EffectsIndex<'a> {
             let seed = seed_of(c).unwrap_or(0);
             self.targets(c).into_iter().fold(acc | seed, |acc, t| acc | self.effects[t])
         })
-    }
-
-    /// The full inferred table: one line per fn with a non-empty effect
-    /// set, sorted by (path, line). This is `crates/lint/effects.txt`.
-    pub fn table(&self) -> Vec<String> {
-        let mut lines: Vec<(&str, u32, String)> = Vec::new();
-        for (n, &e) in self.graph.nodes.iter().zip(&self.effects) {
-            if e != 0 {
-                let (rel, at, arity) = (n.file.rel.as_str(), n.item.line, n.item.arity);
-                let row = format!("{rel}:{at} {}/{arity} = {}", n.qualified(), effect_string(e));
-                lines.push((rel, at, row));
-            }
-        }
-        lines.sort();
-        lines.into_iter().map(|(_, _, l)| l).collect()
     }
 
     /// The rows DESIGN.md's ```effects``` table must carry: every
@@ -580,14 +551,8 @@ mod tests {
         ]);
         let graph = CallGraph::build(&files);
         let idx = infer_effects(&graph);
-        let table = idx.table();
-        assert!(
-            table.iter().any(|l| l.contains("buffer::Pool::log/1")
-                && l.contains("blocks")
-                && l.contains("fsyncs")
-                && l.contains("wal_appends")),
-            "{table:?}"
-        );
+        let log = graph.nodes.iter().position(|n| n.qualified() == "buffer::Pool::log").unwrap();
+        assert_eq!(effect_string(idx.effects[log]), "blocks,fsyncs,wal_appends");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The workspace call graph, built once and shared: panic-reach walks
-//! it from the pub APIs, the effect engine runs its fixpoint over it,
-//! and R7 reads its tier B wrappers off it. This module owns the one
+//! The workspace call graph, built once and shared: the effect engine
+//! runs its fixpoint over it, R7 reads its tier B wrappers off it, and
+//! R14 checks every `pub` node for a user. This module owns the one
 //! call-shape recognizer ([`call_at`]), the one body scanner
 //! ([`scan`]), the statement splitter and the resolution maps.
 //!
@@ -191,7 +191,7 @@ pub struct FnNode<'a> {
 }
 
 impl FnNode<'_> {
-    /// `crate::[Qual::]name`, as the committed tables print it.
+    /// `crate::[Qual::]name`, as findings print it.
     pub fn qualified(&self) -> String {
         let qual = self.item.qual.as_deref().map(|q| format!("{q}::")).unwrap_or_default();
         format!("{}::{qual}{}", self.file.krate, self.item.name)
@@ -264,5 +264,35 @@ impl<'a> CallGraph<'a> {
             self.free.get(&key)
         };
         found.cloned().unwrap_or_default()
+    }
+
+    /// The definitions a use may name, whatever the arity (generic
+    /// parameter types can skew a definition's count): a `.name(..)`
+    /// method, `Qual::name` as [`resolve`](Self::resolve) reads it,
+    /// `Self::name` as any same-`krate` impl's `name`, a bare `name` as
+    /// any free fn of that name.
+    pub fn resolve_any_arity(&self, krate: &str, call: &CallSite) -> Vec<usize> {
+        let name = call.name();
+        let by_name = |map: &BTreeMap<(&str, usize), Vec<usize>>| -> Vec<usize> {
+            let ids = map.range((name, 0)..=(name, usize::MAX));
+            ids.flat_map(|(_, ids)| ids.iter().copied()).collect()
+        };
+        if call.method {
+            return by_name(&self.methods);
+        }
+        match call.qual() {
+            None => by_name(&self.free),
+            Some("Self") => {
+                let of_impl = |n: &FnNode<'_>| {
+                    n.file.krate == krate && n.item.qual.is_some() && n.item.name == name
+                };
+                (0..self.nodes.len()).filter(|&id| of_impl(&self.nodes[id])).collect()
+            }
+            Some(qual) => match self.by_qual.get(&(qual, name)) {
+                Some(ids) => ids.clone(),
+                None if qual.starts_with(char::is_lowercase) => by_name(&self.free),
+                None => Vec::new(),
+            },
+        }
     }
 }

@@ -9,10 +9,9 @@
 //!   trees ([`ast`]), parsed items, `LINT: allow` directives.
 //! - [`graph`]: one [`CallGraph`] over the engine crates' library code —
 //!   per-fn call sites from the one body scanner, `(name, arity)`
-//!   resolution. Panic-reach, the effect engine and R7's tier B all
-//!   read it.
+//!   resolution. The effect engine, R7's tier B and R14 all read it.
 //! - [`tables`]: one reader for DESIGN.md's fenced tables, one budget,
-//!   one ratchet for the committed outputs, one allow matcher.
+//!   one allow matcher.
 //! - [`driver`]: [`check_workspace`] runs every rule; `main.rs` only
 //!   parses flags and prints.
 //!
@@ -22,9 +21,10 @@
 //!   point where ranks are enforced.
 //! - R2 library code constructs locks with `with_rank`, never bare
 //!   `Mutex::new`/`RwLock::new`/`::default`.
-//! - R3 no `.unwrap()`/`.expect()` in non-test library code beyond the
-//!   file's `R3` row in `crates/lint/budget.txt`; recorded counts must
-//!   match exactly, so the total can only go down.
+//! - R3 no panic site — `.unwrap()`/`.expect()`, `panic!`,
+//!   `unreachable!`, `todo!`, `unimplemented!` — in non-test library
+//!   code beyond the file's `R3` row in `crates/lint/budget.txt`;
+//!   recorded counts must match exactly, so the total can only go down.
 //! - R4 every `unsafe` token is preceded by a `// SAFETY:` comment
 //!   within three lines (the workspace currently has zero `unsafe`;
 //!   this locks that in).
@@ -43,8 +43,8 @@
 //!   `Ordering::Relaxed` site is exact-counted in the file's `R11` row
 //!   of `budget.txt` (shrink-only, like R3).
 //!
-//! Tree and call-graph rules ([`flow`], [`proto_sync`], [`panic_reach`],
-//! [`effects`]):
+//! Tree and call-graph rules ([`flow`], [`proto_sync`], [`effects`],
+//! [`dead`]):
 //! - R7 guard-across-I/O: a lock guard or pinned page must not be live
 //!   across a blocking I/O call — direct device/socket calls (tier A)
 //!   or same-crate wrappers that bottom out in one (tier B). A
@@ -62,11 +62,6 @@
 //!   `crates/server/src/proto.rs`, the `service.rs` dispatch, the typed
 //!   client, and the ```` ```wire-ops ```` table in DESIGN.md must
 //!   agree four-ways, opcode for opcode.
-//! - PR panic-reachability: a call-graph walk from the pub APIs of
-//!   `server`/`core`/`inversion`/`buffer` lists every reachable
-//!   `unwrap`/`expect`/`panic!` site in `crates/lint/panic_reach.txt`;
-//!   the committed file may only shrink (regenerate with
-//!   `--write-panic-reach`).
 //! - R12 reactor-no-block: a per-function effect set
 //!   (`blocks`, `fsyncs`, `flushes_wal`, `wal_appends`,
 //!   `writes_data_pages`) is inferred as a fixpoint over the workspace
@@ -79,10 +74,14 @@
 //!   a statement carrying `wal_appends` or `flushes_wal` must not
 //!   follow one carrying `writes_data_pages` in the same sequence
 //!   (WAL-before-data), and every `fs::rename` must be followed by a
-//!   directory fsync in the same function. The inferred effect table is
-//!   committed as `crates/lint/effects.txt` (regenerate with
-//!   `--write-effects`) and the durability sources are two-way synced
-//!   against DESIGN.md's ```` ```effects ```` table, like R5/R11.
+//!   directory fsync in the same function. The durability sources are
+//!   two-way synced against DESIGN.md's ```` ```effects ```` table, like
+//!   R5/R11.
+//! - R14 dead public API: a `pub fn` of an engine crate that no non-test
+//!   code of the library crates, their binaries or the benchmark crate
+//!   calls or names. The documented client API (`server/src/client.rs`)
+//!   is exempt; a kept item carries `// LINT: allow(R14, reason)`,
+//!   exact-counted in `budget.txt`.
 //!
 //! `#[cfg(test)]` items, `#[test]` functions, `tests/`, `benches/`,
 //! `examples/`, and the benchmark harness crate are exempt from
@@ -95,24 +94,24 @@ use std::path::PathBuf;
 
 pub mod ast;
 pub mod atomics;
+pub mod dead;
 pub mod driver;
 pub mod effects;
 pub mod flow;
 pub mod graph;
-pub mod panic_reach;
 pub mod proto_sync;
 pub mod rules;
 pub mod source;
 pub mod tables;
 
-pub use driver::{check_workspace, Report, Write};
+pub use dead::check_dead_api;
+pub use driver::{check_workspace, Report};
 pub use effects::infer_effects;
 pub use flow::{check_guard_flow, check_manually_drop_types, WorkspaceIndex};
 pub use graph::CallGraph;
-pub use panic_reach::panic_report;
 pub use proto_sync::{check_proto_sync, parse_wire_ops};
 pub use source::{load_workspace, SourceFile};
-pub use tables::{collect_allows, parse_committed, Allows};
+pub use tables::{collect_allows, Allows};
 
 /// One rule violation at a source location.
 #[derive(Debug)]

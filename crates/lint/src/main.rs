@@ -2,36 +2,27 @@
 //! exit nonzero on any. Run from anywhere inside the repo:
 //!
 //! ```text
-//! cargo run -p pglo-lint --offline [-- --json] [-- --write-panic-reach]
-//!                                  [-- --write-effects]
+//! cargo run -p pglo-lint --offline [-- --json]
 //! ```
 //!
 //! Output is one finding per line, `path:line: R# message`; `--json`
 //! emits the same findings as a JSON array for tooling. The rules and
 //! the driver live in the library (`pglo_lint::check_workspace`).
 
-use pglo_lint::{check_workspace, Write};
+use pglo_lint::check_workspace;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut json = false;
-    let mut write = Write::default();
     for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--write-panic-reach" => write.panic_reach = true,
-            "--write-effects" => write.effects = true,
-            other => {
-                eprintln!(
-                    "pglo-lint: unknown flag {other:?} (known: --json, --write-panic-reach, \
-                     --write-effects)"
-                );
-                return ExitCode::FAILURE;
-            }
+        if arg != "--json" {
+            eprintln!("pglo-lint: unknown flag {arg:?} (known: --json)");
+            return ExitCode::FAILURE;
         }
+        json = true;
     }
-    let report = match workspace_root().and_then(|root| check_workspace(&root, write)) {
+    let report = match workspace_root().and_then(|root| check_workspace(&root, &[])) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("pglo-lint: {e}");

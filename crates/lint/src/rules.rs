@@ -3,7 +3,6 @@
 
 use crate::ast::parse_int;
 use crate::graph::{scan, Scan};
-use crate::panic_reach::is_panic_call;
 use crate::source::{spells, SourceFile, TokKind, Token};
 use crate::tables::fenced_rows;
 use crate::{finding, Finding};
@@ -83,14 +82,20 @@ pub fn check_unranked_locks(file: &SourceFile) -> Vec<Finding> {
     out
 }
 
-/// R3: source lines (1-based) of every `.unwrap(` / `.expect(` in
-/// non-test regions of the file — the call-graph scanner's panic call
-/// sites, over the whole file rather than one fn body, so a site in a
-/// static initializer or macro body counts too.
-pub fn unwrap_sites(file: &SourceFile) -> Vec<u32> {
+/// Macros that panic by design.
+const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
+
+/// R3: source lines (1-based) of every panic site in non-test regions of
+/// the file: `.unwrap(..)` / `.expect(..)` calls and the panicking
+/// macros. The call-graph scanner runs over the whole file
+/// rather than one fn body, so a site in a static initializer or macro
+/// body counts too.
+pub fn panic_sites(file: &SourceFile) -> Vec<u32> {
     let mut found = Scan::default();
     scan(&file.trees, true, &mut found);
-    found.calls.iter().filter(|c| is_panic_call(c)).map(|c| c.line).collect()
+    let calls = found.calls.iter().filter(|c| c.method && matches!(c.name(), "unwrap" | "expect"));
+    let macros = found.macros.iter().filter(|(m, _)| PANIC_MACROS.contains(&m.as_str()));
+    calls.map(|c| c.line).chain(macros.map(|(_, line)| *line)).collect()
 }
 
 /// R4: every `unsafe` token (everywhere, tests and shims included) must
@@ -256,12 +261,12 @@ mod tests {
         let ids = idents(src);
         assert!(!ids.contains(&"unwrap".to_string()));
         assert!(!ids.contains(&"Mutex".to_string()));
-        assert_eq!(unwrap_sites(&file(src)), Vec::<u32>::new());
+        assert_eq!(panic_sites(&file(src)), Vec::<u32>::new());
     }
 
     #[test]
     fn tokenizer_sees_unwrap_after_tuple_field() {
-        let sites = unwrap_sites(&file("fn f() { x.0.unwrap(); }"));
+        let sites = panic_sites(&file("fn f() { x.0.unwrap(); }"));
         assert_eq!(sites.len(), 1);
     }
 
@@ -301,13 +306,13 @@ mod tests {
     #[test]
     fn cfg_not_test_is_not_masked() {
         let src = "#[cfg(not(test))]\nfn f() { x.unwrap(); }";
-        assert_eq!(unwrap_sites(&file(src)).len(), 1);
+        assert_eq!(panic_sites(&file(src)).len(), 1);
     }
 
     #[test]
     fn test_fn_attribute_is_masked() {
         let src = "#[test]\nfn f() { x.unwrap(); }\nfn g() { y.expect(\"\"); }";
-        let sites = unwrap_sites(&file(src));
+        let sites = panic_sites(&file(src));
         assert_eq!(sites, vec![3]);
     }
 

@@ -1,11 +1,10 @@
 //! The text tables the rules check against, each read one way: the
 //! fenced machine-readable blocks in DESIGN.md ([`fenced_rows`]), the
-//! exact-count budget ([`parse_budget`] / [`check_budget`]), the
-//! committed analysis outputs ([`check_committed`]) and the
+//! exact-count budget ([`parse_budget`] / [`check_budget`]) and the
 //! `// LINT: allow(..)` directives that excuse a finding into the
 //! budget ([`Allows`]).
 
-use crate::source::{read, SourceFile};
+use crate::source::SourceFile;
 use crate::{finding, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -49,10 +48,10 @@ pub fn fenced_rows<'a>(md: &'a str, tag: &str) -> Result<Vec<(u32, &'a str)>, St
 // ---------------------------------------------------------------------------
 
 /// Rules whose tolerated sites are budgeted per file in
-/// `crates/lint/budget.txt`: unwrap/expect sites (R3), swallowed errors
-/// (R9), `Ordering::Relaxed` arguments (R11), and findings excused by a
-/// reasoned `// LINT: allow(..)` (R7, R12, R13).
-pub const BUDGET_RULES: [&str; 6] = ["R3", "R7", "R9", "R11", "R12", "R13"];
+/// `crates/lint/budget.txt`: panic sites (R3), swallowed errors (R9),
+/// `Ordering::Relaxed` arguments (R11), and findings excused by a
+/// reasoned `// LINT: allow(..)` (R7, R12, R13, R14).
+pub const BUDGET_RULES: [&str; 7] = ["R3", "R7", "R9", "R11", "R12", "R13", "R14"];
 
 /// A budgeted rule's sites, or its committed allowances, per
 /// `(rule, workspace-relative path)`.
@@ -126,77 +125,11 @@ pub fn check_budget(
 }
 
 // ---------------------------------------------------------------------------
-// Committed analysis outputs: panic_reach.txt, effects.txt
-// ---------------------------------------------------------------------------
-
-/// A computed table committed next to the linter so growth is reviewed:
-/// the file must equal the computed lines exactly, in both directions.
-pub struct Committed {
-    /// Workspace-relative path of the committed file.
-    pub path: &'static str,
-    /// Rule tag of drift findings.
-    pub rule: &'static str,
-    /// The flag that regenerates the file.
-    pub flag: &'static str,
-    /// `#` comment block written above the lines.
-    pub header: &'static str,
-    /// What to do about a computed line the committed file lacks.
-    pub grown: &'static str,
-}
-
-/// Parse a committed table: one line per entry, `#` comments and
-/// blanks skipped.
-pub fn parse_committed(text: &str) -> BTreeSet<String> {
-    data_lines(text).map(|(_, l)| l.to_string()).collect()
-}
-
-/// Settle `computed` (`path:line ...` entries) against the committed
-/// file, rewriting it first when `write` is set. A computed line the
-/// file lacks is a finding at the site it names; a line only the file
-/// has is stale.
-pub fn check_committed(
-    root: &Path,
-    table: &Committed,
-    computed: &[String],
-    write: bool,
-) -> Result<Vec<Finding>, String> {
-    let &Committed { path, rule, flag, header, grown } = table;
-    let file = root.join(path);
-    if write {
-        let lines: String = computed.iter().flat_map(|l| [l.as_str(), "\n"]).collect();
-        std::fs::write(&file, format!("{header}{lines}"))
-            .map_err(|e| format!("write {}: {e}", file.display()))?;
-        eprintln!("pglo-lint: wrote {} ({} entries)", file.display(), computed.len());
-    }
-    let regenerate = format!("`cargo run -p pglo-lint --offline -- {flag}`");
-    let Ok(text) = read(&file) else {
-        let msg = format!("missing {path}: generate it with {regenerate} and commit it");
-        return Ok(vec![finding(path, 0, rule, msg)]);
-    };
-    let committed = parse_committed(&text);
-    let computed: BTreeSet<String> = computed.iter().cloned().collect();
-    let mut out = Vec::new();
-    for line in computed.difference(&committed) {
-        // Anchor at the `path:line` the entry starts with, so editors
-        // can jump to the site.
-        let (site, rest) = line.split_once(':').unwrap_or((path, ""));
-        let at = rest.split_once(' ').and_then(|(l, _)| l.parse().ok()).unwrap_or(0);
-        out.push(finding(site, at, rule, format!("{grown} (not in committed {path}): `{line}`")));
-    }
-    for line in committed.difference(&computed) {
-        let msg =
-            format!("stale entry `{line}`: no longer computed — regenerate with {regenerate}");
-        out.push(finding(path, 0, rule, msg));
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
 // LINT: allow(...) directives
 // ---------------------------------------------------------------------------
 
 /// Rules that take per-site allows (R9 is budgeted per file instead).
-const ALLOW_RULES: [&str; 3] = ["R7", "R12", "R13"];
+const ALLOW_RULES: [&str; 4] = ["R7", "R12", "R13", "R14"];
 
 /// One `// LINT: allow(RULE, reason)` directive in a source file. It
 /// excuses findings of `rule` on the same line or the line below (so it
@@ -267,8 +200,8 @@ impl<'a> Allows<'a> {
             // Unrecognized rules report as R7, the original allow family.
             let Some(rule) = ALLOW_RULES.into_iter().find(|k| k == r) else {
                 let msg = format!(
-                    "LINT: allow({r}) is not a recognized escape hatch: only R7, R12, and R13 \
-                     take per-site allows (R9 is budgeted per file in budget.txt)"
+                    "LINT: allow({r}) is not a recognized escape hatch: only R7, R12, R13 and \
+                     R14 take per-site allows (R9 is budgeted per file in budget.txt)"
                 );
                 out.push(finding(path, a.line, "R7", msg));
                 continue;
@@ -336,12 +269,6 @@ mod tests {
         assert!(parse_budget("x R3 a.rs\n").is_err(), "bad count");
         assert!(parse_budget("1 R1 a.rs\n").is_err(), "R1 has no budget");
         assert!(parse_budget("1 a.rs\n").is_err(), "missing rule");
-    }
-
-    #[test]
-    fn committed_parse_skips_comments() {
-        let set = parse_committed("# header\n\na.rs:1 unwrap reachable in x::f\n");
-        assert_eq!(set.len(), 1);
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Fixture-based self-tests for the dataflow and sync rules: each rule
-//! gets one positive fixture (must fire) and one negative fixture (must
-//! stay quiet), plus a golden panic-reach report. The fixture files live
-//! under `tests/fixtures/` — the workspace walker skips that directory,
-//! because they violate the rules on purpose.
+//! Fixture-based self-tests for the panic ratchet, the dataflow and sync
+//! rules and the dead-API rule: each rule gets one positive fixture
+//! (must fire) and one negative fixture (must stay quiet). The fixture
+//! files live under `tests/fixtures/` — the workspace walker skips that
+//! directory, because they violate the rules on purpose.
 
+use pglo_lint::rules::panic_sites;
 use pglo_lint::{
-    check_guard_flow, check_manually_drop_types, check_proto_sync, collect_allows, panic_report,
-    parse_committed, parse_wire_ops, Allows, CallGraph, Finding, SourceFile, WorkspaceIndex,
+    check_dead_api, check_guard_flow, check_manually_drop_types, check_proto_sync, check_workspace,
+    collect_allows, parse_wire_ops, Allows, CallGraph, Finding, SourceFile, WorkspaceIndex,
 };
+use std::path::Path;
 
 const R7_POS: &str = include_str!("fixtures/r7_pos.rs");
 const R7_NEG: &str = include_str!("fixtures/r7_neg.rs");
@@ -20,9 +22,61 @@ const PROTO_EXTRA: &str = include_str!("fixtures/r10/proto_extra.rs");
 const SERVICE_OK: &str = include_str!("fixtures/r10/service_ok.rs");
 const CLIENT_OK: &str = include_str!("fixtures/r10/client_ok.rs");
 const DESIGN_OK: &str = include_str!("fixtures/r10/design_ok.md");
-const REACH_ROOT: &str = include_str!("fixtures/reach/root.rs");
-const REACH_HELPER: &str = include_str!("fixtures/reach/helper.rs");
-const REACH_GOLDEN: &str = include_str!("fixtures/reach/expected.txt");
+const R14_API: &str = include_str!("fixtures/r14/api.rs");
+const R14_LIB_USER: &str = include_str!("fixtures/r14/lib_user.rs");
+const R14_BIN: &str = include_str!("fixtures/r14/bin.rs");
+const R14_BENCH: &str = include_str!("fixtures/r14/bench.rs");
+const R14_NOT_USERS: &str = include_str!("fixtures/r14/not_users.rs");
+
+#[test]
+fn r3_positive_counts_every_panic_site_kind() {
+    let src = "fn f(x: Option<u8>) -> u8 {\n\
+               let a = x.unwrap();\n\
+               let b = x.expect(\"b\");\n\
+               if a > b { panic!(\"order\") }\n\
+               match a { 0 => unreachable!(), 1 => todo!(), _ => unimplemented!() }\n\
+               }";
+    let sites = panic_sites(&SourceFile::new("crates/x/src/lib.rs", "x", src));
+    assert_eq!(sites, vec![2, 3, 4, 5, 5, 5]);
+}
+
+#[test]
+fn r3_negative_skips_tests_non_panicking_calls_and_text() {
+    let src = "fn f(x: Option<u8>) -> u8 {\n\
+               assert!(x.is_some(), \"panic!() in a string\");\n\
+               // x.unwrap() in a comment\n\
+               x.unwrap_or(0).max(x.unwrap_or_default())\n\
+               }\n\
+               #[cfg(test)]\n\
+               mod tests { fn t() { None::<u8>.unwrap(); panic!(); } }\n\
+               #[test]\n\
+               fn u() { todo!() }";
+    assert!(panic_sites(&SourceFile::new("crates/x/src/lib.rs", "x", src)).is_empty());
+}
+
+/// Lint the real checkout with `rel`'s `site` replaced by `with`.
+fn lint_injected(rel: &str, site: &str, with: &str) -> Vec<Finding> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap();
+    let orig = std::fs::read_to_string(root.join(rel)).unwrap();
+    assert!(orig.contains(site), "injection site moved; update this test");
+    let injected = orig.replacen(site, with, 1);
+    check_workspace(&root, &[(rel, &injected)]).expect("lint ran").findings
+}
+
+#[test]
+fn r3_live_injection_unwrap_and_panic_fire() {
+    // The WAL has no R3 row: any panic site in its library code fails.
+    let rel = "crates/wal/src/lib.rs";
+    let site = "self.sync_dir()?;";
+    for with in ["self.sync_dir().unwrap();", "panic!(\"injected\"); self.sync_dir()?;"] {
+        let found = lint_injected(rel, site, with);
+        assert!(
+            found.iter().any(|f| f.rule == "R3" && f.path == Path::new(rel)),
+            "`{with}` must fire R3: {found:?}"
+        );
+        assert!(found.iter().all(|f| f.rule == "R3"), "{found:?}");
+    }
+}
 
 /// Run the guard-flow rules on one fixture as crate `x`, with allow
 /// directives applied by the driver's own matcher.
@@ -151,11 +205,50 @@ fn r10_removed_dispatch_arm_fails() {
     );
 }
 
+/// R14 over the fixture API, with every fixture file posing where its
+/// header says: users and non-users alike go in, the rule picks.
+fn dead_api() -> (SourceFile, Vec<Finding>) {
+    let api = SourceFile::new("crates/heap/src/lib.rs", "heap", R14_API);
+    let others = [
+        SourceFile::new("crates/server/src/service.rs", "server", R14_LIB_USER),
+        SourceFile::new("crates/heap/src/bin/tool.rs", "heap", R14_BIN),
+        SourceFile::new("crates/bench/src/workload.rs", "bench", R14_BENCH),
+        SourceFile::new("crates/heap/tests/it.rs", "heap", R14_NOT_USERS),
+        SourceFile::new("examples/demo.rs", "", R14_NOT_USERS),
+    ];
+    let graph = CallGraph::build([&api]);
+    let users = others.iter().chain([&api]).filter(|f| pglo_lint::dead::is_user(f));
+    let found = check_dead_api(&graph, users);
+    (api, found)
+}
+
+/// The fn names the findings report (`pub fn heap::name`).
+fn names(found: &[Finding]) -> Vec<&str> {
+    found.iter().filter_map(|f| f.message.split('`').nth(1)?.rsplit("::").next()).collect()
+}
+
 #[test]
-fn panic_reach_matches_golden() {
-    let root = SourceFile::new("fixtures/reach/root.rs", "server", REACH_ROOT);
-    let helper = SourceFile::new("fixtures/reach/helper.rs", "heap", REACH_HELPER);
-    let computed: Vec<String> = panic_report(&CallGraph::build([&root, &helper]));
-    let golden: Vec<String> = parse_committed(REACH_GOLDEN).into_iter().collect();
-    assert_eq!(computed, golden);
+fn r14_positive_fires_on_test_example_and_import_only_fns() {
+    let (_, found) = dead_api();
+    assert!(found.iter().all(|f| f.rule == "R14" && f.path == Path::new("crates/heap/src/lib.rs")));
+    assert_eq!(names(&found), ["only_tested", "only_in_example", "never_called", "kept"]);
+}
+
+#[test]
+fn r14_negative_counts_bin_bench_and_fn_path_callers() {
+    let (_, found) = dead_api();
+    for used in ["decode", "widen", "check", "from_bin", "from_bench", "private_unused"] {
+        assert!(!names(&found).contains(&used), "{used} has a caller: {found:?}");
+    }
+}
+
+#[test]
+fn r14_allowed_case_is_excused_by_a_reasoned_allow() {
+    let (api, found) = dead_api();
+    let mut allows = Allows::of([&api]);
+    let standing: Vec<&Finding> = found.iter().filter(|f| !allows.excuses(f)).collect();
+    assert_eq!(names(&found).len() - standing.len(), 1, "{standing:?}");
+    assert!(standing.iter().all(|f| !f.message.contains("kept")), "{standing:?}");
+    assert!(allows.leftover().is_empty());
+    assert!(collect_allows(R14_API).iter().all(|a| a.rule == "R14" && !a.reason.is_empty()));
 }

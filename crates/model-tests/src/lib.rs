@@ -34,6 +34,7 @@
 /// execution budget than the `Opts::default()` 50k, because the protocol
 /// state spaces are larger than the litmus tests' and CI wall-clock is a
 /// budget too. `PGLO_MODEL_BUDGET` still overrides.
+// LINT: allow(R14, the model-check budget; this crate's model tests are its only users by design)
 pub fn protocol_opts() -> loom::Opts {
     let mut opts = loom::Opts::default();
     if std::env::var("PGLO_MODEL_BUDGET").is_err() {

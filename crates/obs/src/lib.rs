@@ -204,19 +204,6 @@ impl Gauge {
         self.v.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Saturating decrement (a release racing a snapshot must not wrap).
-    #[inline]
-    pub fn sub(&self, n: u64) {
-        let mut cur = self.v.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(n);
-            match self.v.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     #[inline]
     pub fn get(&self) -> u64 {
         self.v.load(Ordering::Relaxed)

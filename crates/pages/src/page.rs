@@ -36,10 +36,9 @@ const OFF_VERSION: usize = 2;
 const OFF_LOWER: usize = 4;
 const OFF_UPPER: usize = 6;
 const OFF_SPECIAL: usize = 8;
-const OFF_FLAGS: usize = 10;
 const OFF_CHECKSUM: usize = 12;
 const OFF_GARBAGE: usize = 16; // u16: bytes of tuple space held by removed items
-                               // 18..24 reserved
+                               // 10..12 and 18..24 reserved
 
 /// Status of a line pointer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,11 +100,6 @@ impl<B: AsRef<[u8]>> Page<B> {
         u32::from_le_bytes(b)
     }
 
-    /// True if the page has been initialized (magic + version match).
-    pub fn is_initialized(&self) -> bool {
-        self.get_u16(OFF_MAGIC) == MAGIC && self.get_u16(OFF_VERSION) == VERSION
-    }
-
     /// Offset of the end of the line-pointer array.
     pub fn lower(&self) -> usize {
         self.get_u16(OFF_LOWER) as usize
@@ -128,7 +122,7 @@ impl<B: AsRef<[u8]>> Page<B> {
 
     /// Number of line pointers (some may be `Unused`). Uninitialized or
     /// damaged pages (lower below the header) read as empty rather than
-    /// panicking — callers check [`Page::is_initialized`] for diagnostics.
+    /// panicking.
     pub fn item_count(&self) -> usize {
         self.lower().saturating_sub(PAGE_HEADER_SIZE) / LINE_POINTER_SIZE
     }
@@ -190,6 +184,7 @@ impl<B: AsRef<[u8]>> Page<B> {
 
     /// Verify the stored checksum. Pages with a zero checksum field are
     /// treated as "checksum never set" and pass.
+    // LINT: allow(R14, the page checksum format; no pool path verifies it yet, the page tests do)
     pub fn verify_checksum(&self) -> bool {
         let stored = self.get_u32(OFF_CHECKSUM);
         stored == 0 || stored == self.checksum_to_store()
@@ -327,13 +322,6 @@ impl<B: AsRef<[u8]> + AsMut<[u8]>> Page<B> {
         }
     }
 
-    /// Set the flag of an existing item.
-    pub fn set_item_flag(&mut self, slot: u16, flag: ItemFlag) {
-        if let Some((pos, len, _)) = self.line_pointer(slot) {
-            self.set_line_pointer(slot, pos, len, flag);
-        }
-    }
-
     /// Mutable access to an item's bytes (used by the heap to stamp `xmax`
     /// in a tuple header — the only in-place modification the no-overwrite
     /// discipline permits).
@@ -372,21 +360,10 @@ impl<B: AsRef<[u8]> + AsMut<[u8]>> Page<B> {
     }
 
     /// Compute and store the checksum. Call before writing the page out.
+    // LINT: allow(R14, the page checksum format; no pool path stamps it yet, the page tests do)
     pub fn set_checksum(&mut self) {
         let sum = self.checksum_to_store();
         self.set_u32(OFF_CHECKSUM, sum);
-    }
-
-    /// User flags word (access-method defined).
-    pub fn set_flags(&mut self, flags: u16) {
-        self.set_u16(OFF_FLAGS, flags);
-    }
-}
-
-impl<B: AsRef<[u8]>> Page<B> {
-    /// User flags word.
-    pub fn flags(&self) -> u16 {
-        self.get_u16(OFF_FLAGS)
     }
 }
 
@@ -414,7 +391,6 @@ mod tests {
     fn init_and_empty_geometry() {
         let buf = fresh(0);
         let p = Page::new(&buf[..]);
-        assert!(p.is_initialized());
         assert_eq!(p.item_count(), 0);
         assert_eq!(p.free_space(), PAGE_SIZE - PAGE_HEADER_SIZE);
         assert_eq!(p.special().len(), 0);
@@ -550,25 +526,5 @@ mod tests {
         assert!(Page::new(&buf[..]).verify_checksum());
         buf[5000] ^= 0xFF;
         assert!(!Page::new(&buf[..]).verify_checksum());
-    }
-
-    #[test]
-    fn flags_roundtrip() {
-        let mut buf = fresh(0);
-        let mut p = Page::new(buf.as_mut_slice());
-        p.set_flags(0xBEEF);
-        assert_eq!(Page::new(&buf[..]).flags(), 0xBEEF);
-    }
-
-    #[test]
-    fn dead_items_still_readable() {
-        let mut buf = fresh(0);
-        let mut p = Page::new(buf.as_mut_slice());
-        let s = p.add_item(b"soon-dead").unwrap();
-        p.set_item_flag(s, ItemFlag::Dead);
-        assert_eq!(p.item_flag(s), Some(ItemFlag::Dead));
-        assert_eq!(p.item(s), Some(&b"soon-dead"[..]));
-        let all: Vec<_> = p.items().collect();
-        assert_eq!(all.len(), 1);
     }
 }

@@ -31,15 +31,8 @@ impl QueryResult {
         Self { columns: Vec::new(), rows: Vec::new(), affected, used_index: None }
     }
 
-    /// The single datum of a single-row, single-column result.
-    pub fn scalar(&self) -> Option<&Datum> {
-        match (self.rows.len(), self.columns.len()) {
-            (1, 1) => self.rows[0].first(),
-            _ => None,
-        }
-    }
-
     /// Render as an aligned text table (examples and the REPL use this).
+    // LINT: allow(R14, renders results for the examples)
     pub fn to_table(&self) -> String {
         if self.columns.is_empty() {
             return format!("OK, {} row(s) affected\n", self.affected);
@@ -91,6 +84,7 @@ pub struct Database {
 
 impl Database {
     /// Open (or create) a database at `dir` with default options.
+    // LINT: allow(R14, the query layer's entry point; the crate doc, examples and tests open with it)
     pub fn open(dir: impl AsRef<Path>) -> Result<Database> {
         Self::open_with(dir, EnvOptions::default())
     }
@@ -161,6 +155,7 @@ impl Database {
     }
 
     /// Run a `;`-separated script, returning the last statement's result.
+    // LINT: allow(R14, the multi-statement entry point the crate doc and tests use)
     pub fn run_script(&self, script: &str) -> Result<QueryResult> {
         let mut last = QueryResult::command(0);
         for stmt in script.split(';') {
@@ -180,6 +175,7 @@ impl Database {
 
     /// Render a datum through its type's output conversion (the
     /// client-transfer path).
+    // LINT: allow(R14, renders values for the examples and tests)
     pub fn datum_to_text(&self, txn: &Txn, datum: &Datum) -> Result<String> {
         let mut ctx = ExecCtx::new(&self.store, txn, &self.types);
         Ok(self.types.output(&mut ctx, datum)?)

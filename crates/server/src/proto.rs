@@ -300,6 +300,7 @@ impl WireSpec {
     }
 
     /// A v-segment spec with the given codec byte.
+    // LINT: allow(R14, the client-side spec of a v-segment object; the wire tests create one)
     pub fn vsegment(codec: u8) -> Self {
         Self { kind: 3, codec, user: 0, chunk_size: 0, path: None }
     }

@@ -134,6 +134,7 @@ impl ServerHandle {
     }
 
     /// The shared service.
+    // LINT: allow(R14, the running server's service, which the server tests inspect)
     pub fn service(&self) -> &Arc<LobdService> {
         &self.shared.service
     }

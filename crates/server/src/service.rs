@@ -100,11 +100,6 @@ impl LobdService {
         &self.store
     }
 
-    /// The Inversion file system.
-    pub fn fs(&self) -> &Arc<InversionFs> {
-        &self.fs
-    }
-
     /// Whether a graceful shutdown has been requested.
     pub fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)

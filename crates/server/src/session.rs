@@ -37,16 +37,6 @@ impl Session {
         Self { id, txn: None, fds: HashMap::new(), next_fd: 1, temps: Vec::new() }
     }
 
-    /// This session's id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Whether a transaction is open.
-    pub fn in_txn(&self) -> bool {
-        self.txn.is_some()
-    }
-
     /// Register a cursor, returning its descriptor.
     pub(crate) fn install(&mut self, cursor: LoCursor) -> u32 {
         let fd = self.next_fd;

@@ -32,16 +32,6 @@ impl SimClock {
     pub fn reset(&self) {
         self.nanos.store(0, Ordering::Relaxed);
     }
-
-    /// Run `f` and return `(result, simulated nanoseconds it charged)`.
-    ///
-    /// Only valid when no other thread charges the clock concurrently —
-    /// which holds for the single-threaded benchmark harness.
-    pub fn time<T>(&self, f: impl FnOnce() -> T) -> (T, u64) {
-        let start = self.now_ns();
-        let out = f();
-        (out, self.now_ns() - start)
-    }
 }
 
 #[cfg(test)]
@@ -57,17 +47,5 @@ mod tests {
         assert_eq!(c.now_ns(), 12);
         c.reset();
         assert_eq!(c.now_ns(), 0);
-    }
-
-    #[test]
-    fn time_measures_charged_span() {
-        let c = SimClock::new();
-        c.advance_ns(100);
-        let (v, dt) = c.time(|| {
-            c.advance_ns(42);
-            "done"
-        });
-        assert_eq!(v, "done");
-        assert_eq!(dt, 42);
     }
 }

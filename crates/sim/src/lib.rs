@@ -58,6 +58,7 @@ impl SimContext {
     }
 
     /// Simulated seconds elapsed — the unit the paper's figures report.
+    // LINT: allow(R14, simulated seconds, which examples/worm_archive.rs reports)
     pub fn now_secs(&self) -> f64 {
         self.clock.now_ns() as f64 / 1e9
     }
@@ -91,11 +92,6 @@ impl SimContext {
     /// ("eight instructions per byte", "20 instructions per byte").
     pub fn charge_cpu_per_byte(&self, bytes: usize, instr_per_byte: u32) {
         self.charge_cpu(bytes as u64 * instr_per_byte as u64);
-    }
-
-    /// The CPU model in effect.
-    pub fn cpu(&self) -> &CpuModel {
-        &self.cpu
     }
 }
 

@@ -74,18 +74,7 @@ impl IoStats {
     }
 }
 
-impl IoSnapshot {
-    /// Difference of two snapshots (self - earlier), saturating.
-    pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            reads: self.reads.saturating_sub(earlier.reads),
-            writes: self.writes.saturating_sub(earlier.writes),
-            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
-            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            seeks: self.seeks.saturating_sub(earlier.seeks),
-        }
-    }
-}
+impl IoSnapshot {}
 
 #[cfg(test)]
 mod tests {
@@ -105,18 +94,5 @@ mod tests {
         assert_eq!(snap.seeks, 2);
         s.reset();
         assert_eq!(s.snapshot(), IoSnapshot::default());
-    }
-
-    #[test]
-    fn since_subtracts() {
-        let s = IoStats::new();
-        s.record_read(100, false);
-        let a = s.snapshot();
-        s.record_read(50, true);
-        let b = s.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.reads, 1);
-        assert_eq!(d.bytes_read, 50);
-        assert_eq!(d.seeks, 0);
     }
 }

@@ -110,11 +110,6 @@ impl DiskSmgr {
         self.durable_sync = durable;
     }
 
-    /// Whether [`StorageManager::sync`] reaches the host disk.
-    pub fn durable_sync(&self) -> bool {
-        self.durable_sync
-    }
-
     /// Path of a relation's backing file.
     pub fn rel_path(&self, rel: RelFileId) -> PathBuf {
         self.base.join(format!("rel_{rel}.pg"))
@@ -164,16 +159,6 @@ impl DiskSmgr {
             f.file.sync_all()?;
         }
         Ok(())
-    }
-
-    /// The device profile in use.
-    pub fn profile(&self) -> DeviceProfile {
-        self.profile
-    }
-
-    /// The base directory.
-    pub fn base_dir(&self) -> &Path {
-        &self.base
     }
 }
 
@@ -505,14 +490,14 @@ mod tests {
     #[test]
     fn durable_sync_opt_in() {
         let (_dir, mut smgr, _sim) = setup();
-        assert!(!smgr.durable_sync(), "host fsync is off by default");
+        assert!(!smgr.durable_sync, "host fsync is off by default");
         smgr.set_durable_sync(true);
-        assert!(smgr.durable_sync());
+        assert!(smgr.durable_sync);
         smgr.create(1).unwrap();
         smgr.extend(1, &alloc_page()).unwrap();
         smgr.sync(1).unwrap(); // reaches sync_all without error
         smgr.set_durable_sync(false);
-        assert!(!smgr.durable_sync());
+        assert!(!smgr.durable_sync);
         smgr.sync(1).unwrap();
     }
 

@@ -239,11 +239,6 @@ impl SmgrSwitch {
             .map(|(i, m)| (SmgrId(i as u16), Arc::clone(m)))
     }
 
-    /// Names of all registered managers, in slot order.
-    pub fn names(&self) -> Vec<String> {
-        self.table.read().iter().map(|m| m.name().to_string()).collect()
-    }
-
     /// Number of registered managers.
     pub fn len(&self) -> usize {
         self.table.read().len()

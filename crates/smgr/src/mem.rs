@@ -33,6 +33,7 @@ impl MemSmgr {
 
     /// Total bytes held across all relations (for Figure-1-style storage
     /// accounting).
+    // LINT: allow(R14, tests check memory-resident objects through it)
     pub fn total_bytes(&self) -> u64 {
         self.rels.read().values().map(|pages| (pages.len() * PAGE_SIZE) as u64).sum()
     }

@@ -355,13 +355,6 @@ impl TxnManager {
         (self.commits.load(Ordering::Relaxed), self.aborts.load(Ordering::Relaxed))
     }
 
-    /// Oldest commit timestamp any in-progress transaction could still need
-    /// (vacuum horizon): timestamps at or before this are safe to reclaim
-    /// only if the deleting transaction committed at or before it.
-    pub fn oldest_active_xid(&self) -> Option<Xid> {
-        self.inner.lock().active.iter().next().map(|&x| Xid(x))
-    }
-
     /// Number of in-progress transactions. A server reports this so
     /// operators can see session-owned transactions that are still open
     /// (e.g. a client that began and went quiet).
@@ -405,11 +398,6 @@ impl Txn {
     /// The snapshot taken at `begin`.
     pub fn snapshot(&self) -> &Snapshot {
         &self.snapshot
-    }
-
-    /// The manager that issued this transaction.
-    pub fn manager(&self) -> &Arc<TxnManager> {
-        &self.tm
     }
 
     /// Commit, returning the commit timestamp. Panics if the durability
@@ -514,21 +502,6 @@ mod tests {
         assert_eq!(tm.status(Xid::BOOTSTRAP), TxnStatus::Committed);
         assert_eq!(tm.commit_ts(Xid::BOOTSTRAP), Some(0));
         assert_eq!(tm.status(Xid::INVALID), TxnStatus::Aborted);
-    }
-
-    #[test]
-    fn oldest_active_tracks_begin_commit() {
-        let tm = tm();
-        assert_eq!(tm.oldest_active_xid(), None);
-        let t1 = tm.begin();
-        let t2 = tm.begin();
-        assert_eq!(tm.oldest_active_xid(), Some(t1.xid()));
-        let x1 = t1.xid();
-        t1.commit();
-        assert_eq!(tm.oldest_active_xid(), Some(t2.xid()));
-        assert_ne!(tm.oldest_active_xid(), Some(x1));
-        t2.commit();
-        assert_eq!(tm.oldest_active_xid(), None);
     }
 
     #[test]

@@ -299,11 +299,6 @@ fn segment_name(seg_start: Lsn) -> String {
     format!("{seg_start:016x}.seg")
 }
 
-/// Path of the segment file that holds stream position `lsn`.
-pub fn segment_path(dir: &Path, lsn: Lsn, segment_bytes: u64) -> PathBuf {
-    dir.join(segment_name(lsn - lsn % segment_bytes))
-}
-
 /// Sorted `(seg_start, path)` for every well-formed segment file name.
 fn list_segments(dir: &Path, segment_bytes: u64) -> io::Result<Vec<(Lsn, PathBuf)>> {
     let mut out = Vec::new();
@@ -551,11 +546,13 @@ impl Wal {
     }
 
     /// Everything below this position has been flushed.
+    // LINT: allow(R14, the durable horizon the WAL and pool tests assert)
     pub fn flushed_lsn(&self) -> Lsn {
         self.group.durable()
     }
 
     /// Current redo horizon: replay after a crash starts here.
+    // LINT: allow(R14, the redo start the restart tests assert)
     pub fn redo_lsn(&self) -> Lsn {
         self.redo.load(Ordering::Acquire)
     }
@@ -858,6 +855,7 @@ impl Wal {
     /// Scan a (possibly closed) log directory, returning the location of
     /// every valid record in stream order. Test/diagnostic surface: the
     /// torn-tail restart test uses this to find record byte boundaries.
+    // LINT: allow(R14, the log scan the restart tests read records with)
     pub fn scan_records(dir: impl AsRef<Path>, segment_bytes: u64) -> io::Result<Vec<RecordInfo>> {
         let segment_bytes = segment_bytes.max(MIN_SEGMENT_BYTES);
         Ok(scan(dir.as_ref(), segment_bytes, true)?.records)
@@ -1202,7 +1200,7 @@ mod tests {
         drop(wal);
         // Simulate a recycled segment that kept stale bytes: copy the
         // live segment to the next stream position without truncating.
-        let cur = segment_path(dir.path(), 0, MIN_SEGMENT_BYTES);
+        let cur = dir.path().join(segment_name(0));
         let stale = dir.path().join(segment_name(MIN_SEGMENT_BYTES));
         fs::copy(&cur, &stale).unwrap();
         // Pad the live segment so the scanner hops to the stale one.
