@@ -1,10 +1,10 @@
 //! A lightweight Rust AST for the analyzer rules (R7–R14):
 //! balanced token trees, then an item parser recognizing functions (with
-//! parameter lists, return types, and bodies), impl/trait/mod nesting,
-//! enums with discriminants, and consts. Deliberately approximate — it
-//! never needs to type-check, only to see names, call shapes, and block
-//! structure — but it must never mis-bracket, so trees are built from the
-//! real tokenizer (strings/comments can't confuse it).
+//! parameter lists, return types, and bodies), trait impls and
+//! impl/trait/mod nesting. Deliberately approximate — it never needs to
+//! type-check, only to see names, call shapes, and block structure — but
+//! it must never mis-bracket, so trees are built from the real tokenizer
+//! (strings/comments can't confuse it).
 
 use crate::source::{TokKind, Token};
 
@@ -128,23 +128,6 @@ pub struct FnItem {
     pub body: Option<Group>,
 }
 
-/// One parsed enum.
-#[derive(Debug, Clone)]
-pub struct EnumItem {
-    pub name: String,
-    pub line: u32,
-    /// `(variant, explicit discriminant, line)`.
-    pub variants: Vec<(String, Option<u64>, u32)>,
-}
-
-/// One parsed const (value kept as trees; R10 reads `Opcode::ALL`).
-#[derive(Debug, Clone)]
-pub struct ConstItem {
-    pub name: String,
-    pub line: u32,
-    pub value: Vec<Tree>,
-}
-
 /// A trait implementation marker (`impl Drop for PinnedPage`).
 #[derive(Debug, Clone)]
 pub struct TraitImpl {
@@ -157,8 +140,6 @@ pub struct TraitImpl {
 #[derive(Debug, Default)]
 pub struct Items {
     pub fns: Vec<FnItem>,
-    pub enums: Vec<EnumItem>,
-    pub consts: Vec<ConstItem>,
     pub trait_impls: Vec<TraitImpl>,
 }
 
@@ -249,23 +230,9 @@ fn collect_items(trees: &[Tree], qual: Option<&str>, out: &mut Items) {
                 }
                 i = next;
             }
-            "enum" => {
-                let (e, next) = parse_enum(trees, i);
-                if let Some(e) = e {
-                    out.enums.push(e);
-                }
-                i = next;
-            }
-            "const" | "static" => {
-                let (c, next) = parse_const(trees, i);
-                if let Some(c) = c {
-                    out.consts.push(c);
-                }
-                i = next;
-            }
             _ => {
-                // struct/use/type/macro_rules/extern blocks: skip to the
-                // item's end (first top-level `;` or `{}` group).
+                // struct/enum/const/use/type/macro_rules/extern items: skip
+                // to the item's end (first top-level `;` or `{}` group).
                 let (_, next) = find_body(trees, i + 1);
                 i = next;
             }
@@ -446,102 +413,6 @@ fn parse_impl_header(
     }
 }
 
-fn parse_enum(trees: &[Tree], i: usize) -> (Option<EnumItem>, usize) {
-    let Some(name) = trees.get(i + 1).and_then(|t| t.ident()) else {
-        return (None, i + 1);
-    };
-    let line = trees[i].line();
-    let (body, next) = find_body(trees, i + 2);
-    let Some(body) = body else { return (None, next) };
-    let mut variants = Vec::new();
-    let mut j = 0usize;
-    while j < body.trees.len() {
-        // Skip variant attributes.
-        while body.trees.get(j).is_some_and(|t| t.is_punct('#')) {
-            j += 1;
-            if body.trees.get(j).is_some_and(|t| t.group_with('[').is_some()) {
-                j += 1;
-            }
-        }
-        let Some(vname) = body.trees.get(j).and_then(|t| t.ident()) else {
-            j += 1;
-            continue;
-        };
-        let vline = body.trees[j].line();
-        j += 1;
-        // Optional payload (tuple/struct variant).
-        if body.trees.get(j).is_some_and(|t| t.group().is_some()) {
-            j += 1;
-        }
-        // Optional discriminant.
-        let mut disc = None;
-        if body.trees.get(j).is_some_and(|t| t.is_punct('=')) {
-            j += 1;
-            if let Some(Tree::Tok(tok)) = body.trees.get(j) {
-                if tok.kind == TokKind::Num {
-                    disc = parse_int(&tok.text);
-                }
-            }
-            while j < body.trees.len() && !body.trees[j].is_punct(',') {
-                j += 1;
-            }
-        }
-        variants.push((vname.to_string(), disc, vline));
-        if body.trees.get(j).is_some_and(|t| t.is_punct(',')) {
-            j += 1;
-        }
-    }
-    (Some(EnumItem { name: name.to_string(), line, variants }), next)
-}
-
-fn parse_const(trees: &[Tree], i: usize) -> (Option<ConstItem>, usize) {
-    let Some(name) = trees.get(i + 1).and_then(|t| t.ident()) else {
-        return (None, i + 1);
-    };
-    let line = trees[i].line();
-    let mut j = i + 2;
-    let mut value = Vec::new();
-    let mut in_value = false;
-    while j < trees.len() {
-        if trees[j].is_punct(';') {
-            j += 1;
-            break;
-        }
-        if in_value {
-            value.push(trees[j].clone());
-        } else if trees[j].is_punct('=') {
-            in_value = true;
-        }
-        j += 1;
-    }
-    (Some(ConstItem { name: name.to_string(), line, value }), j)
-}
-
-/// Parse `123`, `0x7f`, `0o17`, `0b101`, with `_` separators and type
-/// suffixes tolerated.
-pub fn parse_int(text: &str) -> Option<u64> {
-    let t = text.replace('_', "");
-    if let Some(rest) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        return radix_prefix(rest, 16);
-    }
-    if let Some(rest) = t.strip_prefix("0o") {
-        return radix_prefix(rest, 8);
-    }
-    if let Some(rest) = t.strip_prefix("0b") {
-        return radix_prefix(rest, 2);
-    }
-    radix_prefix(&t, 10)
-}
-
-/// Parse the longest valid-digit prefix (the rest is a type suffix).
-fn radix_prefix(s: &str, radix: u32) -> Option<u64> {
-    let end = s.find(|c: char| !c.is_digit(radix)).unwrap_or(s.len());
-    if end == 0 {
-        return None;
-    }
-    u64::from_str_radix(&s[..end], radix).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,29 +465,16 @@ mod tests {
     }
 
     #[test]
-    fn enum_discriminants_parse() {
-        let items = items_of("pub enum Opcode { Ping = 0x01, Begin = 0x02, Odd(u8), Plain }");
-        let e = &items.enums[0];
-        assert_eq!(e.name, "Opcode");
-        assert_eq!(e.variants.len(), 4);
-        assert_eq!(e.variants[0], ("Ping".into(), Some(1), 1));
-        assert_eq!(e.variants[1].1, Some(2));
-        assert_eq!(e.variants[2].1, None);
-    }
-
-    #[test]
-    fn impl_for_and_consts_parse() {
+    fn impl_for_parses() {
         let items = items_of(
             "impl Drop for PinnedPage<'_> { fn drop(&mut self) {} }\n\
-             impl Opcode { pub const ALL: [Opcode; 2] = [Opcode::A, Opcode::B]; }",
+             impl Opcode { pub const ALL: [Opcode; 2] = [Opcode::A, Opcode::B]; fn f() {} }",
         );
         assert_eq!(items.trait_impls.len(), 1);
         assert_eq!(items.trait_impls[0].trait_name, "Drop");
         assert_eq!(items.trait_impls[0].type_name, "PinnedPage");
-        assert_eq!(items.consts.len(), 1);
-        assert_eq!(items.consts[0].name, "ALL");
-        assert!(!items.consts[0].value.is_empty());
         assert_eq!(items.fns[0].qual.as_deref(), Some("PinnedPage"));
+        assert_eq!(items.fns[1].qual.as_deref(), Some("Opcode"));
     }
 
     #[test]
@@ -624,13 +482,5 @@ mod tests {
         let items = items_of("fn lib() {}\n#[cfg(test)]\nmod tests { fn t() { x.unwrap(); } }");
         assert_eq!(items.fns.len(), 1);
         assert_eq!(items.fns[0].name, "lib");
-    }
-
-    #[test]
-    fn int_literals_parse() {
-        assert_eq!(parse_int("0x10"), Some(16));
-        assert_eq!(parse_int("42"), Some(42));
-        assert_eq!(parse_int("1_000"), Some(1000));
-        assert_eq!(parse_int("0x2Au8"), Some(42));
     }
 }

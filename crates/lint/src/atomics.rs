@@ -2,9 +2,9 @@
 //! protocol crates (`buffer`, `wal`, `txn`) is named in the machine-
 //! readable ```` ```atomics-protocol ```` table in DESIGN.md, and every
 //! atomic operation in those crates uses an ordering at least as strong
-//! as the table requires. Two-way, like the R5 lock-ranks table: a field
-//! in code but not the table fails, and a table row naming no code field
-//! fails, so the table can never silently rot.
+//! as the table requires. Two-way: a field in code but not the table
+//! fails, and a table row naming no code field fails, so the table can
+//! never silently rot.
 //!
 //! Table row grammar (inside the fenced block; `#` comments allowed):
 //!

@@ -6,13 +6,12 @@ use crate::atomics::{
     check_atomics_protocol, parse_atomics_protocol, relaxed_sites, ATOMIC_PROTOCOL_CRATES,
 };
 use crate::dead::{check_dead_api, is_user};
-use crate::effects::{infer_effects, parse_design_effects};
+use crate::effects::infer_effects;
 use crate::flow::{check_guard_flow, check_manually_drop_types, WorkspaceIndex};
 use crate::graph::CallGraph;
-use crate::proto_sync::check_proto_sync;
 use crate::rules::{
-    check_metric_names, check_rank_table, check_std_sync, check_unranked_locks, check_unsafe,
-    metric_name_sites, panic_sites, parse_code_ranks, parse_design_ranks,
+    check_metric_names, check_std_sync, check_unranked_locks, check_unsafe, metric_name_sites,
+    panic_sites,
 };
 use crate::source::{load_workspace, read, Scope, SourceFile};
 use crate::tables::{check_budget, parse_budget, Allows, PerFile, DESIGN};
@@ -40,9 +39,6 @@ pub struct Report {
 /// [`load_workspace`]).
 pub fn check_workspace(root: &Path, overrides: &[(&str, &str)]) -> Result<Report, String> {
     let files = load_workspace(root, overrides)?;
-    let file = |rel: &str| {
-        files.iter().find(|f| f.rel == rel).ok_or_else(|| format!("{rel} is not in the workspace"))
-    };
     let design = read(&root.join(DESIGN))?;
     let budget = parse_budget(&read(&root.join("crates/lint/budget.txt"))?)?;
     let lib: Vec<&SourceFile> = files.iter().filter(|f| f.scope == Scope::Lib).collect();
@@ -139,14 +135,7 @@ pub fn check_workspace(root: &Path, overrides: &[(&str, &str)]) -> Result<Report
         findings.push(finding("crates/buffer/src/lib.rs", 0, "R8", msg.to_string()));
     }
 
-    // --- DESIGN.md tables: R5 ranks, R11 atomics, R10 wire ops, R13 sources --
-    let code_ranks = parse_code_ranks(file("shims/parking_lot/src/ranks.rs")?)?;
-    if code_ranks.is_empty() {
-        return Err("no LockRank constants found in ranks.rs".to_string());
-    }
-    for err in check_rank_table(&code_ranks, &parse_design_ranks(&design)?) {
-        findings.push(finding(DESIGN, 0, "R5", err));
-    }
+    // --- DESIGN.md's one table: R11 atomics -------------------------------
     match parse_atomics_protocol(&design) {
         Err(err) => findings.push(finding(DESIGN, 0, "R11", err)),
         Ok(rows) => {
@@ -157,16 +146,6 @@ pub fn check_workspace(root: &Path, overrides: &[(&str, &str)]) -> Result<Report
                 .collect();
             findings.extend(check_atomics_protocol(&rows, &protocol_files));
         }
-    }
-    findings.extend(check_proto_sync(
-        file("crates/server/src/proto.rs")?,
-        file("crates/server/src/service.rs")?,
-        file("crates/server/src/client.rs")?,
-        &design,
-    ));
-    match parse_design_effects(&design) {
-        Err(err) => findings.push(finding(DESIGN, 0, "R13", err)),
-        Ok(rows) => findings.extend(effects.check_design_table(&rows)),
     }
 
     // --- the ratchet -------------------------------------------------------

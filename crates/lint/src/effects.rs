@@ -52,9 +52,8 @@
 
 use crate::ast::Tree;
 use crate::graph::{scan, split_stmts, CallGraph, CallSite, FnNode, Scan, GENERIC_NAMES};
-use crate::tables::{fenced_rows, DESIGN};
 use crate::{finding, Finding};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Effect bitmask.
 pub type Effect = u8;
@@ -63,42 +62,6 @@ pub const EFFECT_FSYNC: Effect = 2;
 pub const EFFECT_WAL_APPEND: Effect = 4;
 pub const EFFECT_DATA_WRITE: Effect = 8;
 pub const EFFECT_WAL_FLUSH: Effect = 16;
-
-/// Canonical order for rendering effect sets.
-const EFFECT_NAMES: [(Effect, &str); 5] = [
-    (EFFECT_BLOCKS, "blocks"),
-    (EFFECT_FSYNC, "fsyncs"),
-    (EFFECT_WAL_FLUSH, "flushes_wal"),
-    (EFFECT_WAL_APPEND, "wal_appends"),
-    (EFFECT_DATA_WRITE, "writes_data_pages"),
-];
-
-/// Render an effect set in canonical comma-joined form (`-` if empty).
-pub fn effect_string(e: Effect) -> String {
-    let parts: Vec<&str> =
-        EFFECT_NAMES.iter().filter(|(bit, _)| e & bit != 0).map(|(_, n)| *n).collect();
-    if parts.is_empty() {
-        "-".to_string()
-    } else {
-        parts.join(",")
-    }
-}
-
-/// Parse a comma-joined effect set (the DESIGN.md table cell).
-pub fn parse_effect_string(s: &str) -> Result<Effect, String> {
-    if s == "-" {
-        return Ok(0);
-    }
-    let mut e = 0;
-    for part in s.split(',') {
-        let part = part.trim();
-        match EFFECT_NAMES.iter().find(|(_, n)| *n == part) {
-            Some((bit, _)) => e |= bit,
-            None => return Err(format!("unknown effect {part:?}")),
-        }
-    }
-    Ok(e)
-}
 
 /// The acceptor-thread file: every fn defined here is an R12 root.
 pub const REACTOR_FILE: &str = "crates/server/src/reactor.rs";
@@ -202,8 +165,6 @@ pub struct EffectsIndex<'a> {
     graph: &'a CallGraph<'a>,
     /// `(line, label, effect)` — syntactic seeds in each body.
     seeds: Vec<Vec<(u32, String, Effect)>>,
-    /// Designated effects attached to each definition.
-    designated: Vec<Effect>,
     effects: Vec<Effect>,
 }
 
@@ -220,9 +181,8 @@ pub fn infer_effects<'a>(graph: &'a CallGraph<'a>) -> EffectsIndex<'a> {
             .fold(0, |acc, (_, _, _, e)| acc | e)
     };
     let seeds: Vec<Vec<_>> = graph.nodes.iter().map(seeds_in).collect();
-    let designated: Vec<Effect> = graph.nodes.iter().map(designated_of).collect();
-    let effects = designated.clone();
-    let mut idx = EffectsIndex { graph, seeds, designated, effects };
+    let effects = graph.nodes.iter().map(designated_of).collect();
+    let mut idx = EffectsIndex { graph, seeds, effects };
 
     // Fixpoint: union seed and callee effects into callers until
     // stable. The lattice is 5 bits, so this terminates in a handful of
@@ -257,61 +217,6 @@ impl<'a> EffectsIndex<'a> {
             let seed = seed_of(c).unwrap_or(0);
             self.targets(c).into_iter().fold(acc | seed, |acc, t| acc | self.effects[t])
         })
-    }
-
-    /// The rows DESIGN.md's ```effects``` table must carry: every
-    /// `(crate, fn, arity)` that is a designated durability source or
-    /// directly fsyncs, with the union of inferred effects across its
-    /// definitions. Sorted by key.
-    pub fn design_rows(&self) -> Vec<(String, Effect)> {
-        let mut rows: BTreeMap<String, Effect> = BTreeMap::new();
-        for (id, n) in self.graph.nodes.iter().enumerate() {
-            let direct_fsync = self.seeds[id].iter().any(|(_, _, e)| e & EFFECT_FSYNC != 0);
-            if self.designated[id] != 0 || direct_fsync {
-                let key = format!("{} {}/{}", n.file.krate, n.item.name, n.item.arity);
-                *rows.entry(key).or_insert(0) |= self.effects[id];
-            }
-        }
-        rows.into_iter().collect()
-    }
-
-    /// Two-way sync against the parsed DESIGN.md rows.
-    pub fn check_design_table(&self, rows: &[EffectRow]) -> Vec<Finding> {
-        let mut findings = Vec::new();
-        let mut report = |message: String| findings.push(finding(DESIGN, 0, "R13", message));
-        let mut covered: BTreeSet<String> = BTreeSet::new();
-        for row in rows {
-            let key = format!("{} {}/{}", row.crate_name, row.fn_name, row.arity);
-            // Union over every definition matching the row key.
-            let defs = self.graph.nodes.iter().zip(&self.effects).filter(|(n, _)| {
-                n.file.krate == row.crate_name
-                    && n.item.name == row.fn_name
-                    && n.item.arity == row.arity
-            });
-            match defs.map(|(_, e)| *e).reduce(|a, b| a | b) {
-                None => report(format!(
-                    "effects row `{key}` matches no workspace fn: delete the stale row"
-                )),
-                Some(e) if e != row.effect => report(format!(
-                    "effects row `{key}` says `{}` but inference says `{}`: update the table \
-                     (or fix the code drift it caught)",
-                    effect_string(row.effect),
-                    effect_string(e)
-                )),
-                Some(_) => {}
-            }
-            covered.insert(key);
-        }
-        for (key, e) in self.design_rows() {
-            if !covered.contains(&key) {
-                report(format!(
-                    "durability source `{key}` (inferred `{}`) is missing from DESIGN.md's \
-                     ```effects``` table",
-                    effect_string(e)
-                ));
-            }
-        }
-        findings
     }
 
     /// R12: acceptor-thread code must not block.
@@ -493,38 +398,6 @@ impl<'a> EffectsIndex<'a> {
     }
 }
 
-/// One parsed row of DESIGN.md's ```effects``` table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EffectRow {
-    pub crate_name: String,
-    pub fn_name: String,
-    pub arity: usize,
-    pub effect: Effect,
-}
-
-/// Parse the fenced ```effects block from DESIGN.md. Row grammar:
-/// `<crate> <fn>/<arity> <effects>`; effects are comma-joined canonical
-/// names or `-`.
-pub fn parse_design_effects(md: &str) -> Result<Vec<EffectRow>, String> {
-    let parse = |(n, row): (u32, &str)| {
-        let err = |what: &str| format!("{DESIGN} effects table line {n}: {what}");
-        let fields: Vec<&str> = row.split_whitespace().collect();
-        let [krate, func, eff] = fields[..] else {
-            return Err(err("expected `<crate> <fn>/<arity> <effects>`"));
-        };
-        let Some((fn_name, arity)) = func.rsplit_once('/') else {
-            return Err(err("fn field must be `<name>/<arity>`"));
-        };
-        Ok(EffectRow {
-            crate_name: krate.to_string(),
-            fn_name: fn_name.to_string(),
-            arity: arity.parse().map_err(|_| err(&format!("bad arity {arity:?}")))?,
-            effect: parse_effect_string(eff).map_err(|e| err(&e))?,
-        })
-    };
-    fenced_rows(md, "effects")?.into_iter().map(parse).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,7 +425,7 @@ mod tests {
         let graph = CallGraph::build(&files);
         let idx = infer_effects(&graph);
         let log = graph.nodes.iter().position(|n| n.qualified() == "buffer::Pool::log").unwrap();
-        assert_eq!(effect_string(idx.effects[log]), "blocks,fsyncs,wal_appends");
+        assert_eq!(idx.effects[log], EFFECT_BLOCKS | EFFECT_FSYNC | EFFECT_WAL_APPEND);
     }
 
     #[test]
@@ -648,39 +521,5 @@ mod tests {
         let graph = CallGraph::build(&files);
         let idx = infer_effects(&graph);
         assert!(idx.check_r13().is_empty(), "{:?}", idx.check_r13());
-    }
-
-    #[test]
-    fn design_table_roundtrip() {
-        let files = files(&[(
-            "crates/wal/src/lib.rs",
-            "wal",
-            "impl Wal { pub fn append(&self, r: &R) -> u64 { self.f.sync_data(); 0 } }",
-        )]);
-        let graph = CallGraph::build(&files);
-        let idx = infer_effects(&graph);
-        let rows = idx.design_rows();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].0, "wal append/1");
-        let md = format!(
-            "x\n```effects\n# comment\nwal append/1 {}\n```\ny\n",
-            effect_string(rows[0].1)
-        );
-        let parsed = parse_design_effects(&md).unwrap();
-        assert!(idx.check_design_table(&parsed).is_empty());
-        // Wrong effects -> finding; missing row -> finding.
-        let wrong = parse_design_effects("```effects\nwal append/1 blocks\n```\n").unwrap();
-        assert_eq!(idx.check_design_table(&wrong).len(), 1);
-        let empty = parse_design_effects("```effects\n```\n").unwrap();
-        assert_eq!(idx.check_design_table(&empty).len(), 1);
-    }
-
-    #[test]
-    fn effect_string_roundtrip() {
-        let e = EFFECT_BLOCKS | EFFECT_WAL_APPEND;
-        assert_eq!(effect_string(e), "blocks,wal_appends");
-        assert_eq!(parse_effect_string("blocks,wal_appends").unwrap(), e);
-        assert_eq!(parse_effect_string("-").unwrap(), 0);
-        assert!(parse_effect_string("bogus").is_err());
     }
 }

@@ -1,26 +1,22 @@
 //! `pglo-lint` command line: check the workspace, print the findings,
-//! exit nonzero on any. Run from anywhere inside the repo:
+//! exit nonzero on any. It takes no arguments; run it from anywhere
+//! inside the repo:
 //!
 //! ```text
-//! cargo run -p pglo-lint --offline [-- --json]
+//! cargo run -p pglo-lint --offline
 //! ```
 //!
-//! Output is one finding per line, `path:line: R# message`; `--json`
-//! emits the same findings as a JSON array for tooling. The rules and
-//! the driver live in the library (`pglo_lint::check_workspace`).
+//! Output is one finding per line, `path:line: R# message`. The rules
+//! and the driver live in the library (`pglo_lint::check_workspace`).
 
 use pglo_lint::check_workspace;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut json = false;
-    for arg in std::env::args().skip(1) {
-        if arg != "--json" {
-            eprintln!("pglo-lint: unknown flag {arg:?} (known: --json)");
-            return ExitCode::FAILURE;
-        }
-        json = true;
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("pglo-lint: unexpected argument {arg:?} (it takes none)");
+        return ExitCode::FAILURE;
     }
     let report = match workspace_root().and_then(|root| check_workspace(&root, &[])) {
         Ok(report) => report,
@@ -30,21 +26,14 @@ fn main() -> ExitCode {
         }
     };
     let (n, files) = (report.findings.len(), report.files);
-    if json {
-        let body: Vec<String> = report.findings.iter().map(|f| f.to_json()).collect();
-        println!("[{}]", body.join(","));
-    } else {
-        for f in &report.findings {
-            println!("{f}");
-        }
+    for f in &report.findings {
+        println!("{f}");
     }
     if n > 0 {
         eprintln!("pglo-lint: {n} finding(s) across {files} files checked");
         return ExitCode::FAILURE;
     }
-    if !json {
-        println!("pglo-lint: workspace clean ({files} files checked)");
-    }
+    println!("pglo-lint: workspace clean ({files} files checked)");
     ExitCode::SUCCESS
 }
 

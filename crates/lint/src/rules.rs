@@ -1,12 +1,9 @@
-//! The token-shape rules R1–R6, each reading the views a
+//! The token-shape rules R1–R4 and R6, each reading the views a
 //! [`SourceFile`] already holds.
 
-use crate::ast::parse_int;
 use crate::graph::{scan, Scan};
 use crate::source::{spells, SourceFile, TokKind, Token};
-use crate::tables::fenced_rows;
 use crate::{finding, Finding};
-use std::collections::{BTreeMap, BTreeSet};
 
 const STD_SYNC_BANNED: [&str; 5] =
     ["Mutex", "RwLock", "MutexGuard", "RwLockReadGuard", "RwLockWriteGuard"];
@@ -113,76 +110,6 @@ pub fn check_unsafe(file: &SourceFile) -> Vec<Finding> {
         }
     }
     out
-}
-
-/// Extract `(rank, name)` pairs from `LockRank::new(<num>, "<name>")`
-/// constants in the shim's `ranks.rs`.
-pub fn parse_code_ranks(file: &SourceFile) -> Result<Vec<(u32, String)>, String> {
-    let toks = &file.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if !spells(toks, i, &["LockRank", ":", ":", "new", "("]) {
-            continue;
-        }
-        let Some(num) = toks.get(i + 5).filter(|t| t.kind == TokKind::Num) else { continue };
-        let rank = parse_int(&num.text).and_then(|r| u32::try_from(r).ok());
-        let name = toks.get(i + 7).filter(|t| t.kind == TokKind::Str);
-        let (Some(rank), Some(name)) = (rank, name) else {
-            return Err(format!(
-                "ranks.rs:{}: expected `LockRank::new(<rank>, \"<name>\")`",
-                num.line
-            ));
-        };
-        out.push((rank, name.text.clone()));
-    }
-    Ok(out)
-}
-
-/// Extract `(rank, name)` rows from the ```` ```lock-ranks ```` fenced
-/// block in DESIGN.md: `<rank> <name> — note`.
-pub fn parse_design_ranks(md: &str) -> Result<Vec<(u32, String)>, String> {
-    let parse = |(n, row): (u32, &str)| {
-        let mut fields = row.split_whitespace();
-        let (Some(rank), Some(name)) = (fields.next(), fields.next()) else {
-            return Err(format!("DESIGN.md line {n}: expected `<rank> <name> — note`"));
-        };
-        let rank = rank.parse().map_err(|_| format!("DESIGN.md line {n}: bad rank {rank:?}"))?;
-        Ok((rank, name.to_string()))
-    };
-    fenced_rows(md, "lock-ranks")?.into_iter().map(parse).collect()
-}
-
-/// R5: code constants and the DESIGN.md table must agree exactly, with
-/// unique ranks and names on both sides.
-pub fn check_rank_table(code: &[(u32, String)], design: &[(u32, String)]) -> Vec<String> {
-    let mut errs = Vec::new();
-    for (label, side) in [("ranks.rs", code), ("DESIGN.md", design)] {
-        let mut ranks = BTreeMap::new();
-        let mut names = BTreeMap::new();
-        for (r, n) in side {
-            if let Some(prev) = ranks.insert(*r, n.clone()) {
-                errs.push(format!("{label}: rank {r} assigned to both {prev:?} and {n:?}"));
-            }
-            if names.insert(n.clone(), *r).is_some() {
-                errs.push(format!("{label}: name {n:?} declared twice"));
-            }
-        }
-    }
-    let code_set: BTreeSet<_> = code.iter().collect();
-    let design_set: BTreeSet<_> = design.iter().collect();
-    for missing in design_set.difference(&code_set) {
-        errs.push(format!(
-            "DESIGN.md lists rank {} {:?} but shims/parking_lot/src/ranks.rs does not",
-            missing.0, missing.1
-        ));
-    }
-    for missing in code_set.difference(&design_set) {
-        errs.push(format!(
-            "ranks.rs declares rank {} {:?} but the DESIGN.md lock-ranks table does not",
-            missing.0, missing.1
-        ));
-    }
-    errs
 }
 
 /// `(name, line)` of every `obs::counter!`/`gauge!`/`histogram!`/`span!`
@@ -329,32 +256,6 @@ mod tests {
         // The word `unsafe` inside a comment or string is not a token.
         let quoted = "// unsafe\nlet s = \"unsafe\";";
         assert!(check_unsafe(&file(quoted)).is_empty());
-    }
-
-    #[test]
-    fn rank_table_consistency() {
-        let code_src = r#"
-            pub const A: LockRank = LockRank::new(10, "a.lock");
-            pub const B: LockRank = LockRank::new(20, "b.lock");
-        "#;
-        let code = parse_code_ranks(&file(code_src)).unwrap();
-        assert_eq!(code, vec![(10, "a.lock".into()), (20, "b.lock".into())]);
-
-        let md = "intro\n```lock-ranks\n10 a.lock — outer\n20 b.lock — inner\n```\n";
-        let design = parse_design_ranks(md).unwrap();
-        assert!(check_rank_table(&code, &design).is_empty());
-
-        // Drift in either direction is reported.
-        let md_drift = "```lock-ranks\n10 a.lock\n21 b.lock\n```\n";
-        let errs = check_rank_table(&code, &parse_design_ranks(md_drift).unwrap());
-        assert_eq!(errs.len(), 2, "{errs:?}");
-
-        // Duplicate ranks are rejected.
-        let dup = vec![(10, "a.lock".to_string()), (10, "c.lock".to_string())];
-        assert!(!check_rank_table(&dup, &design).is_empty());
-
-        // A missing block is an error, not a silent pass.
-        assert!(parse_design_ranks("no block here").is_err());
     }
 
     #[test]

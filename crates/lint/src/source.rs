@@ -182,7 +182,7 @@ pub fn tokenize(src: &str) -> Vec<Token> {
                 }
             }
             // Content between the quotes, escapes left raw — enough for
-            // R5 and R6, which only read simple name literals.
+            // R6, which only reads simple name literals.
             push(
                 &mut out,
                 TokKind::Str,
@@ -379,7 +379,7 @@ pub struct SourceFile {
     /// `<name>` of `crates/<name>/..`; empty outside `crates/`.
     pub krate: String,
     pub text: String,
-    /// Every token, test code included (R1, R4, R5).
+    /// Every token, test code included (R1, R4).
     pub tokens: Vec<Token>,
     /// Tokens outside test-gated items (R2, R6, R11).
     pub lib_tokens: Vec<Token>,

@@ -1,5 +1,5 @@
 //! The text tables the rules check against, each read one way: the
-//! fenced machine-readable blocks in DESIGN.md ([`fenced_rows`]), the
+//! fenced `atomics-protocol` block in DESIGN.md ([`fenced_rows`]), the
 //! exact-count budget ([`parse_budget`] / [`check_budget`]) and the
 //! `// LINT: allow(..)` directives that excuse a finding into the
 //! budget ([`Allows`]).
@@ -18,7 +18,8 @@ fn data_lines(text: &str) -> impl Iterator<Item = (u32, &str)> {
     (1u32..).zip(text.lines().map(str::trim)).filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
 }
 
-/// Rows of the ```` ```<tag> ```` fenced block(s) in DESIGN.md. A
+/// Rows of the ```` ```<tag> ```` fenced block(s) in DESIGN.md (R11
+/// reads `atomics-protocol`, its one table). A
 /// missing or unterminated block is an error, not a silent pass.
 pub fn fenced_rows<'a>(md: &'a str, tag: &str) -> Result<Vec<(u32, &'a str)>, String> {
     let open = format!("```{tag}");

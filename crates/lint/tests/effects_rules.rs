@@ -1,8 +1,7 @@
 //! Effect-inference self-tests: R12/R13 fixtures (a rule that stops
-//! firing fails here), live injection tests that weaken one real call
-//! site in-memory and assert the rule catches it (and that the
-//! unmodified workspace is clean modulo its reasoned allows), and the
-//! `--json` golden/stability test backing the CI artifact.
+//! firing fails here), and live injection tests that weaken one real
+//! call site in-memory and assert the rule catches it (and that the
+//! unmodified workspace is clean modulo its reasoned allows).
 
 use pglo_lint::{
     check_guard_flow, infer_effects, load_workspace, Allows, CallGraph, Finding, SourceFile,
@@ -57,10 +56,16 @@ fn r13_fixture_files(buf: &str) -> [SourceFile; 3] {
 fn r13_fixture_write_before_append_and_bare_rename_fire() {
     let files = r13_fixture_files(R13_POS);
     let r13 = infer_effects(&CallGraph::build(&files)).check_r13();
-    assert_eq!(r13.len(), 2, "{r13:?}");
+    assert_eq!(r13.len(), 3, "{r13:?}");
     assert!(
         r13.iter()
             .any(|f| f.message.contains("write_back_wrong") && f.message.contains("WAL append")),
+        "{r13:?}"
+    );
+    assert!(
+        r13.iter()
+            .any(|f| f.message.contains("flush_after_write_wrong")
+                && f.message.contains("WAL flush")),
         "{r13:?}"
     );
     assert!(
@@ -174,41 +179,4 @@ fn r9_live_injection_dropped_waker_poke_fires() {
         mutated.iter().any(|f| f.message.contains("let _")),
         "dropped waker poke must fire R9: {mutated:?}"
     );
-}
-
-// ---------------------------------------------------------------------------
-// --json golden / stability
-// ---------------------------------------------------------------------------
-
-#[test]
-fn json_schema_golden() {
-    let f = Finding {
-        path: PathBuf::from("a/b.rs"),
-        line: 7,
-        rule: "R12",
-        message: "say \"hi\"\nback\\slash".to_string(),
-    };
-    assert_eq!(
-        f.to_json(),
-        r#"{"path":"a/b.rs","line":7,"rule":"R12","message":"say \"hi\"\nback\\slash"}"#
-    );
-}
-
-#[test]
-fn json_output_is_stable_between_runs() {
-    let root = workspace_root();
-    let exe = env!("CARGO_BIN_EXE_pglo-lint");
-    let run = || {
-        let out = std::process::Command::new(exe)
-            .arg("--json")
-            .current_dir(&root)
-            .output()
-            .expect("run pglo-lint");
-        (out.status.success(), String::from_utf8(out.stdout).unwrap())
-    };
-    let (ok1, out1) = run();
-    let (ok2, out2) = run();
-    assert_eq!(out1, out2, "--json output must be byte-stable between runs");
-    assert!(ok1 && ok2, "workspace must lint clean; findings: {out1}");
-    assert_eq!(out1.trim(), "[]", "clean workspace emits an empty JSON array");
 }

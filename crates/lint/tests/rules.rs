@@ -1,13 +1,13 @@
-//! Fixture-based self-tests for the panic ratchet, the dataflow and sync
-//! rules and the dead-API rule: each rule gets one positive fixture
+//! Fixture-based self-tests for the panic ratchet, the dataflow rules
+//! and the dead-API rule: each rule gets one positive fixture
 //! (must fire) and one negative fixture (must stay quiet). The fixture
 //! files live under `tests/fixtures/` — the workspace walker skips that
 //! directory, because they violate the rules on purpose.
 
 use pglo_lint::rules::panic_sites;
 use pglo_lint::{
-    check_dead_api, check_guard_flow, check_manually_drop_types, check_proto_sync, check_workspace,
-    collect_allows, parse_wire_ops, Allows, CallGraph, Finding, SourceFile, WorkspaceIndex,
+    check_dead_api, check_guard_flow, check_manually_drop_types, check_workspace, collect_allows,
+    Allows, CallGraph, Finding, SourceFile, WorkspaceIndex,
 };
 use std::path::Path;
 
@@ -17,11 +17,6 @@ const R8_POS: &str = include_str!("fixtures/r8_pos.rs");
 const R8_NEG: &str = include_str!("fixtures/r8_neg.rs");
 const R9_POS: &str = include_str!("fixtures/r9_pos.rs");
 const R9_NEG: &str = include_str!("fixtures/r9_neg.rs");
-const PROTO_OK: &str = include_str!("fixtures/r10/proto_ok.rs");
-const PROTO_EXTRA: &str = include_str!("fixtures/r10/proto_extra.rs");
-const SERVICE_OK: &str = include_str!("fixtures/r10/service_ok.rs");
-const CLIENT_OK: &str = include_str!("fixtures/r10/client_ok.rs");
-const DESIGN_OK: &str = include_str!("fixtures/r10/design_ok.md");
 const R14_API: &str = include_str!("fixtures/r14/api.rs");
 const R14_LIB_USER: &str = include_str!("fixtures/r14/lib_user.rs");
 const R14_BIN: &str = include_str!("fixtures/r14/bin.rs");
@@ -151,58 +146,6 @@ fn r9_positive_fires_on_all_three_shapes_and_typed_discard() {
 fn r9_negative_is_quiet() {
     let f = flow(R9_NEG, true);
     assert!(f.is_empty(), "{f:?}");
-}
-
-fn server_file(rel: &str, src: &str) -> SourceFile {
-    SourceFile::new(rel, "server", src)
-}
-
-fn sync(proto: &str) -> Vec<Finding> {
-    check_proto_sync(
-        &server_file("proto.rs", proto),
-        &server_file("service.rs", SERVICE_OK),
-        &server_file("client.rs", CLIENT_OK),
-        DESIGN_OK,
-    )
-}
-
-#[test]
-fn r10_in_sync_fixtures_are_quiet() {
-    let f = sync(PROTO_OK);
-    assert!(f.is_empty(), "{f:?}");
-    assert_eq!(parse_wire_ops(DESIGN_OK).unwrap().len(), 3);
-}
-
-#[test]
-fn r10_opcode_only_in_proto_fails_three_ways() {
-    let f = sync(PROTO_EXTRA);
-    assert!(
-        f.iter().any(|x| x.path.ends_with("service.rs") && x.message.contains("Stats")),
-        "{f:?}"
-    );
-    assert!(
-        f.iter().any(|x| x.path.ends_with("client.rs") && x.message.contains("Stats")),
-        "{f:?}"
-    );
-    assert!(
-        f.iter().any(|x| x.path.ends_with("DESIGN.md") && x.message.contains("stats")),
-        "{f:?}"
-    );
-}
-
-#[test]
-fn r10_removed_dispatch_arm_fails() {
-    let service = SERVICE_OK.replace("Opcode::Shutdown => self.shutdown(),", "");
-    let f = check_proto_sync(
-        &server_file("proto.rs", PROTO_OK),
-        &server_file("service.rs", &service),
-        &server_file("client.rs", CLIENT_OK),
-        DESIGN_OK,
-    );
-    assert!(
-        f.iter().any(|x| x.path.ends_with("service.rs") && x.message.contains("Shutdown")),
-        "{f:?}"
-    );
 }
 
 /// R14 over the fixture API, with every fixture file posing where its

@@ -53,157 +53,110 @@ pub const MAX_FRAME: u32 = 8 * 1024 * 1024;
 /// Larger transfers are chunked by the client.
 pub const MAX_IO: u32 = 4 * 1024 * 1024;
 
-/// Request opcodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum Opcode {
-    /// Liveness/version probe.
-    Ping = 0x01,
-    /// Begin the session transaction.
-    Begin = 0x02,
-    /// Commit the session transaction → `u64` commit timestamp.
-    Commit = 0x03,
-    /// Abort the session transaction.
-    Abort = 0x04,
-    /// Server statistics snapshot.
-    Stats = 0x05,
-    /// Latest commit timestamp → `u64` (the "as of now" time-travel axis).
-    CurrentTs = 0x06,
-    /// Graceful shutdown request (also triggered by process signals).
-    Shutdown = 0x07,
+/// Declares the opcodes once: each `Variant = byte => "name"` row becomes
+/// an [`Opcode`] variant, an entry of [`Opcode::ALL`] (in row order) and
+/// an arm of [`Opcode::from_u8`] and [`Opcode::name`]. A reused byte
+/// fails to compile (E0081), and so does an opcode without an arm in the
+/// service's dispatch match, which has no wildcard.
+macro_rules! opcodes {
+    ($($(#[$doc:meta])* $variant:ident = $byte:literal => $name:literal,)*) => {
+        /// Request opcodes.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum Opcode {
+            $($(#[$doc])* $variant = $byte,)*
+        }
 
-    /// Create a large object from a [`WireSpec`] → `u64` id.
-    LoCreate = 0x10,
-    /// Open: `u64 id, u8 mode, u32 user` → `u32 fd`.
-    LoOpen = 0x11,
-    /// Time-travel open: `u64 id, u64 ts` → `u32 fd`.
-    LoOpenAsOf = 0x12,
-    /// `u32 fd, u32 len` → bytes at the seek pointer.
-    LoRead = 0x13,
-    /// `u32 fd, bytes` → () ; writes at the seek pointer.
-    LoWrite = 0x14,
-    /// `u32 fd, u8 whence, i64 offset` → `u64` new position.
-    LoSeek = 0x15,
-    /// `u32 fd` → `u64` seek pointer.
-    LoTell = 0x16,
-    /// `u32 fd` → ().
-    LoClose = 0x17,
-    /// `u64 id` → () ; removes the object.
-    LoUnlink = 0x18,
-    /// `u32 fd` → `u64` logical size.
-    LoSize = 0x19,
-    /// `u32 fd, u64 offset, u32 len` → bytes (pointer unchanged).
-    LoReadAt = 0x1A,
-    /// `u32 fd, u64 offset, bytes` → () (pointer unchanged).
-    LoWriteAt = 0x1B,
-    /// Create a temporary object (GC'd at session/query end) → `u64` id.
-    LoCreateTemp = 0x1C,
-    /// `u64 id` → `u8` (1 if it was temporary) ; promotes to permanent.
-    LoKeepTemp = 0x1D,
-    /// Reclaim this session's temporaries → `u32` count.
-    GcTemps = 0x1E,
-    /// `WireSpec, str host_path` → `u64 id` (server-side `lo_import`).
-    LoImport = 0x1F,
-    /// `u64 id, str host_path` → `u64` bytes written (`lo_export`).
-    LoExport = 0x20,
+        impl Opcode {
+            /// All opcodes in declaration order, for stats table sizing
+            /// and iteration.
+            pub const ALL: [Opcode; [$(Opcode::$variant),*].len()] = [$(Opcode::$variant),*];
 
-    /// `str path` → `u64` file id.
-    InvCreate = 0x30,
-    /// `str path` → `u64` directory id.
-    InvMkdir = 0x31,
-    /// `str path, u64 offset, u32 len` → bytes.
-    InvRead = 0x32,
-    /// `str path, u64 offset, bytes` → ().
-    InvWrite = 0x33,
-    /// `str path` → stat record.
-    InvStat = 0x34,
-    /// `str path` → directory listing.
-    InvReaddir = 0x35,
-    /// `str from, str to` → ().
-    InvRename = 0x36,
-    /// `str path` → ().
-    InvUnlink = 0x37,
+            /// Decode a wire byte.
+            pub fn from_u8(b: u8) -> Option<Opcode> {
+                match b {
+                    $($byte => Some(Opcode::$variant),)*
+                    _ => None,
+                }
+            }
+
+            /// Stable label for stats reporting.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Opcode::$variant => $name,)*
+                }
+            }
+        }
+    };
 }
 
-impl Opcode {
-    /// All opcodes, for stats table sizing/iteration.
-    pub const ALL: [Opcode; 32] = [
-        Opcode::Ping,
-        Opcode::Begin,
-        Opcode::Commit,
-        Opcode::Abort,
-        Opcode::Stats,
-        Opcode::CurrentTs,
-        Opcode::Shutdown,
-        Opcode::LoCreate,
-        Opcode::LoOpen,
-        Opcode::LoOpenAsOf,
-        Opcode::LoRead,
-        Opcode::LoWrite,
-        Opcode::LoSeek,
-        Opcode::LoTell,
-        Opcode::LoClose,
-        Opcode::LoUnlink,
-        Opcode::LoSize,
-        Opcode::LoReadAt,
-        Opcode::LoWriteAt,
-        Opcode::LoCreateTemp,
-        Opcode::LoKeepTemp,
-        Opcode::GcTemps,
-        Opcode::LoImport,
-        Opcode::LoExport,
-        Opcode::InvCreate,
-        Opcode::InvMkdir,
-        Opcode::InvRead,
-        Opcode::InvWrite,
-        Opcode::InvStat,
-        Opcode::InvReaddir,
-        Opcode::InvRename,
-        Opcode::InvUnlink,
-    ];
+opcodes! {
+    /// Liveness/version probe.
+    Ping = 0x01 => "ping",
+    /// Begin the session transaction.
+    Begin = 0x02 => "begin",
+    /// Commit the session transaction → `u64` commit timestamp.
+    Commit = 0x03 => "commit",
+    /// Abort the session transaction.
+    Abort = 0x04 => "abort",
+    /// Server statistics snapshot.
+    Stats = 0x05 => "stats",
+    /// Latest commit timestamp → `u64` (the "as of now" time-travel axis).
+    CurrentTs = 0x06 => "current_ts",
+    /// Graceful shutdown request (also triggered by process signals).
+    Shutdown = 0x07 => "shutdown",
 
-    /// Decode a wire byte.
-    pub fn from_u8(b: u8) -> Option<Opcode> {
-        Opcode::ALL.iter().copied().find(|op| *op as u8 == b)
-    }
+    /// Create a large object from a [`WireSpec`] → `u64` id.
+    LoCreate = 0x10 => "lo_create",
+    /// Open: `u64 id, u8 mode, u32 user` → `u32 fd`.
+    LoOpen = 0x11 => "lo_open",
+    /// Time-travel open: `u64 id, u64 ts` → `u32 fd`.
+    LoOpenAsOf = 0x12 => "lo_open_as_of",
+    /// `u32 fd, u32 len` → bytes at the seek pointer.
+    LoRead = 0x13 => "lo_read",
+    /// `u32 fd, bytes` → () ; writes at the seek pointer.
+    LoWrite = 0x14 => "lo_write",
+    /// `u32 fd, u8 whence, i64 offset` → `u64` new position.
+    LoSeek = 0x15 => "lo_seek",
+    /// `u32 fd` → `u64` seek pointer.
+    LoTell = 0x16 => "lo_tell",
+    /// `u32 fd` → ().
+    LoClose = 0x17 => "lo_close",
+    /// `u64 id` → () ; removes the object.
+    LoUnlink = 0x18 => "lo_unlink",
+    /// `u32 fd` → `u64` logical size.
+    LoSize = 0x19 => "lo_size",
+    /// `u32 fd, u64 offset, u32 len` → bytes (pointer unchanged).
+    LoReadAt = 0x1A => "lo_read_at",
+    /// `u32 fd, u64 offset, bytes` → () (pointer unchanged).
+    LoWriteAt = 0x1B => "lo_write_at",
+    /// Create a temporary object (GC'd at session/query end) → `u64` id.
+    LoCreateTemp = 0x1C => "lo_create_temp",
+    /// `u64 id` → `u8` (1 if it was temporary) ; promotes to permanent.
+    LoKeepTemp = 0x1D => "lo_keep_temp",
+    /// Reclaim this session's temporaries → `u32` count.
+    GcTemps = 0x1E => "gc_temps",
+    /// `WireSpec, str host_path` → `u64 id` (server-side `lo_import`).
+    LoImport = 0x1F => "lo_import",
+    /// `u64 id, str host_path` → `u64` bytes written (`lo_export`).
+    LoExport = 0x20 => "lo_export",
 
-    /// Stable label for stats reporting.
-    pub fn name(self) -> &'static str {
-        match self {
-            Opcode::Ping => "ping",
-            Opcode::Begin => "begin",
-            Opcode::Commit => "commit",
-            Opcode::Abort => "abort",
-            Opcode::Stats => "stats",
-            Opcode::CurrentTs => "current_ts",
-            Opcode::Shutdown => "shutdown",
-            Opcode::LoCreate => "lo_create",
-            Opcode::LoOpen => "lo_open",
-            Opcode::LoOpenAsOf => "lo_open_as_of",
-            Opcode::LoRead => "lo_read",
-            Opcode::LoWrite => "lo_write",
-            Opcode::LoSeek => "lo_seek",
-            Opcode::LoTell => "lo_tell",
-            Opcode::LoClose => "lo_close",
-            Opcode::LoUnlink => "lo_unlink",
-            Opcode::LoSize => "lo_size",
-            Opcode::LoReadAt => "lo_read_at",
-            Opcode::LoWriteAt => "lo_write_at",
-            Opcode::LoCreateTemp => "lo_create_temp",
-            Opcode::LoKeepTemp => "lo_keep_temp",
-            Opcode::GcTemps => "gc_temps",
-            Opcode::LoImport => "lo_import",
-            Opcode::LoExport => "lo_export",
-            Opcode::InvCreate => "inv_create",
-            Opcode::InvMkdir => "inv_mkdir",
-            Opcode::InvRead => "inv_read",
-            Opcode::InvWrite => "inv_write",
-            Opcode::InvStat => "inv_stat",
-            Opcode::InvReaddir => "inv_readdir",
-            Opcode::InvRename => "inv_rename",
-            Opcode::InvUnlink => "inv_unlink",
-        }
-    }
+    /// `str path` → `u64` file id.
+    InvCreate = 0x30 => "inv_create",
+    /// `str path` → `u64` directory id.
+    InvMkdir = 0x31 => "inv_mkdir",
+    /// `str path, u64 offset, u32 len` → bytes.
+    InvRead = 0x32 => "inv_read",
+    /// `str path, u64 offset, bytes` → ().
+    InvWrite = 0x33 => "inv_write",
+    /// `str path` → stat record.
+    InvStat = 0x34 => "inv_stat",
+    /// `str path` → directory listing.
+    InvReaddir = 0x35 => "inv_readdir",
+    /// `str from, str to` → ().
+    InvRename = 0x36 => "inv_rename",
+    /// `str path` → ().
+    InvUnlink = 0x37 => "inv_unlink",
 }
 
 /// Reply status codes (`0` is OK; error payload is a UTF-8 message).
@@ -576,6 +529,7 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<(u32, u8, Vec<
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn frame(tag: u32, code: u8, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -735,10 +689,23 @@ mod tests {
 
     #[test]
     fn opcodes_roundtrip_and_are_unique() {
-        let mut seen = std::collections::HashSet::new();
+        // The typed client builds every opcode's request somewhere.
+        let client = include_str!("client.rs");
+        let (mut bytes, mut names) = (HashSet::new(), HashSet::new());
         for op in Opcode::ALL {
             assert_eq!(Opcode::from_u8(op as u8), Some(op));
-            assert!(seen.insert(op as u8), "duplicate opcode byte {:#x}", op as u8);
+            assert!(bytes.insert(op as u8), "duplicate opcode byte {:#x}", op as u8);
+            let name = op.name();
+            assert!(names.insert(name), "duplicate opcode name {name:?}");
+            let snake =
+                name.split('_').all(|w| !w.is_empty() && w.bytes().all(|b| b.is_ascii_lowercase()));
+            assert!(snake, "opcode name {name:?} is not snake_case");
+            // A whole path, so `Opcode::LoReadAt` does not stand in for `LoRead`.
+            let path = format!("Opcode::{op:?}");
+            let sent = client.match_indices(&path).any(|(at, _)| {
+                !client[at + path.len()..].starts_with(|c: char| c.is_alphanumeric())
+            });
+            assert!(sent, "client.rs never sends {op:?}");
         }
         assert_eq!(Opcode::from_u8(0xEE), None);
     }

@@ -41,8 +41,9 @@ impl OpStats {
         Opcode::ALL.iter().position(|o| *o == op)
     }
 
-    /// Record one completed request. An opcode missing from `ALL` is
-    /// unrecordable, not fatal (and R10 keeps `ALL` exhaustive anyway).
+    /// Record one completed request. An opcode missing from `ALL` would
+    /// be unrecordable, not fatal; `ALL` is generated from the list that
+    /// declares the enum, so none is.
     pub fn record(&self, op: Opcode, ok: bool, elapsed_ns: u64) {
         let Some(i) = Self::slot(op) else { return };
         if !ok {

@@ -94,6 +94,21 @@ fn malformed_payload_is_an_error_reply_not_a_disconnect() {
     let (_dir, handle) = start();
     let mut c = Client::connect(handle.local_addr()).unwrap();
 
+    // Every opcode reaches its own handler: a one-byte payload gets OK or
+    // a handler's error, never `UnknownOp` (a wildcard dispatch arm would
+    // answer that). `Shutdown` goes last; it refuses the payload and the
+    // session keeps serving.
+    let ops = Opcode::ALL.into_iter().filter(|op| *op != Opcode::Shutdown);
+    for op in ops.chain([Opcode::Shutdown]) {
+        let (status, reply) = c.call_raw(op as u8, &[0x01]).unwrap();
+        assert_ne!(
+            ErrorCode::from_u8(status),
+            Some(ErrorCode::UnknownOp),
+            "{op:?} fell through dispatch: {}",
+            String::from_utf8_lossy(&reply)
+        );
+    }
+
     // Truncated payloads for ops that want more.
     for op in [Opcode::LoOpen, Opcode::LoRead, Opcode::LoSeek, Opcode::InvRead] {
         let (status, _) = c.call_raw(op as u8, &[0x01]).unwrap();

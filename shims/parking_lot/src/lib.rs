@@ -18,8 +18,7 @@
 //! it is also the choke point where the DESIGN.md ordering rules are
 //! enforced at runtime. A lock built with [`Mutex::with_rank`] /
 //! [`RwLock::with_rank`] carries a [`LockRank`] (a number plus a stable
-//! name; the canonical table lives in [`ranks`] and is mirrored in
-//! DESIGN.md, cross-checked by `pglo-lint`). Under `debug_assertions` or
+//! name; the one table lives in [`ranks`]). Under `debug_assertions` or
 //! the `lockcheck` feature, every *blocking* acquisition checks the
 //! calling thread's held-lock stack: acquiring a rank less than or equal
 //! to one already held panics with both acquisition sites. `try_*`
@@ -43,13 +42,13 @@ pub mod ranks;
 pub struct LockRank {
     /// Position in the acquisition order; lower = outer.
     pub rank: u32,
-    /// Stable name, matching the DESIGN.md lock-rank table.
+    /// Stable name, as declared in [`ranks`].
     pub name: &'static str,
 }
 
 impl LockRank {
-    /// A new rank. `name` must match a row of the DESIGN.md rank table
-    /// (`pglo-lint` cross-checks the [`ranks`] module against it).
+    /// A new rank. Every rank the workspace uses is a constant in
+    /// [`ranks`].
     pub const fn new(rank: u32, name: &'static str) -> Self {
         Self { rank, name }
     }

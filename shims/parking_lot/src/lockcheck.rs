@@ -213,7 +213,7 @@ mod imp {
         let mut msg = format!(
             "lock-rank violation: blocking acquisition of \"{}\" (rank {}) at {} \
              while holding \"{}\" (rank {}) acquired at {} — {}; \
-             see the lock-rank table in DESIGN.md",
+             see the lock-rank table in shims/parking_lot/src/ranks.rs",
             acq.name, acq.rank, acq_site, held_name, held_rank, held_site, kind,
         );
         // If the opposite (legal) order was ever observed, cite where.

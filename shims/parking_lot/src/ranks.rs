@@ -4,11 +4,6 @@
 //! only in strictly increasing rank order, and never two locks of the
 //! same rank (that is how "at most one buffer-pool frame latch at a time"
 //! is enforced: every frame latch shares [`POOL_FRAME`]).
-//!
-//! This module is parsed by `pglo-lint`, which cross-checks every
-//! `LockRank::new(<rank>, "<name>")` constant here against the
-//! machine-readable `lock-ranks` table in DESIGN.md — editing one without
-//! the other fails CI. Keep each constant on a single line.
 
 use crate::LockRank;
 
