@@ -1,11 +1,11 @@
-//! The redo-log side: the pending chain, image capture, forcing the log.
+//! The redo-log side: the pending chain, delta capture, forcing the log.
 
 use super::*;
 
 impl BufferPool {
     /// Attach the redo log (first call wins; returns whether this call
     /// attached it). With a log attached, page writes are captured as
-    /// full-page images at commit time and every write-back enforces the
+    /// page deltas at commit time and every write-back enforces the
     /// WAL-before-data invariant.
     pub fn set_wal(&self, wal: Arc<Wal>) -> bool {
         self.wal.set(wal).is_ok()
@@ -26,18 +26,16 @@ impl BufferPool {
     /// chain. Advisory: lets eager callers (the server request loop)
     /// skip [`BufferPool::capture_pending`] until enough backlog has
     /// built up to be worth an append — re-dirtied hot pages then
-    /// coalesce into one image per drain instead of one per request.
+    /// coalesce into one record per drain instead of one per request.
     pub fn capture_backlog(&self) -> usize {
         self.pending_count.load(Ordering::Relaxed)
     }
 
-    /// Log a full-page image of every frame dirtied since its last
-    /// capture, stamping `page_lsn`/`rec_lsn`. The commit path calls
-    /// this *before* appending its commit record: any page delta the
-    /// home location holds but the log does not is then, by
-    /// construction, uncommitted work — replaying an older image over it
-    /// after a crash loses nothing visible. Returns the log position
-    /// past the last image (0 = nothing pending or no log attached).
+    /// Log a page delta of every frame dirtied since its last capture,
+    /// stamping `page_lsn`/`rec_lsn`. The commit path calls this *before*
+    /// appending its commit record, so every committed change is in the
+    /// log. Returns the log position past the last record (0 = nothing
+    /// pending or no log attached).
     ///
     /// Cost is O(pages pending), not O(pool): candidates come off the
     /// pending chain, so callers can afford to invoke this eagerly (the
@@ -47,9 +45,9 @@ impl BufferPool {
         let Some(wal) = self.wal.get() else { return Ok(0) };
         // Fast path: nothing chained *and* no capture in flight. The
         // second check matters for commits — another capture may have
-        // stolen the chain (head empty) while its images are not yet in
+        // stolen the chain (head empty) while its records are not yet in
         // the log; a committer must wait behind it on the mutex so its
-        // commit record lands after those images.
+        // commit record lands after those records.
         if self.pending.is_empty_fast() && self.capture_floor.load(Ordering::Acquire) == u64::MAX {
             return Ok(0);
         }
@@ -57,7 +55,7 @@ impl BufferPool {
         let _serial = self.capture.lock();
         // Publish the floor before stealing the chain: it keeps the
         // checkpoint horizon from advancing past where this batch's
-        // images will land, and (set-before-steal) makes the fast path
+        // records will land, and (set-before-steal) makes the fast path
         // above race-free.
         self.capture_floor.store(wal.end_lsn(), Ordering::Release);
         // Steal the whole chain. Everything flagged before this point is
@@ -81,10 +79,13 @@ impl BufferPool {
             // Off the chain now; a writer re-dirtying from here on chains
             // the frame again for the *next* capture. If that happens
             // before our latch below, we capture the newer bytes and the
-            // next capture skips a clean frame — never a lost image.
+            // next capture skips a clean frame — never a lost change.
+            // `capturing` holds its write-back until the batch is logged.
             frame.pending.release();
-            if let Some((key, image)) = frame.data.write().take_pending_image() {
-                batch.push(image);
+            let mut data = frame.data.write();
+            if let Some((key, record)) = data.take_pending_record() {
+                data.capturing = true;
+                batch.push(record);
                 sources.push((idx, key));
             }
         }
@@ -94,43 +95,44 @@ impl BufferPool {
             return Ok(0);
         }
         // Phase 2: one append-lock acquisition, coalesced device writes.
-        let ats = match wal.append_batch(&mut batch) {
-            Ok(ats) => ats,
-            Err(e) => {
-                self.capture_floor.store(u64::MAX, Ordering::Release);
-                return Err(BufferError::Wal(e));
-            }
-        };
-        // Phase 3: stamp LSNs back. A frame re-keyed in between (its old
-        // page was evicted — which wrote it back, making the home copy
-        // current) is skipped; a frame written back but still resident
-        // gets `page_lsn` only, so a later write-back still forces the
-        // log far enough. Recycle safety for those skipped frames needs
-        // no work here: `append_batch` registered a per-relation pin at
-        // each image's start LSN for log-resident managers, so the
-        // records outlive the frames regardless of what happened to
-        // `rec_lsn` in the window.
-        for ((idx, key), at) in sources.iter().zip(&ats) {
+        let appended = wal.append_batch(&mut batch);
+        // Phase 3: stamp LSNs back, or on failure put every frame back on
+        // the chain to log its whole page. A frame re-keyed in between
+        // was discarded (a capturing frame's write-back waits for us) and
+        // is skipped. Recycle safety needs no work here: `append_batch`
+        // registered a per-relation pin at each record's start LSN for
+        // log-resident managers.
+        for (i, (idx, key)) in sources.iter().enumerate() {
             let mut data = self.frames[*idx].data.write();
             if data.key == Some(*key) {
-                data.stamp_logged(at);
+                match &appended {
+                    Ok(ats) => {
+                        data.capturing = false;
+                        data.stamp_logged(&ats[i]);
+                    }
+                    Err(_) => {
+                        data.unlogged();
+                        self.note_pending(*idx);
+                    }
+                }
             }
         }
         self.capture_floor.store(u64::MAX, Ordering::Release);
+        let ats = appended.map_err(BufferError::Wal)?;
         Ok(ats.last().map_or(0, |at| at.end))
     }
 
-    /// Log a full-page image of a `log_pending` frame immediately,
-    /// stamping its LSNs: by the time the home copy exists, the log must
-    /// be able to reconstruct it, or a crash after the owning transaction
-    /// commits would replay an older image over committed bytes — and a
-    /// re-key after the write-back would erase the only copy of the
-    /// delta. On failure the flag stays set, so the frame stays protected.
-    pub(super) fn log_pending_image(&self, data: &mut FrameData) -> Result<()> {
+    /// Log the delta of a `log_pending` frame immediately, stamping its
+    /// LSNs: by the time the home copy exists, the log must be able to
+    /// reconstruct it, or a crash after the owning transaction commits
+    /// would lose committed bytes — and a re-key after the write-back
+    /// would erase the only copy of the change. On failure the frame
+    /// stays pending, so it stays protected.
+    pub(super) fn log_pending_record(&self, data: &mut FrameData) -> Result<()> {
         let Some(wal) = self.wal.get() else { return Ok(()) };
-        let Some((_, image)) = data.take_pending_image() else { return Ok(()) };
-        let ats = wal.append_batch(&mut [image]).map_err(|e| {
-            data.log_pending = true;
+        let Some((_, record)) = data.take_pending_record() else { return Ok(()) };
+        let ats = wal.append_batch(&mut [record]).map_err(|e| {
+            data.unlogged();
             BufferError::Wal(e)
         })?;
         data.stamp_logged(&ats[0]);
@@ -151,7 +153,7 @@ impl BufferPool {
     /// The checkpoint horizon contribution of this pool: the oldest
     /// `rec_lsn` among dirty frames, i.e. the log position replay must
     /// reach back to in order to reconstruct every dirty page. `None`
-    /// when no dirty frame has a captured image (callers bound the
+    /// when no dirty frame has a captured record (callers bound the
     /// horizon by a log position sampled *before* this scan: a capture
     /// racing past the scan lands at a higher LSN than that sample).
     pub fn dirty_horizon(&self) -> Option<Lsn> {
@@ -162,7 +164,7 @@ impl BufferPool {
                 min = Some(data.rec_lsn);
             }
         }
-        // An in-flight capture batch may have appended images whose
+        // An in-flight capture batch may have appended records whose
         // frames are not yet stamped; its floor bounds them all.
         let floor = self.capture_floor.load(Ordering::Acquire);
         if floor != u64::MAX {

@@ -4,21 +4,41 @@
 
 use super::*;
 
+/// What a pending frame's next record is diffed against.
+pub(super) enum Baseline {
+    /// Unknown: log the whole page. Held whenever the frame is not
+    /// pending, so baselines cost memory only in the capture backlog.
+    Whole,
+    /// A `new_page` block, all zeros at home (or past its end).
+    Zero,
+    /// The page's bytes at its last record, which are also its home
+    /// bytes when it was last clean.
+    Bytes(Box<PageBuf>),
+}
+
+static ZERO_PAGE: PageBuf = [0; PAGE_SIZE];
+
 pub(super) struct FrameData {
     pub(super) key: Option<PageKey>,
     pub(super) page: Box<PageBuf>,
     pub(super) dirty: bool,
-    /// WAL position just past the last full-page image logged for this
-    /// frame (0 = never logged). Write-back forces the log here first.
+    /// WAL position just past the last record logged for this frame
+    /// (0 = never logged). Write-back forces the log here first.
     pub(super) page_lsn: Lsn,
-    /// WAL position of the earliest logged image whose page has not yet
+    /// WAL position of the earliest logged record whose page has not yet
     /// reached its home location (0 = none). Replay after a crash must
     /// start at or before the minimum over dirty frames — that minimum
     /// is the checkpoint horizon.
     pub(super) rec_lsn: Lsn,
-    /// Dirtied since the last capture: the next commit must log a fresh
-    /// image of this frame before its commit record.
+    /// Dirtied since the last capture: the next commit must log this
+    /// frame's changes before its commit record.
     pub(super) log_pending: bool,
+    /// What the pending changes are diffed against; see [`Baseline`].
+    pub(super) baseline: Baseline,
+    /// Encoded by a capture batch whose record is not in the log yet: a
+    /// write-back waits behind the capture mutex, or home would hold
+    /// bytes no record explains.
+    pub(super) capturing: bool,
 }
 
 impl FrameData {
@@ -28,20 +48,37 @@ impl FrameData {
         self.page_lsn = 0;
         self.rec_lsn = 0;
         self.log_pending = false;
+        self.baseline = Baseline::Whole;
+        self.capturing = false;
     }
 
-    /// Consume the frame's `log_pending` flag: the full-page image record
-    /// of its current bytes, to be appended by the caller — `None` when
-    /// nothing is pending or the frame holds no page.
-    pub(super) fn take_pending_image(&mut self) -> Option<(PageKey, PreparedRecord)> {
+    /// Consume the frame's `log_pending` flag and its baseline: the
+    /// page-delta record of its current bytes, to be appended by the
+    /// caller — `None` when nothing is pending or the frame holds no page.
+    pub(super) fn take_pending_record(&mut self) -> Option<(PageKey, PreparedRecord)> {
         if !std::mem::take(&mut self.log_pending) {
             return None;
         }
+        let baseline = std::mem::replace(&mut self.baseline, Baseline::Whole);
+        let base = match &baseline {
+            Baseline::Whole => None,
+            Baseline::Zero => Some(&ZERO_PAGE),
+            Baseline::Bytes(page) => Some(&**page),
+        };
         let key = self.key?;
-        Some((key, PreparedRecord::page_image(key.smgr.0 as u32, key.rel, key.block, &self.page)))
+        let (smgr, rel, block) = (key.smgr.0 as u32, key.rel, key.block);
+        Some((key, PreparedRecord::page_delta(smgr, rel, block, base, &self.page)))
     }
 
-    /// Record that an image of this page sits in the log at `at`:
+    /// A record of this frame never reached the log: stay pending, and
+    /// log the whole page next, since no baseline is known to match.
+    pub(super) fn unlogged(&mut self) {
+        self.log_pending = true;
+        self.baseline = Baseline::Whole;
+        self.capturing = false;
+    }
+
+    /// Record that a record of this page sits in the log at `at`:
     /// write-back must force the log past its end, and while the page
     /// is dirty replay must be able to reach back to its start.
     pub(super) fn stamp_logged(&mut self, at: &AppendedAt) {
@@ -272,6 +309,7 @@ impl BufferPool {
         data.reset_wal_state();
         if fresh {
             data.log_pending = true;
+            data.baseline = Baseline::Zero;
             self.note_pending(idx);
         }
         self.frames[idx].sync.set_valid();

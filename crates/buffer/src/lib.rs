@@ -54,7 +54,7 @@ pub mod protocol;
 mod readahead;
 mod writeback;
 
-use frame::{Frame, FrameData, PageTable};
+use frame::{Baseline, Frame, FrameData, PageTable};
 use protocol::{FrameState, PendingLink, PendingQueue, SlotArray, SLOT_PROBE_LIMIT};
 use readahead::RaState;
 pub use writeback::BgWriter;
@@ -196,17 +196,17 @@ impl Default for PoolOptions {
 /// The shared buffer pool.
 pub struct BufferPool {
     switch: Arc<SmgrSwitch>,
-    /// Redo log, when attached: page writes are captured as full-page
-    /// images at commit and write-back enforces WAL-before-data.
+    /// Redo log, when attached: page writes are captured as page deltas
+    /// at commit and write-back enforces WAL-before-data.
     wal: std::sync::OnceLock<Arc<Wal>>,
     /// Serializes capture batches; rank `buffer.capture` (38), taken
     /// before any frame latch.
     capture: Mutex<()>,
     /// Start LSN of the in-flight capture batch (`u64::MAX` when idle).
     /// Between batch append and LSN stamping, a captured frame briefly
-    /// shows `rec_lsn == 0` while its image already sits in the log;
+    /// shows `rec_lsn == 0` while its record already sits in the log;
     /// [`BufferPool::dirty_horizon`] folds this floor in so a checkpoint
-    /// cannot recycle that image away.
+    /// cannot recycle that record away.
     capture_floor: AtomicU64,
     /// The lock-free pending-frame chain: frame indices flagged
     /// `log_pending` since the last capture, so a capture costs
@@ -283,6 +283,8 @@ impl BufferPool {
                         page_lsn: 0,
                         rec_lsn: 0,
                         log_pending: false,
+                        baseline: Baseline::Whole,
+                        capturing: false,
                     },
                     ranks::POOL_FRAME,
                 ),
@@ -380,11 +382,15 @@ impl PinnedPage<'_> {
     }
 
     /// Exclusive access; the page is marked dirty (and flagged for
-    /// capture into the redo log at the next commit).
+    /// capture into the redo log at the next commit, which logs what
+    /// changed since the page's last record).
     pub fn write(&self) -> PageWriteGuard<'_> {
         let mut guard = self.pool.frames[self.idx].data.write();
         guard.dirty = true;
-        guard.log_pending = true;
+        // Leaving logged bytes: they are the baseline the delta needs.
+        if !std::mem::replace(&mut guard.log_pending, true) && self.pool.wal.get().is_some() {
+            guard.baseline = Baseline::Bytes(guard.page.clone());
+        }
         self.pool.note_pending(self.idx);
         PageWriteGuard { guard }
     }

@@ -550,6 +550,70 @@ fn pending_chain_drains_and_rebuilds() {
     assert!(end2 > end, "second capture must append past the first");
 }
 
+/// Each record of a page is a delta against the page's bytes at its
+/// previous record — a word set back to zero is logged like any other
+/// change — and a capture whose append fails puts the frame back on the
+/// chain to log the whole page. Replaying the records in order over
+/// zeros rebuilds every version.
+#[test]
+fn deltas_track_the_last_logged_bytes() {
+    let (switch, id, pool) = setup(8);
+    switch.get(id).unwrap().create(1).unwrap();
+    let dir = tempfile::tempdir().unwrap();
+    let seg = pglo_wal::MIN_SEGMENT_BYTES;
+    let opts = pglo_wal::WalOptions { durable_sync: false, segment_bytes: seg };
+    let wal = Arc::new(pglo_wal::Wal::open(dir.path(), opts).unwrap());
+    assert!(pool.set_wal(Arc::clone(&wal)));
+    let (block, p) = pool.new_page(id, 1, |pg| pg.fill(0xAA)).unwrap();
+    drop(p);
+    let key = PageKey::new(id, 1, block);
+    let edit = |f: &dyn Fn(&mut PageBuf)| f(&mut pool.pin(key).unwrap().write());
+    let mut versions = vec![pool.pin(key).unwrap().read().to_vec()];
+    pool.capture_pending().unwrap();
+    edit(&|pg| {
+        pg[..8].fill(0);
+        pg[1000] = 1;
+    });
+    versions.push(pool.pin(key).unwrap().read().to_vec());
+    pool.capture_pending().unwrap();
+    // Leave less room in the segment than the next record needs, and
+    // make rotation fail.
+    while seg - wal.end_lsn() % seg >= 64 {
+        wal.append(&pglo_wal::WalRecord::Commit { xid: 1, ts: 1 }).unwrap();
+    }
+    let blocker = dir.path().join(format!("{seg:016x}.seg"));
+    std::fs::create_dir(&blocker).unwrap();
+    edit(&|pg| pg[200] = 7);
+    versions.push(pool.pin(key).unwrap().read().to_vec());
+    assert!(pool.capture_pending().is_err());
+    assert_eq!(pool.capture_backlog(), 1, "the frame is back on the chain");
+    std::fs::remove_dir(&blocker).unwrap();
+    pool.capture_pending().unwrap();
+    wal.flush_all().unwrap();
+
+    let records: Vec<u32> = pglo_wal::Wal::scan_records(dir.path(), seg)
+        .unwrap()
+        .into_iter()
+        .filter(|r| r.kind == pglo_wal::KIND_PAGE_DELTA)
+        .map(|r| r.total_len)
+        .collect();
+    let whole = (pglo_wal::HEADER_BYTES + 16 + 4 + PAGE_SIZE) as u32;
+    let two_words = (pglo_wal::HEADER_BYTES + 16 + 2 * (4 + 8)) as u32;
+    assert_eq!(records, [whole, two_words, whole]);
+    let mut page = pglo_pages::alloc_page();
+    let mut i = 0;
+    wal.replay(|_, rec| {
+        if let pglo_wal::WalRecord::PageDelta { ranges, .. } = rec {
+            ranges.apply(&mut page);
+            assert!(page[..] == versions[i][..], "record {i} must rebuild version {i}");
+            i += 1;
+        }
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(i, 3);
+}
+
 /// A device that notes, at each home write, how far the redo log was
 /// durable at that moment.
 struct LogWatchSmgr {
@@ -658,20 +722,21 @@ fn write_back_logs_pending_image_first() {
         smgr.read(1, block, &mut out).unwrap();
         assert_eq!(out[at], 99, "{path} must still write the page home");
     }
-    // Every image is in the log with the bytes that went home.
+    // Every change is in the log with the bytes that went home: the
+    // deltas, applied in log order over the fresh pages' zeros, rebuild
+    // each page.
     drop((pool, smgr, switch, watch, wal));
     let wal = Arc::new(pglo_wal::Wal::open(dir.path(), pglo_wal::WalOptions::default()).unwrap());
-    let mut logged: Vec<Option<Box<PageBuf>>> = vec![None; 4];
+    let mut logged: Vec<Box<PageBuf>> = (0..4).map(|_| pglo_pages::alloc_page()).collect();
     wal.replay(|_, rec| {
-        if let pglo_wal::WalRecord::PageImage { rel: 1, block, image, .. } = rec {
-            logged[block as usize] = Some(image);
+        if let pglo_wal::WalRecord::PageDelta { rel: 1, block, ranges, .. } = rec {
+            ranges.apply(&mut logged[block as usize]);
         }
         Ok(())
     })
     .unwrap();
     for (path, block, at, _) in paths {
-        let image = logged[block as usize].as_ref();
-        assert_eq!(image.map(|i| i[at]), Some(99), "{path} delta must be replayable");
+        assert_eq!(logged[block as usize][at], 99, "{path} delta must be replayable");
     }
 }
 

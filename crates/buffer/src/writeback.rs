@@ -79,12 +79,12 @@ impl BufferPool {
     /// already rules out a re-key).
     ///
     /// A frame dirtied since its last capture (`log_pending`) must have
-    /// its image logged before the home write, and that takes the capture
+    /// its delta logged before the home write, and that takes the capture
     /// mutex *before* the frame latch (rank 38 before 40): an in-flight
-    /// capture may hold an older copy of this page that is not yet in
-    /// the log — appending our fresher image first would let the
-    /// capture's older image land at a higher LSN and win replay,
-    /// tearing the page. Parking behind the capture serializes the two.
+    /// capture may hold an older delta of this page that is not yet in
+    /// the log, and ours is diffed against it, so ours must land after
+    /// it. A frame that batch encoded (`capturing`) waits the same way:
+    /// its bytes must not go home before their record is in the log.
     pub(super) fn write_back_frame(
         &self,
         idx: usize,
@@ -99,8 +99,9 @@ impl BufferPool {
             if !data.dirty || (expect.is_some() && data.key != expect) {
                 return Ok(false);
             }
-            if !data.log_pending || serial.is_some() || self.wal.get().is_none() {
-                // LINT: allow(R7, the capture mutex and frame latch must span image logging and home write so the image is stable on its way to the device and no concurrent capture interleaves an older one)
+            let unlogged = data.log_pending || data.capturing;
+            if !unlogged || serial.is_some() || self.wal.get().is_none() {
+                // LINT: allow(R7, the capture mutex and frame latch must span delta logging and home write so the page is stable on its way to the device and no concurrent capture interleaves an older one)
                 return match (self.write_back(&mut data), wait) {
                     (Ok(()), _) => Ok(true),
                     (Err(e), Wait::Block) => Err(e),
@@ -109,7 +110,7 @@ impl BufferPool {
             }
             // Only proceed when serialized against captures: let go of
             // the latch and come back holding the mutex. A capture may
-            // log the image meanwhile; `log_pending_image` no-ops then.
+            // log the delta meanwhile; `log_pending_record` no-ops then.
             drop(data);
             serial = match wait {
                 Wait::Block => Some(self.capture.lock()),
@@ -123,11 +124,11 @@ impl BufferPool {
 
     /// The WAL-before-data sequence, under `write_back_frame`'s latch on
     /// a dirty frame: log a never-captured delta, force the log past the
-    /// frame's last image so the on-disk page never runs ahead of what
+    /// frame's last record so the on-disk page never runs ahead of what
     /// replay can reconstruct, write the page home, clear `dirty`. A
     /// failure at any step leaves the frame dirty.
     fn write_back(&self, data: &mut FrameData) -> Result<()> {
-        self.log_pending_image(data)?;
+        self.log_pending_record(data)?;
         if let Some(key) = data.key {
             let _span = obs::span!("pool.writeback");
             self.force_wal(data.page_lsn)?;
@@ -135,7 +136,7 @@ impl BufferPool {
             smgr.write(key.rel, key.block, &data.page)?;
             // The home write has landed but (for a log-resident
             // manager) is only *staged* there: re-pin the frame's
-            // oldest image so a checkpoint cannot recycle it while
+            // oldest record so a checkpoint cannot recycle it while
             // the staged block still needs replay. Registered under
             // the held frame latch, before `dirty`/`rec_lsn` clear,
             // so the dirty horizon and the pin hand off without a
@@ -190,7 +191,7 @@ impl BufferPool {
         let flag = Arc::clone(&stop);
         let join = std::thread::Builder::new().name("bgwriter".into()).spawn(move || {
             while !flag.load(Ordering::Acquire) {
-                // Capture pending page images every cycle so commits find
+                // Capture pending page deltas every cycle so commits find
                 // most of their redo already logged (and flushed) — the
                 // commit path then appends only the residual tail plus its
                 // commit record.

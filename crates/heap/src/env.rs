@@ -11,7 +11,7 @@ use pglo_smgr::{
     DiskSmgr, MemSmgr, RelFileId, SmgrError, SmgrId, SmgrSwitch, StorageManager, WormSmgr,
 };
 use pglo_txn::{CommitTs, DurabilityHook, Txn, TxnManager, Xid};
-use pglo_wal::{Wal, WalOptions, WalRecord};
+use pglo_wal::{PageRanges, Wal, WalOptions, WalRecord};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -97,7 +97,7 @@ pub struct StorageEnv {
 pub type RelLatch = Arc<parking_lot::Mutex<()>>;
 
 /// Commit durability via the redo log: capture any still-unlogged dirty
-/// pages as full-page images, append the commit record, and group-commit
+/// pages as page deltas, append the commit record, and group-commit
 /// fsync up to it. Installed on the [`TxnManager`], which calls it with no
 /// transaction locks held — only after it returns does the transaction
 /// become visibly committed.
@@ -114,14 +114,15 @@ impl DurabilityHook for WalDurability {
     }
 }
 
-/// Replay one page image: make the relation exist, make it long enough,
-/// write the image home. Every step is idempotent, so replaying the same
-/// record twice (crash during recovery) is harmless.
-fn redo_page_image(
+/// Replay one page delta: make the relation exist, read the home block
+/// (zeros past its end), apply the ranges, write the block back. Deltas
+/// replayed in LSN order from the redo horizon rebuild the page from any
+/// home copy a crash left, so replaying twice is harmless.
+fn redo_page_delta(
     mgr: &Arc<dyn StorageManager>,
     rel: RelFileId,
     block: u32,
-    image: &pglo_pages::PageBuf,
+    ranges: &PageRanges,
 ) -> std::io::Result<()> {
     if !mgr.exists(rel) {
         match mgr.create(rel) {
@@ -129,21 +130,26 @@ fn redo_page_image(
             Err(e) => return Err(std::io::Error::other(e)),
         }
     }
+    let mut page = pglo_pages::alloc_page();
+    if block < mgr.nblocks(rel).map_err(std::io::Error::other)? {
+        mgr.read(rel, block, &mut page).map_err(std::io::Error::other)?;
+    }
+    ranges.apply(&mut page);
     let zero = pglo_pages::alloc_page();
     while mgr.nblocks(rel).map_err(std::io::Error::other)? <= block {
         mgr.extend(rel, &zero).map_err(std::io::Error::other)?;
     }
-    match mgr.write(rel, block, image) {
+    match mgr.write(rel, block, &page) {
         Ok(()) => Ok(()),
         // The block was already burned to the platter before the crash;
-        // the durable copy wins and the image is stale-identical.
+        // the durable copy wins and the record's bytes are already there.
         Err(SmgrError::WormOverwrite { .. }) => Ok(()),
         Err(e) => Err(std::io::Error::other(e)),
     }
 }
 
 /// One checkpoint pass: bound the horizon by the log end *before* scanning
-/// (a concurrent commit may append images below a later-read end), sync
+/// (a concurrent commit may append records below a later-read end), sync
 /// data files so the horizon never overtakes a write still in the page
 /// cache, prune recycle pins for WORM relations whose blocks are all
 /// burned (the platter file is then their durable home and replay is
@@ -262,7 +268,7 @@ impl StorageEnv {
         ));
         // Open the redo log and replay it before any subsystem that reads
         // storage state (catalog, commit log). Replay re-applies page
-        // images whose home writes may not have reached disk before a
+        // deltas whose home writes may not have reached disk before a
         // crash; the clog repair below then re-marks any commit whose WAL
         // record survived but whose clog line did not. Uncommitted
         // replayed tuples are filtered by MVCC at read time — unknown
@@ -284,15 +290,15 @@ impl StorageEnv {
             .attach_platter(base_dir.join("worm"), opts.durable_sync)
             .map_err(|e| crate::HeapError::Catalog(format!("attach worm platter: {e}")))?;
         // Until a relation's blocks are all burned to the platter, the WAL
-        // image is a staged block's only durable copy; pin the WORM
+        // records are a staged block's only durable copy; pin the WORM
         // manager's records against segment recycling. Checkpoints prune
         // each relation's pin once `has_staged` proves it platter-durable.
         wal.pin_smgr(worm.0 as u32);
         let mut replayed_commits: Vec<(Xid, CommitTs)> = Vec::new();
         wal.replay(|_lsn, rec| match rec {
-            WalRecord::PageImage { smgr, rel, block, image } => {
+            WalRecord::PageDelta { smgr, rel, block, ranges } => {
                 match switch.get(SmgrId(smgr as u16)) {
-                    Ok(mgr) => redo_page_image(&mgr, rel, block, &image),
+                    Ok(mgr) => redo_page_delta(&mgr, rel, block, &ranges),
                     // A manager registered after the standard three in a
                     // prior run; its relations are rebuilt by whoever
                     // registers it, not by us.

@@ -3,9 +3,10 @@
 //! The source paper's no-overwrite storage makes every commit force all
 //! dirty pages to disk ("force at commit"), which is exactly the write-path
 //! cost Hellerstein's retrospective calls out. This crate replaces force
-//! with redo logging: committers append full-page-image redo records plus a
-//! commit record to an append-only log and fsync *the log only*; data pages
-//! drain lazily behind an LSN horizon. Recovery replays the log tail.
+//! with redo logging: committers append page-delta redo records (the byte
+//! ranges a page changed since its previous record) plus a commit record
+//! to an append-only log and fsync *the log only*; data pages drain lazily
+//! behind an LSN horizon. Recovery replays the log tail.
 //!
 //! Design points:
 //!
@@ -19,7 +20,8 @@
 //!   the LSN hole is patched under it.
 //! * **Records never span segments.** When a record does not fit, the
 //!   remainder of the segment is zero-filled (sparsely, via `set_len`) and
-//!   the log continues in the next segment. A zero magic word therefore
+//!   the log continues in the next segment. A zero magic word, or a
+//!   remainder of a full-length segment too short for a header, therefore
 //!   means "padding, skip to the next segment boundary", while any other
 //!   mismatch means end-of-log.
 //! * **Group commit.** `flush_to` lets concurrent committers ride one
@@ -68,7 +70,7 @@ pub type Lsn = u64;
 pub const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Smallest allowed segment: must comfortably hold the largest record
-/// (a page image, [`PAGE_IMAGE_TOTAL`] bytes) plus a checkpoint.
+/// (a whole-page delta, just over 8 KiB) plus a checkpoint.
 pub const MIN_SEGMENT_BYTES: u64 = 64 * 1024;
 
 /// `b"WALR"` little-endian; first word of every record.
@@ -77,36 +79,47 @@ const MAGIC: u32 = 0x524c_4157;
 /// Fixed record header: magic, crc, payload len, kind + padding, lsn.
 pub const HEADER_BYTES: usize = 24;
 
-/// Total encoded size of a page-image record.
-pub const PAGE_IMAGE_TOTAL: u64 = (HEADER_BYTES + 16 + PAGE_SIZE) as u64;
+/// Delta ranges start and end on a multiple of `WORD` bytes; the diff
+/// compares `BLOCK` words at a time, branch-free within a block.
+const WORD: usize = 8;
+const BLOCK: usize = 8;
 
-/// Record kind tags (the `kind` header byte).
-pub const KIND_PAGE_IMAGE: u8 = 1;
+/// Each delta range: `off u16 | len u16`, then `len` bytes.
+const RANGE_HEADER: usize = 4;
+
+/// Record kind tags (the `kind` header byte). Kind 1 is the whole-page
+/// image logs held before deltas; it still decodes, as a one-range delta.
+const KIND_PAGE_IMAGE: u8 = 1;
 /// Commit record tag.
 pub const KIND_COMMIT: u8 = 2;
 /// WORM burn record tag.
 pub const KIND_WORM_BURN: u8 = 3;
 /// Checkpoint record tag.
 pub const KIND_CHECKPOINT: u8 = 4;
+/// Page-delta record tag.
+pub const KIND_PAGE_DELTA: u8 = 5;
 
 // ---------------------------------------------------------------------------
 // Record encoding
 // ---------------------------------------------------------------------------
 
-/// One redo record. Page images are full 8 KB copies: replay is blindly
-/// idempotent (last image wins) and needs no byte-diff machinery.
+/// One redo record. A page record carries only the bytes the page
+/// changed since its previous record: replaying every record from the
+/// redo horizon in LSN order over whatever home copy survived rebuilds
+/// the page (DESIGN.md, "Redo WAL and checkpointing").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
-    /// Full image of one page as of logging time.
-    PageImage {
+    /// The ranges where one page differs from its bytes at the page's
+    /// previous record; a whole page is one range.
+    PageDelta {
         /// Storage manager id (raw; the WAL has no smgr dependency).
         smgr: u32,
         /// Relation file id.
         rel: u64,
         /// Block number within the relation.
         block: u32,
-        /// The 8 KB page contents.
-        image: Box<PageBuf>,
+        /// The changed bytes.
+        ranges: PageRanges,
     },
     /// Transaction `xid` committed at timestamp `ts`. Durable once this
     /// record is flushed; recovery re-marks the clog from these.
@@ -135,18 +148,10 @@ impl WalRecord {
     /// The `kind` header byte for this record.
     pub fn kind(&self) -> u8 {
         match self {
-            WalRecord::PageImage { .. } => KIND_PAGE_IMAGE,
+            WalRecord::PageDelta { .. } => KIND_PAGE_DELTA,
             WalRecord::Commit { .. } => KIND_COMMIT,
             WalRecord::WormBurn { .. } => KIND_WORM_BURN,
             WalRecord::Checkpoint { .. } => KIND_CHECKPOINT,
-        }
-    }
-
-    fn payload_len(&self) -> usize {
-        match self {
-            WalRecord::PageImage { .. } => 16 + PAGE_SIZE,
-            WalRecord::Commit { .. } | WalRecord::WormBurn { .. } => 16,
-            WalRecord::Checkpoint { .. } => 8,
         }
     }
 
@@ -158,13 +163,13 @@ impl WalRecord {
     /// the appender's critical section: the LSN is patched in under the
     /// append lock without touching the CRC.
     pub fn prepare(&self) -> PreparedRecord {
-        let mut buf = header(self.kind(), self.payload_len());
+        let mut buf = header(self.kind(), 16);
         match self {
-            WalRecord::PageImage { smgr, rel, block, image } => {
-                buf.extend_from_slice(&smgr.to_le_bytes());
-                buf.extend_from_slice(&block.to_le_bytes());
-                buf.extend_from_slice(&rel.to_le_bytes());
-                buf.extend_from_slice(&image[..]);
+            WalRecord::PageDelta { smgr, rel, block, ranges } => {
+                page_key(&mut buf, *smgr, *rel, *block);
+                for (at, bytes) in &ranges.0 {
+                    push_range(&mut buf, *at as usize, bytes);
+                }
             }
             WalRecord::Commit { xid, ts } => {
                 buf.extend_from_slice(&xid.to_le_bytes());
@@ -186,7 +191,7 @@ impl WalRecord {
     /// The `(smgr, rel)` whose recycle pin this record should note, if any.
     fn pin(&self) -> Option<(u32, u64)> {
         match self {
-            WalRecord::PageImage { smgr, rel, .. } | WalRecord::WormBurn { smgr, rel } => {
+            WalRecord::PageDelta { smgr, rel, .. } | WalRecord::WormBurn { smgr, rel } => {
                 Some((*smgr, *rel))
             }
             _ => None,
@@ -194,24 +199,98 @@ impl WalRecord {
     }
 }
 
-/// The 24-byte header of a record of `kind`, in a buffer sized for its
-/// `plen` payload bytes; CRC and LSN are holes for [`PreparedRecord::seal`]
-/// and the appender.
+/// The 24-byte header of a record of `kind`, in a buffer with room for
+/// `plen` payload bytes; length, CRC and LSN are holes for
+/// [`PreparedRecord::seal`] and the appender.
 fn header(kind: u8, plen: usize) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_BYTES + plen);
     buf.extend_from_slice(&MAGIC.to_le_bytes());
     buf.extend_from_slice(&0u32.to_le_bytes()); // crc placeholder
-    buf.extend_from_slice(&(plen as u32).to_le_bytes());
+    buf.extend_from_slice(&0u32.to_le_bytes()); // length placeholder
     buf.push(kind);
     buf.extend_from_slice(&[0u8; 3]);
     buf.extend_from_slice(&0u64.to_le_bytes()); // lsn hole
     buf
 }
 
+/// The first 16 payload bytes of a page record.
+fn page_key(buf: &mut Vec<u8>, smgr: u32, rel: u64, block: u32) {
+    buf.extend_from_slice(&smgr.to_le_bytes());
+    buf.extend_from_slice(&block.to_le_bytes());
+    buf.extend_from_slice(&rel.to_le_bytes());
+}
+
+/// The ranges of a [`WalRecord::PageDelta`] as `(offset, bytes)`, each
+/// inside the page (checked at decode).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PageRanges(Vec<(u16, Vec<u8>)>);
+
+impl PageRanges {
+    /// Parse encoded ranges; `None` if one runs past the page or the
+    /// bytes end mid-range.
+    fn parse(mut b: &[u8]) -> Option<Self> {
+        let mut ranges = Vec::new();
+        while !b.is_empty() {
+            let (h, rest) = b.split_at_checked(RANGE_HEADER)?;
+            let (at, len) = (u16::from_le_bytes([h[0], h[1]]), u16::from_le_bytes([h[2], h[3]]));
+            let (bytes, rest) = rest.split_at_checked(len as usize)?;
+            if at as usize + bytes.len() > PAGE_SIZE {
+                return None;
+            }
+            ranges.push((at, bytes.to_vec()));
+            b = rest;
+        }
+        Some(Self(ranges))
+    }
+
+    /// Write the ranges over `page`.
+    pub fn apply(&self, page: &mut PageBuf) {
+        for (at, bytes) in &self.0 {
+            page[*at as usize..][..bytes.len()].copy_from_slice(bytes);
+        }
+    }
+}
+
+fn push_range(buf: &mut Vec<u8>, at: usize, bytes: &[u8]) {
+    buf.extend_from_slice(&(at as u16).to_le_bytes());
+    buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+    buf.extend_from_slice(bytes);
+}
+
+/// Append the ranges of whole words where `page` differs from `base`
+/// (the whole page as one range when there is no base). A run of
+/// differing blocks is one range, narrowed to its differing words.
+fn push_delta(buf: &mut Vec<u8>, base: Option<&PageBuf>, page: &PageBuf) {
+    let Some(base) = base else { return push_range(buf, 0, page) };
+    let (new, old) = (page.as_chunks::<WORD>().0, base.as_chunks::<WORD>().0);
+    let word = |w: usize| u64::from_ne_bytes(new[w]) ^ u64::from_ne_bytes(old[w]);
+    let block = |b: usize| (b * BLOCK..(b + 1) * BLOCK).fold(0, |x, w| x | word(w)) != 0;
+    let (blocks, mut b) = (new.len() / BLOCK, 0);
+    while b < blocks {
+        if !block(b) {
+            b += 1;
+            continue;
+        }
+        let mut start = b * BLOCK;
+        while b < blocks && block(b) {
+            b += 1;
+        }
+        let mut end = b * BLOCK;
+        // Both stop inside the run: its first and last blocks differ.
+        while word(start) == 0 {
+            start += 1;
+        }
+        while word(end - 1) == 0 {
+            end -= 1;
+        }
+        push_range(buf, start * WORD, &page[start * WORD..end * WORD]);
+    }
+}
+
 /// A record fully encoded and checksummed *before* the append lock:
 /// only the 8-byte LSN hole is patched at append time. Build one with
-/// [`WalRecord::prepare`], or [`PreparedRecord::page_image`] to encode
-/// straight from a borrowed page (no intermediate copy).
+/// [`WalRecord::prepare`], or [`PreparedRecord::page_delta`] to encode
+/// straight from borrowed pages (no intermediate copy).
 pub struct PreparedRecord {
     bytes: Vec<u8>,
     pin: Option<(u32, u64)>,
@@ -219,20 +298,27 @@ pub struct PreparedRecord {
 
 impl PreparedRecord {
     fn seal(mut buf: Vec<u8>, pin: Option<(u32, u64)>) -> Self {
+        let plen = (buf.len() - HEADER_BYTES) as u32;
+        buf[8..12].copy_from_slice(&plen.to_le_bytes());
         let crc = crc32(crc32(0, &buf[8..16]), &buf[HEADER_BYTES..]);
         buf[4..8].copy_from_slice(&crc.to_le_bytes());
         PreparedRecord { bytes: buf, pin }
     }
 
-    /// Encode a page-image record directly from a borrowed page: the
-    /// one memcpy lands in the record buffer, so callers holding a
+    /// Encode a page-delta record straight from borrowed pages: the
+    /// changed words of `page` against `base`, its bytes at its previous
+    /// record (`None`: unknown, log the whole page). Callers holding a
     /// frame latch need no throwaway page clone.
-    pub fn page_image(smgr: u32, rel: u64, block: u32, image: &PageBuf) -> Self {
-        let mut buf = header(KIND_PAGE_IMAGE, 16 + PAGE_SIZE);
-        buf.extend_from_slice(&smgr.to_le_bytes());
-        buf.extend_from_slice(&block.to_le_bytes());
-        buf.extend_from_slice(&rel.to_le_bytes());
-        buf.extend_from_slice(&image[..]);
+    pub fn page_delta(
+        smgr: u32,
+        rel: u64,
+        block: u32,
+        base: Option<&PageBuf>,
+        page: &PageBuf,
+    ) -> Self {
+        let mut buf = header(KIND_PAGE_DELTA, 16 + RANGE_HEADER + PAGE_SIZE);
+        page_key(&mut buf, smgr, rel, block);
+        push_delta(&mut buf, base, page);
         Self::seal(buf, Some((smgr, rel)))
     }
 
@@ -267,16 +353,16 @@ fn read_u64(b: &[u8], off: usize) -> u64 {
 /// Decode a payload previously validated by header CRC. `None` means an
 /// unknown kind or a length that disagrees with the kind.
 fn decode_payload(kind: u8, payload: &[u8]) -> Option<WalRecord> {
+    let page = |ranges| WalRecord::PageDelta {
+        smgr: read_u32(payload, 0),
+        block: read_u32(payload, 4),
+        rel: read_u64(payload, 8),
+        ranges,
+    };
     match kind {
+        KIND_PAGE_DELTA if payload.len() >= 16 => PageRanges::parse(&payload[16..]).map(page),
         KIND_PAGE_IMAGE if payload.len() == 16 + PAGE_SIZE => {
-            let mut image: Box<PageBuf> = pglo_pages::alloc_page();
-            image.copy_from_slice(&payload[16..]);
-            Some(WalRecord::PageImage {
-                smgr: read_u32(payload, 0),
-                block: read_u32(payload, 4),
-                rel: read_u64(payload, 8),
-                image,
-            })
+            Some(page(PageRanges(vec![(0, payload[16..].to_vec())])))
         }
         KIND_COMMIT if payload.len() == 16 => {
             Some(WalRecord::Commit { xid: read_u32(payload, 0), ts: read_u64(payload, 8) })
@@ -372,6 +458,13 @@ fn scan(dir: &Path, segment_bytes: u64, collect: bool) -> io::Result<ScanState> 
         loop {
             let off = (pos - seg_start) as usize;
             if off + HEADER_BYTES > usable {
+                if usable as u64 == segment_bytes {
+                    // Rotation's zero fill, too short for a header: the
+                    // log continues in the next segment. (No record
+                    // starts where its header cannot fit.)
+                    pos = seg_start + segment_bytes;
+                    continue 'segments;
+                }
                 // Short tail. Anything left is a torn header.
                 if off < usable {
                     state.torn = Some((path.clone(), off as u64));
@@ -842,9 +935,8 @@ impl Wal {
                     format!("wal: undecodable kind {} at lsn {}", info.kind, info.lsn),
                 ));
             };
-            if let WalRecord::PageImage { smgr, rel, .. } | WalRecord::WormBurn { smgr, rel } = &rec
-            {
-                self.note_pinned(*smgr, *rel, info.lsn);
+            if let Some((smgr, rel)) = rec.pin() {
+                self.note_pinned(smgr, rel, info.lsn);
             }
             f(info.lsn, rec)?;
             records += 1;
@@ -876,6 +968,29 @@ mod tests {
         p
     }
 
+    /// A page record carrying the whole page filled with `fill`.
+    fn whole(smgr: u32, rel: u64, block: u32, fill: u8) -> WalRecord {
+        let ranges = PageRanges(vec![(0, page(fill).to_vec())]);
+        WalRecord::PageDelta { smgr, rel, block, ranges }
+    }
+
+    /// `rec`'s ranges applied over a zero page.
+    fn redone(rec: &WalRecord) -> Box<PageBuf> {
+        let WalRecord::PageDelta { ranges, .. } = rec else { panic!("not a page: {rec:?}") };
+        let mut out = pglo_pages::alloc_page();
+        ranges.apply(&mut out);
+        out
+    }
+
+    /// The whole-page image record logs carried before deltas, byte for
+    /// byte as that format wrote it.
+    fn parent_image(smgr: u32, rel: u64, block: u32, image: &PageBuf) -> PreparedRecord {
+        let mut buf = header(KIND_PAGE_IMAGE, 16 + PAGE_SIZE);
+        page_key(&mut buf, smgr, rel, block);
+        buf.extend_from_slice(image);
+        PreparedRecord::seal(buf, Some((smgr, rel)))
+    }
+
     #[test]
     fn crc32_matches_reference_vectors() {
         // IEEE 802.3 check value for "123456789". The routine itself
@@ -891,26 +1006,140 @@ mod tests {
         }
     }
 
-    /// Format pin: the CRC bytes of these records were computed by the
-    /// slice-by-8 loop this crate carried before the checksum moved to
-    /// `pglo_pages::checksum`. A slip in polynomial, seed, chaining or
-    /// the bytes covered changes them — and would orphan every log
-    /// already on disk.
+    /// Format pin: the CRC bytes of the image and commit records were
+    /// computed by the slice-by-8 loop this crate carried before the
+    /// checksum moved to `pglo_pages::checksum`. A slip in polynomial,
+    /// seed, chaining or the bytes covered changes them — and would
+    /// orphan every log already on disk. The delta record pins the
+    /// range encoding the same way.
     #[test]
     fn golden_record_crc_bytes() {
         let mut image = pglo_pages::alloc_page();
         for (i, b) in image.iter_mut().enumerate() {
             *b = (i * 31 % 251) as u8;
         }
-        let rec = PreparedRecord::page_image(3, 0x1122_3344_5566_7788, 9, &image);
-        assert_eq!(rec.bytes.len() as u64, PAGE_IMAGE_TOTAL);
+        let rec = parent_image(3, 0x1122_3344_5566_7788, 9, &image);
+        assert_eq!(rec.bytes.len(), HEADER_BYTES + 16 + PAGE_SIZE);
         assert_eq!(rec.bytes[..4], MAGIC.to_le_bytes());
         assert_eq!(rec.bytes[4..8], 0x7fac_865b_u32.to_le_bytes());
-        let same = WalRecord::PageImage { smgr: 3, rel: 0x1122_3344_5566_7788, block: 9, image };
-        assert_eq!(same.prepare().bytes, rec.bytes);
         // A 16-byte payload never reaches the fold: the table loop's pin.
         let commit = WalRecord::Commit { xid: 7, ts: 0x0102_0304_0506_0708 }.prepare();
         assert_eq!(commit.bytes[4..8], 0x2b73_09a8_u32.to_le_bytes());
+
+        let mut edited = image.clone();
+        edited[100] ^= 1; // word 96..104
+        edited[8000..8020].fill(0); // words 8000..8024
+        let delta = PreparedRecord::page_delta(3, 0x1122_3344_5566_7788, 9, Some(&image), &edited);
+        let b = &delta.bytes;
+        assert_eq!(b.len(), HEADER_BYTES + 16 + (RANGE_HEADER + 8) + (RANGE_HEADER + 24));
+        assert_eq!(b[8..12], ((b.len() - HEADER_BYTES) as u32).to_le_bytes());
+        assert_eq!(b[12], KIND_PAGE_DELTA);
+        let ranges = &b[HEADER_BYTES + 16..];
+        assert_eq!(ranges[..4], [96, 0, 8, 0]);
+        assert_eq!(ranges[12..16], [0x40, 0x1f, 24, 0]);
+        assert_eq!(b[4..8], 0x2491_4d59_u32.to_le_bytes());
+        let Some(rec) = decode_payload(KIND_PAGE_DELTA, &b[HEADER_BYTES..]) else {
+            panic!("golden delta must decode")
+        };
+        assert_eq!(rec.prepare().bytes, delta.bytes);
+    }
+
+    /// A log written before deltas holds kind-1 whole-page images; they
+    /// still replay, as one-range deltas.
+    #[test]
+    fn parent_format_page_image_replays_as_one_range_delta() {
+        let dir = tempfile::tempdir().unwrap();
+        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let image = page(0x5A);
+        wal.append_batch(&mut [parent_image(2, 7, 4, &image)]).unwrap();
+        wal.flush_all().unwrap();
+        drop(wal);
+        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let recs = collect_replay(&wal);
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].1, whole(2, 7, 4, 0x5A));
+        assert_eq!(redone(&recs[0].1), image);
+    }
+
+    /// Encoding the words that changed and applying them to the baseline
+    /// gives the page back, for random pages and random edits — from an
+    /// unchanged page to one rewritten whole.
+    mod delta_roundtrip {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn roundtrip(base: &PageBuf, page: &PageBuf) -> usize {
+            let prepared = PreparedRecord::page_delta(1, 2, 3, Some(base), page);
+            let Some(rec) = decode_payload(KIND_PAGE_DELTA, &prepared.bytes[HEADER_BYTES..]) else {
+                panic!("a fresh delta must decode")
+            };
+            let WalRecord::PageDelta { ranges, .. } = &rec else { panic!("{rec:?}") };
+            let mut out = Box::new(*base);
+            ranges.apply(&mut out);
+            assert!(out[..] == page[..], "delta over the baseline must rebuild the page");
+            assert_eq!(rec.prepare().bytes, prepared.bytes, "re-encoding is the identity");
+            prepared.bytes.len() - HEADER_BYTES - 16
+        }
+
+        proptest! {
+            #[test]
+            fn applying_the_delta_to_the_baseline_rebuilds_the_page(
+                seed in prop::num::u64::ANY,
+                edits in prop::collection::vec((0usize..PAGE_SIZE, 1usize..200, prop::num::u8::ANY), 0..12),
+            ) {
+                let mut base = pglo_pages::alloc_page();
+                let mut x = seed | 1;
+                for b in base.iter_mut() {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    *b = x as u8;
+                }
+                let mut page = base.clone();
+                for (at, len, v) in edits {
+                    let end = (at + len).min(PAGE_SIZE);
+                    page[at..end].fill(v);
+                }
+                roundtrip(&base, &page);
+            }
+        }
+
+        #[test]
+        fn unchanged_page_has_no_ranges_and_rewritten_page_one() {
+            let base = page(3);
+            assert_eq!(roundtrip(&base, &base), 0);
+            assert_eq!(roundtrip(&base, &page(4)), RANGE_HEADER + PAGE_SIZE);
+            assert_eq!(roundtrip(&page(0), &page(0)), 0);
+        }
+    }
+
+    /// A full-length segment whose remainder cannot hold a header
+    /// continues at the next segment: the scanner must not take the
+    /// short tail for the end of the log.
+    #[test]
+    fn short_segment_tail_continues_in_next_segment() {
+        let dir = tempfile::tempdir().unwrap();
+        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        // 40-byte commits fill the first segment to a 16-byte tail.
+        let per_seg = (MIN_SEGMENT_BYTES / 40) as u32;
+        assert_eq!(MIN_SEGMENT_BYTES - u64::from(per_seg) * 40, 16);
+        for xid in 0..per_seg + 10 {
+            wal.append(&WalRecord::Commit { xid, ts: u64::from(xid) }).unwrap();
+        }
+        wal.flush_all().unwrap();
+        let end = wal.end_lsn();
+        assert_eq!(end, MIN_SEGMENT_BYTES + 400);
+        drop(wal);
+        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        assert_eq!(wal.end_lsn(), end);
+        let recs = collect_replay(&wal);
+        assert_eq!(recs.len(), per_seg as usize + 10);
+        // Appending goes on after the last record, in the second segment.
+        let e = wal.append(&WalRecord::Commit { xid: 1 << 20, ts: 1 }).unwrap();
+        wal.flush_to(e).unwrap();
+        drop(wal);
+        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        assert_eq!(collect_replay(&wal).len(), per_seg as usize + 11);
     }
 
     #[test]
@@ -918,10 +1147,11 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let wal = Wal::open(dir.path(), small_opts()).unwrap();
         // Enough images that the batch must split across a rotation.
-        let per_seg = MIN_SEGMENT_BYTES / PAGE_IMAGE_TOTAL;
+        let per_seg = MIN_SEGMENT_BYTES / (HEADER_BYTES + 16 + RANGE_HEADER + PAGE_SIZE) as u64;
         let n = per_seg as usize + 3;
-        let mut batch: Vec<PreparedRecord> =
-            (0..n).map(|i| PreparedRecord::page_image(0, 7, i as u32, &page(i as u8))).collect();
+        let mut batch: Vec<PreparedRecord> = (0..n)
+            .map(|i| PreparedRecord::page_delta(0, 7, i as u32, None, &page(i as u8)))
+            .collect();
         let ats = wal.append_batch(&mut batch).unwrap();
         assert_eq!(ats.len(), n);
         for w in ats.windows(2) {
@@ -932,13 +1162,7 @@ mod tests {
         assert_eq!(seen.len(), n);
         for (i, (lsn, rec)) in seen.iter().enumerate() {
             assert_eq!(*lsn, ats[i].start);
-            match rec {
-                WalRecord::PageImage { rel: 7, block, image, .. } => {
-                    assert_eq!(*block, i as u32);
-                    assert!(image.iter().all(|&b| b == i as u8));
-                }
-                other => panic!("unexpected record {other:?}"),
-            }
+            assert_eq!(*rec, whole(0, 7, i as u32, i as u8));
         }
     }
 
@@ -956,7 +1180,7 @@ mod tests {
     fn append_flush_replay_roundtrip() {
         let dir = tempfile::tempdir().unwrap();
         let wal = Wal::open(dir.path(), small_opts()).unwrap();
-        let r1 = WalRecord::PageImage { smgr: 1, rel: 7, block: 3, image: page(0xAB) };
+        let r1 = whole(1, 7, 3, 0xAB);
         let r2 = WalRecord::Commit { xid: 42, ts: 99 };
         let e1 = wal.append(&r1).unwrap();
         let e2 = wal.append(&r2).unwrap();
@@ -980,8 +1204,7 @@ mod tests {
         // Each page image is ~8 KiB; push well past one 64 KiB segment.
         let n = 20u32;
         for i in 0..n {
-            wal.append(&WalRecord::PageImage { smgr: 1, rel: 1, block: i, image: page(i as u8) })
-                .unwrap();
+            wal.append(&whole(1, 1, i, i as u8)).unwrap();
         }
         wal.flush_all().unwrap();
         let end = wal.end_lsn();
@@ -993,13 +1216,8 @@ mod tests {
         let recs = collect_replay(&wal);
         assert_eq!(recs.len(), n as usize);
         for (i, (_, rec)) in recs.iter().enumerate() {
-            match rec {
-                WalRecord::PageImage { block, image, .. } => {
-                    assert_eq!(*block, i as u32);
-                    assert!(image.iter().all(|&b| b == i as u8));
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+            assert_eq!(*rec, whole(1, 1, i as u32, i as u8));
+            assert!(redone(rec).iter().all(|&b| b == i as u8));
         }
     }
 
@@ -1067,8 +1285,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let wal = Wal::open(dir.path(), small_opts()).unwrap();
         for i in 0..20u32 {
-            wal.append(&WalRecord::PageImage { smgr: 1, rel: 1, block: i, image: page(1) })
-                .unwrap();
+            wal.append(&whole(1, 1, i, 1)).unwrap();
         }
         let mid = wal.end_lsn();
         let horizon = wal.checkpoint(Some(mid)).unwrap();
@@ -1097,10 +1314,9 @@ mod tests {
         let wal = Wal::open(dir.path(), small_opts()).unwrap();
         wal.pin_smgr(3);
         let first = wal.end_lsn();
-        wal.append(&WalRecord::PageImage { smgr: 3, rel: 1, block: 0, image: page(7) }).unwrap();
+        wal.append(&whole(3, 1, 0, 7)).unwrap();
         for i in 0..20u32 {
-            wal.append(&WalRecord::PageImage { smgr: 1, rel: 1, block: i, image: page(1) })
-                .unwrap();
+            wal.append(&whole(1, 1, i, 1)).unwrap();
         }
         let horizon = wal.checkpoint(None).unwrap();
         // The pinned record holds the horizon at its LSN.
@@ -1110,7 +1326,7 @@ mod tests {
         let wal = Wal::open(dir.path(), small_opts()).unwrap();
         wal.pin_smgr(3);
         let recs = collect_replay(&wal);
-        assert!(recs.iter().any(|(_, r)| matches!(r, WalRecord::PageImage { smgr: 3, .. })));
+        assert!(recs.iter().any(|(_, r)| matches!(r, WalRecord::PageDelta { smgr: 3, .. })));
     }
 
     #[test]
@@ -1118,10 +1334,9 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let wal = Wal::open(dir.path(), small_opts()).unwrap();
         wal.pin_smgr(3);
-        wal.append(&WalRecord::PageImage { smgr: 3, rel: 1, block: 0, image: page(7) }).unwrap();
+        wal.append(&whole(3, 1, 0, 7)).unwrap();
         for i in 0..20u32 {
-            wal.append(&WalRecord::PageImage { smgr: 1, rel: 1, block: i, image: page(1) })
-                .unwrap();
+            wal.append(&whole(1, 1, i, 1)).unwrap();
         }
         let first = wal.checkpoint(None).unwrap();
         assert!(first < wal.end_lsn(), "pinned record holds the horizon");
@@ -1144,7 +1359,7 @@ mod tests {
         let mut appended = 0u32;
         let mut block = 0u32;
         let failed = loop {
-            let rec = WalRecord::PageImage { smgr: 1, rel: 1, block, image: page(block as u8) };
+            let rec = whole(1, 1, block, block as u8);
             block += 1;
             match wal.append(&rec) {
                 Ok(_) => appended += 1,
