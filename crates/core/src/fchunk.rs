@@ -391,6 +391,10 @@ impl LoBackend for FChunkBackend {
             let size = self.size.to_string();
             let mut props = vec![("size", size.as_str())];
             props.extend(xid.as_deref().map(|xid| ("size_xid", xid)));
+            if xid.is_some() {
+                // The catalog is written outside the log: log the XID limit first.
+                self.env.wal().log_xid_limit().map_err(LoError::Io)?;
+            }
             self.env.catalog().set_props(&lo_class_name(self.id), &props)?;
             self.size_dirty = false;
         }

@@ -11,8 +11,11 @@ use pglo_smgr::{
     DiskSmgr, MemSmgr, RelFileId, SmgrError, SmgrId, SmgrSwitch, StorageManager, WormSmgr,
 };
 use pglo_txn::{CommitTs, DurabilityHook, Txn, TxnManager, Xid};
-use pglo_wal::{PageRanges, Wal, WalOptions, WalRecord};
+use pglo_wal::{PageRanges, Wal, WalOptions, WalRecord, COMMIT_PIN};
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -66,16 +69,12 @@ impl Default for EnvOptions {
 pub struct StorageEnv {
     sim: SimContext,
     switch: Arc<SmgrSwitch>,
-    pool: Arc<BufferPool>,
-    wal: Arc<Wal>,
+    durability: Arc<WalDurability>,
     txns: Arc<TxnManager>,
     catalog: Catalog,
     base_dir: PathBuf,
     disk: SmgrId,
-    worm: SmgrId,
-    disk_smgr: Arc<DiskSmgr>,
     mem_smgr: Arc<MemSmgr>,
-    worm_smgr: Arc<WormSmgr>,
     /// One shared latch per relation, handed out by [`Self::rel_latch`].
     /// Access methods opened independently on the same relation (e.g. a
     /// B-tree opened once per large-object handle) must serialize
@@ -96,22 +95,85 @@ pub struct StorageEnv {
 /// A relation-wide latch shared by every access-method object open on it.
 pub type RelLatch = Arc<parking_lot::Mutex<()>>;
 
-/// Commit durability via the redo log: capture any still-unlogged dirty
-/// pages as page deltas, append the commit record, and group-commit
-/// fsync up to it. Installed on the [`TxnManager`], which calls it with no
-/// transaction locks held — only after it returns does the transaction
-/// become visibly committed.
+/// Durability via the redo log: a commit captures still-unlogged dirty
+/// pages as page deltas, appends its one record, and group-commit fsyncs
+/// up to it, called by the [`TxnManager`] with no transaction locks held
+/// before the commit becomes visible. A checkpoint copies settled outcomes
+/// to the outcome table before the redo horizon may pass their records.
 struct WalDurability {
     pool: Arc<BufferPool>,
     wal: Arc<Wal>,
+    disk: Arc<DiskSmgr>,
+    worm_id: SmgrId,
+    worm: Arc<WormSmgr>,
+    /// The outcome table file `xact`: an 8-byte commit timestamp per XID
+    /// at offset `8 * xid` (0 = not committed). Locked across a write so
+    /// two passes cannot land an older slice over a newer one.
+    xact: parking_lot::Mutex<File>,
 }
 
 impl DurabilityHook for WalDurability {
+    fn note_next_xid(&self, next: Xid) {
+        self.wal.note_next_xid(next.0);
+    }
+
     fn prepare_commit(&self, xid: Xid, ts: CommitTs) -> std::io::Result<()> {
         self.pool.capture_pending().map_err(std::io::Error::other)?;
         let end = self.wal.append(&WalRecord::Commit { xid: xid.0, ts })?;
         self.wal.flush_to(end)
     }
+}
+
+impl WalDurability {
+    /// One checkpoint pass: bound the horizon by the log end *before*
+    /// scanning (a concurrent commit may append records below a
+    /// later-read end), sync data files so the horizon never overtakes a
+    /// write still in the page cache, persist settled outcomes, prune
+    /// recycle pins for WORM relations whose blocks are all burned (the
+    /// platter file is then their durable home and replay is unneeded),
+    /// then let the WAL clamp by the surviving pins and recycle segments.
+    fn checkpoint(&self, txns: &TxnManager) -> std::io::Result<()> {
+        let cap = self.wal.end_lsn();
+        let horizon = self.pool.dirty_horizon().map_or(cap, |h| h.min(cap));
+        self.disk.sync_all_open().map_err(std::io::Error::other)?;
+        self.persist_outcomes(txns)?;
+        self.wal.prune_pins(self.worm_id.0 as u32, |rel| self.worm.has_staged(rel));
+        self.wal.checkpoint(Some(horizon))?;
+        Ok(())
+    }
+
+    /// Write the table range covering every pinned commit whose outcome
+    /// is settled in one `pwrite`, sync it in durable mode, and only then
+    /// release their pins; a commit still inside its hook keeps its pin.
+    fn persist_outcomes(&self, txns: &TxnManager) -> std::io::Result<()> {
+        let xact = self.xact.lock();
+        let (settled, table) = txns.settled(&self.wal.pinned(COMMIT_PIN));
+        let Some(&first) = settled.first() else { return Ok(()) };
+        let bytes: Vec<u8> = table.iter().flat_map(|ts| ts.to_le_bytes()).collect();
+        // LINT: allow(R7, the lock orders table writes: a slice read before another pass's must not land after it)
+        xact.write_all_at(&bytes, first * 8)?;
+        if self.wal.options().durable_sync {
+            // LINT: allow(R7, the slice must be durable before any pass prunes the pins it covers)
+            xact.sync_data()?;
+        }
+        drop(xact);
+        self.wal.prune_pins(COMMIT_PIN, |xid| settled.binary_search(&xid).is_err());
+        Ok(())
+    }
+}
+
+/// Open (or create) the outcome table file under `dir` and read it.
+fn open_outcomes(dir: &Path, durable_sync: bool) -> std::io::Result<(File, Vec<CommitTs>)> {
+    let path = dir.join("xact");
+    let fresh = !path.exists();
+    let mut file =
+        File::options().read(true).write(true).create(true).truncate(false).open(path)?;
+    if fresh && durable_sync {
+        File::open(dir)?.sync_all()?;
+    }
+    let mut raw = Vec::new();
+    file.read_to_end(&mut raw)?;
+    Ok((file, raw.as_chunks::<8>().0.iter().map(|b| u64::from_le_bytes(*b)).collect()))
 }
 
 /// Replay one page delta: make the relation exist, read the home block
@@ -148,28 +210,6 @@ fn redo_page_delta(
     }
 }
 
-/// One checkpoint pass: bound the horizon by the log end *before* scanning
-/// (a concurrent commit may append records below a later-read end), sync
-/// data files so the horizon never overtakes a write still in the page
-/// cache, prune recycle pins for WORM relations whose blocks are all
-/// burned (the platter file is then their durable home and replay is
-/// unneeded), then let the WAL clamp by the surviving pins and recycle
-/// segments.
-fn checkpoint_once(
-    pool: &BufferPool,
-    wal: &Wal,
-    disk: &DiskSmgr,
-    worm_id: SmgrId,
-    worm: &WormSmgr,
-) -> std::io::Result<()> {
-    let cap = wal.end_lsn();
-    let horizon = pool.dirty_horizon().map_or(cap, |h| h.min(cap));
-    disk.sync_all_open().map_err(std::io::Error::other)?;
-    wal.prune_pins(worm_id.0 as u32, |rel| worm.has_staged(rel));
-    wal.checkpoint(Some(horizon))?;
-    Ok(())
-}
-
 /// Handle to a running checkpointer thread. Dropping it (or calling
 /// [`Checkpointer::stop`]) stops the thread after one final checkpoint.
 pub struct Checkpointer {
@@ -185,11 +225,8 @@ fn note_checkpoint_error() {
 
 impl Checkpointer {
     fn spawn(
-        pool: Arc<BufferPool>,
-        wal: Arc<Wal>,
-        disk: Arc<DiskSmgr>,
-        worm_id: SmgrId,
-        worm: Arc<WormSmgr>,
+        durability: Arc<WalDurability>,
+        txns: Arc<TxnManager>,
         interval: Duration,
     ) -> std::io::Result<Self> {
         let stop = Arc::new(AtomicBool::new(false));
@@ -206,7 +243,7 @@ impl Checkpointer {
                 // A checkpoint failure (full disk, I/O error) only delays
                 // horizon advance — durability is unaffected — so count it
                 // and retry next cycle rather than killing the thread.
-                if checkpoint_once(&pool, &wal, &disk, worm_id, &worm).is_err() {
+                if durability.checkpoint(&txns).is_err() {
                     note_checkpoint_error();
                 }
                 if flag.load(Ordering::Acquire) {
@@ -245,6 +282,11 @@ impl StorageEnv {
     /// Open with explicit options.
     pub fn open_with(dir: impl AsRef<Path>, opts: EnvOptions) -> Result<Arc<Self>> {
         let base_dir = dir.as_ref().to_path_buf();
+        // An earlier format's text commit log: there is no import path.
+        let clog = base_dir.join("clog");
+        if clog.exists() {
+            return Err(crate::HeapError::LegacyCommitLog(clog));
+        }
         std::fs::create_dir_all(&base_dir)
             .map_err(|e| crate::HeapError::Catalog(format!("create db dir: {e}")))?;
         let sim = opts.sim.unwrap_or_else(SimContext::default_1992);
@@ -267,12 +309,11 @@ impl StorageEnv {
             },
         ));
         // Open the redo log and replay it before any subsystem that reads
-        // storage state (catalog, commit log). Replay re-applies page
-        // deltas whose home writes may not have reached disk before a
-        // crash; the clog repair below then re-marks any commit whose WAL
-        // record survived but whose clog line did not. Uncommitted
-        // replayed tuples are filtered by MVCC at read time — unknown
-        // XIDs read as aborted — so redo needs no undo pass.
+        // storage state. Replay re-applies page deltas whose home writes
+        // may not have reached disk before a crash, and the commits since
+        // the horizon to the outcome table (it holds the older ones).
+        // Uncommitted replayed tuples are filtered by MVCC at read time —
+        // unknown XIDs read as aborted — so redo needs no undo pass.
         let wal = Arc::new(
             Wal::open(
                 base_dir.join("wal"),
@@ -294,33 +335,39 @@ impl StorageEnv {
         // manager's records against segment recycling. Checkpoints prune
         // each relation's pin once `has_staged` proves it platter-durable.
         wal.pin_smgr(worm.0 as u32);
-        let mut replayed_commits: Vec<(Xid, CommitTs)> = Vec::new();
-        wal.replay(|_lsn, rec| match rec {
-            WalRecord::PageDelta { smgr, rel, block, ranges } => {
-                match switch.get(SmgrId(smgr as u16)) {
-                    Ok(mgr) => redo_page_delta(&mgr, rel, block, &ranges),
-                    // A manager registered after the standard three in a
-                    // prior run; its relations are rebuilt by whoever
-                    // registers it, not by us.
-                    Err(_) => Ok(()),
+        // A commit record is the only durable copy of its outcome until a
+        // checkpoint writes it to the table; replay re-learns these pins.
+        wal.pin_smgr(COMMIT_PIN);
+        let (xact, mut table) = open_outcomes(&base_dir, opts.durable_sync)
+            .map_err(|e| crate::HeapError::Catalog(format!("outcome table: {e}")))?;
+        let xid_limit = wal
+            .replay(|_lsn, rec| match rec {
+                WalRecord::PageDelta { smgr, rel, block, ranges } => {
+                    match switch.get(SmgrId(smgr as u16)) {
+                        Ok(mgr) => redo_page_delta(&mgr, rel, block, &ranges),
+                        // A manager registered after the standard three in a
+                        // prior run; its relations are rebuilt by whoever
+                        // registers it, not by us.
+                        Err(_) => Ok(()),
+                    }
                 }
-            }
-            WalRecord::Commit { xid, ts } => {
-                replayed_commits.push((Xid(xid), ts));
-                Ok(())
-            }
-            WalRecord::WormBurn { smgr, rel } => match switch.get(SmgrId(smgr as u16)) {
-                Ok(mgr) => match mgr.sync(rel) {
-                    // The relation may have been burned and unlinked, or
-                    // never reached the cache before the crash.
-                    Ok(()) | Err(SmgrError::NotFound(_)) => Ok(()),
-                    Err(e) => Err(std::io::Error::other(e)),
+                WalRecord::Commit { xid, ts } => {
+                    table.resize(table.len().max(xid as usize + 1), 0);
+                    table[xid as usize] = ts;
+                    Ok(())
+                }
+                WalRecord::WormBurn { smgr, rel } => match switch.get(SmgrId(smgr as u16)) {
+                    Ok(mgr) => match mgr.sync(rel) {
+                        // The relation may have been burned and unlinked, or
+                        // never reached the cache before the crash.
+                        Ok(()) | Err(SmgrError::NotFound(_)) => Ok(()),
+                        Err(e) => Err(std::io::Error::other(e)),
+                    },
+                    Err(_) => Ok(()),
                 },
-                Err(_) => Ok(()),
-            },
-            WalRecord::Checkpoint { .. } => Ok(()),
-        })
-        .map_err(|e| crate::HeapError::Catalog(format!("wal replay: {e}")))?;
+                WalRecord::Checkpoint { .. } | WalRecord::XidLimit { .. } => Ok(()),
+            })
+            .map_err(|e| crate::HeapError::Catalog(format!("wal replay: {e}")))?;
         let bgwriter = match opts.bgwriter_interval {
             Some(interval) => Some(
                 pool.spawn_bgwriter(interval)
@@ -329,50 +376,38 @@ impl StorageEnv {
             None => None,
         };
         let catalog = Catalog::open(&base_dir)?;
-        let txns = Arc::new(
-            TxnManager::open(base_dir.join("clog"))
-                .map_err(|e| crate::HeapError::Catalog(format!("open commit log: {e}")))?,
-        );
-        // Repair the clog: a crash between WAL commit-record flush and the
-        // clog append leaves a committed transaction looking in-progress.
-        for (xid, ts) in replayed_commits {
-            txns.ensure_committed(xid, ts);
-        }
+        // Allocation resumes at the logged XID limit: an XID below it may
+        // have stamped tuples that reached home with no record naming it.
+        let txns = Arc::new(TxnManager::recovered(table, Xid(xid_limit)));
         pool.set_wal(Arc::clone(&wal));
-        txns.set_durability_hook(Arc::new(WalDurability {
-            pool: Arc::clone(&pool),
-            wal: Arc::clone(&wal),
-        }));
+        let durability = Arc::new(WalDurability {
+            pool,
+            wal,
+            disk: disk_smgr,
+            worm_id: worm,
+            worm: worm_smgr,
+            xact: parking_lot::Mutex::with_rank(xact, parking_lot::ranks::ENV_XACT),
+        });
+        txns.set_durability_hook(Arc::clone(&durability) as Arc<dyn DurabilityHook>);
         // Checkpoint far less often than the bgwriter writes back: the
         // horizon only advances once home writes are durable, so each
         // checkpoint costs an fsync sweep in durable mode.
         let checkpointer = match opts.bgwriter_interval {
             Some(interval) => Some(
-                Checkpointer::spawn(
-                    Arc::clone(&pool),
-                    Arc::clone(&wal),
-                    Arc::clone(&disk_smgr),
-                    worm,
-                    Arc::clone(&worm_smgr),
-                    interval * 16,
-                )
-                .map_err(|e| crate::HeapError::Catalog(format!("spawn checkpointer: {e}")))?,
+                Checkpointer::spawn(Arc::clone(&durability), Arc::clone(&txns), interval * 16)
+                    .map_err(|e| crate::HeapError::Catalog(format!("spawn checkpointer: {e}")))?,
             ),
             None => None,
         };
         Ok(Arc::new(Self {
             sim,
             switch,
-            pool,
-            wal,
+            durability,
             txns,
             catalog,
             base_dir,
             disk,
-            worm,
-            disk_smgr,
             mem_smgr,
-            worm_smgr,
             rel_latches: parking_lot::Mutex::with_rank(
                 HashMap::new(),
                 parking_lot::ranks::ENV_REL_LATCHES,
@@ -403,11 +438,13 @@ impl StorageEnv {
     /// Take a checkpoint: advance the WAL redo horizon behind the oldest
     /// dirty page still owing a home write, fsyncing data files first in
     /// durable mode so the horizon never passes a write the disk hasn't
-    /// accepted, and releasing recycle pins for WORM relations that are
-    /// fully burned. Recovery then replays only from that horizon, and
-    /// older log segments are recycled.
+    /// accepted, writing settled commit outcomes to the outcome table,
+    /// and releasing recycle pins for WORM relations that are fully
+    /// burned. Recovery then replays only from that horizon, and older
+    /// log segments are recycled.
     pub fn checkpoint(&self) -> Result<()> {
-        checkpoint_once(&self.pool, &self.wal, &self.disk_smgr, self.worm, &self.worm_smgr)
+        self.durability
+            .checkpoint(&self.txns)
             .map_err(|e| crate::HeapError::Catalog(format!("checkpoint: {e}")))
     }
 
@@ -446,7 +483,7 @@ impl StorageEnv {
 
     /// The shared buffer pool.
     pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
+        &self.durability.pool
     }
 
     /// The transaction manager.
@@ -456,7 +493,7 @@ impl StorageEnv {
 
     /// The redo log.
     pub fn wal(&self) -> &Arc<Wal> {
-        &self.wal
+        &self.durability.wal
     }
 
     /// The class catalog.
@@ -477,7 +514,7 @@ impl StorageEnv {
 
     /// Slot of the WORM-jukebox manager.
     pub fn worm_id(&self) -> SmgrId {
-        self.worm
+        self.durability.worm_id
     }
 
     /// Typed handle to the memory manager.
@@ -489,7 +526,7 @@ impl StorageEnv {
     /// Typed handle to the WORM manager (benchmarks read cache stats, burn
     /// platters, drop the cache).
     pub fn worm_smgr(&self) -> &Arc<WormSmgr> {
-        &self.worm_smgr
+        &self.durability.worm
     }
 }
 

@@ -68,7 +68,7 @@ pub const REACTOR_FILE: &str = "crates/server/src/reactor.rs";
 
 /// Crates R13's ordering scan runs in — the ones on the durability
 /// path (WAL, buffer pool, storage managers, the server's txn surface,
-/// catalog/clog persistence).
+/// catalog and outcome-table persistence).
 pub const R13_CRATES: [&str; 6] = ["buffer", "heap", "server", "smgr", "txn", "wal"];
 
 /// Designated workspace effect sources, `(crate, fn, arity) -> effect`.

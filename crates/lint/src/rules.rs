@@ -268,7 +268,7 @@ mod tests {
 
     #[test]
     fn metric_name_grammar() {
-        for good in ["pool.hits", "smgr.disk.read", "lo.fchunk.read.bytes", "txn.clog.append"] {
+        for good in ["pool.hits", "smgr.disk.read", "lo.fchunk.read.bytes", "wal.fsync"] {
             assert!(valid_metric_name(good), "{good} should be valid");
         }
         for bad in ["pool", "Pool.hits", "pool.", ".hits", "pool.Hits", "pool.hit-rate", "pool..x"]

@@ -8,10 +8,11 @@
 //! travel** (§6.3: "since POSTGRES does not overwrite data, time travel is
 //! automatically available"), a historical commit timestamp.
 //!
-//! This crate provides the transaction identifier space, the commit log
-//! (status + commit timestamp per transaction), RAII transactions, MVCC
+//! This crate provides the transaction identifier space, the outcome
+//! table (commit timestamp per transaction), RAII transactions, MVCC
 //! snapshots, and the single visibility routine the heap uses for both
-//! current reads and as-of reads.
+//! current reads and as-of reads. It does no I/O: the storage
+//! environment makes outcomes durable through a [`DurabilityHook`].
 
 pub mod horizon;
 pub mod manager;

@@ -1,4 +1,4 @@
-//! The transaction manager: XID allocation, commit log, snapshots.
+//! The transaction manager: XID allocation, outcome table, snapshots.
 
 use crate::horizon::VisibleTs;
 use crate::Xid;
@@ -12,7 +12,7 @@ use std::sync::Arc;
 /// `commit_ts <= T`).
 pub type CommitTs = u64;
 
-/// Outcome state of a transaction in the commit log.
+/// Outcome state of a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnStatus {
     /// InProgress.
@@ -25,9 +25,9 @@ pub enum TxnStatus {
 
 struct TmInner {
     next_xid: u32,
-    /// Status per XID, indexed by `xid - FIRST_NORMAL`.
-    status: Vec<TxnStatus>,
-    /// Commit timestamp per XID (0 = not committed), same indexing.
+    /// The outcome table: commit timestamp per XID, indexed by XID and
+    /// `next_xid` long; 0 = not committed (in progress when the XID is in
+    /// `active`, aborted otherwise).
     commit_ts: Vec<CommitTs>,
     /// Currently in-progress XIDs (for snapshot construction).
     active: BTreeSet<u32>,
@@ -37,36 +37,19 @@ struct TmInner {
     /// otherwise an `AsOf(current_timestamp())` reader would get
     /// different answers before and after the in-flight commit lands.
     pending_ts: BTreeSet<CommitTs>,
-    /// Durable commit log, appended under the inner lock: `B <xid>` when a
-    /// transaction begins, `C <xid> <ts>` when it commits. Aborts write
-    /// nothing — on replay, any begun-but-uncommitted XID reads as aborted,
-    /// and logging begins keeps such XIDs from ever being reallocated (a
-    /// reused XID would resurrect the aborted transaction's tuples).
-    log: Option<std::fs::File>,
 }
 
-impl TmInner {
-    fn append(&mut self, line: std::fmt::Arguments<'_>) {
-        // "clog force time" in the paper's terms: how long the commit-log
-        // append keeps the manager lock.
-        let _span = obs::span!("txn.clog.append");
-        if let Some(f) = &mut self.log {
-            use std::io::Write;
-            // Commit durability rides on the no-overwrite system's
-            // force-at-commit page writes; the log itself only needs to
-            // reach the OS before process exit, so no fsync here.
-            writeln!(f, "{line}").expect("commit log append failed");
-        }
-    }
-}
-
-/// Storage-layer hook run on the commit path *before* the outcome becomes
-/// visible: it must make the transaction durable (redo-log the dirty page
-/// images, append a commit record, force the log). Installed once by the
-/// storage environment; a manager without one falls back to the clog-only
-/// durability contract (force-at-commit page writes by the caller).
+/// Storage-layer hook that makes transaction state durable; the manager
+/// itself does no I/O. Installed once by the storage environment; a
+/// manager without one keeps its outcomes in memory only.
 pub trait DurabilityHook: Send + Sync {
-    /// Make `(xid, ts)` durable. An error aborts the commit.
+    /// Every XID below `next` may now stamp tuples. Called by `begin`
+    /// under the manager lock, before the new XID is handed out, so the
+    /// log can record an XID limit ahead of any page that names one.
+    fn note_next_xid(&self, next: Xid);
+
+    /// Make `(xid, ts)` durable (redo-log the dirty page images, append
+    /// a commit record, force the log). An error aborts the commit.
     ///
     /// Called with no transaction-manager locks held, after the commit
     /// timestamp is allocated but before the in-memory status flips, so
@@ -95,92 +78,24 @@ pub struct TxnManager {
     aborts: AtomicU64,
 }
 
-impl Default for TxnManager {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TxnManager {
-    /// A fresh manager with an empty, in-memory commit log.
-    pub fn new() -> Self {
+    /// A manager resuming from recovered state (a fresh one from an
+    /// empty table): `commit_ts` is the outcome table (indexed by XID,
+    /// 0 = not committed) and `next_xid` the first XID no earlier process
+    /// can have handed out. Allocation starts at `next_xid` or past the
+    /// table, whichever is later; the time-travel axis resumes past the
+    /// highest recovered commit timestamp.
+    pub fn recovered(mut commit_ts: Vec<CommitTs>, next_xid: Xid) -> Self {
+        let next_xid = next_xid.max(Xid::FIRST_NORMAL).0.max(commit_ts.len() as u32);
+        commit_ts.resize(next_xid as usize, 0);
+        let max_ts = commit_ts.iter().copied().max().unwrap_or(0);
         Self {
             inner: Mutex::with_rank(
                 TmInner {
-                    next_xid: Xid::FIRST_NORMAL.0,
-                    status: Vec::new(),
-                    commit_ts: Vec::new(),
-                    active: BTreeSet::new(),
-                    pending_ts: BTreeSet::new(),
-                    log: None,
-                },
-                ranks::TXN_MANAGER,
-            ),
-            next_ts: AtomicU64::new(1),
-            visible_ts: VisibleTs::new(0),
-            durability: std::sync::OnceLock::new(),
-            commits: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
-        }
-    }
-
-    /// A manager whose commit log is durable at `path`: prior outcomes are
-    /// replayed so tuples stamped by earlier processes keep their
-    /// visibility, commit timestamps (the time-travel axis) keep
-    /// advancing instead of restarting at 1, and no XID another process
-    /// allocated is ever reused.
-    pub fn open(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        use std::io::{Error, ErrorKind};
-        let path = path.as_ref();
-        let mut next_xid = Xid::FIRST_NORMAL.0;
-        let mut status = Vec::new();
-        let mut commit_ts: Vec<CommitTs> = Vec::new();
-        let mut max_ts: CommitTs = 0;
-        let corrupt =
-            |line: &str| Error::new(ErrorKind::InvalidData, format!("clog: bad line {line:?}"));
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                for line in text.lines() {
-                    let mut parts = line.split_ascii_whitespace();
-                    let (tag, xid) = match (parts.next(), parts.next()) {
-                        (Some(tag), Some(x)) => (tag, x.parse::<u32>().map_err(|_| corrupt(line))?),
-                        _ => return Err(corrupt(line)),
-                    };
-                    let i =
-                        xid.checked_sub(Xid::FIRST_NORMAL.0).ok_or_else(|| corrupt(line))? as usize;
-                    if i >= status.len() {
-                        status.resize(i + 1, TxnStatus::Aborted);
-                        commit_ts.resize(i + 1, 0);
-                    }
-                    next_xid = next_xid.max(xid + 1);
-                    match tag {
-                        "B" => {}
-                        "C" => {
-                            let ts = parts
-                                .next()
-                                .and_then(|t| t.parse::<CommitTs>().ok())
-                                .ok_or_else(|| corrupt(line))?;
-                            status[i] = TxnStatus::Committed;
-                            commit_ts[i] = ts;
-                            max_ts = max_ts.max(ts);
-                        }
-                        _ => return Err(corrupt(line)),
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let log = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Self {
-            inner: Mutex::with_rank(
-                TmInner {
                     next_xid,
-                    status,
                     commit_ts,
                     active: BTreeSet::new(),
                     pending_ts: BTreeSet::new(),
-                    log: Some(log),
                 },
                 ranks::TXN_MANAGER,
             ),
@@ -189,7 +104,7 @@ impl TxnManager {
             durability: std::sync::OnceLock::new(),
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Install the commit-durability hook (first install wins). Returns
@@ -205,10 +120,11 @@ impl TxnManager {
             let mut inner = self.inner.lock();
             let xid = Xid(inner.next_xid);
             inner.next_xid += 1;
-            inner.status.push(TxnStatus::InProgress);
             inner.commit_ts.push(0);
             inner.active.insert(xid.0);
-            inner.append(format_args!("B {}", xid.0));
+            if let Some(hook) = self.durability.get() {
+                hook.note_next_xid(Xid(inner.next_xid));
+            }
             let snapshot = Snapshot {
                 xmax: Xid(inner.next_xid),
                 active: inner.active.iter().map(|&x| Xid(x)).collect(),
@@ -218,21 +134,15 @@ impl TxnManager {
         Txn { tm: Arc::clone(self), xid, snapshot, done: false }
     }
 
-    fn idx(xid: Xid) -> Option<usize> {
-        xid.0.checked_sub(Xid::FIRST_NORMAL.0).map(|i| i as usize)
-    }
-
     /// Status of a transaction. `BOOTSTRAP` is always committed.
     pub fn status(&self, xid: Xid) -> TxnStatus {
         if xid == Xid::BOOTSTRAP {
             return TxnStatus::Committed;
         }
-        if xid == Xid::INVALID {
-            return TxnStatus::Aborted;
-        }
         let inner = self.inner.lock();
-        match Self::idx(xid) {
-            Some(i) if i < inner.status.len() => inner.status[i],
+        match inner.commit_ts.get(xid.0 as usize) {
+            Some(&ts) if ts != 0 => TxnStatus::Committed,
+            Some(_) if inner.active.contains(&xid.0) => TxnStatus::InProgress,
             _ => TxnStatus::Aborted, // unknown XIDs read as never-committed
         }
     }
@@ -244,20 +154,28 @@ impl TxnManager {
             return Some(0);
         }
         let inner = self.inner.lock();
-        let i = Self::idx(xid)?;
-        if i < inner.status.len() && inner.status[i] == TxnStatus::Committed {
-            Some(inner.commit_ts[i])
-        } else {
-            None
-        }
+        let ts = *inner.commit_ts.get(xid.0 as usize)?;
+        (ts != 0).then_some(ts)
+    }
+
+    /// For a checkpoint: which of `xids` have a final outcome (committed
+    /// or aborted, no longer in progress), ascending, and the outcome
+    /// table from the lowest of them to the highest (0 = not committed),
+    /// read under one lock. Every XID the second list covers whose
+    /// outcome is not final reads 0 there.
+    pub fn settled(&self, xids: &[u64]) -> (Vec<u64>, Vec<CommitTs>) {
+        let inner = self.inner.lock();
+        let mut done: Vec<u64> =
+            xids.iter().copied().filter(|&x| !inner.active.contains(&(x as u32))).collect();
+        done.sort_unstable();
+        let span = done.first().zip(done.last()).map(|(&lo, &hi)| lo..=hi);
+        let table = span.into_iter().flatten().map(|x| inner.commit_ts.get(x as usize).copied());
+        (done, table.map(|ts| ts.unwrap_or(0)).collect())
     }
 
     fn finish_abort(&self, xid: Xid) {
         let mut inner = self.inner.lock();
-        let i = Self::idx(xid).expect("finish of special xid");
-        assert_eq!(inner.status[i], TxnStatus::InProgress, "{xid} already finished");
-        inner.active.remove(&xid.0);
-        inner.status[i] = TxnStatus::Aborted;
+        assert!(inner.active.remove(&xid.0), "{xid} already finished");
         self.aborts.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -276,10 +194,9 @@ impl TxnManager {
     /// Commit `xid`: allocate a timestamp (registered as *pending* under
     /// the lock, so the visible horizon cannot pass it), force durability
     /// through the installed hook (with no manager locks held — the hook
-    /// does log I/O), then flip the in-memory status, resolve the pending
-    /// entry, and append the clog line. A hook failure aborts the
-    /// transaction, releases the pending timestamp, and surfaces the
-    /// error.
+    /// does log I/O), then flip the in-memory outcome and resolve the
+    /// pending entry. A hook failure aborts the transaction, releases
+    /// the pending timestamp, and surfaces the error.
     fn finish_commit(&self, xid: Xid) -> std::io::Result<CommitTs> {
         let ts = {
             let mut inner = self.inner.lock();
@@ -302,40 +219,12 @@ impl TxnManager {
             }
         }
         let mut inner = self.inner.lock();
-        let i = Self::idx(xid).expect("finish of special xid");
-        assert_eq!(inner.status[i], TxnStatus::InProgress, "{xid} already finished");
-        inner.active.remove(&xid.0);
-        inner.status[i] = TxnStatus::Committed;
-        inner.commit_ts[i] = ts;
+        assert!(inner.active.remove(&xid.0), "{xid} already finished");
+        inner.commit_ts[xid.0 as usize] = ts;
         inner.pending_ts.remove(&ts);
         self.publish_visible(&inner);
-        inner.append(format_args!("C {} {}", xid.0, ts));
         self.commits.fetch_add(1, Ordering::Relaxed);
         Ok(ts)
-    }
-
-    /// Recovery repair: the redo log holds a *flushed* commit record for
-    /// `xid` at `ts`, but the clog may have lost the `C` line (crash
-    /// between the log force and the clog append). Re-mark the
-    /// transaction committed, re-append the missing clog line, and pull
-    /// the XID/timestamp allocators past it.
-    pub fn ensure_committed(&self, xid: Xid, ts: CommitTs) {
-        let Some(i) = Self::idx(xid) else { return };
-        let mut inner = self.inner.lock();
-        if i >= inner.status.len() {
-            inner.status.resize(i + 1, TxnStatus::Aborted);
-            inner.commit_ts.resize(i + 1, 0);
-        }
-        inner.next_xid = inner.next_xid.max(xid.0 + 1);
-        if inner.status[i] != TxnStatus::Committed {
-            inner.active.remove(&xid.0);
-            inner.status[i] = TxnStatus::Committed;
-            inner.commit_ts[i] = ts;
-            inner.append(format_args!("C {} {}", xid.0, ts));
-        }
-        drop(inner);
-        self.next_ts.fetch_max(ts + 1, Ordering::Relaxed);
-        self.visible_ts.publish(ts);
     }
 
     /// The timestamp an "as of now" read should use: the highest
@@ -442,7 +331,7 @@ mod tests {
     use super::*;
 
     fn tm() -> Arc<TxnManager> {
-        Arc::new(TxnManager::new())
+        Arc::new(TxnManager::recovered(Vec::new(), Xid::FIRST_NORMAL))
     }
 
     #[test]
@@ -505,51 +394,67 @@ mod tests {
     }
 
     #[test]
-    fn reopen_replays_outcomes_and_never_reuses_xids() {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("clog");
-        let (committed, committed_ts, aborted) = {
-            let tm = Arc::new(TxnManager::open(&path).unwrap());
-            let t1 = tm.begin();
-            let x1 = t1.xid();
-            let ts1 = t1.commit();
-            let t2 = tm.begin();
-            let x2 = t2.xid();
-            t2.abort();
-            (x1, ts1, x2)
-        };
-        let tm = Arc::new(TxnManager::open(&path).unwrap());
-        assert_eq!(tm.status(committed), TxnStatus::Committed);
-        assert_eq!(tm.commit_ts(committed), Some(committed_ts));
-        assert_eq!(tm.status(aborted), TxnStatus::Aborted);
-        assert_eq!(tm.commit_ts(aborted), None);
+    fn recovered_table_keeps_outcomes_and_never_reuses_xids() {
+        // XID 2 committed at ts 5, XID 3 aborted (or never finished),
+        // and a logged limit of 1024.
+        let tm = Arc::new(TxnManager::recovered(vec![0, 0, 5, 0], Xid(1024)));
+        assert_eq!(tm.status(Xid(2)), TxnStatus::Committed);
+        assert_eq!(tm.commit_ts(Xid(2)), Some(5));
+        assert_eq!(tm.status(Xid(3)), TxnStatus::Aborted);
+        assert_eq!(tm.status(Xid(700)), TxnStatus::Aborted);
         // The time-travel axis keeps advancing rather than restarting.
-        assert_eq!(tm.current_timestamp(), committed_ts);
-        // Neither prior XID is reallocated, not even the aborted one — a
-        // reused XID would resurrect the aborted transaction's tuples.
-        let t3 = tm.begin();
-        assert!(t3.xid() > aborted && t3.xid() > committed);
-        let ts3 = t3.commit();
-        assert!(ts3 > committed_ts);
-    }
-
-    #[test]
-    fn open_missing_file_starts_fresh() {
-        let dir = tempfile::tempdir().unwrap();
-        let tm = Arc::new(TxnManager::open(dir.path().join("clog")).unwrap());
-        assert_eq!(tm.current_timestamp(), 0);
+        assert_eq!(tm.current_timestamp(), 5);
+        // No XID below the limit is reallocated: an earlier process may
+        // have stamped tuples with any of them.
         let t = tm.begin();
-        assert_eq!(t.xid(), Xid::FIRST_NORMAL);
-        t.commit();
+        assert_eq!(t.xid(), Xid(1024));
+        assert!(t.commit() > 5);
+        // A table longer than the limit pushes allocation past it.
+        let tm = Arc::new(TxnManager::recovered(vec![0; 12], Xid(3)));
+        assert_eq!(tm.begin().xid(), Xid(12));
+        let tm = Arc::new(TxnManager::recovered(Vec::new(), Xid::INVALID));
+        assert_eq!(tm.begin().xid(), Xid::FIRST_NORMAL);
     }
 
     #[test]
-    fn open_rejects_garbage() {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("clog");
-        std::fs::write(&path, "B 2\nnonsense\n").unwrap();
-        let err = TxnManager::open(&path).map(|_| ()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    fn settled_reports_final_outcomes_and_their_table_range() {
+        let tm = tm();
+        let (a, b, c) = (tm.begin(), tm.begin(), tm.begin());
+        let (xa, xb, xc) = (a.xid(), b.xid(), c.xid());
+        let ts = a.commit();
+        c.abort();
+        let ask = [xc, xb, xa].map(|x| u64::from(x.0));
+        let (done, table) = tm.settled(&ask);
+        assert_eq!(done, vec![u64::from(xa.0), u64::from(xc.0)]);
+        // b is still in progress: it reads 0 and stays unsettled.
+        assert_eq!(table, vec![ts, 0, 0]);
+        b.commit();
+        assert_eq!(tm.settled(&[u64::from(xb.0)]).0.len(), 1);
+        assert_eq!(tm.settled(&[]), (Vec::new(), Vec::new()));
+    }
+
+    /// Records the XID high-water `begin` reports.
+    struct HighWater(AtomicU64);
+
+    impl DurabilityHook for HighWater {
+        fn note_next_xid(&self, next: Xid) {
+            self.0.store(u64::from(next.0), Ordering::Relaxed);
+        }
+
+        fn prepare_commit(&self, _xid: Xid, _ts: CommitTs) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn begin_reports_the_xid_high_water_before_handing_out_the_xid() {
+        let tm = tm();
+        let hook = Arc::new(HighWater(AtomicU64::new(0)));
+        assert!(tm.set_durability_hook(Arc::clone(&hook) as Arc<dyn DurabilityHook>));
+        let t = tm.begin();
+        assert_eq!(hook.0.load(Ordering::Relaxed), u64::from(t.xid().0) + 1);
+        let u = tm.begin();
+        assert_eq!(hook.0.load(Ordering::Relaxed), u64::from(u.xid().0) + 1);
     }
 
     #[test]
@@ -579,6 +484,8 @@ mod tests {
     }
 
     impl DurabilityHook for ParkingHook {
+        fn note_next_xid(&self, _next: Xid) {}
+
         fn prepare_commit(&self, _xid: Xid, ts: CommitTs) -> std::io::Result<()> {
             if self.calls.fetch_add(1, Ordering::Relaxed) > 0 {
                 return Ok(());

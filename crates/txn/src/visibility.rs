@@ -72,7 +72,7 @@ mod tests {
     use std::sync::Arc;
 
     fn tm() -> Arc<TxnManager> {
-        Arc::new(TxnManager::new())
+        Arc::new(TxnManager::recovered(Vec::new(), Xid::FIRST_NORMAL))
     }
 
     #[test]

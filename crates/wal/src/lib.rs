@@ -40,6 +40,12 @@
 //!   proves the relation durable and the pin is pruned at checkpoint
 //!   ([`Wal::prune_pins`]) — so WORM activity delays recycling only
 //!   while it actually needs replay, instead of freezing it forever.
+//!   Commit records pin per XID under [`COMMIT_PIN`] the same way.
+//! * **An XID limit precedes every page.** Page records name no XID, so
+//!   a batch starts with an [`WalRecord::XidLimit`] once the noted XID
+//!   high-water passes the logged limit, and [`Wal::log_xid_limit`] logs
+//!   it before an XID reaches disk outside the log; a checkpoint's batch
+//!   restates the limit ahead of its `Checkpoint` record.
 //!
 //! Lock order (see `shims/parking_lot/src/ranks.rs`): `wal.flush` (44) is
 //! taken before `wal.append` (46); the flush leader snapshots the appender
@@ -60,7 +66,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Log sequence number: a byte offset into the logical log stream.
 pub type Lsn = u64;
@@ -98,6 +104,16 @@ pub const KIND_WORM_BURN: u8 = 3;
 pub const KIND_CHECKPOINT: u8 = 4;
 /// Page-delta record tag.
 pub const KIND_PAGE_DELTA: u8 = 5;
+/// XID-limit record tag.
+pub const KIND_XID_LIMIT: u8 = 6;
+
+/// The pin id of commit records (`rel` = XID); enable with
+/// [`Wal::pin_smgr`]. Storage managers pin under their slot, so only
+/// slots below it pin: a manager registered at or past it never does.
+pub const COMMIT_PIN: u32 = 63;
+
+/// Logged XID limits are multiples of this.
+const XID_BLOCK: u32 = 1024;
 
 // ---------------------------------------------------------------------------
 // Record encoding
@@ -121,8 +137,8 @@ pub enum WalRecord {
         /// The changed bytes.
         ranges: PageRanges,
     },
-    /// Transaction `xid` committed at timestamp `ts`. Durable once this
-    /// record is flushed; recovery re-marks the clog from these.
+    /// Transaction `xid` committed at timestamp `ts`: the one record of
+    /// a commit, durable once flushed.
     Commit {
         /// Committing transaction id.
         xid: u32,
@@ -142,6 +158,11 @@ pub enum WalRecord {
         /// The redo horizon at checkpoint time.
         redo_lsn: Lsn,
     },
+    /// Every XID handed out so far is below `limit`.
+    XidLimit {
+        /// First XID recovery may hand out.
+        limit: u32,
+    },
 }
 
 impl WalRecord {
@@ -152,16 +173,15 @@ impl WalRecord {
             WalRecord::Commit { .. } => KIND_COMMIT,
             WalRecord::WormBurn { .. } => KIND_WORM_BURN,
             WalRecord::Checkpoint { .. } => KIND_CHECKPOINT,
+            WalRecord::XidLimit { .. } => KIND_XID_LIMIT,
         }
     }
 
     /// Encode into a [`PreparedRecord`] with the LSN left as a hole.
     /// The CRC covers header bytes 8..16 (length, kind, padding) plus
-    /// the payload — deliberately *not* the LSN, which the reader
-    /// validates against the record's stream position instead. That
-    /// keeps checksumming (the expensive part, for page images) out of
-    /// the appender's critical section: the LSN is patched in under the
-    /// append lock without touching the CRC.
+    /// the payload, not the LSN, which the reader validates against the
+    /// record's stream position; so checksumming stays out of the append
+    /// lock, under which only the LSN is patched in.
     pub fn prepare(&self) -> PreparedRecord {
         let mut buf = header(self.kind(), 16);
         match self {
@@ -184,6 +204,9 @@ impl WalRecord {
             WalRecord::Checkpoint { redo_lsn } => {
                 buf.extend_from_slice(&redo_lsn.to_le_bytes());
             }
+            WalRecord::XidLimit { limit } => {
+                buf.extend_from_slice(&u64::from(*limit).to_le_bytes())
+            }
         }
         PreparedRecord::seal(buf, self.pin())
     }
@@ -192,8 +215,9 @@ impl WalRecord {
     fn pin(&self) -> Option<(u32, u64)> {
         match self {
             WalRecord::PageDelta { smgr, rel, .. } | WalRecord::WormBurn { smgr, rel } => {
-                Some((*smgr, *rel))
+                (*smgr < COMMIT_PIN).then_some((*smgr, *rel))
             }
+            WalRecord::Commit { xid, .. } => Some((COMMIT_PIN, u64::from(*xid))),
             _ => None,
         }
     }
@@ -373,6 +397,9 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Option<WalRecord> {
         KIND_CHECKPOINT if payload.len() == 8 => {
             Some(WalRecord::Checkpoint { redo_lsn: read_u64(payload, 0) })
         }
+        KIND_XID_LIMIT if payload.len() == 8 => {
+            Some(WalRecord::XidLimit { limit: read_u32(payload, 0) })
+        }
         _ => None,
     }
 }
@@ -535,17 +562,6 @@ impl Default for WalOptions {
     }
 }
 
-/// What [`Wal::replay`] covered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplaySummary {
-    /// First stream position considered (the redo horizon).
-    pub start: Lsn,
-    /// First position past the last replayed record.
-    pub end: Lsn,
-    /// Records handed to the callback.
-    pub records: u64,
-}
-
 struct AppendInner {
     /// Current tail segment.
     file: File,
@@ -553,6 +569,8 @@ struct AppendInner {
     seg_start: Lsn,
     /// Next stream position to write.
     end: Lsn,
+    /// The highest XID limit in the log.
+    xid_limit: u32,
 }
 
 /// The write-ahead log. One per [`StorageEnv`]; shared via `Arc` with the
@@ -586,6 +604,8 @@ pub struct Wal {
     /// checkpoint, once the owning manager proves the relation's
     /// contents are durable at home and replay is no longer needed.
     pins: Mutex<HashMap<(u32, u64), Lsn>>,
+    /// XID high-water noted by the transaction manager.
+    xid_high: AtomicU32,
 }
 
 impl Wal {
@@ -616,7 +636,7 @@ impl Wal {
             dir,
             opts,
             append: Mutex::with_rank(
-                AppendInner { file, seg_start, end: state.end },
+                AppendInner { file, seg_start, end: state.end, xid_limit: 0 },
                 ranks::WAL_APPEND,
             ),
             group: GroupFlush::new(state.end),
@@ -625,6 +645,7 @@ impl Wal {
             last_ckpt: AtomicU64::new(state.end),
             pinned_smgrs: AtomicU64::new(0),
             pins: Mutex::with_rank(HashMap::new(), ranks::WAL_PINS),
+            xid_high: AtomicU32::new(0),
         })
     }
 
@@ -697,6 +718,28 @@ impl Wal {
         pins.retain(|&(s, rel), _| s != smgr || keep(rel));
     }
 
+    /// The relations `smgr` holds pins for; under [`COMMIT_PIN`], the
+    /// XIDs whose commit records still pin recycling.
+    pub fn pinned(&self, smgr: u32) -> Vec<u64> {
+        self.pins.lock().keys().filter(|&&(s, _)| s == smgr).map(|&(_, rel)| rel).collect()
+    }
+
+    /// Every XID below `next` may now stamp tuples: the next batch logs
+    /// a limit at or past it first, unless the log holds one already.
+    pub fn note_next_xid(&self, next: u32) {
+        self.xid_high.store(next, Ordering::Release);
+    }
+
+    /// Log the limit now if the noted high-water has passed it, and flush
+    /// it: call before an XID reaches disk by any path but the log.
+    pub fn log_xid_limit(&self) -> io::Result<()> {
+        if self.xid_high.load(Ordering::Acquire) > self.append.lock().xid_limit {
+            self.append_batch(&mut [])?;
+            self.flush_to(self.end_lsn())?;
+        }
+        Ok(())
+    }
+
     /// Append one record; returns the stream position just *past* it —
     /// pass that to [`Wal::flush_to`] to make the record durable. The
     /// record is visible to `replay` only after a flush covers it.
@@ -711,14 +754,21 @@ impl Wal {
     /// write (a commit's worth of page images is one `pwrite`, not one
     /// per page); only LSN patching and the writes themselves happen
     /// under the lock — encoding and checksumming were paid by the
-    /// caller, outside it. Returns each record's stream positions, in
-    /// batch order.
+    /// caller, outside it. When the noted XID high-water has passed the
+    /// logged limit, an [`WalRecord::XidLimit`] goes first. Returns each
+    /// batch record's stream positions, in batch order.
     pub fn append_batch(&self, batch: &mut [PreparedRecord]) -> io::Result<Vec<AppendedAt>> {
-        let mut out = Vec::with_capacity(batch.len());
+        let mut out = Vec::with_capacity(batch.len() + 1);
         let mut buf: Vec<u8> = Vec::with_capacity(batch.iter().map(|r| r.bytes.len()).sum());
         let mut pins: Vec<(u32, u64, Lsn)> = Vec::new();
         let mut total = 0u64;
         let mut a = self.append.lock();
+        let logged_limit = a.xid_limit;
+        let high = self.xid_high.load(Ordering::Acquire);
+        let mut limit = (high > logged_limit).then(|| {
+            a.xid_limit = high.next_multiple_of(XID_BLOCK);
+            WalRecord::XidLimit { limit: a.xid_limit }.prepare()
+        });
         let mut run_start = a.end;
         // On any failure `a.end` rolls back to `run_start`, the position
         // just past the bytes actually written: leaving it advanced past
@@ -726,7 +776,7 @@ impl Wal {
         // permanent hole — recovery's scan stops at the hole, silently
         // losing every "durably flushed" record past it.
         let result: io::Result<()> = (|| {
-            for rec in batch.iter_mut() {
+            for rec in limit.iter_mut().chain(batch.iter_mut()) {
                 let len = rec.total_len();
                 if a.end + len > a.seg_start + self.opts.segment_bytes {
                     if !buf.is_empty() {
@@ -761,15 +811,18 @@ impl Wal {
             // Records written before the failure stay in the stream as
             // orphans (replay-idempotent); the caller retries the rest.
             a.end = run_start;
+            a.xid_limit = logged_limit;
+        } else {
+            // Pinned before the lock goes, so a checkpoint sees the pins.
+            for (smgr, rel, lsn) in pins {
+                self.note_pinned(smgr, rel, lsn);
+            }
         }
         self.end.store(a.end, Ordering::Release);
         drop(a);
         result?;
-        for (smgr, rel, lsn) in pins {
-            self.note_pinned(smgr, rel, lsn);
-        }
         obs::counter!("wal.append.bytes").add(total);
-        Ok(out)
+        Ok(out.split_off(usize::from(limit.is_some())))
     }
 
     /// Zero-fill the rest of the current segment and move to the next.
@@ -853,7 +906,14 @@ impl Wal {
         horizon = horizon.min(pin_floor);
         let prev = self.redo.load(Ordering::Acquire);
         horizon = horizon.max(prev);
-        let end = self.append(&WalRecord::Checkpoint { redo_lsn: horizon })?;
+        // Restate the limit above the horizon, read after it is fixed, so
+        // no record below the horizon holds a higher one.
+        let limit = self.append.lock().xid_limit;
+        let mut batch = [
+            WalRecord::XidLimit { limit }.prepare(),
+            WalRecord::Checkpoint { redo_lsn: horizon }.prepare(),
+        ];
+        let end = self.append_batch(&mut batch)?[1].end;
         self.flush_to(end)?;
         self.last_ckpt.store(end, Ordering::Release);
         self.redo.store(horizon, Ordering::Release);
@@ -906,16 +966,17 @@ impl Wal {
 
     /// Replay every record from the redo horizon to the end of log,
     /// oldest first. Call once at open, before any appends; pinned-smgr
-    /// positions are re-learned as a side effect. The callback sees
-    /// every record kind, checkpoints included.
-    pub fn replay<F>(&self, mut f: F) -> io::Result<ReplaySummary>
+    /// positions and the logged XID limit are re-learned as a side
+    /// effect. The callback sees every record kind, checkpoints included.
+    /// Returns the highest XID limit replayed: the first XID to hand out.
+    pub fn replay<F>(&self, mut f: F) -> io::Result<u32>
     where
         F: FnMut(Lsn, WalRecord) -> io::Result<()>,
     {
         let start = self.redo.load(Ordering::Acquire);
         let end = self.end_lsn();
         let state = scan(&self.dir, self.opts.segment_bytes, true)?;
-        let mut records = 0u64;
+        let mut xid_limit = 0;
         for info in &state.records {
             if info.lsn < start || info.lsn >= end {
                 continue;
@@ -938,10 +999,13 @@ impl Wal {
             if let Some((smgr, rel)) = rec.pin() {
                 self.note_pinned(smgr, rel, info.lsn);
             }
+            if let WalRecord::XidLimit { limit } = rec {
+                xid_limit = xid_limit.max(limit);
+            }
             f(info.lsn, rec)?;
-            records += 1;
         }
-        Ok(ReplaySummary { start, end, records })
+        self.append.lock().xid_limit = xid_limit;
+        Ok(xid_limit)
     }
 
     /// Scan a (possibly closed) log directory, returning the location of
@@ -1303,9 +1367,11 @@ mod tests {
         let wal = Wal::open(dir.path(), small_opts()).unwrap();
         assert_eq!(wal.redo_lsn(), mid);
         let recs = collect_replay(&wal);
-        // Only the checkpoint + the tail commit are at/after the horizon.
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[1].1, tail);
+        // Only the checkpoint's batch (the restated XID limit, then the
+        // checkpoint) and the tail commit are at/after the horizon.
+        assert_eq!(recs.len(), 3);
+        assert_eq!(recs[0].1, WalRecord::XidLimit { limit: 0 });
+        assert_eq!(recs[2].1, tail);
     }
 
     #[test]
@@ -1347,6 +1413,87 @@ mod tests {
         let after = wal.checkpoint(None).unwrap();
         assert!(after > first, "horizon advances once the pin is pruned");
         assert_eq!(after, wal.redo_lsn());
+    }
+
+    /// A limit record leads the first batch after the high-water passes
+    /// the logged limit, rounded up to a block; checkpoints restate it,
+    /// so replay finds it after the limit record itself is recycled.
+    #[test]
+    fn xid_limit_leads_the_batch_and_checkpoints_restate_it() {
+        let dir = tempfile::tempdir().unwrap();
+        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        wal.note_next_xid(3);
+        let commit = |xid| WalRecord::Commit { xid, ts: u64::from(xid) };
+        let ats = wal.append_batch(&mut [commit(2).prepare()]).unwrap();
+        assert_eq!(ats.len(), 1, "positions are the batch's own");
+        assert_eq!(ats[0].start, 32, "a 32-byte limit record went first");
+        wal.append(&commit(3)).unwrap();
+        wal.note_next_xid(1025);
+        wal.append(&commit(1024)).unwrap();
+        let kinds: Vec<WalRecord> = collect_replay(&wal).into_iter().map(|(_, r)| r).collect();
+        assert_eq!(
+            kinds,
+            [
+                WalRecord::XidLimit { limit: 1024 },
+                commit(2),
+                commit(3),
+                WalRecord::XidLimit { limit: 2048 },
+                commit(1024),
+            ]
+        );
+        for i in 0..20u32 {
+            wal.append(&whole(1, 1, i, 1)).unwrap();
+        }
+        let horizon = wal.checkpoint(None).unwrap();
+        assert!(horizon >= MIN_SEGMENT_BYTES, "the first segment is recycled");
+        drop(wal);
+        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let mut seen = Vec::new();
+        let limit = wal
+            .replay(|_, r| {
+                seen.push(r);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(
+            seen,
+            [WalRecord::XidLimit { limit: 2048 }, WalRecord::Checkpoint { redo_lsn: horizon }]
+        );
+        assert_eq!(limit, 2048);
+        // Replay restores the logged limit: no new record until the
+        // high-water passes it.
+        wal.note_next_xid(2048);
+        let end = wal.end_lsn();
+        let at = wal.append_batch(&mut [commit(2047).prepare()]).unwrap();
+        assert_eq!(at[0].start, end);
+    }
+
+    /// With commit pins on, a commit record holds the recycle horizon
+    /// until its XID's pin is pruned, and replay re-learns the pin; a
+    /// page record under the reserved slot is not taken for one.
+    #[test]
+    fn commit_record_pins_until_pruned() {
+        let dir = tempfile::tempdir().unwrap();
+        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        wal.pin_smgr(COMMIT_PIN);
+        let first = wal.end_lsn();
+        wal.append(&WalRecord::Commit { xid: 7, ts: 1 }).unwrap();
+        // A page of a manager in the reserved slot pins nothing.
+        wal.append(&whole(COMMIT_PIN, 9, 0, 1)).unwrap();
+        for i in 0..20u32 {
+            wal.append(&whole(1, 1, i, 1)).unwrap();
+        }
+        assert_eq!(wal.checkpoint(None).unwrap(), first);
+        assert_eq!(wal.pinned(COMMIT_PIN), [7]);
+        drop(wal);
+        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        wal.pin_smgr(COMMIT_PIN);
+        collect_replay(&wal);
+        assert_eq!(wal.pinned(COMMIT_PIN), [7]);
+        wal.prune_pins(COMMIT_PIN, |_xid| false);
+        wal.append(&WalRecord::Commit { xid: 8, ts: 2 }).unwrap();
+        assert!(wal.checkpoint(None).unwrap() > first, "the pruned commit no longer pins");
+        assert_eq!(wal.pinned(COMMIT_PIN), [8]);
     }
 
     #[test]

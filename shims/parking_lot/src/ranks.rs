@@ -31,6 +31,11 @@ pub const ENV_CHECKPOINTER: LockRank = LockRank::new(13, "heap.env.checkpointer"
 /// only to clone a latch out.
 pub const ENV_REL_LATCHES: LockRank = LockRank::new(14, "heap.env.rel_latches");
 
+/// The outcome-table file in `StorageEnv` (`crates/heap`); held across
+/// one checkpoint pass's table write, while the pass reads the WAL's
+/// commit pins and the transaction manager's outcomes.
+pub const ENV_XACT: LockRank = LockRank::new(15, "heap.env.xact");
+
 /// A per-relation B-tree latch (`StorageEnv::rel_latch`); held across
 /// whole index operations, i.e. across buffer-pool pins and smgr I/O.
 pub const REL_LATCH: LockRank = LockRank::new(20, "heap.rel_latch");

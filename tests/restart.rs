@@ -1,6 +1,6 @@
 //! Restart persistence: committed work must survive closing the database
 //! and reopening it in a "new process" (a fresh `StorageEnv` on the same
-//! directory). This exercises the durable commit log — tuple visibility
+//! directory). This exercises durable commit outcomes — tuple visibility
 //! depends on the transaction manager knowing earlier XIDs committed.
 
 use pglo::prelude::*;
@@ -114,13 +114,15 @@ fn crash_opts() -> EnvOptions {
 
 /// Kill the last WAL record at every byte boundary: recovery must stop
 /// cleanly at the torn point — no partial record may ever replay — and
-/// everything whose records precede the tear must come back intact.
+/// everything whose records precede the tear must come back intact. The
+/// torn record is a later transaction's commit, so that transaction
+/// reads as aborted and its XID is never handed out again.
 #[test]
 fn torn_wal_tail_truncated_at_every_byte() {
     let tmp = tempfile::tempdir().unwrap();
     let crash = tmp.path().join("crash");
     let payload: Vec<u8> = (0..50_000u32).map(|i| (i.wrapping_mul(31) % 251) as u8).collect();
-    let id = {
+    let (id, torn) = {
         let env = StorageEnv::open_with(&crash, crash_opts()).unwrap();
         let store = LoStore::new(Arc::clone(&env));
         let txn = env.begin();
@@ -129,8 +131,11 @@ fn torn_wal_tail_truncated_at_every_byte() {
         h.write_at(0, &payload).unwrap();
         h.close().unwrap();
         txn.commit();
+        let torn = env.begin();
+        let torn_xid = torn.xid();
+        torn.commit();
         std::mem::forget(env); // crash: dirty pages never reach home
-        id
+        (id, torn_xid)
     };
 
     let seg = 64 * 1024u64;
@@ -171,7 +176,9 @@ fn torn_wal_tail_truncated_at_every_byte() {
         assert_eq!(buf, payload, "cut {cut}: committed bytes corrupted");
         drop(h);
         drop(txn);
+        assert_eq!(env.txns().status(torn), pglo::txn::TxnStatus::Aborted, "cut {cut}");
         let t2 = env.begin();
+        assert!(t2.xid() > torn, "cut {cut}: the torn commit's XID was handed out again");
         t2.commit();
     }
 }
@@ -218,6 +225,176 @@ fn crash_between_checkpoint_and_commit_recovers_both_sides() {
         assert_eq!(h.read_at(0, &mut buf).unwrap(), want.len());
         assert_eq!(&buf, want);
         drop(h);
+    }
+}
+
+/// A commit whose record the redo horizon has passed survives in the
+/// outcome table alone. Power loss is emulated by emptying the one file
+/// an earlier format never fsynced, its text commit log, if present: the
+/// object must read back whole, the time-travel axis must still reach
+/// the commit, the committer's XID must not be handed out again, and no
+/// text commit log may exist.
+#[test]
+fn committed_object_survives_power_loss_after_checkpoint() {
+    let tmp = tempfile::tempdir().unwrap();
+    let opts =
+        || EnvOptions { durable_sync: true, wal_segment_bytes: 64 * 1024, ..Default::default() };
+    let payload: Vec<u8> = (0..20_000u32).map(|i| (i % 239) as u8).collect();
+    let (id, xid, ts) = {
+        let env = StorageEnv::open_with(tmp.path(), opts()).unwrap();
+        let store = LoStore::new(Arc::clone(&env));
+        let txn = env.begin();
+        let xid = txn.xid();
+        let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
+        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+        h.write_at(0, &payload).unwrap();
+        h.close().unwrap();
+        let ts = txn.commit();
+        let commit_end = env.wal().end_lsn();
+        env.pool().flush_all().unwrap();
+        env.checkpoint().unwrap();
+        assert!(env.wal().redo_lsn() >= commit_end, "the horizon must pass the commit record");
+        (id, xid, ts)
+    };
+    let clog = tmp.path().join("clog");
+    if clog.exists() {
+        std::fs::write(&clog, b"").unwrap();
+    }
+    let env = StorageEnv::open_with(tmp.path(), opts()).unwrap();
+    let first = env.begin();
+    let first_xid = first.xid();
+    first.abort();
+    let store = LoStore::new(Arc::clone(&env));
+    let txn = env.begin();
+    let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+    assert_eq!(h.size().unwrap(), payload.len() as u64);
+    let mut buf = vec![0u8; payload.len()];
+    assert_eq!(h.read_at(0, &mut buf).unwrap(), payload.len());
+    assert_eq!(buf, payload);
+    assert!(env.txns().current_timestamp() >= ts);
+    assert!(first_xid > xid, "the committer's XID {xid} was handed out again");
+    assert!(!clog.exists(), "no text commit log may be written");
+}
+
+/// An in-flight transaction's page reaches home through a flush, with no
+/// log record naming its XID, and the process dies: after recovery every
+/// new XID must exceed it, so a committed overwrite by a new transaction
+/// leaves its bytes invisible. 1,100 begin/abort pairs first carry the
+/// XIDs past one 1,024-XID limit block. With `checkpoint`, the kill
+/// comes after a checkpoint has moved the redo horizon past the last
+/// XID-limit record, so only the checkpoint's own batch restates it.
+fn inflight_xid_never_reused(checkpoint: bool) {
+    let tmp = tempfile::tempdir().unwrap();
+    let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
+    let seg = 64 * 1024u64;
+    let base = vec![0x11u8; 20_000];
+    let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
+    let store = LoStore::new(Arc::clone(&env));
+    let txn = env.begin();
+    let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
+    let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+    h.write_at(0, &base).unwrap();
+    h.close().unwrap();
+    txn.commit();
+    for _ in 0..1_100 {
+        env.begin().abort();
+    }
+    let x = env.begin();
+    assert!(x.xid().0 > 1_024, "the churn must cross a limit block");
+    let mut h = store.open(&x, id, OpenMode::ReadWrite).unwrap();
+    h.write_at(0, &[0xEE; 4096]).unwrap();
+    h.close().unwrap();
+    env.pool().flush_all().unwrap();
+    if checkpoint {
+        let before = env.wal().end_lsn();
+        env.checkpoint().unwrap();
+        let recs = pglo::wal::Wal::scan_records(live.join("wal"), seg).unwrap();
+        let last_limit = recs
+            .iter()
+            .rev()
+            .find(|r| r.kind == pglo::wal::KIND_XID_LIMIT && r.lsn < before)
+            .unwrap();
+        assert!(env.wal().redo_lsn() > last_limit.lsn, "the horizon must pass the limit record");
+    }
+    copy_dir(&live, &work); // kill: X never commits
+    let xid = x.xid();
+    drop(x);
+    drop(store);
+    drop(env);
+
+    let env = StorageEnv::open_with(&work, crash_opts()).unwrap();
+    let store = LoStore::new(Arc::clone(&env));
+    let t = env.begin();
+    assert!(t.xid() > xid, "{} reused: {xid} stamped a page at home", t.xid());
+    let mut h = store.open(&t, id, OpenMode::ReadWrite).unwrap();
+    h.write_at(10_000, &[0x22; 100]).unwrap();
+    h.close().unwrap();
+    t.commit();
+    let t = env.begin();
+    assert!(t.xid() > xid);
+    let mut h = store.open(&t, id, OpenMode::ReadOnly).unwrap();
+    let mut buf = vec![0u8; base.len()];
+    assert_eq!(h.read_at(0, &mut buf).unwrap(), base.len());
+    assert_eq!(buf[..4096], base[..4096], "the dead transaction's bytes came back");
+    assert_eq!(buf[10_000..10_100], [0x22; 100]);
+}
+
+#[test]
+fn inflight_xid_is_never_reused_after_crash() {
+    inflight_xid_never_reused(false);
+}
+
+#[test]
+fn inflight_xid_is_never_reused_after_checkpoint_and_crash() {
+    inflight_xid_never_reused(true);
+}
+
+/// A transaction that grows an object stamps its XID into the catalog as
+/// the size's writer, a write the log does not carry. The first
+/// transaction after a reopen is the first of a fresh XID block; it grows
+/// the object, closes it, and is killed uncommitted before it appends
+/// anything. After recovery no new XID may equal it, or the new
+/// transaction would trust the dead one's size as its own.
+#[test]
+fn catalog_stamped_xid_is_never_reused_after_crash() {
+    for spec in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)] {
+        let tmp = tempfile::tempdir().unwrap();
+        let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
+        let base = vec![0x11u8; 20_000];
+        let id = {
+            let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
+            let store = LoStore::new(Arc::clone(&env));
+            let txn = env.begin();
+            let id = store.create(&txn, &spec).unwrap();
+            let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+            h.write_at(0, &base).unwrap();
+            h.close().unwrap();
+            txn.commit();
+            env.pool().flush_all().unwrap();
+            env.checkpoint().unwrap();
+            id
+        };
+        let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
+        let store = LoStore::new(Arc::clone(&env));
+        let x = env.begin();
+        let mut h = store.open(&x, id, OpenMode::ReadWrite).unwrap();
+        h.write_at(base.len() as u64, &[0xEE; 5_000]).unwrap();
+        h.close().unwrap();
+        copy_dir(&live, &work); // kill: X never commits
+        let xid = x.xid();
+        drop(x);
+        drop(store);
+        drop(env);
+
+        let env = StorageEnv::open_with(&work, crash_opts()).unwrap();
+        let store = LoStore::new(Arc::clone(&env));
+        let t = env.begin();
+        assert!(t.xid() > xid, "{} reused: {xid} stamped the catalog", t.xid());
+        let mut h = store.open(&t, id, OpenMode::ReadOnly).unwrap();
+        assert_eq!(h.size().unwrap(), base.len() as u64, "the dead transaction's size came back");
+        let mut buf = vec![0u8; base.len()];
+        assert_eq!(h.read_at(0, &mut buf).unwrap(), base.len());
+        assert_eq!(buf, base);
     }
 }
 
@@ -363,11 +540,13 @@ fn staged_worm_blocks_pin_checkpoint_and_survive_crash() {
 }
 
 /// Append harmless records until the current log segment has exactly
-/// `tail` bytes left: 40-byte commits of empty transactions, 32-byte
-/// checkpoint records restating the redo horizon and, when the gap is 4
-/// mod 8, one 52-byte delta for a storage manager nobody registered
-/// (replay skips those).
+/// `tail` bytes left: 32-byte XID-limit records and 40-byte checkpoint
+/// records that say nothing new (replay keeps the highest limit, and the
+/// checkpoints restate the redo horizon) and, when the gap is 4 mod 8, one
+/// 52-byte delta for a storage manager nobody registered (replay skips
+/// those).
 fn pad_segment_to_tail(env: &StorageEnv, seg: u64, tail: u64) {
+    use pglo::wal::WalRecord::{WormBurn, XidLimit};
     let wal = env.wal();
     let gap = || (seg - tail).checked_sub(wal.end_lsn() % seg);
     while gap().is_none_or(|g| g < 200) {
@@ -383,12 +562,13 @@ fn pad_segment_to_tail(env: &StorageEnv, seg: u64, tail: u64) {
         wal.append_batch(&mut [rec]).unwrap();
         g -= 52;
     }
-    while g % 40 != 0 {
-        wal.append(&pglo::wal::WalRecord::Checkpoint { redo_lsn: wal.redo_lsn() }).unwrap();
-        g -= 32;
+    while g % 32 != 0 {
+        // A burn for an unregistered manager: 40 bytes, a no-op on replay.
+        wal.append(&WormBurn { smgr: 63, rel: 1 }).unwrap();
+        g -= 40;
     }
-    for _ in 0..g / 40 {
-        env.begin().commit();
+    for _ in 0..g / 32 {
+        wal.append(&XidLimit { limit: 0 }).unwrap();
     }
     wal.flush_all().unwrap();
     assert_eq!(wal.end_lsn() % seg, seg - tail, "padding must leave a {tail}-byte tail");
@@ -484,18 +664,22 @@ fn read_back(env: &Arc<StorageEnv>, model: &Model) -> Model {
     seen
 }
 
-/// The crash gate for the page-delta log: a seeded script of writes,
-/// commits, aborts, batch flushes, evictions through a small pool, WORM
-/// archiving and checkpoints, with a process kill after every step. Each
-/// kill copies the live data directory; the copy is reopened twice, and
-/// both reopens must read exactly the committed model (aborted and
-/// in-flight bytes invisible). Across the kills, every record kind must
-/// have been replayed, including deltas logged after pages were read
-/// back from home, whose baseline is the home copy.
+/// The crash gate for the redo log and the outcome table: a seeded script
+/// of writes, commits, aborts, runs of read-only transactions, batch
+/// flushes, evictions through a small pool, WORM archiving and
+/// checkpoints, with a process kill after every step, and for a
+/// checkpoint also in its middle (outcome table written, checkpoint
+/// record not). Each kill copies the live data directory; the copy is
+/// reopened twice, and both reopens must read exactly the committed model
+/// (aborted and in-flight bytes invisible) with the time-travel axis at
+/// or past the last acknowledged commit. Across the kills, every record
+/// kind must have been replayed, including deltas logged after pages
+/// were read back from home, whose baseline is the home copy.
 #[test]
 fn crash_after_every_step_recovers_committed_state() {
     let tmp = tempfile::tempdir().unwrap();
     let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
+    let pre_wal = tmp.path().join("pre_wal");
     let seg = 64 * 1024u64;
     let opts = || EnvOptions { pool_frames: 32, wal_segment_bytes: seg, ..Default::default() };
     let env = StorageEnv::open_with(&live, opts()).unwrap();
@@ -506,6 +690,8 @@ fn crash_after_every_step_recovers_committed_state() {
         (0..len as u64).map(|i| (b.wrapping_add(k.wrapping_mul(i)) >> 56) as u8).collect()
     };
     let mut model = Model::default();
+    // The last commit timestamp handed to a committer.
+    let mut last_ts;
     // A committed filler object twice the pool: reading it evicts
     // everything else.
     let filler = {
@@ -515,7 +701,7 @@ fn crash_after_every_step_recovers_committed_state() {
         let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
         h.write_at(0, &bytes).unwrap();
         h.close().unwrap();
-        txn.commit();
+        last_ts = txn.commit();
         model.objects.push((id, bytes));
         id
     };
@@ -526,9 +712,31 @@ fn crash_after_every_step_recovers_committed_state() {
     let mut home_baseline_from: Option<u64> = None;
     let mut replayed = std::collections::BTreeSet::new();
     let mut home_baseline_replayed = false;
+    // Reopen a killed copy twice: both must read the committed model.
+    let mut recover =
+        |dir: &std::path::Path, what: &str, model: &Model, last_ts, home_from: Option<u64>| {
+            let first = StorageEnv::open_with(dir, opts()).unwrap();
+            let (redo, end) = (first.wal().redo_lsn(), first.wal().end_lsn());
+            for r in pglo::wal::Wal::scan_records(dir.join("wal"), seg).unwrap() {
+                if r.lsn >= redo && r.lsn < end {
+                    replayed.insert(r.kind);
+                    let from_home = home_from.is_some_and(|h| redo <= h && h <= r.lsn);
+                    home_baseline_replayed |= r.kind == pglo::wal::KIND_PAGE_DELTA && from_home;
+                }
+            }
+            assert!(first.txns().current_timestamp() >= last_ts, "{what}: time travel went back");
+            let seen = read_back(&first, model);
+            assert_eq!(&seen, model, "{what}: first reopen lost committed state");
+            drop(first);
+            let second = StorageEnv::open_with(dir, opts()).unwrap();
+            assert!(second.txns().current_timestamp() >= last_ts, "{what}: time travel went back");
+            assert_eq!(read_back(&second, model), seen, "{what}: reopens disagree");
+        };
     let mut archives = 0;
-    for step in 0..80 {
-        let op = rng.below(12);
+    let mut middles = 0;
+    for step in 0..100 {
+        let op = rng.below(13);
+        let mut middle = false;
         let objects = model.objects.len();
         let what = match op {
             0..=3 if objects > 1 => {
@@ -551,7 +759,7 @@ fn crash_after_every_step_recovers_committed_state() {
             }
             4 if txn.is_some() => {
                 let (t, pending) = txn.take().unwrap();
-                t.commit();
+                last_ts = t.commit();
                 for (i, off, bytes) in pending {
                     model.objects[i].1[off..off + bytes.len()].copy_from_slice(&bytes);
                 }
@@ -577,7 +785,7 @@ fn crash_after_every_step_recovers_committed_state() {
                 let mut h = store.open(&t, model.objects[i].0, OpenMode::ReadWrite).unwrap();
                 h.write_at(end as u64, &bytes).unwrap();
                 h.close().unwrap();
-                t.commit();
+                last_ts = t.commit();
                 model.objects[i].1.extend_from_slice(&bytes);
                 evicted = false;
                 "grow"
@@ -597,7 +805,15 @@ fn crash_after_every_step_recovers_committed_state() {
                 "evict"
             }
             9 | 10 => {
+                // The pass's middle is its log from before it with every
+                // other file from after: the outcome table is written and
+                // the checkpoint record is not.
+                if pre_wal.exists() {
+                    std::fs::remove_dir_all(&pre_wal).unwrap();
+                }
+                copy_dir(&live.join("wal"), &pre_wal);
                 env.checkpoint().unwrap();
+                middle = true;
                 "checkpoint"
             }
             11 if txn.is_none() => {
@@ -611,10 +827,16 @@ fn crash_after_every_step_recovers_committed_state() {
                     heap.insert(&t, row).unwrap();
                 }
                 heap.flush().unwrap(); // logs the burn, then burns
-                t.commit();
+                last_ts = t.commit();
                 rows.sort();
                 model.archives.push((name, rows));
                 "archive"
+            }
+            12 => {
+                for _ in 0..300 {
+                    env.begin().abort();
+                }
+                "read-only churn"
             }
             _ => continue,
         };
@@ -623,26 +845,34 @@ fn crash_after_every_step_recovers_committed_state() {
             std::fs::remove_dir_all(&work).unwrap();
         }
         copy_dir(&live, &work);
-        let first = StorageEnv::open_with(&work, opts()).unwrap();
-        let (redo, end) = (first.wal().redo_lsn(), first.wal().end_lsn());
-        for r in pglo::wal::Wal::scan_records(work.join("wal"), seg).unwrap() {
-            if r.lsn >= redo && r.lsn < end {
-                replayed.insert(r.kind);
-                let from_home = home_baseline_from.is_some_and(|h| redo <= h && h <= r.lsn);
-                home_baseline_replayed |= r.kind == pglo::wal::KIND_PAGE_DELTA && from_home;
+        recover(&work, &format!("step {step} ({what})"), &model, last_ts, home_baseline_from);
+        if middle {
+            let last =
+                |wal: &std::path::Path| pglo::wal::Wal::scan_records(wal, seg).unwrap().pop();
+            let (pass, before) = (last(&live.join("wal")).unwrap(), last(&pre_wal));
+            // A pass that found the log idle appended nothing: no middle.
+            if before.is_none_or(|b| b.lsn < pass.lsn) {
+                assert_eq!(pass.kind, pglo::wal::KIND_CHECKPOINT, "the pass ends the log");
+                std::fs::remove_dir_all(&work).unwrap();
+                copy_dir(&live, &work);
+                std::fs::remove_dir_all(work.join("wal")).unwrap();
+                copy_dir(&pre_wal, &work.join("wal"));
+                let what = format!("step {step} (checkpoint middle)");
+                recover(&work, &what, &model, last_ts, home_baseline_from);
+                middles += 1;
             }
         }
-        let seen = read_back(&first, &model);
-        assert_eq!(seen, model, "step {step} ({what}): first reopen lost committed state");
-        drop(first);
-        let second = StorageEnv::open_with(&work, opts()).unwrap();
-        assert_eq!(read_back(&second, &model), seen, "step {step} ({what}): reopens disagree");
     }
-    use pglo::wal::{KIND_CHECKPOINT, KIND_COMMIT, KIND_PAGE_DELTA, KIND_WORM_BURN};
-    for kind in [KIND_PAGE_DELTA, KIND_COMMIT, KIND_WORM_BURN, KIND_CHECKPOINT] {
+    use pglo::wal::{
+        KIND_CHECKPOINT, KIND_COMMIT, KIND_PAGE_DELTA, KIND_WORM_BURN, KIND_XID_LIMIT,
+    };
+    for kind in [KIND_PAGE_DELTA, KIND_COMMIT, KIND_WORM_BURN, KIND_CHECKPOINT, KIND_XID_LIMIT] {
         assert!(replayed.contains(&kind), "no crash replayed a kind-{kind} record");
     }
     assert!(home_baseline_replayed, "no crash replayed a delta over pages read back from home");
+    assert!(middles > 0, "no checkpoint was killed in its middle");
+    let next = env.begin().xid().0;
+    assert!(next > 2 * 1024, "the script must cross two XID limit blocks, reached {next}");
     let live_log = pglo::wal::Wal::scan_records(live.join("wal"), seg).unwrap();
     assert!(live_log[0].lsn >= seg, "checkpoints must recycle the first segment");
 }
