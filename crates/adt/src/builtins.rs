@@ -37,17 +37,18 @@ pub mod image {
 
     /// Decode `(width, height)` from a header.
     pub fn dimensions(hdr: &[u8]) -> Result<(u32, u32)> {
-        if hdr.len() < 16 || &hdr[..4] != MAGIC {
-            return Err(AdtError::BadInput {
+        match hdr.first_chunk::<16>() {
+            Some(&[m0, m1, m2, m3, w0, w1, w2, w3, h0, h1, h2, h3, ..])
+                if [m0, m1, m2, m3] == *MAGIC =>
+            {
+                Ok((u32::from_le_bytes([w0, w1, w2, w3]), u32::from_le_bytes([h0, h1, h2, h3])))
+            }
+            _ => Err(AdtError::BadInput {
                 type_name: "image".into(),
                 text: String::new(),
                 reason: "not a PGIM image".into(),
-            });
+            }),
         }
-        Ok((
-            u32::from_le_bytes(hdr[4..8].try_into().expect("w")),
-            u32::from_le_bytes(hdr[8..12].try_into().expect("h")),
-        ))
     }
 
     /// Deterministic synthetic pixel: banded gradient (compressible, like

@@ -165,49 +165,29 @@ impl Datum {
 
     /// Decode one datum from `data`, returning it and the bytes consumed.
     pub fn decode(data: &[u8]) -> Result<(Datum, usize)> {
-        fn short() -> AdtError {
-            AdtError::BadInput {
-                type_name: "row".into(),
-                text: String::new(),
-                reason: "truncated datum".into(),
-            }
-        }
-        let tag = *data.first().ok_or_else(short)?;
-        let body = &data[1..];
-        let need = |n: usize| -> Result<&[u8]> {
-            if body.len() < n {
-                Err(short())
-            } else {
-                Ok(&body[..n])
-            }
-        };
+        let (&tag, body) = data.split_first().ok_or_else(truncated)?;
         Ok(match tag {
             0 => (Datum::Null, 1),
-            1 => (Datum::Bool(*need(1)?.first().unwrap() != 0), 2),
-            2 => (Datum::Int4(i32::from_le_bytes(need(4)?.try_into().unwrap())), 5),
-            3 => (Datum::Int8(i64::from_le_bytes(need(8)?.try_into().unwrap())), 9),
-            4 => (Datum::Float8(f64::from_le_bytes(need(8)?.try_into().unwrap())), 9),
+            1 => (Datum::Bool(need::<1>(body, 0)? != [0]), 2),
+            2 => (Datum::Int4(i32::from_le_bytes(need(body, 0)?)), 5),
+            3 => (Datum::Int8(i64::from_le_bytes(need(body, 0)?)), 9),
+            4 => (Datum::Float8(f64::from_le_bytes(need(body, 0)?)), 9),
             5 => {
-                let len = u32::from_le_bytes(need(4)?.try_into().unwrap()) as usize;
-                let bytes = &body.get(4..4 + len).ok_or_else(short)?;
-                let s = std::str::from_utf8(bytes).map_err(|_| short())?;
+                let len = u32::from_le_bytes(need(body, 0)?) as usize;
+                let s = text(body, 4, len)?;
                 (Datum::Text(s.to_string()), 5 + len)
             }
             6 => {
-                let b = need(16)?;
-                let g = |i: usize| i32::from_le_bytes(b[i * 4..i * 4 + 4].try_into().unwrap());
-                (Datum::Rect(Rect { x0: g(0), y0: g(1), x1: g(2), y1: g(3) }), 17)
+                let g = |i: usize| need(body, i * 4).map(i32::from_le_bytes);
+                (Datum::Rect(Rect { x0: g(0)?, y0: g(1)?, x1: g(2)?, y1: g(3)? }), 17)
             }
             7 => {
-                let idb = need(8)?;
-                let id = u64::from_le_bytes(idb.try_into().unwrap());
-                let len = u32::from_le_bytes(body.get(8..12).ok_or_else(short)?.try_into().unwrap())
-                    as usize;
-                let bytes = body.get(12..12 + len).ok_or_else(short)?;
-                let tname = std::str::from_utf8(bytes).map_err(|_| short())?;
+                let id = u64::from_le_bytes(need(body, 0)?);
+                let len = u32::from_le_bytes(need(body, 8)?) as usize;
+                let tname = text(body, 12, len)?;
                 (Datum::Large(LoRef { id: LoId(id), type_name: tname.to_string() }), 13 + len)
             }
-            _ => return Err(short()),
+            _ => return Err(truncated()),
         })
     }
 
@@ -255,6 +235,25 @@ impl Datum {
     }
 }
 
+fn truncated() -> AdtError {
+    AdtError::BadInput {
+        type_name: "row".into(),
+        text: String::new(),
+        reason: "truncated datum".into(),
+    }
+}
+
+/// The `N` bytes of a datum body at `at`, or a truncated-datum error.
+fn need<const N: usize>(body: &[u8], at: usize) -> Result<[u8; N]> {
+    body.get(at..).and_then(<[u8]>::first_chunk).copied().ok_or_else(truncated)
+}
+
+/// The `len` UTF-8 bytes of a datum body at `at`.
+fn text(body: &[u8], at: usize, len: usize) -> Result<&str> {
+    let bytes = body.get(at..).and_then(|b| b.get(..len)).ok_or_else(truncated)?;
+    std::str::from_utf8(bytes).map_err(|_| truncated())
+}
+
 /// Encode a row (sequence of datums).
 pub fn encode_row(row: &[Datum]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 * row.len());
@@ -267,14 +266,14 @@ pub fn encode_row(row: &[Datum]) -> Vec<u8> {
 
 /// Decode a row.
 pub fn decode_row(data: &[u8]) -> Result<Vec<Datum>> {
-    if data.len() < 2 {
+    let Some(header) = data.first_chunk::<2>() else {
         return Err(AdtError::BadInput {
             type_name: "row".into(),
             text: String::new(),
             reason: "truncated row header".into(),
         });
-    }
-    let n = u16::from_le_bytes(data[..2].try_into().unwrap()) as usize;
+    };
+    let n = u16::from_le_bytes(*header) as usize;
     let mut out = Vec::with_capacity(n);
     let mut pos = 2;
     for _ in 0..n {

@@ -25,6 +25,22 @@
 //! * [`builtins`] — the demonstration functions, including the paper's
 //!   `clip(EMP.picture, "0,0,20,20"::rect)`.
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 pub mod builtins;
 pub mod datum;
 pub mod exec;

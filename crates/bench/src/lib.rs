@@ -27,7 +27,7 @@ pub use workload::{ImplKind, Op};
 pub struct Rng(pub u64);
 
 impl Rng {
-    #[allow(clippy::should_implement_trait)]
+    #[expect(clippy::should_implement_trait, reason = "an endless generator, not an Iterator")]
     pub fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
         let mut z = self.0;

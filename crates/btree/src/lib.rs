@@ -21,6 +21,22 @@
 //! both directions. Deletion removes entries without rebalancing (empty
 //! pages persist; scans skip them) — the same lazy discipline POSTGRES used.
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 pub mod node;
 pub mod scan;
 
@@ -81,12 +97,12 @@ impl BTree {
         // Block 0: meta page. Block 1: empty root leaf.
         let (meta_block, meta) = self.env.pool().new_page(self.smgr, self.rel, |buf| {
             let mut page = Page::new(&mut buf[..]);
-            page.init(META_SPECIAL).expect("meta init");
+            page.init::<META_SPECIAL>();
         })?;
         debug_assert_eq!(meta_block, 0);
         let (root_block, _root) = self.env.pool().new_page(self.smgr, self.rel, |buf| {
             let mut page = Page::new(&mut buf[..]);
-            page.init(NODE_SPECIAL).expect("node init");
+            page.init::<NODE_SPECIAL>();
             NodeView::init_special(&mut page, 0, 0, 0);
         })?;
         debug_assert_eq!(root_block, 1);
@@ -237,7 +253,7 @@ impl BTree {
         let sep = right_entries[0].clone();
         let (new_block, new_pinned) = self.env.pool().new_page(self.smgr, self.rel, |buf| {
             let mut page = Page::new(&mut buf[..]);
-            page.init(NODE_SPECIAL).expect("node init");
+            page.init::<NODE_SPECIAL>();
             NodeView::init_special(&mut page, level, block, old_right);
         })?;
         new_pinned.with_write(|buf| {
@@ -280,7 +296,7 @@ impl BTree {
             let (root_block, root_pinned) =
                 self.env.pool().new_page(self.smgr, self.rel, |buf| {
                     let mut page = Page::new(&mut buf[..]);
-                    page.init(NODE_SPECIAL).expect("node init");
+                    page.init::<NODE_SPECIAL>();
                     NodeView::init_special(&mut page, level + 1, 0, 0);
                 })?;
             root_pinned.with_write(|buf| {
@@ -518,9 +534,9 @@ pub mod keys {
         out
     }
 
-    /// Decode the `u64` prefix of a key.
-    pub fn u64_prefix(key: &[u8]) -> u64 {
-        u64::from_be_bytes(key[..8].try_into().expect("u64 key prefix"))
+    /// Decode the `u64` prefix of a key; `None` if it is shorter than 8 bytes.
+    pub fn u64_prefix(key: &[u8]) -> Option<u64> {
+        key.first_chunk().copied().map(u64::from_be_bytes)
     }
 }
 

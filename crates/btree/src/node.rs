@@ -18,13 +18,21 @@ pub const META_SPECIAL: usize = 16;
 /// Special-area size of node pages.
 pub const NODE_SPECIAL: usize = 16;
 
+/// The first 16 bytes of a btree page's special space, which every page
+/// the tree initialises carries (meta and node pages alike).
+#[expect(
+    clippy::expect_used,
+    reason = "btree pages are initialised with META_SPECIAL or NODE_SPECIAL bytes of special space"
+)]
+fn special<B: AsRef<[u8]>>(page: &Page<B>) -> &[u8; 16] {
+    const { assert!(META_SPECIAL >= 16 && NODE_SPECIAL >= 16) };
+    page.special().first_chunk().expect("btree page special space")
+}
+
 /// Read `(root block, height)` from the meta page.
 pub fn meta_get<B: AsRef<[u8]>>(page: &Page<B>) -> (u32, u32) {
-    let sp = page.special();
-    (
-        u32::from_le_bytes(sp[0..4].try_into().expect("meta root")),
-        u32::from_le_bytes(sp[4..8].try_into().expect("meta height")),
-    )
+    let &[r0, r1, r2, r3, h0, h1, h2, h3, ..] = special(page);
+    (u32::from_le_bytes([r0, r1, r2, r3]), u32::from_le_bytes([h0, h1, h2, h3]))
 }
 
 /// Write `(root block, height)` to the meta page.
@@ -35,13 +43,17 @@ pub fn meta_set<B: AsRef<[u8]> + AsMut<[u8]>>(page: &mut Page<B>, root: u32, hei
 }
 
 /// Borrow `((key, tid), child)` out of a stored entry: the pair entries
-/// sort by, and the child block (0 in leaves).
-fn split_entry(data: &[u8], is_leaf: bool) -> ((&[u8], Tid), u32) {
-    let (klen, rest) = data.split_at(2);
-    let (key, rest) = rest.split_at(u16::from_le_bytes([klen[0], klen[1]]) as usize);
-    let tid = Tid::from_bytes(rest).expect("entry tid");
-    let child = if is_leaf { 0 } else { u32::from_le_bytes([rest[6], rest[7], rest[8], rest[9]]) };
-    ((key, tid), child)
+/// sort by, and the child block (0 in leaves). `None` if it is cut short.
+fn split_entry(data: &[u8], is_leaf: bool) -> Option<((&[u8], Tid), u32)> {
+    let (klen, rest) = data.split_first_chunk::<2>()?;
+    let (key, rest) = rest.split_at_checked(u16::from_le_bytes(*klen) as usize)?;
+    let tid = Tid::from_bytes(rest)?;
+    let child = match rest.get(6..).and_then(<[u8]>::first_chunk) {
+        _ if is_leaf => 0,
+        Some(&child) => u32::from_le_bytes(child),
+        None => return None,
+    };
+    Some(((key, tid), child))
 }
 
 /// A decoded node entry.
@@ -68,12 +80,6 @@ impl NodeEntry {
         out
     }
 
-    /// Decode a stored entry into an owned one (splits rewrite whole nodes).
-    pub fn decode(data: &[u8], is_leaf: bool) -> NodeEntry {
-        let ((key, tid), child) = split_entry(data, is_leaf);
-        NodeEntry { key: key.to_vec(), tid, child }
-    }
-
     /// Compare this entry's `(key, tid)` against a probe.
     pub fn cmp_key(&self, key: &[u8], tid: Tid) -> Ordering {
         self.key.as_slice().cmp(key).then_with(|| self.tid.cmp(&tid))
@@ -93,7 +99,8 @@ impl<'a, B: AsRef<[u8]>> NodeView<'a, B> {
 
     /// Node level: 0 is a leaf.
     pub fn level(&self) -> u16 {
-        u16::from_le_bytes(self.page.special()[0..2].try_into().expect("level"))
+        let &[l0, l1, ..] = special(self.page);
+        u16::from_le_bytes([l0, l1])
     }
 
     /// Whether this node is a leaf.
@@ -103,7 +110,8 @@ impl<'a, B: AsRef<[u8]>> NodeView<'a, B> {
 
     /// Right sibling block (0 = none).
     pub fn right(&self) -> u32 {
-        u32::from_le_bytes(self.page.special()[8..12].try_into().expect("right"))
+        let &[_, _, _, _, _, _, _, _, r0, r1, r2, r3, ..] = special(self.page);
+        u32::from_le_bytes([r0, r1, r2, r3])
     }
 
     /// Number of entries in the node.
@@ -114,15 +122,19 @@ impl<'a, B: AsRef<[u8]>> NodeView<'a, B> {
     /// Entry `idx` as `((key, tid), child)`, the key borrowed from the
     /// page: searches compare in place and copy nothing. Panics on
     /// out-of-range (internal invariant).
+    #[expect(clippy::expect_used, reason = "node entries are dense, well-formed Normal items")]
     pub fn entry_ref(&self, idx: usize) -> ((&'a [u8], Tid), u32) {
-        let item = self.page.item(idx as u16).expect("node entries are dense Normal items");
-        split_entry(item, self.is_leaf())
+        let item = self.page.item(idx as u16);
+        item.and_then(|item| split_entry(item, self.is_leaf())).expect("node entry")
     }
 
     /// All entries in order, owned.
     pub fn all_entries(&self) -> Vec<NodeEntry> {
-        let leaf = self.is_leaf();
-        self.page.items().map(|(_, _, item)| NodeEntry::decode(item, leaf)).collect()
+        let entry = |idx| {
+            let ((key, tid), child) = self.entry_ref(idx);
+            NodeEntry { key: key.to_vec(), tid, child }
+        };
+        (0..self.count()).map(entry).collect()
     }
 
     /// First index whose entry sorts at or after `(key, tid)`.
@@ -188,12 +200,12 @@ mod tests {
     #[test]
     fn entry_roundtrip_leaf_and_internal() {
         let e = NodeEntry { key: b"hello".to_vec(), tid: Tid::new(3, 4), child: 77 };
-        let leaf = NodeEntry::decode(&e.encode(true), true);
-        assert_eq!(leaf.key, e.key);
-        assert_eq!(leaf.tid, e.tid);
-        assert_eq!(leaf.child, 0);
-        let internal = NodeEntry::decode(&e.encode(false), false);
-        assert_eq!(internal.child, 77);
+        let leaf = e.encode(true);
+        assert_eq!(split_entry(&leaf, true), Some(((&e.key[..], e.tid), 0)));
+        let internal = e.encode(false);
+        assert_eq!(split_entry(&internal, false).unwrap().1, 77);
+        assert_eq!(split_entry(&leaf[..leaf.len() - 1], true), None, "a cut tid");
+        assert_eq!(split_entry(&leaf, false), None, "a leaf entry has no child");
     }
 
     #[test]
@@ -210,7 +222,7 @@ mod tests {
     fn special_area_roundtrip() {
         let mut buf = alloc_page();
         let mut page = Page::new(&mut buf[..]);
-        page.init(NODE_SPECIAL).unwrap();
+        page.init::<NODE_SPECIAL>();
         NodeView::<&mut [u8]>::init_special(&mut page, 2, 5, 9);
         {
             let ro = Page::new(&buf[..]);
@@ -237,7 +249,7 @@ mod tests {
     fn meta_roundtrip() {
         let mut buf = alloc_page();
         let mut page = Page::new(&mut buf[..]);
-        page.init(META_SPECIAL).unwrap();
+        page.init::<META_SPECIAL>();
         meta_set(&mut page, 17, 3);
         let ro = Page::new(&buf[..]);
         assert_eq!(meta_get(&ro), (17, 3));
@@ -247,7 +259,7 @@ mod tests {
     fn binary_search_positions() {
         let mut buf = alloc_page();
         let mut page = Page::new(&mut buf[..]);
-        page.init(NODE_SPECIAL).unwrap();
+        page.init::<NODE_SPECIAL>();
         NodeView::<&mut [u8]>::init_special(&mut page, 0, 0, 0);
         for (i, k) in [b"aa", b"cc", b"ee"].iter().enumerate() {
             let e = NodeEntry { key: k.to_vec(), tid: Tid::new(0, i as u16), child: 0 };

@@ -66,7 +66,7 @@ fn splits_preserve_order_large() {
         if let Some(p) = &prev {
             assert!(p < &k, "scan out of order at entry {count}");
         }
-        assert_eq!(u64_prefix(&k), count);
+        assert_eq!(u64_prefix(&k).unwrap(), count);
         assert_eq!(t, tid(count));
         prev = Some(k);
         count += 1;
@@ -253,10 +253,10 @@ fn scan_at_or_after_positions_correctly() {
     }
     // Exact hit.
     let mut scan = tree.scan(ScanStart::AtOrAfter(u64_key(500).to_vec())).unwrap();
-    assert_eq!(u64_prefix(&scan.next_entry().unwrap().unwrap().0), 500);
+    assert_eq!(u64_prefix(&scan.next_entry().unwrap().unwrap().0).unwrap(), 500);
     // Between keys: next larger.
     let mut scan = tree.scan(ScanStart::AtOrAfter(u64_key(505).to_vec())).unwrap();
-    assert_eq!(u64_prefix(&scan.next_entry().unwrap().unwrap().0), 510);
+    assert_eq!(u64_prefix(&scan.next_entry().unwrap().unwrap().0).unwrap(), 510);
     // Past the end.
     let mut scan = tree.scan(ScanStart::AtOrAfter(u64_key(10_000).to_vec())).unwrap();
     assert!(scan.next_entry().unwrap().is_none());
@@ -275,7 +275,7 @@ fn composite_keys_scan_in_component_order() {
     let mut scan = tree.scan(ScanStart::AtOrAfter(u64_pair_key(2, 0).to_vec())).unwrap();
     let mut n = 0;
     while let Some((k, _)) = scan.next_entry().unwrap() {
-        if u64_prefix(&k) != 2 {
+        if u64_prefix(&k).unwrap() != 2 {
             break;
         }
         n += 1;
@@ -412,7 +412,7 @@ fn mass_deletion_leaves_scannable_tree() {
     let mut scan = tree.scan(ScanStart::First).unwrap();
     let mut got = Vec::new();
     while let Some((k, _)) = scan.next_entry().unwrap() {
-        got.push(u64_prefix(&k));
+        got.push(u64_prefix(&k).unwrap());
     }
     assert_eq!(got, (0..2000).step_by(100).collect::<Vec<u64>>());
     // Reinserting into the hollowed tree reuses the structure.

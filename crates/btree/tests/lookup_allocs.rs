@@ -29,20 +29,20 @@ fn count() {
 // upholds the `GlobalAlloc` contract; counting touches only a thread-local
 // `Cell<u64>` with a const initialiser, so it never allocates itself.
 unsafe impl GlobalAlloc for Counting {
-    // SAFETY: the caller's contract is `System.alloc`'s, passed through.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        // SAFETY: the caller's contract is `System.alloc`'s, passed through.
         unsafe { System.alloc(layout) }
     }
 
-    // SAFETY: `ptr` came from `System` with this `layout`, passed through.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`, passed through.
         unsafe { System.dealloc(ptr, layout) }
     }
 
-    // SAFETY: as for `dealloc`; `new_size` is the caller's, passed through.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

@@ -37,6 +37,22 @@
 //! writer takes frame locks only (`try_read`/`try_write`, skipping
 //! pinned or contended frames), never the table lock.
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use parking_lot::{ranks, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use pglo_pages::{PageBuf, PAGE_SIZE};
@@ -374,6 +390,12 @@ pub struct PinnedPage<'a> {
     pool: &'a BufferPool,
     idx: usize,
 }
+
+// The pin is released by `Drop` alone, so a pin without one would wedge
+// eviction forever. Its fields need no drop, so this holds exactly while
+// `impl Drop for PinnedPage` exists; clippy's `mem_forget` keeps the
+// other way of skipping it out.
+const _: () = assert!(std::mem::needs_drop::<PinnedPage<'static>>());
 
 impl PinnedPage<'_> {
     /// Shared access to the page image.

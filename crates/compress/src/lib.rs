@@ -20,6 +20,22 @@
 //! around each call — just-in-time (de)compression (§3) then shows up in
 //! elapsed time exactly where the paper says it should.
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 pub mod lz77;
 pub mod rle;
 pub mod synth;

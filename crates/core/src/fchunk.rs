@@ -106,7 +106,7 @@ pub struct FChunkBackend {
 }
 
 impl FChunkBackend {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one constructor wires every piece of a backend")]
     pub(crate) fn new(
         env: Arc<StorageEnv>,
         id: LoId,
@@ -160,7 +160,8 @@ impl FChunkBackend {
             &self.vis,
             hint,
             |key, _, payload| {
-                let seq = u64_prefix(key);
+                let short_key = || LoError::Meta(format!("{}: chunk index key too short", self.id));
+                let seq = u64_prefix(key).ok_or_else(short_key)?;
                 let (stored_seq, flag, bytes) = decode_chunk(payload)?;
                 if stored_seq != seq {
                     return Err(LoError::Meta(format!(
@@ -248,9 +249,9 @@ impl FChunkBackend {
     /// overwrite is about to replace every byte anyway). The chunk it
     /// replaces is written back as `txn` first, before any walk, never
     /// under the index latch.
-    fn load_chunk(&mut self, txn: &Txn, seq: u64, skip_fetch: bool) -> Result<()> {
-        if self.cache.as_ref().is_some_and(|c| c.seq == seq) {
-            return Ok(());
+    fn load_chunk(&mut self, txn: &Txn, seq: u64, skip_fetch: bool) -> Result<&mut ChunkCache> {
+        if let Some(cached) = self.cache.take_if(|c| c.seq == seq) {
+            return Ok(self.cache.insert(cached));
         }
         let hint = self.run_hint(seq);
         self.write_back(Some(txn))?;
@@ -262,8 +263,7 @@ impl FChunkBackend {
                 Ok(())
             })?;
         }
-        self.cache = Some(ChunkCache { seq, data, dirty: false });
-        Ok(())
+        Ok(self.cache.insert(ChunkCache { seq, data, dirty: false }))
     }
 
     /// Recompute the logical size from visible chunks — used for
@@ -358,8 +358,7 @@ impl LoBackend for FChunkBackend {
             // current end of object.
             let chunk_start = seq * self.chunk_size as u64;
             let skip_fetch = within == 0 && (span == self.chunk_size || chunk_start >= self.size);
-            self.load_chunk(txn, seq, skip_fetch)?;
-            let cache = self.cache.as_mut().expect("chunk just loaded");
+            let cache = self.load_chunk(txn, seq, skip_fetch)?;
             if cache.data.len() < within + span {
                 cache.data.resize(within + span, 0);
             }

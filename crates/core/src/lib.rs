@@ -28,6 +28,22 @@
 //! descriptor. Temporary large objects (§5) are registered per query and
 //! garbage-collected when it completes.
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 pub mod cursor;
 pub mod fchunk;
 pub mod handle;

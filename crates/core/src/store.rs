@@ -522,18 +522,36 @@ impl LoStore {
         let mut ids = self.temps.drain().into_iter();
         let mut n = 0;
         while let Some(id) = ids.next() {
-            // A temp may already have been unlinked explicitly.
-            match self.unlink(id) {
-                Ok(()) | Err(LoError::NotFound(_)) => n += 1,
-                Err(e) => {
-                    // The caller hears about this one; the rest of the
-                    // batch stays tracked for the next sweep.
-                    ids.for_each(|id| self.temps.register(id));
-                    return Err(e);
-                }
+            if let Err(e) = self.reclaim(id) {
+                // The caller hears about this one; it and the rest of
+                // the batch stay tracked for the next sweep.
+                self.temps.register(id);
+                ids.for_each(|id| self.temps.register(id));
+                return Err(e);
             }
+            n += 1;
         }
         Ok(n)
+    }
+
+    /// Reclaim one temporary: `Ok(false)` if `id` is not one (it was
+    /// promoted, or a sweep already took it). A failed unlink leaves it
+    /// tracked, for the next sweep to retry.
+    pub fn gc_temp(&self, id: LoId) -> Result<bool> {
+        if !self.temps.unregister(id) {
+            return Ok(false);
+        }
+        self.reclaim(id).inspect_err(|_| self.temps.register(id))?;
+        Ok(true)
+    }
+
+    /// Unlink a temporary the registry no longer tracks. One somebody
+    /// already unlinked explicitly counts as reclaimed.
+    fn reclaim(&self, id: LoId) -> Result<()> {
+        match self.unlink(id) {
+            Ok(()) | Err(LoError::NotFound(_)) => Ok(()),
+            Err(e) => Err(e),
+        }
     }
 
     /// Number of live temporaries (testing/diagnostics).

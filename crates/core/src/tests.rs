@@ -373,7 +373,7 @@ fn gc_temps_reports_a_failed_unlink_and_keeps_the_rest() {
     env.catalog().drop_class(&crate::meta::lo_class_name(dropped)).unwrap();
     assert_eq!(store.gc_temps().unwrap(), 1, "class already gone: nothing left to do");
 
-    store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
+    let stuck = store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
     let fine = store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
     txn.commit();
     // Nothing can be written where `catalog.json` stages its next
@@ -386,8 +386,9 @@ fn gc_temps_reports_a_failed_unlink_and_keeps_the_rest() {
         "a failed catalog install must surface: {err}"
     );
     std::fs::remove_dir(&staging).unwrap();
-    assert_eq!(store.temp_count(), 1, "the temp behind the failure is still tracked");
-    assert_eq!(store.gc_temps().unwrap(), 1);
+    assert_eq!(store.temp_count(), 2, "the temp behind the failure is still tracked");
+    assert_eq!(store.gc_temps().unwrap(), 2);
+    assert!(matches!(store.meta(stuck), Err(LoError::NotFound(_))));
     assert!(matches!(store.meta(fine), Err(LoError::NotFound(_))));
 }
 

@@ -61,16 +61,19 @@ impl SegRecord {
     }
 
     fn decode(data: &[u8]) -> Result<SegRecord> {
-        if data.len() < SEG_RECORD_LEN {
-            return Err(LoError::Meta("segment-index record too short".into()));
+        fn bytes<const N: usize>(data: &[u8], at: usize) -> Result<[u8; N]> {
+            let short = || LoError::Meta("segment-index record too short".into());
+            data.get(at..).and_then(<[u8]>::first_chunk).copied().ok_or_else(short)
         }
+        let u64_at = |at| bytes(data, at).map(u64::from_le_bytes);
+        let u32_at = |at| bytes(data, at).map(u32::from_le_bytes);
         Ok(SegRecord {
-            locn: u64::from_le_bytes(data[0..8].try_into().expect("locn")),
-            len: u32::from_le_bytes(data[8..12].try_into().expect("len")),
-            clen: u32::from_le_bytes(data[12..16].try_into().expect("clen")),
-            ptr: u64::from_le_bytes(data[16..24].try_into().expect("ptr")),
-            seq: u64::from_le_bytes(data[24..32].try_into().expect("seq")),
-            flag: data[32],
+            locn: u64_at(0)?,
+            len: u32_at(8)?,
+            clen: u32_at(12)?,
+            ptr: u64_at(16)?,
+            seq: u64_at(24)?,
+            flag: bytes::<1>(data, 32)?[0],
         })
     }
 
@@ -105,7 +108,6 @@ pub struct VSegBackend {
 }
 
 impl VSegBackend {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         env: Arc<StorageEnv>,
         seg_heap: Heap,
@@ -148,7 +150,8 @@ impl VSegBackend {
         let mut scan = self.seg_index.scan(ScanStart::AtOrAfter(u64_key(probe).to_vec()))?;
         let mut found = Vec::new();
         while let Some((key, tid)) = scan.next_entry()? {
-            if u64_prefix(&key) >= to {
+            let short_key = || LoError::Meta("segment index key too short".into());
+            if u64_prefix(&key).ok_or_else(short_key)? >= to {
                 break;
             }
             if let Some(payload) = self.seg_heap.fetch(tid, &self.vis)? {

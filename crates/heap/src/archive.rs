@@ -37,13 +37,15 @@ fn encode_archived(tmin_ts: u64, tmax_ts: u64, payload: &[u8]) -> Vec<u8> {
 }
 
 fn decode_archived(data: &[u8]) -> Result<ArchivedVersion> {
-    if data.len() < ARCHIVE_HDR {
+    let Some((&[t0, t1, t2, t3, t4, t5, t6, t7, m0, m1, m2, m3, m4, m5, m6, m7], payload)) =
+        data.split_first_chunk::<ARCHIVE_HDR>()
+    else {
         return Err(HeapError::Catalog("archive record shorter than its header".into()));
-    }
+    };
     Ok(ArchivedVersion {
-        tmin_ts: u64::from_le_bytes(data[0..8].try_into().expect("tmin_ts")),
-        tmax_ts: u64::from_le_bytes(data[8..16].try_into().expect("tmax_ts")),
-        payload: data[ARCHIVE_HDR..].to_vec(),
+        tmin_ts: u64::from_le_bytes([t0, t1, t2, t3, t4, t5, t6, t7]),
+        tmax_ts: u64::from_le_bytes([m0, m1, m2, m3, m4, m5, m6, m7]),
+        payload: payload.to_vec(),
     })
 }
 

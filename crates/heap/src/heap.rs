@@ -172,7 +172,7 @@ impl Heap {
         // one of them may fill it first; then extend again.
         loop {
             let (block, pinned) = self.env.pool().new_page(self.smgr, self.rel, |buf| {
-                Page::new(&mut buf[..]).init(0).expect("init fresh heap page");
+                Page::new(&mut buf[..]).init::<0>();
             })?;
             if let Some(slot) = pinned.with_write(|buf| Page::new(&mut buf[..]).add_item(&img)) {
                 self.insert_hint.store(block, Ordering::Relaxed);
@@ -242,10 +242,7 @@ impl Heap {
         Ok(pinned.with_read(|buf| {
             let page = Page::new(&buf[..]);
             let item = page.item(tid.slot)?;
-            if item.len() < TUPLE_HEADER_SIZE {
-                return None;
-            }
-            let hdr = TupleHeader::decode(item);
+            let hdr = TupleHeader::decode(item)?;
             tuple_visible(hdr.xmin, hdr.xmax, vis, self.env.txns())
                 .then(|| f(hdr, tuple_payload(item)))
         }))
@@ -265,10 +262,7 @@ impl Heap {
         pinned.with_write(|buf| {
             let mut page = Page::new(&mut buf[..]);
             let item = page.item_mut(tid.slot).ok_or(HeapError::TupleNotFound { tid })?;
-            if item.len() < TUPLE_HEADER_SIZE {
-                return Err(HeapError::TupleNotFound { tid });
-            }
-            let hdr = TupleHeader::decode(item);
+            let hdr = TupleHeader::decode(item).ok_or(HeapError::TupleNotFound { tid })?;
             if hdr.xmax.is_valid() {
                 match self.env.txns().status(hdr.xmax) {
                     TxnStatus::Aborted => {} // stale stamp; safe to replace
@@ -347,10 +341,7 @@ impl Heap {
             let dead: Vec<(u16, Vec<u8>)> = pinned.with_read(|buf| {
                 let page = Page::new(&buf[..]);
                 let doomed = page.items().filter(|(_, _, item)| {
-                    if item.len() < TUPLE_HEADER_SIZE {
-                        return false;
-                    }
-                    let hdr = TupleHeader::decode(item);
+                    let Some(hdr) = TupleHeader::decode(item) else { return false };
                     let aborted_insert = tm.status(hdr.xmin) == TxnStatus::Aborted;
                     let deleted_before_horizon = hdr.xmax.is_valid()
                         && matches!(tm.commit_ts(hdr.xmax), Some(ts) if ts <= horizon);
@@ -443,13 +434,10 @@ impl Iterator for HeapScan<'_> {
                 page.items()
                     .filter_map(|(slot, flag, item)| {
                         sim.charge_cpu(SCAN_CPU_INSTR);
-                        if item.len() < TUPLE_HEADER_SIZE {
-                            return None;
-                        }
+                        let hdr = TupleHeader::decode(item)?;
                         if flag == ItemFlag::Dead && !matches!(vis, Visibility::Raw) {
                             return None;
                         }
-                        let hdr = TupleHeader::decode(item);
                         if tuple_visible(hdr.xmin, hdr.xmax, vis, tm) {
                             Some((Tid::new(block, slot), tuple_payload(item).to_vec()))
                         } else {

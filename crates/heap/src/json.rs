@@ -7,7 +7,7 @@
 //! seed's `CatalogData` (pretty-printed, two-space indent).
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,7 +159,8 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("invalid utf-8"))?;
         text.parse().map(Value::Num).map_err(|_| self.err(format!("bad number {text:?}")))
     }
 
@@ -228,7 +229,9 @@ impl Parser<'_> {
                     // Copy one UTF-8 scalar, however many bytes it spans.
                     let rest = std::str::from_utf8(&self.bytes[self.pos..])
                         .map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = rest.chars().next().unwrap();
+                    let Some(ch) = rest.chars().next() else {
+                        return Err(self.err("unterminated string"));
+                    };
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -290,90 +293,75 @@ impl Parser<'_> {
 
 /// Serialize pretty-printed (two-space indent, serde_json-compatible).
 pub fn to_string_pretty(v: &Value) -> String {
-    let mut out = String::new();
-    write_value(&mut out, v, 0);
-    out
+    Pretty(v).to_string()
 }
 
-fn write_value(out: &mut String, v: &Value, indent: usize) {
+/// [`to_string_pretty`]'s writer: formatting errors propagate instead
+/// of being dropped at each write.
+struct Pretty<'a>(&'a Value);
+
+impl fmt::Display for Pretty<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_value(f, self.0, 0)
+    }
+}
+
+fn write_value(out: &mut fmt::Formatter<'_>, v: &Value, indent: usize) -> fmt::Result {
     match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Value::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                let _ = write!(out, "{}", *n as i64);
-            } else {
-                let _ = write!(out, "{n}");
-            }
-        }
+        Value::Null => out.write_str("null"),
+        Value::Bool(b) => write!(out, "{b}"),
+        Value::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => write!(out, "{}", *n as i64),
+        Value::Num(n) => write!(out, "{n}"),
         Value::Str(s) => write_string(out, s),
+        Value::Arr(items) if items.is_empty() => out.write_str("[]"),
         Value::Arr(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
+            out.write_char('[')?;
             for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('\n');
-                push_indent(out, indent + 1);
-                write_value(out, item, indent + 1);
+                out.write_str(if i > 0 { ",\n" } else { "\n" })?;
+                push_indent(out, indent + 1)?;
+                write_value(out, item, indent + 1)?;
             }
-            out.push('\n');
-            push_indent(out, indent);
-            out.push(']');
+            out.write_char('\n')?;
+            push_indent(out, indent)?;
+            out.write_char(']')
         }
+        Value::Obj(members) if members.is_empty() => out.write_str("{}"),
         Value::Obj(members) => {
-            if members.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
+            out.write_char('{')?;
             for (i, (k, val)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('\n');
-                push_indent(out, indent + 1);
-                write_string(out, k);
-                out.push_str(": ");
-                write_value(out, val, indent + 1);
+                out.write_str(if i > 0 { ",\n" } else { "\n" })?;
+                push_indent(out, indent + 1)?;
+                write_string(out, k)?;
+                out.write_str(": ")?;
+                write_value(out, val, indent + 1)?;
             }
-            out.push('\n');
-            push_indent(out, indent);
-            out.push('}');
+            out.write_char('\n')?;
+            push_indent(out, indent)?;
+            out.write_char('}')
         }
     }
 }
 
-fn push_indent(out: &mut String, levels: usize) {
-    for _ in 0..levels {
-        out.push_str("  ");
-    }
+fn push_indent(out: &mut fmt::Formatter<'_>, levels: usize) -> fmt::Result {
+    (0..levels).try_for_each(|_| out.write_str("  "))
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
+fn write_string(out: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for ch in s.chars() {
         match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+            '"' => out.write_str("\\\""),
+            '\\' => out.write_str("\\\\"),
+            '\n' => out.write_str("\\n"),
+            '\r' => out.write_str("\\r"),
+            '\t' => out.write_str("\\t"),
+            '\u{8}' => out.write_str("\\b"),
+            '\u{c}' => out.write_str("\\f"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32),
+            c => out.write_char(c),
+        }?;
     }
-    out.push('"');
+    out.write_char('"')
 }
 
 #[cfg(test)]

@@ -34,13 +34,16 @@ impl TupleHeader {
         out[10..12].fill(0);
     }
 
-    /// Decode from a stored tuple image.
-    pub fn decode(data: &[u8]) -> Self {
-        Self {
-            xmin: Xid(u32::from_le_bytes(data[0..4].try_into().expect("header"))),
-            xmax: Xid(u32::from_le_bytes(data[4..8].try_into().expect("header"))),
-            flags: u16::from_le_bytes(data[8..10].try_into().expect("header")),
-        }
+    /// Decode from a stored tuple image; `None` if it is shorter than
+    /// [`TUPLE_HEADER_SIZE`].
+    pub fn decode(data: &[u8]) -> Option<Self> {
+        let &[x0, x1, x2, x3, m0, m1, m2, m3, f0, f1, ..] =
+            data.first_chunk::<TUPLE_HEADER_SIZE>()?;
+        Some(Self {
+            xmin: Xid(u32::from_le_bytes([x0, x1, x2, x3])),
+            xmax: Xid(u32::from_le_bytes([m0, m1, m2, m3])),
+            flags: u16::from_le_bytes([f0, f1]),
+        })
     }
 
     /// Stamp a new `xmax` directly into a stored tuple image.
@@ -70,7 +73,7 @@ mod tests {
     fn encode_decode_roundtrip() {
         let h = TupleHeader { xmin: Xid(7), xmax: Xid(9), flags: 3 };
         let img = h.materialize(b"payload");
-        assert_eq!(TupleHeader::decode(&img), h);
+        assert_eq!(TupleHeader::decode(&img).unwrap(), h);
         assert_eq!(tuple_payload(&img), b"payload");
         assert_eq!(img.len(), TUPLE_HEADER_SIZE + 7);
     }
@@ -79,9 +82,9 @@ mod tests {
     fn stamp_xmax_in_place() {
         let h = TupleHeader::new(Xid(5));
         let mut img = h.materialize(b"x");
-        assert_eq!(TupleHeader::decode(&img).xmax, Xid::INVALID);
+        assert_eq!(TupleHeader::decode(&img).unwrap().xmax, Xid::INVALID);
         TupleHeader::stamp_xmax(&mut img, Xid(11));
-        let h2 = TupleHeader::decode(&img);
+        let h2 = TupleHeader::decode(&img).unwrap();
         assert_eq!(h2.xmax, Xid(11));
         assert_eq!(h2.xmin, Xid(5), "xmin untouched");
         assert_eq!(tuple_payload(&img), b"x", "payload untouched");

@@ -293,7 +293,8 @@ impl InversionFs {
     }
 
     fn resolve_parts(&self, vis: &Visibility, parts: &[&str], full: &str) -> Result<u64> {
-        Ok(*self.resolve_chain(vis, parts, full)?.last().expect("chain includes root"))
+        let chain = self.resolve_chain(vis, parts, full)?;
+        chain.last().copied().ok_or_else(|| InvError::NotFound(full.to_string()))
     }
 
     /// Resolve a directory path, returning every file id on the way down
@@ -515,7 +516,7 @@ impl InversionFs {
             .ok_or_else(|| InvError::NotFound(from.to_string()))?;
         let (to_parent_parts, to_name) = split_parent(to)?;
         let to_chain = self.resolve_chain(&vis, &to_parent_parts, to)?;
-        let to_parent = *to_chain.last().expect("chain includes root");
+        let to_parent = *to_chain.last().ok_or_else(|| InvError::NotFound(to.to_string()))?;
         if self.dir_lookup(&vis, to_parent, to_name)?.is_some() {
             return Err(InvError::Exists(to.to_string()));
         }
@@ -611,49 +612,52 @@ pub struct InvFile<'a> {
 }
 
 impl<'a> InvFile<'a> {
-    fn h(&mut self) -> &mut LoHandle<'a> {
-        self.handle.as_mut().expect("file is open")
+    /// The open handle: `None` only inside [`InvFile::finish`] and after.
+    fn h(&mut self) -> Result<&mut LoHandle<'a>> {
+        self.handle
+            .as_mut()
+            .ok_or(InvError::Lo(pglo_core::LoError::Unsupported("file already closed")))
     }
 
     /// Read at the seek pointer.
     pub fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
         let _span = obs::span!("inv.read");
-        Ok(self.h().read(buf)?)
+        Ok(self.h()?.read(buf)?)
     }
 
     /// Write at the seek pointer.
     pub fn write(&mut self, data: &[u8]) -> Result<()> {
         let _span = obs::span!("inv.write");
         self.wrote = true;
-        Ok(self.h().write(data)?)
+        Ok(self.h()?.write(data)?)
     }
 
     /// Read at an explicit offset without moving the seek pointer.
     pub fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize> {
         let _span = obs::span!("inv.read_at");
-        Ok(self.h().read_at(offset, buf)?)
+        Ok(self.h()?.read_at(offset, buf)?)
     }
 
     /// Write at an explicit offset without moving the seek pointer.
     pub fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<()> {
         let _span = obs::span!("inv.write_at");
         self.wrote = true;
-        Ok(self.h().write_at(offset, data)?)
+        Ok(self.h()?.write_at(offset, data)?)
     }
 
     /// Move the seek pointer.
     pub fn seek(&mut self, from: std::io::SeekFrom) -> Result<u64> {
-        Ok(self.h().seek(from)?)
+        Ok(self.h()?.seek(from)?)
     }
 
     /// Current file size in bytes.
     pub fn size(&mut self) -> Result<u64> {
-        Ok(self.h().size()?)
+        Ok(self.h()?.size()?)
     }
 
     /// Read the whole file from the start.
     pub fn read_to_vec(&mut self) -> Result<Vec<u8>> {
-        Ok(self.h().read_to_vec()?)
+        Ok(self.h()?.read_to_vec()?)
     }
 
     /// Flush contents and update FILESTAT (size, mtime) if written.
@@ -663,7 +667,7 @@ impl<'a> InvFile<'a> {
 
     fn finish(&mut self) -> Result<()> {
         let wrote = self.wrote;
-        let size = if wrote { self.h().size()? } else { 0 };
+        let size = if wrote { self.h()?.size()? } else { 0 };
         if let Some(handle) = self.handle.take() {
             handle.close()?;
         }

@@ -116,8 +116,6 @@ pub struct FnItem {
     pub qual: Option<String>,
     pub is_pub: bool,
     pub line: u32,
-    /// Flattened identifiers of the function's attributes.
-    pub attrs: Vec<String>,
     /// `true` if the first parameter is (some form of) `self`.
     pub has_self: bool,
     /// Number of non-`self` parameters.
@@ -154,7 +152,6 @@ fn collect_items(trees: &[Tree], qual: Option<&str>, out: &mut Items) {
     let mut i = 0usize;
     while i < trees.len() {
         // Attributes.
-        let mut attrs: Vec<String> = Vec::new();
         while trees.get(i).is_some_and(|t| t.is_punct('#')) {
             // `#` may be followed by `!` (inner attribute) then `[..]`.
             let mut j = i + 1;
@@ -162,10 +159,7 @@ fn collect_items(trees: &[Tree], qual: Option<&str>, out: &mut Items) {
                 j += 1;
             }
             match trees.get(j).and_then(|t| t.group_with('[')) {
-                Some(g) => {
-                    collect_idents(&g.trees, &mut attrs);
-                    i = j + 1;
-                }
+                Some(_) => i = j + 1,
                 None => break,
             }
         }
@@ -195,7 +189,7 @@ fn collect_items(trees: &[Tree], qual: Option<&str>, out: &mut Items) {
         };
         match kw {
             "fn" => {
-                let (f, next) = parse_fn(trees, i, qual, is_pub, attrs);
+                let (f, next) = parse_fn(trees, i, qual, is_pub);
                 if let Some(f) = f {
                     out.fns.push(f);
                 }
@@ -240,16 +234,6 @@ fn collect_items(trees: &[Tree], qual: Option<&str>, out: &mut Items) {
     }
 }
 
-fn collect_idents(trees: &[Tree], out: &mut Vec<String>) {
-    for t in trees {
-        match t {
-            Tree::Tok(tok) if tok.kind == TokKind::Ident => out.push(tok.text.clone()),
-            Tree::Group(g) => collect_idents(&g.trees, out),
-            _ => {}
-        }
-    }
-}
-
 /// Scan forward from `i` to the end of the current item: returns the
 /// first top-level `{}` group (the body, if any) and the index just past
 /// the item (past the body group or the terminating `;`).
@@ -267,13 +251,7 @@ fn find_body(trees: &[Tree], i: usize) -> (Option<Group>, usize) {
     (None, j)
 }
 
-fn parse_fn(
-    trees: &[Tree],
-    i: usize,
-    qual: Option<&str>,
-    is_pub: bool,
-    attrs: Vec<String>,
-) -> (Option<FnItem>, usize) {
+fn parse_fn(trees: &[Tree], i: usize, qual: Option<&str>, is_pub: bool) -> (Option<FnItem>, usize) {
     let Some(name) = trees.get(i + 1).and_then(|t| t.ident()) else {
         return (None, i + 1);
     };
@@ -324,7 +302,6 @@ fn parse_fn(
             qual: qual.map(str::to_string),
             is_pub,
             line,
-            attrs,
             has_self,
             arity,
             ret,

@@ -23,7 +23,7 @@
 //! shim treats `SeqCst` as `AcqRel`, so "too strong" is a perf nit, not
 //! a bug) — but every `Ordering::Relaxed` token in library code is also
 //! counted against its file's exact `R11` row in
-//! `crates/lint/budget.txt` (shrink-only, like R3): adding a relaxed
+//! `crates/lint/budget.txt` (shrink-only): adding a relaxed
 //! access anywhere means raising a committed count in review.
 //!
 //! Receiver resolution is lexical: `<ident>.<op>(..)` attributes the

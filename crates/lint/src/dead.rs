@@ -14,7 +14,7 @@
 
 use crate::ast::Tree;
 use crate::graph::{call_at, path_segments, CallGraph, CallSite};
-use crate::source::{Scope, SourceFile};
+use crate::source::SourceFile;
 use crate::{finding, Finding};
 use std::collections::BTreeSet;
 
@@ -25,7 +25,7 @@ const EXEMPT: [&str; 1] = ["crates/server/src/client.rs"];
 /// Whether `file`'s non-test code counts as a user: library code
 /// (binaries included) and the benchmark crate.
 pub fn is_user(file: &SourceFile) -> bool {
-    file.scope == Scope::Lib || file.rel.starts_with("crates/bench/")
+    file.lib || file.rel.starts_with("crates/bench/")
 }
 
 /// R14: every checked `pub fn` of `graph` that no code in `users` uses.

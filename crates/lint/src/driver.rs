@@ -7,23 +7,14 @@ use crate::atomics::{
 };
 use crate::dead::{check_dead_api, is_user};
 use crate::effects::infer_effects;
-use crate::flow::{check_guard_flow, check_manually_drop_types, WorkspaceIndex};
+use crate::flow::{check_guard_flow, WorkspaceIndex};
 use crate::graph::CallGraph;
-use crate::rules::{
-    check_metric_names, check_std_sync, check_unranked_locks, check_unsafe, metric_name_sites,
-    panic_sites,
-};
-use crate::source::{load_workspace, read, Scope, SourceFile};
+use crate::rules::{check_metric_names, metric_name_sites};
+use crate::source::{load_workspace, read, SourceFile};
 use crate::tables::{check_budget, parse_budget, Allows, PerFile, DESIGN};
 use crate::{finding, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-
-/// Crates where R9 (error-swallow) is an error: every file is on an
-/// I/O, txn, or wire path. `query`/`adt`/`pages` are pure in-memory
-/// transforms; `obs` and `lint` are the tooling itself.
-const R9_CRATES: [&str; 8] =
-    ["buffer", "core", "heap", "inversion", "server", "smgr", "txn", "wal"];
 
 /// What a run found.
 #[derive(Debug)]
@@ -41,7 +32,7 @@ pub fn check_workspace(root: &Path, overrides: &[(&str, &str)]) -> Result<Report
     let files = load_workspace(root, overrides)?;
     let design = read(&root.join(DESIGN))?;
     let budget = parse_budget(&read(&root.join("crates/lint/budget.txt"))?)?;
-    let lib: Vec<&SourceFile> = files.iter().filter(|f| f.scope == Scope::Lib).collect();
+    let lib: Vec<&SourceFile> = files.iter().filter(|f| f.lib).collect();
     let engine: Vec<&SourceFile> = lib.iter().copied().filter(|f| f.is_engine()).collect();
     let graph = CallGraph::build(engine.iter().copied());
     let effects = infer_effects(&graph);
@@ -58,27 +49,10 @@ pub fn check_workspace(root: &Path, overrides: &[(&str, &str)]) -> Result<Report
         }
     };
 
-    // --- token-shape rules, by scope -----------------------------------------
-    for f in &files {
-        findings.extend(check_unsafe(f));
-        if f.scope != Scope::Shim {
-            findings.extend(check_std_sync(f));
-            // The R8 type scan covers tests too: a test wrapping a
-            // guard in ManuallyDrop hides real leak behavior.
-            findings.extend(check_manually_drop_types(f));
-        }
-    }
+    // --- R6 metric names, R11's Relaxed count -------------------------------
     // R6 uniqueness: metric name -> first registration site seen.
     let mut metric_owners: BTreeMap<String, (&str, u32)> = BTreeMap::new();
     for f in &lib {
-        findings.extend(check_unranked_locks(f));
-        count(
-            f,
-            "R3",
-            panic_sites(f),
-            "panic site (unwrap/expect or a panicking macro) in non-test library code: \
-             propagate the error instead",
-        );
         if f.krate != "lint" {
             count(
                 f,
@@ -103,17 +77,14 @@ pub fn check_workspace(root: &Path, overrides: &[(&str, &str)]) -> Result<Report
         }
     }
 
-    // --- R7/R8/R9 dataflow, R12/R13 effects, R14 dead API -----------------
-    // An R7/R12/R13/R14 finding under a reasoned allow, and every R9
-    // finding, goes to the budget; the rest stand.
+    // --- R7 dataflow, R12/R13 effects, R14 dead API -----------------------
+    // A finding under a reasoned allow goes to the budget; the rest stand.
     let index = WorkspaceIndex::build(&graph);
     let mut allows = Allows::of(engine.iter().copied());
-    let flow = engine
-        .iter()
-        .flat_map(|f| check_guard_flow(f, &index, R9_CRATES.contains(&f.krate.as_str())));
+    let flow = engine.iter().flat_map(|f| check_guard_flow(f, &index));
     let dead = check_dead_api(&graph, files.iter().filter(|f| is_user(f)));
     for f in flow.chain(effects.check_r12()).chain(effects.check_r13()).chain(dead) {
-        if f.rule == "R9" || allows.excuses(&f) {
+        if allows.excuses(&f) {
             let rel = f.path.to_string_lossy().into_owned();
             budgeted.entry((f.rule, rel)).or_default().push(f);
         } else {
@@ -121,19 +92,6 @@ pub fn check_workspace(root: &Path, overrides: &[(&str, &str)]) -> Result<Report
         }
     }
     findings.extend(allows.leftover());
-
-    // R8 structural: the pool's RAII pin type must actually implement
-    // Drop — without it every pin is a leak and R8's forget ban is moot.
-    let is_pin_drop = |f: &&SourceFile| {
-        let impls = &f.items.trait_impls;
-        f.krate == "buffer"
-            && impls.iter().any(|t| t.trait_name == "Drop" && t.type_name == "PinnedPage")
-    };
-    if !engine.iter().any(is_pin_drop) {
-        let msg = "no `impl Drop for PinnedPage` found in crates/buffer: the pin guard must \
-                   unpin on Drop";
-        findings.push(finding("crates/buffer/src/lib.rs", 0, "R8", msg.to_string()));
-    }
 
     // --- DESIGN.md's one table: R11 atomics -------------------------------
     match parse_atomics_protocol(&design) {

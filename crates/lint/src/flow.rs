@@ -1,5 +1,5 @@
-//! Intra-function dataflow over guard bindings (R7 guard-across-I/O,
-//! R8 pin-leak) and statement-shape analysis for discarded errors (R9).
+//! Intra-function dataflow over guard bindings: R7, no blocking I/O
+//! while a lock guard or page pin is live.
 //!
 //! The model is deliberately simple and sound-for-our-idioms rather than
 //! complete: a guard is born at a `let`/`if let`/`let-else` whose
@@ -23,7 +23,7 @@
 //! transitive `blocks` set.
 
 use crate::ast::{call_arity, Group, Tree};
-use crate::graph::{call_at, scan, split_stmts, CallGraph, CallSite, Scan, GENERIC_NAMES};
+use crate::graph::{call_at, split_stmts, CallGraph, CallSite, GENERIC_NAMES};
 use crate::source::SourceFile;
 use crate::{finding, Finding};
 use std::collections::BTreeSet;
@@ -37,7 +37,7 @@ const PIN_METHODS: [&str; 2] = ["pin", "pin_with_hint"];
 
 /// Guard types: a `let` whose annotation or initializer's callee return
 /// type names one of these binds a guard.
-pub const GUARD_TYPES: [&str; 9] = [
+const GUARD_TYPES: [&str; 9] = [
     "MutexGuard",
     "RwLockReadGuard",
     "RwLockWriteGuard",
@@ -92,16 +92,14 @@ fn is_sink(call: &CallSite) -> bool {
     }
 }
 
-/// Workspace-level facts the per-function walk needs: Tier B wrappers,
-/// guard-returning functions, and `#[must_use]` functions (R9).
+/// Workspace-level facts the per-function walk needs: Tier B wrappers
+/// and guard-returning functions.
 #[derive(Debug, Default)]
 pub struct WorkspaceIndex {
     /// `(crate, fn, arity)` of fns whose body directly contains a Tier A sink.
     io_wrappers: BTreeSet<(String, String, usize)>,
     /// `(crate, fn, arity)` of fns whose return type names a guard type.
     guard_fns: BTreeSet<(String, String, usize)>,
-    /// `(fn, arity)` of `#[must_use]` workspace fns.
-    must_use_fns: BTreeSet<(String, usize)>,
 }
 
 impl WorkspaceIndex {
@@ -115,9 +113,6 @@ impl WorkspaceIndex {
             }
             if names_guard_type(&f.ret) {
                 idx.guard_fns.insert((krate, f.name.clone(), f.arity));
-            }
-            if f.attrs.iter().any(|a| a == "must_use") {
-                idx.must_use_fns.insert((f.name.clone(), f.arity));
             }
         }
         idx
@@ -134,10 +129,10 @@ struct GuardBinding {
     dropped_at: Option<usize>,
 }
 
-/// Run R7 + R8 (+ R9 when `r9` is set) over every function in a file.
-pub fn check_guard_flow(file: &SourceFile, idx: &WorkspaceIndex, r9: bool) -> Vec<Finding> {
+/// Run R7 over every function in a file.
+pub fn check_guard_flow(file: &SourceFile, idx: &WorkspaceIndex) -> Vec<Finding> {
     let (path, crate_name) = (file.rel.as_str(), file.krate.as_str());
-    let mut ctx = FlowCtx { path, crate_name, idx, r9, findings: Vec::new(), scopes: Vec::new() };
+    let mut ctx = FlowCtx { path, crate_name, idx, findings: Vec::new(), scopes: Vec::new() };
     for body in file.items.fns.iter().filter_map(|f| f.body.as_ref()) {
         ctx.scopes.clear();
         ctx.walk_block(&body.trees, Vec::new());
@@ -149,7 +144,6 @@ struct FlowCtx<'a> {
     path: &'a str,
     crate_name: &'a str,
     idx: &'a WorkspaceIndex,
-    r9: bool,
     findings: Vec<Finding>,
     scopes: Vec<Vec<GuardBinding>>,
 }
@@ -187,9 +181,6 @@ impl FlowCtx<'_> {
             self.let_stmt(s);
             return;
         }
-        if self.r9 {
-            self.r9_stmt(s);
-        }
         self.expr_seq(s);
     }
 
@@ -211,18 +202,6 @@ impl FlowCtx<'_> {
             init = head;
             self.expr_seq(tail);
         }
-        // R9a: `let _ = <call>`.
-        if self.r9 && pat.len() == 1 && pat[0].is_ident("_") && contains_call(init) {
-            self.findings.push(finding(
-                self.path,
-                s[0].line(),
-                "R9",
-                "`let _ =` discards a result on an I/O/txn/wire path: propagate with `?`, \
-                 handle it, or count it via an obs counter (the file's R9 row in \
-                 budget.txt is the exact-count budget)"
-                    .to_string(),
-            ));
-        }
         self.expr_seq(init);
         let kind = guard_origin(init, self.crate_name, self.idx)
             .or_else(|| names_guard_type(ty).then_some("guard (typed)"));
@@ -232,8 +211,8 @@ impl FlowCtx<'_> {
     }
 
     /// Walk an expression region: recurse into groups (blocks get a drop
-    /// scope), track `drop(g)`, check sink calls (R7) and guard
-    /// leaks (R8), and handle `if let`/`while let` guard bindings.
+    /// scope), track `drop(g)`, check sink calls, and handle
+    /// `if let`/`while let` guard bindings.
     fn expr_seq(&mut self, trees: &[Tree]) {
         let mut i = 0usize;
         while i < trees.len() {
@@ -261,8 +240,8 @@ impl FlowCtx<'_> {
     }
 
     /// One call site, with the current guards live: `drop(g)` /
-    /// `mem::drop(g)` kills a binding, the forget family is R8, a Tier A
-    /// sink or a same-crate Tier B wrapper (never a path call) is R7.
+    /// `mem::drop(g)` kills a binding, a Tier A sink or a same-crate
+    /// Tier B wrapper (never a path call) is a finding.
     fn call(&mut self, call: &CallSite, args: &Group) {
         let (name, qual) = (call.name(), call.qual());
         let wrapper = || (self.crate_name.to_string(), name.to_string(), call.arity);
@@ -270,12 +249,6 @@ impl FlowCtx<'_> {
             if let Some(n) = single_ident(&args.trees) {
                 self.kill(&n);
             }
-        } else if !call.method
-            && (name == "forget"
-                || (name == "new" && qual == Some("ManuallyDrop"))
-                || (name == "leak" && qual == Some("Box")))
-        {
-            self.check_forget(name, args, call.line);
         } else if is_sink(call) {
             self.report_sink(name, call.line, "device/fs/net call");
         } else if qual.is_none() && self.idx.io_wrappers.contains(&wrapper()) {
@@ -327,55 +300,13 @@ impl FlowCtx<'_> {
             ),
         ));
     }
-
-    /// R8: `mem::forget` / `ManuallyDrop::new` / `Box::leak` applied to a
-    /// live guard binding or to a direct guard acquisition (the caller
-    /// has already matched the path shape).
-    fn check_forget(&mut self, callee: &str, args: &Group, line: u32) {
-        let guardish = match single_ident(&args.trees) {
-            Some(name) => {
-                self.scopes.iter().flatten().any(|g| g.name == name && g.dropped_at.is_none())
-            }
-            None => guard_origin(&args.trees, self.crate_name, self.idx).is_some(),
-        };
-        if guardish {
-            self.findings.push(finding(
-                self.path,
-                line,
-                "R8",
-                format!(
-                    "guard passed to `{callee}` never reaches its Drop: pins and lock \
-                     guards must be released on every path (mem::forget/ManuallyDrop/\
-                     Box::leak on guard types is forbidden)"
-                ),
-            ));
-        }
-    }
-}
-
-/// First top-level simple `=` (not `==`, `=>`, `<=`, `>=`, `!=`, `+=`...).
-fn find_assign_eq(trees: &[Tree]) -> Option<usize> {
-    for i in 0..trees.len() {
-        if !trees[i].is_punct('=') {
-            continue;
-        }
-        let next_bad = trees.get(i + 1).is_some_and(|t| t.is_punct('=') || t.is_punct('>'));
-        let prev_bad = i > 0
-            && ["=", "!", "<", ">", "+", "-", "*", "/", "|", "&", "^", "%"]
-                .iter()
-                .any(|p| trees[i - 1].is_punct(p.chars().next().unwrap_or(' ')));
-        if !next_bad && !prev_bad {
-            return Some(i);
-        }
-    }
-    None
 }
 
 /// The `=` of `let PAT [: TY] = INIT`: the first `=` outside the
 /// annotation's angle brackets that does not start `==` or `=>`. The
 /// tokenizer keeps no adjacency, so the `>` closing
 /// `Option<RwLockWriteGuard<'_, T>>` followed by `=` would otherwise
-/// read as `>=` and hide the binding from R7/R8/R9.
+/// read as `>=` and hide the binding from R7.
 fn find_let_eq(trees: &[Tree]) -> Option<usize> {
     let mut depth = 0usize;
     for (i, t) in trees.iter().enumerate() {
@@ -432,12 +363,6 @@ fn single_ident(trees: &[Tree]) -> Option<String> {
     }
 }
 
-fn contains_call(trees: &[Tree]) -> bool {
-    let mut found = Scan::default();
-    scan(trees, true, &mut found);
-    !found.calls.is_empty()
-}
-
 /// True if any ident in `trees` (recursing into groups — guard types
 /// hide inside `Result<Option<(usize, RwLockWriteGuard<..>)>>` tuples)
 /// names a guard type.
@@ -478,124 +403,20 @@ fn guard_origin(init: &[Tree], crate_name: &str, idx: &WorkspaceIndex) -> Option
     None
 }
 
-// ---------------------------------------------------------------------------
-// R9 statement shapes (b: `.ok()` discard, c: unused #[must_use])
-// ---------------------------------------------------------------------------
-
-impl FlowCtx<'_> {
-    fn r9_stmt(&mut self, s: &[Tree]) {
-        // Assignments, control flow, and `?`-propagated calls are uses.
-        if find_assign_eq(s).is_some() {
-            return;
-        }
-        if s[0].ident().is_some_and(|k| {
-            matches!(
-                k,
-                "return"
-                    | "break"
-                    | "continue"
-                    | "if"
-                    | "while"
-                    | "for"
-                    | "loop"
-                    | "match"
-                    | "use"
-                    | "fn"
-                    | "drop"
-                    | "unsafe"
-                    | "else"
-            )
-        }) {
-            return;
-        }
-        let n = s.len();
-        // R9b: statement ends in `.ok()`.
-        if n >= 4
-            && s[n - 3].is_punct('.')
-            && s[n - 2].is_ident("ok")
-            && s[n - 1].group_with('(').is_some_and(|g| g.trees.is_empty())
-        {
-            self.findings.push(finding(
-                self.path,
-                s[n - 2].line(),
-                "R9",
-                "`.ok()` discards an error on an I/O/txn/wire path: propagate with `?`, \
-                 handle it, or count it via an obs counter (the file's R9 row in \
-                 budget.txt is the exact-count budget)"
-                    .to_string(),
-            ));
-            return;
-        }
-        // R9c: final call is a #[must_use] workspace fn, result unused.
-        if n >= 2 {
-            if let (Some(g), Some(m)) = (s[n - 1].group_with('('), s[n - 2].ident()) {
-                if self.idx.must_use_fns.contains(&(m.to_string(), call_arity(g))) {
-                    self.findings.push(finding(
-                        self.path,
-                        s[n - 2].line(),
-                        "R9",
-                        format!(
-                            "result of #[must_use] fn `{m}` discarded: propagate, handle, \
-                             or count it via an obs counter"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R8 file-level checks
-// ---------------------------------------------------------------------------
-
-/// `ManuallyDrop<GuardType>` anywhere in a file (type position) is an R8
-/// violation: a guard wrapped in ManuallyDrop never reaches Drop.
-pub fn check_manually_drop_types(file: &SourceFile) -> Vec<Finding> {
-    let mut out = Vec::new();
-    scan_manually_drop(&file.rel, &file.full_trees, &mut out);
-    out
-}
-
-fn scan_manually_drop(path: &str, trees: &[Tree], out: &mut Vec<Finding>) {
-    for (i, t) in trees.iter().enumerate() {
-        if t.is_ident("ManuallyDrop")
-            && trees.get(i + 1).is_some_and(|n| n.is_punct('<'))
-            && trees.get(i + 2).and_then(|n| n.ident()).is_some_and(|id| GUARD_TYPES.contains(&id))
-        {
-            out.push(finding(
-                path,
-                t.line(),
-                "R8",
-                format!(
-                    "ManuallyDrop<{}> defeats guard Drop: pins and lock guards must be \
-                     released on every path",
-                    trees.get(i + 2).and_then(|n| n.ident()).unwrap_or("?")
-                ),
-            ));
-        }
-        if let Some(g) = t.group() {
-            scan_manually_drop(path, &g.trees, out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn check(src: &str, r9: bool) -> Vec<Finding> {
+    fn check(src: &str) -> Vec<Finding> {
         let file = SourceFile::new("x.rs", "x", src);
         let idx = WorkspaceIndex::build(&CallGraph::build([&file]));
-        check_guard_flow(&file, &idx, r9)
+        check_guard_flow(&file, &idx)
     }
 
     #[test]
     fn r7_guard_live_across_device_io() {
-        let f = check(
-            "fn f(&self) { let g = self.state.lock(); self.smgr.read(rel, block, buf); }",
-            false,
-        );
+        let f =
+            check("fn f(&self) { let g = self.state.lock(); self.smgr.read(rel, block, buf); }");
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "R7");
         assert!(f[0].message.contains("`g`"), "{}", f[0].message);
@@ -603,14 +424,11 @@ mod tests {
 
     #[test]
     fn r7_drop_and_scope_end_clear() {
-        let dropped = check(
-            "fn f(&self) { let g = self.state.lock(); drop(g); self.smgr.read(a, b, c); }",
-            false,
-        );
+        let dropped =
+            check("fn f(&self) { let g = self.state.lock(); drop(g); self.smgr.read(a, b, c); }");
         assert!(dropped.is_empty(), "{dropped:?}");
         let scoped = check(
             "fn f(&self) { { let g = self.state.lock(); g.touch(); } self.smgr.read(a, b, c); }",
-            false,
         );
         assert!(scoped.is_empty(), "{scoped:?}");
     }
@@ -626,7 +444,7 @@ mod tests {
                     self.persist(d.text());
                 }
             }";
-        let f = check(src, false);
+        let f = check(src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("persist"), "{}", f[0].message);
         assert!(f[0].message.contains("`d`"));
@@ -642,66 +460,15 @@ mod tests {
                     smgr.read(k.rel, k.block, &mut data.page);
                 }
             }";
-        let f = check(src, false);
+        let f = check(src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("frame guard"), "{}", f[0].message);
     }
 
     #[test]
     fn r7_temporary_guard_is_not_tracked() {
-        let f = check(
-            "fn f(&self) { let n = self.inner.lock().queue.len(); self.smgr.sync(rel); }",
-            false,
-        );
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn r8_forget_on_guard() {
-        let f = check("fn f(&self) { let g = self.state.lock(); std::mem::forget(g); }", false);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "R8");
-        // forget(self) in a consuming close() is legal: self is not a guard.
-        let ok = check("fn close(mut self) { std::mem::forget(self); }", false);
-        assert!(ok.is_empty(), "{ok:?}");
-    }
-
-    #[test]
-    fn r8_manually_drop_type() {
-        let file = |src| SourceFile::new("x.rs", "x", src);
-        let f = check_manually_drop_types(&file(
-            "struct S { g: ManuallyDrop<MutexGuard<'static, u32>> }",
-        ));
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(
-            check_manually_drop_types(&file("struct S { v: ManuallyDrop<Vec<u8>> }")).is_empty()
-        );
-    }
-
-    #[test]
-    fn r9_shapes() {
-        let f = check("fn f(&self) { let _ = self.file.flush_log(); }", true);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "R9");
-        let f = check("fn f(&self) { self.stream.shutdown().ok(); }", true);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains(".ok()"));
-        let f = check(
-            "#[must_use] fn check(&self) -> Status { s() }\nfn f(&self) { self.check(); }",
-            true,
-        );
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("must_use"));
-    }
-
-    #[test]
-    fn r9_negative_shapes() {
-        // `?`, assignment, named `_guard`, and if-condition uses are fine.
-        let f = check(
-            "fn f(&self) -> Result<()> { self.file.sync_log()?; let x = self.g().ok(); \
-             if self.h().is_err() { count(); } Ok(()) }",
-            true,
-        );
+        let f =
+            check("fn f(&self) { let n = self.inner.lock().queue.len(); self.smgr.sync(rel); }");
         assert!(f.is_empty(), "{f:?}");
     }
 }

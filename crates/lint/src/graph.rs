@@ -90,8 +90,6 @@ impl CallSite {
 pub struct Scan {
     /// Every call site, outermost first.
     pub calls: Vec<CallSite>,
-    /// `(name, line)` of every `name!` macro invocation.
-    pub macros: Vec<(String, u32)>,
 }
 
 /// Collect `a :: b :: c` starting at `trees[i]` (an ident); returns the
@@ -127,12 +125,34 @@ pub fn call_at(trees: &[Tree], i: usize) -> Option<(CallSite, &Group, usize)> {
     } else {
         return None;
     };
+    let at = skip_turbofish(trees, at);
     let args = trees.get(at)?.group_with('(')?;
     let line = if method { trees[i + 1].line() } else { args.line };
     Some((CallSite { segments, method, arity: call_arity(args), line }, args, at + 1))
 }
 
-/// Scan a body for call sites and macro invocations. Argument lists,
+/// The index just past a `::<..>` turbofish starting at `trees[i]`
+/// (`page.init::<16>()`, `need::<4>(b)`), or `i` if none starts there.
+fn skip_turbofish(trees: &[Tree], i: usize) -> usize {
+    let punct = |k: usize, c: char| trees.get(k).is_some_and(|t| t.is_punct(c));
+    if !(punct(i, ':') && punct(i + 1, ':') && punct(i + 2, '<')) {
+        return i;
+    }
+    let mut depth = 0usize;
+    for k in i + 2..trees.len() {
+        if punct(k, '<') {
+            depth += 1;
+        } else if punct(k, '>') && !punct(k - 1, '-') {
+            depth -= 1;
+            if depth == 0 {
+                return k + 1;
+            }
+        }
+    }
+    i
+}
+
+/// Scan a body for call sites. Argument lists,
 /// `(..)` and `[..]` groups are always entered; `{..}` blocks only when
 /// `deep` (a statement-level client handles those as their own
 /// sequences).
@@ -145,14 +165,8 @@ pub fn scan(trees: &[Tree], deep: bool, out: &mut Scan) {
             i = next;
             continue;
         }
-        if let Some(name) = trees[i].ident() {
-            if trees.get(i + 1).is_some_and(|t| t.is_punct('!')) {
-                out.macros.push((name.to_string(), trees[i].line()));
-            }
-        } else if let Some(g) = trees[i].group() {
-            if deep || g.delim != '{' {
-                scan(&g.trees, deep, out);
-            }
+        if let Some(g) = trees[i].group().filter(|g| deep || g.delim != '{') {
+            scan(&g.trees, deep, out);
         }
         i += 1;
     }

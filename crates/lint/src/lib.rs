@@ -1,6 +1,8 @@
-//! `pglo-lint`: static enforcement of the workspace's concurrency and
-//! robustness rules — layer 2 of the correctness tooling (layer 1 is the
-//! runtime lock-rank checker in `shims/parking_lot`).
+//! `pglo-lint`: static enforcement of the workspace's domain rules —
+//! the concurrency, durability and API rules rustc and clippy cannot
+//! state (the generic ones are clippy lints, set in the root
+//! `Cargo.toml` and `clippy.toml`). Layer 2 of the correctness tooling;
+//! layer 1 is the runtime lock-rank checker in `shims/parking_lot`.
 //!
 //! The rules — what each enforces, its escape hatch and what it has
 //! caught — are listed once, in `crates/lint/README.md`.
@@ -16,9 +18,25 @@
 //!   ([`flow`]) and R14 ([`dead`]) all read it.
 //! - [`tables`]: the reader for DESIGN.md's `atomics-protocol` table
 //!   ([`atomics`]), one budget, one allow matcher.
-//! - [`rules`]: the token-shape rules.
+//! - [`rules`]: R6, the token-shape rule.
 //! - [`driver`]: [`check_workspace`] runs every rule; `main.rs` only
 //!   prints.
+
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 
 use std::fmt;
 use std::path::PathBuf;
@@ -37,7 +55,7 @@ pub mod tables;
 pub use dead::check_dead_api;
 pub use driver::{check_workspace, Report};
 pub use effects::infer_effects;
-pub use flow::{check_guard_flow, check_manually_drop_types, WorkspaceIndex};
+pub use flow::{check_guard_flow, WorkspaceIndex};
 pub use graph::CallGraph;
 pub use source::{load_workspace, SourceFile};
 pub use tables::{collect_allows, Allows};

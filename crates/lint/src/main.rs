@@ -9,6 +9,22 @@
 //! Output is one finding per line, `path:line: R# message`. The rules
 //! and the driver live in the library (`pglo_lint::check_workspace`).
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 use pglo_lint::check_workspace;
 use std::path::PathBuf;
 use std::process::ExitCode;

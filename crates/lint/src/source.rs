@@ -2,10 +2,10 @@
 //! once. [`SourceFile::new`] tokenizes (comments dropped; strings, raw
 //! strings and char literals vs. lifetimes told apart, so no rule can
 //! be fooled by string or comment contents), masks `#[cfg(test)]` /
-//! `#[test]` items, builds token trees with and without the test code,
-//! parses items and collects `LINT: allow` directives. Rules take a
-//! `&SourceFile`; none re-derives any of it. [`load_workspace`] walks
-//! the checkout and assigns each file its [`Scope`].
+//! `#[test]` items, builds token trees over the rest, parses items and
+//! collects `LINT: allow` directives. Rules take a `&SourceFile`; none
+//! re-derives any of it. [`load_workspace`] walks the checkout and marks
+//! which files are library code.
 
 use crate::ast::{build_trees, parse_items, Items, Tree};
 use crate::tables::{collect_allows, Allow};
@@ -335,39 +335,22 @@ fn attr_contents(tokens: &[Token], i: usize) -> (Vec<String>, usize) {
     (idents, j)
 }
 
-/// Which rules apply to a file, by where it lives.
-#[derive(Debug, PartialEq, Eq, Clone, Copy)]
-pub enum Scope {
-    /// `crates/*/src`, `src/`: non-test library code, all rules.
-    Lib,
-    /// `tests/`, `benches/`, `examples/`, out-of-line `src/tests.rs`
-    /// modules and the benchmark harness crate (a measurement tool, not
-    /// a library I/O path): R1, R4 and the R8 type scan — tests unwrap
-    /// freely and may build unranked locks, but may not defeat guard
-    /// Drop.
-    Test,
-    /// `shims/*`: R4 only — shims stand in for external crates and are
-    /// the one place `std::sync` is legal (the rank checker lives
-    /// there).
-    Shim,
-}
-
-fn scope_of(rel: &str) -> Scope {
-    if rel.starts_with("shims/") {
-        return Scope::Shim;
-    }
+/// Whether a file is library code, by where it lives: `crates/*/src`
+/// and `src/`, the only code the rules check. Not library code:
+/// `shims/`, `tests/`, `benches/`, `examples/`, out-of-line
+/// `src/tests.rs` modules and the benchmark harness crate (a
+/// measurement tool, not a library I/O path); R14 still reads some of
+/// them as callers.
+fn is_lib(rel: &str) -> bool {
     let in_crate =
         rel.strip_prefix("crates/").and_then(|r| r.split_once('/')).map(|(_, rest)| rest);
     let test_dir = |p: &str| ["tests/", "benches/", "examples/"].iter().any(|d| p.starts_with(d));
-    if rel.starts_with("crates/bench/")
+    !(rel.starts_with("shims/")
+        || rel.starts_with("crates/bench/")
         || test_dir(rel)
         || in_crate.is_some_and(|rest| {
             test_dir(rest) || rest == "src/tests.rs" || rest.starts_with("src/tests/")
-        })
-    {
-        return Scope::Test;
-    }
-    Scope::Lib
+        }))
 }
 
 /// One source file and every view of it the rules share.
@@ -375,16 +358,13 @@ fn scope_of(rel: &str) -> Scope {
 pub struct SourceFile {
     /// Workspace-relative path, `/`-separated.
     pub rel: String,
-    pub scope: Scope,
+    /// Whether the file is library code, the only code the rules check.
+    pub lib: bool,
     /// `<name>` of `crates/<name>/..`; empty outside `crates/`.
     pub krate: String,
     pub text: String,
-    /// Every token, test code included (R1, R4).
-    pub tokens: Vec<Token>,
-    /// Tokens outside test-gated items (R2, R6, R11).
+    /// Tokens outside test-gated items (R6, R11).
     pub lib_tokens: Vec<Token>,
-    /// Trees over `tokens` (the R8 type scan covers tests too).
-    pub full_trees: Vec<Tree>,
     /// Trees over `lib_tokens`, and the items parsed from them.
     pub trees: Vec<Tree>,
     pub items: Items,
@@ -404,14 +384,12 @@ impl SourceFile {
         let trees = build_trees(&lib_tokens);
         SourceFile {
             rel: rel.to_string(),
-            scope: scope_of(rel),
+            lib: is_lib(rel),
             krate: krate.to_string(),
             allows: collect_allows(&text),
-            full_trees: build_trees(&tokens),
             items: parse_items(&trees),
             trees,
             lib_tokens,
-            tokens,
             text,
         }
     }
@@ -421,7 +399,7 @@ impl SourceFile {
     /// quote the `LINT: allow` syntax in messages and do plain
     /// config-file I/O with no guards.
     pub fn is_engine(&self) -> bool {
-        self.scope == Scope::Lib && !self.krate.is_empty() && self.krate != "lint"
+        self.lib && !self.krate.is_empty() && self.krate != "lint"
     }
 }
 

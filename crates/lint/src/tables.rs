@@ -49,10 +49,10 @@ pub fn fenced_rows<'a>(md: &'a str, tag: &str) -> Result<Vec<(u32, &'a str)>, St
 // ---------------------------------------------------------------------------
 
 /// Rules whose tolerated sites are budgeted per file in
-/// `crates/lint/budget.txt`: panic sites (R3), swallowed errors (R9),
-/// `Ordering::Relaxed` arguments (R11), and findings excused by a
-/// reasoned `// LINT: allow(..)` (R7, R12, R13, R14).
-pub const BUDGET_RULES: [&str; 7] = ["R3", "R7", "R9", "R11", "R12", "R13", "R14"];
+/// `crates/lint/budget.txt`: `Ordering::Relaxed` arguments (R11), and
+/// findings excused by a reasoned `// LINT: allow(..)` (R7, R12, R13,
+/// R14).
+pub const BUDGET_RULES: [&str; 5] = ["R7", "R11", "R12", "R13", "R14"];
 
 /// A budgeted rule's sites, or its committed allowances, per
 /// `(rule, workspace-relative path)`.
@@ -129,7 +129,7 @@ pub fn check_budget(
 // LINT: allow(...) directives
 // ---------------------------------------------------------------------------
 
-/// Rules that take per-site allows (R9 is budgeted per file instead).
+/// Rules that take per-site allows (R11 is budgeted per file instead).
 const ALLOW_RULES: [&str; 4] = ["R7", "R12", "R13", "R14"];
 
 /// One `// LINT: allow(RULE, reason)` directive in a source file. It
@@ -202,7 +202,7 @@ impl<'a> Allows<'a> {
             let Some(rule) = ALLOW_RULES.into_iter().find(|k| k == r) else {
                 let msg = format!(
                     "LINT: allow({r}) is not a recognized escape hatch: only R7, R12, R13 and \
-                     R14 take per-site allows (R9 is budgeted per file in budget.txt)"
+                     R14 take per-site allows"
                 );
                 out.push(finding(path, a.line, "R7", msg));
                 continue;
@@ -263,12 +263,12 @@ mod tests {
 
     #[test]
     fn budget_parses_and_rejects_bad_rows() {
-        let rows = parse_budget("# comment\n2 R3 crates/a/src/lib.rs\n0 R11 src/lib.rs\n").unwrap();
-        assert_eq!(rows.get(&("R3", "crates/a/src/lib.rs".to_string())), Some(&2));
-        assert!(parse_budget("1 R3 a.rs\n2 R3 a.rs\n").is_err(), "duplicate row");
-        assert!(parse_budget("1 R3 a.rs\n1 R9 a.rs\n").is_ok(), "one row per rule and file");
-        assert!(parse_budget("x R3 a.rs\n").is_err(), "bad count");
-        assert!(parse_budget("1 R1 a.rs\n").is_err(), "R1 has no budget");
+        let rows = parse_budget("# comment\n2 R7 crates/a/src/lib.rs\n0 R11 src/lib.rs\n").unwrap();
+        assert_eq!(rows.get(&("R7", "crates/a/src/lib.rs".to_string())), Some(&2));
+        assert!(parse_budget("1 R7 a.rs\n2 R7 a.rs\n").is_err(), "duplicate row");
+        assert!(parse_budget("1 R7 a.rs\n1 R11 a.rs\n").is_ok(), "one row per rule and file");
+        assert!(parse_budget("x R7 a.rs\n").is_err(), "bad count");
+        assert!(parse_budget("1 R3 a.rs\n").is_err(), "R3 is not a budgeted rule");
         assert!(parse_budget("1 a.rs\n").is_err(), "missing rule");
     }
 

@@ -5,5 +5,6 @@ use heap::never_called;
 
 pub fn decode_all(bytes: Vec<u8>, codec: &heap::Codec) -> Vec<u8> {
     codec.check(Default::default());
+    codec.sized::<4>();
     bytes.into_iter().map(Codec::decode).collect()
 }

@@ -30,6 +30,22 @@
 //! replays deterministically via `loom::replay` — commit one as a
 //! regression when a check ever finds a real bug.
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 /// Exploration options shared by the heavier protocol checks: a tighter
 /// execution budget than the `Opts::default()` 50k, because the protocol
 /// state spaces are larger than the litmus tests' and CI wall-clock is a

@@ -23,8 +23,23 @@
 //! whose `OnceLock` is not yet set simply skips it (the metric appears
 //! in the next snapshot).
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -138,18 +153,11 @@ impl MetricEntry {
 pub fn render_text(entries: &[MetricEntry]) -> String {
     let mut sorted: Vec<&MetricEntry> = entries.iter().collect();
     sorted.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut out = String::new();
-    for e in sorted {
-        match e.value {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => {
-                let _ = writeln!(out, "{} {}", e.name, v);
-            }
-            MetricValue::Float(f) => {
-                let _ = writeln!(out, "{} {:.6}", e.name, f);
-            }
-        }
-    }
-    out
+    let line = |e: &&MetricEntry| match e.value {
+        MetricValue::Counter(v) | MetricValue::Gauge(v) => format!("{} {v}\n", e.name),
+        MetricValue::Float(f) => format!("{} {f:.6}\n", e.name),
+    };
+    sorted.iter().map(line).collect()
 }
 
 /// Monotonic event counter.
@@ -311,9 +319,8 @@ static OVERFLOW: AtomicU64 = AtomicU64::new(0);
 /// their own statics may also call it directly.
 pub fn register(name: &'static str, metric: MetricRef) {
     let idx = CURSOR.fetch_add(1, Ordering::AcqRel);
-    if idx < MAX_METRICS {
-        let _ = SLOTS[idx].set(Entry { name, metric });
-    } else {
+    // `idx` is this call's own, so `set` cannot find the slot taken.
+    if idx >= MAX_METRICS || SLOTS[idx].set(Entry { name, metric }).is_err() {
         OVERFLOW.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -385,11 +392,7 @@ pub fn recent_spans() -> Vec<(&'static str, u64)> {
 
 /// Text dump of the current thread's recent spans, oldest first.
 pub fn dump_recent_spans() -> String {
-    let mut out = String::new();
-    for (name, ns) in recent_spans() {
-        let _ = writeln!(out, "{name} {ns}ns");
-    }
-    out
+    recent_spans().into_iter().map(|(name, ns)| format!("{name} {ns}ns\n")).collect()
 }
 
 /// Install a panic hook (once per process) that dumps the panicking
@@ -430,7 +433,10 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.hist.record(ns);
-        // try_with: guards may drop during thread teardown.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a guard dropped in thread teardown finds the ring gone; its span is lost"
+        )]
         let _ = RING.try_with(|r| r.borrow_mut().push(self.name, ns));
     }
 }

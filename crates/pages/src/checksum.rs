@@ -90,7 +90,7 @@ fn crc32_table(seed: u32, bytes: &[u8]) -> u32 {
 /// fold block or the CPU lacks the instructions. Holds the workspace's
 /// one `unsafe` block; the sub-16-byte tail goes to the table loop.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "the carry-less multiply intrinsics are unsafe to call")]
 fn crc32_clmul(seed: u32, bytes: &[u8]) -> Option<u32> {
     if bytes.len() < 64
         || !(std::arch::is_x86_feature_detected!("pclmulqdq")

@@ -51,23 +51,6 @@ pub enum ItemFlag {
     Dead = 2,
 }
 
-/// Errors from [`Page::init`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageInitError {
-    /// Requested special space doesn't leave room for the header.
-    SpecialTooLarge,
-}
-
-impl std::fmt::Display for PageInitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PageInitError::SpecialTooLarge => write!(f, "special space too large for page"),
-        }
-    }
-}
-
-impl std::error::Error for PageInitError {}
-
 /// A view over an 8 KB page buffer.
 ///
 /// `B = &[u8]` or `&PageBuf` gives a read-only view; `B = &mut [u8]` /
@@ -216,19 +199,17 @@ impl<B: AsRef<[u8]> + AsMut<[u8]>> Page<B> {
         self.m()[off..off + 4].copy_from_slice(&v.to_le_bytes());
     }
 
-    /// Initialize an empty page with `special_size` bytes of special space.
-    pub fn init(&mut self, special_size: usize) -> Result<(), PageInitError> {
-        if special_size > PAGE_SIZE - PAGE_HEADER_SIZE {
-            return Err(PageInitError::SpecialTooLarge);
-        }
+    /// Initialize an empty page with `SPECIAL` bytes of special space. A
+    /// special space that leaves no room for the header fails to compile.
+    pub fn init<const SPECIAL: usize>(&mut self) {
+        const { assert!(SPECIAL <= PAGE_SIZE - PAGE_HEADER_SIZE, "special space too large") };
         self.m().fill(0);
         self.set_u16(OFF_MAGIC, MAGIC);
         self.set_u16(OFF_VERSION, VERSION);
         self.set_u16(OFF_LOWER, PAGE_HEADER_SIZE as u16);
-        let special = (PAGE_SIZE - special_size) as u16;
+        let special = (PAGE_SIZE - SPECIAL) as u16;
         self.set_u16(OFF_UPPER, special);
         self.set_u16(OFF_SPECIAL, special);
-        Ok(())
     }
 
     /// Mutable access to the special space.
@@ -372,9 +353,9 @@ mod tests {
     use super::*;
     use crate::alloc_page;
 
-    fn fresh(special: usize) -> Box<crate::PageBuf> {
+    fn fresh<const SPECIAL: usize>() -> Box<crate::PageBuf> {
         let mut buf = alloc_page();
-        Page::new(buf.as_mut_slice()).init(special).unwrap();
+        Page::new(buf.as_mut_slice()).init::<SPECIAL>();
         buf
     }
 
@@ -389,7 +370,7 @@ mod tests {
 
     #[test]
     fn init_and_empty_geometry() {
-        let buf = fresh(0);
+        let buf = fresh::<0>();
         let p = Page::new(&buf[..]);
         assert_eq!(p.item_count(), 0);
         assert_eq!(p.free_space(), PAGE_SIZE - PAGE_HEADER_SIZE);
@@ -398,7 +379,7 @@ mod tests {
 
     #[test]
     fn special_space_reserved() {
-        let mut buf = fresh(16);
+        let mut buf = fresh::<16>();
         let mut p = Page::new(buf.as_mut_slice());
         assert_eq!(p.special().len(), 16);
         p.special_mut().copy_from_slice(&[9u8; 16]);
@@ -408,7 +389,7 @@ mod tests {
 
     #[test]
     fn add_get_delete_roundtrip() {
-        let mut buf = fresh(0);
+        let mut buf = fresh::<0>();
         let mut p = Page::new(buf.as_mut_slice());
         let s0 = p.add_item(b"hello").unwrap();
         let s1 = p.add_item(b"world!").unwrap();
@@ -425,7 +406,7 @@ mod tests {
 
     #[test]
     fn one_max_item_fills_page() {
-        let mut buf = fresh(0);
+        let mut buf = fresh::<0>();
         let mut p = Page::new(buf.as_mut_slice());
         let max = Page::<&[u8]>::max_item_size(0);
         let data = vec![0xAB; max];
@@ -440,11 +421,11 @@ mod tests {
         // two per page; a 70 %-size chunk packs only one.
         let usable = PAGE_SIZE - PAGE_HEADER_SIZE;
         let half = usable / 2 - LINE_POINTER_SIZE - 16; // 16 = heap tuple header allowance
-        let mut buf = fresh(0);
+        let mut buf = fresh::<0>();
         let mut p = Page::new(buf.as_mut_slice());
         assert!(p.add_item(&vec![1; half]).is_some());
         assert!(p.add_item(&vec![2; half]).is_some());
-        let mut buf2 = fresh(0);
+        let mut buf2 = fresh::<0>();
         let mut p2 = Page::new(buf2.as_mut_slice());
         let seventy = usable * 7 / 10;
         assert!(p2.add_item(&vec![1; seventy]).is_some());
@@ -453,7 +434,7 @@ mod tests {
 
     #[test]
     fn compact_reclaims_garbage() {
-        let mut buf = fresh(0);
+        let mut buf = fresh::<0>();
         let mut p = Page::new(buf.as_mut_slice());
         let s0 = p.add_item(&[1u8; 1000]).unwrap();
         let s1 = p.add_item(&[2u8; 1000]).unwrap();
@@ -471,7 +452,7 @@ mod tests {
 
     #[test]
     fn insert_at_keeps_order_remove_shifts() {
-        let mut buf = fresh(8);
+        let mut buf = fresh::<8>();
         let mut p = Page::new(buf.as_mut_slice());
         assert!(p.insert_item_at(0, b"bb"));
         assert!(p.insert_item_at(0, b"aa"));
@@ -487,7 +468,7 @@ mod tests {
 
     #[test]
     fn item_mut_edits_in_place() {
-        let mut buf = fresh(0);
+        let mut buf = fresh::<0>();
         let mut p = Page::new(buf.as_mut_slice());
         let s = p.add_item(b"abcd").unwrap();
         p.item_mut(s).unwrap()[0] = b'z';
@@ -496,7 +477,7 @@ mod tests {
 
     #[test]
     fn checksum_roundtrip_detects_corruption() {
-        let mut buf = fresh(0);
+        let mut buf = fresh::<0>();
         let mut p = Page::new(buf.as_mut_slice());
         p.add_item(b"payload").unwrap();
         p.set_checksum();
@@ -510,7 +491,7 @@ mod tests {
         // Force the value: run the CRC register backwards from "ends at
         // 0" over four bytes and put what that asks for in the special
         // space at the end of the page.
-        let mut buf = fresh(8);
+        let mut buf = fresh::<8>();
         let n = buf.len();
         let before = !page_checksum(&buf[..n - 4], OFF_CHECKSUM);
         let mut want = !0u32;

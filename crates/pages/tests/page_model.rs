@@ -29,7 +29,7 @@ proptest! {
     #[test]
     fn page_matches_slot_model(ops in ops_strategy()) {
         let mut buf = alloc_page();
-        Page::new(&mut buf[..]).init(0).unwrap();
+        Page::new(&mut buf[..]).init::<0>();
         // Model: slot → Option<item bytes>.
         let mut model: Vec<Option<Vec<u8>>> = Vec::new();
 
@@ -119,7 +119,7 @@ proptest! {
         let mut buf = alloc_page();
         {
             let mut page = Page::new(&mut buf[..]);
-            page.init(0).unwrap();
+            page.init::<0>();
             for (len, b) in &items {
                 let _ = page.add_item(&vec![*b; *len as usize]);
             }

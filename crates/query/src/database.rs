@@ -141,7 +141,11 @@ impl Database {
             Ok(r) => r,
             Err(e) => {
                 txn.abort();
-                let _ = self.store.gc_temps();
+                // The query's error is the one the caller hears; a failed
+                // sweep is counted, and its temps stay for the next one.
+                if self.store.gc_temps().is_err() {
+                    obs::counter!("query.temp.gc.errors").add(1);
+                }
                 return Err(e);
             }
         };

@@ -358,7 +358,12 @@ impl Executor<'_> {
             .iter()
             .find(|d| d.name == name)
             .ok_or_else(|| QueryError::Semantic(format!("no index \"{name}\" on \"{class}\"")))?;
-        let meta = self.db.env().catalog().get(class).expect("checked above");
+        let meta = self
+            .db
+            .env()
+            .catalog()
+            .get(class)
+            .ok_or_else(|| QueryError::Semantic(format!("class \"{class}\" does not exist")))?;
         Heap::open_oid(self.db.env(), def.btree_oid, meta.smgr_id()).drop_storage()?;
         self.db.env().catalog().remove_prop(class, &index_prop_key(name))?;
         Ok(QueryResult::command(0))
@@ -430,7 +435,6 @@ impl Executor<'_> {
         Ok(QueryResult::command(1))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn retrieve(
         &mut self,
         targets: &[Target],
@@ -945,9 +949,7 @@ impl Executor<'_> {
     }
 
     fn arith(&self, op: &str, l: Datum, r: Datum) -> Result<Datum> {
-        let both_int = l.as_i64().is_some() && r.as_i64().is_some();
-        if both_int {
-            let (a, b) = (l.as_i64().unwrap(), r.as_i64().unwrap());
+        if let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) {
             let v = match op {
                 "+" => a.checked_add(b),
                 "-" => a.checked_sub(b),

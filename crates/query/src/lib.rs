@@ -37,6 +37,22 @@
 //! [`pglo_adt::FunctionRegistry`] (the paper's "dynamically loaded"
 //! operators) rather than compiled from query text.
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 pub mod ast;
 pub mod database;
 pub mod exec;

@@ -10,6 +10,22 @@
 //! Prometheus-flavoured metrics exposition (`obs::render_text` of the
 //! entries the `stats` wire op serves) is written to stdout at shutdown.
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 use pglo_server::stats::metric;
 use pglo_server::{spawn, LobdService, ServerConfig};
 use std::process::ExitCode;

@@ -10,6 +10,22 @@
 //!    verifying each echo,
 //! 4. print `DONE` and exit 0 (any failure: message to stderr, exit 1).
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 use pglo_server::Client;
 use std::io::{BufRead, Write};
 use std::net::TcpStream;

@@ -26,6 +26,22 @@
 //! See DESIGN.md ("The lobd wire protocol", "Reactor model") for the
 //! normative spec.
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 pub mod client;
 pub mod loopback;
 pub mod proto;

@@ -59,10 +59,14 @@ impl Acceptor {
                         continue;
                     }
                     soft_error(stream.set_nodelay(true));
-                    if stream.set_nonblocking(true).is_ok() {
-                        self.shared.conns.fetch_add(1, Ordering::SeqCst);
-                        self.deal(stream);
+                    // A blocking stream would stall its worker: drop it,
+                    // counted.
+                    if let Err(e) = stream.set_nonblocking(true) {
+                        soft_error::<(), io::Error>(Err(e));
+                        continue;
                     }
+                    self.shared.conns.fetch_add(1, Ordering::SeqCst);
+                    self.deal(stream);
                 }
                 Err(e) if is_timeout(&e) => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

@@ -47,16 +47,20 @@ impl Session {
 
     /// Reclaim this session's temporaries that were not promoted. Returns
     /// how many objects were unlinked. Safe to call with or without a
-    /// transaction: `unlink` operates on object metadata directly.
+    /// transaction: `unlink` operates on object metadata directly. A
+    /// failed unlink is counted and its id kept for the next sweep.
     pub fn gc_temps(&mut self, store: &LoStore) -> usize {
         let mut reclaimed = 0;
-        for id in self.temps.drain(..) {
-            // `keep_temp` deregisters and reports whether it was still
-            // temporary; promoted objects return false and are kept.
-            if store.keep_temp(id) && store.unlink(id).is_ok() {
-                reclaimed += 1;
+        self.temps.retain(|&id| match store.gc_temp(id) {
+            Ok(freed) => {
+                reclaimed += usize::from(freed);
+                false
             }
-        }
+            Err(_) => {
+                obs::counter!("server.session.gc_temps.errors").add(1);
+                true
+            }
+        });
         reclaimed
     }
 
@@ -78,5 +82,42 @@ impl std::fmt::Debug for Session {
             .field("fds", &self.fds.len())
             .field("temps", &self.temps.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pglo_core::{LoError, LoSpec};
+    use pglo_heap::StorageEnv;
+    use std::sync::Arc;
+
+    /// A temp whose unlink fails stays the session's, and the next sweep
+    /// reclaims it; one somebody already unlinked counts as reclaimed.
+    #[test]
+    fn gc_temps_keeps_a_temp_whose_unlink_failed() {
+        let dir = tempfile::tempdir().unwrap();
+        let env = StorageEnv::open(dir.path()).unwrap();
+        let store = LoStore::new(Arc::clone(&env));
+        let mut session = Session::new(1);
+        let txn = env.begin();
+        let gone = store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
+        let stuck = store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
+        txn.commit();
+        session.temps.extend([gone, stuck]);
+        store.unlink(gone).unwrap();
+
+        // Nothing can be written where `catalog.json` stages its next
+        // version, so `stuck`'s unlink fails installing the catalog.
+        let staging = dir.path().join("catalog.json.tmp");
+        std::fs::create_dir(&staging).unwrap();
+        assert_eq!(session.gc_temps(&store), 1, "the temp already unlinked is reclaimed");
+        assert_eq!(session.temps, [stuck], "the failed temp stays the session's");
+        assert_eq!(store.temp_count(), 1, "and the store's");
+
+        std::fs::remove_dir(&staging).unwrap();
+        assert_eq!(session.gc_temps(&store), 1);
+        assert!(session.temps.is_empty());
+        assert!(matches!(store.meta(stuck), Err(LoError::NotFound(_))));
     }
 }

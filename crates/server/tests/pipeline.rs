@@ -98,6 +98,7 @@ fn pipelined_reads_arrive_in_order_and_in_batches() {
     let mut lo = c.lo(id, true, 0).unwrap();
     lo.write_all(&data).unwrap();
     let fd = lo.fd();
+    #[expect(clippy::mem_forget, reason = "keep the descriptor open without its Drop closing it")]
     std::mem::forget(lo);
 
     let mut pipe = c.pipeline_with_window(8);

@@ -352,6 +352,7 @@ fn mid_pipeline_disconnect_aborts_orphaned_txn() {
         }
         // Vanish without redeeming: forget the guard so its Drop does
         // not drain the tags, then sever the socket underneath it.
+        #[expect(clippy::mem_forget, reason = "a vanished client never runs the guard's Drop")]
         std::mem::forget(pipe);
     }
     assert!(service.env().txns().active_count() >= 1);

@@ -20,6 +20,21 @@
 //! for heaps, B-trees, all four large-object implementations, and therefore
 //! Inversion files — the property §10 highlights.
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![deny(unsafe_code)]
 
 pub mod disk;

@@ -25,12 +25,11 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     fn bump(&mut self, key: &K) {
-        if let Some((_, old_tick)) = self.map.get(key) {
-            let old = *old_tick;
-            self.order.remove(&old);
+        if let Some((_, tick)) = self.map.get_mut(key) {
+            self.order.remove(tick);
             self.tick += 1;
             self.order.insert(self.tick, key.clone());
-            self.map.get_mut(key).expect("key present").1 = self.tick;
+            *tick = self.tick;
         }
     }
 
@@ -63,13 +62,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.tick += 1;
         self.order.insert(self.tick, key.clone());
         self.map.insert(key, (value, self.tick));
-        if self.map.len() > self.capacity {
-            let (&oldest, _) = self.order.iter().next().expect("cache non-empty");
-            let old_key = self.order.remove(&oldest).expect("tick present");
-            let (old_val, _) = self.map.remove(&old_key).expect("key present");
-            return Some((old_key, old_val));
+        if self.map.len() <= self.capacity {
+            return None;
         }
-        None
+        let (_, old_key) = self.order.pop_first()?;
+        let (old_val, _) = self.map.remove(&old_key)?;
+        Some((old_key, old_val))
     }
 
     /// Remove an entry.

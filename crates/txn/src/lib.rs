@@ -14,6 +14,22 @@
 //! current reads and as-of reads. It does no I/O: the storage
 //! environment makes outcomes durable through a [`DurabilityHook`].
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 pub mod horizon;
 pub mod manager;
 pub mod visibility;

@@ -292,6 +292,7 @@ impl Txn {
     /// Commit, returning the commit timestamp. Panics if the durability
     /// hook cannot force the log; callers that need to survive a log
     /// device failure use [`Txn::try_commit`].
+    #[expect(clippy::expect_used, reason = "documented: the panicking twin of try_commit")]
     pub fn commit(self) -> CommitTs {
         self.try_commit().expect("commit durability failure")
     }

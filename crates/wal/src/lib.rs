@@ -53,6 +53,21 @@
 //! both WAL ranks sit between the frame latch and the smgr ranks (50+),
 //! which WAL never takes.
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![deny(unsafe_code)]
 
 use parking_lot::{ranks, Mutex};

@@ -29,7 +29,7 @@ mod sys {
     //! Minimal libc surface. Declared by hand: the workspace builds
     //! offline with no libc crate; everything here is the stable kernel
     //! ABI for x86_64/aarch64 Linux (and POSIX for the poll fallback).
-    #![allow(non_camel_case_types)]
+    #![expect(non_camel_case_types, reason = "the C names of the kernel ABI")]
 
     pub type c_int = i32;
 

@@ -30,6 +30,11 @@
 //! All acquisition methods are `#[track_caller]`, so both checker panics
 //! and poison-recovery report the caller's site, not the shim's.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the shim wraps std::sync's locks, and the checker cannot run on the locks it instruments"
+)]
+
 use std::sync;
 
 pub mod lockcheck;
@@ -88,7 +93,7 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for MutexGuard<'_, T> {
 impl<T> Mutex<T> {
     /// A new unranked mutex holding `value`. Unranked locks are invisible
     /// to the lock-rank checker; workspace library code should prefer
-    /// [`Mutex::with_rank`] (enforced by `pglo-lint`).
+    /// [`Mutex::with_rank`] (enforced by clippy's `disallowed_methods`).
     pub const fn new(value: T) -> Self {
         Self { meta: lockcheck::Meta::none(), inner: sync::Mutex::new(value) }
     }
@@ -135,12 +140,6 @@ impl<T: ?Sized> Mutex<T> {
 
     fn addr(&self) -> usize {
         self as *const Self as *const () as usize
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Self::new(T::default())
     }
 }
 
@@ -205,7 +204,8 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLockWriteGuard<'_, T> {
 
 impl<T> RwLock<T> {
     /// A new unranked lock holding `value`. Workspace library code should
-    /// prefer [`RwLock::with_rank`] (enforced by `pglo-lint`).
+    /// prefer [`RwLock::with_rank`] (enforced by clippy's
+    /// `disallowed_methods`).
     pub const fn new(value: T) -> Self {
         Self { meta: lockcheck::Meta::none(), inner: sync::RwLock::new(value) }
     }
@@ -272,12 +272,6 @@ impl<T: ?Sized> RwLock<T> {
 
     fn addr(&self) -> usize {
         self as *const Self as *const () as usize
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        Self::new(T::default())
     }
 }
 

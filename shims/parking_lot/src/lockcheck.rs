@@ -54,8 +54,8 @@ mod imp {
     use std::sync::{Mutex as StdMutex, OnceLock, PoisonError};
 
     // This module deliberately uses `std::sync` primitives: the checker
-    // cannot run on the locks it instruments. `pglo-lint` exempts shims/
-    // from the no-std-sync rule for exactly this reason.
+    // cannot run on the locks it instruments (the crate root excuses the
+    // shim from clippy's `disallowed_types` for exactly this reason).
 
     struct HeldEntry {
         /// Removal token carried by the guard (release may be out of

@@ -113,7 +113,7 @@ macro_rules! __proptest_fns {
                 let result: ::std::result::Result<(), $crate::TestCaseError> =
                     (move || {
                         $body
-                        #[allow(unreachable_code)]
+                        #[allow(unreachable_code, reason = "a body ending in `return` leaves the Ok unreached")]
                         ::std::result::Result::Ok(())
                     })();
                 if let ::std::result::Result::Err(e) = result {

@@ -20,17 +20,13 @@ impl TempDir {
     }
 
     /// Consume the handle without deleting the directory.
-    pub fn keep(self) -> PathBuf {
-        let path = self.path.clone();
-        std::mem::forget(self);
-        path
+    pub fn keep(mut self) -> PathBuf {
+        std::mem::take(&mut self.path)
     }
 
     /// Delete now, surfacing errors (drop ignores them).
-    pub fn close(self) -> std::io::Result<()> {
-        let path = self.path.clone();
-        std::mem::forget(self);
-        std::fs::remove_dir_all(path)
+    pub fn close(mut self) -> std::io::Result<()> {
+        std::fs::remove_dir_all(std::mem::take(&mut self.path))
     }
 }
 
@@ -42,7 +38,10 @@ impl AsRef<Path> for TempDir {
 
 impl Drop for TempDir {
     fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.path);
+        // An empty path was handed out by `keep` or `close`.
+        if !self.path.as_os_str().is_empty() {
+            let _ = std::fs::remove_dir_all(&self.path);
+        }
     }
 }
 

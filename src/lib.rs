@@ -54,6 +54,22 @@
 //! | [`inversion`] | `pglo-inversion` | the Inversion file system |
 //! | [`query`] | `pglo-query` | POSTQUEL subset |
 
+// Library code: no panic sites, unranked locks or swallowed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 pub use pglo_adt as adt;
 pub use pglo_btree as btree;
 pub use pglo_buffer as buffer;

@@ -105,6 +105,13 @@ fn copy_dir(src: &std::path::Path, dst: &std::path::Path) {
     }
 }
 
+/// Emulate a process kill: the environment's Drop (its final flush and
+/// checkpoint) never runs, so only what already reached a device survives.
+#[expect(clippy::mem_forget, reason = "a crash is exactly a Drop that never runs")]
+fn kill(env: Arc<StorageEnv>) {
+    std::mem::forget(env);
+}
+
 fn crash_opts() -> EnvOptions {
     // Small segments exercise rotation; everything else default. No
     // bgwriter: the "process" dies with its pages still dirty, so the
@@ -134,7 +141,7 @@ fn torn_wal_tail_truncated_at_every_byte() {
         let torn = env.begin();
         let torn_xid = torn.xid();
         torn.commit();
-        std::mem::forget(env); // crash: dirty pages never reach home
+        kill(env); // crash: dirty pages never reach home
         (id, torn_xid)
     };
 
@@ -212,7 +219,7 @@ fn crash_between_checkpoint_and_commit_recovers_both_sides() {
         h.write_at(0, &b).unwrap();
         h.close().unwrap();
         txn.commit();
-        std::mem::forget(env);
+        kill(env);
         (id_a, id_b)
     };
 
@@ -415,7 +422,7 @@ fn worm_burned_heap_survives_crash_and_redo() {
         // blocks to the platter.
         heap.flush().unwrap();
         txn.commit();
-        std::mem::forget(env);
+        kill(env);
     }
 
     let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
@@ -458,7 +465,7 @@ fn evicted_uncaptured_delta_survives_crash() {
         h.write_at(0, &vec![0x55u8; 64 * 8192 * 2]).unwrap();
         h.close().unwrap();
         txn.commit();
-        std::mem::forget(env); // crash: home writes may be arbitrarily stale
+        kill(env); // crash: home writes may be arbitrarily stale
         id
     };
 
@@ -496,7 +503,7 @@ fn burned_worm_pin_prunes_and_platter_restores_after_recycle() {
             env.wal().redo_lsn() >= committed_end,
             "a fully burned relation must not pin the redo horizon"
         );
-        std::mem::forget(env);
+        kill(env);
     }
 
     let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
@@ -528,7 +535,7 @@ fn staged_worm_blocks_pin_checkpoint_and_survive_crash() {
             env.wal().redo_lsn() < committed_end,
             "a staged relation's records must pin the redo horizon"
         );
-        std::mem::forget(env);
+        kill(env);
     }
 
     let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
@@ -601,7 +608,7 @@ fn commit_after_short_segment_tail_survives_crash() {
         txn.commit();
         let end = env.wal().end_lsn();
         assert_eq!(end / seg, tail_seg + 1, "the commit's records went to the next segment");
-        std::mem::forget(env); // crash: nothing flushed home
+        kill(env); // crash: nothing flushed home
         (id, end)
     };
     let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
