@@ -52,7 +52,13 @@ impl BufferPool {
             return Ok(0);
         }
         let _span = obs::span!("pool.capture");
-        let _serial = self.capture.lock();
+        let serial = self.capture.lock();
+        self.capture_chain(wal, &serial)
+    }
+
+    /// [`Self::capture_pending`]'s body, under the capture mutex that
+    /// `_serial` witnesses: log every chained frame's delta in one batch.
+    pub(super) fn capture_chain(&self, wal: &Wal, _serial: &MutexGuard<'_, ()>) -> Result<Lsn> {
         // Publish the floor before stealing the chain: it keeps the
         // checkpoint horizon from advancing past where this batch's
         // records will land, and (set-before-steal) makes the fast path
@@ -120,23 +126,6 @@ impl BufferPool {
         self.capture_floor.store(u64::MAX, Ordering::Release);
         let ats = appended.map_err(BufferError::Wal)?;
         Ok(ats.last().map_or(0, |at| at.end))
-    }
-
-    /// Log the delta of a `log_pending` frame immediately, stamping its
-    /// LSNs: by the time the home copy exists, the log must be able to
-    /// reconstruct it, or a crash after the owning transaction commits
-    /// would lose committed bytes — and a re-key after the write-back
-    /// would erase the only copy of the change. On failure the frame
-    /// stays pending, so it stays protected.
-    pub(super) fn log_pending_record(&self, data: &mut FrameData) -> Result<()> {
-        let Some(wal) = self.wal.get() else { return Ok(()) };
-        let Some((_, record)) = data.take_pending_record() else { return Ok(()) };
-        let ats = wal.append_batch(&mut [record]).map_err(|e| {
-            data.unlogged();
-            BufferError::Wal(e)
-        })?;
-        data.stamp_logged(&ats[0]);
-        Ok(())
     }
 
     /// Force the attached redo log past `page_lsn` (no-op when 0 or when

@@ -195,7 +195,7 @@ impl BufferPool {
 
     /// Allocate a brand-new block at the end of `rel`, initialized by
     /// `init`, returning its block number and a pinned handle. Allocation
-    /// is delayed: the storage manager only grows the relation; the page
+    /// is delayed: the storage manager only hands out the block; the page
     /// image is written once, when the (dirty) frame is later flushed.
     pub fn new_page(
         &self,
@@ -214,9 +214,10 @@ impl BufferPool {
                 Some(claimed) => claimed,
                 None => {
                     // `key` is already mapped: a sequential read-ahead
-                    // racing past the just-grown EOF can install the fresh
-                    // block's device image before we get here. Re-own that
-                    // frame and overwrite it with the authoritative image.
+                    // racing past the just-grown end can install the fresh
+                    // block's device image (zeros) before we get here.
+                    // Re-own that frame and overwrite it with the
+                    // authoritative image.
                     let table = self.table.lock();
                     let Some(idx) = self.lookup(&table, &key) else { continue };
                     let frame = &self.frames[idx];

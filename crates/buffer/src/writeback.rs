@@ -79,12 +79,17 @@ impl BufferPool {
     /// already rules out a re-key).
     ///
     /// A frame dirtied since its last capture (`log_pending`) must have
-    /// its delta logged before the home write, and that takes the capture
-    /// mutex *before* the frame latch (rank 38 before 40): an in-flight
-    /// capture may hold an older delta of this page that is not yet in
-    /// the log, and ours is diffed against it, so ours must land after
-    /// it. A frame that batch encoded (`capturing`) waits the same way:
-    /// its bytes must not go home before their record is in the log.
+    /// its delta logged before the home write, and so must every change
+    /// chained before it: the page may name another that exists nowhere
+    /// else — a B-tree leaf naming a tuple in a block the storage manager
+    /// handed out but has not yet written — and replay must recreate that
+    /// block, or a restart hands it out again under the stale entry. So
+    /// the write-back logs the whole pending chain, under the capture
+    /// mutex taken *before* the frame latch (rank 38 before 40) and with
+    /// the latch released, and writes only a frame it then finds logged;
+    /// one re-dirtied meanwhile goes round again. A frame that a batch
+    /// encoded (`capturing`) waits the same way: its bytes must not go
+    /// home before their record is in the log.
     pub(super) fn write_back_frame(
         &self,
         idx: usize,
@@ -99,36 +104,39 @@ impl BufferPool {
             if !data.dirty || (expect.is_some() && data.key != expect) {
                 return Ok(false);
             }
-            let unlogged = data.log_pending || data.capturing;
-            if !unlogged || serial.is_some() || self.wal.get().is_none() {
-                // LINT: allow(R7, the capture mutex and frame latch must span delta logging and home write so the page is stable on its way to the device and no concurrent capture interleaves an older one)
-                return match (self.write_back(&mut data), wait) {
-                    (Ok(()), _) => Ok(true),
-                    (Err(e), Wait::Block) => Err(e),
-                    (Err(_), Wait::Skip) => Ok(false),
+            let wal = match self.wal.get() {
+                Some(wal) if data.log_pending || data.capturing => wal,
+                _ => {
+                    // LINT: allow(R7, the frame latch, and the capture mutex once taken, must span the home write so the page is stable on its way to the device and no capture logs a newer delta of it meanwhile)
+                    return match (self.write_back(&mut data), wait) {
+                        (Ok(()), _) => Ok(true),
+                        (Err(e), Wait::Block) => Err(e),
+                        (Err(_), Wait::Skip) => Ok(false),
+                    };
+                }
+            };
+            drop(data);
+            if serial.is_none() {
+                serial = match wait {
+                    Wait::Block => Some(self.capture.lock()),
+                    Wait::Skip => self.capture.try_lock(),
                 };
             }
-            // Only proceed when serialized against captures: let go of
-            // the latch and come back holding the mutex. A capture may
-            // log the delta meanwhile; `log_pending_record` no-ops then.
-            drop(data);
-            serial = match wait {
-                Wait::Block => Some(self.capture.lock()),
-                Wait::Skip => self.capture.try_lock(),
-            };
-            if serial.is_none() {
-                return Ok(false);
+            let Some(held) = &serial else { return Ok(false) };
+            match (self.capture_chain(wal, held), wait) {
+                (Ok(_), _) => {}
+                (Err(e), Wait::Block) => return Err(e),
+                (Err(_), Wait::Skip) => return Ok(false),
             }
         }
     }
 
     /// The WAL-before-data sequence, under `write_back_frame`'s latch on
-    /// a dirty frame: log a never-captured delta, force the log past the
+    /// a dirty frame whose delta is logged: force the log past the
     /// frame's last record so the on-disk page never runs ahead of what
     /// replay can reconstruct, write the page home, clear `dirty`. A
     /// failure at any step leaves the frame dirty.
     fn write_back(&self, data: &mut FrameData) -> Result<()> {
-        self.log_pending_record(data)?;
         if let Some(key) = data.key {
             let _span = obs::span!("pool.writeback");
             self.force_wal(data.page_lsn)?;

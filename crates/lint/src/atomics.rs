@@ -369,11 +369,12 @@ pub fn check_atomics_protocol(rows: &[AtomicRow], files: &[&SourceFile]) -> Vec<
             report(DESIGN, 0, format!("atomics-protocol table lists {:?} twice", row.key));
         }
     }
-    // Declared fields per key, for the two-way sync.
+    // Declared fields per key, crate-wide, for the two-way sync and for
+    // the ordering checks: a struct's atomics are often used in another
+    // file of its crate than the one declaring them.
     let mut declared: BTreeMap<String, (&str, u32)> = BTreeMap::new();
     for f in files {
-        let decls = atomic_field_decls(f);
-        for d in &decls {
+        for d in &atomic_field_decls(f) {
             let key = format!("{}.{}", f.krate, d.field);
             if let Some((prev_rel, prev_line)) = declared.get(&key) {
                 // Two structs in one crate sharing a field name must share
@@ -394,14 +395,13 @@ pub fn check_atomics_protocol(rows: &[AtomicRow], files: &[&SourceFile]) -> Vec<
                 report(&f.rel, d.line, msg);
             }
         }
-        // Ordering checks. An op on a local atomic or alias is not a
-        // protocol access; a field missing from the table is already
-        // reported above.
+    }
+    // Ordering checks. An op on a local atomic or alias is not a protocol
+    // access; a field missing from the table is already reported above.
+    for f in files {
         for op in atomic_op_sites(f) {
             let key = format!("{}.{}", f.krate, op.field);
-            let (Some(row), true) =
-                (by_key.get(key.as_str()), decls.iter().any(|d| d.field == op.field))
-            else {
+            let (Some(row), true) = (by_key.get(key.as_str()), declared.contains_key(&key)) else {
                 continue;
             };
             let Some((_, kinds)) = OPS.iter().find(|(name, _)| *name == op.method) else {
@@ -566,6 +566,28 @@ wal.flushed    watermark      load=Acquire store=Release rmw=- — durable LSN
             msgs.iter().filter(|m| m.contains("names no atomic field")).count() == 1,
             "{msgs:?}"
         );
+    }
+
+    /// A field declared in one file and used in another (the pool's
+    /// struct in `lib.rs`, its captures in `capture.rs`) is checked where
+    /// it is used.
+    #[test]
+    fn ops_are_checked_against_fields_declared_in_other_files() {
+        let rows = parse_atomics_protocol(TABLE).unwrap();
+        let decl = file("crates/buffer/src/lib.rs", "buffer", "struct Pool { state: AtomicU64 }");
+        let user = file(
+            "crates/buffer/src/capture.rs",
+            "buffer",
+            "impl Pool { fn f(&self) { self.state.load(Ordering::Relaxed); } }",
+        );
+        for files in [[&user, &decl], [&decl, &user]] {
+            let findings = check_atomics_protocol(&rows, &files);
+            assert!(
+                findings.iter().any(|f| f.path.ends_with("capture.rs")
+                    && f.message.contains("buffer.state.load: Ordering::Relaxed is weaker")),
+                "{findings:#?}"
+            );
+        }
     }
 
     #[test]

@@ -16,49 +16,43 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// An open relation file and its length in blocks.
+/// An open relation file and the number of blocks handed out of it.
 ///
-/// The length is read from the file once, when the entry is made (a
-/// created file is empty), and after that only [`RelFile::grow`] moves it:
-/// nothing else in the workspace changes a relation file's length (there
-/// is no `set_len`) and lobd is the only process on its data directory.
-/// So `nblocks` and every range check are an atomic load, not an `fstat`,
-/// and the entry — length included — goes when `unlink` drops it.
+/// The count is read from the file once, when the entry is made, and
+/// after that only a lock-free `fetch_add` in `allocate` or `extend` moves
+/// it: nothing shrinks a relation file (there is no `set_len`) and lobd is
+/// the only process on its data directory. So `nblocks` and every range
+/// check are an atomic load, not an `fstat`. The file grows lazily: a
+/// block's first `write` (normally the pool's write-back) lengthens it;
+/// until then the block lies past the end, or in a hole, and reads as
+/// zeros — an empty page to readers and a full one to inserters.
 struct RelFile {
     file: File,
-    /// Blocks handed out to extenders; at or ahead of `nblocks`.
-    reserved: AtomicU32,
-    /// Blocks the file is known to hold.
+    /// Blocks handed out; at or past the blocks the file holds.
     nblocks: AtomicU32,
 }
 
 impl RelFile {
     fn new(file: File, nblocks: u32) -> Arc<Self> {
-        Arc::new(Self { file, reserved: AtomicU32::new(nblocks), nblocks: AtomicU32::new(nblocks) })
+        Arc::new(Self { file, nblocks: AtomicU32::new(nblocks) })
     }
 
-    /// Add one block, writing `bytes` at offset `at` inside it. Extension
-    /// takes no lock: the block is reserved first, so concurrent extenders
-    /// get distinct blocks; the file grows by a positioned write into the
-    /// reserved block, which (unlike `set_len`) can never cut off a later
-    /// reservation; and the block is published only once the file holds
-    /// it, so no reader is sent past the end. A block reserved before a
-    /// slower neighbour's reads as zeros until its owner writes it, and
-    /// stays that way if the owner's write failed: an empty page to every
-    /// reader and a full one to every inserter.
-    fn grow(&self, bytes: &[u8], at: usize) -> Result<u32> {
-        let block = self.reserved.fetch_add(1, Ordering::SeqCst);
-        self.file.write_all_at(bytes, block as u64 * PAGE_SIZE as u64 + at as u64)?;
-        self.nblocks.fetch_max(block + 1, Ordering::SeqCst);
-        Ok(block)
-    }
-
-    /// `OutOfRange` unless the file holds `block`.
+    /// `OutOfRange` unless `block` has been handed out.
     fn check(&self, rel: RelFileId, block: u32) -> Result<()> {
         let nblocks = self.nblocks.load(Ordering::SeqCst);
-        if block >= nblocks {
-            return Err(SmgrError::OutOfRange { rel, block, nblocks });
+        (block < nblocks).then_some(()).ok_or(SmgrError::OutOfRange { rel, block, nblocks })
+    }
+
+    /// Fill `out` from block `block` on, with zeros past the file's end.
+    fn read_at(&self, out: &mut [u8], block: u32) -> Result<()> {
+        let (mut done, at) = (0, block as u64 * PAGE_SIZE as u64);
+        while done < out.len() {
+            match self.file.read_at(&mut out[done..], at + done as u64)? {
+                0 => break,
+                n => done += n,
+            }
         }
+        out[done..].fill(0);
         Ok(())
     }
 }
@@ -198,22 +192,24 @@ impl StorageManager for DiskSmgr {
 
     fn extend(&self, rel: RelFileId, page: &PageBuf) -> Result<u32> {
         let _span = obs::span!("smgr.disk.extend");
-        let block = self.open_file(rel)?.grow(page, 0)?;
+        let f = self.open_file(rel)?;
+        let block = f.nblocks.fetch_add(1, Ordering::SeqCst);
+        f.file.write_all_at(page, block as u64 * PAGE_SIZE as u64)?;
         self.charge(rel, block, PAGE_SIZE, true);
         Ok(block)
     }
 
     fn allocate(&self, rel: RelFileId) -> Result<u32> {
         let _span = obs::span!("smgr.disk.allocate");
-        // Metadata-only (the block's last byte): no simulated transfer.
-        self.open_file(rel)?.grow(&[0], PAGE_SIZE - 1)
+        // In memory only: the block's first `write` grows the file.
+        Ok(self.open_file(rel)?.nblocks.fetch_add(1, Ordering::SeqCst))
     }
 
     fn read(&self, rel: RelFileId, block: u32, out: &mut PageBuf) -> Result<()> {
         let _span = obs::span!("smgr.disk.read");
         let f = self.open_file(rel)?;
         f.check(rel, block)?;
-        f.file.read_exact_at(out, block as u64 * PAGE_SIZE as u64)?;
+        f.read_at(out, block)?;
         self.charge(rel, block, PAGE_SIZE, false);
         Ok(())
     }
@@ -240,8 +236,7 @@ impl StorageManager for DiskSmgr {
         let n = out.len().min((nblocks - start) as usize);
         // One contiguous transfer for the whole run: a single host syscall
         // and, on the simulated device, one positioning charge at most.
-        let flat = out[..n].as_flattened_mut();
-        f.file.read_exact_at(flat, start as u64 * PAGE_SIZE as u64)?;
+        f.read_at(out[..n].as_flattened_mut(), start)?;
         let sequential = self.seq.touch_run(rel, start, n as u32);
         self.sim.charge_io(&self.profile, n * PAGE_SIZE, sequential);
         self.stats.record_read(n * PAGE_SIZE, sequential);
@@ -349,21 +344,33 @@ mod tests {
         assert_eq!(smgr.nblocks(3).unwrap(), 0);
         assert_eq!(smgr.extend(3, &alloc_page()).unwrap(), 0);
         assert_eq!(smgr.allocate(3).unwrap(), 1);
-        assert_eq!(smgr.extend(3, &alloc_page()).unwrap(), 2);
+        assert_eq!(smgr.allocate(3).unwrap(), 2);
         assert_eq!(smgr.nblocks(3).unwrap(), 3);
-        assert_eq!(std::fs::metadata(smgr.rel_path(3)).unwrap().len(), 3 * PAGE_SIZE as u64);
+        let file_len = || std::fs::metadata(smgr.rel_path(3)).unwrap().len();
+        assert_eq!(file_len(), PAGE_SIZE as u64, "allocate makes no host I/O");
+        // A second manager on the directory (the crash-recovery path) has
+        // only the file to go by: blocks never written are not there.
+        assert_eq!(DiskSmgr::new(dir.path(), sim.clone()).unwrap().nblocks(3).unwrap(), 1);
+        // Block 2 reaches home before block 1: the first write grows the
+        // file and leaves block 1 a hole, which reads as zeros.
+        let mut page = alloc_page();
+        page[0] = 2;
+        smgr.write(3, 2, &page).unwrap();
+        assert_eq!(file_len(), 3 * PAGE_SIZE as u64);
         let mut out = alloc_page();
+        out[0] = 0xFF;
         smgr.read(3, 1, &mut out).unwrap();
-        assert_eq!(out, alloc_page(), "an allocated block reads as zeros");
+        assert_eq!(out, alloc_page(), "a hole reads as zeros");
+        let mut run = vec![[0xFFu8; PAGE_SIZE]; 2];
+        assert_eq!(smgr.read_many(3, 1, &mut run).unwrap(), 2);
+        assert_eq!((run[0], run[1][0]), ([0; PAGE_SIZE], 2));
         assert!(matches!(
             smgr.read(3, 3, &mut out),
             Err(SmgrError::OutOfRange { block: 3, nblocks: 3, .. })
         ));
         assert!(matches!(smgr.write(3, 3, &out), Err(SmgrError::OutOfRange { .. })));
-        // A second manager on the directory (the crash-recovery path) has
-        // only the file to go by.
         let reopened = DiskSmgr::new(dir.path(), sim).unwrap();
-        assert_eq!(reopened.nblocks(3).unwrap(), 3);
+        assert_eq!(reopened.nblocks(3).unwrap(), 3, "the written length, hole included");
         assert_eq!(reopened.allocate(3).unwrap(), 3);
         reopened.write(3, 3, &out).unwrap();
         assert!(matches!(reopened.read(3, 4, &mut out), Err(SmgrError::OutOfRange { .. })));

@@ -149,9 +149,11 @@ pub trait StorageManager: Send + Sync {
     fn extend(&self, rel: RelFileId, page: &PageBuf) -> Result<u32>;
 
     /// Allocate a new zeroed block at the end of the relation *without*
-    /// transferring data — delayed allocation. The block's first real
-    /// image arrives via a later `write` (typically the buffer pool's
-    /// flush), so the page is paid for once, not twice.
+    /// transferring data — delayed allocation. The block reads as zeros
+    /// until its first image arrives via a later `write` (typically the
+    /// buffer pool's flush), so the page is paid for once, not twice;
+    /// [`DiskSmgr`] grows the file only then, so a crash before it loses
+    /// the block.
     fn allocate(&self, rel: RelFileId) -> Result<u32>;
 
     /// Read block `block` into `out`.
@@ -345,6 +347,43 @@ mod tests {
         assert_eq!(out[1][0], 2);
         assert_eq!(m.read_many(1, 3, &mut out).unwrap(), 0, "past-the-end reads nothing");
         assert_eq!(m.read_many(1, 0, &mut []).unwrap(), 0);
+    }
+
+    /// What every manager's `allocate` promises: the block is handed out
+    /// at once and reads as zeros, alone and in a run, until its first
+    /// `write` lands.
+    #[test]
+    fn allocate_contract_holds_for_every_manager() {
+        use pglo_pages::{alloc_page, PAGE_SIZE};
+        let sim = pglo_sim::SimContext::default_1992();
+        let dir = tempfile::tempdir().unwrap();
+        let managers: [Box<dyn StorageManager>; 3] = [
+            Box::new(DiskSmgr::new(dir.path(), sim.clone()).unwrap()),
+            Box::new(MemSmgr::new(sim.clone())),
+            Box::new(WormSmgr::new(sim)),
+        ];
+        for m in &managers {
+            let name = m.name();
+            m.create(1).unwrap();
+            let mut page = alloc_page();
+            page[0] = 7;
+            assert_eq!(m.extend(1, &page).unwrap(), 0, "{name}");
+            assert_eq!(m.allocate(1).unwrap(), 1, "{name}");
+            assert_eq!(m.allocate(1).unwrap(), 2, "{name}");
+            assert_eq!(m.nblocks(1).unwrap(), 3, "{name}: allocate grows nblocks");
+            let mut out = alloc_page();
+            out[0] = 0xFF;
+            m.read(1, 2, &mut out).unwrap();
+            assert_eq!(out, alloc_page(), "{name}: an allocated block reads as zeros");
+            let mut run = vec![[0xFFu8; PAGE_SIZE]; 4];
+            assert_eq!(m.read_many(1, 0, &mut run).unwrap(), 3, "{name}");
+            assert_eq!(run[0][0], 7, "{name}");
+            assert_eq!(run[1..3], [[0; PAGE_SIZE]; 2], "{name}: the allocated tail reads as zeros");
+            page[0] = 9;
+            m.write(1, 1, &page).unwrap();
+            m.read(1, 1, &mut out).unwrap();
+            assert_eq!(out, page, "{name}: the written page reads back");
+        }
     }
 
     #[test]

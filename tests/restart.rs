@@ -883,3 +883,128 @@ fn crash_after_every_step_recovers_committed_state() {
     let live_log = pglo::wal::Wal::scan_records(live.join("wal"), seg).unwrap();
     assert!(live_log[0].lsn >= seg, "checkpoints must recycle the first segment");
 }
+
+/// A chunk heap's fresh block lives only in memory until its first
+/// write-back grows the file. Kill the process wherever that leaves the
+/// heap file short of the blocks handed out:
+/// (a) the newest block logged by a commit but never written home;
+/// (b) a hole: the newest block home, the one before it not;
+/// (c) a chunk-index leaf naming an uncommitted version's fresh block,
+///     evicted home through the small pool while that block is not home.
+/// Each killed copy is reopened twice. Both reopens must read exactly the
+/// committed bytes, and no chunk-index entry may name a block at or past
+/// its heap's length: the next insert would be handed that block, and
+/// the stale entry would then name another chunk's row.
+#[test]
+fn crash_on_the_lazy_extension_path_recovers_committed_state() {
+    use pglo::btree::{BTree, ScanStart};
+    use pglo::buffer::PageKey;
+    use pglo::pages::PAGE_SIZE;
+    const CHUNK: usize = 8000;
+    let tmp = tempfile::tempdir().unwrap();
+    let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
+    let opts =
+        || EnvOptions { pool_frames: 32, wal_segment_bytes: 64 * 1024, ..Default::default() };
+    let env = StorageEnv::open_with(&live, opts()).unwrap();
+    let store = LoStore::new(Arc::clone(&env));
+    let fill = |seed: u8, len: usize| -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect()
+    };
+    let write = |txn: &Txn, id: LoId, off: usize, bytes: &[u8]| {
+        let mut h = store.open(txn, id, OpenMode::ReadWrite).unwrap();
+        h.write_at(off as u64, bytes).unwrap();
+        h.close().unwrap();
+    };
+    // A filler twice the pool, whose read evicts every unpinned frame, and
+    // the object under test, four chunks of one heap page each; all home.
+    let mut model = Model::default();
+    let txn = env.begin();
+    for (seed, len) in [(1, 64 * 8192), (2, 4 * CHUNK)] {
+        let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
+        let bytes = fill(seed, len);
+        write(&txn, id, 0, &bytes);
+        model.objects.push((id, bytes));
+    }
+    txn.commit();
+    env.pool().flush_all().unwrap();
+    let (filler, id) = (model.objects[0].0, model.objects[1].0);
+    let meta = store.meta(id).unwrap();
+    let heap = Heap::open_oid(&env, meta.data_rel, meta.smgr);
+    let heap_file = live.join("heap").join(format!("rel_{}.pg", meta.data_rel));
+    let home_blocks = || std::fs::metadata(&heap_file).unwrap().len() / PAGE_SIZE as u64;
+    let key = |block: u32| PageKey::new(meta.smgr, meta.data_rel, block);
+    // Rewrite chunk `seq`, into `model` too if the write will commit.
+    let rewrite = |txn: &Txn, seq: usize, seed: u8, model: Option<&mut Model>| {
+        let bytes = fill(seed, CHUNK);
+        write(txn, id, seq * CHUNK, &bytes);
+        if let Some(model) = model {
+            model.objects[1].1[seq * CHUNK..][..CHUNK].copy_from_slice(&bytes);
+        }
+    };
+    // Copy what the OS holds, reopen the copy twice, and return the heap
+    // blocks its chunk index names.
+    let recover = |what: &str, model: &Model| -> Vec<u32> {
+        if work.exists() {
+            std::fs::remove_dir_all(&work).unwrap();
+        }
+        copy_dir(&live, &work);
+        let mut named = Vec::new();
+        for reopen in ["first", "second"] {
+            let env = StorageEnv::open_with(&work, opts()).unwrap();
+            assert_eq!(&read_back(&env, model), model, "{what}: {reopen} reopen");
+            let nblocks = Heap::open_oid(&env, meta.data_rel, meta.smgr).nblocks().unwrap();
+            let index = BTree::open_oid(&env, meta.idx_rel, meta.smgr);
+            let mut scan = index.scan(ScanStart::First).unwrap();
+            named.clear();
+            while let Some((_, tid)) = scan.next_entry().unwrap() {
+                assert!(
+                    tid.block < nblocks,
+                    "{what}: {reopen} reopen: chunk index names {tid:?}, heap has {nblocks} blocks"
+                );
+                named.push(tid.block);
+            }
+        }
+        named
+    };
+
+    // (a) A committed chunk version in a fresh block: logged, not home.
+    let txn = env.begin();
+    rewrite(&txn, 1, 0xA1, Some(&mut model));
+    txn.commit();
+    assert!(home_blocks() < heap.nblocks().unwrap() as u64, "(a): the newest block is home");
+    recover("(a) logged, never written home", &model);
+
+    // (b) Two fresh blocks; the pinned earlier one stays out of the batch
+    // flush that writes the later one home.
+    let txn = env.begin();
+    rewrite(&txn, 2, 0xB2, Some(&mut model));
+    rewrite(&txn, 3, 0xB3, Some(&mut model));
+    txn.commit();
+    let newest = heap.nblocks().unwrap() - 1;
+    {
+        let _hold = env.pool().pin(key(newest - 1)).unwrap();
+        env.pool().flush_dirty_batch();
+    }
+    assert_eq!(home_blocks(), newest as u64 + 1, "(b): the newest block is not home");
+    let file = std::fs::read(&heap_file).unwrap();
+    let hole = &file[(newest as usize - 1) * PAGE_SIZE..][..PAGE_SIZE];
+    assert!(hole.iter().all(|&b| b == 0), "(b): the block before the newest is home");
+    recover("(b) a hole", &model);
+
+    // (c) An uncommitted version in a fresh block, pinned in the pool while
+    // a rewrite of the filler fills the pool with dirty pages: no victim is
+    // clean, so a batch write-back takes the index leaf home.
+    let txn = env.begin();
+    rewrite(&txn, 0, 0xC0, None);
+    let newest = heap.nblocks().unwrap() - 1;
+    {
+        let _hold = env.pool().pin(key(newest)).unwrap();
+        let other = env.begin();
+        write(&other, filler, 0, &fill(3, 64 * 8192));
+        other.abort();
+    }
+    assert!(home_blocks() <= newest as u64, "(c): the uncommitted version's block is home");
+    let named = recover("(c) a home leaf names an unwritten block", &model);
+    assert!(named.contains(&newest), "(c): no leaf naming the uncommitted version went home");
+    txn.abort();
+}
