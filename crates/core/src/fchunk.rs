@@ -392,7 +392,7 @@ impl LoBackend for FChunkBackend {
             props.extend(xid.as_deref().map(|xid| ("size_xid", xid)));
             if xid.is_some() {
                 // The catalog is written outside the log: log the XID limit first.
-                self.env.wal().log_xid_limit().map_err(LoError::Io)?;
+                self.env.wal().log_limits().map_err(LoError::Io)?;
             }
             self.env.catalog().set_props(&lo_class_name(self.id), &props)?;
             self.size_dirty = false;

@@ -334,6 +334,27 @@ fn unlink_reclaims_relations() {
     assert!(!smgr.exists(meta.seg_rel));
 }
 
+/// A create mutates the catalog once, for the object's class: its OIDs
+/// (the object's, and each relation's) come from the log's counter. Each
+/// catalog mutation is one rewrite of `catalog.json`, which also shows as
+/// one changed inode, the rename of a fresh copy over it.
+#[test]
+fn create_rewrites_the_catalog_once() {
+    use std::os::unix::fs::MetadataExt;
+    let (dir, env, store) = setup();
+    let inode = || std::fs::metadata(dir.path().join("catalog.json")).map(|m| m.ino()).ok();
+    for (name, spec) in
+        [("fchunk", LoSpec::fchunk()), ("vsegment", LoSpec::vsegment(CodecKind::None))]
+    {
+        let txn = env.begin();
+        let (version, file) = (env.catalog().version(), inode());
+        store.create(&txn, &spec).unwrap();
+        assert_eq!(env.catalog().version() - version, 1, "{name}: catalog rewrites");
+        assert_ne!(inode(), file, "{name}: catalog.json was rewritten");
+        txn.commit();
+    }
+}
+
 #[test]
 fn pfile_unlink_removes_host_file() {
     let (_d, env, store) = setup();

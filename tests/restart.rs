@@ -316,11 +316,8 @@ fn inflight_xid_never_reused(checkpoint: bool) {
         let before = env.wal().end_lsn();
         env.checkpoint().unwrap();
         let recs = pglo::wal::Wal::scan_records(live.join("wal"), seg).unwrap();
-        let last_limit = recs
-            .iter()
-            .rev()
-            .find(|r| r.kind == pglo::wal::KIND_XID_LIMIT && r.lsn < before)
-            .unwrap();
+        let last_limit =
+            recs.iter().rev().find(|r| r.kind == pglo::wal::KIND_LIMITS && r.lsn < before).unwrap();
         assert!(env.wal().redo_lsn() > last_limit.lsn, "the horizon must pass the limit record");
     }
     copy_dir(&live, &work); // kill: X never commits
@@ -403,6 +400,104 @@ fn catalog_stamped_xid_is_never_reused_after_crash() {
         assert_eq!(h.read_at(0, &mut buf).unwrap(), base.len());
         assert_eq!(buf, base);
     }
+}
+
+/// The OIDs of a large object: its own, then its relations'.
+fn object_oids(store: &LoStore, id: LoId) -> Vec<u64> {
+    let m = store.meta(id).unwrap();
+    [id.0, m.data_rel, m.idx_rel, m.seg_rel, m.seg_idx_rel]
+        .into_iter()
+        .filter(|&o| o != 0)
+        .collect()
+}
+
+/// No OID handed out before a crash is handed out again after recovery.
+/// For each chunked kind, a committed object, then OIDs drawn past a
+/// 1,024-OID limit block, then a create cut short after its relations:
+/// their files exist and the catalog never names them. The process is
+/// killed after the block's first OID and after each relation; with
+/// `checkpoint`, a checkpoint first recycles the segment holding the last
+/// limit record, so only the checkpoint's batch restates it. Each killed
+/// copy must hand out only OIDs above all those, create a fresh object of
+/// the kind, and read the committed one back.
+fn handed_out_oid_never_reused(checkpoint: bool) {
+    let seg = 64 * 1024u64;
+    let base = vec![0x11u8; 20_000];
+    for spec in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)] {
+        let tmp = tempfile::tempdir().unwrap();
+        let live = tmp.path().join("live");
+        let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
+        let store = LoStore::new(Arc::clone(&env));
+        let txn = env.begin();
+        let id = store.create(&txn, &spec).unwrap();
+        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+        h.write_at(0, &base).unwrap();
+        h.close().unwrap();
+        txn.commit();
+        let mut handed = object_oids(&store, id);
+        let (mut kills, mut orphans) = (Vec::new(), Vec::new());
+        let mut kill = |handed: &[u64], orphans: &[u64]| {
+            let work = tmp.path().join(format!("kill{}", kills.len()));
+            copy_dir(&live, &work);
+            kills.push((work, *handed.iter().max().unwrap(), orphans.to_vec()));
+        };
+        while handed.last() != Some(&2048) {
+            handed.push(env.catalog().alloc_oid().unwrap());
+        }
+        kill(&handed, &orphans); // the OID that logged the block past 2048
+        if checkpoint {
+            let txn = env.begin();
+            let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+            h.write_at(0, &vec![0x22u8; seg as usize]).unwrap();
+            h.close().unwrap();
+            txn.abort();
+            env.pool().flush_all().unwrap();
+            env.checkpoint().unwrap();
+            let recs = pglo::wal::Wal::scan_records(live.join("wal"), seg).unwrap();
+            let limits: Vec<_> = recs.iter().filter(|r| r.kind == pglo::wal::KIND_LIMITS).collect();
+            assert_eq!(limits.len(), 1, "only the checkpoint's restated limits are left");
+            assert!(limits[0].lsn >= env.wal().redo_lsn(), "and they are past the horizon");
+        }
+        let heap = Heap::create_anonymous(&env, env.disk_id()).unwrap();
+        handed.push(heap.rel());
+        orphans.push(heap.rel());
+        kill(&handed, &orphans);
+        let index = pglo::btree::BTree::create_anonymous(&env, env.disk_id()).unwrap();
+        handed.push(index.rel());
+        orphans.push(index.rel());
+        kill(&handed, &orphans);
+        drop((heap, index, store, env));
+
+        for (work, max, orphans) in kills {
+            let what = format!("{spec:?} checkpoint={checkpoint} killed at {max}");
+            let env = StorageEnv::open_with(&work, crash_opts()).unwrap();
+            let disk = env.switch().get(env.disk_id()).unwrap();
+            assert!(orphans.iter().all(|&rel| disk.exists(rel)), "{what}: the cut create's files");
+            let next = env.catalog().alloc_oid().unwrap();
+            assert!(next > max, "{what}: OID {next} handed out again");
+            let store = LoStore::new(Arc::clone(&env));
+            let txn = env.begin();
+            let fresh = store.create(&txn, &spec).unwrap();
+            assert!(object_oids(&store, fresh).iter().all(|&o| o > max), "{what}");
+            let mut h = store.open(&txn, fresh, OpenMode::ReadWrite).unwrap();
+            h.write_at(0, &[0x33; 100]).unwrap();
+            h.close().unwrap();
+            txn.commit();
+            let txn = env.begin();
+            let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+            assert_eq!(h.read_to_vec().unwrap(), base, "{what}: the committed object");
+        }
+    }
+}
+
+#[test]
+fn handed_out_oid_is_never_reused_after_crash() {
+    handed_out_oid_never_reused(false);
+}
+
+#[test]
+fn handed_out_oid_is_never_reused_after_checkpoint_and_crash() {
+    handed_out_oid_never_reused(true);
 }
 
 /// WORM burns ride the redo log as idempotent records: a heap burned to
@@ -547,13 +642,13 @@ fn staged_worm_blocks_pin_checkpoint_and_survive_crash() {
 }
 
 /// Append harmless records until the current log segment has exactly
-/// `tail` bytes left: 32-byte XID-limit records and 40-byte checkpoint
-/// records that say nothing new (replay keeps the highest limit, and the
+/// `tail` bytes left: 40-byte limit records and 32-byte checkpoint
+/// records that say nothing new (replay keeps the highest limits, and the
 /// checkpoints restate the redo horizon) and, when the gap is 4 mod 8, one
 /// 52-byte delta for a storage manager nobody registered (replay skips
 /// those).
 fn pad_segment_to_tail(env: &StorageEnv, seg: u64, tail: u64) {
-    use pglo::wal::WalRecord::{WormBurn, XidLimit};
+    use pglo::wal::WalRecord::{Checkpoint, Limits};
     let wal = env.wal();
     let gap = || (seg - tail).checked_sub(wal.end_lsn() % seg);
     while gap().is_none_or(|g| g < 200) {
@@ -569,13 +664,12 @@ fn pad_segment_to_tail(env: &StorageEnv, seg: u64, tail: u64) {
         wal.append_batch(&mut [rec]).unwrap();
         g -= 52;
     }
-    while g % 32 != 0 {
-        // A burn for an unregistered manager: 40 bytes, a no-op on replay.
-        wal.append(&WormBurn { smgr: 63, rel: 1 }).unwrap();
-        g -= 40;
+    while g % 40 != 0 {
+        wal.append(&Checkpoint { redo_lsn: wal.redo_lsn() }).unwrap();
+        g -= 32;
     }
-    for _ in 0..g / 32 {
-        wal.append(&XidLimit { limit: 0 }).unwrap();
+    for _ in 0..g / 40 {
+        wal.append(&Limits(Default::default())).unwrap();
     }
     wal.flush_all().unwrap();
     assert_eq!(wal.end_lsn() % seg, seg - tail, "padding must leave a {tail}-byte tail");
@@ -870,10 +964,8 @@ fn crash_after_every_step_recovers_committed_state() {
             }
         }
     }
-    use pglo::wal::{
-        KIND_CHECKPOINT, KIND_COMMIT, KIND_PAGE_DELTA, KIND_WORM_BURN, KIND_XID_LIMIT,
-    };
-    for kind in [KIND_PAGE_DELTA, KIND_COMMIT, KIND_WORM_BURN, KIND_CHECKPOINT, KIND_XID_LIMIT] {
+    use pglo::wal::{KIND_CHECKPOINT, KIND_COMMIT, KIND_LIMITS, KIND_PAGE_DELTA, KIND_WORM_BURN};
+    for kind in [KIND_PAGE_DELTA, KIND_COMMIT, KIND_WORM_BURN, KIND_CHECKPOINT, KIND_LIMITS] {
         assert!(replayed.contains(&kind), "no crash replayed a kind-{kind} record");
     }
     assert!(home_baseline_replayed, "no crash replayed a delta over pages read back from home");
