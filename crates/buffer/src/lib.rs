@@ -405,16 +405,17 @@ impl PinnedPage<'_> {
 
     /// Exclusive access; the page is marked dirty (and flagged for
     /// capture into the redo log at the next commit, which logs what
-    /// changed since the page's last record).
+    /// changed since the page's last record) unless the guard leaves its
+    /// bytes as they were.
     pub fn write(&self) -> PageWriteGuard<'_> {
         let mut guard = self.pool.frames[self.idx].data.write();
-        guard.dirty = true;
         // Leaving logged bytes: they are the baseline the delta needs.
-        if !std::mem::replace(&mut guard.log_pending, true) && self.pool.wal.get().is_some() {
+        let undo = (!guard.log_pending).then_some(guard.dirty);
+        (guard.dirty, guard.log_pending) = (true, true);
+        if undo.is_some() && self.pool.wal.get().is_some() {
             guard.baseline = Baseline::Bytes(guard.page.clone());
         }
-        self.pool.note_pending(self.idx);
-        PageWriteGuard { guard }
+        PageWriteGuard { guard, pool: self.pool, idx: self.idx, undo }
     }
 
     /// Run `f` with shared access (convenience).
@@ -449,6 +450,27 @@ impl std::ops::Deref for PageReadGuard<'_> {
 /// Exclusive guard over a pinned page's bytes.
 pub struct PageWriteGuard<'a> {
     guard: RwLockWriteGuard<'a, FrameData>,
+    pool: &'a BufferPool,
+    idx: usize,
+    /// `Some(dirty before)` when this guard took the page off its logged
+    /// bytes.
+    undo: Option<bool>,
+}
+
+impl Drop for PageWriteGuard<'_> {
+    /// Dirty means changed: a guard that took the page off its logged
+    /// bytes and leaves them as they were undoes that, so the page is not
+    /// logged or written back for it. Otherwise the frame is chained for
+    /// capture, still under the latch.
+    fn drop(&mut self) {
+        let data = &mut *self.guard;
+        match (self.undo, &data.baseline) {
+            (Some(dirty), Baseline::Bytes(base)) if **base == *data.page => {
+                (data.dirty, data.log_pending, data.baseline) = (dirty, false, Baseline::Whole);
+            }
+            _ => self.pool.note_pending(self.idx),
+        }
+    }
 }
 
 impl std::ops::Deref for PageWriteGuard<'_> {

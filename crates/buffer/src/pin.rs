@@ -194,19 +194,17 @@ impl BufferPool {
     }
 
     /// Allocate a brand-new block at the end of `rel`, initialized by
-    /// `init`, returning its block number and a pinned handle. Allocation
-    /// is delayed: the storage manager only hands out the block; the page
-    /// image is written once, when the (dirty) frame is later flushed.
+    /// `init` from zeros in its frame, returning its block number and a
+    /// pinned handle. Allocation is delayed: the storage manager only hands
+    /// out the block; the page image is written once, when the (dirty)
+    /// frame is later flushed.
     pub fn new_page(
         &self,
         smgr: SmgrId,
         rel: RelFileId,
         init: impl FnOnce(&mut PageBuf),
     ) -> Result<(u32, PinnedPage<'_>)> {
-        let mgr = self.switch.get(smgr)?;
-        let mut page = pglo_pages::alloc_page();
-        init(&mut page);
-        let block = mgr.allocate(rel)?;
+        let block = self.switch.get(smgr)?.allocate(rel)?;
         let key = PageKey::new(smgr, rel, block);
         // Install directly into a frame (avoids an immediate re-read).
         loop {
@@ -234,7 +232,8 @@ impl BufferPool {
                     (idx, data)
                 }
             };
-            data.page.copy_from_slice(&page[..]);
+            data.page.fill(0);
+            init(&mut data.page);
             self.install(idx, &mut data, key, true);
             return Ok((block, PinnedPage { pool: self, idx }));
         }

@@ -22,7 +22,7 @@ use crate::{stored_form, LoError, LoId, Result};
 use pglo_btree::keys::{u64_key, u64_prefix};
 use pglo_btree::BTree;
 use pglo_compress::CodecKind;
-use pglo_heap::{AccessHint, Heap, StorageEnv};
+use pglo_heap::{AccessHint, Heap, HeapError, StorageEnv};
 use pglo_pages::Tid;
 use pglo_txn::{Txn, Visibility};
 use std::borrow::Cow;
@@ -30,14 +30,6 @@ use std::sync::Arc;
 
 /// Chunk tuple prefix: `[seqno u32][flag u8]`.
 const CHUNK_HDR: usize = 5;
-
-fn encode_chunk(seq: u64, flag: u8, bytes: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(CHUNK_HDR + bytes.len());
-    out.extend_from_slice(&(seq as u32).to_le_bytes());
-    out.push(flag);
-    out.extend_from_slice(bytes);
-    out
-}
 
 fn decode_chunk(payload: &[u8]) -> Result<(u64, u8, &[u8])> {
     let Some((seq, [flag, bytes @ ..])) = payload.split_first_chunk::<4>() else {
@@ -60,6 +52,9 @@ struct ChunkCache {
     /// Plain (decompressed) chunk bytes; may be shorter than [`CHUNK_SIZE`]
     /// for the object's tail chunk.
     data: Vec<u8>,
+    /// The version `data` was loaded from or last written as, which the
+    /// next write-back supersedes; `None` when no version was fetched.
+    tid: Option<Tid>,
     dirty: bool,
 }
 
@@ -134,9 +129,9 @@ impl FChunkBackend {
         }
     }
 
-    /// Hand each visible chunk in `lo..=hi` to `f` as `(seq, flag, stored
-    /// bytes)`, the bytes borrowed from the chunk's pinned heap page: one
-    /// index descent and one leaf walk, however many chunks.
+    /// Hand each visible chunk in `lo..=hi` to `f` as `(seq, tid, flag,
+    /// stored bytes)`, the bytes borrowed from the chunk's pinned heap page:
+    /// one index descent and one leaf walk, however many chunks.
     ///
     /// Chunks are inserted in sequence order, roughly one per heap page,
     /// so an ascending chunk walk is an ascending block walk: every chunk
@@ -150,7 +145,7 @@ impl FChunkBackend {
         lo: u64,
         hi: u64,
         hint: AccessHint,
-        mut f: impl FnMut(u64, u8, &[u8]) -> Result<()>,
+        mut f: impl FnMut(u64, Tid, u8, &[u8]) -> Result<()>,
     ) -> Result<()> {
         let (lo_key, hi_key) = (u64_key(lo), u64_key(hi));
         self.index.visible_range(
@@ -159,7 +154,7 @@ impl FChunkBackend {
             &hi_key,
             &self.vis,
             hint,
-            |key, _, payload| {
+            |key, tid, payload| {
                 let short_key = || LoError::Meta(format!("{}: chunk index key too short", self.id));
                 let seq = u64_prefix(key).ok_or_else(short_key)?;
                 let (stored_seq, flag, bytes) = decode_chunk(payload)?;
@@ -169,28 +164,29 @@ impl FChunkBackend {
                         self.id
                     )));
                 }
-                f(seq, flag, bytes)
+                f(seq, tid, flag, bytes)
             },
         )
     }
 
     /// Copy the visible chunks `lo..=hi` into `span` from one
     /// [`Self::walk_chunks`], zero-filling the ones that are missing or
-    /// short; chunk `hi`'s plain bytes also go to `keep`, if given.
+    /// short; chunk `hi`'s plain bytes and TID also go to `keep`, if given.
     fn read_chunks(
         &self,
         span: &mut ReadSpan<'_>,
         (lo, hi): (u64, u64),
         hint: AccessHint,
-        mut keep: Option<&mut Vec<u8>>,
+        mut keep: Option<&mut ChunkCache>,
     ) -> Result<()> {
         let mut next = lo;
-        self.walk_chunks(lo, hi, hint, |seq, flag, bytes| {
+        self.walk_chunks(lo, hi, hint, |seq, tid, flag, bytes| {
             (next..seq).for_each(|missing| span.put(missing, &[]));
             let plain = stored_form::decode(&self.env, self.codec, flag, bytes.into())?;
             span.put(seq, &plain);
             if let Some(keep) = keep.as_deref_mut().filter(|_| seq == hi) {
-                keep_plain(keep, plain);
+                keep.tid = Some(tid);
+                keep_plain(&mut keep.data, plain);
             }
             next = seq + 1;
             Ok(())
@@ -199,29 +195,42 @@ impl FChunkBackend {
         Ok(())
     }
 
-    /// The visible version's TID for chunk `seq`, if any.
-    fn visible_tid(&self, seq: u64) -> Result<Option<Tid>> {
-        let key = u64_key(seq);
-        let mut versions = self.index.visible(&self.heap, &key, &self.vis, AccessHint::Random)?;
-        Ok(versions.next().transpose()?.map(|(tid, _)| tid))
+    /// Stamp chunk `seq`'s visible version deleted by `txn`, if it has one.
+    /// That is `cached`, the version the handle loaded or last wrote,
+    /// unless its stamp conflicts: another handle of this transaction may
+    /// have superseded it. Then a lookup finds the version to stamp, and
+    /// another transaction's stamp conflicts again and is returned.
+    fn supersede(&self, txn: &Txn, seq: u64, cached: Option<Tid>) -> Result<()> {
+        if let Some(tid) = cached {
+            match self.heap.delete(txn, tid) {
+                Err(HeapError::WriteConflict { .. }) => {}
+                done => return Ok(done?),
+            }
+        }
+        // One index descent and one fetch, copying no payload.
+        let mut found = None;
+        self.walk_chunks(seq, seq, AccessHint::Random, |_, tid, _, _| {
+            found = Some(tid);
+            Ok(())
+        })?;
+        Ok(found.map_or(Ok(()), |tid| self.heap.delete(txn, tid))?)
     }
 
+    /// Write the dirty cached chunk back as a new version: the old one
+    /// stamped, and the chunk prefix and stored bytes copied straight into
+    /// the heap page.
     fn write_back(&mut self, txn: Option<&Txn>) -> Result<()> {
-        let Some(cache) = &self.cache else { return Ok(()) };
-        if !cache.dirty {
-            return Ok(());
-        }
+        let Some(cache) = self.cache.as_ref().filter(|c| c.dirty) else { return Ok(()) };
         let txn = txn.ok_or(LoError::ReadOnly)?;
         let seq = cache.seq;
+        self.supersede(txn, seq, cache.tid)?;
         let (flag, stored) = stored_form::encode(&self.env, self.codec, &cache.data);
-        let payload = encode_chunk(seq, flag, &stored);
-        let new_tid = match self.visible_tid(seq)? {
-            Some(old) => self.heap.update(txn, old, &payload)?,
-            None => self.heap.insert(txn, &payload)?,
-        };
+        let mut head = [flag; CHUNK_HDR];
+        head[..4].copy_from_slice(&(seq as u32).to_le_bytes());
+        let new_tid = self.heap.insert_parts(txn, &head, &stored)?;
         self.index.insert(&u64_key(seq), new_tid)?;
         if let Some(cache) = &mut self.cache {
-            cache.dirty = false;
+            (cache.dirty, cache.tid) = (false, Some(new_tid));
         }
         Ok(())
     }
@@ -255,15 +264,16 @@ impl FChunkBackend {
         }
         let hint = self.run_hint(seq);
         self.write_back(Some(txn))?;
-        let mut data = self.take_buffer();
+        let mut chunk = ChunkCache { seq, data: self.take_buffer(), tid: None, dirty: false };
         if !skip_fetch {
-            self.walk_chunks(seq, seq, hint, |_, flag, bytes| {
+            self.walk_chunks(seq, seq, hint, |_, tid, flag, bytes| {
                 let plain = stored_form::decode(&self.env, self.codec, flag, bytes.into())?;
-                keep_plain(&mut data, plain);
+                chunk.tid = Some(tid);
+                keep_plain(&mut chunk.data, plain);
                 Ok(())
             })?;
         }
-        Ok(self.cache.insert(ChunkCache { seq, data, dirty: false }))
+        Ok(self.cache.insert(chunk))
     }
 
     /// Recompute the logical size from visible chunks — used for
@@ -273,7 +283,7 @@ impl FChunkBackend {
     /// copied out, to be decoded if it is the last.
     pub(crate) fn compute_size(&self) -> Result<u64> {
         let (mut tail, mut compressed) = (None, Vec::new());
-        self.walk_chunks(0, u64::MAX, AccessHint::Random, |seq, flag, bytes| {
+        self.walk_chunks(0, u64::MAX, AccessHint::Random, |seq, _, flag, bytes| {
             compressed.clear();
             if flag == stored_form::FLAG_COMPRESSED {
                 compressed.extend_from_slice(bytes);
@@ -336,9 +346,10 @@ impl LoBackend for FChunkBackend {
                 self.read_chunks(span, after, hint, None)?;
             }
             Some(after) => {
-                let mut keep = self.take_buffer();
+                let mut keep =
+                    ChunkCache { seq: last, data: self.take_buffer(), tid: None, dirty: false };
                 self.read_chunks(span, after, hint, Some(&mut keep))?;
-                self.cache = Some(ChunkCache { seq: last, data: keep, dirty: false });
+                self.cache = Some(keep);
             }
             None => {}
         }

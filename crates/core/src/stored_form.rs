@@ -11,18 +11,23 @@ use std::borrow::Cow;
 const FLAG_RAW: u8 = 0;
 pub(crate) const FLAG_COMPRESSED: u8 = 1;
 
-/// The flag and bytes to store for `plain`. Input conversion is priced per
-/// byte compressed, whether or not the result is kept.
-pub(crate) fn encode(env: &StorageEnv, kind: CodecKind, plain: &[u8]) -> (u8, Vec<u8>) {
+/// The flag and bytes to store for `plain`: `plain` itself, borrowed, when
+/// it is kept as written. Input conversion is priced per byte compressed,
+/// whether or not the result is kept.
+pub(crate) fn encode<'a>(
+    env: &StorageEnv,
+    kind: CodecKind,
+    plain: &'a [u8],
+) -> (u8, Cow<'a, [u8]>) {
     if kind != CodecKind::None {
         let codec = kind.codec();
         env.sim().charge_cpu_per_byte(plain.len(), codec.instr_per_byte());
         let compressed = compress_vec(codec, plain);
         if compressed.len() < plain.len() {
-            return (FLAG_COMPRESSED, compressed);
+            return (FLAG_COMPRESSED, Cow::Owned(compressed));
         }
     }
-    (FLAG_RAW, plain.to_vec())
+    (FLAG_RAW, Cow::Borrowed(plain))
 }
 
 /// The plain bytes behind `stored`: `stored` itself when it was kept as

@@ -783,6 +783,130 @@ fn multi_chunk_read_descends_the_index_once() {
     assert_eq!(pins[1] - pins[0], 999 + (leaves - 1), "pins of 1 and 1000 chunks: {pins:?}");
 }
 
+/// A committed f-chunk object of two chunks of ones.
+fn two_committed_chunks(env: &Arc<StorageEnv>, store: &LoStore) -> LoId {
+    let txn = env.begin();
+    let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
+    let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+    h.write(&vec![1u8; 2 * CHUNK_SIZE]).unwrap();
+    h.close().unwrap();
+    txn.commit();
+    id
+}
+
+/// A partial write finds the version it supersedes once: the walk that
+/// loads the chunk hands its TID to the write-back. So a 100-byte write
+/// into a committed chunk, flushed, pins what a whole-chunk overwrite
+/// does, which skips the load and looks the version up at write-back:
+/// one index descent and one fetch of the old version each. A second
+/// lookup pinned the index pages and the old version's page again.
+#[test]
+fn partial_chunk_write_back_looks_the_old_version_up_once() {
+    let (_d, env, store) = setup();
+    let id = two_committed_chunks(&env, &store);
+    let pins_of = |f: &mut dyn FnMut()| {
+        let before = env.pool().stats();
+        f();
+        let after = env.pool().stats();
+        (after.hits + after.misses) - (before.hits + before.misses)
+    };
+    let write_pins = |offset: u64, bytes: &[u8]| {
+        let txn = env.begin();
+        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+        let pins = pins_of(&mut || {
+            h.write_at(offset, bytes).unwrap();
+            h.flush().unwrap();
+        });
+        h.close().unwrap();
+        txn.commit();
+        pins
+    };
+    let lookup = {
+        let txn = env.begin();
+        let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+        let pins = pins_of(&mut || assert_eq!(h.read_at(100, &mut [0; 100]).unwrap(), 100));
+        drop(h);
+        txn.commit();
+        pins
+    };
+    // The index's meta page, its root leaf (descent, then leaf walk), the
+    // version's heap page.
+    assert_eq!(lookup, 4, "a one-chunk lookup pins 4 pages");
+    let (partial, whole) = (write_pins(100, &[2; 100]), write_pins(0, &[3; CHUNK_SIZE]));
+    assert_eq!(partial, whole, "a 100-byte write pinned {partial} pages, a whole chunk {whole}");
+}
+
+/// Two read-write handles of one transaction write one chunk and flush in
+/// turn. The version the second loaded was superseded by the first's
+/// flush, so its write-back supersedes the first's version instead: the
+/// chunk keeps one visible version, holding the bytes of the handle that
+/// flushed last, over what that handle had loaded.
+#[test]
+fn two_handles_of_one_transaction_flush_one_chunk_in_turn() {
+    let (_d, env, store) = setup();
+    let id = two_committed_chunks(&env, &store);
+    let txn = env.begin();
+    let mut a = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+    let mut b = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+    a.write_at(10, &[2; 100]).unwrap();
+    b.write_at(500, &[3; 100]).unwrap();
+    a.flush().unwrap();
+    b.flush().unwrap();
+    let read = |txn: &pglo_txn::Txn| {
+        let mut h = store.open(txn, id, OpenMode::ReadOnly).unwrap();
+        h.read_to_vec().unwrap()
+    };
+    let mut want = vec![1u8; 2 * CHUNK_SIZE];
+    want[500..600].fill(3);
+    assert!(read(&txn) == want, "the transaction reads `b`'s flush");
+    // `a` still caches chunk 0 as it wrote it, and writes it again over
+    // `b`'s version.
+    a.write_at(1000, &[4; 100]).unwrap();
+    a.flush().unwrap();
+    a.close().unwrap();
+    b.close().unwrap();
+    let mut want = vec![1u8; 2 * CHUNK_SIZE];
+    want[10..110].fill(2);
+    want[1000..1100].fill(4);
+    let visible_versions = |txn: &pglo_txn::Txn| {
+        let meta = store.meta(id).unwrap();
+        let heap = pglo_heap::Heap::open_oid(&env, meta.data_rel, meta.smgr);
+        let index = BTree::open_oid(&env, meta.idx_rel, meta.smgr);
+        let vis = pglo_txn::Visibility::for_txn(txn);
+        let key = pglo_btree::keys::u64_key(0);
+        let hint = pglo_heap::AccessHint::Random;
+        index.visible(&heap, &key, &vis, hint).unwrap().count()
+    };
+    assert!(read(&txn) == want, "the transaction reads `a`'s second flush");
+    assert_eq!(visible_versions(&txn), 1, "chunk 0 has one version the transaction sees");
+    txn.commit();
+    let txn = env.begin();
+    assert!(read(&txn) == want, "the commit holds the last flush");
+    assert_eq!(visible_versions(&txn), 1, "chunk 0 has one committed version");
+    txn.commit();
+}
+
+/// A write-back whose cached version another transaction superseded fails
+/// with the typed write conflict, while that transaction runs and after it
+/// commits.
+#[test]
+fn chunk_superseded_by_another_transaction_conflicts() {
+    let (_d, env, store) = setup();
+    let id = two_committed_chunks(&env, &store);
+    let (t1, t2) = (env.begin(), env.begin());
+    let mut h1 = store.open(&t1, id, OpenMode::ReadWrite).unwrap();
+    let mut h2 = store.open(&t2, id, OpenMode::ReadWrite).unwrap();
+    h1.write_at(0, &[2; 100]).unwrap();
+    h2.write_at(200, &[3; 100]).unwrap();
+    h1.close().unwrap();
+    let conflict = |r| matches!(r, Err(LoError::Heap(pglo_heap::HeapError::WriteConflict { .. })));
+    assert!(conflict(h2.flush()), "the other writer is in progress");
+    t1.commit();
+    assert!(conflict(h2.flush()), "the other writer committed");
+    drop(h2);
+    t2.abort();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

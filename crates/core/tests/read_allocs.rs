@@ -3,11 +3,14 @@
 //! does not grow with the chunks it covers. A read that looked each chunk
 //! up on its own allocated a TID vector, an owned payload and a plain copy
 //! per chunk, and that must not come back quietly. Nor must a cursor that
-//! re-opens its object from the catalog on every operation. The counting
-//! allocator is why this is a test binary of its own.
+//! re-opens its object from the catalog on every operation. Nor must a
+//! write-back that assembles a chunk tuple in buffers of its own before
+//! copying it into the heap page. The counting allocator is why this is a
+//! test binary of its own.
 
 use pglo_core::{LoCursor, LoId, LoSpec, LoStore, OpenMode, UserId, CHUNK_SIZE};
 use pglo_heap::StorageEnv;
+use pglo_pages::PAGE_SIZE;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -15,14 +18,20 @@ use std::sync::Arc;
 thread_local! {
     /// Allocations made by this thread (background threads do not count).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Those of them of a chunk tuple's size: at least a chunk, less than
+    /// a page (page-sized ones are the buffer pool's page copies).
+    static TUPLE_SIZED: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count() {
+fn count(size: usize) {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    if (CHUNK_SIZE..PAGE_SIZE).contains(&size) {
+        let _ = TUPLE_SIZED.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 // SAFETY: every method hands its arguments unchanged to `System`, which
@@ -30,7 +39,7 @@ fn count() {
 // `Cell<u64>` with a const initialiser, so it never allocates itself.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's contract is `System.alloc`'s, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -41,7 +50,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -54,6 +63,12 @@ fn allocs_of(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     f();
     ALLOCS.with(Cell::get) - before
+}
+
+fn tuple_sized_allocs_of(f: impl FnOnce()) -> u64 {
+    let before = TUPLE_SIZED.with(Cell::get);
+    f();
+    TUPLE_SIZED.with(Cell::get) - before
 }
 
 /// A committed f-chunk object of 20 chunks, and its bytes.
@@ -117,4 +132,24 @@ fn a_cursor_read_costs_a_handle_read_and_one_chunk_buffer() {
         cursor <= handle + 1,
         "a cursor read made {cursor} allocations, a handle read {handle}"
     );
+}
+
+/// A flush copies a whole dirty chunk into its heap page once: the tuple
+/// header, the chunk prefix and the chunk bytes go straight into the page,
+/// and the version it supersedes is found without copying its payload. A
+/// write-back that copied the chunk into a stored-form buffer, a prefixed
+/// payload and a tuple image, and the old version's payload out of its
+/// page, made four tuple-sized allocations for a committed chunk.
+#[test]
+fn flushing_a_whole_chunk_allocates_no_tuple_sized_buffer() {
+    let (_dir, env, store, id, _) = twenty_chunks();
+    for (what, at) in [("a committed chunk", 5 * CHUNK_SIZE), ("a new chunk", 20 * CHUNK_SIZE)] {
+        let txn = env.begin();
+        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+        h.write_at(at as u64, &vec![9u8; CHUNK_SIZE]).unwrap();
+        let n = tuple_sized_allocs_of(|| h.flush().unwrap());
+        assert_eq!(n, 0, "flushing {what} made {n} tuple-sized allocations");
+        h.close().unwrap();
+        txn.commit();
+    }
 }

@@ -11,7 +11,7 @@
 //! the archive together ([`scan_as_of_with_archive`]).
 
 use crate::heap::Heap;
-use crate::{HeapError, Result};
+use crate::{AccessHint, HeapError, Result};
 use pglo_pages::Tid;
 use pglo_txn::{Txn, TxnStatus, Visibility};
 
@@ -70,8 +70,10 @@ pub fn archive_vacuum<E: From<HeapError>>(
     let mut archived = 0;
     // Pass 1: copy dead versions to the archive.
     let doomed: Vec<_> = live.scan(Visibility::Raw).collect::<std::result::Result<Vec<_>, _>>()?;
-    for (tid, _payload) in &doomed {
-        let Some((hdr, payload)) = live.fetch_with_header(*tid, &Visibility::Raw)? else {
+    for (tid, payload) in &doomed {
+        let Some(hdr) =
+            live.fetch_with(*tid, &Visibility::Raw, AccessHint::Random, |hdr, _| hdr)?
+        else {
             continue;
         };
         let aborted_insert = tm.status(hdr.xmin) == TxnStatus::Aborted;
@@ -86,7 +88,7 @@ pub fn archive_vacuum<E: From<HeapError>>(
             continue; // some reader may still need it in place
         }
         let tmin_ts = tm.commit_ts(hdr.xmin).unwrap_or(0);
-        archive.insert(txn, &encode_archived(tmin_ts, tmax_ts, &payload))?;
+        archive.insert(txn, &encode_archived(tmin_ts, tmax_ts, payload))?;
         archived += 1;
     }
     // Pass 2: reclaim them from the live heap.

@@ -132,29 +132,33 @@ impl Heap {
 
     /// Insert a tuple, returning its TID.
     pub fn insert(&self, txn: &Txn, payload: &[u8]) -> Result<Tid> {
-        let img = TupleHeader::new(txn.xid()).materialize(payload);
+        self.insert_parts(txn, &[], payload)
+    }
+
+    /// Insert the tuple whose payload is `head` followed by `body`,
+    /// returning its TID. The tuple header and both parts are copied
+    /// straight into the page, once.
+    pub fn insert_parts(&self, txn: &Txn, head: &[u8], body: &[u8]) -> Result<Tid> {
+        let mut hdr = [0; TUPLE_HEADER_SIZE];
+        TupleHeader::new(txn.xid()).encode_into(&mut hdr);
+        let (img, len) = ([&hdr[..], head, body], TUPLE_HEADER_SIZE + head.len() + body.len());
         let max = Page::<&[u8]>::max_item_size(0);
-        if img.len() > max {
-            return Err(HeapError::TupleTooLarge { size: img.len(), max });
+        if len > max {
+            return Err(HeapError::TupleTooLarge { size: len, max });
         }
         self.env.sim().charge_cpu(INSERT_CPU_INSTR);
         let nblocks = self.nblocks()?;
-        // Try the hinted block, then the last block, then extend.
-        let mut candidates = Vec::with_capacity(2);
+        // Try the hinted block, then the last block, then extend. A probe
+        // that finds no room leaves its page as it was, and so clean.
         let hint = self.insert_hint.load(Ordering::Relaxed);
-        if hint < nblocks {
-            candidates.push(hint);
-        }
-        if nblocks > 0 && !candidates.contains(&(nblocks - 1)) {
-            candidates.push(nblocks - 1);
-        }
-        for block in candidates {
+        let last = nblocks.checked_sub(1).filter(|&last| last != hint);
+        for block in [(hint < nblocks).then_some(hint), last].into_iter().flatten() {
             let pinned = self.env.pool().pin(self.key(block))?;
             let slot = pinned.with_write(|buf| {
                 let mut page = Page::new(&mut buf[..]);
                 match page.add_item(&img) {
                     Some(s) => Some(s),
-                    None if page.reclaimable() >= img.len() => {
+                    None if page.reclaimable() >= len => {
                         // Space exists but is fragmented; compact and retry.
                         page.compact();
                         page.add_item(&img)
@@ -167,18 +171,16 @@ impl Heap {
                 return Ok(Tid::new(block, slot));
             }
         }
-        // No room: extend the relation. The fresh block is visible to
-        // other inserters as their "last block" the moment it exists, so
-        // one of them may fill it first; then extend again.
-        loop {
-            let (block, pinned) = self.env.pool().new_page(self.smgr, self.rel, |buf| {
-                Page::new(&mut buf[..]).init::<0>();
-            })?;
-            if let Some(slot) = pinned.with_write(|buf| Page::new(&mut buf[..]).add_item(&img)) {
-                self.insert_hint.store(block, Ordering::Relaxed);
-                return Ok(Tid::new(block, slot));
-            }
-        }
+        // No room: extend the relation by a block that holds the tuple
+        // from the start, so no other inserter can fill it first.
+        let mut slot = None;
+        let (block, _) = self.env.pool().new_page(self.smgr, self.rel, |buf| {
+            let mut page = Page::new(&mut buf[..]);
+            page.init::<0>();
+            slot = page.add_item(&img);
+        })?;
+        self.insert_hint.store(block, Ordering::Relaxed);
+        Ok(Tid::new(block, slot.ok_or(HeapError::TupleTooLarge { size: len, max })?))
     }
 
     /// Fetch the payload at `tid` if visible under `vis`.
@@ -197,25 +199,6 @@ impl Heap {
         hint: AccessHint,
     ) -> Result<Option<Vec<u8>>> {
         self.fetch_with(tid, vis, hint, |_, payload| payload.to_vec())
-    }
-
-    /// Fetch `(header, payload)` at `tid` if visible.
-    pub fn fetch_with_header(
-        &self,
-        tid: Tid,
-        vis: &Visibility,
-    ) -> Result<Option<(TupleHeader, Vec<u8>)>> {
-        self.fetch_with_header_hinted(tid, vis, AccessHint::Random)
-    }
-
-    /// [`Self::fetch_with_header`] with an access-pattern hint.
-    pub fn fetch_with_header_hinted(
-        &self,
-        tid: Tid,
-        vis: &Visibility,
-        hint: AccessHint,
-    ) -> Result<Option<(TupleHeader, Vec<u8>)>> {
-        self.fetch_with(tid, vis, hint, |hdr, payload| (hdr, payload.to_vec()))
     }
 
     /// The one fetch that checks visibility: if the tuple at `tid` is
@@ -484,9 +467,9 @@ mod tests {
     }
 
     /// Four sessions insert near-page-size tuples into one heap at once.
-    /// A fresh page is everyone's "last block" the moment it exists, so an
-    /// inserter can find its own fresh page already filled; it must extend
-    /// again, and every tuple must be there exactly once afterwards.
+    /// A fresh page is everyone's "last block" the moment it exists, so
+    /// inserters race to fill it; every tuple must be there exactly once
+    /// afterwards.
     #[test]
     fn concurrent_inserts_into_one_heap_all_land_once() {
         const THREADS: u32 = 4;
@@ -607,6 +590,35 @@ mod tests {
         assert_eq!(firsts, (0..20).collect::<Vec<u8>>());
         assert!(heap.nblocks().unwrap() >= 8, "payloads span multiple pages");
         t2.commit();
+    }
+
+    /// Dirty means changed: an insert that finds its hint page full moves
+    /// on to a fresh block without logging the full page or writing it
+    /// home again.
+    #[test]
+    fn insert_past_a_full_hint_page_leaves_it_clean() {
+        let (d, env) = env();
+        let heap = Heap::create(&env, "T", env.disk_id(), Default::default()).unwrap();
+        let full = vec![7u8; Heap::max_payload()];
+        let t = env.begin();
+        assert_eq!(heap.insert(&t, &full).unwrap().block, 0);
+        t.commit();
+        // Block 0, the hint, is full, logged and home: clean.
+        env.pool().flush_all().unwrap();
+        let (wal, from) = (env.wal(), env.wal().end_lsn());
+        let written = env.pool().stats().writebacks;
+        let t = env.begin();
+        assert_eq!(heap.insert(&t, &full).unwrap().block, 1);
+        t.commit();
+        env.pool().flush_all().unwrap();
+        wal.flush_to(wal.end_lsn()).unwrap();
+        let records =
+            pglo_wal::Wal::scan_records(d.path().join("wal"), wal.options().segment_bytes);
+        let records = records.unwrap().into_iter().filter(|r| r.lsn >= from);
+        let pages = records.filter(|r| r.kind == pglo_wal::KIND_PAGE_DELTA).count();
+        assert_eq!(pages, 1, "page records logged: only the fresh block's");
+        let written = env.pool().stats().writebacks - written;
+        assert_eq!(written, 1, "pages written home: only the fresh block");
     }
 
     #[test]

@@ -50,14 +50,6 @@ impl TupleHeader {
     pub fn stamp_xmax(data: &mut [u8], xmax: Xid) {
         data[4..8].copy_from_slice(&xmax.0.to_le_bytes());
     }
-
-    /// Build a full on-page tuple: header followed by payload.
-    pub fn materialize(&self, payload: &[u8]) -> Vec<u8> {
-        let mut out = vec![0u8; TUPLE_HEADER_SIZE + payload.len()];
-        self.encode_into(&mut out);
-        out[TUPLE_HEADER_SIZE..].copy_from_slice(payload);
-        out
-    }
 }
 
 /// The payload portion of a stored tuple image.
@@ -69,10 +61,18 @@ pub fn tuple_payload(data: &[u8]) -> &[u8] {
 mod tests {
     use super::*;
 
+    /// A full tuple image: header followed by payload.
+    fn materialize(h: &TupleHeader, payload: &[u8]) -> Vec<u8> {
+        let mut out = vec![0u8; TUPLE_HEADER_SIZE];
+        h.encode_into(&mut out);
+        out.extend_from_slice(payload);
+        out
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let h = TupleHeader { xmin: Xid(7), xmax: Xid(9), flags: 3 };
-        let img = h.materialize(b"payload");
+        let img = materialize(&h, b"payload");
         assert_eq!(TupleHeader::decode(&img).unwrap(), h);
         assert_eq!(tuple_payload(&img), b"payload");
         assert_eq!(img.len(), TUPLE_HEADER_SIZE + 7);
@@ -81,7 +81,7 @@ mod tests {
     #[test]
     fn stamp_xmax_in_place() {
         let h = TupleHeader::new(Xid(5));
-        let mut img = h.materialize(b"x");
+        let mut img = materialize(&h, b"x");
         assert_eq!(TupleHeader::decode(&img).unwrap().xmax, Xid::INVALID);
         TupleHeader::stamp_xmax(&mut img, Xid(11));
         let h2 = TupleHeader::decode(&img).unwrap();

@@ -547,7 +547,10 @@ impl InversionFs {
         let rows: Vec<_> =
             self.storage_heap.scan(Visibility::Raw).collect::<std::result::Result<Vec<_>, _>>()?;
         for (tid, payload) in rows {
-            let Some((hdr, _)) = self.storage_heap.fetch_with_header(tid, &Visibility::Raw)? else {
+            let header = |hdr, _: &[u8]| hdr;
+            let Some(hdr) =
+                self.storage_heap.fetch_with(tid, &Visibility::Raw, AccessHint::Random, header)?
+            else {
                 continue;
             };
             let dead =

@@ -311,13 +311,26 @@ fn parse_fn(trees: &[Tree], i: usize, qual: Option<&str>, is_pub: bool) -> (Opti
     )
 }
 
-/// `(has_self, non-self arity)` from a parameter list's trees. `self`
-/// only counts before the first `,`.
+/// `(has_self, non-self arity)` from a parameter list's trees. Only the
+/// commas outside a type's generics separate parameters: `MutexGuard<'_,
+/// ()>` is one, and the `>` of a `->` closes no generics. `self` only
+/// counts in the first parameter.
 fn param_shape(params: &[Tree]) -> (bool, usize) {
-    let first_comma = params.iter().position(|t| t.is_punct(','));
-    let head = &params[..first_comma.unwrap_or(params.len())];
+    let (mut depth, mut commas) = (0usize, Vec::new());
+    for (i, t) in params.iter().enumerate() {
+        if t.is_punct('<') {
+            depth += 1;
+        } else if t.is_punct('>') && !(i > 0 && params[i - 1].is_punct('-')) {
+            depth = depth.saturating_sub(1);
+        } else if t.is_punct(',') && depth == 0 {
+            commas.push(i);
+        }
+    }
+    let head = &params[..commas.first().copied().unwrap_or(params.len())];
     let has_self = head.iter().any(|t| t.is_ident("self"));
-    (has_self, comma_groups(params) - usize::from(has_self))
+    let trailing = commas.last().is_some_and(|&c| c + 1 == params.len());
+    let groups = if params.is_empty() { 0 } else { commas.len() + 1 - usize::from(trailing) };
+    (has_self, groups - usize::from(has_self))
 }
 
 /// Top-level comma-separated groups in a list, trailing comma tolerated.
@@ -439,6 +452,19 @@ mod tests {
         assert_eq!(arity("f(a, |x, y| x + y)"), 2);
         assert_eq!(arity("f(a, move |x, y| g(x, y), b)"), 3);
         assert_eq!(arity("f(|| 1, a | b, c)"), 3);
+    }
+
+    #[test]
+    fn commas_inside_generics_separate_no_parameters() {
+        let shape = |src: &str| {
+            let f = &items_of(src).fns[0];
+            (f.has_self, f.arity)
+        };
+        let capture_chain = "impl BufferPool { pub(super) fn capture_chain(&self, wal: &Wal, \
+                             _serial: &MutexGuard<'_, ()>) -> Result<Lsn> { x } }";
+        assert_eq!(shape(capture_chain), (true, 2));
+        assert_eq!(shape("fn f(g: impl Fn(u8) -> u8, m: HashMap<K, V>,) {}"), (false, 2));
+        assert_eq!(shape("fn f(g: Box<dyn Fn() -> Result<A, B>>, h: u8) {}"), (false, 2));
     }
 
     #[test]

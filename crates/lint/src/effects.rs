@@ -428,6 +428,19 @@ mod tests {
         assert_eq!(idx.effects[log], EFFECT_BLOCKS | EFFECT_FSYNC | EFFECT_WAL_APPEND);
     }
 
+    /// On the real workspace: the pool's capture reaches the log through
+    /// `capture_chain`, whose guard parameter has a comma in its generics.
+    #[test]
+    fn capture_pending_appends_to_the_log() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = crate::source::load_workspace(&root, &[]).unwrap();
+        let graph = CallGraph::build(files.iter().filter(|f| f.lib && f.is_engine()));
+        let idx = infer_effects(&graph);
+        let name = "buffer::BufferPool::capture_pending";
+        let capture = graph.nodes.iter().position(|n| n.qualified() == name).unwrap();
+        assert_ne!(idx.effects[capture] & EFFECT_WAL_APPEND, 0, "{name} appends to the log");
+    }
+
     #[test]
     fn r12_flags_two_hop_reachable_block() {
         let files = files(&[

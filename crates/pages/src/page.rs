@@ -225,19 +225,21 @@ impl<B: AsRef<[u8]> + AsMut<[u8]>> Page<B> {
         self.set_u16(off + 2, lenflag);
     }
 
-    /// Add an item, reusing an Unused slot if one exists, else appending a
-    /// new line pointer. Returns the slot, or `None` if the page is full
+    /// Add the item made of `parts` laid end to end, each copied straight
+    /// into the page, reusing an Unused slot if one exists, else appending
+    /// a new line pointer. Returns the slot, or `None` if the page is full
     /// (caller may [`Page::compact`] and retry, or move to another page).
-    pub fn add_item(&mut self, data: &[u8]) -> Option<u16> {
-        assert!(data.len() < (1 << 14), "item length must fit in 14 bits");
+    pub fn add_item(&mut self, parts: &[&[u8]]) -> Option<u16> {
+        let len = parts.iter().map(|p| p.len()).sum::<usize>();
+        assert!(len < (1 << 14), "item length must fit in 14 bits");
         // Find a reusable slot so slot numbers stay dense after deletes.
         let reuse = (0..self.item_count() as u16)
             .find(|&s| matches!(self.item_flag(s), Some(ItemFlag::Unused)));
         let need_lp = if reuse.is_some() { 0 } else { LINE_POINTER_SIZE };
-        if self.free_space() < data.len() + need_lp {
+        if self.free_space() < len + need_lp {
             return None;
         }
-        let new_upper = self.upper() - data.len();
+        let new_upper = self.upper() - len;
         let slot = match reuse {
             Some(s) => s,
             None => {
@@ -246,9 +248,13 @@ impl<B: AsRef<[u8]> + AsMut<[u8]>> Page<B> {
                 s
             }
         };
-        self.m()[new_upper..new_upper + data.len()].copy_from_slice(data);
+        let mut at = new_upper;
+        for part in parts {
+            self.m()[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
         self.set_u16(OFF_UPPER, new_upper as u16);
-        self.set_line_pointer(slot, new_upper, data.len(), ItemFlag::Normal);
+        self.set_line_pointer(slot, new_upper, len, ItemFlag::Normal);
         Some(slot)
     }
 
@@ -391,8 +397,8 @@ mod tests {
     fn add_get_delete_roundtrip() {
         let mut buf = fresh::<0>();
         let mut p = Page::new(buf.as_mut_slice());
-        let s0 = p.add_item(b"hello").unwrap();
-        let s1 = p.add_item(b"world!").unwrap();
+        let s0 = p.add_item(&[b"hello"]).unwrap();
+        let s1 = p.add_item(&[b"world!"]).unwrap();
         assert_eq!(p.item(s0), Some(&b"hello"[..]));
         assert_eq!(p.item(s1), Some(&b"world!"[..]));
         p.delete_item(s0);
@@ -400,7 +406,7 @@ mod tests {
         assert_eq!(p.item_flag(s0), Some(ItemFlag::Unused));
         assert_eq!(p.reclaimable(), 5);
         // Slot reuse.
-        let s2 = p.add_item(b"x").unwrap();
+        let s2 = p.add_item(&[b"x"]).unwrap();
         assert_eq!(s2, s0);
     }
 
@@ -410,8 +416,8 @@ mod tests {
         let mut p = Page::new(buf.as_mut_slice());
         let max = Page::<&[u8]>::max_item_size(0);
         let data = vec![0xAB; max];
-        assert!(p.add_item(&data).is_some());
-        assert!(p.add_item(b"x").is_none(), "page must be full");
+        assert!(p.add_item(&[&data]).is_some());
+        assert!(p.add_item(&[b"x"]).is_none(), "page must be full");
         assert_eq!(p.item(0).unwrap().len(), max);
     }
 
@@ -423,22 +429,22 @@ mod tests {
         let half = usable / 2 - LINE_POINTER_SIZE - 16; // 16 = heap tuple header allowance
         let mut buf = fresh::<0>();
         let mut p = Page::new(buf.as_mut_slice());
-        assert!(p.add_item(&vec![1; half]).is_some());
-        assert!(p.add_item(&vec![2; half]).is_some());
+        assert!(p.add_item(&[&vec![1; half]]).is_some());
+        assert!(p.add_item(&[&vec![2; half]]).is_some());
         let mut buf2 = fresh::<0>();
         let mut p2 = Page::new(buf2.as_mut_slice());
         let seventy = usable * 7 / 10;
-        assert!(p2.add_item(&vec![1; seventy]).is_some());
-        assert!(p2.add_item(&vec![2; seventy]).is_none());
+        assert!(p2.add_item(&[&vec![1; seventy]]).is_some());
+        assert!(p2.add_item(&[&vec![2; seventy]]).is_none());
     }
 
     #[test]
     fn compact_reclaims_garbage() {
         let mut buf = fresh::<0>();
         let mut p = Page::new(buf.as_mut_slice());
-        let s0 = p.add_item(&[1u8; 1000]).unwrap();
-        let s1 = p.add_item(&[2u8; 1000]).unwrap();
-        let s2 = p.add_item(&[3u8; 1000]).unwrap();
+        let s0 = p.add_item(&[&[1u8; 1000]]).unwrap();
+        let s1 = p.add_item(&[&[2u8; 1000]]).unwrap();
+        let s2 = p.add_item(&[&[3u8; 1000]]).unwrap();
         p.delete_item(s1);
         let free_before = p.free_space();
         let got = p.compact();
@@ -470,7 +476,7 @@ mod tests {
     fn item_mut_edits_in_place() {
         let mut buf = fresh::<0>();
         let mut p = Page::new(buf.as_mut_slice());
-        let s = p.add_item(b"abcd").unwrap();
+        let s = p.add_item(&[b"abcd"]).unwrap();
         p.item_mut(s).unwrap()[0] = b'z';
         assert_eq!(p.item(s), Some(&b"zbcd"[..]));
     }
@@ -479,7 +485,7 @@ mod tests {
     fn checksum_roundtrip_detects_corruption() {
         let mut buf = fresh::<0>();
         let mut p = Page::new(buf.as_mut_slice());
-        p.add_item(b"payload").unwrap();
+        p.add_item(&[b"payload"]).unwrap();
         p.set_checksum();
         assert!(Page::new(&buf[..]).verify_checksum());
         buf[5000] ^= 0xFF;

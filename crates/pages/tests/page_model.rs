@@ -39,10 +39,10 @@ proptest! {
                     let data = vec![*byte; *len as usize];
                     let mut page = Page::new(&mut buf[..]);
                     // Mirror the page's retry-after-compact policy.
-                    let mut slot = page.add_item(&data);
+                    let mut slot = page.add_item(&[&data]);
                     if slot.is_none() && page.reclaimable() >= data.len() {
                         page.compact();
-                        slot = page.add_item(&data);
+                        slot = page.add_item(&[&data]);
                     }
                     match slot {
                         Some(s) => {
@@ -121,7 +121,7 @@ proptest! {
             let mut page = Page::new(&mut buf[..]);
             page.init::<0>();
             for (len, b) in &items {
-                let _ = page.add_item(&vec![*b; *len as usize]);
+                let _ = page.add_item(&[&vec![*b; *len as usize]]);
             }
             page.set_checksum();
         }

@@ -766,9 +766,11 @@ fn read_back(env: &Arc<StorageEnv>, model: &Model) -> Model {
 }
 
 /// The crash gate for the redo log and the outcome table: a seeded script
-/// of writes, commits, aborts, runs of read-only transactions, batch
-/// flushes, evictions through a small pool, WORM archiving and
-/// checkpoints, with a process kill after every step, and for a
+/// of writes (among them whole-chunk overwrites whose insert finds its
+/// hint page full and already logged, and one handle's overwrites of a
+/// chunk flushed in turn), commits, aborts, runs of read-only
+/// transactions, batch flushes, evictions through a small pool, WORM
+/// archiving and checkpoints, with a process kill after every step, and for a
 /// checkpoint also in its middle (outcome table written, checkpoint
 /// record not). Each kill copies the live data directory; the copy is
 /// reopened twice, and both reopens must read exactly the committed model
@@ -835,28 +837,73 @@ fn crash_after_every_step_recovers_committed_state() {
         };
     let mut archives = 0;
     let mut middles = 0;
+    let (mut after_capture, mut reflushed) = (0, 0);
+    const CHUNK: usize = pglo::lobj::CHUNK_SIZE;
     for step in 0..100 {
-        let op = rng.below(13);
+        let op = rng.below(15);
         let mut middle = false;
         let objects = model.objects.len();
         let what = match op {
-            0..=3 if objects > 1 => {
-                // Overwrite inside the committed size, in the open txn.
+            0..=3 | 13 | 14 if objects > 1 => {
+                // Overwrite inside the committed size, in the open txn:
+                // 0-3, one write of up to 12 KiB; 13, one whole chunk
+                // right after a capture, so the write-back's insert finds
+                // its hint page full and already logged; 14, three writes
+                // into one chunk through one handle, flushed after each,
+                // so each write-back supersedes the version the one before
+                // it wrote.
                 let i = 1 + rng.below(objects as u64 - 1) as usize;
                 let size = model.objects[i].1.len();
-                let off = rng.below(size as u64) as usize;
-                let len = (1 + rng.below(12 * 1024) as usize).min(size - off);
-                let bytes = fill(&mut rng, len);
+                let mut writes = Vec::new();
+                match op {
+                    13 if size >= CHUNK => {
+                        let off = rng.below((size / CHUNK) as u64) as usize * CHUNK;
+                        writes.push((off, fill(&mut rng, CHUNK)));
+                    }
+                    13 => continue,
+                    14 => {
+                        let start = rng.below(size as u64) as usize / CHUNK * CHUNK;
+                        let end = (start + CHUNK).min(size);
+                        for _ in 0..3 {
+                            let off = start + rng.below((end - start) as u64) as usize;
+                            let len = (1 + rng.below(2048) as usize).min(end - off);
+                            writes.push((off, fill(&mut rng, len)));
+                        }
+                    }
+                    _ => {
+                        let off = rng.below(size as u64) as usize;
+                        let len = (1 + rng.below(12 * 1024) as usize).min(size - off);
+                        writes.push((off, fill(&mut rng, len)));
+                    }
+                }
                 if evicted {
                     home_baseline_from.get_or_insert(env.wal().end_lsn());
                     evicted = false;
                 }
                 let (t, pending) = txn.get_or_insert_with(|| (env.begin(), Vec::new()));
+                if op == 13 {
+                    env.pool().capture_pending().unwrap();
+                }
                 let mut h = store.open(t, model.objects[i].0, OpenMode::ReadWrite).unwrap();
-                h.write_at(off as u64, &bytes).unwrap();
+                for (off, bytes) in writes {
+                    h.write_at(off as u64, &bytes).unwrap();
+                    if op == 14 {
+                        h.flush().unwrap();
+                    }
+                    pending.push((i, off, bytes));
+                }
                 h.close().unwrap();
-                pending.push((i, off, bytes));
-                "overwrite"
+                match op {
+                    13 => {
+                        after_capture += 1;
+                        "whole-chunk overwrite after a capture"
+                    }
+                    14 => {
+                        reflushed += 1;
+                        "partial overwrites flushed in turn"
+                    }
+                    _ => "overwrite",
+                }
             }
             4 if txn.is_some() => {
                 let (t, pending) = txn.take().unwrap();
@@ -969,6 +1016,8 @@ fn crash_after_every_step_recovers_committed_state() {
         assert!(replayed.contains(&kind), "no crash replayed a kind-{kind} record");
     }
     assert!(home_baseline_replayed, "no crash replayed a delta over pages read back from home");
+    assert!(after_capture > 0, "no step overwrote a whole chunk after a capture");
+    assert!(reflushed > 0, "no step flushed one chunk's overwrites in turn");
     assert!(middles > 0, "no checkpoint was killed in its middle");
     let next = env.begin().xid().0;
     assert!(next > 2 * 1024, "the script must cross two XID limit blocks, reached {next}");
