@@ -177,7 +177,8 @@ fn open_outcomes(dir: &Path, durable_sync: bool) -> std::io::Result<(File, Vec<C
 }
 
 /// Replay one page delta: make the relation exist, read the home block
-/// (zeros past its end), apply the ranges, write the block back. Deltas
+/// (zeros past its end), apply the ranges, write the block back; blocks
+/// between the home length and it are allocated, not written. Deltas
 /// replayed in LSN order from the redo horizon rebuild the page from any
 /// home copy a crash left, so replaying twice is harmless.
 fn redo_page_delta(
@@ -197,9 +198,8 @@ fn redo_page_delta(
         mgr.read(rel, block, &mut page).map_err(std::io::Error::other)?;
     }
     ranges.apply(&mut page);
-    let zero = pglo_pages::alloc_page();
     while mgr.nblocks(rel).map_err(std::io::Error::other)? <= block {
-        mgr.extend(rel, &zero).map_err(std::io::Error::other)?;
+        mgr.allocate(rel).map_err(std::io::Error::other)?;
     }
     match mgr.write(rel, block, &page) {
         Ok(()) => Ok(()),

@@ -1,9 +1,12 @@
 //! Magnetic-disk storage manager: "a thin veneer on top of the UNIX file
 //! system" (§7).
 //!
-//! Each relation is one file in the manager's base directory. Real host
-//! file I/O is performed (so data is durable and inspectable) while the
-//! simulated clock is charged with a 1992-era disk profile.
+//! Each relation is a chain of segment files in the manager's base
+//! directory, [`SEGMENT_BLOCKS`] blocks each (PostgreSQL's `md.c`
+//! layout): segment 0 is `rel_<oid>.pg`, segment `n` is `rel_<oid>.pg.<n>`,
+//! so no file outgrows a per-file size limit. Real host file I/O is
+//! performed (so data is durable and inspectable) while the simulated
+//! clock is charged with a 1992-era disk profile.
 
 use crate::{RelFileId, Result, SeqTracker, SmgrError, StorageManager};
 use parking_lot::{ranks, Mutex};
@@ -11,50 +14,76 @@ use pglo_pages::{PageBuf, PAGE_SIZE};
 use pglo_sim::{DeviceProfile, IoStats, SimContext};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
+use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// An open relation file and the number of blocks handed out of it.
+/// Blocks per segment file: 256 MiB of 8 KiB pages.
+pub const SEGMENT_BLOCKS: u32 = 32_768;
+
+/// Bytes of a full segment file.
+const SEGMENT_BYTES: u64 = SEGMENT_BLOCKS as u64 * PAGE_SIZE as u64;
+
+/// A relation's open segment files and the number of blocks handed out of
+/// it.
 ///
-/// The count is read from the file once, when the entry is made, and
-/// after that only a lock-free `fetch_add` in `allocate` or `extend` moves
-/// it: nothing shrinks a relation file (there is no `set_len`) and lobd is
-/// the only process on its data directory. So `nblocks` and every range
-/// check are an atomic load, not an `fstat`. The file grows lazily: a
-/// block's first `write` (normally the pool's write-back) lengthens it;
-/// until then the block lies past the end, or in a hole, and reads as
-/// zeros — an empty page to readers and a full one to inserters.
+/// The count is read from the files once, when the entry is made, and
+/// after that only `allocate` or `extend` move it, under the `files` lock
+/// every call takes anyway: nothing shrinks a relation (there is no
+/// `set_len`) and lobd is the only process on its data directory. So
+/// `nblocks` and every range check are a field read, not an `fstat`. The
+/// files grow lazily: a block's first `write` (normally the pool's
+/// write-back) lengthens its segment, creating it and every missing
+/// segment before it in order, so the segments on disk always form an
+/// unbroken chain from segment 0 and no written block is hidden at
+/// reopen. Until then the block lies past the end, or in a hole, and reads
+/// as zeros — an empty page to readers and a full one to inserters.
 struct RelFile {
-    file: File,
-    /// Blocks handed out; at or past the blocks the file holds.
-    nblocks: AtomicU32,
+    /// Segment `n` at index `n`; a block past the last has no file yet.
+    segs: Vec<Arc<File>>,
+    /// Blocks handed out; at or past the blocks the files hold.
+    nblocks: u32,
 }
 
 impl RelFile {
-    fn new(file: File, nblocks: u32) -> Arc<Self> {
-        Arc::new(Self { file, nblocks: AtomicU32::new(nblocks) })
-    }
-
     /// `OutOfRange` unless `block` has been handed out.
     fn check(&self, rel: RelFileId, block: u32) -> Result<()> {
-        let nblocks = self.nblocks.load(Ordering::SeqCst);
+        let nblocks = self.nblocks;
         (block < nblocks).then_some(()).ok_or(SmgrError::OutOfRange { rel, block, nblocks })
     }
 
-    /// Fill `out` from block `block` on, with zeros past the file's end.
-    fn read_at(&self, out: &mut [u8], block: u32) -> Result<()> {
-        let (mut done, at) = (0, block as u64 * PAGE_SIZE as u64);
+    /// The segment file holding `block`, if it exists yet.
+    fn seg(&self, block: u32) -> Option<Arc<File>> {
+        self.segs.get((block / SEGMENT_BLOCKS) as usize).cloned()
+    }
+
+    /// Hand out the next block.
+    fn next_block(&mut self) -> Result<u32> {
+        self.nblocks += 1;
+        Ok(self.nblocks - 1)
+    }
+}
+
+/// Byte offset of `block` in its segment file.
+fn seg_offset(block: u32) -> u64 {
+    u64::from(block % SEGMENT_BLOCKS) * PAGE_SIZE as u64
+}
+
+/// Fill `out` from block `block` on, within its segment file, with zeros
+/// past the file's end or when the segment has no file yet.
+fn read_at(file: Option<&File>, out: &mut [u8], block: u32) -> Result<()> {
+    let mut done = 0;
+    if let Some(file) = file {
         while done < out.len() {
-            match self.file.read_at(&mut out[done..], at + done as u64)? {
+            match file.read_at(&mut out[done..], seg_offset(block) + done as u64)? {
                 0 => break,
                 n => done += n,
             }
         }
-        out[done..].fill(0);
-        Ok(())
     }
+    out[done..].fill(0);
+    Ok(())
 }
 
 /// Storage manager for local magnetic disk.
@@ -64,7 +93,7 @@ pub struct DiskSmgr {
     profile: DeviceProfile,
     stats: IoStats,
     seq: SeqTracker,
-    files: Mutex<HashMap<RelFileId, Arc<RelFile>>>,
+    files: Mutex<HashMap<RelFileId, RelFile>>,
     /// When set, [`StorageManager::sync`] issues a real host `sync_all` so
     /// benchmarks can measure honest durability cost. Off by default: the
     /// simulated clock already charges every write, and host-level fsync
@@ -104,29 +133,84 @@ impl DiskSmgr {
         self.durable_sync = durable;
     }
 
-    /// Path of a relation's backing file.
+    /// Path of a relation's first segment file.
     pub fn rel_path(&self, rel: RelFileId) -> PathBuf {
-        self.base.join(format!("rel_{rel}.pg"))
+        self.seg_path(rel, 0)
     }
 
-    fn open_file(&self, rel: RelFileId) -> Result<Arc<RelFile>> {
-        {
-            let files = self.files.lock();
-            if let Some(f) = files.get(&rel) {
-                return Ok(Arc::clone(f));
+    fn seg_path(&self, rel: RelFileId, seg: usize) -> PathBuf {
+        self.base.join(match seg {
+            0 => format!("rel_{rel}.pg"),
+            n => format!("rel_{rel}.pg.{n}"),
+        })
+    }
+
+    /// Run `f` on the relation's entry under the `files` lock, making the
+    /// entry from the files on disk first if it is not there.
+    fn with_rel<R>(&self, rel: RelFileId, f: impl FnOnce(&mut RelFile) -> Result<R>) -> Result<R> {
+        if let Some(r) = self.files.lock().get_mut(&rel) {
+            return f(r);
+        }
+        // Cache miss: do the host-file probing and opens with the cache
+        // lock released, then re-check — a racing opener may have won, in
+        // which case its entry is kept and ours is dropped.
+        let opened = self.open_segments(rel)?;
+        f(self.files.lock().entry(rel).or_insert(opened))
+    }
+
+    /// Open the chain of segment files; its length is one past the last
+    /// block a file holds. `NotFound` without segment 0. A file longer
+    /// than a segment was written before relations were segmented, and
+    /// is refused rather than misread.
+    fn open_segments(&self, rel: RelFileId) -> Result<RelFile> {
+        let mut r = RelFile { segs: Vec::new(), nblocks: 0 };
+        loop {
+            let n = r.segs.len();
+            let file = match OpenOptions::new().read(true).write(true).open(self.seg_path(rel, n)) {
+                Ok(file) => file,
+                Err(e) if e.kind() == io::ErrorKind::NotFound && n > 0 => return Ok(r),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                    return Err(SmgrError::NotFound(rel))
+                }
+                Err(e) => return Err(e.into()),
+            };
+            let bytes = file.metadata()?.len();
+            if bytes > SEGMENT_BYTES {
+                return Err(SmgrError::OversizedSegment { rel, bytes });
             }
+            if bytes >= PAGE_SIZE as u64 {
+                r.nblocks = n as u32 * SEGMENT_BLOCKS + (bytes / PAGE_SIZE as u64) as u32;
+            }
+            r.segs.push(Arc::new(file));
         }
-        // Cache miss: do the host-file probing and open with the cache
-        // lock released, then re-check — a racing opener may have won,
-        // in which case its handle is kept and ours is dropped.
-        let path = self.rel_path(rel);
-        if !path.exists() {
-            return Err(SmgrError::NotFound(rel));
+    }
+
+    /// The segment file holding `block` (range-checked), creating it and
+    /// every missing segment before it, in order, with the cache lock
+    /// released; a racing creator's handles to the same files win.
+    fn seg_for_write(&self, rel: RelFileId, block: u32) -> Result<Arc<File>> {
+        let have = self.with_rel(rel, |r| {
+            r.check(rel, block)?;
+            Ok(r.seg(block).ok_or(r.segs.len()))
+        })?;
+        let from = match have {
+            Ok(file) => return Ok(file),
+            Err(from) => from,
+        };
+        let mut opts = OpenOptions::new();
+        opts.read(true).write(true).create(true).truncate(false);
+        let mut made = Vec::new();
+        for n in from..=(block / SEGMENT_BLOCKS) as usize {
+            made.push(Arc::new(opts.open(self.seg_path(rel, n))?));
         }
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let nblocks = (file.metadata()?.len() / PAGE_SIZE as u64) as u32;
-        let mut files = self.files.lock();
-        Ok(Arc::clone(files.entry(rel).or_insert_with(|| RelFile::new(file, nblocks))))
+        if self.durable_sync {
+            File::open(&self.base)?.sync_all()?;
+        }
+        self.with_rel(rel, |r| {
+            let skip = r.segs.len().checked_sub(from).ok_or(SmgrError::NotFound(rel))?;
+            r.segs.extend(made.into_iter().skip(skip));
+            r.seg(block).ok_or(SmgrError::NotFound(rel))
+        })
     }
 
     fn charge(&self, rel: RelFileId, block: u32, bytes: usize, write: bool) {
@@ -139,7 +223,7 @@ impl DiskSmgr {
         }
     }
 
-    /// Fsync every relation file in the open-file cache. Checkpoint-time
+    /// Fsync every segment file in the open-file cache. Checkpoint-time
     /// durability discipline: the redo horizon may only advance past page
     /// writes once they are on the platter. No-op unless `durable_sync`
     /// is set (matching [`StorageManager::sync`]). Handles are cloned out
@@ -148,9 +232,10 @@ impl DiskSmgr {
         if !self.durable_sync {
             return Ok(());
         }
-        let files: Vec<Arc<RelFile>> = self.files.lock().values().map(Arc::clone).collect();
+        let files: Vec<Arc<File>> =
+            self.files.lock().values().flat_map(|r| r.segs.iter().map(Arc::clone)).collect();
         for f in files {
-            f.file.sync_all()?;
+            f.sync_all()?;
         }
         Ok(())
     }
@@ -167,7 +252,7 @@ impl StorageManager for DiskSmgr {
             return Err(SmgrError::AlreadyExists(rel));
         }
         let f = OpenOptions::new().read(true).write(true).create_new(true).open(path)?;
-        self.files.lock().insert(rel, RelFile::new(f, 0));
+        self.files.lock().insert(rel, RelFile { segs: vec![Arc::new(f)], nblocks: 0 });
         Ok(())
     }
 
@@ -178,23 +263,25 @@ impl StorageManager for DiskSmgr {
     fn unlink(&self, rel: RelFileId) -> Result<()> {
         self.files.lock().remove(&rel);
         self.seq.forget(rel);
-        let path = self.rel_path(rel);
-        if !path.exists() {
+        let segs = (0..).take_while(|&n| self.seg_path(rel, n).exists()).count();
+        if segs == 0 {
             return Err(SmgrError::NotFound(rel));
         }
-        std::fs::remove_file(path)?;
+        // Highest first: a crash part-way leaves a chain from segment 0.
+        for n in (0..segs).rev() {
+            std::fs::remove_file(self.seg_path(rel, n))?;
+        }
         Ok(())
     }
 
     fn nblocks(&self, rel: RelFileId) -> Result<u32> {
-        Ok(self.open_file(rel)?.nblocks.load(Ordering::SeqCst))
+        self.with_rel(rel, |r| Ok(r.nblocks))
     }
 
     fn extend(&self, rel: RelFileId, page: &PageBuf) -> Result<u32> {
         let _span = obs::span!("smgr.disk.extend");
-        let f = self.open_file(rel)?;
-        let block = f.nblocks.fetch_add(1, Ordering::SeqCst);
-        f.file.write_all_at(page, block as u64 * PAGE_SIZE as u64)?;
+        let block = self.with_rel(rel, RelFile::next_block)?;
+        self.seg_for_write(rel, block)?.write_all_at(page, seg_offset(block))?;
         self.charge(rel, block, PAGE_SIZE, true);
         Ok(block)
     }
@@ -202,23 +289,23 @@ impl StorageManager for DiskSmgr {
     fn allocate(&self, rel: RelFileId) -> Result<u32> {
         let _span = obs::span!("smgr.disk.allocate");
         // In memory only: the block's first `write` grows the file.
-        Ok(self.open_file(rel)?.nblocks.fetch_add(1, Ordering::SeqCst))
+        self.with_rel(rel, RelFile::next_block)
     }
 
     fn read(&self, rel: RelFileId, block: u32, out: &mut PageBuf) -> Result<()> {
         let _span = obs::span!("smgr.disk.read");
-        let f = self.open_file(rel)?;
-        f.check(rel, block)?;
-        f.read_at(out, block)?;
+        let file = self.with_rel(rel, |r| {
+            r.check(rel, block)?;
+            Ok(r.seg(block))
+        })?;
+        read_at(file.as_deref(), out, block)?;
         self.charge(rel, block, PAGE_SIZE, false);
         Ok(())
     }
 
     fn write(&self, rel: RelFileId, block: u32, page: &PageBuf) -> Result<()> {
         let _span = obs::span!("smgr.disk.write");
-        let f = self.open_file(rel)?;
-        f.check(rel, block)?;
-        f.file.write_all_at(page, block as u64 * PAGE_SIZE as u64)?;
+        self.seg_for_write(rel, block)?.write_all_at(page, seg_offset(block))?;
         self.charge(rel, block, PAGE_SIZE, true);
         Ok(())
     }
@@ -228,15 +315,25 @@ impl StorageManager for DiskSmgr {
         if out.is_empty() {
             return Ok(0);
         }
-        let f = self.open_file(rel)?;
-        let nblocks = f.nblocks.load(Ordering::SeqCst);
-        if start >= nblocks {
+        let (n, mut file) = self.with_rel(rel, |r| {
+            Ok((out.len().min(r.nblocks.saturating_sub(start) as usize), r.seg(start)))
+        })?;
+        if n == 0 {
             return Ok(0);
         }
-        let n = out.len().min((nblocks - start) as usize);
-        // One contiguous transfer for the whole run: a single host syscall
-        // and, on the simulated device, one positioning charge at most.
-        f.read_at(out[..n].as_flattened_mut(), start)?;
+        // One contiguous transfer per segment the run touches: a single
+        // host syscall unless it crosses a segment boundary and, on the
+        // simulated device, one positioning charge at most.
+        let mut done = 0;
+        while done < n {
+            let block = start + done as u32;
+            let len = (n - done).min((SEGMENT_BLOCKS - block % SEGMENT_BLOCKS) as usize);
+            if done > 0 {
+                file = self.with_rel(rel, |r| Ok(r.seg(block)))?;
+            }
+            read_at(file.as_deref(), out[done..done + len].as_flattened_mut(), block)?;
+            done += len;
+        }
         let sequential = self.seq.touch_run(rel, start, n as u32);
         self.sim.charge_io(&self.profile, n * PAGE_SIZE, sequential);
         self.stats.record_read(n * PAGE_SIZE, sequential);
@@ -248,9 +345,11 @@ impl StorageManager for DiskSmgr {
         // sync_all is skipped by default to keep tests fast (durability of
         // the host file is not part of the reproduced evaluation) and
         // performed only when the manager opted into `durable_sync`.
-        let f = self.open_file(rel)?;
+        let files = self.with_rel(rel, |r| Ok(r.segs.clone()))?;
         if self.durable_sync {
-            f.file.sync_all()?;
+            for f in files {
+                f.sync_all()?;
+            }
         }
         Ok(())
     }
@@ -374,6 +473,102 @@ mod tests {
         assert_eq!(reopened.allocate(3).unwrap(), 3);
         reopened.write(3, 3, &out).unwrap();
         assert!(matches!(reopened.read(3, 4, &mut out), Err(SmgrError::OutOfRange { .. })));
+    }
+
+    /// Hand out blocks up to `n` without writing any.
+    fn allocate_to(smgr: &DiskSmgr, rel: RelFileId, n: u32) {
+        while smgr.nblocks(rel).unwrap() < n {
+            smgr.allocate(rel).unwrap();
+        }
+    }
+
+    fn page_of(v: u8) -> Box<PageBuf> {
+        let mut page = alloc_page();
+        page.fill(v);
+        page
+    }
+
+    /// A block of segment 2 written back before segment 1 holds any
+    /// block: segment 1 is made empty, segment 2 holds the block at its
+    /// offset within the segment, no file passes a segment's length, and
+    /// a reopen finds the block — the chain of files is unbroken.
+    #[test]
+    fn sparse_write_past_a_segment_lands_in_its_own_file() {
+        let (dir, smgr, sim) = setup();
+        smgr.create(4).unwrap();
+        smgr.extend(4, &page_of(1)).unwrap();
+        let far = 2 * SEGMENT_BLOCKS + 3;
+        allocate_to(&smgr, 4, far + 1);
+        smgr.write(4, far, &page_of(7)).unwrap();
+        let len =
+            |n: &str| std::fs::metadata(dir.path().join(format!("rel_4.pg{n}"))).unwrap().len();
+        assert_eq!(len(""), PAGE_SIZE as u64);
+        assert_eq!(len(".1"), 0, "segment 1 exists, empty");
+        assert_eq!(len(".2"), 4 * PAGE_SIZE as u64);
+        let reopened = DiskSmgr::new(dir.path(), sim).unwrap();
+        assert_eq!(reopened.nblocks(4).unwrap(), far + 1);
+        let mut out = alloc_page();
+        reopened.read(4, far, &mut out).unwrap();
+        assert_eq!(out, page_of(7));
+        reopened.read(4, SEGMENT_BLOCKS + 5, &mut out).unwrap();
+        assert_eq!(out, alloc_page(), "a block of the empty segment reads as zeros");
+        reopened.read(4, 0, &mut out).unwrap();
+        assert_eq!(out, page_of(1));
+    }
+
+    /// A run crossing a segment boundary reads both files, in order, as
+    /// one charged transfer; a run into a segment with no file yet reads
+    /// zeros.
+    #[test]
+    fn read_many_splits_a_run_at_a_segment_boundary() {
+        let (_dir, smgr, _sim) = setup();
+        smgr.create(2).unwrap();
+        allocate_to(&smgr, 2, SEGMENT_BLOCKS + 2);
+        let first = SEGMENT_BLOCKS - 2;
+        for b in first..SEGMENT_BLOCKS + 1 {
+            smgr.write(2, b, &page_of(b as u8)).unwrap();
+        }
+        smgr.reset_io_stats();
+        let mut run = vec![[0xFFu8; PAGE_SIZE]; 6];
+        assert_eq!(smgr.read_many(2, first, &mut run).unwrap(), 4, "short at the end");
+        for (i, page) in run[..3].iter().enumerate() {
+            assert_eq!(page[..], page_of((first + i as u32) as u8)[..]);
+        }
+        assert_eq!(run[3], [0; PAGE_SIZE], "allocated, never written");
+        assert_eq!(smgr.io_stats().reads, 1);
+        smgr.allocate(2).unwrap();
+        assert_eq!(smgr.read_many(2, SEGMENT_BLOCKS + 1, &mut run).unwrap(), 2);
+    }
+
+    #[test]
+    fn unlink_removes_every_segment() {
+        let (dir, smgr, sim) = setup();
+        smgr.create(6).unwrap();
+        allocate_to(&smgr, 6, 2 * SEGMENT_BLOCKS + 1);
+        smgr.write(6, 2 * SEGMENT_BLOCKS, &page_of(6)).unwrap();
+        let files = || std::fs::read_dir(dir.path()).unwrap().count();
+        assert_eq!(files(), 3);
+        smgr.unlink(6).unwrap();
+        assert_eq!(files(), 0);
+        assert!(matches!(smgr.nblocks(6), Err(SmgrError::NotFound(6))));
+        smgr.create(6).unwrap();
+        assert_eq!(DiskSmgr::new(dir.path(), sim).unwrap().nblocks(6).unwrap(), 0);
+    }
+
+    /// A relation file longer than a segment was written by the
+    /// unsegmented format: opening it is refused, with a typed error.
+    #[test]
+    fn an_over_long_first_file_is_refused() {
+        let (dir, smgr, _sim) = setup();
+        let f = std::fs::File::create(dir.path().join("rel_8.pg")).unwrap();
+        f.set_len(SEGMENT_BYTES + PAGE_SIZE as u64).unwrap();
+        let err = smgr.nblocks(8).unwrap_err();
+        assert!(
+            matches!(err, SmgrError::OversizedSegment { rel: 8, bytes } if bytes == SEGMENT_BYTES + PAGE_SIZE as u64),
+            "{err}"
+        );
+        let mut out = alloc_page();
+        assert!(matches!(smgr.read(8, 0, &mut out), Err(SmgrError::OversizedSegment { .. })));
     }
 
     #[test]

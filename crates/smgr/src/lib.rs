@@ -87,6 +87,14 @@ pub enum SmgrError {
     AlreadyExists(RelFileId),
     /// The switch has no manager at this index.
     UnknownManager(SmgrId),
+    /// A relation file longer than one segment: written before relations
+    /// were split into segment files, and refused rather than misread.
+    OversizedSegment {
+        /// The relation opened.
+        rel: RelFileId,
+        /// The file's length in bytes.
+        bytes: u64,
+    },
 }
 
 impl std::fmt::Display for SmgrError {
@@ -102,6 +110,11 @@ impl std::fmt::Display for SmgrError {
             }
             SmgrError::AlreadyExists(rel) => write!(f, "relation {rel} already exists"),
             SmgrError::UnknownManager(id) => write!(f, "no storage manager registered at {id:?}"),
+            SmgrError::OversizedSegment { rel, bytes } => write!(
+                f,
+                "relation {rel} has a {bytes}-byte file, longer than a segment: \
+                 written by an earlier, unsegmented format"
+            ),
         }
     }
 }

@@ -18,12 +18,14 @@
 //!   CRC deliberately does *not* cover the LSN — records are encoded and
 //!   checksummed outside the append lock ([`WalRecord::prepare`]) and only
 //!   the LSN hole is patched under it.
-//! * **Records never span segments.** When a record does not fit, the
-//!   remainder of the segment is zero-filled (sparsely, via `set_len`) and
-//!   the log continues in the next segment. A zero magic word, or a
-//!   remainder of a full-length segment too short for a header, therefore
-//!   means "padding, skip to the next segment boundary", while any other
-//!   mismatch means end-of-log.
+//! * **Records never span segments.** When a record does not fit, the log
+//!   continues in the next segment behind an end-of-segment marker: zeros
+//!   over the next header position (a fresh file is lengthened sparsely to
+//!   full size). A zero magic word, or a remainder of a full-length segment
+//!   too short for a header, therefore means "skip to the next segment
+//!   boundary", while any other mismatch means end-of-log. The marker is
+//!   what lets a reused segment keep its stale bytes: without it, the
+//!   stale record after the last real one would end the log there.
 //! * **Group commit.** `flush_to` lets concurrent committers ride one
 //!   fsync: the first caller through the flush mutex becomes the leader
 //!   and syncs through the current end of log; parked callers re-check the
@@ -33,7 +35,10 @@
 //! * **Checkpoints bound replay.** A checkpoint record carries the redo
 //!   LSN — the oldest `rec_lsn` of any dirty page still unlogged to its
 //!   home location — and segments wholly below it are renamed to future
-//!   positions and truncated (recycled). Storage managers whose contents
+//!   positions (recycled), where the appender later overwrites them in
+//!   place, so a log write lands on cached file pages instead of growing a
+//!   file. Beyond as many spare segments as recent checkpoints advanced
+//!   the horizon by, they are removed instead. Storage managers whose contents
 //!   are not yet home-durable (the WORM archive's staged blocks) pin the
 //!   horizon via [`Wal::pin_smgr`]: the oldest live record per
 //!   `(smgr, rel)` is tracked and clamps the horizon until the manager
@@ -496,21 +501,23 @@ struct ScanState {
     redo: Lsn,
     /// `(path, keep_bytes)` when the tail segment holds garbage past `end`.
     torn: Option<(PathBuf, u64)>,
-    /// Every valid record, oldest first (only filled when `collect`).
-    records: Vec<RecordInfo>,
 }
 
 /// Walk the segments in stream order, validating every record, stopping
 /// at the first torn/stale/absent one. Sound against recycled segments
 /// (embedded-LSN mismatch) and torn tails (short header, bad CRC, length
-/// past EOF). `collect` additionally gathers per-record info.
-fn scan(dir: &Path, segment_bytes: u64, collect: bool) -> io::Result<ScanState> {
+/// past EOF). `visit` sees each valid record, oldest first, with its
+/// payload: each segment is read once.
+fn scan(
+    dir: &Path,
+    segment_bytes: u64,
+    mut visit: impl FnMut(RecordInfo, &[u8]) -> io::Result<()>,
+) -> io::Result<ScanState> {
     let segs = list_segments(dir, segment_bytes)?;
     let Some(&(first_start, _)) = segs.first() else {
-        return Ok(ScanState { end: 0, redo: 0, torn: None, records: Vec::new() });
+        return Ok(ScanState { end: 0, redo: 0, torn: None });
     };
-    let mut state =
-        ScanState { end: first_start, redo: first_start, torn: None, records: Vec::new() };
+    let mut state = ScanState { end: first_start, redo: first_start, torn: None };
     let mut pos = first_start;
     'segments: for (seg_start, path) in &segs {
         if *seg_start != pos {
@@ -537,9 +544,11 @@ fn scan(dir: &Path, segment_bytes: u64, collect: bool) -> io::Result<ScanState> 
             }
             let magic = read_u32(&bytes, off);
             if magic == 0 {
-                // Zero fill from rotation: the log continues in the next
-                // segment. (A torn record can never start with a zero
-                // word — writers place the magic first.)
+                // Rotation's end-of-segment marker: the log continues in
+                // the next segment. (A torn record can never start with a
+                // zero word — writers place the magic first — and a stale
+                // one left in a reused segment sits where no record of
+                // this pass was written, so at or past the end.)
                 pos = seg_start + segment_bytes;
                 continue 'segments;
             }
@@ -561,15 +570,14 @@ fn scan(dir: &Path, segment_bytes: u64, collect: bool) -> io::Result<ScanState> 
             if kind == KIND_CHECKPOINT && plen == 8 {
                 state.redo = read_u64(&bytes, off + HEADER_BYTES);
             }
-            if collect {
-                state.records.push(RecordInfo {
-                    lsn: pos,
-                    kind,
-                    total_len: (HEADER_BYTES + plen) as u32,
-                    file: path.clone(),
-                    offset: off as u64,
-                });
-            }
+            let info = RecordInfo {
+                lsn: pos,
+                kind,
+                total_len: (HEADER_BYTES + plen) as u32,
+                file: path.clone(),
+                offset: off as u64,
+            };
+            visit(info, &bytes[off + HEADER_BYTES..off + HEADER_BYTES + plen])?;
             pos += (HEADER_BYTES + plen) as u64;
             state.end = pos;
         }
@@ -614,6 +622,11 @@ struct AppendInner {
     /// End of the newest limit record `append_batch` put first in a batch:
     /// [`Wal::log_limits`] flushes through here, not through the tail.
     limits_end: Lsn,
+    /// Log bytes the redo horizon advances per checkpoint: the larger of
+    /// the newest advance and a decaying average (PostgreSQL's checkpoint
+    /// distance estimate). Recycling keeps that many bytes of spare
+    /// segments, so the log a horizon stall fills is reused after it.
+    ckpt_distance: u64,
 }
 
 /// The write-ahead log. One per [`StorageEnv`]; shared via `Arc` with the
@@ -662,7 +675,7 @@ impl Wal {
         opts.segment_bytes = opts.segment_bytes.max(MIN_SEGMENT_BYTES);
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let state = scan(&dir, opts.segment_bytes, false)?;
+        let state = scan(&dir, opts.segment_bytes, |_, _| Ok(()))?;
         if let Some((path, keep)) = &state.torn {
             // Drop the garbage so a later torn write cannot splice onto it.
             let f = OpenOptions::new().write(true).open(path)?;
@@ -689,6 +702,7 @@ impl Wal {
                     limits: Limits::default(),
                     next_oid: 0,
                     limits_end: 0,
+                    ckpt_distance: 0,
                 },
                 ranks::WAL_APPEND,
             ),
@@ -893,25 +907,40 @@ impl Wal {
         Ok(out.split_off(usize::from(limit.is_some())))
     }
 
-    /// Zero-fill the rest of the current segment and move to the next.
+    /// End the current segment with the end-of-segment marker and move to
+    /// the next, overwriting a recycled file at that name in place.
     /// Called with the append lock held.
     fn rotate(&self, a: &mut AppendInner) -> io::Result<()> {
-        // Sparse zero fill: readers treat a zero magic as "skip to the
-        // next segment".
-        a.file.set_len(self.opts.segment_bytes)?;
+        // Zeros over the next header position (clipped to the segment),
+        // which readers take for "skip to the next segment"; only a fresh,
+        // short file is lengthened, sparsely.
+        let seg = self.opts.segment_bytes;
+        let off = a.end - a.seg_start;
+        let marker = (seg - off).min(HEADER_BYTES as u64) as usize;
+        a.file.write_all_at(&[0; HEADER_BYTES][..marker], off)?;
+        if a.file.metadata()?.len() < seg {
+            a.file.set_len(seg)?;
+        }
         if self.opts.durable_sync {
             a.file.sync_data()?;
         }
-        let seg_start = a.seg_start + self.opts.segment_bytes;
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(self.dir.join(segment_name(seg_start)))?;
-        if self.opts.durable_sync {
-            self.sync_dir()?;
-        }
+        let seg_start = a.seg_start + seg;
+        let path = self.dir.join(segment_name(seg_start));
+        let file = match OpenOptions::new().read(true).write(true).open(&path) {
+            Ok(file) => {
+                obs::counter!("wal.segment.reused").inc();
+                file
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                let file = OpenOptions::new().read(true).write(true).create_new(true).open(path)?;
+                if self.opts.durable_sync {
+                    self.sync_dir()?;
+                }
+                obs::counter!("wal.segment.created").inc();
+                file
+            }
+            Err(e) => return Err(e),
+        };
         a.file = file;
         a.seg_start = seg_start;
         a.end = seg_start;
@@ -985,50 +1014,57 @@ impl Wal {
         self.flush_to(end)?;
         self.last_ckpt.store(end, Ordering::Release);
         self.redo.store(horizon, Ordering::Release);
-        self.recycle(horizon)?;
+        self.recycle(horizon, horizon - prev)?;
         Ok(horizon)
     }
 
-    /// Rename segments wholly below `horizon` to future stream positions
-    /// and truncate them. Runs under the append lock so a concurrent
-    /// rotation cannot race a rename onto the same target name.
-    fn recycle(&self, horizon: Lsn) -> io::Result<()> {
-        let a = self.append.lock();
+    /// Rename segments wholly below `horizon` to future stream positions,
+    /// stale bytes and all: the positional LSN check defuses them, and
+    /// rotation's end-of-segment marker keeps them from ending the log
+    /// early. Spares past the tail are kept up to the checkpoint distance
+    /// estimate, updated here with `distance`, the bytes the horizon just
+    /// advanced, plus one; segments past that bound are removed. Runs
+    /// under the append lock so a concurrent rotation cannot race a rename
+    /// onto the same target name.
+    fn recycle(&self, horizon: Lsn, distance: u64) -> io::Result<()> {
+        let seg = self.opts.segment_bytes;
+        let mut a = self.append.lock();
+        let est = a.ckpt_distance;
+        a.ckpt_distance = if distance > est { distance } else { (9 * est + distance) / 10 };
+        let keep = a.ckpt_distance.div_ceil(seg) + 1;
         // LINT: allow(R7, the segment listing must be stable while renaming)
-        let segs = list_segments(&self.dir, self.opts.segment_bytes)?;
+        let segs = list_segments(&self.dir, seg)?;
         let Some(&(max_start, _)) = segs.last() else { return Ok(()) };
-        let mut target = max_start + self.opts.segment_bytes;
-        let mut recycled = 0u64;
+        let mut target = max_start + seg;
+        let mut spares = segs.iter().filter(|(s, _)| *s > a.seg_start).count() as u64;
+        let (mut recycled, mut removed) = (0u64, 0u64);
         for (seg_start, path) in &segs {
-            if seg_start + self.opts.segment_bytes > horizon || *seg_start == a.seg_start {
+            if seg_start + seg > horizon || *seg_start == a.seg_start {
                 continue;
             }
-            // LINT: allow(R7, the append lock reserves target names against rotation)
-            fs::rename(path, self.dir.join(segment_name(target)))?;
+            if spares < keep {
+                // LINT: allow(R7, the append lock reserves target names against rotation)
+                fs::rename(path, self.dir.join(segment_name(target)))?;
+                (target, spares, recycled) = (target + seg, spares + 1, recycled + 1);
+            } else {
+                // LINT: allow(R7, removal keeps the below-horizon segments a prefix, as renaming does)
+                fs::remove_file(path)?;
+                removed += 1;
+            }
             if self.opts.durable_sync {
-                // Persist each rename before the next. `segs` is sorted
-                // ascending, so a power loss always leaves a *prefix* of
-                // the renames on disk and the surviving below-horizon
+                // Persist each rename or removal before the next. `segs`
+                // is sorted ascending, so a power loss always leaves a
+                // *prefix* of them on disk and the surviving below-horizon
                 // segments stay contiguous. One deferred sync could let
-                // the renames persist out of order — a gap that
-                // recovery's scan mistakes for the end of log, far below
-                // the durable tail. (Truncation persistence is not
-                // needed: stale content at a future name is defused by
-                // the positional LSN check.)
+                // them persist out of order — a gap that recovery's scan
+                // mistakes for the end of log, far below the durable tail.
                 // LINT: allow(R7, rename persistence order is part of the reserved-name protocol)
                 self.sync_dir()?;
             }
-            // LINT: allow(R7, reopen the just-renamed segment under the same reservation)
-            let f = OpenOptions::new().write(true).open(self.dir.join(segment_name(target)))?;
-            // LINT: allow(R7, stale bytes are truncated before the name can be reused)
-            f.set_len(0)?;
-            target += self.opts.segment_bytes;
-            recycled += 1;
         }
         drop(a);
-        if recycled > 0 {
-            obs::counter!("wal.recycle.segments").add(recycled);
-        }
+        obs::counter!("wal.recycle.segments").add(recycled);
+        obs::counter!("wal.segment.removed").add(removed);
         Ok(())
     }
 
@@ -1043,22 +1079,12 @@ impl Wal {
     {
         let start = self.redo.load(Ordering::Acquire);
         let end = self.end_lsn();
-        let state = scan(&self.dir, self.opts.segment_bytes, true)?;
         let mut limits = Limits::default();
-        for info in &state.records {
+        scan(&self.dir, self.opts.segment_bytes, |info, payload| {
             if info.lsn < start || info.lsn >= end {
-                continue;
+                return Ok(());
             }
-            let bytes = fs::read(&info.file)?;
-            let lo = info.offset as usize + HEADER_BYTES;
-            let hi = info.offset as usize + info.total_len as usize;
-            if hi > bytes.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("wal: record at lsn {} shrank during replay", info.lsn),
-                ));
-            }
-            let Some(rec) = decode_payload(info.kind, &bytes[lo..hi]) else {
+            let Some(rec) = decode_payload(info.kind, payload) else {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("wal: undecodable kind {} at lsn {}", info.kind, info.lsn),
@@ -1070,8 +1096,8 @@ impl Wal {
             if let WalRecord::Limits(l) = rec {
                 limits = limits.covering(l.xid, l.oid);
             }
-            f(info.lsn, rec)?;
-        }
+            f(info.lsn, rec)
+        })?;
         let mut a = self.append.lock();
         a.limits = limits;
         a.next_oid = limits.oid;
@@ -1083,8 +1109,12 @@ impl Wal {
     /// torn-tail restart test uses this to find record byte boundaries.
     // LINT: allow(R14, the log scan the restart tests read records with)
     pub fn scan_records(dir: impl AsRef<Path>, segment_bytes: u64) -> io::Result<Vec<RecordInfo>> {
-        let segment_bytes = segment_bytes.max(MIN_SEGMENT_BYTES);
-        Ok(scan(dir.as_ref(), segment_bytes, true)?.records)
+        let mut records = Vec::new();
+        scan(dir.as_ref(), segment_bytes.max(MIN_SEGMENT_BYTES), |info, _| {
+            records.push(info);
+            Ok(())
+        })?;
+        Ok(records)
     }
 }
 
@@ -1427,11 +1457,9 @@ mod tests {
         let tail = WalRecord::Commit { xid: 5, ts: 5 };
         let e = wal.append(&tail).unwrap();
         wal.flush_to(e).unwrap();
-        // Segments wholly below `mid` were renamed + truncated.
+        // Segments wholly below `mid` were renamed to future names.
         let segs = list_segments(dir.path(), MIN_SEGMENT_BYTES).unwrap();
-        assert!(segs.iter().all(|(s, _)| s + MIN_SEGMENT_BYTES > mid || {
-            fs::metadata(dir.path().join(segment_name(*s))).unwrap().len() == 0
-        }));
+        assert!(segs.iter().all(|(s, _)| s + MIN_SEGMENT_BYTES > mid));
         drop(wal);
 
         let wal = Wal::open(dir.path(), small_opts()).unwrap();
@@ -1669,6 +1697,127 @@ mod tests {
         assert_eq!(wal.flushed_lsn(), wal.end_lsn());
         let recs = collect_replay(&wal);
         assert_eq!(recs.len(), 8);
+    }
+
+    /// A recycled segment keeps its stale records, CRCs intact, and the
+    /// appender overwrites it in place. Records of another size rotate
+    /// out of two such segments in a row, each time over a stale commit
+    /// record: the scan must take the end-of-segment marker, not the
+    /// stale bytes behind it, and end exactly at the last appended record,
+    /// with nothing stale replayed.
+    #[test]
+    fn rotation_into_recycled_segments_ends_at_the_last_record() {
+        let dir = tempfile::tempdir().unwrap();
+        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        // 40-byte commits fill five segments to a 16-byte tail each.
+        for xid in 0..5 * 1638 {
+            wal.append(&WalRecord::Commit { xid, ts: 7 }).unwrap();
+        }
+        // The horizon at the end of log: every segment but the tail is
+        // recycled, stale records and all.
+        let horizon = wal.checkpoint(None).unwrap();
+        let live = Wal::scan_records(dir.path(), MIN_SEGMENT_BYTES).unwrap();
+        assert!(live[0].lsn >= 4 * MIN_SEGMENT_BYTES, "four segments were recycled");
+        let mut want = Vec::new();
+        for i in 0..24u32 {
+            let rec = WalRecord::Commit { xid: 1 << 20 | i, ts: 1 };
+            want.push((wal.append(&rec).unwrap(), rec));
+            let rec = whole(2, 9, i, 0x55);
+            want.push((wal.append(&rec).unwrap(), rec));
+        }
+        wal.flush_all().unwrap();
+        let end = wal.end_lsn();
+        assert!(end / MIN_SEGMENT_BYTES >= horizon / MIN_SEGMENT_BYTES + 3, "two reused rotations");
+        drop(wal);
+        // The tail segment still holds stale records past the end whose
+        // CRCs check: only their LSNs give them away.
+        let tail = dir.path().join(segment_name(end - end % MIN_SEGMENT_BYTES));
+        let bytes = fs::read(&tail).unwrap();
+        assert_eq!(bytes.len() as u64, MIN_SEGMENT_BYTES, "the tail is a reused, full-length file");
+        let off = (end % MIN_SEGMENT_BYTES) as usize;
+        let magic = (off..bytes.len() - 4).find(|&o| read_u32(&bytes, o) == MAGIC).unwrap();
+        let plen = read_u32(&bytes, magic + 8) as usize;
+        let crc = crc32(crc32(0, &bytes[magic + 8..magic + 16]), &bytes[magic + 24..][..plen]);
+        assert_eq!(crc, read_u32(&bytes, magic + 4), "a stale record with a valid CRC");
+
+        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        assert_eq!(wal.end_lsn(), end, "the scan ends at the last appended record");
+        let seen: Vec<(Lsn, WalRecord)> = collect_replay(&wal)
+            .into_iter()
+            .filter(|(_, r)| !matches!(r, WalRecord::Limits(_) | WalRecord::Checkpoint { .. }))
+            .collect();
+        let want: Vec<(Lsn, WalRecord)> =
+            want.into_iter().map(|(e, r)| (e - r.prepare().total_len(), r)).collect();
+        assert!(seen == want, "exactly the appended records replay, nothing stale");
+    }
+
+    /// A counter of the process-global registry, as a `stats` reply shows
+    /// it (0 before its first use).
+    fn counter(name: &str) -> u64 {
+        obs::snapshot_entries().iter().find(|e| e.name == name).map_or(0, |e| e.value.as_u64())
+    }
+
+    /// Once the log has recycled, appends overwrite spare segments in
+    /// place: every segment file keeps its inode and its full length, no
+    /// file is created, and every rotation counts as a reuse.
+    #[test]
+    fn recycled_log_appends_leave_segment_files_unchanged() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tempfile::tempdir().unwrap();
+        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let round = || {
+            for i in 0..16u32 {
+                wal.append(&whole(1, 1, i, i as u8)).unwrap();
+            }
+            wal.checkpoint(None).unwrap();
+        };
+        let files = || {
+            let mut f: Vec<(u64, u64)> = list_segments(dir.path(), MIN_SEGMENT_BYTES)
+                .unwrap()
+                .iter()
+                .map(|(_, p)| fs::metadata(p).map(|m| (m.ino(), m.len())).unwrap())
+                .collect();
+            f.sort_unstable();
+            f
+        };
+        for _ in 0..6 {
+            round();
+        }
+        let before = files();
+        assert!(before.iter().all(|&(_, len)| len == MIN_SEGMENT_BYTES), "{before:?}");
+        let reused = counter("wal.segment.reused");
+        let start = wal.end_lsn() / MIN_SEGMENT_BYTES;
+        for _ in 0..6 {
+            round();
+        }
+        let rotations = wal.end_lsn() / MIN_SEGMENT_BYTES - start;
+        assert!(rotations >= 12);
+        assert_eq!(files(), before, "no segment file was created, removed or resized");
+        // Other tests rotate too: the counter moves at least this much.
+        assert!(counter("wal.segment.reused") - reused >= rotations);
+    }
+
+    /// Recycling keeps spare segments only up to the log's checkpoint
+    /// distance: after a burst, small checkpoint intervals remove the
+    /// segments the burst left behind.
+    #[test]
+    fn spare_segments_are_bounded_by_the_checkpoint_distance() {
+        let dir = tempfile::tempdir().unwrap();
+        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        for i in 0..80u32 {
+            wal.append(&whole(1, 1, i, 1)).unwrap();
+        }
+        wal.checkpoint(None).unwrap();
+        let count = || list_segments(dir.path(), MIN_SEGMENT_BYTES).unwrap().len();
+        let burst = count();
+        assert!(burst >= 10, "a burst of ten segments is kept as spares: {burst}");
+        let removed = counter("wal.segment.removed");
+        for i in 0..120u32 {
+            wal.append(&whole(1, 1, i, 2)).unwrap();
+            wal.checkpoint(None).unwrap();
+        }
+        assert!(count() <= 4, "{} segment files after small checkpoints", count());
+        assert!(counter("wal.segment.removed") - removed >= (burst - 4) as u64);
     }
 
     #[test]

@@ -765,6 +765,34 @@ fn read_back(env: &Arc<StorageEnv>, model: &Model) -> Model {
     seen
 }
 
+/// Kill the process now: replace `work` with a copy of what the OS holds
+/// of `live`.
+fn kill_copy(live: &std::path::Path, work: &std::path::Path) {
+    if work.exists() {
+        std::fs::remove_dir_all(work).unwrap();
+    }
+    copy_dir(live, work);
+}
+
+/// Whether the log's tail segment (the one holding `end`) is a file first
+/// seen under another name: a recycled segment the appender overwrites in
+/// place. `names` remembers the first name of every file by inode.
+fn tail_is_reused(
+    wal: &std::path::Path,
+    seg: u64,
+    end: u64,
+    names: &mut std::collections::HashMap<u64, std::ffi::OsString>,
+) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    for e in std::fs::read_dir(wal).unwrap() {
+        let e = e.unwrap();
+        names.entry(e.metadata().unwrap().ino()).or_insert(e.file_name());
+    }
+    let tail = format!("{:016x}.seg", end - end % seg);
+    let ino = std::fs::metadata(wal.join(&tail)).unwrap().ino();
+    names[&ino] != *tail
+}
+
 /// The crash gate for the redo log and the outcome table: a seeded script
 /// of writes (among them whole-chunk overwrites whose insert finds its
 /// hint page full and already logged, and one handle's overwrites of a
@@ -772,7 +800,14 @@ fn read_back(env: &Arc<StorageEnv>, model: &Model) -> Model {
 /// transactions, batch flushes, evictions through a small pool, WORM
 /// archiving and checkpoints, with a process kill after every step, and for a
 /// checkpoint also in its middle (outcome table written, checkpoint
-/// record not). Each kill copies the live data directory; the copy is
+/// record not). Every tenth step adds a checkpoint that recycles the
+/// segments below its horizon and logs on into the next segment, a
+/// recycled one overwritten in place behind an end-of-segment marker, and
+/// a kill there. Two steps grow a chunk heap across relation segment
+/// files: one hands out blocks up to segment 2 and writes a block of it
+/// back before segment 1 holds any, one crosses from segment 2 into 3;
+/// each is killed with the grow logged only and again once written home.
+/// Each kill copies the live data directory; the copy is
 /// reopened twice, and both reopens must read exactly the committed model
 /// (aborted and in-flight bytes invisible) with the time-travel axis at
 /// or past the last acknowledged commit. Across the kills, every record
@@ -838,7 +873,9 @@ fn crash_after_every_step_recovers_committed_state() {
     let mut archives = 0;
     let mut middles = 0;
     let (mut after_capture, mut reflushed) = (0, 0);
+    let (mut names, mut reused_tails) = (std::collections::HashMap::new(), 0);
     const CHUNK: usize = pglo::lobj::CHUNK_SIZE;
+    const SEG_BLOCKS: u32 = pglo::smgr::disk::SEGMENT_BLOCKS;
     for step in 0..100 {
         let op = rng.below(15);
         let mut middle = false;
@@ -989,10 +1026,7 @@ fn crash_after_every_step_recovers_committed_state() {
             _ => continue,
         };
         // Kill the process here: copy what the OS holds.
-        if work.exists() {
-            std::fs::remove_dir_all(&work).unwrap();
-        }
-        copy_dir(&live, &work);
+        kill_copy(&live, &work);
         recover(&work, &format!("step {step} ({what})"), &model, last_ts, home_baseline_from);
         if middle {
             let last =
@@ -1010,6 +1044,57 @@ fn crash_after_every_step_recovers_committed_state() {
                 middles += 1;
             }
         }
+        if step % 10 == 9 {
+            // Recycle, then log records replay skips (a page of the
+            // reserved manager slot) until one lands in the next segment.
+            env.checkpoint().unwrap();
+            let wal = env.wal();
+            let next = wal.end_lsn() / seg * seg + seg;
+            let page = pglo::pages::alloc_page();
+            while wal.end_lsn() <= next {
+                let rec = pglo::wal::PreparedRecord::page_delta(63, 1, 0, None, &page);
+                wal.append_batch(&mut [rec]).unwrap();
+            }
+            wal.flush_all().unwrap();
+            reused_tails += usize::from(tail_is_reused(&live.join("wal"), seg, next, &mut names));
+            kill_copy(&live, &work);
+            recover(&work, &format!("step {step} (rotate)"), &model, last_ts, home_baseline_from);
+        }
+        if step == 33 || step == 66 {
+            // Hand out the filler's chunk heap blocks up to a relation
+            // segment boundary, writing none, then grow the filler.
+            let meta = store.meta(filler).unwrap();
+            let (mgr, rel) = (env.switch().get(meta.smgr).unwrap(), meta.data_rel);
+            let to = if step == 33 { 2 * SEG_BLOCKS } else { 3 * SEG_BLOCKS - 1 };
+            while mgr.nblocks(rel).unwrap() < to {
+                mgr.allocate(rel).unwrap();
+            }
+            let t = env.begin();
+            let bytes: Vec<u8> = (0..3 * CHUNK).map(|i| (i % 253) as u8 ^ step as u8).collect();
+            let end = model.objects[0].1.len();
+            let mut h = store.open(&t, filler, OpenMode::ReadWrite).unwrap();
+            h.write_at(end as u64, &bytes).unwrap();
+            h.close().unwrap();
+            last_ts = t.commit();
+            model.objects[0].1.extend_from_slice(&bytes);
+            kill_copy(&live, &work);
+            let what = format!("step {step} (grow across a relation segment, logged)");
+            recover(&work, &what, &model, last_ts, home_baseline_from);
+            env.pool().flush_all().unwrap();
+            let len = |n: u32| {
+                let path = live.join("heap").join(format!("rel_{rel}.pg.{n}"));
+                std::fs::metadata(path).unwrap().len()
+            };
+            if step == 33 {
+                assert_eq!(len(1), 0, "segment 1 holds no block");
+                assert!(len(2) > 0, "the grow's blocks are home in segment 2");
+            } else {
+                assert!(len(3) > 0, "the grow crossed into segment 3");
+            }
+            kill_copy(&live, &work);
+            let what = format!("step {step} (grow across a relation segment, home)");
+            recover(&work, &what, &model, last_ts, home_baseline_from);
+        }
     }
     use pglo::wal::{KIND_CHECKPOINT, KIND_COMMIT, KIND_LIMITS, KIND_PAGE_DELTA, KIND_WORM_BURN};
     for kind in [KIND_PAGE_DELTA, KIND_COMMIT, KIND_WORM_BURN, KIND_CHECKPOINT, KIND_LIMITS] {
@@ -1023,6 +1108,7 @@ fn crash_after_every_step_recovers_committed_state() {
     assert!(next > 2 * 1024, "the script must cross two XID limit blocks, reached {next}");
     let live_log = pglo::wal::Wal::scan_records(live.join("wal"), seg).unwrap();
     assert!(live_log[0].lsn >= seg, "checkpoints must recycle the first segment");
+    assert!(reused_tails > 0, "no kill found the log's tail in a recycled segment");
 }
 
 /// A chunk heap's fresh block lives only in memory until its first
