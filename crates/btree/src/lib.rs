@@ -49,7 +49,7 @@ use pglo_heap::{Heap, HeapError, StorageEnv};
 use pglo_pages::{Page, Tid, PAGE_SIZE};
 use pglo_smgr::{RelFileId, SmgrId};
 use pglo_txn::Visibility;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
 /// Crate-wide result type (storage errors surface as heap errors).
@@ -61,6 +61,11 @@ pub const MAX_KEY_LEN: usize = 1024;
 /// Simulated CPU cost of one level of descent (binary search + page
 /// bookkeeping) — the "extra cost of the btree traversal" of §9.2.
 const DESCENT_CPU_INSTR: u64 = 1200;
+
+/// Entries a reverse walk copies out per descent
+/// ([`BTree::visible_rev`]): a last key's few newest versions, without
+/// copying the rest of its leaf.
+const REV_BATCH: usize = 16;
 
 /// A B-tree index over `(key, TID)` entries.
 pub struct BTree {
@@ -463,25 +468,73 @@ impl BTree {
     }
 
     /// Every `(key, tid)` with `lo <= key <= hi`, in order, copied out by
-    /// one [`Self::walk_leaves`]. Space is reserved once per leaf, so the
-    /// allocations do not grow with the number of entries.
+    /// one [`Self::walk_leaves`].
     fn collect_range(&self, lo: &[u8], hi: &[u8]) -> Result<RangeEntries> {
-        let mut range = RangeEntries { keys: Vec::new(), entries: Vec::new() };
-        // Where the last distinct key starts in `range.keys`.
-        let mut key_start = 0;
-        self.walk_leaves(lo, hi, |view, run| {
-            range.keys.reserve(run.clone().map(|idx| view.entry_ref(idx).0 .0.len()).sum());
-            range.entries.reserve(run.len());
-            for idx in run {
-                let ((key, tid), _) = view.entry_ref(idx);
-                if range.entries.is_empty() || range.keys[key_start..] != *key {
-                    key_start = range.keys.len();
-                    range.keys.extend_from_slice(key);
-                }
-                range.entries.push((tid, range.keys.len()));
-            }
-        })?;
+        let mut range = RangeEntries::default();
+        self.walk_leaves(lo, hi, |view, run| range.push_run(view, run))?;
         Ok(range)
+    }
+
+    /// Every version `vis` can see, walking down from the last key `<=
+    /// hi`: keys in descending order, each key's TIDs tried newest first
+    /// (`newest_first`), each visible version handed to `f(key, tid,
+    /// payload)`, the payload borrowed from the pinned heap page, until
+    /// `f` breaks. The last visible version of a range costs one descent,
+    /// a copy of at most 16 entries (`REV_BATCH`) and, when the range's
+    /// newest entry is visible, one heap fetch.
+    ///
+    /// Entries are copied out a batch at a time, under the relation latch,
+    /// which is released before any heap fetch; the next batch is the one
+    /// below the last batch's first entry, found by a fresh descent. `f`
+    /// runs under the heap page's read latch (see [`Heap::fetch_with`]).
+    pub fn visible_rev<E, F>(
+        &self,
+        heap: &Heap,
+        hi: &[u8],
+        vis: &Visibility,
+        mut f: F,
+    ) -> std::result::Result<(), E>
+    where
+        E: From<HeapError>,
+        F: FnMut(&[u8], Tid, &[u8]) -> std::result::Result<ControlFlow<()>, E>,
+    {
+        let mut below = (hi.to_vec(), Tid::new(u32::MAX, u16::MAX));
+        loop {
+            let batch = self.batch_below(&below.0, below.1)?;
+            let Some(&(first_tid, first_end)) = batch.entries.first() else { return Ok(()) };
+            let mut runs = batch.entries.chunk_by(|a, b| a.1 == b.1).rev().peekable();
+            while let Some(run) = runs.next() {
+                let key = &batch.keys[runs.peek().map_or(0, |r| r[0].1)..run[0].1];
+                for tid in newest_first(run.iter().map(|&(tid, _)| tid)) {
+                    let seen = heap.fetch_with(tid, vis, AccessHint::Random, |_, p| f(key, tid, p));
+                    if seen?.transpose()?.is_some_and(|flow| flow.is_break()) {
+                        return Ok(());
+                    }
+                }
+            }
+            below = (batch.keys[..first_end].to_vec(), first_tid);
+        }
+    }
+
+    /// The last `REV_BATCH` entries below `(key, tid)`, in order: one
+    /// descent under the relation latch, then left links past leaves with
+    /// none below it (the bound is their first entry, or vacuum emptied
+    /// them). Empty at the start of the tree.
+    fn batch_below(&self, key: &[u8], tid: Tid) -> Result<RangeEntries> {
+        let _guard = self.lock.lock();
+        let (_, mut block) = self.descend_path(key, tid)?;
+        let mut batch = RangeEntries::default();
+        while block != 0 && batch.entries.is_empty() {
+            let pinned = self.env.pool().pin(self.key(block))?;
+            block = pinned.with_read(|buf| {
+                let page = Page::new(&buf[..]);
+                let view = NodeView::new(&page);
+                let upto = view.insertion_index(key, tid);
+                batch.push_run(&view, upto.saturating_sub(REV_BATCH)..upto);
+                view.left()
+            });
+        }
+        Ok(batch)
     }
 
     /// An ordered scan beginning at `start`.
@@ -504,9 +557,30 @@ fn newest_first<I: DoubleEndedIterator<Item = Tid>>(tids: I) -> std::iter::Rev<I
 /// The entries of a range, keys stored once per distinct key: entry `i`
 /// is `(tid, end of its key in keys)`, and its key starts where the
 /// previous distinct key ends.
+#[derive(Default)]
 struct RangeEntries {
     keys: Vec<u8>,
     entries: Vec<(Tid, usize)>,
+    /// Where the last distinct key starts in `keys`.
+    last_key: usize,
+}
+
+impl RangeEntries {
+    /// Append `view`'s entries `run`, in order. Space is reserved once
+    /// per leaf, so the allocations do not grow with the number of
+    /// entries.
+    fn push_run(&mut self, view: &NodeView<'_, &[u8]>, run: Range<usize>) {
+        self.keys.reserve(run.clone().map(|idx| view.entry_ref(idx).0 .0.len()).sum());
+        self.entries.reserve(run.len());
+        for idx in run {
+            let ((key, tid), _) = view.entry_ref(idx);
+            if self.entries.is_empty() || self.keys[self.last_key..] != *key {
+                self.last_key = self.keys.len();
+                self.keys.extend_from_slice(key);
+            }
+            self.entries.push((tid, self.keys.len()));
+        }
+    }
 }
 
 /// Big-endian key encoders: byte order equals numeric order, so these keys

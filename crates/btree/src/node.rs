@@ -108,6 +108,12 @@ impl<'a, B: AsRef<[u8]>> NodeView<'a, B> {
         self.level() == 0
     }
 
+    /// Left sibling block (0 = none).
+    pub fn left(&self) -> u32 {
+        let &[_, _, _, _, l0, l1, l2, l3, ..] = special(self.page);
+        u32::from_le_bytes([l0, l1, l2, l3])
+    }
+
     /// Right sibling block (0 = none).
     pub fn right(&self) -> u32 {
         let &[_, _, _, _, _, _, _, _, r0, r1, r2, r3, ..] = special(self.page);
@@ -229,20 +235,15 @@ mod tests {
             let view = NodeView::new(&ro);
             assert_eq!(view.level(), 2);
             assert!(!view.is_leaf());
-            assert_eq!(left_of(&ro), 5);
+            assert_eq!(view.left(), 5);
             assert_eq!(view.right(), 9);
         }
         let mut page = Page::new(&mut buf[..]);
         NodeView::<&mut [u8]>::set_right(&mut page, 42);
         NodeView::<&mut [u8]>::set_left(&mut page, 41);
         let ro = Page::new(&buf[..]);
-        assert_eq!((left_of(&ro), NodeView::new(&ro).right()), (41, 42));
-    }
-
-    /// The left-sibling link: special bytes 4..8 (nothing reads it but
-    /// this test).
-    fn left_of(page: &Page<&[u8]>) -> u32 {
-        u32::from_le_bytes(page.special()[4..8].try_into().unwrap())
+        let view = NodeView::new(&ro);
+        assert_eq!((view.left(), view.right()), (41, 42));
     }
 
     #[test]

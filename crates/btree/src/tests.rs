@@ -6,6 +6,7 @@ use pglo_heap::{AccessHint, Heap, HeapError, StorageEnv};
 use pglo_pages::Tid;
 use pglo_txn::Visibility;
 use proptest::prelude::*;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 fn env() -> (tempfile::TempDir, Arc<StorageEnv>) {
@@ -131,6 +132,15 @@ fn visible_walks_newest_first_and_skips_the_invisible() {
     let newest_first: Vec<Tid> = tids.iter().rev().copied().collect();
     let all = walk(&Visibility::Raw);
     assert_eq!(all.iter().map(|(tid, _)| *tid).collect::<Vec<_>>(), newest_first);
+    // The reverse walk down from the key, batch by batch and leaf by
+    // leaf, finds the same versions in the same order.
+    let mut down = Vec::new();
+    tree.visible_rev(&heap, &key, &Visibility::Raw, |_, tid, _| {
+        down.push(tid);
+        Ok::<_, HeapError>(ControlFlow::Continue(()))
+    })
+    .unwrap();
+    assert_eq!(down[..down.len() - 1], newest_first[..], "and the neighbour below it last");
     assert_eq!(all[0].1, 699u32.to_le_bytes());
     // One visible version per snapshot: the walk passes every newer one.
     for gen in [0usize, 1, 350, 698, 699] {
@@ -150,15 +160,14 @@ fn visible_walks_newest_first_and_skips_the_invisible() {
     reader.commit();
 }
 
-/// `visible_range` is `visible` key by key: over every range of keys that
-/// are prefixes of one another and long enough that their versions span
-/// leaves, it yields each key with a visible version once, in key order,
-/// with the version `visible` finds first.
-#[test]
-fn visible_range_is_visible_key_by_key() {
-    let (_d, env) = env();
-    let heap = Heap::create_anonymous(&env, env.disk_id()).unwrap();
-    let tree = BTree::create_anonymous(&env, env.disk_id()).unwrap();
+/// Keys that are prefixes of one another, long enough that their
+/// versions span leaves, sorted, each with one to four committed
+/// versions; and the snapshots that see none, each generation, and all.
+fn prefix_keys_in_generations(
+    env: &Arc<StorageEnv>,
+) -> (Heap, BTree, Vec<Vec<u8>>, Vec<Visibility>) {
+    let heap = Heap::create_anonymous(env, env.disk_id()).unwrap();
+    let tree = BTree::create_anonymous(env, env.disk_id()).unwrap();
     let name = "n".repeat(1000);
     let mut keys: Vec<Vec<u8>> = (0..4)
         .flat_map(|p| {
@@ -186,6 +195,16 @@ fn visible_range_is_visible_key_by_key() {
     let snapshots = [Visibility::Raw, Visibility::AsOf(stamps[0] - 1)]
         .into_iter()
         .chain(stamps.iter().map(|&ts| Visibility::AsOf(ts)));
+    (heap, tree, keys, snapshots.collect())
+}
+
+/// `visible_range` is `visible` key by key: over every range of keys it
+/// yields each key with a visible version once, in key order, with the
+/// version `visible` finds first.
+#[test]
+fn visible_range_is_visible_key_by_key() {
+    let (_d, env) = env();
+    let (heap, tree, keys, snapshots) = prefix_keys_in_generations(&env);
     for vis in snapshots {
         for lo in 0..keys.len() {
             for hi in lo..keys.len() {
@@ -212,6 +231,49 @@ fn visible_range_is_visible_key_by_key() {
                     .collect();
                 assert_eq!(got, want, "keys {lo}..={hi} under {vis:?}");
             }
+        }
+    }
+}
+
+/// `visible_rev` from any bound, between stored keys or on one, walks
+/// down every visible version `visible` finds at or below it, across
+/// leaves, keys descending and each key's versions newest first; and it
+/// stops where its callback breaks, so the first version it hands over
+/// is the last visible one.
+#[test]
+fn visible_rev_walks_visible_versions_down_from_its_bound() {
+    let (_d, env) = env();
+    let (heap, tree, keys, snapshots) = prefix_keys_in_generations(&env);
+    let mut bounds: Vec<Vec<u8>> = keys.iter().map(|k| [k.as_slice(), b"\0"].concat()).collect();
+    bounds.extend(keys.iter().cloned());
+    bounds.push(Vec::new());
+    for vis in snapshots {
+        for hi in &bounds {
+            let walk = |stop_after: usize| {
+                let mut got = Vec::new();
+                tree.visible_rev(&heap, hi, &vis, |k, t, p| {
+                    got.push((k.to_vec(), t, p.to_vec()));
+                    let stop = got.len() == stop_after;
+                    Ok::<_, HeapError>(if stop {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    })
+                })
+                .unwrap();
+                got
+            };
+            let want: Vec<_> = keys
+                .iter()
+                .rev()
+                .filter(|k| *k <= hi)
+                .flat_map(|k| {
+                    let versions = tree.visible(&heap, k, &vis, AccessHint::Random).unwrap();
+                    versions.map(|v| v.map(|(t, p)| (k.clone(), t, p)).unwrap()).collect::<Vec<_>>()
+                })
+                .collect();
+            assert_eq!(walk(usize::MAX), want, "down from {:?} under {vis:?}", hi.get(..9));
+            assert_eq!(walk(1), want[..want.len().min(1)], "the first, under {vis:?}");
         }
     }
 }

@@ -10,15 +10,24 @@
 //!
 //! A cursor opens its object once per transaction and holds the open
 //! backend — metadata, size, relations, visibility — between operations.
-//! It records the XID it was opened under and the catalog version at the
-//! open ([`Catalog::version`](pglo_heap::Catalog::version)); an operation
-//! reuses the backend only while both still match, and otherwise re-opens
-//! through the same permission check. A new transaction changes the XID;
-//! a size-growing or v-segment write, a create or an unlink changes the
-//! version. Another session's in-place writes need no check: the snapshot
-//! cannot see them. Every operation ends with the backend's flush and
-//! forgets the bytes it read, so no write is pending and no object byte is
-//! kept between operations; one that fails drops the backend.
+//! It records what the open depended on, and an operation reuses the
+//! backend only while all three still match, re-opening otherwise through
+//! the same permission check:
+//!
+//! * the transaction's XID, which a new transaction changes;
+//! * the catalog version ([`Catalog::version`](pglo_heap::Catalog::version)),
+//!   which a create, an unlink or a raised v-segment bound changes;
+//! * the transaction's count of its own size-growing flushes
+//!   ([`Txn::extensions`]), which a sibling descriptor's extension
+//!   changes. The cursor's own operations move it too, and it takes their
+//!   count after each: its backend already knows its own end.
+//!
+//! The open derives the size from what the snapshot sees, when an
+//! operation first needs it, so another session's writes, extensions
+//! included, need no check: the snapshot cannot see them. Every operation
+//! ends with the backend's flush and forgets the bytes it read, so no
+//! write is pending and no object byte is kept between operations; one
+//! that fails drops the backend.
 
 use crate::handle::{flush_before_drop, LoBackend, OpenMode};
 use crate::store::{LoStore, View};
@@ -48,6 +57,9 @@ struct Held {
     xid: Option<Xid>,
     /// The catalog version read before the open.
     catalog: u64,
+    /// The transaction's [`Txn::extensions`] as of the open or this
+    /// cursor's last operation; 0 for a time-travel cursor.
+    extensions: u64,
 }
 
 impl LoCursor {
@@ -90,10 +102,11 @@ impl LoCursor {
     }
 
     /// Run `f` against the held backend, re-opening it first unless it was
-    /// opened under this transaction at the current catalog version, then
-    /// flush it and forget the bytes it read. Time-travel cursors need no
-    /// transaction; snapshot cursors require one. On an error the backend
-    /// is flushed best-effort and dropped.
+    /// opened under this transaction at the current catalog version and
+    /// no other descriptor of the transaction has grown an object since,
+    /// then flush it and forget the bytes it read. Time-travel cursors
+    /// need no transaction; snapshot cursors require one. On an error the
+    /// backend is flushed best-effort and dropped.
     fn with_backend<R>(
         &self,
         store: &LoStore,
@@ -107,18 +120,21 @@ impl LoCursor {
                 return Err(LoError::Unsupported("cursor operation outside a transaction"))
             }
         };
+        let extensions = || txn.map_or(0, Txn::extensions);
         let (xid, catalog) = (txn.map(Txn::xid), store.env().catalog().version());
         let mut h = match self.held.take() {
-            Some(h) if (h.xid, h.catalog) == (xid, catalog) => h,
+            Some(h) if (h.xid, h.catalog, h.extensions) == (xid, catalog, extensions()) => h,
             stale => {
                 drop(stale);
+                let extensions = extensions();
                 let backend = store.open_backend(self.id, view, self.mode, self.user)?;
-                Held { backend, xid, catalog }
+                Held { backend, xid, catalog, extensions }
             }
         };
         let out = f(h.backend.as_mut()).and_then(|r| h.backend.flush(txn).map(|()| r));
         if out.is_ok() {
             h.backend.forget_bytes();
+            h.extensions = extensions();
             self.held.set(Some(h));
         } else {
             flush_before_drop(h.backend.as_mut(), txn);
@@ -253,6 +269,62 @@ mod tests {
             assert_eq!(other.read(&store, t, &mut buf).unwrap(), 4);
             assert_eq!(&buf[..4], b"ld!!");
             txn.commit();
+        }
+    }
+
+    /// Two descriptors of one object in one transaction, each holding its
+    /// open: one extends, and the other then reads the new bytes and
+    /// reports the new size (the transaction's extension count moved).
+    #[test]
+    fn sibling_descriptor_sees_an_extension_of_its_transaction() {
+        let (_d, env, store) = setup();
+        for spec in chunked_kinds() {
+            let txn = env.begin();
+            let t = Some(&txn);
+            let id = store.create(&txn, &spec).unwrap();
+            let a = LoCursor::open(&store, &txn, id, OpenMode::ReadWrite, UserId::DBA).unwrap();
+            a.write_at(&store, t, 0, &[1; 10_000]).unwrap();
+            let b = LoCursor::open(&store, &txn, id, OpenMode::ReadOnly, UserId::DBA).unwrap();
+            assert_eq!(b.size(&store, t).unwrap(), 10_000);
+            a.write_at(&store, t, 10_000, &[2; 9_000]).unwrap();
+            assert_eq!(b.size(&store, t).unwrap(), 19_000, "{:?}: the new size", spec.kind);
+            let mut buf = [0u8; 200];
+            assert_eq!(b.read_at(&store, t, 9_900, &mut buf).unwrap(), 200);
+            assert_eq!((buf[99], buf[100], buf[199]), (1, 2, 2), "{:?}: the new bytes", spec.kind);
+            txn.commit();
+        }
+    }
+
+    /// Another session's committed extension re-opens no held descriptor:
+    /// the catalog version stands, the held open, its size already
+    /// derived, answers its next operation with no pin, and its snapshot
+    /// keeps the old size.
+    #[test]
+    fn another_sessions_extension_reopens_no_held_descriptor() {
+        let (_d, env, store) = setup();
+        for spec in chunked_kinds() {
+            let t0 = env.begin();
+            let id = store.create(&t0, &spec).unwrap();
+            LoCursor::new(id, OpenMode::ReadWrite, UserId::DBA)
+                .write_at(&store, Some(&t0), 0, &[1; 10_000])
+                .unwrap();
+            t0.commit();
+            let a = env.begin();
+            let held = LoCursor::open(&store, &a, id, OpenMode::ReadOnly, UserId::DBA).unwrap();
+            assert_eq!(held.size(&store, Some(&a)).unwrap(), 10_000);
+            let version = env.catalog().version();
+            let b = env.begin();
+            LoCursor::new(id, OpenMode::ReadWrite, UserId::DBA)
+                .write_at(&store, Some(&b), 10_000, &[2; 20_000])
+                .unwrap();
+            b.commit();
+            assert_eq!(env.catalog().version(), version, "{:?}: catalog version", spec.kind);
+            let before = env.pool().stats();
+            assert_eq!(held.size(&store, Some(&a)).unwrap(), 10_000, "{:?}", spec.kind);
+            let after = env.pool().stats();
+            let pins = (after.hits + after.misses) - (before.hits + before.misses);
+            assert_eq!(pins, 0, "{:?}: the held open was re-opened", spec.kind);
+            a.commit();
         }
     }
 

@@ -17,7 +17,7 @@
 //! Decompression happens per chunk at access time — just-in-time (§3).
 
 use crate::handle::LoBackend;
-use crate::meta::lo_class_name;
+use crate::meta::LoMeta;
 use crate::{stored_form, LoError, LoId, Result};
 use pglo_btree::keys::{u64_key, u64_prefix};
 use pglo_btree::BTree;
@@ -26,6 +26,7 @@ use pglo_heap::{AccessHint, Heap, HeapError, StorageEnv};
 use pglo_pages::Tid;
 use pglo_txn::{Txn, Visibility};
 use std::borrow::Cow;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Chunk tuple prefix: `[seqno u32][flag u8]`.
@@ -90,43 +91,54 @@ pub struct FChunkBackend {
     index: BTree,
     codec: CodecKind,
     vis: Visibility,
-    size: u64,
+    /// The end of the last chunk `vis` sees, derived when first needed
+    /// and moved on by this backend's own writes.
+    size: Option<u64>,
     cache: Option<ChunkCache>,
-    /// Persist size changes to the catalog on flush (false for internal and
-    /// time-travel uses).
-    persist_size: bool,
-    size_dirty: bool,
+    /// Whether a write grew the object since the last flush.
+    grew: bool,
     /// User bytes per chunk (the `byte[8000]` of §6.3 by default).
     chunk_size: usize,
 }
 
 impl FChunkBackend {
-    #[expect(clippy::too_many_arguments, reason = "one constructor wires every piece of a backend")]
-    pub(crate) fn new(
+    /// Open the chunk class of `meta` (an f-chunk object, or a v-segment
+    /// object's byte store) with `codec` under `vis`. Nothing is read
+    /// until an operation needs it.
+    pub(crate) fn open(
         env: Arc<StorageEnv>,
-        id: LoId,
-        heap: Heap,
-        index: BTree,
+        meta: &LoMeta,
         codec: CodecKind,
         vis: Visibility,
-        size: u64,
-        persist_size: bool,
-        chunk_size: usize,
     ) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
+        assert!(meta.chunk_size > 0, "chunk size must be positive");
         Self {
+            heap: Heap::open_oid(&env, meta.data_rel, meta.smgr),
+            index: BTree::open_oid(&env, meta.idx_rel, meta.smgr),
             env,
-            id,
-            heap,
-            index,
+            id: meta.id,
             codec,
             vis,
-            size,
+            size: None,
             cache: None,
-            persist_size,
-            size_dirty: false,
-            chunk_size,
+            grew: false,
+            chunk_size: meta.chunk_size,
         }
+    }
+
+    /// Chunk `(seq, flag, stored bytes)` of an index entry's payload,
+    /// checked against the entry's key.
+    fn chunk_at<'p>(&self, key: &[u8], payload: &'p [u8]) -> Result<(u64, u8, &'p [u8])> {
+        let short_key = || LoError::Meta(format!("{}: chunk index key too short", self.id));
+        let seq = u64_prefix(key).ok_or_else(short_key)?;
+        let (stored_seq, flag, bytes) = decode_chunk(payload)?;
+        if stored_seq != seq {
+            return Err(LoError::Meta(format!(
+                "{}: index entry for chunk {seq} points at chunk {stored_seq}",
+                self.id
+            )));
+        }
+        Ok((seq, flag, bytes))
     }
 
     /// Hand each visible chunk in `lo..=hi` to `f` as `(seq, tid, flag,
@@ -155,15 +167,7 @@ impl FChunkBackend {
             &self.vis,
             hint,
             |key, tid, payload| {
-                let short_key = || LoError::Meta(format!("{}: chunk index key too short", self.id));
-                let seq = u64_prefix(key).ok_or_else(short_key)?;
-                let (stored_seq, flag, bytes) = decode_chunk(payload)?;
-                if stored_seq != seq {
-                    return Err(LoError::Meta(format!(
-                        "{}: index entry for chunk {seq} points at chunk {stored_seq}",
-                        self.id
-                    )));
-                }
+                let (seq, flag, bytes) = self.chunk_at(key, payload)?;
                 f(seq, tid, flag, bytes)
             },
         )
@@ -276,33 +280,6 @@ impl FChunkBackend {
         Ok(self.cache.insert(chunk))
     }
 
-    /// Recompute the logical size from visible chunks — used for
-    /// time-travel opens, where the catalog's current size is wrong. One
-    /// walk over the whole index keeps the highest visible chunk. A raw
-    /// chunk's plain length is its stored length; only a compressed one is
-    /// copied out, to be decoded if it is the last.
-    pub(crate) fn compute_size(&self) -> Result<u64> {
-        let (mut tail, mut compressed) = (None, Vec::new());
-        self.walk_chunks(0, u64::MAX, AccessHint::Random, |seq, _, flag, bytes| {
-            compressed.clear();
-            if flag == stored_form::FLAG_COMPRESSED {
-                compressed.extend_from_slice(bytes);
-            }
-            tail = Some((seq, flag, bytes.len()));
-            Ok(())
-        })?;
-        let Some((seq, flag, mut len)) = tail else { return Ok(0) };
-        if flag == stored_form::FLAG_COMPRESSED {
-            len = stored_form::decode(&self.env, self.codec, flag, compressed.into())?.len();
-        }
-        Ok(seq * self.chunk_size as u64 + len as u64)
-    }
-
-    /// Set the initial size (store uses this after `compute_size`).
-    pub(crate) fn set_size(&mut self, size: u64) {
-        self.size = size;
-    }
-
     /// Storage-accounting hooks for Figure 1.
     pub fn data_bytes(&self) -> Result<u64> {
         Ok(self.heap.size_bytes()?)
@@ -311,10 +288,14 @@ impl FChunkBackend {
 
 impl LoBackend for FChunkBackend {
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        if offset >= self.size || buf.is_empty() {
+        if buf.is_empty() {
             return Ok(0);
         }
-        let want = (buf.len() as u64).min(self.size - offset) as usize;
+        let size = self.size()?;
+        if offset >= size {
+            return Ok(0);
+        }
+        let want = (buf.len() as u64).min(size - offset) as usize;
         obs::counter!("lo.fchunk.read.bytes").add(want as u64);
         let chunk = self.chunk_size as u64;
         let (first, last) = (offset / chunk, (offset + want as u64 - 1) / chunk);
@@ -358,6 +339,7 @@ impl LoBackend for FChunkBackend {
 
     fn write_at(&mut self, txn: &Txn, offset: u64, data: &[u8]) -> Result<()> {
         obs::counter!("lo.fchunk.write.bytes").add(data.len() as u64);
+        let size = self.size()?;
         let mut done = 0usize;
         while done < data.len() {
             let pos = offset + done as u64;
@@ -368,7 +350,7 @@ impl LoBackend for FChunkBackend {
             // a full chunk, or the chunk containing everything past the
             // current end of object.
             let chunk_start = seq * self.chunk_size as u64;
-            let skip_fetch = within == 0 && (span == self.chunk_size || chunk_start >= self.size);
+            let skip_fetch = within == 0 && (span == self.chunk_size || chunk_start >= size);
             let cache = self.load_chunk(txn, seq, skip_fetch)?;
             if cache.data.len() < within + span {
                 cache.data.resize(within + span, 0);
@@ -378,35 +360,38 @@ impl LoBackend for FChunkBackend {
             done += span;
         }
         let end = offset + data.len() as u64;
-        if end > self.size {
-            self.size = end;
-            self.size_dirty = true;
+        if end > size {
+            (self.size, self.grew) = (Some(end), true);
         }
         Ok(())
     }
 
+    /// The object's end: as this backend last knew it, or else the end
+    /// of the last chunk `vis` sees, its start plus its plain length, 0
+    /// with no chunk. One reverse probe: a descent, and one heap fetch
+    /// when the last chunk's newest version is visible. Only a compressed
+    /// last chunk is decoded.
     fn size(&mut self) -> Result<u64> {
-        Ok(self.size)
+        if let Some(size) = self.size {
+            return Ok(size);
+        }
+        let mut end = 0;
+        let hi = u64_key(u64::MAX);
+        self.index.visible_rev(&self.heap, &hi, &self.vis, |key, _, payload| {
+            let (seq, flag, bytes) = self.chunk_at(key, payload)?;
+            let len = stored_form::decode(&self.env, self.codec, flag, bytes.into())?.len();
+            end = seq * self.chunk_size as u64 + len as u64;
+            Ok::<_, LoError>(ControlFlow::Break(()))
+        })?;
+        Ok(*self.size.insert(end))
     }
 
     fn flush(&mut self, txn: Option<&Txn>) -> Result<()> {
         self.write_back(txn)?;
-        if self.persist_size && self.size_dirty {
-            // Stamp who cached this size: the catalog is not MVCC, so a
-            // later snapshot open must be able to tell whether the cached
-            // size came from a transaction it can actually see (it
-            // recomputes from visible chunks if not). Size and xid land
-            // in one catalog snapshot.
-            let xid = txn.map(|txn| txn.xid().0.to_string());
-            let size = self.size.to_string();
-            let mut props = vec![("size", size.as_str())];
-            props.extend(xid.as_deref().map(|xid| ("size_xid", xid)));
-            if xid.is_some() {
-                // The catalog is written outside the log: log the XID limit first.
-                self.env.wal().log_limits().map_err(LoError::Io)?;
-            }
-            self.env.catalog().set_props(&lo_class_name(self.id), &props)?;
-            self.size_dirty = false;
+        // The new end is now in the chunks: another open under `txn`
+        // derives it, and `txn` counts that it moved.
+        if let (true, Some(txn)) = (std::mem::take(&mut self.grew), txn) {
+            txn.note_extension();
         }
         Ok(())
     }

@@ -42,9 +42,9 @@ pub trait LoBackend: Send {
     /// Current logical size in bytes.
     fn size(&mut self) -> Result<u64>;
 
-    /// Push buffered chunks to the storage layer as `txn` and persist
-    /// metadata. With no transaction only a backend holding no writes
-    /// flushes.
+    /// Push buffered chunks to the storage layer as `txn`, counting in
+    /// `txn` a flush that grew the object ([`Txn::extensions`]). With no
+    /// transaction only a backend holding no writes flushes.
     fn flush(&mut self, txn: Option<&Txn>) -> Result<()>;
 
     /// Forget the object bytes a read left cached, keeping what the open
@@ -63,11 +63,11 @@ pub(crate) fn flush_before_drop(backend: &mut dyn LoBackend, txn: Option<&Txn>) 
 
 /// An open large object descriptor.
 ///
-/// Size metadata is persisted through the (non-transactional) catalog at
-/// flush time, stamped with the writer's XID. An open trusts the cached
-/// size only if its snapshot sees that writer; otherwise (the writer
-/// aborted, is still running, or committed later) `LoStore` recounts it
-/// from visible chunks, so an aborted extend leaves the size unchanged.
+/// The handle derives the size from what its snapshot sees, when an
+/// operation first needs it: the end of the last visible chunk (f-chunk)
+/// or the largest end of a visible segment (v-segment), and its own
+/// writes move it on. Nothing else records a size, so an aborted
+/// extension leaves none behind.
 pub struct LoHandle<'a> {
     backend: Box<dyn LoBackend>,
     /// The transaction the handle was opened under; `None` for time travel.
@@ -140,7 +140,7 @@ impl<'a> LoHandle<'a> {
         self.backend.size()
     }
 
-    /// Flush buffered data and persist metadata.
+    /// Flush buffered data.
     pub fn flush(&mut self) -> Result<()> {
         self.backend.flush(self.txn)
     }

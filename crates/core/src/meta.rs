@@ -2,12 +2,13 @@
 //!
 //! Every large object is registered in the catalog under the reserved name
 //! `$lo_<id>` with its implementation kind, codec, device, component
-//! relation OIDs, owner, and last-flushed size in the class property bag.
+//! relation OIDs and owner in the class property bag. Its size is not
+//! there: an open derives it from the chunks or segments its snapshot
+//! sees.
 
 use crate::{LoError, LoId, Result, UserId};
 use pglo_compress::CodecKind;
 use pglo_smgr::SmgrId;
-use pglo_txn::Xid;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -61,15 +62,8 @@ pub struct LoMeta {
     pub smgr: SmgrId,
     /// The owner.
     pub owner: UserId,
-    /// Last flushed logical size in bytes.
-    pub size: u64,
-    /// The transaction that flushed `size`; invalid until a first flush.
-    pub size_xid: Xid,
-    /// v-segment only: last flushed byte-store length.
-    pub store_size: u64,
-    /// v-segment only: next segment sequence number.
-    pub vseg_seq: u64,
-    /// v-segment only: longest segment written so far (0: unknown).
+    /// v-segment only: longest segment written so far (0: unknown), only
+    /// ever raised.
     pub max_seg_len: u64,
     /// f-chunk: chunk heap OID. v-segment: byte-store chunk heap OID.
     pub data_rel: u64,
@@ -93,16 +87,15 @@ pub fn lo_class_name(id: LoId) -> String {
 }
 
 impl LoMeta {
-    /// Serialize to catalog properties. `size_xid` and the v-segment
-    /// counters are written by the backends' `flush`, never at create:
-    /// absent, they read back as zero.
+    /// Serialize to catalog properties. `max_seg_len` is written by the
+    /// v-segment write that raises it, never at create: absent, it reads
+    /// back as zero.
     pub fn to_props(&self) -> HashMap<String, String> {
         let mut p = HashMap::new();
         p.insert("kind".into(), self.kind.as_str().into());
         p.insert("codec".into(), self.codec.as_str().into());
         p.insert("smgr".into(), self.smgr.0.to_string());
         p.insert("owner".into(), self.owner.0.to_string());
-        p.insert("size".into(), self.size.to_string());
         p.insert("data_rel".into(), self.data_rel.to_string());
         p.insert("idx_rel".into(), self.idx_rel.to_string());
         p.insert("seg_rel".into(), self.seg_rel.to_string());
@@ -138,10 +131,6 @@ impl LoMeta {
             codec,
             smgr: SmgrId(num(props, "smgr", id)? as u16),
             owner: UserId(num(props, "owner", id)? as u32),
-            size: num(props, "size", id)?,
-            size_xid: Xid(opt("size_xid", 0) as u32),
-            store_size: opt("store_size", 0),
-            vseg_seq: opt("vseg_seq", 0),
             max_seg_len: opt("max_seg_len", 0),
             data_rel: num(props, "data_rel", id)?,
             idx_rel: num(props, "idx_rel", id)?,
@@ -165,10 +154,6 @@ mod tests {
             codec: CodecKind::Rle,
             smgr: SmgrId(2),
             owner: UserId(7),
-            size: 51_200_000,
-            size_xid: Xid::INVALID,
-            store_size: 0,
-            vseg_seq: 0,
             max_seg_len: 0,
             data_rel: 100,
             idx_rel: 101,
@@ -181,17 +166,17 @@ mod tests {
         let back = LoMeta::from_props(LoId(42), &props).unwrap();
         assert_eq!(back.kind, LoKind::VSegment);
         assert_eq!(back.codec, CodecKind::Rle);
-        assert_eq!(back.size, 51_200_000);
         assert_eq!(back.seg_idx_rel, 103);
         assert_eq!(back.path, None);
-        // The create-time layout carries none of the flush-time keys.
-        assert!(!props.contains_key("size_xid"));
-        assert_eq!(back.size_xid, Xid::INVALID);
-        assert_eq!((back.store_size, back.vseg_seq, back.max_seg_len), (0, 0, 0));
+        // The create-time layout carries no size and no segment bound.
+        assert!(!props.contains_key("size") && !props.contains_key("max_seg_len"));
+        assert_eq!(back.max_seg_len, 0);
     }
 
+    /// The segment bound reads back typed, and the keys an earlier build
+    /// cached the size under are ignored.
     #[test]
-    fn flush_time_props_are_typed() {
+    fn raised_bound_is_typed_and_old_size_keys_ignored() {
         let mut props = HashMap::new();
         for (k, v) in [
             ("kind", "vsegment"),
@@ -203,16 +188,13 @@ mod tests {
             ("idx_rel", "2"),
             ("seg_rel", "3"),
             ("seg_idx_rel", "4"),
-            ("size_xid", "17"),
             ("store_size", "3000"),
-            ("vseg_seq", "5"),
             ("max_seg_len", "2048"),
         ] {
             props.insert(k.to_string(), v.to_string());
         }
         let meta = LoMeta::from_props(LoId(3), &props).unwrap();
-        assert_eq!(meta.size_xid, Xid(17));
-        assert_eq!((meta.store_size, meta.vseg_seq, meta.max_seg_len), (3000, 5, 2048));
+        assert_eq!(meta.max_seg_len, 2048);
     }
 
     #[test]
@@ -223,10 +205,6 @@ mod tests {
             codec: CodecKind::None,
             smgr: SmgrId(0),
             owner: UserId::DBA,
-            size: 0,
-            size_xid: Xid::INVALID,
-            store_size: 0,
-            vseg_seq: 0,
             max_seg_len: 0,
             data_rel: 0,
             idx_rel: 0,

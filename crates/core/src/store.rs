@@ -12,7 +12,7 @@ use pglo_btree::BTree;
 use pglo_compress::CodecKind;
 use pglo_heap::{ClassKind, Heap, StorageEnv};
 use pglo_smgr::{NativeFile, SmgrId};
-use pglo_txn::{Txn, TxnStatus, Visibility, Xid};
+use pglo_txn::{Txn, Visibility};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -182,10 +182,6 @@ impl LoStore {
             codec: spec.codec,
             smgr,
             owner: spec.owner,
-            size: 0,
-            size_xid: Xid::INVALID,
-            store_size: 0,
-            vseg_seq: 0,
             max_seg_len: 0,
             data_rel: 0,
             idx_rel: 0,
@@ -296,101 +292,17 @@ impl LoStore {
             }
             View::AsOf(ts) => Visibility::AsOf(ts),
         };
-        self.open_with(meta, vis)
-    }
-
-    /// Whether the catalog's cached logical size, flushed by `xid`, can be
-    /// trusted under `vis`. The catalog is not MVCC: `flush` writes the
-    /// size (stamped with the writer's XID) whether or not that
-    /// transaction goes on to commit, so a snapshot reader must only
-    /// believe a size cached by a transaction it can see — its own, or
-    /// one committed within its snapshot. Everything else (aborted, still
-    /// in progress, committed after the snapshot, or any time-travel
-    /// open) forces a recount from visible chunks.
-    fn size_is_visible(&self, xid: Xid, vis: &Visibility) -> bool {
-        match vis {
-            Visibility::Raw => true,
-            Visibility::AsOf(_) => false,
-            // No stamp: the size is the zero written at create time.
-            Visibility::Snapshot { own, .. } if xid == Xid::INVALID || xid == *own => true,
-            Visibility::Snapshot { snapshot, .. } => {
-                self.env.txns().status(xid) == TxnStatus::Committed
-                    && !snapshot.considers_running(xid)
-            }
-        }
-    }
-
-    fn open_with(&self, meta: LoMeta, vis: Visibility) -> Result<Box<dyn LoBackend>> {
-        let id = meta.id;
-        let time_travel = matches!(vis, Visibility::AsOf(_));
-        let size_trusted = self.size_is_visible(meta.size_xid, &vis);
-        match meta.kind {
-            LoKind::UFile => {
-                let path = meta.path.as_ref().ok_or(LoError::NotFound(id))?;
-                let file = NativeFile::open(path, self.env.sim().clone(), false)?;
-                Ok(Box::new(UFileBackend::new(file)))
-            }
-            LoKind::PFile => {
-                let path = meta.path.as_ref().ok_or(LoError::NotFound(id))?;
-                let file = NativeFile::open(path, self.env.sim().clone(), false)?;
-                Ok(Box::new(PFileBackend::new(file)))
-            }
-            LoKind::FChunk => {
-                let heap = Heap::open_oid(&self.env, meta.data_rel, meta.smgr);
-                let index = BTree::open_oid(&self.env, meta.idx_rel, meta.smgr);
-                let mut backend = FChunkBackend::new(
-                    Arc::clone(&self.env),
-                    id,
-                    heap,
-                    index,
-                    meta.codec,
-                    vis,
-                    meta.size,
-                    !time_travel,
-                    meta.chunk_size,
-                );
-                if !size_trusted {
-                    let size = backend.compute_size()?;
-                    backend.set_size(size);
-                }
-                Ok(Box::new(backend))
-            }
-            LoKind::VSegment => {
-                let store_heap = Heap::open_oid(&self.env, meta.data_rel, meta.smgr);
-                let store_index = BTree::open_oid(&self.env, meta.idx_rel, meta.smgr);
-                let mut store = FChunkBackend::new(
-                    Arc::clone(&self.env),
-                    id,
-                    store_heap,
-                    store_index,
-                    CodecKind::None,
-                    vis.clone(),
-                    meta.store_size,
-                    false,
-                    meta.chunk_size,
-                );
-                if !size_trusted {
-                    let size = store.compute_size()?;
-                    store.set_size(size);
-                }
-                let seg_heap = Heap::open_oid(&self.env, meta.seg_rel, meta.smgr);
-                let seg_index = BTree::open_oid(&self.env, meta.seg_idx_rel, meta.smgr);
-                let mut backend = VSegBackend::new(
-                    Arc::clone(&self.env),
-                    seg_heap,
-                    seg_index,
-                    store,
-                    &meta,
-                    vis,
-                    !time_travel,
-                );
-                if !size_trusted {
-                    let size = backend.compute_size()?;
-                    backend.set_size(size);
-                }
-                Ok(Box::new(backend))
-            }
-        }
+        let env = Arc::clone(&self.env);
+        let file = || {
+            let path = meta.path.as_ref().ok_or(LoError::NotFound(id))?;
+            Ok::<_, LoError>(NativeFile::open(path, self.env.sim().clone(), false)?)
+        };
+        Ok(match meta.kind {
+            LoKind::UFile => Box::new(UFileBackend::new(file()?)),
+            LoKind::PFile => Box::new(PFileBackend::new(file()?)),
+            LoKind::FChunk => Box::new(FChunkBackend::open(env, &meta, meta.codec, vis)),
+            LoKind::VSegment => Box::new(VSegBackend::open(env, &meta, vis)),
+        })
     }
 
     /// Remove a large object: its component relations, its DBMS-owned file

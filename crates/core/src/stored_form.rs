@@ -9,7 +9,7 @@ use pglo_heap::StorageEnv;
 use std::borrow::Cow;
 
 const FLAG_RAW: u8 = 0;
-pub(crate) const FLAG_COMPRESSED: u8 = 1;
+const FLAG_COMPRESSED: u8 = 1;
 
 /// The flag and bytes to store for `plain`: `plain` itself, borrowed, when
 /// it is kept as written. Input conversion is priced per byte compressed,

@@ -489,15 +489,14 @@ fn size_survives_reopen_of_environment() {
     }
     let env = StorageEnv::open(dir.path()).unwrap();
     let store = LoStore::new(Arc::clone(&env));
-    assert_eq!(store.meta(id).unwrap().size, 25_000);
-    // Note: the transaction manager is per-process in this reproduction, so
-    // cross-process reads use Raw-equivalent bootstrap visibility; here we
-    // just verify metadata durability.
+    let txn = env.begin();
+    let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+    assert_eq!(h.size().unwrap(), 25_000);
 }
 
-/// The catalog keys of a v-segment object are the ones every earlier
-/// build wrote — ten at create, five more from the first flush on — and
-/// the object opens and reads back from either layout.
+/// The catalog keys of a v-segment object: nine at create, and the
+/// segment bound, which the first write raises, from the first flush on;
+/// no size. The object opens and reads back from either layout.
 #[test]
 fn vsegment_opens_from_create_time_and_flushed_catalog_layouts() {
     let keys = |env: &StorageEnv, id: LoId| {
@@ -515,7 +514,6 @@ fn vsegment_opens_from_create_time_and_flushed_catalog_layouts() {
         "owner",
         "seg_idx_rel",
         "seg_rel",
-        "size",
         "smgr",
     ];
     let flushed = [
@@ -528,11 +526,7 @@ fn vsegment_opens_from_create_time_and_flushed_catalog_layouts() {
         "owner",
         "seg_idx_rel",
         "seg_rel",
-        "size",
-        "size_xid",
         "smgr",
-        "store_size",
-        "vseg_seq",
     ];
     let payload: Vec<u8> = (0..30_000u32).map(|i| (i / 64 % 251) as u8).collect();
     let dir = tempfile::tempdir().unwrap();
@@ -553,12 +547,151 @@ fn vsegment_opens_from_create_time_and_flushed_catalog_layouts() {
     }
     let env = StorageEnv::open(dir.path()).unwrap();
     let store = LoStore::new(Arc::clone(&env));
-    let meta = store.meta(id).unwrap();
-    assert_eq!(meta.size, payload.len() as u64);
-    assert!(meta.vseg_seq > 0 && meta.store_size > 0 && meta.max_seg_len > 0);
+    assert!(store.meta(id).unwrap().max_seg_len > 0);
     let txn = env.begin();
     let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+    assert_eq!(h.size().unwrap(), payload.len() as u64);
     assert_eq!(h.read_to_vec().unwrap(), payload);
+}
+
+/// Buffer-pool pins (hits and misses) taken by `f`.
+fn pins_of<R>(env: &StorageEnv, f: impl FnOnce() -> R) -> (u64, R) {
+    let before = env.pool().stats();
+    let out = f();
+    let after = env.pool().stats();
+    ((after.hits + after.misses) - (before.hits + before.misses), out)
+}
+
+/// ROADMAP item 2's first reproduction: two transactions extend one
+/// committed one-chunk object, into different new chunks, and both
+/// commit. The size is derived from the chunks, so a fresh snapshot
+/// reads both extensions (a size cached by the last flush read 8,300
+/// bytes, and no `A`).
+#[test]
+fn two_extenders_of_one_object_both_stay_visible() {
+    let (_d, env, store) = setup();
+    let txn = env.begin();
+    let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
+    store.open(&txn, id, OpenMode::ReadWrite).unwrap().write(&[1; CHUNK_SIZE]).unwrap();
+    txn.commit();
+    let (t1, t2) = (env.begin(), env.begin());
+    let mut h1 = store.open(&t1, id, OpenMode::ReadWrite).unwrap();
+    let mut h2 = store.open(&t2, id, OpenMode::ReadWrite).unwrap();
+    h1.write_at(3 * CHUNK_SIZE as u64, &[b'A'; 100]).unwrap();
+    h2.write_at(CHUNK_SIZE as u64 + 200, &[b'B'; 100]).unwrap();
+    h1.close().unwrap();
+    h2.close().unwrap();
+    t1.try_commit().unwrap();
+    t2.try_commit().unwrap();
+    let txn = env.begin();
+    let all = store.open(&txn, id, OpenMode::ReadOnly).unwrap().read_to_vec().unwrap();
+    assert_eq!(all.len(), 24_100);
+    assert!(all[24_000..].iter().all(|&b| b == b'A'), "t1's extension");
+    assert!(all[8_200..8_300].iter().all(|&b| b == b'B'), "t2's extension");
+    assert!(all[8_000..8_200].iter().chain(&all[8_300..24_000]).all(|&b| b == 0), "the holes");
+}
+
+/// An extension that aborts leaves the size where the last commit put
+/// it, for a later snapshot, and deriving it walks no whole index: an
+/// object four times larger costs an open and its size at most one pin
+/// more (one index level), for f-chunk and for v-segment, whose walk
+/// stops one segment bound (64 KiB) below the end.
+#[test]
+fn aborted_extension_leaves_the_size_and_the_open_walks_no_index() {
+    let chunk = 64;
+    for spec in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)] {
+        let open_pins = |chunks: usize| {
+            let (_d, env, store) = setup();
+            let txn = env.begin();
+            let id = store.create(&txn, &spec.clone().with_chunk_size(chunk)).unwrap();
+            let size = (chunks * chunk) as u64;
+            let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+            for at in (0..size).step_by(4096) {
+                h.write_at(at, &vec![7; 4096.min(size - at) as usize]).unwrap();
+            }
+            h.close().unwrap();
+            txn.commit();
+            let x = env.begin();
+            let mut h = store.open(&x, id, OpenMode::ReadWrite).unwrap();
+            h.write_at(size, &[8; 5_000]).unwrap();
+            assert_eq!(h.size().unwrap(), size + 5_000);
+            h.close().unwrap();
+            x.abort();
+            let txn = env.begin();
+            let (pins, mut h) = pins_of(&env, || {
+                let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+                assert_eq!(h.size().unwrap(), size, "{:?}: the aborted extension", spec.kind);
+                h
+            });
+            assert_eq!(h.read_to_vec().unwrap(), vec![7; size as usize]);
+            pins
+        };
+        let [small, large] = [2_000, 8_000].map(open_pins);
+        assert!(
+            large <= small + 1,
+            "{:?}: open pins, 2,000 and 8,000 chunks: {small}, {large}",
+            spec.kind
+        );
+    }
+}
+
+/// An as-of open of a 1,000-chunk object and its size pin the index's
+/// meta page, one page a level (the leaf twice: descent, then the copy of
+/// its entries) and the last chunk's heap page: O(tree height), where a
+/// recount walked every chunk.
+#[test]
+fn as_of_open_pins_the_tree_height_not_the_chunks() {
+    let (_d, env, store) = setup();
+    let txn = env.begin();
+    let id = store.create(&txn, &LoSpec::fchunk().with_chunk_size(64)).unwrap();
+    let data: Vec<u8> = (0..64_000u32).map(|i| (i % 251) as u8).collect();
+    let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+    h.write(&data).unwrap();
+    h.close().unwrap();
+    let ts = txn.commit();
+    let index = BTree::open_oid(&env, store.meta(id).unwrap().idx_rel, env.disk_id());
+    assert!(index.nblocks().unwrap() > 4, "the index must have several leaves");
+    let (pins, mut h) = pins_of(&env, || {
+        let mut h = store.open_as_of(id, ts).unwrap();
+        assert_eq!(h.size().unwrap(), 64_000);
+        h
+    });
+    assert_eq!(pins, 5, "meta, root, leaf twice and one heap page");
+    assert_eq!(h.read_to_vec().unwrap(), data);
+}
+
+/// A size-growing f-chunk flush writes no catalog: `catalog.json` keeps
+/// its inode and `Catalog::version` stands. So does a v-segment flush
+/// that raises no segment bound; the object's first write raises it,
+/// once.
+#[test]
+fn size_growing_flush_writes_no_catalog() {
+    use std::os::unix::fs::MetadataExt;
+    let (dir, env, store) = setup();
+    let catalog = || {
+        let inode = std::fs::metadata(dir.path().join("catalog.json")).unwrap().ino();
+        (env.catalog().version(), inode)
+    };
+    for spec in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)] {
+        let txn = env.begin();
+        let id = store.create(&txn, &spec).unwrap();
+        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+        let (version, _) = catalog();
+        h.write(&[1; 20_000]).unwrap();
+        h.flush().unwrap();
+        let raised = u64::from(spec.kind == crate::LoKind::VSegment);
+        assert_eq!(catalog().0 - version, raised, "{:?}: the first write", spec.kind);
+        let before = catalog();
+        for _ in 0..3 {
+            h.write(&[2; 20_000]).unwrap();
+            h.flush().unwrap();
+        }
+        h.close().unwrap();
+        txn.commit();
+        assert_eq!(catalog(), before, "{:?}: size-growing flushes", spec.kind);
+        let txn = env.begin();
+        assert_eq!(store.open(&txn, id, OpenMode::ReadOnly).unwrap().size().unwrap(), 80_000);
+    }
 }
 
 /// One generation of a model run: `(offset, bytes)` writes made, in order,
@@ -824,6 +957,9 @@ fn partial_chunk_write_back_looks_the_old_version_up_once() {
     let lookup = {
         let txn = env.begin();
         let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+        // The size first: its derivation, the handle's first use, is a
+        // probe of its own.
+        h.size().unwrap();
         let pins = pins_of(&mut || assert_eq!(h.read_at(100, &mut [0; 100]).unwrap(), 100));
         drop(h);
         txn.commit();
@@ -944,7 +1080,7 @@ fn import_export_roundtrip_through_host_files() {
     std::fs::write(&src_path, &data).unwrap();
     let txn = env.begin();
     let id = store.import_file(&txn, &LoSpec::vsegment(CodecKind::Lz77), &src_path).unwrap();
-    assert_eq!(store.meta(id).unwrap().size, data.len() as u64);
+    assert_eq!(store.open(&txn, id, OpenMode::ReadOnly).unwrap().size().unwrap(), 150_000);
     let out_path = dir.path().join("output.bin");
     let n = store.export_file(&txn, id, &out_path).unwrap();
     assert_eq!(n, data.len() as u64);

@@ -255,6 +255,24 @@ impl Catalog {
             Ok(())
         })
     }
+
+    /// Raise a class's numeric property `key` (absent: 0) to `value`,
+    /// merged as a max inside the mutation, so a caller holding an older
+    /// value never lowers it. One that would raise nothing mutates
+    /// nothing: the version stands and the file is not rewritten.
+    pub fn raise_prop(&self, name: &str, key: &str, value: u64) -> Result<()> {
+        let current = |data: &mut CatalogData| -> Result<u64> {
+            Ok(class_mut(data, name)?.props.get(key).and_then(|v| v.parse().ok()).unwrap_or(0))
+        };
+        if current(&mut self.data.lock())? >= value {
+            return Ok(());
+        }
+        self.mutate(|data| {
+            let raised = current(data)?.max(value).to_string();
+            class_mut(data, name)?.props.insert(key.to_string(), raised);
+            Ok(())
+        })
+    }
 }
 
 fn no_such_class(name: &str) -> HeapError {
@@ -392,42 +410,70 @@ mod tests {
         assert!(advanced(&cat, v), "drop_class");
     }
 
+    /// `raise_prop` merges as a max: a smaller value, which a caller
+    /// holding an older one would write, neither lowers the property nor
+    /// rewrites the file, and concurrent raises keep the largest.
+    #[test]
+    fn raise_prop_only_raises() {
+        let (_dir, cat) = temp_catalog();
+        cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
+        let v = &mut cat.version();
+        let get = || cat.get("T").unwrap().props.get("bound").cloned();
+        cat.raise_prop("T", "bound", 0).unwrap();
+        assert!(!advanced(&cat, v) && get().is_none(), "raising an absent property to 0");
+        cat.raise_prop("T", "bound", 4096).unwrap();
+        assert!(advanced(&cat, v), "a raise");
+        cat.raise_prop("T", "bound", 100).unwrap();
+        assert!(!advanced(&cat, v), "a lower value");
+        assert_eq!(get().as_deref(), Some("4096"));
+        assert!(cat.raise_prop("missing", "bound", 1).is_err());
+        std::thread::scope(|s| {
+            for w in 0..4u64 {
+                let cat = &cat;
+                s.spawn(move || {
+                    (0..50).for_each(|i| cat.raise_prop("T", "bound", 5000 + i * 4 + w).unwrap())
+                });
+            }
+        });
+        assert_eq!(get().as_deref(), Some("5199"));
+    }
+
     #[test]
     fn set_props_batch_survives_reopen() {
         let dir = tempfile::tempdir().unwrap();
         {
             let cat = open_catalog(dir.path());
             cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
-            cat.set_props("T", &[("size_xid", "7"), ("size", "4096")]).unwrap();
+            cat.set_props("T", &[("rows_xid", "7"), ("rows", "4096")]).unwrap();
         }
         let props = open_catalog(dir.path()).get("T").unwrap().props;
-        assert_eq!(props.get("size_xid").unwrap(), "7");
-        assert_eq!(props.get("size").unwrap(), "4096");
+        assert_eq!(props.get("rows_xid").unwrap(), "7");
+        assert_eq!(props.get("rows").unwrap(), "4096");
     }
 
-    /// Two writers each stamp `size` and the xid vouching for it in one
+    /// Two writers each stamp `rows` and the xid vouching for it in one
     /// batch (writer `w` always writes the pair `(w, w)`); a reader's
-    /// `get` between their writes must never see one writer's size with
+    /// `get` between their writes must never see one writer's count with
     /// the other's xid.
     #[test]
     fn set_props_batch_is_atomic_to_readers() {
         let (_dir, cat) = temp_catalog();
         cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
-        cat.set_props("T", &[("size_xid", "1"), ("size", "1")]).unwrap();
+        cat.set_props("T", &[("rows_xid", "1"), ("rows", "1")]).unwrap();
         let done = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|s| {
             for w in ["1", "2"] {
                 let (cat, done) = (&cat, &done);
                 s.spawn(move || {
                     for _ in 0..200 {
-                        cat.set_props("T", &[("size_xid", w), ("size", w)]).unwrap();
+                        cat.set_props("T", &[("rows_xid", w), ("rows", w)]).unwrap();
                     }
                     done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 });
             }
             while done.load(std::sync::atomic::Ordering::SeqCst) < 2 {
                 let props = cat.get("T").unwrap().props;
-                assert_eq!(props.get("size"), props.get("size_xid"));
+                assert_eq!(props.get("rows"), props.get("rows_xid"));
             }
         });
     }

@@ -282,13 +282,9 @@ impl StorageEnv {
     /// Open with explicit options.
     pub fn open_with(dir: impl AsRef<Path>, opts: EnvOptions) -> Result<Arc<Self>> {
         let base_dir = dir.as_ref().to_path_buf();
-        // An earlier format's text commit log: there is no import path.
-        let clog = base_dir.join("clog");
-        if clog.exists() {
-            return Err(crate::HeapError::LegacyCommitLog(clog));
-        }
-        // Nor from a catalog that held the OID counter: refused before
-        // anything is created, truncated or redone in the directory.
+        // There is no import path from an earlier format: every one wrote
+        // a catalog holding the OID counter, refused here before anything
+        // is created, truncated or redone in the directory.
         let classes = catalog::load(&base_dir)?;
         std::fs::create_dir_all(&base_dir)
             .map_err(|e| crate::HeapError::Catalog(format!("create db dir: {e}")))?;

@@ -71,9 +71,6 @@ pub enum HeapError {
         /// The missing tuple's identifier.
         tid: Tid,
     },
-    /// The data directory holds this text commit log (`clog`) from an
-    /// earlier on-disk format, which this version cannot read.
-    LegacyCommitLog(std::path::PathBuf),
 }
 
 impl std::fmt::Display for HeapError {
@@ -87,9 +84,6 @@ impl std::fmt::Display for HeapError {
             }
             HeapError::WriteConflict { tid } => write!(f, "write conflict on tuple {tid}"),
             HeapError::TupleNotFound { tid } => write!(f, "no tuple at {tid}"),
-            HeapError::LegacyCommitLog(path) => {
-                write!(f, "{} is a commit log of an earlier on-disk format", path.display())
-            }
         }
     }
 }

@@ -6,9 +6,12 @@
 //! so they survive across frames and re-bind to whatever transaction the
 //! session currently holds. A descriptor holds its object's open for one
 //! transaction: `lo_open` opens it, and later frames reuse that open while
-//! the transaction's XID and the catalog version it was opened at both
-//! still match, re-opening otherwise. Every frame flushes its writes and
-//! keeps no object bytes, so nothing is pending or stale between frames.
+//! the transaction's XID, the catalog version it was opened at and the
+//! transaction's count of its own size-growing flushes all still match,
+//! re-opening otherwise: a sibling descriptor's extension re-opens it,
+//! another session's commit does not (the snapshot cannot see it). Every
+//! frame flushes its writes and keeps no object bytes, so nothing is
+//! pending or stale between frames.
 //! When the connection dies with a transaction
 //! still open, dropping the session drops the [`Txn`], whose RAII drop
 //! aborts it: an orphaned transaction can never commit.

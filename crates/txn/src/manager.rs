@@ -3,6 +3,7 @@
 use crate::horizon::VisibleTs;
 use crate::Xid;
 use parking_lot::{ranks, Mutex};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -131,7 +132,7 @@ impl TxnManager {
             };
             (xid, snapshot)
         };
-        Txn { tm: Arc::clone(self), xid, snapshot, done: false }
+        Txn { tm: Arc::clone(self), xid, snapshot, extensions: Cell::new(0), done: false }
     }
 
     /// Status of a transaction. `BOOTSTRAP` is always committed.
@@ -270,11 +271,13 @@ impl Snapshot {
 }
 
 /// An RAII transaction handle. Aborts on drop unless [`Txn::commit`] was
-/// called.
+/// called. One thread uses it at a time: it is `Send`, not `Sync`.
 pub struct Txn {
     tm: Arc<TxnManager>,
     xid: Xid,
     snapshot: Snapshot,
+    /// How many of its flushes grew an object (see [`Txn::extensions`]).
+    extensions: Cell<u64>,
     done: bool,
 }
 
@@ -287,6 +290,20 @@ impl Txn {
     /// The snapshot taken at `begin`.
     pub fn snapshot(&self) -> &Snapshot {
         &self.snapshot
+    }
+
+    /// How many of this transaction's large-object flushes grew an object
+    /// (or a v-segment object's byte store). An open that derived a size
+    /// under this transaction is current while the count stands still:
+    /// only the transaction's own writes can move an end its snapshot
+    /// sees.
+    pub fn extensions(&self) -> u64 {
+        self.extensions.get()
+    }
+
+    /// Count one flush that grew an object.
+    pub fn note_extension(&self) {
+        self.extensions.set(self.extensions.get() + 1);
     }
 
     /// Commit, returning the commit timestamp. Panics if the durability

@@ -46,11 +46,13 @@
 //!   ([`Wal::prune_pins`]) — so WORM activity delays recycling only
 //!   while it actually needs replay, instead of freezing it forever.
 //!   Commit records pin per XID under [`COMMIT_PIN`] the same way.
-//! * **Logged counter limits.** XIDs and OIDs reach disk outside the log,
-//!   so a batch starts with a [`WalRecord::Limits`] once the noted XID
-//!   high-water or the next OID passes its logged limit, and
-//!   [`Wal::log_limits`] logs and flushes it before either leaves the
-//!   process; a checkpoint's batch restates the limits.
+//! * **Logged counter limits.** A batch starts with a
+//!   [`WalRecord::Limits`] once the noted XID high-water or the next OID
+//!   passes its logged limit. An XID leaves the process only through the
+//!   log: the pages that carry it go home after their deltas, which such
+//!   a batch put behind its limit. An OID leaves it as a file name too,
+//!   so [`Wal::next_oid`] flushes the limit before handing one out. A
+//!   checkpoint's batch restates the limits.
 //!
 //! Lock order (see `shims/parking_lot/src/ranks.rs`): `wal.flush` (44) is
 //! taken before `wal.append` (46); the flush leader snapshots the appender
@@ -113,10 +115,11 @@ const BLOCK: usize = 8;
 /// Each delta range: `off u16 | len u16`, then `len` bytes.
 const RANGE_HEADER: usize = 4;
 
-/// Record kind tags (the `kind` header byte). Kind 1 is the whole-page
-/// image logs held before deltas; it still decodes, as a one-range delta.
-/// Kind 6, the XID-only limit record, no longer decodes: replay refuses it.
-const KIND_PAGE_IMAGE: u8 = 1;
+// Record kind tags (the `kind` header byte). Kinds 1 (the whole-page
+// image logs held before deltas) and 6 (the XID-only limit record) no
+// longer decode: replay refuses a log holding either, and a directory
+// that wrote one is refused before replay, at its catalog.
+
 /// Commit record tag.
 pub const KIND_COMMIT: u8 = 2;
 /// WORM burn record tag.
@@ -427,9 +430,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Option<WalRecord> {
     };
     match kind {
         KIND_PAGE_DELTA if payload.len() >= 16 => PageRanges::parse(&payload[16..]).map(page),
-        KIND_PAGE_IMAGE if payload.len() == 16 + PAGE_SIZE => {
-            Some(page(PageRanges(vec![(0, payload[16..].to_vec())])))
-        }
         KIND_COMMIT if payload.len() == 16 => {
             Some(WalRecord::Commit { xid: read_u32(payload, 0), ts: read_u64(payload, 8) })
         }
@@ -800,9 +800,8 @@ impl Wal {
     /// Make the logged limits cover the noted XID high-water and every
     /// OID handed out (the check and the record share one hold of the
     /// append lock), and flush through the newest limit record, whoever
-    /// appended it: call before an XID reaches disk by any path but the
-    /// log.
-    pub fn log_limits(&self) -> io::Result<()> {
+    /// appended it.
+    fn log_limits(&self) -> io::Result<()> {
         self.append_batch(&mut [])?;
         let limits_end = self.append.lock().limits_end;
         self.flush_to(limits_end)
@@ -1146,15 +1145,6 @@ mod tests {
         out
     }
 
-    /// The whole-page image record logs carried before deltas, byte for
-    /// byte as that format wrote it.
-    fn parent_image(smgr: u32, rel: u64, block: u32, image: &PageBuf) -> PreparedRecord {
-        let mut buf = header(KIND_PAGE_IMAGE, 16 + PAGE_SIZE);
-        page_key(&mut buf, smgr, rel, block);
-        buf.extend_from_slice(image);
-        PreparedRecord::seal(buf, Some((smgr, rel)))
-    }
-
     #[test]
     fn crc32_matches_reference_vectors() {
         // IEEE 802.3 check value for "123456789". The routine itself
@@ -1182,7 +1172,12 @@ mod tests {
         for (i, b) in image.iter_mut().enumerate() {
             *b = (i * 31 % 251) as u8;
         }
-        let rec = parent_image(3, 0x1122_3344_5566_7788, 9, &image);
+        // A whole-page image record of the retired kind 1, byte for byte
+        // as that format wrote it: a payload long enough to reach the fold.
+        let mut rec = header(1, 16 + PAGE_SIZE);
+        page_key(&mut rec, 3, 0x1122_3344_5566_7788, 9);
+        rec.extend_from_slice(&image[..]);
+        let rec = PreparedRecord::seal(rec, None);
         assert_eq!(rec.bytes.len(), HEADER_BYTES + 16 + PAGE_SIZE);
         assert_eq!(rec.bytes[..4], MAGIC.to_le_bytes());
         assert_eq!(rec.bytes[4..8], 0x7fac_865b_u32.to_le_bytes());
@@ -1206,23 +1201,6 @@ mod tests {
             panic!("golden delta must decode")
         };
         assert_eq!(rec.prepare().bytes, delta.bytes);
-    }
-
-    /// A log written before deltas holds kind-1 whole-page images; they
-    /// still replay, as one-range deltas.
-    #[test]
-    fn parent_format_page_image_replays_as_one_range_delta() {
-        let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
-        let image = page(0x5A);
-        wal.append_batch(&mut [parent_image(2, 7, 4, &image)]).unwrap();
-        wal.flush_all().unwrap();
-        drop(wal);
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
-        let recs = collect_replay(&wal);
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].1, whole(2, 7, 4, 0x5A));
-        assert_eq!(redone(&recs[0].1), image);
     }
 
     /// Encoding the words that changed and applying them to the baseline

@@ -128,13 +128,14 @@ fn environment_reopen_preserves_objects_and_files() {
         env.pool().flush_all().unwrap();
         txn.commit();
     }
-    // Fresh process: catalog and pages come back from disk. The commit log
-    // is per-process, so reopened data is read with Raw visibility through
-    // a fresh handle (documented limitation); verify the bytes round-trip.
+    // Fresh process: catalog and pages come back from disk, and a new
+    // snapshot sees the committed size; the raw chunk tuples round-trip.
     let env = StorageEnv::open(dir.path()).unwrap();
     let store = LoStore::new(Arc::clone(&env));
+    let txn = env.begin();
+    assert_eq!(store.open(&txn, lo_id, OpenMode::ReadOnly).unwrap().size().unwrap(), 30_000);
+    txn.commit();
     let meta = store.meta(lo_id).unwrap();
-    assert_eq!(meta.size, 30_000);
     let heap = pglo::heap::Heap::open_oid(&env, meta.data_rel, meta.smgr);
     let chunks: Vec<_> = heap.scan(Visibility::Raw).map(|r| r.unwrap().1).collect();
     assert_eq!(chunks.len(), 4, "30 000 B = 4 chunks of ≤8000");

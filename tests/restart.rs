@@ -236,8 +236,9 @@ fn crash_between_checkpoint_and_commit_recovers_both_sides() {
 }
 
 /// A commit whose record the redo horizon has passed survives in the
-/// outcome table alone. Power loss is emulated by emptying the one file
-/// an earlier format never fsynced, its text commit log, if present: the
+/// outcome table alone, which the checkpoint wrote: no second record of
+/// the commit exists to lose (an earlier format also kept a text commit
+/// log, `clog`, and never fsynced it; it is emptied here if present). The
 /// object must read back whole, the time-travel axis must still reach
 /// the commit, the committer's XID must not be handed out again, and no
 /// text commit log may exist.
@@ -353,14 +354,15 @@ fn inflight_xid_is_never_reused_after_checkpoint_and_crash() {
     inflight_xid_never_reused(true);
 }
 
-/// A transaction that grows an object stamps its XID into the catalog as
-/// the size's writer, a write the log does not carry. The first
-/// transaction after a reopen is the first of a fresh XID block; it grows
-/// the object, closes it, and is killed uncommitted before it appends
-/// anything. After recovery no new XID may equal it, or the new
-/// transaction would trust the dead one's size as its own.
+/// A transaction that grows an object leaves its XID and the new end only
+/// in chunk (and segment) tuples. The first transaction after a reopen is
+/// the first of a fresh XID block; it grows the object, closes it, its
+/// pages go home through the log, and it is killed uncommitted. After
+/// recovery no new XID may equal it, or the new transaction would see
+/// the dead one's tuples as its own; and a new snapshot must read the
+/// committed size, not the dead extension's.
 #[test]
-fn catalog_stamped_xid_is_never_reused_after_crash() {
+fn killed_extension_leaves_neither_its_xid_nor_its_size() {
     for spec in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)] {
         let tmp = tempfile::tempdir().unwrap();
         let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
@@ -384,6 +386,7 @@ fn catalog_stamped_xid_is_never_reused_after_crash() {
         let mut h = store.open(&x, id, OpenMode::ReadWrite).unwrap();
         h.write_at(base.len() as u64, &[0xEE; 5_000]).unwrap();
         h.close().unwrap();
+        env.pool().flush_all().unwrap();
         copy_dir(&live, &work); // kill: X never commits
         let xid = x.xid();
         drop(x);
@@ -393,12 +396,76 @@ fn catalog_stamped_xid_is_never_reused_after_crash() {
         let env = StorageEnv::open_with(&work, crash_opts()).unwrap();
         let store = LoStore::new(Arc::clone(&env));
         let t = env.begin();
-        assert!(t.xid() > xid, "{} reused: {xid} stamped the catalog", t.xid());
+        assert!(t.xid() > xid, "{} reused: {xid} stamped a page at home", t.xid());
         let mut h = store.open(&t, id, OpenMode::ReadOnly).unwrap();
         assert_eq!(h.size().unwrap(), base.len() as u64, "the dead transaction's size came back");
         let mut buf = vec![0u8; base.len()];
         assert_eq!(h.read_at(0, &mut buf).unwrap(), base.len());
         assert_eq!(buf, base);
+    }
+}
+
+/// The crash gate for derived sizes. An extending transaction, for
+/// f-chunk and v-segment, is killed after each step that makes more of it
+/// durable: each of two writes, its handle's flush (pages dirty in the
+/// pool), the capture of its deltas into the log, the log's flush, its
+/// pages written home, a checkpoint, its commit, and its pages home after
+/// the commit; and an extension that aborts, its pages home. Each killed
+/// copy is reopened, and a new snapshot reads the object: until the
+/// commit, the last committed size and bytes; from it on, the
+/// extension's.
+#[test]
+fn crash_during_an_extension_recovers_the_committed_size() {
+    for spec in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)] {
+        let tmp = tempfile::tempdir().unwrap();
+        let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
+        let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
+        let store = LoStore::new(Arc::clone(&env));
+        let base: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+        let txn = env.begin();
+        let id = store.create(&txn, &spec).unwrap();
+        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+        h.write_at(0, &base).unwrap();
+        h.close().unwrap();
+        txn.commit();
+        let mut model = Model { objects: vec![(id, base.clone())], ..Default::default() };
+        let check = |what: &str, model: &Model| {
+            kill_copy(&live, &work);
+            let env = StorageEnv::open_with(&work, crash_opts()).unwrap();
+            assert_eq!(&read_back(&env, model), model, "{:?}: killed {what}", spec.kind);
+        };
+        let ext: Vec<u8> = (0..13_000u32).map(|i| (i % 241) as u8 ^ 0x5A).collect();
+        let end = base.len() as u64;
+        let x = env.begin();
+        let mut h = store.open(&x, id, OpenMode::ReadWrite).unwrap();
+        h.write_at(end, &ext[..6_000]).unwrap();
+        check("after the first write", &model);
+        h.write_at(end + 6_000, &ext[6_000..]).unwrap();
+        check("after the second write", &model);
+        h.flush().unwrap();
+        check("after the handle's flush", &model);
+        env.pool().capture_pending().unwrap();
+        check("after the capture", &model);
+        env.wal().flush_all().unwrap();
+        check("after the log's flush", &model);
+        env.pool().flush_all().unwrap();
+        check("with the pages home", &model);
+        env.checkpoint().unwrap();
+        check("after a checkpoint", &model);
+        drop(h);
+        x.commit();
+        model.objects[0].1.extend_from_slice(&ext);
+        check("after the commit", &model);
+        env.pool().flush_all().unwrap();
+        check("after the commit, pages home", &model);
+
+        let y = env.begin();
+        let mut h = store.open(&y, id, OpenMode::ReadWrite).unwrap();
+        h.write_at(end + ext.len() as u64, &[0xAB; 9_000]).unwrap();
+        h.close().unwrap();
+        env.pool().flush_all().unwrap();
+        y.abort();
+        check("after an aborted extension went home", &model);
     }
 }
 
