@@ -337,7 +337,7 @@ mod tests {
     {
         let dir = tempfile::tempdir().unwrap();
         let env = StorageEnv::open(dir.path()).unwrap();
-        let store = LoStore::new(std::sync::Arc::clone(&env));
+        let store = LoStore::new(std::sync::Arc::clone(&env)).unwrap();
         let types = TypeRegistry::new();
         let def = LargeTypeDef { storage: LoKind::FChunk, codec: CodecKind::Rle, smgr: None };
         types.create_large_type("image", image_input_fn(), image_output_fn(), def).unwrap();

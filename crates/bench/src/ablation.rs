@@ -28,7 +28,7 @@ pub fn txn_overhead(cfg: &BenchConfig) -> Result<Vec<AblationRow>, LoError> {
             dir.path(),
             EnvOptions { pool_frames: cfg.pool_frames, readahead_window: 0, ..Default::default() },
         )?;
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env))?;
         let (gen, _) = calibrate(CodecKind::Rle.codec(), cfg.frame_size, 0.70, cfg.seed);
         let sim = env.sim().clone();
         let disk = pglo_sim::DeviceProfile::magnetic_disk_1992();
@@ -129,7 +129,7 @@ pub fn chunk_size_sweep(cfg: &BenchConfig) -> Result<Vec<AblationRow>, LoError> 
             dir.path(),
             EnvOptions { pool_frames: cfg.pool_frames, readahead_window: 0, ..Default::default() },
         )?;
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env))?;
         let (gen, _) = calibrate(CodecKind::Rle.codec(), cfg.frame_size, 0.70, cfg.seed);
         let sim = env.sim().clone();
         let txn = env.begin();

@@ -232,7 +232,7 @@ impl TestObject {
                 ..Default::default()
             },
         )?;
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env))?;
         let (codec, target) = kind.codec_target();
         let (gen, achieved) = calibrate(codec.codec(), cfg.frame_size, target, cfg.seed);
         let mut spec = kind.spec(dir.path());

@@ -84,10 +84,25 @@ pub struct BTree {
 impl BTree {
     /// Create a new, empty index on an anonymous relation.
     pub fn create_anonymous(env: &Arc<StorageEnv>, smgr: SmgrId) -> Result<BTree> {
-        let oid = env.catalog().alloc_oid()?;
-        env.switch().get(smgr)?.create(oid)?;
-        let lock = env.rel_latch(smgr, oid);
-        let tree = BTree { env: Arc::clone(env), rel: oid, smgr, lock };
+        Self::open_or_create(env, env.catalog().alloc_oid()?, smgr)
+    }
+
+    /// Open the index at `oid`, under its latch first creating it empty
+    /// unless it holds its meta page and root. One with fewer blocks (a
+    /// crash before both reached the log or home) can index nothing yet,
+    /// and is dropped and made afresh.
+    pub fn open_or_create(env: &Arc<StorageEnv>, oid: u64, smgr: SmgrId) -> Result<BTree> {
+        let tree = Self::open_oid(env, oid, smgr);
+        let (mgr, latch) = (env.switch().get(smgr)?, Arc::clone(&tree.lock));
+        let _guard = latch.lock();
+        if mgr.exists(oid) {
+            if mgr.nblocks(oid)? >= 2 {
+                return Ok(tree);
+            }
+            env.pool().discard_rel(smgr, oid);
+            mgr.unlink(oid)?;
+        }
+        mgr.create(oid)?;
         tree.bootstrap()?;
         Ok(tree)
     }

@@ -11,28 +11,29 @@
 //! A cursor opens its object once per transaction and holds the open
 //! backend — metadata, size, relations, visibility — between operations.
 //! It records what the open depended on, and an operation reuses the
-//! backend only while all three still match, re-opening otherwise through
-//! the same permission check:
+//! backend only while both still match, re-opening otherwise through the
+//! same permission check:
 //!
 //! * the transaction's XID, which a new transaction changes;
-//! * the catalog version ([`Catalog::version`](pglo_heap::Catalog::version)),
-//!   which a create, an unlink or a raised v-segment bound changes;
 //! * the transaction's count of its own size-growing flushes
 //!   ([`Txn::extensions`]), which a sibling descriptor's extension
 //!   changes. The cursor's own operations move it too, and it takes their
 //!   count after each: its backend already knows its own end.
 //!
-//! The open derives the size from what the snapshot sees, when an
-//! operation first needs it, so another session's writes, extensions
-//! included, need no check: the snapshot cannot see them. Every operation
-//! ends with the backend's flush and forgets the bytes it read, so no
-//! write is pending and no object byte is kept between operations; one
-//! that fails drops the backend.
+//! The object's metadata row never changes after its create, and the
+//! open derives the size from what the snapshot sees, when an operation
+//! first needs it, so another session's creates and writes, extensions
+//! included, need no check: the snapshot cannot see them. An unlink is
+//! immediate: the held backend then finds its relations gone, and the
+//! operation fails with [`LoError::NotFound`]. Every operation ends with
+//! the backend's flush and forgets the bytes it read, so no write is
+//! pending and no object byte is kept between operations; one that fails
+//! drops the backend.
 
 use crate::handle::{flush_before_drop, LoBackend, OpenMode};
-use crate::store::{LoStore, View};
+use crate::store::LoStore;
 use crate::{LoError, LoId, Result, UserId};
-use pglo_txn::{Txn, Xid};
+use pglo_txn::{Txn, Visibility, Xid};
 use std::cell::Cell;
 use std::io::SeekFrom;
 
@@ -55,8 +56,6 @@ struct Held {
     backend: Box<dyn LoBackend>,
     /// The transaction's XID; `None` for a time-travel cursor.
     xid: Option<Xid>,
-    /// The catalog version read before the open.
-    catalog: u64,
     /// The transaction's [`Txn::extensions`] as of the open or this
     /// cursor's last operation; 0 for a time-travel cursor.
     extensions: u64,
@@ -102,36 +101,36 @@ impl LoCursor {
     }
 
     /// Run `f` against the held backend, re-opening it first unless it was
-    /// opened under this transaction at the current catalog version and
-    /// no other descriptor of the transaction has grown an object since,
-    /// then flush it and forget the bytes it read. Time-travel cursors
-    /// need no transaction; snapshot cursors require one. On an error the
-    /// backend is flushed best-effort and dropped.
+    /// opened under this transaction and no other descriptor of the
+    /// transaction has grown an object since, then flush it and forget the
+    /// bytes it read. Time-travel cursors need no transaction; snapshot
+    /// cursors require one. On an error the backend is flushed best-effort
+    /// and dropped; a relation found missing is reported as the object's
+    /// `NotFound`.
     fn with_backend<R>(
         &self,
         store: &LoStore,
         txn: Option<&Txn>,
         f: impl FnOnce(&mut dyn LoBackend) -> Result<R>,
     ) -> Result<R> {
-        let (view, txn) = match (self.as_of, txn) {
-            (Some(ts), _) => (View::AsOf(ts), None),
-            (None, Some(txn)) => (View::Txn(txn), Some(txn)),
-            (None, None) => {
-                return Err(LoError::Unsupported("cursor operation outside a transaction"))
-            }
-        };
+        let txn = txn.filter(|_| self.as_of.is_none());
+        let vis = || self.as_of.map(Visibility::AsOf).or_else(|| txn.map(Visibility::for_txn));
         let extensions = || txn.map_or(0, Txn::extensions);
-        let (xid, catalog) = (txn.map(Txn::xid), store.env().catalog().version());
+        let xid = txn.map(Txn::xid);
         let mut h = match self.held.take() {
-            Some(h) if (h.xid, h.catalog, h.extensions) == (xid, catalog, extensions()) => h,
+            Some(h) if (h.xid, h.extensions) == (xid, extensions()) => h,
             stale => {
                 drop(stale);
                 let extensions = extensions();
-                let backend = store.open_backend(self.id, view, self.mode, self.user)?;
-                Held { backend, xid, catalog, extensions }
+                let vis =
+                    vis().ok_or(LoError::Unsupported("cursor operation outside a transaction"))?;
+                let backend = store.open_backend(self.id, vis, self.mode, self.user)?;
+                Held { backend, xid, extensions }
             }
         };
-        let out = f(h.backend.as_mut()).and_then(|r| h.backend.flush(txn).map(|()| r));
+        let out = f(h.backend.as_mut())
+            .and_then(|r| h.backend.flush(txn).map(|()| r))
+            .map_err(|e| e.or_gone(self.id));
         if out.is_ok() {
             h.backend.forget_bytes();
             h.extensions = extensions();
@@ -225,7 +224,7 @@ mod tests {
     fn setup() -> (tempfile::TempDir, Arc<StorageEnv>, LoStore) {
         let dir = tempfile::tempdir().unwrap();
         let env = StorageEnv::open(dir.path()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         (dir, env, store)
     }
 
@@ -296,9 +295,8 @@ mod tests {
     }
 
     /// Another session's committed extension re-opens no held descriptor:
-    /// the catalog version stands, the held open, its size already
-    /// derived, answers its next operation with no pin, and its snapshot
-    /// keeps the old size.
+    /// the held open, its size already derived, answers its next
+    /// operation with no pin, and its snapshot keeps the old size.
     #[test]
     fn another_sessions_extension_reopens_no_held_descriptor() {
         let (_d, env, store) = setup();
@@ -312,13 +310,11 @@ mod tests {
             let a = env.begin();
             let held = LoCursor::open(&store, &a, id, OpenMode::ReadOnly, UserId::DBA).unwrap();
             assert_eq!(held.size(&store, Some(&a)).unwrap(), 10_000);
-            let version = env.catalog().version();
             let b = env.begin();
             LoCursor::new(id, OpenMode::ReadWrite, UserId::DBA)
                 .write_at(&store, Some(&b), 10_000, &[2; 20_000])
                 .unwrap();
             b.commit();
-            assert_eq!(env.catalog().version(), version, "{:?}: catalog version", spec.kind);
             let before = env.pool().stats();
             assert_eq!(held.size(&store, Some(&a)).unwrap(), 10_000, "{:?}", spec.kind);
             let after = env.pool().stats();
@@ -466,6 +462,38 @@ mod tests {
             assert!(gone(cur.write_at(&store, t, 0, b"x").map(|()| 0)), "{:?}: write", spec.kind);
             assert!(gone(old.read_at(&store, t, 0, &mut buf)), "{:?}: as of", spec.kind);
             t3.commit();
+        }
+    }
+
+    /// A descriptor whose open is held across another session's unlink:
+    /// the held backend finds its relations gone, and its next read, size
+    /// and write report the object's `NotFound`, never a storage error,
+    /// stale bytes or an empty read; so does every operation after it.
+    #[test]
+    fn held_descriptor_reports_not_found_after_another_sessions_unlink() {
+        let (_d, env, store) = setup();
+        for spec in chunked_kinds() {
+            let t0 = env.begin();
+            let id = store.create(&t0, &spec).unwrap();
+            LoCursor::new(id, OpenMode::ReadWrite, UserId::DBA)
+                .write_at(&store, Some(&t0), 0, &[5; 20_000])
+                .unwrap();
+            t0.commit();
+            let a = env.begin();
+            let t = Some(&a);
+            let open = || LoCursor::open(&store, &a, id, OpenMode::ReadWrite, UserId::DBA);
+            let [reader, sizer, writer] = [open(), open(), open()].map(Result::unwrap);
+            let mut buf = [0u8; 100];
+            assert_eq!(reader.read_at(&store, t, 19_950, &mut buf).unwrap(), 50);
+            assert_eq!(sizer.size(&store, t).unwrap(), 20_000);
+            store.unlink(id).unwrap();
+            let gone = |r: Result<usize>| matches!(r, Err(LoError::NotFound(lo)) if lo == id);
+            assert!(gone(reader.read_at(&store, t, 19_990, &mut buf)), "{:?}: read", spec.kind);
+            assert!(gone(sizer.size(&store, t).map(|n| n as usize)), "{:?}: size", spec.kind);
+            assert!(gone(writer.write_at(&store, t, 0, b"x").map(|()| 0)), "{:?}", spec.kind);
+            assert!(gone(reader.read_at(&store, t, 0, &mut buf)), "{:?}: again", spec.kind);
+            assert!(matches!(open(), Err(LoError::NotFound(_))), "{:?}: open", spec.kind);
+            a.commit();
         }
     }
 

@@ -279,11 +279,6 @@ impl FChunkBackend {
         }
         Ok(self.cache.insert(chunk))
     }
-
-    /// Storage-accounting hooks for Figure 1.
-    pub fn data_bytes(&self) -> Result<u64> {
-        Ok(self.heap.size_bytes()?)
-    }
 }
 
 impl LoBackend for FChunkBackend {
@@ -373,6 +368,7 @@ impl LoBackend for FChunkBackend {
     /// last chunk is decoded.
     fn size(&mut self) -> Result<u64> {
         if let Some(size) = self.size {
+            self.heap.nblocks()?; // an unlink under this open shows here
             return Ok(size);
         }
         let mut end = 0;

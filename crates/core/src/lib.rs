@@ -157,6 +157,22 @@ impl std::error::Error for LoError {
     }
 }
 
+impl LoError {
+    /// `self`, or [`LoError::NotFound`]`(id)` if it says a relation is
+    /// missing: an open of `id` outlived an unlink of it.
+    pub(crate) fn or_gone(self, id: LoId) -> LoError {
+        use pglo_buffer::BufferError;
+        match self {
+            LoError::Smgr(SmgrError::NotFound(_))
+            | LoError::Heap(HeapError::Smgr(SmgrError::NotFound(_)))
+            | LoError::Heap(HeapError::Buffer(BufferError::Smgr(SmgrError::NotFound(_)))) => {
+                LoError::NotFound(id)
+            }
+            e => e,
+        }
+    }
+}
+
 impl From<HeapError> for LoError {
     fn from(e: HeapError) -> Self {
         LoError::Heap(e)

@@ -1,16 +1,28 @@
-//! Large-object metadata, persisted through the class catalog.
+//! Large-object metadata: one row per object in a logged heap relation.
 //!
-//! Every large object is registered in the catalog under the reserved name
-//! `$lo_<id>` with its implementation kind, codec, device, component
-//! relation OIDs and owner in the class property bag. Its size is not
-//! there: an open derives it from the chunks or segments its snapshot
-//! sees.
+//! Each object's [`LoMeta`] (implementation kind, codec, device, owner,
+//! component relation OIDs, chunk size, host path) is one binary row of
+//! the metadata heap, found through a B-tree on its [`LoId`]; both live
+//! at reserved OIDs below the first one the log hands out, on the
+//! environment's disk, and are created when a [`crate::LoStore`] first
+//! opens the directory. The row is inserted by the creating transaction
+//! and never updated, so it is under the same MVCC and redo log as the
+//! object's chunks: an open resolves it under its snapshot or as of its
+//! timestamp, and an aborted create leaves a row nobody's snapshot sees.
+//! Its size is not there: an open derives it from the chunks or segments
+//! its snapshot sees.
 
 use crate::{LoError, LoId, Result, UserId};
+use pglo_btree::{keys::u64_key, BTree};
 use pglo_compress::CodecKind;
-use pglo_smgr::SmgrId;
-use std::collections::HashMap;
+use pglo_heap::{AccessHint, Heap, StorageEnv};
+use pglo_pages::Tid;
+use pglo_smgr::{SmgrError, SmgrId};
+use pglo_txn::Visibility;
+use std::ffi::OsStr;
+use std::os::unix::ffi::OsStrExt;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Which of the four implementations (§6) backs an object — the `storage =`
 /// clause of `create large type` (§4).
@@ -62,9 +74,6 @@ pub struct LoMeta {
     pub smgr: SmgrId,
     /// The owner.
     pub owner: UserId,
-    /// v-segment only: longest segment written so far (0: unknown), only
-    /// ever raised.
-    pub max_seg_len: u64,
     /// f-chunk: chunk heap OID. v-segment: byte-store chunk heap OID.
     pub data_rel: u64,
     /// f-chunk: seqno B-tree OID. v-segment: byte-store seqno B-tree OID.
@@ -81,64 +90,115 @@ pub struct LoMeta {
     pub chunk_size: usize,
 }
 
-/// Catalog class name for a large object.
-pub fn lo_class_name(id: LoId) -> String {
-    format!("$lo_{}", id.0)
-}
+/// The metadata heap's relation OID, below every OID the log hands out.
+pub const META_HEAP: u64 = 1;
+/// The relation OID of the metadata heap's B-tree on [`LoId`].
+pub const META_INDEX: u64 = 2;
+
+/// Bytes of a row before its names: the id, device, owner, four
+/// relation OIDs and chunk size.
+const ROW_FIXED: usize = 50;
 
 impl LoMeta {
-    /// Serialize to catalog properties. `max_seg_len` is written by the
-    /// v-segment write that raises it, never at create: absent, it reads
-    /// back as zero.
-    pub fn to_props(&self) -> HashMap<String, String> {
-        let mut p = HashMap::new();
-        p.insert("kind".into(), self.kind.as_str().into());
-        p.insert("codec".into(), self.codec.as_str().into());
-        p.insert("smgr".into(), self.smgr.0.to_string());
-        p.insert("owner".into(), self.owner.0.to_string());
-        p.insert("data_rel".into(), self.data_rel.to_string());
-        p.insert("idx_rel".into(), self.idx_rel.to_string());
-        p.insert("seg_rel".into(), self.seg_rel.to_string());
-        p.insert("seg_idx_rel".into(), self.seg_idx_rel.to_string());
-        p.insert("chunk_size".into(), self.chunk_size.to_string());
-        if let Some(path) = &self.path {
-            p.insert("path".into(), path.display().to_string());
+    /// The row: `id u64, smgr u16, owner u32, data_rel, idx_rel, seg_rel,
+    /// seg_idx_rel u64, chunk_size u32`, little-endian, then the kind's
+    /// and the codec's names and, for a host file, its path, each after a
+    /// zero byte but the first.
+    fn encode(&self) -> Vec<u8> {
+        let mut row = Vec::with_capacity(ROW_FIXED + 16);
+        row.extend_from_slice(&self.id.0.to_le_bytes());
+        row.extend_from_slice(&self.smgr.0.to_le_bytes());
+        row.extend_from_slice(&self.owner.0.to_le_bytes());
+        for rel in [self.data_rel, self.idx_rel, self.seg_rel, self.seg_idx_rel] {
+            row.extend_from_slice(&rel.to_le_bytes());
         }
-        p
+        row.extend_from_slice(&(self.chunk_size as u32).to_le_bytes());
+        row.extend_from_slice(self.kind.as_str().as_bytes());
+        row.push(0);
+        row.extend_from_slice(self.codec.as_str().as_bytes());
+        if let Some(path) = &self.path {
+            row.push(0);
+            row.extend_from_slice(path.as_os_str().as_bytes());
+        }
+        row
     }
 
-    /// Deserialize from catalog properties.
-    pub fn from_props(id: LoId, props: &HashMap<String, String>) -> Result<LoMeta> {
-        fn get<'a>(props: &'a HashMap<String, String>, key: &str, id: LoId) -> Result<&'a str> {
-            props
-                .get(key)
-                .map(|s| s.as_str())
-                .ok_or_else(|| LoError::Meta(format!("{id}: missing property {key}")))
+    /// Decode the row the index names for `id`, checked against it.
+    fn decode(id: LoId, row: &[u8]) -> Result<LoMeta> {
+        fn at<const N: usize>(row: &[u8], at: usize) -> Option<[u8; N]> {
+            row.get(at..)?.first_chunk().copied()
         }
-        fn num(props: &HashMap<String, String>, key: &str, id: LoId) -> Result<u64> {
-            get(props, key, id)?
-                .parse()
-                .map_err(|_| LoError::Meta(format!("{id}: bad numeric property {key}")))
+        let u64_at = |i| at(row, i).map(u64::from_le_bytes);
+        let parse = || {
+            let mut names = row.get(ROW_FIXED..)?.split(|&b| b == 0);
+            let mut name = || std::str::from_utf8(names.next()?).ok();
+            let (kind, codec) = (LoKind::parse(name()?)?, CodecKind::parse(name()?)?);
+            Some(LoMeta {
+                id: LoId(u64_at(0)?),
+                kind,
+                codec,
+                smgr: SmgrId(u16::from_le_bytes(at(row, 8)?)),
+                owner: UserId(u32::from_le_bytes(at(row, 10)?)),
+                data_rel: u64_at(14)?,
+                idx_rel: u64_at(22)?,
+                seg_rel: u64_at(30)?,
+                seg_idx_rel: u64_at(38)?,
+                path: names.next().map(|p| PathBuf::from(OsStr::from_bytes(p))),
+                chunk_size: u32::from_le_bytes(at(row, 46)?) as usize,
+            })
+        };
+        parse()
+            .filter(|m| m.id == id)
+            .ok_or_else(|| LoError::Meta(format!("{id}: bad metadata row")))
+    }
+}
+
+/// The metadata heap and its B-tree on [`LoId`].
+pub(crate) struct MetaTable {
+    heap: Heap,
+    index: BTree,
+}
+
+impl MetaTable {
+    /// Open both relations on `env`'s disk, creating whichever does not
+    /// exist yet.
+    pub(crate) fn open(env: &Arc<StorageEnv>) -> Result<Self> {
+        let disk = env.disk_id();
+        match env.switch().get(disk)?.create(META_HEAP) {
+            Ok(()) | Err(SmgrError::AlreadyExists(_)) => {}
+            Err(e) => return Err(e.into()),
         }
-        let opt = |key, default| props.get(key).and_then(|s| s.parse().ok()).unwrap_or(default);
-        let kind = LoKind::parse(get(props, "kind", id)?)
-            .ok_or_else(|| LoError::Meta(format!("{id}: bad kind")))?;
-        let codec = CodecKind::parse(get(props, "codec", id)?)
-            .ok_or_else(|| LoError::Meta(format!("{id}: bad codec")))?;
-        Ok(LoMeta {
-            id,
-            kind,
-            codec,
-            smgr: SmgrId(num(props, "smgr", id)? as u16),
-            owner: UserId(num(props, "owner", id)? as u32),
-            max_seg_len: opt("max_seg_len", 0),
-            data_rel: num(props, "data_rel", id)?,
-            idx_rel: num(props, "idx_rel", id)?,
-            seg_rel: num(props, "seg_rel", id)?,
-            seg_idx_rel: num(props, "seg_idx_rel", id)?,
-            path: props.get("path").map(PathBuf::from),
-            chunk_size: opt("chunk_size", crate::CHUNK_SIZE as u64) as usize,
-        })
+        let index = BTree::open_or_create(env, META_INDEX, disk)?;
+        Ok(Self { heap: Heap::open_oid(env, META_HEAP, disk), index })
+    }
+
+    /// Insert `meta`'s row as `txn`, and its index entry.
+    pub(crate) fn insert(&self, txn: &pglo_txn::Txn, meta: &LoMeta) -> Result<()> {
+        let tid = self.heap.insert(txn, &meta.encode())?;
+        Ok(self.index.insert(&u64_key(meta.id.0), tid)?)
+    }
+
+    /// The row of `id` that `vis` sees, and where it is. Through the index
+    /// alone with [`Visibility::Raw`]: every indexed row, committed or not.
+    pub(crate) fn get(&self, id: LoId, vis: &Visibility) -> Result<(Tid, LoMeta)> {
+        let key = u64_key(id.0);
+        let mut rows = self.index.visible(&self.heap, &key, vis, AccessHint::Random)?;
+        let (tid, row) = rows.next().ok_or(LoError::NotFound(id))??;
+        Ok((tid, LoMeta::decode(id, &row)?))
+    }
+
+    /// Remove `id`'s index entry for the row at `tid` (`NotFound` if
+    /// another caller already did), then stamp the row deleted in a
+    /// transaction of its own: no later snapshot sees it, and a vacuum
+    /// may reclaim it.
+    pub(crate) fn remove(&self, id: LoId, tid: Tid) -> Result<()> {
+        if !self.index.delete(&u64_key(id.0), tid)? {
+            return Err(LoError::NotFound(id));
+        }
+        let txn = self.heap.env().begin();
+        self.heap.delete(&txn, tid)?;
+        txn.try_commit()?;
+        Ok(())
     }
 }
 
@@ -146,82 +206,53 @@ impl LoMeta {
 mod tests {
     use super::*;
 
-    #[test]
-    fn props_roundtrip() {
-        let meta = LoMeta {
+    fn vsegment_meta() -> LoMeta {
+        LoMeta {
             id: LoId(42),
             kind: LoKind::VSegment,
             codec: CodecKind::Rle,
             smgr: SmgrId(2),
             owner: UserId(7),
-            max_seg_len: 0,
             data_rel: 100,
             idx_rel: 101,
             seg_rel: 102,
             seg_idx_rel: 103,
             path: None,
-            chunk_size: crate::CHUNK_SIZE,
-        };
-        let props = meta.to_props();
-        let back = LoMeta::from_props(LoId(42), &props).unwrap();
-        assert_eq!(back.kind, LoKind::VSegment);
-        assert_eq!(back.codec, CodecKind::Rle);
-        assert_eq!(back.seg_idx_rel, 103);
-        assert_eq!(back.path, None);
-        // The create-time layout carries no size and no segment bound.
-        assert!(!props.contains_key("size") && !props.contains_key("max_seg_len"));
-        assert_eq!(back.max_seg_len, 0);
+            chunk_size: 64,
+        }
     }
 
-    /// The segment bound reads back typed, and the keys an earlier build
-    /// cached the size under are ignored.
     #[test]
-    fn raised_bound_is_typed_and_old_size_keys_ignored() {
-        let mut props = HashMap::new();
-        for (k, v) in [
-            ("kind", "vsegment"),
-            ("codec", "none"),
-            ("smgr", "0"),
-            ("owner", "0"),
-            ("size", "4096"),
-            ("data_rel", "1"),
-            ("idx_rel", "2"),
-            ("seg_rel", "3"),
-            ("seg_idx_rel", "4"),
-            ("store_size", "3000"),
-            ("max_seg_len", "2048"),
-        ] {
-            props.insert(k.to_string(), v.to_string());
-        }
-        let meta = LoMeta::from_props(LoId(3), &props).unwrap();
-        assert_eq!(meta.max_seg_len, 2048);
+    fn row_roundtrip() {
+        let meta = vsegment_meta();
+        let back = LoMeta::decode(LoId(42), &meta.encode()).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{meta:?}"));
+        assert_eq!(meta.encode().len(), ROW_FIXED + "vsegment\0rle".len());
     }
 
     #[test]
     fn path_preserved() {
         let meta = LoMeta {
-            id: LoId(1),
             kind: LoKind::UFile,
             codec: CodecKind::None,
-            smgr: SmgrId(0),
-            owner: UserId::DBA,
-            max_seg_len: 0,
-            data_rel: 0,
-            idx_rel: 0,
-            seg_rel: 0,
-            seg_idx_rel: 0,
             path: Some(PathBuf::from("/usr/joe")),
-            chunk_size: crate::CHUNK_SIZE,
+            ..vsegment_meta()
         };
-        let back = LoMeta::from_props(LoId(1), &meta.to_props()).unwrap();
+        let back = LoMeta::decode(LoId(42), &meta.encode()).unwrap();
         assert_eq!(back.path.unwrap(), PathBuf::from("/usr/joe"));
+        assert_eq!(back.kind, LoKind::UFile);
     }
 
+    /// A short row, an unknown kind, and a row the index filed under
+    /// another id are all refused.
     #[test]
-    fn missing_property_is_error() {
-        let mut props = HashMap::new();
-        props.insert("kind".to_string(), "fchunk".to_string());
-        assert!(LoMeta::from_props(LoId(9), &props).is_err());
+    fn damaged_row_is_error() {
+        let row = vsegment_meta().encode();
+        assert!(LoMeta::decode(LoId(42), &row[..ROW_FIXED - 1]).is_err());
+        assert!(LoMeta::decode(LoId(43), &row).is_err());
+        let mut blob = row[..ROW_FIXED].to_vec();
+        blob.extend_from_slice(b"blob\0rle");
+        assert!(LoMeta::decode(LoId(42), &blob).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::fchunk::FChunkBackend;
 use crate::handle::{LoBackend, LoHandle, OpenMode};
-use crate::meta::{lo_class_name, LoKind, LoMeta};
+use crate::meta::{LoKind, LoMeta, MetaTable};
 use crate::pfile::PFileBackend;
 use crate::temp::TempRegistry;
 use crate::ufile::UFileBackend;
@@ -10,8 +10,8 @@ use crate::vsegment::VSegBackend;
 use crate::{LoError, LoId, Result, UserId};
 use pglo_btree::BTree;
 use pglo_compress::CodecKind;
-use pglo_heap::{ClassKind, Heap, StorageEnv};
-use pglo_smgr::{NativeFile, SmgrId};
+use pglo_heap::{Heap, HeapError, StorageEnv};
+use pglo_smgr::{NativeFile, SmgrError, SmgrId};
 use pglo_txn::{Txn, Visibility};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -37,52 +37,31 @@ pub struct LoSpec {
 }
 
 impl LoSpec {
+    /// An object of `kind`, the DBA's, on the environment's disk, with no
+    /// codec and §6.3's chunk size.
+    fn of(kind: LoKind) -> Self {
+        let (codec, smgr, owner, path) = (CodecKind::None, None, UserId::DBA, None);
+        Self { kind, codec, smgr, owner, path, chunk_size: crate::CHUNK_SIZE }
+    }
+
     /// An f-chunk object with no compression — the workhorse default.
     pub fn fchunk() -> Self {
-        Self {
-            kind: LoKind::FChunk,
-            codec: CodecKind::None,
-            smgr: None,
-            owner: UserId::DBA,
-            path: None,
-            chunk_size: crate::CHUNK_SIZE,
-        }
+        Self::of(LoKind::FChunk)
     }
 
     /// A v-segment object with the given codec.
     pub fn vsegment(codec: CodecKind) -> Self {
-        Self {
-            kind: LoKind::VSegment,
-            codec,
-            smgr: None,
-            owner: UserId::DBA,
-            path: None,
-            chunk_size: crate::CHUNK_SIZE,
-        }
+        Self::of(LoKind::VSegment).with_codec(codec)
     }
 
     /// A u-file object at `path`.
     pub fn ufile(path: impl Into<PathBuf>) -> Self {
-        Self {
-            kind: LoKind::UFile,
-            codec: CodecKind::None,
-            smgr: None,
-            owner: UserId::DBA,
-            path: Some(path.into()),
-            chunk_size: crate::CHUNK_SIZE,
-        }
+        Self { path: Some(path.into()), ..Self::of(LoKind::UFile) }
     }
 
     /// A p-file object (the store allocates the path via `newfilename`).
     pub fn pfile() -> Self {
-        Self {
-            kind: LoKind::PFile,
-            codec: CodecKind::None,
-            smgr: None,
-            owner: UserId::DBA,
-            path: None,
-            chunk_size: crate::CHUNK_SIZE,
-        }
+        Self::of(LoKind::PFile)
     }
 
     /// Builder: set the codec.
@@ -131,24 +110,18 @@ impl LoStorage {
     }
 }
 
-/// What an open sees.
-pub(crate) enum View<'t> {
-    /// A running transaction's snapshot, its own writes included.
-    Txn(&'t Txn),
-    /// The database exactly as of a commit timestamp (time travel).
-    AsOf(u64),
-}
-
 /// The large-object manager.
 pub struct LoStore {
     env: Arc<StorageEnv>,
+    meta: MetaTable,
     temps: TempRegistry,
 }
 
 impl LoStore {
-    /// An object manager over `env`.
-    pub fn new(env: Arc<StorageEnv>) -> Self {
-        Self { env, temps: TempRegistry::new() }
+    /// An object manager over `env`, creating the metadata relations the
+    /// first time a directory is opened.
+    pub fn new(env: Arc<StorageEnv>) -> Result<Self> {
+        Ok(Self { meta: MetaTable::open(&env)?, env, temps: TempRegistry::new() })
     }
 
     /// The backing environment.
@@ -163,8 +136,10 @@ impl LoStore {
         Ok(dir.join(format!("lo_{}", id.0)))
     }
 
-    /// Create a large object per `spec`, returning its name.
-    pub fn create(&self, _txn: &Txn, spec: &LoSpec) -> Result<LoId> {
+    /// Create a large object per `spec`, returning its name. Its metadata
+    /// row is `txn`'s: until `txn` commits no other snapshot sees it, and
+    /// after an abort nobody's does.
+    pub fn create(&self, txn: &Txn, spec: &LoSpec) -> Result<LoId> {
         // A chunk plus its tuple and chunk headers must fit one page —
         // POSTGRES does not break tuples across pages (§6.3).
         let max_chunk = Heap::max_payload() - 8;
@@ -182,7 +157,6 @@ impl LoStore {
             codec: spec.codec,
             smgr,
             owner: spec.owner,
-            max_seg_len: 0,
             data_rel: 0,
             idx_rel: 0,
             seg_rel: 0,
@@ -220,19 +194,14 @@ impl LoStore {
                 meta.seg_idx_rel = seg_index.rel();
             }
         }
-        self.env.catalog().create_class(
-            &lo_class_name(id),
-            ClassKind::Heap,
-            smgr,
-            meta.to_props(),
-        )?;
+        self.meta.insert(txn, &meta)?;
         Ok(id)
     }
 
-    /// The metadata of an object.
+    /// The metadata of an object that is not unlinked, its creator's
+    /// transaction committed or not.
     pub fn meta(&self, id: LoId) -> Result<LoMeta> {
-        let class = self.env.catalog().get(&lo_class_name(id)).ok_or(LoError::NotFound(id))?;
-        LoMeta::from_props(id, &class.props)
+        Ok(self.meta.get(id, &Visibility::Raw)?.1)
     }
 
     /// Open as the database superuser.
@@ -250,7 +219,7 @@ impl LoStore {
         mode: OpenMode,
         user: UserId,
     ) -> Result<LoHandle<'a>> {
-        let backend = self.open_backend(id, View::Txn(txn), mode, user)?;
+        let backend = self.open_backend(id, Visibility::for_txn(txn), mode, user)?;
         Ok(LoHandle::new(backend, mode, Some(txn)))
     }
 
@@ -258,21 +227,23 @@ impl LoStore {
     /// Always read-only. Only f-chunk and v-segment support history — the
     /// file implementations have none (§6.1).
     pub fn open_as_of(&self, id: LoId, ts: u64) -> Result<LoHandle<'static>> {
-        let backend = self.open_backend(id, View::AsOf(ts), OpenMode::ReadOnly, UserId::DBA)?;
+        let backend =
+            self.open_backend(id, Visibility::AsOf(ts), OpenMode::ReadOnly, UserId::DBA)?;
         Ok(LoHandle::new(backend, OpenMode::ReadOnly, None))
     }
 
-    /// The one open: resolve `id` from the catalog, check that `user` may
-    /// open it in `mode` (a time-travel open reads only), and build its
-    /// backend for `view`.
+    /// The one open: resolve `id`'s metadata row as `vis` sees it (a
+    /// transaction's snapshot, or as of a commit timestamp), check that
+    /// `user` may open it in `mode` (a time-travel open reads only), and
+    /// build its backend for `vis`.
     pub(crate) fn open_backend(
         &self,
         id: LoId,
-        view: View<'_>,
+        vis: Visibility,
         mode: OpenMode,
         user: UserId,
     ) -> Result<Box<dyn LoBackend>> {
-        let meta = self.meta(id)?;
+        let (_, meta) = self.meta.get(id, &vis)?;
         if mode == OpenMode::ReadWrite {
             let allowed = match meta.kind {
                 LoKind::UFile => true,
@@ -283,15 +254,12 @@ impl LoStore {
                 return Err(LoError::Permission { lo: id, user });
             }
         }
-        let vis = match view {
-            View::Txn(txn) => Visibility::for_txn(txn),
-            View::AsOf(_) if matches!(meta.kind, LoKind::UFile | LoKind::PFile) => {
-                return Err(LoError::Unsupported(
-                    "time travel requires the f-chunk or v-segment implementation",
-                ))
-            }
-            View::AsOf(ts) => Visibility::AsOf(ts),
-        };
+        if matches!(vis, Visibility::AsOf(_)) && matches!(meta.kind, LoKind::UFile | LoKind::PFile)
+        {
+            return Err(LoError::Unsupported(
+                "time travel requires the f-chunk or v-segment implementation",
+            ));
+        }
         let env = Arc::clone(&self.env);
         let file = || {
             let path = meta.path.as_ref().ok_or(LoError::NotFound(id))?;
@@ -305,31 +273,38 @@ impl LoStore {
         })
     }
 
-    /// Remove a large object: its component relations, its DBMS-owned file
-    /// (p-file), and its catalog entry. A u-file's host file belongs to the
-    /// user and is left in place.
+    /// Remove a large object, now, whatever transaction created it: its
+    /// component relations or its DBMS-owned file (p-file) first, a
+    /// relation already gone counting as dropped; then its metadata row's
+    /// index entry; then the row, stamped deleted. An unlink interrupted
+    /// part-way, by an error or a crash, can be called again to finish.
+    /// A u-file's host file belongs to the user and is left in place.
     pub fn unlink(&self, id: LoId) -> Result<()> {
-        let meta = self.meta(id)?;
-        match meta.kind {
-            LoKind::UFile => {}
-            LoKind::PFile => {
-                if let Some(path) = &meta.path {
-                    if path.exists() {
-                        std::fs::remove_file(path)?;
-                    }
-                }
-            }
-            LoKind::FChunk => {
-                Heap::open_oid(&self.env, meta.data_rel, meta.smgr).drop_storage()?;
-                Heap::open_oid(&self.env, meta.idx_rel, meta.smgr).drop_storage()?;
-            }
-            LoKind::VSegment => {
-                for rel in [meta.data_rel, meta.idx_rel, meta.seg_rel, meta.seg_idx_rel] {
-                    Heap::open_oid(&self.env, rel, meta.smgr).drop_storage()?;
-                }
+        self.unlink_steps(id, |_| {})
+    }
+
+    /// [`Self::unlink`], calling `after(step)` after each step that reaches
+    /// a file or the log.
+    pub(crate) fn unlink_steps(&self, id: LoId, mut after: impl FnMut(&str)) -> Result<()> {
+        let (tid, meta) = self.meta.get(id, &Visibility::Raw)?;
+        let rels = match meta.kind {
+            LoKind::UFile | LoKind::PFile => &[][..],
+            LoKind::FChunk => &[meta.data_rel, meta.idx_rel],
+            LoKind::VSegment => &[meta.data_rel, meta.idx_rel, meta.seg_rel, meta.seg_idx_rel],
+        };
+        if let (LoKind::PFile, Some(path)) = (meta.kind, &meta.path) {
+            if path.exists() {
+                std::fs::remove_file(path)?;
             }
         }
-        self.env.catalog().drop_class(&lo_class_name(id))?;
+        for &rel in rels {
+            match Heap::open_oid(&self.env, rel, meta.smgr).drop_storage() {
+                Ok(()) | Err(HeapError::Smgr(SmgrError::NotFound(_))) => after("drop a relation"),
+                Err(e) => return Err(e.into()),
+            }
+        }
+        self.meta.remove(id, tid)?;
+        after("remove the row");
         Ok(())
     }
 
@@ -342,23 +317,16 @@ impl LoStore {
                 let len = std::fs::metadata(path)?.len();
                 Ok(LoStorage { data_bytes: len, map_bytes: 0, index_bytes: 0 })
             }
-            LoKind::FChunk => {
-                let heap = Heap::open_oid(&self.env, meta.data_rel, meta.smgr);
-                let index = BTree::open_oid(&self.env, meta.idx_rel, meta.smgr);
+            // v-segment's map is its segment index's heap, and its index
+            // bytes that index's B-tree: the byte store's is not counted.
+            LoKind::FChunk | LoKind::VSegment => {
+                let heap = |rel| Heap::open_oid(&self.env, rel, meta.smgr).size_bytes();
+                let vseg = meta.kind == LoKind::VSegment;
+                let index = if vseg { meta.seg_idx_rel } else { meta.idx_rel };
                 Ok(LoStorage {
-                    data_bytes: heap.size_bytes()?,
-                    map_bytes: 0,
-                    index_bytes: index.size_bytes()?,
-                })
-            }
-            LoKind::VSegment => {
-                let store_heap = Heap::open_oid(&self.env, meta.data_rel, meta.smgr);
-                let seg_heap = Heap::open_oid(&self.env, meta.seg_rel, meta.smgr);
-                let seg_index = BTree::open_oid(&self.env, meta.seg_idx_rel, meta.smgr);
-                Ok(LoStorage {
-                    data_bytes: store_heap.size_bytes()?,
-                    map_bytes: seg_heap.size_bytes()?,
-                    index_bytes: seg_index.size_bytes()?,
+                    data_bytes: heap(meta.data_rel)?,
+                    map_bytes: if vseg { heap(meta.seg_rel)? } else { 0 },
+                    index_bytes: BTree::open_oid(&self.env, index, meta.smgr).size_bytes()?,
                 })
             }
         }

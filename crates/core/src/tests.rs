@@ -12,7 +12,7 @@ use std::sync::Arc;
 fn setup() -> (tempfile::TempDir, Arc<StorageEnv>, LoStore) {
     let dir = tempfile::tempdir().unwrap();
     let env = StorageEnv::open(dir.path()).unwrap();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     (dir, env, store)
 }
 
@@ -334,25 +334,21 @@ fn unlink_reclaims_relations() {
     assert!(!smgr.exists(meta.seg_rel));
 }
 
-/// A create mutates the catalog once, for the object's class: its OIDs
-/// (the object's, and each relation's) come from the log's counter. Each
-/// catalog mutation is one rewrite of `catalog.json`, which also shows as
-/// one changed inode, the rename of a fresh copy over it.
+/// Large-object metadata never reaches `catalog.json`: a fresh
+/// environment creates, writes and unlinks 50 f-chunk objects and no
+/// catalog file appears.
 #[test]
-fn create_rewrites_the_catalog_once() {
-    use std::os::unix::fs::MetadataExt;
+fn creates_and_unlinks_write_no_catalog() {
     let (dir, env, store) = setup();
-    let inode = || std::fs::metadata(dir.path().join("catalog.json")).map(|m| m.ino()).ok();
-    for (name, spec) in
-        [("fchunk", LoSpec::fchunk()), ("vsegment", LoSpec::vsegment(CodecKind::None))]
-    {
+    for _ in 0..50 {
         let txn = env.begin();
-        let (version, file) = (env.catalog().version(), inode());
-        store.create(&txn, &spec).unwrap();
-        assert_eq!(env.catalog().version() - version, 1, "{name}: catalog rewrites");
-        assert_ne!(inode(), file, "{name}: catalog.json was rewritten");
+        let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
+        store.open(&txn, id, OpenMode::ReadWrite).unwrap().write(&[1; 100]).unwrap();
         txn.commit();
+        store.unlink(id).unwrap();
+        assert!(matches!(store.meta(id), Err(LoError::NotFound(_))));
     }
+    assert!(!dir.path().join("catalog.json").exists(), "a create or an unlink wrote the catalog");
 }
 
 #[test]
@@ -384,29 +380,44 @@ fn temporaries_garbage_collected() {
     txn.commit();
 }
 
-/// A temp somebody already dropped is not an error; a temp whose unlink
+/// The path of relation `rel`'s first segment file on the disk manager.
+fn rel_file(dir: &std::path::Path, rel: u64) -> std::path::PathBuf {
+    dir.join("heap").join(format!("rel_{rel}.pg"))
+}
+
+/// Make relation `rel`'s file impossible to remove (a non-empty directory
+/// in its place), so an unlink fails dropping it; the returned closure
+/// puts the directory away again.
+fn jam_rel_file(dir: &std::path::Path, rel: u64) -> impl FnOnce() {
+    let path = rel_file(dir, rel);
+    std::fs::remove_file(&path).unwrap();
+    std::fs::create_dir(&path).unwrap();
+    std::fs::write(path.join("pinned"), b"x").unwrap();
+    move || std::fs::remove_dir_all(path).unwrap()
+}
+
+/// A temp somebody already unlinked is not an error; a temp whose unlink
 /// fails is, and the sweep it interrupts loses track of nothing else.
 #[test]
 fn gc_temps_reports_a_failed_unlink_and_keeps_the_rest() {
     let (dir, env, store) = setup();
     let txn = env.begin();
     let dropped = store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
-    env.catalog().drop_class(&crate::meta::lo_class_name(dropped)).unwrap();
-    assert_eq!(store.gc_temps().unwrap(), 1, "class already gone: nothing left to do");
+    store.unlink(dropped).unwrap();
+    assert_eq!(store.gc_temps().unwrap(), 1, "object already gone: nothing left to do");
 
     let stuck = store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
     let fine = store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
     txn.commit();
-    // Nothing can be written where `catalog.json` stages its next
-    // version: the first temp's unlink fails installing the catalog.
-    let staging = dir.path().join("catalog.json.tmp");
-    std::fs::create_dir(&staging).unwrap();
+    // The first temp's chunk heap cannot be removed: its unlink fails
+    // dropping the storage.
+    let unjam = jam_rel_file(dir.path(), store.meta(stuck).unwrap().data_rel);
     let err = store.gc_temps().unwrap_err();
     assert!(
-        matches!(err, LoError::Heap(pglo_heap::HeapError::Catalog(_))),
-        "a failed catalog install must surface: {err}"
+        matches!(err, LoError::Heap(pglo_heap::HeapError::Smgr(pglo_smgr::SmgrError::Io(_)))),
+        "a failed storage drop must surface: {err}"
     );
-    std::fs::remove_dir(&staging).unwrap();
+    unjam();
     assert_eq!(store.temp_count(), 2, "the temp behind the failure is still tracked");
     assert_eq!(store.gc_temps().unwrap(), 2);
     assert!(matches!(store.meta(stuck), Err(LoError::NotFound(_))));
@@ -478,7 +489,7 @@ fn size_survives_reopen_of_environment() {
     let id;
     {
         let env = StorageEnv::open(dir.path()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let txn = env.begin();
         id = store.create(&txn, &LoSpec::fchunk()).unwrap();
         let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
@@ -488,66 +499,37 @@ fn size_survives_reopen_of_environment() {
         txn.commit();
     }
     let env = StorageEnv::open(dir.path()).unwrap();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let txn = env.begin();
     let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
     assert_eq!(h.size().unwrap(), 25_000);
 }
 
-/// The catalog keys of a v-segment object: nine at create, and the
-/// segment bound, which the first write raises, from the first flush on;
-/// no size. The object opens and reads back from either layout.
+/// A v-segment object's metadata row is the one its create wrote: writes
+/// leave it as it was, and the object opens and reads back from it after
+/// the environment is reopened.
 #[test]
-fn vsegment_opens_from_create_time_and_flushed_catalog_layouts() {
-    let keys = |env: &StorageEnv, id: LoId| {
-        let class = env.catalog().get(&crate::meta::lo_class_name(id)).unwrap();
-        let mut keys: Vec<String> = class.props.into_keys().collect();
-        keys.sort();
-        keys
-    };
-    let created = [
-        "chunk_size",
-        "codec",
-        "data_rel",
-        "idx_rel",
-        "kind",
-        "owner",
-        "seg_idx_rel",
-        "seg_rel",
-        "smgr",
-    ];
-    let flushed = [
-        "chunk_size",
-        "codec",
-        "data_rel",
-        "idx_rel",
-        "kind",
-        "max_seg_len",
-        "owner",
-        "seg_idx_rel",
-        "seg_rel",
-        "smgr",
-    ];
+fn vsegment_opens_from_its_create_time_row() {
     let payload: Vec<u8> = (0..30_000u32).map(|i| (i / 64 % 251) as u8).collect();
     let dir = tempfile::tempdir().unwrap();
-    let id;
+    let (id, created);
     {
         let env = StorageEnv::open(dir.path()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let txn = env.begin();
         id = store.create(&txn, &LoSpec::vsegment(CodecKind::Rle)).unwrap();
-        assert_eq!(keys(&env, id), created);
+        created = format!("{:?}", store.meta(id).unwrap());
         let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
         assert_eq!(h.size().unwrap(), 0);
         h.write(&payload).unwrap();
         h.close().unwrap();
-        assert_eq!(keys(&env, id), flushed);
+        assert_eq!(format!("{:?}", store.meta(id).unwrap()), created);
         txn.commit();
         env.pool().flush_all().unwrap();
     }
     let env = StorageEnv::open(dir.path()).unwrap();
-    let store = LoStore::new(Arc::clone(&env));
-    assert!(store.meta(id).unwrap().max_seg_len > 0);
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
+    assert_eq!(format!("{:?}", store.meta(id).unwrap()), created);
     let txn = env.begin();
     let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
     assert_eq!(h.size().unwrap(), payload.len() as u64);
@@ -635,7 +617,9 @@ fn aborted_extension_leaves_the_size_and_the_open_walks_no_index() {
     }
 }
 
-/// An as-of open of a 1,000-chunk object and its size pin the index's
+/// An as-of open of a 1,000-chunk object pins what its metadata lookup
+/// does: the metadata index's meta page, its one leaf twice (descent, then
+/// the walk) and the row's heap page. Its size pins the chunk index's
 /// meta page, one page a level (the leaf twice: descent, then the copy of
 /// its entries) and the last chunk's heap page: O(tree height), where a
 /// recount walked every chunk.
@@ -651,44 +635,36 @@ fn as_of_open_pins_the_tree_height_not_the_chunks() {
     let ts = txn.commit();
     let index = BTree::open_oid(&env, store.meta(id).unwrap().idx_rel, env.disk_id());
     assert!(index.nblocks().unwrap() > 4, "the index must have several leaves");
-    let (pins, mut h) = pins_of(&env, || {
-        let mut h = store.open_as_of(id, ts).unwrap();
-        assert_eq!(h.size().unwrap(), 64_000);
-        h
-    });
-    assert_eq!(pins, 5, "meta, root, leaf twice and one heap page");
+    let (pins, mut h) = pins_of(&env, || store.open_as_of(id, ts).unwrap());
+    assert_eq!(pins, 4, "the metadata lookup: meta, leaf twice and the row's page");
+    let (pins, size) = pins_of(&env, || h.size().unwrap());
+    assert_eq!((pins, size), (5, 64_000), "meta, root, leaf twice and one heap page");
     assert_eq!(h.read_to_vec().unwrap(), data);
 }
 
-/// A size-growing f-chunk flush writes no catalog: `catalog.json` keeps
-/// its inode and `Catalog::version` stands. So does a v-segment flush
-/// that raises no segment bound; the object's first write raises it,
-/// once.
+/// Writes, size-growing flushes included, change no metadata: the
+/// metadata heap keeps the one row each create wrote, and no catalog
+/// file appears.
 #[test]
-fn size_growing_flush_writes_no_catalog() {
-    use std::os::unix::fs::MetadataExt;
+fn size_growing_flush_writes_no_metadata() {
     let (dir, env, store) = setup();
-    let catalog = || {
-        let inode = std::fs::metadata(dir.path().join("catalog.json")).unwrap().ino();
-        (env.catalog().version(), inode)
+    let rows = || {
+        let heap = pglo_heap::Heap::open_oid(&env, crate::meta::META_HEAP, env.disk_id());
+        heap.scan(pglo_txn::Visibility::Raw).count()
     };
-    for spec in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)] {
+    for (n, spec) in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)].into_iter().enumerate() {
         let txn = env.begin();
         let id = store.create(&txn, &spec).unwrap();
+        assert_eq!(rows(), n + 1, "{:?}: the create's row", spec.kind);
         let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
-        let (version, _) = catalog();
-        h.write(&[1; 20_000]).unwrap();
-        h.flush().unwrap();
-        let raised = u64::from(spec.kind == crate::LoKind::VSegment);
-        assert_eq!(catalog().0 - version, raised, "{:?}: the first write", spec.kind);
-        let before = catalog();
-        for _ in 0..3 {
+        for _ in 0..4 {
             h.write(&[2; 20_000]).unwrap();
             h.flush().unwrap();
         }
         h.close().unwrap();
         txn.commit();
-        assert_eq!(catalog(), before, "{:?}: size-growing flushes", spec.kind);
+        assert_eq!(rows(), n + 1, "{:?}: size-growing flushes", spec.kind);
+        assert!(!dir.path().join("catalog.json").exists());
         let txn = env.begin();
         assert_eq!(store.open(&txn, id, OpenMode::ReadOnly).unwrap().size().unwrap(), 80_000);
     }
@@ -1095,4 +1071,153 @@ fn import_missing_file_errors_cleanly() {
     let r = store.import_file(&txn, &LoSpec::fchunk(), dir.path().join("nope"));
     assert!(matches!(r, Err(LoError::Io(_))));
     txn.commit();
+}
+
+/// ROADMAP item 16's create probe: an object's metadata row belongs to
+/// the transaction that created it. Its creator opens it; a second live
+/// transaction cannot, before or after the create; after an abort no
+/// later transaction can, nor an as-of open. Calls that take no
+/// transaction still reach it, as they reach any row not unlinked.
+#[test]
+fn create_is_visible_only_to_its_transaction_and_gone_after_abort() {
+    let (_d, env, store) = setup();
+    for spec in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)] {
+        let before = env.begin();
+        let creator = env.begin();
+        let id = store.create(&creator, &spec).unwrap();
+        let mut h = store.open(&creator, id, OpenMode::ReadWrite).unwrap();
+        h.write(b"uncommitted").unwrap();
+        h.close().unwrap();
+        let after = env.begin();
+        let not_found = |r: crate::Result<crate::LoHandle<'_>>| matches!(r, Err(LoError::NotFound(lo)) if lo == id);
+        assert!(not_found(store.open(&before, id, OpenMode::ReadOnly)), "{:?}", spec.kind);
+        assert!(not_found(store.open(&after, id, OpenMode::ReadOnly)), "{:?}", spec.kind);
+        assert!(store.meta(id).is_ok(), "{:?}: no transaction, no snapshot", spec.kind);
+        creator.abort();
+        let later = env.begin();
+        assert!(not_found(store.open(&later, id, OpenMode::ReadOnly)), "{:?}", spec.kind);
+        let now = env.txns().current_timestamp();
+        assert!(not_found(store.open_as_of(id, now)), "{:?}: as of", spec.kind);
+        store.unlink(id).unwrap();
+        for t in [before, after, later] {
+            t.commit();
+        }
+    }
+}
+
+/// Copy directory `src` to `dst`, `dst` replaced: what the OS holds of a
+/// live store when its process is killed.
+fn kill_copy(src: &std::path::Path, dst: &std::path::Path) {
+    fn copy(src: &std::path::Path, dst: &std::path::Path) {
+        std::fs::create_dir_all(dst).unwrap();
+        for e in std::fs::read_dir(src).unwrap().map(Result::unwrap) {
+            if e.file_type().unwrap().is_dir() {
+                copy(&e.path(), &dst.join(e.file_name()));
+            } else {
+                std::fs::copy(e.path(), dst.join(e.file_name())).unwrap();
+            }
+        }
+    }
+    if dst.exists() {
+        std::fs::remove_dir_all(dst).unwrap();
+    }
+    copy(src, dst);
+}
+
+/// The crash gate for metadata rows. The store is killed (its directory
+/// copied) after every step that makes part of a create transaction or
+/// of an unlink durable, and each copy is recovered:
+/// - the metadata relations, before anything reached the log;
+/// - a create: its relation files, its write, the capture of its pages
+///   into the log, its commit, its pages home, a checkpoint;
+/// - an aborted create, before and after a later commit logs its pages;
+/// - an unlink: after each relation drop and after its row's removal.
+///
+/// Each recovered copy must read every committed object byte-exact, give
+/// `NotFound` to a snapshot open of an uncommitted or aborted create,
+/// finish an interrupted unlink when it is called again, and create,
+/// commit and read back a new object.
+#[test]
+fn crash_at_every_durable_step_of_create_and_unlink() {
+    use pglo_heap::EnvOptions;
+    let tmp = tempfile::tempdir().unwrap();
+    let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
+    let opts = || EnvOptions { wal_segment_bytes: 64 * 1024, ..Default::default() };
+    let env = StorageEnv::open_with(&live, opts()).unwrap();
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
+    let bytes = |seed: u8| -> Vec<u8> { (0..20_000u32).map(|i| (i as u8) ^ seed).collect() };
+    // Kill now and recover: `committed` must read back, `gone` must not
+    // open; `unlinking`, if given, is unlinked again, to completion.
+    let check = |what: &str, committed: &[(LoId, Vec<u8>)], gone: &[LoId], unlinking| {
+        kill_copy(&live, &work);
+        let env = StorageEnv::open_with(&work, opts()).unwrap();
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
+        if let Some(id) = unlinking {
+            match store.unlink(id) {
+                Ok(()) | Err(LoError::NotFound(_)) => {}
+                Err(e) => panic!("{what}: the retried unlink failed: {e}"),
+            }
+            assert!(matches!(store.meta(id), Err(LoError::NotFound(_))), "{what}: unlinked");
+        }
+        let txn = env.begin();
+        for (id, want) in committed {
+            let mut h = store.open(&txn, *id, OpenMode::ReadOnly).unwrap();
+            assert!(h.read_to_vec().unwrap() == *want, "{what}: {id} is not byte-exact");
+        }
+        for id in gone.iter().chain(unlinking.as_slice()) {
+            let open = store.open(&txn, *id, OpenMode::ReadOnly);
+            assert!(matches!(open, Err(LoError::NotFound(_))), "{what}: {id} opened");
+        }
+        let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
+        store.open(&txn, id, OpenMode::ReadWrite).unwrap().write(b"after recovery").unwrap();
+        txn.commit();
+        let txn = env.begin();
+        let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+        assert_eq!(h.read_to_vec().unwrap(), b"after recovery", "{what}: a new object");
+    };
+    check("the metadata relations, unlogged", &[], &[], None);
+
+    let mut committed = Vec::new();
+    for (n, spec) in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::Rle)].into_iter().enumerate() {
+        let kind = format!("{:?}", spec.kind);
+        let txn = env.begin();
+        let id = store.create(&txn, &spec).unwrap();
+        check(&format!("{kind} create"), &committed, &[id], None);
+        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+        h.write(&bytes(n as u8)).unwrap();
+        h.close().unwrap();
+        check(&format!("{kind} write"), &committed, &[id], None);
+        env.pool().capture_pending().unwrap();
+        env.wal().flush_all().unwrap();
+        check(&format!("{kind} capture"), &committed, &[id], None);
+        txn.commit();
+        committed.push((id, bytes(n as u8)));
+        check(&format!("{kind} commit"), &committed, &[], None);
+        env.pool().flush_all().unwrap();
+        check(&format!("{kind} home"), &committed, &[], None);
+        env.checkpoint().unwrap();
+        check(&format!("{kind} checkpoint"), &committed, &[], None);
+    }
+
+    let txn = env.begin();
+    let aborted = store.create(&txn, &LoSpec::fchunk()).unwrap();
+    store.open(&txn, aborted, OpenMode::ReadWrite).unwrap().write(&bytes(9)).unwrap();
+    txn.abort();
+    check("abort", &committed, &[aborted], None);
+    env.begin().commit();
+    env.pool().flush_all().unwrap();
+    check("abort, logged and home", &committed, &[aborted], None);
+
+    for _ in 0..committed.len() {
+        let (id, _) = committed.remove(0);
+        let mut steps = 0;
+        store
+            .unlink_steps(id, |step| {
+                steps += 1;
+                check(&format!("unlink {id}: {step} {steps}"), &committed, &[aborted], Some(id));
+            })
+            .unwrap();
+        assert!(steps >= 3, "an unlink of {id} took {steps} steps");
+        check(&format!("unlink {id}, done"), &committed, &[aborted], Some(id));
+    }
 }

@@ -21,7 +21,7 @@
 
 use crate::fchunk::FChunkBackend;
 use crate::handle::LoBackend;
-use crate::meta::{lo_class_name, LoMeta};
+use crate::meta::LoMeta;
 use crate::{stored_form, LoError, LoId, Result, MAX_SEGMENT};
 use pglo_btree::{keys::u64_key, keys::u64_prefix, BTree, ScanStart};
 use pglo_compress::CodecKind;
@@ -98,13 +98,6 @@ pub struct VSegBackend {
     /// The largest end of a segment `vis` sees, derived when first
     /// needed and moved on by this backend's own writes.
     size: Option<u64>,
-    /// Longest uncompressed segment ever written to this object. Bounds
-    /// how far back of a read offset the index probe must start (a
-    /// covering segment cannot begin earlier than `offset - max_seg_len`).
-    max_seg_len: u64,
-    /// The bound the catalog holds, as of the open or this backend's last
-    /// raise of it; 0 for none.
-    cataloged_max: u64,
     /// Last decompressed segment, keyed by its byte-store pointer.
     seg_cache: Option<(u64, Vec<u8>)>,
 }
@@ -122,13 +115,6 @@ impl VSegBackend {
             codec: meta.codec,
             vis,
             size: None,
-            // A missing bound degrades to the global cap, never to missed
-            // segments.
-            max_seg_len: match meta.max_seg_len {
-                0 => MAX_SEGMENT as u64,
-                n => n,
-            },
-            cataloged_max: meta.max_seg_len,
             seg_cache: None,
         }
     }
@@ -138,11 +124,9 @@ impl VSegBackend {
     /// segments one snapshot sees, so a later one shadows an earlier one
     /// where they overlap.
     fn overlapping_segments(&self, from: u64, to: u64) -> Result<Vec<SegRecord>> {
-        // Probe back by the longest segment this object has ever held (a
-        // covering segment cannot start earlier), capped by the global
-        // segment-size bound.
-        let lookback = self.max_seg_len.clamp(1, MAX_SEGMENT as u64);
-        let probe = from.saturating_sub(lookback);
+        // Probe back by the longest segment there can be: a covering
+        // segment cannot start earlier.
+        let probe = from.saturating_sub(MAX_SEGMENT as u64);
         let mut scan = self.seg_index.scan(ScanStart::AtOrAfter(u64_key(probe).to_vec()))?;
         let mut found = Vec::new();
         while let Some((key, tid)) = scan.next_entry()? {
@@ -201,14 +185,6 @@ impl VSegBackend {
         self.store.write_at(txn, ptr, &stored)?;
         let (len, clen) = (plain.len() as u32, stored.len() as u32);
         let rec = SegRecord { locn, len, clen, ptr, seq: ptr, flag };
-        self.max_seg_len = self.max_seg_len.max(len as u64);
-        if self.max_seg_len > self.cataloged_max {
-            // Raised before the segment that needs it is indexed, and
-            // merged as a max: a backend opened earlier never lowers it.
-            let name = lo_class_name(self.id);
-            self.env.catalog().raise_prop(&name, "max_seg_len", self.max_seg_len)?;
-            self.cataloged_max = self.max_seg_len;
-        }
         // Exact replacement (same locn, same length — the benchmark's
         // "replace frame" pattern) supersedes the old record so current
         // readers see one segment; the old version stays for time travel.
@@ -229,11 +205,6 @@ impl VSegBackend {
         };
         self.seg_index.insert(&u64_key(locn), new_tid)?;
         Ok(())
-    }
-
-    /// Byte-store size for Figure 1 ("v-segment data").
-    pub fn data_bytes(&self) -> Result<u64> {
-        self.store.data_bytes()
     }
 }
 
@@ -282,13 +253,14 @@ impl LoBackend for VSegBackend {
     /// far below the best end for any at or before it to pass that end.
     fn size(&mut self) -> Result<u64> {
         if let Some(size) = self.size {
+            self.seg_heap.nblocks()?; // an unlink under this open shows here
             return Ok(size);
         }
         let mut end = 0u64;
         let hi = u64_key(u64::MAX);
         self.seg_index.visible_rev(&self.seg_heap, &hi, &self.vis, |_, _, payload| {
             let rec = SegRecord::decode(payload)?;
-            if rec.locn.saturating_add(self.max_seg_len) < end {
+            if rec.locn.saturating_add(MAX_SEGMENT as u64) < end {
                 return Ok(ControlFlow::Break(()));
             }
             end = end.max(rec.end());

@@ -75,7 +75,7 @@ fn tuple_sized_allocs_of(f: impl FnOnce()) -> u64 {
 fn twenty_chunks() -> (tempfile::TempDir, Arc<StorageEnv>, LoStore, LoId, Vec<u8>) {
     let dir = tempfile::tempdir().unwrap();
     let env = StorageEnv::open(dir.path()).unwrap();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let txn = env.begin();
     let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
     let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();

@@ -1,10 +1,13 @@
 //! The class catalog: names, OIDs, storage-manager assignment, and
 //! arbitrary per-class properties (the query layer stores column schemas
-//! here; the large-object layer stores object metadata).
+//! here, Inversion its file classes).
 //!
 //! Persisted as JSON in the database directory. The catalog is *metadata*,
 //! not benchmarked data — see DESIGN.md's dependency policy for why JSON.
 //! OIDs are not: they come from the redo log's counter ([`Wal::next_oid`]).
+//! Nor is large-object metadata: each object's is a row of a logged heap
+//! relation (`pglo_core::meta`), and a catalog that still names an
+//! object's class (`$lo_<id>`, an earlier format) is refused.
 
 use crate::json::{self, Value};
 use crate::{HeapError, Result};
@@ -13,7 +16,6 @@ use pglo_smgr::SmgrId;
 use pglo_wal::Wal;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What kind of physical structure a class is.
@@ -65,6 +67,9 @@ fn from_json(v: &Value) -> std::result::Result<CatalogData, String> {
         return Err("an earlier format's OID counter: no import path".into());
     }
     let Value::Obj(members) = v else { return Err("not an object".into()) };
+    if members.iter().any(|(name, _)| name.starts_with("$lo_")) {
+        return Err("an earlier format's large-object classes ($lo_<id>): no import path".into());
+    }
     members.iter().map(|(name, c)| ClassMeta::from_json(c).map(|m| (name.clone(), m))).collect()
 }
 
@@ -122,17 +127,16 @@ impl ClassMeta {
 
 /// The catalog. Thread-safe; persisted to `<dir>/catalog.json`.
 ///
-/// Every mutator goes through the private `mutate`, which bumps the
-/// version ([`Catalog::version`]) and never writes the file while holding
-/// the data lock: it renders the JSON snapshot in memory, releases the
-/// data lock, and then writes under the `persist` lock (rank
-/// `heap.catalog_persist`), which serializes writers and drops snapshots
-/// that lost the race to a newer version.
+/// Every mutator goes through the private `mutate`, which numbers its
+/// snapshot and never writes the file while holding the data lock: it
+/// renders the JSON snapshot in memory, releases the data lock, and then
+/// writes under the `persist` lock (rank `heap.catalog_persist`), which
+/// serializes writers and drops snapshots that lost the race to a newer
+/// one.
 pub struct Catalog {
-    data: Mutex<CatalogData>,
-    /// Mutation counter (not persisted), bumped under the data lock.
-    version: AtomicU64,
-    /// Version of the last snapshot written to disk.
+    /// The classes, and the number of the last mutation (not persisted).
+    data: Mutex<(CatalogData, u64)>,
+    /// Number of the last snapshot written to disk.
     persist: Mutex<u64>,
     path: PathBuf,
     wal: Arc<Wal>,
@@ -160,8 +164,7 @@ impl Catalog {
     /// taking OIDs from `wal`, which must replay before the first one.
     pub(crate) fn open(dir: &Path, classes: CatalogData, wal: Arc<Wal>) -> Self {
         Self {
-            data: Mutex::with_rank(classes, ranks::CATALOG),
-            version: AtomicU64::new(0),
+            data: Mutex::with_rank((classes, 0), ranks::CATALOG),
             persist: Mutex::with_rank(0, ranks::CATALOG_PERSIST),
             path: dir.join("catalog.json"),
             wal,
@@ -169,16 +172,15 @@ impl Catalog {
     }
 
     /// The one mutation path: run `edit` under the data lock and, when it
-    /// succeeds, bump the version; render the JSON under that lock,
-    /// release it, then install the snapshot
-    /// under the persist lock unless a newer one already won. A failed
-    /// edit must leave `data` as it found it; nothing is bumped or
-    /// written for it.
+    /// succeeds, number the mutation; render the JSON under that lock,
+    /// release it, then install the snapshot under the persist lock
+    /// unless a newer one already won. A failed edit must leave the
+    /// classes as it found them; nothing is numbered or written for it.
     fn mutate<T>(&self, edit: impl FnOnce(&mut CatalogData) -> Result<T>) -> Result<T> {
         let mut data = self.data.lock();
-        let out = edit(&mut data)?;
-        let version = self.version.fetch_add(1, Ordering::SeqCst) + 1;
-        let text = json::to_string_pretty(&to_json(&data));
+        let out = edit(&mut data.0)?;
+        data.1 += 1;
+        let (text, version) = (json::to_string_pretty(&to_json(&data.0)), data.1);
         drop(data);
         let mut last_written = self.persist.lock();
         if version > *last_written {
@@ -191,7 +193,7 @@ impl Catalog {
 
     /// Allocate a fresh OID (also used for relations that have no name,
     /// like per-large-object chunk classes). The log's counter hands it
-    /// out; the catalog, its version included, does not change.
+    /// out; the catalog does not change.
     pub fn alloc_oid(&self) -> Result<u64> {
         self.wal.next_oid().map_err(|e| HeapError::Catalog(format!("log the OID limit: {e}")))
     }
@@ -221,22 +223,15 @@ impl Catalog {
         self.mutate(|data| data.remove(name).ok_or_else(|| no_such_class(name)))
     }
 
-    /// How many mutations this catalog has seen since it was opened. Any
-    /// change of it may have changed any class: a reader that keeps what
-    /// it resolved from the catalog keeps it only while this stands still.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::SeqCst)
-    }
-
     /// Look up by name.
     pub fn get(&self, name: &str) -> Option<ClassMeta> {
-        self.data.lock().get(name).cloned()
+        self.data.lock().0.get(name).cloned()
     }
 
     /// All class names, sorted.
     // LINT: allow(R14, the REPL's \d listing in examples/postquel_repl.rs)
     pub fn class_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.data.lock().keys().cloned().collect();
+        let mut names: Vec<String> = self.data.lock().0.keys().cloned().collect();
         names.sort();
         names
     }
@@ -252,24 +247,6 @@ impl Catalog {
         self.mutate(|data| {
             let meta = class_mut(data, name)?;
             meta.props.extend(props.iter().map(|(k, v)| (k.to_string(), v.to_string())));
-            Ok(())
-        })
-    }
-
-    /// Raise a class's numeric property `key` (absent: 0) to `value`,
-    /// merged as a max inside the mutation, so a caller holding an older
-    /// value never lowers it. One that would raise nothing mutates
-    /// nothing: the version stands and the file is not rewritten.
-    pub fn raise_prop(&self, name: &str, key: &str, value: u64) -> Result<()> {
-        let current = |data: &mut CatalogData| -> Result<u64> {
-            Ok(class_mut(data, name)?.props.get(key).and_then(|v| v.parse().ok()).unwrap_or(0))
-        };
-        if current(&mut self.data.lock())? >= value {
-            return Ok(());
-        }
-        self.mutate(|data| {
-            let raised = current(data)?.max(value).to_string();
-            class_mut(data, name)?.props.insert(key.to_string(), raised);
             Ok(())
         })
     }
@@ -381,61 +358,39 @@ mod tests {
         assert!(open_catalog(dir.path()).get("next_oid").is_some());
     }
 
-    /// Whether `cat`'s version moved since `last`, which it then becomes.
-    fn advanced(cat: &Catalog, last: &mut u64) -> bool {
-        let now = cat.version();
-        std::mem::replace(last, now) < now
-    }
-
-    /// Also: every mutating call advances the version, and a failed one
-    /// does not; nor does `alloc_oid`, which leaves the catalog alone.
+    /// A failed mutation changes nothing, and `alloc_oid` leaves the
+    /// catalog file alone.
     #[test]
     fn props_update() {
-        let (_dir, cat) = temp_catalog();
-        let v = &mut cat.version();
+        let (dir, cat) = temp_catalog();
+        let file = || std::fs::read_to_string(dir.path().join("catalog.json")).ok();
         cat.alloc_oid().unwrap();
-        assert!(!advanced(&cat, v), "alloc_oid");
+        assert_eq!(file(), None, "alloc_oid wrote the catalog");
         cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
-        assert!(advanced(&cat, v), "create_class");
         cat.set_props("T", &[("rows", "42")]).unwrap();
-        assert!(advanced(&cat, v), "set_props");
         assert_eq!(cat.get("T").unwrap().props.get("rows").unwrap(), "42");
         assert!(cat.remove_prop("T", "rows").unwrap());
-        assert!(advanced(&cat, v), "remove_prop");
+        let written = file();
         assert!(cat.set_props("missing", &[("a", "b")]).is_err());
-        assert!(!advanced(&cat, v), "a failed set_props");
+        assert_eq!(file(), written, "a failed set_props");
         assert!(!cat.remove_prop("T", "rows").unwrap());
         assert!(!cat.get("T").unwrap().props.contains_key("rows"));
         cat.drop_class("T").unwrap();
-        assert!(advanced(&cat, v), "drop_class");
+        assert!(cat.get("T").is_none());
     }
 
-    /// `raise_prop` merges as a max: a smaller value, which a caller
-    /// holding an older one would write, neither lowers the property nor
-    /// rewrites the file, and concurrent raises keep the largest.
+    /// A store whose catalog still names a large object's class, as the
+    /// format that kept large-object metadata there did, is refused at
+    /// open, with a catalog error naming that format.
     #[test]
-    fn raise_prop_only_raises() {
-        let (_dir, cat) = temp_catalog();
-        cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
-        let v = &mut cat.version();
-        let get = || cat.get("T").unwrap().props.get("bound").cloned();
-        cat.raise_prop("T", "bound", 0).unwrap();
-        assert!(!advanced(&cat, v) && get().is_none(), "raising an absent property to 0");
-        cat.raise_prop("T", "bound", 4096).unwrap();
-        assert!(advanced(&cat, v), "a raise");
-        cat.raise_prop("T", "bound", 100).unwrap();
-        assert!(!advanced(&cat, v), "a lower value");
-        assert_eq!(get().as_deref(), Some("4096"));
-        assert!(cat.raise_prop("missing", "bound", 1).is_err());
-        std::thread::scope(|s| {
-            for w in 0..4u64 {
-                let cat = &cat;
-                s.spawn(move || {
-                    (0..50).for_each(|i| cat.raise_prop("T", "bound", 5000 + i * 4 + w).unwrap())
-                });
-            }
-        });
-        assert_eq!(get().as_deref(), Some("5199"));
+    fn catalog_with_large_object_classes_is_refused() {
+        let dir = tempfile::tempdir().unwrap();
+        let old = r#"{"$lo_1000": {"oid": 1000, "name": "$lo_1000", "kind": "Heap", "smgr": 0}}"#;
+        std::fs::write(dir.path().join("catalog.json"), old).unwrap();
+        let err = crate::StorageEnv::open(dir.path()).err().unwrap();
+        assert!(matches!(err, HeapError::Catalog(_)), "{err}");
+        assert!(err.to_string().contains("large-object classes"), "{err}");
+        assert!(err.to_string().contains("no import path"), "{err}");
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub struct Heap {
     env: Arc<StorageEnv>,
     rel: RelFileId,
     smgr: SmgrId,
-    name: Option<String>,
     /// Block where the last insert succeeded — the append-mostly fast path.
     insert_hint: AtomicU32,
 }
@@ -45,13 +44,7 @@ impl Heap {
     ) -> Result<Heap> {
         let meta = env.catalog().create_class(name, ClassKind::Heap, smgr, props)?;
         env.switch().get(smgr)?.create(meta.oid)?;
-        Ok(Heap {
-            env: Arc::clone(env),
-            rel: meta.oid,
-            smgr,
-            name: Some(name.to_string()),
-            insert_hint: AtomicU32::new(0),
-        })
+        Ok(Heap { env: Arc::clone(env), rel: meta.oid, smgr, insert_hint: AtomicU32::new(0) })
     }
 
     /// Create an anonymous heap (no catalog name) — per-large-object chunk
@@ -59,13 +52,7 @@ impl Heap {
     pub fn create_anonymous(env: &Arc<StorageEnv>, smgr: SmgrId) -> Result<Heap> {
         let oid = env.catalog().alloc_oid()?;
         env.switch().get(smgr)?.create(oid)?;
-        Ok(Heap {
-            env: Arc::clone(env),
-            rel: oid,
-            smgr,
-            name: None,
-            insert_hint: AtomicU32::new(0),
-        })
+        Ok(Self::open_oid(env, oid, smgr))
     }
 
     /// Open a named heap from the catalog.
@@ -81,14 +68,13 @@ impl Heap {
             env: Arc::clone(env),
             rel: meta.oid,
             smgr: meta.smgr_id(),
-            name: Some(meta.name),
             insert_hint: AtomicU32::new(0),
         })
     }
 
     /// Open a heap by OID (anonymous or named).
     pub fn open_oid(env: &Arc<StorageEnv>, oid: u64, smgr: SmgrId) -> Heap {
-        Heap { env: Arc::clone(env), rel: oid, smgr, name: None, insert_hint: AtomicU32::new(0) }
+        Heap { env: Arc::clone(env), rel: oid, smgr, insert_hint: AtomicU32::new(0) }
     }
 
     /// This heap's relation OID.
@@ -99,11 +85,6 @@ impl Heap {
     /// The storage manager this heap lives on.
     pub fn smgr(&self) -> SmgrId {
         self.smgr
-    }
-
-    /// The catalog name, if named.
-    pub fn name(&self) -> Option<&str> {
-        self.name.as_deref()
     }
 
     /// The environment.

@@ -55,7 +55,7 @@ proptest! {
     fn inversion_matches_reference_model(ops in ops_strategy()) {
         let dir = tempfile::tempdir().unwrap();
         let env = StorageEnv::open(dir.path()).unwrap();
-        let store = Arc::new(LoStore::new(Arc::clone(&env)));
+        let store = Arc::new(LoStore::new(Arc::clone(&env)).unwrap());
         let fs = InversionFs::open(&env, store, LoSpec::fchunk()).unwrap();
         let mut model: BTreeMap<String, Node> = BTreeMap::new();
         let txn = env.begin();

@@ -11,7 +11,7 @@ use std::sync::Arc;
 fn setup_with(spec: LoSpec) -> (tempfile::TempDir, Arc<StorageEnv>, InversionFs) {
     let dir = tempfile::tempdir().unwrap();
     let env = StorageEnv::open(dir.path()).unwrap();
-    let store = Arc::new(LoStore::new(Arc::clone(&env)));
+    let store = Arc::new(LoStore::new(Arc::clone(&env)).unwrap());
     let fs = InversionFs::open(&env, store, spec).unwrap();
     (dir, env, fs)
 }
@@ -230,7 +230,7 @@ fn files_on_user_defined_storage_manager() {
     let env = StorageEnv::open(dir.path()).unwrap();
     let custom = Arc::new(pglo_smgr::MemSmgr::new(env.sim().clone()));
     let custom_id = env.switch().register(Arc::clone(&custom) as Arc<dyn StorageManager>);
-    let store = Arc::new(LoStore::new(Arc::clone(&env)));
+    let store = Arc::new(LoStore::new(Arc::clone(&env)).unwrap());
     let fs = InversionFs::open(&env, store, LoSpec::fchunk().on_smgr(custom_id)).unwrap();
     let txn = env.begin();
     fs.create(&txn, "/on-custom-device").unwrap();

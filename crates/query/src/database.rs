@@ -92,7 +92,7 @@ impl Database {
     /// Open with explicit environment options.
     pub fn open_with(dir: impl AsRef<Path>, opts: EnvOptions) -> Result<Database> {
         let env = StorageEnv::open_with(dir, opts)?;
-        let store = Arc::new(LoStore::new(Arc::clone(&env)));
+        let store = Arc::new(LoStore::new(Arc::clone(&env))?);
         let types = TypeRegistry::new();
         let funcs = FunctionRegistry::new();
         register_builtins(&funcs)?;

@@ -70,7 +70,7 @@ impl LobdService {
 
     /// Build the service over an existing environment.
     pub fn with_env(env: Arc<StorageEnv>) -> Result<Arc<Self>, LoError> {
-        let store = Arc::new(LoStore::new(Arc::clone(&env)));
+        let store = Arc::new(LoStore::new(Arc::clone(&env))?);
         let fs =
             InversionFs::open(&env, Arc::clone(&store), LoSpec::fchunk()).map_err(|e| match e {
                 InvError::Lo(e) => e,

@@ -6,10 +6,11 @@
 //! so they survive across frames and re-bind to whatever transaction the
 //! session currently holds. A descriptor holds its object's open for one
 //! transaction: `lo_open` opens it, and later frames reuse that open while
-//! the transaction's XID, the catalog version it was opened at and the
-//! transaction's count of its own size-growing flushes all still match,
-//! re-opening otherwise: a sibling descriptor's extension re-opens it,
-//! another session's commit does not (the snapshot cannot see it). Every
+//! the transaction's XID and its count of its own size-growing flushes
+//! both still match, re-opening otherwise: a sibling descriptor's
+//! extension re-opens it, another session's create or commit does not (the
+//! snapshot cannot see it), and after another session's unlink its next
+//! frame answers `NotFound`. Every
 //! frame flushes its writes and keeps no object bytes, so nothing is
 //! pending or stale between frames.
 //! When the connection dies with a transaction
@@ -101,7 +102,7 @@ mod tests {
     fn gc_temps_keeps_a_temp_whose_unlink_failed() {
         let dir = tempfile::tempdir().unwrap();
         let env = StorageEnv::open(dir.path()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let mut session = Session::new(1);
         let txn = env.begin();
         let gone = store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
@@ -110,15 +111,18 @@ mod tests {
         session.temps.extend([gone, stuck]);
         store.unlink(gone).unwrap();
 
-        // Nothing can be written where `catalog.json` stages its next
-        // version, so `stuck`'s unlink fails installing the catalog.
-        let staging = dir.path().join("catalog.json.tmp");
-        std::fs::create_dir(&staging).unwrap();
+        // A non-empty directory sits where `stuck`'s chunk heap file was,
+        // so its unlink fails dropping the storage.
+        let rel =
+            dir.path().join("heap").join(format!("rel_{}.pg", store.meta(stuck).unwrap().data_rel));
+        std::fs::remove_file(&rel).unwrap();
+        std::fs::create_dir(&rel).unwrap();
+        std::fs::write(rel.join("pinned"), b"x").unwrap();
         assert_eq!(session.gc_temps(&store), 1, "the temp already unlinked is reclaimed");
         assert_eq!(session.temps, [stuck], "the failed temp stays the session's");
         assert_eq!(store.temp_count(), 1, "and the store's");
 
-        std::fs::remove_dir(&staging).unwrap();
+        std::fs::remove_dir_all(&rel).unwrap();
         assert_eq!(session.gc_temps(&store), 1);
         assert!(session.temps.is_empty());
         assert!(matches!(store.meta(stuck), Err(LoError::NotFound(_))));

@@ -262,3 +262,34 @@ fn metrics_frame_exposes_wal_instrumentation() {
     drop(lb.client);
     lb.server.join().unwrap();
 }
+
+/// A descriptor held across another session's unlink: session A opens
+/// an object and reads it, session B unlinks it, and A's next read on
+/// the same descriptor, in the same transaction, answers `NotFound`:
+/// neither a storage error nor an empty read.
+#[test]
+fn held_descriptor_reads_not_found_after_another_sessions_unlink() {
+    let (_dir, service) = service();
+    let mut a = loopback::connect(&service).unwrap();
+    let mut b = loopback::connect(&service).unwrap();
+    a.client.begin().unwrap();
+    let id = a.client.lo_create(&WireSpec::fchunk()).unwrap();
+    let mut lo = a.client.lo(id, true, 0).unwrap();
+    lo.write(&[7; 20_000]).unwrap();
+    lo.close().unwrap();
+    a.client.commit().unwrap();
+
+    a.client.begin().unwrap();
+    let mut lo = a.client.lo(id, false, 0).unwrap();
+    assert_eq!(lo.read_at(0, 100).unwrap(), vec![7; 100]);
+    b.client.lo_unlink(id).unwrap();
+    for read in [lo.read_at(0, 100), lo.read_at(19_990, 100), lo.read(100)] {
+        let err = read.unwrap_err();
+        assert_eq!(err.code(), Some(ErrorCode::NotFound), "{err}");
+    }
+    drop(lo);
+    a.client.commit().unwrap();
+    drop((a.client, b.client));
+    a.server.join().unwrap();
+    b.server.join().unwrap();
+}

@@ -232,11 +232,13 @@ fn every_other_version_is_refused_with_bad_version() {
 fn mid_write_disconnect_aborts_orphaned_txn() {
     let (_dir, handle) = start();
     let service = handle.service().clone();
-    let (commits_before, aborts_before) = service.env().txns().counters();
 
     let mut c = Client::connect(handle.local_addr()).unwrap();
     c.begin().unwrap();
     let id = c.lo_create(&WireSpec::fchunk()).unwrap();
+    c.commit().unwrap();
+    let (commits_before, aborts_before) = service.env().txns().counters();
+    c.begin().unwrap();
     {
         let mut pipe = c.pipeline();
         let fd = pipe.lo_open(id, true, 0).unwrap();
@@ -342,6 +344,8 @@ fn mid_pipeline_disconnect_aborts_orphaned_txn() {
     let mut c = Client::connect(handle.local_addr()).unwrap();
     c.begin().unwrap();
     let id = c.lo_create(&WireSpec::fchunk()).unwrap();
+    c.commit().unwrap();
+    c.begin().unwrap();
     {
         let mut pipe = c.pipeline_with_window(8);
         let fd_ticket = pipe.lo_open(id, true, 0).unwrap();

@@ -2,7 +2,7 @@
 //! through the wire, time travel, temporaries, Inversion ops, statistics,
 //! and the self-describing metrics frame.
 
-use pglo_server::{spawn, Client, LobdService, ServerConfig, ServerHandle, WireSpec};
+use pglo_server::{spawn, Client, ErrorCode, LobdService, ServerConfig, ServerHandle, WireSpec};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -155,15 +155,23 @@ fn uncommitted_writes_invisible_to_others() {
     let mut a = connect(&handle);
     let mut b = connect(&handle);
 
+    // An uncommitted create is A's alone: B cannot open the object.
     a.begin().unwrap();
     let id = a.lo_create(&WireSpec::fchunk()).unwrap();
+    b.begin().unwrap();
+    let err = b.lo(id, false, 0).err().unwrap();
+    assert_eq!(err.code(), Some(ErrorCode::NotFound), "{err}");
+    b.commit().unwrap();
+    a.commit().unwrap();
+
+    a.begin().unwrap();
     let mut alo = a.lo(id, true, 0).unwrap();
     alo.write(b"secret").unwrap();
     // A sees its own uncommitted write.
     assert_eq!(alo.size().unwrap(), 6);
 
-    // The object's *name* is catalog state, but none of A's uncommitted
-    // data is visible to B: the object reads as empty.
+    // None of A's uncommitted data is visible to B: the committed object
+    // reads as empty.
     b.begin().unwrap();
     let mut blo = b.lo(id, false, 0).unwrap();
     assert_eq!(blo.size().unwrap(), 0, "uncommitted writes must be invisible");

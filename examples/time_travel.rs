@@ -14,7 +14,7 @@ use std::sync::Arc;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = tempfile::tempdir()?;
     let env = StorageEnv::open(dir.path())?;
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
 
     // Both chunked implementations support time travel; use v-segment so
     // each edit is an individually compressed segment.

@@ -17,7 +17,7 @@ use std::sync::Arc;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = tempfile::tempdir()?;
     let env = StorageEnv::open(dir.path())?;
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let sim = env.sim().clone();
 
     println!("== write a 4 MB object onto the WORM manager ==");

@@ -10,7 +10,7 @@ use std::thread;
 fn concurrent_writers_on_distinct_objects() {
     let dir = tempfile::tempdir().unwrap();
     let env = StorageEnv::open(dir.path()).unwrap();
-    let store = Arc::new(LoStore::new(Arc::clone(&env)));
+    let store = Arc::new(LoStore::new(Arc::clone(&env)).unwrap());
     // Pre-create one object per thread.
     let setup = env.begin();
     let ids: Vec<LoId> = (0..4).map(|_| store.create(&setup, &LoSpec::fchunk()).unwrap()).collect();
@@ -121,7 +121,7 @@ fn concurrent_queries_through_database() {
 fn concurrent_readers_of_one_object_see_committed_bytes() {
     let dir = tempfile::tempdir().unwrap();
     let env = StorageEnv::open(dir.path()).unwrap();
-    let store = Arc::new(LoStore::new(Arc::clone(&env)));
+    let store = Arc::new(LoStore::new(Arc::clone(&env)).unwrap());
     let setup = env.begin();
     let id = store.create(&setup, &LoSpec::fchunk()).unwrap();
     {

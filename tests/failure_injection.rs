@@ -99,7 +99,7 @@ fn setup() -> (tempfile::TempDir, Arc<StorageEnv>, Arc<FlakySmgr>, pglo::smgr::S
 #[test]
 fn read_failures_surface_as_errors_not_panics() {
     let (_d, env, flaky, smgr_id) = setup();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let txn = env.begin();
     let id = store.create(&txn, &LoSpec::fchunk().on_smgr(smgr_id)).unwrap();
     {
@@ -169,7 +169,7 @@ fn write_failures_do_not_corrupt_committed_data() {
 #[test]
 fn inversion_on_flaky_device_fails_cleanly_then_recovers() {
     let (_d, env, flaky, smgr_id) = setup();
-    let store = Arc::new(LoStore::new(Arc::clone(&env)));
+    let store = Arc::new(LoStore::new(Arc::clone(&env)).unwrap());
     let fs =
         InversionFs::open(&env, Arc::clone(&store), LoSpec::fchunk().on_smgr(smgr_id)).unwrap();
     let txn = env.begin();

@@ -47,7 +47,7 @@ fn end_to_end_employee_pictures() {
 fn all_four_implementations_through_one_store() {
     let dir = tempfile::tempdir().unwrap();
     let env = StorageEnv::open(dir.path()).unwrap();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let payload: Vec<u8> = (0..50_000u32).map(|i| (i % 253) as u8).collect();
     let txn = env.begin();
     let specs = [
@@ -119,7 +119,7 @@ fn environment_reopen_preserves_objects_and_files() {
     let lo_id;
     {
         let env = StorageEnv::open(dir.path()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let txn = env.begin();
         lo_id = store.create(&txn, &LoSpec::fchunk()).unwrap();
         let mut h = store.open(&txn, lo_id, OpenMode::ReadWrite).unwrap();
@@ -131,7 +131,7 @@ fn environment_reopen_preserves_objects_and_files() {
     // Fresh process: catalog and pages come back from disk, and a new
     // snapshot sees the committed size; the raw chunk tuples round-trip.
     let env = StorageEnv::open(dir.path()).unwrap();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let txn = env.begin();
     assert_eq!(store.open(&txn, lo_id, OpenMode::ReadOnly).unwrap().size().unwrap(), 30_000);
     txn.commit();
@@ -147,7 +147,7 @@ fn environment_reopen_preserves_objects_and_files() {
 fn worm_archive_full_cycle() {
     let dir = tempfile::tempdir().unwrap();
     let env = StorageEnv::open(dir.path()).unwrap();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let txn = env.begin();
     let id = store.create(&txn, &LoSpec::fchunk().on_smgr(env.worm_id())).unwrap();
     let data: Vec<u8> = (0..100_000u32).map(|i| (i / 7 % 256) as u8).collect();

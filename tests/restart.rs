@@ -38,7 +38,7 @@ fn committed_large_object_survives_reopen() {
     let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
     let (id, ts) = {
         let env = StorageEnv::open(dir.path()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let txn = env.begin();
         let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
         {
@@ -52,7 +52,7 @@ fn committed_large_object_survives_reopen() {
     };
 
     let env = StorageEnv::open(dir.path()).unwrap();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     // Snapshot read sees the prior process's commit…
     let txn = env.begin();
     let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
@@ -131,7 +131,7 @@ fn torn_wal_tail_truncated_at_every_byte() {
     let payload: Vec<u8> = (0..50_000u32).map(|i| (i.wrapping_mul(31) % 251) as u8).collect();
     let (id, torn) = {
         let env = StorageEnv::open_with(&crash, crash_opts()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let txn = env.begin();
         let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
         let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
@@ -175,7 +175,7 @@ fn torn_wal_tail_truncated_at_every_byte() {
         }
         // …the page images before the commit record replayed fine, and
         // the database still works: a new transaction commits and reads.
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let txn = env.begin();
         let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
         let mut buf = vec![0u8; payload.len()];
@@ -200,7 +200,7 @@ fn crash_between_checkpoint_and_commit_recovers_both_sides() {
     let b: Vec<u8> = (0..30_000u32).map(|i| (i % 241) as u8).collect();
     let (id_a, id_b) = {
         let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let txn = env.begin();
         let id_a = store.create(&txn, &LoSpec::fchunk()).unwrap();
         let mut h = store.open(&txn, id_a, OpenMode::ReadWrite).unwrap();
@@ -224,7 +224,7 @@ fn crash_between_checkpoint_and_commit_recovers_both_sides() {
     };
 
     let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let txn = env.begin();
     for (id, want) in [(id_a, &a), (id_b, &b)] {
         let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
@@ -250,7 +250,7 @@ fn committed_object_survives_power_loss_after_checkpoint() {
     let payload: Vec<u8> = (0..20_000u32).map(|i| (i % 239) as u8).collect();
     let (id, xid, ts) = {
         let env = StorageEnv::open_with(tmp.path(), opts()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let txn = env.begin();
         let xid = txn.xid();
         let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
@@ -272,7 +272,7 @@ fn committed_object_survives_power_loss_after_checkpoint() {
     let first = env.begin();
     let first_xid = first.xid();
     first.abort();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let txn = env.begin();
     let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
     assert_eq!(h.size().unwrap(), payload.len() as u64);
@@ -297,7 +297,7 @@ fn inflight_xid_never_reused(checkpoint: bool) {
     let seg = 64 * 1024u64;
     let base = vec![0x11u8; 20_000];
     let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let txn = env.begin();
     let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
     let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
@@ -328,7 +328,7 @@ fn inflight_xid_never_reused(checkpoint: bool) {
     drop(env);
 
     let env = StorageEnv::open_with(&work, crash_opts()).unwrap();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let t = env.begin();
     assert!(t.xid() > xid, "{} reused: {xid} stamped a page at home", t.xid());
     let mut h = store.open(&t, id, OpenMode::ReadWrite).unwrap();
@@ -369,7 +369,7 @@ fn killed_extension_leaves_neither_its_xid_nor_its_size() {
         let base = vec![0x11u8; 20_000];
         let id = {
             let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
-            let store = LoStore::new(Arc::clone(&env));
+            let store = LoStore::new(Arc::clone(&env)).unwrap();
             let txn = env.begin();
             let id = store.create(&txn, &spec).unwrap();
             let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
@@ -381,7 +381,7 @@ fn killed_extension_leaves_neither_its_xid_nor_its_size() {
             id
         };
         let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let x = env.begin();
         let mut h = store.open(&x, id, OpenMode::ReadWrite).unwrap();
         h.write_at(base.len() as u64, &[0xEE; 5_000]).unwrap();
@@ -394,7 +394,7 @@ fn killed_extension_leaves_neither_its_xid_nor_its_size() {
         drop(env);
 
         let env = StorageEnv::open_with(&work, crash_opts()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let t = env.begin();
         assert!(t.xid() > xid, "{} reused: {xid} stamped a page at home", t.xid());
         let mut h = store.open(&t, id, OpenMode::ReadOnly).unwrap();
@@ -420,7 +420,7 @@ fn crash_during_an_extension_recovers_the_committed_size() {
         let tmp = tempfile::tempdir().unwrap();
         let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
         let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let base: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
         let txn = env.begin();
         let id = store.create(&txn, &spec).unwrap();
@@ -494,7 +494,7 @@ fn handed_out_oid_never_reused(checkpoint: bool) {
         let tmp = tempfile::tempdir().unwrap();
         let live = tmp.path().join("live");
         let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let txn = env.begin();
         let id = store.create(&txn, &spec).unwrap();
         let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
@@ -542,7 +542,7 @@ fn handed_out_oid_never_reused(checkpoint: bool) {
             assert!(orphans.iter().all(|&rel| disk.exists(rel)), "{what}: the cut create's files");
             let next = env.catalog().alloc_oid().unwrap();
             assert!(next > max, "{what}: OID {next} handed out again");
-            let store = LoStore::new(Arc::clone(&env));
+            let store = LoStore::new(Arc::clone(&env)).unwrap();
             let txn = env.begin();
             let fresh = store.create(&txn, &spec).unwrap();
             assert!(object_oids(&store, fresh).iter().all(|&o| o > max), "{what}");
@@ -608,7 +608,7 @@ fn evicted_uncaptured_delta_survives_crash() {
     let v2: Vec<u8> = (0..200_000u32).map(|i| (i.wrapping_mul(17) % 249) as u8).collect();
     let id = {
         let env = StorageEnv::open_with(tmp.path(), opts()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let txn = env.begin();
         let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
         let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
@@ -632,7 +632,7 @@ fn evicted_uncaptured_delta_survives_crash() {
     };
 
     let env = StorageEnv::open_with(tmp.path(), opts()).unwrap();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let txn = env.begin();
     let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
     let mut buf = vec![0u8; v2.len()];
@@ -753,7 +753,7 @@ fn commit_after_short_segment_tail_survives_crash() {
     let new = vec![0xC3u8; 4096];
     let (id, end) = {
         let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
-        let store = LoStore::new(Arc::clone(&env));
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
         let txn = env.begin();
         let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
         let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
@@ -774,7 +774,7 @@ fn commit_after_short_segment_tail_survives_crash() {
     };
     let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
     assert_eq!(env.wal().end_lsn(), end, "recovery must read past the short tail");
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let txn = env.begin();
     let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
     let mut buf = vec![0u8; old.len()];
@@ -810,7 +810,7 @@ struct Model {
 
 /// Read everything `model` names from `env`, in model order.
 fn read_back(env: &Arc<StorageEnv>, model: &Model) -> Model {
-    let store = LoStore::new(Arc::clone(env));
+    let store = LoStore::new(Arc::clone(env)).unwrap();
     let txn = env.begin();
     let mut seen = Model::default();
     for (id, want) in &model.objects {
@@ -888,7 +888,7 @@ fn crash_after_every_step_recovers_committed_state() {
     let seg = 64 * 1024u64;
     let opts = || EnvOptions { pool_frames: 32, wal_segment_bytes: seg, ..Default::default() };
     let env = StorageEnv::open_with(&live, opts()).unwrap();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let mut rng = Rng(0x5eed_0043);
     let fill = |rng: &mut Rng, len: usize| -> Vec<u8> {
         let (b, k) = (rng.next(), rng.next() | 1);
@@ -1200,7 +1200,7 @@ fn crash_on_the_lazy_extension_path_recovers_committed_state() {
     let opts =
         || EnvOptions { pool_frames: 32, wal_segment_bytes: 64 * 1024, ..Default::default() };
     let env = StorageEnv::open_with(&live, opts()).unwrap();
-    let store = LoStore::new(Arc::clone(&env));
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
     let fill = |seed: u8, len: usize| -> Vec<u8> {
         (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect()
     };
