@@ -15,9 +15,9 @@
 use crate::{LoError, LoId, Result, UserId};
 use pglo_btree::{keys::u64_key, BTree};
 use pglo_compress::CodecKind;
-use pglo_heap::{AccessHint, Heap, StorageEnv};
+use pglo_heap::{AccessHint, Heap, StorageEnv, META_HEAP, META_INDEX};
 use pglo_pages::Tid;
-use pglo_smgr::{SmgrError, SmgrId};
+use pglo_smgr::SmgrId;
 use pglo_txn::Visibility;
 use std::ffi::OsStr;
 use std::os::unix::ffi::OsStrExt;
@@ -90,11 +90,6 @@ pub struct LoMeta {
     pub chunk_size: usize,
 }
 
-/// The metadata heap's relation OID, below every OID the log hands out.
-pub const META_HEAP: u64 = 1;
-/// The relation OID of the metadata heap's B-tree on [`LoId`].
-pub const META_INDEX: u64 = 2;
-
 /// Bytes of a row before its names: the id, device, owner, four
 /// relation OIDs and chunk size.
 const ROW_FIXED: usize = 50;
@@ -164,12 +159,8 @@ impl MetaTable {
     /// exist yet.
     pub(crate) fn open(env: &Arc<StorageEnv>) -> Result<Self> {
         let disk = env.disk_id();
-        match env.switch().get(disk)?.create(META_HEAP) {
-            Ok(()) | Err(SmgrError::AlreadyExists(_)) => {}
-            Err(e) => return Err(e.into()),
-        }
-        let index = BTree::open_or_create(env, META_INDEX, disk)?;
-        Ok(Self { heap: Heap::open_oid(env, META_HEAP, disk), index })
+        let heap = Heap::open_or_create(env, META_HEAP, disk)?;
+        Ok(Self { heap, index: BTree::open_or_create(env, META_INDEX, disk)? })
     }
 
     /// Insert `meta`'s row as `txn`, and its index entry.

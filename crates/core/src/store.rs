@@ -280,12 +280,6 @@ impl LoStore {
     /// part-way, by an error or a crash, can be called again to finish.
     /// A u-file's host file belongs to the user and is left in place.
     pub fn unlink(&self, id: LoId) -> Result<()> {
-        self.unlink_steps(id, |_| {})
-    }
-
-    /// [`Self::unlink`], calling `after(step)` after each step that reaches
-    /// a file or the log.
-    pub(crate) fn unlink_steps(&self, id: LoId, mut after: impl FnMut(&str)) -> Result<()> {
         let (tid, meta) = self.meta.get(id, &Visibility::Raw)?;
         let rels = match meta.kind {
             LoKind::UFile | LoKind::PFile => &[][..],
@@ -299,13 +293,11 @@ impl LoStore {
         }
         for &rel in rels {
             match Heap::open_oid(&self.env, rel, meta.smgr).drop_storage() {
-                Ok(()) | Err(HeapError::Smgr(SmgrError::NotFound(_))) => after("drop a relation"),
+                Ok(()) | Err(HeapError::Smgr(SmgrError::NotFound(_))) => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        self.meta.remove(id, tid)?;
-        after("remove the row");
-        Ok(())
+        self.meta.remove(id, tid)
     }
 
     /// Physical storage breakdown — one Figure 1 row.

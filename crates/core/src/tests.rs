@@ -334,12 +334,12 @@ fn unlink_reclaims_relations() {
     assert!(!smgr.exists(meta.seg_rel));
 }
 
-/// Large-object metadata never reaches `catalog.json`: a fresh
-/// environment creates, writes and unlinks 50 f-chunk objects and no
-/// catalog file appears.
+/// Large-object metadata never reaches the class catalog: a fresh
+/// environment creates, writes and unlinks 50 f-chunk objects and its
+/// class heap stays empty.
 #[test]
 fn creates_and_unlinks_write_no_catalog() {
-    let (dir, env, store) = setup();
+    let (_dir, env, store) = setup();
     for _ in 0..50 {
         let txn = env.begin();
         let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
@@ -348,7 +348,12 @@ fn creates_and_unlinks_write_no_catalog() {
         store.unlink(id).unwrap();
         assert!(matches!(store.meta(id), Err(LoError::NotFound(_))));
     }
-    assert!(!dir.path().join("catalog.json").exists(), "a create or an unlink wrote the catalog");
+    let classes = pglo_heap::Heap::open_oid(&env, pglo_heap::CLASS_HEAP, env.disk_id());
+    assert_eq!(
+        classes.scan(pglo_txn::Visibility::Raw).count(),
+        0,
+        "a create or an unlink wrote a class"
+    );
 }
 
 #[test]
@@ -643,19 +648,19 @@ fn as_of_open_pins_the_tree_height_not_the_chunks() {
 }
 
 /// Writes, size-growing flushes included, change no metadata: the
-/// metadata heap keeps the one row each create wrote, and no catalog
-/// file appears.
+/// metadata heap keeps the one row each create wrote, and the class
+/// heap none.
 #[test]
 fn size_growing_flush_writes_no_metadata() {
-    let (dir, env, store) = setup();
-    let rows = || {
-        let heap = pglo_heap::Heap::open_oid(&env, crate::meta::META_HEAP, env.disk_id());
+    let (_dir, env, store) = setup();
+    let rows = |oid| {
+        let heap = pglo_heap::Heap::open_oid(&env, oid, env.disk_id());
         heap.scan(pglo_txn::Visibility::Raw).count()
     };
     for (n, spec) in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)].into_iter().enumerate() {
         let txn = env.begin();
         let id = store.create(&txn, &spec).unwrap();
-        assert_eq!(rows(), n + 1, "{:?}: the create's row", spec.kind);
+        assert_eq!(rows(pglo_heap::META_HEAP), n + 1, "{:?}: the create's row", spec.kind);
         let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
         for _ in 0..4 {
             h.write(&[2; 20_000]).unwrap();
@@ -663,8 +668,8 @@ fn size_growing_flush_writes_no_metadata() {
         }
         h.close().unwrap();
         txn.commit();
-        assert_eq!(rows(), n + 1, "{:?}: size-growing flushes", spec.kind);
-        assert!(!dir.path().join("catalog.json").exists());
+        assert_eq!(rows(pglo_heap::META_HEAP), n + 1, "{:?}: size-growing flushes", spec.kind);
+        assert_eq!(rows(pglo_heap::CLASS_HEAP), 0);
         let txn = env.begin();
         assert_eq!(store.open(&txn, id, OpenMode::ReadOnly).unwrap().size().unwrap(), 80_000);
     }
@@ -1131,7 +1136,8 @@ fn kill_copy(src: &std::path::Path, dst: &std::path::Path) {
 /// - a create: its relation files, its write, the capture of its pages
 ///   into the log, its commit, its pages home, a checkpoint;
 /// - an aborted create, before and after a later commit logs its pages;
-/// - an unlink: after each relation drop and after its row's removal.
+/// - an unlink: after each relation drop and after its row's removal
+///   (the environment's durable-step hook copies the directory there).
 ///
 /// Each recovered copy must read every committed object byte-exact, give
 /// `NotFound` to a snapshot open of an uncommitted or aborted create,
@@ -1146,11 +1152,14 @@ fn crash_at_every_durable_step_of_create_and_unlink() {
     let env = StorageEnv::open_with(&live, opts()).unwrap();
     let store = LoStore::new(Arc::clone(&env)).unwrap();
     let bytes = |seed: u8| -> Vec<u8> { (0..20_000u32).map(|i| (i as u8) ^ seed).collect() };
-    // Kill now and recover: `committed` must read back, `gone` must not
+    // Recover a killed copy: `committed` must read back, `gone` must not
     // open; `unlinking`, if given, is unlinked again, to completion.
-    let check = |what: &str, committed: &[(LoId, Vec<u8>)], gone: &[LoId], unlinking| {
-        kill_copy(&live, &work);
-        let env = StorageEnv::open_with(&work, opts()).unwrap();
+    let recover = |dir: &std::path::Path,
+                   what: &str,
+                   committed: &[(LoId, Vec<u8>)],
+                   gone: &[LoId],
+                   unlinking| {
+        let env = StorageEnv::open_with(dir, opts()).unwrap();
         let store = LoStore::new(Arc::clone(&env)).unwrap();
         if let Some(id) = unlinking {
             match store.unlink(id) {
@@ -1175,6 +1184,24 @@ fn crash_at_every_durable_step_of_create_and_unlink() {
         let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
         assert_eq!(h.read_to_vec().unwrap(), b"after recovery", "{what}: a new object");
     };
+    // Kill now and recover.
+    let check = |what: &str, committed: &[(LoId, Vec<u8>)], gone: &[LoId], unlinking| {
+        kill_copy(&live, &work);
+        recover(&work, what, committed, gone, unlinking);
+    };
+    // Kills inside an unlink, taken while `unlinking` is set.
+    let unlinking = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let kills = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let (flag, taken, from, root) =
+        (Arc::clone(&unlinking), Arc::clone(&kills), live.clone(), tmp.path().join("kills"));
+    assert!(env.on_durable_step(move |step| {
+        if flag.load(std::sync::atomic::Ordering::SeqCst) {
+            let mut taken = taken.lock();
+            let dst = root.join(taken.len().to_string());
+            kill_copy(&from, &dst);
+            taken.push((dst, step.to_string()));
+        }
+    }));
     check("the metadata relations, unlogged", &[], &[], None);
 
     let mut committed = Vec::new();
@@ -1210,14 +1237,14 @@ fn crash_at_every_durable_step_of_create_and_unlink() {
 
     for _ in 0..committed.len() {
         let (id, _) = committed.remove(0);
-        let mut steps = 0;
-        store
-            .unlink_steps(id, |step| {
-                steps += 1;
-                check(&format!("unlink {id}: {step} {steps}"), &committed, &[aborted], Some(id));
-            })
-            .unwrap();
-        assert!(steps >= 3, "an unlink of {id} took {steps} steps");
+        unlinking.store(true, std::sync::atomic::Ordering::SeqCst);
+        store.unlink(id).unwrap();
+        unlinking.store(false, std::sync::atomic::Ordering::SeqCst);
+        let steps = std::mem::take(&mut *kills.lock());
+        assert!(steps.len() >= 3, "an unlink of {id} took {} steps", steps.len());
+        for (n, (dir, step)) in steps.iter().enumerate() {
+            recover(dir, &format!("unlink {id}: {step} {n}"), &committed, &[aborted], Some(id));
+        }
         check(&format!("unlink {id}, done"), &committed, &[aborted], Some(id));
     }
 }

@@ -2,21 +2,23 @@
 //! arbitrary per-class properties (the query layer stores column schemas
 //! here, Inversion its file classes).
 //!
-//! Persisted as JSON in the database directory. The catalog is *metadata*,
-//! not benchmarked data — see DESIGN.md's dependency policy for why JSON.
-//! OIDs are not: they come from the redo log's counter ([`Wal::next_oid`]).
-//! Nor is large-object metadata: each object's is a row of a logged heap
-//! relation (`pglo_core::meta`), and a catalog that still names an
-//! object's class (`$lo_<id>`, an earlier format) is refused.
+//! Classes are rows too: each class's [`ClassMeta`] is one binary row of
+//! the heap at the reserved OID [`CLASS_HEAP`], on the environment's disk,
+//! under the same MVCC and redo log as the data. The environment scans it
+//! once when it opens, into the map [`Catalog::get`] serves. A mutation is
+//! an insert, an update or a delete of one row in a transaction of its
+//! own, and the map follows once that commits. OIDs come from the redo
+//! log's counter ([`Wal::next_oid`]); large-object metadata is a row of a
+//! relation of its own (`pglo_core::meta`).
 
-use crate::json::{self, Value};
-use crate::{HeapError, Result};
+use crate::{Heap, HeapError, Result, StorageEnv};
 use parking_lot::{ranks, Mutex};
+use pglo_pages::Tid;
 use pglo_smgr::SmgrId;
-use pglo_wal::Wal;
+use pglo_txn::{Txn, Visibility};
+use pglo_wal::{Wal, CLASS_HEAP};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// What kind of physical structure a class is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +40,7 @@ pub struct ClassMeta {
     pub kind: ClassKind,
     /// Which storage manager the class lives on (slot in the switch).
     pub smgr: u16,
-    /// Open property bag: column schemas, index key descriptors, LO
-    /// metadata, owner, etc.
+    /// Open property bag: column schemas, index key descriptors, etc.
     pub props: HashMap<String, String>,
 }
 
@@ -48,146 +49,114 @@ impl ClassMeta {
     pub fn smgr_id(&self) -> SmgrId {
         SmgrId(self.smgr)
     }
-}
 
-/// The classes by name: what `catalog.json` holds, as one JSON object.
-pub(crate) type CatalogData = HashMap<String, ClassMeta>;
-
-// JSON mapping. Class entries keep the serde_json derive layout the seed
-// used (enum variants as strings, `props` defaulting to empty).
-fn to_json(data: &CatalogData) -> Value {
-    let mut names: Vec<&String> = data.keys().collect();
-    names.sort();
-    Value::Obj(names.into_iter().map(|n| (n.clone(), data[n].to_json())).collect())
-}
-
-fn from_json(v: &Value) -> std::result::Result<CatalogData, String> {
-    // A class's entry is an object; the earlier format's counter a number.
-    if let Some(Value::Num(_)) = v.get("next_oid") {
-        return Err("an earlier format's OID counter: no import path".into());
-    }
-    let Value::Obj(members) = v else { return Err("not an object".into()) };
-    if members.iter().any(|(name, _)| name.starts_with("$lo_")) {
-        return Err("an earlier format's large-object classes ($lo_<id>): no import path".into());
-    }
-    members.iter().map(|(name, c)| ClassMeta::from_json(c).map(|m| (name.clone(), m))).collect()
-}
-
-impl ClassMeta {
-    fn to_json(&self) -> Value {
-        let mut prop_keys: Vec<&String> = self.props.keys().collect();
-        prop_keys.sort();
-        Value::Obj(vec![
-            ("oid".into(), Value::Num(self.oid as f64)),
-            ("name".into(), Value::Str(self.name.clone())),
-            (
-                "kind".into(),
-                Value::Str(
-                    match self.kind {
-                        ClassKind::Heap => "Heap",
-                        ClassKind::BTree => "BTree",
-                    }
-                    .into(),
-                ),
-            ),
-            ("smgr".into(), Value::Num(self.smgr as f64)),
-            (
-                "props".into(),
-                Value::Obj(
-                    prop_keys
-                        .into_iter()
-                        .map(|k| (k.clone(), Value::Str(self.props[k].clone())))
-                        .collect(),
-                ),
-            ),
-        ])
+    /// The row: `oid u64, smgr u16, kind u8` (0 a heap, 1 a B-tree),
+    /// little-endian, then the name and each property's key and value,
+    /// sorted by key, each after its `u16` length. Refused when one tuple
+    /// cannot hold it.
+    fn encode(&self) -> Result<Vec<u8>> {
+        let mut props: Vec<_> = self.props.iter().collect();
+        props.sort();
+        let mut row = self.oid.to_le_bytes().to_vec();
+        row.extend_from_slice(&self.smgr.to_le_bytes());
+        row.push(self.kind as u8);
+        for text in std::iter::once(&self.name).chain(props.into_iter().flat_map(|(k, v)| [k, v])) {
+            // A longer text makes the row longer than a tuple anyway.
+            row.extend_from_slice(&(text.len() as u16).to_le_bytes());
+            row.extend_from_slice(text.as_bytes());
+        }
+        let max = Heap::max_payload();
+        if row.len() > max {
+            let (name, len) = (&self.name, row.len());
+            return Err(HeapError::Catalog(format!("class \"{name}\": {len}-byte row, {max} fit")));
+        }
+        Ok(row)
     }
 
-    fn from_json(v: &Value) -> std::result::Result<Self, String> {
-        Ok(Self {
-            oid: v.get("oid").and_then(Value::as_u64).ok_or("missing oid")?,
-            name: v.get("name").and_then(Value::as_str).ok_or("missing name")?.to_string(),
-            kind: match v.get("kind").and_then(Value::as_str) {
-                Some("Heap") => ClassKind::Heap,
-                Some("BTree") => ClassKind::BTree,
-                other => return Err(format!("bad kind {other:?}")),
+    /// Decode a row [`Self::encode`] wrote; `None` if it is damaged.
+    fn decode(row: &[u8]) -> Option<ClassMeta> {
+        let (oid, rest) = row.split_first_chunk::<8>()?;
+        let (smgr, rest) = rest.split_first_chunk::<2>()?;
+        let (&kind, mut rest) = rest.split_first()?;
+        let mut texts = Vec::new();
+        while let Some((len, tail)) = rest.split_first_chunk::<2>() {
+            let (text, tail) = tail.split_at_checked(u16::from_le_bytes(*len).into())?;
+            texts.push(String::from_utf8(text.to_vec()).ok()?);
+            rest = tail;
+        }
+        let (name, props) = texts.split_first()?;
+        let (pairs, []) = props.as_chunks::<2>() else { return None };
+        Some(ClassMeta {
+            oid: u64::from_le_bytes(*oid),
+            name: name.clone(),
+            kind: match kind {
+                0 => ClassKind::Heap,
+                1 => ClassKind::BTree,
+                _ => return None,
             },
-            smgr: v
-                .get("smgr")
-                .and_then(Value::as_u64)
-                .and_then(|n| u16::try_from(n).ok())
-                .ok_or("missing smgr")?,
-            props: match v.get("props") {
-                Some(p) => p.as_string_map().ok_or("props is not a string map")?,
-                None => HashMap::new(),
-            },
+            smgr: u16::from_le_bytes(*smgr),
+            props: pairs.iter().map(|[k, v]| (k.clone(), v.clone())).collect(),
         })
+        .filter(|_| rest.is_empty())
     }
 }
 
-/// The catalog. Thread-safe; persisted to `<dir>/catalog.json`.
-///
-/// Every mutator goes through the private `mutate`, which numbers its
-/// snapshot and never writes the file while holding the data lock: it
-/// renders the JSON snapshot in memory, releases the data lock, and then
-/// writes under the `persist` lock (rank `heap.catalog_persist`), which
-/// serializes writers and drops snapshots that lost the race to a newer
-/// one.
+/// The catalog. Readers take only the data lock (rank `heap.catalog`),
+/// which no file I/O runs under; a mutation takes the writer lock (rank
+/// `heap.catalog_writer`) first and holds it across its row's transaction,
+/// so rows and map change in one order, and one that fails changes neither.
 pub struct Catalog {
-    /// The classes, and the number of the last mutation (not persisted).
-    data: Mutex<(CatalogData, u64)>,
-    /// Number of the last snapshot written to disk.
-    persist: Mutex<u64>,
-    path: PathBuf,
+    /// The classes by name, each with the TID of its row.
+    classes: Mutex<HashMap<String, (Tid, ClassMeta)>>,
+    /// Serializes mutations.
+    writer: Mutex<()>,
     wal: Arc<Wal>,
-}
-
-/// The classes persisted in `<dir>/catalog.json`, none before the file
-/// exists. Reads nothing else, so a storage environment calls it before
-/// it touches the directory: an earlier format's catalog, which held the
-/// OID counter, is refused here.
-pub(crate) fn load(dir: &Path) -> Result<CatalogData> {
-    let path = dir.join("catalog.json");
-    if !path.exists() {
-        return Ok(HashMap::new());
-    }
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| HeapError::Catalog(format!("read {}: {e}", path.display())))?;
-    json::parse(&text)
-        .map_err(|e| e.to_string())
-        .and_then(|value| from_json(&value))
-        .map_err(|e| HeapError::Catalog(format!("parse {}: {e}", path.display())))
+    /// The environment that owns the catalog, for the class heap.
+    env: Weak<StorageEnv>,
 }
 
 impl Catalog {
-    /// The catalog of `classes` (from [`load`]) persisted under `dir`,
-    /// taking OIDs from `wal`, which must replay before the first one.
-    pub(crate) fn open(dir: &Path, classes: CatalogData, wal: Arc<Wal>) -> Self {
+    /// An empty catalog of `env`, taking OIDs from `wal`, which must
+    /// replay before the first one; [`Self::load_rows`] fills it.
+    pub(crate) fn new(env: Weak<StorageEnv>, wal: Arc<Wal>) -> Self {
         Self {
-            data: Mutex::with_rank((classes, 0), ranks::CATALOG),
-            persist: Mutex::with_rank(0, ranks::CATALOG_PERSIST),
-            path: dir.join("catalog.json"),
+            classes: Mutex::with_rank(HashMap::new(), ranks::CATALOG),
+            writer: Mutex::with_rank((), ranks::CATALOG_WRITER),
             wal,
+            env,
         }
     }
 
-    /// The one mutation path: run `edit` under the data lock and, when it
-    /// succeeds, number the mutation; render the JSON under that lock,
-    /// release it, then install the snapshot under the persist lock
-    /// unless a newer one already won. A failed edit must leave the
-    /// classes as it found them; nothing is numbered or written for it.
-    fn mutate<T>(&self, edit: impl FnOnce(&mut CatalogData) -> Result<T>) -> Result<T> {
-        let mut data = self.data.lock();
-        let out = edit(&mut data.0)?;
-        data.1 += 1;
-        let (text, version) = (json::to_string_pretty(&to_json(&data.0)), data.1);
-        drop(data);
-        let mut last_written = self.persist.lock();
-        if version > *last_written {
-            // LINT: allow(R7, the persist lock exists to serialize snapshot writes; it is a file-I/O leaf rank never held with the data lock)
-            atomic_write(&self.path, &text)?;
-            *last_written = version;
+    /// Create the class heap on `env`'s disk if it is missing, and read
+    /// every row a fresh snapshot sees into the map. Runs once, after
+    /// replay, before anything else can reach the catalog.
+    pub(crate) fn load_rows(&self, env: &Arc<StorageEnv>) -> Result<()> {
+        let heap = Heap::open_or_create(env, CLASS_HEAP, env.disk_id())?;
+        let mut classes = HashMap::new();
+        for row in heap.scan(Visibility::AsOf(env.txns().current_timestamp())) {
+            let (tid, row) = row?;
+            let meta = ClassMeta::decode(&row)
+                .ok_or_else(|| HeapError::Catalog(format!("damaged class row at {tid}")))?;
+            classes.insert(meta.name.clone(), (tid, meta));
         }
+        *self.classes.lock() = classes;
+        Ok(())
+    }
+
+    fn env(&self) -> Result<Arc<StorageEnv>> {
+        self.env.upgrade().ok_or_else(|| HeapError::Catalog("the environment is gone".into()))
+    }
+
+    /// Run `write` on the class heap in a transaction of its own, and
+    /// commit it.
+    fn commit<T>(
+        &self,
+        env: &Arc<StorageEnv>,
+        write: impl FnOnce(&Heap, &Txn) -> Result<T>,
+    ) -> Result<T> {
+        let txn = env.begin();
+        let out = write(&Heap::open_oid(env, CLASS_HEAP, env.disk_id()), &txn)?;
+        txn.try_commit().map_err(|e| HeapError::Catalog(format!("commit a class row: {e}")))?;
         Ok(out)
     }
 
@@ -198,7 +167,10 @@ impl Catalog {
         self.wal.next_oid().map_err(|e| HeapError::Catalog(format!("log the OID limit: {e}")))
     }
 
-    /// Register a class. Errors if the name is taken.
+    /// Register a class and make its relation on `smgr`: the file first,
+    /// then the row, so a crash between them leaves a file no class names,
+    /// never a class that names no file. Errors if the name is taken or
+    /// the row does not fit in one tuple.
     pub fn create_class(
         &self,
         name: &str,
@@ -206,202 +178,241 @@ impl Catalog {
         smgr: SmgrId,
         props: HashMap<String, String>,
     ) -> Result<ClassMeta> {
-        // Taken before the data lock: the log write must not run under it.
+        let env = self.env()?;
+        let _writer = self.writer.lock();
+        if self.get(name).is_some() {
+            return Err(HeapError::Catalog(format!("class \"{name}\" already exists")));
+        }
         let oid = self.alloc_oid()?;
-        self.mutate(|data| {
-            if data.contains_key(name) {
-                return Err(HeapError::Catalog(format!("class \"{name}\" already exists")));
-            }
-            let meta = ClassMeta { oid, name: name.to_string(), kind, smgr: smgr.0, props };
-            data.insert(name.to_string(), meta.clone());
-            Ok(meta)
-        })
+        let meta = ClassMeta { oid, name: name.to_string(), kind, smgr: smgr.0, props };
+        let row = meta.encode()?;
+        env.switch().get(smgr)?.create(oid)?;
+        env.durable_step("create a relation");
+        let tid = self.commit(&env, |heap, txn| heap.insert(txn, &row))?;
+        self.classes.lock().insert(name.to_string(), (tid, meta.clone()));
+        Ok(meta)
     }
 
-    /// Remove a class by name, returning its metadata.
+    /// Remove a class, returning its metadata: its row first, then its
+    /// relation, so a crash between them leaves a file no class names.
     pub fn drop_class(&self, name: &str) -> Result<ClassMeta> {
-        self.mutate(|data| data.remove(name).ok_or_else(|| no_such_class(name)))
+        let env = self.env()?;
+        let writer = self.writer.lock();
+        let (tid, meta) = self.entry(name)?;
+        self.commit(&env, |heap, txn| heap.delete(txn, tid))?;
+        self.classes.lock().remove(name);
+        drop(writer);
+        Heap::open_oid(&env, meta.oid, meta.smgr_id()).drop_storage()?;
+        Ok(meta)
     }
 
     /// Look up by name.
     pub fn get(&self, name: &str) -> Option<ClassMeta> {
-        self.data.lock().0.get(name).cloned()
+        self.classes.lock().get(name).map(|(_, meta)| meta.clone())
     }
 
     /// All class names, sorted.
     // LINT: allow(R14, the REPL's \d listing in examples/postquel_repl.rs)
     pub fn class_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.data.lock().0.keys().cloned().collect();
+        let mut names: Vec<String> = self.classes.lock().keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Remove one property from a class. Returns whether it existed.
     pub fn remove_prop(&self, name: &str, key: &str) -> Result<bool> {
-        self.mutate(|data| Ok(class_mut(data, name)?.props.remove(key).is_some()))
+        self.update(name, |meta| meta.props.remove(key).is_some())
     }
 
-    /// Set properties on a class. The whole batch lands in one snapshot,
-    /// so a reader (and a crash) sees all of it or none of it.
+    /// Set properties on a class. The whole batch is one row version, so
+    /// a reader (and a crash) sees all of it or none of it.
     pub fn set_props(&self, name: &str, props: &[(&str, &str)]) -> Result<()> {
-        self.mutate(|data| {
-            let meta = class_mut(data, name)?;
+        self.update(name, |meta| {
             meta.props.extend(props.iter().map(|(k, v)| (k.to_string(), v.to_string())));
-            Ok(())
-        })
+            true
+        })?;
+        Ok(())
     }
-}
 
-fn no_such_class(name: &str) -> HeapError {
-    HeapError::Catalog(format!("class \"{name}\" does not exist"))
-}
+    /// Apply `edit` to a copy of class `name`'s metadata and, when it
+    /// reports a change, replace the class's row with the edited one, then
+    /// its map entry. Returns what `edit` returned.
+    fn update(&self, name: &str, edit: impl FnOnce(&mut ClassMeta) -> bool) -> Result<bool> {
+        let env = self.env()?;
+        let _writer = self.writer.lock();
+        let (tid, mut meta) = self.entry(name)?;
+        if !edit(&mut meta) {
+            return Ok(false);
+        }
+        let row = meta.encode()?;
+        let tid = self.commit(&env, |heap, txn| heap.update(txn, tid, &row))?;
+        self.classes.lock().insert(name.to_string(), (tid, meta));
+        Ok(true)
+    }
 
-fn class_mut<'a>(data: &'a mut CatalogData, name: &str) -> Result<&'a mut ClassMeta> {
-    data.get_mut(name).ok_or_else(|| no_such_class(name))
-}
-
-/// Write `text` to `path` via a sibling temp file + rename, then fsync
-/// the parent directory — without the dir sync a crash can lose the
-/// rename itself and resurrect the old snapshot.
-fn atomic_write(path: &Path, text: &str) -> Result<()> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, text)
-        .map_err(|e| HeapError::Catalog(format!("write {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path).map_err(|e| HeapError::Catalog(format!("rename: {e}")))?;
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    std::fs::File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(|e| HeapError::Catalog(format!("sync dir {}: {e}", dir.display())))?;
-    Ok(())
+    fn entry(&self, name: &str) -> Result<(Tid, ClassMeta)> {
+        let found = self.classes.lock().get(name).cloned();
+        found.ok_or_else(|| HeapError::Catalog(format!("class \"{name}\" does not exist")))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pglo_wal::{WalOptions, FIRST_OID};
+    use pglo_wal::FIRST_OID;
+    use std::path::Path;
 
-    /// The catalog under `dir`, its OIDs from the log under `dir/wal`,
-    /// replayed as the storage environment replays it.
-    fn open_catalog(dir: &Path) -> Catalog {
-        let wal = Wal::open(dir.join("wal"), WalOptions::default()).unwrap();
-        wal.replay(|_, _| Ok(())).unwrap();
-        Catalog::open(dir, load(dir).unwrap(), Arc::new(wal))
+    /// The class heap's rows, dead versions included.
+    fn rows(env: &Arc<StorageEnv>) -> usize {
+        Heap::open_oid(env, CLASS_HEAP, env.disk_id()).scan(Visibility::Raw).count()
     }
 
-    fn temp_catalog() -> (tempfile::TempDir, Catalog) {
+    fn temp_env() -> (tempfile::TempDir, Arc<StorageEnv>) {
         let dir = tempfile::tempdir().unwrap();
-        let cat = open_catalog(dir.path());
-        (dir, cat)
+        let env = StorageEnv::open(dir.path()).unwrap();
+        (dir, env)
+    }
+
+    fn props(pairs: &[(&str, &str)]) -> HashMap<String, String> {
+        pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
+    }
+
+    #[test]
+    fn row_roundtrip() {
+        let meta = ClassMeta {
+            oid: 1234,
+            name: "EMP".into(),
+            kind: ClassKind::BTree,
+            smgr: 2,
+            props: props(&[("schema", "name:text"), ("", "\0|"), ("index:i", "")]),
+        };
+        let back = ClassMeta::decode(&meta.encode().unwrap()).unwrap();
+        assert_eq!(
+            format!("{:?}", (back.oid, &back.name, back.kind, back.smgr)),
+            "(1234, \"EMP\", BTree, 2)"
+        );
+        assert_eq!(back.props, meta.props);
+        // Damage: cut short, a trailing byte, a key without a value, an
+        // unknown kind.
+        let row = meta.encode().unwrap();
+        assert!(ClassMeta::decode(&row[..row.len() - 1]).is_none());
+        assert!(ClassMeta::decode(&[&row[..], &[0]].concat()).is_none());
+        let lone = ClassMeta { props: HashMap::new(), ..meta.clone() }.encode().unwrap();
+        assert!(ClassMeta::decode(&[&lone[..], &[1, 0, b'k']].concat()).is_none());
+        let mut kind = row.clone();
+        kind[10] = 7;
+        assert!(ClassMeta::decode(&kind).is_none());
     }
 
     #[test]
     fn create_get_drop() {
-        let (_dir, cat) = temp_catalog();
-        let meta = cat.create_class("EMP", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
+        let (_dir, env) = temp_env();
+        let cat = env.catalog();
+        let meta = cat.create_class("EMP", ClassKind::Heap, env.disk_id(), HashMap::new()).unwrap();
         assert!(meta.oid >= FIRST_OID);
+        assert!(env.switch().get(env.disk_id()).unwrap().exists(meta.oid), "its relation");
         assert_eq!(cat.get("EMP").unwrap().oid, meta.oid);
-        assert!(cat.create_class("EMP", ClassKind::Heap, SmgrId(0), HashMap::new()).is_err());
+        assert!(cat.create_class("EMP", ClassKind::Heap, env.disk_id(), HashMap::new()).is_err());
         cat.drop_class("EMP").unwrap();
         assert!(cat.get("EMP").is_none());
+        assert!(!env.switch().get(env.disk_id()).unwrap().exists(meta.oid), "its relation");
         assert!(cat.drop_class("EMP").is_err());
     }
 
     /// `alloc_oid` and `create_class` draw on one counter, the log's, and
-    /// neither writes the OID into the catalog file.
+    /// `alloc_oid` writes no class row.
     #[test]
     fn oids_unique() {
-        let (dir, cat) = temp_catalog();
+        let (_dir, env) = temp_env();
+        let cat = env.catalog();
         let a = cat.alloc_oid().unwrap();
         let b = cat.alloc_oid().unwrap();
+        assert_eq!(rows(&env), 0);
         let c = cat.create_class("X", ClassKind::BTree, SmgrId(1), HashMap::new()).unwrap().oid;
         assert!(a < b && b < c);
-        let text = std::fs::read_to_string(dir.path().join("catalog.json")).unwrap();
-        assert!(!text.contains("next_oid"), "{text}");
+        assert_eq!(rows(&env), 1);
     }
 
     #[test]
     fn persists_and_reloads() {
         let dir = tempfile::tempdir().unwrap();
         let stray = {
-            let cat = open_catalog(dir.path());
-            let mut props = HashMap::new();
-            props.insert("schema".to_string(), "name=text".to_string());
-            cat.create_class("EMP", ClassKind::Heap, SmgrId(2), props).unwrap();
+            let env = StorageEnv::open(dir.path()).unwrap();
+            let schema = props(&[("schema", "name=text")]);
+            env.catalog().create_class("EMP", ClassKind::Heap, SmgrId(2), schema).unwrap();
             // Handed out and never named in the catalog.
-            cat.alloc_oid().unwrap()
+            env.catalog().alloc_oid().unwrap()
         };
-        let cat = open_catalog(dir.path());
-        let meta = cat.get("EMP").unwrap();
+        let env = StorageEnv::open(dir.path()).unwrap();
+        let meta = env.catalog().get("EMP").unwrap();
         assert_eq!(meta.smgr_id(), SmgrId(2));
         assert_eq!(meta.props.get("schema").unwrap(), "name=text");
         // The log's OID counter resumed past both, the one the catalog
         // never saw included.
-        let next = cat.alloc_oid().unwrap();
+        let next = env.catalog().alloc_oid().unwrap();
         assert!(next > meta.oid && next > stray);
     }
 
-    /// A catalog written when the OID counter lived in it is refused, not
-    /// opened with a counter that could hand its OIDs out again; a class
-    /// that happens to be named `next_oid` is not mistaken for one.
-    #[test]
-    fn catalog_with_its_own_oid_counter_is_refused() {
-        let dir = tempfile::tempdir().unwrap();
-        std::fs::write(dir.path().join("catalog.json"), r#"{"next_oid": 1002, "classes": {}}"#)
-            .unwrap();
-        let err = load(dir.path()).err().unwrap();
-        assert!(err.to_string().contains("OID counter"), "{err}");
-
-        let dir = tempfile::tempdir().unwrap();
-        open_catalog(dir.path())
-            .create_class("next_oid", ClassKind::Heap, SmgrId(0), HashMap::new())
-            .unwrap();
-        assert!(open_catalog(dir.path()).get("next_oid").is_some());
-    }
-
-    /// A failed mutation changes nothing, and `alloc_oid` leaves the
-    /// catalog file alone.
+    /// A failed mutation changes neither the map nor the class heap, and
+    /// a removal of a missing property writes no row.
     #[test]
     fn props_update() {
-        let (dir, cat) = temp_catalog();
-        let file = || std::fs::read_to_string(dir.path().join("catalog.json")).ok();
-        cat.alloc_oid().unwrap();
-        assert_eq!(file(), None, "alloc_oid wrote the catalog");
-        cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
+        let (_dir, env) = temp_env();
+        let cat = env.catalog();
+        cat.create_class("T", ClassKind::Heap, env.disk_id(), HashMap::new()).unwrap();
         cat.set_props("T", &[("rows", "42")]).unwrap();
         assert_eq!(cat.get("T").unwrap().props.get("rows").unwrap(), "42");
         assert!(cat.remove_prop("T", "rows").unwrap());
-        let written = file();
+        let written = rows(&env);
         assert!(cat.set_props("missing", &[("a", "b")]).is_err());
-        assert_eq!(file(), written, "a failed set_props");
         assert!(!cat.remove_prop("T", "rows").unwrap());
+        assert_eq!(rows(&env), written, "a failed set_props or an idle remove_prop");
         assert!(!cat.get("T").unwrap().props.contains_key("rows"));
         cat.drop_class("T").unwrap();
         assert!(cat.get("T").is_none());
     }
 
-    /// A store whose catalog still names a large object's class, as the
-    /// format that kept large-object metadata there did, is refused at
-    /// open, with a catalog error naming that format.
+    /// A class row too large for one tuple is refused with a catalog error,
+    /// at create and at update, and leaves the map, the class heap and
+    /// the relation directory as they were.
     #[test]
-    fn catalog_with_large_object_classes_is_refused() {
-        let dir = tempfile::tempdir().unwrap();
-        let old = r#"{"$lo_1000": {"oid": 1000, "name": "$lo_1000", "kind": "Heap", "smgr": 0}}"#;
-        std::fs::write(dir.path().join("catalog.json"), old).unwrap();
-        let err = crate::StorageEnv::open(dir.path()).err().unwrap();
-        assert!(matches!(err, HeapError::Catalog(_)), "{err}");
-        assert!(err.to_string().contains("large-object classes"), "{err}");
-        assert!(err.to_string().contains("no import path"), "{err}");
+    fn row_too_large_for_a_tuple_is_refused() {
+        let (dir, env) = temp_env();
+        let cat = env.catalog();
+        let files = |d: &Path| -> Vec<_> {
+            let mut names: Vec<_> =
+                std::fs::read_dir(d).unwrap().map(|e| e.unwrap().path()).collect();
+            names.sort();
+            names
+        };
+        let big = "x".repeat(Heap::max_payload());
+        cat.create_class("T", ClassKind::Heap, env.disk_id(), props(&[("a", "b")])).unwrap();
+        let (before, heap_files) = (rows(&env), files(&dir.path().join("heap")));
+        let err = cat.create_class("U", ClassKind::Heap, env.disk_id(), props(&[("big", &big)]));
+        assert!(matches!(err, Err(HeapError::Catalog(_))), "{err:?}");
+        let err = cat.set_props("T", &[("c", "d"), ("big", &big)]);
+        assert!(matches!(err, Err(HeapError::Catalog(_))), "{err:?}");
+        assert!(cat.get("U").is_none());
+        assert_eq!(cat.get("T").unwrap().props, props(&[("a", "b")]));
+        assert_eq!(rows(&env), before, "the class heap");
+        assert_eq!(files(&dir.path().join("heap")), heap_files, "a relation file was made");
+        // One short of the limit still fits.
+        let name_and_key = 2 + 1 + 2 + 3 + 2;
+        let fits = "y".repeat(Heap::max_payload() - 11 - name_and_key);
+        cat.create_class("V", ClassKind::Heap, env.disk_id(), props(&[("fit", &fits)])).unwrap();
     }
 
     #[test]
     fn set_props_batch_survives_reopen() {
         let dir = tempfile::tempdir().unwrap();
         {
-            let cat = open_catalog(dir.path());
-            cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
+            let env = StorageEnv::open(dir.path()).unwrap();
+            let cat = env.catalog();
+            cat.create_class("T", ClassKind::Heap, env.disk_id(), HashMap::new()).unwrap();
             cat.set_props("T", &[("rows_xid", "7"), ("rows", "4096")]).unwrap();
         }
-        let props = open_catalog(dir.path()).get("T").unwrap().props;
+        let env = StorageEnv::open(dir.path()).unwrap();
+        let props = env.catalog().get("T").unwrap().props;
         assert_eq!(props.get("rows_xid").unwrap(), "7");
         assert_eq!(props.get("rows").unwrap(), "4096");
     }
@@ -412,8 +423,9 @@ mod tests {
     /// the other's xid.
     #[test]
     fn set_props_batch_is_atomic_to_readers() {
-        let (_dir, cat) = temp_catalog();
-        cat.create_class("T", ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
+        let (_dir, env) = temp_env();
+        let cat = env.catalog();
+        cat.create_class("T", ClassKind::Heap, env.disk_id(), HashMap::new()).unwrap();
         cat.set_props("T", &[("rows_xid", "1"), ("rows", "1")]).unwrap();
         let done = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|s| {
@@ -435,10 +447,10 @@ mod tests {
 
     #[test]
     fn class_names_sorted() {
-        let (_dir, cat) = temp_catalog();
+        let (_dir, env) = temp_env();
         for n in ["zeta", "alpha", "mid"] {
-            cat.create_class(n, ClassKind::Heap, SmgrId(0), HashMap::new()).unwrap();
+            env.catalog().create_class(n, ClassKind::Heap, env.disk_id(), HashMap::new()).unwrap();
         }
-        assert_eq!(cat.class_names(), vec!["alpha", "mid", "zeta"]);
+        assert_eq!(env.catalog().class_names(), vec!["alpha", "mid", "zeta"]);
     }
 }

@@ -2,7 +2,7 @@
 //! instance needs — simulator, storage-manager switch, buffer pool,
 //! transaction manager, catalog.
 
-use crate::{catalog, Catalog, Result};
+use crate::{Catalog, HeapError, Result};
 use pglo_buffer::{
     BgWriter, BufferPool, PoolOptions, DEFAULT_POOL_FRAMES, DEFAULT_READAHEAD_WINDOW,
 };
@@ -18,7 +18,7 @@ use std::io::Read;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Construction options for [`StorageEnv`].
@@ -110,7 +110,11 @@ struct WalDurability {
     /// at offset `8 * xid` (0 = not committed). Locked across a write so
     /// two passes cannot land an older slice over a newer one.
     xact: parking_lot::Mutex<File>,
+    steps: OnceLock<StepHook>,
 }
+
+/// The hook [`StorageEnv::on_durable_step`] installs.
+type StepHook = Box<dyn Fn(&str) + Send + Sync>;
 
 impl DurabilityHook for WalDurability {
     fn note_next_xid(&self, next: Xid) {
@@ -120,11 +124,19 @@ impl DurabilityHook for WalDurability {
     fn prepare_commit(&self, xid: Xid, ts: CommitTs) -> std::io::Result<()> {
         self.pool.capture_pending().map_err(std::io::Error::other)?;
         let end = self.wal.append(&WalRecord::Commit { xid: xid.0, ts })?;
-        self.wal.flush_to(end)
+        self.wal.flush_to(end)?;
+        self.step("commit");
+        Ok(())
     }
 }
 
 impl WalDurability {
+    fn step(&self, what: &str) {
+        if let Some(hook) = self.steps.get() {
+            hook(what);
+        }
+    }
+
     /// One checkpoint pass: bound the horizon by the log end *before*
     /// scanning (a concurrent commit may append records below a
     /// later-read end), sync data files so the horizon never overtakes a
@@ -282,16 +294,20 @@ impl StorageEnv {
     /// Open with explicit options.
     pub fn open_with(dir: impl AsRef<Path>, opts: EnvOptions) -> Result<Arc<Self>> {
         let base_dir = dir.as_ref().to_path_buf();
-        // There is no import path from an earlier format: every one wrote
-        // a catalog holding the OID counter, refused here before anything
-        // is created, truncated or redone in the directory.
-        let classes = catalog::load(&base_dir)?;
+        // There is no import path from an earlier format, and every one
+        // kept a `catalog.json`: a directory holding one is refused here,
+        // before anything in it is created, truncated or redone.
+        let old = base_dir.join("catalog.json");
+        if old.exists() {
+            let old = old.display();
+            return Err(HeapError::Catalog(format!("{old}: an earlier format: no import path")));
+        }
         std::fs::create_dir_all(&base_dir)
-            .map_err(|e| crate::HeapError::Catalog(format!("create db dir: {e}")))?;
+            .map_err(|e| HeapError::Catalog(format!("create db dir: {e}")))?;
         let sim = opts.sim.unwrap_or_else(SimContext::default_1992);
         let switch = Arc::new(SmgrSwitch::new());
         let mut disk_raw =
-            DiskSmgr::new(base_dir.join("heap"), sim.clone()).map_err(crate::HeapError::Smgr)?;
+            DiskSmgr::new(base_dir.join("heap"), sim.clone()).map_err(HeapError::Smgr)?;
         disk_raw.set_durable_sync(opts.durable_sync);
         let disk_smgr = Arc::new(disk_raw);
         let mem_smgr = Arc::new(MemSmgr::new(sim.clone()));
@@ -321,14 +337,14 @@ impl StorageEnv {
                     segment_bytes: opts.wal_segment_bytes,
                 },
             )
-            .map_err(|e| crate::HeapError::Catalog(format!("open wal: {e}")))?,
+            .map_err(|e| HeapError::Catalog(format!("open wal: {e}")))?,
         );
         // WORM jukebox writes are simulated, so the "platter" needs a real
         // durable home on the host; attach it before replay so recovered
         // burns land on it and already-burned blocks come back write-once.
         worm_smgr
             .attach_platter(base_dir.join("worm"), opts.durable_sync)
-            .map_err(|e| crate::HeapError::Catalog(format!("attach worm platter: {e}")))?;
+            .map_err(|e| HeapError::Catalog(format!("attach worm platter: {e}")))?;
         // Until a relation's blocks are all burned to the platter, the WAL
         // records are a staged block's only durable copy; pin the WORM
         // manager's records against segment recycling. Checkpoints prune
@@ -338,7 +354,7 @@ impl StorageEnv {
         // checkpoint writes it to the table; replay re-learns these pins.
         wal.pin_smgr(COMMIT_PIN);
         let (xact, mut table) = open_outcomes(&base_dir, opts.durable_sync)
-            .map_err(|e| crate::HeapError::Catalog(format!("outcome table: {e}")))?;
+            .map_err(|e| HeapError::Catalog(format!("outcome table: {e}")))?;
         let limits = wal
             .replay(|_lsn, rec| match rec {
                 WalRecord::PageDelta { smgr, rel, block, ranges } => {
@@ -366,15 +382,15 @@ impl StorageEnv {
                 },
                 WalRecord::Checkpoint { .. } | WalRecord::Limits(_) => Ok(()),
             })
-            .map_err(|e| crate::HeapError::Catalog(format!("wal replay: {e}")))?;
+            .map_err(|e| HeapError::Catalog(format!("wal replay: {e}")))?;
         let bgwriter = match opts.bgwriter_interval {
             Some(interval) => Some(
                 pool.spawn_bgwriter(interval)
-                    .map_err(|e| crate::HeapError::Catalog(format!("spawn bgwriter: {e}")))?,
+                    .map_err(|e| HeapError::Catalog(format!("spawn bgwriter: {e}")))?,
             ),
             None => None,
         };
-        let catalog = Catalog::open(&base_dir, classes, Arc::clone(&wal));
+        let catalog_wal = Arc::clone(&wal);
         // Both counters resume at their logged limits: an XID or OID below
         // one may already be on disk with no record naming it.
         let txns = Arc::new(TxnManager::recovered(table, Xid(limits.xid)));
@@ -386,6 +402,7 @@ impl StorageEnv {
             worm_id: worm,
             worm: worm_smgr,
             xact: parking_lot::Mutex::with_rank(xact, parking_lot::ranks::ENV_XACT),
+            steps: OnceLock::new(),
         });
         txns.set_durability_hook(Arc::clone(&durability) as Arc<dyn DurabilityHook>);
         // Checkpoint far less often than the bgwriter writes back: the
@@ -394,16 +411,16 @@ impl StorageEnv {
         let checkpointer = match opts.bgwriter_interval {
             Some(interval) => Some(
                 Checkpointer::spawn(Arc::clone(&durability), Arc::clone(&txns), interval * 16)
-                    .map_err(|e| crate::HeapError::Catalog(format!("spawn checkpointer: {e}")))?,
+                    .map_err(|e| HeapError::Catalog(format!("spawn checkpointer: {e}")))?,
             ),
             None => None,
         };
-        Ok(Arc::new(Self {
+        let env = Arc::new_cyclic(|env| Self {
             sim,
             switch,
             durability,
             txns,
-            catalog,
+            catalog: Catalog::new(env.clone(), catalog_wal),
             base_dir,
             disk,
             mem_smgr,
@@ -417,7 +434,22 @@ impl StorageEnv {
                 checkpointer,
                 parking_lot::ranks::ENV_CHECKPOINTER,
             ),
-        }))
+        });
+        env.catalog.load_rows(&env)?;
+        Ok(env)
+    }
+
+    /// Install `hook`, called after each step that makes part of a commit
+    /// (its log flush) or of a relation's creation or removal durable: the
+    /// crash tests' kill points. Returns whether it is the first, kept.
+    // LINT: allow(R14, the kill points of the crash gates in tests/restart.rs and crates/core/src/tests.rs)
+    pub fn on_durable_step(&self, hook: impl Fn(&str) + Send + Sync + 'static) -> bool {
+        self.durability.steps.set(Box::new(hook)).is_ok()
+    }
+
+    /// Report durable step `what` to the [`Self::on_durable_step`] hook.
+    pub fn durable_step(&self, what: &str) {
+        self.durability.step(what);
     }
 
     /// Stop the background writer (final drain included); idempotent.
@@ -444,7 +476,7 @@ impl StorageEnv {
     pub fn checkpoint(&self) -> Result<()> {
         self.durability
             .checkpoint(&self.txns)
-            .map_err(|e| crate::HeapError::Catalog(format!("checkpoint: {e}")))
+            .map_err(|e| HeapError::Catalog(format!("checkpoint: {e}")))
     }
 
     /// The shared latch for relation `oid` on storage manager `smgr`.
@@ -585,18 +617,52 @@ mod tests {
         assert_eq!(errors(), Some(obs::MetricValue::Counter(1)));
     }
 
-    /// A directory whose catalog holds the earlier format's OID counter is
-    /// refused before anything in it is touched: its log, torn tail
+    /// Every earlier format kept a `catalog.json`: the one whose catalog
+    /// held the OID counter, the one that kept large-object metadata
+    /// there (`$lo_<id>` classes), and the one before classes moved into
+    /// the log (here its catalog after lobd's first open, the three
+    /// Inversion classes alone). Each directory is refused with a catalog
+    /// error before anything in it is touched: its log, torn tail
     /// included, is left byte for byte, and no other file appears.
     #[test]
-    fn earlier_format_catalog_is_refused_before_recovery() {
-        let dir = tempfile::tempdir().unwrap();
-        let old = r#"{"next_oid": 1003, "classes": {}}"#;
-        std::fs::write(dir.path().join("catalog.json"), old).unwrap();
-        let wal = Wal::open(dir.path().join("wal"), WalOptions::default()).unwrap();
-        wal.append(&WalRecord::Commit { xid: 7, ts: 7 }).unwrap();
-        wal.flush_all().unwrap();
-        drop(wal);
+    fn earlier_format_catalogs_are_refused_before_recovery() {
+        let inversion = r#"{
+  "INV_DIRECTORY": {
+    "oid": 1001,
+    "name": "INV_DIRECTORY",
+    "kind": "Heap",
+    "smgr": 0,
+    "props": {
+      "index_oid": "1000",
+      "schema": "file_name:text,file_id:int8,parent_id:int8,is_dir:bool"
+    }
+  },
+  "INV_FILESTAT": {
+    "oid": 1003,
+    "name": "INV_FILESTAT",
+    "kind": "Heap",
+    "smgr": 0,
+    "props": {
+      "index_oid": "1002",
+      "schema": "file_id:int8,owner:int4,mode:int4,atime:int8,mtime:int8,size:int8,is_dir:bool"
+    }
+  },
+  "INV_STORAGE": {
+    "oid": 1005,
+    "name": "INV_STORAGE",
+    "kind": "Heap",
+    "smgr": 0,
+    "props": {
+      "index_oid": "1004",
+      "schema": "file_id:int8,large_object:int8"
+    }
+  }
+}"#;
+        let fixtures = [
+            r#"{"next_oid": 1003, "classes": {}}"#,
+            r#"{"$lo_1000": {"oid": 1000, "name": "$lo_1000", "kind": "Heap", "smgr": 0}}"#,
+            inversion,
+        ];
         let contents = |d: &Path| -> Vec<(PathBuf, Vec<u8>)> {
             let mut files: Vec<_> = std::fs::read_dir(d)
                 .unwrap()
@@ -606,26 +672,39 @@ mod tests {
             files.sort();
             files
         };
-        let (segment, _) = contents(&dir.path().join("wal")).pop().unwrap();
-        let mut torn = std::fs::OpenOptions::new().append(true).open(segment).unwrap();
-        std::io::Write::write_all(&mut torn, b"half a record").unwrap();
-        let (top, log) = (contents(dir.path()), contents(&dir.path().join("wal")));
-        let err = StorageEnv::open(dir.path()).err().unwrap();
-        assert!(err.to_string().contains("OID counter"), "{err}");
-        assert_eq!(contents(dir.path()), top, "a file appeared beside the catalog");
-        assert_eq!(contents(&dir.path().join("wal")), log, "the log was touched");
+        for old in fixtures {
+            let dir = tempfile::tempdir().unwrap();
+            std::fs::write(dir.path().join("catalog.json"), old).unwrap();
+            let wal = Wal::open(dir.path().join("wal"), WalOptions::default()).unwrap();
+            wal.append(&WalRecord::Commit { xid: 7, ts: 7 }).unwrap();
+            wal.flush_all().unwrap();
+            drop(wal);
+            let (segment, _) = contents(&dir.path().join("wal")).pop().unwrap();
+            let mut torn = std::fs::OpenOptions::new().append(true).open(segment).unwrap();
+            std::io::Write::write_all(&mut torn, b"half a record").unwrap();
+            let (top, log) = (contents(dir.path()), contents(&dir.path().join("wal")));
+            let err = StorageEnv::open(dir.path()).err().unwrap();
+            assert!(matches!(err, HeapError::Catalog(_)), "{err}");
+            assert!(err.to_string().contains("an earlier format: no import path"), "{err}");
+            assert_eq!(contents(dir.path()), top, "a file appeared beside the catalog:\n{old}");
+            assert_eq!(contents(&dir.path().join("wal")), log, "the log was touched:\n{old}");
+        }
     }
 
+    /// Classes survive a reopen; one named `next_oid`, the key of an
+    /// earlier format's OID counter, is a class like any other.
     #[test]
     fn reopen_preserves_catalog() {
         let dir = tempfile::tempdir().unwrap();
         {
             let env = StorageEnv::open(dir.path()).unwrap();
-            env.catalog()
-                .create_class("T", crate::ClassKind::Heap, env.disk_id(), Default::default())
-                .unwrap();
+            for name in ["T", "next_oid"] {
+                env.catalog()
+                    .create_class(name, crate::ClassKind::Heap, env.disk_id(), Default::default())
+                    .unwrap();
+            }
         }
         let env = StorageEnv::open(dir.path()).unwrap();
-        assert!(env.catalog().get("T").is_some());
+        assert_eq!(env.catalog().class_names(), ["T", "next_oid"]);
     }
 }

@@ -11,7 +11,7 @@ use crate::tuple::{tuple_payload, TupleHeader, TUPLE_HEADER_SIZE};
 use crate::{ClassKind, HeapError, Result};
 use pglo_buffer::{AccessHint, PageKey};
 use pglo_pages::{ItemFlag, Page, Tid, PAGE_SIZE};
-use pglo_smgr::{RelFileId, SmgrId};
+use pglo_smgr::{RelFileId, SmgrError, SmgrId};
 use pglo_txn::{tuple_visible, Txn, TxnStatus, Visibility};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -35,7 +35,7 @@ pub struct Heap {
 }
 
 impl Heap {
-    /// Create a named heap class registered in the catalog.
+    /// Create a named heap class; the catalog makes it (file, then row).
     pub fn create(
         env: &Arc<StorageEnv>,
         name: &str,
@@ -43,8 +43,7 @@ impl Heap {
         props: HashMap<String, String>,
     ) -> Result<Heap> {
         let meta = env.catalog().create_class(name, ClassKind::Heap, smgr, props)?;
-        env.switch().get(smgr)?.create(meta.oid)?;
-        Ok(Heap { env: Arc::clone(env), rel: meta.oid, smgr, insert_hint: AtomicU32::new(0) })
+        Ok(Self::open_oid(env, meta.oid, smgr))
     }
 
     /// Create an anonymous heap (no catalog name) — per-large-object chunk
@@ -52,7 +51,16 @@ impl Heap {
     pub fn create_anonymous(env: &Arc<StorageEnv>, smgr: SmgrId) -> Result<Heap> {
         let oid = env.catalog().alloc_oid()?;
         env.switch().get(smgr)?.create(oid)?;
+        env.durable_step("create a relation");
         Ok(Self::open_oid(env, oid, smgr))
+    }
+
+    /// Open the heap at a reserved `oid`, creating its relation if missing.
+    pub fn open_or_create(env: &Arc<StorageEnv>, oid: u64, smgr: SmgrId) -> Result<Heap> {
+        match env.switch().get(smgr)?.create(oid) {
+            Ok(()) | Err(SmgrError::AlreadyExists(_)) => Ok(Self::open_oid(env, oid, smgr)),
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Open a named heap from the catalog.
@@ -337,6 +345,7 @@ impl Heap {
     pub fn drop_storage(&self) -> Result<()> {
         self.env.pool().discard_rel(self.smgr, self.rel);
         self.env.switch().get(self.smgr)?.unlink(self.rel)?;
+        self.env.durable_step("drop a relation");
         Ok(())
     }
 }

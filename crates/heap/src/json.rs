@@ -1,13 +1,10 @@
-//! A minimal JSON reader/writer for catalog persistence.
+//! A minimal JSON reader. Nothing in the store reads or writes JSON; the
+//! parser and the accessors are kept for the lobench harness, which
+//! parses `BENCHMARK.json` and its own result lines with them, and for
+//! `tests/bench_surface.rs`, which checks that they keep its signatures.
 //!
 //! The build environment is offline, so the workspace avoids serde (see
-//! DESIGN.md, "dependency policy"). The catalog is metadata — tiny, not on
-//! any benchmarked path — so a small tree-walking codec is plenty. The
-//! on-disk format is byte-compatible with what serde_json produced for the
-//! seed's `CatalogData` (pretty-printed, two-space indent).
-
-use std::collections::HashMap;
-use std::fmt::{self, Write as _};
+//! DESIGN.md, "dependency policy").
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,17 +44,6 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// This value as a string→string map, if it is an object of strings.
-    pub fn as_string_map(&self) -> Option<HashMap<String, String>> {
-        match self {
-            Value::Obj(members) => members
-                .iter()
-                .map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_string())))
-                .collect(),
             _ => None,
         }
     }
@@ -291,103 +277,23 @@ impl Parser<'_> {
     }
 }
 
-/// Serialize pretty-printed (two-space indent, serde_json-compatible).
-pub fn to_string_pretty(v: &Value) -> String {
-    Pretty(v).to_string()
-}
-
-/// [`to_string_pretty`]'s writer: formatting errors propagate instead
-/// of being dropped at each write.
-struct Pretty<'a>(&'a Value);
-
-impl fmt::Display for Pretty<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_value(f, self.0, 0)
-    }
-}
-
-fn write_value(out: &mut fmt::Formatter<'_>, v: &Value, indent: usize) -> fmt::Result {
-    match v {
-        Value::Null => out.write_str("null"),
-        Value::Bool(b) => write!(out, "{b}"),
-        Value::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => write!(out, "{}", *n as i64),
-        Value::Num(n) => write!(out, "{n}"),
-        Value::Str(s) => write_string(out, s),
-        Value::Arr(items) if items.is_empty() => out.write_str("[]"),
-        Value::Arr(items) => {
-            out.write_char('[')?;
-            for (i, item) in items.iter().enumerate() {
-                out.write_str(if i > 0 { ",\n" } else { "\n" })?;
-                push_indent(out, indent + 1)?;
-                write_value(out, item, indent + 1)?;
-            }
-            out.write_char('\n')?;
-            push_indent(out, indent)?;
-            out.write_char(']')
-        }
-        Value::Obj(members) if members.is_empty() => out.write_str("{}"),
-        Value::Obj(members) => {
-            out.write_char('{')?;
-            for (i, (k, val)) in members.iter().enumerate() {
-                out.write_str(if i > 0 { ",\n" } else { "\n" })?;
-                push_indent(out, indent + 1)?;
-                write_string(out, k)?;
-                out.write_str(": ")?;
-                write_value(out, val, indent + 1)?;
-            }
-            out.write_char('\n')?;
-            push_indent(out, indent)?;
-            out.write_char('}')
-        }
-    }
-}
-
-fn push_indent(out: &mut fmt::Formatter<'_>, levels: usize) -> fmt::Result {
-    (0..levels).try_for_each(|_| out.write_str("  "))
-}
-
-fn write_string(out: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    out.write_char('"')?;
-    for ch in s.chars() {
-        match ch {
-            '"' => out.write_str("\\\""),
-            '\\' => out.write_str("\\\\"),
-            '\n' => out.write_str("\\n"),
-            '\r' => out.write_str("\\r"),
-            '\t' => out.write_str("\\t"),
-            '\u{8}' => out.write_str("\\b"),
-            '\u{c}' => out.write_str("\\f"),
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32),
-            c => out.write_char(c),
-        }?;
-    }
-    out.write_char('"')
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip() {
-        let v = Value::Obj(vec![
-            ("next_oid".into(), Value::Num(1002.0)),
-            (
-                "classes".into(),
-                Value::Obj(vec![(
-                    "EMP".into(),
-                    Value::Obj(vec![
-                        ("oid".into(), Value::Num(1000.0)),
-                        ("name".into(), Value::Str("EMP \"quoted\"\n".into())),
-                        ("kind".into(), Value::Str("Heap".into())),
-                        ("smgr".into(), Value::Num(0.0)),
-                        ("props".into(), Value::Obj(vec![])),
-                    ]),
-                )]),
-            ),
-        ]);
-        let text = to_string_pretty(&v);
-        assert_eq!(parse(&text).unwrap(), v);
+    fn parses_nested_objects() {
+        let text = "{\n  \"w\": {\n    \"name\": \"EMP \\\"quoted\\\"\\n\",\n    \"n\": 1000,\n    \"o\": {}\n  }\n}";
+        let v = Value::Obj(vec![(
+            "w".into(),
+            Value::Obj(vec![
+                ("name".into(), Value::Str("EMP \"quoted\"\n".into())),
+                ("n".into(), Value::Num(1000.0)),
+                ("o".into(), Value::Obj(vec![])),
+            ]),
+        )]);
+        assert_eq!(parse(text).unwrap(), v);
+        assert_eq!(v.get("w").and_then(|w| w.get("n")).and_then(Value::as_u64), Some(1000));
     }
 
     #[test]

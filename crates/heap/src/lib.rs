@@ -38,6 +38,7 @@ pub use catalog::{Catalog, ClassKind, ClassMeta};
 pub use env::{EnvOptions, StorageEnv};
 pub use heap::{no_index, Heap, HeapScan};
 pub use pglo_buffer::AccessHint;
+pub use pglo_wal::{CLASS_HEAP, META_HEAP, META_INDEX};
 pub use tuple::{TupleHeader, TUPLE_HEADER_SIZE};
 
 use pglo_buffer::BufferError;
@@ -51,7 +52,8 @@ pub enum HeapError {
     Buffer(BufferError),
     /// Smgr.
     Smgr(SmgrError),
-    /// Catalog-level problem (duplicate class, missing class, bad persist).
+    /// Catalog-level problem (duplicate class, missing class, a row too
+    /// large, an earlier format's directory).
     Catalog(String),
     /// Tuple payload exceeds what one page can hold — POSTGRES does not
     /// break tuples across pages.

@@ -134,7 +134,6 @@ impl InversionFs {
     /// Open (creating on first use) the Inversion classes in `env`, storing
     /// file contents per `file_spec`.
     pub fn open(env: &Arc<StorageEnv>, store: Arc<LoStore>, file_spec: LoSpec) -> Result<Self> {
-        let fresh = env.catalog().get(DIR_CLASS).is_none();
         let open_class = |name: &str, schema: &str| -> Result<(Heap, BTree)> {
             match env.catalog().get(name) {
                 Some(meta) => {
@@ -175,8 +174,10 @@ impl InversionFs {
             storage_idx,
             file_spec,
         };
-        if fresh {
-            // Bootstrap the root directory.
+        // Bootstrap the root directory unless a committed root is there: a
+        // crash may have cut the first open short after any class.
+        let now = Visibility::AsOf(env.txns().current_timestamp());
+        if fs.stat_lookup(&now, ROOT_ID)?.is_none() {
             let txn = fs.env.begin();
             fs.insert_dir_row(
                 &txn,

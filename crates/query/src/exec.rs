@@ -210,16 +210,16 @@ impl Executor<'_> {
         Ok(QueryResult::command(0))
     }
 
+    /// `destroy CLASS`: its row goes first and its relation with it
+    /// (`Catalog::drop_class`), then its indexes' relations, so a crash
+    /// in between leaves files no class names, never a class without one.
     fn destroy(&mut self, class: &str) -> Result<QueryResult> {
-        let heap = self.open_heap(class)?;
-        // Indexes go down with the class.
-        if let Some(meta) = self.db.env().catalog().get(class) {
-            for def in self.class_indexes(class)? {
-                Heap::open_oid(self.db.env(), def.btree_oid, meta.smgr_id()).drop_storage()?;
-            }
+        self.open_heap(class)?;
+        let indexes = self.class_indexes(class)?;
+        let meta = self.db.env().catalog().drop_class(class)?;
+        for def in indexes {
+            Heap::open_oid(self.db.env(), def.btree_oid, meta.smgr_id()).drop_storage()?;
         }
-        heap.drop_storage()?;
-        self.db.env().catalog().drop_class(class)?;
         Ok(QueryResult::command(0))
     }
 
@@ -364,8 +364,9 @@ impl Executor<'_> {
             .catalog()
             .get(class)
             .ok_or_else(|| QueryError::Semantic(format!("class \"{class}\" does not exist")))?;
-        Heap::open_oid(self.db.env(), def.btree_oid, meta.smgr_id()).drop_storage()?;
+        // The property first, as `destroy` drops the row first.
         self.db.env().catalog().remove_prop(class, &index_prop_key(name))?;
+        Heap::open_oid(self.db.env(), def.btree_oid, meta.smgr_id()).drop_storage()?;
         Ok(QueryResult::command(0))
     }
 

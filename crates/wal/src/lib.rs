@@ -140,8 +140,16 @@ pub const COMMIT_PIN: u32 = 63;
 /// OIDs (PostgreSQL's `NextOid` record prefetches 8,192).
 const LIMIT_BLOCK: u64 = 1024;
 
-/// First OID handed out (lower values reserved for future bootstrap use).
+/// First OID handed out. The ones below are reserved for the relations
+/// every store opens by a fixed OID, declared here together.
 pub const FIRST_OID: u64 = 1000;
+/// The large-object metadata heap (`pglo_core::meta`).
+pub const META_HEAP: u64 = 1;
+/// The metadata heap's B-tree on the object id.
+pub const META_INDEX: u64 = 2;
+/// The class catalog's heap (`pglo_heap::catalog`).
+pub const CLASS_HEAP: u64 = 3;
+const _: () = assert!(META_HEAP < FIRST_OID && META_INDEX < FIRST_OID && CLASS_HEAP < FIRST_OID);
 
 /// The counter limits a [`WalRecord::Limits`] states: every XID and every
 /// OID handed out so far is below them.
@@ -627,6 +635,9 @@ struct AppendInner {
     /// distance estimate). Recycling keeps that many bytes of spare
     /// segments, so the log a horizon stall fills is reused after it.
     ckpt_distance: u64,
+    /// The bytes of the batch being appended, kept across batches so an
+    /// append allocates nothing once the buffer has grown to its batches.
+    buf: Vec<u8>,
 }
 
 /// The write-ahead log. One per [`StorageEnv`]; shared via `Arc` with the
@@ -703,6 +714,7 @@ impl Wal {
                     next_oid: 0,
                     limits_end: 0,
                     ckpt_distance: 0,
+                    buf: Vec::new(),
                 },
                 ranks::WAL_APPEND,
             ),
@@ -837,10 +849,10 @@ impl Wal {
     /// Returns each batch record's stream positions, in batch order.
     pub fn append_batch(&self, batch: &mut [PreparedRecord]) -> io::Result<Vec<AppendedAt>> {
         let mut out = Vec::with_capacity(batch.len() + 1);
-        let mut buf: Vec<u8> = Vec::with_capacity(batch.iter().map(|r| r.bytes.len()).sum());
         let mut pins: Vec<(u32, u64, Lsn)> = Vec::new();
         let mut total = 0u64;
         let mut a = self.append.lock();
+        let mut buf = std::mem::take(&mut a.buf);
         let logged = a.limits;
         let limits = logged.covering(self.xid_high.load(Ordering::Relaxed), a.next_oid);
         let mut limit = (limits != logged).then(|| {
@@ -900,6 +912,8 @@ impl Wal {
             }
         }
         self.end.store(a.end, Ordering::Release);
+        buf.clear();
+        a.buf = buf;
         drop(a);
         result?;
         obs::counter!("wal.append.bytes").add(total);

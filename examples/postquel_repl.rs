@@ -51,9 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "\\q" => break,
                 "\\d" => {
                     for name in db.env().catalog().class_names() {
-                        if name.starts_with('$') {
-                            continue; // internal large-object classes
-                        }
                         let meta = db.env().catalog().get(&name).unwrap();
                         let schema = meta.props.get("schema").cloned().unwrap_or_default();
                         println!("  {name} ({schema})");

@@ -36,19 +36,20 @@ pub const ENV_REL_LATCHES: LockRank = LockRank::new(14, "heap.env.rel_latches");
 /// commit pins and the transaction manager's outcomes.
 pub const ENV_XACT: LockRank = LockRank::new(15, "heap.env.xact");
 
+/// Catalog writer (`crates/heap`): serializes class mutations, each held
+/// across its row's insert, update or delete in the class heap and the
+/// commit, so everything those take (frames, log, smgr, transaction
+/// manager, then the class map under [`CATALOG`]) ranks higher.
+pub const CATALOG_WRITER: LockRank = LockRank::new(16, "heap.catalog_writer");
+
 /// A per-relation B-tree latch (`StorageEnv::rel_latch`); held across
 /// whole index operations, i.e. across buffer-pool pins and smgr I/O.
 pub const REL_LATCH: LockRank = LockRank::new(20, "heap.rel_latch");
 
-/// Heap catalog state (`crates/heap`); self-contained: catalog methods
-/// never pin pages or take pool locks while holding it.
+/// Heap catalog state (`crates/heap`): the class map; self-contained:
+/// catalog methods never pin pages, take pool locks or do file I/O while
+/// holding it.
 pub const CATALOG: LockRank = LockRank::new(24, "heap.catalog");
-
-/// Catalog snapshot writer (`crates/heap`); serializes catalog.json
-/// writes *after* the data lock is released, so mutators never hold
-/// `heap.catalog` across file I/O. Versioned: stale snapshots are
-/// skipped, not written out of order.
-pub const CATALOG_PERSIST: LockRank = LockRank::new(25, "heap.catalog_persist");
 
 /// Temporary large-object registry (`crates/core`).
 pub const TEMP_REGISTRY: LockRank = LockRank::new(26, "core.temp_registry");
