@@ -103,7 +103,6 @@ impl BTree {
             mgr.unlink(oid)?;
         }
         mgr.create(oid)?;
-        env.durable_step("create a relation");
         tree.bootstrap()?;
         Ok(tree)
     }

@@ -2,6 +2,12 @@ use super::*;
 use pglo_sim::SimContext;
 use pglo_smgr::MemSmgr;
 
+/// A log under `dir` on the host, in process mode.
+fn open_wal(dir: &std::path::Path, segment_bytes: u64) -> Arc<pglo_wal::Wal> {
+    let host = pglo_smgr::HostVfs::shared(pglo_smgr::Durability::Process);
+    Arc::new(pglo_wal::Wal::open(host, dir, segment_bytes).unwrap())
+}
+
 fn setup(frames: usize) -> (Arc<SmgrSwitch>, SmgrId, BufferPool) {
     let sim = SimContext::default_1992();
     let switch = Arc::new(SmgrSwitch::new());
@@ -522,7 +528,7 @@ fn pending_chain_drains_and_rebuilds() {
     let (switch, id, pool) = setup(8);
     switch.get(id).unwrap().create(1).unwrap();
     let dir = tempfile::tempdir().unwrap();
-    let wal = Arc::new(pglo_wal::Wal::open(dir.path(), pglo_wal::WalOptions::default()).unwrap());
+    let wal = open_wal(dir.path(), pglo_wal::DEFAULT_SEGMENT_BYTES);
     assert!(pool.set_wal(Arc::clone(&wal)));
     // Three new pages chain three frames; re-dirtying one of them
     // must not chain it twice.
@@ -561,8 +567,7 @@ fn deltas_track_the_last_logged_bytes() {
     switch.get(id).unwrap().create(1).unwrap();
     let dir = tempfile::tempdir().unwrap();
     let seg = pglo_wal::MIN_SEGMENT_BYTES;
-    let opts = pglo_wal::WalOptions { durable_sync: false, segment_bytes: seg };
-    let wal = Arc::new(pglo_wal::Wal::open(dir.path(), opts).unwrap());
+    let wal = open_wal(dir.path(), seg);
     assert!(pool.set_wal(Arc::clone(&wal)));
     let (block, p) = pool.new_page(id, 1, |pg| pg.fill(0xAA)).unwrap();
     drop(p);
@@ -670,7 +675,7 @@ impl pglo_smgr::StorageManager for LogWatchSmgr {
 #[test]
 fn write_back_logs_pending_image_first() {
     let dir = tempfile::tempdir().unwrap();
-    let wal = Arc::new(pglo_wal::Wal::open(dir.path(), pglo_wal::WalOptions::default()).unwrap());
+    let wal = open_wal(dir.path(), pglo_wal::DEFAULT_SEGMENT_BYTES);
     let watch = Arc::new(LogWatchSmgr {
         inner: MemSmgr::new(SimContext::default_1992()),
         wal: Arc::clone(&wal),
@@ -726,7 +731,7 @@ fn write_back_logs_pending_image_first() {
     // deltas, applied in log order over the fresh pages' zeros, rebuild
     // each page.
     drop((pool, smgr, switch, watch, wal));
-    let wal = Arc::new(pglo_wal::Wal::open(dir.path(), pglo_wal::WalOptions::default()).unwrap());
+    let wal = open_wal(dir.path(), pglo_wal::DEFAULT_SEGMENT_BYTES);
     let mut logged: Vec<Box<PageBuf>> = (0..4).map(|_| pglo_pages::alloc_page()).collect();
     wal.replay(|_, rec| {
         if let pglo_wal::WalRecord::PageDelta { rel: 1, block, ranges, .. } = rec {

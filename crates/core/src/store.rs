@@ -11,7 +11,7 @@ use crate::{LoError, LoId, Result, UserId};
 use pglo_btree::BTree;
 use pglo_compress::CodecKind;
 use pglo_heap::{Heap, HeapError, StorageEnv};
-use pglo_smgr::{NativeFile, SmgrError, SmgrId};
+use pglo_smgr::{FileClass, NativeFile, SmgrError, SmgrId};
 use pglo_txn::{Txn, Visibility};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -132,7 +132,7 @@ impl LoStore {
     /// Allocate a DBMS-owned file path — the paper's `newfilename()` (§6.2).
     pub fn newfilename(&self, id: LoId) -> Result<PathBuf> {
         let dir = self.env.pfile_dir();
-        std::fs::create_dir_all(&dir)?;
+        self.env.vfs().create_dir(FileClass::Native, &dir)?;
         Ok(dir.join(format!("lo_{}", id.0)))
     }
 
@@ -169,12 +169,12 @@ impl LoStore {
                 let path =
                     spec.path.clone().ok_or(LoError::Unsupported("u-file requires a path"))?;
                 // Touch the file so later opens succeed.
-                NativeFile::open(&path, self.env.sim().clone(), true)?;
+                NativeFile::open(self.env.vfs(), &path, self.env.sim().clone(), true)?;
                 meta.path = Some(path);
             }
             LoKind::PFile => {
                 let path = self.newfilename(id)?;
-                NativeFile::open(&path, self.env.sim().clone(), true)?;
+                NativeFile::open(self.env.vfs(), &path, self.env.sim().clone(), true)?;
                 meta.path = Some(path);
             }
             LoKind::FChunk => {
@@ -226,6 +226,7 @@ impl LoStore {
     /// Time-travel open: the object exactly as of commit timestamp `ts`.
     /// Always read-only. Only f-chunk and v-segment support history — the
     /// file implementations have none (§6.1).
+    // LINT: allow(R14, Inversion's open_file_as_of reads an old version through it)
     pub fn open_as_of(&self, id: LoId, ts: u64) -> Result<LoHandle<'static>> {
         let backend =
             self.open_backend(id, Visibility::AsOf(ts), OpenMode::ReadOnly, UserId::DBA)?;
@@ -263,7 +264,7 @@ impl LoStore {
         let env = Arc::clone(&self.env);
         let file = || {
             let path = meta.path.as_ref().ok_or(LoError::NotFound(id))?;
-            Ok::<_, LoError>(NativeFile::open(path, self.env.sim().clone(), false)?)
+            Ok::<_, LoError>(NativeFile::open(self.env.vfs(), path, self.env.sim().clone(), false)?)
         };
         Ok(match meta.kind {
             LoKind::UFile => Box::new(UFileBackend::new(file()?)),
@@ -288,7 +289,7 @@ impl LoStore {
         };
         if let (LoKind::PFile, Some(path)) = (meta.kind, &meta.path) {
             if path.exists() {
-                std::fs::remove_file(path)?;
+                self.env.vfs().remove_file(FileClass::Native, path)?;
             }
         }
         for &rel in rels {
@@ -358,6 +359,10 @@ impl LoStore {
         host_path: impl AsRef<std::path::Path>,
     ) -> Result<u64> {
         let mut handle = self.open(txn, id, OpenMode::ReadOnly)?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the export target is the user's host file, not the store's durable state"
+        )]
         let mut dst = std::fs::File::create(host_path)?;
         let mut buf = vec![0u8; 65536];
         let mut offset = 0u64;

@@ -1136,8 +1136,8 @@ fn kill_copy(src: &std::path::Path, dst: &std::path::Path) {
 /// - a create: its relation files, its write, the capture of its pages
 ///   into the log, its commit, its pages home, a checkpoint;
 /// - an aborted create, before and after a later commit logs its pages;
-/// - an unlink: after each relation drop and after its row's removal
-///   (the environment's durable-step hook copies the directory there).
+/// - an unlink: after each file operation that changes what a kill
+///   leaves (the file layer's hook copies the directory there).
 ///
 /// Each recovered copy must read every committed object byte-exact, give
 /// `NotFound` to a snapshot open of an uncommitted or aborted create,
@@ -1146,10 +1146,12 @@ fn kill_copy(src: &std::path::Path, dst: &std::path::Path) {
 #[test]
 fn crash_at_every_durable_step_of_create_and_unlink() {
     use pglo_heap::EnvOptions;
+    use pglo_smgr::{Durability, FaultVfs, HostVfs};
     let tmp = tempfile::tempdir().unwrap();
     let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
     let opts = || EnvOptions { wal_segment_bytes: 64 * 1024, ..Default::default() };
-    let env = StorageEnv::open_with(&live, opts()).unwrap();
+    let fault = FaultVfs::new(HostVfs::shared(Durability::Process));
+    let env = StorageEnv::open_with(&live, EnvOptions { vfs: fault.clone(), ..opts() }).unwrap();
     let store = LoStore::new(Arc::clone(&env)).unwrap();
     let bytes = |seed: u8| -> Vec<u8> { (0..20_000u32).map(|i| (i as u8) ^ seed).collect() };
     // Recover a killed copy: `committed` must read back, `gone` must not
@@ -1194,12 +1196,12 @@ fn crash_at_every_durable_step_of_create_and_unlink() {
     let kills = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let (flag, taken, from, root) =
         (Arc::clone(&unlinking), Arc::clone(&kills), live.clone(), tmp.path().join("kills"));
-    assert!(env.on_durable_step(move |step| {
-        if flag.load(std::sync::atomic::Ordering::SeqCst) {
+    assert!(fault.on_op(move |done| {
+        if flag.load(std::sync::atomic::Ordering::SeqCst) && done.kind.mutates() {
             let mut taken = taken.lock();
             let dst = root.join(taken.len().to_string());
             kill_copy(&from, &dst);
-            taken.push((dst, step.to_string()));
+            taken.push((dst, format!("{:?} of {}", done.kind, done.path.display())));
         }
     }));
     check("the metadata relations, unlogged", &[], &[], None);

@@ -98,6 +98,7 @@ pub fn archive_vacuum<E: From<HeapError>>(
 
 /// All archived versions visible as of commit timestamp `ts`, i.e. with
 /// `tmin_ts <= ts < tmax_ts`.
+// LINT: allow(R14, the archive half of scan_as_of_with_archive)
 pub fn archive_versions_as_of(archive: &Heap, ts: u64) -> Result<Vec<Vec<u8>>> {
     let mut out = Vec::new();
     for item in archive.scan(Visibility::Raw) {

@@ -187,7 +187,6 @@ impl Catalog {
         let meta = ClassMeta { oid, name: name.to_string(), kind, smgr: smgr.0, props };
         let row = meta.encode()?;
         env.switch().get(smgr)?.create(oid)?;
-        env.durable_step("create a relation");
         let tid = self.commit(&env, |heap, txn| heap.insert(txn, &row))?;
         self.classes.lock().insert(name.to_string(), (tid, meta.clone()));
         Ok(meta)

@@ -8,17 +8,15 @@ use pglo_buffer::{
 };
 use pglo_sim::SimContext;
 use pglo_smgr::{
-    DiskSmgr, MemSmgr, RelFileId, SmgrError, SmgrId, SmgrSwitch, StorageManager, WormSmgr,
+    DiskSmgr, Durability, FileClass, HostVfs, MemSmgr, RelFileId, SmgrError, SmgrId, SmgrSwitch,
+    StorageManager, VFile, Vfs, WormSmgr,
 };
 use pglo_txn::{CommitTs, DurabilityHook, Txn, TxnManager, Xid};
-use pglo_wal::{PageRanges, Wal, WalOptions, WalRecord, COMMIT_PIN};
+use pglo_wal::{PageRanges, Wal, WalRecord, COMMIT_PIN};
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::Read;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Construction options for [`StorageEnv`].
@@ -32,9 +30,9 @@ pub struct EnvOptions {
     /// clock) leaves write-back to evictions and explicit flushes. The
     /// server turns this on.
     pub bgwriter_interval: Option<Duration>,
-    /// Real host `sync_all` on relation sync (honest durability cost for
-    /// benchmarks; off keeps tests fast).
-    pub durable_sync: bool,
+    /// The file layer every durable byte crosses; the host's, in
+    /// process mode (a crash is a process kill), by default.
+    pub vfs: Arc<dyn Vfs>,
     /// WORM magnetic-disk cache size in blocks (0 disables — the §9.3
     /// ablation).
     pub worm_cache_blocks: usize,
@@ -52,7 +50,7 @@ impl Default for EnvOptions {
             pool_frames: DEFAULT_POOL_FRAMES,
             readahead_window: DEFAULT_READAHEAD_WINDOW,
             bgwriter_interval: None,
-            durable_sync: false,
+            vfs: HostVfs::shared(Durability::Process),
             worm_cache_blocks: pglo_smgr::worm::DEFAULT_WORM_CACHE_BLOCKS,
             wal_segment_bytes: pglo_wal::DEFAULT_SEGMENT_BYTES,
             sim: None,
@@ -73,6 +71,7 @@ pub struct StorageEnv {
     txns: Arc<TxnManager>,
     catalog: Catalog,
     base_dir: PathBuf,
+    vfs: Arc<dyn Vfs>,
     disk: SmgrId,
     mem_smgr: Arc<MemSmgr>,
     /// One shared latch per relation, handed out by [`Self::rel_latch`].
@@ -109,12 +108,8 @@ struct WalDurability {
     /// The outcome table file `xact`: an 8-byte commit timestamp per XID
     /// at offset `8 * xid` (0 = not committed). Locked across a write so
     /// two passes cannot land an older slice over a newer one.
-    xact: parking_lot::Mutex<File>,
-    steps: OnceLock<StepHook>,
+    xact: parking_lot::Mutex<VFile>,
 }
-
-/// The hook [`StorageEnv::on_durable_step`] installs.
-type StepHook = Box<dyn Fn(&str) + Send + Sync>;
 
 impl DurabilityHook for WalDurability {
     fn note_next_xid(&self, next: Xid) {
@@ -124,19 +119,11 @@ impl DurabilityHook for WalDurability {
     fn prepare_commit(&self, xid: Xid, ts: CommitTs) -> std::io::Result<()> {
         self.pool.capture_pending().map_err(std::io::Error::other)?;
         let end = self.wal.append(&WalRecord::Commit { xid: xid.0, ts })?;
-        self.wal.flush_to(end)?;
-        self.step("commit");
-        Ok(())
+        self.wal.flush_to(end)
     }
 }
 
 impl WalDurability {
-    fn step(&self, what: &str) {
-        if let Some(hook) = self.steps.get() {
-            hook(what);
-        }
-    }
-
     /// One checkpoint pass: bound the horizon by the log end *before*
     /// scanning (a concurrent commit may append records below a
     /// later-read end), sync data files so the horizon never overtakes a
@@ -155,19 +142,17 @@ impl WalDurability {
     }
 
     /// Write the table range covering every pinned commit whose outcome
-    /// is settled in one `pwrite`, sync it in durable mode, and only then
-    /// release their pins; a commit still inside its hook keeps its pin.
+    /// is settled in one `pwrite`, sync it, and only then release their
+    /// pins; a commit still inside its hook keeps its pin.
     fn persist_outcomes(&self, txns: &TxnManager) -> std::io::Result<()> {
         let xact = self.xact.lock();
         let (settled, table) = txns.settled(&self.wal.pinned(COMMIT_PIN));
         let Some(&first) = settled.first() else { return Ok(()) };
         let bytes: Vec<u8> = table.iter().flat_map(|ts| ts.to_le_bytes()).collect();
         // LINT: allow(R7, the lock orders table writes: a slice read before another pass's must not land after it)
-        xact.write_all_at(&bytes, first * 8)?;
-        if self.wal.options().durable_sync {
-            // LINT: allow(R7, the slice must be durable before any pass prunes the pins it covers)
-            xact.sync_data()?;
-        }
+        xact.write_at(&bytes, first * 8)?;
+        // LINT: allow(R7, the slice must be durable before any pass prunes the pins it covers)
+        xact.sync_data()?;
         drop(xact);
         self.wal.prune_pins(COMMIT_PIN, |xid| settled.binary_search(&xid).is_err());
         Ok(())
@@ -175,16 +160,10 @@ impl WalDurability {
 }
 
 /// Open (or create) the outcome table file under `dir` and read it.
-fn open_outcomes(dir: &Path, durable_sync: bool) -> std::io::Result<(File, Vec<CommitTs>)> {
-    let path = dir.join("xact");
-    let fresh = !path.exists();
-    let mut file =
-        File::options().read(true).write(true).create(true).truncate(false).open(path)?;
-    if fresh && durable_sync {
-        File::open(dir)?.sync_all()?;
-    }
-    let mut raw = Vec::new();
-    file.read_to_end(&mut raw)?;
+fn open_outcomes(vfs: &Arc<dyn Vfs>, dir: &Path) -> std::io::Result<(VFile, Vec<CommitTs>)> {
+    let file = VFile::create(vfs, dir.join("xact"), FileClass::Xact)?;
+    let mut raw = vec![0; file.file_len()? as usize];
+    file.read_at(&mut raw, 0)?;
     Ok((file, raw.as_chunks::<8>().0.iter().map(|b| u64::from_le_bytes(*b)).collect()))
 }
 
@@ -302,14 +281,15 @@ impl StorageEnv {
             let old = old.display();
             return Err(HeapError::Catalog(format!("{old}: an earlier format: no import path")));
         }
-        std::fs::create_dir_all(&base_dir)
+        let vfs = opts.vfs;
+        vfs.create_dir(FileClass::Xact, &base_dir)
             .map_err(|e| HeapError::Catalog(format!("create db dir: {e}")))?;
         let sim = opts.sim.unwrap_or_else(SimContext::default_1992);
         let switch = Arc::new(SmgrSwitch::new());
-        let mut disk_raw =
-            DiskSmgr::new(base_dir.join("heap"), sim.clone()).map_err(HeapError::Smgr)?;
-        disk_raw.set_durable_sync(opts.durable_sync);
-        let disk_smgr = Arc::new(disk_raw);
+        let disk_smgr = Arc::new(
+            DiskSmgr::new(Arc::clone(&vfs), base_dir.join("heap"), sim.clone())
+                .map_err(HeapError::Smgr)?,
+        );
         let mem_smgr = Arc::new(MemSmgr::new(sim.clone()));
         let worm_smgr = Arc::new(WormSmgr::with_cache_blocks(sim.clone(), opts.worm_cache_blocks));
         let disk = switch.register(Arc::clone(&disk_smgr) as Arc<dyn StorageManager>);
@@ -330,20 +310,14 @@ impl StorageEnv {
         // Uncommitted replayed tuples are filtered by MVCC at read time —
         // unknown XIDs read as aborted — so redo needs no undo pass.
         let wal = Arc::new(
-            Wal::open(
-                base_dir.join("wal"),
-                WalOptions {
-                    durable_sync: opts.durable_sync,
-                    segment_bytes: opts.wal_segment_bytes,
-                },
-            )
-            .map_err(|e| HeapError::Catalog(format!("open wal: {e}")))?,
+            Wal::open(Arc::clone(&vfs), base_dir.join("wal"), opts.wal_segment_bytes)
+                .map_err(|e| HeapError::Catalog(format!("open wal: {e}")))?,
         );
         // WORM jukebox writes are simulated, so the "platter" needs a real
         // durable home on the host; attach it before replay so recovered
         // burns land on it and already-burned blocks come back write-once.
         worm_smgr
-            .attach_platter(base_dir.join("worm"), opts.durable_sync)
+            .attach_platter(&vfs, base_dir.join("worm"))
             .map_err(|e| HeapError::Catalog(format!("attach worm platter: {e}")))?;
         // Until a relation's blocks are all burned to the platter, the WAL
         // records are a staged block's only durable copy; pin the WORM
@@ -353,7 +327,7 @@ impl StorageEnv {
         // A commit record is the only durable copy of its outcome until a
         // checkpoint writes it to the table; replay re-learns these pins.
         wal.pin_smgr(COMMIT_PIN);
-        let (xact, mut table) = open_outcomes(&base_dir, opts.durable_sync)
+        let (xact, mut table) = open_outcomes(&vfs, &base_dir)
             .map_err(|e| HeapError::Catalog(format!("outcome table: {e}")))?;
         let limits = wal
             .replay(|_lsn, rec| match rec {
@@ -402,12 +376,11 @@ impl StorageEnv {
             worm_id: worm,
             worm: worm_smgr,
             xact: parking_lot::Mutex::with_rank(xact, parking_lot::ranks::ENV_XACT),
-            steps: OnceLock::new(),
         });
         txns.set_durability_hook(Arc::clone(&durability) as Arc<dyn DurabilityHook>);
         // Checkpoint far less often than the bgwriter writes back: the
         // horizon only advances once home writes are durable, so each
-        // checkpoint costs an fsync sweep in durable mode.
+        // checkpoint costs an fsync sweep in power mode.
         let checkpointer = match opts.bgwriter_interval {
             Some(interval) => Some(
                 Checkpointer::spawn(Arc::clone(&durability), Arc::clone(&txns), interval * 16)
@@ -422,6 +395,7 @@ impl StorageEnv {
             txns,
             catalog: Catalog::new(env.clone(), catalog_wal),
             base_dir,
+            vfs,
             disk,
             mem_smgr,
             rel_latches: parking_lot::Mutex::with_rank(
@@ -439,19 +413,6 @@ impl StorageEnv {
         Ok(env)
     }
 
-    /// Install `hook`, called after each step that makes part of a commit
-    /// (its log flush) or of a relation's creation or removal durable: the
-    /// crash tests' kill points. Returns whether it is the first, kept.
-    // LINT: allow(R14, the kill points of the crash gates in tests/restart.rs and crates/core/src/tests.rs)
-    pub fn on_durable_step(&self, hook: impl Fn(&str) + Send + Sync + 'static) -> bool {
-        self.durability.steps.set(Box::new(hook)).is_ok()
-    }
-
-    /// Report durable step `what` to the [`Self::on_durable_step`] hook.
-    pub fn durable_step(&self, what: &str) {
-        self.durability.step(what);
-    }
-
     /// Stop the background writer (final drain included); idempotent.
     pub fn stop_bgwriter(&self) {
         if let Some(mut bg) = self.bgwriter.lock().take() {
@@ -467,9 +428,9 @@ impl StorageEnv {
     }
 
     /// Take a checkpoint: advance the WAL redo horizon behind the oldest
-    /// dirty page still owing a home write, fsyncing data files first in
-    /// durable mode so the horizon never passes a write the disk hasn't
-    /// accepted, writing settled commit outcomes to the outcome table,
+    /// dirty page still owing a home write, syncing data files first
+    /// (an fsync in power mode) so the horizon never passes a write the
+    /// disk hasn't accepted, writing settled commit outcomes to the outcome table,
     /// and releasing recycle pins for WORM relations that are fully
     /// burned. Recovery then replays only from that horizon, and older
     /// log segments are recycled.
@@ -530,6 +491,11 @@ impl StorageEnv {
     /// The class catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
+    }
+
+    /// The file layer every durable byte of this environment crosses.
+    pub fn vfs(&self) -> &Arc<dyn Vfs> {
+        &self.vfs
     }
 
     /// Directory where DBMS-owned p-files live (§6.2's `newfilename()`
@@ -675,7 +641,9 @@ mod tests {
         for old in fixtures {
             let dir = tempfile::tempdir().unwrap();
             std::fs::write(dir.path().join("catalog.json"), old).unwrap();
-            let wal = Wal::open(dir.path().join("wal"), WalOptions::default()).unwrap();
+            let host = HostVfs::shared(Durability::Process);
+            let wal =
+                Wal::open(host, dir.path().join("wal"), pglo_wal::DEFAULT_SEGMENT_BYTES).unwrap();
             wal.append(&WalRecord::Commit { xid: 7, ts: 7 }).unwrap();
             wal.flush_all().unwrap();
             drop(wal);
@@ -689,6 +657,67 @@ mod tests {
             assert_eq!(contents(dir.path()), top, "a file appeared beside the catalog:\n{old}");
             assert_eq!(contents(&dir.path().join("wal")), log, "the log was touched:\n{old}");
         }
+    }
+
+    /// The checkpoint rule under power loss: a fresh block reaches its
+    /// file only at write-back, so each checkpoint's log write (the record
+    /// that moves the redo horizon past it) must come after the sync of
+    /// every data segment written since the previous checkpoint, and after
+    /// the sync of the outcome-table slice the pass wrote. Read off the
+    /// file layer's op log over three rounds of insert, commit, write-back
+    /// and checkpoint.
+    #[test]
+    fn checkpoint_log_write_follows_the_syncs_it_relies_on() {
+        use pglo_smgr::fault::OpKind;
+        use pglo_smgr::FaultVfs;
+        let dir = tempfile::tempdir().unwrap();
+        let fault = FaultVfs::new(HostVfs::shared(Durability::Power));
+        let opts = EnvOptions { vfs: fault.clone(), ..Default::default() };
+        let env = StorageEnv::open_with(dir.path(), opts).unwrap();
+        let heap = crate::Heap::create(&env, "T", env.disk_id(), Default::default()).unwrap();
+        let mut passes = Vec::new();
+        for round in 0..3u8 {
+            let txn = env.begin();
+            for _ in 0..40 {
+                heap.insert(&txn, &[round; 500]).unwrap();
+            }
+            txn.commit();
+            env.pool().flush_all().unwrap();
+            let from = fault.ops().len();
+            env.checkpoint().unwrap();
+            passes.push(from..fault.ops().len());
+        }
+        let ops = fault.ops();
+        let mut unsynced = std::collections::BTreeSet::new();
+        let mut checked = 0;
+        for (i, op) in ops.iter().enumerate() {
+            let pass = passes.iter().find(|p| p.contains(&i));
+            let first_log_write = |p: &std::ops::Range<usize>| {
+                p.clone().find(|&k| ops[k].class == FileClass::Log && ops[k].kind == OpKind::Write)
+            };
+            if pass.and_then(first_log_write) == Some(i) {
+                let pass = pass.unwrap();
+                assert!(
+                    unsynced.is_empty(),
+                    "checkpoint log write {i} before syncing {unsynced:?}"
+                );
+                let wrote_xact = ops[pass.start..i]
+                    .iter()
+                    .any(|op| op.class == FileClass::Xact && op.kind == OpKind::Write);
+                assert!(wrote_xact, "checkpoint {i} wrote no outcome-table slice");
+                checked += 1;
+            }
+            match (op.class, op.kind) {
+                (FileClass::Data | FileClass::Xact, OpKind::Write | OpKind::SetLen) => {
+                    unsynced.insert(&op.path);
+                }
+                (_, OpKind::Sync) => {
+                    unsynced.remove(&op.path);
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(checked, 3, "each pass writes the log once it is synced");
     }
 
     /// Classes survive a reopen; one named `next_oid`, the key of an

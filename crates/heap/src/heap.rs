@@ -51,7 +51,6 @@ impl Heap {
     pub fn create_anonymous(env: &Arc<StorageEnv>, smgr: SmgrId) -> Result<Heap> {
         let oid = env.catalog().alloc_oid()?;
         env.switch().get(smgr)?.create(oid)?;
-        env.durable_step("create a relation");
         Ok(Self::open_oid(env, oid, smgr))
     }
 
@@ -345,7 +344,6 @@ impl Heap {
     pub fn drop_storage(&self) -> Result<()> {
         self.env.pool().discard_rel(self.smgr, self.rel);
         self.env.switch().get(self.smgr)?.unlink(self.rel)?;
-        self.env.durable_step("drop a relation");
         Ok(())
     }
 }

@@ -8,15 +8,25 @@
 //! resolves to the fn, whatever its arity, or a path naming it as a
 //! value (`map(T::f)`, `Type::<G>::f`);
 //! `use` imports are not uses. `Self::f` stands for every same-crate
-//! impl's `f`. The documented client API is exempt. A kept item
-//! carries `// LINT: allow(R14, reason)` and counts in its file's
-//! `R14` row of `budget.txt`.
+//! impl's `f`. A use inside a checked fn's body counts only once that fn
+//! is itself used (a fixpoint from the roots: all other user code,
+//! non-`pub` and trait-item bodies included), so two dead fns of one
+//! name cannot keep each other alive. The documented client API is
+//! exempt. A kept item carries `// LINT: allow(R14, reason)` and counts
+//! in its file's `R14` row of `budget.txt`.
 
 use crate::ast::Tree;
 use crate::graph::{call_at, path_segments, CallGraph, CallSite};
 use crate::source::SourceFile;
 use crate::{finding, Finding};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Checked fns by `(line of fn, name)`, in the file being walked.
+type Bodies<'a> = BTreeMap<(u32, &'a str), usize>;
+
+/// What each scope uses: `None` is user code outside every checked fn
+/// (the roots), `Some(id)` the body of checked fn `id`.
+type Uses = BTreeMap<Option<usize>, BTreeSet<usize>>;
 
 /// The documented client API: public for programs outside the
 /// workspace, whether or not anything inside it calls them.
@@ -33,14 +43,28 @@ pub fn check_dead_api<'a>(
     graph: &CallGraph<'_>,
     users: impl IntoIterator<Item = &'a SourceFile>,
 ) -> Vec<Finding> {
-    let mut used = BTreeSet::new();
+    let checked = |id: &usize| {
+        let n = &graph.nodes[*id];
+        n.item.is_pub && !EXEMPT.contains(&n.file.rel.as_str())
+    };
+    let mut uses = Uses::new();
     for f in users {
-        mark_uses(graph, &f.krate, &f.trees, &mut used);
+        let bodies: Bodies<'_> = (0..graph.nodes.len())
+            .filter(|id| checked(id) && graph.nodes[*id].file.rel == f.rel)
+            .map(|id| ((graph.nodes[id].item.line, graph.nodes[id].item.name.as_str()), id))
+            .collect();
+        mark_uses(graph, &f.krate, &f.trees, &bodies, None, &mut uses);
     }
-    let dead = graph.nodes.iter().enumerate().filter(|(id, n)| {
-        n.item.is_pub && !EXEMPT.contains(&n.file.rel.as_str()) && !used.contains(id)
-    });
-    dead.map(|(_, n)| {
+    let mut used = BTreeSet::new();
+    let mut todo: Vec<usize> = uses.get(&None).into_iter().flatten().copied().collect();
+    while let Some(id) = todo.pop() {
+        if used.insert(id) {
+            todo.extend(uses.get(&Some(id)).into_iter().flatten());
+        }
+    }
+    let dead = (0..graph.nodes.len()).filter(|id| checked(id) && !used.contains(id));
+    dead.map(|id| {
+        let n = &graph.nodes[id];
         let msg = format!(
             "`pub fn {}` has no caller outside tests and examples: delete it, or keep it with \
              `// LINT: allow(R14, reason)`",
@@ -51,24 +75,42 @@ pub fn check_dead_api<'a>(
     .collect()
 }
 
-/// Add to `used` every graph node the trees of a `krate` file call or
-/// name.
-fn mark_uses(graph: &CallGraph<'_>, krate: &str, trees: &[Tree], used: &mut BTreeSet<usize>) {
+/// Add to `uses[owner]` every graph node the trees of a `krate` file
+/// call or name; the body of a checked fn in `bodies` is its own owner.
+fn mark_uses(
+    graph: &CallGraph<'_>,
+    krate: &str,
+    trees: &[Tree],
+    bodies: &Bodies<'_>,
+    owner: Option<usize>,
+    uses: &mut Uses,
+) {
     let mut i = 0usize;
     while i < trees.len() {
         let t = &trees[i];
+        let used = |uses: &mut Uses, ids: Vec<usize>| uses.entry(owner).or_default().extend(ids);
         if t.is_ident("use") {
             // An import names a fn without using it.
             i += trees[i..].iter().position(|t| t.is_punct(';')).unwrap_or(trees.len() - i);
         } else if t.is_ident("fn") {
             // A definition's name is not a use of it.
+            let body =
+                trees.get(i + 1).and_then(Tree::ident).and_then(|n| bodies.get(&(t.line(), n)));
             i += 2;
+            if let Some(&id) = body {
+                let end =
+                    trees[i..].iter().position(|t| t.is_punct(';') || t.group_with('{').is_some());
+                if let Some(g) = end.and_then(|k| trees[i + k].group_with('{')) {
+                    mark_uses(graph, krate, &g.trees, bodies, Some(id), uses);
+                }
+                i += end.map_or(trees.len() - i, |k| k + 1);
+            }
         } else if let Some((mut call, args, next)) = call_at(trees, i) {
             if let Some(ty) = turbofish_type(trees, i) {
                 call.segments.insert(0, ty.to_string());
             }
-            used.extend(graph.resolve_any_arity(krate, &call));
-            mark_uses(graph, krate, &args.trees, used);
+            used(uses, graph.resolve_any_arity(krate, &call));
+            mark_uses(graph, krate, &args.trees, bodies, owner, uses);
             i = next;
         } else if t.ident().is_some() && !(i > 0 && trees[i - 1].is_punct('.')) {
             // A path not called: a fn named as a value, unless a macro.
@@ -78,12 +120,12 @@ fn mark_uses(graph: &CallGraph<'_>, krate: &str, trees: &[Tree], used: &mut BTre
                     segments.insert(0, ty.to_string());
                 }
                 let value = CallSite { segments, method: false, arity: 0, line: t.line() };
-                used.extend(graph.resolve_any_arity(krate, &value));
+                used(uses, graph.resolve_any_arity(krate, &value));
             }
             i = next;
         } else {
             if let Some(g) = t.group() {
-                mark_uses(graph, krate, &g.trees, used);
+                mark_uses(graph, krate, &g.trees, bodies, owner, uses);
             }
             i += 1;
         }

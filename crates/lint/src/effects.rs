@@ -6,7 +6,8 @@
 //! * `blocks` — may park the calling thread: blocking syscalls
 //!   (file/dir I/O, `thread::sleep`, `connect`), `Mutex::lock`-style
 //!   lock acquisition, channel `recv`, `JoinHandle::join`.
-//! * `fsyncs` — issues a durability barrier (`sync_all`/`sync_data`).
+//! * `fsyncs` — issues a durability barrier (`sync_all`/`sync_data`, the
+//!   file layer's `sync_dir`).
 //! * `wal_appends` — appends a WAL record (designated: `wal::append`,
 //!   `wal::append_batch`).
 //! * `writes_data_pages` — writes a data page through the storage
@@ -85,7 +86,7 @@ const DESIGNATED: [(&str, &str, usize, Effect); 4] = [
 /// `try_*` never seeds. Socket `read`/`write`/`accept` are deliberately
 /// absent: in lobd they are non-blocking readiness-driven ops,
 /// and elsewhere the enclosing fs/File seeds already mark the path.
-const METHOD_SEEDS: [(&str, usize, Effect); 14] = [
+const METHOD_SEEDS: [(&str, usize, Effect); 18] = [
     ("lock", 0, EFFECT_BLOCKS),
     ("read", 0, EFFECT_BLOCKS),  // RwLock/latch read-acquire
     ("write", 0, EFFECT_BLOCKS), // RwLock/latch write-acquire
@@ -100,11 +101,16 @@ const METHOD_SEEDS: [(&str, usize, Effect); 14] = [
     ("read_exact_at", 2, EFFECT_BLOCKS),
     ("write_all_at", 2, EFFECT_BLOCKS),
     ("connect", 1, EFFECT_BLOCKS),
+    // the file layer (`Vfs`): a rename or remove is durable on return
+    ("sync_dir", 2, EFFECT_BLOCKS | EFFECT_FSYNC),
+    ("rename_file", 3, EFFECT_BLOCKS | EFFECT_FSYNC),
+    ("remove_file", 2, EFFECT_BLOCKS | EFFECT_FSYNC),
+    ("file_len", 0, EFFECT_BLOCKS),
 ];
 
 /// Path-call types whose constructors/ops block (file + net).
-const BLOCKING_PATH_TYPES: [&str; 5] =
-    ["File", "OpenOptions", "TcpStream", "TcpListener", "UnixStream"];
+const BLOCKING_PATH_TYPES: [&str; 6] =
+    ["File", "OpenOptions", "VFile", "TcpStream", "TcpListener", "UnixStream"];
 
 /// `(name, arity)` method edges never resolved: the `std::io` trait
 /// shapes, where `(name, arity)` matching links every buffered reader

@@ -13,8 +13,8 @@
 //! through one).
 //!
 //! R7 sinks come in two tiers: Tier A is a fixed table of device-I/O
-//! call shapes (`smgr` trait ops, host-file ops, `std::fs`/`std::net`
-//! path calls); Tier B is any *same-crate* function whose call-graph
+//! call shapes (`smgr` trait ops, host-file and `Vfs` ops,
+//! `std::fs`/`std::net` path calls); Tier B is any *same-crate* function whose call-graph
 //! node directly holds a Tier A call site (one hop, no fixpoint —
 //! `write_back` in `buffer`). Cross-crate calls are never Tier B: a
 //! public API like `pool.new_page` encapsulates its own locking
@@ -53,7 +53,7 @@ const GUARD_TYPES: [&str; 9] = [
 /// arity keeps common names honest — `smgr.read(rel, block, buf)` is
 /// device I/O, `rwlock.read()` is a guard acquisition, `file.read(buf)`
 /// is neither.
-const SINK_METHODS: [(&str, usize); 20] = [
+const SINK_METHODS: [(&str, usize); 26] = [
     // smgr trait device ops
     ("read", 3),
     ("write", 3),
@@ -75,14 +75,23 @@ const SINK_METHODS: [(&str, usize); 20] = [
     ("exists", 0),
     ("open", 1),
     ("flush", 0),
+    // the file layer's (`Vfs`) path ops and handle length; its handle
+    // ops share the host-file shapes above
+    ("file_len", 0),
+    ("rename_file", 3),
+    ("remove_file", 2),
+    ("sync_dir", 2),
+    ("list_dir", 2),
+    ("create_dir", 2),
     // network
     ("accept", 0),
 ];
 
 /// Path-call sinks: any `std::fs::*` / `fs::*` call, plus constructors
-/// on these types (`File::open`, `TcpStream::connect`, ...).
-const SINK_PATH_TYPES: [&str; 5] =
-    ["File", "TcpStream", "TcpListener", "UnixStream", "UnixListener"];
+/// on these types (`File::open`, `VFile::create`, `TcpStream::connect`,
+/// ...).
+const SINK_PATH_TYPES: [&str; 6] =
+    ["File", "VFile", "TcpStream", "TcpListener", "UnixStream", "UnixListener"];
 
 /// Whether a call site is a Tier A sink.
 fn is_sink(call: &CallSite) -> bool {

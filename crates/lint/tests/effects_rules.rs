@@ -131,21 +131,22 @@ fn r12_live_injection_weakened_inbox_lock_fires() {
 #[test]
 fn r13_live_injection_dropped_dir_fsync_fires() {
     let root = workspace_root();
-    let rel = "crates/wal/src/lib.rs";
+    let rel = "crates/smgr/src/vfs.rs";
     let orig = std::fs::read_to_string(root.join(rel)).unwrap();
 
     let baseline = effect_findings(&load_engine(&root, &[]), "R13");
     assert!(baseline.is_empty(), "unmodified workspace must be R13-clean: {baseline:?}");
 
-    // Weaken one real call site: WAL segment recycling renames without
-    // the directory fsync that makes the rename durable.
-    let site = "self.sync_dir()?;";
+    // Weaken one real call site: the file layer's rename (which WAL
+    // segment recycling makes) without the directory fsync that makes
+    // the rename durable.
+    let site = "self.sync_dir(class, to.parent().unwrap_or(Path::new(\".\")))";
     assert!(orig.contains(site), "injection site moved; update this test");
-    let weakened = orig.replace(site, "");
+    let weakened = orig.replace(site, "Ok(())");
     let mutated = effect_findings(&load_engine(&root, &[(rel, &weakened)]), "R13");
     assert!(
         mutated.iter().any(|f| f.rule == "R13"
-            && f.path.to_string_lossy().ends_with("wal/src/lib.rs")
+            && f.path.to_string_lossy().ends_with("smgr/src/vfs.rs")
             && f.message.contains("fs::rename")),
         "rename without dir fsync must fire R13: {mutated:?}"
     );

@@ -17,6 +17,7 @@ const R14_LIB_USER: &str = include_str!("fixtures/r14/lib_user.rs");
 const R14_BIN: &str = include_str!("fixtures/r14/bin.rs");
 const R14_BENCH: &str = include_str!("fixtures/r14/bench.rs");
 const R14_NOT_USERS: &str = include_str!("fixtures/r14/not_users.rs");
+const R14_MUTUAL: &str = include_str!("fixtures/r14/mutual.rs");
 
 /// Run the guard-flow rule on one fixture as crate `x`, with allow
 /// directives applied by the driver's own matcher.
@@ -96,6 +97,21 @@ fn r14_negative_counts_bin_bench_and_fn_path_callers() {
     for used in ["decode", "widen", "check", "sized", "from_bin", "from_bench", "private_unused"] {
         assert!(!names(&found).contains(&used), "{used} has a caller: {found:?}");
     }
+}
+
+/// Two dead `pub fn`s of one name, each the other's only caller, are
+/// both reported; a call from a used fn still counts.
+#[test]
+fn r14_mutual_callers_of_one_name_are_both_dead() {
+    let api = SourceFile::new("crates/heap/src/lib.rs", "heap", R14_MUTUAL);
+    let user = SourceFile::new(
+        "crates/server/src/service.rs",
+        "server",
+        "fn f(c: &heap::Chunks) { c.size(); }",
+    );
+    let graph = CallGraph::build([&api]);
+    let found = check_dead_api(&graph, [&api, &user]);
+    assert_eq!(names(&found), ["data_bytes", "data_bytes"], "{found:?}");
 }
 
 #[test]

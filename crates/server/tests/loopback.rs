@@ -225,13 +225,17 @@ fn restart_preserves_committed_objects() {
 /// The self-describing metrics frame carries the WAL instrumentation:
 /// the append byte counter, the fsync latency histogram, and the
 /// group-commit batch-size histogram — and the text exposition renders
-/// them. Durable sync is on so the fsync span actually fires.
+/// them. The file layer runs in power mode so the fsync span actually
+/// fires.
 #[test]
 fn metrics_frame_exposes_wal_instrumentation() {
     let dir = tempfile::tempdir().unwrap();
     let env = pglo_heap::StorageEnv::open_with(
         dir.path(),
-        pglo_heap::EnvOptions { durable_sync: true, ..Default::default() },
+        pglo_heap::EnvOptions {
+            vfs: pglo_smgr::HostVfs::shared(pglo_smgr::Durability::Power),
+            ..Default::default()
+        },
     )
     .unwrap();
     let service = LobdService::with_env(env).unwrap();

@@ -5,17 +5,16 @@
 //! directory, [`SEGMENT_BLOCKS`] blocks each (PostgreSQL's `md.c`
 //! layout): segment 0 is `rel_<oid>.pg`, segment `n` is `rel_<oid>.pg.<n>`,
 //! so no file outgrows a per-file size limit. Real host file I/O is
-//! performed (so data is durable and inspectable) while the simulated
-//! clock is charged with a 1992-era disk profile.
+//! performed through the [`Vfs`] (so data is durable and inspectable)
+//! while the simulated clock is charged with a 1992-era disk profile.
 
+use crate::vfs::{FileClass, VFile, Vfs};
 use crate::{RelFileId, Result, SeqTracker, SmgrError, StorageManager};
 use parking_lot::{ranks, Mutex};
 use pglo_pages::{PageBuf, PAGE_SIZE};
 use pglo_sim::{DeviceProfile, IoStats, SimContext};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
 use std::io;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -41,7 +40,7 @@ const SEGMENT_BYTES: u64 = SEGMENT_BLOCKS as u64 * PAGE_SIZE as u64;
 /// as zeros — an empty page to readers and a full one to inserters.
 struct RelFile {
     /// Segment `n` at index `n`; a block past the last has no file yet.
-    segs: Vec<Arc<File>>,
+    segs: Vec<Arc<VFile>>,
     /// Blocks handed out; at or past the blocks the files hold.
     nblocks: u32,
 }
@@ -54,7 +53,7 @@ impl RelFile {
     }
 
     /// The segment file holding `block`, if it exists yet.
-    fn seg(&self, block: u32) -> Option<Arc<File>> {
+    fn seg(&self, block: u32) -> Option<Arc<VFile>> {
         self.segs.get((block / SEGMENT_BLOCKS) as usize).cloned()
     }
 
@@ -70,22 +69,6 @@ fn seg_offset(block: u32) -> u64 {
     u64::from(block % SEGMENT_BLOCKS) * PAGE_SIZE as u64
 }
 
-/// Fill `out` from block `block` on, within its segment file, with zeros
-/// past the file's end or when the segment has no file yet.
-fn read_at(file: Option<&File>, out: &mut [u8], block: u32) -> Result<()> {
-    let mut done = 0;
-    if let Some(file) = file {
-        while done < out.len() {
-            match file.read_at(&mut out[done..], seg_offset(block) + done as u64)? {
-                0 => break,
-                n => done += n,
-            }
-        }
-    }
-    out[done..].fill(0);
-    Ok(())
-}
-
 /// Storage manager for local magnetic disk.
 pub struct DiskSmgr {
     base: PathBuf,
@@ -94,43 +77,24 @@ pub struct DiskSmgr {
     stats: IoStats,
     seq: SeqTracker,
     files: Mutex<HashMap<RelFileId, RelFile>>,
-    /// When set, [`StorageManager::sync`] issues a real host `sync_all` so
-    /// benchmarks can measure honest durability cost. Off by default: the
-    /// simulated clock already charges every write, and host-level fsync
-    /// would only slow tests down.
-    durable_sync: bool,
+    vfs: Arc<dyn Vfs>,
 }
 
 impl DiskSmgr {
-    /// Create a manager rooted at `base` (created if absent), charging the
-    /// default 1992 magnetic-disk profile.
-    pub fn new(base: impl AsRef<Path>, sim: SimContext) -> Result<Self> {
-        Self::with_profile(base, sim, DeviceProfile::magnetic_disk_1992())
-    }
-
-    /// Create a manager with a custom device profile (used by ablation
-    /// benchmarks to model faster or slower disks).
-    pub fn with_profile(
-        base: impl AsRef<Path>,
-        sim: SimContext,
-        profile: DeviceProfile,
-    ) -> Result<Self> {
+    /// Create a manager rooted at `base` (created if absent) on `vfs`,
+    /// charging the default 1992 magnetic-disk profile.
+    pub fn new(vfs: Arc<dyn Vfs>, base: impl AsRef<Path>, sim: SimContext) -> Result<Self> {
         let base = base.as_ref().to_path_buf();
-        std::fs::create_dir_all(&base)?;
+        vfs.create_dir(FileClass::Data, &base)?;
         Ok(Self {
             base,
             sim,
-            profile,
+            profile: DeviceProfile::magnetic_disk_1992(),
             stats: IoStats::new(),
             seq: SeqTracker::default(),
             files: Mutex::with_rank(HashMap::new(), ranks::SMGR_DISK_FILES),
-            durable_sync: false,
+            vfs,
         })
-    }
-
-    /// Opt into real host `sync_all` on [`StorageManager::sync`].
-    pub fn set_durable_sync(&mut self, durable: bool) {
-        self.durable_sync = durable;
     }
 
     /// Path of a relation's first segment file.
@@ -166,7 +130,7 @@ impl DiskSmgr {
         let mut r = RelFile { segs: Vec::new(), nblocks: 0 };
         loop {
             let n = r.segs.len();
-            let file = match OpenOptions::new().read(true).write(true).open(self.seg_path(rel, n)) {
+            let file = match VFile::open(&self.vfs, self.seg_path(rel, n), FileClass::Data) {
                 Ok(file) => file,
                 Err(e) if e.kind() == io::ErrorKind::NotFound && n > 0 => return Ok(r),
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {
@@ -174,7 +138,7 @@ impl DiskSmgr {
                 }
                 Err(e) => return Err(e.into()),
             };
-            let bytes = file.metadata()?.len();
+            let bytes = file.file_len()?;
             if bytes > SEGMENT_BYTES {
                 return Err(SmgrError::OversizedSegment { rel, bytes });
             }
@@ -188,7 +152,7 @@ impl DiskSmgr {
     /// The segment file holding `block` (range-checked), creating it and
     /// every missing segment before it, in order, with the cache lock
     /// released; a racing creator's handles to the same files win.
-    fn seg_for_write(&self, rel: RelFileId, block: u32) -> Result<Arc<File>> {
+    fn seg_for_write(&self, rel: RelFileId, block: u32) -> Result<Arc<VFile>> {
         let have = self.with_rel(rel, |r| {
             r.check(rel, block)?;
             Ok(r.seg(block).ok_or(r.segs.len()))
@@ -197,14 +161,9 @@ impl DiskSmgr {
             Ok(file) => return Ok(file),
             Err(from) => from,
         };
-        let mut opts = OpenOptions::new();
-        opts.read(true).write(true).create(true).truncate(false);
         let mut made = Vec::new();
         for n in from..=(block / SEGMENT_BLOCKS) as usize {
-            made.push(Arc::new(opts.open(self.seg_path(rel, n))?));
-        }
-        if self.durable_sync {
-            File::open(&self.base)?.sync_all()?;
+            made.push(Arc::new(VFile::create(&self.vfs, self.seg_path(rel, n), FileClass::Data)?));
         }
         self.with_rel(rel, |r| {
             let skip = r.segs.len().checked_sub(from).ok_or(SmgrError::NotFound(rel))?;
@@ -223,19 +182,15 @@ impl DiskSmgr {
         }
     }
 
-    /// Fsync every segment file in the open-file cache. Checkpoint-time
+    /// Sync every segment file in the open-file cache. Checkpoint-time
     /// durability discipline: the redo horizon may only advance past page
-    /// writes once they are on the platter. No-op unless `durable_sync`
-    /// is set (matching [`StorageManager::sync`]). Handles are cloned out
-    /// of the cache first so no lock is held across the fsyncs.
+    /// writes once they are on the platter. Handles are cloned out of the
+    /// cache first so no lock is held across the syncs.
     pub fn sync_all_open(&self) -> Result<()> {
-        if !self.durable_sync {
-            return Ok(());
-        }
-        let files: Vec<Arc<File>> =
+        let files: Vec<Arc<VFile>> =
             self.files.lock().values().flat_map(|r| r.segs.iter().map(Arc::clone)).collect();
         for f in files {
-            f.sync_all()?;
+            f.sync_data()?;
         }
         Ok(())
     }
@@ -251,7 +206,7 @@ impl StorageManager for DiskSmgr {
         if path.exists() {
             return Err(SmgrError::AlreadyExists(rel));
         }
-        let f = OpenOptions::new().read(true).write(true).create_new(true).open(path)?;
+        let f = VFile::create(&self.vfs, path, FileClass::Data)?;
         self.files.lock().insert(rel, RelFile { segs: vec![Arc::new(f)], nblocks: 0 });
         Ok(())
     }
@@ -269,7 +224,7 @@ impl StorageManager for DiskSmgr {
         }
         // Highest first: a crash part-way leaves a chain from segment 0.
         for n in (0..segs).rev() {
-            std::fs::remove_file(self.seg_path(rel, n))?;
+            self.vfs.remove_file(FileClass::Data, &self.seg_path(rel, n))?;
         }
         Ok(())
     }
@@ -281,7 +236,7 @@ impl StorageManager for DiskSmgr {
     fn extend(&self, rel: RelFileId, page: &PageBuf) -> Result<u32> {
         let _span = obs::span!("smgr.disk.extend");
         let block = self.with_rel(rel, RelFile::next_block)?;
-        self.seg_for_write(rel, block)?.write_all_at(page, seg_offset(block))?;
+        self.seg_for_write(rel, block)?.write_at(page, seg_offset(block))?;
         self.charge(rel, block, PAGE_SIZE, true);
         Ok(block)
     }
@@ -298,14 +253,17 @@ impl StorageManager for DiskSmgr {
             r.check(rel, block)?;
             Ok(r.seg(block))
         })?;
-        read_at(file.as_deref(), out, block)?;
+        match file {
+            Some(f) => f.read_at(out, seg_offset(block)).map(drop)?,
+            None => out.fill(0),
+        }
         self.charge(rel, block, PAGE_SIZE, false);
         Ok(())
     }
 
     fn write(&self, rel: RelFileId, block: u32, page: &PageBuf) -> Result<()> {
         let _span = obs::span!("smgr.disk.write");
-        self.seg_for_write(rel, block)?.write_all_at(page, seg_offset(block))?;
+        self.seg_for_write(rel, block)?.write_at(page, seg_offset(block))?;
         self.charge(rel, block, PAGE_SIZE, true);
         Ok(())
     }
@@ -331,7 +289,11 @@ impl StorageManager for DiskSmgr {
             if done > 0 {
                 file = self.with_rel(rel, |r| Ok(r.seg(block)))?;
             }
-            read_at(file.as_deref(), out[done..done + len].as_flattened_mut(), block)?;
+            let run = out[done..done + len].as_flattened_mut();
+            match &file {
+                Some(f) => f.read_at(run, seg_offset(block)).map(drop)?,
+                None => run.fill(0),
+            }
             done += len;
         }
         let sequential = self.seq.touch_run(rel, start, n as u32);
@@ -341,15 +303,10 @@ impl StorageManager for DiskSmgr {
     }
 
     fn sync(&self, rel: RelFileId) -> Result<()> {
-        // The simulated clock already charged each write; host-level
-        // sync_all is skipped by default to keep tests fast (durability of
-        // the host file is not part of the reproduced evaluation) and
-        // performed only when the manager opted into `durable_sync`.
-        let files = self.with_rel(rel, |r| Ok(r.segs.clone()))?;
-        if self.durable_sync {
-            for f in files {
-                f.sync_all()?;
-            }
+        // The simulated clock already charged each write; whether a sync
+        // reaches the host device is the file layer's mode.
+        for f in self.with_rel(rel, |r| Ok(r.segs.clone()))? {
+            f.sync_data()?;
         }
         Ok(())
     }
@@ -370,12 +327,17 @@ impl StorageManager for DiskSmgr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::{Durability, HostVfs};
     use pglo_pages::alloc_page;
+
+    fn host() -> Arc<dyn Vfs> {
+        HostVfs::shared(Durability::Process)
+    }
 
     fn setup() -> (tempfile::TempDir, DiskSmgr, SimContext) {
         let dir = tempfile::tempdir().unwrap();
         let sim = SimContext::default_1992();
-        let smgr = DiskSmgr::new(dir.path(), sim.clone()).unwrap();
+        let smgr = DiskSmgr::new(host(), dir.path(), sim.clone()).unwrap();
         (dir, smgr, sim)
     }
 
@@ -449,7 +411,7 @@ mod tests {
         assert_eq!(file_len(), PAGE_SIZE as u64, "allocate makes no host I/O");
         // A second manager on the directory (the crash-recovery path) has
         // only the file to go by: blocks never written are not there.
-        assert_eq!(DiskSmgr::new(dir.path(), sim.clone()).unwrap().nblocks(3).unwrap(), 1);
+        assert_eq!(DiskSmgr::new(host(), dir.path(), sim.clone()).unwrap().nblocks(3).unwrap(), 1);
         // Block 2 reaches home before block 1: the first write grows the
         // file and leaves block 1 a hole, which reads as zeros.
         let mut page = alloc_page();
@@ -468,7 +430,7 @@ mod tests {
             Err(SmgrError::OutOfRange { block: 3, nblocks: 3, .. })
         ));
         assert!(matches!(smgr.write(3, 3, &out), Err(SmgrError::OutOfRange { .. })));
-        let reopened = DiskSmgr::new(dir.path(), sim).unwrap();
+        let reopened = DiskSmgr::new(host(), dir.path(), sim).unwrap();
         assert_eq!(reopened.nblocks(3).unwrap(), 3, "the written length, hole included");
         assert_eq!(reopened.allocate(3).unwrap(), 3);
         reopened.write(3, 3, &out).unwrap();
@@ -505,7 +467,7 @@ mod tests {
         assert_eq!(len(""), PAGE_SIZE as u64);
         assert_eq!(len(".1"), 0, "segment 1 exists, empty");
         assert_eq!(len(".2"), 4 * PAGE_SIZE as u64);
-        let reopened = DiskSmgr::new(dir.path(), sim).unwrap();
+        let reopened = DiskSmgr::new(host(), dir.path(), sim).unwrap();
         assert_eq!(reopened.nblocks(4).unwrap(), far + 1);
         let mut out = alloc_page();
         reopened.read(4, far, &mut out).unwrap();
@@ -552,7 +514,7 @@ mod tests {
         assert_eq!(files(), 0);
         assert!(matches!(smgr.nblocks(6), Err(SmgrError::NotFound(6))));
         smgr.create(6).unwrap();
-        assert_eq!(DiskSmgr::new(dir.path(), sim).unwrap().nblocks(6).unwrap(), 0);
+        assert_eq!(DiskSmgr::new(host(), dir.path(), sim).unwrap().nblocks(6).unwrap(), 0);
     }
 
     /// A relation file longer than a segment was written by the
@@ -690,17 +652,23 @@ mod tests {
     }
 
     #[test]
-    fn durable_sync_opt_in() {
-        let (_dir, mut smgr, _sim) = setup();
-        assert!(!smgr.durable_sync, "host fsync is off by default");
-        smgr.set_durable_sync(true);
-        assert!(smgr.durable_sync);
+    fn power_mode_sync_reaches_the_host() {
+        // No other test of this binary runs a data file in power mode.
+        let count = |name: &str| {
+            let entries = obs::snapshot_entries().into_iter();
+            entries.filter(|e| e.name == name).map(|e| e.value.as_u64()).sum::<u64>()
+        };
+        let (syncs, dir_syncs) = (count("vfs.data.fsyncs"), count("vfs.data.dir_fsyncs"));
+        let dir = tempfile::tempdir().unwrap();
+        let power = HostVfs::shared(Durability::Power);
+        let smgr = DiskSmgr::new(power, dir.path(), SimContext::default_1992()).unwrap();
         smgr.create(1).unwrap();
         smgr.extend(1, &alloc_page()).unwrap();
-        smgr.sync(1).unwrap(); // reaches sync_all without error
-        smgr.set_durable_sync(false);
-        assert!(!smgr.durable_sync);
         smgr.sync(1).unwrap();
+        smgr.sync_all_open().unwrap();
+        assert_eq!(count("vfs.data.fsyncs") - syncs, 2, "one per sync of the one segment");
+        // The base directory's creation and the relation file's.
+        assert_eq!(count("vfs.data.dir_fsyncs") - dir_syncs, 2);
     }
 
     #[test]

@@ -38,14 +38,18 @@
 #![deny(unsafe_code)]
 
 pub mod disk;
+pub mod fault;
 pub mod lru;
 pub mod mem;
 pub mod native;
+pub mod vfs;
 pub mod worm;
 
 pub use disk::DiskSmgr;
+pub use fault::FaultVfs;
 pub use mem::MemSmgr;
 pub use native::NativeFile;
+pub use vfs::{Durability, FileClass, HostVfs, VFile, Vfs};
 pub use worm::WormSmgr;
 
 use parking_lot::{ranks, RwLock};
@@ -371,7 +375,10 @@ mod tests {
         let sim = pglo_sim::SimContext::default_1992();
         let dir = tempfile::tempdir().unwrap();
         let managers: [Box<dyn StorageManager>; 3] = [
-            Box::new(DiskSmgr::new(dir.path(), sim.clone()).unwrap()),
+            Box::new(
+                DiskSmgr::new(HostVfs::shared(Durability::Process), dir.path(), sim.clone())
+                    .unwrap(),
+            ),
             Box::new(MemSmgr::new(sim.clone())),
             Box::new(WormSmgr::new(sim)),
         ];

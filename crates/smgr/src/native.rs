@@ -18,12 +18,12 @@
 //! transaction machinery), exactly like the paper's "user file" column.
 
 use crate::lru::LruCache;
+use crate::vfs::{FileClass, VFile, Vfs};
 use crate::Result;
 use parking_lot::{ranks, Mutex};
 use pglo_sim::{DeviceProfile, IoStats, SimContext};
-use std::fs::{File, OpenOptions};
-use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::Arc;
 
 /// FFS block size.
 pub const NATIVE_BLOCK: usize = 8192;
@@ -44,10 +44,11 @@ struct ChargeState {
 }
 
 /// A host file charged against a simulated storage device through a
-/// simulated OS block cache.
+/// simulated OS block cache. It is a host file by the paper's design, and
+/// its bytes still cross the store's [`Vfs`] like every other file's: the
+/// p-file is the store's own, and a u-file's writes are the store's too.
 pub struct NativeFile {
-    file: File,
-    path: PathBuf,
+    file: VFile,
     sim: SimContext,
     profile: DeviceProfile,
     stats: IoStats,
@@ -55,25 +56,22 @@ pub struct NativeFile {
 }
 
 impl NativeFile {
-    /// Open (or create) a file, charging the default magnetic-disk profile
-    /// with the default OS cache.
-    pub fn open(path: impl AsRef<Path>, sim: SimContext, create: bool) -> Result<Self> {
-        Self::open_with_profile(path, sim, create, DeviceProfile::magnetic_disk_1992())
-    }
-
-    /// Open with an explicit device profile.
-    pub fn open_with_profile(
+    /// Open (or create) a file on `vfs`, charging the default
+    /// magnetic-disk profile with the default OS cache.
+    pub fn open(
+        vfs: &Arc<dyn Vfs>,
         path: impl AsRef<Path>,
         sim: SimContext,
         create: bool,
-        profile: DeviceProfile,
     ) -> Result<Self> {
-        Self::open_full(path, sim, create, profile, DEFAULT_OS_CACHE_BLOCKS)
+        let profile = DeviceProfile::magnetic_disk_1992();
+        Self::open_full(vfs, path, sim, create, profile, DEFAULT_OS_CACHE_BLOCKS)
     }
 
     /// Open with explicit profile and OS-cache capacity (0 disables the
     /// cache).
     pub fn open_full(
+        vfs: &Arc<dyn Vfs>,
         path: impl AsRef<Path>,
         sim: SimContext,
         create: bool,
@@ -81,10 +79,13 @@ impl NativeFile {
         os_cache_blocks: usize,
     ) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().read(true).write(true).create(create).open(&path)?;
+        let file = if create {
+            VFile::create(vfs, path, FileClass::Native)?
+        } else {
+            VFile::open(vfs, path, FileClass::Native)?
+        };
         Ok(Self {
             file,
-            path,
             sim,
             profile,
             stats: IoStats::new(),
@@ -166,14 +167,7 @@ impl NativeFile {
     /// Read up to `buf.len()` bytes at `offset`; returns bytes read (short
     /// at end of file).
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let mut done = 0;
-        while done < buf.len() {
-            let n = self.file.read_at(&mut buf[done..], offset + done as u64)?;
-            if n == 0 {
-                break;
-            }
-            done += n;
-        }
+        let done = self.file.read_at(buf, offset)?;
         if done > 0 {
             self.charge(offset, done, false);
         }
@@ -182,14 +176,14 @@ impl NativeFile {
 
     /// Write all of `data` at `offset`, extending the file if needed.
     pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        self.file.write_all_at(data, offset)?;
+        self.file.write_at(data, offset)?;
         self.charge(offset, data.len(), true);
         Ok(())
     }
 
     /// Current file length in bytes.
     pub fn len(&self) -> Result<u64> {
-        Ok(self.file.metadata()?.len())
+        Ok(self.file.file_len()?)
     }
 
     /// Whether the file is empty.
@@ -205,7 +199,7 @@ impl NativeFile {
 
     /// The path this file was opened at.
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.file.path
     }
 
     /// I/O statistics for this file (device traffic only; OS-cache hits
@@ -228,12 +222,17 @@ impl NativeFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::{Durability, HostVfs};
+
+    fn host() -> Arc<dyn Vfs> {
+        HostVfs::shared(Durability::Process)
+    }
 
     #[test]
     fn read_write_roundtrip() {
         let dir = tempfile::tempdir().unwrap();
         let sim = SimContext::default_1992();
-        let f = NativeFile::open(dir.path().join("obj"), sim, true).unwrap();
+        let f = NativeFile::open(&host(), dir.path().join("obj"), sim, true).unwrap();
         f.write_at(0, b"hello world").unwrap();
         f.write_at(6, b"WORLD").unwrap();
         let mut buf = [0u8; 11];
@@ -246,7 +245,7 @@ mod tests {
     fn short_read_at_eof() {
         let dir = tempfile::tempdir().unwrap();
         let sim = SimContext::default_1992();
-        let f = NativeFile::open(dir.path().join("obj"), sim, true).unwrap();
+        let f = NativeFile::open(&host(), dir.path().join("obj"), sim, true).unwrap();
         f.write_at(0, b"abc").unwrap();
         let mut buf = [0u8; 10];
         assert_eq!(f.read_at(1, &mut buf).unwrap(), 2);
@@ -259,6 +258,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let sim = SimContext::default_1992();
         let f = NativeFile::open_full(
+            &host(),
             dir.path().join("obj"),
             sim.clone(),
             true,
@@ -289,7 +289,7 @@ mod tests {
     fn os_cache_absorbs_rereads() {
         let dir = tempfile::tempdir().unwrap();
         let sim = SimContext::default_1992();
-        let f = NativeFile::open(dir.path().join("obj"), sim.clone(), true).unwrap();
+        let f = NativeFile::open(&host(), dir.path().join("obj"), sim.clone(), true).unwrap();
         f.write_at(0, &vec![1u8; NATIVE_BLOCK * 4]).unwrap();
         f.drop_cache();
         let mut buf = vec![0u8; 4096];
@@ -308,7 +308,7 @@ mod tests {
     fn block_granular_transfer_charges() {
         let dir = tempfile::tempdir().unwrap();
         let sim = SimContext::default_1992();
-        let f = NativeFile::open(dir.path().join("obj"), sim.clone(), true).unwrap();
+        let f = NativeFile::open(&host(), dir.path().join("obj"), sim.clone(), true).unwrap();
         f.write_at(0, &vec![1u8; NATIVE_BLOCK * 2]).unwrap();
         f.drop_cache();
         sim.reset();
@@ -324,7 +324,7 @@ mod tests {
     fn set_len_truncates() {
         let dir = tempfile::tempdir().unwrap();
         let sim = SimContext::default_1992();
-        let f = NativeFile::open(dir.path().join("obj"), sim, true).unwrap();
+        let f = NativeFile::open(&host(), dir.path().join("obj"), sim, true).unwrap();
         f.write_at(0, &[1u8; 100]).unwrap();
         f.set_len(10).unwrap();
         assert_eq!(f.len().unwrap(), 10);
@@ -336,6 +336,6 @@ mod tests {
     fn open_missing_without_create_fails() {
         let dir = tempfile::tempdir().unwrap();
         let sim = SimContext::default_1992();
-        assert!(NativeFile::open(dir.path().join("nope"), sim, false).is_err());
+        assert!(NativeFile::open(&host(), dir.path().join("nope"), sim, false).is_err());
     }
 }

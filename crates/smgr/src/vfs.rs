@@ -1,0 +1,265 @@
+//! One file layer (§5's switch carried below the managers): the log's
+//! segments, the relation segment chains, `xact`, the WORM platters and
+//! the u-file/p-file host files all cross a [`Vfs`]. [`HostVfs`] is the
+//! one production implementation and the one place the [`Durability`]
+//! setting is read; callers sync wherever the protocol needs it and
+//! never ask the mode. Each [`VFile`] carries its [`FileClass`], which
+//! names its `vfs.<class>.*` counters. The simulated clock is charged
+//! above this layer, so nothing here moves a reproduced figure.
+
+use std::fs::{File, OpenOptions};
+use std::io;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+/// What a file holds: fixed when its handle is opened.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FileClass {
+    /// Redo-log segments.
+    Log,
+    /// Relation segment files.
+    Data,
+    /// The outcome table.
+    Xact,
+    /// WORM platter files.
+    Platter,
+    /// u-file and p-file host files.
+    Native,
+}
+
+/// What a crash may take from the store's files.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Durability {
+    /// A process kill: every write the OS accepted survives.
+    Process,
+    /// A power loss: only synced bytes and directory entries survive.
+    Power,
+}
+
+/// The file operations the store makes. A handle's operations take the
+/// handle, which names its class; a path operation names the class of
+/// the file it touches.
+pub trait Vfs: Send + Sync {
+    /// The mode, for reports only: no caller branches on it.
+    fn durability(&self) -> Durability;
+    /// Open an existing file for reading and writing.
+    fn open_file(&self, path: &Path, class: FileClass) -> io::Result<File>;
+    /// Open a file for reading and writing, creating it if missing.
+    fn create_file(&self, path: &Path, class: FileClass) -> io::Result<File>;
+    /// Fill `buf` from `off`, with zeros past the end of the file;
+    /// returns how many bytes came from the file.
+    fn read_at(&self, f: &VFile, buf: &mut [u8], off: u64) -> io::Result<usize>;
+    /// Write all of `buf` at `off`.
+    fn write_at(&self, f: &VFile, buf: &[u8], off: u64) -> io::Result<()>;
+    /// Truncate or lengthen the file to `len` bytes.
+    fn set_len(&self, f: &VFile, len: u64) -> io::Result<()>;
+    /// Make the file's bytes durable.
+    fn sync_data(&self, f: &VFile) -> io::Result<()>;
+    /// The file's length in bytes.
+    fn file_len(&self, f: &VFile) -> io::Result<u64>;
+    /// Rename `from` to `to`.
+    fn rename_file(&self, class: FileClass, from: &Path, to: &Path) -> io::Result<()>;
+    /// Remove the file at `path`.
+    fn remove_file(&self, class: FileClass, path: &Path) -> io::Result<()>;
+    /// Make the entries of directory `dir` durable.
+    fn sync_dir(&self, class: FileClass, dir: &Path) -> io::Result<()>;
+    /// The paths of the entries of `dir`.
+    fn list_dir(&self, class: FileClass, dir: &Path) -> io::Result<Vec<PathBuf>>;
+    /// Create directory `dir` and its missing parents.
+    fn create_dir(&self, class: FileClass, dir: &Path) -> io::Result<()>;
+}
+
+/// An open file of one [`FileClass`], reached through the [`Vfs`] that
+/// opened it.
+pub struct VFile {
+    file: File,
+    pub(crate) path: PathBuf,
+    pub(crate) class: FileClass,
+    vfs: Arc<dyn Vfs>,
+    /// The class's `bytes_written` counter, looked up once at open.
+    written: &'static obs::Counter,
+}
+
+impl VFile {
+    /// Open the existing file at `path`.
+    pub fn open(vfs: &Arc<dyn Vfs>, path: PathBuf, class: FileClass) -> io::Result<Self> {
+        let file = vfs.open_file(&path, class)?;
+        Ok(Self::new(file, path, class, vfs))
+    }
+
+    /// Open the file at `path`, creating it if missing.
+    pub fn create(vfs: &Arc<dyn Vfs>, path: PathBuf, class: FileClass) -> io::Result<Self> {
+        let file = vfs.create_file(&path, class)?;
+        Ok(Self::new(file, path, class, vfs))
+    }
+
+    fn new(file: File, path: PathBuf, class: FileClass, vfs: &Arc<dyn Vfs>) -> Self {
+        let written = counter(class, Count::BytesWritten);
+        Self { file, path, class, vfs: Arc::clone(vfs), written }
+    }
+
+    /// See [`Vfs::read_at`].
+    pub fn read_at(&self, buf: &mut [u8], off: u64) -> io::Result<usize> {
+        self.vfs.read_at(self, buf, off)
+    }
+
+    /// See [`Vfs::write_at`].
+    pub fn write_at(&self, buf: &[u8], off: u64) -> io::Result<()> {
+        self.vfs.write_at(self, buf, off)
+    }
+
+    /// See [`Vfs::set_len`].
+    pub fn set_len(&self, len: u64) -> io::Result<()> {
+        self.vfs.set_len(self, len)
+    }
+
+    /// See [`Vfs::sync_data`].
+    pub fn sync_data(&self) -> io::Result<()> {
+        self.vfs.sync_data(self)
+    }
+
+    /// See [`Vfs::file_len`].
+    pub fn file_len(&self) -> io::Result<u64> {
+        self.vfs.file_len(self)
+    }
+}
+
+/// The host's file system. In [`Durability::Process`] mode (a crash is
+/// a process kill, which keeps every write the OS accepted) `sync_data`
+/// and `sync_dir` do nothing; in [`Durability::Power`] mode `sync_data`
+/// reaches the device, and a create, rename or remove has fsynced its
+/// directory by the time it returns.
+pub struct HostVfs {
+    mode: Durability,
+}
+
+impl HostVfs {
+    /// The host file system in `mode`, ready to hand to every component.
+    pub fn shared(mode: Durability) -> Arc<dyn Vfs> {
+        Arc::new(Self { mode })
+    }
+
+    /// Fsync the parent of `path`: a create, rename or remove is durable
+    /// once its directory is.
+    fn sync_parent(&self, class: FileClass, path: &Path) -> io::Result<()> {
+        self.sync_dir(class, path.parent().unwrap_or(Path::new(".")))
+    }
+}
+
+/// Which of a class's counters to bump.
+#[derive(Clone, Copy)]
+enum Count {
+    Fsyncs,
+    DirFsyncs,
+    BytesWritten,
+}
+
+/// Counter `what` of `class` (`vfs.<class>.<what>`).
+fn counter(class: FileClass, what: Count) -> &'static obs::Counter {
+    use {Count::*, FileClass::*};
+    match (class, what) {
+        (Log, Fsyncs) => obs::counter!("vfs.log.fsyncs"),
+        (Log, DirFsyncs) => obs::counter!("vfs.log.dir_fsyncs"),
+        (Log, BytesWritten) => obs::counter!("vfs.log.bytes_written"),
+        (Data, Fsyncs) => obs::counter!("vfs.data.fsyncs"),
+        (Data, DirFsyncs) => obs::counter!("vfs.data.dir_fsyncs"),
+        (Data, BytesWritten) => obs::counter!("vfs.data.bytes_written"),
+        (Xact, Fsyncs) => obs::counter!("vfs.xact.fsyncs"),
+        (Xact, DirFsyncs) => obs::counter!("vfs.xact.dir_fsyncs"),
+        (Xact, BytesWritten) => obs::counter!("vfs.xact.bytes_written"),
+        (Platter, Fsyncs) => obs::counter!("vfs.platter.fsyncs"),
+        (Platter, DirFsyncs) => obs::counter!("vfs.platter.dir_fsyncs"),
+        (Platter, BytesWritten) => obs::counter!("vfs.platter.bytes_written"),
+        (Native, Fsyncs) => obs::counter!("vfs.native.fsyncs"),
+        (Native, DirFsyncs) => obs::counter!("vfs.native.dir_fsyncs"),
+        (Native, BytesWritten) => obs::counter!("vfs.native.bytes_written"),
+    }
+}
+
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the host file layer: the one place the store's durable state meets std::fs"
+)]
+impl Vfs for HostVfs {
+    fn durability(&self) -> Durability {
+        self.mode
+    }
+
+    fn open_file(&self, path: &Path, _class: FileClass) -> io::Result<File> {
+        OpenOptions::new().read(true).write(true).open(path)
+    }
+
+    fn create_file(&self, path: &Path, class: FileClass) -> io::Result<File> {
+        match OpenOptions::new().read(true).write(true).create_new(true).open(path) {
+            Ok(file) => {
+                self.sync_parent(class, path)?;
+                Ok(file)
+            }
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => self.open_file(path, class),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn read_at(&self, f: &VFile, buf: &mut [u8], off: u64) -> io::Result<usize> {
+        let mut done = 0;
+        while done < buf.len() {
+            match f.file.read_at(&mut buf[done..], off + done as u64)? {
+                0 => break,
+                n => done += n,
+            }
+        }
+        buf[done..].fill(0);
+        Ok(done)
+    }
+
+    fn write_at(&self, f: &VFile, buf: &[u8], off: u64) -> io::Result<()> {
+        f.file.write_all_at(buf, off)?;
+        f.written.add(buf.len() as u64);
+        Ok(())
+    }
+
+    fn set_len(&self, f: &VFile, len: u64) -> io::Result<()> {
+        f.file.set_len(len)
+    }
+
+    fn sync_data(&self, f: &VFile) -> io::Result<()> {
+        if self.mode == Durability::Process {
+            return Ok(());
+        }
+        let _span = (f.class == FileClass::Log).then(|| obs::span!("wal.fsync"));
+        counter(f.class, Count::Fsyncs).inc();
+        f.file.sync_data()
+    }
+
+    fn file_len(&self, f: &VFile) -> io::Result<u64> {
+        Ok(f.file.metadata()?.len())
+    }
+
+    fn rename_file(&self, class: FileClass, from: &Path, to: &Path) -> io::Result<()> {
+        std::fs::rename(from, to)?;
+        self.sync_dir(class, to.parent().unwrap_or(Path::new(".")))
+    }
+
+    fn remove_file(&self, class: FileClass, path: &Path) -> io::Result<()> {
+        std::fs::remove_file(path)?;
+        self.sync_parent(class, path)
+    }
+
+    fn sync_dir(&self, class: FileClass, dir: &Path) -> io::Result<()> {
+        if self.mode == Durability::Process {
+            return Ok(());
+        }
+        counter(class, Count::DirFsyncs).inc();
+        File::open(dir)?.sync_all()
+    }
+
+    fn list_dir(&self, _class: FileClass, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        std::fs::read_dir(dir)?.map(|e| Ok(e?.path())).collect()
+    }
+
+    fn create_dir(&self, class: FileClass, dir: &Path) -> io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        self.sync_parent(class, dir)
+    }
+}

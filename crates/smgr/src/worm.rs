@@ -24,15 +24,15 @@
 //!   WAL replay (held by the log's pin map) recreates them.
 
 use crate::lru::LruCache;
+use crate::vfs::{FileClass, VFile, Vfs};
 use crate::{RelFileId, Result, SeqTracker, SmgrError, StorageManager};
 use parking_lot::{ranks, Mutex};
 use pglo_pages::checksum::crc32;
 use pglo_pages::{PageBuf, PAGE_SIZE};
 use pglo_sim::{DeviceProfile, IoStats, SimContext};
 use std::collections::HashMap;
-use std::fs::{self, OpenOptions};
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 enum BlockState {
     /// Written but not yet burned: mutable, lives in the staging area.
@@ -53,7 +53,7 @@ const PLATTER_REC: usize = PAGE_SIZE + 8;
 /// Where burned blocks persist (one `<rel>.platter` file per relation).
 struct Platter {
     dir: PathBuf,
-    durable: bool,
+    vfs: Arc<dyn Vfs>,
 }
 
 fn platter_path(dir: &Path, rel: RelFileId) -> PathBuf {
@@ -115,20 +115,20 @@ impl WormSmgr {
     /// future burns persist to it. Call at startup, *before* WAL replay,
     /// so replayed page images land on top of the recovered burns —
     /// writes to already-burned blocks bounce idempotently.
-    pub fn attach_platter(&self, dir: impl AsRef<Path>, durable: bool) -> Result<()> {
+    pub fn attach_platter(&self, vfs: &Arc<dyn Vfs>, dir: impl AsRef<Path>) -> Result<()> {
         let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
+        vfs.create_dir(FileClass::Platter, &dir)?;
         // Scan and repair with no lock held — attach precedes any
         // traffic by protocol — then install everything in one locked
         // step.
         let mut loaded: Vec<(RelFileId, Vec<BlockState>)> = Vec::new();
-        for entry in fs::read_dir(&dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
+        for path in vfs.list_dir(FileClass::Platter, &dir)? {
+            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
             let Some(hex) = name.strip_suffix(".platter") else { continue };
             let Ok(rel) = RelFileId::from_str_radix(hex, 16) else { continue };
-            let bytes = fs::read(entry.path())?;
+            let f = VFile::open(vfs, path, FileClass::Platter)?;
+            let mut bytes = vec![0; f.file_len()? as usize];
+            f.read_at(&mut bytes, 0)?;
             let mut blocks = Vec::new();
             let mut off = 0usize;
             while off + PLATTER_REC <= bytes.len() {
@@ -149,11 +149,8 @@ impl WormSmgr {
             if off < bytes.len() {
                 // Torn or garbage tail: drop it so a later burn cannot
                 // splice new records onto invalid ones.
-                let f = OpenOptions::new().write(true).open(entry.path())?;
                 f.set_len(off as u64)?;
-                if durable {
-                    f.sync_data()?;
-                }
+                f.sync_data()?;
             }
             loaded.push((rel, blocks));
         }
@@ -161,7 +158,7 @@ impl WormSmgr {
         for (rel, blocks) in loaded {
             inner.rels.insert(rel, blocks);
         }
-        inner.platter = Some(Platter { dir, durable });
+        inner.platter = Some(Platter { dir, vfs: Arc::clone(vfs) });
         Ok(())
     }
 
@@ -237,7 +234,7 @@ impl StorageManager for WormSmgr {
         self.seq.forget(rel);
         if let Some(p) = &inner.platter {
             // LINT: allow(R7, unlink under the lock keeps a concurrent re-create of the same rel from losing its fresh platter file)
-            match fs::remove_file(platter_path(&p.dir, rel)) {
+            match p.vfs.remove_file(FileClass::Platter, &platter_path(&p.dir, rel)) {
                 Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
                 _ => {}
             }
@@ -399,13 +396,10 @@ impl StorageManager for WormSmgr {
                 // platter holds the bytes — otherwise the WAL pin could
                 // be pruned with the platter write still in flight.
                 let path = platter_path(&p.dir, rel);
-                let mut open_opts = OpenOptions::new();
                 // LINT: allow(R7, platter append must complete under the lock before has_staged can report the relation prunable)
-                open_opts.read(true).write(true).create(true).truncate(false);
+                let f = VFile::create(&p.vfs, path, FileClass::Platter)?;
                 // LINT: allow(R7, platter append must complete under the lock before has_staged can report the relation prunable)
-                let f = open_opts.open(&path)?;
-                // LINT: allow(R7, platter append must complete under the lock before has_staged can report the relation prunable)
-                let len = f.metadata()?.len();
+                let len = f.file_len()?;
                 // Defensive: clear any partial record before appending.
                 let keep = len - len % PLATTER_REC as u64;
                 if keep != len {
@@ -425,11 +419,9 @@ impl StorageManager for WormSmgr {
                 }
                 if !buf.is_empty() {
                     // LINT: allow(R7, platter append must complete under the lock before has_staged can report the relation prunable)
-                    f.write_all_at(&buf, keep)?;
-                    if p.durable {
-                        // LINT: allow(R7, platter append must complete under the lock before has_staged can report the relation prunable)
-                        f.sync_data()?;
-                    }
+                    f.write_at(&buf, keep)?;
+                    // LINT: allow(R7, platter append must complete under the lock before has_staged can report the relation prunable)
+                    f.sync_data()?;
                 }
             }
         }
@@ -457,6 +449,11 @@ impl StorageManager for WormSmgr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::{Durability, HostVfs};
+
+    fn host(mode: Durability) -> Arc<dyn Vfs> {
+        HostVfs::shared(mode)
+    }
     use pglo_pages::alloc_page;
 
     fn page_with(b: u8) -> Box<PageBuf> {
@@ -558,7 +555,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         {
             let smgr = WormSmgr::new(SimContext::default_1992());
-            smgr.attach_platter(dir.path(), true).unwrap();
+            smgr.attach_platter(&host(Durability::Power), dir.path()).unwrap();
             smgr.create(7).unwrap();
             for i in 0..5u8 {
                 smgr.extend(7, &page_with(i)).unwrap();
@@ -569,7 +566,7 @@ mod tests {
             smgr.sync(7).unwrap();
         }
         let smgr = WormSmgr::new(SimContext::default_1992());
-        smgr.attach_platter(dir.path(), true).unwrap();
+        smgr.attach_platter(&host(Durability::Power), dir.path()).unwrap();
         assert_eq!(smgr.nblocks(7).unwrap(), 6);
         let mut out = alloc_page();
         for (i, want) in [0u8, 1, 2, 3, 4, 9].iter().enumerate() {
@@ -587,7 +584,7 @@ mod tests {
     fn golden_platter_record_trailer() {
         let dir = tempfile::tempdir().unwrap();
         let smgr = WormSmgr::new(SimContext::default_1992());
-        smgr.attach_platter(dir.path(), false).unwrap();
+        smgr.attach_platter(&host(Durability::Process), dir.path()).unwrap();
         smgr.create(5).unwrap();
         let mut page = alloc_page();
         for (i, b) in page.iter_mut().enumerate() {
@@ -595,7 +592,7 @@ mod tests {
         }
         smgr.extend(5, &page).unwrap();
         smgr.sync(5).unwrap();
-        let bytes = fs::read(platter_path(dir.path(), 5)).unwrap();
+        let bytes = std::fs::read(platter_path(dir.path(), 5)).unwrap();
         assert_eq!(bytes.len(), PLATTER_REC);
         assert_eq!(bytes[..PAGE_SIZE], page[..]);
         assert_eq!(bytes[PAGE_SIZE..PAGE_SIZE + 4], 0xb80e_9a62_u32.to_le_bytes());
@@ -607,7 +604,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         {
             let smgr = WormSmgr::new(SimContext::default_1992());
-            smgr.attach_platter(dir.path(), false).unwrap();
+            smgr.attach_platter(&host(Durability::Process), dir.path()).unwrap();
             smgr.create(3).unwrap();
             smgr.extend(3, &page_with(1)).unwrap();
             smgr.extend(3, &page_with(2)).unwrap();
@@ -615,32 +612,32 @@ mod tests {
         }
         // Tear the last record mid-page, as a crashed burn would.
         let path = platter_path(dir.path(), 3);
-        let len = fs::metadata(&path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - PLATTER_REC as u64 / 2).unwrap();
         drop(f);
 
         let smgr = WormSmgr::new(SimContext::default_1992());
-        smgr.attach_platter(dir.path(), false).unwrap();
+        smgr.attach_platter(&host(Durability::Process), dir.path()).unwrap();
         // Only the intact record survives; the torn one was truncated.
         assert_eq!(smgr.nblocks(3).unwrap(), 1);
         let mut out = alloc_page();
         smgr.read(3, 0, &mut out).unwrap();
         assert_eq!(out[0], 1);
-        assert_eq!(fs::metadata(&path).unwrap().len(), PLATTER_REC as u64);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), PLATTER_REC as u64);
         // The lost block can be re-staged and burned again.
         smgr.extend(3, &page_with(2)).unwrap();
         assert!(smgr.has_staged(3));
         smgr.sync(3).unwrap();
         assert!(!smgr.has_staged(3));
-        assert_eq!(fs::metadata(&path).unwrap().len(), 2 * PLATTER_REC as u64);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 2 * PLATTER_REC as u64);
     }
 
     #[test]
     fn unlink_removes_platter_file() {
         let dir = tempfile::tempdir().unwrap();
         let smgr = WormSmgr::new(SimContext::default_1992());
-        smgr.attach_platter(dir.path(), false).unwrap();
+        smgr.attach_platter(&host(Durability::Process), dir.path()).unwrap();
         smgr.create(5).unwrap();
         smgr.extend(5, &page_with(1)).unwrap();
         smgr.sync(5).unwrap();

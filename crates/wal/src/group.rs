@@ -45,6 +45,7 @@ impl GroupFlush {
     }
 
     /// The durable watermark.
+    // LINT: allow(R14, the watermark Wal::flushed_lsn reports to the WAL and pool tests)
     pub fn durable(&self) -> u64 {
         self.flushed.load(Ordering::Acquire)
     }

@@ -80,15 +80,15 @@
 use parking_lot::{ranks, Mutex};
 use pglo_pages::checksum::crc32;
 use pglo_pages::{PageBuf, PAGE_SIZE};
+use pglo_smgr::vfs::{Durability, FileClass, HostVfs, VFile, Vfs};
 
 pub mod group;
 use group::GroupFlush;
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
 use std::io;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Log sequence number: a byte offset into the logical log stream.
 pub type Lsn = u64;
@@ -463,12 +463,10 @@ fn segment_name(seg_start: Lsn) -> String {
 }
 
 /// Sorted `(seg_start, path)` for every well-formed segment file name.
-fn list_segments(dir: &Path, segment_bytes: u64) -> io::Result<Vec<(Lsn, PathBuf)>> {
+fn list_segments(vfs: &dyn Vfs, dir: &Path, segment_bytes: u64) -> io::Result<Vec<(Lsn, PathBuf)>> {
     let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
+    for path in vfs.list_dir(FileClass::Log, dir)? {
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
         let Some(hex) = name.strip_suffix(".seg") else { continue };
         if hex.len() != 16 {
             continue;
@@ -477,7 +475,7 @@ fn list_segments(dir: &Path, segment_bytes: u64) -> io::Result<Vec<(Lsn, PathBuf
         if start % segment_bytes != 0 {
             continue;
         }
-        out.push((start, entry.path()));
+        out.push((start, path));
     }
     out.sort_unstable_by_key(|(s, _)| *s);
     Ok(out)
@@ -517,11 +515,12 @@ struct ScanState {
 /// past EOF). `visit` sees each valid record, oldest first, with its
 /// payload: each segment is read once.
 fn scan(
+    vfs: &Arc<dyn Vfs>,
     dir: &Path,
     segment_bytes: u64,
     mut visit: impl FnMut(RecordInfo, &[u8]) -> io::Result<()>,
 ) -> io::Result<ScanState> {
-    let segs = list_segments(dir, segment_bytes)?;
+    let segs = list_segments(&**vfs, dir, segment_bytes)?;
     let Some(&(first_start, _)) = segs.first() else {
         return Ok(ScanState { end: 0, redo: 0, torn: None });
     };
@@ -532,7 +531,9 @@ fn scan(
             // Gap, or a recycled segment past the true tail: end of log.
             break;
         }
-        let bytes = fs::read(path)?;
+        let file = VFile::open(vfs, path.clone(), FileClass::Log)?;
+        let mut bytes = vec![0; file.file_len()? as usize];
+        file.read_at(&mut bytes, 0)?;
         let usable = bytes.len().min(segment_bytes as usize);
         loop {
             let off = (pos - seg_start) as usize;
@@ -599,25 +600,19 @@ fn scan(
 // The log
 // ---------------------------------------------------------------------------
 
-/// Tuning knobs for [`Wal::open`].
+/// What [`Wal::options`] reports of an open log.
 #[derive(Debug, Clone, Copy)]
 pub struct WalOptions {
-    /// Fsync the log on flush/rotation. Off = crash-consistent against
-    /// process kill but not power loss (matches the pool's default).
+    /// Whether the file layer's syncs reach the device: its
+    /// [`Durability::Power`] mode. A report; the log never asks.
     pub durable_sync: bool,
-    /// Segment size in bytes; clamped to [`MIN_SEGMENT_BYTES`].
+    /// Segment size in bytes, clamped to [`MIN_SEGMENT_BYTES`].
     pub segment_bytes: u64,
-}
-
-impl Default for WalOptions {
-    fn default() -> Self {
-        Self { durable_sync: false, segment_bytes: DEFAULT_SEGMENT_BYTES }
-    }
 }
 
 struct AppendInner {
     /// Current tail segment.
-    file: File,
+    file: Arc<VFile>,
     /// Stream position where `file` begins.
     seg_start: Lsn,
     /// Next stream position to write.
@@ -647,11 +642,12 @@ struct AppendInner {
 /// [`StorageEnv`]: https://docs.rs/pglo-heap
 pub struct Wal {
     dir: PathBuf,
-    opts: WalOptions,
+    vfs: Arc<dyn Vfs>,
+    segment_bytes: u64,
     /// Appender state; rank `wal.append` (46).
     append: Mutex<AppendInner>,
-    /// Group-commit flush slot + durable watermark (modulo
-    /// `durable_sync = false`, where durable only means "written"); the
+    /// Group-commit flush slot + durable watermark (in process mode,
+    /// where a sync does nothing, durable only means "written"); the
     /// protocol lives in [`group::GroupFlush`] on the model-checkable
     /// facade.
     group: GroupFlush,
@@ -679,35 +675,30 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Open (or create) the log under `dir`, validating the tail: a torn
-    /// final record is truncated away, never replayed. The returned log
-    /// is positioned to append after the last valid record.
-    pub fn open(dir: impl AsRef<Path>, mut opts: WalOptions) -> io::Result<Wal> {
-        opts.segment_bytes = opts.segment_bytes.max(MIN_SEGMENT_BYTES);
+    /// Open (or create) the log under `dir` on `vfs`, with segments of
+    /// `segment_bytes` (clamped to [`MIN_SEGMENT_BYTES`]), validating the
+    /// tail: a torn final record is truncated away, never replayed. The
+    /// returned log is positioned to append after the last valid record.
+    pub fn open(vfs: Arc<dyn Vfs>, dir: impl AsRef<Path>, segment_bytes: u64) -> io::Result<Wal> {
+        let segment_bytes = segment_bytes.max(MIN_SEGMENT_BYTES);
         let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        let state = scan(&dir, opts.segment_bytes, |_, _| Ok(()))?;
+        vfs.create_dir(FileClass::Log, &dir)?;
+        let state = scan(&vfs, &dir, segment_bytes, |_, _| Ok(()))?;
         if let Some((path, keep)) = &state.torn {
             // Drop the garbage so a later torn write cannot splice onto it.
-            let f = OpenOptions::new().write(true).open(path)?;
+            let f = VFile::open(&vfs, path.clone(), FileClass::Log)?;
             f.set_len(*keep)?;
-            if opts.durable_sync {
-                f.sync_data()?;
-            }
+            f.sync_data()?;
         }
-        let seg_start = state.end - state.end % opts.segment_bytes;
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(dir.join(segment_name(seg_start)))?;
+        let seg_start = state.end - state.end % segment_bytes;
+        let file = VFile::create(&vfs, dir.join(segment_name(seg_start)), FileClass::Log)?;
         Ok(Wal {
             dir,
-            opts,
+            vfs,
+            segment_bytes,
             append: Mutex::with_rank(
                 AppendInner {
-                    file,
+                    file: Arc::new(file),
                     seg_start,
                     end: state.end,
                     limits: Limits::default(),
@@ -728,9 +719,11 @@ impl Wal {
         })
     }
 
-    /// The configured options (bench reporting reads `durable_sync`).
+    /// The log's segment size and its file layer's mode (bench
+    /// reporting reads `durable_sync`).
     pub fn options(&self) -> WalOptions {
-        self.opts
+        let durable_sync = self.vfs.durability() == Durability::Power;
+        WalOptions { durable_sync, segment_bytes: self.segment_bytes }
     }
 
     /// First position past the last appended record.
@@ -868,10 +861,10 @@ impl Wal {
         let result: io::Result<()> = (|| {
             for rec in limit.iter_mut().chain(batch.iter_mut()) {
                 let len = rec.total_len();
-                if a.end + len > a.seg_start + self.opts.segment_bytes {
+                if a.end + len > a.seg_start + self.segment_bytes {
                     if !buf.is_empty() {
                         // LINT: allow(R7, the append lock orders the log: bytes go out under the lock that assigned their LSNs)
-                        a.file.write_all_at(&buf, run_start - a.seg_start)?;
+                        a.file.write_at(&buf, run_start - a.seg_start)?;
                         buf.clear();
                         // The buffered run is on disk now; a rotation
                         // failure below must not roll it back.
@@ -893,7 +886,7 @@ impl Wal {
             }
             if !buf.is_empty() {
                 // LINT: allow(R7, same: releasing before the write would let a later append land past a hole)
-                a.file.write_all_at(&buf, run_start - a.seg_start)?;
+                a.file.write_at(&buf, run_start - a.seg_start)?;
             }
             Ok(())
         })();
@@ -927,41 +920,32 @@ impl Wal {
         // Zeros over the next header position (clipped to the segment),
         // which readers take for "skip to the next segment"; only a fresh,
         // short file is lengthened, sparsely.
-        let seg = self.opts.segment_bytes;
+        let seg = self.segment_bytes;
         let off = a.end - a.seg_start;
         let marker = (seg - off).min(HEADER_BYTES as u64) as usize;
-        a.file.write_all_at(&[0; HEADER_BYTES][..marker], off)?;
-        if a.file.metadata()?.len() < seg {
+        a.file.write_at(&[0; HEADER_BYTES][..marker], off)?;
+        if a.file.file_len()? < seg {
             a.file.set_len(seg)?;
         }
-        if self.opts.durable_sync {
-            a.file.sync_data()?;
-        }
+        a.file.sync_data()?;
         let seg_start = a.seg_start + seg;
         let path = self.dir.join(segment_name(seg_start));
-        let file = match OpenOptions::new().read(true).write(true).open(&path) {
+        let file = match VFile::open(&self.vfs, path.clone(), FileClass::Log) {
             Ok(file) => {
                 obs::counter!("wal.segment.reused").inc();
                 file
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                let file = OpenOptions::new().read(true).write(true).create_new(true).open(path)?;
-                if self.opts.durable_sync {
-                    self.sync_dir()?;
-                }
+                let file = VFile::create(&self.vfs, path, FileClass::Log)?;
                 obs::counter!("wal.segment.created").inc();
                 file
             }
             Err(e) => return Err(e),
         };
-        a.file = file;
+        a.file = Arc::new(file);
         a.seg_start = seg_start;
         a.end = seg_start;
         Ok(())
-    }
-
-    fn sync_dir(&self) -> io::Result<()> {
-        File::open(&self.dir)?.sync_all()
     }
 
     /// Make everything below `lsn` durable, riding a concurrent flush if
@@ -971,17 +955,11 @@ impl Wal {
     pub fn flush_to(&self, lsn: Lsn) -> io::Result<()> {
         let led = self.group.flush_to(lsn, || -> io::Result<u64> {
             // Leader: snapshot the appender, then sync without holding it.
-            // The tail segment is cloned (a `dup`) only when it will be
-            // synced.
             let (file, end) = {
                 let a = self.append.lock();
-                let file = if self.opts.durable_sync { Some(a.file.try_clone()?) } else { None };
-                (file, a.end)
+                (Arc::clone(&a.file), a.end)
             };
-            if let Some(file) = file {
-                let _span = obs::span!("wal.fsync");
-                file.sync_data()?;
-            }
+            file.sync_data()?;
             Ok(end)
         })?;
         if let Some(batch) = led {
@@ -1040,13 +1018,13 @@ impl Wal {
     /// under the append lock so a concurrent rotation cannot race a rename
     /// onto the same target name.
     fn recycle(&self, horizon: Lsn, distance: u64) -> io::Result<()> {
-        let seg = self.opts.segment_bytes;
+        let seg = self.segment_bytes;
         let mut a = self.append.lock();
         let est = a.ckpt_distance;
         a.ckpt_distance = if distance > est { distance } else { (9 * est + distance) / 10 };
         let keep = a.ckpt_distance.div_ceil(seg) + 1;
         // LINT: allow(R7, the segment listing must be stable while renaming)
-        let segs = list_segments(&self.dir, seg)?;
+        let segs = list_segments(&*self.vfs, &self.dir, seg)?;
         let Some(&(max_start, _)) = segs.last() else { return Ok(()) };
         let mut target = max_start + seg;
         let mut spares = segs.iter().filter(|(s, _)| *s > a.seg_start).count() as u64;
@@ -1055,24 +1033,22 @@ impl Wal {
             if seg_start + seg > horizon || *seg_start == a.seg_start {
                 continue;
             }
+            // Each rename or removal is durable before the next begins (the
+            // file layer's contract). `segs` is sorted ascending, so a power
+            // loss always leaves a *prefix* of them on disk and the
+            // surviving below-horizon segments stay contiguous. One deferred
+            // sync could let them persist out of order — a gap that
+            // recovery's scan mistakes for the end of log, far below the
+            // durable tail.
             if spares < keep {
+                let to = self.dir.join(segment_name(target));
                 // LINT: allow(R7, the append lock reserves target names against rotation)
-                fs::rename(path, self.dir.join(segment_name(target)))?;
+                self.vfs.rename_file(FileClass::Log, path, &to)?;
                 (target, spares, recycled) = (target + seg, spares + 1, recycled + 1);
             } else {
                 // LINT: allow(R7, removal keeps the below-horizon segments a prefix, as renaming does)
-                fs::remove_file(path)?;
+                self.vfs.remove_file(FileClass::Log, path)?;
                 removed += 1;
-            }
-            if self.opts.durable_sync {
-                // Persist each rename or removal before the next. `segs`
-                // is sorted ascending, so a power loss always leaves a
-                // *prefix* of them on disk and the surviving below-horizon
-                // segments stay contiguous. One deferred sync could let
-                // them persist out of order — a gap that recovery's scan
-                // mistakes for the end of log, far below the durable tail.
-                // LINT: allow(R7, rename persistence order is part of the reserved-name protocol)
-                self.sync_dir()?;
             }
         }
         drop(a);
@@ -1093,7 +1069,7 @@ impl Wal {
         let start = self.redo.load(Ordering::Acquire);
         let end = self.end_lsn();
         let mut limits = Limits::default();
-        scan(&self.dir, self.opts.segment_bytes, |info, payload| {
+        scan(&self.vfs, &self.dir, self.segment_bytes, |info, payload| {
             if info.lsn < start || info.lsn >= end {
                 return Ok(());
             }
@@ -1123,7 +1099,8 @@ impl Wal {
     // LINT: allow(R14, the log scan the restart tests read records with)
     pub fn scan_records(dir: impl AsRef<Path>, segment_bytes: u64) -> io::Result<Vec<RecordInfo>> {
         let mut records = Vec::new();
-        scan(dir.as_ref(), segment_bytes.max(MIN_SEGMENT_BYTES), |info, _| {
+        let host = HostVfs::shared(Durability::Process);
+        scan(&host, dir.as_ref(), segment_bytes.max(MIN_SEGMENT_BYTES), |info, _| {
             records.push(info);
             Ok(())
         })?;
@@ -1134,9 +1111,11 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::{self, OpenOptions};
 
-    fn small_opts() -> WalOptions {
-        WalOptions { durable_sync: false, segment_bytes: MIN_SEGMENT_BYTES }
+    /// A log of the smallest segments under `dir`, in process mode.
+    fn open_small(dir: &Path) -> io::Result<Wal> {
+        Wal::open(HostVfs::shared(Durability::Process), dir, MIN_SEGMENT_BYTES)
     }
 
     fn page(fill: u8) -> Box<PageBuf> {
@@ -1275,7 +1254,7 @@ mod tests {
     #[test]
     fn short_segment_tail_continues_in_next_segment() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         // 40-byte commits fill the first segment to a 16-byte tail.
         let per_seg = (MIN_SEGMENT_BYTES / 40) as u32;
         assert_eq!(MIN_SEGMENT_BYTES - u64::from(per_seg) * 40, 16);
@@ -1286,7 +1265,7 @@ mod tests {
         let end = wal.end_lsn();
         assert_eq!(end, MIN_SEGMENT_BYTES + 400);
         drop(wal);
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         assert_eq!(wal.end_lsn(), end);
         let recs = collect_replay(&wal);
         assert_eq!(recs.len(), per_seg as usize + 10);
@@ -1294,14 +1273,14 @@ mod tests {
         let e = wal.append(&WalRecord::Commit { xid: 1 << 20, ts: 1 }).unwrap();
         wal.flush_to(e).unwrap();
         drop(wal);
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         assert_eq!(collect_replay(&wal).len(), per_seg as usize + 11);
     }
 
     #[test]
     fn batch_append_coalesces_and_survives_rotation() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         // Enough images that the batch must split across a rotation.
         let per_seg = MIN_SEGMENT_BYTES / (HEADER_BYTES + 16 + RANGE_HEADER + PAGE_SIZE) as u64;
         let n = per_seg as usize + 3;
@@ -1335,7 +1314,7 @@ mod tests {
     #[test]
     fn append_flush_replay_roundtrip() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         let r1 = whole(1, 7, 3, 0xAB);
         let r2 = WalRecord::Commit { xid: 42, ts: 99 };
         let e1 = wal.append(&r1).unwrap();
@@ -1345,7 +1324,7 @@ mod tests {
         assert_eq!(wal.flushed_lsn(), e2);
         drop(wal);
 
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         assert_eq!(wal.end_lsn(), e2);
         let recs = collect_replay(&wal);
         assert_eq!(recs.len(), 2);
@@ -1356,7 +1335,7 @@ mod tests {
     #[test]
     fn rotation_and_segment_skip() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         // Each page image is ~8 KiB; push well past one 64 KiB segment.
         let n = 20u32;
         for i in 0..n {
@@ -1367,7 +1346,7 @@ mod tests {
         assert!(end > MIN_SEGMENT_BYTES, "must have rotated");
         drop(wal);
 
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         assert_eq!(wal.end_lsn(), end);
         let recs = collect_replay(&wal);
         assert_eq!(recs.len(), n as usize);
@@ -1380,7 +1359,7 @@ mod tests {
     #[test]
     fn torn_tail_truncated_at_every_byte() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         wal.append(&WalRecord::Commit { xid: 1, ts: 1 }).unwrap();
         let keep_end = wal.append(&WalRecord::Commit { xid: 2, ts: 2 }).unwrap();
         wal.append(&WalRecord::Commit { xid: 3, ts: 3 }).unwrap();
@@ -1398,7 +1377,7 @@ mod tests {
             f.set_len(last.offset + cut).unwrap();
             drop(f);
 
-            let wal = Wal::open(dir.path(), small_opts()).unwrap();
+            let wal = open_small(dir.path()).unwrap();
             assert_eq!(wal.end_lsn(), keep_end, "cut at {cut}");
             let recs = collect_replay(&wal);
             assert_eq!(recs.len(), 2, "cut at {cut}");
@@ -1409,7 +1388,7 @@ mod tests {
     #[test]
     fn corrupt_tail_bytes_do_not_replay() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         wal.append(&WalRecord::Commit { xid: 1, ts: 1 }).unwrap();
         let keep_end = wal.append(&WalRecord::Commit { xid: 2, ts: 2 }).unwrap();
         wal.flush_all().unwrap();
@@ -1423,7 +1402,7 @@ mod tests {
         bytes[idx] ^= 0xFF;
         fs::write(&last.file, &bytes).unwrap();
 
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         assert_eq!(wal.end_lsn(), keep_end - (keep_end - last.lsn));
         assert_eq!(wal.end_lsn(), last.lsn);
         let recs = collect_replay(&wal);
@@ -1432,14 +1411,14 @@ mod tests {
         let e = wal.append(&WalRecord::Commit { xid: 9, ts: 9 }).unwrap();
         wal.flush_to(e).unwrap();
         drop(wal);
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         assert_eq!(collect_replay(&wal).len(), 2);
     }
 
     #[test]
     fn checkpoint_bounds_replay_and_recycles() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         for i in 0..20u32 {
             wal.append(&whole(1, 1, i, 1)).unwrap();
         }
@@ -1450,11 +1429,13 @@ mod tests {
         let e = wal.append(&tail).unwrap();
         wal.flush_to(e).unwrap();
         // Segments wholly below `mid` were renamed to future names.
-        let segs = list_segments(dir.path(), MIN_SEGMENT_BYTES).unwrap();
+        let segs =
+            list_segments(&*HostVfs::shared(Durability::Process), dir.path(), MIN_SEGMENT_BYTES)
+                .unwrap();
         assert!(segs.iter().all(|(s, _)| s + MIN_SEGMENT_BYTES > mid));
         drop(wal);
 
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         assert_eq!(wal.redo_lsn(), mid);
         let recs = collect_replay(&wal);
         // Only the checkpoint's batch (the restated limits, then the
@@ -1467,7 +1448,7 @@ mod tests {
     #[test]
     fn pinned_smgr_blocks_recycle() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         wal.pin_smgr(3);
         let first = wal.end_lsn();
         wal.append(&whole(3, 1, 0, 7)).unwrap();
@@ -1479,7 +1460,7 @@ mod tests {
         assert_eq!(horizon, first);
         drop(wal);
 
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         wal.pin_smgr(3);
         let recs = collect_replay(&wal);
         assert!(recs.iter().any(|(_, r)| matches!(r, WalRecord::PageDelta { smgr: 3, .. })));
@@ -1488,7 +1469,7 @@ mod tests {
     #[test]
     fn pruned_pins_release_the_recycle_horizon() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         wal.pin_smgr(3);
         wal.append(&whole(3, 1, 0, 7)).unwrap();
         for i in 0..20u32 {
@@ -1514,7 +1495,7 @@ mod tests {
     #[test]
     fn xid_limit_leads_the_batch_and_checkpoints_restate_it() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         let limits = |xid, oid| WalRecord::Limits(Limits { xid, oid });
         wal.note_next_xid(3);
         let commit = |xid| WalRecord::Commit { xid, ts: u64::from(xid) };
@@ -1551,7 +1532,7 @@ mod tests {
         let horizon = wal.checkpoint(None).unwrap();
         assert!(horizon >= MIN_SEGMENT_BYTES, "the first segment is recycled");
         drop(wal);
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         let mut seen = Vec::new();
         let replayed = wal
             .replay(|_, r| {
@@ -1576,7 +1557,7 @@ mod tests {
     #[test]
     fn log_limits_flushes_through_the_newest_limit_record() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         wal.note_next_xid(3);
         let commit = |xid| WalRecord::Commit { xid, ts: u64::from(xid) };
         let limit_end = wal.append_batch(&mut [commit(2).prepare()]).unwrap()[0].start;
@@ -1596,13 +1577,13 @@ mod tests {
     #[test]
     fn earlier_formats_limit_record_is_refused() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         let mut buf = header(6, 8);
         buf.extend_from_slice(&1024u64.to_le_bytes());
         wal.append_batch(&mut [PreparedRecord::seal(buf, None)]).unwrap();
         wal.flush_all().unwrap();
         drop(wal);
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         let err = wal.replay(|_, _| Ok(())).unwrap_err();
         assert!(err.to_string().contains("undecodable kind 6"), "{err}");
     }
@@ -1613,7 +1594,7 @@ mod tests {
     #[test]
     fn commit_record_pins_until_pruned() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         wal.pin_smgr(COMMIT_PIN);
         let first = wal.end_lsn();
         wal.append(&WalRecord::Commit { xid: 7, ts: 1 }).unwrap();
@@ -1625,7 +1606,7 @@ mod tests {
         assert_eq!(wal.checkpoint(None).unwrap(), first);
         assert_eq!(wal.pinned(COMMIT_PIN), [7]);
         drop(wal);
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         wal.pin_smgr(COMMIT_PIN);
         collect_replay(&wal);
         assert_eq!(wal.pinned(COMMIT_PIN), [7]);
@@ -1638,7 +1619,7 @@ mod tests {
     #[test]
     fn failed_append_leaves_no_hole() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         // Make rotation fail: occupy the next segment's name with a
         // directory so the appender cannot create the file.
         fs::create_dir(dir.path().join(segment_name(MIN_SEGMENT_BYTES))).unwrap();
@@ -1663,7 +1644,7 @@ mod tests {
         drop(wal);
         // Recovery sees a contiguous log: every surviving page image
         // plus the post-retry commit, no gap in between.
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         let recs = collect_replay(&wal);
         assert_eq!(recs.len(), appended as usize + 1);
         assert_eq!(recs.last().unwrap().1, WalRecord::Commit { xid: 9, ts: 9 });
@@ -1673,7 +1654,7 @@ mod tests {
     fn group_commit_rides_one_flush() {
         use std::sync::Arc;
         let dir = tempfile::tempdir().unwrap();
-        let wal = Arc::new(Wal::open(dir.path(), small_opts()).unwrap());
+        let wal = Arc::new(open_small(dir.path()).unwrap());
         let threads: Vec<_> = (0..8u32)
             .map(|i| {
                 let wal = Arc::clone(&wal);
@@ -1700,7 +1681,7 @@ mod tests {
     #[test]
     fn rotation_into_recycled_segments_ends_at_the_last_record() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         // 40-byte commits fill five segments to a 16-byte tail each.
         for xid in 0..5 * 1638 {
             wal.append(&WalRecord::Commit { xid, ts: 7 }).unwrap();
@@ -1732,7 +1713,7 @@ mod tests {
         let crc = crc32(crc32(0, &bytes[magic + 8..magic + 16]), &bytes[magic + 24..][..plen]);
         assert_eq!(crc, read_u32(&bytes, magic + 4), "a stale record with a valid CRC");
 
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         assert_eq!(wal.end_lsn(), end, "the scan ends at the last appended record");
         let seen: Vec<(Lsn, WalRecord)> = collect_replay(&wal)
             .into_iter()
@@ -1756,7 +1737,7 @@ mod tests {
     fn recycled_log_appends_leave_segment_files_unchanged() {
         use std::os::unix::fs::MetadataExt;
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         let round = || {
             for i in 0..16u32 {
                 wal.append(&whole(1, 1, i, i as u8)).unwrap();
@@ -1764,11 +1745,15 @@ mod tests {
             wal.checkpoint(None).unwrap();
         };
         let files = || {
-            let mut f: Vec<(u64, u64)> = list_segments(dir.path(), MIN_SEGMENT_BYTES)
-                .unwrap()
-                .iter()
-                .map(|(_, p)| fs::metadata(p).map(|m| (m.ino(), m.len())).unwrap())
-                .collect();
+            let mut f: Vec<(u64, u64)> = list_segments(
+                &*HostVfs::shared(Durability::Process),
+                dir.path(),
+                MIN_SEGMENT_BYTES,
+            )
+            .unwrap()
+            .iter()
+            .map(|(_, p)| fs::metadata(p).map(|m| (m.ino(), m.len())).unwrap())
+            .collect();
             f.sort_unstable();
             f
         };
@@ -1795,12 +1780,16 @@ mod tests {
     #[test]
     fn spare_segments_are_bounded_by_the_checkpoint_distance() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         for i in 0..80u32 {
             wal.append(&whole(1, 1, i, 1)).unwrap();
         }
         wal.checkpoint(None).unwrap();
-        let count = || list_segments(dir.path(), MIN_SEGMENT_BYTES).unwrap().len();
+        let count = || {
+            list_segments(&*HostVfs::shared(Durability::Process), dir.path(), MIN_SEGMENT_BYTES)
+                .unwrap()
+                .len()
+        };
         let burst = count();
         assert!(burst >= 10, "a burst of ten segments is kept as spares: {burst}");
         let removed = counter("wal.segment.removed");
@@ -1815,7 +1804,7 @@ mod tests {
     #[test]
     fn stale_recycled_content_never_replays() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         wal.append(&WalRecord::Commit { xid: 1, ts: 1 }).unwrap();
         wal.flush_all().unwrap();
         let end = wal.end_lsn();
@@ -1830,7 +1819,7 @@ mod tests {
         f.set_len(MIN_SEGMENT_BYTES).unwrap();
         drop(f);
 
-        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let wal = open_small(dir.path()).unwrap();
         // The stale record's embedded LSN (0) disagrees with its stream
         // position (MIN_SEGMENT_BYTES): end of log, nothing replayed
         // from the stale file.

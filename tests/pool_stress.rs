@@ -82,8 +82,10 @@ fn optimistic_pins_survive_eviction_discard_and_capture() {
         },
     ));
     let wal_dir = tempfile::tempdir().unwrap();
-    let wal =
-        Arc::new(pglo_wal::Wal::open(wal_dir.path(), pglo_wal::WalOptions::default()).unwrap());
+    let host = pglo_smgr::HostVfs::shared(pglo_smgr::Durability::Process);
+    let wal = Arc::new(
+        pglo_wal::Wal::open(host, wal_dir.path(), pglo_wal::DEFAULT_SEGMENT_BYTES).unwrap(),
+    );
     assert!(pool.set_wal(Arc::clone(&wal)));
 
     mem.create(STRESS_REL).unwrap();

@@ -4,6 +4,7 @@
 //! depends on the transaction manager knowing earlier XIDs committed.
 
 use pglo::prelude::*;
+use pglo::smgr::{Durability, FaultVfs, HostVfs};
 use std::sync::Arc;
 
 #[test]
@@ -245,8 +246,11 @@ fn crash_between_checkpoint_and_commit_recovers_both_sides() {
 #[test]
 fn committed_object_survives_power_loss_after_checkpoint() {
     let tmp = tempfile::tempdir().unwrap();
-    let opts =
-        || EnvOptions { durable_sync: true, wal_segment_bytes: 64 * 1024, ..Default::default() };
+    let opts = || EnvOptions {
+        vfs: HostVfs::shared(Durability::Power),
+        wal_segment_bytes: 64 * 1024,
+        ..Default::default()
+    };
     let payload: Vec<u8> = (0..20_000u32).map(|i| (i % 239) as u8).collect();
     let (id, xid, ts) = {
         let env = StorageEnv::open_with(tmp.path(), opts()).unwrap();
@@ -1313,9 +1317,9 @@ fn classes(env: &StorageEnv) -> Classes {
 }
 
 /// The crash gate for classes. The live store is killed (its directory
-/// copied by the durable-step hook) after every step that makes part of
-/// a class change durable — a relation file made or removed, a commit
-/// reaching the log — in each of: the catalog's `create_class`,
+/// copied by the file layer's hook) after every file operation that
+/// changes what a process kill leaves — a relation file made, written or
+/// removed, a log write — in each of: the catalog's `create_class`,
 /// `set_props`, `remove_prop` and `drop_class`; a POSTQUEL `create`,
 /// `define index` and `destroy`; and the Inversion file system's first
 /// open. Each copy is recovered, and:
@@ -1333,7 +1337,8 @@ fn crash_at_every_durable_step_of_class_changes() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let tmp = tempfile::tempdir().unwrap();
     let live = tmp.path().join("live");
-    let db = Database::open_with(&live, crash_opts()).unwrap();
+    let fault = FaultVfs::new(HostVfs::shared(Durability::Process));
+    let db = Database::open_with(&live, EnvOptions { vfs: fault.clone(), ..crash_opts() }).unwrap();
     let env = Arc::clone(db.env());
     // The operation running (an index into `ops`), or `usize::MAX`
     // between operations, where no kill is taken.
@@ -1343,13 +1348,14 @@ fn crash_at_every_durable_step_of_class_changes() {
     let (hook_phase, hook_kills, hook_live) =
         (Arc::clone(&phase), Arc::clone(&kills), live.clone());
     let kill_root = tmp.path().join("kills");
-    assert!(env.on_durable_step(move |step: &str| {
+    assert!(fault.on_op(move |done| {
         let op = hook_phase.load(Ordering::SeqCst);
-        if op != NONE {
+        if op != NONE && done.kind.mutates() {
             let mut kills = hook_kills.lock();
             let work = kill_root.join(kills.len().to_string());
             copy_dir(&hook_live, &work);
-            kills.push((work, op, step.to_string()));
+            let step = format!("{:?} of {}", done.kind, done.path.display());
+            kills.push((work, op, step));
         }
     }));
     use pglo::heap::ClassKind::Heap as H;
@@ -1397,7 +1403,7 @@ fn crash_at_every_durable_step_of_class_changes() {
     }
     assert_eq!(models.last().unwrap().len(), 4, "K and the file system's three classes");
     let kills = std::mem::take(&mut *kills.lock());
-    assert!(kills.len() >= 20, "{} kills", kills.len());
+    assert!(kills.len() >= 29, "{} kills", kills.len());
     drop(ops);
     drop((env, db));
 
