@@ -2,10 +2,14 @@ use super::*;
 use pglo_sim::SimContext;
 use pglo_smgr::MemSmgr;
 
+/// The host file system, in process mode.
+fn host() -> Arc<dyn pglo_smgr::Vfs> {
+    pglo_smgr::HostVfs::shared(pglo_smgr::Durability::Process)
+}
+
 /// A log under `dir` on the host, in process mode.
 fn open_wal(dir: &std::path::Path, segment_bytes: u64) -> Arc<pglo_wal::Wal> {
-    let host = pglo_smgr::HostVfs::shared(pglo_smgr::Durability::Process);
-    Arc::new(pglo_wal::Wal::open(host, dir, segment_bytes).unwrap())
+    Arc::new(pglo_wal::Wal::open(host(), dir, segment_bytes).unwrap())
 }
 
 fn setup(frames: usize) -> (Arc<SmgrSwitch>, SmgrId, BufferPool) {
@@ -596,7 +600,7 @@ fn deltas_track_the_last_logged_bytes() {
     pool.capture_pending().unwrap();
     wal.flush_all().unwrap();
 
-    let records: Vec<u32> = pglo_wal::Wal::scan_records(dir.path(), seg)
+    let records: Vec<u32> = pglo_wal::Wal::scan_records(&host(), dir.path(), seg)
         .unwrap()
         .into_iter()
         .filter(|r| r.kind == pglo_wal::KIND_PAGE_DELTA)

@@ -11,7 +11,7 @@ use crate::{LoError, LoId, Result, UserId};
 use pglo_btree::BTree;
 use pglo_compress::CodecKind;
 use pglo_heap::{Heap, HeapError, StorageEnv};
-use pglo_smgr::{FileClass, NativeFile, SmgrError, SmgrId};
+use pglo_smgr::{FileClass, NativeFile, SmgrError, SmgrId, VFile};
 use pglo_txn::{Txn, Visibility};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -288,7 +288,7 @@ impl LoStore {
             LoKind::VSegment => &[meta.data_rel, meta.idx_rel, meta.seg_rel, meta.seg_idx_rel],
         };
         if let (LoKind::PFile, Some(path)) = (meta.kind, &meta.path) {
-            if path.exists() {
+            if self.env.vfs().exists(FileClass::Native, path)? {
                 self.env.vfs().remove_file(FileClass::Native, path)?;
             }
         }
@@ -307,7 +307,8 @@ impl LoStore {
         match meta.kind {
             LoKind::UFile | LoKind::PFile => {
                 let path = meta.path.as_ref().ok_or(LoError::NotFound(id))?;
-                let len = std::fs::metadata(path)?.len();
+                let len =
+                    VFile::open(self.env.vfs(), path.clone(), FileClass::Native)?.file_len()?;
                 Ok(LoStorage { data_bytes: len, map_bytes: 0, index_bytes: 0 })
             }
             // v-segment's map is its segment index's heap, and its index

@@ -1110,98 +1110,86 @@ fn create_is_visible_only_to_its_transaction_and_gone_after_abort() {
     }
 }
 
-/// Copy directory `src` to `dst`, `dst` replaced: what the OS holds of a
-/// live store when its process is killed.
-fn kill_copy(src: &std::path::Path, dst: &std::path::Path) {
-    fn copy(src: &std::path::Path, dst: &std::path::Path) {
-        std::fs::create_dir_all(dst).unwrap();
-        for e in std::fs::read_dir(src).unwrap().map(Result::unwrap) {
-            if e.file_type().unwrap().is_dir() {
-                copy(&e.path(), &dst.join(e.file_name()));
-            } else {
-                std::fs::copy(e.path(), dst.join(e.file_name())).unwrap();
-            }
-        }
-    }
-    if dst.exists() {
-        std::fs::remove_dir_all(dst).unwrap();
-    }
-    copy(src, dst);
+/// What a crash of `sim` now leaves: the process-kill image and the
+/// power-loss one.
+fn crash_images(sim: &pglo_smgr::SimVfs) -> [Arc<pglo_smgr::SimVfs>; 2] {
+    use pglo_smgr::Durability;
+    [Durability::Process, Durability::Power].map(|mode| sim.crash(mode))
 }
 
-/// The crash gate for metadata rows. The store is killed (its directory
-/// copied) after every step that makes part of a create transaction or
-/// of an unlink durable, and each copy is recovered:
+/// The crash gate for metadata rows. The store runs on a `SimVfs` and is
+/// killed after every step that makes part of a create transaction or of
+/// an unlink durable, and both images of each kill are recovered:
 /// - the metadata relations, before anything reached the log;
 /// - a create: its relation files, its write, the capture of its pages
 ///   into the log, its commit, its pages home, a checkpoint;
 /// - an aborted create, before and after a later commit logs its pages;
-/// - an unlink: after each file operation that changes what a kill
-///   leaves (the file layer's hook copies the directory there).
+/// - an unlink: after each file operation that changes what a crash
+///   leaves (the file layer's hook takes the images there).
 ///
-/// Each recovered copy must read every committed object byte-exact, give
+/// Each recovered image must read every committed object byte-exact, give
 /// `NotFound` to a snapshot open of an uncommitted or aborted create,
 /// finish an interrupted unlink when it is called again, and create,
 /// commit and read back a new object.
 #[test]
 fn crash_at_every_durable_step_of_create_and_unlink() {
     use pglo_heap::EnvOptions;
-    use pglo_smgr::{Durability, FaultVfs, HostVfs};
-    let tmp = tempfile::tempdir().unwrap();
-    let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
-    let opts = || EnvOptions { wal_segment_bytes: 64 * 1024, ..Default::default() };
-    let fault = FaultVfs::new(HostVfs::shared(Durability::Process));
-    let env = StorageEnv::open_with(&live, EnvOptions { vfs: fault.clone(), ..opts() }).unwrap();
+    use pglo_smgr::{SimVfs, Vfs};
+    let root = std::path::Path::new("db");
+    let opts =
+        |vfs: Arc<dyn Vfs>| EnvOptions { vfs, wal_segment_bytes: 64 * 1024, ..Default::default() };
+    let sim = SimVfs::new();
+    let env = StorageEnv::open_with(root, opts(sim.clone())).unwrap();
     let store = LoStore::new(Arc::clone(&env)).unwrap();
     let bytes = |seed: u8| -> Vec<u8> { (0..20_000u32).map(|i| (i as u8) ^ seed).collect() };
-    // Recover a killed copy: `committed` must read back, `gone` must not
-    // open; `unlinking`, if given, is unlinked again, to completion.
-    let recover = |dir: &std::path::Path,
+    // Recover both images of a kill: `committed` must read back, `gone`
+    // must not open; `unlinking`, if given, is unlinked again, to
+    // completion.
+    let recover = |images: &[Arc<SimVfs>; 2],
                    what: &str,
                    committed: &[(LoId, Vec<u8>)],
                    gone: &[LoId],
                    unlinking| {
-        let env = StorageEnv::open_with(dir, opts()).unwrap();
-        let store = LoStore::new(Arc::clone(&env)).unwrap();
-        if let Some(id) = unlinking {
-            match store.unlink(id) {
-                Ok(()) | Err(LoError::NotFound(_)) => {}
-                Err(e) => panic!("{what}: the retried unlink failed: {e}"),
+        for (image, mode) in images.iter().zip(["process kill", "power loss"]) {
+            let what = format!("{what} ({mode})");
+            let env = StorageEnv::open_with(root, opts(image.clone())).unwrap();
+            let store = LoStore::new(Arc::clone(&env)).unwrap();
+            if let Some(id) = unlinking {
+                match store.unlink(id) {
+                    Ok(()) | Err(LoError::NotFound(_)) => {}
+                    Err(e) => panic!("{what}: the retried unlink failed: {e}"),
+                }
+                assert!(matches!(store.meta(id), Err(LoError::NotFound(_))), "{what}: unlinked");
             }
-            assert!(matches!(store.meta(id), Err(LoError::NotFound(_))), "{what}: unlinked");
+            let txn = env.begin();
+            for (id, want) in committed {
+                let mut h = store.open(&txn, *id, OpenMode::ReadOnly).unwrap();
+                assert!(h.read_to_vec().unwrap() == *want, "{what}: {id} is not byte-exact");
+            }
+            for id in gone.iter().chain(unlinking.as_slice()) {
+                let open = store.open(&txn, *id, OpenMode::ReadOnly);
+                assert!(matches!(open, Err(LoError::NotFound(_))), "{what}: {id} opened");
+            }
+            let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
+            store.open(&txn, id, OpenMode::ReadWrite).unwrap().write(b"after recovery").unwrap();
+            txn.commit();
+            let txn = env.begin();
+            let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+            assert_eq!(h.read_to_vec().unwrap(), b"after recovery", "{what}: a new object");
         }
-        let txn = env.begin();
-        for (id, want) in committed {
-            let mut h = store.open(&txn, *id, OpenMode::ReadOnly).unwrap();
-            assert!(h.read_to_vec().unwrap() == *want, "{what}: {id} is not byte-exact");
-        }
-        for id in gone.iter().chain(unlinking.as_slice()) {
-            let open = store.open(&txn, *id, OpenMode::ReadOnly);
-            assert!(matches!(open, Err(LoError::NotFound(_))), "{what}: {id} opened");
-        }
-        let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
-        store.open(&txn, id, OpenMode::ReadWrite).unwrap().write(b"after recovery").unwrap();
-        txn.commit();
-        let txn = env.begin();
-        let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
-        assert_eq!(h.read_to_vec().unwrap(), b"after recovery", "{what}: a new object");
     };
     // Kill now and recover.
     let check = |what: &str, committed: &[(LoId, Vec<u8>)], gone: &[LoId], unlinking| {
-        kill_copy(&live, &work);
-        recover(&work, what, committed, gone, unlinking);
+        recover(&crash_images(&sim), what, committed, gone, unlinking);
     };
     // Kills inside an unlink, taken while `unlinking` is set.
     let unlinking = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let kills = Arc::new(parking_lot::Mutex::new(Vec::new()));
-    let (flag, taken, from, root) =
-        (Arc::clone(&unlinking), Arc::clone(&kills), live.clone(), tmp.path().join("kills"));
-    assert!(fault.on_op(move |done| {
+    let (flag, taken) = (Arc::clone(&unlinking), Arc::clone(&kills));
+    assert!(sim.on_op(move |sim, done| {
         if flag.load(std::sync::atomic::Ordering::SeqCst) && done.kind.mutates() {
-            let mut taken = taken.lock();
-            let dst = root.join(taken.len().to_string());
-            kill_copy(&from, &dst);
-            taken.push((dst, format!("{:?} of {}", done.kind, done.path.display())));
+            let images = crash_images(sim);
+            taken.lock().push((images, format!("{:?} of {}", done.kind, done.path.display())));
         }
     }));
     check("the metadata relations, unlogged", &[], &[], None);
@@ -1244,8 +1232,8 @@ fn crash_at_every_durable_step_of_create_and_unlink() {
         unlinking.store(false, std::sync::atomic::Ordering::SeqCst);
         let steps = std::mem::take(&mut *kills.lock());
         assert!(steps.len() >= 3, "an unlink of {id} took {} steps", steps.len());
-        for (n, (dir, step)) in steps.iter().enumerate() {
-            recover(dir, &format!("unlink {id}: {step} {n}"), &committed, &[aborted], Some(id));
+        for (n, (images, step)) in steps.iter().enumerate() {
+            recover(images, &format!("unlink {id}: {step} {n}"), &committed, &[aborted], Some(id));
         }
         check(&format!("unlink {id}, done"), &committed, &[aborted], Some(id));
     }

@@ -276,12 +276,13 @@ impl StorageEnv {
         // There is no import path from an earlier format, and every one
         // kept a `catalog.json`: a directory holding one is refused here,
         // before anything in it is created, truncated or redone.
+        let vfs = opts.vfs;
         let old = base_dir.join("catalog.json");
-        if old.exists() {
+        let refused = vfs.exists(FileClass::Data, &old);
+        if refused.map_err(|e| HeapError::Catalog(format!("{}: {e}", old.display())))? {
             let old = old.display();
             return Err(HeapError::Catalog(format!("{old}: an earlier format: no import path")));
         }
-        let vfs = opts.vfs;
         vfs.create_dir(FileClass::Xact, &base_dir)
             .map_err(|e| HeapError::Catalog(format!("create db dir: {e}")))?;
         let sim = opts.sim.unwrap_or_else(SimContext::default_1992);
@@ -668,12 +669,11 @@ mod tests {
     /// and checkpoint.
     #[test]
     fn checkpoint_log_write_follows_the_syncs_it_relies_on() {
-        use pglo_smgr::fault::OpKind;
-        use pglo_smgr::FaultVfs;
-        let dir = tempfile::tempdir().unwrap();
-        let fault = FaultVfs::new(HostVfs::shared(Durability::Power));
-        let opts = EnvOptions { vfs: fault.clone(), ..Default::default() };
-        let env = StorageEnv::open_with(dir.path(), opts).unwrap();
+        use pglo_smgr::simvfs::OpKind;
+        use pglo_smgr::SimVfs;
+        let sim = SimVfs::new();
+        let opts = EnvOptions { vfs: sim.clone(), ..Default::default() };
+        let env = StorageEnv::open_with("db", opts).unwrap();
         let heap = crate::Heap::create(&env, "T", env.disk_id(), Default::default()).unwrap();
         let mut passes = Vec::new();
         for round in 0..3u8 {
@@ -683,11 +683,11 @@ mod tests {
             }
             txn.commit();
             env.pool().flush_all().unwrap();
-            let from = fault.ops().len();
+            let from = sim.ops().len();
             env.checkpoint().unwrap();
-            passes.push(from..fault.ops().len());
+            passes.push(from..sim.ops().len());
         }
-        let ops = fault.ops();
+        let ops = sim.ops();
         let mut unsynced = std::collections::BTreeSet::new();
         let mut checked = 0;
         for (i, op) in ops.iter().enumerate() {

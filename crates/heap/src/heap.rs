@@ -600,8 +600,8 @@ mod tests {
         t.commit();
         env.pool().flush_all().unwrap();
         wal.flush_to(wal.end_lsn()).unwrap();
-        let records =
-            pglo_wal::Wal::scan_records(d.path().join("wal"), wal.options().segment_bytes);
+        let seg = wal.options().segment_bytes;
+        let records = pglo_wal::Wal::scan_records(env.vfs(), d.path().join("wal"), seg);
         let records = records.unwrap().into_iter().filter(|r| r.lsn >= from);
         let pages = records.filter(|r| r.kind == pglo_wal::KIND_PAGE_DELTA).count();
         assert_eq!(pages, 1, "page records logged: only the fresh block's");

@@ -53,7 +53,7 @@ const GUARD_TYPES: [&str; 9] = [
 /// arity keeps common names honest — `smgr.read(rel, block, buf)` is
 /// device I/O, `rwlock.read()` is a guard acquisition, `file.read(buf)`
 /// is neither.
-const SINK_METHODS: [(&str, usize); 26] = [
+const SINK_METHODS: [(&str, usize); 27] = [
     // smgr trait device ops
     ("read", 3),
     ("write", 3),
@@ -78,6 +78,7 @@ const SINK_METHODS: [(&str, usize); 26] = [
     // the file layer's (`Vfs`) path ops and handle length; its handle
     // ops share the host-file shapes above
     ("file_len", 0),
+    ("exists", 2),
     ("rename_file", 3),
     ("remove_file", 2),
     ("sync_dir", 2),

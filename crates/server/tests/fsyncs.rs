@@ -1,12 +1,12 @@
 //! What each durability mode costs in fsyncs, read from the file layer's
 //! `vfs.<class>.*` counters in the one `stats` reply. The counters are
 //! process-wide, so this file is its own test binary and its one test
-//! runs the two modes in turn.
+//! runs the modes in turn.
 
 use pglo_heap::{EnvOptions, StorageEnv};
 use pglo_server::{loopback, LobdService, WireSpec};
-use pglo_smgr::fault::OpKind;
-use pglo_smgr::{Durability, FaultVfs, FileClass, HostVfs};
+use pglo_smgr::simvfs::OpKind;
+use pglo_smgr::{Durability, FileClass, HostVfs, SimVfs, Vfs};
 use std::sync::Arc;
 
 const CLASSES: [&str; 5] = ["log", "data", "xact", "platter", "native"];
@@ -14,16 +14,14 @@ const CLASSES: [&str; 5] = ["log", "data", "xact", "platter", "native"];
 /// Objects each run creates, extends, commits and unlinks.
 const OBJECTS: u64 = 3;
 
-/// Open a store on a [`FaultVfs`] over the host in `mode`; run `OBJECTS`
-/// rounds of create, extend and commit, then unlink each object in a
-/// committed transaction of its own, then checkpoint. Returns how far
-/// each counter moved over the run, the commits made, and the op log.
-fn run(mode: Durability) -> (impl Fn(&str) -> u64, u64, Vec<pglo_smgr::fault::Op>) {
+/// Open a store on `vfs`; run `OBJECTS` rounds of create, extend and
+/// commit, then unlink each object in a committed transaction of its
+/// own, then checkpoint. Returns how far each counter moved over the
+/// run, the commits made, and what `mark` returned at the run's start
+/// and end.
+fn run<T>(vfs: Arc<dyn Vfs>, mark: impl Fn() -> T) -> (impl Fn(&str) -> u64, u64, [T; 2]) {
     let dir = tempfile::tempdir().unwrap();
-    let fault = FaultVfs::new(HostVfs::shared(mode));
-    let env =
-        StorageEnv::open_with(dir.path(), EnvOptions { vfs: fault.clone(), ..Default::default() })
-            .unwrap();
+    let env = StorageEnv::open_with(dir.path(), EnvOptions { vfs, ..Default::default() }).unwrap();
     let service = LobdService::with_env(Arc::clone(&env)).unwrap();
     let mut lb = loopback::connect(&service).unwrap();
     let c = &mut lb.client;
@@ -31,8 +29,7 @@ fn run(mode: Durability) -> (impl Fn(&str) -> u64, u64, Vec<pglo_smgr::fault::Op
         let entries = c.metrics().unwrap();
         move |name: &str| pglo_server::stats::metric(&entries, name).map_or(0, |v| v.as_u64())
     };
-    let before = stats(c);
-    let from = fault.ops().len();
+    let (before, from) = (stats(c), mark());
     let mut commits = 0;
     for n in 0..OBJECTS {
         c.begin().unwrap();
@@ -47,22 +44,27 @@ fn run(mode: Durability) -> (impl Fn(&str) -> u64, u64, Vec<pglo_smgr::fault::Op
         commits += 2;
     }
     env.checkpoint().unwrap();
-    let after = stats(c);
+    let (after, to) = (stats(c), mark());
     drop(lb.client);
     lb.server.join().unwrap();
-    let ops = fault.ops().split_off(from);
-    (move |name: &str| after(name) - before(name), commits, ops)
+    (move |name: &str| after(name) - before(name), commits, [from, to])
 }
 
 #[test]
 fn fsyncs_per_mode_through_the_file_layer() {
-    let counted = |ops: &[pglo_smgr::fault::Op], kind: OpKind| {
+    // The relation files the run makes and removes, from the op log of
+    // the same run on a `SimVfs`.
+    let sim = SimVfs::new();
+    let (_, _, [from, to]) = run(sim.clone(), || sim.ops().len());
+    let ops = &sim.ops()[from..to];
+    let counted = |kind: OpKind| {
         ops.iter().filter(|op| op.kind == kind && op.class == FileClass::Data).count() as u64
     };
+    let (creates, removes) = (counted(OpKind::Create), counted(OpKind::Remove));
+    assert!(creates >= 2 * OBJECTS, "no relation file was made");
 
     // Process mode: a kill keeps what the OS accepted; nothing is synced.
-    let (moved, _, ops) = run(Durability::Process);
-    assert!(counted(&ops, OpKind::Create) >= 2 * OBJECTS, "no relation file was made");
+    let (moved, _, _) = run(HostVfs::shared(Durability::Process), || ());
     for class in CLASSES {
         for what in ["fsyncs", "dir_fsyncs"] {
             assert_eq!(
@@ -76,13 +78,12 @@ fn fsyncs_per_mode_through_the_file_layer() {
 
     // Power mode: every commit batch syncs the log, and every relation
     // file made or removed syncs its directory before the call returns.
-    let (moved, commits, ops) = run(Durability::Power);
+    let (moved, commits, _) = run(HostVfs::shared(Durability::Power), || ());
     assert!(
         moved("vfs.log.fsyncs") >= commits,
         "{} log fsyncs, {commits} commits",
         moved("vfs.log.fsyncs")
     );
-    let (creates, removes) = (counted(&ops, OpKind::Create), counted(&ops, OpKind::Remove));
     assert!(
         creates >= 2 * OBJECTS && removes >= 2 * OBJECTS,
         "{creates} creates, {removes} removes"

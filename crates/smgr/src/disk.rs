@@ -203,7 +203,7 @@ impl StorageManager for DiskSmgr {
 
     fn create(&self, rel: RelFileId) -> Result<()> {
         let path = self.rel_path(rel);
-        if path.exists() {
+        if self.vfs.exists(FileClass::Data, &path)? {
             return Err(SmgrError::AlreadyExists(rel));
         }
         let f = VFile::create(&self.vfs, path, FileClass::Data)?;
@@ -212,13 +212,16 @@ impl StorageManager for DiskSmgr {
     }
 
     fn exists(&self, rel: RelFileId) -> bool {
-        self.rel_path(rel).exists()
+        self.vfs.exists(FileClass::Data, &self.rel_path(rel)).unwrap_or(false)
     }
 
     fn unlink(&self, rel: RelFileId) -> Result<()> {
         self.files.lock().remove(&rel);
         self.seq.forget(rel);
-        let segs = (0..).take_while(|&n| self.seg_path(rel, n).exists()).count();
+        let mut segs = 0;
+        while self.vfs.exists(FileClass::Data, &self.seg_path(rel, segs))? {
+            segs += 1;
+        }
         if segs == 0 {
             return Err(SmgrError::NotFound(rel));
         }

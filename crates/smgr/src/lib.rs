@@ -38,18 +38,18 @@
 #![deny(unsafe_code)]
 
 pub mod disk;
-pub mod fault;
 pub mod lru;
 pub mod mem;
 pub mod native;
+pub mod simvfs;
 pub mod vfs;
 pub mod worm;
 
 pub use disk::DiskSmgr;
-pub use fault::FaultVfs;
 pub use mem::MemSmgr;
 pub use native::NativeFile;
-pub use vfs::{Durability, FileClass, HostVfs, VFile, Vfs};
+pub use simvfs::SimVfs;
+pub use vfs::{Durability, FileClass, FileIo, HostVfs, VFile, Vfs};
 pub use worm::WormSmgr;
 
 use parking_lot::{ranks, RwLock};

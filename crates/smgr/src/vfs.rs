@@ -1,11 +1,12 @@
 //! One file layer (§5's switch carried below the managers): the log's
 //! segments, the relation segment chains, `xact`, the WORM platters and
-//! the u-file/p-file host files all cross a [`Vfs`]. [`HostVfs`] is the
-//! one production implementation and the one place the [`Durability`]
-//! setting is read; callers sync wherever the protocol needs it and
-//! never ask the mode. Each [`VFile`] carries its [`FileClass`], which
-//! names its `vfs.<class>.*` counters. The simulated clock is charged
-//! above this layer, so nothing here moves a reproduced figure.
+//! the u-file/p-file host files all cross a [`Vfs`], which hands out the
+//! open files it owns ([`FileIo`]). [`HostVfs`] is the one production
+//! implementation and the one place the [`Durability`] setting is read;
+//! callers sync wherever the protocol needs it and never ask the mode.
+//! Each [`VFile`] is opened with its [`FileClass`], which names its
+//! `vfs.<class>.*` counters. The simulated clock is charged above this
+//! layer, so nothing here moves a reproduced figure.
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -37,27 +38,17 @@ pub enum Durability {
     Power,
 }
 
-/// The file operations the store makes. A handle's operations take the
-/// handle, which names its class; a path operation names the class of
-/// the file it touches.
+/// The store's operations on paths, each naming the class of the file it
+/// touches; an open file is a [`FileIo`] the `Vfs` hands out and owns.
 pub trait Vfs: Send + Sync {
     /// The mode, for reports only: no caller branches on it.
     fn durability(&self) -> Durability;
     /// Open an existing file for reading and writing.
-    fn open_file(&self, path: &Path, class: FileClass) -> io::Result<File>;
+    fn open_file(&self, path: &Path, class: FileClass) -> io::Result<Box<dyn FileIo>>;
     /// Open a file for reading and writing, creating it if missing.
-    fn create_file(&self, path: &Path, class: FileClass) -> io::Result<File>;
-    /// Fill `buf` from `off`, with zeros past the end of the file;
-    /// returns how many bytes came from the file.
-    fn read_at(&self, f: &VFile, buf: &mut [u8], off: u64) -> io::Result<usize>;
-    /// Write all of `buf` at `off`.
-    fn write_at(&self, f: &VFile, buf: &[u8], off: u64) -> io::Result<()>;
-    /// Truncate or lengthen the file to `len` bytes.
-    fn set_len(&self, f: &VFile, len: u64) -> io::Result<()>;
-    /// Make the file's bytes durable.
-    fn sync_data(&self, f: &VFile) -> io::Result<()>;
-    /// The file's length in bytes.
-    fn file_len(&self, f: &VFile) -> io::Result<u64>;
+    fn create_file(&self, path: &Path, class: FileClass) -> io::Result<Box<dyn FileIo>>;
+    /// Whether a file exists at `path`.
+    fn exists(&self, class: FileClass, path: &Path) -> io::Result<bool>;
     /// Rename `from` to `to`.
     fn rename_file(&self, class: FileClass, from: &Path, to: &Path) -> io::Result<()>;
     /// Remove the file at `path`.
@@ -70,13 +61,29 @@ pub trait Vfs: Send + Sync {
     fn create_dir(&self, class: FileClass, dir: &Path) -> io::Result<()>;
 }
 
-/// An open file of one [`FileClass`], reached through the [`Vfs`] that
-/// opened it.
+/// An open file, as its [`Vfs`] keeps it.
+#[expect(
+    clippy::len_without_is_empty,
+    reason = "a file's length is an I/O call that can fail; no caller asks for emptiness"
+)]
+pub trait FileIo: Send + Sync {
+    /// Fill `buf` from `off`, with zeros past the end of the file;
+    /// returns how many bytes came from the file.
+    fn read_at(&self, buf: &mut [u8], off: u64) -> io::Result<usize>;
+    /// Write all of `buf` at `off`.
+    fn write_at(&self, buf: &[u8], off: u64) -> io::Result<()>;
+    /// Truncate or lengthen the file to `len` bytes.
+    fn set_len(&self, len: u64) -> io::Result<()>;
+    /// Make the file's bytes durable.
+    fn sync_data(&self) -> io::Result<()>;
+    /// The file's length in bytes.
+    fn len(&self) -> io::Result<u64>;
+}
+
+/// An open file of one [`FileClass`], which names its counters.
 pub struct VFile {
-    file: File,
+    io: Box<dyn FileIo>,
     pub(crate) path: PathBuf,
-    pub(crate) class: FileClass,
-    vfs: Arc<dyn Vfs>,
     /// The class's `bytes_written` counter, looked up once at open.
     written: &'static obs::Counter,
 }
@@ -84,44 +91,41 @@ pub struct VFile {
 impl VFile {
     /// Open the existing file at `path`.
     pub fn open(vfs: &Arc<dyn Vfs>, path: PathBuf, class: FileClass) -> io::Result<Self> {
-        let file = vfs.open_file(&path, class)?;
-        Ok(Self::new(file, path, class, vfs))
+        let io = vfs.open_file(&path, class)?;
+        Ok(Self { io, path, written: counter(class, Count::BytesWritten) })
     }
 
     /// Open the file at `path`, creating it if missing.
     pub fn create(vfs: &Arc<dyn Vfs>, path: PathBuf, class: FileClass) -> io::Result<Self> {
-        let file = vfs.create_file(&path, class)?;
-        Ok(Self::new(file, path, class, vfs))
+        let io = vfs.create_file(&path, class)?;
+        Ok(Self { io, path, written: counter(class, Count::BytesWritten) })
     }
 
-    fn new(file: File, path: PathBuf, class: FileClass, vfs: &Arc<dyn Vfs>) -> Self {
-        let written = counter(class, Count::BytesWritten);
-        Self { file, path, class, vfs: Arc::clone(vfs), written }
-    }
-
-    /// See [`Vfs::read_at`].
+    /// See [`FileIo::read_at`].
     pub fn read_at(&self, buf: &mut [u8], off: u64) -> io::Result<usize> {
-        self.vfs.read_at(self, buf, off)
+        self.io.read_at(buf, off)
     }
 
-    /// See [`Vfs::write_at`].
+    /// See [`FileIo::write_at`].
     pub fn write_at(&self, buf: &[u8], off: u64) -> io::Result<()> {
-        self.vfs.write_at(self, buf, off)
+        self.io.write_at(buf, off)?;
+        self.written.add(buf.len() as u64);
+        Ok(())
     }
 
-    /// See [`Vfs::set_len`].
+    /// See [`FileIo::set_len`].
     pub fn set_len(&self, len: u64) -> io::Result<()> {
-        self.vfs.set_len(self, len)
+        self.io.set_len(len)
     }
 
-    /// See [`Vfs::sync_data`].
+    /// See [`FileIo::sync_data`].
     pub fn sync_data(&self) -> io::Result<()> {
-        self.vfs.sync_data(self)
+        self.io.sync_data()
     }
 
-    /// See [`Vfs::file_len`].
+    /// See [`FileIo::len`].
     pub fn file_len(&self) -> io::Result<u64> {
-        self.vfs.file_len(self)
+        self.io.len()
     }
 }
 
@@ -177,6 +181,52 @@ fn counter(class: FileClass, what: Count) -> &'static obs::Counter {
     }
 }
 
+/// A host file, as [`HostVfs`] opened it.
+struct HostFile {
+    file: File,
+    mode: Durability,
+    class: FileClass,
+}
+
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the host file layer: the one place the store's durable state meets std::fs"
+)]
+impl FileIo for HostFile {
+    fn read_at(&self, buf: &mut [u8], off: u64) -> io::Result<usize> {
+        let mut done = 0;
+        while done < buf.len() {
+            match self.file.read_at(&mut buf[done..], off + done as u64)? {
+                0 => break,
+                n => done += n,
+            }
+        }
+        buf[done..].fill(0);
+        Ok(done)
+    }
+
+    fn write_at(&self, buf: &[u8], off: u64) -> io::Result<()> {
+        self.file.write_all_at(buf, off)
+    }
+
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        self.file.set_len(len)
+    }
+
+    fn sync_data(&self) -> io::Result<()> {
+        if self.mode == Durability::Process {
+            return Ok(());
+        }
+        let _span = (self.class == FileClass::Log).then(|| obs::span!("wal.fsync"));
+        counter(self.class, Count::Fsyncs).inc();
+        self.file.sync_data()
+    }
+
+    fn len(&self) -> io::Result<u64> {
+        Ok(self.file.metadata()?.len())
+    }
+}
+
 #[expect(
     clippy::disallowed_methods,
     reason = "the host file layer: the one place the store's durable state meets std::fs"
@@ -186,54 +236,24 @@ impl Vfs for HostVfs {
         self.mode
     }
 
-    fn open_file(&self, path: &Path, _class: FileClass) -> io::Result<File> {
-        OpenOptions::new().read(true).write(true).open(path)
+    fn open_file(&self, path: &Path, class: FileClass) -> io::Result<Box<dyn FileIo>> {
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        Ok(Box::new(HostFile { file, mode: self.mode, class }))
     }
 
-    fn create_file(&self, path: &Path, class: FileClass) -> io::Result<File> {
+    fn create_file(&self, path: &Path, class: FileClass) -> io::Result<Box<dyn FileIo>> {
         match OpenOptions::new().read(true).write(true).create_new(true).open(path) {
             Ok(file) => {
                 self.sync_parent(class, path)?;
-                Ok(file)
+                Ok(Box::new(HostFile { file, mode: self.mode, class }))
             }
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => self.open_file(path, class),
             Err(e) => Err(e),
         }
     }
 
-    fn read_at(&self, f: &VFile, buf: &mut [u8], off: u64) -> io::Result<usize> {
-        let mut done = 0;
-        while done < buf.len() {
-            match f.file.read_at(&mut buf[done..], off + done as u64)? {
-                0 => break,
-                n => done += n,
-            }
-        }
-        buf[done..].fill(0);
-        Ok(done)
-    }
-
-    fn write_at(&self, f: &VFile, buf: &[u8], off: u64) -> io::Result<()> {
-        f.file.write_all_at(buf, off)?;
-        f.written.add(buf.len() as u64);
-        Ok(())
-    }
-
-    fn set_len(&self, f: &VFile, len: u64) -> io::Result<()> {
-        f.file.set_len(len)
-    }
-
-    fn sync_data(&self, f: &VFile) -> io::Result<()> {
-        if self.mode == Durability::Process {
-            return Ok(());
-        }
-        let _span = (f.class == FileClass::Log).then(|| obs::span!("wal.fsync"));
-        counter(f.class, Count::Fsyncs).inc();
-        f.file.sync_data()
-    }
-
-    fn file_len(&self, f: &VFile) -> io::Result<u64> {
-        Ok(f.file.metadata()?.len())
+    fn exists(&self, _class: FileClass, path: &Path) -> io::Result<bool> {
+        path.try_exists()
     }
 
     fn rename_file(&self, class: FileClass, from: &Path, to: &Path) -> io::Result<()> {

@@ -80,7 +80,7 @@
 use parking_lot::{ranks, Mutex};
 use pglo_pages::checksum::crc32;
 use pglo_pages::{PageBuf, PAGE_SIZE};
-use pglo_smgr::vfs::{Durability, FileClass, HostVfs, VFile, Vfs};
+use pglo_smgr::vfs::{Durability, FileClass, VFile, Vfs};
 
 pub mod group;
 use group::GroupFlush;
@@ -1093,14 +1093,18 @@ impl Wal {
         Ok(limits)
     }
 
-    /// Scan a (possibly closed) log directory, returning the location of
-    /// every valid record in stream order. Test/diagnostic surface: the
-    /// torn-tail restart test uses this to find record byte boundaries.
+    /// Scan a (possibly closed) log directory on `vfs`, returning the
+    /// location of every valid record in stream order. Test/diagnostic
+    /// surface: the torn-tail restart test uses this to find record byte
+    /// boundaries, and the crash gates to read a crash image's log.
     // LINT: allow(R14, the log scan the restart tests read records with)
-    pub fn scan_records(dir: impl AsRef<Path>, segment_bytes: u64) -> io::Result<Vec<RecordInfo>> {
+    pub fn scan_records(
+        vfs: &Arc<dyn Vfs>,
+        dir: impl AsRef<Path>,
+        segment_bytes: u64,
+    ) -> io::Result<Vec<RecordInfo>> {
         let mut records = Vec::new();
-        let host = HostVfs::shared(Durability::Process);
-        scan(&host, dir.as_ref(), segment_bytes.max(MIN_SEGMENT_BYTES), |info, _| {
+        scan(vfs, dir.as_ref(), segment_bytes.max(MIN_SEGMENT_BYTES), |info, _| {
             records.push(info);
             Ok(())
         })?;
@@ -1113,9 +1117,16 @@ mod tests {
     use super::*;
     use std::fs::{self, OpenOptions};
 
+    use pglo_smgr::HostVfs;
+
+    /// The host file system in process mode.
+    fn host() -> Arc<dyn Vfs> {
+        HostVfs::shared(Durability::Process)
+    }
+
     /// A log of the smallest segments under `dir`, in process mode.
     fn open_small(dir: &Path) -> io::Result<Wal> {
-        Wal::open(HostVfs::shared(Durability::Process), dir, MIN_SEGMENT_BYTES)
+        Wal::open(host(), dir, MIN_SEGMENT_BYTES)
     }
 
     fn page(fill: u8) -> Box<PageBuf> {
@@ -1366,7 +1377,7 @@ mod tests {
         wal.flush_all().unwrap();
         drop(wal);
 
-        let recs = Wal::scan_records(dir.path(), MIN_SEGMENT_BYTES).unwrap();
+        let recs = Wal::scan_records(&host(), dir.path(), MIN_SEGMENT_BYTES).unwrap();
         assert_eq!(recs.len(), 3);
         let last = recs.last().unwrap().clone();
         let pristine = fs::read(&last.file).unwrap();
@@ -1394,7 +1405,7 @@ mod tests {
         wal.flush_all().unwrap();
         drop(wal);
 
-        let recs = Wal::scan_records(dir.path(), MIN_SEGMENT_BYTES).unwrap();
+        let recs = Wal::scan_records(&host(), dir.path(), MIN_SEGMENT_BYTES).unwrap();
         let last = recs.last().unwrap().clone();
         // Flip one payload byte: CRC must reject the record.
         let mut bytes = fs::read(&last.file).unwrap();
@@ -1429,9 +1440,7 @@ mod tests {
         let e = wal.append(&tail).unwrap();
         wal.flush_to(e).unwrap();
         // Segments wholly below `mid` were renamed to future names.
-        let segs =
-            list_segments(&*HostVfs::shared(Durability::Process), dir.path(), MIN_SEGMENT_BYTES)
-                .unwrap();
+        let segs = list_segments(&*host(), dir.path(), MIN_SEGMENT_BYTES).unwrap();
         assert!(segs.iter().all(|(s, _)| s + MIN_SEGMENT_BYTES > mid));
         drop(wal);
 
@@ -1689,7 +1698,7 @@ mod tests {
         // The horizon at the end of log: every segment but the tail is
         // recycled, stale records and all.
         let horizon = wal.checkpoint(None).unwrap();
-        let live = Wal::scan_records(dir.path(), MIN_SEGMENT_BYTES).unwrap();
+        let live = Wal::scan_records(&host(), dir.path(), MIN_SEGMENT_BYTES).unwrap();
         assert!(live[0].lsn >= 4 * MIN_SEGMENT_BYTES, "four segments were recycled");
         let mut want = Vec::new();
         for i in 0..24u32 {
@@ -1745,15 +1754,11 @@ mod tests {
             wal.checkpoint(None).unwrap();
         };
         let files = || {
-            let mut f: Vec<(u64, u64)> = list_segments(
-                &*HostVfs::shared(Durability::Process),
-                dir.path(),
-                MIN_SEGMENT_BYTES,
-            )
-            .unwrap()
-            .iter()
-            .map(|(_, p)| fs::metadata(p).map(|m| (m.ino(), m.len())).unwrap())
-            .collect();
+            let mut f: Vec<(u64, u64)> = list_segments(&*host(), dir.path(), MIN_SEGMENT_BYTES)
+                .unwrap()
+                .iter()
+                .map(|(_, p)| fs::metadata(p).map(|m| (m.ino(), m.len())).unwrap())
+                .collect();
             f.sort_unstable();
             f
         };
@@ -1785,11 +1790,7 @@ mod tests {
             wal.append(&whole(1, 1, i, 1)).unwrap();
         }
         wal.checkpoint(None).unwrap();
-        let count = || {
-            list_segments(&*HostVfs::shared(Durability::Process), dir.path(), MIN_SEGMENT_BYTES)
-                .unwrap()
-                .len()
-        };
+        let count = || list_segments(&*host(), dir.path(), MIN_SEGMENT_BYTES).unwrap().len();
         let burst = count();
         assert!(burst >= 10, "a burst of ten segments is kept as spares: {burst}");
         let removed = counter("wal.segment.removed");

@@ -125,6 +125,6 @@ pub const ADT_FUNCS: LockRank = LockRank::new(72, "adt.funcs");
 /// ADT operator registry (`crates/adt`); leaf, never nested.
 pub const ADT_OPERATORS: LockRank = LockRank::new(74, "adt.operators");
 
-/// A `FaultVfs`'s op log and fuse (`crates/smgr`, test support): taken
-/// inside file operations, under whatever their callers hold; leaf.
-pub const SMGR_FAULT_VFS: LockRank = LockRank::new(90, "smgr.fault_vfs");
+/// A `SimVfs`'s files, op log and fuse (`crates/smgr`, test support):
+/// taken inside file operations, under whatever their callers hold; leaf.
+pub const SMGR_SIM_VFS: LockRank = LockRank::new(90, "smgr.sim_vfs");

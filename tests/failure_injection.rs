@@ -3,22 +3,21 @@
 //! the files.
 
 use pglo::prelude::*;
-use pglo::smgr::{Durability, FaultVfs, FileClass, HostVfs, SmgrId};
+use pglo::smgr::{FileClass, SimVfs, SmgrId};
 use std::sync::Arc;
 
-/// A store on a [`FaultVfs`]; its relations live on the disk manager.
-fn setup() -> (tempfile::TempDir, Arc<StorageEnv>, Arc<FaultVfs>, SmgrId) {
-    let dir = tempfile::tempdir().unwrap();
-    let fault = FaultVfs::new(HostVfs::shared(Durability::Process));
-    let opts = EnvOptions { vfs: fault.clone(), ..Default::default() };
-    let env = StorageEnv::open_with(dir.path(), opts).unwrap();
+/// A store on a [`SimVfs`]; its relations live on the disk manager.
+fn setup() -> (Arc<StorageEnv>, Arc<SimVfs>, SmgrId) {
+    let sim = SimVfs::new();
+    let env = StorageEnv::open_with("db", EnvOptions { vfs: sim.clone(), ..Default::default() });
+    let env = env.unwrap();
     let id = env.disk_id();
-    (dir, env, fault, id)
+    (env, sim, id)
 }
 
 #[test]
 fn read_failures_surface_as_errors_not_panics() {
-    let (_d, env, fault, smgr_id) = setup();
+    let (env, sim, smgr_id) = setup();
     let store = LoStore::new(Arc::clone(&env)).unwrap();
     let txn = env.begin();
     let id = store.create(&txn, &LoSpec::fchunk().on_smgr(smgr_id)).unwrap();
@@ -30,13 +29,13 @@ fn read_failures_surface_as_errors_not_panics() {
     env.pool().flush_all().unwrap();
     env.pool().discard_rel(smgr_id, store.meta(id).unwrap().data_rel);
     // Fail the very next device read.
-    fault.fuse(Some((FileClass::Data, 0)));
+    sim.fuse(Some((FileClass::Data, 0)));
     let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
     let mut buf = [0u8; 100];
     let err = h.read_at(0, &mut buf).unwrap_err();
     assert!(err.to_string().contains("injected device failure"), "{err}");
     // After the fault clears, the same handle works again.
-    fault.fuse(None);
+    sim.fuse(None);
     assert_eq!(h.read_at(0, &mut buf).unwrap(), 100);
     assert!(buf.iter().all(|&b| b == 7));
     h.close().unwrap();
@@ -45,7 +44,7 @@ fn read_failures_surface_as_errors_not_panics() {
 
 #[test]
 fn write_failures_do_not_corrupt_committed_data() {
-    let (_d, env, fault, smgr_id) = setup();
+    let (env, sim, smgr_id) = setup();
     let heap = pglo::heap::Heap::create(&env, "T", smgr_id, Default::default()).unwrap();
     let t1 = env.begin();
     let mut tids = Vec::new();
@@ -59,7 +58,7 @@ fn write_failures_do_not_corrupt_committed_data() {
     // the device, where the fuse lives.)
     env.pool().discard_rel(smgr_id, heap.rel());
     let t2 = env.begin();
-    fault.fuse(Some((FileClass::Data, 10)));
+    sim.fuse(Some((FileClass::Data, 10)));
     let mut failed = false;
     for (i, tid) in tids.iter().enumerate() {
         match heap.update(&t2, *tid, &vec![0xFF; 2000]) {
@@ -73,7 +72,7 @@ fn write_failures_do_not_corrupt_committed_data() {
         let _ = i;
     }
     assert!(failed, "the fuse must have blown");
-    fault.fuse(None);
+    sim.fuse(None);
     t2.abort();
     // Every original row is intact and visible.
     let t3 = env.begin();
@@ -88,7 +87,7 @@ fn write_failures_do_not_corrupt_committed_data() {
 
 #[test]
 fn inversion_on_flaky_device_fails_cleanly_then_recovers() {
-    let (_d, env, fault, smgr_id) = setup();
+    let (env, sim, smgr_id) = setup();
     let store = Arc::new(LoStore::new(Arc::clone(&env)).unwrap());
     let fs =
         InversionFs::open(&env, Arc::clone(&store), LoSpec::fchunk().on_smgr(smgr_id)).unwrap();
@@ -115,7 +114,7 @@ fn inversion_on_flaky_device_fails_cleanly_then_recovers() {
     for rel in meta_rels {
         env.pool().discard_rel(smgr_id, rel);
     }
-    fault.fuse(Some((FileClass::Data, 0)));
+    sim.fuse(Some((FileClass::Data, 0)));
     // Either resolution or the first content read hits the fault.
     let failed = {
         match fs.open_file(&t2, "/file", OpenMode::ReadOnly) {
@@ -138,7 +137,7 @@ fn inversion_on_flaky_device_fails_cleanly_then_recovers() {
     };
     assert!(failed, "a device fault must surface");
     // Recovery: disarm and read successfully.
-    fault.fuse(None);
+    sim.fuse(None);
     let mut f = fs.open_file(&t2, "/file", OpenMode::ReadOnly).unwrap();
     assert_eq!(f.read_to_vec().unwrap(), vec![1u8; 30_000]);
     f.close().unwrap();
@@ -147,7 +146,7 @@ fn inversion_on_flaky_device_fails_cleanly_then_recovers() {
 
 #[test]
 fn buffer_pool_stays_consistent_after_load_failure() {
-    let (_d, env, fault, smgr_id) = setup();
+    let (env, sim, smgr_id) = setup();
     let heap = pglo::heap::Heap::create(&env, "T", smgr_id, Default::default()).unwrap();
     let t = env.begin();
     let tid = heap.insert(&t, b"payload").unwrap();
@@ -156,11 +155,11 @@ fn buffer_pool_stays_consistent_after_load_failure() {
     env.pool().discard_rel(smgr_id, heap.rel());
     // Fail the page load, then retry: the pool must not have cached a
     // half-loaded frame under the key.
-    fault.fuse(Some((FileClass::Data, 0)));
+    sim.fuse(Some((FileClass::Data, 0)));
     let t2 = env.begin();
     let vis = Visibility::for_txn(&t2);
     assert!(heap.fetch(tid, &vis).is_err());
-    fault.fuse(None);
+    sim.fuse(None);
     assert_eq!(heap.fetch(tid, &vis).unwrap().unwrap(), b"payload");
     t2.commit();
 }

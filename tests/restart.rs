@@ -4,7 +4,10 @@
 //! depends on the transaction manager knowing earlier XIDs committed.
 
 use pglo::prelude::*;
-use pglo::smgr::{Durability, FaultVfs, HostVfs};
+use pglo::smgr::simvfs::OpKind;
+use pglo::smgr::{Durability, FileClass, HostVfs, SimVfs, Vfs};
+use pglo::wal::{RecordInfo, Wal};
+use std::path::Path;
 use std::sync::Arc;
 
 #[test]
@@ -91,21 +94,6 @@ fn aborted_work_stays_invisible_after_reopen() {
     assert_eq!(r.rows.len(), 2);
 }
 
-/// Recursively copy a database directory — the "crash image" each torn-tail
-/// iteration starts from.
-fn copy_dir(src: &std::path::Path, dst: &std::path::Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for e in std::fs::read_dir(src).unwrap() {
-        let e = e.unwrap();
-        let to = dst.join(e.file_name());
-        if e.file_type().unwrap().is_dir() {
-            copy_dir(&e.path(), &to);
-        } else {
-            std::fs::copy(e.path(), &to).unwrap();
-        }
-    }
-}
-
 /// Emulate a process kill: the environment's Drop (its final flush and
 /// checkpoint) never runs, so only what already reached a device survives.
 #[expect(clippy::mem_forget, reason = "a crash is exactly a Drop that never runs")]
@@ -120,74 +108,83 @@ fn crash_opts() -> EnvOptions {
     EnvOptions { wal_segment_bytes: 64 * 1024, ..Default::default() }
 }
 
-/// Kill the last WAL record at every byte boundary: recovery must stop
-/// cleanly at the torn point — no partial record may ever replay — and
-/// everything whose records precede the tear must come back intact. The
-/// torn record is a later transaction's commit, so that transaction
-/// reads as aborted and its XID is never handed out again.
+/// The data directory of every store on a [`SimVfs`].
+const ROOT: &str = "db";
+
+/// Open the store at [`ROOT`] on `vfs`, with `opts` otherwise.
+fn open_on(vfs: &Arc<SimVfs>, opts: EnvOptions) -> Arc<StorageEnv> {
+    StorageEnv::open_with(ROOT, EnvOptions { vfs: vfs.clone(), ..opts }).unwrap()
+}
+
+/// What a crash of `sim` leaves now, each image with its name: a process
+/// kill keeps every write, a power loss only what was synced.
+fn crash_images(sim: &SimVfs) -> [(&'static str, Arc<SimVfs>); 2] {
+    [("process kill", Durability::Process), ("power loss", Durability::Power)]
+        .map(|(name, mode)| (name, sim.crash(mode)))
+}
+
+/// Every valid record of the log at [`ROOT`] on `vfs`.
+fn records(vfs: Arc<dyn Vfs>, seg: u64) -> Vec<RecordInfo> {
+    Wal::scan_records(&vfs, Path::new(ROOT).join("wal"), seg).unwrap()
+}
+
+/// Kill the last WAL record at every byte boundary, in both images of a
+/// crash after its commit: recovery must stop cleanly at the torn point —
+/// no partial record may ever replay — and everything whose records
+/// precede the tear must come back intact. The torn record is a later
+/// transaction's commit, so that transaction reads as aborted and its XID
+/// is never handed out again.
 #[test]
 fn torn_wal_tail_truncated_at_every_byte() {
-    let tmp = tempfile::tempdir().unwrap();
-    let crash = tmp.path().join("crash");
+    let sim = SimVfs::new();
     let payload: Vec<u8> = (0..50_000u32).map(|i| (i.wrapping_mul(31) % 251) as u8).collect();
-    let (id, torn) = {
-        let env = StorageEnv::open_with(&crash, crash_opts()).unwrap();
-        let store = LoStore::new(Arc::clone(&env)).unwrap();
-        let txn = env.begin();
-        let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
-        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
-        h.write_at(0, &payload).unwrap();
-        h.close().unwrap();
-        txn.commit();
-        let torn = env.begin();
-        let torn_xid = torn.xid();
-        torn.commit();
-        kill(env); // crash: dirty pages never reach home
-        (id, torn_xid)
-    };
+    let env = open_on(&sim, crash_opts());
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
+    let txn = env.begin();
+    let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
+    let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+    h.write_at(0, &payload).unwrap();
+    h.close().unwrap();
+    txn.commit();
+    let torn = env.begin();
+    let torn_xid = torn.xid();
+    torn.commit();
+    // Crash: dirty pages never reach home.
+    let images = crash_images(&sim);
+    drop((store, env));
 
     let seg = 64 * 1024u64;
-    let recs = pglo::wal::Wal::scan_records(crash.join("wal"), seg).unwrap();
-    let last = recs.last().expect("log has records").clone();
-    assert_eq!(last.kind, pglo::wal::KIND_COMMIT, "commit record ends the log");
-    let tail_name = last.file.file_name().unwrap().to_owned();
-
-    let work = tmp.path().join("work");
-    for cut in 0..last.total_len as u64 {
-        if work.exists() {
-            std::fs::remove_dir_all(&work).unwrap();
+    for (mode, image) in images {
+        let last = records(image.clone(), seg).pop().expect("log has records");
+        assert_eq!(last.kind, pglo::wal::KIND_COMMIT, "{mode}: commit record ends the log");
+        for cut in 0..last.total_len as u64 {
+            let work = image.crash(Durability::Process);
+            work.open_file(&last.file, FileClass::Log).unwrap().set_len(last.offset + cut).unwrap();
+            let env = open_on(&work, crash_opts());
+            let what = format!("{mode}, cut {cut}");
+            // Recovery never invented a record past the tear…
+            for r in records(work.clone(), seg) {
+                assert!(
+                    r.lsn < last.lsn || r.lsn >= last.lsn + u64::from(last.total_len),
+                    "{what}: partial record replayed at lsn {}",
+                    r.lsn
+                );
+            }
+            // …the page images before the commit record replayed fine, and
+            // the database still works: a new transaction commits and reads.
+            let store = LoStore::new(Arc::clone(&env)).unwrap();
+            let txn = env.begin();
+            let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+            let mut buf = vec![0u8; payload.len()];
+            assert_eq!(h.read_at(0, &mut buf).unwrap(), payload.len(), "{what}");
+            assert_eq!(buf, payload, "{what}: committed bytes corrupted");
+            drop(h);
+            drop(txn);
+            assert_eq!(env.txns().status(torn_xid), pglo::txn::TxnStatus::Aborted, "{what}");
+            let t2 = env.begin();
+            assert!(t2.xid() > torn_xid, "{what}: the torn commit's XID was handed out again");
+            t2.commit();
         }
-        copy_dir(&crash, &work);
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(work.join("wal").join(&tail_name))
-            .unwrap();
-        f.set_len(last.offset + cut).unwrap();
-        drop(f);
-
-        let env = StorageEnv::open_with(&work, crash_opts()).unwrap();
-        // Recovery never invented a record past the tear…
-        for r in pglo::wal::Wal::scan_records(work.join("wal"), seg).unwrap() {
-            assert!(
-                r.lsn < last.lsn || r.lsn >= last.lsn + u64::from(last.total_len),
-                "cut {cut}: partial record replayed at lsn {}",
-                r.lsn
-            );
-        }
-        // …the page images before the commit record replayed fine, and
-        // the database still works: a new transaction commits and reads.
-        let store = LoStore::new(Arc::clone(&env)).unwrap();
-        let txn = env.begin();
-        let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
-        let mut buf = vec![0u8; payload.len()];
-        assert_eq!(h.read_at(0, &mut buf).unwrap(), payload.len(), "cut {cut}");
-        assert_eq!(buf, payload, "cut {cut}: committed bytes corrupted");
-        drop(h);
-        drop(txn);
-        assert_eq!(env.txns().status(torn), pglo::txn::TxnStatus::Aborted, "cut {cut}");
-        let t2 = env.begin();
-        assert!(t2.xid() > torn, "cut {cut}: the torn commit's XID was handed out again");
-        t2.commit();
     }
 }
 
@@ -296,11 +293,10 @@ fn committed_object_survives_power_loss_after_checkpoint() {
 /// comes after a checkpoint has moved the redo horizon past the last
 /// XID-limit record, so only the checkpoint's own batch restates it.
 fn inflight_xid_never_reused(checkpoint: bool) {
-    let tmp = tempfile::tempdir().unwrap();
-    let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
+    let sim = SimVfs::new();
     let seg = 64 * 1024u64;
     let base = vec![0x11u8; 20_000];
-    let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
+    let env = open_on(&sim, crash_opts());
     let store = LoStore::new(Arc::clone(&env)).unwrap();
     let txn = env.begin();
     let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
@@ -320,32 +316,32 @@ fn inflight_xid_never_reused(checkpoint: bool) {
     if checkpoint {
         let before = env.wal().end_lsn();
         env.checkpoint().unwrap();
-        let recs = pglo::wal::Wal::scan_records(live.join("wal"), seg).unwrap();
+        let recs = records(sim.clone(), seg);
         let last_limit =
             recs.iter().rev().find(|r| r.kind == pglo::wal::KIND_LIMITS && r.lsn < before).unwrap();
         assert!(env.wal().redo_lsn() > last_limit.lsn, "the horizon must pass the limit record");
     }
-    copy_dir(&live, &work); // kill: X never commits
+    let images = crash_images(&sim); // kill: X never commits
     let xid = x.xid();
-    drop(x);
-    drop(store);
-    drop(env);
+    drop((x, store, env));
 
-    let env = StorageEnv::open_with(&work, crash_opts()).unwrap();
-    let store = LoStore::new(Arc::clone(&env)).unwrap();
-    let t = env.begin();
-    assert!(t.xid() > xid, "{} reused: {xid} stamped a page at home", t.xid());
-    let mut h = store.open(&t, id, OpenMode::ReadWrite).unwrap();
-    h.write_at(10_000, &[0x22; 100]).unwrap();
-    h.close().unwrap();
-    t.commit();
-    let t = env.begin();
-    assert!(t.xid() > xid);
-    let mut h = store.open(&t, id, OpenMode::ReadOnly).unwrap();
-    let mut buf = vec![0u8; base.len()];
-    assert_eq!(h.read_at(0, &mut buf).unwrap(), base.len());
-    assert_eq!(buf[..4096], base[..4096], "the dead transaction's bytes came back");
-    assert_eq!(buf[10_000..10_100], [0x22; 100]);
+    for (mode, image) in images {
+        let env = open_on(&image, crash_opts());
+        let store = LoStore::new(Arc::clone(&env)).unwrap();
+        let t = env.begin();
+        assert!(t.xid() > xid, "{mode}: {} reused: {xid} stamped a page at home", t.xid());
+        let mut h = store.open(&t, id, OpenMode::ReadWrite).unwrap();
+        h.write_at(10_000, &[0x22; 100]).unwrap();
+        h.close().unwrap();
+        t.commit();
+        let t = env.begin();
+        assert!(t.xid() > xid, "{mode}");
+        let mut h = store.open(&t, id, OpenMode::ReadOnly).unwrap();
+        let mut buf = vec![0u8; base.len()];
+        assert_eq!(h.read_at(0, &mut buf).unwrap(), base.len());
+        assert_eq!(buf[..4096], base[..4096], "{mode}: the dead transaction's bytes came back");
+        assert_eq!(buf[10_000..10_100], [0x22; 100], "{mode}");
+    }
 }
 
 #[test]
@@ -368,11 +364,10 @@ fn inflight_xid_is_never_reused_after_checkpoint_and_crash() {
 #[test]
 fn killed_extension_leaves_neither_its_xid_nor_its_size() {
     for spec in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)] {
-        let tmp = tempfile::tempdir().unwrap();
-        let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
+        let sim = SimVfs::new();
         let base = vec![0x11u8; 20_000];
         let id = {
-            let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
+            let env = open_on(&sim, crash_opts());
             let store = LoStore::new(Arc::clone(&env)).unwrap();
             let txn = env.begin();
             let id = store.create(&txn, &spec).unwrap();
@@ -384,28 +379,29 @@ fn killed_extension_leaves_neither_its_xid_nor_its_size() {
             env.checkpoint().unwrap();
             id
         };
-        let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
+        let env = open_on(&sim, crash_opts());
         let store = LoStore::new(Arc::clone(&env)).unwrap();
         let x = env.begin();
         let mut h = store.open(&x, id, OpenMode::ReadWrite).unwrap();
         h.write_at(base.len() as u64, &[0xEE; 5_000]).unwrap();
         h.close().unwrap();
         env.pool().flush_all().unwrap();
-        copy_dir(&live, &work); // kill: X never commits
+        let images = crash_images(&sim); // kill: X never commits
         let xid = x.xid();
-        drop(x);
-        drop(store);
-        drop(env);
+        drop((x, store, env));
 
-        let env = StorageEnv::open_with(&work, crash_opts()).unwrap();
-        let store = LoStore::new(Arc::clone(&env)).unwrap();
-        let t = env.begin();
-        assert!(t.xid() > xid, "{} reused: {xid} stamped a page at home", t.xid());
-        let mut h = store.open(&t, id, OpenMode::ReadOnly).unwrap();
-        assert_eq!(h.size().unwrap(), base.len() as u64, "the dead transaction's size came back");
-        let mut buf = vec![0u8; base.len()];
-        assert_eq!(h.read_at(0, &mut buf).unwrap(), base.len());
-        assert_eq!(buf, base);
+        for (mode, image) in images {
+            let env = open_on(&image, crash_opts());
+            let store = LoStore::new(Arc::clone(&env)).unwrap();
+            let t = env.begin();
+            assert!(t.xid() > xid, "{mode}: {} reused: {xid} stamped a page at home", t.xid());
+            let mut h = store.open(&t, id, OpenMode::ReadOnly).unwrap();
+            let size = h.size().unwrap();
+            assert_eq!(size, base.len() as u64, "{mode}: the dead transaction's size came back");
+            let mut buf = vec![0u8; base.len()];
+            assert_eq!(h.read_at(0, &mut buf).unwrap(), base.len());
+            assert_eq!(buf, base, "{mode}");
+        }
     }
 }
 
@@ -414,16 +410,15 @@ fn killed_extension_leaves_neither_its_xid_nor_its_size() {
 /// durable: each of two writes, its handle's flush (pages dirty in the
 /// pool), the capture of its deltas into the log, the log's flush, its
 /// pages written home, a checkpoint, its commit, and its pages home after
-/// the commit; and an extension that aborts, its pages home. Each killed
-/// copy is reopened, and a new snapshot reads the object: until the
-/// commit, the last committed size and bytes; from it on, the
+/// the commit; and an extension that aborts, its pages home. Both images
+/// of each kill are reopened, and a new snapshot reads the object: until
+/// the commit, the last committed size and bytes; from it on, the
 /// extension's.
 #[test]
 fn crash_during_an_extension_recovers_the_committed_size() {
     for spec in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)] {
-        let tmp = tempfile::tempdir().unwrap();
-        let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
-        let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
+        let sim = SimVfs::new();
+        let env = open_on(&sim, crash_opts());
         let store = LoStore::new(Arc::clone(&env)).unwrap();
         let base: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
         let txn = env.begin();
@@ -434,9 +429,10 @@ fn crash_during_an_extension_recovers_the_committed_size() {
         txn.commit();
         let mut model = Model { objects: vec![(id, base.clone())], ..Default::default() };
         let check = |what: &str, model: &Model| {
-            kill_copy(&live, &work);
-            let env = StorageEnv::open_with(&work, crash_opts()).unwrap();
-            assert_eq!(&read_back(&env, model), model, "{:?}: killed {what}", spec.kind);
+            for (mode, image) in crash_images(&sim) {
+                let env = open_on(&image, crash_opts());
+                assert_eq!(&read_back(&env, model), model, "{:?}: {mode} {what}", spec.kind);
+            }
         };
         let ext: Vec<u8> = (0..13_000u32).map(|i| (i % 241) as u8 ^ 0x5A).collect();
         let end = base.len() as u64;
@@ -488,16 +484,15 @@ fn object_oids(store: &LoStore, id: LoId) -> Vec<u64> {
 /// their files exist and the catalog never names them. The process is
 /// killed after the block's first OID and after each relation; with
 /// `checkpoint`, a checkpoint first recycles the segment holding the last
-/// limit record, so only the checkpoint's batch restates it. Each killed
-/// copy must hand out only OIDs above all those, create a fresh object of
-/// the kind, and read the committed one back.
+/// limit record, so only the checkpoint's batch restates it. Each image of
+/// each kill must hand out only OIDs above all those, create a fresh
+/// object of the kind, and read the committed one back.
 fn handed_out_oid_never_reused(checkpoint: bool) {
     let seg = 64 * 1024u64;
     let base = vec![0x11u8; 20_000];
     for spec in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)] {
-        let tmp = tempfile::tempdir().unwrap();
-        let live = tmp.path().join("live");
-        let env = StorageEnv::open_with(&live, crash_opts()).unwrap();
+        let sim = SimVfs::new();
+        let env = open_on(&sim, crash_opts());
         let store = LoStore::new(Arc::clone(&env)).unwrap();
         let txn = env.begin();
         let id = store.create(&txn, &spec).unwrap();
@@ -508,9 +503,7 @@ fn handed_out_oid_never_reused(checkpoint: bool) {
         let mut handed = object_oids(&store, id);
         let (mut kills, mut orphans) = (Vec::new(), Vec::new());
         let mut kill = |handed: &[u64], orphans: &[u64]| {
-            let work = tmp.path().join(format!("kill{}", kills.len()));
-            copy_dir(&live, &work);
-            kills.push((work, *handed.iter().max().unwrap(), orphans.to_vec()));
+            kills.push((crash_images(&sim), *handed.iter().max().unwrap(), orphans.to_vec()));
         };
         while handed.last() != Some(&2048) {
             handed.push(env.catalog().alloc_oid().unwrap());
@@ -524,7 +517,7 @@ fn handed_out_oid_never_reused(checkpoint: bool) {
             txn.abort();
             env.pool().flush_all().unwrap();
             env.checkpoint().unwrap();
-            let recs = pglo::wal::Wal::scan_records(live.join("wal"), seg).unwrap();
+            let recs = records(sim.clone(), seg);
             let limits: Vec<_> = recs.iter().filter(|r| r.kind == pglo::wal::KIND_LIMITS).collect();
             assert_eq!(limits.len(), 1, "only the checkpoint's restated limits are left");
             assert!(limits[0].lsn >= env.wal().redo_lsn(), "and they are past the horizon");
@@ -539,24 +532,29 @@ fn handed_out_oid_never_reused(checkpoint: bool) {
         kill(&handed, &orphans);
         drop((heap, index, store, env));
 
-        for (work, max, orphans) in kills {
-            let what = format!("{spec:?} checkpoint={checkpoint} killed at {max}");
-            let env = StorageEnv::open_with(&work, crash_opts()).unwrap();
-            let disk = env.switch().get(env.disk_id()).unwrap();
-            assert!(orphans.iter().all(|&rel| disk.exists(rel)), "{what}: the cut create's files");
-            let next = env.catalog().alloc_oid().unwrap();
-            assert!(next > max, "{what}: OID {next} handed out again");
-            let store = LoStore::new(Arc::clone(&env)).unwrap();
-            let txn = env.begin();
-            let fresh = store.create(&txn, &spec).unwrap();
-            assert!(object_oids(&store, fresh).iter().all(|&o| o > max), "{what}");
-            let mut h = store.open(&txn, fresh, OpenMode::ReadWrite).unwrap();
-            h.write_at(0, &[0x33; 100]).unwrap();
-            h.close().unwrap();
-            txn.commit();
-            let txn = env.begin();
-            let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
-            assert_eq!(h.read_to_vec().unwrap(), base, "{what}: the committed object");
+        for (images, max, orphans) in kills {
+            for (mode, image) in images {
+                let what = format!("{spec:?} checkpoint={checkpoint} {mode} at {max}");
+                let env = open_on(&image, crash_opts());
+                let disk = env.switch().get(env.disk_id()).unwrap();
+                assert!(
+                    orphans.iter().all(|&rel| disk.exists(rel)),
+                    "{what}: the cut create's files"
+                );
+                let next = env.catalog().alloc_oid().unwrap();
+                assert!(next > max, "{what}: OID {next} handed out again");
+                let store = LoStore::new(Arc::clone(&env)).unwrap();
+                let txn = env.begin();
+                let fresh = store.create(&txn, &spec).unwrap();
+                assert!(object_oids(&store, fresh).iter().all(|&o| o > max), "{what}");
+                let mut h = store.open(&txn, fresh, OpenMode::ReadWrite).unwrap();
+                h.write_at(0, &[0x33; 100]).unwrap();
+                h.close().unwrap();
+                txn.commit();
+                let txn = env.begin();
+                let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+                assert_eq!(h.read_to_vec().unwrap(), base, "{what}: the committed object");
+            }
         }
     }
 }
@@ -836,32 +834,12 @@ fn read_back(env: &Arc<StorageEnv>, model: &Model) -> Model {
     seen
 }
 
-/// Kill the process now: replace `work` with a copy of what the OS holds
-/// of `live`.
-fn kill_copy(live: &std::path::Path, work: &std::path::Path) {
-    if work.exists() {
-        std::fs::remove_dir_all(work).unwrap();
-    }
-    copy_dir(live, work);
-}
-
-/// Whether the log's tail segment (the one holding `end`) is a file first
-/// seen under another name: a recycled segment the appender overwrites in
-/// place. `names` remembers the first name of every file by inode.
-fn tail_is_reused(
-    wal: &std::path::Path,
-    seg: u64,
-    end: u64,
-    names: &mut std::collections::HashMap<u64, std::ffi::OsString>,
-) -> bool {
-    use std::os::unix::fs::MetadataExt;
-    for e in std::fs::read_dir(wal).unwrap() {
-        let e = e.unwrap();
-        names.entry(e.metadata().unwrap().ino()).or_insert(e.file_name());
-    }
+/// Whether the log's tail segment (the one holding `end`) on `sim` was
+/// the target of a rename: a recycled segment the appender overwrites in
+/// place.
+fn tail_is_reused(sim: &SimVfs, seg: u64, end: u64) -> bool {
     let tail = format!("{:016x}.seg", end - end % seg);
-    let ino = std::fs::metadata(wal.join(&tail)).unwrap().ino();
-    names[&ino] != *tail
+    sim.ops().iter().any(|op| op.kind == OpKind::Rename && op.path.ends_with(&tail))
 }
 
 /// The crash gate for the redo log and the outcome table: a seeded script
@@ -869,7 +847,7 @@ fn tail_is_reused(
 /// hint page full and already logged, and one handle's overwrites of a
 /// chunk flushed in turn), commits, aborts, runs of read-only
 /// transactions, batch flushes, evictions through a small pool, WORM
-/// archiving and checkpoints, with a process kill after every step, and for a
+/// archiving and checkpoints, with a kill after every step, and for a
 /// checkpoint also in its middle (outcome table written, checkpoint
 /// record not). Every tenth step adds a checkpoint that recycles the
 /// segments below its horizon and logs on into the next segment, a
@@ -878,20 +856,21 @@ fn tail_is_reused(
 /// files: one hands out blocks up to segment 2 and writes a block of it
 /// back before segment 1 holds any, one crosses from segment 2 into 3;
 /// each is killed with the grow logged only and again once written home.
-/// Each kill copies the live data directory; the copy is
-/// reopened twice, and both reopens must read exactly the committed model
-/// (aborted and in-flight bytes invisible) with the time-travel axis at
-/// or past the last acknowledged commit. Across the kills, every record
-/// kind must have been replayed, including deltas logged after pages
-/// were read back from home, whose baseline is the home copy.
+/// The store runs on a [`SimVfs`]. Each kill takes its process-kill and
+/// its power-loss image; each image is reopened twice, and both reopens
+/// must read exactly the committed model (aborted and in-flight bytes
+/// invisible) with the time-travel axis at or past the last acknowledged
+/// commit. Across the kills, every record kind must have been replayed,
+/// including deltas logged after pages were read back from home, whose
+/// baseline is the home copy.
 #[test]
 fn crash_after_every_step_recovers_committed_state() {
-    let tmp = tempfile::tempdir().unwrap();
-    let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
-    let pre_wal = tmp.path().join("pre_wal");
+    use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let sim = SimVfs::new();
     let seg = 64 * 1024u64;
     let opts = || EnvOptions { pool_frames: 32, wal_segment_bytes: seg, ..Default::default() };
-    let env = StorageEnv::open_with(&live, opts()).unwrap();
+    let env = open_on(&sim, opts());
     let store = LoStore::new(Arc::clone(&env)).unwrap();
     let mut rng = Rng(0x5eed_0043);
     let fill = |rng: &mut Rng, len: usize| -> Vec<u8> {
@@ -921,12 +900,18 @@ fn crash_after_every_step_recovers_committed_state() {
     let mut home_baseline_from: Option<u64> = None;
     let mut replayed = std::collections::BTreeSet::new();
     let mut home_baseline_replayed = false;
-    // Reopen a killed copy twice: both must read the committed model.
-    let mut recover =
-        |dir: &std::path::Path, what: &str, model: &Model, last_ts, home_from: Option<u64>| {
-            let first = StorageEnv::open_with(dir, opts()).unwrap();
+    // Reopen each image of a kill twice: both must read the committed
+    // model.
+    let mut recover = |images: [(&str, Arc<SimVfs>); 2],
+                       what: &str,
+                       model: &Model,
+                       last_ts,
+                       home_from: Option<u64>| {
+        for (mode, image) in images {
+            let what = format!("{what}, {mode}");
+            let first = open_on(&image, opts());
             let (redo, end) = (first.wal().redo_lsn(), first.wal().end_lsn());
-            for r in pglo::wal::Wal::scan_records(dir.join("wal"), seg).unwrap() {
+            for r in records(image.clone(), seg) {
                 if r.lsn >= redo && r.lsn < end {
                     replayed.insert(r.kind);
                     let from_home = home_from.is_some_and(|h| redo <= h && h <= r.lsn);
@@ -937,19 +922,31 @@ fn crash_after_every_step_recovers_committed_state() {
             let seen = read_back(&first, model);
             assert_eq!(&seen, model, "{what}: first reopen lost committed state");
             drop(first);
-            let second = StorageEnv::open_with(dir, opts()).unwrap();
+            let second = open_on(&image, opts());
             assert!(second.txns().current_timestamp() >= last_ts, "{what}: time travel went back");
             assert_eq!(read_back(&second, model), seen, "{what}: reopens disagree");
-        };
+        }
+    };
+    // During a checkpoint step, the hook keeps the images taken after the
+    // pass's last op on a file other than the log: the data files synced
+    // and the outcome table written (a pass that settles no commit writes
+    // none of it), the checkpoint record not.
+    let (checkpointing, middle) = (Arc::new(AtomicBool::new(false)), Arc::new(Mutex::new(None)));
+    let (hook_checkpointing, hook_middle) = (Arc::clone(&checkpointing), Arc::clone(&middle));
+    assert!(sim.on_op(move |sim, op| {
+        if hook_checkpointing.load(Ordering::SeqCst) && op.class != FileClass::Log {
+            let images = crash_images(sim);
+            *hook_middle.lock() = Some(images);
+        }
+    }));
     let mut archives = 0;
     let mut middles = 0;
     let (mut after_capture, mut reflushed) = (0, 0);
-    let (mut names, mut reused_tails) = (std::collections::HashMap::new(), 0);
+    let mut reused_tails = 0;
     const CHUNK: usize = pglo::lobj::CHUNK_SIZE;
     const SEG_BLOCKS: u32 = pglo::smgr::disk::SEGMENT_BLOCKS;
     for step in 0..100 {
         let op = rng.below(15);
-        let mut middle = false;
         let objects = model.objects.len();
         let what = match op {
             0..=3 | 13 | 14 if objects > 1 => {
@@ -1061,15 +1058,9 @@ fn crash_after_every_step_recovers_committed_state() {
                 "evict"
             }
             9 | 10 => {
-                // The pass's middle is its log from before it with every
-                // other file from after: the outcome table is written and
-                // the checkpoint record is not.
-                if pre_wal.exists() {
-                    std::fs::remove_dir_all(&pre_wal).unwrap();
-                }
-                copy_dir(&live.join("wal"), &pre_wal);
+                checkpointing.store(true, Ordering::SeqCst);
                 env.checkpoint().unwrap();
-                middle = true;
+                checkpointing.store(false, Ordering::SeqCst);
                 "checkpoint"
             }
             11 if txn.is_none() => {
@@ -1096,22 +1087,17 @@ fn crash_after_every_step_recovers_committed_state() {
             }
             _ => continue,
         };
-        // Kill the process here: copy what the OS holds.
-        kill_copy(&live, &work);
-        recover(&work, &format!("step {step} ({what})"), &model, last_ts, home_baseline_from);
-        if middle {
-            let last =
-                |wal: &std::path::Path| pglo::wal::Wal::scan_records(wal, seg).unwrap().pop();
-            let (pass, before) = (last(&live.join("wal")).unwrap(), last(&pre_wal));
+        // Crash here.
+        let what = format!("step {step} ({what})");
+        recover(crash_images(&sim), &what, &model, last_ts, home_baseline_from);
+        if let Some(images) = middle.lock().take() {
+            let pass = records(sim.clone(), seg).pop().unwrap();
+            let before = records(images[0].1.clone(), seg).pop();
             // A pass that found the log idle appended nothing: no middle.
             if before.is_none_or(|b| b.lsn < pass.lsn) {
                 assert_eq!(pass.kind, pglo::wal::KIND_CHECKPOINT, "the pass ends the log");
-                std::fs::remove_dir_all(&work).unwrap();
-                copy_dir(&live, &work);
-                std::fs::remove_dir_all(work.join("wal")).unwrap();
-                copy_dir(&pre_wal, &work.join("wal"));
                 let what = format!("step {step} (checkpoint middle)");
-                recover(&work, &what, &model, last_ts, home_baseline_from);
+                recover(images, &what, &model, last_ts, home_baseline_from);
                 middles += 1;
             }
         }
@@ -1127,9 +1113,9 @@ fn crash_after_every_step_recovers_committed_state() {
                 wal.append_batch(&mut [rec]).unwrap();
             }
             wal.flush_all().unwrap();
-            reused_tails += usize::from(tail_is_reused(&live.join("wal"), seg, next, &mut names));
-            kill_copy(&live, &work);
-            recover(&work, &format!("step {step} (rotate)"), &model, last_ts, home_baseline_from);
+            reused_tails += usize::from(tail_is_reused(&sim, seg, next));
+            let what = format!("step {step} (rotate)");
+            recover(crash_images(&sim), &what, &model, last_ts, home_baseline_from);
         }
         if step == 33 || step == 66 {
             // Hand out the filler's chunk heap blocks up to a relation
@@ -1148,13 +1134,12 @@ fn crash_after_every_step_recovers_committed_state() {
             h.close().unwrap();
             last_ts = t.commit();
             model.objects[0].1.extend_from_slice(&bytes);
-            kill_copy(&live, &work);
             let what = format!("step {step} (grow across a relation segment, logged)");
-            recover(&work, &what, &model, last_ts, home_baseline_from);
+            recover(crash_images(&sim), &what, &model, last_ts, home_baseline_from);
             env.pool().flush_all().unwrap();
             let len = |n: u32| {
-                let path = live.join("heap").join(format!("rel_{rel}.pg.{n}"));
-                std::fs::metadata(path).unwrap().len()
+                let path = Path::new(ROOT).join("heap").join(format!("rel_{rel}.pg.{n}"));
+                sim.open_file(&path, FileClass::Data).unwrap().len().unwrap()
             };
             if step == 33 {
                 assert_eq!(len(1), 0, "segment 1 holds no block");
@@ -1162,9 +1147,8 @@ fn crash_after_every_step_recovers_committed_state() {
             } else {
                 assert!(len(3) > 0, "the grow crossed into segment 3");
             }
-            kill_copy(&live, &work);
             let what = format!("step {step} (grow across a relation segment, home)");
-            recover(&work, &what, &model, last_ts, home_baseline_from);
+            recover(crash_images(&sim), &what, &model, last_ts, home_baseline_from);
         }
     }
     use pglo::wal::{KIND_CHECKPOINT, KIND_COMMIT, KIND_LIMITS, KIND_PAGE_DELTA, KIND_WORM_BURN};
@@ -1177,7 +1161,7 @@ fn crash_after_every_step_recovers_committed_state() {
     assert!(middles > 0, "no checkpoint was killed in its middle");
     let next = env.begin().xid().0;
     assert!(next > 2 * 1024, "the script must cross two XID limit blocks, reached {next}");
-    let live_log = pglo::wal::Wal::scan_records(live.join("wal"), seg).unwrap();
+    let live_log = records(sim.clone(), seg);
     assert!(live_log[0].lsn >= seg, "checkpoints must recycle the first segment");
     assert!(reused_tails > 0, "no kill found the log's tail in a recycled segment");
 }
@@ -1189,21 +1173,20 @@ fn crash_after_every_step_recovers_committed_state() {
 /// (b) a hole: the newest block home, the one before it not;
 /// (c) a chunk-index leaf naming an uncommitted version's fresh block,
 ///     evicted home through the small pool while that block is not home.
-/// Each killed copy is reopened twice. Both reopens must read exactly the
-/// committed bytes, and no chunk-index entry may name a block at or past
-/// its heap's length: the next insert would be handed that block, and
-/// the stale entry would then name another chunk's row.
+/// Both images of each kill are reopened twice. Every reopen must read
+/// exactly the committed bytes, and no chunk-index entry may name a block
+/// at or past its heap's length: the next insert would be handed that
+/// block, and the stale entry would then name another chunk's row.
 #[test]
 fn crash_on_the_lazy_extension_path_recovers_committed_state() {
     use pglo::btree::{BTree, ScanStart};
     use pglo::buffer::PageKey;
     use pglo::pages::PAGE_SIZE;
     const CHUNK: usize = 8000;
-    let tmp = tempfile::tempdir().unwrap();
-    let (live, work) = (tmp.path().join("live"), tmp.path().join("work"));
+    let sim = SimVfs::new();
     let opts =
         || EnvOptions { pool_frames: 32, wal_segment_bytes: 64 * 1024, ..Default::default() };
-    let env = StorageEnv::open_with(&live, opts()).unwrap();
+    let env = open_on(&sim, opts());
     let store = LoStore::new(Arc::clone(&env)).unwrap();
     let fill = |seed: u8, len: usize| -> Vec<u8> {
         (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect()
@@ -1228,8 +1211,9 @@ fn crash_on_the_lazy_extension_path_recovers_committed_state() {
     let (filler, id) = (model.objects[0].0, model.objects[1].0);
     let meta = store.meta(id).unwrap();
     let heap = Heap::open_oid(&env, meta.data_rel, meta.smgr);
-    let heap_file = live.join("heap").join(format!("rel_{}.pg", meta.data_rel));
-    let home_blocks = || std::fs::metadata(&heap_file).unwrap().len() / PAGE_SIZE as u64;
+    let heap_file = Path::new(ROOT).join("heap").join(format!("rel_{}.pg", meta.data_rel));
+    let home = || sim.open_file(&heap_file, pglo::smgr::FileClass::Data).unwrap();
+    let home_blocks = || home().len().unwrap() / PAGE_SIZE as u64;
     let key = |block: u32| PageKey::new(meta.smgr, meta.data_rel, block);
     // Rewrite chunk `seq`, into `model` too if the write will commit.
     let rewrite = |txn: &Txn, seq: usize, seed: u8, model: Option<&mut Model>| {
@@ -1239,27 +1223,29 @@ fn crash_on_the_lazy_extension_path_recovers_committed_state() {
             model.objects[1].1[seq * CHUNK..][..CHUNK].copy_from_slice(&bytes);
         }
     };
-    // Copy what the OS holds, reopen the copy twice, and return the heap
-    // blocks its chunk index names.
+    // Crash, reopen each image twice, and return the heap blocks the
+    // chunk index of the process-kill image names.
     let recover = |what: &str, model: &Model| -> Vec<u32> {
-        if work.exists() {
-            std::fs::remove_dir_all(&work).unwrap();
-        }
-        copy_dir(&live, &work);
         let mut named = Vec::new();
-        for reopen in ["first", "second"] {
-            let env = StorageEnv::open_with(&work, opts()).unwrap();
-            assert_eq!(&read_back(&env, model), model, "{what}: {reopen} reopen");
-            let nblocks = Heap::open_oid(&env, meta.data_rel, meta.smgr).nblocks().unwrap();
-            let index = BTree::open_oid(&env, meta.idx_rel, meta.smgr);
-            let mut scan = index.scan(ScanStart::First).unwrap();
-            named.clear();
-            while let Some((_, tid)) = scan.next_entry().unwrap() {
-                assert!(
-                    tid.block < nblocks,
-                    "{what}: {reopen} reopen: chunk index names {tid:?}, heap has {nblocks} blocks"
-                );
-                named.push(tid.block);
+        for (mode, image) in crash_images(&sim) {
+            for reopen in ["first", "second"] {
+                let what = format!("{what}, {mode}: {reopen} reopen");
+                let env = open_on(&image, opts());
+                assert_eq!(&read_back(&env, model), model, "{what}");
+                let nblocks = Heap::open_oid(&env, meta.data_rel, meta.smgr).nblocks().unwrap();
+                let index = BTree::open_oid(&env, meta.idx_rel, meta.smgr);
+                let mut scan = index.scan(ScanStart::First).unwrap();
+                let mut blocks = Vec::new();
+                while let Some((_, tid)) = scan.next_entry().unwrap() {
+                    assert!(
+                        tid.block < nblocks,
+                        "{what}: chunk index names {tid:?}, heap has {nblocks} blocks"
+                    );
+                    blocks.push(tid.block);
+                }
+                if mode == "process kill" {
+                    named = blocks;
+                }
             }
         }
         named
@@ -1284,8 +1270,8 @@ fn crash_on_the_lazy_extension_path_recovers_committed_state() {
         env.pool().flush_dirty_batch();
     }
     assert_eq!(home_blocks(), newest as u64 + 1, "(b): the newest block is not home");
-    let file = std::fs::read(&heap_file).unwrap();
-    let hole = &file[(newest as usize - 1) * PAGE_SIZE..][..PAGE_SIZE];
+    let mut hole = vec![0; PAGE_SIZE];
+    home().read_at(&mut hole, (u64::from(newest) - 1) * PAGE_SIZE as u64).unwrap();
     assert!(hole.iter().all(|&b| b == 0), "(b): the block before the newest is home");
     recover("(b) a hole", &model);
 
@@ -1316,13 +1302,13 @@ fn classes(env: &StorageEnv) -> Classes {
     catalog.class_names().iter().map(|name| (name.clone(), props(name))).collect()
 }
 
-/// The crash gate for classes. The live store is killed (its directory
-/// copied by the file layer's hook) after every file operation that
-/// changes what a process kill leaves — a relation file made, written or
-/// removed, a log write — in each of: the catalog's `create_class`,
-/// `set_props`, `remove_prop` and `drop_class`; a POSTQUEL `create`,
-/// `define index` and `destroy`; and the Inversion file system's first
-/// open. Each copy is recovered, and:
+/// The crash gate for classes. The live store runs on a [`SimVfs`] and is
+/// killed (its images taken by the file layer's hook) after every file
+/// operation that changes what a crash leaves — a relation file made,
+/// written, synced or removed, a log write — in each of: the catalog's
+/// `create_class`, `set_props`, `remove_prop` and `drop_class`; a
+/// POSTQUEL `create`, `define index` and `destroy`; and the Inversion file
+/// system's first open. Both images of each kill are recovered, and:
 /// - every class is absent, or present with its properties as the killed
 ///   operation found them or left them, its relation and every index its
 ///   properties name readable; a class the operation did not touch is
@@ -1335,27 +1321,21 @@ fn classes(env: &StorageEnv) -> Classes {
 fn crash_at_every_durable_step_of_class_changes() {
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let tmp = tempfile::tempdir().unwrap();
-    let live = tmp.path().join("live");
-    let fault = FaultVfs::new(HostVfs::shared(Durability::Process));
-    let db = Database::open_with(&live, EnvOptions { vfs: fault.clone(), ..crash_opts() }).unwrap();
+    let sim = SimVfs::new();
+    let db = Database::open_with(ROOT, EnvOptions { vfs: sim.clone(), ..crash_opts() }).unwrap();
     let env = Arc::clone(db.env());
     // The operation running (an index into `ops`), or `usize::MAX`
     // between operations, where no kill is taken.
     const NONE: usize = usize::MAX;
     let phase = Arc::new(AtomicUsize::new(NONE));
     let kills = Arc::new(Mutex::new(Vec::new()));
-    let (hook_phase, hook_kills, hook_live) =
-        (Arc::clone(&phase), Arc::clone(&kills), live.clone());
-    let kill_root = tmp.path().join("kills");
-    assert!(fault.on_op(move |done| {
+    let (hook_phase, hook_kills) = (Arc::clone(&phase), Arc::clone(&kills));
+    assert!(sim.on_op(move |sim, done| {
         let op = hook_phase.load(Ordering::SeqCst);
         if op != NONE && done.kind.mutates() {
-            let mut kills = hook_kills.lock();
-            let work = kill_root.join(kills.len().to_string());
-            copy_dir(&hook_live, &work);
-            let step = format!("{:?} of {}", done.kind, done.path.display());
-            kills.push((work, op, step));
+            let (images, step) =
+                (crash_images(sim), format!("{:?} of {}", done.kind, done.path.display()));
+            hook_kills.lock().push((images, op, step));
         }
     }));
     use pglo::heap::ClassKind::Heap as H;
@@ -1407,52 +1387,60 @@ fn crash_at_every_durable_step_of_class_changes() {
     drop(ops);
     drop((env, db));
 
-    for (work, op, step) in kills {
-        let what = format!("{}, killed after {step} ({})", OPS[op], work.display());
-        let (before, after) = (&models[op], &models[op + 1]);
-        let db = Database::open_with(&work, crash_opts()).unwrap();
-        let env = db.env();
-        let found = classes(env);
-        for (name, props) in &found {
-            let was = [before.get(name), after.get(name)];
-            assert!(was.contains(&Some(props)), "{what}: {name} holds {props:?}, not {was:?}");
-            let meta = env.catalog().get(name).unwrap();
-            let heap = Heap::open(env, name).unwrap();
-            let rows = heap.scan(Visibility::Raw).collect::<Result<Vec<_>, _>>().unwrap().len();
-            let indexes = props.iter().filter_map(|(key, value)| match key.as_str() {
-                "index_oid" => Some(value.as_str()),
-                key if key.starts_with("index:") => value.split('|').next(),
-                _ => None,
-            });
-            for oid in indexes {
-                let tree = pglo::btree::BTree::open_oid(env, oid.parse().unwrap(), meta.smgr_id());
-                let mut scan = tree.scan(pglo::btree::ScanStart::First).unwrap();
-                let mut entries = 0;
-                while scan.next_entry().unwrap().is_some() {
-                    entries += 1;
+    for (kill, (images, op, step)) in kills.into_iter().enumerate() {
+        for (mode, image) in images {
+            let what = format!("{}, {mode} after {step} (kill {kill})", OPS[op]);
+            let (before, after) = (&models[op], &models[op + 1]);
+            let db = Database::open_with(ROOT, EnvOptions { vfs: image, ..crash_opts() }).unwrap();
+            let env = db.env();
+            let found = classes(env);
+            for (name, props) in &found {
+                let was = [before.get(name), after.get(name)];
+                assert!(was.contains(&Some(props)), "{what}: {name} holds {props:?}, not {was:?}");
+                let meta = env.catalog().get(name).unwrap();
+                let heap = Heap::open(env, name).unwrap();
+                let rows = heap.scan(Visibility::Raw).collect::<Result<Vec<_>, _>>().unwrap().len();
+                let indexes = props.iter().filter_map(|(key, value)| match key.as_str() {
+                    "index_oid" => Some(value.as_str()),
+                    key if key.starts_with("index:") => value.split('|').next(),
+                    _ => None,
+                });
+                for oid in indexes {
+                    let tree =
+                        pglo::btree::BTree::open_oid(env, oid.parse().unwrap(), meta.smgr_id());
+                    let mut scan = tree.scan(pglo::btree::ScanStart::First).unwrap();
+                    let mut entries = 0;
+                    while scan.next_entry().unwrap().is_some() {
+                        entries += 1;
+                    }
+                    assert!(
+                        entries <= rows,
+                        "{what}: {name}'s index {oid} holds {entries} entries"
+                    );
                 }
-                assert!(entries <= rows, "{what}: {name}'s index {oid} holds {entries} entries");
             }
-        }
-        for (name, props) in before.iter().filter(|(name, props)| after.get(*name) == Some(props)) {
-            assert_eq!(found.get(name), Some(props), "{what}: untouched class {name}");
-        }
-        if OPS[op] == "destroy" {
-            match db.run("destroy T") {
-                Ok(_) => {}
-                Err(e) => assert!(e.to_string().contains("does not exist"), "{what}: {e}"),
+            for (name, props) in
+                before.iter().filter(|(name, props)| after.get(*name) == Some(props))
+            {
+                assert_eq!(found.get(name), Some(props), "{what}: untouched class {name}");
             }
-            assert!(env.catalog().get("T").is_none(), "{what}: T survived its destroy");
+            if OPS[op] == "destroy" {
+                match db.run("destroy T") {
+                    Ok(_) => {}
+                    Err(e) => assert!(e.to_string().contains("does not exist"), "{what}: {e}"),
+                }
+                assert!(env.catalog().get("T").is_none(), "{what}: T survived its destroy");
+            }
+            if op == OPS.len() - 1 {
+                let fs = InversionFs::open(env, Arc::clone(db.store()), LoSpec::fchunk()).unwrap();
+                let txn = env.begin();
+                assert!(fs.stat(&txn, "/").unwrap().is_dir, "{what}: the root");
+                assert!(fs.readdir(&txn, "/").unwrap().is_empty(), "{what}: the root");
+                fs.create(&txn, "/after").unwrap();
+                txn.commit();
+            }
+            db.run_script("create N (v = int4); append N (v = 7)").unwrap();
+            assert_eq!(db.run("retrieve (N.v)").unwrap().rows.len(), 1, "{what}: a new class");
         }
-        if op == OPS.len() - 1 {
-            let fs = InversionFs::open(env, Arc::clone(db.store()), LoSpec::fchunk()).unwrap();
-            let txn = env.begin();
-            assert!(fs.stat(&txn, "/").unwrap().is_dir, "{what}: the root");
-            assert!(fs.readdir(&txn, "/").unwrap().is_empty(), "{what}: the root");
-            fs.create(&txn, "/after").unwrap();
-            txn.commit();
-        }
-        db.run_script("create N (v = int4); append N (v = 7)").unwrap();
-        assert_eq!(db.run("retrieve (N.v)").unwrap().rows.len(), 1, "{what}: a new class");
     }
 }
