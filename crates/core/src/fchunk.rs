@@ -199,39 +199,36 @@ impl FChunkBackend {
         Ok(())
     }
 
-    /// Stamp chunk `seq`'s visible version deleted by `txn`, if it has one.
-    /// That is `cached`, the version the handle loaded or last wrote,
-    /// unless its stamp conflicts: another handle of this transaction may
-    /// have superseded it. Then a lookup finds the version to stamp, and
-    /// another transaction's stamp conflicts again and is returned.
-    fn supersede(&self, txn: &Txn, seq: u64, cached: Option<Tid>) -> Result<()> {
-        if let Some(tid) = cached {
-            match self.heap.delete(txn, tid) {
-                Err(HeapError::WriteConflict { .. }) => {}
-                done => return Ok(done?),
-            }
-        }
-        // One index descent and one fetch, copying no payload.
-        let mut found = None;
-        self.walk_chunks(seq, seq, AccessHint::Random, |_, tid, _, _| {
-            found = Some(tid);
-            Ok(())
-        })?;
-        Ok(found.map_or(Ok(()), |tid| self.heap.delete(txn, tid))?)
-    }
-
-    /// Write the dirty cached chunk back as a new version: the old one
-    /// stamped, and the chunk prefix and stored bytes copied straight into
-    /// the heap page.
+    /// Write the dirty cached chunk back as a new version, the chunk
+    /// prefix and stored bytes copied straight into the heap page. It
+    /// supersedes the cached version, the one the handle loaded or last
+    /// wrote, unless that one's stamp conflicts (another handle of this
+    /// transaction may have superseded it) or there is none: then a lookup
+    /// finds the visible version to supersede, and another transaction's
+    /// stamp conflicts again and is returned.
     fn write_back(&mut self, txn: Option<&Txn>) -> Result<()> {
         let Some(cache) = self.cache.as_ref().filter(|c| c.dirty) else { return Ok(()) };
         let txn = txn.ok_or(LoError::ReadOnly)?;
         let seq = cache.seq;
-        self.supersede(txn, seq, cache.tid)?;
         let (flag, stored) = stored_form::encode(&self.env, self.codec, &cache.data);
         let mut head = [flag; CHUNK_HDR];
         head[..4].copy_from_slice(&(seq as u32).to_le_bytes());
-        let new_tid = self.heap.insert_parts(txn, &head, &stored)?;
+        let update = |tid| self.heap.update_parts(txn, tid, &head, &stored);
+        let new_tid = match cache.tid.map(update) {
+            Some(Err(HeapError::WriteConflict { .. })) | None => {
+                // One index descent and one fetch, copying no payload.
+                let mut found = None;
+                self.walk_chunks(seq, seq, AccessHint::Random, |_, tid, _, _| {
+                    found = Some(tid);
+                    Ok(())
+                })?;
+                match found {
+                    Some(tid) => update(tid)?,
+                    None => self.heap.insert_parts(txn, &head, &stored)?,
+                }
+            }
+            Some(done) => done?,
+        };
         self.index.insert(&u64_key(seq), new_tid)?;
         if let Some(cache) = &mut self.cache {
             (cache.dirty, cache.tid) = (false, Some(new_tid));

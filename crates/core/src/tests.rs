@@ -233,6 +233,39 @@ fn time_travel_reads_old_object_versions() {
     }
 }
 
+/// A whole rewrite of a 65,536-byte f-chunk object writes eight full
+/// chunks, none of which fits beside its old version, and a 1,536-byte
+/// tail, which does: four rewrites spend 8 data pages each, where each
+/// tail once took a fresh page too (9 per rewrite, 45 in all). Every
+/// version still reads back as of its commit.
+#[test]
+fn whole_rewrites_put_the_tail_beside_its_old_version() {
+    let (_d, env, store) = setup();
+    let txn = env.begin();
+    let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
+    txn.commit();
+    let mut versions = Vec::new();
+    for v in 0..5u8 {
+        let bytes: Vec<u8> = (0..65_536u32).map(|i| (i % 251) as u8 ^ v).collect();
+        let txn = env.begin();
+        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+        h.write_at(0, &bytes).unwrap();
+        h.close().unwrap();
+        versions.push((txn.commit(), bytes));
+    }
+    let meta = store.meta(id).unwrap();
+    let heap = pglo_heap::Heap::open_oid(&env, meta.data_rel, meta.smgr);
+    assert_eq!(heap.nblocks().unwrap(), 41, "9 pages, then 8 for each of four rewrites");
+    let txn = env.begin();
+    let now = store.open(&txn, id, OpenMode::ReadOnly).unwrap().read_to_vec().unwrap();
+    txn.commit();
+    assert!(now == versions[4].1, "the last rewrite reads back byte-exact");
+    for (ts, bytes) in &versions {
+        let old = store.open_as_of(id, *ts).unwrap().read_to_vec().unwrap();
+        assert!(&old == bytes, "the version committed at {ts} reads back as of it");
+    }
+}
+
 #[test]
 fn file_kinds_reject_time_travel() {
     let (dir, env, store) = setup();

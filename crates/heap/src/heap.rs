@@ -1,10 +1,11 @@
 //! The heap access method: no-overwrite tuple storage in a class.
 //!
-//! Updates never modify a committed tuple's payload in place: `update` is
-//! delete (stamp `xmax`) + insert of a new version, so every historical
-//! version remains on disk and time travel (§6.3) is a pure visibility
-//! question. `vacuum` is the explicit, user-invoked point at which history
-//! older than a horizon is discarded.
+//! Updates never modify a committed tuple's payload in place: `update`
+//! stamps the old version's `xmax` and inserts a new version, on the old
+//! version's page when it fits there, so every historical version remains
+//! on disk and time travel (§6.3) is a pure visibility question. `vacuum`
+//! is the explicit, user-invoked point at which history older than a
+//! horizon is discarded.
 
 use crate::env::StorageEnv;
 use crate::tuple::{tuple_payload, TupleHeader, TUPLE_HEADER_SIZE};
@@ -127,13 +128,8 @@ impl Heap {
     /// returning its TID. The tuple header and both parts are copied
     /// straight into the page, once.
     pub fn insert_parts(&self, txn: &Txn, head: &[u8], body: &[u8]) -> Result<Tid> {
-        let mut hdr = [0; TUPLE_HEADER_SIZE];
-        TupleHeader::new(txn.xid()).encode_into(&mut hdr);
-        let (img, len) = ([&hdr[..], head, body], TUPLE_HEADER_SIZE + head.len() + body.len());
-        let max = Page::<&[u8]>::max_item_size(0);
-        if len > max {
-            return Err(HeapError::TupleTooLarge { size: len, max });
-        }
+        let (hdr, len) = new_header(txn, head, body)?;
+        let img = [&hdr[..], head, body];
         self.env.sim().charge_cpu(INSERT_CPU_INSTR);
         let nblocks = self.nblocks()?;
         // Try the hinted block, then the last block, then extend. A probe
@@ -142,19 +138,9 @@ impl Heap {
         let last = nblocks.checked_sub(1).filter(|&last| last != hint);
         for block in [(hint < nblocks).then_some(hint), last].into_iter().flatten() {
             let pinned = self.env.pool().pin(self.key(block))?;
-            let slot = pinned.with_write(|buf| {
-                let mut page = Page::new(&mut buf[..]);
-                match page.add_item(&img) {
-                    Some(s) => Some(s),
-                    None if page.reclaimable() >= len => {
-                        // Space exists but is fragmented; compact and retry.
-                        page.compact();
-                        page.add_item(&img)
-                    }
-                    None => None,
-                }
-            });
-            if let Some(slot) = slot {
+            if let Some(slot) =
+                pinned.with_write(|buf| place(&mut Page::new(&mut buf[..]), &img, len))
+            {
                 self.insert_hint.store(block, Ordering::Relaxed);
                 return Ok(Tid::new(block, slot));
             }
@@ -168,6 +154,7 @@ impl Heap {
             slot = page.add_item(&img);
         })?;
         self.insert_hint.store(block, Ordering::Relaxed);
+        let max = Page::<&[u8]>::max_item_size(0);
         Ok(Tid::new(block, slot.ok_or(HeapError::TupleTooLarge { size: len, max })?))
     }
 
@@ -225,33 +212,63 @@ impl Heap {
     /// transaction already deleted it (first-updater-wins).
     pub fn delete(&self, txn: &Txn, tid: Tid) -> Result<()> {
         self.env.sim().charge_cpu(FETCH_CPU_INSTR);
-        let nblocks = self.nblocks()?;
-        if tid.block >= nblocks {
-            return Err(HeapError::TupleNotFound { tid });
-        }
-        let pinned = self.env.pool().pin(self.key(tid.block))?;
-        pinned.with_write(|buf| {
-            let mut page = Page::new(&mut buf[..]);
-            let item = page.item_mut(tid.slot).ok_or(HeapError::TupleNotFound { tid })?;
-            let hdr = TupleHeader::decode(item).ok_or(HeapError::TupleNotFound { tid })?;
-            if hdr.xmax.is_valid() {
-                match self.env.txns().status(hdr.xmax) {
-                    TxnStatus::Aborted => {} // stale stamp; safe to replace
-                    TxnStatus::InProgress | TxnStatus::Committed => {
-                        return Err(HeapError::WriteConflict { tid });
-                    }
-                }
-            }
-            TupleHeader::stamp_xmax(item, txn.xid());
-            Ok(())
-        })
+        let pinned = self.pin_tuple_page(tid)?;
+        pinned.with_write(|buf| self.stamp(&mut Page::new(&mut buf[..]), txn, tid))
     }
 
     /// Replace the tuple at `tid` with a new version; returns the new TID.
     /// The old version remains for time travel.
     pub fn update(&self, txn: &Txn, tid: Tid, payload: &[u8]) -> Result<Tid> {
-        self.delete(txn, tid)?;
-        self.insert(txn, payload)
+        self.update_parts(txn, tid, &[], payload)
+    }
+
+    /// [`Self::update`] with the new version's payload in two parts, as
+    /// [`Self::insert_parts`] takes it. Under one write latch on the old
+    /// version's page, the old version is stamped as [`Self::delete`]
+    /// stamps it (a conflict leaves the page as it was) and the new one is
+    /// added to the same page if it fits there; otherwise it goes where
+    /// [`Self::insert_parts`] puts it. The CPU charged is a delete's and
+    /// an insert's either way.
+    pub fn update_parts(&self, txn: &Txn, tid: Tid, head: &[u8], body: &[u8]) -> Result<Tid> {
+        let (hdr, len) = new_header(txn, head, body)?;
+        self.env.sim().charge_cpu(FETCH_CPU_INSTR);
+        let slot = self.pin_tuple_page(tid)?.with_write(|buf| {
+            let mut page = Page::new(&mut buf[..]);
+            self.stamp(&mut page, txn, tid)?;
+            Ok::<_, HeapError>(place(&mut page, &[&hdr[..], head, body], len))
+        })?;
+        match slot {
+            Some(slot) => {
+                self.env.sim().charge_cpu(INSERT_CPU_INSTR);
+                Ok(Tid::new(tid.block, slot))
+            }
+            None => self.insert_parts(txn, head, body),
+        }
+    }
+
+    /// Pin the page that holds `tid`, which must be inside the relation.
+    fn pin_tuple_page(&self, tid: Tid) -> Result<pglo_buffer::PinnedPage<'_>> {
+        if tid.block >= self.nblocks()? {
+            return Err(HeapError::TupleNotFound { tid });
+        }
+        Ok(self.env.pool().pin(self.key(tid.block))?)
+    }
+
+    /// Stamp the tuple at `tid` on `page` deleted by `txn`, unless another
+    /// live or committed transaction already has; then nothing changes.
+    fn stamp(&self, page: &mut Page<&mut [u8]>, txn: &Txn, tid: Tid) -> Result<()> {
+        let item = page.item_mut(tid.slot).ok_or(HeapError::TupleNotFound { tid })?;
+        let hdr = TupleHeader::decode(item).ok_or(HeapError::TupleNotFound { tid })?;
+        if hdr.xmax.is_valid() {
+            match self.env.txns().status(hdr.xmax) {
+                TxnStatus::Aborted => {} // stale stamp; safe to replace
+                TxnStatus::InProgress | TxnStatus::Committed => {
+                    return Err(HeapError::WriteConflict { tid });
+                }
+            }
+        }
+        TupleHeader::stamp_xmax(item, txn.xid());
+        Ok(())
     }
 
     /// Scan all visible tuples.
@@ -345,6 +362,31 @@ impl Heap {
         self.env.pool().discard_rel(self.smgr, self.rel);
         self.env.switch().get(self.smgr)?.unlink(self.rel)?;
         Ok(())
+    }
+}
+
+/// The header `txn` gives a new tuple of payload `head` + `body`, and the
+/// tuple's length; a tuple larger than a page can hold is refused.
+fn new_header(txn: &Txn, head: &[u8], body: &[u8]) -> Result<([u8; TUPLE_HEADER_SIZE], usize)> {
+    let (len, max) = (TUPLE_HEADER_SIZE + head.len() + body.len(), Page::<&[u8]>::max_item_size(0));
+    if len > max {
+        return Err(HeapError::TupleTooLarge { size: len, max });
+    }
+    let mut hdr = [0; TUPLE_HEADER_SIZE];
+    TupleHeader::new(txn.xid()).encode_into(&mut hdr);
+    Ok((hdr, len))
+}
+
+/// Add the `len`-byte tuple `img` to `page`, compacting it first if only
+/// its fragmented space would hold the tuple; `None` if it does not fit.
+fn place(page: &mut Page<&mut [u8]>, img: &[&[u8]], len: usize) -> Option<u16> {
+    match page.add_item(img) {
+        Some(slot) => Some(slot),
+        None if page.reclaimable() >= len => {
+            page.compact();
+            page.add_item(img)
+        }
+        None => None,
     }
 }
 
@@ -540,6 +582,33 @@ mod tests {
         // Still conflicts after t2 committed.
         assert!(matches!(heap.delete(&t3, tid), Err(HeapError::WriteConflict { .. })));
         t3.abort();
+    }
+
+    /// A new version that fits on its old version's page goes there. A
+    /// conflicting update changes nothing on the page: neither the stamp
+    /// nor the insert happens.
+    #[test]
+    fn update_goes_on_the_old_page_and_a_conflict_leaves_it_unchanged() {
+        let (_d, env) = env();
+        let heap = Heap::create(&env, "T", env.disk_id(), Default::default()).unwrap();
+        let t1 = env.begin();
+        let tid = heap.insert(&t1, b"v1").unwrap();
+        // Another page after it, the insert hint and the last block.
+        assert_eq!(heap.insert(&t1, &vec![0; Heap::max_payload()]).unwrap().block, 1);
+        t1.commit();
+        let t2 = env.begin();
+        let tid2 = heap.update(&t2, tid, b"v2").unwrap();
+        assert_eq!(tid2.block, tid.block, "the new version is on the old version's page");
+        let page = || env.pool().pin(heap.key(tid.block)).unwrap().with_read(|buf| buf.to_vec());
+        let before = page();
+        let t3 = env.begin();
+        assert!(matches!(heap.update(&t3, tid, b"v3"), Err(HeapError::WriteConflict { .. })));
+        assert!(page() == before, "a conflicting update changed the page");
+        t3.abort();
+        t2.commit();
+        let t4 = env.begin();
+        assert_eq!(collect(&heap, Visibility::for_txn(&t4)).len(), 2, "v2 and the full row");
+        t4.commit();
     }
 
     #[test]

@@ -489,40 +489,40 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<DecodedFrame<'_>>, FrameError> 
 /// I/O frame, so the common request or reply arrives in one `read`.
 const READ_CHUNK: usize = 8 * 1024;
 
-/// Blocking frame read for the client: fill `buf` from `r` until
-/// [`decode_frame`] yields a frame. `buf` carries bytes read past the
-/// frame's end over to the next call, so it must live as long as the
-/// connection. Returns `(tag, code, payload)`.
+/// Blocking frame read for the client: fill `buf` from `r` until it holds
+/// a frame's header, then read the rest of the payload straight into the
+/// payload's own buffer. `buf` carries bytes read past the frame's end
+/// over to the next call, so it must live as long as the connection.
+/// Returns `(tag, code, payload)`.
 pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<(u32, u8, Vec<u8>), FrameError> {
-    loop {
-        if let Some((consumed, tag, code, payload)) = decode_frame(buf)? {
-            let payload = payload.to_vec();
-            buf.drain(..consumed);
-            return Ok((tag, code, payload));
-        }
-        // `decode_frame` vetted the length prefix if one is here, so the
-        // rest of that frame bounds the read (at most MAX_FRAME + 4).
+    let torn = || FrameError::Io(io::Error::new(io::ErrorKind::UnexpectedEof, "torn frame"));
+    // `decode_frame` vets the length prefix as soon as it is here.
+    while decode_frame(buf)?.is_none() && buf.len() < 4 + FRAME_HEADER {
         let have = buf.len();
-        let frame_rest = buf
-            .first_chunk::<4>()
-            .map_or(0, |p| (4 + u32::from_le_bytes(*p) as usize).saturating_sub(have));
-        buf.resize(have + frame_rest.max(READ_CHUNK), 0);
+        buf.resize(have + READ_CHUNK, 0);
         let got = r.read(&mut buf[have..]);
         buf.truncate(have + got.as_ref().map_or(0, |n| *n));
         match got {
             // Distinguish clean EOF (no bytes of a next frame) from a torn frame.
             Ok(0) if have == 0 => return Err(FrameError::Eof),
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "torn frame",
-                )))
-            }
+            Ok(0) => return Err(torn()),
             Ok(_) => {}
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
+    let word = |at: usize| u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
+    let (total, tag, code) = (4 + word(0) as usize, word(4), buf[8]);
+    let here = total.min(buf.len());
+    let mut payload = Vec::with_capacity(total - 4 - FRAME_HEADER);
+    payload.extend_from_slice(&buf[4 + FRAME_HEADER..here]);
+    buf.drain(..here);
+    // The rest of the payload, if any, goes straight into `payload`.
+    r.take((total - here) as u64).read_to_end(&mut payload).map_err(FrameError::Io)?;
+    if payload.len() < total - 4 - FRAME_HEADER {
+        return Err(torn());
+    }
+    Ok((tag, code, payload))
 }
 
 #[cfg(test)]
@@ -599,6 +599,48 @@ mod tests {
         let mut buf = Vec::new();
         let bad = u32::MAX.to_le_bytes();
         assert!(matches!(read_frame(&mut &bad[..], &mut buf), Err(FrameError::BadLength(_))));
+    }
+
+    /// A reader that hands out at most `max` bytes a read, the first
+    /// read cut at `first`.
+    struct Trickle<'a> {
+        wire: &'a [u8],
+        max: usize,
+        first: Option<usize>,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.first.take().unwrap_or(self.max).min(out.len()).min(self.wire.len());
+            out[..n].copy_from_slice(&self.wire[..n]);
+            self.wire = &self.wire[n..];
+            Ok(n)
+        }
+    }
+
+    /// A reply read a byte at a time, and one whose payload arrives after
+    /// its header, reads whole; one torn inside its payload is an error.
+    #[test]
+    fn blocking_reader_takes_a_payload_in_any_pieces() {
+        let payload: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+        let mut wire = frame(3, 0x15, &payload);
+        wire.extend(frame(4, 0x16, b"next"));
+        let header = 4 + FRAME_HEADER;
+        for (max, first) in [(1, None), (usize::MAX, Some(header))] {
+            let (mut r, mut buf) = (Trickle { wire: &wire, max, first }, Vec::new());
+            assert!(read_frame(&mut r, &mut buf).unwrap() == (3, 0x15, payload.clone()));
+            assert_eq!(read_frame(&mut r, &mut buf).unwrap(), (4, 0x16, b"next".to_vec()));
+            assert!(matches!(read_frame(&mut r, &mut buf), Err(FrameError::Eof)));
+        }
+        for cut in [header, header + 1, header + payload.len() - 1] {
+            let (mut r, mut buf) =
+                (Trickle { wire: &wire[..cut], max: 4096, first: None }, Vec::new());
+            let err = read_frame(&mut r, &mut buf);
+            assert!(
+                matches!(&err, Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof),
+                "a payload torn at byte {cut}: {err:?}"
+            );
+        }
     }
 
     proptest! {

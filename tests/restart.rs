@@ -872,7 +872,7 @@ fn crash_after_every_step_recovers_committed_state() {
     let opts = || EnvOptions { pool_frames: 32, wal_segment_bytes: seg, ..Default::default() };
     let env = open_on(&sim, opts());
     let store = LoStore::new(Arc::clone(&env)).unwrap();
-    let mut rng = Rng(0x5eed_0043);
+    let (mut rng, mut tail_rng) = (Rng(0x5eed_0043), Rng(0x5eed_0062));
     let fill = |rng: &mut Rng, len: usize| -> Vec<u8> {
         let (b, k) = (rng.next(), rng.next() | 1);
         (0..len as u64).map(|i| (b.wrapping_add(k.wrapping_mul(i)) >> 56) as u8).collect()
@@ -933,15 +933,23 @@ fn crash_after_every_step_recovers_committed_state() {
     // none of it), the checkpoint record not.
     let (checkpointing, middle) = (Arc::new(AtomicBool::new(false)), Arc::new(Mutex::new(None)));
     let (hook_checkpointing, hook_middle) = (Arc::clone(&checkpointing), Arc::clone(&middle));
+    // During a tail rewrite step, the hook keeps the images of a kill after
+    // every op.
+    let (tailing, tail_kills) =
+        (Arc::new(AtomicBool::new(false)), Arc::new(Mutex::new(Vec::new())));
+    let (hook_tailing, hook_tail_kills) = (Arc::clone(&tailing), Arc::clone(&tail_kills));
     assert!(sim.on_op(move |sim, op| {
         if hook_checkpointing.load(Ordering::SeqCst) && op.class != FileClass::Log {
             let images = crash_images(sim);
             *hook_middle.lock() = Some(images);
         }
+        if hook_tailing.load(Ordering::SeqCst) {
+            hook_tail_kills.lock().push(crash_images(sim));
+        }
     }));
     let mut archives = 0;
     let mut middles = 0;
-    let (mut after_capture, mut reflushed) = (0, 0);
+    let (mut after_capture, mut reflushed, mut tails_beside) = (0, 0, 0);
     let mut reused_tails = 0;
     const CHUNK: usize = pglo::lobj::CHUNK_SIZE;
     const SEG_BLOCKS: u32 = pglo::smgr::disk::SEGMENT_BLOCKS;
@@ -1101,6 +1109,52 @@ fn crash_after_every_step_recovers_committed_state() {
                 middles += 1;
             }
         }
+        // Every fourth step, rewrite an object's partial tail chunk in the
+        // open txn: its new version goes on its old version's page when it
+        // fits there, which the script counts. The write-back is logged and
+        // written home, and killed after every op. Its random choices come
+        // from a stream of their own, so the other steps stay as they were.
+        'tail: {
+            if step % 4 != 1 || model.objects.len() < 2 {
+                break 'tail;
+            }
+            let i = 1 + tail_rng.below(model.objects.len() as u64 - 1) as usize;
+            let (id, size) = (model.objects[i].0, model.objects[i].1.len());
+            let (seq, start) = (size / CHUNK, size / CHUNK * CHUNK);
+            if size == start {
+                break 'tail;
+            }
+            let bytes = fill(&mut tail_rng, size - start);
+            if evicted {
+                home_baseline_from.get_or_insert(env.wal().end_lsn());
+                evicted = false;
+            }
+            let (t, pending) = txn.get_or_insert_with(|| (env.begin(), Vec::new()));
+            let meta = store.meta(id).unwrap();
+            let heap = Heap::open_oid(&env, meta.data_rel, meta.smgr);
+            let index = pglo::btree::BTree::open_oid(&env, meta.idx_rel, meta.smgr);
+            let (key, vis) = (pglo::btree::keys::u64_key(seq as u64), Visibility::for_txn(t));
+            let tail = || {
+                let hint = pglo::heap::AccessHint::Random;
+                index.visible(&heap, &key, &vis, hint).unwrap().next().unwrap().unwrap().0
+            };
+            let old = tail();
+            let mut h = store.open(t, id, OpenMode::ReadWrite).unwrap();
+            h.write_at(start as u64, &bytes).unwrap();
+            tailing.store(true, Ordering::SeqCst);
+            h.close().unwrap();
+            env.pool().capture_pending().unwrap();
+            env.pool().flush_all().unwrap();
+            tailing.store(false, Ordering::SeqCst);
+            pending.push((i, start, bytes));
+            tails_beside += usize::from(tail().block == old.block);
+            let kills = std::mem::take(&mut *tail_kills.lock());
+            assert!(!kills.is_empty(), "step {step}: the tail rewrite did no durable op");
+            for (n, images) in kills.into_iter().enumerate() {
+                let what = format!("step {step} (tail rewrite, kill after op {n})");
+                recover(images, &what, &model, last_ts, home_baseline_from);
+            }
+        }
         if step % 10 == 9 {
             // Recycle, then log records replay skips (a page of the
             // reserved manager slot) until one lands in the next segment.
@@ -1158,6 +1212,7 @@ fn crash_after_every_step_recovers_committed_state() {
     assert!(home_baseline_replayed, "no crash replayed a delta over pages read back from home");
     assert!(after_capture > 0, "no step overwrote a whole chunk after a capture");
     assert!(reflushed > 0, "no step flushed one chunk's overwrites in turn");
+    assert!(tails_beside > 0, "no tail rewrite put its new version on its old version's page");
     assert!(middles > 0, "no checkpoint was killed in its middle");
     let next = env.begin().xid().0;
     assert!(next > 2 * 1024, "the script must cross two XID limit blocks, reached {next}");
