@@ -20,7 +20,9 @@ static ZERO_PAGE: PageBuf = [0; PAGE_SIZE];
 
 pub(super) struct FrameData {
     pub(super) key: Option<PageKey>,
-    pub(super) page: Box<PageBuf>,
+    /// `None` until the frame's first install gives it a page (see
+    /// [`BufferPool::frame_page`]); kept from then on, across re-keys.
+    pub(super) page: Option<Box<PageBuf>>,
     pub(super) dirty: bool,
     /// WAL position just past the last record logged for this frame
     /// (0 = never logged). Write-back forces the log here first.
@@ -42,6 +44,13 @@ pub(super) struct FrameData {
 }
 
 impl FrameData {
+    /// The frame's page image. A frame without a page was never
+    /// installed, so it holds no key and no pin can reach it; it reads
+    /// as zeros.
+    pub(super) fn page(&self) -> &PageBuf {
+        self.page.as_deref().unwrap_or(&ZERO_PAGE)
+    }
+
     /// Reset WAL bookkeeping when the frame starts holding a freshly
     /// loaded (clean, device-backed) page image.
     pub(super) fn reset_wal_state(&mut self) {
@@ -67,7 +76,7 @@ impl FrameData {
         };
         let key = self.key?;
         let (smgr, rel, block) = (key.smgr.0 as u32, key.rel, key.block);
-        Some((key, PreparedRecord::page_delta(smgr, rel, block, base, &self.page)))
+        Some((key, PreparedRecord::page_delta(smgr, rel, block, base, self.page())))
     }
 
     /// A record of this frame never reached the log: stay pending, and
@@ -134,6 +143,15 @@ impl Frame {
         let (rel, sb) = self.sync.published();
         PageKey::new(SmgrId((sb >> 32) as u16), rel, sb as u32)
     }
+}
+
+/// The pool's page allocation, under its own mutex: pages allocated
+/// ahead of the frames whose first install takes them, and the count of
+/// frames that hold one.
+#[derive(Default)]
+pub(super) struct Pages {
+    pub(super) spare: Vec<Box<PageBuf>>,
+    pub(super) held: usize,
 }
 
 /// What the table mutex guards besides the slot array's contents: the
@@ -299,10 +317,11 @@ impl BufferPool {
     }
 
     /// Make latched frame `idx` hold `key`, whose image the caller just
-    /// put in `data.page`, and let `VALID` vouch for it: any pinner that
-    /// found the mapping is parked on the held write latch and wakes to
-    /// the right bytes. A device image starts clean; a `fresh` one
-    /// (`new_page`'s) exists nowhere else yet, so dirty and pending capture.
+    /// put in its page ([`Self::frame_page`]), and let `VALID` vouch for
+    /// it: any pinner that found the mapping is parked on the held write
+    /// latch and wakes to the right bytes. A device image starts clean; a
+    /// `fresh` one (`new_page`'s) exists nowhere else yet, so dirty and
+    /// pending capture.
     pub(super) fn install(&self, idx: usize, data: &mut FrameData, key: PageKey, fresh: bool) {
         data.key = Some(key);
         data.dirty = fresh;
@@ -313,5 +332,40 @@ impl BufferPool {
             self.note_pending(idx);
         }
         self.frames[idx].sync.set_valid();
+    }
+
+    /// Latched frame `data`'s page, which the frame is given at its first
+    /// install and keeps from then on. A pool allocates no page at
+    /// construction, so frames it never uses cost no page memory; the
+    /// pages come off a spare list that one refill fills with
+    /// [`Self::refill_pages`] of them, so installs meet the allocator and
+    /// the first-touch faults of fresh memory once a batch, not once a
+    /// frame.
+    pub(super) fn frame_page<'d>(&self, data: &'d mut FrameData) -> &'d mut PageBuf {
+        let page = match data.page.take() {
+            Some(page) => page,
+            None => self.spare_page(),
+        };
+        data.page.insert(page)
+    }
+
+    /// Pages one refill of the spare list allocates: a 64th of the pool,
+    /// at least one.
+    pub(super) fn refill_pages(&self) -> usize {
+        (self.frames.len() / 64).max(1)
+    }
+
+    /// A page for a frame's first install, off the spare list; an empty
+    /// list is refilled first, with no more pages than frames still lack
+    /// one.
+    fn spare_page(&self) -> Box<PageBuf> {
+        let mut pages = self.pages.lock();
+        pages.held += 1;
+        if let Some(page) = pages.spare.pop() {
+            return page;
+        }
+        let more = (self.refill_pages() - 1).min(self.frames.len().saturating_sub(pages.held));
+        pages.spare.extend((0..more).map(|_| pglo_pages::alloc_page()));
+        pglo_pages::alloc_page()
     }
 }

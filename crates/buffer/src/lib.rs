@@ -70,7 +70,7 @@ pub mod protocol;
 mod readahead;
 mod writeback;
 
-use frame::{Baseline, Frame, FrameData, PageTable};
+use frame::{Baseline, Frame, FrameData, PageTable, Pages};
 use protocol::{FrameState, PendingLink, PendingQueue, SlotArray, SLOT_PROBE_LIMIT};
 use readahead::RaState;
 pub use writeback::BgWriter;
@@ -166,6 +166,9 @@ pub struct PoolStats {
     pub bgwriter_pages: u64,
     /// Background-writer wakeups.
     pub bgwriter_cycles: u64,
+    /// Frames that hold a page: each gets one at its first install and
+    /// keeps it, so this is the pool's resident page memory in pages.
+    pub pages: u64,
 }
 
 impl PoolStats {
@@ -235,6 +238,10 @@ pub struct BufferPool {
     /// coalescing re-dirtied hot pages in between.
     pending_count: AtomicUsize,
     frames: Vec<Frame>,
+    /// The frames' pages: the spares and the count held; see
+    /// [`BufferPool::frame_page`]. Rank `buffer.pages` (42), a leaf taken
+    /// under a frame latch.
+    pages: Mutex<Pages>,
     /// The page-table lock, with the clock hand it also guards; rank
     /// `buffer.page_table` (30), taken before any frame latch.
     table: Mutex<PageTable>,
@@ -294,7 +301,7 @@ impl BufferPool {
                 data: RwLock::with_rank(
                     FrameData {
                         key: None,
-                        page: pglo_pages::alloc_page(),
+                        page: None,
                         dirty: false,
                         page_lsn: 0,
                         rec_lsn: 0,
@@ -322,6 +329,7 @@ impl BufferPool {
             pending: PendingQueue::new(),
             pending_count: AtomicUsize::new(0),
             frames,
+            pages: Mutex::with_rank(Pages::default(), ranks::POOL_PAGES),
             table: Mutex::with_rank(PageTable { hand: 0 }, ranks::POOL_TABLE),
             slots: SlotArray::new((2 * capacity).next_power_of_two().max(8)),
             hits: AtomicU64::new(0),
@@ -361,6 +369,7 @@ impl BufferPool {
             prefetch_hits: self.prefetch_hits.load(Ordering::Relaxed),
             bgwriter_pages: self.bgwriter_pages.load(Ordering::Relaxed),
             bgwriter_cycles: self.bgwriter_cycles.load(Ordering::Relaxed),
+            pages: self.pages.lock().held as u64,
         }
     }
 
@@ -411,9 +420,10 @@ impl PinnedPage<'_> {
         let mut guard = self.pool.frames[self.idx].data.write();
         // Leaving logged bytes: they are the baseline the delta needs.
         let undo = (!guard.log_pending).then_some(guard.dirty);
-        (guard.dirty, guard.log_pending) = (true, true);
-        if undo.is_some() && self.pool.wal.get().is_some() {
-            guard.baseline = Baseline::Bytes(guard.page.clone());
+        let data = &mut *guard;
+        (data.dirty, data.log_pending) = (true, true);
+        if let (Some(_), Some(_), Some(page)) = (undo, self.pool.wal.get(), &data.page) {
+            data.baseline = Baseline::Bytes(page.clone());
         }
         PageWriteGuard { guard, pool: self.pool, idx: self.idx, undo }
     }
@@ -443,7 +453,7 @@ pub struct PageReadGuard<'a> {
 impl std::ops::Deref for PageReadGuard<'_> {
     type Target = PageBuf;
     fn deref(&self) -> &PageBuf {
-        &self.guard.page
+        self.guard.page()
     }
 }
 
@@ -465,7 +475,7 @@ impl Drop for PageWriteGuard<'_> {
     fn drop(&mut self) {
         let data = &mut *self.guard;
         match (self.undo, &data.baseline) {
-            (Some(dirty), Baseline::Bytes(base)) if **base == *data.page => {
+            (Some(dirty), Baseline::Bytes(base)) if **base == *data.page() => {
                 (data.dirty, data.log_pending, data.baseline) = (dirty, false, Baseline::Whole);
             }
             _ => self.pool.note_pending(self.idx),
@@ -476,13 +486,13 @@ impl Drop for PageWriteGuard<'_> {
 impl std::ops::Deref for PageWriteGuard<'_> {
     type Target = PageBuf;
     fn deref(&self) -> &PageBuf {
-        &self.guard.page
+        self.guard.page()
     }
 }
 
 impl std::ops::DerefMut for PageWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut PageBuf {
-        &mut self.guard.page
+        self.pool.frame_page(&mut self.guard)
     }
 }
 

@@ -153,11 +153,12 @@ impl BufferPool {
             };
             let frame = &self.frames[idx];
             let load_span = obs::span!("pool.miss.load");
+            let page = self.frame_page(&mut data);
             let loaded = self.switch.get(key.smgr).and_then(|smgr| {
                 let wall = std::time::Instant::now();
                 let sim0 = smgr.clock_ns();
                 // LINT: allow(R7, the frame write lock must block readers of the new key until the page load lands; only other pages' traffic proceeds during the I/O)
-                let read = smgr.read(key.rel, key.block, &mut data.page);
+                let read = smgr.read(key.rel, key.block, page);
                 if read.is_ok() {
                     let ns =
                         wall.elapsed().as_nanos() as u64 + smgr.clock_ns().saturating_sub(sim0);
@@ -232,8 +233,9 @@ impl BufferPool {
                     (idx, data)
                 }
             };
-            data.page.fill(0);
-            init(&mut data.page);
+            let page = self.frame_page(&mut data);
+            page.fill(0);
+            init(page);
             self.install(idx, &mut data, key, true);
             return Ok((block, PinnedPage { pool: self, idx }));
         }

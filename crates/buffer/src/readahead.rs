@@ -205,7 +205,7 @@ impl BufferPool {
         };
         self.rekey(&mut table, idx, &mut data, key, true);
         drop(table);
-        data.page.copy_from_slice(&page[..]);
+        self.frame_page(&mut data).copy_from_slice(page);
         self.install(idx, &mut data, key, false);
         true
     }

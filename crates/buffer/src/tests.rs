@@ -870,3 +870,73 @@ fn slot_index_survives_rekey_churn() {
     assert_eq!(pool.stats().hits, resident.len() as u64, "resident pages must all hit");
     assert_eq!(pool.pinned_frames(), 0);
 }
+
+/// Pages the pool has allocated: those its frames hold plus its spares.
+fn allocated_pages(pool: &BufferPool) -> usize {
+    pool.stats().pages as usize + pool.pages.lock().spare.len()
+}
+
+/// Where frame `idx`'s page lives, if it holds one.
+fn page_addr(pool: &BufferPool, idx: usize) -> Option<*const PageBuf> {
+    pool.frames[idx].data.read().page.as_deref().map(|page| page as *const PageBuf)
+}
+
+/// A frame gets its page at its first install, whichever of the three
+/// installs that is (`new_page`, a miss load, read-ahead), and keeps it:
+/// a fresh pool holds no page, and after k first installs it has
+/// allocated at most k pages plus one refill.
+#[test]
+fn a_frame_gets_its_page_at_its_first_install() {
+    let (switch, id, pool) = setup(256);
+    let refill = pool.refill_pages();
+    assert_eq!(refill, 4);
+    assert_eq!((pool.stats().pages, allocated_pages(&pool)), (0, 0));
+    assert!((0..pool.capacity()).all(|idx| page_addr(&pool, idx).is_none()));
+    let smgr = switch.get(id).unwrap();
+    smgr.create(1).unwrap();
+    for k in 1..=40u64 {
+        drop(pool.new_page(id, 1, |pg| pg[0] = k as u8).unwrap().1);
+        assert_eq!(pool.stats().pages, k);
+        assert!(allocated_pages(&pool) <= k as usize + refill, "{} pages", allocated_pages(&pool));
+    }
+    pool.flush_all().unwrap();
+
+    // Miss loads and read-ahead installs into a second, fresh pool.
+    let cold = BufferPool::with_options(
+        switch,
+        PoolOptions { frames: 256, readahead_gate_ns: 0, ..PoolOptions::default() },
+    );
+    assert_eq!(cold.stats().pages, 0);
+    assert_eq!(cold.pin(PageKey::new(id, 1, 7)).unwrap().read()[0], 8);
+    assert_eq!(cold.stats().pages, 1);
+    for b in 0..40u32 {
+        let p = cold.pin_with_hint(PageKey::new(id, 1, b), AccessHint::Sequential).unwrap();
+        assert_eq!(p.read()[0], b as u8 + 1);
+    }
+    let stats = cold.stats();
+    assert!(stats.prefetch_pages > 0, "read-ahead must install pages: {stats:?}");
+    let keyed = (0..cold.capacity()).filter(|&idx| cold.frames[idx].data.read().key.is_some());
+    assert_eq!(stats.pages as usize, keyed.count(), "every installed frame, and only those");
+    assert!(allocated_pages(&cold) <= stats.pages as usize + refill);
+}
+
+/// An evicted frame re-keyed to another block keeps the page it has; a
+/// pool smaller than 64 frames refills one page at a time.
+#[test]
+fn a_rekeyed_frame_keeps_its_page() {
+    let (switch, id, pool) = setup(2);
+    assert_eq!(pool.refill_pages(), 1);
+    switch.get(id).unwrap().create(1).unwrap();
+    for i in 0..6u8 {
+        drop(pool.new_page(id, 1, |pg| pg[0] = i).unwrap().1);
+    }
+    let before: Vec<_> = (0..2).map(|idx| page_addr(&pool, idx)).collect();
+    assert!(before.iter().all(Option::is_some));
+    pool.flush_all().unwrap();
+    for b in 0..6u32 {
+        assert_eq!(pool.pin(PageKey::new(id, 1, b)).unwrap().read()[0], b as u8);
+    }
+    assert!(pool.stats().evictions >= 6);
+    assert_eq!((0..2).map(|idx| page_addr(&pool, idx)).collect::<Vec<_>>(), before);
+    assert_eq!((pool.stats().pages, allocated_pages(&pool)), (2, 2));
+}

@@ -141,7 +141,7 @@ impl BufferPool {
             let _span = obs::span!("pool.writeback");
             self.force_wal(data.page_lsn)?;
             let smgr = self.switch.get(key.smgr)?;
-            smgr.write(key.rel, key.block, &data.page)?;
+            smgr.write(key.rel, key.block, data.page())?;
             // The home write has landed but (for a log-resident
             // manager) is only *staged* there: re-pin the frame's
             // oldest record so a checkpoint cannot recycle it while

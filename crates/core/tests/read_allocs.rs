@@ -5,8 +5,9 @@
 //! per chunk, and that must not come back quietly. Nor must a cursor that
 //! re-opens its object from the catalog on every operation. Nor must a
 //! write-back that assembles a chunk tuple in buffers of its own before
-//! copying it into the heap page. The counting allocator is why this is a
-//! test binary of its own.
+//! copying it into the heap page, nor one that copies a heap page it only
+//! probed for room. The counting allocator is why this is a test binary
+//! of its own.
 
 use pglo_core::{LoCursor, LoId, LoSpec, LoStore, OpenMode, UserId, CHUNK_SIZE};
 use pglo_heap::StorageEnv;
@@ -21,6 +22,9 @@ thread_local! {
     /// Those of them of a chunk tuple's size: at least a chunk, less than
     /// a page (page-sized ones are the buffer pool's page copies).
     static TUPLE_SIZED: Cell<u64> = const { Cell::new(0) };
+    /// Page-sized allocations not asked zeroed: copies of a page. (A
+    /// frame's own page is allocated zeroed.)
+    static PAGE_COPIES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -40,8 +44,18 @@ fn count(size: usize) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        if layout.size() == PAGE_SIZE {
+            let _ = PAGE_COPIES.try_with(|n| n.set(n.get() + 1));
+        }
         // SAFETY: the caller's contract is `System.alloc`'s, passed through.
         unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's contract is `System.alloc_zeroed`'s, passed
+        // through.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -69,6 +83,12 @@ fn tuple_sized_allocs_of(f: impl FnOnce()) -> u64 {
     let before = TUPLE_SIZED.with(Cell::get);
     f();
     TUPLE_SIZED.with(Cell::get) - before
+}
+
+fn page_copies_of(f: impl FnOnce()) -> u64 {
+    let before = PAGE_COPIES.with(Cell::get);
+    f();
+    PAGE_COPIES.with(Cell::get) - before
 }
 
 /// A committed f-chunk object of 20 chunks, and its bytes.
@@ -149,6 +169,25 @@ fn flushing_a_whole_chunk_allocates_no_tuple_sized_buffer() {
         h.write_at(at as u64, &vec![9u8; CHUNK_SIZE]).unwrap();
         let n = tuple_sized_allocs_of(|| h.flush().unwrap());
         assert_eq!(n, 0, "flushing {what} made {n} tuple-sized allocations");
+        h.close().unwrap();
+        txn.commit();
+    }
+}
+
+/// A flush copies a page only to change it: the copy is the baseline the
+/// page's next redo record is diffed against. Each chunk fills its page,
+/// so the heap page an insert probes first has no room; a probe that
+/// took the write latch to find that out copied the page and dropped the
+/// copy unchanged.
+#[test]
+fn flushing_a_whole_chunk_copies_only_pages_it_changes() {
+    let (_dir, env, store, id, _) = twenty_chunks();
+    for (what, at, changed) in [("a committed chunk", 5, 2), ("a new chunk", 20, 1)] {
+        let txn = env.begin();
+        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+        h.write_at((at * CHUNK_SIZE) as u64, &vec![9u8; CHUNK_SIZE]).unwrap();
+        let n = page_copies_of(|| h.flush().unwrap());
+        assert_eq!(n, changed, "flushing {what} made {n} page copies");
         h.close().unwrap();
         txn.commit();
     }

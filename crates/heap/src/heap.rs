@@ -133,11 +133,20 @@ impl Heap {
         self.env.sim().charge_cpu(INSERT_CPU_INSTR);
         let nblocks = self.nblocks()?;
         // Try the hinted block, then the last block, then extend. A probe
-        // that finds no room leaves its page as it was, and so clean.
+        // checks for room under the read latch, by `place`'s rule, and
+        // leaves a page without it alone: the write latch would copy the
+        // page as the baseline of a change that never comes.
         let hint = self.insert_hint.load(Ordering::Relaxed);
         let last = nblocks.checked_sub(1).filter(|&last| last != hint);
         for block in [(hint < nblocks).then_some(hint), last].into_iter().flatten() {
             let pinned = self.env.pool().pin(self.key(block))?;
+            let room = pinned.with_read(|buf| {
+                let page = Page::new(&buf[..]);
+                page.fits(len) || page.reclaimable() >= len
+            });
+            if !room {
+                continue;
+            }
             if let Some(slot) =
                 pinned.with_write(|buf| place(&mut Page::new(&mut buf[..]), &img, len))
             {

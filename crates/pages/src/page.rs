@@ -122,6 +122,19 @@ impl<B: AsRef<[u8]>> Page<B> {
         self.get_u16(OFF_GARBAGE) as usize
     }
 
+    /// Whether [`Page::add_item`] finds room for a `len`-byte item as the
+    /// page stands, without compacting it.
+    pub fn fits(&self, len: usize) -> bool {
+        let need_lp = if self.unused_slot().is_some() { 0 } else { LINE_POINTER_SIZE };
+        self.free_space() >= len + need_lp
+    }
+
+    /// The first `Unused` slot, which [`Page::add_item`] reuses so slot
+    /// numbers stay dense after deletes.
+    fn unused_slot(&self) -> Option<u16> {
+        (0..self.item_count() as u16).find(|&s| matches!(self.item_flag(s), Some(ItemFlag::Unused)))
+    }
+
     fn line_pointer(&self, slot: u16) -> Option<(usize, usize, ItemFlag)> {
         if slot as usize >= self.item_count() {
             return None;
@@ -232,9 +245,7 @@ impl<B: AsRef<[u8]> + AsMut<[u8]>> Page<B> {
     pub fn add_item(&mut self, parts: &[&[u8]]) -> Option<u16> {
         let len = parts.iter().map(|p| p.len()).sum::<usize>();
         assert!(len < (1 << 14), "item length must fit in 14 bits");
-        // Find a reusable slot so slot numbers stay dense after deletes.
-        let reuse = (0..self.item_count() as u16)
-            .find(|&s| matches!(self.item_flag(s), Some(ItemFlag::Unused)));
+        let reuse = self.unused_slot();
         let need_lp = if reuse.is_some() { 0 } else { LINE_POINTER_SIZE };
         if self.free_space() < len + need_lp {
             return None;

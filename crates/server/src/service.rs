@@ -524,6 +524,7 @@ impl LobdService {
                 ("pool.prefetch_pages", Counter(pool.prefetch_pages)),
                 ("pool.prefetch_hits", Counter(pool.prefetch_hits)),
                 ("pool.bgwriter_pages", Counter(pool.bgwriter_pages)),
+                ("pool.pages", Gauge(pool.pages)),
                 ("txn.commits", Counter(commits)),
                 ("txn.aborts", Counter(aborts)),
                 ("txn.active", Gauge(self.env.txns().active_count() as u64)),

@@ -500,5 +500,9 @@ fn stats_reply_is_internally_consistent() {
         (rate - hits as f64 / total as f64).abs() < 1e-9,
         "hit rate {rate} disagrees with captured counters {hits}/{total}"
     );
+    // The pool's resident pages: those its frames were first installed
+    // with, a small part of lobd's 4,096 frames after one 300 KB object.
+    let pages = metric(&stats, "pool.pages").as_u64();
+    assert!((1..1024).contains(&pages), "pool.pages = {pages}");
     stop(handle);
 }

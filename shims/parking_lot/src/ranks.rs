@@ -73,6 +73,12 @@ pub const POOL_CAPTURE: LockRank = LockRank::new(38, "buffer.capture");
 /// table (rule 1); flushers reach frames only via `try_*` (rule 2).
 pub const POOL_FRAME: LockRank = LockRank::new(40, "buffer.frame");
 
+/// The buffer pool's page allocation (`crates/buffer`): spare pages
+/// allocated ahead of the frames whose first install takes them, and the
+/// count of frames that hold one. Taken under a frame latch, around
+/// nothing but the allocator; leaf.
+pub const POOL_PAGES: LockRank = LockRank::new(42, "buffer.pages");
+
 /// WAL group-commit flush slot (`crates/wal`): committers park here and
 /// ride the leader's fsync. The leader snapshots the appender under this
 /// lock, so it must rank *below* [`WAL_APPEND`]; buffer writeback calls
