@@ -82,15 +82,30 @@ pub struct BTree {
 }
 
 impl BTree {
-    /// Create a new, empty index on an anonymous relation.
+    /// Create a new, empty index on an anonymous relation, in a
+    /// transaction of its own, committed: no row names it. An index a row
+    /// names is made in the row's transaction ([`Self::create_empty`]).
     pub fn create_anonymous(env: &Arc<StorageEnv>, smgr: SmgrId) -> Result<BTree> {
-        Self::open_or_create(env, env.catalog().alloc_oid()?, smgr)
+        let (txn, oid) = (env.begin(), env.catalog().alloc_oid()?);
+        env.create_rels(&txn, smgr, &[oid])?;
+        let tree = Self::create_empty(env, oid, smgr)?;
+        txn.try_commit().map_err(|e| HeapError::Smgr(e.into()))?;
+        Ok(tree)
     }
 
-    /// Open the index at `oid`, under its latch first creating it empty
-    /// unless it holds its meta page and root. One with fewer blocks (a
-    /// crash before both reached the log or home) can index nothing yet,
-    /// and is dropped and made afresh.
+    /// Make an empty index in relation `oid`, which the calling
+    /// transaction has just made ([`StorageEnv::create_rels`]).
+    pub fn create_empty(env: &Arc<StorageEnv>, oid: u64, smgr: SmgrId) -> Result<BTree> {
+        let tree = Self::open_oid(env, oid, smgr);
+        tree.bootstrap()?;
+        Ok(tree)
+    }
+
+    /// Open the index at a reserved `oid`, which no transaction makes,
+    /// under its latch first creating it empty unless it holds its meta
+    /// page and root. One with fewer blocks (a crash before both reached
+    /// the log or home) can index nothing yet, and is dropped and made
+    /// afresh.
     pub fn open_or_create(env: &Arc<StorageEnv>, oid: u64, smgr: SmgrId) -> Result<BTree> {
         let tree = Self::open_oid(env, oid, smgr);
         let (mgr, latch) = (env.switch().get(smgr)?, Arc::clone(&tree.lock));

@@ -169,8 +169,9 @@ impl MetaTable {
         Ok(self.index.insert(&u64_key(meta.id.0), tid)?)
     }
 
-    /// The row of `id` that `vis` sees, and where it is. Through the index
-    /// alone with [`Visibility::Raw`]: every indexed row, committed or not.
+    /// The row of `id` that `vis` sees, and where it is. A row's index
+    /// entry stays when the row is deleted, as every version's does until
+    /// a vacuum reclaims it.
     pub(crate) fn get(&self, id: LoId, vis: &Visibility) -> Result<(Tid, LoMeta)> {
         let key = u64_key(id.0);
         let mut rows = self.index.visible(&self.heap, &key, vis, AccessHint::Random)?;
@@ -178,18 +179,10 @@ impl MetaTable {
         Ok((tid, LoMeta::decode(id, &row)?))
     }
 
-    /// Remove `id`'s index entry for the row at `tid` (`NotFound` if
-    /// another caller already did), then stamp the row deleted in a
-    /// transaction of its own: no later snapshot sees it, and a vacuum
-    /// may reclaim it.
-    pub(crate) fn remove(&self, id: LoId, tid: Tid) -> Result<()> {
-        if !self.index.delete(&u64_key(id.0), tid)? {
-            return Err(LoError::NotFound(id));
-        }
-        let txn = self.heap.env().begin();
-        self.heap.delete(&txn, tid)?;
-        txn.try_commit()?;
-        Ok(())
+    /// Stamp the row at `tid` deleted as `txn`: once it commits no later
+    /// snapshot sees it, nor [`Visibility::Undeleted`].
+    pub(crate) fn remove(&self, txn: &pglo_txn::Txn, tid: Tid) -> Result<()> {
+        Ok(self.heap.delete(txn, tid)?)
     }
 }
 

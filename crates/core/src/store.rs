@@ -10,8 +10,8 @@ use crate::vsegment::VSegBackend;
 use crate::{LoError, LoId, Result, UserId};
 use pglo_btree::BTree;
 use pglo_compress::CodecKind;
-use pglo_heap::{Heap, HeapError, StorageEnv};
-use pglo_smgr::{FileClass, NativeFile, SmgrError, SmgrId, VFile};
+use pglo_heap::{Heap, StorageEnv};
+use pglo_smgr::{FileClass, NativeFile, SmgrId, VFile};
 use pglo_txn::{Txn, Visibility};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -137,8 +137,8 @@ impl LoStore {
     }
 
     /// Create a large object per `spec`, returning its name. Its metadata
-    /// row is `txn`'s: until `txn` commits no other snapshot sees it, and
-    /// after an abort nobody's does.
+    /// row and its relation files are `txn`'s: until `txn` commits no
+    /// other snapshot sees it, and an abort removes the files.
     pub fn create(&self, txn: &Txn, spec: &LoSpec) -> Result<LoId> {
         // A chunk plus its tuple and chunk headers must fit one page —
         // POSTGRES does not break tuples across pages (§6.3).
@@ -177,21 +177,21 @@ impl LoStore {
                 NativeFile::open(self.env.vfs(), &path, self.env.sim().clone(), true)?;
                 meta.path = Some(path);
             }
-            LoKind::FChunk => {
-                let heap = Heap::create_anonymous(&self.env, smgr)?;
-                let index = BTree::create_anonymous(&self.env, smgr)?;
-                meta.data_rel = heap.rel();
-                meta.idx_rel = index.rel();
-            }
-            LoKind::VSegment => {
-                let store_heap = Heap::create_anonymous(&self.env, smgr)?;
-                let store_index = BTree::create_anonymous(&self.env, smgr)?;
-                let seg_heap = Heap::create_anonymous(&self.env, smgr)?;
-                let seg_index = BTree::create_anonymous(&self.env, smgr)?;
-                meta.data_rel = store_heap.rel();
-                meta.idx_rel = store_index.rel();
-                meta.seg_rel = seg_heap.rel();
-                meta.seg_idx_rel = seg_index.rel();
+            LoKind::FChunk | LoKind::VSegment => {
+                // A heap and its index, and v-segment's segment heap and
+                // its index: made in one logged create.
+                let n = if spec.kind == LoKind::FChunk { 2 } else { 4 };
+                let catalog = self.env.catalog();
+                let rels: Vec<u64> =
+                    (0..n).map(|_| catalog.alloc_oid()).collect::<std::result::Result<_, _>>()?;
+                self.env.create_rels(txn, smgr, &rels)?;
+                for &index in rels.iter().skip(1).step_by(2) {
+                    BTree::create_empty(&self.env, index, smgr)?;
+                }
+                [meta.data_rel, meta.idx_rel] = [rels[0], rels[1]];
+                if let [_, _, seg, seg_idx] = rels[..] {
+                    [meta.seg_rel, meta.seg_idx_rel] = [seg, seg_idx];
+                }
             }
         }
         self.meta.insert(txn, &meta)?;
@@ -201,7 +201,7 @@ impl LoStore {
     /// The metadata of an object that is not unlinked, its creator's
     /// transaction committed or not.
     pub fn meta(&self, id: LoId) -> Result<LoMeta> {
-        Ok(self.meta.get(id, &Visibility::Raw)?.1)
+        Ok(self.meta.get(id, &Visibility::Undeleted)?.1)
     }
 
     /// Open as the database superuser.
@@ -274,14 +274,13 @@ impl LoStore {
         })
     }
 
-    /// Remove a large object, now, whatever transaction created it: its
-    /// component relations or its DBMS-owned file (p-file) first, a
-    /// relation already gone counting as dropped; then its metadata row's
-    /// index entry; then the row, stamped deleted. An unlink interrupted
-    /// part-way, by an error or a crash, can be called again to finish.
-    /// A u-file's host file belongs to the user and is left in place.
+    /// Remove a large object, whatever transaction created it, in a short
+    /// transaction of its own that deletes its metadata row and drops its
+    /// component relations: they live and die with the row, so they go
+    /// when the delete commits, and stay if it does not. A p-file's host
+    /// file is removed first; a u-file's belongs to the user and stays.
     pub fn unlink(&self, id: LoId) -> Result<()> {
-        let (tid, meta) = self.meta.get(id, &Visibility::Raw)?;
+        let (tid, meta) = self.meta.get(id, &Visibility::Undeleted)?;
         let rels = match meta.kind {
             LoKind::UFile | LoKind::PFile => &[][..],
             LoKind::FChunk => &[meta.data_rel, meta.idx_rel],
@@ -292,13 +291,11 @@ impl LoStore {
                 self.env.vfs().remove_file(FileClass::Native, path)?;
             }
         }
-        for &rel in rels {
-            match Heap::open_oid(&self.env, rel, meta.smgr).drop_storage() {
-                Ok(()) | Err(HeapError::Smgr(SmgrError::NotFound(_))) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        self.meta.remove(id, tid)
+        let txn = self.env.begin();
+        self.env.drop_rels(&txn, meta.smgr, rels);
+        self.meta.remove(&txn, tid)?;
+        txn.try_commit()?;
+        Ok(())
     }
 
     /// Physical storage breakdown — one Figure 1 row.

@@ -424,20 +424,26 @@ fn rel_file(dir: &std::path::Path, rel: u64) -> std::path::PathBuf {
 }
 
 /// Make relation `rel`'s file impossible to remove (a non-empty directory
-/// in its place), so an unlink fails dropping it; the returned closure
-/// puts the directory away again.
-fn jam_rel_file(dir: &std::path::Path, rel: u64) -> impl FnOnce() {
+/// in its place), so its drop fails; the returned closure puts the
+/// directory away and an empty file back.
+fn jam_rel_file(dir: &std::path::Path, rel: u64) -> impl FnOnce() -> std::path::PathBuf {
     let path = rel_file(dir, rel);
     std::fs::remove_file(&path).unwrap();
     std::fs::create_dir(&path).unwrap();
     std::fs::write(path.join("pinned"), b"x").unwrap();
-    move || std::fs::remove_dir_all(path).unwrap()
+    move || {
+        std::fs::remove_dir_all(&path).unwrap();
+        std::fs::write(&path, b"").unwrap();
+        path
+    }
 }
 
-/// A temp somebody already unlinked is not an error; a temp whose unlink
-/// fails is, and the sweep it interrupts loses track of nothing else.
+/// A temp somebody already unlinked counts as reclaimed. A temp whose
+/// relation file cannot be removed is reclaimed too: its unlink
+/// committed, so no snapshot sees it; the failure is counted, and the
+/// first checkpoint after the blocker is cleared removes the file.
 #[test]
-fn gc_temps_reports_a_failed_unlink_and_keeps_the_rest() {
+fn gc_temps_reclaims_a_temp_whose_file_removal_failed() {
     let (dir, env, store) = setup();
     let txn = env.begin();
     let dropped = store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
@@ -447,19 +453,19 @@ fn gc_temps_reports_a_failed_unlink_and_keeps_the_rest() {
     let stuck = store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
     let fine = store.create_temp(&txn, &LoSpec::fchunk()).unwrap();
     txn.commit();
-    // The first temp's chunk heap cannot be removed: its unlink fails
-    // dropping the storage.
+    let errors = || {
+        let entries = obs::snapshot_entries();
+        entries.iter().find(|e| e.name == "heap.rel_files.errors").map_or(0, |e| e.value.as_u64())
+    };
+    let before = errors();
     let unjam = jam_rel_file(dir.path(), store.meta(stuck).unwrap().data_rel);
-    let err = store.gc_temps().unwrap_err();
-    assert!(
-        matches!(err, LoError::Heap(pglo_heap::HeapError::Smgr(pglo_smgr::SmgrError::Io(_)))),
-        "a failed storage drop must surface: {err}"
-    );
-    unjam();
-    assert_eq!(store.temp_count(), 2, "the temp behind the failure is still tracked");
     assert_eq!(store.gc_temps().unwrap(), 2);
+    assert!(errors() > before, "the failed removal is counted");
     assert!(matches!(store.meta(stuck), Err(LoError::NotFound(_))));
     assert!(matches!(store.meta(fine), Err(LoError::NotFound(_))));
+    let path = unjam();
+    env.checkpoint().unwrap();
+    assert!(!path.exists(), "the checkpoint retried the removal");
 }
 
 #[test]
@@ -1150,24 +1156,96 @@ fn crash_images(sim: &pglo_smgr::SimVfs) -> [Arc<pglo_smgr::SimVfs>; 2] {
     [Durability::Process, Durability::Power].map(|mode| sim.crash(mode))
 }
 
-/// The crash gate for metadata rows. The store runs on a `SimVfs` and is
-/// killed after every step that makes part of a create transaction or of
-/// an unlink durable, and both images of each kill are recovered:
-/// - the metadata relations, before anything reached the log;
-/// - a create: its relation files, its write, the capture of its pages
-///   into the log, its commit, its pages home, a checkpoint;
-/// - an aborted create, before and after a later commit logs its pages;
-/// - an unlink: after each file operation that changes what a crash
-///   leaves (the file layer's hook takes the images there).
+/// The relations of the objects among `ids` a fresh snapshot of `env`
+/// opens: those a committed metadata row names.
+fn committed_rels(env: &Arc<StorageEnv>, store: &LoStore, ids: &[LoId]) -> Vec<u64> {
+    let txn = env.begin();
+    let open = |id: &&LoId| store.open(&txn, **id, OpenMode::ReadOnly).is_ok();
+    let metas: Vec<_> = ids.iter().filter(open).map(|&id| store.meta(id).unwrap()).collect();
+    let rels = metas.iter().flat_map(|m| [m.data_rel, m.idx_rel, m.seg_rel, m.seg_idx_rel]);
+    rels.filter(|&rel| rel != 0).collect()
+}
+
+/// The relations every store opens by a fixed OID.
+const RESERVED: [u64; 3] = [pglo_heap::META_HEAP, pglo_heap::META_INDEX, pglo_heap::CLASS_HEAP];
+
+/// The relation files under `heap/` of the store at `root` on `vfs`,
+/// but the reserved ones.
+fn rel_files(vfs: &dyn pglo_smgr::Vfs, root: &std::path::Path) -> Vec<u64> {
+    let dir = root.join("heap");
+    let names = vfs.list_dir(pglo_smgr::FileClass::Data, &dir).unwrap();
+    let oid = |p: &std::path::PathBuf| -> Option<u64> {
+        p.file_name()?.to_str()?.strip_prefix("rel_")?.split('.').next()?.parse().ok()
+    };
+    let mut oids: Vec<u64> =
+        names.iter().filter_map(oid).filter(|o| !RESERVED.contains(o)).collect();
+    oids.sort_unstable();
+    oids.dedup();
+    oids
+}
+
+/// An aborted f-chunk or v-segment create leaves no relation file, at
+/// once: the abort removes what its transaction made.
+#[test]
+fn aborted_create_leaves_no_relation_file() {
+    let (dir, env, store) = setup();
+    for spec in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)] {
+        let before = rel_files(&**env.vfs(), dir.path());
+        let txn = env.begin();
+        let id = store.create(&txn, &spec).unwrap();
+        store.open(&txn, id, OpenMode::ReadWrite).unwrap().write(&[7; 20_000]).unwrap();
+        assert!(rel_files(&**env.vfs(), dir.path()).len() > before.len(), "{:?}", spec.kind);
+        txn.abort();
+        assert_eq!(rel_files(&**env.vfs(), dir.path()), before, "{:?}: files left", spec.kind);
+    }
+}
+
+/// A committed object whose pages are only in the log, unlinked, then a
+/// crash before the next checkpoint: replay redoes the object's deltas
+/// and its drop, and neither crash image holds a file of it.
+#[test]
+fn committed_unlink_then_crash_leaves_no_file() {
+    use pglo_heap::EnvOptions;
+    let root = std::path::Path::new("db");
+    let sim = pglo_smgr::SimVfs::new();
+    let opts = EnvOptions { vfs: sim.clone(), ..Default::default() };
+    let env = StorageEnv::open_with(root, opts).unwrap();
+    let store = LoStore::new(Arc::clone(&env)).unwrap();
+    for spec in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::None)] {
+        let txn = env.begin();
+        let id = store.create(&txn, &spec).unwrap();
+        store.open(&txn, id, OpenMode::ReadWrite).unwrap().write(&[3; 20_000]).unwrap();
+        txn.commit();
+        store.unlink(id).unwrap();
+        for image in crash_images(&sim) {
+            let opts = EnvOptions { vfs: image.clone(), ..Default::default() };
+            let env = StorageEnv::open_with(root, opts).unwrap();
+            let store = LoStore::new(Arc::clone(&env)).unwrap();
+            let open = store.open(&env.begin(), id, OpenMode::ReadOnly).map(drop);
+            assert!(matches!(open, Err(LoError::NotFound(_))), "{:?}: {open:?}", spec.kind);
+            assert_eq!(rel_files(&*image, root), [], "{:?}: files of the unlinked", spec.kind);
+        }
+    }
+}
+
+/// The crash gate for metadata rows and their relation files. The store
+/// runs on a `SimVfs` and is killed after every file operation that
+/// changes what a crash leaves (the file layer's hook takes both images
+/// there) in each of: a create, an aborted create, a checkpoint that
+/// restates a live create, and an unlink; and after each step that makes
+/// part of a create transaction durable (its write, the capture of its
+/// pages into the log, its commit, its pages home, a checkpoint).
 ///
-/// Each recovered image must read every committed object byte-exact, give
-/// `NotFound` to a snapshot open of an uncommitted or aborted create,
-/// finish an interrupted unlink when it is called again, and create,
+/// Each recovered image must read every committed object byte-exact,
+/// give `NotFound` to a snapshot open of an uncommitted or aborted create,
+/// see an object whose unlink was cut short either whole or gone, hold
+/// exactly the relation files committed metadata rows name, and create,
 /// commit and read back a new object.
 #[test]
 fn crash_at_every_durable_step_of_create_and_unlink() {
     use pglo_heap::EnvOptions;
     use pglo_smgr::{SimVfs, Vfs};
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
     let root = std::path::Path::new("db");
     let opts =
         |vfs: Arc<dyn Vfs>| EnvOptions { vfs, wal_segment_bytes: 64 * 1024, ..Default::default() };
@@ -1176,33 +1254,38 @@ fn crash_at_every_durable_step_of_create_and_unlink() {
     let store = LoStore::new(Arc::clone(&env)).unwrap();
     let bytes = |seed: u8| -> Vec<u8> { (0..20_000u32).map(|i| (i as u8) ^ seed).collect() };
     // Recover both images of a kill: `committed` must read back, `gone`
-    // must not open; `unlinking`, if given, is unlinked again, to
-    // completion.
+    // must not open, `unlinking` must read back or not open.
+    type Objects<'a> = &'a [(LoId, Vec<u8>)];
     let recover = |images: &[Arc<SimVfs>; 2],
                    what: &str,
-                   committed: &[(LoId, Vec<u8>)],
+                   committed: Objects<'_>,
                    gone: &[LoId],
-                   unlinking| {
+                   unlinking: Objects<'_>| {
         for (image, mode) in images.iter().zip(["process kill", "power loss"]) {
             let what = format!("{what} ({mode})");
             let env = StorageEnv::open_with(root, opts(image.clone())).unwrap();
             let store = LoStore::new(Arc::clone(&env)).unwrap();
-            if let Some(id) = unlinking {
-                match store.unlink(id) {
-                    Ok(()) | Err(LoError::NotFound(_)) => {}
-                    Err(e) => panic!("{what}: the retried unlink failed: {e}"),
-                }
-                assert!(matches!(store.meta(id), Err(LoError::NotFound(_))), "{what}: unlinked");
-            }
             let txn = env.begin();
             for (id, want) in committed {
                 let mut h = store.open(&txn, *id, OpenMode::ReadOnly).unwrap();
                 assert!(h.read_to_vec().unwrap() == *want, "{what}: {id} is not byte-exact");
             }
-            for id in gone.iter().chain(unlinking.as_slice()) {
+            for (id, want) in unlinking {
+                match store.open(&txn, *id, OpenMode::ReadOnly) {
+                    Ok(mut h) => assert!(h.read_to_vec().unwrap() == *want, "{what}: {id} torn"),
+                    Err(e) => assert!(matches!(e, LoError::NotFound(_)), "{what}: {id}: {e}"),
+                }
+            }
+            for id in gone {
                 let open = store.open(&txn, *id, OpenMode::ReadOnly);
                 assert!(matches!(open, Err(LoError::NotFound(_))), "{what}: {id} opened");
             }
+            let ids: Vec<LoId> = (committed.iter().chain(unlinking).map(|(id, _)| *id))
+                .chain(gone.iter().copied())
+                .collect();
+            let mut named = committed_rels(&env, &store, &ids);
+            named.sort_unstable();
+            assert_eq!(rel_files(&**image, root), named, "{what}: files no committed row names");
             let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
             store.open(&txn, id, OpenMode::ReadWrite).unwrap().write(b"after recovery").unwrap();
             txn.commit();
@@ -1212,62 +1295,101 @@ fn crash_at_every_durable_step_of_create_and_unlink() {
         }
     };
     // Kill now and recover.
-    let check = |what: &str, committed: &[(LoId, Vec<u8>)], gone: &[LoId], unlinking| {
-        recover(&crash_images(&sim), what, committed, gone, unlinking);
+    let check = |what: &str, committed: Objects<'_>, gone: &[LoId]| {
+        recover(&crash_images(&sim), what, committed, gone, &[]);
     };
-    // Kills inside an unlink, taken while `unlinking` is set.
-    let unlinking = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // Run `op` with a kill after each of its file operations.
+    let killing = Arc::new(AtomicBool::new(false));
     let kills = Arc::new(parking_lot::Mutex::new(Vec::new()));
-    let (flag, taken) = (Arc::clone(&unlinking), Arc::clone(&kills));
+    let (flag, taken) = (Arc::clone(&killing), Arc::clone(&kills));
     assert!(sim.on_op(move |sim, done| {
-        if flag.load(std::sync::atomic::Ordering::SeqCst) && done.kind.mutates() {
+        if flag.load(SeqCst) && done.kind.mutates() {
             let images = crash_images(sim);
             taken.lock().push((images, format!("{:?} of {}", done.kind, done.path.display())));
         }
     }));
-    check("the metadata relations, unlogged", &[], &[], None);
+    let killed = |op: &mut dyn FnMut()| {
+        killing.store(true, SeqCst);
+        op();
+        killing.store(false, SeqCst);
+        let steps = std::mem::take(&mut *kills.lock());
+        assert!(!steps.is_empty(), "no file operation");
+        steps
+    };
+    check("the metadata relations, unlogged", &[], &[]);
 
     let mut committed = Vec::new();
     for (n, spec) in [LoSpec::fchunk(), LoSpec::vsegment(CodecKind::Rle)].into_iter().enumerate() {
         let kind = format!("{:?}", spec.kind);
         let txn = env.begin();
-        let id = store.create(&txn, &spec).unwrap();
-        check(&format!("{kind} create"), &committed, &[id], None);
+        let mut id = LoId(0);
+        for (images, step) in killed(&mut || id = store.create(&txn, &spec).unwrap()) {
+            recover(&images, &format!("{kind} create: {step}"), &committed, &[id], &[]);
+        }
+        check(&format!("{kind} create"), &committed, &[id]);
         let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
         h.write(&bytes(n as u8)).unwrap();
         h.close().unwrap();
-        check(&format!("{kind} write"), &committed, &[id], None);
+        check(&format!("{kind} write"), &committed, &[id]);
         env.pool().capture_pending().unwrap();
         env.wal().flush_all().unwrap();
-        check(&format!("{kind} capture"), &committed, &[id], None);
+        check(&format!("{kind} capture"), &committed, &[id]);
         txn.commit();
         committed.push((id, bytes(n as u8)));
-        check(&format!("{kind} commit"), &committed, &[], None);
+        check(&format!("{kind} commit"), &committed, &[]);
         env.pool().flush_all().unwrap();
-        check(&format!("{kind} home"), &committed, &[], None);
+        check(&format!("{kind} home"), &committed, &[]);
         env.checkpoint().unwrap();
-        check(&format!("{kind} checkpoint"), &committed, &[], None);
+        check(&format!("{kind} checkpoint"), &committed, &[]);
     }
 
     let txn = env.begin();
-    let aborted = store.create(&txn, &LoSpec::fchunk()).unwrap();
-    store.open(&txn, aborted, OpenMode::ReadWrite).unwrap().write(&bytes(9)).unwrap();
-    txn.abort();
-    check("abort", &committed, &[aborted], None);
+    let mut aborted = LoId(0);
+    let mut abort = Some(txn);
+    let steps = killed(&mut || {
+        let txn = abort.take().unwrap();
+        aborted = store.create(&txn, &LoSpec::fchunk()).unwrap();
+        store.open(&txn, aborted, OpenMode::ReadWrite).unwrap().write(&bytes(9)).unwrap();
+        env.pool().capture_pending().unwrap();
+        txn.abort();
+    });
+    for (images, step) in steps {
+        recover(&images, &format!("aborted create: {step}"), &committed, &[aborted], &[]);
+    }
+    check("abort", &committed, &[aborted]);
     env.begin().commit();
     env.pool().flush_all().unwrap();
-    check("abort, logged and home", &committed, &[aborted], None);
+    check("abort, logged and home", &committed, &[aborted]);
+
+    // A checkpoint restating a live create, its pages logged.
+    let live = env.begin();
+    let pending = store.create(&live, &LoSpec::vsegment(CodecKind::None)).unwrap();
+    store.open(&live, pending, OpenMode::ReadWrite).unwrap().write(&bytes(5)).unwrap();
+    env.pool().capture_pending().unwrap();
+    let gone = [aborted, pending];
+    for (images, step) in killed(&mut || env.checkpoint().unwrap()) {
+        recover(&images, &format!("checkpoint of a live create: {step}"), &committed, &gone, &[]);
+    }
+    live.abort();
+
+    // An object committed with its pages only in the log, unlinked, then
+    // a crash before any checkpoint: replay must not make its files again.
+    let txn = env.begin();
+    let fresh = store.create(&txn, &LoSpec::fchunk()).unwrap();
+    store.open(&txn, fresh, OpenMode::ReadWrite).unwrap().write(&bytes(3)).unwrap();
+    txn.commit();
+    committed.push((fresh, bytes(3)));
 
     for _ in 0..committed.len() {
-        let (id, _) = committed.remove(0);
-        unlinking.store(true, std::sync::atomic::Ordering::SeqCst);
-        store.unlink(id).unwrap();
-        unlinking.store(false, std::sync::atomic::Ordering::SeqCst);
-        let steps = std::mem::take(&mut *kills.lock());
-        assert!(steps.len() >= 3, "an unlink of {id} took {} steps", steps.len());
+        let unlinked = committed.remove(0);
+        let steps = killed(&mut || store.unlink(unlinked.0).unwrap());
+        assert!(steps.len() >= 3, "an unlink of {} took {} steps", unlinked.0, steps.len());
+        let unlinking = std::slice::from_ref(&unlinked);
         for (n, (images, step)) in steps.iter().enumerate() {
-            recover(images, &format!("unlink {id}: {step} {n}"), &committed, &[aborted], Some(id));
+            let what = format!("unlink {}: {step} {n}", unlinked.0);
+            recover(images, &what, &committed, &gone, unlinking);
         }
-        check(&format!("unlink {id}, done"), &committed, &[aborted], Some(id));
+        let gone = [&gone[..], &[unlinked.0]].concat();
+        check(&format!("unlink {}, done", unlinked.0), &committed, &gone);
     }
 }

@@ -101,6 +101,12 @@ impl ClassMeta {
     }
 }
 
+/// The `files` of a class change that makes or drops no relation but
+/// the class's own.
+pub(crate) fn no_files(_: &Txn) -> Result<()> {
+    Ok(())
+}
+
 /// The catalog. Readers take only the data lock (rank `heap.catalog`),
 /// which no file I/O runs under; a mutation takes the writer lock (rank
 /// `heap.catalog_writer`) first and holds it across its row's transaction,
@@ -148,12 +154,13 @@ impl Catalog {
     }
 
     /// Run `write` on the class heap in a transaction of its own, and
-    /// commit it.
-    fn commit<T>(
+    /// commit it: the row and the relation files it makes or drops live or
+    /// go together.
+    fn commit<T, E: From<HeapError>>(
         &self,
         env: &Arc<StorageEnv>,
-        write: impl FnOnce(&Heap, &Txn) -> Result<T>,
-    ) -> Result<T> {
+        write: impl FnOnce(&Heap, &Txn) -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
         let txn = env.begin();
         let out = write(&Heap::open_oid(env, CLASS_HEAP, env.disk_id()), &txn)?;
         txn.try_commit().map_err(|e| HeapError::Catalog(format!("commit a class row: {e}")))?;
@@ -167,41 +174,47 @@ impl Catalog {
         self.wal.next_oid().map_err(|e| HeapError::Catalog(format!("log the OID limit: {e}")))
     }
 
-    /// Register a class and make its relation on `smgr`: the file first,
-    /// then the row, so a crash between them leaves a file no class names,
-    /// never a class that names no file. Errors if the name is taken or
-    /// the row does not fit in one tuple.
-    pub fn create_class(
+    /// Register a class, making its relation on `smgr` and running `files`
+    /// (which makes the relations its properties name) in the transaction
+    /// that inserts its row: they live and die with it. Errors if the name
+    /// is taken or the row does not fit in one tuple.
+    pub fn create_class<E: From<HeapError>>(
         &self,
         name: &str,
         kind: ClassKind,
         smgr: SmgrId,
         props: HashMap<String, String>,
-    ) -> Result<ClassMeta> {
+        files: impl FnOnce(&Txn) -> std::result::Result<(), E>,
+    ) -> std::result::Result<ClassMeta, E> {
         let env = self.env()?;
         let _writer = self.writer.lock();
         if self.get(name).is_some() {
-            return Err(HeapError::Catalog(format!("class \"{name}\" already exists")));
+            return Err(HeapError::Catalog(format!("class \"{name}\" already exists")).into());
         }
         let oid = self.alloc_oid()?;
         let meta = ClassMeta { oid, name: name.to_string(), kind, smgr: smgr.0, props };
         let row = meta.encode()?;
-        env.switch().get(smgr)?.create(oid)?;
-        let tid = self.commit(&env, |heap, txn| heap.insert(txn, &row))?;
+        let tid = self.commit(&env, |heap, txn| {
+            env.create_rels(txn, smgr, &[oid])?;
+            files(txn)?;
+            Ok::<_, E>(heap.insert(txn, &row)?)
+        })?;
         self.classes.lock().insert(name.to_string(), (tid, meta.clone()));
         Ok(meta)
     }
 
-    /// Remove a class, returning its metadata: its row first, then its
-    /// relation, so a crash between them leaves a file no class names.
-    pub fn drop_class(&self, name: &str) -> Result<ClassMeta> {
+    /// Remove a class, returning its metadata. Its relation and `indexes`
+    /// (relations of its manager its properties name) are dropped by the
+    /// transaction that deletes its row: they go when the delete commits.
+    pub fn drop_class(&self, name: &str, indexes: &[u64]) -> Result<ClassMeta> {
         let env = self.env()?;
-        let writer = self.writer.lock();
+        let _writer = self.writer.lock();
         let (tid, meta) = self.entry(name)?;
-        self.commit(&env, |heap, txn| heap.delete(txn, tid))?;
+        self.commit(&env, |heap, txn| {
+            env.drop_rels(txn, meta.smgr_id(), &[&[meta.oid], indexes].concat());
+            heap.delete(txn, tid)
+        })?;
         self.classes.lock().remove(name);
-        drop(writer);
-        Heap::open_oid(&env, meta.oid, meta.smgr_id()).drop_storage()?;
         Ok(meta)
     }
 
@@ -218,25 +231,18 @@ impl Catalog {
         names
     }
 
-    /// Remove one property from a class. Returns whether it existed.
-    pub fn remove_prop(&self, name: &str, key: &str) -> Result<bool> {
-        self.update(name, |meta| meta.props.remove(key).is_some())
-    }
-
-    /// Set properties on a class. The whole batch is one row version, so
-    /// a reader (and a crash) sees all of it or none of it.
-    pub fn set_props(&self, name: &str, props: &[(&str, &str)]) -> Result<()> {
-        self.update(name, |meta| {
-            meta.props.extend(props.iter().map(|(k, v)| (k.to_string(), v.to_string())));
-            true
-        })?;
-        Ok(())
-    }
-
     /// Apply `edit` to a copy of class `name`'s metadata and, when it
-    /// reports a change, replace the class's row with the edited one, then
-    /// its map entry. Returns what `edit` returned.
-    fn update(&self, name: &str, edit: impl FnOnce(&mut ClassMeta) -> bool) -> Result<bool> {
+    /// reports a change, replace the class's row with the edited one in a
+    /// transaction that also runs `files`, then its map entry. `files`
+    /// makes or drops the relations the edited properties add or remove
+    /// ([`StorageEnv::create_rels`], [`StorageEnv::drop_rels`]), so they
+    /// live and die with the row. Returns what `edit` returned.
+    pub fn update<E: From<HeapError>>(
+        &self,
+        name: &str,
+        edit: impl FnOnce(&mut ClassMeta) -> bool,
+        files: impl FnOnce(&Txn) -> std::result::Result<(), E>,
+    ) -> std::result::Result<bool, E> {
         let env = self.env()?;
         let _writer = self.writer.lock();
         let (tid, mut meta) = self.entry(name)?;
@@ -244,7 +250,10 @@ impl Catalog {
             return Ok(false);
         }
         let row = meta.encode()?;
-        let tid = self.commit(&env, |heap, txn| heap.update(txn, tid, &row))?;
+        let tid = self.commit(&env, |heap, txn| {
+            files(txn)?;
+            Ok::<_, E>(heap.update(txn, tid, &row)?)
+        })?;
         self.classes.lock().insert(name.to_string(), (tid, meta));
         Ok(true)
     }
@@ -274,6 +283,16 @@ mod tests {
 
     fn props(pairs: &[(&str, &str)]) -> HashMap<String, String> {
         pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
+    }
+
+    /// Set properties on class `name`: one row version.
+    fn set_props(cat: &Catalog, name: &str, pairs: &[(&str, &str)]) -> Result<bool> {
+        cat.update(name, |meta| (meta.props.extend(props(pairs)), true).1, no_files)
+    }
+
+    /// Remove property `key` from class `name`; whether it existed.
+    fn remove_prop(cat: &Catalog, name: &str, key: &str) -> Result<bool> {
+        cat.update(name, |meta| meta.props.remove(key).is_some(), no_files)
     }
 
     #[test]
@@ -307,15 +326,19 @@ mod tests {
     fn create_get_drop() {
         let (_dir, env) = temp_env();
         let cat = env.catalog();
-        let meta = cat.create_class("EMP", ClassKind::Heap, env.disk_id(), HashMap::new()).unwrap();
+        let meta = cat
+            .create_class("EMP", ClassKind::Heap, env.disk_id(), HashMap::new(), no_files)
+            .unwrap();
         assert!(meta.oid >= FIRST_OID);
         assert!(env.switch().get(env.disk_id()).unwrap().exists(meta.oid), "its relation");
         assert_eq!(cat.get("EMP").unwrap().oid, meta.oid);
-        assert!(cat.create_class("EMP", ClassKind::Heap, env.disk_id(), HashMap::new()).is_err());
-        cat.drop_class("EMP").unwrap();
+        assert!(cat
+            .create_class("EMP", ClassKind::Heap, env.disk_id(), HashMap::new(), no_files)
+            .is_err());
+        cat.drop_class("EMP", &[]).unwrap();
         assert!(cat.get("EMP").is_none());
         assert!(!env.switch().get(env.disk_id()).unwrap().exists(meta.oid), "its relation");
-        assert!(cat.drop_class("EMP").is_err());
+        assert!(cat.drop_class("EMP", &[]).is_err());
     }
 
     /// `alloc_oid` and `create_class` draw on one counter, the log's, and
@@ -327,7 +350,10 @@ mod tests {
         let a = cat.alloc_oid().unwrap();
         let b = cat.alloc_oid().unwrap();
         assert_eq!(rows(&env), 0);
-        let c = cat.create_class("X", ClassKind::BTree, SmgrId(1), HashMap::new()).unwrap().oid;
+        let c = cat
+            .create_class("X", ClassKind::BTree, SmgrId(1), HashMap::new(), no_files)
+            .unwrap()
+            .oid;
         assert!(a < b && b < c);
         assert_eq!(rows(&env), 1);
     }
@@ -338,7 +364,9 @@ mod tests {
         let stray = {
             let env = StorageEnv::open(dir.path()).unwrap();
             let schema = props(&[("schema", "name=text")]);
-            env.catalog().create_class("EMP", ClassKind::Heap, SmgrId(2), schema).unwrap();
+            env.catalog()
+                .create_class("EMP", ClassKind::Heap, SmgrId(2), schema, no_files)
+                .unwrap();
             // Handed out and never named in the catalog.
             env.catalog().alloc_oid().unwrap()
         };
@@ -358,16 +386,16 @@ mod tests {
     fn props_update() {
         let (_dir, env) = temp_env();
         let cat = env.catalog();
-        cat.create_class("T", ClassKind::Heap, env.disk_id(), HashMap::new()).unwrap();
-        cat.set_props("T", &[("rows", "42")]).unwrap();
+        cat.create_class("T", ClassKind::Heap, env.disk_id(), HashMap::new(), no_files).unwrap();
+        set_props(cat, "T", &[("rows", "42")]).unwrap();
         assert_eq!(cat.get("T").unwrap().props.get("rows").unwrap(), "42");
-        assert!(cat.remove_prop("T", "rows").unwrap());
+        assert!(remove_prop(cat, "T", "rows").unwrap());
         let written = rows(&env);
-        assert!(cat.set_props("missing", &[("a", "b")]).is_err());
-        assert!(!cat.remove_prop("T", "rows").unwrap());
+        assert!(set_props(cat, "missing", &[("a", "b")]).is_err());
+        assert!(!remove_prop(cat, "T", "rows").unwrap());
         assert_eq!(rows(&env), written, "a failed set_props or an idle remove_prop");
         assert!(!cat.get("T").unwrap().props.contains_key("rows"));
-        cat.drop_class("T").unwrap();
+        cat.drop_class("T", &[]).unwrap();
         assert!(cat.get("T").is_none());
     }
 
@@ -385,11 +413,18 @@ mod tests {
             names
         };
         let big = "x".repeat(Heap::max_payload());
-        cat.create_class("T", ClassKind::Heap, env.disk_id(), props(&[("a", "b")])).unwrap();
+        cat.create_class("T", ClassKind::Heap, env.disk_id(), props(&[("a", "b")]), no_files)
+            .unwrap();
         let (before, heap_files) = (rows(&env), files(&dir.path().join("heap")));
-        let err = cat.create_class("U", ClassKind::Heap, env.disk_id(), props(&[("big", &big)]));
+        let err = cat.create_class(
+            "U",
+            ClassKind::Heap,
+            env.disk_id(),
+            props(&[("big", &big)]),
+            no_files,
+        );
         assert!(matches!(err, Err(HeapError::Catalog(_))), "{err:?}");
-        let err = cat.set_props("T", &[("c", "d"), ("big", &big)]);
+        let err = set_props(cat, "T", &[("c", "d"), ("big", &big)]);
         assert!(matches!(err, Err(HeapError::Catalog(_))), "{err:?}");
         assert!(cat.get("U").is_none());
         assert_eq!(cat.get("T").unwrap().props, props(&[("a", "b")]));
@@ -398,7 +433,8 @@ mod tests {
         // One short of the limit still fits.
         let name_and_key = 2 + 1 + 2 + 3 + 2;
         let fits = "y".repeat(Heap::max_payload() - 11 - name_and_key);
-        cat.create_class("V", ClassKind::Heap, env.disk_id(), props(&[("fit", &fits)])).unwrap();
+        cat.create_class("V", ClassKind::Heap, env.disk_id(), props(&[("fit", &fits)]), no_files)
+            .unwrap();
     }
 
     #[test]
@@ -407,8 +443,9 @@ mod tests {
         {
             let env = StorageEnv::open(dir.path()).unwrap();
             let cat = env.catalog();
-            cat.create_class("T", ClassKind::Heap, env.disk_id(), HashMap::new()).unwrap();
-            cat.set_props("T", &[("rows_xid", "7"), ("rows", "4096")]).unwrap();
+            cat.create_class("T", ClassKind::Heap, env.disk_id(), HashMap::new(), no_files)
+                .unwrap();
+            set_props(cat, "T", &[("rows_xid", "7"), ("rows", "4096")]).unwrap();
         }
         let env = StorageEnv::open(dir.path()).unwrap();
         let props = env.catalog().get("T").unwrap().props;
@@ -424,15 +461,15 @@ mod tests {
     fn set_props_batch_is_atomic_to_readers() {
         let (_dir, env) = temp_env();
         let cat = env.catalog();
-        cat.create_class("T", ClassKind::Heap, env.disk_id(), HashMap::new()).unwrap();
-        cat.set_props("T", &[("rows_xid", "1"), ("rows", "1")]).unwrap();
+        cat.create_class("T", ClassKind::Heap, env.disk_id(), HashMap::new(), no_files).unwrap();
+        set_props(cat, "T", &[("rows_xid", "1"), ("rows", "1")]).unwrap();
         let done = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|s| {
             for w in ["1", "2"] {
                 let (cat, done) = (&cat, &done);
                 s.spawn(move || {
                     for _ in 0..200 {
-                        cat.set_props("T", &[("rows_xid", w), ("rows", w)]).unwrap();
+                        set_props(cat, "T", &[("rows_xid", w), ("rows", w)]).unwrap();
                     }
                     done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 });
@@ -448,7 +485,9 @@ mod tests {
     fn class_names_sorted() {
         let (_dir, env) = temp_env();
         for n in ["zeta", "alpha", "mid"] {
-            env.catalog().create_class(n, ClassKind::Heap, env.disk_id(), HashMap::new()).unwrap();
+            env.catalog()
+                .create_class(n, ClassKind::Heap, env.disk_id(), HashMap::new(), no_files)
+                .unwrap();
         }
         assert_eq!(env.catalog().class_names(), vec!["alpha", "mid", "zeta"]);
     }

@@ -12,8 +12,8 @@ use pglo_smgr::{
     StorageManager, VFile, Vfs, WormSmgr,
 };
 use pglo_txn::{CommitTs, DurabilityHook, Txn, TxnManager, Xid};
-use pglo_wal::{PageRanges, Wal, WalRecord, COMMIT_PIN};
-use std::collections::HashMap;
+use pglo_wal::{PageRanges, RelFiles, Wal, WalRecord, COMMIT_PIN, KIND_CREATE_REL, KIND_DROP_RELS};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -102,6 +102,9 @@ pub type RelLatch = Arc<parking_lot::Mutex<()>>;
 struct WalDurability {
     pool: Arc<BufferPool>,
     wal: Arc<Wal>,
+    switch: Arc<SmgrSwitch>,
+    /// What each transaction owes its relation files, by XID.
+    owed: parking_lot::Mutex<BTreeMap<u32, Owed>>,
     disk: Arc<DiskSmgr>,
     worm_id: SmgrId,
     worm: Arc<WormSmgr>,
@@ -111,15 +114,56 @@ struct WalDurability {
     xact: parking_lot::Mutex<VFile>,
 }
 
+/// A relation file lives and dies with a committed row: a transaction
+/// owes the `CreateRel` records of what it made, whose files go if it
+/// aborts, and the `DropRels` of what it drops, whose files go once its
+/// commit is durable. `done` once it finished and a removal failed: each
+/// checkpoint retries those.
+#[derive(Clone, Default)]
+struct Owed {
+    recs: Vec<WalRecord>,
+    done: bool,
+}
+
+impl Owed {
+    /// Its records of `kind`.
+    fn of(&self, kind: u8) -> Vec<WalRecord> {
+        self.recs.iter().filter(|rec| rec.kind() == kind).cloned().collect()
+    }
+}
+
 impl DurabilityHook for WalDurability {
     fn note_next_xid(&self, next: Xid) {
         self.wal.note_next_xid(next.0);
     }
 
+    /// The commit's batch names its drops before its record; once the
+    /// batch is durable they are removed, here.
     fn prepare_commit(&self, xid: Xid, ts: CommitTs) -> std::io::Result<()> {
         self.pool.capture_pending().map_err(std::io::Error::other)?;
-        let end = self.wal.append(&WalRecord::Commit { xid: xid.0, ts })?;
-        self.wal.flush_to(end)
+        let drops = self.owed.lock().get(&xid.0).map(|owed| owed.of(KIND_DROP_RELS));
+        let commit = WalRecord::Commit { xid: xid.0, ts };
+        let batch = drops.iter().flatten().chain([&commit]).map(WalRecord::prepare);
+        let end = self.wal.append_batch(&mut batch.collect::<Vec<_>>())?.last().map(|at| at.end);
+        self.wal.flush_to(end.unwrap_or_default())?;
+        if let Some(drops) = drops {
+            self.settle(xid.0, drops);
+        }
+        Ok(())
+    }
+
+    /// The files the transaction made go now. Named again first, after
+    /// every page delta of theirs: a redo horizon that passes the create
+    /// record cannot leave a delta to replay that would make one again.
+    fn abort(&self, xid: Xid) {
+        let Some(made) = self.owed.lock().get(&xid.0).map(|owed| owed.of(KIND_CREATE_REL)) else {
+            return;
+        };
+        let mut batch: Vec<_> = made.iter().map(WalRecord::prepare).collect();
+        if !batch.is_empty() && self.wal.append_batch(&mut batch).is_err() {
+            obs::counter!("heap.rel_files.log_errors").inc();
+        }
+        self.settle(xid.0, made);
     }
 }
 
@@ -131,14 +175,54 @@ impl WalDurability {
     /// recycle pins for WORM relations whose blocks are all burned (the
     /// platter file is then their durable home and replay is unneeded),
     /// then let the WAL clamp by the surviving pins and recycle segments.
+    /// What is owed is retried, and what is still owed then is restated
+    /// in the checkpoint's batch, read after `cap`: a create or drop
+    /// registered later logs its own record at or past the horizon.
     fn checkpoint(&self, txns: &TxnManager) -> std::io::Result<()> {
         let cap = self.wal.end_lsn();
         let horizon = self.pool.dirty_horizon().map_or(cap, |h| h.min(cap));
         self.disk.sync_all_open().map_err(std::io::Error::other)?;
         self.persist_outcomes(txns)?;
         self.wal.prune_pins(self.worm_id.0 as u32, |rel| self.worm.has_staged(rel));
-        self.wal.checkpoint(Some(horizon))?;
+        self.settle_finished();
+        let restate: Vec<WalRecord> =
+            self.owed.lock().values().flat_map(|o| o.recs.clone()).collect();
+        self.wal.checkpoint(Some(horizon), &restate)?;
         Ok(())
+    }
+
+    /// Remove the files `recs` name (pool pages first; a file already gone
+    /// counts as removed), then forget `xid`, or keep the records whose
+    /// removal failed for the checkpoints to retry.
+    fn settle(&self, xid: u32, mut recs: Vec<WalRecord>) {
+        recs.retain(|rec| {
+            let (WalRecord::CreateRel(files) | WalRecord::DropRels(files)) = rec else {
+                return false;
+            };
+            let smgr = SmgrId(files.smgr as u16);
+            let failed = files.rels.iter().filter(|&&rel| {
+                self.pool.discard_rel(smgr, rel);
+                let gone = self.switch.get(smgr).and_then(|mgr| mgr.unlink(rel));
+                !matches!(gone, Ok(()) | Err(SmgrError::NotFound(_)))
+            });
+            let failed = failed.count() as u64;
+            obs::counter!("heap.rel_files.errors").add(failed);
+            failed > 0
+        });
+        let mut owed = self.owed.lock();
+        owed.remove(&xid);
+        if !recs.is_empty() {
+            owed.insert(xid, Owed { recs, done: true });
+        }
+    }
+
+    /// Settle every finished transaction's debt.
+    fn settle_finished(&self) {
+        let done: Vec<(u32, Owed)> =
+            self.owed.lock().iter().filter(|(_, o)| o.done).map(|(&x, o)| (x, o.clone())).collect();
+        for (xid, owed) in done {
+            self.settle(xid, owed.recs);
+        }
     }
 
     /// Write the table range covering every pinned commit whose outcome
@@ -330,6 +414,7 @@ impl StorageEnv {
         wal.pin_smgr(COMMIT_PIN);
         let (xact, mut table) = open_outcomes(&vfs, &base_dir)
             .map_err(|e| HeapError::Catalog(format!("outcome table: {e}")))?;
+        let mut owed: BTreeMap<u32, Owed> = BTreeMap::new();
         let limits = wal
             .replay(|_lsn, rec| match rec {
                 WalRecord::PageDelta { smgr, rel, block, ranges } => {
@@ -355,9 +440,22 @@ impl StorageEnv {
                     },
                     Err(_) => Ok(()),
                 },
+                rec @ (WalRecord::CreateRel(RelFiles { xid, .. })
+                | WalRecord::DropRels(RelFiles { xid, .. })) => {
+                    owed.entry(xid).or_default().recs.push(rec);
+                    Ok(())
+                }
                 WalRecord::Checkpoint { .. } | WalRecord::Limits(_) => Ok(()),
             })
             .map_err(|e| HeapError::Catalog(format!("wal replay: {e}")))?;
+        // Every create and drop replay named is finished now, by its
+        // transaction's outcome: a create's files go unless it committed,
+        // a drop's if it did. They go once the durability hook is up.
+        for (&xid, owed) in &mut owed {
+            let committed = table.get(xid as usize).is_some_and(|&ts| ts != 0);
+            owed.recs.retain(|rec| (rec.kind() == KIND_DROP_RELS) == committed);
+            owed.done = true;
+        }
         let bgwriter = match opts.bgwriter_interval {
             Some(interval) => Some(
                 pool.spawn_bgwriter(interval)
@@ -373,12 +471,15 @@ impl StorageEnv {
         let durability = Arc::new(WalDurability {
             pool,
             wal,
+            switch: Arc::clone(&switch),
+            owed: parking_lot::Mutex::with_rank(owed, parking_lot::ranks::ENV_OWED),
             disk: disk_smgr,
             worm_id: worm,
             worm: worm_smgr,
             xact: parking_lot::Mutex::with_rank(xact, parking_lot::ranks::ENV_XACT),
         });
         txns.set_durability_hook(Arc::clone(&durability) as Arc<dyn DurabilityHook>);
+        durability.settle_finished();
         // Checkpoint far less often than the bgwriter writes back: the
         // horizon only advances once home writes are durable, so each
         // checkpoint costs an fsync sweep in power mode.
@@ -464,6 +565,28 @@ impl StorageEnv {
         self.txns.begin()
     }
 
+    /// Make relation files `oids` on `smgr`, `txn`'s: one logged record
+    /// names them all and is flushed before the first is made. They live
+    /// if `txn` commits and go if it aborts, now or in recovery.
+    pub fn create_rels(&self, txn: &Txn, smgr: SmgrId, oids: &[RelFileId]) -> Result<()> {
+        let (mgr, wal, xid) = (self.switch.get(smgr)?, self.wal(), txn.xid().0);
+        let rec = WalRecord::CreateRel(RelFiles { smgr: smgr.0.into(), xid, rels: oids.to_vec() });
+        self.durability.owed.lock().entry(xid).or_default().recs.push(rec.clone());
+        let logged = wal.append(&rec).and_then(|end| wal.flush_to(end));
+        logged.map_err(|e| HeapError::Smgr(e.into()))?;
+        oids.iter().try_for_each(|&oid| mgr.create(oid))?;
+        Ok(())
+    }
+
+    /// Drop relation files `oids` on `smgr` when `txn` commits: its commit
+    /// record's batch names them and they are removed once it is durable,
+    /// or by recovery. An abort keeps them.
+    pub fn drop_rels(&self, txn: &Txn, smgr: SmgrId, oids: &[RelFileId]) {
+        let (xid, rels) = (txn.xid().0, oids.to_vec());
+        let rec = WalRecord::DropRels(RelFiles { smgr: smgr.0.into(), xid, rels });
+        self.durability.owed.lock().entry(xid).or_default().recs.push(rec);
+    }
+
     /// The simulation context charging every device/CPU operation.
     pub fn sim(&self) -> &SimContext {
         &self.sim
@@ -531,6 +654,7 @@ impl StorageEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pglo_smgr::SimVfs;
 
     #[test]
     fn open_registers_standard_managers() {
@@ -664,13 +788,14 @@ mod tests {
     /// file only at write-back, so each checkpoint's log write (the record
     /// that moves the redo horizon past it) must come after the sync of
     /// every data segment written since the previous checkpoint, and after
-    /// the sync of the outcome-table slice the pass wrote. Read off the
-    /// file layer's op log over three rounds of insert, commit, write-back
-    /// and checkpoint.
+    /// the sync of the outcome-table slice the pass wrote; and no pass
+    /// syncs a data file that had no write since its last sync (the class
+    /// heap's, written in the first round only). Read off the file layer's
+    /// op log over three rounds of insert, commit, write-back and
+    /// checkpoint.
     #[test]
     fn checkpoint_log_write_follows_the_syncs_it_relies_on() {
         use pglo_smgr::simvfs::OpKind;
-        use pglo_smgr::SimVfs;
         let sim = SimVfs::new();
         let opts = EnvOptions { vfs: sim.clone(), ..Default::default() };
         let env = StorageEnv::open_with("db", opts).unwrap();
@@ -711,13 +836,81 @@ mod tests {
                 (FileClass::Data | FileClass::Xact, OpKind::Write | OpKind::SetLen) => {
                     unsynced.insert(&op.path);
                 }
-                (_, OpKind::Sync) => {
-                    unsynced.remove(&op.path);
+                (class, OpKind::Sync) => {
+                    let written = unsynced.remove(&op.path);
+                    let idle = pass.is_some() && class == FileClass::Data && !written;
+                    assert!(!idle, "checkpoint op {i} syncs {:?}, unwritten", op.path);
                 }
                 _ => {}
             }
         }
         assert_eq!(checked, 3, "each pass writes the log once it is synced");
+    }
+
+    /// A store on a `SimVfs` with small log segments.
+    fn sim_env(sim: &Arc<SimVfs>) -> Arc<StorageEnv> {
+        let opts =
+            EnvOptions { vfs: sim.clone(), wal_segment_bytes: 1 << 16, ..Default::default() };
+        StorageEnv::open_with("db", opts).unwrap()
+    }
+
+    /// Whether relation `oid` has a file on the disk, after recovering
+    /// each crash image of `sim`.
+    fn recovered_exists(sim: &SimVfs, oid: u64) -> [bool; 2] {
+        [Durability::Process, Durability::Power].map(|mode| {
+            let env = sim_env(&sim.crash(mode));
+            let disk = env.switch().get(env.disk_id()).unwrap();
+            disk.exists(oid)
+        })
+    }
+
+    /// A create older than the redo horizon, whose transaction never
+    /// commits: the checkpoint that moved the horizon past its record
+    /// restated it, so recovery removes its file.
+    #[test]
+    fn live_create_behind_the_horizon_is_removed_after_a_crash() {
+        let sim = SimVfs::new();
+        let env = sim_env(&sim);
+        let (live, oid) = (env.begin(), env.catalog().alloc_oid().unwrap());
+        let created = env.wal().end_lsn();
+        env.create_rels(&live, env.disk_id(), &[oid]).unwrap();
+        let heap = crate::Heap::create_anonymous(&env, env.disk_id()).unwrap();
+        let txn = env.begin();
+        heap.insert(&txn, b"committed").unwrap();
+        txn.commit();
+        env.pool().flush_all().unwrap();
+        env.checkpoint().unwrap();
+        assert!(env.wal().redo_lsn() > created, "the horizon passed the create");
+        assert_eq!(recovered_exists(&sim, oid), [false; 2], "the live create's file");
+        assert_eq!(recovered_exists(&sim, heap.rel()), [true; 2], "a committed create's file");
+        drop(live);
+    }
+
+    /// An aborted create whose page delta another commit logged, and a
+    /// redo horizon between its create record and that delta: replay
+    /// makes the file again from the delta, and the record the abort
+    /// restated removes it.
+    #[test]
+    fn aborted_create_with_a_delta_past_the_horizon_is_removed_after_a_crash() {
+        let sim = SimVfs::new();
+        let env = sim_env(&sim);
+        let other = crate::Heap::create_anonymous(&env, env.disk_id()).unwrap();
+        let (t, oid) = (env.begin(), env.catalog().alloc_oid().unwrap());
+        let created = env.wal().end_lsn();
+        env.create_rels(&t, env.disk_id(), &[oid]).unwrap();
+        // A committed page left dirty: the horizon stops at its delta.
+        let u = env.begin();
+        other.insert(&u, b"dirty").unwrap();
+        u.commit();
+        crate::Heap::open_oid(&env, oid, env.disk_id()).insert(&t, b"aborted").unwrap();
+        env.pool().capture_pending().unwrap();
+        let delta = env.wal().end_lsn();
+        t.abort();
+        assert!(!env.switch().get(env.disk_id()).unwrap().exists(oid), "the abort removed it");
+        env.checkpoint().unwrap();
+        let horizon = env.wal().redo_lsn();
+        assert!(created < horizon && horizon < delta, "{created} < {horizon} < {delta}");
+        assert_eq!(recovered_exists(&sim, oid), [false; 2], "the aborted create's file");
     }
 
     /// Classes survive a reopen; one named `next_oid`, the key of an
@@ -729,7 +922,13 @@ mod tests {
             let env = StorageEnv::open(dir.path()).unwrap();
             for name in ["T", "next_oid"] {
                 env.catalog()
-                    .create_class(name, crate::ClassKind::Heap, env.disk_id(), Default::default())
+                    .create_class(
+                        name,
+                        crate::ClassKind::Heap,
+                        env.disk_id(),
+                        Default::default(),
+                        crate::catalog::no_files,
+                    )
                     .unwrap();
             }
         }

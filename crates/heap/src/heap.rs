@@ -7,6 +7,7 @@
 //! is the explicit, user-invoked point at which history older than a
 //! horizon is discarded.
 
+use crate::catalog::no_files;
 use crate::env::StorageEnv;
 use crate::tuple::{tuple_payload, TupleHeader, TUPLE_HEADER_SIZE};
 use crate::{ClassKind, HeapError, Result};
@@ -36,22 +37,25 @@ pub struct Heap {
 }
 
 impl Heap {
-    /// Create a named heap class; the catalog makes it (file, then row).
+    /// Create a named heap class; the catalog makes its file and its row
+    /// in one transaction.
     pub fn create(
         env: &Arc<StorageEnv>,
         name: &str,
         smgr: SmgrId,
         props: HashMap<String, String>,
     ) -> Result<Heap> {
-        let meta = env.catalog().create_class(name, ClassKind::Heap, smgr, props)?;
+        let meta = env.catalog().create_class(name, ClassKind::Heap, smgr, props, no_files)?;
         Ok(Self::open_oid(env, meta.oid, smgr))
     }
 
-    /// Create an anonymous heap (no catalog name) — per-large-object chunk
-    /// classes use these; their OIDs are recorded in large-object metadata.
+    /// Create an anonymous heap (no catalog name) in a transaction of its
+    /// own, committed: no row names it. A create that a row names makes
+    /// its files in the row's transaction ([`StorageEnv::create_rels`]).
     pub fn create_anonymous(env: &Arc<StorageEnv>, smgr: SmgrId) -> Result<Heap> {
-        let oid = env.catalog().alloc_oid()?;
-        env.switch().get(smgr)?.create(oid)?;
+        let (txn, oid) = (env.begin(), env.catalog().alloc_oid()?);
+        env.create_rels(&txn, smgr, &[oid])?;
+        txn.try_commit().map_err(|e| HeapError::Smgr(e.into()))?;
         Ok(Self::open_oid(env, oid, smgr))
     }
 
@@ -362,15 +366,6 @@ impl Heap {
             reclaimed += dead.len();
         }
         Ok(reclaimed)
-    }
-
-    /// Drop the heap's storage (buffer pages discarded, file unlinked).
-    /// Does not touch the catalog; callers that created a named class drop
-    /// the catalog entry themselves.
-    pub fn drop_storage(&self) -> Result<()> {
-        self.env.pool().discard_rel(self.smgr, self.rel);
-        self.env.switch().get(self.smgr)?.unlink(self.rel)?;
-        Ok(())
     }
 }
 
@@ -742,14 +737,20 @@ mod tests {
     }
 
     #[test]
-    fn anonymous_heap_and_drop_storage() {
+    fn anonymous_heap_and_its_drop() {
         let (_d, env) = env();
         let heap = Heap::create_anonymous(&env, env.disk_id()).unwrap();
         let t = env.begin();
         heap.insert(&t, b"data").unwrap();
         t.commit();
         assert!(heap.nblocks().unwrap() > 0);
-        heap.drop_storage().unwrap();
+        let t = env.begin();
+        env.drop_rels(&t, heap.smgr(), &[heap.rel()]);
+        t.abort();
+        assert!(heap.nblocks().unwrap() > 0, "an aborted drop keeps the file");
+        let t = env.begin();
+        env.drop_rels(&t, heap.smgr(), &[heap.rel()]);
+        t.commit();
         assert!(heap.nblocks().is_err());
     }
 

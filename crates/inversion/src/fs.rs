@@ -7,7 +7,7 @@ use pglo_adt::Datum;
 use pglo_btree::keys::{u64_bytes_key, u64_key};
 use pglo_btree::{BTree, ScanStart};
 use pglo_core::{LoHandle, LoId, LoSpec, LoStore, OpenMode, UserId};
-use pglo_heap::{AccessHint, Heap, StorageEnv};
+use pglo_heap::{AccessHint, ClassKind, Heap, StorageEnv};
 use pglo_pages::Tid;
 use pglo_txn::{Txn, Visibility};
 use std::collections::HashMap;
@@ -145,13 +145,19 @@ impl InversionFs {
                     Ok((Heap::open(env, name)?, BTree::open_oid(env, idx_oid, meta.smgr_id())))
                 }
                 None => {
+                    // The class's index is made in its create's transaction.
                     let smgr = file_spec.smgr.unwrap_or_else(|| env.disk_id());
-                    let idx = BTree::create_anonymous(env, smgr)?;
+                    let idx = env.catalog().alloc_oid()?;
                     let mut props = HashMap::new();
                     props.insert("schema".to_string(), schema.to_string());
-                    props.insert("index_oid".to_string(), idx.rel().to_string());
-                    let heap = Heap::create(env, name, smgr, props)?;
-                    Ok((heap, idx))
+                    props.insert("index_oid".to_string(), idx.to_string());
+                    let index = |txn: &Txn| -> pglo_heap::Result<()> {
+                        env.create_rels(txn, smgr, &[idx])?;
+                        BTree::create_empty(env, idx, smgr).map(drop)
+                    };
+                    let meta =
+                        env.catalog().create_class(name, ClassKind::Heap, smgr, props, index)?;
+                    Ok((Heap::open_oid(env, meta.oid, smgr), BTree::open_oid(env, idx, smgr)))
                 }
             }
         };

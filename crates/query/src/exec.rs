@@ -210,16 +210,13 @@ impl Executor<'_> {
         Ok(QueryResult::command(0))
     }
 
-    /// `destroy CLASS`: its row goes first and its relation with it
-    /// (`Catalog::drop_class`), then its indexes' relations, so a crash
-    /// in between leaves files no class names, never a class without one.
+    /// `destroy CLASS`: one transaction deletes its row and drops its
+    /// relation and its indexes' (`Catalog::drop_class`), so they go
+    /// together when it commits.
     fn destroy(&mut self, class: &str) -> Result<QueryResult> {
         self.open_heap(class)?;
-        let indexes = self.class_indexes(class)?;
-        let meta = self.db.env().catalog().drop_class(class)?;
-        for def in indexes {
-            Heap::open_oid(self.db.env(), def.btree_oid, meta.smgr_id()).drop_storage()?;
-        }
+        let indexes: Vec<u64> = self.class_indexes(class)?.iter().map(|d| d.btree_oid).collect();
+        self.db.env().catalog().drop_class(class, &indexes)?;
         Ok(QueryResult::command(0))
     }
 
@@ -324,34 +321,43 @@ impl Executor<'_> {
                 "index \"{name}\" already exists on \"{class}\""
             )));
         }
-        let tree =
-            BTree::create_anonymous(self.db.env(), meta.smgr_id()).map_err(QueryError::Heap)?;
+        let env = self.db.env();
         let def = IndexDef {
             name: name.to_string(),
-            btree_oid: tree.rel(),
+            btree_oid: env.catalog().alloc_oid()?,
             expr: expr.clone(),
             expr_text: expr_text.to_string(),
         };
-        // Backfill: every existing row version gets an entry, so as-of
-        // reads through the index stay correct.
         let heap = self.open_heap(class)?;
-        let rows: Vec<(Tid, Vec<u8>)> =
-            heap.scan(Visibility::Raw).collect::<std::result::Result<_, _>>()?;
         let mut entries = 0usize;
-        for (tid, payload) in rows {
-            let values = decode_row(&payload)?;
-            let binding = RowBinding::single(class, &schema, &values);
-            let v = self.eval(&def.expr, Some(&binding))?;
-            if let Some(key) = datum_key(&v) {
-                tree.insert(&key, tid)?;
-                entries += 1;
+        // The index's relation is made, and filled, in the transaction that
+        // adds its property to the class row.
+        let add =
+            |meta: &mut pglo_heap::ClassMeta| meta.props.insert(prop, def.to_prop()).is_none();
+        env.catalog().update(class, add, |txn| -> Result<()> {
+            env.create_rels(txn, meta.smgr_id(), &[def.btree_oid])?;
+            let tree = BTree::create_empty(env, def.btree_oid, meta.smgr_id())?;
+            // Backfill: every existing row version gets an entry, so as-of
+            // reads through the index stay correct.
+            let rows: Vec<(Tid, Vec<u8>)> =
+                heap.scan(Visibility::Raw).collect::<std::result::Result<_, _>>()?;
+            for (tid, payload) in rows {
+                let values = decode_row(&payload)?;
+                let binding = RowBinding::single(class, &schema, &values);
+                let v = self.eval(&def.expr, Some(&binding))?;
+                if let Some(key) = datum_key(&v) {
+                    tree.insert(&key, tid)?;
+                    entries += 1;
+                }
             }
-        }
-        self.db.env().catalog().set_props(class, &[(&prop, &def.to_prop())])?;
+            Ok(())
+        })?;
         Ok(QueryResult::command(entries))
     }
 
-    /// `destroy index NAME on CLASS`.
+    /// `destroy index NAME on CLASS`: one transaction removes its property
+    /// from the class row and drops its relation, which goes when that
+    /// commits.
     fn destroy_index(&mut self, name: &str, class: &str) -> Result<QueryResult> {
         let defs = self.class_indexes(class)?;
         let def = defs
@@ -364,9 +370,12 @@ impl Executor<'_> {
             .catalog()
             .get(class)
             .ok_or_else(|| QueryError::Semantic(format!("class \"{class}\" does not exist")))?;
-        // The property first, as `destroy` drops the row first.
-        self.db.env().catalog().remove_prop(class, &index_prop_key(name))?;
-        Heap::open_oid(self.db.env(), def.btree_oid, meta.smgr_id()).drop_storage()?;
+        let (env, prop) = (self.db.env(), index_prop_key(name));
+        let remove = |meta: &mut pglo_heap::ClassMeta| meta.props.remove(&prop).is_some();
+        env.catalog().update(class, remove, |txn| -> Result<()> {
+            env.drop_rels(txn, meta.smgr_id(), &[def.btree_oid]);
+            Ok(())
+        })?;
         Ok(QueryResult::command(0))
     }
 

@@ -96,10 +96,12 @@ mod tests {
     use pglo_heap::StorageEnv;
     use std::sync::Arc;
 
-    /// A temp whose unlink fails stays the session's, and the next sweep
-    /// reclaims it; one somebody already unlinked counts as reclaimed.
+    /// A temp whose relation file cannot be removed is reclaimed like any
+    /// other: its unlink committed, so no snapshot sees it. The blocked
+    /// file is removed by the first checkpoint after the blocker is
+    /// cleared. One somebody already unlinked counts as reclaimed.
     #[test]
-    fn gc_temps_keeps_a_temp_whose_unlink_failed() {
+    fn gc_temps_reclaims_a_temp_whose_file_removal_failed() {
         let dir = tempfile::tempdir().unwrap();
         let env = StorageEnv::open(dir.path()).unwrap();
         let store = LoStore::new(Arc::clone(&env)).unwrap();
@@ -112,19 +114,22 @@ mod tests {
         store.unlink(gone).unwrap();
 
         // A non-empty directory sits where `stuck`'s chunk heap file was,
-        // so its unlink fails dropping the storage.
+        // so removing that file fails.
         let rel =
             dir.path().join("heap").join(format!("rel_{}.pg", store.meta(stuck).unwrap().data_rel));
         std::fs::remove_file(&rel).unwrap();
         std::fs::create_dir(&rel).unwrap();
         std::fs::write(rel.join("pinned"), b"x").unwrap();
-        assert_eq!(session.gc_temps(&store), 1, "the temp already unlinked is reclaimed");
-        assert_eq!(session.temps, [stuck], "the failed temp stays the session's");
-        assert_eq!(store.temp_count(), 1, "and the store's");
-
-        std::fs::remove_dir_all(&rel).unwrap();
-        assert_eq!(session.gc_temps(&store), 1);
+        assert_eq!(session.gc_temps(&store), 2, "both are reclaimed");
         assert!(session.temps.is_empty());
+        assert_eq!(store.temp_count(), 0);
         assert!(matches!(store.meta(stuck), Err(LoError::NotFound(_))));
+
+        // The blocker cleared, a file is back in its place: the next
+        // checkpoint removes it.
+        std::fs::remove_dir_all(&rel).unwrap();
+        std::fs::write(&rel, b"").unwrap();
+        env.checkpoint().unwrap();
+        assert!(!rel.exists(), "the checkpoint retried the removal");
     }
 }

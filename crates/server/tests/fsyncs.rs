@@ -16,7 +16,7 @@ const OBJECTS: u64 = 3;
 
 /// Open a store on `vfs`; run `OBJECTS` rounds of create, extend and
 /// commit, then unlink each object in a committed transaction of its
-/// own, then checkpoint. Returns how far each counter moved over the
+/// own, then write the pool's pages home and checkpoint. Returns how far each counter moved over the
 /// run, the commits made, and what `mark` returned at the run's start
 /// and end.
 fn run<T>(vfs: Arc<dyn Vfs>, mark: impl Fn() -> T) -> (impl Fn(&str) -> u64, u64, [T; 2]) {
@@ -43,6 +43,7 @@ fn run<T>(vfs: Arc<dyn Vfs>, mark: impl Fn() -> T) -> (impl Fn(&str) -> u64, u64
         c.commit().unwrap();
         commits += 2;
     }
+    env.pool().flush_all().unwrap();
     env.checkpoint().unwrap();
     let (after, to) = (stats(c), mark());
     drop(lb.client);
@@ -76,12 +77,14 @@ fn fsyncs_per_mode_through_the_file_layer() {
     }
     assert!(moved("vfs.log.bytes_written") > 0, "the commits wrote the log");
 
-    // Power mode: every commit batch syncs the log, and every relation
-    // file made or removed syncs its directory before the call returns.
+    // Power mode: every commit batch syncs the log, and so does every
+    // create's record before its first relation file is made; every
+    // relation file made or removed syncs its directory before the call
+    // returns.
     let (moved, commits, _) = run(HostVfs::shared(Durability::Power), || ());
     assert!(
-        moved("vfs.log.fsyncs") >= commits,
-        "{} log fsyncs, {commits} commits",
+        moved("vfs.log.fsyncs") >= commits + OBJECTS,
+        "{} log fsyncs, {commits} commits, {OBJECTS} creates",
         moved("vfs.log.fsyncs")
     );
     assert!(
@@ -93,6 +96,6 @@ fn fsyncs_per_mode_through_the_file_layer() {
         creates + removes,
         "a directory fsync per create and remove"
     );
-    assert!(moved("vfs.data.fsyncs") > 0, "the checkpoint synced the data files");
+    assert!(moved("vfs.data.fsyncs") > 0, "the checkpoint synced the data files written");
     assert!(moved("vfs.xact.fsyncs") > 0, "the checkpoint synced the outcome table");
 }

@@ -182,15 +182,16 @@ impl DiskSmgr {
         }
     }
 
-    /// Sync every segment file in the open-file cache. Checkpoint-time
-    /// durability discipline: the redo horizon may only advance past page
-    /// writes once they are on the platter. Handles are cloned out of the
-    /// cache first so no lock is held across the syncs.
+    /// Sync every segment file in the open-file cache written since its
+    /// last sync here. Checkpoint-time durability discipline: the redo
+    /// horizon may only advance past page writes once they are on the
+    /// platter. Handles are cloned out of the cache first so no lock is
+    /// held across the syncs.
     pub fn sync_all_open(&self) -> Result<()> {
         let files: Vec<Arc<VFile>> =
             self.files.lock().values().flat_map(|r| r.segs.iter().map(Arc::clone)).collect();
         for f in files {
-            f.sync_data()?;
+            f.sync_written()?;
         }
         Ok(())
     }

@@ -12,6 +12,7 @@ use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// What a file holds: fixed when its handle is opened.
@@ -86,19 +87,25 @@ pub struct VFile {
     pub(crate) path: PathBuf,
     /// The class's `bytes_written` counter, looked up once at open.
     written: &'static obs::Counter,
+    /// Written or resized through this handle since its last
+    /// [`Self::sync_written`].
+    unsynced: AtomicBool,
 }
 
 impl VFile {
     /// Open the existing file at `path`.
     pub fn open(vfs: &Arc<dyn Vfs>, path: PathBuf, class: FileClass) -> io::Result<Self> {
-        let io = vfs.open_file(&path, class)?;
-        Ok(Self { io, path, written: counter(class, Count::BytesWritten) })
+        Ok(Self::new(vfs.open_file(&path, class)?, path, class))
     }
 
     /// Open the file at `path`, creating it if missing.
     pub fn create(vfs: &Arc<dyn Vfs>, path: PathBuf, class: FileClass) -> io::Result<Self> {
-        let io = vfs.create_file(&path, class)?;
-        Ok(Self { io, path, written: counter(class, Count::BytesWritten) })
+        Ok(Self::new(vfs.create_file(&path, class)?, path, class))
+    }
+
+    fn new(io: Box<dyn FileIo>, path: PathBuf, class: FileClass) -> Self {
+        let written = counter(class, Count::BytesWritten);
+        Self { io, path, written, unsynced: AtomicBool::new(false) }
     }
 
     /// See [`FileIo::read_at`].
@@ -109,18 +116,32 @@ impl VFile {
     /// See [`FileIo::write_at`].
     pub fn write_at(&self, buf: &[u8], off: u64) -> io::Result<()> {
         self.io.write_at(buf, off)?;
+        self.unsynced.store(true, Ordering::Release);
         self.written.add(buf.len() as u64);
         Ok(())
     }
 
     /// See [`FileIo::set_len`].
     pub fn set_len(&self, len: u64) -> io::Result<()> {
-        self.io.set_len(len)
+        self.io.set_len(len)?;
+        self.unsynced.store(true, Ordering::Release);
+        Ok(())
     }
 
     /// See [`FileIo::sync_data`].
     pub fn sync_data(&self) -> io::Result<()> {
         self.io.sync_data()
+    }
+
+    /// [`Self::sync_data`] if this handle wrote or resized the file since
+    /// its last call here. A write marks the file once it is done and the
+    /// mark is cleared before the sync, so a write racing the sync marks
+    /// it again; a failed sync restores it.
+    pub fn sync_written(&self) -> io::Result<()> {
+        if self.unsynced.swap(false, Ordering::AcqRel) {
+            self.io.sync_data().inspect_err(|_| self.unsynced.store(true, Ordering::Release))?;
+        }
+        Ok(())
     }
 
     /// See [`FileIo::len`].

@@ -57,6 +57,11 @@ pub trait DurabilityHook: Send + Sync {
     /// concurrent snapshots still see the transaction in progress while
     /// the log is forced.
     fn prepare_commit(&self, xid: Xid, ts: CommitTs) -> std::io::Result<()>;
+
+    /// `xid` aborted (explicitly or by drop; not a failed commit). Called
+    /// with no transaction-manager locks held, once its status reads
+    /// aborted.
+    fn abort(&self, xid: Xid);
 }
 
 /// The transaction manager. One per database instance; cheaply shared via
@@ -178,6 +183,14 @@ impl TxnManager {
         let mut inner = self.inner.lock();
         assert!(inner.active.remove(&xid.0), "{xid} already finished");
         self.aborts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Abort `xid` and tell the hook.
+    fn abort(&self, xid: Xid) {
+        self.finish_abort(xid);
+        if let Some(hook) = self.durability.get() {
+            hook.abort(xid);
+        }
     }
 
     /// Recompute `visible_ts` under the inner lock: the timestamp just
@@ -326,14 +339,14 @@ impl Txn {
     pub fn abort(mut self) {
         let _span = obs::span!("txn.abort");
         self.done = true;
-        self.tm.finish_abort(self.xid);
+        self.tm.abort(self.xid);
     }
 }
 
 impl Drop for Txn {
     fn drop(&mut self) {
         if !self.done {
-            self.tm.finish_abort(self.xid);
+            self.tm.abort(self.xid);
         }
     }
 }
@@ -459,6 +472,8 @@ mod tests {
             self.0.store(u64::from(next.0), Ordering::Relaxed);
         }
 
+        fn abort(&self, _xid: Xid) {}
+
         fn prepare_commit(&self, _xid: Xid, _ts: CommitTs) -> std::io::Result<()> {
             Ok(())
         }
@@ -503,6 +518,8 @@ mod tests {
 
     impl DurabilityHook for ParkingHook {
         fn note_next_xid(&self, _next: Xid) {}
+
+        fn abort(&self, _xid: Xid) {}
 
         fn prepare_commit(&self, _xid: Xid, ts: CommitTs) -> std::io::Result<()> {
             if self.calls.fetch_add(1, Ordering::Relaxed) > 0 {

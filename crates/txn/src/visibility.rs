@@ -21,6 +21,10 @@ pub enum Visibility {
     /// Every version of every tuple, committed or not. Used by vacuum and
     /// storage-accounting tools, never by queries.
     Raw,
+    /// Every version no committed transaction deleted, whoever inserted
+    /// it: what a call that takes no transaction sees of a row (a large
+    /// object's metadata until its unlink commits).
+    Undeleted,
 }
 
 impl Visibility {
@@ -37,6 +41,7 @@ impl Visibility {
 pub fn tuple_visible(tmin: Xid, tmax: Xid, vis: &Visibility, tm: &TxnManager) -> bool {
     match vis {
         Visibility::Raw => true,
+        Visibility::Undeleted => !tmax.is_valid() || tm.status(tmax) != TxnStatus::Committed,
         Visibility::Snapshot { snapshot, own } => {
             let inserted = if tmin == *own {
                 true // own writes visible to self
@@ -185,6 +190,23 @@ mod tests {
         let x = t.xid();
         t.abort();
         assert!(tuple_visible(x, x, &Visibility::Raw, &tm));
+    }
+
+    /// Whoever inserted a version, `Undeleted` hides it only once its
+    /// deleter committed.
+    #[test]
+    fn undeleted_hides_only_committed_deletes() {
+        let tm = tm();
+        let (ins, del, aborted) = (tm.begin(), tm.begin(), tm.begin());
+        let (x, d, a) = (ins.xid(), del.xid(), aborted.xid());
+        ins.abort();
+        aborted.abort();
+        let undeleted = |tmax| tuple_visible(x, tmax, &Visibility::Undeleted, &tm);
+        assert!(undeleted(Xid::INVALID), "an aborted insert, never deleted");
+        assert!(undeleted(a), "an aborted delete");
+        assert!(undeleted(d), "a delete in progress");
+        del.commit();
+        assert!(!undeleted(d), "a committed delete");
     }
 
     #[test]

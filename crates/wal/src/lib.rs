@@ -53,6 +53,10 @@
 //!   a batch put behind its limit. An OID leaves it as a file name too,
 //!   so [`Wal::next_oid`] flushes the limit before handing one out. A
 //!   checkpoint's batch restates the limits.
+//! * **Logged relation files.** [`WalRecord::CreateRel`] and
+//!   [`WalRecord::DropRels`] name the files a transaction makes or drops;
+//!   recovery settles them by its outcome. A checkpoint restates those
+//!   still owed, so the horizon forgets none.
 //!
 //! Lock order (see `shims/parking_lot/src/ranks.rs`): `wal.flush` (44) is
 //! taken before `wal.append` (46); the flush leader snapshots the appender
@@ -130,6 +134,10 @@ pub const KIND_CHECKPOINT: u8 = 4;
 pub const KIND_PAGE_DELTA: u8 = 5;
 /// Counter-limit record tag.
 pub const KIND_LIMITS: u8 = 7;
+/// Relation-create record tag.
+pub const KIND_CREATE_REL: u8 = 8;
+/// Relation-drop record tag.
+pub const KIND_DROP_RELS: u8 = 9;
 
 /// The pin id of commit records (`rel` = XID); enable with
 /// [`Wal::pin_smgr`]. Storage managers pin under their slot, so only
@@ -215,6 +223,23 @@ pub enum WalRecord {
     },
     /// Every XID and OID handed out so far is below these limits.
     Limits(Limits),
+    /// Transaction `xid` makes these files, flushed before the first is
+    /// made: unless it commits, recovery removes them.
+    CreateRel(RelFiles),
+    /// Transaction `xid` drops these files, in its commit's batch: once it
+    /// commits, recovery removes them.
+    DropRels(RelFiles),
+}
+
+/// Relation files of one transaction on one storage manager.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RelFiles {
+    /// Storage manager id.
+    pub smgr: u32,
+    /// The creating or dropping transaction.
+    pub xid: u32,
+    /// The relation file ids.
+    pub rels: Vec<u64>,
 }
 
 impl WalRecord {
@@ -226,6 +251,8 @@ impl WalRecord {
             WalRecord::WormBurn { .. } => KIND_WORM_BURN,
             WalRecord::Checkpoint { .. } => KIND_CHECKPOINT,
             WalRecord::Limits(_) => KIND_LIMITS,
+            WalRecord::CreateRel(_) => KIND_CREATE_REL,
+            WalRecord::DropRels(_) => KIND_DROP_RELS,
         }
     }
 
@@ -259,6 +286,12 @@ impl WalRecord {
             WalRecord::Limits(Limits { xid, oid }) => {
                 buf.extend_from_slice(&u64::from(*xid).to_le_bytes());
                 buf.extend_from_slice(&oid.to_le_bytes());
+            }
+            WalRecord::CreateRel(RelFiles { smgr, xid, rels })
+            | WalRecord::DropRels(RelFiles { smgr, xid, rels }) => {
+                buf.extend_from_slice(&smgr.to_le_bytes());
+                buf.extend_from_slice(&xid.to_le_bytes());
+                rels.iter().for_each(|rel| buf.extend_from_slice(&rel.to_le_bytes()));
             }
         }
         PreparedRecord::seal(buf, self.pin())
@@ -436,6 +469,12 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Option<WalRecord> {
         rel: read_u64(payload, 8),
         ranges,
     };
+    // A relation record: `smgr u32, xid u32`, then one or more `u64`s.
+    let files = || {
+        let ids = payload.get(8..).filter(|ids| !ids.is_empty() && ids.len().is_multiple_of(8))?;
+        let rels = ids.as_chunks::<8>().0.iter().map(|b| u64::from_le_bytes(*b)).collect();
+        Some(RelFiles { smgr: read_u32(payload, 0), xid: read_u32(payload, 4), rels })
+    };
     match kind {
         KIND_PAGE_DELTA if payload.len() >= 16 => PageRanges::parse(&payload[16..]).map(page),
         KIND_COMMIT if payload.len() == 16 => {
@@ -450,6 +489,8 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Option<WalRecord> {
         KIND_LIMITS if payload.len() == 16 => {
             Some(WalRecord::Limits(Limits { xid: read_u32(payload, 0), oid: read_u64(payload, 8) }))
         }
+        KIND_CREATE_REL => files().map(WalRecord::CreateRel),
+        KIND_DROP_RELS => files().map(WalRecord::DropRels),
         _ => None,
     }
 }
@@ -978,8 +1019,10 @@ impl Wal {
     /// `dirty_horizon` is the buffer pool's oldest `rec_lsn` among dirty
     /// frames (`None` = nothing pending, the horizon is the end of log).
     /// The effective horizon is additionally clamped by pinned-smgr
-    /// records and never moves backwards. Returns the new redo LSN.
-    pub fn checkpoint(&self, dirty_horizon: Option<Lsn>) -> io::Result<Lsn> {
+    /// records and never moves backwards. `restate` (records replay still
+    /// needs, read after the caller bounded the horizon) goes into the
+    /// checkpoint's batch. Returns the new redo LSN.
+    pub fn checkpoint(&self, dirty_horizon: Option<Lsn>, restate: &[WalRecord]) -> io::Result<Lsn> {
         // Idle skip: if nothing was appended since the last checkpoint
         // record, another one can't move the horizon — and a periodic
         // checkpointer must not grow the log all by itself.
@@ -996,12 +1039,15 @@ impl Wal {
         horizon = horizon.max(prev);
         // Restate the limits above the horizon, read after it is fixed,
         // so no record below the horizon holds a higher one.
-        let limits = self.append.lock().limits;
-        let mut batch = [
-            WalRecord::Limits(limits).prepare(),
-            WalRecord::Checkpoint { redo_lsn: horizon }.prepare(),
-        ];
-        let end = self.append_batch(&mut batch)?[1].end;
+        let limits = WalRecord::Limits(self.append.lock().limits);
+        let checkpoint = WalRecord::Checkpoint { redo_lsn: horizon };
+        let mut batch: Vec<_> = [&limits]
+            .into_iter()
+            .chain(restate)
+            .chain([&checkpoint])
+            .map(WalRecord::prepare)
+            .collect();
+        let end = self.append_batch(&mut batch)?.last().map_or(0, |at| at.end);
         self.flush_to(end)?;
         self.last_ckpt.store(end, Ordering::Release);
         self.redo.store(horizon, Ordering::Release);
@@ -1188,6 +1234,22 @@ mod tests {
         // A 16-byte payload never reaches the fold: the table loop's pin.
         let commit = WalRecord::Commit { xid: 7, ts: 0x0102_0304_0506_0708 }.prepare();
         assert_eq!(commit.bytes[4..8], 0x2b73_09a8_u32.to_le_bytes());
+        // A relation record: `smgr u32, xid u32`, then each relation id.
+        let rels = vec![1000, 0x1122_3344_5566_7788];
+        let create =
+            WalRecord::CreateRel(RelFiles { smgr: 2, xid: 7, rels: rels.clone() }).prepare();
+        let payload = [
+            [2, 0, 0, 0, 7, 0, 0, 0],
+            1000u64.to_le_bytes(),
+            0x1122_3344_5566_7788u64.to_le_bytes(),
+        ];
+        assert_eq!(create.bytes[HEADER_BYTES..], *payload.as_flattened());
+        assert_eq!((create.bytes[8], create.bytes[12]), (24, KIND_CREATE_REL));
+        assert_eq!(create.bytes[4..8], 0xad53_3666_u32.to_le_bytes());
+        let drop = WalRecord::DropRels(RelFiles { smgr: 2, xid: 7, rels }).prepare();
+        assert_eq!(drop.bytes[HEADER_BYTES..], *payload.as_flattened());
+        assert_eq!((drop.bytes[8], drop.bytes[12]), (24, KIND_DROP_RELS));
+        assert_eq!(drop.bytes[4..8], 0xace6_cb7b_u32.to_le_bytes());
 
         let mut edited = image.clone();
         edited[100] ^= 1; // word 96..104
@@ -1326,21 +1388,35 @@ mod tests {
     fn append_flush_replay_roundtrip() {
         let dir = tempfile::tempdir().unwrap();
         let wal = open_small(dir.path()).unwrap();
-        let r1 = whole(1, 7, 3, 0xAB);
-        let r2 = WalRecord::Commit { xid: 42, ts: 99 };
-        let e1 = wal.append(&r1).unwrap();
-        let e2 = wal.append(&r2).unwrap();
-        assert!(e2 > e1);
-        wal.flush_to(e2).unwrap();
-        assert_eq!(wal.flushed_lsn(), e2);
+        let recs = [
+            whole(1, 7, 3, 0xAB),
+            WalRecord::CreateRel(RelFiles { smgr: 0, xid: 42, rels: vec![1000, 1001, 1002, 1003] }),
+            WalRecord::DropRels(RelFiles { smgr: 2, xid: 42, rels: vec![999] }),
+            WalRecord::Commit { xid: 42, ts: 99 },
+        ];
+        let ends: Vec<Lsn> = recs.iter().map(|r| wal.append(r).unwrap()).collect();
+        assert!(ends.is_sorted());
+        wal.flush_to(ends[3]).unwrap();
+        assert_eq!(wal.flushed_lsn(), ends[3]);
         drop(wal);
 
         let wal = open_small(dir.path()).unwrap();
-        assert_eq!(wal.end_lsn(), e2);
-        let recs = collect_replay(&wal);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].1, r1);
-        assert_eq!(recs[1].1, r2);
+        assert_eq!(wal.end_lsn(), ends[3]);
+        let replayed: Vec<WalRecord> = collect_replay(&wal).into_iter().map(|(_, r)| r).collect();
+        assert_eq!(replayed, recs);
+    }
+
+    /// A relation record's payload is `smgr u32, xid u32` and one or more
+    /// `u64` ids: a payload of any other length does not decode.
+    #[test]
+    fn relation_records_of_the_wrong_length_are_refused() {
+        let payload: Vec<u8> = (0..40).collect();
+        for kind in [KIND_CREATE_REL, KIND_DROP_RELS] {
+            for len in 0..=payload.len() {
+                let decodes = decode_payload(kind, &payload[..len]).is_some();
+                assert_eq!(decodes, len >= 16 && len.is_multiple_of(8), "kind {kind}, {len} bytes");
+            }
+        }
     }
 
     #[test]
@@ -1434,7 +1510,7 @@ mod tests {
             wal.append(&whole(1, 1, i, 1)).unwrap();
         }
         let mid = wal.end_lsn();
-        let horizon = wal.checkpoint(Some(mid)).unwrap();
+        let horizon = wal.checkpoint(Some(mid), &[]).unwrap();
         assert_eq!(horizon, mid);
         let tail = WalRecord::Commit { xid: 5, ts: 5 };
         let e = wal.append(&tail).unwrap();
@@ -1464,7 +1540,7 @@ mod tests {
         for i in 0..20u32 {
             wal.append(&whole(1, 1, i, 1)).unwrap();
         }
-        let horizon = wal.checkpoint(None).unwrap();
+        let horizon = wal.checkpoint(None, &[]).unwrap();
         // The pinned record holds the horizon at its LSN.
         assert_eq!(horizon, first);
         drop(wal);
@@ -1484,13 +1560,13 @@ mod tests {
         for i in 0..20u32 {
             wal.append(&whole(1, 1, i, 1)).unwrap();
         }
-        let first = wal.checkpoint(None).unwrap();
+        let first = wal.checkpoint(None, &[]).unwrap();
         assert!(first < wal.end_lsn(), "pinned record holds the horizon");
         // The manager attests rel 1 is durable at home: the pin goes
         // away and the next checkpoint advances past the pinned image.
         wal.prune_pins(3, |_rel| false);
         wal.append(&WalRecord::Commit { xid: 1, ts: 1 }).unwrap();
-        let after = wal.checkpoint(None).unwrap();
+        let after = wal.checkpoint(None, &[]).unwrap();
         assert!(after > first, "horizon advances once the pin is pruned");
         assert_eq!(after, wal.redo_lsn());
     }
@@ -1538,7 +1614,7 @@ mod tests {
         for i in 0..20u32 {
             wal.append(&whole(1, 1, i, 1)).unwrap();
         }
-        let horizon = wal.checkpoint(None).unwrap();
+        let horizon = wal.checkpoint(None, &[]).unwrap();
         assert!(horizon >= MIN_SEGMENT_BYTES, "the first segment is recycled");
         drop(wal);
         let wal = open_small(dir.path()).unwrap();
@@ -1612,7 +1688,7 @@ mod tests {
         for i in 0..20u32 {
             wal.append(&whole(1, 1, i, 1)).unwrap();
         }
-        assert_eq!(wal.checkpoint(None).unwrap(), first);
+        assert_eq!(wal.checkpoint(None, &[]).unwrap(), first);
         assert_eq!(wal.pinned(COMMIT_PIN), [7]);
         drop(wal);
         let wal = open_small(dir.path()).unwrap();
@@ -1621,7 +1697,7 @@ mod tests {
         assert_eq!(wal.pinned(COMMIT_PIN), [7]);
         wal.prune_pins(COMMIT_PIN, |_xid| false);
         wal.append(&WalRecord::Commit { xid: 8, ts: 2 }).unwrap();
-        assert!(wal.checkpoint(None).unwrap() > first, "the pruned commit no longer pins");
+        assert!(wal.checkpoint(None, &[]).unwrap() > first, "the pruned commit no longer pins");
         assert_eq!(wal.pinned(COMMIT_PIN), [8]);
     }
 
@@ -1697,7 +1773,7 @@ mod tests {
         }
         // The horizon at the end of log: every segment but the tail is
         // recycled, stale records and all.
-        let horizon = wal.checkpoint(None).unwrap();
+        let horizon = wal.checkpoint(None, &[]).unwrap();
         let live = Wal::scan_records(&host(), dir.path(), MIN_SEGMENT_BYTES).unwrap();
         assert!(live[0].lsn >= 4 * MIN_SEGMENT_BYTES, "four segments were recycled");
         let mut want = Vec::new();
@@ -1751,7 +1827,7 @@ mod tests {
             for i in 0..16u32 {
                 wal.append(&whole(1, 1, i, i as u8)).unwrap();
             }
-            wal.checkpoint(None).unwrap();
+            wal.checkpoint(None, &[]).unwrap();
         };
         let files = || {
             let mut f: Vec<(u64, u64)> = list_segments(&*host(), dir.path(), MIN_SEGMENT_BYTES)
@@ -1789,14 +1865,14 @@ mod tests {
         for i in 0..80u32 {
             wal.append(&whole(1, 1, i, 1)).unwrap();
         }
-        wal.checkpoint(None).unwrap();
+        wal.checkpoint(None, &[]).unwrap();
         let count = || list_segments(&*host(), dir.path(), MIN_SEGMENT_BYTES).unwrap().len();
         let burst = count();
         assert!(burst >= 10, "a burst of ten segments is kept as spares: {burst}");
         let removed = counter("wal.segment.removed");
         for i in 0..120u32 {
             wal.append(&whole(1, 1, i, 2)).unwrap();
-            wal.checkpoint(None).unwrap();
+            wal.checkpoint(None, &[]).unwrap();
         }
         assert!(count() <= 4, "{} segment files after small checkpoints", count());
         assert!(counter("wal.segment.removed") - removed >= (burst - 4) as u64);

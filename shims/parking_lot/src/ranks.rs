@@ -27,10 +27,6 @@ pub const ENV_BGWRITER: LockRank = LockRank::new(12, "heap.env.bgwriter");
 /// across thread join at shutdown, like [`ENV_BGWRITER`].
 pub const ENV_CHECKPOINTER: LockRank = LockRank::new(13, "heap.env.checkpointer");
 
-/// The map of per-relation latches in `StorageEnv` (`crates/heap`); held
-/// only to clone a latch out.
-pub const ENV_REL_LATCHES: LockRank = LockRank::new(14, "heap.env.rel_latches");
-
 /// The outcome-table file in `StorageEnv` (`crates/heap`); held across
 /// one checkpoint pass's table write, while the pass reads the WAL's
 /// commit pins and the transaction manager's outcomes.
@@ -41,6 +37,11 @@ pub const ENV_XACT: LockRank = LockRank::new(15, "heap.env.xact");
 /// commit, so everything those take (frames, log, smgr, transaction
 /// manager, then the class map under [`CATALOG`]) ranks higher.
 pub const CATALOG_WRITER: LockRank = LockRank::new(16, "heap.catalog_writer");
+
+/// The map of per-relation latches in `StorageEnv` (`crates/heap`); held
+/// only to clone a latch out. Above the catalog writer: a class's index
+/// is opened, and made, in the transaction that writes the class row.
+pub const ENV_REL_LATCHES: LockRank = LockRank::new(18, "heap.env.rel_latches");
 
 /// A per-relation B-tree latch (`StorageEnv::rel_latch`); held across
 /// whole index operations, i.e. across buffer-pool pins and smgr I/O.
@@ -116,6 +117,11 @@ pub const SMGR_NATIVE: LockRank = LockRank::new(55, "smgr.native.state");
 
 /// Sequential-access tracker for read charging (`crates/smgr`).
 pub const SMGR_SEQ: LockRank = LockRank::new(56, "smgr.seq_tracker");
+
+/// What each transaction owes its relation files, in `StorageEnv`
+/// (`crates/heap`); held only to read or update the map, never across
+/// the log or a file operation.
+pub const ENV_OWED: LockRank = LockRank::new(57, "heap.env.owed");
 
 /// Transaction-manager state (`crates/txn`); taken during visibility
 /// checks while heap scans hold a frame read latch, so it must rank

@@ -481,12 +481,13 @@ fn object_oids(store: &LoStore, id: LoId) -> Vec<u64> {
 /// No OID handed out before a crash is handed out again after recovery.
 /// For each chunked kind, a committed object, then OIDs drawn past a
 /// 1,024-OID limit block, then a create cut short after its relations:
-/// their files exist and the catalog never names them. The process is
-/// killed after the block's first OID and after each relation; with
+/// its transaction never commits. The process is killed after the block's
+/// first OID and after every file operation of the cut create; with
 /// `checkpoint`, a checkpoint first recycles the segment holding the last
 /// limit record, so only the checkpoint's batch restates it. Each image of
-/// each kill must hand out only OIDs above all those, create a fresh
-/// object of the kind, and read the committed one back.
+/// each kill must have removed the cut create's files, hand out only OIDs
+/// above all those, create a fresh object of the kind, and read the
+/// committed one back.
 fn handed_out_oid_never_reused(checkpoint: bool) {
     let seg = 64 * 1024u64;
     let base = vec![0x11u8; 20_000];
@@ -501,14 +502,11 @@ fn handed_out_oid_never_reused(checkpoint: bool) {
         h.close().unwrap();
         txn.commit();
         let mut handed = object_oids(&store, id);
-        let (mut kills, mut orphans) = (Vec::new(), Vec::new());
-        let mut kill = |handed: &[u64], orphans: &[u64]| {
-            kills.push((crash_images(&sim), *handed.iter().max().unwrap(), orphans.to_vec()));
-        };
         while handed.last() != Some(&2048) {
             handed.push(env.catalog().alloc_oid().unwrap());
         }
-        kill(&handed, &orphans); // the OID that logged the block past 2048
+        // The OID that logged the block past 2048.
+        let mut kills = vec![(crash_images(&sim), 2048, Vec::new())];
         if checkpoint {
             let txn = env.begin();
             let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
@@ -522,15 +520,21 @@ fn handed_out_oid_never_reused(checkpoint: bool) {
             assert_eq!(limits.len(), 1, "only the checkpoint's restated limits are left");
             assert!(limits[0].lsn >= env.wal().redo_lsn(), "and they are past the horizon");
         }
-        let heap = Heap::create_anonymous(&env, env.disk_id()).unwrap();
-        handed.push(heap.rel());
-        orphans.push(heap.rel());
-        kill(&handed, &orphans);
-        let index = pglo::btree::BTree::create_anonymous(&env, env.disk_id()).unwrap();
-        handed.push(index.rel());
-        orphans.push(index.rel());
-        kill(&handed, &orphans);
-        drop((heap, index, store, env));
+        let cut_kills = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let taken = Arc::clone(&cut_kills);
+        assert!(sim.on_op(move |sim, done| {
+            if done.kind.mutates() {
+                taken.lock().push(crash_images(sim));
+            }
+        }));
+        let cut = env.begin();
+        let cut_id = store.create(&cut, &spec).unwrap();
+        let orphans = object_oids(&store, cut_id)[1..].to_vec();
+        let max = cut_id.0.max(*orphans.iter().max().unwrap());
+        let cut_kills = std::mem::take(&mut *cut_kills.lock());
+        assert!(cut_kills.len() > orphans.len(), "a kill after each file the cut create made");
+        kills.extend(cut_kills.into_iter().map(|images| (images, max, orphans.clone())));
+        drop((cut, store, env));
 
         for (images, max, orphans) in kills {
             for (mode, image) in images {
@@ -538,8 +542,8 @@ fn handed_out_oid_never_reused(checkpoint: bool) {
                 let env = open_on(&image, crash_opts());
                 let disk = env.switch().get(env.disk_id()).unwrap();
                 assert!(
-                    orphans.iter().all(|&rel| disk.exists(rel)),
-                    "{what}: the cut create's files"
+                    orphans.iter().all(|&rel| !disk.exists(rel)),
+                    "{what}: the cut create's files outlived its transaction"
                 );
                 let next = env.catalog().alloc_oid().unwrap();
                 assert!(next > max, "{what}: OID {next} handed out again");
@@ -1357,11 +1361,56 @@ fn classes(env: &StorageEnv) -> Classes {
     catalog.class_names().iter().map(|name| (name.clone(), props(name))).collect()
 }
 
+/// The `files` of a class change that makes or drops no relation.
+fn no_files(_: &Txn) -> Result<(), pglo::heap::HeapError> {
+    Ok(())
+}
+
+/// Class properties from `(key, value)` pairs.
+fn props(pairs: &[(&str, &str)]) -> std::collections::HashMap<String, String> {
+    pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
+}
+
+/// The index relations a class's properties name: Inversion's
+/// `index_oid` and each POSTQUEL `index:<name>` definition's first field.
+fn index_oids(props: &std::collections::BTreeMap<String, String>) -> Vec<u64> {
+    let oids = props.iter().filter_map(|(key, value)| match key.as_str() {
+        "index_oid" => Some(value.as_str()),
+        key if key.starts_with("index:") => value.split('|').next(),
+        _ => None,
+    });
+    oids.map(|oid| oid.parse().unwrap()).collect()
+}
+
+/// A relation file lives and dies with a committed row: the files under
+/// `heap/` of a recovered store are exactly those a committed row names
+/// (each of `classes`' own relation and the indexes its properties name,
+/// and `objects`, the relations of committed large-object metadata rows)
+/// and files of the reserved OIDs.
+fn assert_files_named_by_rows(env: &StorageEnv, classes: &Classes, objects: &[u64], what: &str) {
+    let dir = Path::new(ROOT).join("heap");
+    let files: std::collections::BTreeSet<u64> = (env.vfs().list_dir(FileClass::Data, &dir))
+        .unwrap()
+        .iter()
+        .filter_map(|path| path.file_name()?.to_str()?.strip_prefix("rel_")?.split('.').next())
+        .map(|oid| oid.parse().unwrap())
+        .filter(|&oid| oid >= pglo::wal::FIRST_OID)
+        .collect();
+    let catalog = env.catalog();
+    let named: std::collections::BTreeSet<u64> = (classes.iter())
+        .flat_map(|(name, props)| {
+            [catalog.get(name).unwrap().oid].into_iter().chain(index_oids(props))
+        })
+        .chain(objects.iter().copied())
+        .collect();
+    assert_eq!(files, named, "{what}: the relation files are not those the committed rows name");
+}
+
 /// The crash gate for classes. The live store runs on a [`SimVfs`] and is
 /// killed (its images taken by the file layer's hook) after every file
 /// operation that changes what a crash leaves — a relation file made,
 /// written, synced or removed, a log write — in each of: the catalog's
-/// `create_class`, `set_props`, `remove_prop` and `drop_class`; a
+/// `create_class`, `update` (setting and removing properties) and `drop_class`; a
 /// POSTQUEL `create`, `define index` and `destroy`; and the Inversion file
 /// system's first open. Both images of each kill are recovered, and:
 /// - every class is absent, or present with its properties as the killed
@@ -1396,8 +1445,8 @@ fn crash_at_every_durable_step_of_class_changes() {
     use pglo::heap::ClassKind::Heap as H;
     const OPS: [&str; 9] = [
         "create_class",
-        "set_props",
-        "remove_prop",
+        "update: set properties",
+        "update: remove a property",
         "drop_class",
         "create",
         "define index",
@@ -1408,21 +1457,30 @@ fn crash_at_every_durable_step_of_class_changes() {
     let cat = env.catalog();
     let ops: [Box<dyn Fn()>; 9] = [
         Box::new(|| {
-            drop(cat.create_class("C", H, env.disk_id(), [("a".into(), "1".into())].into()))
+            drop(cat.create_class(
+                "C",
+                H,
+                env.disk_id(),
+                [("a".into(), "1".into())].into(),
+                no_files,
+            ))
         }),
-        Box::new(|| cat.set_props("C", &[("b", "2"), ("c", "3")]).unwrap()),
-        Box::new(|| assert!(cat.remove_prop("C", "a").unwrap())),
-        Box::new(|| drop(cat.drop_class("C").unwrap())),
+        Box::new(|| {
+            let set = |meta: &mut pglo::heap::ClassMeta| {
+                (meta.props.extend(props(&[("b", "2"), ("c", "3")])), true).1
+            };
+            assert!(cat.update("C", set, no_files).unwrap())
+        }),
+        Box::new(|| {
+            assert!(cat.update("C", |meta| meta.props.remove("a").is_some(), no_files).unwrap())
+        }),
+        Box::new(|| drop(cat.drop_class("C", &[]).unwrap())),
         Box::new(|| drop(db.run_script("create T (v = int4); append T (v = 1)").unwrap())),
         Box::new(|| drop(db.run("define index t_v on T (T.v)").unwrap())),
-        Box::new(|| drop(cat.create_class("K", H, env.disk_id(), Default::default()).unwrap())),
         Box::new(|| {
-            // Home and past the redo horizon: a file dropped too early
-            // cannot come back by replay.
-            env.pool().flush_all().unwrap();
-            env.checkpoint().unwrap();
-            drop(db.run("destroy T").unwrap());
+            drop(cat.create_class("K", H, env.disk_id(), Default::default(), no_files).unwrap())
         }),
+        Box::new(|| drop(db.run("destroy T").unwrap())),
         Box::new(|| {
             drop(InversionFs::open(&env, Arc::clone(db.store()), LoSpec::fchunk()).unwrap())
         }),
@@ -1449,20 +1507,15 @@ fn crash_at_every_durable_step_of_class_changes() {
             let db = Database::open_with(ROOT, EnvOptions { vfs: image, ..crash_opts() }).unwrap();
             let env = db.env();
             let found = classes(env);
+            assert_files_named_by_rows(env, &found, &[], &what);
             for (name, props) in &found {
                 let was = [before.get(name), after.get(name)];
                 assert!(was.contains(&Some(props)), "{what}: {name} holds {props:?}, not {was:?}");
                 let meta = env.catalog().get(name).unwrap();
                 let heap = Heap::open(env, name).unwrap();
                 let rows = heap.scan(Visibility::Raw).collect::<Result<Vec<_>, _>>().unwrap().len();
-                let indexes = props.iter().filter_map(|(key, value)| match key.as_str() {
-                    "index_oid" => Some(value.as_str()),
-                    key if key.starts_with("index:") => value.split('|').next(),
-                    _ => None,
-                });
-                for oid in indexes {
-                    let tree =
-                        pglo::btree::BTree::open_oid(env, oid.parse().unwrap(), meta.smgr_id());
+                for oid in index_oids(props) {
+                    let tree = pglo::btree::BTree::open_oid(env, oid, meta.smgr_id());
                     let mut scan = tree.scan(pglo::btree::ScanStart::First).unwrap();
                     let mut entries = 0;
                     while scan.next_entry().unwrap().is_some() {
